@@ -43,6 +43,10 @@ type Process struct {
 	profArrive *profiler.Point // "route_arrive_fea"
 	profKernel *profiler.Point // "route_enter_kernel"
 
+	// listBatch carries a decoded add_entries4/delete_entries4 list into
+	// ApplyBatch; reused across XRLs (handlers run on the loop).
+	listBatch *rib.FIBBatch
+
 	// tracer, when set and enabled, receives the StageFIBApply stamp as
 	// each entry lands in the kernel-shaped backend.
 	tracer *telemetry.Tracer
@@ -61,6 +65,7 @@ func New(loop *eventloop.Loop, fib *kernel.FIB, host *kernel.Host, router *xipc.
 		udpClients: make(map[uint16]string),
 		router:     router,
 		prof:       profiler.New(loop.Clock()),
+		listBatch:  rib.NewFIBBatch(),
 	}
 	p.backend = fwd.NewSimBackend(fib)
 	p.profArrive = p.prof.Point("route_arrive_fea")
@@ -194,6 +199,55 @@ func (p *Process) ApplyBatch(b *rib.FIBBatch) error {
 	return err
 }
 
+// AddEntries installs a decoded add_entries4 list as one ApplyBatch: one
+// backend transaction and one snapshot generation however long the list.
+// A list of one takes AddEntry, which is the same transaction without
+// the batch bookkeeping (2-3 % of a single-route update end to end).
+func (p *Process) AddEntries(es []route.Entry) error {
+	if len(es) == 0 {
+		return nil
+	}
+	if len(es) == 1 {
+		return p.AddEntry(es[0])
+	}
+	b := p.listBatch
+	b.Reset()
+	for i := range es {
+		b.Add(es[i])
+	}
+	return p.ApplyBatch(b)
+}
+
+// DeleteEntries removes a decoded delete_entries4 list as one
+// ApplyBatch. A prefix with no entry is skipped and reported (the first
+// such error is returned); the others are still removed. A list of one
+// takes DeleteEntry, as in AddEntries.
+func (p *Process) DeleteEntries(nets []netip.Prefix) error {
+	if len(nets) == 1 {
+		return p.DeleteEntry(nets[0])
+	}
+	var firstErr error
+	snap := p.backend.Current()
+	b := p.listBatch
+	b.Reset()
+	for _, net := range nets {
+		if _, ok := snap.Get(net); !ok {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("fea: no FIB entry %v", net)
+			}
+			continue
+		}
+		b.Delete(route.Entry{Net: net})
+	}
+	if b.Len() == 0 {
+		return firstErr
+	}
+	if err := p.ApplyBatch(b); firstErr == nil {
+		firstErr = err
+	}
+	return firstErr
+}
+
 // RIBClient adapts the FEA as the RIB's FIBClient (rib.FIBClient and
 // rib.FIBBatchClient) for in-process assemblies.
 type RIBClient struct{ P *Process }
@@ -302,27 +356,8 @@ type feaServer struct{ p *Process }
 func (s feaServer) AddEntry4(e route.Entry) error       { return s.p.AddEntry(e) }
 func (s feaServer) DeleteEntry4(net netip.Prefix) error { return s.p.DeleteEntry(net) }
 
-// AddEntries4 applies a decoded batch; individual failures don't abort
-// the rest, the first error is reported.
-func (s feaServer) AddEntries4(es []route.Entry) error {
-	var firstErr error
-	for _, e := range es {
-		if err := s.p.AddEntry(e); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-func (s feaServer) DeleteEntries4(nets []netip.Prefix) error {
-	var firstErr error
-	for _, net := range nets {
-		if err := s.p.DeleteEntry(net); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+func (s feaServer) AddEntries4(es []route.Entry) error       { return s.p.AddEntries(es) }
+func (s feaServer) DeleteEntries4(nets []netip.Prefix) error { return s.p.DeleteEntries(nets) }
 
 // LookupEntry4 answers from the published snapshot — the same immutable
 // table the forwarding workers read — so an XRL lookup and a concurrent

@@ -2,12 +2,14 @@ package fea
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
 	"xorp/internal/eventloop"
 	"xorp/internal/kernel"
 	"xorp/internal/route"
+	"xorp/internal/xif"
 	"xorp/internal/xipc"
 	"xorp/internal/xrl"
 )
@@ -180,5 +182,88 @@ func TestUDPMulticastRelay(t *testing.T) {
 	loop.RunPending()
 	if got != nil {
 		t.Fatal("received multicast after leaving the group")
+	}
+}
+
+// TestListXRLsPublishOnce drives add_entries4 and delete_entries4 through
+// the typed stub: a list of n > 1 entries is one backend transaction and
+// one snapshot generation, and a delete list containing an absent prefix
+// removes the others and still reports the absent one.
+func TestListXRLsPublishOnce(t *testing.T) {
+	loop := eventloop.New(nil)
+	fib := kernel.NewFIB()
+	router := xipc.NewRouter("fea_process", loop)
+	p := New(loop, fib, nil, router)
+	target := xipc.NewTarget("fea", "fea")
+	p.RegisterXRLs(target)
+	router.AddTarget(target)
+	go loop.Run()
+	defer loop.Stop()
+	stub := xif.NewFTIClient(router, "fea")
+
+	// call runs one stub call on the loop and returns its outcome.
+	call := func(send func(done func(error))) error {
+		t.Helper()
+		errc := make(chan error, 1)
+		loop.Dispatch(func() { send(func(err error) { errc <- err }) })
+		select {
+		case err := <-errc:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("XRL did not complete")
+			return nil
+		}
+	}
+	gen := func() uint64 { return p.Snapshots().Current().Gen() }
+
+	es := make([]route.Entry, 40)
+	nets := make([]netip.Prefix, len(es))
+	for i := range es {
+		nets[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)
+		es[i] = route.Entry{Net: nets[i], NextHop: mustA("192.168.1.254"), IfName: "eth0"}
+	}
+	g0 := gen()
+	if err := call(func(done func(error)) { stub.AddEntries4(es, done) }); err != nil {
+		t.Fatalf("add_entries4: %v", err)
+	}
+	if got := gen() - g0; got != 1 {
+		t.Fatalf("add_entries4 of %d entries published %d generations, want 1", len(es), got)
+	}
+	if snap := p.Snapshots().Current(); snap.Len() != len(es) || fib.Len() != len(es) {
+		t.Fatalf("after add: snapshot %d, kernel %d entries, want %d", snap.Len(), fib.Len(), len(es))
+	}
+
+	// Delete the first ten plus one prefix that was never installed.
+	absent := mustP("172.16.0.0/12")
+	dels := append(append([]netip.Prefix{}, nets[:5]...), absent)
+	dels = append(dels, nets[5:10]...)
+	g1 := gen()
+	err := call(func(done func(error)) { stub.DeleteEntries4(dels, done) })
+	if err == nil || !strings.Contains(err.Error(), "no FIB entry 172.16.0.0/12") {
+		t.Fatalf("delete_entries4 with an absent prefix: err = %v, want the no-FIB-entry error", err)
+	}
+	if got := gen() - g1; got != 1 {
+		t.Fatalf("delete_entries4 of %d prefixes published %d generations, want 1", len(dels), got)
+	}
+	snap := p.Snapshots().Current()
+	if snap.Len() != len(es)-10 || fib.Len() != len(es)-10 {
+		t.Fatalf("after delete: snapshot %d, kernel %d entries, want %d", snap.Len(), fib.Len(), len(es)-10)
+	}
+	for i, net := range nets {
+		if _, ok := snap.Get(net); ok != (i >= 10) {
+			t.Fatalf("prefix %v present=%v after delete", net, ok)
+		}
+	}
+
+	// A list naming only absent prefixes changes nothing and publishes nothing.
+	g2 := gen()
+	if err := call(func(done func(error)) { stub.DeleteEntries4(dels[:6], done) }); err == nil {
+		t.Fatal("delete_entries4 of absent prefixes reported success")
+	}
+	if gen() != g2 {
+		t.Fatal("delete_entries4 of absent prefixes published a generation")
+	}
+	if installs, removals := fib.Stats(); installs != uint64(len(es)) || removals != 10 {
+		t.Fatalf("kernel counters installs=%d removals=%d, want %d and 10", installs, removals, len(es))
 	}
 }

@@ -2,6 +2,7 @@ package fwd
 
 import (
 	"net/netip"
+	"sync"
 
 	"xorp/internal/kernel"
 	"xorp/internal/rib"
@@ -37,6 +38,12 @@ type Backend interface {
 type SimBackend struct {
 	fib *kernel.FIB
 	pub *Publisher
+
+	// mu guards the scratch Apply translates a batch into; the slices
+	// are reused so a batch costs no garbage of its own.
+	mu      sync.Mutex
+	adds    []kernel.FIBEntry
+	removes []netip.Prefix
 }
 
 // NewSimBackend returns a simulated-kernel backend over fib. The initial
@@ -76,17 +83,18 @@ func (b *SimBackend) Current() *Snapshot { return b.pub.Current() }
 // Individual entry failures don't abort the rest; the first error is
 // returned.
 func (b *SimBackend) Apply(batch *rib.FIBBatch) error {
-	adds := make([]kernel.FIBEntry, 0, 16)
-	removes := make([]netip.Prefix, 0, 4)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.adds, b.removes = b.adds[:0], b.removes[:0]
 	batch.Ops(func(op rib.FIBOp) {
 		switch op.Kind {
 		case rib.FIBOpAdd, rib.FIBOpReplace:
-			adds = append(adds, kernel.FIBEntry{Net: op.New.Net, NextHop: op.New.NextHop, IfName: op.New.IfName})
+			b.adds = append(b.adds, kernel.FIBEntry{Net: op.New.Net, NextHop: op.New.NextHop, IfName: op.New.IfName})
 		case rib.FIBOpDelete:
-			removes = append(removes, op.Old.Net)
+			b.removes = append(b.removes, op.Old.Net)
 		}
 	})
-	err := b.fib.ApplyBatch(adds, removes)
+	err := b.fib.ApplyBatch(b.adds, b.removes)
 	b.pub.Apply(batch)
 	return err
 }

@@ -6,6 +6,16 @@
 // atomic pointer flip — and forwards a synthetic packet stream against
 // it from N shared-nothing lookup workers.
 //
+// A batch is one edit session is one generation: Publisher.Apply opens a
+// trie.Edit on the current table, applies every operation of the batch
+// and publishes once. Inside a session a node the session allocated is
+// changed in place and any other node is copied first, so a batch copies
+// each touched node at most once and a published snapshot is never
+// written (see the trie package's persistent.go for why the owner mark
+// cannot be confused between sessions). The single-entry FIBAdd /
+// FIBReplace / FIBDelete are batches of one: one path copy, one
+// generation.
+//
 // The shape follows NDN-DPDK's FwFwd design (one forwarding thread per
 // core, per-worker counters and a latency RunningStat, no shared mutable
 // state) and Harmonia's snapshot isolation for read scaling: readers run
@@ -18,7 +28,7 @@
 //	      ▼
 //	 fwd.Backend ── sim kernel (kernel.FIB mirror) or netlink-shaped
 //	      │
-//	 Publisher.Apply: derive snapshot n+1 from n (path-copying trie)
+//	 Publisher.Apply: derive snapshot n+1 from n (one trie edit session)
 //	      │  one atomic pointer flip
 //	      ▼
 //	 ┌─────────┬─────────┬─────────┐

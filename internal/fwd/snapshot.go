@@ -54,8 +54,8 @@ type Source interface {
 }
 
 // Publisher owns the write side of the RCU-style snapshot chain: each
-// applied rib.FIBBatch derives the next version from the current one by
-// path copying and publishes it with one atomic pointer store. Writers
+// applied rib.FIBBatch derives the next version from the current one in
+// one edit session and publishes it with one atomic pointer store. Writers
 // serialize among themselves on an internal mutex that no reader ever
 // touches; Current is a single atomic load.
 //
@@ -90,22 +90,24 @@ func (p *Publisher) Current() *Snapshot { return p.cur.Load() }
 func (p *Publisher) SetTracer(tr *telemetry.Tracer) { p.tracer = tr }
 
 // Apply derives the next snapshot from the current one by applying the
-// batch's net operations and publishes it. The whole batch becomes
-// visible in one pointer flip. Returns the published snapshot.
+// batch's net operations in one trie edit session — each touched node is
+// copied at most once however many of the batch's routes pass through
+// it — and publishes it. The whole batch becomes visible in one pointer
+// flip. Returns the published snapshot.
 func (p *Publisher) Apply(b *rib.FIBBatch) *Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	old := p.cur.Load()
-	tbl := old.tbl
+	edit := old.tbl.Edit()
 	b.Ops(func(op rib.FIBOp) {
 		switch op.Kind {
 		case rib.FIBOpAdd, rib.FIBOpReplace:
-			tbl = tbl.Insert(op.New.Net, op.New)
+			edit.Insert(op.New.Net, op.New)
 		case rib.FIBOpDelete:
-			tbl, _ = tbl.Delete(op.Old.Net)
+			edit.Delete(op.Old.Net)
 		}
 	})
-	next := &Snapshot{gen: old.gen + 1, tbl: tbl}
+	next := &Snapshot{gen: old.gen + 1, tbl: edit.Publish()}
 	p.cur.Store(next)
 	if p.tracer.Enabled() {
 		p.tracer.StampBatch(telemetry.StageSnapPub, func(yield func(netip.Prefix)) {

@@ -105,7 +105,6 @@ func (f *FIB) Install(e FIBEntry) error {
 func (f *FIB) ApplyBatch(adds []FIBEntry, removes []netip.Prefix) error {
 	var firstErr error
 	f.mu.Lock()
-	installed := make([]FIBEntry, 0, len(adds))
 	for _, e := range adds {
 		if !e.Net.IsValid() {
 			if firstErr == nil {
@@ -115,7 +114,6 @@ func (f *FIB) ApplyBatch(adds []FIBEntry, removes []netip.Prefix) error {
 		}
 		f.tbl.Insert(e.Net, e)
 		f.installs++
-		installed = append(installed, e)
 	}
 	for _, net := range removes {
 		if _, ok := f.tbl.Delete(net); ok {
@@ -125,8 +123,10 @@ func (f *FIB) ApplyBatch(adds []FIBEntry, removes []netip.Prefix) error {
 	cb := f.onInstall
 	f.mu.Unlock()
 	if cb != nil {
-		for _, e := range installed {
-			cb(e)
+		for _, e := range adds {
+			if e.Net.IsValid() {
+				cb(e)
+			}
 		}
 	}
 	return firstErr

@@ -17,9 +17,13 @@ type coalesceRec struct {
 	ops     []string
 }
 
-func (r *coalesceRec) FIBAdd(e route.Entry)         { r.ops = append(r.ops, fmt.Sprintf("add %v", e.Net)) }
-func (r *coalesceRec) FIBReplace(_, n route.Entry)  { r.ops = append(r.ops, fmt.Sprintf("replace %v", n.Net)) }
-func (r *coalesceRec) FIBDelete(e route.Entry)      { r.ops = append(r.ops, fmt.Sprintf("delete %v", e.Net)) }
+func (r *coalesceRec) FIBAdd(e route.Entry) { r.ops = append(r.ops, fmt.Sprintf("add %v", e.Net)) }
+func (r *coalesceRec) FIBReplace(_, n route.Entry) {
+	r.ops = append(r.ops, fmt.Sprintf("replace %v", n.Net))
+}
+func (r *coalesceRec) FIBDelete(e route.Entry) {
+	r.ops = append(r.ops, fmt.Sprintf("delete %v", e.Net))
+}
 func (r *coalesceRec) FIBApplyBatch(b *FIBBatch) {
 	r.batches++
 	b.Ops(func(op FIBOp) {

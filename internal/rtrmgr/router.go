@@ -94,15 +94,15 @@ type Router struct {
 	// Transactional reload state (txn.go). txMu guards all of it, plus
 	// Config and generation once the router is live: the coordinator
 	// swaps the running config only after a full two-phase commit.
-	txMu        sync.Mutex
-	generation  uint32 // bumped on every committed reload
-	txSeq       uint32 // transaction id allocator
-	txOpen      uint32 // open transaction id (0 = none)
-	txParts     map[string]bool
-	txPoison    string // set when a participant dies mid-transaction
-	txDeadline  time.Duration
-	txHooks     TxHooks
-	configLoop  *eventloop.Loop
+	txMu         sync.Mutex
+	generation   uint32 // bumped on every committed reload
+	txSeq        uint32 // transaction id allocator
+	txOpen       uint32 // open transaction id (0 = none)
+	txParts      map[string]bool
+	txPoison     string // set when a participant dies mid-transaction
+	txDeadline   time.Duration
+	txHooks      TxHooks
+	configLoop   *eventloop.Loop
 	configRouter *xipc.Router
 }
 
@@ -355,7 +355,7 @@ func (r *Router) setupBGP(cfg *Node) error {
 
 	ms := &xrlMetricSource{stub: xif.NewRIBClient(xr, "rib"), bgpTarget: "bgp"}
 	var metricSrc bgp.MetricSource = ms
-	ribClient := &xrlRIBClient{stub: xif.NewRIBClient(xr, "rib"), loop: bgpLoop}
+	ribClient := newXRLRIBClient(xif.NewRIBClient(xr, "rib"), bgpLoop)
 	proc := bgp.NewProcess(bgpLoop, bgp.Config{
 		AS:                uint16(as),
 		BGPID:             id,

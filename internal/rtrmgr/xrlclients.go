@@ -19,29 +19,46 @@ import (
 // the Figures 10–12 latency path crosses the real IPC machinery.
 
 // xrlRIBClient implements bgp.RIBClient over the typed xif.RIBClient
-// stub. Consecutive AddRoute calls issued within one event-loop drain (a
-// full table load, a burst of decision-process output) coalesce into
-// add_routes4 list XRLs, so the preload of the Figures 10–12 experiments
-// rides the RIB's batch fast path; replaces, deletes and the end of the
-// drain flush the pending run, preserving the per-route XRL order.
+// stub. AddRoute and DeleteRoute calls issued within one event-loop drain
+// (a full table load, a peer's withdrawal of a slice of its table, a
+// burst of decision-process output) are buffered in one pending queue,
+// in call order, and shipped as list XRLs — add_routes4 or
+// delete_routes4 per consecutive run of one kind and one protocol — so
+// they ride the RIB's batch fast path and reach the FEA as one FIB batch
+// per run. A change of kind or protocol, a ReplaceRoute, the 256-op cap
+// and the end of the drain flush the queue, so the RIB sees exactly the
+// order BGP issued.
 type xrlRIBClient struct {
 	stub *xif.RIBClient
 	loop *eventloop.Loop
 
-	pend        []pendingRIBAdd
+	pend        []pendingRIBOp
 	flushQueued bool
+	flushFn     func() // c.flush, bound once: Dispatch(c.flush) would allocate per drain
+
+	// Scratch for the run being shipped; the stubs encode before
+	// returning, so both are free again after each call.
+	es   []route.Entry
+	nets []netip.Prefix
 }
 
-// pendingRIBAdd is one buffered AddRoute, pre-encoded so no *bgp.Route is
-// retained past the call.
-type pendingRIBAdd struct {
+// pendingRIBOp is one buffered AddRoute or DeleteRoute, reduced to the
+// RIB entry so no *bgp.Route is retained past the call.
+type pendingRIBOp struct {
+	del   bool
 	proto string
-	atom  xrl.Atom
+	e     route.Entry // a delete uses only e.Net
 	done  func(error)
 }
 
-// ribAddBatchCap bounds the buffered run (and thus the list XRL size).
-const ribAddBatchCap = 256
+// ribBatchCap bounds the buffered queue (and thus the list XRL size).
+const ribBatchCap = 256
+
+func newXRLRIBClient(stub *xif.RIBClient, loop *eventloop.Loop) *xrlRIBClient {
+	c := &xrlRIBClient{stub: stub, loop: loop}
+	c.flushFn = c.flush
+	return c
+}
 
 func protoName(r *bgp.Route) string {
 	if r.Src != nil && r.Src.IBGP {
@@ -58,72 +75,105 @@ func ribEntryOf(r *bgp.Route) route.Entry {
 	return e
 }
 
-// AddRoute implements bgp.RIBClient, buffering the add into the current
-// coalescing run.
+// AddRoute implements bgp.RIBClient, buffering the add.
 func (c *xrlRIBClient) AddRoute(r *bgp.Route, done func(error)) {
-	c.pend = append(c.pend, pendingRIBAdd{
-		proto: protoName(r),
-		atom:  xif.EncodeRouteAtom(ribEntryOf(r)),
-		done:  done,
-	})
-	if len(c.pend) >= ribAddBatchCap {
+	c.enqueue(pendingRIBOp{proto: protoName(r), e: ribEntryOf(r), done: done})
+}
+
+// DeleteRoute implements bgp.RIBClient, buffering the withdraw.
+func (c *xrlRIBClient) DeleteRoute(r *bgp.Route, done func(error)) {
+	c.enqueue(pendingRIBOp{del: true, proto: protoName(r), e: route.Entry{Net: r.Net}, done: done})
+}
+
+func (c *xrlRIBClient) enqueue(op pendingRIBOp) {
+	c.pend = append(c.pend, op)
+	if len(c.pend) >= ribBatchCap {
 		c.flush()
 		return
 	}
 	if !c.flushQueued {
 		c.flushQueued = true
-		c.loop.Dispatch(c.flush)
+		c.loop.Dispatch(c.flushFn)
 	}
 }
 
-// flush ships the buffered adds as one add_routes4 per consecutive
-// same-protocol run.
+// flush ships the pending queue in order, one XRL per run of consecutive
+// ops of the same kind and protocol.
 func (c *xrlRIBClient) flush() {
 	c.flushQueued = false
 	if len(c.pend) == 0 {
 		return
 	}
+	// Detach the queue while shipping: an op enqueued from inside a stub
+	// call starts a fresh one rather than joining the run being cut.
 	pend := c.pend
 	c.pend = nil
 	for start := 0; start < len(pend); {
 		end := start + 1
-		for end < len(pend) && pend[end].proto == pend[start].proto {
+		for end < len(pend) && pend[end].del == pend[start].del && pend[end].proto == pend[start].proto {
 			end++
 		}
-		run := pend[start:end]
+		c.ship(pend[start:end])
 		start = end
-		items := make([]xrl.Atom, len(run))
-		var dones []func(error)
+	}
+	clear(pend) // drop the done callbacks
+	if c.pend == nil {
+		c.pend = pend[:0]
+	}
+}
+
+// ship sends one run. A lone withdraw goes as delete_route4 (the
+// single-route XRL costs less than a list of one); everything else as a
+// list XRL.
+func (c *xrlRIBClient) ship(run []pendingRIBOp) {
+	done, proto := runDone(run), run[0].proto
+	switch {
+	case !run[0].del:
+		c.es = c.es[:0]
 		for i := range run {
-			items[i] = run[i].atom
-			if run[i].done != nil {
-				dones = append(dones, run[i].done)
-			}
+			c.es = append(c.es, run[i].e)
 		}
-		c.stub.AddRoutes4Encoded(run[0].proto, items, func(err error) {
-			for _, d := range dones {
-				d(err)
-			}
-		})
+		c.stub.AddRoutes4(proto, c.es, done)
+	case len(run) == 1:
+		c.stub.DeleteRoute4(proto, run[0].e.Net, done)
+	default:
+		c.nets = c.nets[:0]
+		for i := range run {
+			c.nets = append(c.nets, run[i].e.Net)
+		}
+		c.stub.DeleteRoutes4(proto, c.nets, done)
+	}
+}
+
+// runDone returns a callback that reports the run's outcome to every op
+// that asked for one, or nil when none did.
+func runDone(run []pendingRIBOp) func(error) {
+	var dones []func(error)
+	for i := range run {
+		if run[i].done != nil {
+			dones = append(dones, run[i].done)
+		}
+	}
+	if dones == nil {
+		return nil
+	}
+	return func(err error) {
+		for _, d := range dones {
+			d(err)
+		}
 	}
 }
 
 // ReplaceRoute implements bgp.RIBClient.
 func (c *xrlRIBClient) ReplaceRoute(old, new *bgp.Route, done func(error)) {
-	c.flush() // keep the stream ordered past the buffered adds
+	c.flush() // keep the stream ordered past the buffered ops
 	// Protocol identity may change between old and new (ebgp vs ibgp
 	// winner): the RIB keys origin tables by protocol, so clear the old
 	// entry when it moved.
 	if protoName(old) != protoName(new) {
-		c.DeleteRoute(old, nil)
+		c.stub.DeleteRoute4(protoName(old), old.Net, nil)
 	}
 	c.stub.ReplaceRoute4(protoName(new), ribEntryOf(new), done)
-}
-
-// DeleteRoute implements bgp.RIBClient.
-func (c *xrlRIBClient) DeleteRoute(r *bgp.Route, done func(error)) {
-	c.flush() // keep the stream ordered past the buffered adds
-	c.stub.DeleteRoute4(protoName(r), r.Net, done)
 }
 
 // xrlMetricSource implements bgp.MetricSource over the rib/1.0
@@ -243,7 +293,7 @@ func NewXRLFIBClient(router *xipc.Router, feaTarget string) rib.FIBClient {
 // NewXRLRIBClient returns a bgp.RIBClient that sends rib/1.0 XRLs to
 // ribTarget through router.
 func NewXRLRIBClient(router *xipc.Router, ribTarget string) bgp.RIBClient {
-	return &xrlRIBClient{stub: xif.NewRIBClient(router, ribTarget), loop: router.Loop()}
+	return newXRLRIBClient(xif.NewRIBClient(router, ribTarget), router.Loop())
 }
 
 // NewXRLMetricSource returns a bgp.MetricSource that registers interest

@@ -11,28 +11,91 @@
 // current version; the write side derives version n+1 from n and flips
 // the pointer. Readers never observe a half-applied batch because no
 // reachable node is ever mutated.
+//
+// # Edit sessions and the owner mark
+//
+// A batch of changes is built with an Edit session (Persistent.Edit …
+// Edit.Publish). Every node carries the id of the session that
+// allocated it. A session writing a node it owns mutates it in place —
+// nothing else can reach that node yet, because the session's roots stay
+// private until Publish — and copies any other node first, taking
+// ownership of the copy. So a batch copies each touched node at most
+// once instead of once per change, and a node reachable from a published
+// version is still never written.
+//
+// That last claim rests on session ids never repeating. Ids come from
+// one process-wide 48-bit counter (every Persistent of every element
+// type, every fwd.Publisher, draws from it) and a session panics rather
+// than wrap: at a million sessions a second the counter lasts nine years.
+// A narrower or per-table mark (say uint32(generation)) would repeat, and
+// a session whose id repeated would take nodes a reader still holds for
+// its own. Publish zeroes the session's id, so the mark dies there: no
+// later session can own what it built, and a published session cannot be
+// edited further. Id 0 owns nothing; Insert and Delete run in that mode
+// and therefore always copy.
+//
+// The id lives in what used to be padding after bits/hasVal, so pnode
+// stays in its allocator size class (pinned by TestPnodeSize).
 
 package trie
 
-import "net/netip"
+import (
+	"net/netip"
+	"sync/atomic"
+)
 
-// pnode is one immutable node of a Persistent table. Like Trie's node it
-// is either valued or structural glue, and carries its prefix bits
-// precomputed as a 128-bit word key so traversal never touches address
-// bytes. Unlike Trie's node it has no parent pointer (paths are copied
-// root-down) and is never mutated once reachable from a published root.
+// editIDBits is the width of the owner mark.
+const editIDBits = 48
+
+// editIDs issues edit-session ids; see the file header.
+var editIDs atomic.Uint64
+
+// pnode is one node of a Persistent table. Like Trie's node it is either
+// valued or structural glue, and carries its prefix bits precomputed as a
+// 128-bit word key so traversal never touches address bytes. Unlike
+// Trie's node it has no parent pointer (paths are copied root-down) and
+// is never mutated once reachable from a published root.
 type pnode[T any] struct {
-	key    key128
-	child  [2]*pnode[T]
-	bits   uint8
-	hasVal bool
-	prefix netip.Prefix
-	val    T
+	key     key128
+	child   [2]*pnode[T]
+	ownerLo uint32 // edit-session id, low 32 bits
+	ownerHi uint16 // edit-session id, high 16 bits
+	bits    uint8
+	hasVal  bool
+	prefix  netip.Prefix
+	val     T
 }
 
 // covers reports whether n's prefix covers (k, kb).
 func (n *pnode[T]) covers(k key128, kb uint8) bool {
 	return n.bits <= kb && k.hasPrefix(n.key, n.bits)
+}
+
+// ownedBy reports whether session id allocated n. Id 0 owns nothing.
+func (n *pnode[T]) ownedBy(id uint64) bool {
+	return id != 0 && n.ownerLo == uint32(id) && n.ownerHi == uint16(id>>32)
+}
+
+func (n *pnode[T]) setOwner(id uint64) {
+	n.ownerLo, n.ownerHi = uint32(id), uint16(id>>32)
+}
+
+// own returns the node session id may write in n's place: n itself when
+// the session allocated it, otherwise a copy marked as the session's.
+func (n *pnode[T]) own(id uint64) *pnode[T] {
+	if n.ownedBy(id) {
+		return n
+	}
+	c := *n
+	c.setOwner(id)
+	return &c
+}
+
+// newLeaf returns a valued, childless node owned by session id.
+func newLeaf[T any](id uint64, p netip.Prefix, k key128, pb uint8, v T) *pnode[T] {
+	n := &pnode[T]{key: k, bits: pb, hasVal: true, prefix: p, val: v}
+	n.setOwner(id)
+	return n
 }
 
 // Persistent is an immutable LPM table version. The zero value is the
@@ -51,6 +114,56 @@ func NewPersistent[T any]() *Persistent[T] { return &Persistent[T]{} }
 // Len returns the number of valued entries.
 func (t *Persistent[T]) Len() int { return t.size }
 
+// Edit is a transient edit session: a private successor of one version,
+// changed in place where the session owns the nodes, and turned into the
+// next immutable version by Publish. A session belongs to one goroutine.
+type Edit[T any] struct {
+	tbl Persistent[T] // private until Publish hands it out
+	id  uint64        // 0 once published
+}
+
+// Edit opens an edit session on t. t itself never changes.
+func (t *Persistent[T]) Edit() *Edit[T] {
+	id := editIDs.Add(1)
+	if id >= 1<<editIDBits {
+		panic("trie: edit-session ids exhausted")
+	}
+	return &Edit[T]{tbl: *t, id: id}
+}
+
+// Len returns the number of valued entries the session holds.
+func (e *Edit[T]) Len() int { return e.tbl.size }
+
+// Insert stores v at p (masked first), replacing any existing value. An
+// invalid prefix is ignored.
+func (e *Edit[T]) Insert(p netip.Prefix, v T) {
+	e.mustBeOpen()
+	e.tbl.insert(e.id, p, v)
+}
+
+// Delete removes the entry exactly at p and reports whether it existed.
+func (e *Edit[T]) Delete(p netip.Prefix) bool {
+	e.mustBeOpen()
+	return e.tbl.remove(e.id, p)
+}
+
+// Publish ends the session and returns its contents as an immutable
+// version. The session cannot be used afterwards.
+func (e *Edit[T]) Publish() *Persistent[T] {
+	e.mustBeOpen()
+	e.id = 0
+	return &e.tbl
+}
+
+// mustBeOpen guards the owner-mark invariant: a published session's
+// table is in readers' hands, and id 0 would copy where the caller
+// expects in-place edits to accumulate.
+func (e *Edit[T]) mustBeOpen() {
+	if e.id == 0 {
+		panic("trie: Edit used after Publish")
+	}
+}
+
 // Insert returns a new version with v stored at p (masked first),
 // replacing any existing value. An invalid prefix returns the receiver
 // unchanged.
@@ -58,48 +171,58 @@ func (t *Persistent[T]) Insert(p netip.Prefix, v T) *Persistent[T] {
 	if !p.IsValid() {
 		return t
 	}
+	nt := *t
+	nt.insert(0, p, v)
+	return &nt
+}
+
+// insert stores (p, v) in t itself on behalf of session id; t must not
+// be published yet.
+func (t *Persistent[T]) insert(id uint64, p netip.Prefix, v T) {
+	if !p.IsValid() {
+		return
+	}
 	p = p.Masked()
 	k := keyOf(p.Addr())
 	pb := uint8(p.Bits())
 	added := false
-	nt := &Persistent[T]{root4: t.root4, root6: t.root6, size: t.size}
 	if p.Addr().Is4() {
-		nt.root4 = insertP(t.root4, p, k, pb, v, &added)
+		t.root4 = insertP(t.root4, id, p, k, pb, v, &added)
 	} else {
-		nt.root6 = insertP(t.root6, p, k, pb, v, &added)
+		t.root6 = insertP(t.root6, id, p, k, pb, v, &added)
 	}
 	if added {
-		nt.size++
+		t.size++
 	}
-	return nt
 }
 
-// insertP returns the root of a new subtree equal to n with (p, v)
-// stored, copying only the nodes on the descent path.
-func insertP[T any](n *pnode[T], p netip.Prefix, k key128, pb uint8, v T, added *bool) *pnode[T] {
+// insertP returns the root of a subtree equal to n with (p, v) stored.
+// Nodes on the descent path that session id does not own are copied;
+// the ones it owns are changed in place.
+func insertP[T any](n *pnode[T], id uint64, p netip.Prefix, k key128, pb uint8, v T, added *bool) *pnode[T] {
 	if n == nil {
 		*added = true
-		return &pnode[T]{key: k, bits: pb, hasVal: true, prefix: p, val: v}
+		return newLeaf(id, p, k, pb, v)
 	}
 	if n.bits == pb && n.key == k {
 		*added = !n.hasVal
-		c := *n
+		c := n.own(id)
 		c.val = v
 		c.hasVal = true
 		c.prefix = p
-		return &c
+		return c
 	}
 	if n.covers(k, pb) {
-		// n strictly covers p: copy n, descend.
+		// n strictly covers p: descend.
 		b := k.bit(n.bits)
-		c := *n
-		c.child[b] = insertP(n.child[b], p, k, pb, v, added)
-		return &c
+		c := n.own(id)
+		c.child[b] = insertP(n.child[b], id, p, k, pb, v, added)
+		return c
 	}
 	if pb < n.bits && n.key.hasPrefix(k, pb) {
 		// p covers n: the new node takes n as its child.
 		*added = true
-		nn := &pnode[T]{key: k, bits: pb, hasVal: true, prefix: p, val: v}
+		nn := newLeaf(id, p, k, pb, v)
 		nn.child[n.key.bit(pb)] = n
 		return nn
 	}
@@ -111,8 +234,9 @@ func insertP[T any](n *pnode[T], p netip.Prefix, k key128, pb uint8, v T, added 
 	}
 	*added = true
 	g := &pnode[T]{key: keyOf(gp.Addr()), bits: gb, prefix: gp}
+	g.setOwner(id)
 	g.child[n.key.bit(gb)] = n
-	g.child[k.bit(gb)] = &pnode[T]{key: k, bits: pb, hasVal: true, prefix: p, val: v}
+	g.child[k.bit(gb)] = newLeaf(id, p, k, pb, v)
 	return g
 }
 
@@ -120,34 +244,40 @@ func insertP[T any](n *pnode[T], p netip.Prefix, k key128, pb uint8, v T, added 
 // reports whether it existed. When it does not, the receiver itself is
 // returned (no copying).
 func (t *Persistent[T]) Delete(p netip.Prefix) (*Persistent[T], bool) {
-	if !p.IsValid() {
+	nt := *t
+	if !nt.remove(0, p) {
 		return t, false
+	}
+	out := nt // allocate only on this path
+	return &out, true
+}
+
+// remove deletes the entry at p from t itself on behalf of session id,
+// and reports whether it existed; t must not be published yet.
+func (t *Persistent[T]) remove(id uint64, p netip.Prefix) bool {
+	if !p.IsValid() {
+		return false
 	}
 	p = p.Masked()
 	k := keyOf(p.Addr())
 	pb := uint8(p.Bits())
 	removed := false
-	var nt Persistent[T]
 	if p.Addr().Is4() {
-		root := deleteP(t.root4, k, pb, &removed)
-		if !removed {
-			return t, false
-		}
-		nt = Persistent[T]{root4: root, root6: t.root6, size: t.size - 1}
+		t.root4 = deleteP(t.root4, id, k, pb, &removed)
 	} else {
-		root := deleteP(t.root6, k, pb, &removed)
-		if !removed {
-			return t, false
-		}
-		nt = Persistent[T]{root4: t.root4, root6: root, size: t.size - 1}
+		t.root6 = deleteP(t.root6, id, k, pb, &removed)
 	}
-	return &nt, true
+	if removed {
+		t.size--
+	}
+	return removed
 }
 
-// deleteP returns the root of a new subtree equal to n with the value at
+// deleteP returns the root of a subtree equal to n with the value at
 // (k, pb) removed, splicing out nodes that become structurally
-// unnecessary. Returns n itself when nothing changed.
-func deleteP[T any](n *pnode[T], k key128, pb uint8, removed *bool) *pnode[T] {
+// unnecessary. Returns n itself when nothing changed; otherwise nodes
+// session id does not own are copied, the ones it owns changed in place.
+func deleteP[T any](n *pnode[T], id uint64, k key128, pb uint8, removed *bool) *pnode[T] {
 	if n == nil {
 		return nil
 	}
@@ -159,11 +289,11 @@ func deleteP[T any](n *pnode[T], k key128, pb uint8, removed *bool) *pnode[T] {
 		switch {
 		case n.child[0] != nil && n.child[1] != nil:
 			// Still needed as a branch point: keep as glue.
-			c := *n
+			c := n.own(id)
 			var zero T
 			c.val = zero
 			c.hasVal = false
-			return &c
+			return c
 		case n.child[0] != nil:
 			return n.child[0]
 		case n.child[1] != nil:
@@ -176,24 +306,23 @@ func deleteP[T any](n *pnode[T], k key128, pb uint8, removed *bool) *pnode[T] {
 		return n
 	}
 	b := k.bit(n.bits)
-	nc := deleteP(n.child[b], k, pb, removed)
+	nc := deleteP(n.child[b], id, k, pb, removed)
 	if !*removed {
 		return n
 	}
-	c := *n
-	c.child[b] = nc
-	if !c.hasVal {
+	if !n.hasVal {
 		// A glue node left with one (or zero) children splices out.
+		other := n.child[1-b]
 		switch {
-		case c.child[0] == nil && c.child[1] == nil:
-			return nil
-		case c.child[0] == nil:
-			return c.child[1]
-		case c.child[1] == nil:
-			return c.child[0]
+		case nc == nil:
+			return other
+		case other == nil:
+			return nc
 		}
 	}
-	return &c
+	c := n.own(id)
+	c.child[b] = nc
+	return c
 }
 
 // Get returns the value stored exactly at p.
@@ -228,31 +357,30 @@ func (t *Persistent[T]) Get(p netip.Prefix) (T, bool) {
 // the forwarding-worker hot path: a pure pointer walk over immutable
 // nodes, no locks, no allocation.
 func (t *Persistent[T]) LongestMatch(addr netip.Addr) (netip.Prefix, T, bool) {
-	var (
-		bestP netip.Prefix
-		bestV T
-		found bool
-	)
 	cur := t.root6
 	maxBits := uint8(128)
 	if addr.Is4() {
 		cur = t.root4
 		maxBits = 32
 	}
-	if cur == nil {
-		return bestP, bestV, false
-	}
 	k := keyOf(addr)
+	// Remember the best node, not its contents: prefix and value are
+	// copied once on return instead of at every valued ancestor.
+	var best *pnode[T]
 	for cur != nil {
 		if cur.bits > maxBits || !k.hasPrefix(cur.key, cur.bits) {
 			break
 		}
 		if cur.hasVal {
-			bestP, bestV, found = cur.prefix, cur.val, true
+			best = cur
 		}
 		cur = cur.child[k.bit(cur.bits)]
 	}
-	return bestP, bestV, found
+	if best == nil {
+		var zero T
+		return netip.Prefix{}, zero, false
+	}
+	return best.prefix, best.val, true
 }
 
 // Walk visits every valued entry in lexicographic (DFS pre-)order. fn

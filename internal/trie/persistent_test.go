@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"net/netip"
 	"testing"
+	"unsafe"
+
+	"xorp/internal/route"
 )
 
 func TestPersistentBasic(t *testing.T) {
@@ -83,75 +86,258 @@ func TestPersistentV6(t *testing.T) {
 	}
 }
 
-// TestPersistentMatchesTrie drives the same random operation stream into
-// a Persistent chain and a mutable Trie and demands identical Get,
-// LongestMatch and Walk results at every step — the correctness anchor
-// the fwd snapshot oracle builds on.
+// kv is one table entry as Walk yields it.
+type kv struct {
+	p netip.Prefix
+	v uint32
+}
+
+func walkAll(walk func(func(netip.Prefix, uint32) bool)) []kv {
+	var out []kv
+	walk(func(p netip.Prefix, v uint32) bool { out = append(out, kv{p, v}); return true })
+	return out
+}
+
+func sameKVs(a, b []kv) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPersistentMatchesTrie drives the same random operation stream
+// (inserts, replaces and deletes over both address families) into three
+// tables — a mutable Trie, a Persistent chain advanced one always-copy
+// Insert/Delete at a time, and a Persistent chain advanced through edit
+// sessions of random length 1…300 — and demands identical Get,
+// LongestMatch and Walk results whenever a session publishes. It also
+// keeps every version the session chain ever published and checks that
+// each still walks to the contents recorded at its publication: an edit
+// session must never write a node a published version can reach. This is
+// the correctness anchor the fwd snapshot oracle builds on.
 func TestPersistentMatchesTrie(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	mt := New[uint32]()
 	pt := NewPersistent[uint32]()
+	et := NewPersistent[uint32]()
 
+	randAddr := func(host bool) netip.Addr {
+		last := byte(r.Intn(4))
+		if host {
+			last = byte(r.Intn(256))
+		}
+		if r.Intn(4) == 0 {
+			return netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, byte(r.Intn(4)), byte(r.Intn(8)), 0, byte(r.Intn(8)), 15: last})
+		}
+		return netip.AddrFrom4([4]byte{byte(10 + r.Intn(4)), byte(r.Intn(8)), byte(r.Intn(8)), last})
+	}
 	randPrefix := func() netip.Prefix {
+		a := randAddr(false)
 		bits := 8 + r.Intn(25) // 8..32
-		a := netip.AddrFrom4([4]byte{byte(10 + r.Intn(4)), byte(r.Intn(8)), byte(r.Intn(8)), byte(r.Intn(4))})
+		if a.Is6() {
+			bits = 32 + r.Intn(97) // 32..128
+		}
 		p, _ := a.Prefix(bits)
 		return p
 	}
-	probes := make([]netip.Addr, 64)
+	probes := make([]netip.Addr, 96)
 	for i := range probes {
-		probes[i] = netip.AddrFrom4([4]byte{byte(10 + r.Intn(4)), byte(r.Intn(8)), byte(r.Intn(8)), byte(r.Intn(256))})
+		probes[i] = randAddr(true)
 	}
 
+	type version struct {
+		tbl  *Persistent[uint32]
+		want []kv
+	}
+	var published []version
+
 	var live []netip.Prefix
-	for step := 0; step < 4000; step++ {
-		if r.Intn(3) != 0 || len(live) == 0 {
-			p := randPrefix()
-			v := r.Uint32()
-			mt.Insert(p, v)
-			pt = pt.Insert(p, v)
-			live = append(live, p)
-		} else {
+	edit, left := et.Edit(), 1+r.Intn(300)
+	const steps = 12000
+	for step := 0; step < steps; step++ {
+		switch {
+		case len(live) > 0 && r.Intn(3) == 0:
 			i := r.Intn(len(live))
 			p := live[i]
 			live = append(live[:i], live[i+1:]...)
 			_, mok := mt.Delete(p)
 			var pok bool
 			pt, pok = pt.Delete(p)
-			if mok != pok {
-				t.Fatalf("step %d: delete(%v) trie=%v persistent=%v", step, p, mok, pok)
+			eok := edit.Delete(p)
+			if mok != pok || mok != eok {
+				t.Fatalf("step %d: delete(%v) trie=%v persistent=%v session=%v", step, p, mok, pok, eok)
+			}
+		default:
+			p := randPrefix()
+			if len(live) > 0 && r.Intn(4) == 0 {
+				p = live[r.Intn(len(live))] // replace
+			} else {
+				live = append(live, p)
+			}
+			v := r.Uint32()
+			mt.Insert(p, v)
+			pt = pt.Insert(p, v)
+			edit.Insert(p, v)
+		}
+		if mt.Len() != pt.Len() || mt.Len() != edit.Len() {
+			t.Fatalf("step %d: len trie=%d persistent=%d session=%d", step, mt.Len(), pt.Len(), edit.Len())
+		}
+		if left--; left > 0 && step != steps-1 {
+			continue
+		}
+
+		et = edit.Publish()
+		edit, left = et.Edit(), 1+r.Intn(300)
+
+		want := walkAll(mt.Walk)
+		if got := walkAll(pt.Walk); !sameKVs(got, want) {
+			t.Fatalf("step %d: persistent walk differs from trie", step)
+		}
+		if got := walkAll(et.Walk); !sameKVs(got, want) {
+			t.Fatalf("step %d: session-built walk differs from trie", step)
+		}
+		for _, e := range want {
+			pv, pok := pt.Get(e.p)
+			ev, eok := et.Get(e.p)
+			if !pok || !eok || pv != e.v || ev != e.v {
+				t.Fatalf("step %d: Get(%v) persistent=(%d,%v) session=(%d,%v), want %d", step, e.p, pv, pok, ev, eok, e.v)
 			}
 		}
-		if mt.Len() != pt.Len() {
-			t.Fatalf("step %d: len trie=%d persistent=%d", step, mt.Len(), pt.Len())
-		}
-		if step%17 == 0 {
-			for _, a := range probes {
-				mp, mv, mok := mt.LongestMatch(a)
-				pp, pv, pok := pt.LongestMatch(a)
-				if mok != pok || mp != pp || mv != pv {
-					t.Fatalf("step %d: LPM(%v) trie=(%v,%d,%v) persistent=(%v,%d,%v)",
-						step, a, mp, mv, mok, pp, pv, pok)
-				}
+		for _, a := range probes {
+			mp, mv, mok := mt.LongestMatch(a)
+			pp, pv, pok := pt.LongestMatch(a)
+			ep, ev, eok := et.LongestMatch(a)
+			if mok != pok || mp != pp || mv != pv || mok != eok || mp != ep || mv != ev {
+				t.Fatalf("step %d: LPM(%v) trie=(%v,%d,%v) persistent=(%v,%d,%v) session=(%v,%d,%v)",
+					step, a, mp, mv, mok, pp, pv, pok, ep, ev, eok)
 			}
 		}
+		for i, old := range published {
+			if old.tbl.Len() != len(old.want) || !sameKVs(walkAll(old.tbl.Walk), old.want) {
+				t.Fatalf("step %d: version %d changed after it was published", step, i)
+			}
+		}
+		published = append(published, version{et, want})
+	}
+	if len(published) < 40 {
+		t.Fatalf("only %d sessions published", len(published))
+	}
+}
+
+// TestPnodeSize pins the node to its allocator size class: the owner
+// mark must fit in what used to be padding, or every table grows.
+func TestPnodeSize(t *testing.T) {
+	// The forwarding plane's node: 176 bytes is its size class.
+	if got, want := unsafe.Sizeof(pnode[route.Entry]{}), uintptr(176); got != want {
+		t.Fatalf("pnode[route.Entry] is %d bytes, want %d", got, want)
+	}
+	if got, want := unsafe.Sizeof(pnode[uint64]{}), uintptr(72+8); got != want {
+		t.Fatalf("pnode[uint64] is %d bytes, want %d: the header grew", got, want)
+	}
+}
+
+// TestEditOwnerMark pins the safety of the owner mark: ids are unique
+// across sessions, tables and element types, they fit the 48 bits a node
+// stores, and a published session can neither be edited nor confused
+// with a later one.
+func TestEditOwnerMark(t *testing.T) {
+	a := NewPersistent[int]().Edit()
+	b := NewPersistent[string]().Edit()
+	c := NewPersistent[int]().Edit()
+	if a.id == 0 || a.id == b.id || b.id == c.id || a.id == c.id {
+		t.Fatalf("session ids not unique: %d %d %d", a.id, b.id, c.id)
 	}
 
-	// Final structural comparison via Walk.
-	type kv struct {
-		p netip.Prefix
-		v uint32
+	// A node stores every bit of the widest id.
+	const widest = uint64(1<<editIDBits - 1)
+	n := (&pnode[int]{}).own(widest)
+	if n.own(widest) != n {
+		t.Fatal("widest id does not round-trip through a node")
 	}
-	var ms, ps []kv
-	mt.Walk(func(p netip.Prefix, v uint32) bool { ms = append(ms, kv{p, v}); return true })
-	pt.Walk(func(p netip.Prefix, v uint32) bool { ps = append(ps, kv{p, v}); return true })
-	if len(ms) != len(ps) {
-		t.Fatalf("walk counts differ: %d vs %d", len(ms), len(ps))
+	if n.own(widest&^1) == n || n.own(widest&^(1<<40)) == n {
+		t.Fatal("ids differing in one half matched")
 	}
-	for i := range ms {
-		if ms[i] != ps[i] {
-			t.Fatalf("walk[%d]: trie=%v persistent=%v", i, ms[i], ps[i])
+	// Id 0 (always-copy mode) owns nothing, not even unmarked nodes.
+	if z := (&pnode[int]{}); z.own(0) == z {
+		t.Fatal("id 0 took ownership of an unmarked node")
+	}
+
+	// A second session over a published version copies, never shares.
+	p10 := netip.MustParsePrefix("10.0.0.0/8")
+	a.Insert(p10, 1)
+	v1 := a.Publish()
+	if a.id != 0 {
+		t.Fatal("Publish left the session's mark alive")
+	}
+	d := v1.Edit()
+	d.Insert(p10, 2)
+	v2 := d.Publish()
+	if got, _ := v1.Get(p10); got != 1 {
+		t.Fatalf("v1 mutated by a later session: %d", got)
+	}
+	if got, _ := v2.Get(p10); got != 2 {
+		t.Fatalf("v2 = %d", got)
+	}
+
+	for name, use := range map[string]func(){
+		"Insert":  func() { a.Insert(p10, 3) },
+		"Delete":  func() { a.Delete(p10) },
+		"Publish": func() { a.Publish() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Publish did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+
+	// Exhaustion panics instead of wrapping into ids still in use.
+	saved := editIDs.Swap(1<<editIDBits - 1)
+	defer editIDs.Store(saved)
+	defer func() {
+		if recover() == nil {
+			t.Error("Edit past the last id did not panic")
 		}
+	}()
+	v2.Edit()
+}
+
+// TestEditCopiesEachNodeOnce is the point of a session: n changes under
+// one shared path cost about one copy of that path, not n.
+func TestEditCopiesEachNodeOnce(t *testing.T) {
+	base := NewPersistent[int]()
+	var nets []netip.Prefix
+	for i := 0; i < 4096; i++ {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
+		nets = append(nets, p)
+		base = base.Insert(p, i)
+	}
+	batch := nets[1024 : 1024+256]
+	perOp := testing.AllocsPerRun(10, func() {
+		tbl := base
+		for _, p := range batch {
+			tbl = tbl.Insert(p, -1)
+		}
+	})
+	session := testing.AllocsPerRun(10, func() {
+		e := base.Edit()
+		for _, p := range batch {
+			e.Insert(p, -1)
+		}
+		e.Publish()
+	})
+	// 256 adjacent /24s: 256 leaves + 255 interior nodes + the shared
+	// path above them.
+	if session > 2.2*float64(len(batch)) || session*4 > perOp {
+		t.Fatalf("session %.0f allocs vs per-op %.0f for %d replaces", session, perOp, len(batch))
 	}
 }
 
