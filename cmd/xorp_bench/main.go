@@ -198,7 +198,7 @@ func main() {
 			}
 			return nil
 		}
-		fmt.Printf("Full-table RIB load, seed single-route path vs batch fast path (%d routes)\n", n)
+		fmt.Printf("Full-table RIB load, runs of one vs runs of %d (%d routes)\n", bench.TableLoadBatchSize, n)
 		single, err := bench.RunTableLoad(n, false)
 		if err != nil {
 			return err
@@ -208,7 +208,7 @@ func main() {
 			return err
 		}
 		fmt.Print(bench.FormatTableLoad(single, batch))
-		fmt.Println(`(recorded baselines: BENCH_fig9.json "tableload")`)
+		fmt.Println("(what HEAD costs: the bulk workload and rib.add_allocs_per_route, benchmark/README.md)")
 		return nil
 	})
 

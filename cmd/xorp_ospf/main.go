@@ -144,7 +144,7 @@ func (r *xrlRIB) DeleteRoute(net netip.Prefix) {
 }
 
 // AddRoutes ships a whole SPF result as one add_routes4 list XRL
-// (ospf.BatchRIBClient), riding the RIB's batch fast path.
+// (ospf.BatchRIBClient), which the RIB takes as one run.
 func (r *xrlRIB) AddRoutes(es []route.Entry) {
 	r.stub.AddRoutes4("ospf", es, nil)
 }

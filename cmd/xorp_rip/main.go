@@ -122,7 +122,7 @@ func (r *xrlRIB) DeleteRoute(net netip.Prefix) {
 }
 
 // AddRoutes ships one received update's routes as a single add_routes4
-// list XRL (rip.BatchRIBClient), riding the RIB's batch fast path.
+// list XRL (rip.BatchRIBClient), which the RIB takes as one run.
 func (r *xrlRIB) AddRoutes(es []route.Entry) {
 	r.stub.AddRoutes4("rip", es, nil)
 }

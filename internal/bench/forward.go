@@ -19,7 +19,7 @@ import (
 // Forwarding plane: lookups/sec at 1..N workers against the published
 // FIB snapshots, measured concurrently with a full-table churn run — the
 // data-plane half the paper's evaluation never covered. The churn path
-// is the real one: RIB batch fast path → FEA ApplyBatch → SimBackend →
+// is the real one: RIB runs → FEA ApplyBatch → SimBackend →
 // one snapshot publish per batch, while the workers chase the snapshot
 // pointer lock-free.
 // ---------------------------------------------------------------------
@@ -45,7 +45,7 @@ const forwardChurnChunk = 1024
 // forwards a zipf-distributed synthetic stream (5% deliberate misses)
 // from `workers` workers for dur. With churn set, the measurement runs
 // concurrently with continuous withdraw/re-add transactions of
-// forwardChurnChunk routes through the RIB's batch fast path.
+// forwardChurnChunk routes as one run through the RIB.
 func RunForward(nRoutes, workers int, churn bool, dur time.Duration) (ForwardResult, error) {
 	res := ForwardResult{Workers: workers, Routes: nRoutes, Churn: churn}
 
@@ -110,7 +110,7 @@ func RunForward(nRoutes, workers int, churn bool, dur time.Duration) (ForwardRes
 	start := time.Now()
 	deadline := start.Add(dur)
 	if churn {
-		// Withdraw/re-add rolling windows through the batch fast path
+		// Withdraw/re-add rolling windows as runs through the RIB
 		// for the whole measurement interval.
 		chunk := forwardChurnChunk
 		if chunk > len(entries) {

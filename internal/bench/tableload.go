@@ -16,9 +16,9 @@ import (
 
 // ---------------------------------------------------------------------
 // Table load: routes/sec and allocs/route for a full-table RIB load —
-// the preload phase of Figures 10–12 isolated. "single" drives the seed
-// per-route AddRoute path; "batch" drives the route-churn fast path
-// (AddRoutes → LoadBatch → coalesced stage runs → FIBBatch).
+// the preload phase of Figures 10–12 isolated. "single" feeds runs of one
+// (AddRoute); "batch" feeds runs of TableLoadBatchSize (AddRoutes). Both
+// take the same path through the stage network and end in a FIBBatch.
 // ---------------------------------------------------------------------
 
 // TableLoadBatchSize is the chunk size the batch mode feeds per

@@ -3,8 +3,9 @@ package bench
 import "testing"
 
 // BenchmarkTableLoad measures the full-table RIB load experiment at a
-// bench-friendly size (20k routes), one sub-benchmark per path; the
-// committed full-size baselines live in BENCH_fig9.json "tableload".
+// bench-friendly size (20k routes), one sub-benchmark per run length;
+// the full-size numbers are the repo benchmark's bulk workload
+// (benchmark/README.md, rib.add_allocs_per_route).
 func BenchmarkTableLoad(b *testing.B) {
 	const n = 20000
 	for _, mode := range []struct {

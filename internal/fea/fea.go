@@ -116,8 +116,9 @@ func (p *Process) FIB() *kernel.FIB { return p.fib }
 // through (a fwd.SimBackend over FIB() by default).
 func (p *Process) Backend() fwd.Backend { return p.backend }
 
-// SetBackend swaps the forwarding-plane backend (e.g. for a
-// netlink-shaped one). Call before any routes are installed.
+// SetBackend swaps the forwarding-plane backend (e.g. for one that
+// wraps the default to time its writes). Call before any routes are
+// installed.
 func (p *Process) SetBackend(b fwd.Backend) { p.backend = b }
 
 // Snapshots returns the published-snapshot source forwarding workers
@@ -248,20 +249,11 @@ func (p *Process) DeleteEntries(nets []netip.Prefix) error {
 	return firstErr
 }
 
-// RIBClient adapts the FEA as the RIB's FIBClient (rib.FIBClient and
-// rib.FIBBatchClient) for in-process assemblies.
+// RIBClient adapts the FEA as the RIB's FIBClient for in-process
+// assemblies.
 type RIBClient struct{ P *Process }
 
-// FIBAdd implements rib.FIBClient.
-func (c RIBClient) FIBAdd(e route.Entry) { c.P.AddEntry(e) }
-
-// FIBReplace implements rib.FIBClient.
-func (c RIBClient) FIBReplace(_, new route.Entry) { c.P.AddEntry(new) }
-
-// FIBDelete implements rib.FIBClient.
-func (c RIBClient) FIBDelete(e route.Entry) { c.P.DeleteEntry(e.Net) }
-
-// FIBApplyBatch implements rib.FIBBatchClient.
+// FIBApplyBatch implements rib.FIBClient.
 func (c RIBClient) FIBApplyBatch(b *rib.FIBBatch) { c.P.ApplyBatch(b) }
 
 // UDPBind binds a relay port on behalf of client; received datagrams are

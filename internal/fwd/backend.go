@@ -13,12 +13,13 @@ import (
 // Backend is the seam between the FEA's control-plane writes and a real
 // forwarding plane: every applied rib.FIBBatch lands in some
 // kernel-shaped sink and is published as the next immutable snapshot.
-// Two implementations keep the seam honest — the in-process simulated
-// kernel (SimBackend) and a netlink-shaped serializer (NetlinkBackend) —
-// so swapping in a real netlink socket later changes no caller.
+// SimBackend, the in-process simulated kernel, is the one implementation
+// in this module; the interface is what fea.Process.SetBackend accepts,
+// so a wrapper that times the writes (the benchmark's span recorder) or a
+// writer to a real kernel stands in without changing a caller.
 type Backend interface {
 	Source
-	// Name identifies the backend ("sim", "netlink").
+	// Name identifies the backend ("sim").
 	Name() string
 	// Apply lands one coalesced batch and publishes the next snapshot.
 	// The batch is only valid for the duration of the call.

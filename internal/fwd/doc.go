@@ -12,9 +12,8 @@
 // changed in place and any other node is copied first, so a batch copies
 // each touched node at most once and a published snapshot is never
 // written (see the trie package's persistent.go for why the owner mark
-// cannot be confused between sessions). The single-entry FIBAdd /
-// FIBReplace / FIBDelete are batches of one: one path copy, one
-// generation.
+// cannot be confused between sessions). The single-entry FIBAdd and
+// FIBDelete are batches of one: one path copy, one generation.
 //
 // The shape follows NDN-DPDK's FwFwd design (one forwarding thread per
 // core, per-worker counters and a latency RunningStat, no shared mutable
@@ -26,7 +25,7 @@
 //	RIB stage network
 //	      │  rib.FIBBatch (coalesced adds/replaces/deletes)
 //	      ▼
-//	 fwd.Backend ── sim kernel (kernel.FIB mirror) or netlink-shaped
+//	 fwd.Backend ── sim kernel (kernel.FIB mirror)
 //	      │
 //	 Publisher.Apply: derive snapshot n+1 from n (one trie edit session)
 //	      │  one atomic pointer flip

@@ -1,7 +1,6 @@
 package fwd_test
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -302,64 +301,6 @@ func TestStreamDeterminismAndDistribution(t *testing.T) {
 	}
 	if _, err := fwd.NewStream(fwd.StreamConfig{}); err == nil {
 		t.Fatal("empty prefix set accepted")
-	}
-}
-
-// TestNetlinkBackendCodec round-trips a batch through the rtnetlink
-// framing and checks the published snapshot matches the sim backend's
-// for the same batch.
-func TestNetlinkBackendCodec(t *testing.T) {
-	var buf bytes.Buffer
-	nl := fwd.NewNetlinkBackend(&buf)
-
-	b := rib.NewFIBBatch()
-	e1 := route.Entry{Net: mustP("10.0.0.0/8"), NextHop: mustA("192.168.1.1"), IfName: "eth0"}
-	e2 := route.Entry{Net: mustP("10.1.0.0/16"), IfName: "eth1"}
-	b.Add(e1)
-	b.Add(e2)
-	b.Delete(route.Entry{Net: mustP("172.16.0.0/12")})
-	if err := nl.Apply(b); err != nil {
-		t.Fatal(err)
-	}
-
-	msgs, err := fwd.DecodeRouteMsgs(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 3 || nl.Messages() != 3 {
-		t.Fatalf("decoded %d msgs (counter %d), want 3", len(msgs), nl.Messages())
-	}
-	byNet := map[netip.Prefix]fwd.RouteMsg{}
-	for _, m := range msgs {
-		byNet[m.Net] = m
-	}
-	m1 := byNet[e1.Net]
-	if m1.Type != fwd.RTM_NEWROUTE || m1.Gateway != e1.NextHop || m1.OIF == 0 {
-		t.Fatalf("e1 msg = %+v", m1)
-	}
-	m2 := byNet[e2.Net]
-	if m2.Type != fwd.RTM_NEWROUTE || m2.Gateway.IsValid() || m2.OIF == m1.OIF {
-		t.Fatalf("e2 msg = %+v", m2)
-	}
-	if byNet[mustP("172.16.0.0/12")].Type != fwd.RTM_DELROUTE {
-		t.Fatalf("delete msg = %+v", byNet[mustP("172.16.0.0/12")])
-	}
-
-	// Snapshot side matches a sim backend fed the same batch.
-	sim := fwd.NewSimBackend(kernel.NewFIB())
-	b2 := rib.NewFIBBatch()
-	b2.Add(e1)
-	b2.Add(e2)
-	b2.Delete(route.Entry{Net: mustP("172.16.0.0/12")})
-	sim.Apply(b2)
-	if nl.Current().Len() != sim.Current().Len() {
-		t.Fatalf("netlink snapshot len %d != sim %d", nl.Current().Len(), sim.Current().Len())
-	}
-	probe := mustA("10.1.2.3")
-	ne, nok := nl.Current().Lookup(probe)
-	se, sok := sim.Current().Lookup(probe)
-	if nok != sok || ne.Net != se.Net {
-		t.Fatalf("backends disagree: %v/%v vs %v/%v", ne, nok, se, sok)
 	}
 }
 

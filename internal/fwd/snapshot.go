@@ -59,13 +59,12 @@ type Source interface {
 // serialize among themselves on an internal mutex that no reader ever
 // touches; Current is a single atomic load.
 //
-// Publisher implements rib.FIBClient and rib.FIBBatchClient, so it can
-// sit directly below a RIB's fib sink, and Source, so workers can chase
-// its snapshots.
+// Publisher implements rib.FIBClient, so it can sit directly below a
+// RIB's fib sink, and Source, so workers can chase its snapshots.
 type Publisher struct {
 	cur atomic.Pointer[Snapshot]
 
-	mu sync.Mutex // serializes Apply/FIB* writers
+	mu sync.Mutex // serializes Apply/FIBAdd/FIBDelete writers
 
 	// tracer, when set and enabled, receives the StageSnapPub stamp for
 	// every added/replaced prefix the moment its snapshot is published —
@@ -129,7 +128,7 @@ func (p *Publisher) publish1(mutate func(*trie.Persistent[route.Entry]) *trie.Pe
 	p.cur.Store(&Snapshot{gen: old.gen + 1, tbl: mutate(old.tbl)})
 }
 
-// FIBAdd implements rib.FIBClient.
+// FIBAdd publishes one add or replace as its own generation.
 func (p *Publisher) FIBAdd(e route.Entry) {
 	p.publish1(func(t *trie.Persistent[route.Entry]) *trie.Persistent[route.Entry] {
 		return t.Insert(e.Net, e)
@@ -139,17 +138,7 @@ func (p *Publisher) FIBAdd(e route.Entry) {
 	}
 }
 
-// FIBReplace implements rib.FIBClient.
-func (p *Publisher) FIBReplace(_, new route.Entry) {
-	p.publish1(func(t *trie.Persistent[route.Entry]) *trie.Persistent[route.Entry] {
-		return t.Insert(new.Net, new)
-	})
-	if p.tracer.Enabled() {
-		p.tracer.Stamp(telemetry.StageSnapPub, new.Net)
-	}
-}
-
-// FIBDelete implements rib.FIBClient.
+// FIBDelete publishes one delete as its own generation.
 func (p *Publisher) FIBDelete(e route.Entry) {
 	p.publish1(func(t *trie.Persistent[route.Entry]) *trie.Persistent[route.Entry] {
 		t, _ = t.Delete(e.Net)
@@ -157,5 +146,5 @@ func (p *Publisher) FIBDelete(e route.Entry) {
 	})
 }
 
-// FIBApplyBatch implements rib.FIBBatchClient.
+// FIBApplyBatch implements rib.FIBClient.
 func (p *Publisher) FIBApplyBatch(b *rib.FIBBatch) { p.Apply(b) }

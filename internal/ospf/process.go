@@ -32,7 +32,7 @@ type RIBClient interface {
 }
 
 // BatchRIBClient is optionally implemented by RIBClients that can absorb
-// a whole SPF result in one call (the RIB's route-churn fast path). The
+// a whole SPF result in one call (one run through the RIB). The
 // slices are only valid for the duration of the call.
 type BatchRIBClient interface {
 	RIBClient

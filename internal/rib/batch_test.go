@@ -12,12 +12,13 @@ import (
 )
 
 // streamRec records the exact downstream Add/Replace/Delete stream a
-// FIBClient sees. It deliberately implements only FIBClient (not
-// FIBBatchClient), so batch shipments fall back to per-op delivery and
-// the recorded stream is directly comparable to the single-route path.
+// FIBClient sees, flattened across batch boundaries, so streams are
+// directly comparable however the input was cut into runs.
 type streamRec struct {
 	ops []string
 }
+
+func (r *streamRec) FIBApplyBatch(b *FIBBatch) { replayBatch(b, r) }
 
 func (r *streamRec) FIBAdd(e route.Entry) {
 	r.ops = append(r.ops, fmt.Sprintf("add %v %v %s %d %v", e.Net, e.NextHop, e.IfName, e.Metric, e.Protocol))
@@ -38,20 +39,32 @@ type batchOp struct {
 	e     route.Entry
 }
 
-// runScript drives ops through a fresh RIB either per-route or batched
-// (consecutive same-proto same-kind runs), returning the FIB stream.
-func runScript(t *testing.T, ops []batchOp, batched bool) []string {
+// maximalRuns cuts a script into the longest same-proto same-kind runs.
+func maximalRuns(max int) int { return max }
+
+// runScript drives ops through a fresh RIB and returns the FIB op stream
+// and the final table. cut picks how many of the next max consecutive
+// same-proto same-kind ops travel as one list call; a nil cut sends every
+// op through the single-route entry points. closed forces every origin's
+// batchGate shut.
+func runScript(t *testing.T, ops []batchOp, cut func(max int) int, closed bool) (stream, table []string) {
 	t.Helper()
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
 	rec := &streamRec{}
 	p := NewProcess(loop, rec, nil)
+	if closed {
+		for _, o := range p.origins {
+			o.SetBatchGate(func() bool { return false })
+		}
+	}
 	apply := func(fn func()) {
 		loop.Dispatch(fn)
 		loop.RunPending()
 	}
-	if !batched {
-		for _, op := range ops {
-			op := op
+	for start := 0; start < len(ops); {
+		if cut == nil {
+			op := ops[start]
+			start++
 			apply(func() {
 				if op.del {
 					p.DeleteRoute(op.proto, op.e.Net)
@@ -59,16 +72,14 @@ func runScript(t *testing.T, ops []batchOp, batched bool) []string {
 					p.AddRoute(op.proto, op.e)
 				}
 			})
+			continue
 		}
-		return rec.ops
-	}
-	for start := 0; start < len(ops); {
 		end := start + 1
 		for end < len(ops) && ops[end].proto == ops[start].proto && ops[end].del == ops[start].del {
 			end++
 		}
-		run := ops[start:end]
-		start = end
+		run := ops[start : start+cut(end-start)]
+		start += len(run)
 		apply(func() {
 			if run[0].del {
 				nets := make([]netip.Prefix, len(run))
@@ -85,22 +96,30 @@ func runScript(t *testing.T, ops []batchOp, batched bool) []string {
 			}
 		})
 	}
-	return rec.ops
+	p.register.shadow.Walk(func(_ netip.Prefix, e route.Entry) bool {
+		table = append(table, fmt.Sprint(e))
+		return true
+	})
+	return rec.ops, table
+}
+
+func diffStreams(t *testing.T, what string, want, got []string) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: lengths differ: want %d, got %d\nwant: %v\ngot: %v", what, len(want), len(got), want, got)
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: diverges at %d:\nwant: %s\ngot:  %s", what, i, want[i], got[i])
+		}
+	}
 }
 
 func checkSameStream(t *testing.T, ops []batchOp) {
 	t.Helper()
-	single := runScript(t, ops, false)
-	batch := runScript(t, ops, true)
-	if len(single) != len(batch) {
-		t.Fatalf("stream lengths differ: single %d, batch %d\nsingle: %v\nbatch: %v",
-			len(single), len(batch), single, batch)
-	}
-	for i := range single {
-		if single[i] != batch[i] {
-			t.Fatalf("stream diverges at %d:\nsingle: %s\nbatch:  %s", i, single[i], batch[i])
-		}
-	}
+	single, _ := runScript(t, ops, nil, false)
+	batch, _ := runScript(t, ops, maximalRuns, false)
+	diffStreams(t, "maximal runs vs single routes", single, batch)
 }
 
 // TestBatchMatchesSingleBasic covers the plain load case: many EBGP
@@ -163,34 +182,80 @@ func TestBatchMatchesSingleResolution(t *testing.T) {
 	checkSameStream(t, ops)
 }
 
+// randomScript generates a script over a small prefix space behind a
+// static cover. Protocol and kind are redrawn every op when burst is 1,
+// and held for up to burst ops otherwise, which makes the runs longer.
+func randomScript(r *rand.Rand, burst int) []batchOp {
+	protos := []route.Protocol{route.ProtoStatic, route.ProtoRIP, route.ProtoOSPF, route.ProtoEBGP, route.ProtoIBGP}
+	ops := []batchOp{{proto: route.ProtoStatic, e: route.Entry{
+		Net: mustP("10.0.0.0/8"), NextHop: mustA("192.168.1.254"), IfName: "eth0"}}}
+	var proto route.Protocol
+	var del bool
+	hold := 0
+	for i := 0; i < 150; i++ {
+		net := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(20 + r.Intn(4)), byte(r.Intn(8)), 0, 0}), 16)
+		if hold == 0 {
+			proto = protos[r.Intn(len(protos))]
+			del = r.Intn(4) == 0
+			if burst > 1 {
+				hold = r.Intn(burst)
+			}
+		} else {
+			hold--
+		}
+		if del {
+			ops = append(ops, batchOp{del: true, proto: proto, e: route.Entry{Net: net}})
+			continue
+		}
+		e := route.Entry{Net: net, Metric: uint32(r.Intn(3))}
+		switch r.Intn(3) {
+		case 0:
+			e.NextHop = mustA("10.0.0.9") // resolvable via the static /8
+		case 1:
+			e.NextHop = mustA("172.31.0.9") // unresolvable
+		default:
+			e.IfName = "eth1" // concrete
+		}
+		ops = append(ops, batchOp{proto: proto, e: e})
+	}
+	return ops
+}
+
 // TestBatchMatchesSingleRandom drives randomized scripts through both
 // paths — the property-test version of the oracle.
 func TestBatchMatchesSingleRandom(t *testing.T) {
-	protos := []route.Protocol{route.ProtoStatic, route.ProtoRIP, route.ProtoOSPF, route.ProtoEBGP, route.ProtoIBGP}
 	for trial := 0; trial < 10; trial++ {
+		checkSameStream(t, randomScript(rand.New(rand.NewSource(int64(trial))), 1))
+	}
+}
+
+// TestSegmentationInvariant is the oracle stated as the property it always
+// meant: one script, cut into runs at different places — all singletons,
+// lists of one, maximal runs, random cuts in between — and with the
+// batchGate left to itself or forced shut, yields the identical FIB op
+// stream and the identical final table.
+func TestSegmentationInvariant(t *testing.T) {
+	for trial := 0; trial < 8; trial++ {
+		ops := randomScript(rand.New(rand.NewSource(int64(1000+trial))), 1+7*(trial%2))
+		wantStream, wantTable := runScript(t, ops, nil, false)
 		r := rand.New(rand.NewSource(int64(trial)))
-		var ops []batchOp
-		ops = append(ops, batchOp{proto: route.ProtoStatic, e: route.Entry{
-			Net: mustP("10.0.0.0/8"), NextHop: mustA("192.168.1.254"), IfName: "eth0"}})
-		for i := 0; i < 150; i++ {
-			net := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(20 + r.Intn(4)), byte(r.Intn(8)), 0, 0}), 16)
-			proto := protos[r.Intn(len(protos))]
-			if r.Intn(4) == 0 {
-				ops = append(ops, batchOp{del: true, proto: proto, e: route.Entry{Net: net}})
-				continue
-			}
-			e := route.Entry{Net: net, Metric: uint32(r.Intn(3))}
-			switch r.Intn(3) {
-			case 0:
-				e.NextHop = mustA("10.0.0.9") // resolvable via the static /8
-			case 1:
-				e.NextHop = mustA("172.31.0.9") // unresolvable
-			default:
-				e.IfName = "eth1" // concrete
-			}
-			ops = append(ops, batchOp{proto: proto, e: e})
+		cuts := []struct {
+			name string
+			cut  func(max int) int
+		}{
+			{"singletons", nil},
+			{"lists of one", func(int) int { return 1 }},
+			{"maximal runs", maximalRuns},
+			{"random cuts", func(max int) int { return 1 + r.Intn(max) }},
 		}
-		checkSameStream(t, ops)
+		for _, c := range cuts {
+			for _, closed := range []bool{false, true} {
+				what := fmt.Sprintf("trial %d, %s, gate forced shut=%v", trial, c.name, closed)
+				stream, table := runScript(t, ops, c.cut, closed)
+				diffStreams(t, what+": FIB stream", wantStream, stream)
+				diffStreams(t, what+": final table", wantTable, table)
+			}
+		}
 	}
 }
 
@@ -286,6 +351,11 @@ func TestFIBBatchFolding(t *testing.T) {
 			b.Delete(fe("10.0.0.0/8", "1.1.1.1"))
 			b.Add(fe("10.0.0.0/8", "3.3.3.3"))
 		}, []string{"add 10.0.0.0/8 3.3.3.3"}},
+		{"first op is found again once a second prefix arrives", func(b *FIBBatch) {
+			b.Add(fe("10.0.0.0/8", "1.1.1.1"))
+			b.Add(fe("20.0.0.0/8", "1.1.1.1"))
+			b.Delete(fe("10.0.0.0/8", "1.1.1.1"))
+		}, []string{"add 20.0.0.0/8 1.1.1.1"}},
 		{"distinct prefixes keep first-touch order", func(b *FIBBatch) {
 			b.Add(fe("10.0.0.0/8", "1.1.1.1"))
 			b.Add(fe("20.0.0.0/8", "1.1.1.1"))
@@ -422,5 +492,142 @@ func TestAddRouteAllocs(t *testing.T) {
 	const limit = 6
 	if allocs > limit {
 		t.Fatalf("add+delete cycle allocates %.1f/op, limit %d", allocs, limit)
+	}
+}
+
+// TestRunOfOneAllocs pins the trap ROADMAP item 3 warns about: a list of
+// one must cost no more than the single-route entry points, and neither
+// more than the parent's per-route path did (3, with a nil FIB client and
+// one static cover) — the stage scratch is owned by the stages, not
+// allocated per call.
+func TestRunOfOneAllocs(t *testing.T) {
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	p := NewProcess(loop, nil, nil)
+	if err := p.AddRoute(route.ProtoStatic, route.Entry{
+		Net: mustP("10.0.0.0/8"), NextHop: mustA("192.168.1.254"), IfName: "eth0"}); err != nil {
+		t.Fatal(err)
+	}
+	e := route.Entry{Net: mustP("20.1.0.0/16"), NextHop: mustA("10.0.0.9")}
+	es, nets := []route.Entry{e}, []netip.Prefix{e.Net}
+	var runErr error
+	note := func(err error) {
+		if err != nil {
+			runErr = err
+		}
+	}
+	single := testing.AllocsPerRun(200, func() {
+		note(p.AddRoute(route.ProtoEBGP, e))
+		note(p.DeleteRoute(route.ProtoEBGP, e.Net))
+	})
+	list := testing.AllocsPerRun(200, func() {
+		note(p.AddRoutes(route.ProtoEBGP, es))
+		note(p.DeleteRoutes(route.ProtoEBGP, nets))
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	const limit = 3
+	if list > single || single > limit {
+		t.Fatalf("add+delete of one prefix: single %.1f allocs, list of one %.1f; want list <= single <= %d",
+			single, list, limit)
+	}
+}
+
+// ---------------------------------------------------------------------
+// Synchronous re-entry from a client callback.
+// ---------------------------------------------------------------------
+
+// reentrant is a FIBClient and a Redistributor that, once, calls back into
+// the RIB for another prefix from inside its callback — what an in-process
+// client on the same loop can do. The stages' scratch is detached while in
+// use, so the run and the batch in flight must come through unharmed.
+type reentrant struct {
+	streamRec
+	t     *testing.T
+	p     *Process
+	extra route.Entry
+	fired bool
+}
+
+func (r *reentrant) reenter() {
+	if r.fired {
+		return
+	}
+	r.fired = true
+	if err := r.p.AddRoute(route.ProtoEBGP, r.extra); err != nil {
+		r.t.Error(err)
+	}
+}
+
+func (r *reentrant) FIBApplyBatch(b *FIBBatch) {
+	before := collectOps(b)
+	r.reenter()
+	if after := collectOps(b); fmt.Sprint(after) != fmt.Sprint(before) {
+		r.t.Errorf("batch in flight changed under re-entry:\nbefore: %v\nafter:  %v", before, after)
+	}
+	r.streamRec.FIBApplyBatch(b)
+}
+
+func (r *reentrant) RedistAdd(route.Entry)    { r.reenter() }
+func (r *reentrant) RedistDelete(route.Entry) {}
+
+func TestReentrantClients(t *testing.T) {
+	run := make([]route.Entry, 5)
+	for i := range run {
+		run[i] = route.Entry{Net: netip.PrefixFrom(netip.AddrFrom4([4]byte{30, byte(i), 0, 0}), 16), NextHop: mustA("10.0.0.9")}
+	}
+	extra := route.Entry{Net: mustP("40.0.0.0/16"), NextHop: mustA("10.0.0.9")}
+	for _, via := range []string{"fib client", "redistributor"} {
+		t.Run(via, func(t *testing.T) {
+			loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+			r := &reentrant{t: t, extra: extra, fired: true} // armed once set up
+			p := NewProcess(loop, r, nil)
+			if err := p.AddRoute(route.ProtoStatic, route.Entry{
+				Net: mustP("10.0.0.0/8"), NextHop: mustA("192.168.1.254"), IfName: "eth0"}); err != nil {
+				t.Fatal(err)
+			}
+			if via == "redistributor" {
+				// The redist stage sits ahead of the FIB sink, so its
+				// callback is the one that fires.
+				if _, err := p.AddRedist("re", nil, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm the stages' scratch past the run's length: a buffer that
+			// still had to grow would hide a shared one.
+			warm := make([]route.Entry, 8)
+			nets := make([]netip.Prefix, len(warm))
+			for i := range warm {
+				nets[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{50, byte(i), 0, 0}), 16)
+				warm[i] = route.Entry{Net: nets[i], NextHop: mustA("10.0.0.9")}
+			}
+			if err := p.AddRoutes(route.ProtoEBGP, warm); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.DeleteRoutes(route.ProtoEBGP, nets); err != nil {
+				t.Fatal(err)
+			}
+			r.ops, r.fired, r.p = nil, false, p
+			if err := p.AddRoutes(route.ProtoEBGP, run); err != nil {
+				t.Fatal(err)
+			}
+			// The FIB saw each of the six routes added exactly once, resolved.
+			seen := map[string]int{}
+			for _, op := range r.ops {
+				seen[op]++
+			}
+			for _, e := range append([]route.Entry{extra}, run...) {
+				want := fmt.Sprintf("add %v 192.168.1.254 eth0 0 ebgp", e.Net)
+				if seen[want] != 1 {
+					t.Errorf("FIB saw %q %d times, want once; stream: %v", want, seen[want], r.ops)
+				}
+				if got, ok := p.LookupBest(e.Net.Addr()); !ok || got.Net != e.Net {
+					t.Errorf("%v not installed (best %v, %v)", e.Net, got, ok)
+				}
+			}
+			if len(r.ops) != len(run)+1 {
+				t.Errorf("FIB saw %d ops, want %d: %v", len(r.ops), len(run)+1, r.ops)
+			}
+		})
 	}
 }

@@ -27,6 +27,8 @@ type ExtIntStage struct {
 	resolvedExt map[netip.Prefix]extState
 	// announced is the stage's downstream view (both sides merged).
 	announced *trie.Trie[route.Entry]
+	// nhCache is extInput.Add's nexthop cache, empty between calls.
+	nhCache map[netip.Addr]nhResult
 }
 
 type extState struct {
@@ -56,64 +58,98 @@ type extInput struct {
 	e *ExtIntStage
 }
 
-func (x *extInput) Add(e route.Entry)                         { x.e.extChanged(e.Net, &e) }
-func (x *extInput) Replace(_, n route.Entry)                  { x.e.extChanged(n.Net, &n) }
-func (x *extInput) Delete(e route.Entry)                      { x.e.extChanged(e.Net, nil) }
-func (x *extInput) AddBatch(es []route.Entry)                 { x.e.extAddBatch(es) }
-func (x *extInput) DeleteBatch(es []route.Entry)              { x.e.extDeleteBatch(es) }
+// Add resolves a run of external routes and reconciles each prefix. A
+// run of two or more shares one nexthop cache (full-table feeds reuse a
+// handful of nexthops); a run of one has nothing to share.
+func (x *extInput) Add(run []route.Entry) {
+	s := x.e
+	var cache map[netip.Addr]nhResult
+	if len(run) > 1 {
+		// Detached like base.buf, and for the same reason.
+		cache, s.nhCache = s.nhCache, nil
+		if cache == nil {
+			cache = make(map[netip.Addr]nhResult, 8)
+		}
+	}
+	em := s.emitter()
+	for i := range run {
+		st := extState{orig: run[i]}
+		st.resolved, st.via, st.ok = s.resolve(run[i], cache)
+		s.resolvedExt[run[i].Net] = st
+		s.reconcile(run[i].Net, &em)
+	}
+	s.release(&em)
+	if cache != nil {
+		clear(cache)
+		s.nhCache = cache
+	}
+}
+
+// Replace is an Add of one: the stage keys on the prefix and diffs
+// against what it announced.
+func (x *extInput) Replace(_, n route.Entry) { x.Add([]route.Entry{n}) }
+
+// Delete processes a run of external withdrawals.
+func (x *extInput) Delete(run []route.Entry) {
+	s := x.e
+	em := s.emitter()
+	for i := range run {
+		delete(s.resolvedExt, run[i].Net)
+		s.reconcile(run[i].Net, &em)
+	}
+	s.release(&em)
+}
+
 func (x *extInput) Lookup(netip.Prefix) (route.Entry, bool)   { panic("rib: extInput lookup") }
 func (x *extInput) LookupBest(netip.Addr) (route.Entry, bool) { panic("rib: extInput lookup") }
 
-// intInput receives the internal stream.
+// intInput receives the internal stream. All three ops mean the same to
+// the stage — the internal side changed at these prefixes.
 type intInput struct {
 	base
 	e *ExtIntStage
 }
 
-func (x *intInput) Add(e route.Entry)                         { x.e.intChanged(e.Net) }
-func (x *intInput) Replace(_, n route.Entry)                  { x.e.intChanged(n.Net) }
-func (x *intInput) Delete(e route.Entry)                      { x.e.intChanged(e.Net) }
-func (x *intInput) AddBatch(es []route.Entry)                 { x.e.intChangedBatch(es) }
-func (x *intInput) DeleteBatch(es []route.Entry)              { x.e.intChangedBatch(es) }
+func (x *intInput) Add(run []route.Entry)                     { x.changed(run) }
+func (x *intInput) Replace(_, n route.Entry)                  { x.changed([]route.Entry{n}) }
+func (x *intInput) Delete(run []route.Entry)                  { x.changed(run) }
 func (x *intInput) Lookup(netip.Prefix) (route.Entry, bool)   { panic("rib: intInput lookup") }
 func (x *intInput) LookupBest(netip.Addr) (route.Entry, bool) { panic("rib: intInput lookup") }
 
-// resolve recursively resolves an external entry against the internal
-// side. One level of recursion suffices because internal routes are
-// directly usable by construction.
-func (s *ExtIntStage) resolve(orig route.Entry) (route.Entry, netip.Prefix, bool) {
-	if orig.IfName != "" || !orig.NextHop.IsValid() {
-		// Already concrete (or a discard route): usable as-is.
-		return orig, netip.Prefix{}, true
+// changed applies a run of internal changes in order: each reconciles the
+// changed prefix itself, then re-resolves the external routes it affects.
+func (x *intInput) changed(run []route.Entry) {
+	s := x.e
+	em := s.emitter()
+	for i := range run {
+		net := run[i].Net
+		s.reconcile(net, &em)
+		var affected []netip.Prefix
+		for extNet, st := range s.resolvedExt {
+			hit := (st.ok && st.via.IsValid() && st.via.Overlaps(net)) ||
+				(!st.ok && net.Contains(st.orig.NextHop)) ||
+				(st.ok && net.Contains(st.orig.NextHop) && net.Bits() >= st.via.Bits())
+			if hit {
+				affected = append(affected, extNet)
+			}
+		}
+		// Re-announce in prefix order: map iteration order would make the
+		// downstream stream nondeterministic across otherwise identical runs.
+		slices.SortFunc(affected, comparePrefix)
+		for _, extNet := range affected {
+			st := s.resolvedExt[extNet]
+			// Uncached: the internal side is what is changing.
+			st.resolved, st.via, st.ok = s.resolve(st.orig, nil)
+			s.resolvedExt[extNet] = st
+			s.reconcile(extNet, &em)
+		}
 	}
-	via, ok := s.int.LookupBest(orig.NextHop)
-	if !ok {
-		return orig, netip.Prefix{}, false
-	}
-	out := orig
-	out.IfName = via.IfName
-	if via.NextHop.IsValid() {
-		// Nexthop is reached through a gateway: forward there.
-		out.NextHop = via.NextHop
-	}
-	return out, via.Net, true
+	s.release(&em)
 }
 
-// extChanged processes an external-side change (nil = withdrawn).
-func (s *ExtIntStage) extChanged(net netip.Prefix, e *route.Entry) {
-	if e == nil {
-		delete(s.resolvedExt, net)
-	} else {
-		st := extState{orig: *e}
-		st.resolved, st.via, st.ok = s.resolve(*e)
-		s.resolvedExt[net] = st
-	}
-	s.reconcile(net)
-}
-
-// nhResult caches one nexthop's resolution for the duration of a batch:
-// the batch arrives from the external side only, so the internal tables —
-// the sole input to resolve — cannot change mid-batch.
+// nhResult is one nexthop's resolution, cached for the duration of an
+// external run: the run arrives from the external side only, so the
+// internal tables — the sole input to resolve — cannot change under it.
 type nhResult struct {
 	ifName string
 	gw     netip.Addr // valid when the nexthop is reached via a gateway
@@ -121,98 +157,34 @@ type nhResult struct {
 	ok     bool
 }
 
-// extAddBatch processes a run of external Adds, amortizing nexthop
-// resolution across the batch (full-table feeds reuse a handful of
-// nexthops) and re-coalescing the downstream emissions into runs. The
-// emitted stream is identical to per-route extChanged calls.
-func (s *ExtIntStage) extAddBatch(es []route.Entry) {
-	em := runEmitter{next: s.next}
-	var cache map[netip.Addr]nhResult
-	for i := range es {
-		e := es[i]
-		st := extState{orig: e}
-		if e.IfName != "" || !e.NextHop.IsValid() {
-			// Already concrete (or a discard route): usable as-is.
-			st.resolved, st.ok = e, true
-		} else {
-			r, hit := cache[e.NextHop]
-			if !hit {
-				if via, ok := s.int.LookupBest(e.NextHop); ok {
-					r = nhResult{ifName: via.IfName, via: via.Net, ok: true}
-					if via.NextHop.IsValid() {
-						r.gw = via.NextHop
-					}
-				}
-				if cache == nil {
-					cache = make(map[netip.Addr]nhResult, 8)
-				}
-				cache[e.NextHop] = r
-			}
-			st.resolved, st.via, st.ok = e, r.via, r.ok
-			if r.ok {
-				st.resolved.IfName = r.ifName
-				if r.gw.IsValid() {
-					st.resolved.NextHop = r.gw
-				}
-			}
+// resolve recursively resolves an external entry against the internal
+// side, through cache when it is non-nil. One level of recursion suffices
+// because internal routes are directly usable by construction.
+func (s *ExtIntStage) resolve(orig route.Entry, cache map[netip.Addr]nhResult) (route.Entry, netip.Prefix, bool) {
+	if orig.IfName != "" || !orig.NextHop.IsValid() {
+		// Already concrete (or a discard route): usable as-is.
+		return orig, netip.Prefix{}, true
+	}
+	r, hit := cache[orig.NextHop]
+	if !hit {
+		if via, ok := s.int.LookupBest(orig.NextHop); ok {
+			// A valid via.NextHop means the nexthop is reached through a
+			// gateway: forward there.
+			r = nhResult{ifName: via.IfName, gw: via.NextHop, via: via.Net, ok: true}
 		}
-		s.resolvedExt[e.Net] = st
-		s.reconcileTo(e.Net, &em)
-	}
-	em.Flush()
-}
-
-// extDeleteBatch processes a run of external withdrawals.
-func (s *ExtIntStage) extDeleteBatch(es []route.Entry) {
-	em := runEmitter{next: s.next}
-	for i := range es {
-		delete(s.resolvedExt, es[i].Net)
-		s.reconcileTo(es[i].Net, &em)
-	}
-	em.Flush()
-}
-
-// intChanged re-resolves external routes affected by an internal change
-// and reconciles the changed prefix itself.
-func (s *ExtIntStage) intChanged(net netip.Prefix) {
-	s.intChangedTo(net, stageSink{s.next})
-}
-
-// intChangedBatch applies a run of internal changes, preserving the
-// per-route re-resolution order while coalescing downstream emissions.
-func (s *ExtIntStage) intChangedBatch(es []route.Entry) {
-	em := runEmitter{next: s.next}
-	for i := range es {
-		s.intChangedTo(es[i].Net, &em)
-	}
-	em.Flush()
-}
-
-func (s *ExtIntStage) intChangedTo(net netip.Prefix, out opSink) {
-	s.reconcileTo(net, out)
-	var affected []netip.Prefix
-	for extNet, st := range s.resolvedExt {
-		hit := (st.ok && st.via.IsValid() && st.via.Overlaps(net)) ||
-			(!st.ok && net.Contains(st.orig.NextHop)) ||
-			(st.ok && net.Contains(st.orig.NextHop) && net.Bits() >= st.via.Bits())
-		if hit {
-			affected = append(affected, extNet)
+		if cache != nil {
+			cache[orig.NextHop] = r
 		}
 	}
-	// Re-announce in prefix order: map iteration order would make the
-	// downstream stream nondeterministic across otherwise identical runs.
-	slices.SortFunc(affected, func(a, b netip.Prefix) int {
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c
-		}
-		return a.Bits() - b.Bits()
-	})
-	for _, extNet := range affected {
-		st := s.resolvedExt[extNet]
-		st.resolved, st.via, st.ok = s.resolve(st.orig)
-		s.resolvedExt[extNet] = st
-		s.reconcileTo(extNet, out)
+	if !r.ok {
+		return orig, netip.Prefix{}, false
 	}
+	out := orig
+	out.IfName = r.ifName
+	if r.gw.IsValid() {
+		out.NextHop = r.gw
+	}
+	return out, r.via, true
 }
 
 // desired computes what downstream should see for net.
@@ -235,37 +207,31 @@ func (s *ExtIntStage) desired(net netip.Prefix) (route.Entry, bool) {
 }
 
 // reconcile diffs desired vs announced for net and emits the change.
-func (s *ExtIntStage) reconcile(net netip.Prefix) {
-	s.reconcileTo(net, stageSink{s.next})
-}
-
-// reconcileTo is reconcile with the emission target abstracted so batch
-// paths can coalesce the output.
-func (s *ExtIntStage) reconcileTo(net netip.Prefix, out opSink) {
+func (s *ExtIntStage) reconcile(net netip.Prefix, em *runEmitter) {
 	want, wantOK := s.desired(net)
 	if wantOK {
 		have, haveOK := s.announced.Upsert(net, want)
 		switch {
 		case !haveOK:
-			out.Add(want)
+			em.Add(want)
 		case !want.Equal(have):
-			out.Replace(have, want)
+			em.Replace(have, want)
 		}
 		return
 	}
 	if have, haveOK := s.announced.Delete(net); haveOK {
-		out.Delete(have)
+		em.Delete(have)
 	}
 }
 
 // Add panics: use the parents.
-func (s *ExtIntStage) Add(route.Entry) { panic("rib: ExtIntStage has adapter inputs") }
+func (s *ExtIntStage) Add([]route.Entry) { panic("rib: ExtIntStage has adapter inputs") }
 
 // Replace panics: use the parents.
 func (s *ExtIntStage) Replace(_, _ route.Entry) { panic("rib: ExtIntStage has adapter inputs") }
 
 // Delete panics: use the parents.
-func (s *ExtIntStage) Delete(route.Entry) { panic("rib: ExtIntStage has adapter inputs") }
+func (s *ExtIntStage) Delete([]route.Entry) { panic("rib: ExtIntStage has adapter inputs") }
 
 // Lookup implements Stage from the announced table.
 func (s *ExtIntStage) Lookup(net netip.Prefix) (route.Entry, bool) {

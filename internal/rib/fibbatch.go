@@ -10,7 +10,7 @@ import (
 type FIBOpKind uint8
 
 // The FIB operation kinds. fibOpNone marks an op that folded away (an add
-// cancelled by a later delete); Apply and Ops skip it.
+// cancelled by a later delete); Ops skips it.
 const (
 	fibOpNone FIBOpKind = iota
 	FIBOpAdd
@@ -68,7 +68,7 @@ func (b *FIBBatch) Len() int {
 
 // Add records an add for e.Net.
 func (b *FIBBatch) Add(e route.Entry) {
-	i, ok := b.idx[e.Net]
+	i, ok := b.find(e.Net)
 	if !ok {
 		b.push(FIBOp{Kind: FIBOpAdd, New: e})
 		return
@@ -89,7 +89,7 @@ func (b *FIBBatch) Add(e route.Entry) {
 
 // Replace records a replace for new.Net.
 func (b *FIBBatch) Replace(old, new route.Entry) {
-	i, ok := b.idx[new.Net]
+	i, ok := b.find(new.Net)
 	if !ok {
 		b.push(FIBOp{Kind: FIBOpReplace, Old: old, New: new})
 		return
@@ -109,7 +109,7 @@ func (b *FIBBatch) Replace(old, new route.Entry) {
 
 // Delete records a delete for e.Net.
 func (b *FIBBatch) Delete(e route.Entry) {
-	i, ok := b.idx[e.Net]
+	i, ok := b.find(e.Net)
 	if !ok {
 		b.push(FIBOp{Kind: FIBOpDelete, Old: e})
 		return
@@ -126,8 +126,24 @@ func (b *FIBBatch) Delete(e route.Entry) {
 	}
 }
 
+// find returns the position of the op recorded for net. A batch of one —
+// every single-route push — is compared directly and never touches the
+// index, which push builds when a second op arrives.
+func (b *FIBBatch) find(net netip.Prefix) (int, bool) {
+	if len(b.ops) == 1 {
+		return 0, b.ops[0].Kind != fibOpNone && b.ops[0].Net() == net
+	}
+	i, ok := b.idx[net]
+	return i, ok
+}
+
 func (b *FIBBatch) push(op FIBOp) {
-	b.idx[op.Net()] = len(b.ops)
+	if len(b.ops) == 1 && b.ops[0].Kind != fibOpNone {
+		b.idx[b.ops[0].Net()] = 0
+	}
+	if len(b.ops) > 0 {
+		b.idx[op.Net()] = len(b.ops)
+	}
 	b.ops = append(b.ops, op)
 }
 
@@ -138,29 +154,4 @@ func (b *FIBBatch) Ops(fn func(FIBOp)) {
 			fn(b.ops[i])
 		}
 	}
-}
-
-// Apply replays the batch onto a plain FIBClient (the fallback when the
-// client has no batch support of its own).
-func (b *FIBBatch) Apply(c FIBClient) {
-	for i := range b.ops {
-		switch op := b.ops[i]; op.Kind {
-		case FIBOpAdd:
-			c.FIBAdd(op.New)
-		case FIBOpReplace:
-			c.FIBReplace(op.Old, op.New)
-		case FIBOpDelete:
-			c.FIBDelete(op.Old)
-		}
-	}
-}
-
-// FIBBatchClient is optionally implemented by FIBClients that can ship a
-// coalesced update set in one transaction (the FEA applies it to the
-// kernel FIB in one pass; the XRL client ships list-carrying XRLs). The
-// batch is only valid for the duration of the call — implementations must
-// not retain it.
-type FIBBatchClient interface {
-	FIBClient
-	FIBApplyBatch(b *FIBBatch)
 }

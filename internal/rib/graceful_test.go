@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"xorp/internal/eventloop"
 	"xorp/internal/route"
 )
 
@@ -152,5 +153,41 @@ func TestDeathOfRoutelessClassIsNoop(t *testing.T) {
 	}
 	if p.StaleCount(route.ProtoOSPF) != 0 {
 		t.Fatal("empty origin gained stale marks")
+	}
+}
+
+// The sweep's delete run — and so the delete_entries4 list the FEA gets —
+// is a function of the table, not of map iteration order: two identical
+// sweeps produce the identical FIB op stream, in prefix order.
+func TestSweepStaleIsDeterministic(t *testing.T) {
+	const n = 96
+	sweep := func() []string {
+		loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+		rec := &streamRec{}
+		p := NewProcess(loop, rec, nil)
+		if err := p.AddRoute(route.ProtoConnected, connectedRoute("192.168.1.0/24", "eth0")); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			// Fed out of prefix order, so a sorted sweep is not insertion order.
+			k := (i * 37) % n
+			if err := p.AddRoute(route.ProtoEBGP, route.Entry{
+				Net: mustP(fmt.Sprintf("10.%d.0.0/16", k+1)), NextHop: mustA("192.168.1.7")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.HandleDeath("bgp")
+		rec.ops = nil
+		if swept := p.ResyncComplete(route.ProtoEBGP); swept != n {
+			t.Fatalf("swept %d, want %d", swept, n)
+		}
+		return rec.ops
+	}
+	first, second := sweep(), sweep()
+	diffStreams(t, "second sweep vs first", first, second)
+	for i, op := range first {
+		if want := fmt.Sprintf("delete 10.%d.0.0/16 ebgp", i+1); op != want {
+			t.Fatalf("op %d = %q, want %q (prefix order)", i, op, want)
+		}
 	}
 }

@@ -14,12 +14,12 @@ import (
 )
 
 // FIBClient receives the RIB's final forwarding decisions (the "Routes to
-// Forwarding Engine" arrow of Figure 7). The production implementation
-// sends fti XRLs to the FEA.
+// Forwarding Engine" arrow of Figure 7) as coalesced update sets; a single
+// push is a batch of one. The FEA applies a batch to the kernel FIB in one
+// pass; the XRL client ships it as fti XRLs. The batch is only valid for
+// the duration of the call — implementations must not retain it.
 type FIBClient interface {
-	FIBAdd(e route.Entry)
-	FIBReplace(old, new route.Entry)
-	FIBDelete(e route.Entry)
+	FIBApplyBatch(b *FIBBatch)
 }
 
 // Process is the XORP RIB process: the stage network of Figure 7 plus the
@@ -33,7 +33,6 @@ type Process struct {
 	redists  map[string]*RedistStage
 	chain    []Stage // extint ... redists ... register, fibSink
 	fib      FIBClient
-	fibSink  *fibSinkStage
 
 	router *xipc.Router         // for invalidation pushes; may be nil
 	notify *xif.RIBNotifyClient // rib_client/0.1 stub over router
@@ -94,13 +93,12 @@ func NewProcess(loop *eventloop.Loop, fib FIBClient, router *xipc.Router) *Proce
 
 	p.extint = NewExtIntStage("extint", mb, m3)
 	p.register = NewRegisterStage("register", p.notifyInvalid)
-	fibSink := &fibSinkStage{base: base{name: "fib"}, proc: p}
-	p.fibSink = fibSink
-	p.chain = []Stage{p.extint, p.register, fibSink}
+	p.chain = []Stage{p.extint, p.register, &fibSinkStage{base: base{name: "fib"}, proc: p}}
 	Plumb(p.chain...)
 
-	// Internal-side origins may only batch while no external route could
-	// observe their table mid-flush (see OriginTable.batchGate).
+	// Internal-side origins may only run ahead of their emissions while no
+	// external route could observe their table mid-flush (see
+	// OriginTable.batchGate).
 	internalGate := func() bool { return p.extint.ExternalRouteCount() == 0 }
 	for _, proto := range []route.Protocol{
 		route.ProtoConnected, route.ProtoStatic, route.ProtoRIP, route.ProtoOSPF,
@@ -112,7 +110,7 @@ func NewProcess(loop *eventloop.Loop, fib FIBClient, router *xipc.Router) *Proce
 	// which runs on the process loop, so gauge funcs may read the origin
 	// tables directly.
 	p.metrics = telemetry.NewRegistry()
-	p.mEvents = p.metrics.Counter("rib_route_events_total", "route add/delete events accepted")
+	p.mEvents = p.metrics.Counter("rib_route_events_total", "route adds and deletes the origin tables accepted")
 	p.metrics.GaugeFunc("rib_routes", "final routes after the stage network",
 		func() float64 { return float64(p.Len()) })
 	for proto, o := range p.origins {
@@ -128,25 +126,6 @@ func NewProcess(loop *eventloop.Loop, fib FIBClient, router *xipc.Router) *Proce
 
 // Loop returns the process event loop.
 func (p *Process) Loop() *eventloop.Loop { return p.loop }
-
-// SetFIBCoalesce enables FIB-push coalescing: pushes fold into one
-// pending FIBBatch that flushes at the event loop's drain boundary
-// (window 0) or after window (window > 0) — added install latency
-// bounded by the knob, in exchange for cross-XRL churn reaching the
-// forwarding plane as one transaction. Call from the loop (or before it
-// runs); a negative window disables coalescing again after flushing
-// anything pending.
-func (p *Process) SetFIBCoalesce(window time.Duration) {
-	s := p.fibSink
-	if window < 0 {
-		s.flush()
-		s.coalesce = false
-		s.window = 0
-		return
-	}
-	s.coalesce = true
-	s.window = window
-}
 
 // Profiler returns the process profiler.
 func (p *Process) Profiler() *profiler.Profiler { return p.prof }
@@ -173,30 +152,17 @@ func (p *Process) LookupBest(addr netip.Addr) (route.Entry, bool) {
 // Len returns the number of final routes.
 func (p *Process) Len() int { return p.extint.AnnouncedLen() }
 
-// AddRoute feeds a protocol route into its origin table (the add_route4
-// XRL path; also used directly by in-process protocol clients). The
-// profile point is checked before formatting so a disabled point costs no
-// per-route allocation (variadic boxing).
+// AddRoute feeds one protocol route into its origin table (the
+// add_route4 XRL path; also used directly by in-process protocol
+// clients): a run of one.
 func (p *Process) AddRoute(proto route.Protocol, e route.Entry) error {
-	o, ok := p.origins[proto]
-	if !ok {
-		return fmt.Errorf("rib: no origin table for %v", proto)
-	}
-	if p.profArrive.Enabled() {
-		p.profArrive.Logf("add %v", e.Net)
-	}
-	if p.tracer.Enabled() {
-		p.tracer.Stamp(telemetry.StageRIBIn, e.Net)
-	}
-	p.mEvents.Inc()
-	o.AddRoute(e)
-	return nil
+	return p.AddRoutes(proto, []route.Entry{e})
 }
 
-// AddRoutes feeds a batch of same-protocol routes through the fast path:
-// one bulk origin load that flushes the whole stage network in coalesced
-// runs (the add_routes4 XRL path). Semantically identical to calling
-// AddRoute per entry in order.
+// AddRoutes feeds a run of same-protocol routes into their origin table
+// (the add_routes4 XRL path), which flushes the stage network in
+// coalesced runs. The profile point is checked before formatting so a
+// disabled point costs no per-route allocation (variadic boxing).
 func (p *Process) AddRoutes(proto route.Protocol, es []route.Entry) error {
 	o, ok := p.origins[proto]
 	if !ok {
@@ -215,42 +181,40 @@ func (p *Process) AddRoutes(proto route.Protocol, es []route.Entry) error {
 		})
 	}
 	p.mEvents.Add(uint64(len(es)))
-	o.LoadBatch(es)
+	o.AddRoutes(es)
 	return nil
 }
 
-// DeleteRoute removes a protocol route.
+// DeleteRoute removes one protocol route; unlike a list, a single
+// withdrawal of a prefix the protocol never announced is an error.
 func (p *Process) DeleteRoute(proto route.Protocol, net netip.Prefix) error {
-	o, ok := p.origins[proto]
-	if !ok {
-		return fmt.Errorf("rib: no origin table for %v", proto)
+	removed, err := p.deleteRoutes(proto, []netip.Prefix{net})
+	if err == nil && removed == 0 {
+		err = fmt.Errorf("rib: %v has no route %v", proto, net)
 	}
-	if p.profArrive.Enabled() {
-		p.profArrive.Logf("delete %v", net)
-	}
-	p.mEvents.Inc()
-	if !o.DeleteRoute(net) {
-		return fmt.Errorf("rib: %v has no route %v", proto, net)
-	}
-	return nil
+	return err
 }
 
-// DeleteRoutes removes a batch of protocol routes through the fast path,
-// skipping prefixes the protocol never announced (batch churn tolerates
-// raced withdrawals that the single-route path reports as errors).
+// DeleteRoutes removes a run of protocol routes, skipping prefixes the
+// protocol never announced (list churn tolerates raced withdrawals).
 func (p *Process) DeleteRoutes(proto route.Protocol, nets []netip.Prefix) error {
+	_, err := p.deleteRoutes(proto, nets)
+	return err
+}
+
+func (p *Process) deleteRoutes(proto route.Protocol, nets []netip.Prefix) (int, error) {
 	o, ok := p.origins[proto]
 	if !ok {
-		return fmt.Errorf("rib: no origin table for %v", proto)
+		return 0, fmt.Errorf("rib: no origin table for %v", proto)
 	}
 	if p.profArrive.Enabled() {
 		for _, net := range nets {
 			p.profArrive.Logf("delete %v", net)
 		}
 	}
-	p.mEvents.Add(uint64(len(nets)))
-	o.DeleteBatch(nets)
-	return nil
+	removed := o.DeleteRoutes(nets)
+	p.mEvents.Add(uint64(removed))
+	return removed, nil
 }
 
 // AddRedist splices a redistribution stage (a dynamic stage, §5.2) into
@@ -356,191 +320,61 @@ func (p *Process) notifyInvalid(client string, covering netip.Prefix) {
 }
 
 // fibSinkStage hands final routes to the FIB client with the §8.2
-// profile points. Disabled points are checked before formatting so the
-// hot path never pays variadic boxing; batch runs ship to batch-capable
-// clients as one coalesced FIBBatch.
-//
-// With coalescing enabled (SetFIBCoalesce), individual pushes fold into
-// a pending FIBBatch instead of shipping immediately; the batch flushes
-// once the event loop drains its current work (window 0) or a latency
-// window expires (window > 0). Churn that spans several XRL deliveries —
-// a withdraw and its replacement arriving as separate events — then
-// reaches the forwarding plane as one transaction and one snapshot
-// publish, at the price of that much added install latency.
+// profile points: every message, run or Replace, ships as one FIBBatch.
+// Disabled points are checked before formatting so the hot path never
+// pays variadic boxing.
 type fibSinkStage struct {
 	base
-	proc  *Process
-	batch *FIBBatch // reused across batch shipments
-
-	coalesce   bool
-	window     time.Duration
-	pending    *FIBBatch // folds pushes between flushes; reused
-	flushArmed bool
+	proc *Process
+	// batch is reused across shipments; nil while one is in flight, so a
+	// client that re-enters the RIB from FIBApplyBatch cannot reset the
+	// batch it is reading.
+	batch *FIBBatch
 }
 
-func (s *fibSinkStage) Add(e route.Entry) {
+func (s *fibSinkStage) Add(run []route.Entry) { s.ship(FIBOpAdd, route.Entry{}, run) }
+
+func (s *fibSinkStage) Replace(old, new route.Entry) { s.ship(FIBOpReplace, old, []route.Entry{new}) }
+
+func (s *fibSinkStage) Delete(run []route.Entry) { s.ship(FIBOpDelete, route.Entry{}, run) }
+
+var fibVerbs = [...]string{FIBOpAdd: "add", FIBOpReplace: "replace", FIBOpDelete: "delete"}
+
+// ship sends run to the FIB client as one batch of kind ops (old is the
+// Replace's previous entry).
+func (s *fibSinkStage) ship(kind FIBOpKind, old route.Entry, run []route.Entry) {
 	p := s.proc
 	if p.profQueue.Enabled() {
-		p.profQueue.Logf("add %v", e.Net)
+		for i := range run {
+			p.profQueue.Logf("%s %v", fibVerbs[kind], run[i].Net)
+		}
 	}
 	if p.fib == nil {
 		return
 	}
-	if s.coalesce {
-		s.queue(func(b *FIBBatch) { b.Add(e) })
-		return
-	}
 	if p.profSent.Enabled() {
-		p.profSent.Logf("add %v", e.Net)
+		for i := range run {
+			p.profSent.Logf("%s %v", fibVerbs[kind], run[i].Net)
+		}
 	}
-	p.fib.FIBAdd(e)
-}
-
-func (s *fibSinkStage) Replace(old, new route.Entry) {
-	p := s.proc
-	if p.profQueue.Enabled() {
-		p.profQueue.Logf("replace %v", new.Net)
+	b := s.batch
+	s.batch = nil
+	if b == nil {
+		b = NewFIBBatch()
 	}
-	if p.fib == nil {
-		return
+	for i := range run {
+		switch kind {
+		case FIBOpAdd:
+			b.Add(run[i])
+		case FIBOpReplace:
+			b.Replace(old, run[i])
+		case FIBOpDelete:
+			b.Delete(run[i])
+		}
 	}
-	if s.coalesce {
-		s.queue(func(b *FIBBatch) { b.Replace(old, new) })
-		return
-	}
-	if p.profSent.Enabled() {
-		p.profSent.Logf("replace %v", new.Net)
-	}
-	p.fib.FIBReplace(old, new)
-}
-
-func (s *fibSinkStage) Delete(e route.Entry) {
-	p := s.proc
-	if p.profQueue.Enabled() {
-		p.profQueue.Logf("delete %v", e.Net)
-	}
-	if p.fib == nil {
-		return
-	}
-	if s.coalesce {
-		s.queue(func(b *FIBBatch) { b.Delete(e) })
-		return
-	}
-	if p.profSent.Enabled() {
-		p.profSent.Logf("delete %v", e.Net)
-	}
-	p.fib.FIBDelete(e)
-}
-
-// queue folds one push into the pending batch and arms a flush: at the
-// loop's drain boundary (window 0, via Dispatch — runs after every
-// event already queued, so a churn burst folds completely) or after the
-// latency window.
-func (s *fibSinkStage) queue(record func(*FIBBatch)) {
-	if s.pending == nil {
-		s.pending = NewFIBBatch()
-	}
-	record(s.pending)
-	if s.flushArmed {
-		return
-	}
-	s.flushArmed = true
-	if s.window > 0 {
-		s.proc.loop.OneShot(s.window, s.flush)
-	} else {
-		s.proc.loop.Dispatch(s.flush)
-	}
-}
-
-// flush ships the pending batch. Runs on the loop.
-func (s *fibSinkStage) flush() {
-	s.flushArmed = false
-	b := s.pending
-	if b == nil || b.Len() == 0 {
-		return
-	}
-	p := s.proc
-	if p.profSent.Enabled() {
-		b.Ops(func(op FIBOp) {
-			switch op.Kind {
-			case FIBOpAdd:
-				p.profSent.Logf("add %v", op.New.Net)
-			case FIBOpReplace:
-				p.profSent.Logf("replace %v", op.New.Net)
-			case FIBOpDelete:
-				p.profSent.Logf("delete %v", op.Old.Net)
-			}
-		})
-	}
-	if bc, ok := p.fib.(FIBBatchClient); ok {
-		bc.FIBApplyBatch(b)
-	} else {
-		b.Ops(func(op FIBOp) {
-			switch op.Kind {
-			case FIBOpAdd:
-				p.fib.FIBAdd(op.New)
-			case FIBOpReplace:
-				p.fib.FIBReplace(op.Old, op.New)
-			case FIBOpDelete:
-				p.fib.FIBDelete(op.Old)
-			}
-		})
-	}
+	p.fib.FIBApplyBatch(b)
 	b.Reset()
-}
-
-// AddBatch ships a run of Adds in one coalesced FIB transaction when the
-// client supports it.
-func (s *fibSinkStage) AddBatch(es []route.Entry) {
-	s.shipBatch(es, "add", func(b *FIBBatch, e route.Entry) { b.Add(e) },
-		func(c FIBClient, e route.Entry) { c.FIBAdd(e) })
-}
-
-// DeleteBatch ships a run of Deletes in one coalesced FIB transaction.
-func (s *fibSinkStage) DeleteBatch(es []route.Entry) {
-	s.shipBatch(es, "delete", func(b *FIBBatch, e route.Entry) { b.Delete(e) },
-		func(c FIBClient, e route.Entry) { c.FIBDelete(e) })
-}
-
-func (s *fibSinkStage) shipBatch(es []route.Entry, verb string,
-	record func(*FIBBatch, route.Entry), single func(FIBClient, route.Entry)) {
-	p := s.proc
-	if p.profQueue.Enabled() {
-		for i := range es {
-			p.profQueue.Logf("%s %v", verb, es[i].Net)
-		}
-	}
-	if p.fib == nil {
-		return
-	}
-	if s.coalesce {
-		s.queue(func(b *FIBBatch) {
-			for i := range es {
-				record(b, es[i])
-			}
-		})
-		return
-	}
-	if p.profSent.Enabled() {
-		for i := range es {
-			p.profSent.Logf("%s %v", verb, es[i].Net)
-		}
-	}
-	if bc, ok := p.fib.(FIBBatchClient); ok {
-		if s.batch == nil {
-			s.batch = NewFIBBatch()
-		} else {
-			s.batch.Reset()
-		}
-		for i := range es {
-			record(s.batch, es[i])
-		}
-		bc.FIBApplyBatch(s.batch)
-		return
-	}
-	for i := range es {
-		single(p.fib, es[i])
-	}
+	s.batch = b
 }
 
 func (s *fibSinkStage) Lookup(netip.Prefix) (route.Entry, bool)   { return route.Entry{}, false }

@@ -115,18 +115,21 @@ func (rs *RegisterStage) routeChanged(net netip.Prefix) {
 	rs.regs = kept
 }
 
-// Add implements Stage (pass-through + shadow + invalidation).
-func (rs *RegisterStage) Add(e route.Entry) {
-	rs.shadow.Insert(e.Net, e)
-	rs.routeChanged(e.Net)
+// Add implements Stage: shadow and invalidate per entry, then pass the
+// whole run downstream in one call.
+func (rs *RegisterStage) Add(run []route.Entry) {
+	for i := range run {
+		rs.shadow.Upsert(run[i].Net, run[i])
+		rs.routeChanged(run[i].Net)
+	}
 	if rs.next != nil {
-		rs.next.Add(e)
+		rs.next.Add(run)
 	}
 }
 
 // Replace implements Stage.
 func (rs *RegisterStage) Replace(old, new route.Entry) {
-	rs.shadow.Insert(new.Net, new)
+	rs.shadow.Upsert(new.Net, new)
 	rs.routeChanged(new.Net)
 	if rs.next != nil {
 		rs.next.Replace(old, new)
@@ -134,31 +137,14 @@ func (rs *RegisterStage) Replace(old, new route.Entry) {
 }
 
 // Delete implements Stage.
-func (rs *RegisterStage) Delete(e route.Entry) {
-	rs.shadow.Delete(e.Net)
-	rs.routeChanged(e.Net)
+func (rs *RegisterStage) Delete(run []route.Entry) {
+	for i := range run {
+		rs.shadow.Delete(run[i].Net)
+		rs.routeChanged(run[i].Net)
+	}
 	if rs.next != nil {
-		rs.next.Delete(e)
+		rs.next.Delete(run)
 	}
-}
-
-// AddBatch implements addBatcher: shadow and invalidate per entry, then
-// pass the whole run downstream in one call.
-func (rs *RegisterStage) AddBatch(es []route.Entry) {
-	for i := range es {
-		rs.shadow.Upsert(es[i].Net, es[i])
-		rs.routeChanged(es[i].Net)
-	}
-	sendAddBatch(rs.next, es)
-}
-
-// DeleteBatch implements deleteBatcher.
-func (rs *RegisterStage) DeleteBatch(es []route.Entry) {
-	for i := range es {
-		rs.shadow.Delete(es[i].Net)
-		rs.routeChanged(es[i].Net)
-	}
-	sendDeleteBatch(rs.next, es)
 }
 
 // Lookup implements Stage.
@@ -233,11 +219,13 @@ func (rd *RedistStage) drop(e route.Entry) {
 	}
 }
 
-// Add implements Stage.
-func (rd *RedistStage) Add(e route.Entry) {
-	rd.apply(e)
+// Add implements Stage: mirror per entry, pass the run through.
+func (rd *RedistStage) Add(run []route.Entry) {
+	for i := range run {
+		rd.apply(run[i])
+	}
 	if rd.next != nil {
-		rd.next.Add(e)
+		rd.next.Add(run)
 	}
 }
 
@@ -250,27 +238,13 @@ func (rd *RedistStage) Replace(old, new route.Entry) {
 }
 
 // Delete implements Stage.
-func (rd *RedistStage) Delete(e route.Entry) {
-	rd.drop(e)
+func (rd *RedistStage) Delete(run []route.Entry) {
+	for i := range run {
+		rd.drop(run[i])
+	}
 	if rd.next != nil {
-		rd.next.Delete(e)
+		rd.next.Delete(run)
 	}
-}
-
-// AddBatch implements addBatcher: mirror per entry, pass the run through.
-func (rd *RedistStage) AddBatch(es []route.Entry) {
-	for i := range es {
-		rd.apply(es[i])
-	}
-	sendAddBatch(rd.next, es)
-}
-
-// DeleteBatch implements deleteBatcher.
-func (rd *RedistStage) DeleteBatch(es []route.Entry) {
-	for i := range es {
-		rd.drop(es[i])
-	}
-	sendDeleteBatch(rd.next, es)
 }
 
 // Lookup implements Stage: redist is pure pass-through for lookups; the

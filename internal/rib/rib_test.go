@@ -33,6 +33,26 @@ func (f *fibRec) FIBDelete(e route.Entry) {
 	f.dels++
 }
 
+func (f *fibRec) FIBApplyBatch(b *FIBBatch) { replayBatch(b, f) }
+
+// replayBatch delivers a batch's ops one by one to a per-op recorder.
+func replayBatch(b *FIBBatch, c interface {
+	FIBAdd(e route.Entry)
+	FIBReplace(old, new route.Entry)
+	FIBDelete(e route.Entry)
+}) {
+	b.Ops(func(op FIBOp) {
+		switch op.Kind {
+		case FIBOpAdd:
+			c.FIBAdd(op.New)
+		case FIBOpReplace:
+			c.FIBReplace(op.Old, op.New)
+		case FIBOpDelete:
+			c.FIBDelete(op.Old)
+		}
+	})
+}
+
 func newRib(t *testing.T) (*Process, *fibRec, *eventloop.Loop) {
 	t.Helper()
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
@@ -443,5 +463,54 @@ func TestIPv6Routes(t *testing.T) {
 	}
 	if _, ok := fib.tbl[mustP("2001:db8::/32")]; ok {
 		t.Fatal("v6 route not removed")
+	}
+}
+
+// rib_route_events_total counts what the origin table accepted: every add,
+// and only the deletes that found their prefix.
+func TestRouteEventsCountAcceptedWork(t *testing.T) {
+	have, have2, missing := mustP("10.1.0.0/16"), mustP("10.2.0.0/16"), mustP("10.9.0.0/16")
+	cases := []struct {
+		name    string
+		do      func(p *Process) error
+		wantErr bool
+		want    float64
+	}{
+		{"single add", func(p *Process) error {
+			return p.AddRoute(route.ProtoStatic, connectedRoute("10.3.0.0/16", "eth0"))
+		}, false, 1},
+		{"list add", func(p *Process) error {
+			return p.AddRoutes(route.ProtoStatic, []route.Entry{
+				connectedRoute("10.3.0.0/16", "eth0"), connectedRoute("10.4.0.0/16", "eth0")})
+		}, false, 2},
+		{"single delete hit", func(p *Process) error { return p.DeleteRoute(route.ProtoStatic, have) }, false, 1},
+		{"single delete miss", func(p *Process) error { return p.DeleteRoute(route.ProtoStatic, missing) }, true, 0},
+		{"list delete hit", func(p *Process) error {
+			return p.DeleteRoutes(route.ProtoStatic, []netip.Prefix{have, have2})
+		}, false, 2},
+		{"list delete miss", func(p *Process) error {
+			return p.DeleteRoutes(route.ProtoStatic, []netip.Prefix{missing})
+		}, false, 0},
+		{"list delete hit and miss", func(p *Process) error {
+			return p.DeleteRoutes(route.ProtoStatic, []netip.Prefix{missing, have})
+		}, false, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p, _, _ := newRib(t)
+			for _, net := range []netip.Prefix{have, have2} {
+				if err := p.AddRoute(route.ProtoStatic, route.Entry{Net: net, IfName: "eth0"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, _ := p.Metrics().Get("rib_route_events_total")
+			if err := c.do(p); (err != nil) != c.wantErr {
+				t.Fatalf("err = %v, want error %v", err, c.wantErr)
+			}
+			after, _ := p.Metrics().Get("rib_route_events_total")
+			if after-before != c.want {
+				t.Fatalf("counted %v events, want %v", after-before, c.want)
+			}
+		})
 	}
 }

@@ -6,10 +6,18 @@
 // routes and resolving their nexthops recursively, redist stages feeding
 // route redistribution, and register stages implementing the interest
 // registration protocol of §5.2.1 (Figure 8).
+//
+// One message shape flows through the network: the run, 1..n entries
+// sharing an op. Stage has one Add(run), one Replace(old, new) and one
+// Delete(run); a single route is a run of one, and cutting a stream into
+// different runs never changes what the FIB sees. The network ends the
+// same way: FIBClient is the one method FIBApplyBatch, and a single push
+// is a batch of one.
 package rib
 
 import (
 	"net/netip"
+	"slices"
 
 	"xorp/internal/eventloop"
 	"xorp/internal/route"
@@ -20,11 +28,16 @@ import (
 // bgp.Stage; routes are route.Entry values. The RIB makes decisions
 // "purely on the basis of a single administrative distance metric",
 // allowing the distributed pairwise merge design.
+//
+// Add and Delete take a run: one or more entries, applied in order. A run
+// is valid only for the duration of the call — the caller reuses the
+// buffer — so a stage that keeps an entry copies it. A stage may re-cut
+// what it emits into different runs than it received; it may not reorder.
 type Stage interface {
 	Name() string
-	Add(e route.Entry)
+	Add(run []route.Entry)
 	Replace(old, new route.Entry)
-	Delete(e route.Entry)
+	Delete(run []route.Entry)
 	// Lookup returns the stage's announced route exactly matching net.
 	Lookup(net netip.Prefix) (route.Entry, bool)
 	// LookupBest returns the stage's announced longest-prefix match.
@@ -34,61 +47,39 @@ type Stage interface {
 	downstream() Stage
 }
 
-// base supplies plumbing.
+// base supplies plumbing and the stage-owned emission scratch.
 type base struct {
 	name string
 	next Stage
+	// buf backs the stage's runEmitter between calls. A call detaches it
+	// (see emitter), so a client that re-enters the RIB synchronously from
+	// inside a flush finds nil here and grows a buffer of its own instead
+	// of overwriting the run in flight.
+	buf []route.Entry
 }
 
 func (b *base) Name() string          { return b.name }
 func (b *base) setDownstream(s Stage) { b.next = s }
 func (b *base) downstream() Stage     { return b.next }
 
+// emitter detaches the stage's scratch into an emitter for one call;
+// release hands it back.
+func (b *base) emitter() runEmitter {
+	em := runEmitter{next: b.next, run: b.buf[:0]}
+	b.buf = nil
+	return em
+}
+
+// release flushes em and returns its buffer to the stage.
+func (b *base) release(em *runEmitter) {
+	em.Flush()
+	b.buf = em.run
+}
+
 // Plumb wires stages left-to-right.
 func Plumb(stages ...Stage) {
 	for i := 0; i+1 < len(stages); i++ {
 		stages[i].setDownstream(stages[i+1])
-	}
-}
-
-// addBatcher is an optional Stage capability: absorb a run of consecutive
-// Adds in one call, amortizing per-route stage plumbing. Semantics must be
-// identical to calling Add per entry in order. The slice is only valid for
-// the duration of the call (callers reuse run buffers).
-type addBatcher interface {
-	AddBatch(es []route.Entry)
-}
-
-// deleteBatcher is the Delete counterpart of addBatcher.
-type deleteBatcher interface {
-	DeleteBatch(es []route.Entry)
-}
-
-// sendAddBatch delivers a run of Adds to s, batched when s supports it.
-func sendAddBatch(s Stage, es []route.Entry) {
-	if len(es) == 0 || s == nil {
-		return
-	}
-	if b, ok := s.(addBatcher); ok {
-		b.AddBatch(es)
-		return
-	}
-	for _, e := range es {
-		s.Add(e)
-	}
-}
-
-// sendDeleteBatch delivers a run of Deletes to s, batched when s supports it.
-func sendDeleteBatch(s Stage, es []route.Entry) {
-	if len(es) == 0 || s == nil {
-		return
-	}
-	if b, ok := s.(deleteBatcher); ok {
-		b.DeleteBatch(es)
-		return
-	}
-	for _, e := range es {
-		s.Delete(e)
 	}
 }
 
@@ -102,40 +93,10 @@ func stageEmpty(s Stage) bool {
 	return false
 }
 
-// opSink receives a stage's emissions. Every Stage is an opSink; the
-// batch paths substitute a runEmitter to coalesce consecutive same-kind
-// emissions into downstream batches.
-type opSink interface {
-	Add(e route.Entry)
-	Replace(old, new route.Entry)
-	Delete(e route.Entry)
-}
-
-// stageSink adapts a possibly-nil downstream Stage as an opSink.
-type stageSink struct{ s Stage }
-
-func (ss stageSink) Add(e route.Entry) {
-	if ss.s != nil {
-		ss.s.Add(e)
-	}
-}
-
-func (ss stageSink) Replace(old, new route.Entry) {
-	if ss.s != nil {
-		ss.s.Replace(old, new)
-	}
-}
-
-func (ss stageSink) Delete(e route.Entry) {
-	if ss.s != nil {
-		ss.s.Delete(e)
-	}
-}
-
-// runEmitter coalesces a stream of emissions into runs: consecutive Adds
-// (or Deletes) accumulate and ship downstream as one batch; a Replace or a
-// kind switch flushes first, so the downstream stream is byte-identical to
-// the unbatched one. Callers must Flush when done.
+// runEmitter coalesces a stage's emissions into runs: consecutive Adds
+// (or Deletes) accumulate and ship downstream as one run; a Replace or a
+// kind switch flushes first, so the downstream stream is the same however
+// the input was cut. Callers must Flush (base.release) when done.
 type runEmitter struct {
 	next Stage
 	run  []route.Entry
@@ -165,17 +126,30 @@ func (em *runEmitter) Replace(old, new route.Entry) {
 	}
 }
 
-// Flush ships the pending run downstream.
+// Flush ships the pending run downstream, then clears the buffer so the
+// idle scratch pins no interface names or tag slices.
 func (em *runEmitter) Flush() {
 	if len(em.run) == 0 {
 		return
 	}
-	if em.kind == 'a' {
-		sendAddBatch(em.next, em.run)
-	} else {
-		sendDeleteBatch(em.next, em.run)
+	if em.next != nil {
+		if em.kind == 'a' {
+			em.next.Add(em.run)
+		} else {
+			em.next.Delete(em.run)
+		}
 	}
+	clear(em.run)
 	em.run = em.run[:0]
+}
+
+// comparePrefix orders prefixes by address, then length: the order every
+// stage uses where it would otherwise emit in map iteration order.
+func comparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return a.Bits() - b.Bits()
 }
 
 // betterEntry decides between two entries for the same prefix: lower
@@ -204,22 +178,21 @@ type OriginTable struct {
 	// Finder reports the origin's process dead, the stored routes stay
 	// resolvable and stay in the FIB but are flagged here; a re-learned
 	// route clears its flag (an identical re-announcement short-circuits
-	// in AddRoute with zero downstream emission), and SweepStale removes
+	// in AddRoutes with zero downstream emission), and SweepStale removes
 	// whatever the respawned process no longer announces. Staleness lives
 	// beside route.Entry, not in it, precisely so Entry.Equal still
 	// detects the identical re-announcement. Nil when nothing is stale.
 	stale map[netip.Prefix]bool
 
-	// batchGate, when set, vets batch operations: batching upserts the
-	// table ahead of the downstream flush, so a downstream stage that
-	// reads this table mid-flush (the extint stage re-resolving dependent
-	// external routes through the internal side) could observe entries
-	// whose announcements it hasn't processed yet. Internal-side origins
-	// carry a gate that forbids batching exactly when such dependent
-	// reads exist (external routes are present); with the gate closed,
-	// batch calls degrade to the per-route path, whose trie writes and
-	// emissions advance in lockstep. External origins need no gate:
-	// nothing re-reads their table mid-flush.
+	// batchGate, when set, vets read-ahead: a run upserts the table ahead
+	// of the downstream flush, so a downstream stage that reads this table
+	// mid-flush (the extint stage re-resolving dependent external routes
+	// through the internal side) could observe entries whose announcements
+	// it hasn't processed yet. Internal-side origins carry a gate that is
+	// closed exactly when such dependent reads exist (external routes are
+	// present); with the gate closed the emitter is flushed after every
+	// entry, so trie writes and emissions advance in lockstep. External
+	// origins need no gate: nothing re-reads their table mid-flush.
 	batchGate func() bool
 }
 
@@ -238,11 +211,11 @@ func NewOriginTable(loop *eventloop.Loop, proto route.Protocol) *OriginTable {
 // SetAdminDistance overrides the table's administrative distance.
 func (o *OriginTable) SetAdminDistance(ad uint8) { o.ad = ad }
 
-// SetBatchGate installs the batch-safety predicate (see batchGate).
+// SetBatchGate installs the read-ahead predicate (see batchGate).
 func (o *OriginTable) SetBatchGate(gate func() bool) { o.batchGate = gate }
 
-// batchOK reports whether batch operations are currently safe.
-func (o *OriginTable) batchOK() bool { return o.batchGate == nil || o.batchGate() }
+// lockstep reports whether the table may not run ahead of its emissions.
+func (o *OriginTable) lockstep() bool { return o.batchGate != nil && !o.batchGate() }
 
 // Len returns the number of stored routes.
 func (o *OriginTable) Len() int { return o.tbl.Len() }
@@ -278,133 +251,90 @@ func (o *OriginTable) clearStale(net netip.Prefix) {
 	}
 }
 
-// SweepStale deletes every route still marked stale, shipping the
-// deletions downstream as coalesced runs (the grace window closed: the
-// respawned process finished resyncing, or the grace timer expired).
-// Returns the number of routes swept.
+// SweepStale deletes every route still marked stale, in prefix order (map
+// order would hand the FEA a differently ordered delete list on identical
+// runs), shipping the deletions downstream as coalesced runs (the grace
+// window closed: the respawned process finished resyncing, or the grace
+// timer expired). Returns the number of routes swept.
 func (o *OriginTable) SweepStale() int {
 	if len(o.stale) == 0 {
 		return 0
 	}
-	// Collect first: DeleteBatch mutates o.stale via clearStale.
+	// Collect first: DeleteRoutes mutates o.stale via clearStale.
 	nets := make([]netip.Prefix, 0, len(o.stale))
 	for net := range o.stale {
 		nets = append(nets, net)
 	}
-	swept := o.DeleteBatch(nets)
+	slices.SortFunc(nets, comparePrefix)
+	swept := o.DeleteRoutes(nets)
 	o.stale = nil
 	return swept
 }
 
-// AddRoute stores a route from the protocol, stamping protocol and
-// administrative distance, and emits Add or Replace. The store and the
-// previous-value fetch are one trie traversal (Upsert).
-func (o *OriginTable) AddRoute(e route.Entry) {
-	e.Net = e.Net.Masked()
-	e.Protocol = o.proto
-	e.AdminDistance = o.ad
-	old, existed := o.tbl.Upsert(e.Net, e)
-	o.clearStale(e.Net)
-	if o.next == nil {
-		return
-	}
-	if existed {
-		if old.Equal(e) {
-			// Re-learned identical route: already un-staled above with
-			// zero downstream (and zero FIB) churn.
-			return
-		}
-		o.next.Replace(old, e)
-	} else {
-		o.next.Add(e)
-	}
-}
-
-// LoadBatch bulk-stores a batch of routes, flushing downstream in
-// coalesced runs. The emitted Add/Replace stream is identical to calling
-// AddRoute per entry in order; only the plumbing is amortized.
-func (o *OriginTable) LoadBatch(es []route.Entry) {
-	if !o.batchOK() {
-		for _, e := range es {
-			o.AddRoute(e)
-		}
-		return
-	}
-	em := runEmitter{next: o.next}
+// AddRoutes stores a run of routes from the protocol, stamping protocol
+// and administrative distance, and emits Add runs and Replaces. The store
+// and the previous-value fetch are one trie traversal (Upsert); a
+// re-learned identical route un-stales with zero downstream (and zero
+// FIB) churn.
+func (o *OriginTable) AddRoutes(es []route.Entry) {
+	lockstep := o.lockstep()
+	em := o.emitter()
 	for _, e := range es {
 		e.Net = e.Net.Masked()
 		e.Protocol = o.proto
 		e.AdminDistance = o.ad
 		old, existed := o.tbl.Upsert(e.Net, e)
 		o.clearStale(e.Net)
-		if o.next == nil {
-			continue
-		}
-		if existed {
-			if old.Equal(e) {
-				continue
-			}
-			em.Replace(old, e)
-		} else {
+		switch {
+		case !existed:
 			em.Add(e)
+		case !old.Equal(e):
+			em.Replace(old, e)
+		}
+		if lockstep {
+			em.Flush()
 		}
 	}
-	em.Flush()
+	o.release(&em)
 }
 
-// DeleteRoute removes a route and emits Delete.
-func (o *OriginTable) DeleteRoute(net netip.Prefix) bool {
-	old, existed := o.tbl.Delete(net.Masked())
-	o.clearStale(net.Masked())
-	if existed && o.next != nil {
-		o.next.Delete(old)
-	}
-	return existed
-}
-
-// DeleteBatch removes a batch of routes, flushing the Deletes downstream
-// as one coalesced run. Missing prefixes are skipped. Returns the number
-// of routes actually removed.
-func (o *OriginTable) DeleteBatch(nets []netip.Prefix) int {
+// DeleteRoutes removes a run of routes and emits Delete runs. Missing
+// prefixes are skipped. Returns the number of routes actually removed.
+func (o *OriginTable) DeleteRoutes(nets []netip.Prefix) int {
+	lockstep := o.lockstep()
+	em := o.emitter()
 	removed := 0
-	if !o.batchOK() {
-		for _, net := range nets {
-			if o.DeleteRoute(net) {
-				removed++
-			}
-		}
-		return removed
-	}
-	em := runEmitter{next: o.next}
 	for _, net := range nets {
-		old, existed := o.tbl.Delete(net.Masked())
-		o.clearStale(net.Masked())
+		net = net.Masked()
+		old, existed := o.tbl.Delete(net)
+		o.clearStale(net)
 		if !existed {
 			continue
 		}
 		removed++
 		em.Delete(old)
+		if lockstep {
+			em.Flush()
+		}
 	}
-	em.Flush()
+	o.release(&em)
 	return removed
 }
 
 // DeleteAll removes every route as a background task (protocol shutdown),
 // using the safe iterator so concurrent changes are harmless. Each task
-// step ships its deletions downstream as one coalesced run instead of
-// per-route stage plumbing.
+// step ships its deletions downstream as one run.
 func (o *OriginTable) DeleteAll() *eventloop.Task {
 	o.stale = nil // everything is going away; no marks to retain
 	it := o.tbl.Iterate()
 	return o.loop.AddTask("delete-all("+o.name+")", func() bool {
-		batched := o.batchOK()
-		em := runEmitter{next: o.next}
-		done := false
+		lockstep := o.lockstep()
+		em := o.emitter()
+		defer o.release(&em)
 		for i := 0; i < 64; i++ {
 			if !it.Valid() {
 				it.Close()
-				done = true
-				break
+				return true
 			}
 			net, e, ok := it.Entry()
 			it.Next()
@@ -412,14 +342,12 @@ func (o *OriginTable) DeleteAll() *eventloop.Task {
 				continue
 			}
 			o.tbl.Delete(net)
-			if batched {
-				em.Delete(e)
-			} else if o.next != nil {
-				o.next.Delete(e)
+			em.Delete(e)
+			if lockstep {
+				em.Flush()
 			}
 		}
-		em.Flush()
-		return done
+		return false
 	})
 }
 
@@ -432,13 +360,13 @@ func (o *OriginTable) Walk(fn func(route.Entry) bool) {
 }
 
 // Add panics: origin tables have no upstream.
-func (o *OriginTable) Add(route.Entry) { panic("rib: OriginTable has no upstream") }
+func (o *OriginTable) Add([]route.Entry) { panic("rib: OriginTable has no upstream") }
 
 // Replace panics: origin tables have no upstream.
 func (o *OriginTable) Replace(_, _ route.Entry) { panic("rib: OriginTable has no upstream") }
 
 // Delete panics: origin tables have no upstream.
-func (o *OriginTable) Delete(route.Entry) { panic("rib: OriginTable has no upstream") }
+func (o *OriginTable) Delete([]route.Entry) { panic("rib: OriginTable has no upstream") }
 
 // Lookup implements Stage.
 func (o *OriginTable) Lookup(net netip.Prefix) (route.Entry, bool) {
@@ -470,127 +398,83 @@ func NewMergeStage(name string, a, b Stage) *MergeStage {
 }
 
 // mergeInput adapts one parent's stream, remembering which side the
-// message came from.
+// message came from. It emits through the merge stage's scratch.
 type mergeInput struct {
 	base
 	m     *MergeStage
 	other Stage
 }
 
-func (mi *mergeInput) Add(e route.Entry) {
-	other, ok := mi.other.Lookup(e.Net)
-	if !ok {
-		mi.m.emitAdd(e)
-		return
-	}
-	// e is new on this side; other was the winner before.
-	if winner := betterEntry(other, e); winner.Equal(e) {
-		mi.m.emitReplace(other, e)
-	}
-}
-
-func (mi *mergeInput) Replace(old, new route.Entry) {
-	other, ok := mi.other.Lookup(new.Net)
-	if !ok {
-		mi.m.emitReplace(old, new)
-		return
-	}
-	prev := betterEntry(other, old)
-	next := betterEntry(other, new)
-	mi.m.emitTransition(prev, next)
-}
-
-func (mi *mergeInput) Delete(e route.Entry) {
-	other, ok := mi.other.Lookup(e.Net)
-	if !ok {
-		mi.m.emitDelete(e)
-		return
-	}
-	if winner := betterEntry(other, e); winner.Equal(e) {
-		// The deleted route was the winner; the other side takes over.
-		mi.m.emitReplace(e, other)
-	}
-}
-
-// AddBatch amortizes a run of Adds: when the other parent announces
-// nothing (the common case while one protocol loads a full table), the
-// whole run passes through without per-route other-side lookups;
-// otherwise each entry is arbitrated as usual with the emissions
-// re-coalesced into runs.
-func (mi *mergeInput) AddBatch(es []route.Entry) {
+// Add arbitrates a run of routes new on this side. When the other parent
+// announces nothing (the common case while one protocol loads a full
+// table), the whole run passes through without per-route other-side
+// lookups.
+func (mi *mergeInput) Add(run []route.Entry) {
 	if stageEmpty(mi.other) {
-		sendAddBatch(mi.m.next, es)
+		if mi.m.next != nil {
+			mi.m.next.Add(run)
+		}
 		return
 	}
-	em := runEmitter{next: mi.m.next}
-	for _, e := range es {
+	em := mi.m.emitter()
+	for _, e := range run {
 		other, ok := mi.other.Lookup(e.Net)
 		if !ok {
 			em.Add(e)
 			continue
 		}
+		// e is new on this side; other was the winner before.
 		if winner := betterEntry(other, e); winner.Equal(e) && !other.Equal(e) {
 			em.Replace(other, e)
 		}
 	}
-	em.Flush()
+	mi.m.release(&em)
 }
 
-// DeleteBatch is the Delete counterpart of AddBatch.
-func (mi *mergeInput) DeleteBatch(es []route.Entry) {
+func (mi *mergeInput) Replace(old, new route.Entry) {
+	prev, next := old, new
+	if other, ok := mi.other.Lookup(new.Net); ok {
+		prev, next = betterEntry(other, old), betterEntry(other, new)
+	}
+	if mi.m.next != nil && !prev.Equal(next) {
+		mi.m.next.Replace(prev, next)
+	}
+}
+
+// Delete is the Delete counterpart of Add.
+func (mi *mergeInput) Delete(run []route.Entry) {
 	if stageEmpty(mi.other) {
-		sendDeleteBatch(mi.m.next, es)
+		if mi.m.next != nil {
+			mi.m.next.Delete(run)
+		}
 		return
 	}
-	em := runEmitter{next: mi.m.next}
-	for _, e := range es {
+	em := mi.m.emitter()
+	for _, e := range run {
 		other, ok := mi.other.Lookup(e.Net)
 		if !ok {
 			em.Delete(e)
 			continue
 		}
+		// If the deleted route was the winner, the other side takes over.
 		if winner := betterEntry(other, e); winner.Equal(e) && !e.Equal(other) {
 			em.Replace(e, other)
 		}
 	}
-	em.Flush()
+	mi.m.release(&em)
 }
 
 func (mi *mergeInput) Lookup(netip.Prefix) (route.Entry, bool)   { panic("rib: mergeInput lookup") }
 func (mi *mergeInput) LookupBest(netip.Addr) (route.Entry, bool) { panic("rib: mergeInput lookup") }
 
-func (m *MergeStage) emitAdd(e route.Entry) {
-	if m.next != nil {
-		m.next.Add(e)
-	}
-}
-
-func (m *MergeStage) emitReplace(old, new route.Entry) {
-	if m.next != nil && !old.Equal(new) {
-		m.next.Replace(old, new)
-	}
-}
-
-func (m *MergeStage) emitDelete(e route.Entry) {
-	if m.next != nil {
-		m.next.Delete(e)
-	}
-}
-
-func (m *MergeStage) emitTransition(prev, next route.Entry) {
-	if !prev.Equal(next) {
-		m.emitReplace(prev, next)
-	}
-}
-
 // Add panics: use the parents.
-func (m *MergeStage) Add(route.Entry) { panic("rib: MergeStage has adapter inputs") }
+func (m *MergeStage) Add([]route.Entry) { panic("rib: MergeStage has adapter inputs") }
 
 // Replace panics: use the parents.
 func (m *MergeStage) Replace(_, _ route.Entry) { panic("rib: MergeStage has adapter inputs") }
 
 // Delete panics: use the parents.
-func (m *MergeStage) Delete(route.Entry) { panic("rib: MergeStage has adapter inputs") }
+func (m *MergeStage) Delete([]route.Entry) { panic("rib: MergeStage has adapter inputs") }
 
 // Empty reports whether both parents announce nothing.
 func (m *MergeStage) Empty() bool { return stageEmpty(m.a) && stageEmpty(m.b) }

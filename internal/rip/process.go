@@ -28,8 +28,8 @@ type RIBClient interface {
 }
 
 // BatchRIBClient is optionally implemented by RIBClients that can absorb
-// one received update's routes in a single call (the RIB's route-churn
-// fast path). The slice is only valid for the duration of the call.
+// one received update's routes in a single call (one run through the
+// RIB). The slice is only valid for the duration of the call.
 type BatchRIBClient interface {
 	RIBClient
 	AddRoutes(es []route.Entry)

@@ -24,7 +24,7 @@ import (
 // burst of decision-process output) are buffered in one pending queue,
 // in call order, and shipped as list XRLs — add_routes4 or
 // delete_routes4 per consecutive run of one kind and one protocol — so
-// they ride the RIB's batch fast path and reach the FEA as one FIB batch
+// each travels the RIB as one run and reaches the FEA as one FIB batch
 // per run. A change of kind or protocol, a ReplaceRoute, the 256-op cap
 // and the end of the drain flush the queue, so the RIB sees exactly the
 // order BGP issued.
@@ -219,19 +219,21 @@ type xrlFIBClient struct {
 	stub *xif.FTIClient
 }
 
-// FIBAdd implements rib.FIBClient.
-func (c *xrlFIBClient) FIBAdd(e route.Entry) { c.stub.AddEntry4(e, nil) }
-
-// FIBReplace implements rib.FIBClient.
-func (c *xrlFIBClient) FIBReplace(_, new route.Entry) { c.stub.AddEntry4(new, nil) }
-
-// FIBDelete implements rib.FIBClient.
-func (c *xrlFIBClient) FIBDelete(e route.Entry) { c.stub.DeleteEntry4(e.Net, nil) }
-
-// FIBApplyBatch implements rib.FIBBatchClient: the coalesced update set
-// ships as runs of list-carrying XRLs (adds/replaces as add_entries4,
-// deletes as delete_entries4) instead of one XRL per route.
+// FIBApplyBatch implements rib.FIBClient. A batch of one ships as the
+// single-route XRL; anything longer as runs of list-carrying XRLs
+// (adds/replaces as add_entries4, deletes as delete_entries4) instead of
+// one XRL per route.
 func (c *xrlFIBClient) FIBApplyBatch(b *rib.FIBBatch) {
+	if b.Len() == 1 {
+		b.Ops(func(op rib.FIBOp) {
+			if op.Kind == rib.FIBOpDelete {
+				c.stub.DeleteEntry4(op.Old.Net, nil)
+			} else {
+				c.stub.AddEntry4(op.New, nil)
+			}
+		})
+		return
+	}
 	var adds, dels []xrl.Atom
 	flushAdds := func() {
 		if len(adds) > 0 {

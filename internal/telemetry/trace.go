@@ -27,7 +27,7 @@ const (
 	// table load).
 	StageRIBIn
 	// StageFIBApply: the FEA applied the route to the forwarding
-	// backend (kernel FIB / netlink), individually or in a batch.
+	// backend (kernel FIB), individually or in a batch.
 	StageFIBApply
 	// StageSnapPub: the immutable forwarding snapshot containing the
 	// route was published (the atomic pointer flip data-plane workers

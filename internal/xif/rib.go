@@ -327,8 +327,8 @@ func (c *RIBClient) DeleteRoute4(proto string, net netip.Prefix, done func(error
 		xrl.Net("network", net))
 }
 
-// AddRoutes4 ships a batch of routes as one list XRL, riding the RIB's
-// batch fast path.
+// AddRoutes4 ships a batch of routes as one list XRL, which the RIB
+// takes as one run.
 func (c *RIBClient) AddRoutes4(proto string, es []route.Entry, done func(error)) {
 	c.AddRoutes4Encoded(proto, EncodeRouteAtoms(es), done)
 }
