@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Count gate: run the repo benchmark's RIB-bearing workloads for a few
-# seconds at HEAD and at the merge base with BASE_REF (default
+# Count gate: run the repo benchmark's RIB- and BGP-bearing workloads for a
+# few seconds at HEAD and at the merge base with BASE_REF (default
 # origin/main; the previous commit when HEAD is the merge base, as on a
 # push to main), and fail when a machine-independent count metric rises by
 # more than its bound in BENCHMARK.json or any op fails. Time metrics are
@@ -29,7 +29,7 @@ run() {
 }
 
 status=0
-for w in trickle bulk; do
+for w in trickle bulk routeserver; do
 	was="$(run "$tree" "$w")"
 	now="$(run "$root" "$w")"
 	for side in was now; do

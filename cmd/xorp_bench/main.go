@@ -14,7 +14,6 @@
 //	xorp_bench -experiment spf          # OSPF SPF full vs incremental
 //	xorp_bench -experiment tableload    # full-table RIB load, single vs batch
 //	xorp_bench -experiment forward      # forwarding lookups/sec vs workers, idle + churn
-//	xorp_bench -experiment routeserver  # N-peer route server, legacy vs shared-encode fast path
 //	xorp_bench -quick                   # scaled-down table sizes
 package main
 
@@ -235,26 +234,6 @@ func main() {
 		}
 		fmt.Print(bench.FormatForward(idle, active))
 		fmt.Println(`(recorded baselines: BENCH_fig9.json "forward")`)
-		return nil
-	})
-
-	run("routeserver", func() error {
-		peers, fastN, legacyN := 100, 1_000_000, 100_000
-		if *quick {
-			peers, fastN, legacyN = 16, 20000, 5000
-		}
-		fmt.Printf("Route server, %d peers, mixed v4/v6 feeds with redundant attr sets\n", peers)
-		fmt.Println("legacy = per-route messages + per-peer encode; fast = interned attrs + batched decision + group shared encode")
-		legacy, err := bench.RunRouteServer(peers, legacyN, false)
-		if err != nil {
-			return err
-		}
-		fast, err := bench.RunRouteServer(peers, fastN, true)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatRouteServer(legacy, fast))
-		fmt.Println(`(recorded baselines: BENCH_fig9.json "routeserver")`)
 		return nil
 	})
 

@@ -232,18 +232,6 @@ func runGridCell(cell GridCell) ([]gridMetric, error) {
 			{"snapshots", float64(res.Batches)},
 		}, nil
 
-	case "routeserver":
-		res, err := RunRouteServer(intParam(p, "peers", 16), intParam(p, "routes", 5000),
-			boolParam(p, "fast", true))
-		if err != nil {
-			return nil, err
-		}
-		return []gridMetric{
-			{"routes_per_sec", res.RoutesPerSec},
-			{"encodes_per_route", res.EncodesPerRoute},
-			{"allocs_per_route", res.AllocsPerRoute},
-		}, nil
-
 	default:
 		return nil, fmt.Errorf("unknown experiment %q", cell.Experiment)
 	}

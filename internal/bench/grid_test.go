@@ -25,7 +25,7 @@ func TestLoadGridSpec(t *testing.T) {
 		for _, c := range cells {
 			seen[c.Experiment] = true
 		}
-		for _, want := range []string{"fig9", "spf", "tableload", "forward", "routeserver"} {
+		for _, want := range []string{"fig9", "spf", "tableload", "forward"} {
 			if !seen[want] {
 				t.Errorf("quick grid missing experiment %q", want)
 			}
@@ -42,7 +42,7 @@ func TestLoadGridSpec(t *testing.T) {
 func TestRunGridAggregates(t *testing.T) {
 	cells := []GridCell{
 		{Experiment: "spf", Params: map[string]any{"routers": float64(16), "iters": float64(2)}, Repeats: 3},
-		{Experiment: "routeserver", Params: map[string]any{"peers": float64(4), "routes": float64(500), "fast": true}},
+		{Experiment: "fig9", Params: map[string]any{"transport": "intra", "total": float64(200)}},
 	}
 	rows, err := RunGrid(cells, nil)
 	if err != nil {
@@ -61,8 +61,8 @@ func TestRunGridAggregates(t *testing.T) {
 	if got := byMetric["spf/full_us"].Repeats; got != 3 {
 		t.Errorf("spf repeats = %d, want 3", got)
 	}
-	if got := byMetric["routeserver/routes_per_sec"].Repeats; got != 1 {
-		t.Errorf("routeserver repeats = %d, want 1 (default)", got)
+	if got := byMetric["fig9/xrls_per_sec"].Repeats; got != 1 {
+		t.Errorf("fig9 repeats = %d, want 1 (default)", got)
 	}
 	if got := byMetric["spf/full_us"].Params; got != "iters=2;routers=16" {
 		t.Errorf("params rendered %q", got)

@@ -135,9 +135,10 @@ func BenchmarkDampingStage(b *testing.B) {
 	s := newSink("sink")
 	Plumb(damp, s)
 	r := &Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}
+	run := []*Route{r}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		damp.Add(r)
+		damp.Add(run)
 		damp.Delete(r)
 	}
 }

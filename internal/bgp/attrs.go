@@ -86,9 +86,11 @@ func (p ASPath) Contains(as uint16) bool {
 	return false
 }
 
-// Prepend returns a new path with as prepended to the leading sequence.
+// Prepend returns a new path with as prepended to the leading sequence, or
+// in a new leading segment when the path starts with a set or a sequence
+// already at the 255 ASes a segment can carry (RFC 4271 §5.1.2).
 func (p ASPath) Prepend(as uint16) ASPath {
-	if len(p) > 0 && p[0].Type == SegSequence {
+	if len(p) > 0 && p[0].Type == SegSequence && len(p[0].ASes) < 255 {
 		seg := ASSegment{Type: SegSequence, ASes: append([]uint16{as}, p[0].ASes...)}
 		out := append(ASPath{seg}, p[1:]...)
 		return out

@@ -93,7 +93,7 @@ func (d *DampingStage) reconcile(net netip.Prefix, s *dampState) {
 	if d.next != nil {
 		switch {
 		case have == nil && want != nil:
-			d.next.Add(want)
+			d.addOne(want)
 		case have != nil && want == nil:
 			d.next.Delete(have)
 		case have != nil && want != nil && !SameRoute(have, want):
@@ -146,15 +146,18 @@ func (d *DampingStage) scheduleReuse(net netip.Prefix, s *dampState) {
 	})
 }
 
-// Add implements Stage. A first announcement is not a flap.
-func (d *DampingStage) Add(r *Route) {
-	s := d.ensureState(r.Net)
-	if s.current != nil || s.announced != nil || s.penalty > 0 {
-		// Re-announcement of a previously flapping prefix.
-		d.flap(s)
+// Add implements Stage. Flap history is per prefix, so the run is cut
+// into runs of one. A first announcement is not a flap.
+func (d *DampingStage) Add(run []*Route) {
+	for _, r := range run {
+		s := d.ensureState(r.Net)
+		if s.current != nil || s.announced != nil || s.penalty > 0 {
+			// Re-announcement of a previously flapping prefix.
+			d.flap(s)
+		}
+		s.current = r
+		d.evaluate(r.Net, s)
 	}
-	s.current = r
-	d.evaluate(r.Net, s)
 }
 
 // Replace implements Stage. An attribute change counts as a flap.

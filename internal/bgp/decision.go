@@ -69,43 +69,16 @@ func (d *Decision) bestExcluding(net netip.Prefix, skip *Route) *Route {
 // through the pipeline but never to the forwarding plane).
 func usable(r *Route) bool { return r != nil && r.Resolvable }
 
-// Add implements Stage: a branch announces a route it did not have.
-func (d *Decision) Add(r *Route) {
-	prevBest := d.bestExcluding(r.Net, r)
-	if !usable(r) || !r.Better(prevBest) {
-		return // the newcomer loses; nothing changes downstream
-	}
+// Add implements Stage: a branch announces routes it did not have. The
+// winner is computed once per route against the other branches, losers
+// are skipped without materializing anything downstream, and consecutive
+// fresh winners stay one run. A winner that displaces a previous best
+// cuts the run and becomes a Replace at its position.
+func (d *Decision) Add(run []*Route) {
 	if d.next == nil {
 		return
 	}
-	if d.tracer.Enabled() {
-		d.tracer.Stamp(telemetry.StageDecision, r.Net)
-	}
-	if prevBest == nil {
-		d.next.Add(r)
-	} else {
-		d.next.Replace(prevBest, r)
-	}
-}
-
-// AddRun implements RunStage: the winner is computed once per route
-// against the other branches, losers are skipped without materializing
-// anything downstream, and consecutive fresh winners stay coalesced.
-// Winners that displace a previous best become individual Replaces at
-// their position in the run, so downstream sees exactly the message
-// sequence the per-route path would emit.
-func (d *Decision) AddRun(rs []*Route) {
-	if d.next == nil {
-		return
-	}
-	var win []*Route
-	flush := func() {
-		if len(win) > 0 {
-			addRun(d.next, win)
-			win = nil
-		}
-	}
-	for i, r := range rs {
+	for _, r := range run {
 		prevBest := d.bestExcluding(r.Net, r)
 		if !usable(r) || !r.Better(prevBest) {
 			continue // loser: never materialized downstream
@@ -114,16 +87,13 @@ func (d *Decision) AddRun(rs []*Route) {
 			d.tracer.Stamp(telemetry.StageDecision, r.Net)
 		}
 		if prevBest == nil {
-			if win == nil {
-				win = rs[i:i:len(rs)] // sub-slice, no copy of rs
-			}
-			win = append(win, r)
+			d.run = append(d.run, r)
 			continue
 		}
-		flush()
+		d.flush()
 		d.next.Replace(prevBest, r)
 	}
-	flush()
+	d.flush()
 }
 
 // Replace implements Stage: a branch replaces its route for a net.
@@ -167,7 +137,7 @@ func (d *Decision) emitTransition(net netip.Prefix, prev, next *Route) {
 		if d.tracer.Enabled() {
 			d.tracer.Stamp(telemetry.StageDecision, next.Net)
 		}
-		d.next.Add(next)
+		d.addOne(next)
 	case next == nil:
 		d.next.Delete(prev)
 	case SameRoute(prev, next):

@@ -2,15 +2,16 @@ package bgp
 
 import (
 	"net/netip"
+	"slices"
 
 	"xorp/internal/core"
 	"xorp/internal/eventloop"
 )
 
-// fanoutEntry is one decision-process output queued for fanout. run is
-// non-nil for a coalesced add-run (op is OpAdd); run members share one
-// attrs pointer and one Src, so per-branch specialization is computed once
-// per run instead of once per route.
+// fanoutEntry is one decision-process output queued for fanout. An OpAdd
+// carries a run: its first route in new, and the fanout's own copy of the
+// whole run in run when there is more than one route (the queue outlives
+// the call that delivered the run).
 type fanoutEntry struct {
 	op       core.Op
 	old, new *Route
@@ -32,18 +33,13 @@ type Fanout struct {
 	pumpScheduled bool
 }
 
-// fanoutBranch is one consumer: a peer's output pipeline, a peer group's
-// shared output pipeline, or the RIB.
+// fanoutBranch is one consumer: a peer group's output pipeline (a solo
+// peer is a group of one) or the RIB branch.
 type fanoutBranch struct {
 	name   string
-	peer   *PeerHandle // nil for group and RIB branches
-	group  bool        // group branch: split horizon applied in GroupOut
-	head   Stage       // first stage of the output pipeline (nil if fn used)
-	fn     func(fanoutEntry) bool
+	peer   *PeerHandle // the one peer the branch will ever serve, else nil
+	head   Stage       // first stage of the branch's pipeline
 	reader *core.FanoutReader[fanoutEntry]
-	// runPos is the resume cursor of a sink branch that applied
-	// backpressure mid-run, so redelivery skips already-consumed routes.
-	runPos int
 }
 
 // NewFanout returns an empty fanout stage.
@@ -56,44 +52,21 @@ func NewFanout(name string, loop *eventloop.Loop) *Fanout {
 	}
 }
 
-// AddPeerBranch attaches a peer's output pipeline. Split-horizon and the
-// IBGP non-reflection rule are applied here, at duplication time.
+// AddPeerBranch attaches the output pipeline of a group of one. Split
+// horizon and the IBGP non-reflection rule are applied here, at
+// duplication time and ahead of the branch's filter bank, so the routes a
+// peer sent us cost its own branch nothing.
 func (f *Fanout) AddPeerBranch(name string, peer *PeerHandle, head Stage) {
 	b := &fanoutBranch{name: name, peer: peer, head: head}
-	b.reader = f.q.AddReader(func(e fanoutEntry) bool { return f.deliverPeer(b, e) })
+	b.reader = f.q.AddReader(func(e fanoutEntry) bool { return f.deliver(b, e) })
 	f.branches[name] = b
 }
 
-// AddGroupBranch attaches a peer group's shared output pipeline. Unlike a
-// peer branch, no per-peer specialization happens here: the full decision
-// stream drives the shared filter bank once, and the terminal GroupOut
-// applies split horizon / the IBGP rule per member.
+// AddGroupBranch attaches a pipeline that takes the decision stream whole:
+// a peer group's shared filter bank, whose terminal GroupOut applies split
+// horizon / the IBGP rule per member, or the RIB branch.
 func (f *Fanout) AddGroupBranch(name string, head Stage) {
-	b := &fanoutBranch{name: name, group: true, head: head}
-	b.reader = f.q.AddReader(func(e fanoutEntry) bool { return f.deliverGroup(b, e) })
-	f.branches[name] = b
-}
-
-// AddSinkBranch attaches a function consumer (the RIB branch, tests). fn
-// returning false applies backpressure; runs are expanded per-route with a
-// resume cursor so backpressure mid-run never duplicates a route.
-func (f *Fanout) AddSinkBranch(name string, fn func(op core.Op, old, new *Route) bool) {
-	b := &fanoutBranch{name: name}
-	b.fn = func(e fanoutEntry) bool {
-		if e.run != nil {
-			for b.runPos < len(e.run) {
-				if !fn(core.OpAdd, nil, e.run[b.runPos]) {
-					return false
-				}
-				b.runPos++
-			}
-			b.runPos = 0
-			return true
-		}
-		return fn(e.op, e.old, e.new)
-	}
-	b.reader = f.q.AddReader(b.fn)
-	f.branches[name] = b
+	f.AddPeerBranch(name, nil, head)
 }
 
 // RemoveBranch detaches a branch (peer deconfigured).
@@ -144,43 +117,23 @@ func sendable(r *Route, peer *PeerHandle) bool {
 	return true
 }
 
-// deliverPeer specializes one queued change for one peer branch. A run is
-// screened with a single sendable check (run members share Src, the only
-// route field sendable reads).
-func (f *Fanout) deliverPeer(b *fanoutBranch, e fanoutEntry) bool {
-	if e.run != nil {
-		if sendable(e.run[0], b.peer) {
-			addRun(b.head, e.run)
-		}
-		return true
+// deliver drives one queued change into a branch, screened first when
+// the branch has a sole peer. A run is screened by its first route: run
+// members share Src, the only route field sendable reads.
+func (f *Fanout) deliver(b *fanoutBranch, e fanoutEntry) bool {
+	so, sn := e.op != core.OpAdd, e.op != core.OpDelete
+	if b.peer != nil {
+		so, sn = so && sendable(e.old, b.peer), sn && sendable(e.new, b.peer)
 	}
-	so := e.op != core.OpAdd && sendable(e.old, b.peer)
-	sn := e.op != core.OpDelete && sendable(e.new, b.peer)
 	switch {
 	case so && sn:
 		b.head.Replace(e.old, e.new)
-	case sn:
-		b.head.Add(e.new)
+	case sn && e.run != nil:
+		b.head.Add(e.run)
+	case sn: // a run of one rides in the entry
+		f.run = append(f.run[:0], e.new)
+		b.head.Add(f.run)
 	case so:
-		b.head.Delete(e.old)
-	}
-	return true
-}
-
-// deliverGroup drives one queued change into a group branch undegraded;
-// membership (split horizon, IBGP rule) is resolved per member by the
-// GroupOut at the end of the shared pipeline.
-func (f *Fanout) deliverGroup(b *fanoutBranch, e fanoutEntry) bool {
-	if e.run != nil {
-		addRun(b.head, e.run)
-		return true
-	}
-	switch e.op {
-	case core.OpAdd:
-		b.head.Add(e.new)
-	case core.OpReplace:
-		b.head.Replace(e.old, e.new)
-	case core.OpDelete:
 		b.head.Delete(e.old)
 	}
 	return true
@@ -198,16 +151,14 @@ func (f *Fanout) schedulePump() {
 	})
 }
 
-// Add implements Stage.
-func (f *Fanout) Add(r *Route) {
-	f.q.Push(fanoutEntry{op: core.OpAdd, new: r})
-	f.schedulePump()
-}
-
-// AddRun implements RunStage: the run is queued as one entry, so every
-// branch pays one specialization (and, for groups, one encode) per run.
-func (f *Fanout) AddRun(rs []*Route) {
-	f.q.Push(fanoutEntry{op: core.OpAdd, run: rs})
+// Add implements Stage: the run is queued as one entry, so every branch
+// pays one specialization (and one encode) per run.
+func (f *Fanout) Add(run []*Route) {
+	e := fanoutEntry{op: core.OpAdd, new: run[0]}
+	if len(run) > 1 {
+		e.run = slices.Clone(run)
+	}
+	f.q.Push(e)
 	f.schedulePump()
 }
 

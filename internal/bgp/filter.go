@@ -36,31 +36,23 @@ func (f *FilterBank) apply(r *Route) *Route {
 	return r
 }
 
-// Add implements Stage.
-func (f *FilterBank) Add(r *Route) {
-	if out := f.apply(r); out != nil && f.next != nil {
-		f.next.Add(out)
-	}
-}
-
-// AddRun implements RunStage. Filters may clone attrs per route, which
-// would splinter the run's shared attribute pointer; filters are
-// deterministic, so two run members with pointer-identical input attrs
-// produce deep-equal output attrs — the bank memoizes the last (in, out)
-// attrs pair and substitutes the canonical output pointer, keeping runs
-// shareable downstream. If a filter's rewrite genuinely depends on the
-// prefix, the memo misses and the run splits at the divergence point.
-func (f *FilterBank) AddRun(rs []*Route) {
+// Add implements Stage. Filters may clone attrs per route, which would
+// splinter the run's shared attribute pointer; filters are deterministic,
+// so two run members with pointer-identical input attrs produce deep-equal
+// output attrs — the bank memoizes the last (in, out) attrs pair and
+// substitutes the canonical output pointer, keeping runs shareable
+// downstream. If a filter's rewrite genuinely depends on the prefix, the
+// memo misses and the run is cut at the divergence point.
+func (f *FilterBank) Add(run []*Route) {
 	if f.next == nil {
 		return
 	}
-	// The run slice is shared: the fanout delivers the same slice to every
-	// branch, so results must never be written back into rs. A fresh slice
-	// is allocated only once a filter actually drops or rewrites a route.
+	// Results are collected in f.run, never written back into run (the
+	// fanout hands the same run to every branch), and only once a filter
+	// drops or rewrites a route: an untouched run is forwarded as it came.
 	var lastIn, lastOut *PathAttrs
-	var out []*Route
-	changed := false
-	for i, r := range rs {
+	out, changed := f.run, false
+	for i, r := range run {
 		fr := f.apply(r)
 		if fr != nil && fr.Attrs != r.Attrs {
 			if lastIn == r.Attrs && fr.Attrs.Equal(lastOut) {
@@ -74,30 +66,27 @@ func (f *FilterBank) AddRun(rs []*Route) {
 				continue
 			}
 			changed = true
-			out = append(out, rs[:i]...)
+			out = append(out, run[:i]...)
 		}
 		if fr != nil {
 			out = append(out, fr)
 		}
 	}
 	if !changed {
-		addRun(f.next, rs) // untouched: still one shared attrs pointer
+		f.next.Add(run)
 		return
 	}
-	emitSubRuns(f.next, out)
-}
-
-// emitSubRuns forwards routes downstream as maximal consecutive sub-runs
-// sharing one attrs pointer, preserving the RunStage invariant.
-func emitSubRuns(next Stage, rs []*Route) {
-	for i := 0; i < len(rs); {
+	// Maximal consecutive sub-runs sharing one attrs pointer.
+	for i := 0; i < len(out); {
 		j := i + 1
-		for j < len(rs) && rs[j].Attrs == rs[i].Attrs {
+		for j < len(out) && out[j].Attrs == out[i].Attrs {
 			j++
 		}
-		addRun(next, rs[i:j])
+		f.next.Add(out[i:j])
 		i = j
 	}
+	clear(out)
+	f.run = out[:0]
 }
 
 // Replace implements Stage, degrading to Add/Delete when filtering drops
@@ -110,7 +99,7 @@ func (f *FilterBank) Replace(old, new *Route) {
 	switch {
 	case fo == nil && fn == nil:
 	case fo == nil:
-		f.next.Add(fn)
+		f.addOne(fn)
 	case fn == nil:
 		f.next.Delete(fo)
 	default:
@@ -167,7 +156,7 @@ func (f *FilterBank) Refilter(loop *eventloop.Loop, newFilters []Filter, walk fu
 			switch {
 			case fo == nil && fn == nil:
 			case fo == nil:
-				f.next.Add(fn)
+				f.addOne(fn)
 			case fn == nil:
 				f.next.Delete(fo)
 			case !SameRoute(fo, fn):

@@ -68,32 +68,40 @@ func TestFilterDropIfNexthopEquals(t *testing.T) {
 }
 
 func TestPeerOutResyncAfterSessionBounce(t *testing.T) {
-	// A PeerOut retains the announced table across sessions so a
+	// A group of one retains the announced table across sessions so a
 	// re-established peer receives a full resync.
 	peer := testPeer("p", "10.0.0.9", 65009, false)
-	var msgs []*UpdateMsg
-	po := NewPeerOut(peer, UpdateSenderFunc(func(m *UpdateMsg) { msgs = append(msgs, m) }))
+	po, sent := groupOfOne(t, peer)
 	for i := 0; i < 5; i++ {
-		po.Add(&Route{
+		po.Add([]*Route{{
 			Net:   netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16),
 			Attrs: attrsVia("10.0.0.1", 65001),
-		})
+		}})
 	}
 	if po.AnnouncedCount() != 5 {
 		t.Fatalf("announced %d", po.AnnouncedCount())
 	}
 	// Session bounce: replay.
+	*sent = nil
+	po.ResyncMember(peer)
 	replayed := 0
-	po.WalkAnnounced(func(r *Route) bool {
-		replayed++
+	for _, m := range *sent {
+		replayed += len(m.NLRI)
+	}
+	if replayed != 5 {
+		t.Fatalf("resync replayed %d routes", replayed)
+	}
+	walked := 0
+	po.WalkAnnounced(peer, func(r *Route) bool {
+		walked++
 		return true
 	})
-	if replayed != 5 {
-		t.Fatalf("resync walked %d routes", replayed)
+	if walked != 5 {
+		t.Fatalf("walk visited %d routes", walked)
 	}
 	// Early-terminating walk.
 	n := 0
-	po.WalkAnnounced(func(*Route) bool {
+	po.WalkAnnounced(peer, func(*Route) bool {
 		n++
 		return false
 	})
@@ -108,13 +116,13 @@ func TestFanoutRemoveBranchStopsDelivery(t *testing.T) {
 	s := newSink("out")
 	f.AddPeerBranch("p", testPeer("p", "10.0.0.9", 65009, false), s)
 	r := &Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}
-	f.Add(r)
+	f.Add([]*Route{r})
 	loop.RunPending()
 	if s.adds != 1 {
 		t.Fatalf("adds %d", s.adds)
 	}
 	f.RemoveBranch("p")
-	f.Add(&Route{Net: mustP("10.2.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)})
+	f.Add([]*Route{{Net: mustP("10.2.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}})
 	loop.RunPending()
 	if s.adds != 1 {
 		t.Fatal("removed branch still received routes")

@@ -3,6 +3,10 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
+	"slices"
+
+	"xorp/internal/telemetry"
+	"xorp/internal/trie"
 )
 
 // GroupSender consumes pre-encoded UPDATE bytes for one peer-group member.
@@ -19,11 +23,11 @@ type GroupSenderFunc func(buf []byte)
 // SendEncodedUpdate implements GroupSender.
 func (f GroupSenderFunc) SendEncodedUpdate(buf []byte) { f(buf) }
 
-// GroupOut is the terminal stage of a peer group's shared output branch:
-// the group's members share export policy (the filter bank upstream of
-// this stage runs once for the whole group), so each outbound UPDATE is
-// encoded once per (group, attr-set) and the bytes fanned out to every
-// member — instead of the legacy path's one walk and one encode per peer.
+// GroupOut is the terminal stage of every output branch. A peer group's
+// members share export policy (the filter bank upstream of this stage runs
+// once for the whole group), so each outbound UPDATE is encoded once per
+// (group, attr-set) and the bytes fanned out to every member; a peer
+// outside any group is a group of one.
 //
 // Split horizon and the IBGP non-reflection rule still differ per member;
 // they are applied here, per member, against the route's Src. The group
@@ -31,6 +35,12 @@ func (f GroupSenderFunc) SendEncodedUpdate(buf []byte) { f(buf) }
 // per-member suppressed set holding only the prefixes a member must NOT
 // see — for a route server that is each member's own contribution, so
 // total bookkeeping stays proportional to the table, not members × table.
+//
+// A message that cannot be encoded (an attribute set that outgrows the
+// 4096-byte limit on export, say) is dropped whole and counted, and the
+// adj-RIB-out records only what was sent: the later Delete of a dropped
+// prefix sends nothing, and a Replace whose new side is dropped withdraws
+// the old.
 type GroupOut struct {
 	base
 	members []*groupMember
@@ -42,10 +52,13 @@ type GroupOut struct {
 	encBuf []byte
 	netBuf []netip.Prefix
 
-	// Encode/send statistics (the routeserver bench reads these).
+	// Encode/send statistics.
 	EncodeCalls int
 	SentBytes   int64
 	SentMsgs    int64
+	// EncodeErrors counts dropped messages. A Process points all of its
+	// groups at its bgp_out_encode_errors_total.
+	EncodeErrors *telemetry.Counter
 }
 
 type groupMember struct {
@@ -58,8 +71,9 @@ type groupMember struct {
 // NewGroupOut returns an empty group output stage.
 func NewGroupOut(name string) *GroupOut {
 	return &GroupOut{
-		base:      base{name: "groupout(" + name + ")"},
-		announced: make(map[netip.Prefix]*Route),
+		base:         base{name: "groupout(" + name + ")"},
+		announced:    make(map[netip.Prefix]*Route),
+		EncodeErrors: new(telemetry.Counter),
 	}
 }
 
@@ -126,51 +140,64 @@ func (g *GroupOut) send(m *groupMember, msgs int) {
 	g.SentMsgs += int64(msgs)
 }
 
-// encodeAnnounce fills encBuf with the announcement of nets sharing attrs.
-func (g *GroupOut) encodeAnnounce(attrs *PathAttrs, nets []netip.Prefix) (msgs int, err error) {
-	before := 0
+// encodeAnnounce fills encBuf with the announcement of nets sharing attrs
+// and returns how many messages that took: 0 when the encode failed, which
+// is counted.
+func (g *GroupOut) encodeAnnounce(attrs *PathAttrs, nets []netip.Prefix) (msgs int) {
+	var err error
 	g.encBuf, err = AppendUpdateRun(g.encBuf[:0], attrs, nets)
+	for off := 0; err == nil && off < len(g.encBuf); msgs++ {
+		var n int
+		n, _, err = HeaderInfo(g.encBuf[off:])
+		off += n
+	}
 	if err != nil {
-		return 0, err
+		g.EncodeErrors.Inc()
+		return 0
 	}
 	g.EncodeCalls++
-	for before < len(g.encBuf) {
-		n, _, err := HeaderInfo(g.encBuf[before:])
-		if err != nil {
-			return msgs, err
-		}
-		before += n
-		msgs++
-	}
-	return msgs, nil
+	return msgs
 }
 
-// encodeWithdraw fills encBuf with the withdrawal of net.
-func (g *GroupOut) encodeWithdraw(net netip.Prefix) error {
+// encodeWithdraw fills encBuf with the withdrawal of net and reports
+// whether that worked; a failure is counted.
+func (g *GroupOut) encodeWithdraw(net netip.Prefix) bool {
 	var err error
 	g.netBuf = append(g.netBuf[:0], net)
-	g.encBuf, err = AppendUpdate(g.encBuf[:0], &UpdateMsg{Withdrawn: g.netBuf})
-	if err == nil {
-		g.EncodeCalls++
+	if g.encBuf, err = AppendUpdate(g.encBuf[:0], &UpdateMsg{Withdrawn: g.netBuf}); err != nil {
+		g.EncodeErrors.Inc()
+		return false
 	}
-	return err
+	g.EncodeCalls++
+	return true
 }
 
-// Add implements Stage: announce to every member the route is sendable
-// to; the rest record a suppression.
-func (g *GroupOut) Add(r *Route) {
-	g.announced[r.Net] = r
-	g.netBuf = append(g.netBuf[:0], r.Net)
-	msgs, err := g.encodeAnnounce(r.Attrs, g.netBuf)
-	if err != nil {
-		panic("bgp: " + g.name + " encode: " + err.Error())
+// Add implements Stage — the shared encode: one wire encode for the whole
+// run, one sendable check per member (runs share Src), and the same bytes
+// fanned out to every member the run is sendable to; the rest record a
+// suppression.
+func (g *GroupOut) Add(run []*Route) {
+	g.netBuf = g.netBuf[:0]
+	for _, r := range run {
+		g.netBuf = append(g.netBuf, r.Net)
+	}
+	msgs := g.encodeAnnounce(run[0].Attrs, g.netBuf)
+	if msgs == 0 {
+		return
+	}
+	for _, r := range run {
+		g.announced[r.Net] = r
 	}
 	for _, m := range g.members {
-		if sendable(r, m.handle) {
-			delete(m.suppressed, r.Net)
+		if sendable(run[0], m.handle) {
+			for _, r := range run {
+				delete(m.suppressed, r.Net)
+			}
 			g.send(m, msgs)
 		} else {
-			m.suppressed[r.Net] = true
+			for _, r := range run {
+				m.suppressed[r.Net] = true
+			}
 		}
 	}
 }
@@ -180,15 +207,17 @@ func (g *GroupOut) Add(r *Route) {
 // route), an explicit withdraw (the member must not see the new one), or
 // nothing.
 func (g *GroupOut) Replace(old, new *Route) {
-	g.announced[new.Net] = new
 	g.netBuf = append(g.netBuf[:0], new.Net)
-	msgs, err := g.encodeAnnounce(new.Attrs, g.netBuf)
-	if err != nil {
-		panic("bgp: " + g.name + " encode: " + err.Error())
+	msgs := g.encodeAnnounce(new.Attrs, g.netBuf)
+	if msgs == 0 {
+		g.Delete(old)
+		return
 	}
+	_, was := g.announced[new.Net]
+	g.announced[new.Net] = new
 	var withdraw []*groupMember
 	for _, m := range g.members {
-		had := !m.suppressed[new.Net]
+		had := was && !m.suppressed[new.Net]
 		if sendable(new, m.handle) {
 			delete(m.suppressed, new.Net)
 			g.send(m, msgs)
@@ -199,10 +228,7 @@ func (g *GroupOut) Replace(old, new *Route) {
 			}
 		}
 	}
-	if len(withdraw) > 0 {
-		if err := g.encodeWithdraw(new.Net); err != nil {
-			panic("bgp: " + g.name + " encode: " + err.Error())
-		}
+	if len(withdraw) > 0 && g.encodeWithdraw(new.Net) {
 		for _, m := range withdraw {
 			g.send(m, 1)
 		}
@@ -211,42 +237,16 @@ func (g *GroupOut) Replace(old, new *Route) {
 
 // Delete implements Stage: withdraw from every member that saw the route.
 func (g *GroupOut) Delete(r *Route) {
-	delete(g.announced, r.Net)
-	if err := g.encodeWithdraw(r.Net); err != nil {
-		panic("bgp: " + g.name + " encode: " + err.Error())
+	if _, was := g.announced[r.Net]; !was {
+		return // its announcement was dropped
 	}
+	delete(g.announced, r.Net)
+	ok := g.encodeWithdraw(r.Net)
 	for _, m := range g.members {
 		if m.suppressed[r.Net] {
 			delete(m.suppressed, r.Net)
-			continue
-		}
-		g.send(m, 1)
-	}
-}
-
-// AddRun implements RunStage — the group shared-encode fast path: one
-// sendable check per member (runs share Src), one wire encode for the
-// whole run, and the same bytes fanned out to every receiving member.
-func (g *GroupOut) AddRun(rs []*Route) {
-	g.netBuf = g.netBuf[:0]
-	for _, r := range rs {
-		g.announced[r.Net] = r
-		g.netBuf = append(g.netBuf, r.Net)
-	}
-	msgs, err := g.encodeAnnounce(rs[0].Attrs, g.netBuf)
-	if err != nil {
-		panic("bgp: " + g.name + " encode: " + err.Error())
-	}
-	for _, m := range g.members {
-		if sendable(rs[0], m.handle) {
-			for _, r := range rs {
-				delete(m.suppressed, r.Net)
-			}
-			g.send(m, msgs)
-		} else {
-			for _, r := range rs {
-				m.suppressed[r.Net] = true
-			}
+		} else if ok {
+			g.send(m, 1)
 		}
 	}
 }
@@ -265,30 +265,35 @@ func (g *GroupOut) MemberAnnouncedCount(handle *PeerHandle) int {
 }
 
 // ResyncMember replays the full member-visible table to one member's
-// sender (session re-established). Prefixes are grouped by attr set so
-// the dump packs NLRI like the live path does.
+// sender (session re-established), in prefix order. Prefixes are grouped
+// by attr set, sets in the order of their first prefix, so the dump packs
+// NLRI like the live path does and two replays of one table are the same
+// bytes.
 func (g *GroupOut) ResyncMember(handle *PeerHandle) {
 	m := g.member(handle)
 	if m == nil {
 		return
 	}
+	nets := make([]netip.Prefix, 0, len(g.announced)-len(m.suppressed))
+	for net := range g.announced {
+		if !m.suppressed[net] {
+			nets = append(nets, net)
+		}
+	}
+	slices.SortFunc(nets, trie.ComparePrefix)
 	byAttrs := make(map[*PathAttrs][]netip.Prefix)
 	var order []*PathAttrs
-	for net, r := range g.announced {
-		if m.suppressed[net] {
-			continue
+	for _, net := range nets {
+		attrs := g.announced[net].Attrs
+		if _, ok := byAttrs[attrs]; !ok {
+			order = append(order, attrs)
 		}
-		if _, ok := byAttrs[r.Attrs]; !ok {
-			order = append(order, r.Attrs)
-		}
-		byAttrs[r.Attrs] = append(byAttrs[r.Attrs], net)
+		byAttrs[attrs] = append(byAttrs[attrs], net)
 	}
 	for _, attrs := range order {
-		msgs, err := g.encodeAnnounce(attrs, byAttrs[attrs])
-		if err != nil {
-			panic("bgp: " + g.name + " resync encode: " + err.Error())
+		if msgs := g.encodeAnnounce(attrs, byAttrs[attrs]); msgs > 0 {
+			g.send(m, msgs)
 		}
-		g.send(m, msgs)
 	}
 }
 

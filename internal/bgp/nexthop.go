@@ -108,8 +108,35 @@ func (n *NexthopResolver) PendingOps() int {
 	return total
 }
 
-// Add implements Stage.
-func (n *NexthopResolver) Add(r *Route) { n.submit(pendingOp{op: 1, new: r}) }
+// Add implements Stage. A run shares one attribute set and thus one
+// nexthop: with the answer cached the whole run annotates and forwards in
+// one pass; a route with queued predecessors or a prior announcement cuts
+// the run and goes through the queue or as a Replace at its position, and
+// an uncached nexthop queues every route (the first issues the query, the
+// rest wait behind it).
+func (n *NexthopResolver) Add(run []*Route) {
+	info, cached := n.cache[run[0].Attrs.NextHop]
+	for _, r := range run {
+		if !cached || len(n.queues[r.Net]) > 0 {
+			n.flush()
+			n.submit(pendingOp{op: 1, new: r})
+			continue
+		}
+		oldOut := n.announced[r.Net]
+		ann := n.annotate(r, info)
+		n.announced[r.Net] = ann
+		if n.next == nil {
+			continue
+		}
+		if oldOut != nil {
+			n.flush()
+			n.next.Replace(oldOut, ann)
+		} else {
+			n.run = append(n.run, ann)
+		}
+	}
+	n.flush()
+}
 
 // Replace implements Stage.
 func (n *NexthopResolver) Replace(old, new *Route) {
@@ -118,49 +145,6 @@ func (n *NexthopResolver) Replace(old, new *Route) {
 
 // Delete implements Stage.
 func (n *NexthopResolver) Delete(r *Route) { n.submit(pendingOp{op: 3, old: r}) }
-
-// AddRun implements RunStage. A run shares one attribute set and thus one
-// nexthop: with the answer cached the whole run annotates and forwards in
-// one pass, keeping fresh adds coalesced; routes with queued predecessors
-// or a prior announcement degrade to the per-route path at their position,
-// and an uncached nexthop degrades the whole run (the first route issues
-// the query, the rest queue behind it — exactly the per-route behavior).
-func (n *NexthopResolver) AddRun(rs []*Route) {
-	info, cached := n.cache[rs[0].Attrs.NextHop]
-	if !cached {
-		for _, r := range rs {
-			n.Add(r)
-		}
-		return
-	}
-	var run []*Route
-	flush := func() {
-		if len(run) > 0 {
-			addRun(n.next, run)
-			run = nil
-		}
-	}
-	for _, r := range rs {
-		if len(n.queues[r.Net]) > 0 {
-			flush()
-			n.Add(r) // queue behind the net's pending ops
-			continue
-		}
-		oldOut := n.announced[r.Net]
-		out := n.annotate(r, info)
-		n.announced[r.Net] = out
-		if n.next == nil {
-			continue
-		}
-		if oldOut != nil {
-			flush()
-			n.next.Replace(oldOut, out)
-		} else {
-			run = append(run, out)
-		}
-	}
-	flush()
-}
 
 func (n *NexthopResolver) submit(op pendingOp) {
 	net := op.key().Net
@@ -246,7 +230,7 @@ func (n *NexthopResolver) forward(op pendingOp, info NexthopInfo) {
 		if oldOut != nil {
 			n.next.Replace(oldOut, out)
 		} else {
-			n.next.Add(out)
+			n.addOne(out)
 		}
 	case 3:
 		oldOut := n.announced[op.old.Net]

@@ -1,11 +1,12 @@
 package bgp
 
-// Differential test wall around the BGP fast path. The pooled / batched /
-// shared-encode pipeline (interned PathAttrs, AddRun coalescing, peer-group
-// GroupOut) must be observationally identical to the seed per-route path:
-// the same adj-RIB-out contents, and byte-identical UPDATE streams per
-// member once both sides are normalized to one-prefix-per-message atoms.
-// These tests run the two pipelines side by side on randomized workloads
+// Differential test wall around the BGP pipeline. The staged pipeline
+// (interned PathAttrs, run coalescing, the shared GroupOut encode) must be
+// observationally identical to a deliberately naive model of BGP route
+// propagation that shares no code with the stages: the same adj-RIB-out
+// contents, and byte-identical UPDATE streams per member once the
+// pipeline's packed messages are normalized to one-prefix-per-message
+// atoms. These tests run the two side by side on randomized workloads
 // (peer mixes, policy mixes, attr mixes, mixed v4/v6) and compare.
 
 import (
@@ -13,10 +14,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
 	"xorp/internal/eventloop"
+	"xorp/internal/trie"
 )
 
 // oracleMember is one route-server client: a full input branch feeding the
@@ -24,91 +27,84 @@ import (
 type oracleMember struct {
 	handle *PeerHandle
 	in     *PeerIn
-	pout   *PeerOut  // legacy mode
-	gout   *GroupOut // fast mode
-	atoms  [][]byte  // canonical one-prefix messages, in send order
+	gout   *GroupOut
+	atoms  [][]byte // canonical one-prefix messages, in send order
 }
 
-// oracleRouter is a stage-level route server assembled in either mode.
-// fast=false is the seed shape: per-route messages end to end and one
-// private out-filter → PeerOut per member. fast=true is the optimized
-// shape: interned attrs, AddRun coalescing, and one shared out-filter →
-// GroupOut per group.
+// oracleRouter is a stage-level route server: interned attrs, one input
+// branch per member, and one shared out-filter → GroupOut per group. A
+// member with no group — every member, when solo is set — is a group of
+// one behind its own peer branch.
 type oracleRouter struct {
 	t       testing.TB
 	loop    *eventloop.Loop
 	dec     *Decision
 	fan     *Fanout
 	pool    *AttrPool
-	fast    bool
+	solo    bool
 	localAS uint16
 	members []*oracleMember
 	byName  map[string]*oracleMember
 	groups  map[string]*GroupOut
 }
 
-func newOracleRouter(t testing.TB, fast bool, localAS uint16) *oracleRouter {
+func newOracleRouter(t testing.TB, solo bool, localAS uint16) *oracleRouter {
 	o := &oracleRouter{
 		t:       t,
 		loop:    eventloop.New(eventloop.NewSimClock(time.Unix(0, 0))),
 		dec:     NewDecision("decision"),
-		fan:     nil,
-		fast:    fast,
+		pool:    NewAttrPool(),
+		solo:    solo,
 		localAS: localAS,
 		byName:  make(map[string]*oracleMember),
 		groups:  make(map[string]*GroupOut),
 	}
 	o.fan = NewFanout("fanout", o.loop)
-	if fast {
-		o.pool = NewAttrPool()
-	}
 	Plumb(o.dec, o.fan)
 	return o
 }
 
-// addMember wires one client: input branch always private, output branch
-// shared (fast) or private (legacy). policy is appended to the standard
-// export transform, identically in both modes.
+// oracleExport is the export chain of a member: the standard transform
+// for its session type, then the group's policy.
+func oracleExport(ibgp bool, localAS uint16, localAddr netip.Addr, policy []Filter) []Filter {
+	export := []Filter{FilterIBGPExport()}
+	if !ibgp {
+		export = []Filter{FilterEBGPExport(localAS, localAddr)}
+	}
+	return append(export, policy...)
+}
+
+// addMember wires one client: a private input branch, and an output
+// branch shared with its group or (solo) its own.
 func (o *oracleRouter) addMember(name, addr string, as uint16, group string, localAddr netip.Addr, policy []Filter) *oracleMember {
 	ibgp := as == o.localAS
 	m := &oracleMember{handle: testPeer(name, addr, as, ibgp)}
 	m.in = NewPeerIn(o.loop, m.handle, o.pool)
-	m.in.SetBatch(o.fast)
 	inFilter := NewFilterBank("in-filter(" + name + ")")
 	resolver := NewNexthopResolver("nexthop("+name+")", &StaticMetricSource{})
 	Plumb(m.in, inFilter, resolver)
 
-	var export []Filter
-	if ibgp {
-		export = append(export, FilterIBGPExport())
-	} else {
-		export = append(export, FilterEBGPExport(o.localAS, localAddr))
+	if o.solo {
+		group = ""
 	}
-	export = append(export, policy...)
-
-	if o.fast {
-		g, ok := o.groups[group]
-		if !ok {
-			g = NewGroupOut(group)
-			outBank := NewFilterBank("out-filter(group:"+group+")", export...)
-			Plumb(outBank, g)
+	g, ok := o.groups[group] // never holds ""
+	if !ok {
+		g = NewGroupOut(group)
+		outBank := NewFilterBank("out-filter("+group+")", oracleExport(ibgp, o.localAS, localAddr, policy)...)
+		Plumb(outBank, g)
+		if group == "" {
+			o.fan.AddPeerBranch(name, m.handle, outBank)
+		} else {
 			o.fan.AddGroupBranch("group:"+group, outBank)
 			o.groups[group] = g
 		}
-		if err := g.AddMember(m.handle, GroupSenderFunc(func(buf []byte) {
-			m.atoms = append(m.atoms, atomizeBytes(o.t, buf)...)
-		})); err != nil {
-			o.t.Fatal(err)
-		}
-		m.gout = g
-	} else {
-		outBank := NewFilterBank("out-filter("+name+")", export...)
-		m.pout = NewPeerOut(m.handle, UpdateSenderFunc(func(u *UpdateMsg) {
-			m.atoms = append(m.atoms, atomizeMsg(o.t, u)...)
-		}))
-		Plumb(outBank, m.pout)
-		o.fan.AddPeerBranch(name, m.handle, outBank)
 	}
+	if err := g.AddMember(m.handle, GroupSenderFunc(func(buf []byte) {
+		m.atoms = append(m.atoms, atomizeBytes(o.t, buf)...)
+	})); err != nil {
+		o.t.Fatal(err)
+	}
+	m.gout = g
 
 	o.dec.AddParent(resolver)
 	o.members = append(o.members, m)
@@ -122,21 +118,141 @@ func (o *oracleRouter) inject(name string, u *UpdateMsg) {
 }
 
 // announcedSet flattens what one member has been told, for end-state
-// comparison across modes.
+// comparison with the model.
 func (o *oracleRouter) announcedSet(m *oracleMember) map[netip.Prefix]*Route {
 	set := make(map[netip.Prefix]*Route)
-	if o.fast {
-		m.gout.WalkAnnounced(m.handle, func(r *Route) bool {
-			set[r.Net] = r
-			return true
-		})
-	} else {
-		m.pout.WalkAnnounced(func(r *Route) bool {
-			set[r.Net] = r
-			return true
-		})
-	}
+	m.gout.WalkAnnounced(m.handle, func(r *Route) bool {
+		set[r.Net] = r
+		return true
+	})
 	return set
+}
+
+// refRouter is the reference side of the wall: BGP route propagation
+// written the obvious way, one prefix at a time. Every peer's routes sit
+// in a map; a change to one prefix looks up the best route before and
+// after with Route.Better, and every member whose view of the prefix
+// changed gets a one-prefix message built from its own export chain. No
+// stages, no runs, no sharing between members.
+type refRouter struct {
+	t       testing.TB
+	localAS uint16
+	members []*refMember
+	byName  map[string]*refMember
+}
+
+type refMember struct {
+	handle *PeerHandle
+	export []Filter
+	in     map[netip.Prefix]*Route // what the peer announces to us
+	out    map[netip.Prefix]*Route // what we announce to the peer
+	atoms  [][]byte
+}
+
+func newRefRouter(t testing.TB, localAS uint16) *refRouter {
+	return &refRouter{t: t, localAS: localAS, byName: make(map[string]*refMember)}
+}
+
+func (o *refRouter) addMember(name, addr string, as uint16, localAddr netip.Addr, policy []Filter) {
+	ibgp := as == o.localAS
+	m := &refMember{
+		handle: testPeer(name, addr, as, ibgp),
+		export: oracleExport(ibgp, o.localAS, localAddr, policy),
+		in:     make(map[netip.Prefix]*Route),
+		out:    make(map[netip.Prefix]*Route),
+	}
+	o.members = append(o.members, m)
+	o.byName[name] = m
+}
+
+// inject applies one UPDATE: withdrawals, then announcements, prefix by
+// prefix in message order.
+func (o *refRouter) inject(name string, u *UpdateMsg) {
+	m := o.byName[name]
+	for _, w := range u.Withdrawn {
+		o.change(m, w.Masked(), nil)
+	}
+	if len(u.NLRI) == 0 || u.Attrs.ASPath.Contains(o.localAS) {
+		return
+	}
+	for _, n := range u.NLRI {
+		o.change(m, n.Masked(), &Route{Net: n.Masked(), Attrs: u.Attrs, Src: m.handle, Resolvable: true})
+	}
+}
+
+// peerDown withdraws everything a peer announced, in prefix order.
+func (o *refRouter) peerDown(name string) {
+	m := o.byName[name]
+	var nets []netip.Prefix
+	for net := range m.in {
+		nets = append(nets, net)
+	}
+	slices.SortFunc(nets, trie.ComparePrefix)
+	for _, net := range nets {
+		o.change(m, net, nil)
+	}
+}
+
+func (o *refRouter) best(net netip.Prefix) *Route {
+	var best *Route
+	for _, m := range o.members {
+		if r := m.in[net]; r.Better(best) {
+			best = r
+		}
+	}
+	return best
+}
+
+// change sets (or, with r nil, clears) peer m's route for net and tells
+// every member whose view of net that changes.
+func (o *refRouter) change(m *refMember, net netip.Prefix, r *Route) {
+	old := m.in[net]
+	if old == nil && r == nil || SameRoute(old, r) {
+		return // spurious withdrawal, duplicate announcement
+	}
+	before := o.best(net)
+	if r == nil {
+		delete(m.in, net)
+	} else {
+		m.in[net] = r
+	}
+	after := o.best(net)
+	if before == after {
+		return // a loser changed
+	}
+	for _, x := range o.members {
+		had, has := x.view(before), x.view(after)
+		switch {
+		case has != nil:
+			x.out[net] = has
+			x.emit(o.t, &UpdateMsg{Attrs: has.Attrs, NLRI: []netip.Prefix{net}})
+		case had != nil:
+			delete(x.out, net)
+			x.emit(o.t, &UpdateMsg{Withdrawn: []netip.Prefix{net}})
+		}
+	}
+}
+
+// view is what member x is told about winner r: nothing if r is its own
+// or breaks the IBGP rule, else r through x's export chain.
+func (x *refMember) view(r *Route) *Route {
+	if !sendable(r, x.handle) {
+		return nil
+	}
+	for _, f := range x.export {
+		if r = f(r); r == nil {
+			return nil
+		}
+	}
+	return r
+}
+
+func (x *refMember) emit(t testing.TB, u *UpdateMsg) {
+	buf, err := AppendUpdate(nil, u)
+	if err != nil {
+		t.Fatalf("model encode: %v", err)
+	}
+	x.atoms = append(x.atoms, buf)
 }
 
 // atomizeMsg explodes one UPDATE into canonical one-prefix wire messages:
@@ -160,10 +276,10 @@ func atomizeMsg(t testing.TB, u *UpdateMsg) [][]byte {
 	return atoms
 }
 
-// atomizeBytes decodes a run of concatenated wire messages (what a group
-// member's transport receives) and atomizes each.
-func atomizeBytes(t testing.TB, buf []byte) [][]byte {
-	var atoms [][]byte
+// decodeUpdates decodes a run of concatenated wire messages (what a group
+// member's transport receives).
+func decodeUpdates(t testing.TB, buf []byte) []*UpdateMsg {
+	var msgs []*UpdateMsg
 	for len(buf) > 0 {
 		n, _, err := HeaderInfo(buf)
 		if err != nil {
@@ -176,8 +292,18 @@ func atomizeBytes(t testing.TB, buf []byte) [][]byte {
 		if m.Update == nil {
 			t.Fatalf("group stream sent non-UPDATE")
 		}
-		atoms = append(atoms, atomizeMsg(t, m.Update)...)
+		msgs = append(msgs, m.Update)
 		buf = buf[n:]
+	}
+	return msgs
+}
+
+// atomizeBytes decodes what a group member was sent and atomizes each
+// message.
+func atomizeBytes(t testing.TB, buf []byte) [][]byte {
+	var atoms [][]byte
+	for _, u := range decodeUpdates(t, buf) {
+		atoms = append(atoms, atomizeMsg(t, u)...)
 	}
 	return atoms
 }
@@ -330,11 +456,11 @@ func oraclePolicies(r *rand.Rand) []Filter {
 	return policy
 }
 
-// TestFanoutMatchesPerPeer is the differential oracle: the batched,
-// pooled, group-shared-encode pipeline must emit a byte-identical
-// normalized UPDATE stream to every member, and end with the same
-// adj-RIB-out, as the seed per-route per-peer pipeline fed the same
-// workload.
+// TestFanoutMatchesPerPeer is the differential oracle: the pooled,
+// run-coalescing, shared-encode pipeline — once with the members in their
+// peer groups, once with every member a group of one — must emit a
+// byte-identical normalized UPDATE stream to every member, and end with
+// the same adj-RIB-out, as the per-prefix model fed the same workload.
 func TestFanoutMatchesPerPeer(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		trial := trial
@@ -347,117 +473,131 @@ func TestFanoutMatchesPerPeer(t *testing.T) {
 				"ibgp": oraclePolicies(r),
 			}
 
-			legacy := newOracleRouter(t, false, 65000)
-			fast := newOracleRouter(t, true, 65000)
+			ref := newRefRouter(t, 65000)
+			grouped := newOracleRouter(t, false, 65000)
+			solo := newOracleRouter(t, true, 65000)
 			for _, p := range peers {
-				legacy.addMember(p.name, p.addr, p.as, p.group, localAddr, policies[p.group])
-				fast.addMember(p.name, p.addr, p.as, p.group, localAddr, policies[p.group])
+				ref.addMember(p.name, p.addr, p.as, localAddr, policies[p.group])
+				grouped.addMember(p.name, p.addr, p.as, p.group, localAddr, policies[p.group])
+				solo.addMember(p.name, p.addr, p.as, p.group, localAddr, policies[p.group])
 			}
 
 			for _, ev := range events {
-				legacy.inject(ev.peer, ev.msg())
-				fast.inject(ev.peer, ev.msg())
+				ref.inject(ev.peer, ev.msg())
+				grouped.inject(ev.peer, ev.msg())
+				solo.inject(ev.peer, ev.msg())
 			}
 
-			for i, lm := range legacy.members {
-				fm := fast.members[i]
-				compareAtomStreams(t, lm.handle.Name, lm.atoms, fm.atoms)
-				la, fa := legacy.announcedSet(lm), fast.announcedSet(fm)
-				if len(la) != len(fa) {
-					t.Errorf("%s: adj-RIB-out size legacy=%d fast=%d", lm.handle.Name, len(la), len(fa))
-					continue
-				}
-				for net, lr := range la {
-					fr, ok := fa[net]
-					if !ok {
-						t.Errorf("%s: %v announced by legacy only", lm.handle.Name, net)
+			for _, fast := range []*oracleRouter{grouped, solo} {
+				for i, rm := range ref.members {
+					fm := fast.members[i]
+					name := fmt.Sprintf("%s(solo=%v)", rm.handle.Name, fast.solo)
+					compareAtomStreams(t, name, rm.atoms, fm.atoms)
+					fa := fast.announcedSet(fm)
+					if len(rm.out) != len(fa) {
+						t.Errorf("%s: adj-RIB-out size model=%d fast=%d", name, len(rm.out), len(fa))
 						continue
 					}
-					// Src handles are per-router objects; compare by name.
-					if !lr.Attrs.Equal(fr.Attrs) || lr.Src.Name != fr.Src.Name {
-						t.Errorf("%s: %v differs: legacy=%+v(src %s) fast=%+v(src %s)",
-							lm.handle.Name, net, lr.Attrs, lr.Src.Name, fr.Attrs, fr.Src.Name)
+					for net, lr := range rm.out {
+						fr, ok := fa[net]
+						if !ok {
+							t.Errorf("%s: %v announced by the model only", name, net)
+							continue
+						}
+						// Src handles are per-router objects; compare by name.
+						if !lr.Attrs.Equal(fr.Attrs) || lr.Src.Name != fr.Src.Name {
+							t.Errorf("%s: %v differs: model=%+v(src %s) fast=%+v(src %s)",
+								name, net, lr.Attrs, lr.Src.Name, fr.Attrs, fr.Src.Name)
+						}
 					}
 				}
 			}
 
 			// The shared encode must actually share: with 4 members in the
 			// EBGP group, encode calls must undercut messages sent.
-			g := fast.groups["rs"]
+			g := grouped.groups["rs"]
 			if g.SentMsgs > 0 && int64(g.EncodeCalls) >= g.SentMsgs {
 				t.Errorf("group rs: %d encode calls for %d sent messages (no sharing)", g.EncodeCalls, g.SentMsgs)
+			}
+			// A group of one is screened ahead of its branch: it keeps no
+			// state for the routes its own peer sent.
+			for _, m := range solo.members {
+				m.gout.WalkAnnounced(m.handle, func(r *Route) bool {
+					if r.Src == m.handle {
+						t.Errorf("%s: group of one stores its own route %v", m.handle.Name, r.Net)
+					}
+					return true
+				})
+				if got := m.gout.AnnouncedCount() - m.gout.MemberAnnouncedCount(m.handle); got != 0 {
+					t.Errorf("%s: group of one holds %d suppressed routes", m.handle.Name, got)
+				}
 			}
 		})
 	}
 }
 
-func compareAtomStreams(t *testing.T, member string, legacy, fast [][]byte) {
+func compareAtomStreams(t *testing.T, member string, model, fast [][]byte) {
 	t.Helper()
-	n := len(legacy)
+	n := len(model)
 	if len(fast) < n {
 		n = len(fast)
 	}
 	for i := 0; i < n; i++ {
-		if !bytes.Equal(legacy[i], fast[i]) {
-			lm, _ := DecodeMessage(legacy[i])
+		if !bytes.Equal(model[i], fast[i]) {
+			lm, _ := DecodeMessage(model[i])
 			fm, _ := DecodeMessage(fast[i])
-			t.Fatalf("%s: atom %d differs:\n legacy %v %v attrs=%+v\n fast   %v %v attrs=%+v",
+			t.Fatalf("%s: atom %d differs:\n model %v %v attrs=%+v\n fast   %v %v attrs=%+v",
 				member, i, lm.Update.Withdrawn, lm.Update.NLRI, lm.Update.Attrs,
 				fm.Update.Withdrawn, fm.Update.NLRI, fm.Update.Attrs)
 		}
 	}
-	if len(legacy) != len(fast) {
+	if len(model) != len(fast) {
 		extra, side := fast[n:], "fast"
-		if len(legacy) > len(fast) {
-			extra, side = legacy[n:], "legacy"
+		if len(model) > len(fast) {
+			extra, side = model[n:], "model"
 		}
 		m, _ := DecodeMessage(extra[0])
-		t.Fatalf("%s: stream lengths differ: legacy=%d fast=%d; first extra (%s): %+v",
-			member, len(legacy), len(fast), side, m.Update)
+		t.Fatalf("%s: stream lengths differ: model=%d fast=%d; first extra (%s): %+v",
+			member, len(model), len(fast), side, m.Update)
 	}
 }
 
 // TestOracleBatchedPeerDown runs the same differential comparison across a
-// peer-down table drain: the deletion stage path must emit identical
-// withdraw streams in both modes.
+// peer-down table drain: the deletion stage must withdraw what the model
+// withdraws, in the same order.
 func TestOracleBatchedPeerDown(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	peers, events := buildWorkload(r, 150)
 	localAddr := mustA("192.0.2.1")
 
-	legacy := newOracleRouter(t, false, 65000)
-	fast := newOracleRouter(t, true, 65000)
+	ref := newRefRouter(t, 65000)
+	fast := newOracleRouter(t, false, 65000)
 	for _, p := range peers {
-		legacy.addMember(p.name, p.addr, p.as, p.group, localAddr, nil)
+		ref.addMember(p.name, p.addr, p.as, localAddr, nil)
 		fast.addMember(p.name, p.addr, p.as, p.group, localAddr, nil)
 	}
 	for _, ev := range events {
-		legacy.inject(ev.peer, ev.msg())
+		ref.inject(ev.peer, ev.msg())
 		fast.inject(ev.peer, ev.msg())
 	}
 
 	// Take e1 down: the stored table hands off to a deletion stage that
 	// withdraws in background slices.
-	drain := func(o *oracleRouter) {
-		d := o.byName["e1"].in.PeerDown()
-		if d == nil {
-			return
-		}
+	ref.peerDown("e1")
+	if d := fast.byName["e1"].in.PeerDown(); d != nil {
 		for !d.Done() {
 			d.step()
-			o.loop.RunPending()
+			fast.loop.RunPending()
 		}
-		o.loop.RunPending()
-	}
-	drain(legacy)
-	drain(fast)
-
-	for i, lm := range legacy.members {
-		compareAtomStreams(t, lm.handle.Name, lm.atoms, fast.members[i].atoms)
+		fast.loop.RunPending()
 	}
 
-	// Fast side: the pool must have released every ref the drained table
-	// held; remaining refs belong to the surviving peers' stored routes.
+	for i, rm := range ref.members {
+		compareAtomStreams(t, rm.handle.Name, rm.atoms, fast.members[i].atoms)
+	}
+
+	// The pool must have released every ref the drained table held;
+	// remaining refs belong to the surviving peers' stored routes.
 	var live int
 	for _, m := range fast.members {
 		live += m.in.Len()
@@ -481,7 +621,7 @@ func TestGroupOutMembership(t *testing.T) {
 
 	net1 := mustP("10.1.0.0/16")
 	r1 := &Route{Net: net1, Attrs: testAttrs(), Src: h1}
-	g.Add(r1) // from m1: split horizon suppresses m1
+	g.Add([]*Route{r1}) // from m1: split horizon suppresses m1
 	if len(got1) != 0 {
 		t.Fatalf("m1 received its own route")
 	}
@@ -534,7 +674,7 @@ func TestGroupOutMembership(t *testing.T) {
 }
 
 // TestGroupOutRunSharesBytes asserts the core shared-encode property: one
-// AddRun to an n-member group performs one encode, and every member's
+// run added to an n-member group performs one encode, and every member's
 // bytes are the same buffer content.
 func TestGroupOutRunSharesBytes(t *testing.T) {
 	g := NewGroupOut("rs")
@@ -558,7 +698,7 @@ func TestGroupOutRunSharesBytes(t *testing.T) {
 		net := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 50, byte(i >> 8), byte(i)}), 32)
 		rs = append(rs, &Route{Net: net, Attrs: attrs, Src: src})
 	}
-	g.AddRun(rs)
+	g.Add(rs)
 	if g.EncodeCalls != 1 {
 		t.Fatalf("EncodeCalls = %d, want 1", g.EncodeCalls)
 	}

@@ -72,7 +72,7 @@ type PeerConfig struct {
 	Passive bool
 	// Group joins the peer to a named peer group: members share one
 	// output branch and each outbound UPDATE is encoded once for the
-	// whole group ("" = a private per-peer output branch).
+	// whole group ("" = a group of one, the peer alone).
 	Group string
 }
 
@@ -93,8 +93,7 @@ type Peer struct {
 	kaTimer      *eventloop.Timer
 	retryTimer   *eventloop.Timer
 	peerin       *PeerIn
-	peerout      *PeerOut         // per-peer output branch (nil for group members)
-	groupOut     *GroupOut        // shared output branch (nil unless cfg.Group set)
+	group        *peerGroup       // output branch: cfg.Group's, or the peer's own
 	resolver     *NexthopResolver // end of the input branch (RemovePeer unhooks it)
 	encBuf       []byte
 	statsUpdates int
@@ -205,20 +204,6 @@ func (p *Peer) writeMsg(buf []byte) {
 	}
 }
 
-// SendUpdate implements UpdateSender: the PeerOut emits through here.
-func (p *Peer) SendUpdate(m *UpdateMsg) {
-	if p.state != StateEstablished {
-		return // PeerOut.announced retains state; resync re-sends on establish
-	}
-	buf, err := AppendUpdate(p.encBuf[:0], m)
-	if err != nil {
-		p.encBuf = buf[:0]
-		return
-	}
-	p.writeMsg(buf)
-	p.updateBusy()
-}
-
 // SendEncodedUpdate implements GroupSender: the GroupOut fans one
 // pre-encoded byte run out to every member through here. The buffer is the
 // group's reusable encode buffer; tcpMsgConn.WriteMsg copies it into its
@@ -316,25 +301,11 @@ func (p *Peer) established() {
 			p.writeMsg(AppendKeepalive(p.encBuf[:0]))
 		}
 	})
-	p.resync()
+	// Replay the announced table to the (re)established session.
+	p.group.out.ResyncMember(p.handle)
 	if p.proc != nil {
 		p.proc.peerStateChanged(p)
 	}
-}
-
-// resync replays the announced table to a (re)established session.
-func (p *Peer) resync() {
-	if p.groupOut != nil {
-		p.groupOut.ResyncMember(p.handle)
-		return
-	}
-	if p.peerout == nil {
-		return
-	}
-	p.peerout.WalkAnnounced(func(r *Route) bool {
-		p.SendUpdate(&UpdateMsg{Attrs: r.Attrs, NLRI: []netip.Prefix{r.Net}})
-		return true
-	})
 }
 
 func (p *Peer) handleUpdate(u *UpdateMsg) {

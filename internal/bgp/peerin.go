@@ -20,10 +20,6 @@ type PeerIn struct {
 	// pool interns attribute sets: each stored route holds one reference
 	// on its (canonical, shared) attrs. May be nil (tests).
 	pool *AttrPool
-	// batch coalesces the fresh announcements of one UPDATE into an
-	// AddRun. Cleared by the differential-oracle tests to force the
-	// legacy per-route path.
-	batch bool
 	// tracer, when set and enabled, opens a RouteTrace at StagePeerIn as
 	// each announced prefix lands in the table (nil-safe).
 	tracer *telemetry.Tracer
@@ -33,18 +29,13 @@ type PeerIn struct {
 // attrs unpooled.
 func NewPeerIn(loop *eventloop.Loop, peer *PeerHandle, pool *AttrPool) *PeerIn {
 	return &PeerIn{
-		base:  base{name: "peerin(" + peer.Name + ")"},
-		loop:  loop,
-		peer:  peer,
-		tbl:   trie.New[*Route](),
-		pool:  pool,
-		batch: true,
+		base: base{name: "peerin(" + peer.Name + ")"},
+		loop: loop,
+		peer: peer,
+		tbl:  trie.New[*Route](),
+		pool: pool,
 	}
 }
-
-// SetBatch toggles run coalescing (test hook for the differential oracle;
-// false forces the legacy one-message-per-route path).
-func (p *PeerIn) SetBatch(b bool) { p.batch = b }
 
 // Peer returns the peering handle.
 func (p *PeerIn) Peer() *PeerHandle { return p.peer }
@@ -55,10 +46,9 @@ func (p *PeerIn) Len() int { return p.tbl.Len() }
 // ReceiveUpdate processes a decoded UPDATE from the peer: withdrawals,
 // then announcements. Routes whose AS_PATH contains localAS are dropped
 // (loop prevention). The attribute set is interned once per message and
-// shared (pointer-identical) by every announced route; fresh announcements
-// are coalesced into one AddRun downstream, with replaces emitted
-// individually at their position so downstream ordering matches the
-// per-route path exactly.
+// shared (pointer-identical) by every announced route; consecutive fresh
+// announcements leave as one run, cut where a prefix the peer already
+// announced becomes a Replace, so downstream sees the UPDATE's own order.
 func (p *PeerIn) ReceiveUpdate(m *UpdateMsg, localAS uint16) {
 	for _, w := range m.Withdrawn {
 		p.Withdraw(w)
@@ -74,23 +64,10 @@ func (p *PeerIn) ReceiveUpdate(m *UpdateMsg, localAS uint16) {
 		attrs = p.pool.Intern(attrs)
 		defer p.pool.Release(attrs) // stored routes hold their own refs
 	}
-	if !p.batch {
-		for _, n := range m.NLRI {
-			p.Announce(n, attrs)
-		}
-		return
-	}
-	var run []*Route
-	flush := func() {
-		if len(run) > 0 {
-			addRun(p.next, run)
-			run = nil
-		}
-	}
 	for _, n := range m.NLRI {
 		net := n.Masked()
 		if _, existed := p.tbl.Get(net); existed {
-			flush() // preserve per-route ordering across the replace
+			p.flush()
 			p.Announce(net, attrs)
 			continue
 		}
@@ -101,13 +78,14 @@ func (p *PeerIn) ReceiveUpdate(m *UpdateMsg, localAS uint16) {
 			p.tracer.Stamp(telemetry.StagePeerIn, net)
 		}
 		if p.next != nil {
-			run = append(run, r)
+			p.run = append(p.run, r)
 		}
 	}
-	flush()
+	p.flush()
 }
 
-// Announce stores a route and emits Add or Replace downstream.
+// Announce stores one route and emits a run of one, or a Replace,
+// downstream.
 func (p *PeerIn) Announce(net netip.Prefix, attrs *PathAttrs) {
 	if p.pool != nil {
 		attrs = p.pool.Intern(attrs) // the stored route's reference
@@ -130,7 +108,7 @@ func (p *PeerIn) Announce(net netip.Prefix, attrs *PathAttrs) {
 		}
 		p.next.Replace(old, r)
 	} else {
-		p.next.Add(r)
+		p.addOne(r)
 	}
 }
 
@@ -171,7 +149,7 @@ func (p *PeerIn) PeerDown() *DeletionStage {
 // Stage interface: a PeerIn is an origin; nothing is upstream of it.
 
 // Add panics: PeerIn has no upstream.
-func (p *PeerIn) Add(*Route) { panic("bgp: PeerIn has no upstream") }
+func (p *PeerIn) Add([]*Route) { panic("bgp: PeerIn has no upstream") }
 
 // Replace panics: PeerIn has no upstream.
 func (p *PeerIn) Replace(_, _ *Route) { panic("bgp: PeerIn has no upstream") }
@@ -264,22 +242,30 @@ func (d *DeletionStage) finish() {
 	Unsplice(d)
 }
 
-// Add handles a fresh announcement from the revived PeerIn. If we still
-// hold the prefix, downstream believes the old route is current, so the
-// pair becomes a Replace; our copy is dropped (each route lives in at most
-// one deletion stage).
-func (d *DeletionStage) Add(r *Route) {
-	if old, held := d.tbl.Delete(r.Net); held {
+// Add handles fresh announcements from the revived PeerIn. Where we still
+// hold a prefix, downstream believes the old route is current, so the run
+// is cut there and the pair becomes a Replace; our copy is dropped (each
+// route lives in at most one deletion stage).
+func (d *DeletionStage) Add(run []*Route) {
+	start := 0
+	for i, r := range run {
+		old, held := d.tbl.Delete(r.Net)
+		if !held {
+			continue
+		}
 		d.pool.Release(old.Attrs)
 		if d.next != nil {
+			if i > start {
+				d.next.Add(run[start:i])
+			}
 			d.next.Replace(old, r)
 		}
-		d.maybeFinishEarly()
-		return
+		start = i + 1
 	}
-	if d.next != nil {
-		d.next.Add(r)
+	if d.next != nil && len(run) > start {
+		d.next.Add(run[start:])
 	}
+	d.maybeFinishEarly()
 }
 
 // Replace passes through; if we somehow still hold the prefix, drop our

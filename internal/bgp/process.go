@@ -63,8 +63,9 @@ type Process struct {
 	// the peer-in tables and StageDecision as winners emit downstream.
 	tracer *telemetry.Tracer
 
-	metrics  *telemetry.Registry
-	mUpdates *telemetry.Counter // bgp_updates_total
+	metrics     *telemetry.Registry
+	mUpdates    *telemetry.Counter // bgp_updates_total
+	mEncodeErrs *telemetry.Counter // bgp_out_encode_errors_total
 
 	cache    *CacheStage
 	listener net.Listener
@@ -100,6 +101,7 @@ func NewProcess(loop *eventloop.Loop, cfg Config, ribClient RIBClient, metricSrc
 	// counters are atomic/mutexed and safe from anywhere.
 	p.metrics = telemetry.NewRegistry()
 	p.mUpdates = p.metrics.Counter("bgp_updates_total", "UPDATE messages processed")
+	p.mEncodeErrs = p.metrics.Counter("bgp_out_encode_errors_total", "outbound UPDATEs dropped because they could not be encoded")
 	p.metrics.GaugeFunc("bgp_peers", "configured peerings",
 		func() float64 { return float64(len(p.peers)) })
 	p.metrics.GaugeFunc("bgp_peerin_routes", "routes stored across peer-in tables",
@@ -115,34 +117,13 @@ func NewProcess(loop *eventloop.Loop, cfg Config, ribClient RIBClient, metricSrc
 	xipc.RegisterIOMetrics(p.metrics)
 
 	// The RIB branch of the fanout, optionally behind a consistency cache.
-	var ribHead Stage
-	ribSink := &ribSinkStage{base: base{name: "rib-branch"}, proc: p}
-	ribHead = ribSink
+	var ribHead Stage = &ribSinkStage{base: base{name: "rib-branch"}, proc: p}
 	if cfg.ConsistencyChecks {
 		p.cache = NewCacheStage("rib-branch-cache")
-		Plumb(p.cache, ribSink)
+		Plumb(p.cache, ribHead)
 		ribHead = p.cache
 	}
-	p.fanout.AddSinkBranch("rib", func(op core.Op, old, new *Route) bool {
-		switch op {
-		case core.OpAdd:
-			if p.profQueue.Enabled() {
-				p.profQueue.Logf("add %v", new.Net)
-			}
-			ribHead.Add(new)
-		case core.OpReplace:
-			if p.profQueue.Enabled() {
-				p.profQueue.Logf("replace %v", new.Net)
-			}
-			ribHead.Replace(old, new)
-		case core.OpDelete:
-			if p.profQueue.Enabled() {
-				p.profQueue.Logf("delete %v", old.Net)
-			}
-			ribHead.Delete(old)
-		}
-		return true
-	})
+	p.fanout.AddGroupBranch("rib", ribHead)
 
 	// Local origination branch.
 	localPeer := &PeerHandle{Name: "local", AS: cfg.AS}
@@ -188,11 +169,12 @@ func (p *Process) Group(name string) *GroupOut {
 	return nil
 }
 
-// peerGroup is one configured peer group: a shared export filter bank and
-// GroupOut fed by one fanout branch, plus the invariants members must
-// share for the shared encode to be valid.
+// peerGroup is one output branch: a shared export filter bank and GroupOut
+// fed by one fanout branch, plus the invariants members must share for the
+// shared encode to be valid. name is "" for a solo peer's group of one.
 type peerGroup struct {
 	name      string
+	branch    string // fanout branch name
 	ibgp      bool
 	localAddr netip.Addr
 	out       *GroupOut
@@ -214,34 +196,38 @@ type ribSinkStage struct {
 	proc *Process
 }
 
-func (s *ribSinkStage) Add(r *Route) {
-	if s.proc.ribClient == nil {
-		return
+// log records the two profile points a route passes on its way to the
+// RIB: taken off the fanout queue, handed to the transport.
+func (s *ribSinkStage) log(op string, net netip.Prefix) {
+	if s.proc.profQueue.Enabled() {
+		s.proc.profQueue.Logf("%s %v", op, net)
 	}
-	if s.proc.profSent.Enabled() {
-		s.proc.profSent.Logf("add %v", r.Net)
+	if s.proc.ribClient != nil && s.proc.profSent.Enabled() {
+		s.proc.profSent.Logf("%s %v", op, net)
 	}
-	s.proc.ribClient.AddRoute(r, nil)
+}
+
+func (s *ribSinkStage) Add(run []*Route) {
+	for _, r := range run {
+		s.log("add", r.Net)
+		if s.proc.ribClient != nil {
+			s.proc.ribClient.AddRoute(r, nil)
+		}
+	}
 }
 
 func (s *ribSinkStage) Replace(old, new *Route) {
-	if s.proc.ribClient == nil {
-		return
+	s.log("replace", new.Net)
+	if s.proc.ribClient != nil {
+		s.proc.ribClient.ReplaceRoute(old, new, nil)
 	}
-	if s.proc.profSent.Enabled() {
-		s.proc.profSent.Logf("replace %v", new.Net)
-	}
-	s.proc.ribClient.ReplaceRoute(old, new, nil)
 }
 
 func (s *ribSinkStage) Delete(r *Route) {
-	if s.proc.ribClient == nil {
-		return
+	s.log("delete", r.Net)
+	if s.proc.ribClient != nil {
+		s.proc.ribClient.DeleteRoute(r, nil)
 	}
-	if s.proc.profSent.Enabled() {
-		s.proc.profSent.Logf("delete %v", r.Net)
-	}
-	s.proc.ribClient.DeleteRoute(r, nil)
 }
 
 func (s *ribSinkStage) Lookup(net netip.Prefix) *Route { return s.lookupParent(net) }
@@ -249,16 +235,15 @@ func (s *ribSinkStage) Lookup(net netip.Prefix) *Route { return s.lookupParent(n
 // AddPeer configures a peering and builds its input/output branches:
 //
 //	PeerIn → [damping] → in-filter → nexthop-resolver → Decision
-//	Fanout → out-filter → PeerOut → session
+//	Fanout → out-filter → GroupOut → each member's session
 //
-// A peer with cfg.Group set shares its output branch with the other group
-// members instead:
-//
-//	Fanout → group out-filter → GroupOut → each member's session
-//
-// so outbound UPDATEs are filtered and encoded once per group rather than
-// once per peer. Group members must agree on everything the shared encode
-// depends on: IBGP-ness and (for EBGP) the local peering address.
+// Every output branch ends in a GroupOut. Peers naming the same cfg.Group
+// share one, so outbound UPDATEs are filtered and encoded once per group
+// rather than once per peer; they must agree on everything the shared
+// encode depends on: IBGP-ness and (for EBGP) the local peering address.
+// A peer without cfg.Group is a group of one whose fanout branch carries
+// the peer's own name, which is what Peer.updateBusy stalls when the
+// transport backs up (§5.1.1).
 //
 // Peers start disabled; call EnablePeer. Must run on the loop.
 func (p *Process) AddPeer(cfg PeerConfig) (*Peer, error) {
@@ -285,45 +270,37 @@ func (p *Process) AddPeer(cfg PeerConfig) (*Peer, error) {
 		Plumb(peer.peerin, inFilter, resolver)
 	}
 
-	// Output branch: shared (peer group) or per-peer.
-	if cfg.Group != "" {
-		g, ok := p.groups[cfg.Group]
-		if !ok {
-			g = &peerGroup{
-				name:      cfg.Group,
-				ibgp:      ibgp,
-				localAddr: cfg.LocalAddr,
-				out:       NewGroupOut(cfg.Group),
-			}
-			outBank := NewFilterBank("out-filter(group:"+cfg.Group+")", groupExportFilters(p.cfg.AS, g)...)
-			Plumb(outBank, g.out)
-			p.fanout.AddGroupBranch("group:"+cfg.Group, outBank)
+	g, ok := p.groups[cfg.Group] // never holds ""
+	if !ok {
+		g = &peerGroup{name: cfg.Group, branch: "group:" + cfg.Group, ibgp: ibgp, localAddr: cfg.LocalAddr}
+		var sole *PeerHandle
+		if cfg.Group == "" {
+			g.branch, sole = cfg.Name, peer.handle
+		} else {
 			p.groups[cfg.Group] = g
 		}
-		if g.ibgp != ibgp {
-			return nil, fmt.Errorf("bgp: peer %q: group %q mixes IBGP and EBGP members", cfg.Name, cfg.Group)
+		export := FilterIBGPExport()
+		if !ibgp {
+			export = FilterEBGPExport(p.cfg.AS, cfg.LocalAddr)
 		}
-		if !ibgp && g.localAddr != cfg.LocalAddr {
-			return nil, fmt.Errorf("bgp: peer %q: group %q members must share local-addr (%v != %v)",
-				cfg.Name, cfg.Group, cfg.LocalAddr, g.localAddr)
-		}
-		if err := g.out.AddMember(peer.handle, peer); err != nil {
-			return nil, err
-		}
-		g.members++
-		peer.groupOut = g.out
-	} else {
-		var outFilters []Filter
-		if ibgp {
-			outFilters = append(outFilters, FilterIBGPExport())
-		} else {
-			outFilters = append(outFilters, FilterEBGPExport(p.cfg.AS, cfg.LocalAddr))
-		}
-		outBank := NewFilterBank("out-filter("+cfg.Name+")", outFilters...)
-		peer.peerout = NewPeerOut(peer.handle, peer)
-		Plumb(outBank, peer.peerout)
-		p.fanout.AddPeerBranch(cfg.Name, peer.handle, outBank)
+		g.out = NewGroupOut(g.branch)
+		g.out.EncodeErrors = p.mEncodeErrs
+		outBank := NewFilterBank("out-filter("+g.branch+")", export)
+		Plumb(outBank, g.out)
+		p.fanout.AddPeerBranch(g.branch, sole, outBank)
 	}
+	if g.ibgp != ibgp {
+		return nil, fmt.Errorf("bgp: peer %q: group %q mixes IBGP and EBGP members", cfg.Name, cfg.Group)
+	}
+	if !ibgp && g.localAddr != cfg.LocalAddr {
+		return nil, fmt.Errorf("bgp: peer %q: group %q members must share local-addr (%v != %v)",
+			cfg.Name, cfg.Group, cfg.LocalAddr, g.localAddr)
+	}
+	if err := g.out.AddMember(peer.handle, peer); err != nil {
+		return nil, err
+	}
+	g.members++
+	peer.group = g
 
 	// Hook the input branch up only after the output side exists, so the
 	// peer's own first routes can already fan out to everyone.
@@ -332,14 +309,6 @@ func (p *Process) AddPeer(cfg PeerConfig) (*Peer, error) {
 
 	p.peers[cfg.Name] = peer
 	return peer, nil
-}
-
-// groupExportFilters builds the export transform shared by a peer group.
-func groupExportFilters(localAS uint16, g *peerGroup) []Filter {
-	if g.ibgp {
-		return []Filter{FilterIBGPExport()}
-	}
-	return []Filter{FilterEBGPExport(localAS, g.localAddr)}
 }
 
 // RemovePeer deconfigures a peering in place (the rtrmgr's transactional
@@ -382,17 +351,11 @@ func (p *Process) RemovePeer(name string) error {
 	}
 
 	p.decision.RemoveParent(peer.resolver)
-	if peer.groupOut != nil {
-		peer.groupOut.RemoveMember(peer.handle)
-		if g, ok := p.groups[peer.cfg.Group]; ok {
-			g.members--
-			if g.members == 0 {
-				p.fanout.RemoveBranch("group:" + g.name)
-				delete(p.groups, peer.cfg.Group)
-			}
-		}
-	} else {
-		p.fanout.RemoveBranch(name)
+	g := peer.group
+	g.out.RemoveMember(peer.handle)
+	if g.members--; g.members == 0 {
+		p.fanout.RemoveBranch(g.branch)
+		delete(p.groups, g.name)
 	}
 	delete(p.peers, name)
 	return nil

@@ -13,11 +13,19 @@ import (
 //
 // Consistency rules (§5.1): a Delete must match a previous Add; Lookup
 // answers must agree with the message stream already sent downstream.
+//
+// The add message is a run: 1..n routes sharing one *PathAttrs pointer
+// (interned attrs) and one Src, with distinct prefixes none of which the
+// sender has announced. A run is read-only and valid only for the call —
+// senders reuse their buffers, so a stage that keeps one past the call
+// (only the Fanout does) copies it. A stage may re-cut a run into shorter
+// ones, with Replaces in between where per-route semantics demand it, but
+// never reorders it.
 type Stage interface {
 	// Name identifies the stage for diagnostics.
 	Name() string
-	// Add announces a new route for a prefix this stage has not announced.
-	Add(r *Route)
+	// Add announces a run of new routes.
+	Add(run []*Route)
 	// Replace substitutes the announced route for a prefix.
 	Replace(old, new *Route)
 	// Delete withdraws the announced route for a prefix.
@@ -34,40 +42,30 @@ type Stage interface {
 	parentStage() Stage
 }
 
-// RunStage is the optional batching capability (the BGP analogue of the
-// RIB's AddRoutes): a stage that can accept a coalesced run of fresh Adds
-// in one call. All routes in a run share one *PathAttrs (pointer-identical
-// interned attrs) and one Src, and carry distinct prefixes none of which
-// the sender has announced before. Stages without the capability receive
-// the run as
-// individual Adds via addRun; a stage that is spliced over (e.g. a
-// DeletionStage absorbing a revived peer's table) deliberately does not
-// implement RunStage, so runs degrade to the per-route path exactly where
-// per-route semantics are needed.
-type RunStage interface {
-	// AddRun announces len(rs) fresh routes sharing rs[i].Attrs.
-	AddRun(rs []*Route)
-}
-
-// addRun forwards a run to next, using AddRun when available.
-func addRun(next Stage, rs []*Route) {
-	if next == nil {
-		return
-	}
-	if b, ok := next.(RunStage); ok {
-		b.AddRun(rs)
-		return
-	}
-	for _, r := range rs {
-		next.Add(r)
-	}
-}
-
 // base provides the plumbing shared by stage implementations.
 type base struct {
 	name   string
 	next   Stage
 	parent Stage
+	// run collects the run being built for next; it is empty between
+	// calls and its storage is reused, which is why receivers may not keep
+	// a run.
+	run []*Route
+}
+
+// flush sends the collected run downstream.
+func (b *base) flush() {
+	if len(b.run) > 0 {
+		b.next.Add(b.run)
+		clear(b.run)
+		b.run = b.run[:0]
+	}
+}
+
+// addOne sends r downstream as a run of one.
+func (b *base) addOne(r *Route) {
+	b.run = append(b.run, r)
+	b.flush()
 }
 
 func (b *base) Name() string          { return b.name }
@@ -123,7 +121,6 @@ func Unsplice(s Stage) {
 type sink struct {
 	base
 	adds, replaces, deletes int
-	runs                    int
 	tbl                     map[netip.Prefix]*Route
 }
 
@@ -131,9 +128,11 @@ func newSink(name string) *sink {
 	return &sink{base: base{name: name}, tbl: make(map[netip.Prefix]*Route)}
 }
 
-func (s *sink) Add(r *Route) {
-	s.adds++
-	s.tbl[r.Net] = r
+func (s *sink) Add(run []*Route) {
+	for _, r := range run {
+		s.adds++
+		s.tbl[r.Net] = r
+	}
 }
 
 func (s *sink) Replace(old, new *Route) {
@@ -147,14 +146,6 @@ func (s *sink) Delete(r *Route) {
 }
 
 func (s *sink) Lookup(net netip.Prefix) *Route { return s.tbl[net] }
-
-// AddRun implements RunStage so tests exercise run delivery end to end.
-func (s *sink) AddRun(rs []*Route) {
-	s.runs++
-	for _, r := range rs {
-		s.Add(r)
-	}
-}
 
 // CacheStage is the consistency-checking cache stage of §5.1: it shadows
 // the message stream in its own table, verifies the two consistency rules,
@@ -183,11 +174,14 @@ func (c *CacheStage) check(v *core.ConsistencyError) {
 	}
 }
 
-// Add implements Stage.
-func (c *CacheStage) Add(r *Route) {
-	c.check(c.chk.Add(r.Net, r))
+// Add implements Stage: every route in the run is checked against the
+// consistency rules individually, then the run is forwarded intact.
+func (c *CacheStage) Add(run []*Route) {
+	for _, r := range run {
+		c.check(c.chk.Add(r.Net, r))
+	}
 	if c.next != nil {
-		c.next.Add(r)
+		c.next.Add(run)
 	}
 }
 
@@ -211,13 +205,4 @@ func (c *CacheStage) Delete(r *Route) {
 func (c *CacheStage) Lookup(net netip.Prefix) *Route {
 	r, _ := c.chk.Lookup(net)
 	return r
-}
-
-// AddRun implements RunStage: every route in the run is checked against
-// the consistency rules individually, then the run is forwarded intact.
-func (c *CacheStage) AddRun(rs []*Route) {
-	for _, r := range rs {
-		c.check(c.chk.Add(r.Net, r))
-	}
-	addRun(c.next, rs)
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"xorp/internal/core"
 	"xorp/internal/eventloop"
 )
 
@@ -47,17 +46,7 @@ func newTestRouter(t *testing.T, localAS uint16) *testRouter {
 	tr.cache.Panic = true
 	Plumb(tr.cache, tr.sink)
 	// The "RIB branch" of the fanout goes through the consistency cache.
-	tr.fanout.AddSinkBranch("rib", func(op core.Op, old, new *Route) bool {
-		switch op {
-		case core.OpAdd:
-			tr.cache.Add(new)
-		case core.OpReplace:
-			tr.cache.Replace(old, new)
-		case core.OpDelete:
-			tr.cache.Delete(old)
-		}
-		return true
-	})
+	tr.fanout.AddGroupBranch("rib", tr.cache)
 	return tr
 }
 
@@ -521,17 +510,29 @@ func TestFanoutSlowPeer(t *testing.T) {
 	}
 }
 
+// groupOfOne returns a GroupOut with peer as its only member and the
+// UPDATEs that member is sent, decoded.
+func groupOfOne(t *testing.T, peer *PeerHandle) (*GroupOut, *[]*UpdateMsg) {
+	g := NewGroupOut(peer.Name)
+	msgs := new([]*UpdateMsg)
+	if err := g.AddMember(peer, GroupSenderFunc(func(buf []byte) {
+		*msgs = append(*msgs, decodeUpdates(t, buf)...)
+	})); err != nil {
+		t.Fatal(err)
+	}
+	return g, msgs
+}
+
 func TestPeerOutEmitsUpdates(t *testing.T) {
-	peer := testPeer("p", "10.0.0.9", 65009, false)
-	var msgs []*UpdateMsg
-	po := NewPeerOut(peer, UpdateSenderFunc(func(m *UpdateMsg) { msgs = append(msgs, m) }))
+	po, sent := groupOfOne(t, testPeer("p", "10.0.0.9", 65009, false))
 	r1 := &Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001), Src: nil}
-	po.Add(r1)
+	po.Add([]*Route{r1})
 	r2 := r1.Clone()
 	r2.Attrs = r1.Attrs.Clone()
 	r2.Attrs.MED, r2.Attrs.HasMED = 5, true
 	po.Replace(r1, r2)
 	po.Delete(r2)
+	msgs := *sent
 	if len(msgs) != 3 {
 		t.Fatalf("%d updates", len(msgs))
 	}
@@ -559,15 +560,15 @@ func TestDampingSuppressesFlappingRoute(t *testing.T) {
 	net := mustP("10.1.0.0/16")
 	mk := func() *Route { return &Route{Net: net, Attrs: attrsVia("10.0.0.1", 65001)} }
 
-	damp.Add(mk())
+	damp.Add([]*Route{mk()})
 	if s.adds != 1 {
 		t.Fatal("first announcement suppressed")
 	}
 	// Flap hard: each delete+add adds 2×1000 penalty; threshold 2000.
 	damp.Delete(mk())
-	damp.Add(mk())
+	damp.Add([]*Route{mk()})
 	damp.Delete(mk())
-	damp.Add(mk())
+	damp.Add([]*Route{mk()})
 	if !damp.Suppressed(net) {
 		t.Fatal("flapping route not suppressed")
 	}
@@ -595,7 +596,7 @@ func TestDampingStableRouteUnaffected(t *testing.T) {
 	s := newSink("sink")
 	Plumb(damp, s)
 	r := &Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}
-	damp.Add(r)
+	damp.Add([]*Route{r})
 	r2 := r.Clone()
 	damp.Replace(r, r2) // one attribute change: below threshold
 	if damp.Suppressed(r.Net) {

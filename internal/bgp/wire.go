@@ -2,9 +2,11 @@
 // wire protocol, the per-peer state machine, and — the paper's central
 // contribution — the staged routing-table pipeline: PeerIn stages storing
 // original routes, pluggable filter banks, nexthop resolvers, a decision
-// process, a fanout queue with per-peer readers, per-peer output filter
-// banks and PeerOut stages, plus dynamic background deletion stages for
-// failed peerings and an optional consistency-checking cache stage.
+// process, a fanout queue with one reader per output branch, and per
+// branch an output filter bank and a GroupOut stage shared by a peer
+// group's members (a lone peer is a group of one), plus dynamic background
+// deletion stages for failed peerings and an optional consistency-checking
+// cache stage.
 package bgp
 
 import (
@@ -199,6 +201,9 @@ func AppendUpdateRun(dst []byte, attrs *PathAttrs, nlri []netip.Prefix) ([]byte,
 	}
 	if attrs == nil {
 		return dst, fmt.Errorf("bgp: NLRI without path attributes")
+	}
+	if len(nlri) == 1 { // nothing to pack: skip sizing the attributes
+		return AppendUpdate(dst, &UpdateMsg{Attrs: attrs, NLRI: nlri})
 	}
 	classic, err := attrs.appendTo(nil)
 	if err != nil {

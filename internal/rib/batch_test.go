@@ -54,7 +54,7 @@ func runScript(t *testing.T, ops []batchOp, cut func(max int) int, closed bool) 
 	p := NewProcess(loop, rec, nil)
 	if closed {
 		for _, o := range p.origins {
-			o.SetBatchGate(func() bool { return false })
+			o.batchGate = func() bool { return false }
 		}
 	}
 	apply := func(fn func()) {

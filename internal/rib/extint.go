@@ -135,7 +135,7 @@ func (x *intInput) changed(run []route.Entry) {
 		}
 		// Re-announce in prefix order: map iteration order would make the
 		// downstream stream nondeterministic across otherwise identical runs.
-		slices.SortFunc(affected, comparePrefix)
+		slices.SortFunc(affected, trie.ComparePrefix)
 		for _, extNet := range affected {
 			st := s.resolvedExt[extNet]
 			// Uncached: the internal side is what is changing.

@@ -103,7 +103,7 @@ func NewProcess(loop *eventloop.Loop, fib FIBClient, router *xipc.Router) *Proce
 	for _, proto := range []route.Protocol{
 		route.ProtoConnected, route.ProtoStatic, route.ProtoRIP, route.ProtoOSPF,
 	} {
-		p.origins[proto].SetBatchGate(internalGate)
+		p.origins[proto].batchGate = internalGate
 	}
 
 	// Live metrics. Scrapes arrive through the stats/0.1 XRL handler,

@@ -143,15 +143,6 @@ func (em *runEmitter) Flush() {
 	em.run = em.run[:0]
 }
 
-// comparePrefix orders prefixes by address, then length: the order every
-// stage uses where it would otherwise emit in map iteration order.
-func comparePrefix(a, b netip.Prefix) int {
-	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c
-	}
-	return a.Bits() - b.Bits()
-}
-
 // betterEntry decides between two entries for the same prefix: lower
 // administrative distance, then lower metric, then stable (a wins ties).
 func betterEntry(a, b route.Entry) route.Entry {
@@ -211,9 +202,6 @@ func NewOriginTable(loop *eventloop.Loop, proto route.Protocol) *OriginTable {
 // SetAdminDistance overrides the table's administrative distance.
 func (o *OriginTable) SetAdminDistance(ad uint8) { o.ad = ad }
 
-// SetBatchGate installs the read-ahead predicate (see batchGate).
-func (o *OriginTable) SetBatchGate(gate func() bool) { o.batchGate = gate }
-
 // lockstep reports whether the table may not run ahead of its emissions.
 func (o *OriginTable) lockstep() bool { return o.batchGate != nil && !o.batchGate() }
 
@@ -265,7 +253,7 @@ func (o *OriginTable) SweepStale() int {
 	for net := range o.stale {
 		nets = append(nets, net)
 	}
-	slices.SortFunc(nets, comparePrefix)
+	slices.SortFunc(nets, trie.ComparePrefix)
 	swept := o.DeleteRoutes(nets)
 	o.stale = nil
 	return swept

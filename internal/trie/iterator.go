@@ -87,12 +87,14 @@ func (t *Trie[T]) seekFrom(root *node[T], p netip.Prefix) *node[T] {
 	return nextRight
 }
 
-// lexLess orders prefixes by (address bits, length) in DFS order.
-func lexLess(a, b netip.Prefix) bool {
-	if a.Addr() != b.Addr() {
-		return a.Addr().Less(b.Addr())
+// ComparePrefix orders prefixes by address, then length — the trie's walk
+// order, and the order stages use where they would otherwise emit in map
+// iteration order.
+func ComparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
 	}
-	return a.Bits() < b.Bits()
+	return a.Bits() - b.Bits()
 }
 
 // Valid reports whether the iterator references a node. Note the entry may

@@ -753,10 +753,10 @@ func TestIterateFromMatchesLinearScan(t *testing.T) {
 					} else {
 						continue
 					}
-				} else if lexLess(e, start) {
+				} else if ComparePrefix(e, start) < 0 {
 					continue
 				}
-				if !found || lexLess(e, want) {
+				if !found || ComparePrefix(e, want) < 0 {
 					want, found = e, true
 				}
 			}

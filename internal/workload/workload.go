@@ -135,71 +135,6 @@ func TestRoutes(n int) []netip.Prefix {
 	return out
 }
 
-// RouteServerFeed generates the UPDATE stream one route-server client
-// announces: n prefixes disjoint from every other peer index (the client's
-// own customer cone), packed perMsg NLRI per message, with every fifth
-// perMsg-block IPv6 (so each message stays single-family, ~20% of the feed
-// is v6, and both encode paths get exercised). The blocks cycle through
-// `sets` distinct attribute sets per peer — the redundancy a real feed has,
-// which the interned attr pool and the shared group encode both exploit.
-// peer must be < 200 so the carved v4 space stays inside unicast ranges.
-func RouteServerFeed(peer, n, perMsg, sets int, peerAS uint16, nexthop netip.Addr) []*bgp.UpdateMsg {
-	if perMsg <= 0 {
-		perMsg = 64
-	}
-	if sets <= 0 {
-		sets = 1
-	}
-	// First v4 octet: 11..210 by peer index, skipping loopback space.
-	first := byte(11 + peer%200)
-	if first >= 127 {
-		first++
-	}
-	attrs := make([]*bgp.PathAttrs, sets)
-	for s := range attrs {
-		a := &bgp.PathAttrs{
-			Origin: uint8(s % 3),
-			ASPath: bgp.ASPath{{
-				Type: bgp.SegSequence,
-				ASes: []uint16{peerAS, uint16(64000 + s)},
-			}},
-			NextHop: nexthop,
-		}
-		if s%2 == 1 {
-			a.MED, a.HasMED = uint32(s), true
-		}
-		attrs[s] = a
-	}
-	var out []*bgp.UpdateMsg
-	for i := 0; i < n; {
-		block := len(out)
-		end := min(i+perMsg, n)
-		msg := &bgp.UpdateMsg{
-			Attrs: attrs[block%sets],
-			NLRI:  make([]netip.Prefix, 0, end-i),
-		}
-		if block%5 == 4 {
-			// IPv6 block: 2001:db8:<peer><index>::/64.
-			for ; i < end; i++ {
-				var b [16]byte
-				b[0], b[1], b[2], b[3] = 0x20, 0x01, 0x0d, 0xb8
-				b[4] = byte(peer)
-				b[5], b[6], b[7] = byte(i>>16), byte(i>>8), byte(i)
-				msg.NLRI = append(msg.NLRI,
-					netip.PrefixFrom(netip.AddrFrom16(b), 64))
-			}
-		} else {
-			// IPv4 block: <first>.<index>/32.
-			for ; i < end; i++ {
-				msg.NLRI = append(msg.NLRI, netip.PrefixFrom(
-					netip.AddrFrom4([4]byte{first, byte(i >> 16), byte(i >> 8), byte(i)}), 32))
-			}
-		}
-		out = append(out, msg)
-	}
-	return out
-}
-
 // TestAttrs returns attributes for a test route via the given nexthop.
 func TestAttrs(nexthop netip.Addr, peerAS uint16) *bgp.PathAttrs {
 	return &bgp.PathAttrs{
