@@ -96,11 +96,16 @@ func runScript(t *testing.T, ops []batchOp, cut func(max int) int, closed bool) 
 			}
 		})
 	}
-	p.register.shadow.Walk(func(_ netip.Prefix, e route.Entry) bool {
+	walkFinal(p, func(e route.Entry) bool {
 		table = append(table, fmt.Sprint(e))
 		return true
 	})
 	return rec.ops, table
+}
+
+// walkFinal visits the RIB's final table in prefix order.
+func walkFinal(p *Process, fn func(route.Entry) bool) {
+	p.register.shadow.Walk(func(_ netip.Prefix, e route.Entry) bool { return fn(e) })
 }
 
 func diffStreams(t *testing.T, what string, want, got []string) {
