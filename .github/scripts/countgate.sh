@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Count gate: run the repo benchmark's RIB- and BGP-bearing workloads for a
-# few seconds at HEAD and at the merge base with BASE_REF (default
-# origin/main; the previous commit when HEAD is the merge base, as on a
-# push to main), and fail when a machine-independent count metric rises by
-# more than its bound in BENCHMARK.json or any op fails. Time metrics are
-# printed, never gated: a few seconds on a shared runner cannot resolve
-# them. Needs the full history (fetch-depth: 0) and jq.
+# Count gate: run the repo benchmark's table-, RIB- and BGP-bearing
+# workloads for a few seconds at HEAD and at the merge base with BASE_REF
+# (default origin/main; the previous commit when HEAD is the merge base, as
+# on a push to main), and fail when a machine-independent metric — the two
+# allocation counts, and the live heap after the run, which is the table —
+# rises by more than its bound in BENCHMARK.json or any op fails. Time
+# metrics are printed, never gated: a few seconds on a shared runner cannot
+# resolve them. Needs the full history (fetch-depth: 0) and jq.
 set -euo pipefail
 root="$(git rev-parse --show-toplevel)"
 cd "$root"
@@ -29,7 +30,7 @@ run() {
 }
 
 status=0
-for w in trickle bulk routeserver; do
+for w in trickle bulk routeserver forward; do
 	was="$(run "$tree" "$w")"
 	now="$(run "$root" "$w")"
 	for side in was now; do
@@ -39,7 +40,7 @@ for w in trickle bulk routeserver; do
 			status=1
 		fi
 	done
-	for m in allocs_per_op alloc_bytes_per_op; do
+	for m in allocs_per_op alloc_bytes_per_op heap_mb; do
 		bound="$(jq -r --arg m "$m" '.end_to_end[] | select(.name == $m) | .bound' BENCHMARK.json)"
 		a="$(jq -r --arg m "$m" '.metrics[$m].value' <<<"$was")"
 		b="$(jq -r --arg m "$m" '.metrics[$m].value' <<<"$now")"

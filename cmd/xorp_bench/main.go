@@ -12,7 +12,7 @@
 //	xorp_bench -experiment fig13        # event-driven vs scanner
 //	xorp_bench -experiment memory       # §5.1 memory footprint
 //	xorp_bench -experiment spf          # OSPF SPF full vs incremental
-//	xorp_bench -experiment tableload    # full-table RIB load, single vs batch
+//	xorp_bench -experiment tableload -trace  # full-table load through the traced BGP->FIB pipeline
 //	xorp_bench -experiment forward      # forwarding lookups/sec vs workers, idle + churn
 //	xorp_bench -quick                   # scaled-down table sizes
 package main
@@ -181,33 +181,23 @@ func main() {
 	})
 
 	run("tableload", func() error {
-		n := preload
-		if *trace {
-			fmt.Printf("Traced pipeline table load (%d routes, 1 in %d sampled)\n", n, 1<<*traceShift)
-			res, err := bench.RunTableLoadTraced(n, *traceShift)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatTableLoadTraced(res))
-			if *traceCSV != "" {
-				if err := os.WriteFile(*traceCSV, []byte(telemetry.WriteCSV(res.Traces)), 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *traceCSV)
-			}
+		if !*trace {
+			fmt.Println("the load alone is the repo benchmark's bulk workload (bash benchmark/run.sh --workload bulk); -trace runs it through the traced pipeline")
 			return nil
 		}
-		fmt.Printf("Full-table RIB load, runs of one vs runs of %d (%d routes)\n", bench.TableLoadBatchSize, n)
-		single, err := bench.RunTableLoad(n, false)
+		n := preload
+		fmt.Printf("Traced pipeline table load (%d routes, 1 in %d sampled)\n", n, 1<<*traceShift)
+		res, err := bench.RunTableLoadTraced(n, *traceShift)
 		if err != nil {
 			return err
 		}
-		batch, err := bench.RunTableLoad(n, true)
-		if err != nil {
-			return err
+		fmt.Print(bench.FormatTableLoadTraced(res))
+		if *traceCSV != "" {
+			if err := os.WriteFile(*traceCSV, []byte(telemetry.WriteCSV(res.Traces)), 0o644); err != nil {
+				return err
+			}
+			fmt.Printf("wrote %s\n", *traceCSV)
 		}
-		fmt.Print(bench.FormatTableLoad(single, batch))
-		fmt.Println("(what HEAD costs: the bulk workload and rib.add_allocs_per_route, benchmark/README.md)")
 		return nil
 	})
 

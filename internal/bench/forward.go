@@ -37,8 +37,9 @@ type ForwardResult struct {
 	Batches       uint64 // snapshot generations published in the window
 }
 
-// forwardChurnChunk is the per-transaction churn size: each churn step
-// withdraws and re-adds this many routes as two RIB batch calls.
+// forwardChurnChunk is the run length of the preload and the
+// per-transaction churn size: each churn step withdraws and re-adds this
+// many routes as two RIB batch calls.
 const forwardChurnChunk = 1024
 
 // RunForward preloads nRoutes EBGP routes into a RIB→FEA assembly, then
@@ -75,8 +76,8 @@ func RunForward(nRoutes, workers int, churn bool, dur time.Duration) (ForwardRes
 	}
 	var loadErr error
 	loop.Dispatch(func() {
-		for off := 0; off < len(entries); off += TableLoadBatchSize {
-			end := min(off+TableLoadBatchSize, len(entries))
+		for off := 0; off < len(entries); off += forwardChurnChunk {
+			end := min(off+forwardChurnChunk, len(entries))
 			if err := p.AddRoutes(route.ProtoEBGP, entries[off:end]); err != nil {
 				loadErr = err
 				return

@@ -181,42 +181,30 @@ func runGridCell(cell GridCell) ([]gridMetric, error) {
 		}, nil
 
 	case "tableload":
-		n := intParam(p, "routes", 20000)
-		switch mode := strParam(p, "mode", "batch"); mode {
-		case "single", "batch":
-			res, err := RunTableLoad(n, mode == "batch")
-			if err != nil {
-				return nil, err
-			}
-			return []gridMetric{
-				{"routes_per_sec", res.RoutesPerSec},
-				{"allocs_per_route", res.AllocsPerRoute},
-			}, nil
-		case "traced":
-			res, err := RunTableLoadTraced(n, uint(intParam(p, "shift", 6)))
-			if err != nil {
-				return nil, err
-			}
-			out := []gridMetric{
-				{"routes_per_sec", res.Traced.RoutesPerSec},
-				{"allocs_per_route", res.Traced.AllocsPerRoute},
-				{"disabled_delta_pct", res.DisabledThroughputDelta() * 100},
-				{"disabled_extra_allocs", res.DisabledExtraAllocs()},
-				{"sampled", float64(res.Sampled)},
-			}
-			for _, row := range res.Stages {
-				if row.Label != "total" {
-					continue
-				}
-				out = append(out,
-					gridMetric{"total_p50_us", row.P50 / 1e3},
-					gridMetric{"total_p95_us", row.P95 / 1e3},
-					gridMetric{"total_p99_us", row.P99 / 1e3})
-			}
-			return out, nil
-		default:
+		if mode := strParam(p, "mode", "traced"); mode != "traced" {
 			return nil, fmt.Errorf("tableload: unknown mode %q", mode)
 		}
+		res, err := RunTableLoadTraced(intParam(p, "routes", 20000), uint(intParam(p, "shift", 6)))
+		if err != nil {
+			return nil, err
+		}
+		out := []gridMetric{
+			{"routes_per_sec", res.Traced.RoutesPerSec},
+			{"allocs_per_route", res.Traced.AllocsPerRoute},
+			{"disabled_delta_pct", res.DisabledThroughputDelta() * 100},
+			{"disabled_extra_allocs", res.DisabledExtraAllocs()},
+			{"sampled", float64(res.Sampled)},
+		}
+		for _, row := range res.Stages {
+			if row.Label != "total" {
+				continue
+			}
+			out = append(out,
+				gridMetric{"total_p50_us", row.P50 / 1e3},
+				gridMetric{"total_p95_us", row.P95 / 1e3},
+				gridMetric{"total_p99_us", row.P99 / 1e3})
+		}
+		return out, nil
 
 	case "forward":
 		res, err := RunForward(intParam(p, "routes", 20000), intParam(p, "workers", 2),

@@ -34,6 +34,15 @@ func TestLoadGridSpec(t *testing.T) {
 	if _, err := LoadGrid("../../experiments.json", "nope"); err == nil {
 		t.Fatal("unknown grid name did not error")
 	}
+	// The single-vs-batch table load is gone (the repo benchmark's bulk
+	// workload measures it); a cell still asking for it must fail, not run
+	// the traced pipeline under the old name.
+	for _, mode := range []string{"single", "batch"} {
+		cell := GridCell{Experiment: "tableload", Params: map[string]any{"routes": float64(10), "mode": mode}}
+		if _, err := RunGrid([]GridCell{cell}, nil); err == nil {
+			t.Errorf("tableload mode %q still accepted", mode)
+		}
+	}
 }
 
 // TestRunGridAggregates runs a tiny in-memory grid with repeats and

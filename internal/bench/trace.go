@@ -13,13 +13,22 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Traced table load: the tableload experiment run through the full
-// three-process pipeline (BGP peer-in → decision → RIB → FEA → snapshot
+// Traced table load: a full table through the whole three-process
+// pipeline (BGP peer-in → decision → RIB → FEA → snapshot
 // publish) with the per-stage route latency tracer wired in. Reports
 // end-to-end throughput in three configurations — no tracer, tracer
 // wired-but-disabled (the seam must be free), and tracer enabled with
 // sampling — plus per-stage p50/p95/p99 latencies from sampled routes.
 // ---------------------------------------------------------------------
+
+// TableLoadResult is one table-load measurement.
+type TableLoadResult struct {
+	Mode           string // "plain", "disabled" or "traced"
+	Routes         int
+	Elapsed        time.Duration
+	RoutesPerSec   float64
+	AllocsPerRoute float64
+}
 
 // TracedTableLoadResult aggregates the three configurations.
 type TracedTableLoadResult struct {

@@ -105,7 +105,7 @@ func runScript(t *testing.T, ops []batchOp, cut func(max int) int, closed bool) 
 
 // walkFinal visits the RIB's final table in prefix order.
 func walkFinal(p *Process, fn func(route.Entry) bool) {
-	p.register.shadow.Walk(func(_ netip.Prefix, e route.Entry) bool { return fn(e) })
+	p.extint.Walk(fn)
 }
 
 func diffStreams(t *testing.T, what string, want, got []string) {

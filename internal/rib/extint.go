@@ -17,91 +17,101 @@ import (
 // dependent external routes are re-resolved and re-announced — the
 // event-driven dependency tracking that route scanners approximate with
 // periodic rescans (§4).
+//
+// The stage stores what it decided, not what it was told: announced is the
+// RIB's final table, the only route.Entry store outside the origin tables.
+// The external routes stay in their origin tables (ext.Lookup); the stage
+// keeps only the nexthop index that resolves them.
 type ExtIntStage struct {
 	base
-	ext, int Stage
+	ext, int Table
 
-	// resolved tracks external routes: original, the resolved form
-	// announced downstream (ok=false when unresolvable), and which
-	// internal prefix resolved it.
-	resolvedExt map[netip.Prefix]extState
-	// announced is the stage's downstream view (both sides merged).
+	// announced is the stage's downstream view (both sides merged),
+	// updated in reconcile ahead of the flush that carries the change.
 	announced *trie.Trie[route.Entry]
-	// nhCache is extInput.Add's nexthop cache, empty between calls.
-	nhCache map[netip.Addr]nhResult
+	// nexthops indexes the external routes that need resolving by their
+	// nexthop as announced: how it resolves now and the prefixes riding on
+	// it — a bare prefix per route and a struct per nexthop (full-table
+	// feeds use a handful). extInput keeps the sets in step with the
+	// external stream; intInput.changed re-resolves an entry whenever an
+	// internal change can move it, so a resolution stays good across runs.
+	nexthops map[netip.Addr]*nhState
+	// spare is the last entry that emptied, reused by the next new nexthop
+	// so that a lone route flapping allocates nothing.
+	spare *nhState
+	// nExt counts the external routes the stage has been told about.
+	nExt int
 }
 
-type extState struct {
-	orig     route.Entry
-	resolved route.Entry
-	ok       bool
-	via      netip.Prefix
+// nhResult is how one nexthop resolves through the internal side.
+type nhResult struct {
+	ifName string
+	gw     netip.Addr // valid when the nexthop is reached via a gateway
+	via    netip.Prefix
+	ok     bool
+}
+
+// nhState is one nexthop's index entry.
+type nhState struct {
+	nhResult
+	deps map[netip.Prefix]struct{}
 }
 
 // NewExtIntStage composes parents ext and int.
-func NewExtIntStage(name string, ext, int_ Stage) *ExtIntStage {
+func NewExtIntStage(name string, ext, int_ Table) *ExtIntStage {
 	e := &ExtIntStage{
-		base:        base{name: name},
-		ext:         ext,
-		int:         int_,
-		resolvedExt: make(map[netip.Prefix]extState),
-		announced:   trie.New[route.Entry](),
+		base:      base{name: name},
+		ext:       ext,
+		int:       int_,
+		announced: trie.New[route.Entry](),
+		nexthops:  make(map[netip.Addr]*nhState),
 	}
 	ext.setDownstream(&extInput{e: e})
 	int_.setDownstream(&intInput{e: e})
 	return e
 }
 
-// extInput receives the external stream.
+// extInput receives the external stream. It reconciles with the entry in
+// hand rather than ext.Lookup: the origin table runs ahead of its own
+// stream within a call.
 type extInput struct {
 	base
 	e *ExtIntStage
 }
 
-// Add resolves a run of external routes and reconciles each prefix. A
-// run of two or more shares one nexthop cache (full-table feeds reuse a
-// handful of nexthops); a run of one has nothing to share.
+// Add indexes a run of new external routes and reconciles each prefix.
 func (x *extInput) Add(run []route.Entry) {
 	s := x.e
-	var cache map[netip.Addr]nhResult
-	if len(run) > 1 {
-		// Detached like base.buf, and for the same reason.
-		cache, s.nhCache = s.nhCache, nil
-		if cache == nil {
-			cache = make(map[netip.Addr]nhResult, 8)
-		}
-	}
+	s.nExt += len(run)
 	em := s.emitter()
 	for i := range run {
-		st := extState{orig: run[i]}
-		st.resolved, st.via, st.ok = s.resolve(run[i], cache)
-		s.resolvedExt[run[i].Net] = st
-		s.reconcile(run[i].Net, &em)
+		s.link(run[i])
+		s.reconcile(run[i].Net, run[i], true, &em)
 	}
 	s.release(&em)
-	if cache != nil {
-		clear(cache)
-		s.nhCache = cache
-	}
 }
 
-// Replace is an Add of one: the stage keys on the prefix and diffs
-// against what it announced.
-func (x *extInput) Replace(_, n route.Entry) { x.Add([]route.Entry{n}) }
+// Replace moves the prefix to its new nexthop's set and reconciles it.
+func (x *extInput) Replace(old, n route.Entry) {
+	s := x.e
+	em := s.emitter()
+	s.unlink(old)
+	s.link(n)
+	s.reconcile(n.Net, n, true, &em)
+	s.release(&em)
+}
 
 // Delete processes a run of external withdrawals.
 func (x *extInput) Delete(run []route.Entry) {
 	s := x.e
+	s.nExt -= len(run)
 	em := s.emitter()
 	for i := range run {
-		delete(s.resolvedExt, run[i].Net)
-		s.reconcile(run[i].Net, &em)
+		s.unlink(run[i])
+		s.reconcile(run[i].Net, route.Entry{}, false, &em)
 	}
 	s.release(&em)
 }
-
-func (x *extInput) Lookup(netip.Prefix) (route.Entry, bool)   { panic("rib: extInput lookup") }
-func (x *extInput) LookupBest(netip.Addr) (route.Entry, bool) { panic("rib: extInput lookup") }
 
 // intInput receives the internal stream. All three ops mean the same to
 // the stage — the internal side changed at these prefixes.
@@ -110,105 +120,131 @@ type intInput struct {
 	e *ExtIntStage
 }
 
-func (x *intInput) Add(run []route.Entry)                     { x.changed(run) }
-func (x *intInput) Replace(_, n route.Entry)                  { x.changed([]route.Entry{n}) }
-func (x *intInput) Delete(run []route.Entry)                  { x.changed(run) }
-func (x *intInput) Lookup(netip.Prefix) (route.Entry, bool)   { panic("rib: intInput lookup") }
-func (x *intInput) LookupBest(netip.Addr) (route.Entry, bool) { panic("rib: intInput lookup") }
+func (x *intInput) Add(run []route.Entry)    { x.changed(run) }
+func (x *intInput) Replace(_, n route.Entry) { x.changed([]route.Entry{n}) }
+func (x *intInput) Delete(run []route.Entry) { x.changed(run) }
 
 // changed applies a run of internal changes in order: each reconciles the
-// changed prefix itself, then re-resolves the external routes it affects.
+// changed prefix itself, then re-resolves the nexthops it can move and
+// reconciles the external routes riding on those that did.
 func (x *intInput) changed(run []route.Entry) {
 	s := x.e
 	em := s.emitter()
 	for i := range run {
 		net := run[i].Net
-		s.reconcile(net, &em)
+		s.reconcileInt(net, &em)
 		var affected []netip.Prefix
-		for extNet, st := range s.resolvedExt {
-			hit := (st.ok && st.via.IsValid() && st.via.Overlaps(net)) ||
-				(!st.ok && net.Contains(st.orig.NextHop)) ||
-				(st.ok && net.Contains(st.orig.NextHop) && net.Bits() >= st.via.Bits())
-			if hit {
-				affected = append(affected, extNet)
+		for nh, st := range s.nexthops {
+			// A nexthop resolves through the longest internal route that
+			// contains it: only a change that contains it and is at least
+			// that long can move it, and any cover resolves an unresolved one.
+			if !net.Contains(nh) || (st.ok && net.Bits() < st.via.Bits()) {
+				continue
+			}
+			if r := s.lookupNexthop(nh); r != st.nhResult {
+				st.nhResult = r
+				for dep := range st.deps {
+					affected = append(affected, dep)
+				}
 			}
 		}
 		// Re-announce in prefix order: map iteration order would make the
 		// downstream stream nondeterministic across otherwise identical runs.
 		slices.SortFunc(affected, trie.ComparePrefix)
-		for _, extNet := range affected {
-			st := s.resolvedExt[extNet]
-			// Uncached: the internal side is what is changing.
-			st.resolved, st.via, st.ok = s.resolve(st.orig, nil)
-			s.resolvedExt[extNet] = st
-			s.reconcile(extNet, &em)
+		for _, dep := range affected {
+			s.reconcileInt(dep, &em)
 		}
 	}
 	s.release(&em)
 }
 
-// nhResult is one nexthop's resolution, cached for the duration of an
-// external run: the run arrives from the external side only, so the
-// internal tables — the sole input to resolve — cannot change under it.
-type nhResult struct {
-	ifName string
-	gw     netip.Addr // valid when the nexthop is reached via a gateway
-	via    netip.Prefix
-	ok     bool
+// concrete reports whether an external route is usable as it stands: it
+// names its interface, or has no nexthop to resolve (a discard route).
+func concrete(e route.Entry) bool { return e.IfName != "" || !e.NextHop.IsValid() }
+
+// lookupNexthop resolves nh against the internal side. One level of
+// recursion suffices because internal routes are directly usable by
+// construction.
+func (s *ExtIntStage) lookupNexthop(nh netip.Addr) nhResult {
+	via, ok := s.int.LookupBest(nh)
+	if !ok {
+		return nhResult{}
+	}
+	// A valid via.NextHop means the nexthop is reached through a gateway:
+	// forward there.
+	return nhResult{ifName: via.IfName, gw: via.NextHop, via: via.Net, ok: true}
 }
 
-// resolve recursively resolves an external entry against the internal
-// side, through cache when it is non-nil. One level of recursion suffices
-// because internal routes are directly usable by construction.
-func (s *ExtIntStage) resolve(orig route.Entry, cache map[netip.Addr]nhResult) (route.Entry, netip.Prefix, bool) {
-	if orig.IfName != "" || !orig.NextHop.IsValid() {
-		// Already concrete (or a discard route): usable as-is.
-		return orig, netip.Prefix{}, true
+// link adds external route e to its nexthop's set, resolving a nexthop
+// the index has not seen.
+func (s *ExtIntStage) link(e route.Entry) {
+	if concrete(e) {
+		return
 	}
-	r, hit := cache[orig.NextHop]
-	if !hit {
-		if via, ok := s.int.LookupBest(orig.NextHop); ok {
-			// A valid via.NextHop means the nexthop is reached through a
-			// gateway: forward there.
-			r = nhResult{ifName: via.IfName, gw: via.NextHop, via: via.Net, ok: true}
+	st := s.nexthops[e.NextHop]
+	if st == nil {
+		if st, s.spare = s.spare, nil; st == nil {
+			st = &nhState{deps: make(map[netip.Prefix]struct{})}
 		}
-		if cache != nil {
-			cache[orig.NextHop] = r
-		}
+		st.nhResult = s.lookupNexthop(e.NextHop)
+		s.nexthops[e.NextHop] = st
 	}
-	if !r.ok {
-		return orig, netip.Prefix{}, false
-	}
-	out := orig
-	out.IfName = r.ifName
-	if r.gw.IsValid() {
-		out.NextHop = r.gw
-	}
-	return out, r.via, true
+	st.deps[e.Net] = struct{}{}
 }
 
-// desired computes what downstream should see for net.
-func (s *ExtIntStage) desired(net netip.Prefix) (route.Entry, bool) {
-	intE, intOK := s.int.Lookup(net)
-	var extE route.Entry
-	extOK := false
-	if st, ok := s.resolvedExt[net]; ok && st.ok {
-		extE, extOK = st.resolved, true
+// unlink removes external route e from its nexthop's set, and the nexthop
+// from the index when nothing rides on it any more.
+func (s *ExtIntStage) unlink(e route.Entry) {
+	if concrete(e) {
+		return
+	}
+	st := s.nexthops[e.NextHop]
+	delete(st.deps, e.Net)
+	if len(st.deps) == 0 {
+		delete(s.nexthops, e.NextHop)
+		s.spare = st
+	}
+}
+
+// resolved rewrites external route e through the index: interface and,
+// when the nexthop sits behind one, gateway. A route ext.Lookup knows ahead
+// of the external stream (a client re-entering the RIB mid-flush) has no
+// index entry yet and counts as unresolved until it arrives.
+func (s *ExtIntStage) resolved(e route.Entry) (route.Entry, bool) {
+	if concrete(e) {
+		return e, true
+	}
+	st := s.nexthops[e.NextHop]
+	if st == nil || !st.ok {
+		return e, false
+	}
+	e.IfName = st.ifName
+	if st.gw.IsValid() {
+		e.NextHop = st.gw
+	}
+	return e, true
+}
+
+// reconcileInt reconciles net with whatever the external side holds there.
+func (s *ExtIntStage) reconcileInt(net netip.Prefix, em *runEmitter) {
+	ext, ok := s.ext.Lookup(net)
+	s.reconcile(net, ext, ok, em)
+}
+
+// reconcile computes what downstream should see for net — the better of
+// its internal route and, if extOK, its external route ext once resolved —
+// diffs that against announced, and emits the change.
+func (s *ExtIntStage) reconcile(net netip.Prefix, ext route.Entry, extOK bool, em *runEmitter) {
+	want, wantOK := s.int.Lookup(net)
+	if extOK {
+		ext, extOK = s.resolved(ext)
 	}
 	switch {
-	case intOK && extOK:
-		return betterEntry(extE, intE), true
-	case intOK:
-		return intE, true
+	case extOK && wantOK:
+		want = betterEntry(ext, want)
 	case extOK:
-		return extE, true
+		want, wantOK = ext, true
 	}
-	return route.Entry{}, false
-}
-
-// reconcile diffs desired vs announced for net and emits the change.
-func (s *ExtIntStage) reconcile(net netip.Prefix, em *runEmitter) {
-	want, wantOK := s.desired(net)
 	if wantOK {
 		have, haveOK := s.announced.Upsert(net, want)
 		switch {
@@ -224,31 +260,27 @@ func (s *ExtIntStage) reconcile(net netip.Prefix, em *runEmitter) {
 	}
 }
 
-// Add panics: use the parents.
-func (s *ExtIntStage) Add([]route.Entry) { panic("rib: ExtIntStage has adapter inputs") }
-
-// Replace panics: use the parents.
-func (s *ExtIntStage) Replace(_, _ route.Entry) { panic("rib: ExtIntStage has adapter inputs") }
-
-// Delete panics: use the parents.
-func (s *ExtIntStage) Delete([]route.Entry) { panic("rib: ExtIntStage has adapter inputs") }
-
-// Lookup implements Stage from the announced table.
+// Lookup implements Table from the announced table.
 func (s *ExtIntStage) Lookup(net netip.Prefix) (route.Entry, bool) {
 	return s.announced.Get(net)
 }
 
-// LookupBest implements Stage from the announced table.
+// LookupBest implements Table from the announced table.
 func (s *ExtIntStage) LookupBest(addr netip.Addr) (route.Entry, bool) {
 	_, e, ok := s.announced.LongestMatch(addr)
 	return e, ok
+}
+
+// Walk visits the announced table in prefix order.
+func (s *ExtIntStage) Walk(fn func(route.Entry) bool) {
+	s.announced.Walk(func(_ netip.Prefix, e route.Entry) bool { return fn(e) })
 }
 
 // AnnouncedLen reports the downstream view's size.
 func (s *ExtIntStage) AnnouncedLen() int { return s.announced.Len() }
 
 // ExternalRouteCount reports how many external routes the stage tracks.
-// Internal-side origins may batch only while this is zero: the rescan
-// that re-resolves dependent external routes reads the internal tables,
-// and batching lets those tables run ahead of the announcement stream.
-func (s *ExtIntStage) ExternalRouteCount() int { return len(s.resolvedExt) }
+// Internal-side origins may batch only while this is zero: re-resolving
+// the nexthop index reads the internal tables, and batching lets those
+// tables run ahead of the announcement stream.
+func (s *ExtIntStage) ExternalRouteCount() int { return s.nExt }

@@ -31,7 +31,7 @@ type Process struct {
 	extint   *ExtIntStage
 	register *RegisterStage
 	redists  map[string]*RedistStage
-	chain    []Stage // extint ... redists ... register, fibSink
+	chain    []Stage // what extint feeds: redists ... register, fibSink
 	fib      FIBClient
 
 	router *xipc.Router         // for invalidation pushes; may be nil
@@ -92,9 +92,9 @@ func NewProcess(loop *eventloop.Loop, fib FIBClient, router *xipc.Router) *Proce
 		p.origins[route.ProtoEBGP], p.origins[route.ProtoIBGP])
 
 	p.extint = NewExtIntStage("extint", mb, m3)
-	p.register = NewRegisterStage("register", p.notifyInvalid)
-	p.chain = []Stage{p.extint, p.register, &fibSinkStage{base: base{name: "fib"}, proc: p}}
-	Plumb(p.chain...)
+	p.register = NewRegisterStage("register", p.extint.announced, p.notifyInvalid)
+	p.chain = []Stage{p.register, &fibSinkStage{base: base{name: "fib"}, proc: p}}
+	Plumb(p.extint, p.chain...)
 
 	// Internal-side origins may only run ahead of their emissions while no
 	// external route could observe their table mid-flush (see
@@ -146,7 +146,7 @@ func (p *Process) Register() *RegisterStage { return p.register }
 
 // LookupBest returns the RIB's final longest-prefix match.
 func (p *Process) LookupBest(addr netip.Addr) (route.Entry, bool) {
-	return p.register.LookupBest(addr)
+	return p.extint.LookupBest(addr)
 }
 
 // Len returns the number of final routes.
@@ -226,12 +226,12 @@ func (p *Process) AddRedist(name string, filter RedistFilter, out Redistributor)
 	}
 	rd := NewRedistStage("redist("+name+")", filter, out)
 	p.redists[name] = rd
-	// Insert before the register stage (chain = extint ... register fib).
+	// Insert before the register stage (chain = ... register fib).
 	idx := len(p.chain) - 2
 	p.chain = append(p.chain[:idx], append([]Stage{rd}, p.chain[idx:]...)...)
-	Plumb(p.chain...)
+	Plumb(p.extint, p.chain...)
 	// Prime: replay the current final table into the subscriber only.
-	p.register.shadow.Walk(func(_ netip.Prefix, e route.Entry) bool {
+	p.extint.Walk(func(e route.Entry) bool {
 		rd.apply(e)
 		return true
 	})
@@ -275,18 +275,12 @@ func (p *Process) SetRedistFilter(name string, filter RedistFilter) error {
 	rd.filter = filter
 	// Replay the final table: apply() adds what now passes, drops what
 	// no longer does, and is a no-op where the mirrored entry matches.
-	seen := make(map[netip.Prefix]bool)
-	p.register.shadow.Walk(func(net netip.Prefix, e route.Entry) bool {
-		seen[net] = true
+	// Nothing is mirrored without a table route behind it (every Delete
+	// passes through drop), so the replay reaches every mirrored entry.
+	p.extint.Walk(func(e route.Entry) bool {
 		rd.apply(e)
 		return true
 	})
-	// Mirrored entries with no backing table route are stale; withdraw.
-	for net, e := range rd.mirrored {
-		if !seen[net] {
-			rd.drop(e)
-		}
-	}
 	return nil
 }
 
@@ -304,7 +298,7 @@ func (p *Process) RemoveRedist(name string) error {
 			break
 		}
 	}
-	Plumb(p.chain...)
+	Plumb(p.extint, p.chain...)
 	for _, e := range rd.mirrored {
 		rd.out.RedistDelete(e)
 	}
@@ -376,9 +370,6 @@ func (s *fibSinkStage) ship(kind FIBOpKind, old route.Entry, run []route.Entry) 
 	b.Reset()
 	s.batch = b
 }
-
-func (s *fibSinkStage) Lookup(netip.Prefix) (route.Entry, bool)   { return route.Entry{}, false }
-func (s *fibSinkStage) LookupBest(netip.Addr) (route.Entry, bool) { return route.Entry{}, false }
 
 // ribServer adapts the Process as a xif.RIBServer: the typed handler
 // surface behind the rib/1.0 binding.

@@ -2,9 +2,9 @@ package rib
 
 import (
 	"net/netip"
+	"slices"
 
 	"xorp/internal/route"
-	"xorp/internal/trie"
 )
 
 // RegistrationAnswer is what a client learns when registering interest in
@@ -25,37 +25,47 @@ type registration struct {
 	covering netip.Prefix
 }
 
+// finalTable is the register stage's read-only view of the RIB's final
+// table, which the ExtInt stage maintains.
+type finalTable interface {
+	LongestMatch(addr netip.Addr) (netip.Prefix, route.Entry, bool)
+	HasEntryInside(p netip.Prefix) bool
+}
+
 // RegisterStage implements interest registration. It is a pass-through
-// stage that shadows the final route table; on any route change
+// stage that keeps registrations, not routes: on any route change
 // overlapping a registration's covering subnet, the client is sent a
 // "cache invalidated" message and the registration dropped (the client
-// re-queries).
+// re-queries). Answers are read from the final table upstream, which is
+// updated before the run carrying a change is flushed: mid-flush it may
+// run ahead of what this stage has been told, never behind. Answers are
+// computed on the RIB loop between stage calls, where the two agree; one
+// made against the table ahead is at worst invalidated once more.
 type RegisterStage struct {
 	base
-	shadow *trie.Trie[route.Entry]
-	regs   []registration
+	final finalTable
+	regs  []registration
 	// notify delivers an invalidation to a client (XRL in production).
 	notify func(client string, covering netip.Prefix)
 }
 
-// NewRegisterStage returns a register stage; notify delivers cache
-// invalidations.
-func NewRegisterStage(name string, notify func(client string, covering netip.Prefix)) *RegisterStage {
+// NewRegisterStage returns a register stage answering from final; notify
+// delivers cache invalidations.
+func NewRegisterStage(name string, final finalTable, notify func(client string, covering netip.Prefix)) *RegisterStage {
 	if notify == nil {
 		notify = func(string, netip.Prefix) {}
 	}
-	return &RegisterStage{
-		base:   base{name: name},
-		shadow: trie.New[route.Entry](),
-		notify: notify,
-	}
+	return &RegisterStage{base: base{name: name}, final: final, notify: notify}
 }
 
 // RegisterInterest answers a client's query about addr and records the
-// registration.
+// registration, once per client and covering subnet however many of its
+// addresses the client asks about.
 func (rs *RegisterStage) RegisterInterest(client string, addr netip.Addr) RegistrationAnswer {
 	ans := rs.answer(addr)
-	rs.regs = append(rs.regs, registration{client: client, covering: ans.Covering})
+	if reg := (registration{client: client, covering: ans.Covering}); !slices.Contains(rs.regs, reg) {
+		rs.regs = append(rs.regs, reg)
+	}
 	return ans
 }
 
@@ -75,7 +85,7 @@ func (rs *RegisterStage) Registrations() int { return len(rs.regs) }
 // answer computes the Figure 8 answer for addr.
 func (rs *RegisterStage) answer(addr netip.Addr) RegistrationAnswer {
 	maxBits := addr.BitLen()
-	matchNet, e, found := rs.shadow.LongestMatch(addr)
+	matchNet, e, found := rs.final.LongestMatch(addr)
 
 	// Start from the matching route's subnet (or the whole space when
 	// nothing matches) and narrow toward addr until no more-specific
@@ -86,7 +96,7 @@ func (rs *RegisterStage) answer(addr netip.Addr) RegistrationAnswer {
 	} else {
 		s, _ = addr.Prefix(0)
 	}
-	for s.Bits() < maxBits && rs.shadow.HasEntryInside(s) {
+	for s.Bits() < maxBits && rs.final.HasEntryInside(s) {
 		narrowed, err := addr.Prefix(s.Bits() + 1)
 		if err != nil {
 			break
@@ -115,11 +125,10 @@ func (rs *RegisterStage) routeChanged(net netip.Prefix) {
 	rs.regs = kept
 }
 
-// Add implements Stage: shadow and invalidate per entry, then pass the
-// whole run downstream in one call.
+// Add implements Stage: invalidate per entry, then pass the whole run
+// downstream in one call.
 func (rs *RegisterStage) Add(run []route.Entry) {
 	for i := range run {
-		rs.shadow.Upsert(run[i].Net, run[i])
 		rs.routeChanged(run[i].Net)
 	}
 	if rs.next != nil {
@@ -129,7 +138,6 @@ func (rs *RegisterStage) Add(run []route.Entry) {
 
 // Replace implements Stage.
 func (rs *RegisterStage) Replace(old, new route.Entry) {
-	rs.shadow.Upsert(new.Net, new)
 	rs.routeChanged(new.Net)
 	if rs.next != nil {
 		rs.next.Replace(old, new)
@@ -139,23 +147,11 @@ func (rs *RegisterStage) Replace(old, new route.Entry) {
 // Delete implements Stage.
 func (rs *RegisterStage) Delete(run []route.Entry) {
 	for i := range run {
-		rs.shadow.Delete(run[i].Net)
 		rs.routeChanged(run[i].Net)
 	}
 	if rs.next != nil {
 		rs.next.Delete(run)
 	}
-}
-
-// Lookup implements Stage.
-func (rs *RegisterStage) Lookup(net netip.Prefix) (route.Entry, bool) {
-	return rs.shadow.Get(net)
-}
-
-// LookupBest implements Stage.
-func (rs *RegisterStage) LookupBest(addr netip.Addr) (route.Entry, bool) {
-	_, e, ok := rs.shadow.LongestMatch(addr)
-	return e, ok
 }
 
 // RedistFilter decides whether (and how) a route is redistributed; nil
@@ -245,27 +241,6 @@ func (rd *RedistStage) Delete(run []route.Entry) {
 	if rd.next != nil {
 		rd.next.Delete(run)
 	}
-}
-
-// Lookup implements Stage: redist is pure pass-through for lookups; the
-// mirrored set concerns only the subscriber.
-func (rd *RedistStage) Lookup(net netip.Prefix) (route.Entry, bool) {
-	if e, ok := rd.mirrored[net]; ok {
-		return e, ok
-	}
-	return route.Entry{}, false
-}
-
-// LookupBest implements Stage (subscriber view).
-func (rd *RedistStage) LookupBest(addr netip.Addr) (route.Entry, bool) {
-	var best route.Entry
-	found := false
-	for _, e := range rd.mirrored {
-		if e.Net.Contains(addr) && (!found || e.Net.Bits() > best.Net.Bits()) {
-			best, found = e, true
-		}
-	}
-	return best, found
 }
 
 // MirroredLen reports how many routes the subscriber currently has.

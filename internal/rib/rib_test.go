@@ -1,7 +1,9 @@
 package rib
 
 import (
+	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -337,12 +339,49 @@ func TestRegisterCoveringsNeverOverlap(t *testing.T) {
 		}
 		coverings = append(coverings, ans.Covering)
 	}
+	distinct := map[netip.Prefix]bool{}
 	for i := range coverings {
+		distinct[coverings[i]] = true
 		for j := i + 1; j < len(coverings); j++ {
 			if coverings[i] != coverings[j] && coverings[i].Overlaps(coverings[j]) {
 				t.Fatalf("coverings overlap: %v vs %v", coverings[i], coverings[j])
 			}
 		}
+	}
+	if rs.Registrations() != len(distinct) {
+		t.Fatalf("%d registrations for %d distinct coverings", rs.Registrations(), len(distinct))
+	}
+}
+
+// A client asking about several addresses under one covering subnet holds
+// one registration: one invalidation per change, gone after one deregister.
+func TestRegisterInterestOncePerCovering(t *testing.T) {
+	p, _, _ := newRib(t)
+	p.AddRoute(route.ProtoStatic, route.Entry{Net: mustP("128.16.0.0/16"), NextHop: mustA("10.0.0.1"), IfName: "eth0"})
+	rs := p.Register()
+	var invalidated []string
+	rs.notify = func(client string, covering netip.Prefix) {
+		invalidated = append(invalidated, client+" "+covering.String())
+	}
+	a := rs.RegisterInterest("bgp", mustA("128.16.32.1"))
+	b := rs.RegisterInterest("bgp", mustA("128.16.77.1"))
+	if a.Covering != b.Covering {
+		t.Fatalf("coverings %v and %v, want one subnet", a.Covering, b.Covering)
+	}
+	rs.RegisterInterest("rip", mustA("128.16.32.1")) // another client is another registration
+	if rs.Registrations() != 2 {
+		t.Fatalf("%d registrations, want 2 (one per client)", rs.Registrations())
+	}
+	p.AddRoute(route.ProtoStatic, route.Entry{Net: mustP("128.16.32.0/24"), NextHop: mustA("10.0.0.2"), IfName: "eth0"})
+	if want := []string{"bgp 128.16.0.0/16", "rip 128.16.0.0/16"}; !slices.Equal(invalidated, want) {
+		t.Fatalf("invalidations %v, want %v", invalidated, want)
+	}
+
+	rs.RegisterInterest("bgp", mustA("128.16.99.1"))
+	c := rs.RegisterInterest("bgp", mustA("128.16.99.2"))
+	rs.DeregisterInterest("bgp", c.Covering)
+	if rs.Registrations() != 0 {
+		t.Fatalf("%d registrations left after deregistering the only covering", rs.Registrations())
 	}
 }
 
@@ -406,6 +445,107 @@ func TestRedistFilteredMirror(t *testing.T) {
 	// FIB unaffected throughout: the RIB still holds 3 live routes.
 	if p.Len() != 3 {
 		t.Fatalf("rib len %d", p.Len())
+	}
+}
+
+// seqRec records the order of redistribution callbacks.
+type seqRec struct{ seq []string }
+
+func (r *seqRec) RedistAdd(e route.Entry) {
+	r.seq = append(r.seq, fmt.Sprintf("add %v metric %d", e.Net, e.Metric))
+}
+func (r *seqRec) RedistDelete(e route.Entry) {
+	r.seq = append(r.seq, fmt.Sprintf("delete %v metric %d", e.Net, e.Metric))
+}
+
+// TestSetRedistFilterReplay swaps a redistribution's filter back and forth
+// over a populated table: the subscriber sees exactly the difference between
+// the two filters, in prefix order, the same on every run, and nothing for a
+// route both filters treat alike.
+func TestSetRedistFilterReplay(t *testing.T) {
+	onlyStatic := func(e route.Entry) *route.Entry {
+		if e.Protocol != route.ProtoStatic {
+			return nil
+		}
+		return &e
+	}
+	bumpRIP := func(e route.Entry) *route.Entry {
+		if e.Protocol == route.ProtoRIP {
+			e.Metric += 10
+		}
+		return &e
+	}
+	run := func() []string {
+		p, _, _ := newRib(t)
+		for i := 0; i < 4; i++ {
+			p.AddRoute(route.ProtoStatic, route.Entry{
+				Net: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(2 * i), 0, 0}), 16), NextHop: mustA("10.0.0.1"), IfName: "eth0"})
+			p.AddRoute(route.ProtoRIP, route.Entry{
+				Net: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(2*i + 1), 0, 0}), 16), NextHop: mustA("10.0.0.2"), IfName: "eth1", Metric: 3})
+		}
+		rec := &seqRec{}
+		if _, err := p.AddRedist("r", nil, rec); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.seq) != 8 {
+			t.Fatalf("primed with %v", rec.seq)
+		}
+		var all []string
+		for _, step := range []struct {
+			filter RedistFilter
+			want   []string
+		}{
+			{onlyStatic, []string{
+				"delete 10.1.0.0/16 metric 3", "delete 10.3.0.0/16 metric 3",
+				"delete 10.5.0.0/16 metric 3", "delete 10.7.0.0/16 metric 3"}},
+			{onlyStatic, nil},
+			{bumpRIP, []string{
+				"add 10.1.0.0/16 metric 13", "add 10.3.0.0/16 metric 13",
+				"add 10.5.0.0/16 metric 13", "add 10.7.0.0/16 metric 13"}},
+			{nil, []string{
+				"delete 10.1.0.0/16 metric 13", "add 10.1.0.0/16 metric 3",
+				"delete 10.3.0.0/16 metric 13", "add 10.3.0.0/16 metric 3",
+				"delete 10.5.0.0/16 metric 13", "add 10.5.0.0/16 metric 3",
+				"delete 10.7.0.0/16 metric 13", "add 10.7.0.0/16 metric 3"}},
+		} {
+			rec.seq = nil
+			if err := p.SetRedistFilter("r", step.filter); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(rec.seq, step.want) {
+				t.Fatalf("subscriber saw %v, want %v", rec.seq, step.want)
+			}
+			all = append(all, rec.seq...)
+		}
+		if p.RedistMirrored("r") != 8 {
+			t.Fatalf("mirror holds %d routes, want 8", p.RedistMirrored("r"))
+		}
+		return all
+	}
+	if first, second := run(), run(); !slices.Equal(first, second) {
+		t.Fatalf("two identical runs differ:\n%v\n%v", first, second)
+	}
+}
+
+// A filter swap works on the mirror and the final table: it builds nothing
+// the size of the table.
+func TestSetRedistFilterAllocs(t *testing.T) {
+	p, _, _ := newRib(t)
+	for i := 0; i < 5000; i++ {
+		p.AddRoute(route.ProtoStatic, route.Entry{
+			Net: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24), NextHop: mustA("10.0.0.1"), IfName: "eth0"})
+	}
+	none := func(route.Entry) *route.Entry { return nil }
+	if _, err := p.AddRedist("r", none, newRedistRec()); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := p.SetRedistFilter("r", none); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("a filter swap over 5000 routes allocates %.0f times", allocs)
 	}
 }
 

@@ -7,6 +7,13 @@
 // route redistribution, and register stages implementing the interest
 // registration protocol of §5.2.1 (Figure 8).
 //
+// A route lives in two tables, one per role: its origin table (what the
+// protocol said — merge lookups and graceful-restart retention read it)
+// and the ExtInt stage's announced table (what the RIB decided — the diff
+// base, and what LookupBest, Len, redistribution priming and Figure 8
+// answers read). Every other stage is plumbing: it asks upstream (Table)
+// or keeps an index of prefixes and nexthops, never a route.Entry.
+//
 // One message shape flows through the network: the run, 1..n entries
 // sharing an op. Stage has one Add(run), one Replace(old, new) and one
 // Delete(run); a single route is a run of one, and cutting a stream into
@@ -24,10 +31,10 @@ import (
 	"xorp/internal/trie"
 )
 
-// Stage is one element of the RIB's stage network. Semantics mirror
-// bgp.Stage; routes are route.Entry values. The RIB makes decisions
-// "purely on the basis of a single administrative distance metric",
-// allowing the distributed pairwise merge design.
+// Stage is one element of the RIB's stage network: something routes flow
+// into. Semantics mirror bgp.Stage; routes are route.Entry values. The RIB
+// makes decisions "purely on the basis of a single administrative distance
+// metric", allowing the distributed pairwise merge design.
 //
 // Add and Delete take a run: one or more entries, applied in order. A run
 // is valid only for the duration of the call — the caller reuses the
@@ -38,14 +45,26 @@ type Stage interface {
 	Add(run []route.Entry)
 	Replace(old, new route.Entry)
 	Delete(run []route.Entry)
-	// Lookup returns the stage's announced route exactly matching net.
-	Lookup(net netip.Prefix) (route.Entry, bool)
-	// LookupBest returns the stage's announced longest-prefix match.
-	LookupBest(addr netip.Addr) (route.Entry, bool)
-
-	setDownstream(s Stage)
-	downstream() Stage
+	source
 }
+
+// source is anything routes flow out of.
+type source interface{ setDownstream(s Stage) }
+
+// Table is a source that can answer for the routes it announces: the
+// origin tables, which store them, and the merge and ExtInt stages, which
+// ask their parents (the paper's lookup_route). Routes enter a Table
+// through its own inputs, so it is not a Stage; a stage that stores
+// nothing answers nothing, so a Stage is not a Table.
+type Table interface {
+	source
+	// Lookup returns the announced route exactly matching net.
+	Lookup(net netip.Prefix) (route.Entry, bool)
+	// LookupBest returns the announced longest-prefix match.
+	LookupBest(addr netip.Addr) (route.Entry, bool)
+}
+
+var _ = []Table{(*OriginTable)(nil), (*MergeStage)(nil), (*ExtIntStage)(nil)}
 
 // base supplies plumbing and the stage-owned emission scratch.
 type base struct {
@@ -60,7 +79,6 @@ type base struct {
 
 func (b *base) Name() string          { return b.name }
 func (b *base) setDownstream(s Stage) { b.next = s }
-func (b *base) downstream() Stage     { return b.next }
 
 // emitter detaches the stage's scratch into an emitter for one call;
 // release hands it back.
@@ -76,17 +94,18 @@ func (b *base) release(em *runEmitter) {
 	b.buf = em.run
 }
 
-// Plumb wires stages left-to-right.
-func Plumb(stages ...Stage) {
-	for i := 0; i+1 < len(stages); i++ {
-		stages[i].setDownstream(stages[i+1])
+// Plumb wires head into stages left-to-right.
+func Plumb(head source, stages ...Stage) {
+	for _, s := range stages {
+		head.setDownstream(s)
+		head = s
 	}
 }
 
-// stageEmpty reports whether a stage is known to announce nothing; false
+// stageEmpty reports whether a table is known to announce nothing; false
 // when unknown. Merge inputs use it to skip per-route other-side lookups
 // wholesale during table loads.
-func stageEmpty(s Stage) bool {
+func stageEmpty(s Table) bool {
 	if e, ok := s.(interface{ Empty() bool }); ok {
 		return e.Empty()
 	}
@@ -347,21 +366,12 @@ func (o *OriginTable) Walk(fn func(route.Entry) bool) {
 	o.tbl.Walk(func(_ netip.Prefix, e route.Entry) bool { return fn(e) })
 }
 
-// Add panics: origin tables have no upstream.
-func (o *OriginTable) Add([]route.Entry) { panic("rib: OriginTable has no upstream") }
-
-// Replace panics: origin tables have no upstream.
-func (o *OriginTable) Replace(_, _ route.Entry) { panic("rib: OriginTable has no upstream") }
-
-// Delete panics: origin tables have no upstream.
-func (o *OriginTable) Delete([]route.Entry) { panic("rib: OriginTable has no upstream") }
-
-// Lookup implements Stage.
+// Lookup implements Table.
 func (o *OriginTable) Lookup(net netip.Prefix) (route.Entry, bool) {
 	return o.tbl.Get(net)
 }
 
-// LookupBest implements Stage.
+// LookupBest implements Table.
 func (o *OriginTable) LookupBest(addr netip.Addr) (route.Entry, bool) {
 	_, e, ok := o.tbl.LongestMatch(addr)
 	return e, ok
@@ -374,11 +384,11 @@ func (o *OriginTable) LookupBest(addr netip.Addr) (route.Entry, bool) {
 // extensions").
 type MergeStage struct {
 	base
-	a, b Stage // a is the preferred side on full ties
+	a, b Table // a is the preferred side on full ties
 }
 
 // NewMergeStage merges parents a and b.
-func NewMergeStage(name string, a, b Stage) *MergeStage {
+func NewMergeStage(name string, a, b Table) *MergeStage {
 	m := &MergeStage{base: base{name: name}, a: a, b: b}
 	a.setDownstream(&mergeInput{m: m, other: b})
 	b.setDownstream(&mergeInput{m: m, other: a})
@@ -390,7 +400,7 @@ func NewMergeStage(name string, a, b Stage) *MergeStage {
 type mergeInput struct {
 	base
 	m     *MergeStage
-	other Stage
+	other Table
 }
 
 // Add arbitrates a run of routes new on this side. When the other parent
@@ -452,22 +462,10 @@ func (mi *mergeInput) Delete(run []route.Entry) {
 	mi.m.release(&em)
 }
 
-func (mi *mergeInput) Lookup(netip.Prefix) (route.Entry, bool)   { panic("rib: mergeInput lookup") }
-func (mi *mergeInput) LookupBest(netip.Addr) (route.Entry, bool) { panic("rib: mergeInput lookup") }
-
-// Add panics: use the parents.
-func (m *MergeStage) Add([]route.Entry) { panic("rib: MergeStage has adapter inputs") }
-
-// Replace panics: use the parents.
-func (m *MergeStage) Replace(_, _ route.Entry) { panic("rib: MergeStage has adapter inputs") }
-
-// Delete panics: use the parents.
-func (m *MergeStage) Delete([]route.Entry) { panic("rib: MergeStage has adapter inputs") }
-
 // Empty reports whether both parents announce nothing.
 func (m *MergeStage) Empty() bool { return stageEmpty(m.a) && stageEmpty(m.b) }
 
-// Lookup implements Stage: the better of the two parents.
+// Lookup implements Table: the better of the two parents.
 func (m *MergeStage) Lookup(net netip.Prefix) (route.Entry, bool) {
 	ea, oka := m.a.Lookup(net)
 	eb, okb := m.b.Lookup(net)
@@ -482,7 +480,7 @@ func (m *MergeStage) Lookup(net netip.Prefix) (route.Entry, bool) {
 	return route.Entry{}, false
 }
 
-// LookupBest implements Stage: the more specific parent match wins; on
+// LookupBest implements Table: the more specific parent match wins; on
 // equal specificity the better entry wins.
 func (m *MergeStage) LookupBest(addr netip.Addr) (route.Entry, bool) {
 	ea, oka := m.a.LookupBest(addr)
