@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Count gate: run the repo benchmark's table-, RIB- and BGP-bearing
-# workloads for a few seconds at HEAD and at the merge base with BASE_REF
+# Count gate: run the repo benchmark's workloads — the table-, RIB- and
+# BGP-bearing ones and xrl, the IPC one — for a few seconds at HEAD and
+# at the merge base with BASE_REF
 # (default origin/main; the previous commit when HEAD is the merge base, as
 # on a push to main), and fail when a machine-independent metric — the two
 # allocation counts, and the live heap after the run, which is the table —
@@ -30,7 +31,7 @@ run() {
 }
 
 status=0
-for w in trickle bulk routeserver forward; do
+for w in trickle bulk routeserver forward xrl; do
 	was="$(run "$tree" "$w")"
 	now="$(run "$root" "$w")"
 	for side in was now; do

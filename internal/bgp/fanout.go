@@ -31,6 +31,7 @@ type Fanout struct {
 
 	branches      map[string]*fanoutBranch
 	pumpScheduled bool
+	pumpFn        func() // f.pump, bound once: Dispatch(f.pump) would allocate per pump
 }
 
 // fanoutBranch is one consumer: a peer group's output pipeline (a solo
@@ -44,12 +45,14 @@ type fanoutBranch struct {
 
 // NewFanout returns an empty fanout stage.
 func NewFanout(name string, loop *eventloop.Loop) *Fanout {
-	return &Fanout{
+	f := &Fanout{
 		base:     base{name: name},
 		loop:     loop,
 		q:        core.NewFanoutQueue[fanoutEntry](),
 		branches: make(map[string]*fanoutBranch),
 	}
+	f.pumpFn = f.pump
+	return f
 }
 
 // AddPeerBranch attaches the output pipeline of a group of one. Split
@@ -145,10 +148,12 @@ func (f *Fanout) schedulePump() {
 		return
 	}
 	f.pumpScheduled = true
-	f.loop.Dispatch(func() {
-		f.pumpScheduled = false
-		f.q.PumpAll()
-	})
+	f.loop.Dispatch(f.pumpFn)
+}
+
+func (f *Fanout) pump() {
+	f.pumpScheduled = false
+	f.q.PumpAll()
 }
 
 // Add implements Stage: the run is queued as one entry, so every branch

@@ -17,8 +17,12 @@ import (
 type Loop struct {
 	clock Clock
 
-	mu      sync.Mutex
-	events  []func()
+	mu     sync.Mutex
+	events []func()
+	// spare is the batch RunPending drained last, emptied: the next drain
+	// installs it as the queue, so Dispatch appends into capacity the loop
+	// already owns however it is driven.
+	spare   []func()
 	timers  timerHeap
 	tasks   []*Task
 	wake    chan struct{}
@@ -204,15 +208,27 @@ func (l *Loop) PendingTasks() int {
 }
 
 // popEvents takes the entire queued event batch in one lock acquisition,
-// installing scratch (an exhausted previous batch) as the new empty queue
-// so the two slices ping-pong with no steady-state allocation. Draining
-// per batch instead of per event is what makes a pipelined XRL window
-// cost one queue operation rather than one per call.
+// installing scratch (the batch the caller has just run, or the loop's
+// spare) as the new empty queue so the two slices ping-pong with no
+// steady-state allocation. Draining per batch instead of per event is
+// what makes a pipelined XRL window cost one queue operation rather than
+// one per call. With nothing queued the queue stays where it is and
+// scratch is parked in l.spare for the next drain; the caller must not
+// use it again.
 func (l *Loop) popEvents(scratch []func()) []func() {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	evs := l.events
+	if len(evs) == 0 {
+		if scratch != nil {
+			l.spare = scratch[:0]
+		}
+		return nil
+	}
+	if scratch == nil {
+		scratch, l.spare = l.spare, nil
+	}
 	l.events = scratch[:0]
-	l.mu.Unlock()
 	return evs
 }
 
@@ -280,7 +296,7 @@ func (l *Loop) RunPending() int {
 			scratch = evs
 			continue
 		}
-		scratch = evs
+		scratch = nil // parked in l.spare by popEvents
 		if t := l.popDueTimer(l.clock.Now()); t != nil {
 			t.fn()
 			n++
@@ -326,6 +342,7 @@ func (l *Loop) Run() {
 	l.mu.Lock()
 	l.stopped = false
 	l.mu.Unlock()
+	var tm *time.Timer // the idle sleep, reused: a busy loop idles briefly and often
 	for {
 		l.mu.Lock()
 		stopped := l.stopped
@@ -342,7 +359,11 @@ func (l *Loop) Run() {
 			if wait <= 0 {
 				continue
 			}
-			tm := time.NewTimer(wait)
+			if tm == nil {
+				tm = time.NewTimer(wait)
+			} else {
+				tm.Reset(wait)
+			}
 			select {
 			case <-l.wake:
 				tm.Stop()

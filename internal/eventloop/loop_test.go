@@ -287,3 +287,48 @@ func TestSimClock(t *testing.T) {
 		t.Fatalf("clock at %v", c.Now())
 	}
 }
+
+// A loop driven a drain at a time keeps its queue between drains: the
+// steady state of Dispatch + RunPending allocates nothing, whether the
+// drain runs events, finds none, or fires a timer in between.
+func TestRunPendingKeepsQueue(t *testing.T) {
+	clock := NewSimClock(time.Unix(0, 0))
+	l := New(clock)
+	ran := 0
+	fn := func() { ran++ }
+	step := func() {
+		l.Dispatch(fn)
+		l.Dispatch(fn)
+		l.RunPending()
+		l.RunPending() // an idle drain must not throw the queue away
+	}
+	for i := 0; i < 10; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("Dispatch+RunPending allocates %.2f objects per round, want 0", allocs)
+	}
+	tm := l.OneShot(time.Second, fn)
+	advance := func() {
+		l.Dispatch(fn)
+		tm.Reschedule(time.Second)
+		l.RunFor(time.Second)
+	}
+	advance()
+	if allocs := testing.AllocsPerRun(1000, advance); allocs != 0 {
+		t.Fatalf("Dispatch+AdvanceTo allocates %.2f objects per round, want 0", allocs)
+	}
+	if want := 2*1011 + 2*1002; ran != want {
+		t.Fatalf("ran %d callbacks, want %d", ran, want)
+	}
+	// Drained slots are cleared, so a finished closure is collectable.
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, q := range [][]func(){l.events[:cap(l.events)], l.spare[:cap(l.spare)]} {
+		for i, f := range q {
+			if f != nil {
+				t.Fatalf("drained queue still holds the event in slot %d", i)
+			}
+		}
+	}
+}

@@ -224,7 +224,8 @@ type xrlFIBClient struct {
 // (adds/replaces as add_entries4, deletes as delete_entries4) instead of
 // one XRL per route.
 func (c *xrlFIBClient) FIBApplyBatch(b *rib.FIBBatch) {
-	if b.Len() == 1 {
+	n := b.Len()
+	if n == 1 {
 		b.Ops(func(op rib.FIBOp) {
 			if op.Kind == rib.FIBOpDelete {
 				c.stub.DeleteEntry4(op.Old.Net, nil)
@@ -234,31 +235,34 @@ func (c *xrlFIBClient) FIBApplyBatch(b *rib.FIBBatch) {
 		})
 		return
 	}
-	var adds, dels []xrl.Atom
-	flushAdds := func() {
-		if len(adds) > 0 {
-			c.stub.AddEntries4Encoded(adds, nil)
-			adds = nil
+	// One array holds every list item of the batch; each run of one kind
+	// ships as the stretch it appended. The items of a shipped run stay
+	// untouched — an intra-process receiver reads them in place after
+	// this returns — and later runs only append past them.
+	items := make([]xrl.Atom, 0, n)
+	start, dels := 0, false
+	ship := func() {
+		if run := items[start:len(items):len(items)]; len(run) > 0 {
+			if dels {
+				c.stub.DeleteEntries4Encoded(run, nil)
+			} else {
+				c.stub.AddEntries4Encoded(run, nil)
+			}
 		}
-	}
-	flushDels := func() {
-		if len(dels) > 0 {
-			c.stub.DeleteEntries4Encoded(dels, nil)
-			dels = nil
-		}
+		start = len(items)
 	}
 	b.Ops(func(op rib.FIBOp) {
-		switch op.Kind {
-		case rib.FIBOpAdd, rib.FIBOpReplace:
-			flushDels()
-			adds = append(adds, xif.EncodeRouteAtom(op.New))
-		case rib.FIBOpDelete:
-			flushAdds()
-			dels = append(dels, xrl.Text("", op.Old.Net.String()))
+		if del := op.Kind == rib.FIBOpDelete; del != dels {
+			ship()
+			dels = del
+		}
+		if dels {
+			items = append(items, xrl.Net("", op.Old.Net))
+		} else {
+			items = append(items, xif.EncodeRouteAtom(op.New))
 		}
 	})
-	flushAdds()
-	flushDels()
+	ship()
 }
 
 // directRedist adapts a BGP process as a rib.Redistributor (route

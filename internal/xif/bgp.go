@@ -101,9 +101,17 @@ func BindBGP(t *xipc.Target, s BGPServer) {
 		if err != nil {
 			return nil, err
 		}
-		dial, _ := args.TextArg("dial")
-		holdTime, _ := args.U32Arg("holdtime")
-		group, _ := args.TextArg("group")
+		var (
+			dial, group string
+			holdTime    uint32
+		)
+		opt := optionals{args: args}
+		opt.text("dial", &dial)
+		opt.u32("holdtime", &holdTime)
+		opt.text("group", &group)
+		if opt.err != nil {
+			return nil, opt.err
+		}
 		return nil, s.AddPeer(BGPPeerConfig{
 			Name:      name,
 			LocalAddr: localAddr,
@@ -148,7 +156,11 @@ func BindBGP(t *xipc.Target, s BGPServer) {
 		if err != nil {
 			return nil, err
 		}
-		med, _ := args.U32Arg("med")
+		var med uint32
+		opt := optionals{args: args}
+		if opt.u32("med", &med); opt.err != nil {
+			return nil, opt.err
+		}
 		return nil, s.OriginateRoute4(net, nh, med)
 	})
 	b.handle("withdraw_route4", func(args xrl.Args) (xrl.Args, error) {

@@ -2,6 +2,7 @@ package xif
 
 import (
 	"fmt"
+	"net/netip"
 
 	"xorp/internal/xipc"
 	"xorp/internal/xrl"
@@ -41,6 +42,48 @@ func (b *binding) done() {
 			panic(fmt.Sprintf("xif: target %s binding of %s/%s left method %q unimplemented",
 				b.t.Name, b.s.Name, b.s.Version, b.s.Methods[i].Name))
 		}
+	}
+}
+
+// optionals reads the arguments a spec marks Optional. One left out of
+// the call keeps its destination's zero value and costs nothing; one sent
+// with the wrong type is xrl.CodeBadArgs, kept in err — never taken for
+// an absent one. Handlers and reply decoders read every optional, then
+// check err once.
+type optionals struct {
+	args xrl.Args
+	err  error
+}
+
+func (o *optionals) get(name string, t xrl.AtomType) *xrl.Atom {
+	a, err := o.args.Optional(name, t)
+	if err != nil && o.err == nil {
+		o.err = err
+	}
+	return a
+}
+
+func (o *optionals) u32(name string, dst *uint32) {
+	if a := o.get(name, xrl.TypeU32); a != nil {
+		*dst = uint32(a.IntVal)
+	}
+}
+
+func (o *optionals) text(name string, dst *string) {
+	if a := o.get(name, xrl.TypeText); a != nil {
+		*dst = a.TextVal
+	}
+}
+
+func (o *optionals) addr(name string, dst *netip.Addr) {
+	if a := o.get(name, xrl.TypeIPv4); a != nil {
+		*dst = a.AddrVal
+	}
+}
+
+func (o *optionals) net(name string, dst *netip.Prefix) {
+	if a := o.get(name, xrl.TypeIPv4Net); a != nil {
+		*dst = a.NetVal
 	}
 }
 

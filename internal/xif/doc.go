@@ -24,7 +24,13 @@
 //     hand-written and reflection-free: argument mismatches become
 //     xrl.CodeBadArgs, unknown methods xrl.CodeNoSuchMethod, and the
 //     hot batch paths (rib add_routes4, fti add_entries4) decode into a
-//     single slice per call so they stay allocation-minimal.
+//     single slice per call so they stay allocation-minimal. An argument
+//     the spec marks Optional is read through xrl.Args.Optional: left
+//     out it costs nothing, sent with the wrong type it is CodeBadArgs —
+//     never mistaken for absent. Every adapter takes what it needs out
+//     of the xrl.Args by value before calling the server, which is what
+//     xipc's rule that a handler's arguments die with the call asks for;
+//     none keeps the argument slice.
 //
 //   - *Client (e.g. RIBClient, FTIClient, FEAUDPClient) is the
 //     generated-style client stub: methods like AddRoute4(proto, entry,
@@ -33,6 +39,15 @@
 //     the wire encoding produced by a stub is pinned byte-for-byte
 //     against the legacy hand-built XRLs by the wire-compatibility
 //     oracle in xif_test.go.
+//
+// Routes cross the list XRLs typed (routeatom.go): an add_routes4 or
+// add_entries4 item is one xrl route atom — prefix, next hop, metric,
+// interface, encoded and decoded without a per-route allocation — and a
+// delete_routes4 or delete_entries4 item an ipv4net/ipv6net atom. Their
+// textual values, "net nexthop metric ifname" with "-" for an absent
+// field and the bare prefix, are what call_xrl and the spec samples
+// write; textual lists being flat, the handlers take a txt item holding
+// that text for the same atom.
 //
 // Interface versioning rides the same declarations: each Spec lists the
 // versions its stubs can speak (Compatible), stub constructors advertise

@@ -68,11 +68,11 @@ func BindFTI(t *xipc.Target, s FTIServer) {
 			return nil, err
 		}
 		e := route.Entry{Net: net}
-		if nh, err := args.AddrArg("nexthop"); err == nil {
-			e.NextHop = nh
-		}
-		if ifn, err := args.TextArg("ifname"); err == nil {
-			e.IfName = ifn
+		opt := optionals{args: args}
+		opt.addr("nexthop", &e.NextHop)
+		opt.text("ifname", &e.IfName)
+		if opt.err != nil {
+			return nil, opt.err
 		}
 		return nil, s.AddEntry4(e)
 	})
@@ -88,13 +88,9 @@ func BindFTI(t *xipc.Target, s FTIServer) {
 		if err != nil {
 			return nil, err
 		}
-		es := make([]route.Entry, 0, len(items))
-		for _, it := range items {
-			e, err := DecodeRouteAtom(it)
-			if err != nil {
-				return nil, xrl.Errorf(xrl.CodeBadArgs, "%v", err)
-			}
-			es = append(es, e)
+		es, err := decodeRouteList(items)
+		if err != nil {
+			return nil, err
 		}
 		return nil, s.AddEntries4(es)
 	})
@@ -103,13 +99,9 @@ func BindFTI(t *xipc.Target, s FTIServer) {
 		if err != nil {
 			return nil, err
 		}
-		nets := make([]netip.Prefix, 0, len(items))
-		for _, it := range items {
-			net, err := netip.ParsePrefix(it.TextVal)
-			if err != nil {
-				return nil, xrl.Errorf(xrl.CodeBadArgs, "xif: bad network %q", it.TextVal)
-			}
-			nets = append(nets, net)
+		nets, err := decodeNetList(items)
+		if err != nil {
+			return nil, err
 		}
 		return nil, s.DeleteEntries4(nets)
 	})
@@ -148,10 +140,10 @@ func NewFTIClient(r *xipc.Router, target string) *FTIClient {
 
 // AddEntry4 installs one forwarding entry.
 func (c *FTIClient) AddEntry4(e route.Entry, done func(error)) {
-	args := xrl.Args{
+	// Sized for the optional nexthop, so appending it never regrows.
+	args := append(make(xrl.Args, 0, 3),
 		xrl.Net("network", e.Net),
-		xrl.Text("ifname", e.IfName),
-	}
+		xrl.Text("ifname", e.IfName))
 	if e.NextHop.IsValid() {
 		args = append(args, xrl.Addr("nexthop", e.NextHop))
 	}
@@ -195,10 +187,13 @@ func (c *FTIClient) LookupEntry4(addr netip.Addr, cb func(FTILookup, *xrl.Error)
 		var ans FTILookup
 		ans.Found, _ = args.BoolArg("found")
 		if ans.Found {
-			ans.Entry.Net, _ = args.NetArg("network")
-			ans.Entry.IfName, _ = args.TextArg("ifname")
-			if nh, e := args.AddrArg("nexthop"); e == nil {
-				ans.Entry.NextHop = nh
+			opt := optionals{args: args}
+			opt.net("network", &ans.Entry.Net)
+			opt.text("ifname", &ans.Entry.IfName)
+			opt.addr("nexthop", &ans.Entry.NextHop)
+			if opt.err != nil {
+				cb(FTILookup{}, xrl.AsError(opt.err))
+				return
 			}
 		}
 		cb(ans, nil)

@@ -159,8 +159,10 @@ func BindFinder(t *xipc.Target, s FinderServer) {
 			return nil, err
 		}
 		var accept []string
-		if items, aerr := args.ListArg("accept"); aerr == nil {
-			accept = textList(items)
+		if a, err := args.Optional("accept", xrl.TypeList); err != nil {
+			return nil, err
+		} else if a != nil {
+			accept = textList(a.ListVal)
 		}
 		res, err := s.Resolve(caller, target, command, accept)
 		if err != nil {

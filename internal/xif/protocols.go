@@ -37,7 +37,11 @@ func BindOSPF(t *xipc.Target, s OSPFServer) {
 		if err != nil {
 			return nil, err
 		}
-		cost, _ := args.U32Arg("cost")
+		var cost uint32
+		opt := optionals{args: args}
+		if opt.u32("cost", &cost); opt.err != nil {
+			return nil, opt.err
+		}
 		return nil, s.Originate(net, cost)
 	})
 	b.handle("withdraw", func(args xrl.Args) (xrl.Args, error) {
@@ -79,7 +83,11 @@ func BindRIP(t *xipc.Target, s RIPServer) {
 		if err != nil {
 			return nil, err
 		}
-		metric, _ := args.U32Arg("metric")
+		var metric uint32
+		opt := optionals{args: args}
+		if opt.u32("metric", &metric); opt.err != nil {
+			return nil, opt.err
+		}
 		return nil, s.AddStaticRoute(net, metric)
 	})
 	b.handle("delete_static_route", func(args xrl.Args) (xrl.Args, error) {

@@ -112,14 +112,12 @@ func parseRouteArgs(args xrl.Args) (route.Protocol, route.Entry, error) {
 		return route.ProtoUnknown, route.Entry{}, err
 	}
 	e := route.Entry{Net: net}
-	if nh, err := args.AddrArg("nexthop"); err == nil {
-		e.NextHop = nh
-	}
-	if m, err := args.U32Arg("metric"); err == nil {
-		e.Metric = m
-	}
-	if ifn, err := args.TextArg("ifname"); err == nil {
-		e.IfName = ifn
+	opt := optionals{args: args}
+	opt.addr("nexthop", &e.NextHop)
+	opt.u32("metric", &e.Metric)
+	opt.text("ifname", &e.IfName)
+	if opt.err != nil {
+		return route.ProtoUnknown, route.Entry{}, opt.err
 	}
 	return proto, e, nil
 }
@@ -175,15 +173,9 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 		if err != nil {
 			return nil, err
 		}
-		// Decode everything before touching the table: a malformed atom
-		// must reject the whole batch, not leave it half-applied.
-		es := make([]route.Entry, 0, len(items))
-		for _, it := range items {
-			e, err := DecodeRouteAtom(it)
-			if err != nil {
-				return nil, xrl.Errorf(xrl.CodeBadArgs, "%v", err)
-			}
-			es = append(es, e)
+		es, err := decodeRouteList(items)
+		if err != nil {
+			return nil, err
 		}
 		return nil, s.AddRoutes4(proto, es)
 	})
@@ -196,13 +188,9 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 		if err != nil {
 			return nil, err
 		}
-		nets := make([]netip.Prefix, 0, len(items))
-		for _, it := range items {
-			net, err := netip.ParsePrefix(it.TextVal)
-			if err != nil {
-				return nil, xrl.Errorf(xrl.CodeBadArgs, "xif: bad network %q", it.TextVal)
-			}
-			nets = append(nets, net)
+		nets, err := decodeNetList(items)
+		if err != nil {
+			return nil, err
 		}
 		return nil, s.DeleteRoutes4(proto, nets)
 	})
@@ -296,11 +284,11 @@ func NewRIBClient(r *xipc.Router, target string) *RIBClient {
 // matches the legacy hand-built call sites byte for byte (the wire-compat
 // oracle pins this).
 func routeArgs(proto string, e route.Entry) xrl.Args {
-	args := xrl.Args{
+	// Sized for the optional atoms, so appending them never regrows.
+	args := append(make(xrl.Args, 0, 5),
 		xrl.Text("protocol", proto),
 		xrl.Net("network", e.Net),
-		xrl.U32("metric", e.Metric),
-	}
+		xrl.U32("metric", e.Metric))
 	if e.IfName != "" {
 		args = append(args, xrl.Text("ifname", e.IfName))
 	}
@@ -377,10 +365,13 @@ func (c *RIBClient) RegisterInterest4(client string, addr netip.Addr, cb func(RI
 		ans.Covering, _ = args.NetArg("covering")
 		if ans.Resolves {
 			ans.Route.Net = ans.Covering
-			ans.Route.Metric, _ = args.U32Arg("metric")
-			ans.Route.IfName, _ = args.TextArg("ifname")
-			if nh, e := args.AddrArg("nexthop"); e == nil {
-				ans.Route.NextHop = nh
+			opt := optionals{args: args}
+			opt.u32("metric", &ans.Route.Metric)
+			opt.text("ifname", &ans.Route.IfName)
+			opt.addr("nexthop", &ans.Route.NextHop)
+			if opt.err != nil {
+				cb(RIBInterest{}, xrl.AsError(opt.err))
+				return
 			}
 		}
 		cb(ans, nil)
@@ -404,16 +395,19 @@ func (c *RIBClient) LookupRouteByDest4(addr netip.Addr, cb func(RIBLookup, *xrl.
 		var ans RIBLookup
 		ans.Found, _ = args.BoolArg("found")
 		if ans.Found {
-			ans.Entry.Net, _ = args.NetArg("network")
-			ans.Entry.Metric, _ = args.U32Arg("metric")
-			ans.Entry.IfName, _ = args.TextArg("ifname")
-			if s, e := args.TextArg("protocol"); e == nil {
-				if p, perr := route.ParseProtocol(s); perr == nil {
-					ans.Entry.Protocol = p
-				}
+			var proto string
+			opt := optionals{args: args}
+			opt.net("network", &ans.Entry.Net)
+			opt.u32("metric", &ans.Entry.Metric)
+			opt.text("ifname", &ans.Entry.IfName)
+			opt.text("protocol", &proto)
+			opt.addr("nexthop", &ans.Entry.NextHop)
+			if opt.err != nil {
+				cb(RIBLookup{}, xrl.AsError(opt.err))
+				return
 			}
-			if nh, e := args.AddrArg("nexthop"); e == nil {
-				ans.Entry.NextHop = nh
+			if p, perr := route.ParseProtocol(proto); perr == nil {
+				ans.Entry.Protocol = p
 			}
 		}
 		cb(ans, nil)

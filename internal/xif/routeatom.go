@@ -3,72 +3,44 @@ package xif
 import (
 	"fmt"
 	"net/netip"
-	"strconv"
-	"strings"
 
 	"xorp/internal/route"
 	"xorp/internal/xrl"
 )
 
-// The add_routes4 / delete_routes4 / add_entries4 XRLs carry a whole run
-// of routes in one message, so a protocol dumping a table (or the BGP
-// feed during a full-table load) pays the IPC fixed cost once per run
-// instead of once per route. Each route rides in a list as a text atom;
-// this file owns that encoding, shared by the RIB/FEA-side handlers and
-// every typed client stub.
+// The add_routes4 / delete_routes4 / add_entries4 / delete_entries4 XRLs
+// carry a whole run of routes in one message, so a protocol dumping a
+// table (or the BGP feed during a full-table load) pays the IPC fixed
+// cost once per run instead of once per route. Each route rides in the
+// list as one typed atom — a route atom for an add, an ipv4net/ipv6net
+// atom for a delete — so it crosses the hop as the values it is made of,
+// never as text. This file owns that encoding, shared by the RIB/FEA-side
+// handlers and every typed client stub.
+//
+// Textual XRLs have flat lists (every item is a txt atom), so the
+// decoders also accept a txt item holding the atom's textual value,
+// "net nexthop metric ifname" with "-" for an absent nexthop or
+// interface, or a bare prefix: that is how call_xrl and the spec samples
+// spell the same atoms.
 
-// EncodeRouteAtom renders e as an add_routes4 list item:
-// "net nexthop metric ifname", with "-" marking an absent nexthop or
-// interface name.
+// EncodeRouteAtom renders e as an add_routes4 / add_entries4 list item.
 func EncodeRouteAtom(e route.Entry) xrl.Atom {
-	nh := "-"
-	if e.NextHop.IsValid() {
-		nh = e.NextHop.String()
-	}
-	ifn := e.IfName
-	if ifn == "" {
-		ifn = "-"
-	}
-	var sb strings.Builder
-	sb.Grow(len(ifn) + len(nh) + 32)
-	sb.WriteString(e.Net.String())
-	sb.WriteByte(' ')
-	sb.WriteString(nh)
-	sb.WriteByte(' ')
-	sb.WriteString(strconv.FormatUint(uint64(e.Metric), 10))
-	sb.WriteByte(' ')
-	sb.WriteString(ifn)
-	return xrl.Text("", sb.String())
+	return xrl.Route("", e.Net, e.NextHop, e.Metric, e.IfName)
 }
 
-// DecodeRouteAtom parses an add_routes4 list item back into an Entry.
+// DecodeRouteAtom turns an add_routes4 / add_entries4 list item back
+// into an Entry.
 func DecodeRouteAtom(a xrl.Atom) (route.Entry, error) {
-	var e route.Entry
-	fields := strings.Fields(a.TextVal)
-	if len(fields) != 4 {
-		return e, fmt.Errorf("xif: malformed route atom %q", a.TextVal)
-	}
-	net, err := netip.ParsePrefix(fields[0])
-	if err != nil {
-		return e, fmt.Errorf("xif: route atom net: %v", err)
-	}
-	e.Net = net
-	if fields[1] != "-" {
-		nh, err := netip.ParseAddr(fields[1])
-		if err != nil {
-			return e, fmt.Errorf("xif: route atom nexthop: %v", err)
+	if a.Type == xrl.TypeText {
+		var err error
+		if a, err = xrl.ParseAtomValue("", xrl.TypeRoute, a.TextVal); err != nil {
+			return route.Entry{}, err
 		}
-		e.NextHop = nh
 	}
-	metric, err := strconv.ParseUint(fields[2], 10, 32)
-	if err != nil {
-		return e, fmt.Errorf("xif: route atom metric: %v", err)
+	if a.Type != xrl.TypeRoute || !a.NetVal.IsValid() {
+		return route.Entry{}, fmt.Errorf("xif: list item %v is not a route", a)
 	}
-	e.Metric = uint32(metric)
-	if fields[3] != "-" {
-		e.IfName = fields[3]
-	}
-	return e, nil
+	return route.Entry{Net: a.NetVal, NextHop: a.AddrVal, Metric: uint32(a.IntVal), IfName: a.TextVal}, nil
 }
 
 // EncodeRouteAtoms encodes a batch of entries as list items.
@@ -81,11 +53,47 @@ func EncodeRouteAtoms(es []route.Entry) []xrl.Atom {
 }
 
 // EncodeNetAtoms encodes a batch of prefixes as delete_routes4 /
-// delete_entries4 list items (bare prefix text).
+// delete_entries4 list items.
 func EncodeNetAtoms(nets []netip.Prefix) []xrl.Atom {
 	items := make([]xrl.Atom, len(nets))
 	for i := range nets {
-		items[i] = xrl.Text("", nets[i].String())
+		items[i] = xrl.Net("", nets[i])
 	}
 	return items
+}
+
+// decodeRouteList decodes the items of an add_routes4 / add_entries4
+// list. Everything is decoded before the server sees any of it: a
+// malformed item must reject the whole batch, not leave it half-applied.
+func decodeRouteList(items []xrl.Atom) ([]route.Entry, error) {
+	es := make([]route.Entry, 0, len(items))
+	for i := range items {
+		e, err := DecodeRouteAtom(items[i])
+		if err != nil {
+			return nil, xrl.Errorf(xrl.CodeBadArgs, "%v", err)
+		}
+		es = append(es, e)
+	}
+	return es, nil
+}
+
+// decodeNetList decodes the items of a delete_routes4 / delete_entries4
+// list.
+func decodeNetList(items []xrl.Atom) ([]netip.Prefix, error) {
+	nets := make([]netip.Prefix, 0, len(items))
+	for i := range items {
+		it := &items[i]
+		var net netip.Prefix
+		switch it.Type {
+		case xrl.TypeIPv4Net, xrl.TypeIPv6Net:
+			net = it.NetVal
+		case xrl.TypeText:
+			net, _ = netip.ParsePrefix(it.TextVal)
+		}
+		if !net.IsValid() {
+			return nil, xrl.Errorf(xrl.CodeBadArgs, "xif: list item %v is not a network", *it)
+		}
+		nets = append(nets, net)
+	}
+	return nets, nil
 }

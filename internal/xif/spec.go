@@ -169,7 +169,7 @@ func (m *Method) CheckArgs(args xrl.Args) error {
 			}
 			return fmt.Errorf("method %s: missing argument %s:%v", m.Name, d.Name, d.Type)
 		}
-		if !typeMatches(d.Type, a.Type) {
+		if !d.Type.Accepts(a.Type) {
 			return fmt.Errorf("method %s: argument %s has type %v, want %v",
 				m.Name, d.Name, a.Type, d.Type)
 		}
@@ -189,22 +189,6 @@ func (m *Method) arg(name string) *Arg {
 		}
 	}
 	return nil
-}
-
-// typeMatches reports whether an actual atom type satisfies a declared
-// one. Address and prefix arguments declared as the IPv4 flavor accept
-// the IPv6 flavor too, matching the Args.AddrArg/NetArg accessors.
-func typeMatches(want, got xrl.AtomType) bool {
-	if want == got {
-		return true
-	}
-	switch want {
-	case xrl.TypeIPv4, xrl.TypeIPv6:
-		return got == xrl.TypeIPv4 || got == xrl.TypeIPv6
-	case xrl.TypeIPv4Net, xrl.TypeIPv6Net:
-		return got == xrl.TypeIPv4Net || got == xrl.TypeIPv6Net
-	}
-	return false
 }
 
 // Usage renders the method's call shape in XRL textual form, e.g.
@@ -291,21 +275,7 @@ func sampleAtom(d *Arg) (xrl.Atom, error) {
 		// A sample list holds one text item.
 		return xrl.List(d.Name, xrl.Text("", val)), nil
 	}
-	return parseTextAtom(d.Name, d.Type, val)
-}
-
-// parseTextAtom builds an atom of typ from its canonical textual value by
-// round-tripping through the xrl text parser.
-func parseTextAtom(name string, typ xrl.AtomType, val string) (xrl.Atom, error) {
-	x, err := xrl.Parse("finder://t/i/0.0/m?" + name + ":" + typ.String() + "=" + val)
-	if err != nil {
-		return xrl.Atom{}, err
-	}
-	a, ok := x.Args.Get(name)
-	if !ok {
-		return xrl.Atom{}, fmt.Errorf("sample %q did not parse", val)
-	}
-	return a, nil
+	return xrl.ParseAtomValue(d.Name, d.Type, val)
 }
 
 // CompareVersions orders two "major.minor" interface versions, returning

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -59,9 +60,11 @@ func encodeCall(t *testing.T, target, cmd string, args xrl.Args) []byte {
 	return buf
 }
 
-// legacyRouteAtom is the pre-xif rib.EncodeRouteAtom format, pinned
-// literally so drift in EncodeRouteAtom breaks the oracle.
-func legacyRouteAtom(e route.Entry) xrl.Atom {
+// textRouteAtom is a route list item as a textual XRL carries it: a txt
+// atom holding "net nexthop metric ifname". It was the wire form too
+// until the route atom replaced it there; the format is pinned literally
+// so drift in the text form call_xrl users type breaks the oracle.
+func textRouteAtom(e route.Entry) xrl.Atom {
 	nh, ifn := "-", "-"
 	if e.NextHop.IsValid() {
 		nh = e.NextHop.String()
@@ -133,12 +136,14 @@ func TestWireCompatOracle(t *testing.T) {
 	ribStub.AddRoutes4("ebgp", es, nil)
 	wants = append(wants, want{"rib/1.0/add_routes4", xrl.Args{
 		xrl.Text("protocol", "ebgp"),
-		xrl.List("routes", legacyRouteAtom(e1), legacyRouteAtom(e2)),
+		xrl.List("routes",
+			xrl.Route("", e1.Net, e1.NextHop, e1.Metric, ""),
+			xrl.Route("", e2.Net, netip.Addr{}, e2.Metric, e2.IfName)),
 	}})
 	ribStub.DeleteRoutes4("ospf", nets, nil)
 	wants = append(wants, want{"rib/1.0/delete_routes4", xrl.Args{
 		xrl.Text("protocol", "ospf"),
-		xrl.List("networks", xrl.Text("", nets[0].String()), xrl.Text("", nets[1].String())),
+		xrl.List("networks", xrl.IPv4Net("", nets[0]), xrl.IPv4Net("", nets[1])),
 	}})
 
 	// fti/0.2 — legacy: rtrmgr xrlFIBClient (network, ifname, optional
@@ -155,11 +160,13 @@ func TestWireCompatOracle(t *testing.T) {
 	}})
 	ftiStub.AddEntries4(es, nil)
 	wants = append(wants, want{"fti/0.2/add_entries4", xrl.Args{
-		xrl.List("entries", legacyRouteAtom(e1), legacyRouteAtom(e2)),
+		xrl.List("entries",
+			xrl.Route("", e1.Net, e1.NextHop, e1.Metric, ""),
+			xrl.Route("", e2.Net, netip.Addr{}, e2.Metric, e2.IfName)),
 	}})
 	ftiStub.DeleteEntries4(nets, nil)
 	wants = append(wants, want{"fti/0.2/delete_entries4", xrl.Args{
-		xrl.List("networks", xrl.Text("", nets[0].String()), xrl.Text("", nets[1].String())),
+		xrl.List("networks", xrl.IPv4Net("", nets[0]), xrl.IPv4Net("", nets[1])),
 	}})
 
 	loop.RunPending()
@@ -179,6 +186,108 @@ func TestWireCompatOracle(t *testing.T) {
 				i, w.cmd, got, legacy)
 		}
 	}
+
+	// The route atom's bytes, pinned literally: type 14, empty name, flags
+	// (bit 1: a next hop follows), 10.0.1.0/24, 192.168.1.254, metric 5,
+	// empty ifname — then the same without a next hop and with "eth0".
+	for _, c := range []struct {
+		e    route.Entry
+		wire string
+	}{
+		{e1, "0e00" + "02" + "0a000100" + "18" + "c0a801fe" + "00000005" + "00"},
+		{e2, "0e00" + "00" + "0a000200" + "18" + "00000001" + "04" + "65746830"},
+	} {
+		buf, err := xrl.AppendRequest(nil, &xrl.Request{Args: xrl.Args{xif.EncodeRouteAtom(c.e)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 1 type + 4 seq + 3 empty str16 + u16 count precede the atom.
+		if got := fmt.Sprintf("%x", buf[13:]); got != c.wire {
+			t.Errorf("route atom %v on the wire:\n got  %s\n want %s", c.e, got, c.wire)
+		}
+	}
+}
+
+// TestListXRLsFromText is the other half of the oracle: the list XRLs as a
+// person or a script spells them. Textual lists are flat txt items, so a
+// route arrives as "net nexthop metric ifname" and a network as a bare
+// prefix; the handlers must take them for the same routes the typed atoms
+// carry.
+func TestListXRLsFromText(t *testing.T) {
+	e1 := route.Entry{
+		Net:     netip.MustParsePrefix("10.0.1.0/24"),
+		NextHop: netip.MustParseAddr("192.168.1.254"),
+		Metric:  5,
+	}
+	e2 := route.Entry{Net: netip.MustParsePrefix("10.0.2.0/24"), Metric: 1, IfName: "eth0"}
+	for _, e := range []route.Entry{e1, e2} {
+		item := textRouteAtom(e)
+		if want := xif.EncodeRouteAtom(e); item.TextVal != strings.SplitN(want.String(), "=", 2)[1] {
+			t.Errorf("text form of %v is %q, the route atom prints %q", e, item.TextVal, want.String())
+		}
+		got, err := xif.DecodeRouteAtom(item)
+		if err != nil || !reflect.DeepEqual(got, e) {
+			t.Errorf("DecodeRouteAtom(%q) = %v, %v; want %v", item.TextVal, got, err, e)
+		}
+	}
+
+	loop := eventloop.New(nil)
+	r := xipc.NewRouter("from_text", loop)
+	srv := &listServer{}
+	target := xif.NewTarget("conf", "conf")
+	xif.BindRIB(target, srv)
+	xif.BindFTI(target, srv)
+	r.AddTarget(target)
+	for _, text := range []string{
+		"finder://conf/rib/1.0/add_routes4?protocol:txt=static&routes:list=10.0.1.0/24 192.168.1.254 5 -,10.0.2.0/24 - 1 eth0",
+		"finder://conf/rib/1.0/delete_routes4?protocol:txt=static&networks:list=10.0.1.0/24,10.0.2.0/24",
+		"finder://conf/fti/0.2/add_entries4?entries:list=10.0.1.0/24 192.168.1.254 5 -,10.0.2.0/24 - 1 eth0",
+		"finder://conf/fti/0.2/delete_entries4?networks:list=10.0.1.0/24,10.0.2.0/24",
+	} {
+		x, err := xrl.Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", text, err)
+		}
+		spec, _ := xif.Lookup(x.Interface, x.Version)
+		if err := spec.Check(x.Method, x.Args); err != nil {
+			t.Fatalf("%s fails its spec: %v", text, err)
+		}
+		var xerr *xrl.Error
+		r.SendFromLoop(x, func(_ xrl.Args, err *xrl.Error) { xerr = err })
+		if xerr != nil {
+			t.Fatalf("%s: %v", text, xerr)
+		}
+	}
+	wantAdds := []route.Entry{e1, e2, e1, e2}
+	wantDels := []netip.Prefix{e1.Net, e2.Net, e1.Net, e2.Net}
+	if !reflect.DeepEqual(srv.adds, wantAdds) || !reflect.DeepEqual(srv.dels, wantDels) {
+		t.Fatalf("servers saw adds %v dels %v, want %v and %v", srv.adds, srv.dels, wantAdds, wantDels)
+	}
+}
+
+// listServer records what the list methods of rib/1.0 and fti/0.2 hand
+// their server.
+type listServer struct {
+	confServer
+	adds []route.Entry
+	dels []netip.Prefix
+}
+
+func (s *listServer) AddRoutes4(_ route.Protocol, es []route.Entry) error {
+	s.adds = append(s.adds, es...)
+	return nil
+}
+func (s *listServer) DeleteRoutes4(_ route.Protocol, nets []netip.Prefix) error {
+	s.dels = append(s.dels, nets...)
+	return nil
+}
+func (s *listServer) AddEntries4(es []route.Entry) error {
+	s.adds = append(s.adds, es...)
+	return nil
+}
+func (s *listServer) DeleteEntries4(nets []netip.Prefix) error {
+	s.dels = append(s.dels, nets...)
+	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -289,10 +398,8 @@ func (confServer) StatsScrape() ([]string, error) {
 }
 func (confServer) StatsGet(string) (bool, float64, error) { return true, 1, nil }
 
-func TestSpecConformance(t *testing.T) {
-	loop := eventloop.New(nil)
-	r := xipc.NewRouter("conformance", loop)
-	target := xif.NewTarget("conf", "conf")
+// bindAll binds every interface confServer implements onto target.
+func bindAll(target *xipc.Target) {
 	srv := confServer{}
 	xif.BindRIB(target, srv)
 	xif.BindRIBNotify(target, srv)
@@ -309,6 +416,13 @@ func TestSpecConformance(t *testing.T) {
 	xif.BindFwd(target, srv)
 	xif.BindConfig(target, srv)
 	xif.BindStats(target, srv)
+}
+
+func TestSpecConformance(t *testing.T) {
+	loop := eventloop.New(nil)
+	r := xipc.NewRouter("conformance", loop)
+	target := xif.NewTarget("conf", "conf")
+	bindAll(target)
 	r.AddTarget(target)
 
 	bound := make(map[string]bool)
@@ -561,5 +675,148 @@ func TestRouteAtomRoundTrip(t *testing.T) {
 	}
 	if _, err := xif.DecodeRouteAtom(xrl.Text("", "not a route")); err == nil {
 		t.Fatal("malformed atom accepted")
+	}
+}
+
+// optServer counts the calls that reach the server methods whose XRLs
+// take optional arguments.
+type optServer struct {
+	confServer
+	calls int
+	last  route.Entry
+}
+
+func (s *optServer) AddRoute4(_ route.Protocol, e route.Entry) error {
+	s.calls, s.last = s.calls+1, e
+	return nil
+}
+func (s *optServer) ReplaceRoute4(_ route.Protocol, e route.Entry) error {
+	s.calls, s.last = s.calls+1, e
+	return nil
+}
+func (s *optServer) AddEntry4(e route.Entry) error {
+	s.calls, s.last = s.calls+1, e
+	return nil
+}
+func (s *optServer) Originate(netip.Prefix, uint32) error { s.calls++; return nil }
+
+// TestOptionalArguments: an optional argument left out is free, and one
+// sent with the wrong type is BAD_ARGS before the server sees the call —
+// not a route quietly installed without its next hop.
+func TestOptionalArguments(t *testing.T) {
+	loop := eventloop.New(nil)
+	r := xipc.NewRouter("optional", loop)
+	srv := &optServer{}
+	target := xif.NewTarget("conf", "conf")
+	xif.BindRIB(target, srv)
+	xif.BindFTI(target, srv)
+	xif.BindOSPF(target, srv)
+	r.AddTarget(target)
+
+	var got *xrl.Error
+	cb := func(_ xrl.Args, err *xrl.Error) { got = err }
+	call := func(iface, version, method string, args ...xrl.Atom) *xrl.Error {
+		got = nil
+		r.SendFromLoop(xrl.XRL{Protocol: xrl.ProtoFinder, Target: "conf",
+			Interface: iface, Version: version, Method: method, Args: args}, cb)
+		return got
+	}
+	net := xrl.Net("network", confEntry.Net)
+
+	for _, c := range []struct {
+		what                   string
+		iface, version, method string
+		args                   []xrl.Atom
+	}{
+		{"replace_route4 nexthop as txt", "rib", "1.0", "replace_route4",
+			[]xrl.Atom{xrl.Text("protocol", "static"), net, xrl.Text("nexthop", "192.0.2.1")}},
+		{"add_route4 metric as txt", "rib", "1.0", "add_route4",
+			[]xrl.Atom{xrl.Text("protocol", "static"), net, xrl.Text("metric", "5")}},
+		{"add_route4 ifname as u32", "rib", "1.0", "add_route4",
+			[]xrl.Atom{xrl.Text("protocol", "static"), net, xrl.U32("ifname", 0)}},
+		{"add_entry4 nexthop as ipv4net", "fti", "0.2", "add_entry4",
+			[]xrl.Atom{net, xrl.Net("nexthop", confEntry.Net)}},
+		{"ospf originate cost as txt", "ospf", "0.1", "originate",
+			[]xrl.Atom{net, xrl.Text("cost", "10")}},
+	} {
+		err := call(c.iface, c.version, c.method, c.args...)
+		if err == nil || err.Code != xrl.CodeBadArgs {
+			t.Errorf("%s: %v, want BAD_ARGS", c.what, err)
+		}
+		if srv.calls != 0 {
+			t.Fatalf("%s: the server method ran", c.what)
+		}
+	}
+
+	// Present and well typed, an optional still arrives.
+	if err := call("rib", "1.0", "replace_route4", xrl.Text("protocol", "static"), net,
+		xrl.Addr("nexthop", confEntry.NextHop), xrl.U32("metric", 7), xrl.Text("ifname", "eth1")); err != nil {
+		t.Fatal(err)
+	}
+	if srv.last.NextHop != confEntry.NextHop || srv.last.Metric != 7 || srv.last.IfName != "eth1" {
+		t.Fatalf("optionals lost: %+v", srv.last)
+	}
+
+	// Absent optionals cost nothing: the whole local call is free.
+	replace := xrl.XRL{Protocol: xrl.ProtoFinder, Target: "conf",
+		Interface: "rib", Version: "1.0", Method: "replace_route4",
+		Args: xrl.Args{xrl.Text("protocol", "static"), net}}
+	addEntry := xrl.XRL{Protocol: xrl.ProtoFinder, Target: "conf",
+		Interface: "fti", Version: "0.2", Method: "add_entry4", Args: xrl.Args{net}}
+	if allocs := testing.AllocsPerRun(200, func() {
+		r.SendFromLoop(replace, cb)
+		r.SendFromLoop(addEntry, cb)
+	}); allocs != 0 || got != nil {
+		t.Fatalf("calls without their optional arguments: %.1f allocations (err %v), want 0", allocs, got)
+	}
+}
+
+// TestRouteAtomAllocs: a list of routes crosses the wire — encode, then
+// decode into entries — without a per-route allocation. What is left is
+// per list: the items, the decoded list atom, the entries.
+func TestRouteAtomAllocs(t *testing.T) {
+	const n = 256
+	es := make([]route.Entry, n)
+	for i := range es {
+		es[i] = route.Entry{
+			Net:     netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16),
+			NextHop: netip.AddrFrom4([4]byte{192, 0, 2, byte(i)}),
+			Metric:  uint32(i),
+			IfName:  "eth0",
+		}
+	}
+	var (
+		buf   []byte
+		req   xrl.Request
+		items = make([]xrl.Atom, n)
+		back  = make([]route.Entry, n)
+	)
+	round := func() {
+		for i := range es {
+			items[i] = xif.EncodeRouteAtom(es[i])
+		}
+		var err error
+		buf, err = xrl.AppendRequest(buf[:0], &xrl.Request{Command: "rib/1.0/add_routes4",
+			Args: xrl.Args{xrl.List("routes", items...)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := xrl.ParseRequest(buf, &req); err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range req.Args[0].ListVal {
+			if back[i], err = xif.DecodeRouteAtom(it); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round()
+	if !reflect.DeepEqual(back, es) {
+		t.Fatalf("round trip changed the routes: %v", back[:2])
+	}
+	// Two per list: the Args of the request built above and the decoded
+	// list's items. Nothing per route.
+	if allocs := testing.AllocsPerRun(50, round); allocs > 2 {
+		t.Fatalf("%d routes through the wire: %.1f allocations, want <= 2 per list", n, allocs)
 	}
 }

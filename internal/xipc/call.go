@@ -1,0 +1,188 @@
+package xipc
+
+import (
+	"time"
+
+	"xorp/internal/eventloop"
+	"xorp/internal/xrl"
+)
+
+// maxFreeCalls bounds the Router's list of idle call records. A steady
+// pipeline reuses one record at a time — a record is released before its
+// callback runs, and the callback is what sends the next XRL — so the
+// list only fills when a window drains, and what it then holds is what
+// the next window takes. 128 covers the Figure-9 window of 100: measured
+// on the xrl workload, a list of 32 drops 68 records per drained window
+// and pays 0.41 allocations per XRL to make them again (a record is six
+// objects, about 0.5 KB), where 128 pays none and holds at most 64 KB.
+const maxFreeCalls = 128
+
+// call is the record of one outgoing XRL, from Send to the callback: the
+// one object that replaces a chain of per-call closures. The Router owns
+// it and reuses it. Whatever it hands to a Loop or a Timer is one of the
+// four funcs bound when it was made, so a steady stream of XRLs allocates
+// nothing here.
+//
+// A record belongs to one loop at a time. It is the sending Router's,
+// except between intraSend and complete, when the destination's loop
+// reads req and writes out and err — which is why a record that times
+// out in that window is not released until it has hopped back (away and
+// done below). On TCP and UDP nothing but the sender's loop sees it: a
+// reply finds its record through the sender's pending table by sequence
+// number, a number used once, so a reply that arrives after its record
+// timed out and went on to carry another call finds nothing.
+type call struct {
+	r *Router
+
+	// What was asked; set by Send, cleared by release.
+	x    xrl.XRL
+	cb   Callback
+	idem bool // SendIdempotent: transient transport failures are retried
+
+	// Progress, touched only on r's loop.
+	attempt    int    // idempotent attempt, from 1
+	allowRetry bool   // sent over a cached resolution not yet refreshed
+	backingOff bool   // timer is an idempotent backoff, not a reply timeout
+	away       bool   // at the destination's loop (intra)
+	done       bool   // timed out while away; complete only releases it
+	proto      string // protocol family in use, for the timeout note
+	via        sender // transport holding the pending entry, if any
+
+	// The wire request, and the intra destination that reads it.
+	req  xrl.Request
+	dest *Router
+
+	// The reply on its way back from the destination's loop (intra).
+	out xrl.Args
+	err *xrl.Error
+
+	// timer is the reply timeout, and between idempotent attempts the
+	// backoff. Made on first use and kept: Reschedule re-arms it.
+	timer *eventloop.Timer
+
+	startFn, handleFn, completeFn, timerFn func()
+
+	next *call // free list
+}
+
+// newCall takes a record off the free list, or makes one. r.mu is held.
+func (r *Router) newCall(x xrl.XRL, cb Callback, idem bool) *call {
+	c := r.free
+	if c != nil {
+		r.free, c.next = c.next, nil
+		r.nfree--
+	} else {
+		c = &call{r: r}
+		c.startFn, c.handleFn, c.completeFn, c.timerFn = c.start, c.handle, c.complete, c.onTimer
+	}
+	c.x, c.cb, c.idem, c.attempt, c.allowRetry = x, cb, idem, 1, true
+	return c
+}
+
+// release returns a finished record to the free list, dropping what it
+// referenced. Runs on the loop.
+func (r *Router) release(c *call) {
+	c.x, c.cb, c.req, c.dest, c.via = xrl.XRL{}, nil, xrl.Request{}, nil, nil
+	c.out, c.err = nil, nil
+	c.allowRetry, c.backingOff, c.away, c.done = false, false, false, false
+	r.mu.Lock()
+	if r.nfree < maxFreeCalls {
+		c.next, r.free = r.free, c
+		r.nfree++
+	}
+	r.mu.Unlock()
+}
+
+// start is where a Send lands on the loop.
+func (c *call) start() { c.r.route(c) }
+
+// armTimer (re)schedules the record's timer d from now on the loop clock.
+func (c *call) armTimer(d time.Duration) {
+	if c.timer == nil {
+		c.timer = c.r.loop.OneShot(d, c.timerFn)
+	} else {
+		c.timer.Reschedule(d)
+	}
+}
+
+func (c *call) onTimer() {
+	if c.backingOff {
+		c.backingOff, c.allowRetry = false, true
+		c.r.route(c)
+		return
+	}
+	c.r.finish(c, nil, &xrl.Error{Code: xrl.CodeReplyTimeout,
+		Note: c.proto + " reply timeout for " + c.req.Command})
+}
+
+// handle runs the request on the destination's loop (intra) and sends
+// the record home with the reply.
+func (c *call) handle() {
+	c.out, c.err = c.dest.dispatch(c.req.Target, c.req.Command, c.req.Key, c.req.Args)
+	c.r.loop.Dispatch(c.completeFn)
+}
+
+// complete is the record back on the sender's loop with its intra reply.
+func (c *call) complete() {
+	c.away = false
+	if c.done {
+		c.r.release(c) // the timeout already answered the caller
+		return
+	}
+	c.r.finish(c, c.out, c.err)
+}
+
+// staleResolution reports whether a failure says the cached resolution no
+// longer describes the target: it has gone, moved, or been re-keyed.
+func staleResolution(code xrl.ErrorCode) bool {
+	return code == xrl.CodeNoSuchTarget || code == xrl.CodeSendFailed || code == xrl.CodeBadKey
+}
+
+// finish ends one attempt of c with a reply or a failure. A failure that
+// blames the cached resolution drops it and re-resolves, once; a
+// transient one on an idempotent call backs off and tries again, within
+// the policy; anything else is the caller's answer. The record is
+// released before the callback runs: callbacks usually send the next XRL,
+// and that one then takes this record. Runs on the loop.
+func (r *Router) finish(c *call, args xrl.Args, err *xrl.Error) {
+	if c.timer != nil {
+		c.timer.Cancel()
+	}
+	if c.via != nil {
+		c.via.forget(c)
+		c.via = nil
+	}
+	if err != nil {
+		if c.allowRetry && staleResolution(err.Code) {
+			c.allowRetry = false
+			r.mu.Lock()
+			delete(r.cache, keyOf(&c.x))
+			r.mu.Unlock()
+			r.route(c)
+			return
+		}
+		if c.idem && retryable(err.Code) {
+			r.mu.Lock()
+			pol := r.retry
+			r.mu.Unlock()
+			if c.attempt < pol.Attempts {
+				c.backingOff = true
+				c.armTimer(backoff(pol, c.attempt))
+				c.attempt++
+				return
+			}
+		}
+	}
+	cb := c.cb
+	if c.away {
+		// Timed out with the request still at the destination's loop,
+		// which may be reading the record now. Answer the caller; the
+		// record is released when it comes home.
+		c.done, c.cb = true, nil
+	} else {
+		r.release(c)
+	}
+	if cb != nil {
+		cb(args, err)
+	}
+}

@@ -73,54 +73,14 @@ func backoff(p RetryPolicy, attempt int) time.Duration {
 
 // SendIdempotent dispatches x like Send, but transient transport
 // failures (CodeResolveFailed, CodeSendFailed) are retried with bounded
-// jittered exponential backoff before the error reaches cb. Use only for
+// jittered exponential backoff before the error reaches cb (finish, in
+// call.go, keeps the attempt count in the call record). Use only for
 // calls that are safe to deliver more than once — the typed stub layer
 // (internal/xif) selects this path from the spec's Idempotent flag.
-// Safe to call from any goroutine.
-func (r *Router) SendIdempotent(x xrl.XRL, cb Callback) {
-	if cb == nil {
-		cb = func(xrl.Args, *xrl.Error) {}
-	}
-	r.loop.Dispatch(func() { r.sendIdemInLoop(x, cb) })
-}
+// A local target is called directly and cannot fail with a transport
+// error, so it never retries. Safe to call from any goroutine.
+func (r *Router) SendIdempotent(x xrl.XRL, cb Callback) { r.enqueue(x, cb, true) }
 
 // SendIdempotentFromLoop is SendIdempotent for callers already on the
 // router's event loop.
-func (r *Router) SendIdempotentFromLoop(x xrl.XRL, cb Callback) {
-	if cb == nil {
-		cb = func(xrl.Args, *xrl.Error) {}
-	}
-	r.sendIdemInLoop(x, cb)
-}
-
-// sendIdemInLoop starts the retrying send. Local targets dispatch
-// directly and cannot fail with a transport error, so they skip the
-// retry wrapper — keeping the intra-process hot path (e.g. batched RIB
-// loads through the typed stubs) allocation-identical to plain Send.
-func (r *Router) sendIdemInLoop(x xrl.XRL, cb Callback) {
-	r.mu.Lock()
-	_, isLocal := r.targets[x.Target]
-	r.mu.Unlock()
-	if isLocal && !x.IsResolved() {
-		r.sendInLoop(x, cb, true)
-		return
-	}
-	r.sendWithRetry(x, cb, 1)
-}
-
-// sendWithRetry runs one attempt and re-arms on transient failure. Runs
-// on the loop.
-func (r *Router) sendWithRetry(x xrl.XRL, cb Callback, attempt int) {
-	r.mu.Lock()
-	pol := r.retry
-	r.mu.Unlock()
-	r.sendInLoop(x, func(args xrl.Args, err *xrl.Error) {
-		if err == nil || !retryable(err.Code) || attempt >= pol.Attempts {
-			cb(args, err)
-			return
-		}
-		r.loop.OneShot(backoff(pol, attempt), func() {
-			r.sendWithRetry(x, cb, attempt+1)
-		})
-	}, true)
-}
+func (r *Router) SendIdempotentFromLoop(x xrl.XRL, cb Callback) { r.sendFromLoop(x, cb, true) }

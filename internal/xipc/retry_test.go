@@ -16,25 +16,14 @@ func TestSendIdempotentRetriesResolveFailure(t *testing.T) {
 	loop := eventloop.New(clock)
 	hub := NewHub()
 
-	// A bare-bones in-loop finder stand-in: resolution fails while the
-	// target is absent, succeeds once present. Easiest real setup is the
-	// actual finder package, but that would import-cycle the test; instead
-	// run both routers on one hub with a finder target implemented here.
-	fr := NewRouter("finder_process", loop)
+	// Resolution fails while the target is absent, succeeds once present.
 	present := false
-	ft := NewTarget(FinderTargetName, "finder")
-	ft.Register("finder", "1.0", "resolve", func(args xrl.Args) (xrl.Args, error) {
+	newStubFinder(loop, hub, func(string, string) (xrl.Args, error) {
 		if !present {
 			return nil, &xrl.Error{Code: xrl.CodeResolveFailed, Note: "no target"}
 		}
-		return xrl.Args{
-			xrl.Text("instance", "peer"),
-			xrl.Text("key", ""),
-			xrl.List("endpoints", xrl.Text("", xrl.ProtoIntra+"|"+hub.ID())),
-		}, nil
+		return resolution("peer", "", xrl.ProtoIntra+"|"+hub.ID()), nil
 	})
-	fr.AddTarget(ft)
-	fr.AttachHub(hub)
 
 	pr := NewRouter("peer_process", loop)
 	pt := NewTarget("peer", "peer")

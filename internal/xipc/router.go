@@ -15,26 +15,34 @@ import (
 const FinderTargetName = "finder"
 
 // Callback receives the result of an asynchronous Send. It runs on the
-// sending Router's event loop. err is nil on success.
+// sending Router's event loop, exactly once. err is nil on success. args
+// are the callback's to keep.
 type Callback func(args xrl.Args, err *xrl.Error)
 
-// resolved is a cached Finder resolution for one (target, command).
+// resolved is where one method of one target is to be sent: a cached
+// Finder resolution, or what a pre-resolved XRL or a call to the Finder
+// itself already says.
 type resolved struct {
 	proto    string // xrl.ProtoIntra / ProtoSTCP / ProtoSUDP
 	addr     string // hub id or host:port
 	instance string // concrete component instance name
 	key      string // method key
-	// cmd is the negotiated command. It differs from the requested
-	// command when the Finder picked a higher mutually supported
-	// interface version (the caller advertised it via AdvertiseVersions).
-	// Empty means "use the requested command".
+	// cmd is the command to put on the wire and to look the handler up
+	// by. It differs from the one the caller composed when the Finder
+	// picked a higher mutually supported interface version (the caller
+	// advertised it via AdvertiseVersions). Built once per resolution, so
+	// a send over the cache never concatenates it.
 	cmd string
 }
 
-// cacheKey identifies one cached resolution. A comparable struct key means
-// cache hits on the send hot path allocate nothing (concatenating a string
-// key would allocate per call).
-type cacheKey struct{ target, cmd string }
+// cacheKey identifies one cached resolution. A comparable struct of the
+// XRL's own strings means a cache hit on the send hot path builds and
+// allocates nothing.
+type cacheKey struct{ target, iface, version, method string }
+
+func keyOf(x *xrl.XRL) cacheKey {
+	return cacheKey{x.Target, x.Interface, x.Version, x.Method}
+}
 
 // epKey identifies one live transport sender, again allocation-free.
 type epKey struct{ proto, addr string }
@@ -63,20 +71,23 @@ type Router struct {
 	// so the Finder can negotiate (§6 rolling-upgrade scenario).
 	advertised map[string][]string
 
+	// free is the list of idle call records (call.go), nfree its length.
+	free  *call
+	nfree int
+
 	// pendingSends holds, per target, sends queued behind an in-flight
 	// Finder resolution so the per-target send order survives a cold
 	// cache: without it, the first use of a new method waits a resolution
 	// round-trip while later sends of already-resolved methods overtake
 	// it — reordering route updates. Touched only on the loop goroutine.
-	pendingSends map[string][]orderedSend
+	pendingSends map[string]*sendQueue
 }
 
-// orderedSend is one send parked behind a resolution for its target.
-type orderedSend struct {
-	x          xrl.XRL
-	cmd        string
-	cb         Callback
-	allowRetry bool
+// sendQueue is one target's order queue: the calls parked behind the
+// Finder resolution of the first of them.
+type sendQueue struct {
+	calls     []*call
+	resolving bool // the resolution for calls[0] is in flight
 }
 
 // NewRouter returns a Router named name (the process instance name,
@@ -88,7 +99,7 @@ func NewRouter(name string, loop *eventloop.Loop) *Router {
 		targets:      make(map[string]*Target),
 		cache:        make(map[cacheKey]resolved),
 		senders:      make(map[epKey]sender),
-		pendingSends: make(map[string][]orderedSend),
+		pendingSends: make(map[string]*sendQueue),
 		timeout:      30 * time.Second,
 		retry:        DefaultRetryPolicy,
 	}
@@ -136,12 +147,8 @@ func (r *Router) AdvertiseVersions(iface string, versions ...string) {
 	r.advertised[iface] = have
 }
 
-// advertisedFor returns the accept list for a command's interface.
-func (r *Router) advertisedFor(cmd string) []string {
-	iface, _, ok := strings.Cut(cmd, "/")
-	if !ok {
-		return nil
-	}
+// advertisedFor returns the accept list for an interface.
+func (r *Router) advertisedFor(iface string) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.advertised[iface]
@@ -222,25 +229,41 @@ func (r *Router) nextSeq() uint32 { return r.seq.Add(1) }
 // Unresolved XRLs are resolved via the Finder first, with results cached;
 // resolved XRLs go straight to the named transport. Safe to call from any
 // goroutine.
-func (r *Router) Send(x xrl.XRL, cb Callback) {
-	if cb == nil {
-		cb = func(xrl.Args, *xrl.Error) {}
-	}
-	r.loop.Dispatch(func() { r.sendInLoop(x, cb, true) })
-}
+//
+// The reply args handed to cb are the callback's to keep: nothing in the
+// Router recycles them.
+func (r *Router) Send(x xrl.XRL, cb Callback) { r.enqueue(x, cb, false) }
 
 // SendFromLoop is Send for callers already running on the router's event
-// loop (handlers, reply callbacks, timers). It skips the queue round-trip
-// and its closure allocation, which roughly halves the cost of a local
-// XRL. Unlike Send, cb may run synchronously — before SendFromLoop
-// returns — when the target is a local component; callers must not hold
+// loop (handlers, reply callbacks, timers). It skips the queue round-trip,
+// which roughly halves the cost of a local XRL. Unlike Send, cb may run
+// synchronously — before SendFromLoop returns — when the target is a
+// local component or the send fails on the spot; callers must not hold
 // locks that cb also takes. Calling it from any other goroutine is a
 // data-ordering bug.
-func (r *Router) SendFromLoop(x xrl.XRL, cb Callback) {
-	if cb == nil {
-		cb = func(xrl.Args, *xrl.Error) {}
+func (r *Router) SendFromLoop(x xrl.XRL, cb Callback) { r.sendFromLoop(x, cb, false) }
+
+// enqueue is Send: the XRL crosses to the loop in a call record.
+func (r *Router) enqueue(x xrl.XRL, cb Callback, idem bool) {
+	r.mu.Lock()
+	c := r.newCall(x, cb, idem)
+	r.mu.Unlock()
+	r.loop.Dispatch(c.startFn)
+}
+
+// sendFromLoop is SendFromLoop. A local target is called directly, with
+// no record, no marshaling, no Finder, not even a command string (the
+// intra-process "direct method call" family of §6.3 and Figure 9).
+func (r *Router) sendFromLoop(x xrl.XRL, cb Callback, idem bool) {
+	r.mu.Lock()
+	if t, ok := r.targets[x.Target]; ok && !x.IsResolved() {
+		r.mu.Unlock()
+		r.dispatchLocal(t, &x, cb)
+		return
 	}
-	r.sendInLoop(x, cb, true)
+	c := r.newCall(x, cb, idem)
+	r.mu.Unlock()
+	r.route(c)
 }
 
 // Call is a synchronous convenience wrapper around Send for code running
@@ -259,142 +282,127 @@ func (r *Router) Call(x xrl.XRL) (xrl.Args, *xrl.Error) {
 	return res.args, res.err
 }
 
-func (r *Router) sendInLoop(x xrl.XRL, cb Callback, allowRetry bool) {
-	// Local target: direct dispatch, no marshaling, no Finder, not even a
-	// command string (the intra-process "direct method call" family of
-	// §6.3 and Figure 9). Checked before anything that would allocate.
+// route sends c on its way: to a local target by direct call; to the
+// endpoint a pre-resolved XRL names; to the Finder, which is addressed
+// directly and never resolved; and otherwise over the cached resolution
+// of its method, behind a Finder resolution when there is none yet. Runs
+// on the loop.
+func (r *Router) route(c *call) {
+	x := &c.x
+	preResolved := x.IsResolved()
+	var (
+		res resolved
+		hit bool
+	)
 	r.mu.Lock()
 	t, isLocal := r.targets[x.Target]
+	if !isLocal && !preResolved {
+		res, hit = r.cache[keyOf(x)]
+	}
 	r.mu.Unlock()
-	if isLocal && !x.IsResolved() {
-		r.dispatchLocal(t, x, cb)
-		return
-	}
+	parked := r.pendingSends[x.Target]
 
-	cmd := x.Command()
+	switch {
+	case isLocal && !preResolved:
+		// The record only carried the XRL across the queue.
+		local, cb := c.x, c.cb
+		r.release(c)
+		r.dispatchLocal(t, &local, cb)
 
-	// Already resolved by the caller (e.g. parsed from a call_xrl string).
-	if x.IsResolved() {
-		r.transportSend(resolved{proto: x.Protocol, addr: x.Target, instance: x.Target, key: x.Key},
-			x.Target, cmd, x.Args, cb)
-		return
-	}
+	case preResolved:
+		// Resolved by the caller (e.g. parsed from a call_xrl string).
+		c.allowRetry = false
+		r.transportSend(c, resolved{proto: x.Protocol, addr: x.Target, instance: x.Target,
+			key: x.Key, cmd: x.Command()})
 
-	// The Finder itself is addressed directly, never resolved.
-	if x.Target == FinderTargetName {
+	case x.Target == FinderTargetName:
+		c.allowRetry = false
 		ep, ok := r.finderEndpoint()
 		if !ok {
-			r.loop.Dispatch(func() { cb(nil, &xrl.Error{Code: xrl.CodeNoFinder, Note: "no route to finder"}) })
+			r.finish(c, nil, &xrl.Error{Code: xrl.CodeNoFinder, Note: "no route to finder"})
 			return
 		}
-		r.transportSend(ep, FinderTargetName, cmd, x.Args, cb)
-		return
-	}
+		ep.cmd = x.Command()
+		r.transportSend(c, ep)
 
-	// Earlier sends to this target are parked behind a resolution: join
-	// the queue so the per-target order holds.
-	if len(r.pendingSends[x.Target]) > 0 {
-		r.pendingSends[x.Target] = append(r.pendingSends[x.Target],
-			orderedSend{x: x, cmd: cmd, cb: cb, allowRetry: allowRetry})
-		return
-	}
+	case parked != nil:
+		// Earlier sends to this target are parked behind a resolution:
+		// join the queue so the per-target order holds.
+		parked.calls = append(parked.calls, c)
 
-	// Cached resolution?
-	ck := cacheKey{x.Target, cmd}
-	r.mu.Lock()
-	res, hit := r.cache[ck]
-	r.mu.Unlock()
-	if hit {
-		r.sendCached(res, x, cmd, cb, allowRetry)
-		return
-	}
+	case hit:
+		r.transportSend(c, res)
 
-	// Cold cache: park the send (opening the target's order queue) and
-	// resolve through the Finder.
-	r.pendingSends[x.Target] = append(r.pendingSends[x.Target],
-		orderedSend{x: x, cmd: cmd, cb: cb, allowRetry: allowRetry})
-	r.resolveHead(x.Target)
+	default:
+		// Cold cache: park the send (opening the target's order queue)
+		// and resolve through the Finder.
+		r.pendingSends[x.Target] = &sendQueue{calls: []*call{c}}
+		r.drainPending(x.Target)
+	}
 }
 
-// sendCached ships x over a cached resolution, dropping and re-resolving
-// the cache entry once if the transport reports it stale.
-func (r *Router) sendCached(res resolved, x xrl.XRL, cmd string, cb Callback, allowRetry bool) {
-	wrapped := cb
-	if allowRetry {
-		ck := cacheKey{x.Target, cmd}
-		wrapped = func(args xrl.Args, err *xrl.Error) {
-			if err != nil && (err.Code == xrl.CodeNoSuchTarget || err.Code == xrl.CodeSendFailed || err.Code == xrl.CodeBadKey) {
-				// Stale cache: drop and re-resolve once.
-				r.mu.Lock()
-				delete(r.cache, ck)
-				r.mu.Unlock()
-				r.sendInLoop(x, cb, false)
-				return
-			}
-			cb(args, err)
-		}
-	}
-	r.transportSend(res, res.instance, cmd, x.Args, wrapped)
-}
-
-// resolveHead resolves the command at the head of target's order queue,
-// then drains the queue. Runs on the loop.
-func (r *Router) resolveHead(target string) {
-	q := r.pendingSends[target]
-	if len(q) == 0 {
-		delete(r.pendingSends, target)
-		return
-	}
-	head := q[0]
-	r.resolve(target, head.cmd, func(res resolved, err *xrl.Error) {
-		// Pop the head; it either fails or ships now.
-		q := r.pendingSends[target]
-		r.pendingSends[target] = q[1:]
-		if err != nil {
-			head.cb(nil, err)
-		} else {
-			r.mu.Lock()
-			r.cache[cacheKey{target, head.cmd}] = res
-			r.mu.Unlock()
-			r.sendCached(res, head.x, head.cmd, head.cb, head.allowRetry)
-		}
-		r.drainPending(target)
-	})
-}
-
-// drainPending ships queued sends whose commands now hit the resolution
-// cache; the first cold command (if any) restarts resolution and keeps
-// the rest parked behind it.
+// drainPending ships the sends parked for target whose methods hit the
+// resolution cache. At the first cold one it asks the Finder, keeping the
+// rest parked behind it, and carries on when the answer is in. Runs on
+// the loop.
 func (r *Router) drainPending(target string) {
-	for {
-		q := r.pendingSends[target]
-		if len(q) == 0 {
-			delete(r.pendingSends, target)
+	q := r.pendingSends[target]
+	// One resolution at a time: a head that fails on the spot and is
+	// routed again from inside this loop (a stale resolution) lands back
+	// in the queue, and must not be asked about twice.
+	for q != nil && !q.resolving {
+		if len(q.calls) == 0 {
+			if r.pendingSends[target] == q {
+				delete(r.pendingSends, target)
+			}
 			return
 		}
-		head := q[0]
+		ck := keyOf(&q.calls[0].x)
 		r.mu.Lock()
-		res, hit := r.cache[cacheKey{target, head.cmd}]
+		res, hit := r.cache[ck]
 		r.mu.Unlock()
-		if !hit {
-			r.resolveHead(target)
-			return
+		if hit {
+			r.transportSend(q.pop(), res)
+			continue
 		}
-		r.pendingSends[target] = q[1:]
-		r.sendCached(res, head.x, head.cmd, head.cb, head.allowRetry)
+		q.resolving = true
+		r.resolve(ck, func(res resolved, err *xrl.Error) {
+			q.resolving = false
+			// The head either fails or ships now.
+			head := q.pop()
+			if err != nil {
+				head.allowRetry = false // the resolution failed, it is not stale
+				r.finish(head, nil, err)
+			} else {
+				r.mu.Lock()
+				r.cache[ck] = res
+				r.mu.Unlock()
+				r.transportSend(head, res)
+			}
+			r.drainPending(target)
+		})
 	}
 }
 
-// resolve asks the Finder for the concrete endpoint of (target, command).
-// This is the IPC bootstrap: the one XRL composed below the typed stub
-// layer (xif stubs ride on it, so it cannot use them).
-func (r *Router) resolve(target, cmd string, done func(resolved, *xrl.Error)) {
+// pop takes the head off the queue.
+func (q *sendQueue) pop() *call {
+	head := q.calls[0]
+	q.calls[0] = nil
+	q.calls = q.calls[1:]
+	return head
+}
+
+// resolve asks the Finder for the concrete endpoint of one method of a
+// target. This is the IPC bootstrap: the one XRL composed below the typed
+// stub layer (xif stubs ride on it, so it cannot use them).
+func (r *Router) resolve(ck cacheKey, done func(resolved, *xrl.Error)) {
+	cmd := ck.iface + "/" + ck.version + "/" + ck.method
 	qargs := xrl.Args{
 		xrl.Text("caller", r.name),
-		xrl.Text("target", target),
+		xrl.Text("target", ck.target),
 		xrl.Text("command", cmd),
 	}
-	if accept := r.advertisedFor(cmd); len(accept) > 0 {
+	if accept := r.advertisedFor(ck.iface); len(accept) > 0 {
 		items := make([]xrl.Atom, len(accept))
 		for i, v := range accept {
 			items[i] = xrl.Text("", v)
@@ -406,7 +414,7 @@ func (r *Router) resolve(target, cmd string, done func(resolved, *xrl.Error)) {
 		Interface: "finder", Version: "1.0", Method: "resolve",
 		Args: qargs,
 	}
-	r.sendInLoop(q, func(args xrl.Args, err *xrl.Error) {
+	r.sendFromLoop(q, func(args xrl.Args, err *xrl.Error) {
 		if err != nil {
 			if err.Code == xrl.CodeReplyTimeout || err.Code == xrl.CodeSendFailed {
 				err = &xrl.Error{Code: xrl.CodeNoFinder, Note: err.Note}
@@ -429,7 +437,8 @@ func (r *Router) resolve(target, cmd string, done func(resolved, *xrl.Error)) {
 		}
 		// A version-negotiating Finder returns the chosen command, which
 		// may be a different interface version than we asked for.
-		if chosen, cerr := args.TextArg("command"); cerr == nil && chosen != cmd {
+		res.cmd = cmd
+		if chosen, cerr := args.TextArg("command"); cerr == nil && chosen != "" {
 			res.cmd = chosen
 		}
 		done(res, nil)
@@ -484,102 +493,66 @@ func (r *Router) finderEndpoint() (resolved, bool) {
 // callback synchronously — the caller is already on the loop, so both the
 // handler and the callback run exactly where the contract requires with
 // zero additional queue trips or allocations.
-func (r *Router) dispatchLocal(t *Target, x xrl.XRL, cb Callback) {
+func (r *Router) dispatchLocal(t *Target, x *xrl.XRL, cb Callback) {
 	h, ok := t.handlerIVM(x.Interface, x.Version, x.Method)
 	if !ok {
-		cb(nil, &xrl.Error{Code: xrl.CodeNoSuchMethod, Note: t.Name + " has no method " + x.Command()})
+		if cb != nil {
+			cb(nil, &xrl.Error{Code: xrl.CodeNoSuchMethod, Note: t.Name + " has no method " + x.Command()})
+		}
 		return
 	}
 	out, err := h(x.Args)
-	cb(out, xrl.AsError(err))
+	if cb != nil {
+		cb(out, xrl.AsError(err))
+	}
 }
 
-// transportSend routes a resolved request through the matching sender.
-// A negotiated resolution carries the command to put on the wire (which
-// may name a different interface version than the caller composed).
-func (r *Router) transportSend(res resolved, targetName, cmd string, args xrl.Args, cb Callback) {
-	if res.cmd != "" {
-		cmd = res.cmd
-	}
-	// Reply timeout, driven by the loop clock so simulated time works.
-	done := false
-	var timer *eventloop.Timer
-	deliver := func(args xrl.Args, e *xrl.Error) {
-		if done {
-			return // late reply after timeout, or duplicate
-		}
-		done = true
-		if timer != nil {
-			timer.Cancel()
-		}
-		cb(args, e)
-	}
+// transportSend puts c's request on the transport res names and arms the
+// reply timeout, on the loop clock so simulated time works.
+func (r *Router) transportSend(c *call, res resolved) {
+	c.req = xrl.Request{Target: res.instance, Command: res.cmd, Key: res.key, Args: c.x.Args}
+	c.proto = res.proto
 	if r.timeout > 0 {
-		timer = r.loop.OneShot(r.timeout, func() {
-			deliver(nil, &xrl.Error{Code: xrl.CodeReplyTimeout,
-				Note: res.proto + " reply timeout for " + cmd})
-		})
+		c.armTimer(r.timeout)
 	}
-
-	// Intra-process zero-copy dispatch (§6.3): a resolved co-resident
-	// target gets the xrl.Args handed over directly — no xrl.Request, no
-	// encode/decode round-trip, no sender object. Resolution (and with it
-	// the Finder's ACLs and method keys) already happened; the key is
-	// still verified against the destination target.
 	if res.proto == xrl.ProtoIntra {
-		r.intraSend(res, targetName, cmd, args, deliver)
+		r.intraSend(c, res.addr)
 		return
 	}
-
 	s, err := r.senderFor(res.proto, res.addr)
 	if err != nil {
-		deliver(nil, err)
+		r.finish(c, nil, err)
 		return
 	}
-	req := &xrl.Request{
-		Seq:     r.nextSeq(),
-		Target:  targetName,
-		Command: cmd,
-		Key:     res.key,
-		Args:    args,
-	}
-	s.send(req, func(rep *xrl.Reply, sendErr *xrl.Error) {
-		// Runs on r.loop (senders guarantee this).
-		if sendErr != nil {
-			deliver(nil, sendErr)
-			return
-		}
-		if rep.Code != xrl.CodeOkay {
-			deliver(rep.Args, &xrl.Error{Code: rep.Code, Note: rep.Note})
-			return
-		}
-		deliver(rep.Args, nil)
-	})
+	c.req.Seq = r.nextSeq()
+	c.via = s
+	s.send(c)
 }
 
-// intraSend delivers a resolved intra-process request by dispatching the
-// handler onto the destination router's loop with the caller's Args
-// shared, then hops the reply back to this router's loop. deliver runs on
-// r.loop. Error codes match the old sender-based path so the stale-cache
-// retry in sendInLoop keeps working.
-func (r *Router) intraSend(res resolved, targetName, cmd string, args xrl.Args, deliver func(xrl.Args, *xrl.Error)) {
+// intraSend is the intra-process zero-copy dispatch (§6.3): a resolved
+// co-resident target gets the caller's xrl.Args handed over directly — no
+// encode/decode round-trip, no sender object. The record itself crosses
+// to the destination router's loop, runs the handler there and hops back
+// with the reply. Resolution (and with it the Finder's ACLs and method
+// keys) already happened; the key is still verified against the
+// destination target. Error codes match the transports' so the
+// stale-resolution retry in finish works the same.
+func (r *Router) intraSend(c *call, hubID string) {
 	r.mu.Lock()
 	hub := r.hub
 	r.mu.Unlock()
-	if hub == nil || hub.id != res.addr {
-		deliver(nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "not attached to hub " + res.addr})
+	if hub == nil || hub.id != hubID {
+		r.finish(c, nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "not attached to hub " + hubID})
 		return
 	}
-	dest, ok := hub.routerForTarget(targetName)
+	dest, ok := hub.routerForTarget(c.req.Target)
 	if !ok {
-		deliver(nil, &xrl.Error{Code: xrl.CodeNoSuchTarget,
-			Note: "no target " + targetName + " on hub"})
+		r.finish(c, nil, &xrl.Error{Code: xrl.CodeNoSuchTarget,
+			Note: "no target " + c.req.Target + " on hub"})
 		return
 	}
-	dest.loop.Dispatch(func() {
-		out, err := dest.dispatch(targetName, cmd, res.key, args)
-		r.loop.Dispatch(func() { deliver(out, err) })
-	})
+	c.dest, c.away = dest, true
+	dest.loop.Dispatch(c.handleFn)
 }
 
 // senderFor returns (creating if needed) the sender for proto|addr.
@@ -609,7 +582,7 @@ func (r *Router) senderFor(proto, addr string) (sender, *xrl.Error) {
 		return nil, err
 	}
 	r.mu.Lock()
-	// Another sendInLoop callback cannot have raced us (single loop), but
+	// Another send cannot have raced us (senders are made on the loop), but
 	// be defensive anyway.
 	if exist, ok := r.senders[key]; ok {
 		r.mu.Unlock()
@@ -633,24 +606,21 @@ func (r *Router) dropSender(s sender) {
 	r.mu.Unlock()
 }
 
-// handleRequest dispatches an incoming transport request on the loop and
-// passes the reply to respond. Must be called on the router's loop.
-func (r *Router) handleRequest(req *xrl.Request, respond func(*xrl.Reply)) {
-	rep := &xrl.Reply{Seq: req.Seq}
+// serve runs an incoming transport request and fills in rep, which the
+// caller owns and may reuse for the next request. req.Args are the
+// handler's only until it returns (the transports decode every request
+// of a connection into one Request). Must be called on the router's loop.
+func (r *Router) serve(req *xrl.Request, rep *xrl.Reply) {
 	out, xe := r.dispatch(req.Target, req.Command, req.Key, req.Args)
-	rep.Args = out
+	*rep = xrl.Reply{Seq: req.Seq, Code: xrl.CodeOkay, Args: out}
 	if xe != nil {
-		rep.Code = xe.Code
-		rep.Note = xe.Note
-	} else {
-		rep.Code = xrl.CodeOkay
+		rep.Code, rep.Note = xe.Code, xe.Note
 	}
-	respond(rep)
 }
 
 // dispatch runs one incoming request against this router's targets. It is
 // the single source of dispatch semantics, shared by every transport
-// (handleRequest) and the zero-copy intra path (intraSend): finder_client
+// (serve) and the zero-copy intra path (call.handle): finder_client
 // special-casing, target lookup, method lookup, then the per-method key
 // check (§7) — once the Finder has issued a key for a method, delivered
 // calls must present it. Must run on the router's loop.
@@ -763,8 +733,12 @@ func (r *Router) Close() {
 
 // sender is one live transport attachment (per destination endpoint).
 type sender interface {
-	// send transmits req and eventually calls cb exactly once on the
-	// router's event loop.
-	send(req *xrl.Request, cb func(*xrl.Reply, *xrl.Error))
+	// send transmits c.req. The reply, or the failure to get one, ends
+	// in exactly one Router.finish(c, ...) on the router's loop — unless
+	// forget comes first. Called on the loop.
+	send(c *call)
+	// forget drops whatever the sender holds for c: the call is over
+	// (answered, or timed out). Called on the loop, by finish.
+	forget(c *call)
 	close()
 }

@@ -7,6 +7,32 @@
 // register Targets (named XRL receiving points) carrying interfaces of
 // methods. Sends are asynchronous: the reply callback is delivered on the
 // sender's event loop, preserving the single-threaded programming model.
+//
+// # One XRL, one record
+//
+// An outgoing XRL is carried from Send to its callback by one call record
+// (call.go) that the Router owns and reuses: the XRL, the callback, the
+// retry state, the wire Request and the reply timer live in it, and what
+// it hands to a Loop or a Timer is a func bound when the record was made.
+// The resolution cache is keyed by the XRL's own (target, interface,
+// version, method) strings and holds the command string to put on the
+// wire, so a send over a warm cache builds nothing. On the intra-process
+// Hub the record itself crosses to the destination's loop and back; on
+// TCP the connection's reader hands the loop whole bursts of frames
+// (rx.go), which it decodes into one Request or Reply per connection. A
+// steady stream of XRLs allocates nothing in this package.
+//
+// # Whose arguments
+//
+// Two lifetimes follow from the reuse, and both are part of the API:
+//
+//   - The xrl.Args a Handler receives are valid only until it returns. A
+//     transport decodes the next request over them (an intra-process
+//     caller owns them to begin with). A handler keeps what it needs by
+//     value; the accessors' results — strings, addresses, a list's items,
+//     a binary atom's bytes — are safe to keep, the Args slice is not.
+//   - The reply xrl.Args a Callback receives belong to the callback.
+//     Nothing recycles them: Router.Call returns them to its caller.
 package xipc
 
 import (
@@ -18,8 +44,9 @@ import (
 )
 
 // Handler implements one XRL method. It runs on the owning Router's event
-// loop. It returns the reply arguments; a returned error is converted with
-// xrl.AsError (so handlers may return *xrl.Error for a precise code).
+// loop. args are the handler's only until it returns (see the package
+// comment). It returns the reply arguments; a returned error is converted
+// with xrl.AsError (so handlers may return *xrl.Error for a precise code).
 type Handler func(args xrl.Args) (xrl.Args, error)
 
 // Target is an XRL receiving point: a component instance (paper §6.2).

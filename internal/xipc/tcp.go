@@ -1,12 +1,9 @@
 package xipc
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"xorp/internal/xrl"
 )
@@ -14,49 +11,10 @@ import (
 // The TCP ("stcp") protocol family: length-prefixed XRL frames over a
 // persistent connection. Requests are pipelined — many may be outstanding
 // at once, correlated by sequence number — which is what gives TCP its
-// near-intra-process throughput in Figure 9. Reads are buffered and writes
-// are coalesced (writer.go), so a full pipeline window costs ~1 syscall
-// per direction instead of one (or two) per frame.
-
-// maxFrame bounds a frame to keep a corrupted length prefix from
-// allocating unbounded memory.
-const maxFrame = 16 << 20
-
-// readBufSize is the bufio read buffer: large enough to swallow a whole
-// coalesced batch in one read syscall.
-const readBufSize = 64 << 10
-
-// readFrame reads one length-prefixed frame, reusing buf when possible and
-// growing it geometrically so a ramp of frame sizes does not reallocate
-// per frame.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("xipc: frame of %d bytes exceeds limit", n)
-	}
-	if int(n) > cap(buf) {
-		newCap := 2 * cap(buf)
-		if newCap < int(n) {
-			newCap = int(n)
-		}
-		if newCap < 512 {
-			newCap = 512
-		}
-		if newCap > maxFrame {
-			newCap = maxFrame
-		}
-		buf = make([]byte, newCap)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
+// near-intra-process throughput in Figure 9. Writes are coalesced
+// (writer.go) and reads reach the loop a burst at a time (rx.go), so a
+// full pipeline window costs ~1 syscall and one loop wake-up per
+// direction instead of one (or two) per frame.
 
 // ListenTCP starts the router's TCP listener on addr (host:port, port 0
 // for ephemeral). The resulting endpoint appears in Endpoints().
@@ -65,7 +23,7 @@ func (r *Router) ListenTCP(addr string) error {
 	if err != nil {
 		return err
 	}
-	l := &tcpListener{router: r, ln: ln}
+	l := &tcpListener{router: r, ln: ln, conns: make(map[*tcpServerConn]struct{})}
 	r.mu.Lock()
 	r.tcpLn = l
 	r.mu.Unlock()
@@ -78,7 +36,7 @@ type tcpListener struct {
 	ln     net.Listener
 
 	mu    sync.Mutex
-	conns map[net.Conn]struct{}
+	conns map[*tcpServerConn]struct{}
 }
 
 func (l *tcpListener) addr() string { return l.ln.Addr().String() }
@@ -89,70 +47,76 @@ func (l *tcpListener) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		sc := &tcpServerConn{router: l.router, conn: conn}
+		sc.rx = newRxQueue(conn, l.router.loop, sc.serveFrame, sc.fail)
+		sc.fw = newFrameWriter(conn, sc.fail)
 		l.mu.Lock()
-		if l.conns == nil {
-			l.conns = make(map[net.Conn]struct{})
-		}
-		l.conns[conn] = struct{}{}
+		l.conns[sc] = struct{}{}
 		l.mu.Unlock()
-		go l.serveConn(conn)
+		go l.serveConn(sc)
 	}
 }
 
-// serveConn reads pipelined requests and writes replies as handlers
-// complete. Replies may interleave; the sequence number correlates.
-// Replies produced within one event-loop turn coalesce into one write.
-func (l *tcpListener) serveConn(conn net.Conn) {
-	fw := newFrameWriter(conn, func(error) { conn.Close() })
-	defer func() {
-		fw.close()
-		conn.Close()
-		l.mu.Lock()
-		delete(l.conns, conn)
-		l.mu.Unlock()
-	}()
-	br := bufio.NewReaderSize(countingReader{conn}, readBufSize)
-	var buf []byte
-	for {
-		frame, err := readFrame(br, buf)
-		if err != nil {
-			return
-		}
-		buf = frame // reuse grown buffer next time
-		// ParseRequest interns/copies everything out of the reused read
-		// buffer, so the request is safe to hand off asynchronously.
-		req := new(xrl.Request)
-		if err := xrl.ParseRequest(frame, req); err != nil {
-			return // protocol violation: drop the connection
-		}
-		r := l.router
-		r.loop.Dispatch(func() {
-			r.handleRequest(req, func(rep *xrl.Reply) {
-				err := fw.appendFrame(func(dst []byte) ([]byte, error) {
-					return xrl.AppendReply(dst, rep)
-				})
-				if err != nil && fw.alive() {
-					// Encoding failed; report it in-band.
-					fw.appendFrame(func(dst []byte) ([]byte, error) {
-						return xrl.AppendReply(dst, &xrl.Reply{
-							Seq:  rep.Seq,
-							Code: xrl.CodeInternal,
-							Note: "reply encoding failed: " + err.Error(),
-						})
-					})
-				}
-			})
-		})
-	}
+// serveConn reads pipelined requests until the connection ends. Replies
+// are written as handlers complete; those produced within one event-loop
+// turn coalesce into one write.
+func (l *tcpListener) serveConn(sc *tcpServerConn) {
+	sc.rx.readLoop()
+	sc.fw.close()
+	sc.conn.Close()
+	l.mu.Lock()
+	delete(l.conns, sc)
+	l.mu.Unlock()
 }
 
 func (l *tcpListener) close() {
 	l.ln.Close()
 	l.mu.Lock()
-	for c := range l.conns {
-		c.Close()
+	for sc := range l.conns {
+		sc.fail(net.ErrClosed)
 	}
 	l.mu.Unlock()
+}
+
+// tcpServerConn is the serving side of one accepted connection. Every
+// request of the connection is decoded into req and answered from rep,
+// on the loop, one at a time.
+type tcpServerConn struct {
+	router *Router
+	conn   net.Conn
+	fw     *frameWriter
+	rx     *rxQueue
+
+	req xrl.Request
+	rep xrl.Reply
+}
+
+// serveFrame decodes, runs and answers one request. Runs on the loop. A
+// frame that does not decode is a protocol violation: the error drops the
+// connection.
+func (sc *tcpServerConn) serveFrame(frame []byte) error {
+	// ParseRequest interns or copies everything out of frame, and reuses
+	// sc.req.Args: the handler's arguments are its own only until it
+	// returns.
+	if err := xrl.ParseRequest(frame, &sc.req); err != nil {
+		return err
+	}
+	sc.router.serve(&sc.req, &sc.rep)
+	if err := sc.fw.writeReply(&sc.rep); err != nil && sc.fw.alive() {
+		// Encoding failed; report it in-band.
+		sc.rep = xrl.Reply{Seq: sc.req.Seq, Code: xrl.CodeInternal,
+			Note: "reply encoding failed: " + err.Error()}
+		sc.fw.writeReply(&sc.rep)
+	}
+	sc.rep.Args = nil // the handler's, not ours to keep alive
+	return nil
+}
+
+// fail ends the connection; the reader goroutine sees the close and
+// cleans up.
+func (sc *tcpServerConn) fail(error) {
+	sc.conn.Close()
+	sc.rx.close()
 }
 
 // tcpSender is the client side of one TCP attachment, with full request
@@ -161,10 +125,16 @@ type tcpSender struct {
 	router *Router
 	conn   net.Conn
 	fw     *frameWriter
+	rx     *rxQueue
 
-	mu      sync.Mutex
-	pending map[uint32]func(*xrl.Reply, *xrl.Error)
-	dead    bool
+	// pending maps the sequence number of every request awaiting its
+	// reply to the call's record. Loop-confined: send, forget, the reply
+	// handler and failPending all run there.
+	pending map[uint32]*call
+	rep     xrl.Reply // every reply of the connection is decoded into this
+
+	dead          atomic.Bool
+	failPendingFn func()
 }
 
 func newTCPSender(r *Router, addr string) (*tcpSender, *xrl.Error) {
@@ -172,93 +142,76 @@ func newTCPSender(r *Router, addr string) (*tcpSender, *xrl.Error) {
 	if err != nil {
 		return nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "dial " + addr + ": " + err.Error()}
 	}
-	s := &tcpSender{
-		router:  r,
-		conn:    conn,
-		pending: make(map[uint32]func(*xrl.Reply, *xrl.Error)),
-	}
-	s.fw = newFrameWriter(conn, func(error) { s.fail() })
-	go s.readLoop()
-	return s, nil
+	return startTCPSender(r, conn), nil
 }
 
-func (s *tcpSender) send(req *xrl.Request, cb func(*xrl.Reply, *xrl.Error)) {
-	s.mu.Lock()
-	if s.dead {
-		s.mu.Unlock()
-		s.router.loop.Dispatch(func() {
-			cb(nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "connection closed"})
-		})
+// startTCPSender attaches a sender to an established connection.
+func startTCPSender(r *Router, conn net.Conn) *tcpSender {
+	s := &tcpSender{router: r, conn: conn, pending: make(map[uint32]*call)}
+	s.failPendingFn = s.failPending
+	s.rx = newRxQueue(conn, r.loop, s.replyFrame, s.fail)
+	s.fw = newFrameWriter(conn, s.fail)
+	go s.rx.readLoop()
+	return s
+}
+
+func (s *tcpSender) send(c *call) {
+	if s.dead.Load() {
+		s.router.dropSender(s)
+		s.router.finish(c, nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "connection closed"})
 		return
 	}
-	s.pending[req.Seq] = cb
-	s.mu.Unlock()
-
-	err := s.fw.appendFrame(func(dst []byte) ([]byte, error) {
-		return xrl.AppendRequest(dst, req)
-	})
-	if err != nil {
-		s.mu.Lock()
-		delete(s.pending, req.Seq)
-		s.mu.Unlock()
-		note := err.Error()
-		s.router.loop.Dispatch(func() {
-			cb(nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: note})
-		})
+	s.pending[c.req.Seq] = c
+	if err := s.fw.writeRequest(&c.req); err != nil {
+		s.router.finish(c, nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: err.Error()})
 	}
 }
 
-func (s *tcpSender) readLoop() {
-	br := bufio.NewReaderSize(countingReader{s.conn}, readBufSize)
-	var buf []byte
-	for {
-		frame, err := readFrame(br, buf)
-		if err != nil {
-			s.fail()
-			return
-		}
-		buf = frame
-		// ParseReply detaches from the reused read buffer (interned and
-		// copied strings), so the reply can cross to the loop safely.
-		rep := new(xrl.Reply)
-		if err := xrl.ParseReply(frame, rep); err != nil {
-			s.fail()
-			return
-		}
-		s.mu.Lock()
-		cb, ok := s.pending[rep.Seq]
-		delete(s.pending, rep.Seq)
-		s.mu.Unlock()
-		if ok {
-			s.router.loop.Dispatch(func() { cb(rep, nil) })
-		}
+// forget removes c's pending entry: answered, failed or timed out, the
+// call is over, and a reply that still arrives finds nothing.
+func (s *tcpSender) forget(c *call) { delete(s.pending, c.req.Seq) }
+
+// replyFrame decodes one reply and completes the call waiting for it.
+// Runs on the loop.
+func (s *tcpSender) replyFrame(frame []byte) error {
+	// The reply's arguments go to the caller's callback, which owns them
+	// from then on: decode into fresh Args, never into the last reply's.
+	s.rep.Args = nil
+	if err := xrl.ParseReply(frame, &s.rep); err != nil {
+		return err
 	}
+	c, ok := s.pending[s.rep.Seq]
+	if !ok {
+		return nil // late reply after a timeout, or a duplicate
+	}
+	var xe *xrl.Error
+	if s.rep.Code != xrl.CodeOkay {
+		xe = &xrl.Error{Code: s.rep.Code, Note: s.rep.Note}
+	}
+	s.router.finish(c, s.rep.Args, xe)
+	return nil
 }
 
-// fail errors out all pending requests and unregisters the sender.
-func (s *tcpSender) fail() {
-	s.mu.Lock()
-	if s.dead {
-		s.mu.Unlock()
+// fail tears the connection down, unregisters the sender so the next
+// request reconnects, and has the loop fail every pending request. Safe
+// from any goroutine, any number of times.
+func (s *tcpSender) fail(error) {
+	if !s.dead.CompareAndSwap(false, true) {
 		return
 	}
-	s.dead = true
-	pend := s.pending
-	s.pending = make(map[uint32]func(*xrl.Reply, *xrl.Error))
-	s.mu.Unlock()
-
-	s.fw.close()
-	s.conn.Close()
+	s.close()
 	s.router.dropSender(s)
-	for _, cb := range pend {
-		cb := cb
-		s.router.loop.Dispatch(func() {
-			cb(nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "connection lost"})
-		})
+	s.router.loop.Dispatch(s.failPendingFn)
+}
+
+func (s *tcpSender) failPending() {
+	for _, c := range s.pending {
+		s.router.finish(c, nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "connection lost"})
 	}
 }
 
 func (s *tcpSender) close() {
 	s.fw.close()
 	s.conn.Close()
+	s.rx.close()
 }

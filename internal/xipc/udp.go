@@ -57,17 +57,17 @@ func (l *udpListener) readLoop() {
 		}
 		r := l.router
 		r.loop.Dispatch(func() {
-			r.handleRequest(req, func(rep *xrl.Reply) {
-				bp := xrl.GetBuf()
-				defer xrl.PutBuf(bp)
-				out, err := xrl.AppendReply(*bp, rep)
-				if err != nil {
-					return
-				}
-				*bp = out
-				l.pc.WriteToUDP(out, from)
-				ioWrites.Add(1)
-			})
+			var rep xrl.Reply
+			r.serve(req, &rep)
+			bp := xrl.GetBuf()
+			defer xrl.PutBuf(bp)
+			out, err := xrl.AppendReply(*bp, &rep)
+			if err != nil {
+				return
+			}
+			*bp = out
+			l.pc.WriteToUDP(out, from)
+			ioWrites.Add(1)
 		})
 	}
 }
@@ -86,9 +86,13 @@ type udpSender struct {
 	dead     bool
 }
 
+// udpPending is one request on its way through the stop-and-wait queue.
+// The reader and loss-timer goroutines move it along by its encoded form;
+// the call's record is looked at on the loop only (complete).
 type udpPending struct {
-	req   *xrl.Request
-	cb    func(*xrl.Reply, *xrl.Error)
+	c     *call
+	seq   uint32 // c.req.Seq as sent: c has moved on once they differ
+	wire  []byte // the encoded request
 	timer *time.Timer
 }
 
@@ -111,16 +115,21 @@ func newUDPSender(r *Router, addr string) (*udpSender, *xrl.Error) {
 	return s, nil
 }
 
-func (s *udpSender) send(req *xrl.Request, cb func(*xrl.Reply, *xrl.Error)) {
+func (s *udpSender) send(c *call) {
+	// Encode now, on the loop: by the time a queued request is
+	// transmitted its record may belong to another call.
+	wire, err := xrl.AppendRequest(nil, &c.req)
+	if err != nil {
+		s.router.finish(c, nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: err.Error()})
+		return
+	}
 	s.mu.Lock()
 	if s.dead {
 		s.mu.Unlock()
-		s.router.loop.Dispatch(func() {
-			cb(nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "udp sender closed"})
-		})
+		s.router.finish(c, nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "udp sender closed"})
 		return
 	}
-	p := &udpPending{req: req, cb: cb}
+	p := &udpPending{c: c, seq: c.req.Seq, wire: wire}
 	if s.inflight != nil {
 		s.queue = append(s.queue, p)
 		s.mu.Unlock()
@@ -131,15 +140,24 @@ func (s *udpSender) send(req *xrl.Request, cb func(*xrl.Reply, *xrl.Error)) {
 	s.transmit(p)
 }
 
+// forget has nothing to remove: a request stays in the stop-and-wait
+// queue until its turn has passed, and complete tells by the sequence
+// number that its call is over.
+func (s *udpSender) forget(*call) {}
+
+// completeLater finishes p's call on the loop, unless the call is over
+// already (it timed out, and the record may since carry another).
+func (s *udpSender) completeLater(p *udpPending, args xrl.Args, err *xrl.Error) {
+	s.router.loop.Dispatch(func() {
+		if p.c.via == s && p.c.req.Seq == p.seq {
+			s.router.finish(p.c, args, err)
+		}
+	})
+}
+
 func (s *udpSender) transmit(p *udpPending) {
-	bp := xrl.GetBuf()
-	buf, err := xrl.AppendRequest(*bp, p.req)
-	if err == nil {
-		*bp = buf
-		_, err = s.conn.Write(buf)
-		ioWrites.Add(1)
-	}
-	xrl.PutBuf(bp)
+	_, err := s.conn.Write(p.wire)
+	ioWrites.Add(1)
 	if err == nil {
 		// Arm the loss timer under the lock: the reply may already have
 		// arrived on readLoop, which reads p.timer while holding mu.
@@ -148,19 +166,15 @@ func (s *udpSender) transmit(p *udpPending) {
 			p.timer = time.AfterFunc(udpLossTimeout, func() { s.giveUp(p) })
 		}
 		s.mu.Unlock()
+		return
 	}
-	if err != nil {
-		note := err.Error()
-		s.mu.Lock()
-		s.inflight = nil
-		next := s.popLocked()
-		s.mu.Unlock()
-		s.router.loop.Dispatch(func() {
-			p.cb(nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: note})
-		})
-		if next != nil {
-			s.startNext(next)
-		}
+	s.mu.Lock()
+	s.inflight = nil
+	next := s.popLocked()
+	s.mu.Unlock()
+	s.completeLater(p, nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: err.Error()})
+	if next != nil {
+		s.transmit(next)
 	}
 }
 
@@ -174,8 +188,6 @@ func (s *udpSender) popLocked() *udpPending {
 	s.inflight = next
 	return next
 }
-
-func (s *udpSender) startNext(p *udpPending) { s.transmit(p) }
 
 func (s *udpSender) readLoop() {
 	buf := make([]byte, maxDatagram)
@@ -193,7 +205,7 @@ func (s *udpSender) readLoop() {
 		}
 		s.mu.Lock()
 		p := s.inflight
-		if p == nil || p.req.Seq != rep.Seq {
+		if p == nil || p.seq != rep.Seq {
 			s.mu.Unlock()
 			continue // stray or duplicate reply
 		}
@@ -203,9 +215,13 @@ func (s *udpSender) readLoop() {
 		}
 		next := s.popLocked()
 		s.mu.Unlock()
-		s.router.loop.Dispatch(func() { p.cb(rep, nil) })
+		var xe *xrl.Error
+		if rep.Code != xrl.CodeOkay {
+			xe = &xrl.Error{Code: rep.Code, Note: rep.Note}
+		}
+		s.completeLater(p, rep.Args, xe)
 		if next != nil {
-			s.startNext(next)
+			s.transmit(next)
 		}
 	}
 }
@@ -220,11 +236,9 @@ func (s *udpSender) giveUp(p *udpPending) {
 	s.inflight = nil
 	next := s.popLocked()
 	s.mu.Unlock()
-	s.router.loop.Dispatch(func() {
-		p.cb(nil, &xrl.Error{Code: xrl.CodeReplyTimeout, Note: "udp datagram presumed lost"})
-	})
+	s.completeLater(p, nil, &xrl.Error{Code: xrl.CodeReplyTimeout, Note: "udp datagram presumed lost"})
 	if next != nil {
-		s.startNext(next)
+		s.transmit(next)
 	}
 }
 
@@ -246,10 +260,7 @@ func (s *udpSender) failAll(note string) {
 
 	s.router.dropSender(s)
 	for _, p := range all {
-		p := p
-		s.router.loop.Dispatch(func() {
-			p.cb(nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: note})
-		})
+		s.completeLater(p, nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: note})
 	}
 }
 

@@ -2,11 +2,12 @@ package xipc
 
 import (
 	"encoding/binary"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"xorp/internal/xrl"
 )
 
 // Write coalescing (the batching half of the Figure-9 fast path). Every
@@ -33,8 +34,8 @@ var writeTimeout = 30 * time.Second
 
 // I/O op counters, package-wide, for the Figure-9 syscall column. Each
 // counted op corresponds to one read/write syscall on a transport socket
-// (reads are counted beneath bufio, so a batch delivered in one segment
-// counts once however many frames it carried).
+// (a batch delivered in one segment counts once however many frames it
+// carried).
 var (
 	ioWrites atomic.Uint64
 	ioReads  atomic.Uint64
@@ -50,17 +51,6 @@ func ResetIOStats() {
 // all xipc transports since the last reset.
 func IOStats() (writes, reads uint64) {
 	return ioWrites.Load(), ioReads.Load()
-}
-
-// countingReader counts read syscalls beneath a bufio.Reader.
-type countingReader struct {
-	r io.Reader
-}
-
-func (c countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	ioReads.Add(1)
-	return n, err
 }
 
 // frameWriter owns all writes to one connection.
@@ -82,11 +72,33 @@ func newFrameWriter(conn net.Conn, onErr func(error)) *frameWriter {
 	return w
 }
 
-// appendFrame encodes one length-prefixed frame into the pending batch via
-// enc (which appends the payload to dst and returns the extended slice).
-// An encoding error rolls the batch back and is returned; the connection
-// stays usable. A closed or failed writer returns its terminal error.
-func (w *frameWriter) appendFrame(enc func(dst []byte) ([]byte, error)) error {
+// writeRequest encodes req as one length-prefixed frame into the pending
+// batch. An encoding error rolls the batch back and is returned; the
+// connection stays usable. A closed or failed writer returns its terminal
+// error.
+func (w *frameWriter) writeRequest(req *xrl.Request) error {
+	dst, start, err := w.begin()
+	if err != nil {
+		return err
+	}
+	dst, err = xrl.AppendRequest(dst, req)
+	return w.commit(dst, start, err)
+}
+
+// writeReply is writeRequest for a reply.
+func (w *frameWriter) writeReply(rep *xrl.Reply) error {
+	dst, start, err := w.begin()
+	if err != nil {
+		return err
+	}
+	dst, err = xrl.AppendReply(dst, rep)
+	return w.commit(dst, start, err)
+}
+
+// begin opens a frame: it waits out the backpressure bound, then returns
+// the pending batch with a length-prefix placeholder appended at start.
+// On success the writer stays locked until commit.
+func (w *frameWriter) begin() (dst []byte, start int, err error) {
 	w.mu.Lock()
 	for len(w.pend) > maxPendingWrite && !w.closed {
 		w.cond.Wait()
@@ -97,13 +109,16 @@ func (w *frameWriter) appendFrame(enc func(dst []byte) ([]byte, error)) error {
 		if err == nil {
 			err = net.ErrClosed
 		}
-		return err
+		return nil, 0, err
 	}
-	start := len(w.pend)
-	dst := append(w.pend, 0, 0, 0, 0) // length prefix placeholder
-	b, err := enc(dst)
+	return append(w.pend, 0, 0, 0, 0), len(w.pend), nil
+}
+
+// commit closes the frame begin opened: b is the batch with the payload
+// appended, or, when encoding failed with err, as far as it got.
+func (w *frameWriter) commit(b []byte, start int, err error) error {
 	if err != nil {
-		w.pend = dst[:start] // keep any growth, drop the partial frame
+		w.pend = b[:start] // keep any growth, drop the partial frame
 		w.mu.Unlock()
 		return err
 	}

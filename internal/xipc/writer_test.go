@@ -30,10 +30,8 @@ func TestFrameWriterWedgedPeerFailsFast(t *testing.T) {
 	w := newFrameWriter(c1, func(err error) { errCh <- err })
 	defer w.close()
 
-	if err := w.appendFrame(func(dst []byte) ([]byte, error) {
-		return append(dst, "stuck"...), nil
-	}); err != nil {
-		t.Fatalf("appendFrame: %v", err)
+	if err := w.writeRequest(&xrl.Request{Seq: 1, Target: "stuck"}); err != nil {
+		t.Fatalf("writeRequest: %v", err)
 	}
 
 	select {
@@ -47,10 +45,8 @@ func TestFrameWriterWedgedPeerFailsFast(t *testing.T) {
 	}
 
 	// The writer is terminally failed: later appends error immediately.
-	if err := w.appendFrame(func(dst []byte) ([]byte, error) {
-		return append(dst, "more"...), nil
-	}); err == nil {
-		t.Fatal("appendFrame succeeded on a failed writer")
+	if err := w.writeRequest(&xrl.Request{Seq: 2, Target: "more"}); err == nil {
+		t.Fatal("writeRequest succeeded on a failed writer")
 	}
 }
 
@@ -67,17 +63,22 @@ func TestTCPSenderDeadEndpointFailsFast(t *testing.T) {
 
 	c1, c2 := net.Pipe()
 	defer c2.Close()
-	s := &tcpSender{
-		router:  r,
-		conn:    c1,
-		pending: make(map[uint32]func(*xrl.Reply, *xrl.Error)),
-	}
-	s.fw = newFrameWriter(c1, func(error) { s.fail() })
-	go s.readLoop()
+	s := startTCPSender(r, c1)
 
+	// send runs on the loop, with the record transportSend would hand it.
 	got := make(chan *xrl.Error, 1)
-	s.send(&xrl.Request{Seq: 1, Target: "peer", Command: "test/1.0/echo"},
-		func(_ *xrl.Reply, err *xrl.Error) { got <- err })
+	send := func(seq uint32) {
+		loop.Dispatch(func() {
+			r.mu.Lock()
+			c := r.newCall(xrl.XRL{}, func(_ xrl.Args, err *xrl.Error) { got <- err }, false)
+			r.mu.Unlock()
+			c.allowRetry = false
+			c.req = xrl.Request{Seq: seq, Target: "peer", Command: "test/1.0/echo"}
+			c.via = s
+			s.send(c)
+		})
+	}
+	send(1)
 	select {
 	case err := <-got:
 		if err == nil || err.Code != xrl.CodeSendFailed {
@@ -89,8 +90,7 @@ func TestTCPSenderDeadEndpointFailsFast(t *testing.T) {
 
 	// The sender is dead now; a follow-up send fails without touching the
 	// connection at all.
-	s.send(&xrl.Request{Seq: 2, Target: "peer", Command: "test/1.0/echo"},
-		func(_ *xrl.Reply, err *xrl.Error) { got <- err })
+	send(2)
 	select {
 	case err := <-got:
 		if err == nil || err.Code != xrl.CodeSendFailed {

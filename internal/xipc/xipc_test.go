@@ -52,7 +52,7 @@ func TestTCPDirectResolvedCall(t *testing.T) {
 	}
 	send, _ := newNode(t, "send")
 
-	// A resolved XRL's wire target is the endpoint address; handleRequest
+	// A resolved XRL's wire target is the endpoint address; dispatch
 	// looks targets up by instance name, so the request must carry the
 	// instance. The router uses Target for both; a direct resolved call
 	// therefore addresses the instance named like the endpoint — register

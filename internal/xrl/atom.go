@@ -14,7 +14,9 @@
 // Internally XRLs are encoded with a compact binary codec (wire.go) in the
 // preallocated encode/decode style. The argument types are the core XORP
 // atom types: bool, i32, u32, i64, u64, fp64, txt, ipv4, ipv6, ipv4net,
-// ipv6net, binary and list.
+// ipv6net, binary and list, plus route: one forwarding entry (prefix,
+// next hop, metric, interface) as a single atom, so a list XRL carries a
+// run of routes without any of them becoming text.
 package xrl
 
 import (
@@ -44,6 +46,7 @@ const (
 	TypeIPv6Net
 	TypeBinary
 	TypeList
+	TypeRoute
 )
 
 var typeNames = map[AtomType]string{
@@ -60,6 +63,7 @@ var typeNames = map[AtomType]string{
 	TypeIPv6Net: "ipv6net",
 	TypeBinary:  "binary",
 	TypeList:    "list",
+	TypeRoute:   "route",
 }
 
 var typeByName = func() map[string]AtomType {
@@ -90,6 +94,9 @@ type Atom struct {
 	TextVal string
 	AddrVal netip.Addr   // ipv4 / ipv6
 	NetVal  netip.Prefix // ipv4net / ipv6net
+	// A route atom is a compound of the fields above: NetVal is the
+	// prefix, AddrVal the next hop (the zero Addr when there is none),
+	// IntVal the u32 metric and TextVal the interface name ("" for none).
 	BinVal  []byte
 	ListVal []Atom
 }
@@ -149,6 +156,12 @@ func Net(name string, p netip.Prefix) Atom {
 	return IPv6Net(name, p)
 }
 
+// Route returns a route atom: one forwarding entry. A zero nexthop and an
+// empty ifname mean "none".
+func Route(name string, net netip.Prefix, nexthop netip.Addr, metric uint32, ifname string) Atom {
+	return Atom{Name: name, Type: TypeRoute, NetVal: net, AddrVal: nexthop, IntVal: int64(metric), TextVal: ifname}
+}
+
 // Binary returns a binary atom. The slice is not copied.
 func Binary(name string, v []byte) Atom { return Atom{Name: name, Type: TypeBinary, BinVal: v} }
 
@@ -177,6 +190,9 @@ func (a Atom) Equal(b Atom) bool {
 		return a.NetVal == b.NetVal
 	case TypeBinary:
 		return bytes.Equal(a.BinVal, b.BinVal)
+	case TypeRoute:
+		return a.NetVal == b.NetVal && a.AddrVal == b.AddrVal &&
+			a.IntVal == b.IntVal && a.TextVal == b.TextVal
 	case TypeList:
 		if len(a.ListVal) != len(b.ListVal) {
 			return false
@@ -216,6 +232,17 @@ func (a Atom) valueString() string {
 		return a.NetVal.String()
 	case TypeBinary:
 		return hexEncode(a.BinVal)
+	case TypeRoute:
+		// "net nexthop metric ifname", "-" for an absent nexthop or ifname.
+		nh, ifn := "-", "-"
+		if a.AddrVal.IsValid() {
+			nh = a.AddrVal.String()
+		}
+		if a.TextVal != "" {
+			ifn = a.TextVal
+		}
+		return a.NetVal.String() + " " + nh + " " +
+			strconv.FormatUint(uint64(uint32(a.IntVal)), 10) + " " + ifn
 	case TypeList:
 		parts := make([]string, len(a.ListVal))
 		for i, item := range a.ListVal {
@@ -231,10 +258,11 @@ func (a Atom) String() string {
 	return a.Name + ":" + a.Type.String() + "=" + escape(a.valueString())
 }
 
-// parseAtomValue parses the textual value (already unescaped) for typ.
-// List values parse as txt items; typed lists round-trip via the binary
-// codec, matching XORP, where textual lists are flat.
-func parseAtomValue(name string, typ AtomType, val string) (Atom, error) {
+// ParseAtomValue parses the textual value (already unescaped) for typ:
+// the part after "=" in "name:type=value". List values parse as txt
+// items; typed lists round-trip via the binary codec, matching XORP,
+// where textual lists are flat.
+func ParseAtomValue(name string, typ AtomType, val string) (Atom, error) {
 	a := Atom{Name: name, Type: typ}
 	var err error
 	switch typ {
@@ -287,6 +315,8 @@ func parseAtomValue(name string, typ AtomType, val string) (Atom, error) {
 		}
 	case TypeBinary:
 		a.BinVal, err = hexDecode(val)
+	case TypeRoute:
+		err = a.parseRoute(val)
 	case TypeList:
 		if val != "" {
 			for _, part := range strings.Split(val, ",") {
@@ -304,6 +334,33 @@ func parseAtomValue(name string, typ AtomType, val string) (Atom, error) {
 		return a, fmt.Errorf("xrl: atom %q: %w", name, err)
 	}
 	return a, nil
+}
+
+// parseRoute fills a route atom from its textual value,
+// "net nexthop metric ifname" with "-" for an absent nexthop or ifname.
+func (a *Atom) parseRoute(val string) error {
+	fields := strings.Fields(val)
+	if len(fields) != 4 {
+		return fmt.Errorf("malformed route %q, want \"net nexthop metric ifname\"", val)
+	}
+	var err error
+	if a.NetVal, err = netip.ParsePrefix(fields[0]); err != nil {
+		return fmt.Errorf("route net: %v", err)
+	}
+	if fields[1] != "-" {
+		if a.AddrVal, err = netip.ParseAddr(fields[1]); err != nil {
+			return fmt.Errorf("route nexthop: %v", err)
+		}
+	}
+	metric, err := strconv.ParseUint(fields[2], 10, 32)
+	if err != nil {
+		return fmt.Errorf("route metric: %v", err)
+	}
+	a.IntVal = int64(metric)
+	if fields[3] != "-" {
+		a.TextVal = fields[3]
+	}
+	return nil
 }
 
 const hexdigits = "0123456789abcdef"
@@ -395,6 +452,41 @@ func (as Args) Get(name string) (Atom, bool) {
 		}
 	}
 	return Atom{}, false
+}
+
+// Accepts reports whether an atom of type got satisfies a declaration of
+// type t. Address and prefix declarations accept either family, as the
+// AddrArg and NetArg accessors do.
+func (t AtomType) Accepts(got AtomType) bool {
+	if t == got {
+		return true
+	}
+	switch t {
+	case TypeIPv4, TypeIPv6:
+		return got == TypeIPv4 || got == TypeIPv6
+	case TypeIPv4Net, TypeIPv6Net:
+		return got == TypeIPv4Net || got == TypeIPv6Net
+	}
+	return false
+}
+
+// Optional looks up an argument that may be left out of a call. An absent
+// argument is (nil, nil) and costs nothing; one present with a type t
+// does not accept is a CodeBadArgs error, so a mistyped optional is
+// reported instead of being taken for an absent one. The atom returned
+// points into as.
+func (as Args) Optional(name string, t AtomType) (*Atom, error) {
+	for i := range as {
+		if as[i].Name != name {
+			continue
+		}
+		if !t.Accepts(as[i].Type) {
+			return nil, &Error{Code: CodeBadArgs,
+				Note: fmt.Sprintf("argument %s has type %v, want %v", name, as[i].Type, t)}
+		}
+		return &as[i], nil
+	}
+	return nil, nil
 }
 
 func (as Args) typed(name string, t AtomType) (Atom, error) {

@@ -22,6 +22,9 @@ import (
 //	reply:    u32 error code | str16 error note | args
 //	args:     u16 count | atom...
 //	atom:     u8 type | str8 name | value (type-dependent)
+//	route:    u8 flags | net address (4 or 16 bytes) | u8 bits |
+//	          nexthop address (4 or 16 bytes, if present) |
+//	          u32 metric | str8 ifname
 
 // Frame types.
 const (
@@ -240,6 +243,8 @@ func appendAtom(dst []byte, a *Atom) ([]byte, error) {
 		b := a.NetVal.Addr().As16()
 		dst = append(dst, b[:]...)
 		dst = append(dst, byte(a.NetVal.Bits()))
+	case TypeRoute:
+		return appendRoute(dst, a)
 	case TypeList:
 		var err error
 		if dst, err = appendArgs(dst, Args(a.ListVal)); err != nil {
@@ -251,11 +256,61 @@ func appendAtom(dst []byte, a *Atom) ([]byte, error) {
 	return dst, nil
 }
 
+// Flag bits of a route atom's wire form.
+const (
+	routeNet6       = 1 << iota // the prefix is IPv6
+	routeHasNexthop             // a next hop follows the prefix
+	routeNexthop6               // the next hop is IPv6
+	routeFlagsMask  = routeNet6 | routeHasNexthop | routeNexthop6
+)
+
+// appendIP appends a's 4 or 16 address bytes.
+func appendIP(dst []byte, a netip.Addr) []byte {
+	if a.Is4() {
+		b := a.As4()
+		return append(dst, b[:]...)
+	}
+	b := a.As16()
+	return append(dst, b[:]...)
+}
+
+func appendRoute(dst []byte, a *Atom) ([]byte, error) {
+	if !a.NetVal.IsValid() {
+		return dst, fmt.Errorf("xrl: atom %q: route has no valid prefix", a.Name)
+	}
+	var flags byte
+	if !a.NetVal.Addr().Is4() {
+		flags |= routeNet6
+	}
+	if a.AddrVal.IsValid() {
+		flags |= routeHasNexthop
+		if !a.AddrVal.Is4() {
+			flags |= routeNexthop6
+		}
+	}
+	dst = append(dst, flags)
+	dst = appendIP(dst, a.NetVal.Addr())
+	dst = append(dst, byte(a.NetVal.Bits()))
+	if a.AddrVal.IsValid() {
+		dst = appendIP(dst, a.AddrVal)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(a.IntVal))
+	return appendStr8(dst, a.TextVal)
+}
+
+// maxListDepth bounds how deep list atoms may nest in a decoded frame.
+// Nothing in the router nests deeper than a list of lists; without a
+// bound, a frame of a few megabytes of nested list headers would recurse
+// the decoder until the goroutine's stack ran out, which no recover
+// catches.
+const maxListDepth = 8
+
 // decoder is a cursor over an encoded frame with sticky error handling.
 type decoder struct {
-	buf []byte
-	off int
-	err error
+	buf   []byte
+	off   int
+	depth int // list atoms open around the cursor
+	err   error
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -268,7 +323,7 @@ func (d *decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if d.off+n > len(d.buf) {
+	if n < 0 || n > len(d.buf)-d.off {
 		d.fail("truncated frame (need %d bytes at %d of %d)", n, d.off, len(d.buf))
 		return nil
 	}
@@ -367,39 +422,65 @@ func (d *decoder) atom() Atom {
 			a.BinVal = append([]byte(nil), b...)
 		}
 	case TypeIPv4:
-		b := d.take(4)
-		if b != nil {
-			a.AddrVal = netip.AddrFrom4([4]byte(b))
-		}
+		a.AddrVal = d.ip(false)
 	case TypeIPv6:
-		b := d.take(16)
-		if b != nil {
-			a.AddrVal = netip.AddrFrom16([16]byte(b))
-		}
-	case TypeIPv4Net:
-		b := d.take(4)
-		bits := d.u8()
-		if b != nil {
-			if bits > 32 {
-				d.fail("ipv4net bits %d", bits)
-			} else {
-				a.NetVal = netip.PrefixFrom(netip.AddrFrom4([4]byte(b)), int(bits))
-			}
-		}
-	case TypeIPv6Net:
-		b := d.take(16)
-		bits := d.u8()
-		if b != nil {
-			if bits > 128 {
-				d.fail("ipv6net bits %d", bits)
-			} else {
-				a.NetVal = netip.PrefixFrom(netip.AddrFrom16([16]byte(b)), int(bits))
-			}
-		}
+		a.AddrVal = d.ip(true)
+	case TypeIPv4Net, TypeIPv6Net:
+		a.NetVal = d.prefix(a.Type == TypeIPv6Net)
+	case TypeRoute:
+		d.route(&a)
 	case TypeList:
+		if d.depth == maxListDepth {
+			d.fail("lists nested deeper than %d", maxListDepth)
+			break
+		}
+		d.depth++
 		a.ListVal = d.args(nil)
+		d.depth--
 	default:
 		d.fail("unknown atom type %d", a.Type)
 	}
 	return a
+}
+
+// ip decodes a 4- or 16-byte address.
+func (d *decoder) ip(v6 bool) netip.Addr {
+	if v6 {
+		if b := d.take(16); b != nil {
+			return netip.AddrFrom16([16]byte(b))
+		}
+	} else if b := d.take(4); b != nil {
+		return netip.AddrFrom4([4]byte(b))
+	}
+	return netip.Addr{}
+}
+
+// prefix decodes an address and its bit count.
+func (d *decoder) prefix(v6 bool) netip.Prefix {
+	addr := d.ip(v6)
+	bits := int(d.u8())
+	if d.err != nil {
+		return netip.Prefix{}
+	}
+	if bits > addr.BitLen() {
+		d.fail("prefix of %d bits on %v", bits, addr)
+		return netip.Prefix{}
+	}
+	return netip.PrefixFrom(addr, bits)
+}
+
+// route decodes a route atom's value. The interface name is interned like
+// an atom name (a router has a handful), so a route costs no allocation.
+func (d *decoder) route(a *Atom) {
+	flags := d.u8()
+	if flags&^routeFlagsMask != 0 || (flags&routeNexthop6 != 0 && flags&routeHasNexthop == 0) {
+		d.fail("route flags %#x", flags)
+		return
+	}
+	a.NetVal = d.prefix(flags&routeNet6 != 0)
+	if flags&routeHasNexthop != 0 {
+		a.AddrVal = d.ip(flags&routeNexthop6 != 0)
+	}
+	a.IntVal = int64(d.u32())
+	a.TextVal = d.str8()
 }

@@ -137,7 +137,7 @@ func Parse(s string) (XRL, error) {
 		if err != nil {
 			return x, fmt.Errorf("xrl: %w", err)
 		}
-		a, err := parseAtomValue(name, typ, unval)
+		a, err := ParseAtomValue(name, typ, unval)
 		if err != nil {
 			return x, err
 		}

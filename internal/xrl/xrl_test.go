@@ -42,6 +42,10 @@ func TestParseRoundTrip(t *testing.T) {
 			I32("a", -42), I64("b", -1<<40), U64("c", 1<<60), FP64("d", 2.5),
 			Binary("e", []byte{0, 1, 0xfe, 0xff}),
 			Text("weird", "a&b=c%d,e f/g")),
+		New("rib", "x", "1.0", "routes",
+			Route("a", netip.MustParsePrefix("10.0.1.0/24"), netip.MustParseAddr("192.168.1.254"), 5, ""),
+			Route("b", netip.MustParsePrefix("2001:db8::/32"), netip.Addr{}, 0, "eth0"),
+			Route("c", netip.MustParsePrefix("10.0.2.0/24"), netip.MustParseAddr("fe80::1"), 1<<32-1, "eth1")),
 	}
 	for _, x := range cases {
 		s := x.String()
@@ -54,6 +58,11 @@ func TestParseRoundTrip(t *testing.T) {
 		}
 		if got.Command() != x.Command() {
 			t.Errorf("command %q != %q", got.Command(), x.Command())
+		}
+		for i := range x.Args {
+			if !got.Args[i].Equal(x.Args[i]) {
+				t.Errorf("%q: argument %d parsed back as %v", s, i, got.Args[i])
+			}
 		}
 	}
 }
@@ -200,7 +209,16 @@ func TestWireMalformed(t *testing.T) {
 
 func randAtom(r *rand.Rand, depth int) Atom {
 	name := string(rune('a' + r.Intn(26)))
-	switch r.Intn(12) {
+	switch r.Intn(13) {
+	case 12:
+		var net, nh [4]byte
+		r.Read(net[:])
+		r.Read(nh[:])
+		a := Route(name, netip.PrefixFrom(netip.AddrFrom4(net), r.Intn(33)), netip.Addr{}, r.Uint32(), "")
+		if r.Intn(2) == 0 {
+			a.AddrVal, a.TextVal = netip.AddrFrom4(nh), "eth0"
+		}
+		return a
 	case 0:
 		return Bool(name, r.Intn(2) == 0)
 	case 1:
@@ -392,5 +410,97 @@ func TestTypeNamesBijective(t *testing.T) {
 	}
 	if !reflect.DeepEqual(typeByName["u32"], TypeU32) {
 		t.Fatal("u32 lookup broken")
+	}
+}
+
+func TestRouteAtomText(t *testing.T) {
+	a, err := ParseAtomValue("r", TypeRoute, "10.0.1.0/24 192.168.1.254 5 -")
+	want := Route("r", netip.MustParsePrefix("10.0.1.0/24"), netip.MustParseAddr("192.168.1.254"), 5, "")
+	if err != nil || !a.Equal(want) {
+		t.Fatalf("parsed %v, %v; want %v", a, err, want)
+	}
+	if got := a.String(); got != "r:route=10.0.1.0/24 192.168.1.254 5 -" {
+		t.Fatalf("String() = %q", got)
+	}
+	for _, bad := range []string{"", "10.0.1.0/24", "10.0.1.0/24 - 5", "10.0.1.0/24 - 5 eth0 extra",
+		"10.0.1.0 - 5 -", "10.0.1.0/24 nexthop 5 -", "10.0.1.0/24 - -1 -", "10.0.1.0/24 - 4294967296 -"} {
+		if _, err := ParseAtomValue("r", TypeRoute, bad); err == nil {
+			t.Errorf("route %q accepted", bad)
+		}
+	}
+}
+
+func TestWireRouteMalformed(t *testing.T) {
+	frame := func(value ...byte) []byte {
+		// A request of one nameless route atom with the given value bytes.
+		return append([]byte{FrameRequest, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, byte(TypeRoute), 0}, value...)
+	}
+	good := frame(routeHasNexthop, 10, 0, 1, 0, 24, 192, 168, 1, 254, 0, 0, 0, 5, 0)
+	var req Request
+	if err := ParseRequest(good, &req); err != nil {
+		t.Fatalf("well-formed route atom: %v", err)
+	}
+	for name, bad := range map[string][]byte{
+		"unknown flag bit":         frame(0x08, 10, 0, 1, 0, 24, 0, 0, 0, 5, 0),
+		"v6 nexthop flag, no hop":  frame(routeNexthop6, 10, 0, 1, 0, 24, 0, 0, 0, 5, 0),
+		"33 bits on an IPv4 net":   frame(0, 10, 0, 1, 0, 33, 0, 0, 0, 5, 0),
+		"truncated before metric":  frame(0, 10, 0, 1, 0, 24, 0, 0),
+		"ifname longer than frame": frame(0, 10, 0, 1, 0, 24, 0, 0, 0, 5, 9, 'e'),
+	} {
+		if err := ParseRequest(bad, &req); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// A route without a valid prefix cannot be encoded.
+	if _, err := AppendRequest(nil, &Request{Args: Args{Route("", netip.Prefix{}, netip.Addr{}, 0, "")}}); err == nil {
+		t.Error("encoded a route atom with no prefix")
+	}
+}
+
+func TestWireListDepthBounded(t *testing.T) {
+	nest := func(depth int) Atom {
+		a := U32("leaf", 1)
+		for i := 0; i < depth; i++ {
+			a = List("l", a)
+		}
+		return a
+	}
+	var req Request
+	for depth, ok := range map[int]bool{maxListDepth: true, maxListDepth + 1: false} {
+		buf, err := AppendRequest(nil, &Request{Args: Args{nest(depth)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ParseRequest(buf, &req); (err == nil) != ok {
+			t.Errorf("lists nested %d deep: err = %v", depth, err)
+		}
+	}
+	// The hostile form: nothing but list headers, far deeper than any stack
+	// should follow.
+	hostile := []byte{FrameRequest, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1}
+	for i := 0; i < 1<<16; i++ {
+		hostile = append(hostile, byte(TypeList), 0, 0, 1)
+	}
+	if err := ParseRequest(hostile, &req); err == nil {
+		t.Error("65536 nested lists accepted")
+	}
+}
+
+func TestOptionalArg(t *testing.T) {
+	as := Args{U32("metric", 5), Addr("nexthop", netip.MustParseAddr("2001:db8::1")), Text("ifname", "eth0")}
+	if a, err := as.Optional("metric", TypeU32); err != nil || a == nil || a.IntVal != 5 {
+		t.Fatalf("present optional: %v, %v", a, err)
+	}
+	// An ipv4 declaration takes either family, as AddrArg does.
+	if a, err := as.Optional("nexthop", TypeIPv4); err != nil || a == nil {
+		t.Fatalf("ipv6 atom for an ipv4 declaration: %v, %v", a, err)
+	}
+	if a, err := as.Optional("ifname", TypeU32); a != nil || AsError(err) == nil || AsError(err).Code != CodeBadArgs {
+		t.Fatalf("mistyped optional: %v, %v; want BAD_ARGS", a, err)
+	}
+	var a *Atom
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() { a, err = as.Optional("absent", TypeText) }); allocs != 0 || a != nil || err != nil {
+		t.Fatalf("absent optional: %v, %v, %.1f allocations; want nil, nil, 0", a, err, allocs)
 	}
 }
