@@ -142,3 +142,46 @@ func BenchmarkDampingStage(b *testing.B) {
 		damp.Delete(r)
 	}
 }
+
+// BenchmarkNexthopChangeUnderTable is the price of the resolver keeping no
+// nexthop → prefixes index: one peer, 10,000 routes over 4 nexthops, and an
+// IGP change that moves the metric of one of them, so the 2,500 routes via
+// it are found by walking the PeerIn and re-announced to the decision
+// process. CHANGES.md (PR 21) has the figure against the clone table the
+// resolver used to scan instead.
+func BenchmarkNexthopChangeUnderTable(b *testing.B) {
+	const n, nexthops = 10000, 4
+	tr := newTestRouter(nil, 65000)
+	p1 := tr.addPeer(nil, "p1", "10.0.0.1", 65001)
+	src := &modelSource{truth: make(map[netip.Addr]NexthopInfo)}
+	p1.resolver.src, src.watch = src, p1.resolver.invalidate
+	for h := 0; h < nexthops; h++ {
+		nh := netip.AddrFrom4([4]byte{10, 0, 0, byte(1 + h)})
+		src.truth[nh] = NexthopInfo{Resolvable: true, Metric: 10, Covering: netip.PrefixFrom(nh, 32)}
+		u := &UpdateMsg{Attrs: attrsVia(nh.String(), 65001)}
+		for i := h; i < n; i += nexthops {
+			u.NLRI = append(u.NLRI, netip.PrefixFrom(netip.AddrFrom4([4]byte{20, byte(i >> 8), byte(i), 0}), 24))
+		}
+		p1.peerin.ReceiveUpdate(u, 65000)
+		src.deliver(0)
+	}
+	tr.settle()
+	if len(tr.sink.tbl) != n {
+		b.Fatalf("%d routes reached the sink, want %d", len(tr.sink.tbl), n)
+	}
+	moved := netip.AddrFrom4([4]byte{10, 0, 0, 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		info := src.truth[moved]
+		info.Metric++
+		src.truth[moved] = info
+		src.watch(info.Covering)
+		src.deliver(0)
+		tr.settle()
+	}
+	b.StopTimer()
+	if r := tr.sink.Lookup(mustP("20.0.0.0/24")); r == nil || p1.resolver.Lookup(r.Net).IGPMetric != src.truth[moved].Metric {
+		b.Fatalf("the change did not reach the routes via %v", moved)
+	}
+}

@@ -89,7 +89,10 @@ func (d *DampingStage) reconcile(net netip.Prefix, s *dampState) {
 	if s.suppressed {
 		want = nil
 	}
+	// Recorded before it is emitted: downstream looks back up through this
+	// stage while it handles the message.
 	have := s.announced
+	s.announced = want
 	if d.next != nil {
 		switch {
 		case have == nil && want != nil:
@@ -100,7 +103,6 @@ func (d *DampingStage) reconcile(net netip.Prefix, s *dampState) {
 			d.next.Replace(have, want)
 		}
 	}
-	s.announced = want
 	if s.current == nil && !s.suppressed && s.penalty < d.ReuseBelow {
 		// Fully withdrawn, nothing pending: garbage-collect.
 		if s.reuseTimer != nil {

@@ -101,23 +101,14 @@ func (f *Fanout) Backlog(name string) int {
 // QueueLen reports the single queue's current length.
 func (f *Fanout) QueueLen() int { return f.q.Len() }
 
-// sendable reports whether r may be advertised to peer: not back to its
-// originator (split horizon), and not from one IBGP peer to another
-// (IBGP full-mesh rule, RFC 4271 §9.2.1).
-func sendable(r *Route, peer *PeerHandle) bool {
-	if r == nil {
-		return false
-	}
-	if r.Src == nil {
+// sendable reports whether a route learned from src may be advertised to
+// peer: not back to its originator (split horizon), and not from one IBGP
+// peer to another (IBGP full-mesh rule, RFC 4271 §9.2.1).
+func sendable(src, peer *PeerHandle) bool {
+	if src == nil {
 		return true // locally originated: goes everywhere
 	}
-	if r.Src == peer {
-		return false
-	}
-	if r.Src.IBGP && peer.IBGP {
-		return false
-	}
-	return true
+	return src != peer && !(src.IBGP && peer.IBGP)
 }
 
 // deliver drives one queued change into a branch, screened first when
@@ -126,7 +117,7 @@ func sendable(r *Route, peer *PeerHandle) bool {
 func (f *Fanout) deliver(b *fanoutBranch, e fanoutEntry) bool {
 	so, sn := e.op != core.OpAdd, e.op != core.OpDelete
 	if b.peer != nil {
-		so, sn = so && sendable(e.old, b.peer), sn && sendable(e.new, b.peer)
+		so, sn = so && sendable(e.old.Src, b.peer), sn && sendable(e.new.Src, b.peer)
 	}
 	switch {
 	case so && sn:

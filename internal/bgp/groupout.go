@@ -31,10 +31,9 @@ func (f GroupSenderFunc) SendEncodedUpdate(buf []byte) { f(buf) }
 //
 // Split horizon and the IBGP non-reflection rule still differ per member;
 // they are applied here, per member, against the route's Src. The group
-// keeps one announced map (the shared adj-RIB-out) plus a sparse
-// per-member suppressed set holding only the prefixes a member must NOT
-// see — for a route server that is each member's own contribution, so
-// total bookkeeping stays proportional to the table, not members × table.
+// keeps one announced map (the shared adj-RIB-out) and nothing per member:
+// whether a member was told a prefix is sendable(announced[net].Src,
+// member), a function of what is already held.
 //
 // A message that cannot be encoded (an attribute set that outgrows the
 // 4096-byte limit on export, say) is dropped whole and counted, and the
@@ -48,6 +47,9 @@ type GroupOut struct {
 	// announced is the group-level adj-RIB-out: what the shared pipeline
 	// has emitted, before per-member suppression.
 	announced map[netip.Prefix]*Route
+	// bySrc counts announced routes per Src, so a member's share of the
+	// table is a sum over sources, not a walk over prefixes.
+	bySrc map[*PeerHandle]int
 
 	encBuf []byte
 	netBuf []netip.Prefix
@@ -64,8 +66,6 @@ type GroupOut struct {
 type groupMember struct {
 	handle *PeerHandle
 	sender GroupSender
-	// suppressed marks announced prefixes this member must not see.
-	suppressed map[netip.Prefix]bool
 }
 
 // NewGroupOut returns an empty group output stage.
@@ -73,6 +73,7 @@ func NewGroupOut(name string) *GroupOut {
 	return &GroupOut{
 		base:         base{name: "groupout(" + name + ")"},
 		announced:    make(map[netip.Prefix]*Route),
+		bySrc:        make(map[*PeerHandle]int),
 		EncodeErrors: new(telemetry.Counter),
 	}
 }
@@ -92,15 +93,7 @@ func (g *GroupOut) AddMember(handle *PeerHandle, sender GroupSender) error {
 			return fmt.Errorf("bgp: %s already in %s", handle.Name, g.name)
 		}
 	}
-	m := &groupMember{handle: handle, sender: sender, suppressed: make(map[netip.Prefix]bool)}
-	// Routes already announced by the group predate the member; mark the
-	// ones it must never see so later replaces/deletes stay consistent.
-	for net, r := range g.announced {
-		if !sendable(r, handle) {
-			m.suppressed[net] = true
-		}
-	}
-	g.members = append(g.members, m)
+	g.members = append(g.members, &groupMember{handle: handle, sender: sender})
 	return nil
 }
 
@@ -111,13 +104,6 @@ func (g *GroupOut) RemoveMember(handle *PeerHandle) {
 			g.members = append(g.members[:i], g.members[i+1:]...)
 			return
 		}
-	}
-}
-
-// SetSender swaps a member's byte consumer (session established).
-func (g *GroupOut) SetSender(handle *PeerHandle, sender GroupSender) {
-	if m := g.member(handle); m != nil {
-		m.sender = sender
 	}
 }
 
@@ -172,10 +158,16 @@ func (g *GroupOut) encodeWithdraw(net netip.Prefix) bool {
 	return true
 }
 
+// forget drops one announced route from the per-source count.
+func (g *GroupOut) forget(prev *Route) {
+	if g.bySrc[prev.Src]--; g.bySrc[prev.Src] == 0 {
+		delete(g.bySrc, prev.Src)
+	}
+}
+
 // Add implements Stage — the shared encode: one wire encode for the whole
 // run, one sendable check per member (runs share Src), and the same bytes
-// fanned out to every member the run is sendable to; the rest record a
-// suppression.
+// fanned out to every member the run is sendable to.
 func (g *GroupOut) Add(run []*Route) {
 	g.netBuf = g.netBuf[:0]
 	for _, r := range run {
@@ -188,16 +180,10 @@ func (g *GroupOut) Add(run []*Route) {
 	for _, r := range run {
 		g.announced[r.Net] = r
 	}
+	g.bySrc[run[0].Src] += len(run)
 	for _, m := range g.members {
-		if sendable(run[0], m.handle) {
-			for _, r := range run {
-				delete(m.suppressed, r.Net)
-			}
+		if sendable(run[0].Src, m.handle) {
 			g.send(m, msgs)
-		} else {
-			for _, r := range run {
-				m.suppressed[r.Net] = true
-			}
 		}
 	}
 }
@@ -213,19 +199,18 @@ func (g *GroupOut) Replace(old, new *Route) {
 		g.Delete(old)
 		return
 	}
-	_, was := g.announced[new.Net]
+	prev, was := g.announced[new.Net]
+	if was {
+		g.forget(prev)
+	}
 	g.announced[new.Net] = new
+	g.bySrc[new.Src]++
 	var withdraw []*groupMember
 	for _, m := range g.members {
-		had := was && !m.suppressed[new.Net]
-		if sendable(new, m.handle) {
-			delete(m.suppressed, new.Net)
+		if sendable(new.Src, m.handle) {
 			g.send(m, msgs)
-		} else {
-			m.suppressed[new.Net] = true
-			if had {
-				withdraw = append(withdraw, m)
-			}
+		} else if was && sendable(prev.Src, m.handle) {
+			withdraw = append(withdraw, m)
 		}
 	}
 	if len(withdraw) > 0 && g.encodeWithdraw(new.Net) {
@@ -237,15 +222,17 @@ func (g *GroupOut) Replace(old, new *Route) {
 
 // Delete implements Stage: withdraw from every member that saw the route.
 func (g *GroupOut) Delete(r *Route) {
-	if _, was := g.announced[r.Net]; !was {
+	prev, was := g.announced[r.Net]
+	if !was {
 		return // its announcement was dropped
 	}
 	delete(g.announced, r.Net)
-	ok := g.encodeWithdraw(r.Net)
+	g.forget(prev)
+	if !g.encodeWithdraw(r.Net) {
+		return
+	}
 	for _, m := range g.members {
-		if m.suppressed[r.Net] {
-			delete(m.suppressed, r.Net)
-		} else if ok {
+		if sendable(prev.Src, m.handle) {
 			g.send(m, 1)
 		}
 	}
@@ -255,13 +242,18 @@ func (g *GroupOut) Delete(r *Route) {
 func (g *GroupOut) Lookup(net netip.Prefix) *Route { return g.announced[net] }
 
 // MemberAnnouncedCount returns how many prefixes one member has been told
-// (tests and stats).
+// (tests and stats): the announced routes of every source sendable to it.
 func (g *GroupOut) MemberAnnouncedCount(handle *PeerHandle) int {
-	m := g.member(handle)
-	if m == nil {
+	if g.member(handle) == nil {
 		return 0
 	}
-	return len(g.announced) - len(m.suppressed)
+	n := 0
+	for src, routes := range g.bySrc {
+		if sendable(src, handle) {
+			n += routes
+		}
+	}
+	return n
 }
 
 // ResyncMember replays the full member-visible table to one member's
@@ -274,9 +266,9 @@ func (g *GroupOut) ResyncMember(handle *PeerHandle) {
 	if m == nil {
 		return
 	}
-	nets := make([]netip.Prefix, 0, len(g.announced)-len(m.suppressed))
-	for net := range g.announced {
-		if !m.suppressed[net] {
+	nets := make([]netip.Prefix, 0, g.MemberAnnouncedCount(handle))
+	for net, r := range g.announced {
+		if sendable(r.Src, handle) {
 			nets = append(nets, net)
 		}
 	}
@@ -299,15 +291,11 @@ func (g *GroupOut) ResyncMember(handle *PeerHandle) {
 
 // WalkAnnounced visits every route one member knows (tests).
 func (g *GroupOut) WalkAnnounced(handle *PeerHandle, fn func(*Route) bool) {
-	m := g.member(handle)
-	if m == nil {
+	if g.member(handle) == nil {
 		return
 	}
-	for net, r := range g.announced {
-		if m.suppressed[net] {
-			continue
-		}
-		if !fn(r) {
+	for _, r := range g.announced {
+		if sendable(r.Src, handle) && !fn(r) {
 			return
 		}
 	}

@@ -43,32 +43,45 @@ func (s *StaticMetricSource) WatchInvalidation(func(covering netip.Prefix)) {}
 // ("routes are held in a queue until the relevant nexthop metrics are
 // received; this avoids the need for the Decision Process to wait on
 // asynchronous operations", §5.1.1).
+// An add has no old side and a delete no new one; only a new side needs a
+// nexthop and can wait.
 type pendingOp struct {
-	op       int // 1 add, 2 replace, 3 delete
 	old, new *Route
 }
 
-// key returns the route whose net/nexthop orders the op.
-func (p pendingOp) key() *Route {
+// net returns the prefix the op is about.
+func (p pendingOp) net() netip.Prefix {
 	if p.new != nil {
-		return p.new
+		return p.new.Net
 	}
-	return p.old
+	return p.old.Net
 }
 
-// needsNexthop reports whether the op must wait for a resolution.
-func (p pendingOp) needsNexthop() bool { return p.op != 3 }
+// nexthopEntry is what the resolver knows about one nexthop. Every route via
+// the nexthop that downstream holds carries exactly info, so an entry is
+// never dropped once routes have passed: an invalidated one is marked stale
+// and keeps answering for them until the re-query replaces it.
+type nexthopEntry struct {
+	info  NexthopInfo
+	stale bool
+}
 
 // NexthopResolver annotates routes with IGP metric and resolvability
 // before they reach the decision process. One resolver sits at the end of
 // each peering's input branch (Figure 5). Ops for a net with queued
 // predecessors queue behind them, so downstream always sees a consistent
 // per-net stream.
+//
+// The stage stores no routes (§5.1: only the PeerIn does). The annotation
+// depends on the nexthop alone, so it is kept per nexthop and written into
+// the route the stage is handed — with no cloning filter upstream that is
+// the PeerIn's own object — and Lookup asks upstream and stamps the answer
+// again. Only ops still waiting for an answer hold routes here.
 type NexthopResolver struct {
 	base
 	src MetricSource
 
-	cache      map[netip.Addr]NexthopInfo
+	nexthops   map[netip.Addr]*nexthopEntry
 	byCovering map[netip.Prefix][]netip.Addr
 
 	// queues holds per-net FIFO op queues; inflight marks nexthops with
@@ -77,10 +90,6 @@ type NexthopResolver struct {
 	queues   map[netip.Prefix][]pendingOp
 	inflight map[netip.Addr]bool
 	waiters  map[netip.Addr][]netip.Prefix
-
-	// announced is what this stage emitted downstream, keyed by net;
-	// Lookup answers from it (rule 2) and invalidation re-annotates it.
-	announced map[netip.Prefix]*Route
 }
 
 // NewNexthopResolver returns a resolver stage backed by src.
@@ -88,12 +97,11 @@ func NewNexthopResolver(name string, src MetricSource) *NexthopResolver {
 	r := &NexthopResolver{
 		base:       base{name: name},
 		src:        src,
-		cache:      make(map[netip.Addr]NexthopInfo),
+		nexthops:   make(map[netip.Addr]*nexthopEntry),
 		byCovering: make(map[netip.Prefix][]netip.Addr),
 		queues:     make(map[netip.Prefix][]pendingOp),
 		inflight:   make(map[netip.Addr]bool),
 		waiters:    make(map[netip.Addr][]netip.Prefix),
-		announced:  make(map[netip.Prefix]*Route),
 	}
 	src.WatchInvalidation(r.invalidate)
 	return r
@@ -108,99 +116,112 @@ func (n *NexthopResolver) PendingOps() int {
 	return total
 }
 
+// resolved reports whether nh has an answer new routes may use.
+func (n *NexthopResolver) resolved(nh netip.Addr) bool {
+	e := n.nexthops[nh]
+	return e != nil && !e.stale
+}
+
+// annotate writes r's nexthop entry into r, and reports whether there was a
+// route and an entry: a route without one has never gone downstream.
+func (n *NexthopResolver) annotate(r *Route) bool {
+	if r == nil {
+		return false
+	}
+	e := n.nexthops[r.Attrs.NextHop]
+	if e != nil {
+		r.Resolvable, r.IGPMetric = e.info.Resolvable, e.info.Metric
+	}
+	return e != nil
+}
+
 // Add implements Stage. A run shares one attribute set and thus one
-// nexthop: with the answer cached the whole run annotates and forwards in
-// one pass; a route with queued predecessors or a prior announcement cuts
-// the run and goes through the queue or as a Replace at its position, and
-// an uncached nexthop queues every route (the first issues the query, the
-// rest wait behind it).
+// nexthop: with the answer at hand the whole run is annotated and forwarded
+// in one pass; a route with queued predecessors cuts the run and goes
+// through the queue at its position, and an unresolved nexthop queues every
+// route (the first issues the query, the rest wait behind it).
 func (n *NexthopResolver) Add(run []*Route) {
-	info, cached := n.cache[run[0].Attrs.NextHop]
+	resolved := n.resolved(run[0].Attrs.NextHop)
 	for _, r := range run {
-		if !cached || len(n.queues[r.Net]) > 0 {
+		if !resolved || len(n.queues[r.Net]) > 0 {
 			n.flush()
-			n.submit(pendingOp{op: 1, new: r})
+			n.submit(pendingOp{new: r})
 			continue
 		}
-		oldOut := n.announced[r.Net]
-		ann := n.annotate(r, info)
-		n.announced[r.Net] = ann
-		if n.next == nil {
-			continue
-		}
-		if oldOut != nil {
-			n.flush()
-			n.next.Replace(oldOut, ann)
-		} else {
-			n.run = append(n.run, ann)
+		n.annotate(r)
+		if n.next != nil {
+			n.run = append(n.run, r)
 		}
 	}
 	n.flush()
 }
 
 // Replace implements Stage.
-func (n *NexthopResolver) Replace(old, new *Route) {
-	n.submit(pendingOp{op: 2, old: old, new: new})
-}
+func (n *NexthopResolver) Replace(old, new *Route) { n.submit(pendingOp{old: old, new: new}) }
 
 // Delete implements Stage.
-func (n *NexthopResolver) Delete(r *Route) { n.submit(pendingOp{op: 3, old: r}) }
+func (n *NexthopResolver) Delete(r *Route) { n.submit(pendingOp{old: r}) }
 
+// submit queues op behind its net's earlier ops and sends on what is ready.
 func (n *NexthopResolver) submit(op pendingOp) {
-	net := op.key().Net
+	net := op.net()
 	n.queues[net] = append(n.queues[net], op)
 	n.drain(net)
 }
 
 // drain forwards ops from the head of net's queue while they are ready:
-// deletes always, adds/replaces once their nexthop is cached. When the
-// head needs an uncached nexthop, a query is issued (once) and the queue
-// waits.
+// deletes always, adds/replaces once their nexthop is resolved. When the
+// head needs an unresolved nexthop, a query is issued (once) and the queue
+// waits. An op leaves the queue before it goes out, because downstream
+// looks back up through this stage while handling it.
 func (n *NexthopResolver) drain(net netip.Prefix) {
-	q := n.queues[net]
-	for len(q) > 0 {
+	for q := n.queues[net]; len(q) > 0; q = n.queues[net] {
 		op := q[0]
-		if op.needsNexthop() {
-			nh := op.new.Attrs.NextHop
-			info, cached := n.cache[nh]
-			if !cached {
-				n.queues[net] = q
-				n.wait(nh, net)
-				return
-			}
-			q = q[1:]
-			n.forward(op, info)
-			continue
-		}
-		q = q[1:]
-		n.forward(op, NexthopInfo{})
-	}
-	delete(n.queues, net)
-}
-
-// wait records that net's queue head waits on nh and issues the query if
-// none is in flight.
-func (n *NexthopResolver) wait(nh netip.Addr, net netip.Prefix) {
-	for _, w := range n.waiters[nh] {
-		if w == net {
-			// Already waiting; the in-flight query covers us.
+		if op.new != nil && !n.resolved(op.new.Attrs.NextHop) {
+			n.wait(op.new.Attrs.NextHop, net)
 			return
 		}
-	}
-	n.waiters[nh] = append(n.waiters[nh], net)
-	if !n.inflight[nh] {
-		n.inflight[nh] = true
-		n.src.LookupNexthop(nh, func(info NexthopInfo) { n.resolvedNexthop(nh, info) })
+		if len(q) == 1 {
+			delete(n.queues, net)
+		} else {
+			n.queues[net] = q[1:]
+		}
+		n.forward(op)
 	}
 }
 
-// resolvedNexthop handles an asynchronous answer and drains every net
-// whose queue head was waiting on it.
-func (n *NexthopResolver) resolvedNexthop(nh netip.Addr, info NexthopInfo) {
+// wait records that net's queue head waits on nh and makes sure a query is
+// in flight. A net may be recorded twice; its second drain finds nothing.
+func (n *NexthopResolver) wait(nh netip.Addr, net netip.Prefix) {
+	n.waiters[nh] = append(n.waiters[nh], net)
+	n.query(nh)
+}
+
+// query asks the source about nh unless an answer is already on its way.
+func (n *NexthopResolver) query(nh netip.Addr) {
+	if n.inflight[nh] {
+		return
+	}
+	n.inflight[nh] = true
+	n.src.LookupNexthop(nh, func(info NexthopInfo) { n.answered(nh, info) })
+}
+
+// answered handles an asynchronous answer, first or post-invalidation. The
+// entry is updated before anything is emitted: the decision process looks
+// back up through this stage while it handles each message, and must see
+// the new answer. Then routes downstream are re-announced if the answer
+// changed what they carry, and every net whose queue head was waiting on
+// nh drains — in that order, so a waiting Replace finds its old side
+// already carrying the entry it is about to be stamped from.
+func (n *NexthopResolver) answered(nh netip.Addr, info NexthopInfo) {
 	delete(n.inflight, nh)
-	n.cache[nh] = info
+	prev := n.nexthops[nh]
+	n.nexthops[nh] = &nexthopEntry{info: info}
 	if info.Covering.IsValid() {
 		n.byCovering[info.Covering] = append(n.byCovering[info.Covering], nh)
+	}
+	if prev != nil && n.next != nil && (prev.info.Resolvable != info.Resolvable || prev.info.Metric != info.Metric) {
+		n.reannounce(nh, prev.info)
 	}
 	nets := n.waiters[nh]
 	delete(n.waiters, nh)
@@ -209,41 +230,28 @@ func (n *NexthopResolver) resolvedNexthop(nh netip.Addr, info NexthopInfo) {
 	}
 }
 
-func (n *NexthopResolver) annotate(r *Route, info NexthopInfo) *Route {
-	out := r.Clone()
-	out.Resolvable = info.Resolvable
-	out.IGPMetric = info.Metric
-	return out
-}
-
-// forward annotates and emits one op, maintaining the announced table and
-// degrading ops so downstream always sees a consistent stream.
-func (n *NexthopResolver) forward(op pendingOp, info NexthopInfo) {
-	switch op.op {
-	case 1, 2:
-		oldOut := n.announced[op.new.Net]
-		out := n.annotate(op.new, info)
-		n.announced[out.Net] = out
-		if n.next == nil {
-			return
-		}
-		if oldOut != nil {
-			n.next.Replace(oldOut, out)
-		} else {
-			n.addOne(out)
-		}
-	case 3:
-		oldOut := n.announced[op.old.Net]
-		delete(n.announced, op.old.Net)
-		if n.next != nil && oldOut != nil {
-			n.next.Delete(oldOut)
-		}
+// forward annotates and emits one op. The old side is stamped too: with a
+// cloning filter upstream it is a fresh copy, and what downstream holds of
+// it carries its nexthop's entry.
+func (n *NexthopResolver) forward(op pendingOp) {
+	n.annotate(op.old)
+	n.annotate(op.new)
+	switch {
+	case n.next == nil:
+	case op.old == nil:
+		n.addOne(op.new)
+	case op.new == nil:
+		n.next.Delete(op.old)
+	default:
+		n.next.Replace(op.old, op.new)
 	}
 }
 
 // invalidate handles a "cache invalidated" event for a covering subnet:
-// affected nexthops are re-queried and announced routes re-annotated —
-// the §4 path where "a RIP route change must immediately notify BGP".
+// affected nexthops go stale and are re-queried — the §4 path where "a RIP
+// route change must immediately notify BGP". Until the answer arrives,
+// routes downstream keep the annotation they were emitted with and new
+// ones via those nexthops queue.
 func (n *NexthopResolver) invalidate(covering netip.Prefix) {
 	var nhs []netip.Addr
 	for c, list := range n.byCovering {
@@ -253,50 +261,59 @@ func (n *NexthopResolver) invalidate(covering netip.Prefix) {
 		}
 	}
 	for _, nh := range nhs {
-		delete(n.cache, nh)
-		if n.inflight[nh] {
-			continue
-		}
-		n.inflight[nh] = true
-		nh := nh
-		n.src.LookupNexthop(nh, func(info NexthopInfo) { n.requeryDone(nh, info) })
+		n.nexthops[nh].stale = true
+		n.query(nh)
 	}
 }
 
-// requeryDone applies a post-invalidation answer: cache it, drain any
-// queues that started waiting meanwhile, and re-announce affected routes
-// whose annotation changed.
-func (n *NexthopResolver) requeryDone(nh netip.Addr, info NexthopInfo) {
-	old := n.cacheSnapshot(nh)
-	n.resolvedNexthop(nh, info)
-	if old != nil && old.Resolvable == info.Resolvable && old.Metric == info.Metric {
-		return
+// routeHolder is a stage of the input branch that stores routes: the
+// PeerIn, and a DeletionStage for as long as it drains.
+type routeHolder interface{ Walk(func(*Route) bool) }
+
+// reannounce replaces every route via nh that downstream holds — the entry
+// has just moved from prev — with the same route under the new annotation.
+// Those are the old side of each queue head, and, for nets with nothing
+// queued, whatever the stages upstream that store routes answer for through
+// the branch (so damping suppression and filter drops are honoured). The
+// walk is O(table) per changed nexthop; a nexthop → prefixes index would
+// cost about as much per route as the clone table this stage used to keep.
+func (n *NexthopResolver) reannounce(nh netip.Addr, prev NexthopInfo) {
+	emit := func(r *Route) {
+		if r == nil || r.Attrs.NextHop != nh {
+			return
+		}
+		old := *r
+		old.Resolvable, old.IGPMetric = prev.Resolvable, prev.Metric
+		n.annotate(r)
+		n.next.Replace(&old, r)
 	}
-	for net, r := range n.announced {
-		if r.Attrs.NextHop != nh {
+	for _, q := range n.queues {
+		emit(q[0].old)
+	}
+	for s := n.parent; s != nil; s = s.parentStage() {
+		h, ok := s.(routeHolder)
+		if !ok {
 			continue
 		}
-		if len(n.queues[net]) > 0 {
-			// A newer op for this net is queued; it will re-announce.
-			continue
-		}
-		out := n.annotate(r, info)
-		n.announced[net] = out
-		if n.next != nil {
-			n.next.Replace(r, out)
-		}
+		h.Walk(func(held *Route) bool {
+			if len(n.queues[held.Net]) == 0 {
+				emit(n.lookupParent(held.Net))
+			}
+			return true
+		})
 	}
 }
 
-func (n *NexthopResolver) cacheSnapshot(nh netip.Addr) *NexthopInfo {
-	if info, ok := n.cache[nh]; ok {
-		return &info
-	}
-	return nil
-}
-
-// Lookup implements Stage: answers come from the announced table, so they
-// agree exactly with the message stream (queued routes are invisible).
+// Lookup implements Stage: what downstream last saw of net. With ops
+// queued that is the old side of the head (nothing, for a queued add:
+// queued routes are invisible); otherwise upstream's answer, annotated.
 func (n *NexthopResolver) Lookup(net netip.Prefix) *Route {
-	return n.announced[net]
+	r := n.lookupParent(net)
+	if q := n.queues[net]; len(q) > 0 {
+		r = q[0].old
+	}
+	if !n.annotate(r) {
+		return nil
+	}
+	return r
 }

@@ -236,7 +236,7 @@ func (o *refRouter) change(m *refMember, net netip.Prefix, r *Route) {
 // view is what member x is told about winner r: nothing if r is its own
 // or breaks the IBGP rule, else r through x's export chain.
 func (x *refMember) view(r *Route) *Route {
-	if !sendable(r, x.handle) {
+	if r == nil || !sendable(r.Src, x.handle) {
 		return nil
 	}
 	for _, f := range x.export {

@@ -303,9 +303,6 @@ func (p *Peer) established() {
 	})
 	// Replay the announced table to the (re)established session.
 	p.group.out.ResyncMember(p.handle)
-	if p.proc != nil {
-		p.proc.peerStateChanged(p)
-	}
 }
 
 func (p *Peer) handleUpdate(u *UpdateMsg) {
@@ -368,9 +365,6 @@ func (p *Peer) closeSession(reason string, restart bool) {
 	if wasEstablished {
 		// Dynamic deletion stage handoff (§5.1.2).
 		p.peerin.PeerDown()
-		if p.proc != nil {
-			p.proc.peerStateChanged(p)
-		}
 	}
 	if restart && p.enabled {
 		p.scheduleRetry()

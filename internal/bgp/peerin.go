@@ -200,11 +200,13 @@ func (d *DeletionStage) start() {
 	d.task = d.loop.AddTask(d.name, d.step)
 }
 
-// Remaining returns how many routes are still awaiting deletion.
-func (d *DeletionStage) Remaining() int { return d.tbl.Len() }
-
 // Done reports whether the stage has drained and unplumbed itself.
 func (d *DeletionStage) Done() bool { return d.done }
+
+// Walk visits the routes not yet deleted, which downstream still holds.
+func (d *DeletionStage) Walk(fn func(*Route) bool) {
+	d.tbl.Walk(func(_ netip.Prefix, r *Route) bool { return fn(r) })
+}
 
 // step deletes one batch; it is a cooperative background slice (§4),
 // using the safe iterator of §5.3 to survive concurrent route changes.

@@ -377,9 +377,6 @@ func (p *Process) EnablePeer(name string) error {
 	return nil
 }
 
-// peerStateChanged is the FSM's callback on session transitions.
-func (p *Process) peerStateChanged(peer *Peer) {}
-
 // Originate injects a locally originated route (the originate_route XRL;
 // also the redistribution entry point used by the RIB's redist stage).
 func (p *Process) Originate(net netip.Prefix, nexthop netip.Addr, med uint32) {

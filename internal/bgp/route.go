@@ -29,8 +29,13 @@ func (p *PeerHandle) String() string {
 }
 
 // Route is a BGP route flowing through the staged pipeline. Routes are
-// immutable once emitted by a stage: stages that modify attributes clone
-// first, so the originals stored in PeerIn stay pristine (§5.1).
+// immutable once emitted by a stage, except the two annotation fields,
+// which belong to the input branch's resolver: stages that modify
+// attributes clone first, so the originals stored in PeerIn stay pristine
+// (§5.1), and the resolver writes IGPMetric and Resolvable into the route
+// it is handed — the PeerIn's own object when no filter upstream clones.
+// A holder downstream therefore reads the nexthop's current annotation,
+// which may be newer than the one the route was emitted with, never older.
 type Route struct {
 	// Net is the destination prefix.
 	Net netip.Prefix

@@ -353,7 +353,7 @@ func (r *Router) setupBGP(cfg *Node) error {
 	xr := xipc.NewRouter("bgp_process", bgpLoop)
 	xr.AttachHub(r.Hub)
 
-	ms := &xrlMetricSource{stub: xif.NewRIBClient(xr, "rib"), bgpTarget: "bgp"}
+	ms := &xrlMetricSource{stub: xif.NewRIBClient(xr, "rib"), loop: bgpLoop, bgpTarget: "bgp"}
 	var metricSrc bgp.MetricSource = ms
 	ribClient := newXRLRIBClient(xif.NewRIBClient(xr, "rib"), bgpLoop)
 	proc := bgp.NewProcess(bgpLoop, bgp.Config{

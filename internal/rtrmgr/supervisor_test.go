@@ -101,62 +101,6 @@ func TestSupervisorRespawnsKilledBGP(t *testing.T) {
 	}
 }
 
-// A process that dies faster than RapidWindow over and over is
-// abandoned with an alarm instead of respawned forever.
-func TestSupervisorCrashLoopGivesUp(t *testing.T) {
-	r, err := NewRouter(baseConfig, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Stop()
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
-	alarms := make(chan string, 1)
-	cfg := fastSup()
-	cfg.MaxRapidDeaths = 2
-	cfg.Alarm = func(class string, deaths int) { alarms <- class }
-	sup, err := r.EnableSupervision(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Deaths 1 and 2 are tolerated (respawned); death 3 exceeds
-	// MaxRapidDeaths and trips the alarm.
-	prev := r.CurrentBGP()
-	for kill := 1; kill <= 3; kill++ {
-		waitCond(t, "bgp alive before kill", func() bool {
-			p := r.CurrentBGP()
-			if p == nil || p == prev && kill > 1 {
-				return false
-			}
-			prev = p
-			return true
-		})
-		if err := r.KillProcess("bgp"); err != nil {
-			t.Fatalf("kill %d: %v", kill, err)
-		}
-	}
-
-	select {
-	case class := <-alarms:
-		if class != "bgp" {
-			t.Fatalf("alarm for %q, want bgp", class)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no alarm after crash loop")
-	}
-	deaths, respawns, givenUp := sup.Stats("bgp")
-	if !givenUp || deaths != 3 || respawns != 2 {
-		t.Fatalf("stats = %d deaths, %d respawns, givenUp=%v", deaths, respawns, givenUp)
-	}
-	// Abandoned: no further respawns.
-	time.Sleep(100 * time.Millisecond)
-	if r.CurrentBGP() != nil {
-		t.Fatal("abandoned process was respawned")
-	}
-}
-
 // Kill RIP on one of two peered routers: the respawn must re-bind the
 // RIP port through the FEA (the previous incarnation's binding is
 // released) and re-learn the neighbour's routes from its periodic
@@ -386,7 +330,11 @@ func TestSupervisorBackoffScheduleSim(t *testing.T) {
 
 // TestSupervisorAlarmAfterRapidDeathsSim drives the give-up path in
 // simulated time: death N+1 within the rapid window abandons the class,
-// fires the alarm exactly once, and schedules no further respawns.
+// fires the alarm exactly once, and schedules no further respawns. It is
+// the only test of that path: whether a death is "rapid" is a comparison of
+// clock readings, and a version that killed on the wall clock gave a slow
+// respawn (five -race packages on two CPUs) the time to fall outside the
+// window.
 func TestSupervisorAlarmAfterRapidDeathsSim(t *testing.T) {
 	clock := eventloop.NewSimClock(time.Unix(1000, 0))
 	r, err := NewRouter(baseConfig, Options{Clock: clock, SharedLoop: true})

@@ -2,6 +2,7 @@ package rtrmgr
 
 import (
 	"net/netip"
+	"time"
 
 	"xorp/internal/bgp"
 	"xorp/internal/eventloop"
@@ -181,15 +182,25 @@ func (c *xrlRIBClient) ReplaceRoute(old, new *bgp.Route, done func(error)) {
 // rib_client/0.1/route_info_invalid method, which calls Invalidate.
 type xrlMetricSource struct {
 	stub      *xif.RIBClient
+	loop      *eventloop.Loop
 	bgpTarget string
 	watchers  []func(netip.Prefix)
 }
 
-// LookupNexthop implements bgp.MetricSource.
+// nexthopRetry is how long a failed register_interest4 waits before it is
+// sent again: long enough for a supervised RIB to be respawned.
+const nexthopRetry = time.Second
+
+// LookupNexthop implements bgp.MetricSource. An XRL error is not an answer:
+// reported as "unresolvable" it would be kept — no covering subnet comes
+// with it, so no invalidation could ever correct it — and one timeout while
+// the RIB restarts would blackhole every route via nh. The question is
+// asked again instead, and until the RIB replies the routes stay queued in
+// the resolver, which downstream treats as not yet announced.
 func (m *xrlMetricSource) LookupNexthop(nh netip.Addr, cb func(bgp.NexthopInfo)) {
 	m.stub.RegisterInterest4(m.bgpTarget, nh, func(ans xif.RIBInterest, err *xrl.Error) {
 		if err != nil {
-			cb(bgp.NexthopInfo{})
+			m.loop.OneShot(nexthopRetry, func() { m.LookupNexthop(nh, cb) })
 			return
 		}
 		cb(bgp.NexthopInfo{
@@ -306,5 +317,5 @@ func NewXRLRIBClient(router *xipc.Router, ribTarget string) bgp.RIBClient {
 // with ribTarget; invalidations must be fed to the returned source's
 // Invalidate method (the BGP process's rib_client XRL handler does this).
 func NewXRLMetricSource(router *xipc.Router, ribTarget, bgpTarget string) bgp.MetricSource {
-	return &xrlMetricSource{stub: xif.NewRIBClient(router, ribTarget), bgpTarget: bgpTarget}
+	return &xrlMetricSource{stub: xif.NewRIBClient(router, ribTarget), loop: router.Loop(), bgpTarget: bgpTarget}
 }

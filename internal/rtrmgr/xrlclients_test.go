@@ -207,3 +207,50 @@ func TestWithdrawRunPublishesOnce(t *testing.T) {
 		t.Fatalf("kernel FIB holds %d routes after the withdraw, want %d", got, base)
 	}
 }
+
+// flakyRIB fails its first register_interest4 and answers the rest, as a
+// RIB does that is being respawned when the question arrives.
+type flakyRIB struct {
+	recRIB
+	asked int
+}
+
+func (r *flakyRIB) RegisterInterest4(string, netip.Addr) (xif.RIBInterest, error) {
+	if r.asked++; r.asked == 1 {
+		return xif.RIBInterest{}, fmt.Errorf("rib: restarting")
+	}
+	return xif.RIBInterest{Resolves: true, Covering: mustP("10.0.0.0/24"), Route: route.Entry{Metric: 7}}, nil
+}
+
+// TestMetricSourceRetriesFailedLookup: a failed nexthop lookup is not cached
+// as "unresolvable". The route waits in the resolver, the source asks again
+// on the loop clock, and the route goes out resolvable once the RIB answers.
+func TestMetricSourceRetriesFailedLookup(t *testing.T) {
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	router := xipc.NewRouter("bgp_process", loop)
+	target := xif.NewTarget("rib", "rib")
+	rib := &flakyRIB{}
+	xif.BindRIB(target, rib)
+	router.AddTarget(target)
+
+	in := bgp.NewPeerIn(loop, &bgp.PeerHandle{Name: "p1"}, nil)
+	resolver := bgp.NewNexthopResolver("nexthop(p1)", NewXRLMetricSource(router, "rib", "bgp"))
+	sink := bgp.NewCacheStage("sink")
+	bgp.Plumb(in, resolver, sink)
+
+	net := mustP("20.1.0.0/16")
+	loop.Dispatch(func() { in.Announce(net, workload.TestAttrs(mustA("10.0.0.1"), 65002)) })
+	loop.RunPending()
+	if rib.asked != 1 || resolver.PendingOps() != 1 || sink.Lookup(net) != nil {
+		t.Fatalf("after the failed lookup: asked %d times, %d ops pending, sink holds %v; want 1, 1, nothing",
+			rib.asked, resolver.PendingOps(), sink.Lookup(net))
+	}
+	loop.RunFor(2 * nexthopRetry)
+	r := sink.Lookup(net)
+	if rib.asked != 2 || r == nil || !r.Resolvable || r.IGPMetric != 7 {
+		t.Fatalf("after the retry: asked %d times, sink holds %+v; want 2 and the route resolvable at metric 7", rib.asked, r)
+	}
+	if n := resolver.PendingOps(); n != 0 {
+		t.Fatalf("%d ops still pending after the answer", n)
+	}
+}
