@@ -14,6 +14,10 @@ import (
 // sessions whose lengths (1…300 mutations) the input also chooses. Every
 // published version must equal the reference model of that moment, and
 // must still equal it after every later session has run.
+//
+// Every Walk — the Trie's and each version's — must also come out in
+// strictly increasing ComparePrefix order, IPv4 before IPv6: membership
+// alone would pass a fan that emitted its short prefixes after its kids.
 func FuzzTrie(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 0, 0, 8, 1, 10, 1, 0, 0, 16, 2, 10, 0, 0, 0, 8})
 	f.Add([]byte{0, 1, 2, 3, 4, 32, 4, 1, 2, 3, 4, 32, 2, 1, 2, 3, 4, 32})
@@ -22,6 +26,7 @@ func FuzzTrie(f *testing.F) {
 		0x84, 0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 64,
 	})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0})
+	f.Add(nibbleBoundarySeed())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := New[int]()
@@ -32,15 +37,28 @@ func FuzzTrie(f *testing.F) {
 			want map[netip.Prefix]int
 		}
 		var published []version
+		// ordered returns a check that the prefixes it is fed strictly
+		// increase in ComparePrefix order.
+		ordered := func(what string) func(netip.Prefix) {
+			var last netip.Prefix
+			return func(p netip.Prefix) {
+				if last.IsValid() && ComparePrefix(last, p) >= 0 {
+					t.Fatalf("%s yielded %v after %v", what, p, last)
+				}
+				last = p
+			}
+		}
 		checkVersion := func(v version) {
 			if v.tbl.Len() != len(v.want) {
 				t.Fatalf("version Len = %d, recorded %d", v.tbl.Len(), len(v.want))
 			}
 			n := 0
+			inOrder := ordered("version Walk")
 			v.tbl.Walk(func(p netip.Prefix, got int) bool {
 				if w, ok := v.want[p]; !ok || w != got {
 					t.Fatalf("version Walk yielded (%v,%d), recorded (%d,%v)", p, got, w, ok)
 				}
+				inOrder(p)
 				n++
 				return true
 			})
@@ -186,10 +204,12 @@ func FuzzTrie(f *testing.F) {
 			t.Fatalf("Len = %d, model %d", tr.Len(), len(model))
 		}
 		walked := 0
+		inOrder := ordered("Walk")
 		tr.Walk(func(p netip.Prefix, v int) bool {
 			if mv, ok := model[p]; !ok || mv != v {
 				t.Fatalf("Walk yielded (%v,%d), model has (%d,%v)", p, v, mv, ok)
 			}
+			inOrder(p)
 			walked++
 			return true
 		})
@@ -203,4 +223,41 @@ func FuzzTrie(f *testing.F) {
 			checkVersion(v)
 		}
 	})
+}
+
+// nibbleBoundarySeed is an op stream that inserts a prefix on each side of
+// every fan level in both families — the lengths where an entry moves
+// between a fan's own trie, its kids and a bucket — then an IPv4-mapped
+// IPv6 prefix, which must come back from the IPv6 side exactly as
+// inserted, then looks one address up in each family and deletes the
+// boundary entries again so that fans empty.
+func nibbleBoundarySeed() []byte {
+	var out []byte
+	op4 := func(op byte, a [4]byte, bits byte) { out = append(append(append(out, op), a[:]...), bits) }
+	op6 := func(op byte, a [16]byte, bits byte) { out = append(append(append(out, op|0x80), a[:]...), bits) }
+	v4 := [4]byte{0xa5, 0x5a, 0xc3, 0x3c}
+	v6 := [16]byte{0x20, 0x01, 0x0d, 0xb8, 15: 1}
+	mapped := [16]byte{10: 0xff, 11: 0xff, 12: 10, 13: 1, 14: 2, 15: 3}
+	lens4 := []byte{0, 3, 4, 7, 8, 11, 12, 15, 16, 17, 32}
+	lens6 := []byte{0, 3, 4, 15, 16, 17, 128}
+	for _, l := range lens4 {
+		op4(0, v4, l)
+		op4(0, [4]byte{}, l)
+	}
+	for _, l := range lens6 {
+		op6(0, v6, l)
+		op6(1, [16]byte{}, l)
+	}
+	op6(0, mapped, 104)
+	op6(3, mapped, 104)
+	op4(4, v4, 32)
+	op6(4, v6, 128)
+	op6(4, mapped, 128)
+	for _, l := range lens4 {
+		op4(2, v4, l)
+	}
+	for _, l := range lens6 {
+		op6(2, v6, l)
+	}
+	return out
 }

@@ -25,7 +25,7 @@ func (t *Trie[T]) Iterate() *Iterator[T] {
 	if n == nil {
 		n = t.root6
 	}
-	for n != nil && !n.hasVal {
+	for n != nil && n.val == nil {
 		n = it.successor(n)
 	}
 	it.pin(n)
@@ -49,7 +49,7 @@ func (t *Trie[T]) IterateFrom(p netip.Prefix) *Iterator[T] {
 		// sort after IPv4 ones.
 		n = t.root6
 	}
-	for n != nil && !n.hasVal {
+	for n != nil && n.val == nil {
 		n = it.successor(n)
 	}
 	it.pin(n)
@@ -108,7 +108,10 @@ func (it *Iterator[T]) Entry() (p netip.Prefix, v T, ok bool) {
 	if it.n == nil {
 		return p, v, false
 	}
-	return it.n.prefix, it.n.val, it.n.hasVal
+	if it.n.val != nil {
+		v, ok = *it.n.val, true
+	}
+	return it.n.prefix(), v, ok
 }
 
 // Prefix returns the prefix under the iterator (zero if invalid).
@@ -116,7 +119,7 @@ func (it *Iterator[T]) Prefix() netip.Prefix {
 	if it.n == nil {
 		return netip.Prefix{}
 	}
-	return it.n.prefix
+	return it.n.prefix()
 }
 
 // Next advances to the next valued entry, skipping nodes whose entries
@@ -124,7 +127,7 @@ func (it *Iterator[T]) Prefix() netip.Prefix {
 // leaves.
 func (it *Iterator[T]) Next() {
 	it.advance()
-	for it.n != nil && !it.n.hasVal {
+	for it.n != nil && it.n.val == nil {
 		it.advance()
 	}
 }
@@ -144,7 +147,7 @@ func (it *Iterator[T]) advance() {
 // exhausted, iteration continues at the IPv6 root.
 func (it *Iterator[T]) successor(n *node[T]) *node[T] {
 	next := it.nextNode(n)
-	if next == nil && n.prefix.Addr().Is4() {
+	if next == nil && n.v4 {
 		return it.t.root6
 	}
 	return next
@@ -171,7 +174,7 @@ func (it *Iterator[T]) unpin(n *node[T]) {
 		return
 	}
 	n.iterRef--
-	if n.iterRef == 0 && !n.hasVal {
+	if n.iterRef == 0 && n.val == nil {
 		// Last iterator leaving a deleted node performs the deletion.
 		it.t.cleanup(n)
 	}

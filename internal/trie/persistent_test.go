@@ -3,6 +3,7 @@ package trie
 import (
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -229,15 +230,39 @@ func TestPersistentMatchesTrie(t *testing.T) {
 	}
 }
 
-// TestPnodeSize pins the node to its allocator size class: the owner
-// mark must fit in what used to be padding, or every table grows.
+// TestPnodeSize pins every node to its allocator size class: a field
+// added to a header, or padding after the owner mark, grows every table.
 func TestPnodeSize(t *testing.T) {
-	// The forwarding plane's node: 176 bytes is its size class.
-	if got, want := unsafe.Sizeof(pnode[route.Entry]{}), uintptr(176); got != want {
-		t.Fatalf("pnode[route.Entry] is %d bytes, want %d", got, want)
+	for _, c := range []struct {
+		what      string
+		got, want uintptr
+		exact     bool
+	}{
+		{"glue pnode", unsafe.Sizeof(pnode[route.Entry]{}), 48, true},
+		{"glue pnode[uint64]", unsafe.Sizeof(pnode[uint64]{}), 48, true},
+		// The forwarding plane's valued node: 152 bytes, the 160 class.
+		{"valued[route.Entry]", unsafe.Sizeof(valued[route.Entry]{}), 160, false},
+		{"Trie node[route.Entry]", unsafe.Sizeof(node[route.Entry]{}), 56, true},
+		{"fan with its kids", unsafe.Sizeof(fanned[route.Entry]{}), 160, false},
+		{"bucket", unsafe.Sizeof(fan[route.Entry]{}), 32, false},
+	} {
+		if c.got != c.want && (c.exact || c.got > c.want) {
+			t.Errorf("%s is %d bytes, want %d (exact=%v)", c.what, c.got, c.want, c.exact)
+		}
 	}
-	if got, want := unsafe.Sizeof(pnode[uint64]{}), uintptr(72+8); got != want {
-		t.Fatalf("pnode[uint64] is %d bytes, want %d: the header grew", got, want)
+	// A Trie's node block and the allocator's 8-byte header for a large
+	// pointerful object fill one size class.
+	if block := nodeSlabSize*unsafe.Sizeof(node[int]{}) + 8; block > 14336 || block < 14336-56 {
+		t.Errorf("a block of %d nodes is %d bytes with its header, want just under the 14336 class", nodeSlabSize, block)
+	}
+	// The self-pointers that make one allocation of a header and its tail.
+	n := newLeaf(1, key128{}, 0, 7)
+	if unsafe.Pointer(n.val) != unsafe.Add(unsafe.Pointer(n), unsafe.Offsetof(valued[int]{}.v)) {
+		t.Error("a valued node's val does not point at its own tail")
+	}
+	f := (*fan[int])(nil).own(1, 0)
+	if unsafe.Pointer(f.kids) != unsafe.Add(unsafe.Pointer(f), unsafe.Offsetof(fanned[int]{}.arr)) {
+		t.Error("a fan's kids does not point at its own tail")
 	}
 }
 
@@ -265,6 +290,16 @@ func TestEditOwnerMark(t *testing.T) {
 	// Id 0 (always-copy mode) owns nothing, not even unmarked nodes.
 	if z := (&pnode[int]{}); z.own(0) == z {
 		t.Fatal("id 0 took ownership of an unmarked node")
+	}
+	// Fans and buckets carry the same mark under the same rules.
+	for depth := uint8(0); depth <= fanLevels; depth += fanLevels {
+		f := (*fan[int])(nil).own(widest, depth)
+		if f.own(widest, depth) != f || f.own(widest&^1, depth) == f || f.own(0, depth) == f {
+			t.Fatalf("fan at depth %d: owner mark does not follow the node rules", depth)
+		}
+		if z := (*fan[int])(nil).own(0, depth); z.own(0, depth) == z {
+			t.Fatal("id 0 took ownership of an unmarked fan")
+		}
 	}
 
 	// A second session over a published version copies, never shares.
@@ -338,6 +373,116 @@ func TestEditCopiesEachNodeOnce(t *testing.T) {
 	// path above them.
 	if session > 2.2*float64(len(batch)) || session*4 > perOp {
 		t.Fatalf("session %.0f allocs vs per-op %.0f for %d replaces", session, perOp, len(batch))
+	}
+}
+
+// liveHeap returns the bytes reachable after two collections.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestPersistentChurnHoldsOneVersion: a table that is edited forever while
+// only its newest version is held must stay the size of one version. The
+// shape is the one that caught the prototype of this layout: a valued node
+// with a subtree under it (a /16 over its 256 /24s). A copy of that node
+// which left the value in the old allocation would keep the old node, and
+// through its child pointers the whole previous version of the subtree,
+// alive behind every new version.
+func TestPersistentChurnHoldsOneVersion(t *testing.T) {
+	type val [32]uint64
+	nets := []netip.Prefix{mustP("10.7.0.0/16")}
+	for i := 0; i < 256; i++ {
+		nets = append(nets, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 7, byte(i), 0}), 24))
+	}
+	build := func() *Persistent[val] {
+		e := NewPersistent[val]().Edit()
+		for _, p := range nets {
+			e.Insert(p, val{})
+		}
+		return e.Publish()
+	}
+
+	base := liveHeap()
+	tbl := build()
+	fresh := liveHeap() - base
+
+	for session := 1; session <= 200; session++ {
+		e := tbl.Edit()
+		for _, p := range nets[1:] {
+			e.Insert(p, val{uint64(session)})
+		}
+		tbl = e.Publish()
+	}
+	churned := liveHeap() - base
+	if v, ok := tbl.Get(nets[0]); !ok || v != (val{}) || tbl.Len() != len(nets) {
+		t.Fatalf("the /16 did not survive the churn: %v %v, len %d", v, ok, tbl.Len())
+	}
+	if churned > fresh+fresh/10 {
+		t.Fatalf("after 200 sessions the newest version holds %d bytes live, a fresh table %d", churned, fresh)
+	}
+}
+
+// countFans returns how many fans and buckets hang under f, f included.
+func countFans[T any](f *fan[T]) (fans, buckets int) {
+	switch {
+	case f == nil:
+		return 0, 0
+	case f.kids == nil:
+		return 0, 1
+	}
+	fans = 1
+	for _, k := range f.kids {
+		kf, kb := countFans(k)
+		fans, buckets = fans+kf, buckets+kb
+	}
+	return fans, buckets
+}
+
+// TestEmptiedFanIsPruned: the fans a route needed go when the route does,
+// whether it sat in a bucket or in a fan's own short-prefix trie, and
+// whether it is removed by Delete or inside a session.
+func TestEmptiedFanIsPruned(t *testing.T) {
+	base := NewPersistent[int]()
+	held := []string{"10.1.0.0/16", "10.1.1.0/24", "192.168.0.0/24", "128.0.0.0/2", "2001:db8::/32"}
+	for i, s := range held {
+		base = base.Insert(mustP(s), i)
+	}
+	shape := func(t *Persistent[int]) [4]int {
+		f4, b4 := countFans(t.root4)
+		f6, b6 := countFans(t.root6)
+		return [4]int{f4, b4, f6, b6}
+	}
+	want := shape(base)
+	for _, s := range []string{"172.16.5.0/24", "172.16.0.0/16", "172.16.0.0/13", "176.0.0.0/6", "fd00:1::/64", "fd00::/9"} {
+		p := mustP(s)
+		with := base.Insert(p, 9)
+		if shape(with) == want {
+			t.Fatalf("%v: the test wants a route that needs a fan of its own", p)
+		}
+		without, ok := with.Delete(p)
+		if got := shape(without); !ok || got != want {
+			t.Errorf("Delete(%v): fans and buckets (v4, v6) = %v, want %v", p, got, want)
+		}
+		e := with.Edit()
+		e.Delete(p)
+		if got := shape(e.Publish()); got != want {
+			t.Errorf("session Delete(%v): fans and buckets (v4, v6) = %v, want %v", p, got, want)
+		}
+	}
+	if got := shape(base); got != want {
+		t.Fatalf("base changed under its successors: %v, want %v", got, want)
+	}
+
+	e := base.Edit()
+	for _, s := range held {
+		e.Delete(mustP(s))
+	}
+	if empty := e.Publish(); empty.root4 != nil || empty.root6 != nil || empty.Len() != 0 {
+		t.Fatalf("emptied table still has roots: %v", shape(empty))
 	}
 }
 

@@ -16,6 +16,17 @@
 // bits precomputed as a 128-bit word key, so branch decisions, containment
 // checks and divergence points are single word compares
 // (bits.LeadingZeros64) instead of per-bit byte extraction.
+//
+// # Layout
+//
+// A node is 56 bytes whatever T is: key, two children, parent, a value
+// pointer (nil marks glue), the iterator count, the prefix length and a
+// family flag. The netip.Prefix is not stored — key, bits and family are
+// it, and prefixOf rebuilds it on the way out of LongestMatch, Walk and the
+// iterators. Values live in a slab of their own, so the 0.77 glue nodes a
+// full table carries per route pay for a pointer, not for a T. Both slabs
+// recycle through free lists; a freed value slot is zeroed so what it
+// pointed at can be collected.
 package trie
 
 import (
@@ -67,6 +78,33 @@ func (k key128) hasPrefix(p key128, n uint8) bool {
 	}
 }
 
+// masked returns k with every bit past the first n cleared.
+func (k key128) masked(n uint8) key128 {
+	switch {
+	case n == 0:
+		return key128{}
+	case n <= 64:
+		return key128{hi: k.hi &^ (^uint64(0) >> n)}
+	case n < 128:
+		return key128{hi: k.hi, lo: k.lo &^ (^uint64(0) >> (n - 64))}
+	}
+	return k
+}
+
+// prefixOf rebuilds the prefix a node stands for from its key, length and
+// family. It does not allocate.
+func prefixOf(k key128, bits uint8, v4 bool) netip.Prefix {
+	if v4 {
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], uint32(k.hi>>32))
+		return netip.PrefixFrom(netip.AddrFrom4(b), int(bits))
+	}
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], k.hi)
+	binary.BigEndian.PutUint64(b[8:], k.lo)
+	return netip.PrefixFrom(netip.AddrFrom16(b), int(bits))
+}
+
 // less orders keys lexicographically (most significant word first).
 func (k key128) less(o key128) bool {
 	if k.hi != o.hi {
@@ -91,18 +129,18 @@ func commonPrefixLen(a, b key128, max uint8) uint8 {
 // node is a trie node. A node either carries a value (a real route) or is
 // structural "glue" at a branch point. Glue nodes with fewer than two
 // children are spliced out as soon as no iterator references them.
-// Field order keeps the traversal-hot fields (key, child, bits) in the
-// node's first cache line; prefix and the value trail behind.
 type node[T any] struct {
-	key     key128 // prefix.Addr() bits, precomputed
+	key     key128 // the prefix's address bits
 	child   [2]*node[T]
-	bits    uint8 // prefix.Bits(), precomputed
-	hasVal  bool
-	iterRef int32
 	parent  *node[T]
-	prefix  netip.Prefix
-	val     T
+	val     *T // into the trie's value slab; nil marks glue
+	iterRef int32
+	bits    uint8 // the prefix's length
+	v4      bool  // family: the root a node hangs under never changes
 }
+
+// prefix returns the prefix n stands for.
+func (n *node[T]) prefix() netip.Prefix { return prefixOf(n.key, n.bits, n.v4) }
 
 // covers reports whether n's prefix covers (k, kb): equal or less specific.
 func (n *node[T]) covers(k key128, kb uint8) bool {
@@ -124,10 +162,17 @@ type Trie[T any] struct {
 	// for long-lived, churning routing tables.
 	slab []node[T]
 	free *node[T] // freelist threaded through the parent pointer
+
+	// Values likewise, in blocks of their own: only valued nodes take one.
+	vals  []T
+	vfree []*T // freed slots, zeroed
 }
 
-// nodeSlabSize is the nodes-per-block growth quantum.
-const nodeSlabSize = 256
+// nodeSlabSize is the growth quantum of both slabs. A block of 255 nodes
+// and the allocator's 8-byte header fill the 14,336-byte size class
+// exactly; a 256th node would spill every block into the 16 KB class and
+// waste an eighth of it (likewise 255 pointer-sized values and 2,048).
+const nodeSlabSize = 255
 
 // newNode returns a zeroed node from the freelist or the current slab.
 func (t *Trie[T]) newNode() *node[T] {
@@ -147,9 +192,31 @@ func (t *Trie[T]) newNode() *node[T] {
 // freeNode recycles a detached node. Callers guarantee it is out of the
 // tree, valueless and unreferenced by iterators.
 func (t *Trie[T]) freeNode(n *node[T]) {
-	*n = node[T]{} // clear, dropping any held value
-	n.parent = t.free
+	*n = node[T]{parent: t.free}
 	t.free = n
+}
+
+// newVal returns a slot holding v from the value freelist or slab.
+func (t *Trie[T]) newVal(v T) *T {
+	var p *T
+	if last := len(t.vfree) - 1; last >= 0 {
+		p, t.vfree = t.vfree[last], t.vfree[:last]
+	} else {
+		if len(t.vals) == 0 {
+			t.vals = make([]T, nodeSlabSize)
+		}
+		p, t.vals = &t.vals[0], t.vals[1:]
+	}
+	*p = v
+	return p
+}
+
+// freeVal recycles a value slot, zeroing it: the slot outlives the entry,
+// and must not keep what the entry pointed at alive.
+func (t *Trie[T]) freeVal(p *T) {
+	var zero T
+	*p = zero
+	t.vfree = append(t.vfree, p)
 }
 
 // New returns an empty trie.
@@ -170,24 +237,18 @@ func (t *Trie[T]) rootFor(p netip.Prefix) *node[T] {
 func (t *Trie[T]) ensureRoot(p netip.Prefix) *node[T] {
 	if p.Addr().Is4() {
 		if t.root4 == nil {
-			t.root4 = &node[T]{prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{}), 0)}
+			t.root4 = &node[T]{v4: true}
 		}
 		return t.root4
 	}
 	if t.root6 == nil {
-		t.root6 = &node[T]{prefix: netip.PrefixFrom(netip.AddrFrom16([16]byte{}), 0)}
+		t.root6 = &node[T]{}
 	}
 	return t.root6
 }
 
 // isRoot reports whether n is one of the family roots.
 func (t *Trie[T]) isRoot(n *node[T]) bool { return n == t.root4 || n == t.root6 }
-
-// contains reports whether p covers q (p is equal to or less specific).
-// Kept for tests and non-hot callers; traversal uses node.covers.
-func contains(p, q netip.Prefix) bool {
-	return p.Bits() <= q.Bits() && p.Contains(q.Addr())
-}
 
 // Insert adds or replaces the value for p (which is masked first). It
 // reports whether an existing value was replaced, and returns an error on
@@ -214,19 +275,19 @@ func (t *Trie[T]) Upsert(p netip.Prefix, v T) (old T, existed bool) {
 	cur := t.ensureRoot(p)
 	for {
 		if cur.bits == pb && cur.key == k {
-			old, existed = cur.val, cur.hasVal
-			cur.val = v
-			cur.hasVal = true
-			if !existed {
-				t.size++
+			if cur.val != nil {
+				old, *cur.val = *cur.val, v
+				return old, true
 			}
-			return old, existed
+			cur.val = t.newVal(v)
+			t.size++
+			return old, false
 		}
 		// Invariant: cur strictly covers p, so cur.bits < pb.
 		b := k.bit(cur.bits)
 		c := cur.child[b]
 		if c == nil {
-			cur.child[b] = t.newValNode(p, k, pb, v, cur)
+			cur.child[b] = t.newValNode(k, pb, v, cur)
 			t.size++
 			return old, false
 		}
@@ -236,7 +297,7 @@ func (t *Trie[T]) Upsert(p netip.Prefix, v T) (old T, existed bool) {
 		}
 		if pb < c.bits && c.key.hasPrefix(k, pb) {
 			// Insert p between cur and c.
-			n := t.newValNode(p, k, pb, v, cur)
+			n := t.newValNode(k, pb, v, cur)
 			cur.child[b] = n
 			n.child[c.key.bit(pb)] = c
 			c.parent = n
@@ -244,18 +305,13 @@ func (t *Trie[T]) Upsert(p netip.Prefix, v T) (old T, existed bool) {
 			return old, false
 		}
 		// Diverge: create a glue node at the longest common prefix.
-		max := min(pb, c.bits)
-		gb := commonPrefixLen(k, c.key, max)
-		gp, perr := p.Addr().Prefix(int(gb))
-		if perr != nil {
-			return old, false
-		}
+		gb := commonPrefixLen(k, c.key, min(pb, c.bits))
 		g := t.newNode()
-		g.prefix, g.key, g.bits, g.parent = gp, keyOf(gp.Addr()), gb, cur
+		g.key, g.bits, g.v4, g.parent = k.masked(gb), gb, cur.v4, cur
 		cur.child[b] = g
 		g.child[c.key.bit(gb)] = c
 		c.parent = g
-		n := t.newValNode(p, k, pb, v, g)
+		n := t.newValNode(k, pb, v, g)
 		g.child[k.bit(gb)] = n
 		t.size++
 		return old, false
@@ -263,9 +319,9 @@ func (t *Trie[T]) Upsert(p netip.Prefix, v T) (old T, existed bool) {
 }
 
 // newValNode builds a valued leaf from the slab.
-func (t *Trie[T]) newValNode(p netip.Prefix, k key128, pb uint8, v T, parent *node[T]) *node[T] {
+func (t *Trie[T]) newValNode(k key128, pb uint8, v T, parent *node[T]) *node[T] {
 	n := t.newNode()
-	n.prefix, n.key, n.bits, n.val, n.hasVal, n.parent = p, k, pb, v, true, parent
+	n.key, n.bits, n.v4, n.val, n.parent = k, pb, parent.v4, t.newVal(v), parent
 	return n
 }
 
@@ -294,10 +350,10 @@ func (t *Trie[T]) find(p netip.Prefix) *node[T] {
 func (t *Trie[T]) Get(p netip.Prefix) (T, bool) {
 	var zero T
 	n := t.find(p)
-	if n == nil || !n.hasVal {
+	if n == nil || n.val == nil {
 		return zero, false
 	}
-	return n.val, true
+	return *n.val, true
 }
 
 // Delete removes the entry stored exactly at p, returning the removed
@@ -306,12 +362,12 @@ func (t *Trie[T]) Get(p netip.Prefix) (T, bool) {
 func (t *Trie[T]) Delete(p netip.Prefix) (T, bool) {
 	var zero T
 	n := t.find(p)
-	if n == nil || !n.hasVal {
+	if n == nil || n.val == nil {
 		return zero, false
 	}
-	v := n.val
-	n.val = zero
-	n.hasVal = false
+	v := *n.val
+	t.freeVal(n.val)
+	n.val = nil
 	t.size--
 	t.cleanup(n)
 	return v, true
@@ -320,7 +376,7 @@ func (t *Trie[T]) Delete(p netip.Prefix) (T, bool) {
 // cleanup physically removes n if it is valueless, unreferenced, and
 // structurally unnecessary, cascading to parents that become removable.
 func (t *Trie[T]) cleanup(n *node[T]) {
-	for n != nil && !t.isRoot(n) && !n.hasVal && n.iterRef == 0 {
+	for n != nil && !t.isRoot(n) && n.val == nil && n.iterRef == 0 {
 		switch {
 		case n.child[0] != nil && n.child[1] != nil:
 			return // needed as a branch point
@@ -353,58 +409,30 @@ func (t *Trie[T]) cleanup(n *node[T]) {
 
 // LongestMatch returns the most specific entry covering addr.
 func (t *Trie[T]) LongestMatch(addr netip.Addr) (netip.Prefix, T, bool) {
-	var (
-		bestP netip.Prefix
-		bestV T
-		found bool
-	)
 	cur := t.root6
 	maxBits := uint8(128)
 	if addr.Is4() {
 		cur = t.root4
 		maxBits = 32
 	}
-	if cur == nil {
-		return bestP, bestV, false
-	}
 	k := keyOf(addr)
+	// Remember the best node, not its contents: prefix and value are
+	// built once on return instead of at every valued ancestor.
+	var best *node[T]
 	for cur != nil {
 		if cur.bits > maxBits || !k.hasPrefix(cur.key, cur.bits) {
 			break
 		}
-		if cur.hasVal {
-			bestP, bestV, found = cur.prefix, cur.val, true
+		if cur.val != nil {
+			best = cur
 		}
 		cur = cur.child[k.bit(cur.bits)]
 	}
-	return bestP, bestV, found
-}
-
-// LongestMatchPrefix returns the most specific entry covering the whole
-// prefix p.
-func (t *Trie[T]) LongestMatchPrefix(p netip.Prefix) (netip.Prefix, T, bool) {
-	var (
-		bestP netip.Prefix
-		bestV T
-		found bool
-	)
-	p = p.Masked()
-	cur := t.rootFor(p)
-	if cur == nil || !p.IsValid() {
-		return bestP, bestV, false
+	if best == nil {
+		var zero T
+		return netip.Prefix{}, zero, false
 	}
-	k := keyOf(p.Addr())
-	pb := uint8(p.Bits())
-	for cur != nil && cur.covers(k, pb) {
-		if cur.hasVal {
-			bestP, bestV, found = cur.prefix, cur.val, true
-		}
-		if cur.bits >= pb {
-			break
-		}
-		cur = cur.child[k.bit(cur.bits)]
-	}
-	return bestP, bestV, found
+	return best.prefix(), *best.val, true
 }
 
 // Walk visits every valued entry in lexicographic (DFS pre-)order. fn
@@ -433,7 +461,7 @@ func (t *Trie[T]) walkSubtree(n *node[T], fn func(netip.Prefix, T) bool) bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if n.hasVal && !fn(n.prefix, n.val) {
+		if n.val != nil && !fn(n.prefix(), *n.val) {
 			return false
 		}
 		// Push right first so the left subtree pops (and is visited) first.

@@ -3,8 +3,10 @@ package trie
 import (
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func mustP(s string) netip.Prefix { return netip.MustParsePrefix(s) }
@@ -143,24 +145,6 @@ func TestLongestMatch(t *testing.T) {
 	}
 	if _, _, ok := tr.LongestMatch(mustA("2001:db8::1")); ok {
 		t.Error("v6 lookup in v4 trie matched")
-	}
-}
-
-func TestLongestMatchPrefix(t *testing.T) {
-	tr := New[string]()
-	tr.Insert(mustP("10.0.0.0/8"), "/8")
-	tr.Insert(mustP("10.1.0.0/16"), "/16")
-	_, v, ok := tr.LongestMatchPrefix(mustP("10.1.2.0/24"))
-	if !ok || v != "/16" {
-		t.Fatalf("got %q, %v", v, ok)
-	}
-	_, v, ok = tr.LongestMatchPrefix(mustP("10.1.0.0/16"))
-	if !ok || v != "/16" {
-		t.Fatalf("self match got %q, %v", v, ok)
-	}
-	_, v, ok = tr.LongestMatchPrefix(mustP("10.0.0.0/7"))
-	if ok {
-		t.Fatalf("/7 should have no cover, got %q", v)
 	}
 }
 
@@ -371,22 +355,22 @@ func checkInvariants[T any](t *testing.T, tr *Trie[T]) {
 				continue
 			}
 			if c.parent != n {
-				t.Fatalf("parent pointer broken at %v", c.prefix)
+				t.Fatalf("parent pointer broken at %v", c.prefix())
 			}
-			if !contains(n.prefix, c.prefix) || n.prefix == c.prefix {
-				t.Fatalf("child %v not strictly inside parent %v", c.prefix, n.prefix)
+			if !n.covers(c.key, c.bits) || n.bits == c.bits {
+				t.Fatalf("child %v not strictly inside parent %v", c.prefix(), n.prefix())
 			}
-			if c.key != keyOf(c.prefix.Addr()) || int(c.bits) != c.prefix.Bits() {
-				t.Fatalf("node %v word key out of sync", c.prefix)
+			if c.key != keyOf(c.prefix().Addr()) || int(c.bits) != c.prefix().Bits() || c.key != c.key.masked(c.bits) || c.v4 != n.v4 {
+				t.Fatalf("node %v word key out of sync", c.prefix())
 			}
 			if c.key.bit(n.bits) != b {
-				t.Fatalf("child %v under wrong branch of %v", c.prefix, n.prefix)
+				t.Fatalf("child %v under wrong branch of %v", c.prefix(), n.prefix())
 			}
 			walk(c)
 		}
-		if !tr.isRoot(n) && !n.hasVal && n.iterRef == 0 {
+		if !tr.isRoot(n) && n.val == nil && n.iterRef == 0 {
 			if n.child[0] == nil || n.child[1] == nil {
-				t.Fatalf("degenerate glue node %v survived", n.prefix)
+				t.Fatalf("degenerate glue node %v survived", n.prefix())
 			}
 		}
 	}
@@ -649,6 +633,69 @@ func TestLongestMatchZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() { tr.Get(mustP("100.1.0.0/16")) }); allocs != 0 {
 		t.Fatalf("Get allocates %.1f/op", allocs)
 	}
+
+	// Every way out of either trie rebuilds a netip.Prefix from the key;
+	// none of them may pay an allocation for it.
+	pt := NewPersistent[int]()
+	for _, s := range []string{"0.0.0.0/0", "96.0.0.0/3", "100.0.0.0/8", "100.1.0.0/16", "100.1.2.0/24", "2001:db8::/32"} {
+		tr.Insert(mustP(s), 1)
+		pt = pt.Insert(mustP(s), 1)
+	}
+	it := tr.IterateFrom(mustP("100.1.2.0/24"))
+	defer it.Close()
+	n := 0
+	count := func(netip.Prefix, int) bool { n++; return true }
+	for what, f := range map[string]func(){
+		"Persistent.LongestMatch": func() { pt.LongestMatch(addr) },
+		"Persistent.Get":          func() { pt.Get(mustP("100.1.2.0/24")) },
+		"Persistent.Walk":         func() { pt.Walk(count) },
+		"Trie.Walk":               func() { tr.WalkCovered(mustP("100.1.0.0/16"), count) },
+		"Iterator.Entry":          func() { it.Entry(); it.Prefix() },
+	} {
+		if allocs := testing.AllocsPerRun(200, f); allocs != 0 {
+			t.Errorf("%s allocates %.1f/op", what, allocs)
+		}
+	}
+	if p, _, ok := it.Entry(); !ok || p != mustP("100.1.2.0/24") || n == 0 {
+		t.Fatalf("iterator at %v (ok=%v), walks counted %d", p, ok, n)
+	}
+}
+
+// big is a value worth collecting.
+type big struct{ _ [1 << 10]byte }
+
+// insertFinalized stores a fresh *big at p and returns a channel closed
+// when the collector has finalized it. Its own frame holds the only other
+// reference, and is gone when it returns.
+//
+//go:noinline
+func insertFinalized(tr *Trie[*big], p netip.Prefix) <-chan struct{} {
+	done := make(chan struct{})
+	b := new(big)
+	runtime.SetFinalizer(b, func(*big) { close(done) })
+	tr.Insert(p, b)
+	return done
+}
+
+// TestTrieDeleteReleasesValue: a value slot outlives its entry (it goes on
+// the free list inside a slab block that stays), so Delete must clear it
+// or the trie keeps every value it ever held reachable.
+func TestTrieDeleteReleasesValue(t *testing.T) {
+	tr := New[*big]()
+	tr.Insert(mustP("10.0.0.0/8"), new(big)) // the slab block stays in use
+	done := insertFinalized(tr, mustP("10.1.0.0/16"))
+	if _, ok := tr.Delete(mustP("10.1.0.0/16")); !ok {
+		t.Fatal("delete failed")
+	}
+	for i := 0; i < 2; i++ {
+		runtime.GC()
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a deleted entry's value is still reachable after two collections")
+	}
+	runtime.KeepAlive(tr)
 }
 
 func BenchmarkInsert150k(b *testing.B) {
