@@ -117,7 +117,7 @@ term prefer-direct {
 		fmt.Println("  5-hop route: rejected by drop-long-paths")
 	}
 	demo.Attrs.ASPath = bgp.ASPath{{Type: bgp.SegSequence, ASes: []uint16{65002}}}
-	if out := filter(demo); out != nil && out.Attrs.LocalPref == 200 {
+	if out := filter(demo); out != nil && out.LocalPref == 200 {
 		fmt.Println("  1-hop route: accepted with LOCAL_PREF 200")
 	}
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 )
 
@@ -88,14 +89,22 @@ func (p ASPath) Contains(as uint16) bool {
 
 // Prepend returns a new path with as prepended to the leading sequence, or
 // in a new leading segment when the path starts with a set or a sequence
-// already at the 255 ASes a segment can carry (RFC 4271 §5.1.2).
+// already at the 255 ASes a segment can carry (RFC 4271 §5.1.2). Only the
+// leading segment is built; those after it are p's own, which stay as they
+// were.
 func (p ASPath) Prepend(as uint16) ASPath {
+	var lead []uint16
+	rest := p
 	if len(p) > 0 && p[0].Type == SegSequence && len(p[0].ASes) < 255 {
-		seg := ASSegment{Type: SegSequence, ASes: append([]uint16{as}, p[0].ASes...)}
-		out := append(ASPath{seg}, p[1:]...)
-		return out
+		lead, rest = p[0].ASes, p[1:]
 	}
-	return append(ASPath{{Type: SegSequence, ASes: []uint16{as}}}, p...)
+	ases := make([]uint16, 1+len(lead))
+	ases[0] = as
+	copy(ases[1:], lead)
+	out := make(ASPath, 1+len(rest))
+	out[0] = ASSegment{Type: SegSequence, ASes: ases}
+	copy(out[1:], rest)
+	return out
 }
 
 // String renders the path like "1 2 {3,4}".
@@ -174,8 +183,8 @@ func (a *PathAttrs) WellFormed() error {
 	return nil
 }
 
-// Clone returns a deep copy; filter banks modify copies so PeerIn's stored
-// originals stay pristine (§5.1).
+// Clone returns a deep copy, for a rewrite that edits the path or the
+// communities in place; the stored originals stay pristine (§5.1).
 func (a *PathAttrs) Clone() *PathAttrs {
 	c := *a
 	c.ASPath = make(ASPath, len(a.ASPath))
@@ -188,7 +197,7 @@ func (a *PathAttrs) Clone() *PathAttrs {
 
 // Equal reports deep equality.
 func (a *PathAttrs) Equal(o *PathAttrs) bool {
-	if a == nil || o == nil {
+	if a == o || a == nil || o == nil {
 		return a == o
 	}
 	if a.Origin != o.Origin || a.NextHop != o.NextHop ||
@@ -367,6 +376,7 @@ func decodePathAttrs(d *wireDecoder, end int) (a *PathAttrs, nlri6, wdr6 []netip
 			if alen%4 != 0 {
 				return nil, nil, nil, false, fmt.Errorf("bgp: COMMUNITY length %d", alen)
 			}
+			a.Communities = slices.Grow(a.Communities, alen/4)
 			for i := 0; i < alen; i += 4 {
 				a.Communities = append(a.Communities, binary.BigEndian.Uint32(body[i:]))
 			}
@@ -440,8 +450,9 @@ func decodeASPath(body []byte) (ASPath, error) {
 		if len(body) < 2*n {
 			return nil, fmt.Errorf("bgp: truncated AS_PATH segment")
 		}
-		for i := 0; i < n; i++ {
-			seg.ASes = append(seg.ASes, binary.BigEndian.Uint16(body[2*i:]))
+		seg.ASes = make([]uint16, n)
+		for i := range seg.ASes {
+			seg.ASes[i] = binary.BigEndian.Uint16(body[2*i:])
 		}
 		body = body[2*n:]
 		path = append(path, seg)

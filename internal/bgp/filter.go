@@ -2,41 +2,85 @@ package bgp
 
 import (
 	"net/netip"
+	"slices"
 
 	"xorp/internal/eventloop"
 )
 
-// Filter transforms a route: it returns the route unchanged, a modified
-// clone, or nil to drop it. Filters must be deterministic so lookups
-// replay to the same answers the message stream produced (rule 2).
-type Filter func(*Route) *Route
+// Filter judges a route by its attribute set: it returns the route's own
+// set to pass it, a rewritten set, or nil to drop it. Prefix and source are
+// not a filter's to change; the input set is immutable, so a rewrite is a
+// new set, which may share what it leaves alone with the input. The route a
+// filter is handed is valid only for the call. Filters must be
+// deterministic so lookups replay to the same answers the message stream
+// produced (rule 2). A filter may keep state between calls (the export
+// transforms remember their last rewrite), so a Filter value belongs to
+// one bank.
+type Filter func(*Route) *PathAttrs
 
 // FilterBank is a filter-bank stage (§5.1): an ordered chain of filters
 // applied to every route flowing downstream and to every lookup answer
 // flowing back up. The policy framework (§8.3) and the default
 // import/export transforms are expressed as filters.
+//
+// A route the chain rewrote goes on as a view: a copy of the route carrying
+// the new set. Views are heap objects, except on the way to a downstream
+// that keeps no route past the call (noRouteKeeper): those are carved from
+// slab, which the next call overwrites.
 type FilterBank struct {
 	base
 	filters []Filter
+	slab    []Route
 }
+
+// noRouteKeeper is implemented by a stage that keeps no *Route it is handed
+// past the call that hands it over, and passes none on.
+type noRouteKeeper interface{ keepsNoRoutes() }
 
 // NewFilterBank returns an empty (pass-everything) filter bank.
 func NewFilterBank(name string, filters ...Filter) *FilterBank {
 	return &FilterBank{base: base{name: name}, filters: filters}
 }
 
-// apply runs the chain; nil in, nil out.
-func (f *FilterBank) apply(r *Route) *Route {
-	for _, flt := range f.filters {
-		if r == nil {
-			return nil
-		}
-		r = flt(r)
+// reserve starts a call that sends up to n views downstream and reports
+// whether they may be scratch. The slab is sized here, once, so that no view
+// moves while the call runs.
+func (f *FilterBank) reserve(n int) bool {
+	if _, ok := f.next.(noRouteKeeper); !ok {
+		return false
 	}
-	return r
+	f.slab = slices.Grow(f.slab[:0], n)
+	return true
 }
 
-// Add implements Stage. Filters may clone attrs per route, which would
+// apply runs filters over r (nil in, nil out): r itself when none rewrote
+// it, nil when one dropped it, else the view of r under the last rewrite.
+// Later filters see the view.
+func (f *FilterBank) apply(filters []Filter, r *Route, scratch bool) *Route {
+	if r == nil {
+		return nil
+	}
+	out := r
+	for _, flt := range filters {
+		a := flt(out)
+		switch {
+		case a == nil:
+			return nil
+		case a == out.Attrs:
+			continue
+		case out != r: // already a view
+		case scratch:
+			f.slab = append(f.slab, *r)
+			out = &f.slab[len(f.slab)-1]
+		default:
+			out = r.Clone()
+		}
+		out.Attrs = a
+	}
+	return out
+}
+
+// Add implements Stage. A filter may build a set per route, which would
 // splinter the run's shared attribute pointer; filters are deterministic,
 // so two run members with pointer-identical input attrs produce deep-equal
 // output attrs — the bank memoizes the last (in, out) attrs pair and
@@ -47,13 +91,14 @@ func (f *FilterBank) Add(run []*Route) {
 	if f.next == nil {
 		return
 	}
+	scratch := f.reserve(len(run))
 	// Results are collected in f.run, never written back into run (the
 	// fanout hands the same run to every branch), and only once a filter
 	// drops or rewrites a route: an untouched run is forwarded as it came.
 	var lastIn, lastOut *PathAttrs
 	out, changed := f.run, false
 	for i, r := range run {
-		fr := f.apply(r)
+		fr := f.apply(f.filters, r, scratch)
 		if fr != nil && fr.Attrs != r.Attrs {
 			if lastIn == r.Attrs && fr.Attrs.Equal(lastOut) {
 				fr.Attrs = lastOut
@@ -92,32 +137,40 @@ func (f *FilterBank) Add(run []*Route) {
 // Replace implements Stage, degrading to Add/Delete when filtering drops
 // one side of the pair.
 func (f *FilterBank) Replace(old, new *Route) {
-	fo, fn := f.apply(old), f.apply(new)
-	if f.next == nil {
-		return
+	if f.next != nil {
+		f.emit(f.filters, f.filters, old, new, false)
 	}
+}
+
+// Delete implements Stage.
+func (f *FilterBank) Delete(r *Route) {
+	if f.next != nil {
+		f.emit(f.filters, nil, r, nil, false)
+	}
+}
+
+// emit sends downstream what becomes of old under the chain was and of new
+// under now (either may be nil). A pair that filters to the same route is
+// still a Replace — upstream said it changed — unless skipSame is set.
+func (f *FilterBank) emit(was, now []Filter, old, new *Route, skipSame bool) {
+	scratch := f.reserve(2)
+	fo, fn := f.apply(was, old, scratch), f.apply(now, new, scratch)
 	switch {
 	case fo == nil && fn == nil:
 	case fo == nil:
 		f.addOne(fn)
 	case fn == nil:
 		f.next.Delete(fo)
-	default:
+	case !skipSame || !SameRoute(fo, fn):
 		f.next.Replace(fo, fn)
 	}
 }
 
-// Delete implements Stage.
-func (f *FilterBank) Delete(r *Route) {
-	if out := f.apply(r); out != nil && f.next != nil {
-		f.next.Delete(out)
-	}
-}
-
 // Lookup implements Stage: upstream answers are passed through the chain
-// so they match what was announced downstream.
+// so they match what was announced downstream. The asker may keep the
+// answer, so a rewritten one is always a heap view.
 func (f *FilterBank) Lookup(net netip.Prefix) *Route {
-	return f.apply(f.lookupParent(net))
+	return f.apply(f.filters, f.lookupParent(net), false)
 }
 
 // Refilter atomically replaces the filter chain and reconciles downstream
@@ -128,15 +181,6 @@ func (f *FilterBank) Lookup(net netip.Prefix) *Route {
 func (f *FilterBank) Refilter(loop *eventloop.Loop, newFilters []Filter, walk func(func(*Route) bool)) *eventloop.Task {
 	oldFilters := f.filters
 	f.filters = newFilters
-	applyWith := func(filters []Filter, r *Route) *Route {
-		for _, flt := range filters {
-			if r == nil {
-				return nil
-			}
-			r = flt(r)
-		}
-		return r
-	}
 	// Snapshot the upstream routes; reconcile in slices.
 	var pending []*Route
 	walk(func(r *Route) bool {
@@ -145,22 +189,9 @@ func (f *FilterBank) Refilter(loop *eventloop.Loop, newFilters []Filter, walk fu
 	})
 	i := 0
 	return loop.AddTask("refilter("+f.name+")", func() bool {
-		for n := 0; n < deletionBatch && i < len(pending); n++ {
-			r := pending[i]
-			i++
-			fo := applyWith(oldFilters, r)
-			fn := applyWith(newFilters, r)
-			if f.next == nil {
-				continue
-			}
-			switch {
-			case fo == nil && fn == nil:
-			case fo == nil:
-				f.addOne(fn)
-			case fn == nil:
-				f.next.Delete(fo)
-			case !SameRoute(fo, fn):
-				f.next.Replace(fo, fn)
+		for n := 0; n < deletionBatch && i < len(pending); n, i = n+1, i+1 {
+			if f.next != nil {
+				f.emit(oldFilters, newFilters, pending[i], pending[i], true)
 			}
 		}
 		return i >= len(pending)
@@ -172,42 +203,54 @@ func (f *FilterBank) Refilter(loop *eventloop.Loop, newFilters []Filter, walk fu
 // FilterDropIfNexthopEquals drops routes whose NEXT_HOP equals addr
 // (e.g. our own address: RFC 4271 §9.1.2).
 func FilterDropIfNexthopEquals(addr netip.Addr) Filter {
-	return func(r *Route) *Route {
+	return func(r *Route) *PathAttrs {
 		if r.Attrs.NextHop == addr {
 			return nil
 		}
-		return r
+		return r.Attrs
+	}
+}
+
+// rewriteOnce makes a filter of an attribute rewrite. Consecutive routes
+// sharing one input set share one output set: the last (in → out) pair is
+// consulted before anything is built, so a run, or a burst of withdrawals
+// of one, costs one rewrite. Holding in keeps its address from being reused
+// for another set.
+func rewriteOnce(rewrite func(in *PathAttrs) *PathAttrs) Filter {
+	var in, out *PathAttrs
+	return func(r *Route) *PathAttrs {
+		if r.Attrs != in {
+			in, out = r.Attrs, rewrite(r.Attrs)
+		}
+		return out
 	}
 }
 
 // FilterEBGPExport prepends the local AS, rewrites NEXT_HOP to the local
 // peering address and strips LOCAL_PREF — the standard EBGP export
-// transform.
+// transform. Only the leading AS segment is new; the rest of the path and
+// the communities are the input's.
 func FilterEBGPExport(localAS uint16, localAddr netip.Addr) Filter {
-	return func(r *Route) *Route {
-		out := r.Clone()
-		a := r.Attrs.Clone()
-		a.ASPath = a.ASPath.Prepend(localAS)
+	return rewriteOnce(func(in *PathAttrs) *PathAttrs {
+		a := *in
+		a.ASPath = in.ASPath.Prepend(localAS)
 		a.NextHop = localAddr
 		a.HasLocalPref = false
 		a.LocalPref = 0
-		out.Attrs = a
-		return out
-	}
+		return &a
+	})
 }
 
 // FilterIBGPExport ensures LOCAL_PREF is set (default 100) for routes sent
 // to IBGP peers.
 func FilterIBGPExport() Filter {
-	return func(r *Route) *Route {
-		if r.Attrs.HasLocalPref {
-			return r
+	return rewriteOnce(func(in *PathAttrs) *PathAttrs {
+		if in.HasLocalPref {
+			return in
 		}
-		out := r.Clone()
-		a := r.Attrs.Clone()
+		a := *in
 		a.HasLocalPref = true
 		a.LocalPref = 100
-		out.Attrs = a
-		return out
-	}
+		return &a
+	})
 }

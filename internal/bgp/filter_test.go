@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"bytes"
+	"math/rand"
 	"net/netip"
 	"testing"
 	"time"
@@ -24,13 +26,13 @@ func TestFilterEBGPExport(t *testing.T) {
 	if out == nil {
 		t.Fatal("export filter dropped the route")
 	}
-	if !out.Attrs.ASPath.Contains(65000) || out.Attrs.ASPath.Length() != 2 {
-		t.Fatalf("AS path %v, want local AS prepended", out.Attrs.ASPath)
+	if !out.ASPath.Contains(65000) || out.ASPath.Length() != 2 {
+		t.Fatalf("AS path %v, want local AS prepended", out.ASPath)
 	}
-	if out.Attrs.NextHop != mustA("192.168.1.1") {
-		t.Fatalf("nexthop %v, want rewritten to local address", out.Attrs.NextHop)
+	if out.NextHop != mustA("192.168.1.1") {
+		t.Fatalf("nexthop %v, want rewritten to local address", out.NextHop)
 	}
-	if out.Attrs.HasLocalPref {
+	if out.HasLocalPref {
 		t.Fatal("LOCAL_PREF not stripped for EBGP")
 	}
 	// Original untouched (stage routes are immutable).
@@ -43,15 +45,89 @@ func TestFilterIBGPExport(t *testing.T) {
 	f := FilterIBGPExport()
 	in := &Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}
 	out := f(in)
-	if !out.Attrs.HasLocalPref || out.Attrs.LocalPref != 100 {
-		t.Fatalf("LOCAL_PREF default not applied: %+v", out.Attrs)
+	if !out.HasLocalPref || out.LocalPref != 100 {
+		t.Fatalf("LOCAL_PREF default not applied: %+v", out)
 	}
 	// Already-set LOCAL_PREF passes through unchanged, same object.
 	in2 := in.Clone()
 	in2.Attrs = in.Attrs.Clone()
 	in2.Attrs.HasLocalPref, in2.Attrs.LocalPref = true, 300
-	if got := f(in2); got != in2 {
+	if got := f(in2); got != in2.Attrs {
 		t.Fatal("already-set LOCAL_PREF route was copied")
+	}
+}
+
+// naiveEBGPExport is the export transform written the obvious way, as the
+// filter used to run it for every route: deep-copy the set, then edit the
+// copy. It shares nothing with its input.
+func naiveEBGPExport(in *PathAttrs, localAS uint16, localAddr netip.Addr) *PathAttrs {
+	a := in.Clone()
+	if len(a.ASPath) > 0 && a.ASPath[0].Type == SegSequence && len(a.ASPath[0].ASes) < 255 {
+		a.ASPath[0].ASes = append([]uint16{localAS}, a.ASPath[0].ASes...)
+	} else {
+		a.ASPath = append(ASPath{{Type: SegSequence, ASes: []uint16{localAS}}}, a.ASPath...)
+	}
+	a.NextHop = localAddr
+	a.HasLocalPref, a.LocalPref = false, 0
+	return a
+}
+
+// TestExportRewriteMatchesDeepClone: the export rewrite builds only a new
+// leading AS segment and shares the rest of the path and the communities
+// with its input. Over seeded attribute sets — empty path, leading set, a
+// full 255-AS leading sequence, communities, MED / LOCAL_PREF present and
+// absent — it must equal the deep-copy reference, and leave its input as it
+// found it, byte for byte of the pool key.
+func TestExportRewriteMatchesDeepClone(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	localAddr := mustA("192.0.2.1")
+	seg := func(typ uint8, n int) ASSegment {
+		s := ASSegment{Type: typ}
+		for i := 0; i < n; i++ {
+			s.ASes = append(s.ASes, uint16(1+rng.Intn(65000)))
+		}
+		return s
+	}
+	for i := 0; i < 400; i++ {
+		a := &PathAttrs{Origin: uint8(rng.Intn(3)), NextHop: mustA("10.0.0.1")}
+		switch i % 5 {
+		case 0: // empty path
+		case 1:
+			a.ASPath = ASPath{seg(SegSet, 1+rng.Intn(4)), seg(SegSequence, rng.Intn(4))}
+		case 2:
+			a.ASPath = ASPath{seg(SegSequence, 255), seg(SegSet, 2)}
+		case 3:
+			a.ASPath = ASPath{seg(SegSequence, 254)}
+		default:
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				a.ASPath = append(a.ASPath, seg(uint8(SegSet+rng.Intn(2)), 1+rng.Intn(5)))
+			}
+		}
+		if rng.Intn(2) == 0 {
+			a.MED, a.HasMED = rng.Uint32(), true
+		}
+		if rng.Intn(2) == 0 {
+			a.LocalPref, a.HasLocalPref = rng.Uint32(), true
+		}
+		for n := rng.Intn(4); n > 0; n-- {
+			a.Communities = append(a.Communities, rng.Uint32())
+		}
+		before := appendAttrKey(nil, a)
+		f := FilterEBGPExport(65000, localAddr)
+		r := &Route{Net: mustP("10.1.0.0/16"), Attrs: a}
+		got, want := f(r), naiveEBGPExport(a, 65000, localAddr)
+		if !got.Equal(want) {
+			t.Fatalf("case %d: sharing rewrite %+v, deep-copy reference %+v", i, got, want)
+		}
+		if again := f(&Route{Net: mustP("10.2.0.0/16"), Attrs: a}); again != got {
+			t.Fatalf("case %d: a second route under the same set got another set", i)
+		}
+		if after := appendAttrKey(nil, a); !bytes.Equal(before, after) {
+			t.Fatalf("case %d: the rewrite changed its input", i)
+		}
+		if _, err := AppendUpdate(nil, &UpdateMsg{Attrs: got, NLRI: []netip.Prefix{r.Net}}); err != nil {
+			t.Fatalf("case %d: rewritten set does not encode: %v", i, err)
+		}
 	}
 }
 

@@ -32,8 +32,11 @@ func (f GroupSenderFunc) SendEncodedUpdate(buf []byte) { f(buf) }
 // Split horizon and the IBGP non-reflection rule still differ per member;
 // they are applied here, per member, against the route's Src. The group
 // keeps one announced map (the shared adj-RIB-out) and nothing per member:
-// whether a member was told a prefix is sendable(announced[net].Src,
-// member), a function of what is already held.
+// whether a member was told a prefix is sendable(announced[net].src,
+// member), a function of what is already held. The map holds what a replay
+// needs — the set sent and the source it is screened by — and no *Route: the
+// stage reads the routes it is handed and keeps none (keepsNoRoutes), which
+// is what lets the bank upstream hand it scratch views.
 //
 // A message that cannot be encoded (an attribute set that outgrows the
 // 4096-byte limit on export, say) is dropped whole and counted, and the
@@ -46,7 +49,7 @@ type GroupOut struct {
 
 	// announced is the group-level adj-RIB-out: what the shared pipeline
 	// has emitted, before per-member suppression.
-	announced map[netip.Prefix]*Route
+	announced map[netip.Prefix]sentRoute
 	// bySrc counts announced routes per Src, so a member's share of the
 	// table is a sum over sources, not a walk over prefixes.
 	bySrc map[*PeerHandle]int
@@ -63,6 +66,21 @@ type GroupOut struct {
 	EncodeErrors *telemetry.Counter
 }
 
+// sentRoute is the adj-RIB-out's record of one announced prefix.
+type sentRoute struct {
+	attrs *PathAttrs
+	src   *PeerHandle
+}
+
+// route builds the Route a lookup or a walk answers with.
+func (e sentRoute) route(net netip.Prefix) *Route {
+	r := Route{Net: net, Attrs: e.attrs, Src: e.src}
+	return &r
+}
+
+// keepsNoRoutes implements noRouteKeeper.
+func (g *GroupOut) keepsNoRoutes() {}
+
 type groupMember struct {
 	handle *PeerHandle
 	sender GroupSender
@@ -72,7 +90,7 @@ type groupMember struct {
 func NewGroupOut(name string) *GroupOut {
 	return &GroupOut{
 		base:         base{name: "groupout(" + name + ")"},
-		announced:    make(map[netip.Prefix]*Route),
+		announced:    make(map[netip.Prefix]sentRoute),
 		bySrc:        make(map[*PeerHandle]int),
 		EncodeErrors: new(telemetry.Counter),
 	}
@@ -159,9 +177,9 @@ func (g *GroupOut) encodeWithdraw(net netip.Prefix) bool {
 }
 
 // forget drops one announced route from the per-source count.
-func (g *GroupOut) forget(prev *Route) {
-	if g.bySrc[prev.Src]--; g.bySrc[prev.Src] == 0 {
-		delete(g.bySrc, prev.Src)
+func (g *GroupOut) forget(src *PeerHandle) {
+	if g.bySrc[src]--; g.bySrc[src] == 0 {
+		delete(g.bySrc, src)
 	}
 }
 
@@ -178,7 +196,7 @@ func (g *GroupOut) Add(run []*Route) {
 		return
 	}
 	for _, r := range run {
-		g.announced[r.Net] = r
+		g.announced[r.Net] = sentRoute{r.Attrs, r.Src}
 	}
 	g.bySrc[run[0].Src] += len(run)
 	for _, m := range g.members {
@@ -201,15 +219,15 @@ func (g *GroupOut) Replace(old, new *Route) {
 	}
 	prev, was := g.announced[new.Net]
 	if was {
-		g.forget(prev)
+		g.forget(prev.src)
 	}
-	g.announced[new.Net] = new
+	g.announced[new.Net] = sentRoute{new.Attrs, new.Src}
 	g.bySrc[new.Src]++
 	var withdraw []*groupMember
 	for _, m := range g.members {
 		if sendable(new.Src, m.handle) {
 			g.send(m, msgs)
-		} else if was && sendable(prev.Src, m.handle) {
+		} else if was && sendable(prev.src, m.handle) {
 			withdraw = append(withdraw, m)
 		}
 	}
@@ -227,19 +245,24 @@ func (g *GroupOut) Delete(r *Route) {
 		return // its announcement was dropped
 	}
 	delete(g.announced, r.Net)
-	g.forget(prev)
+	g.forget(prev.src)
 	if !g.encodeWithdraw(r.Net) {
 		return
 	}
 	for _, m := range g.members {
-		if sendable(prev.Src, m.handle) {
+		if sendable(prev.src, m.handle) {
 			g.send(m, 1)
 		}
 	}
 }
 
 // Lookup implements Stage: the group adj-RIB-out.
-func (g *GroupOut) Lookup(net netip.Prefix) *Route { return g.announced[net] }
+func (g *GroupOut) Lookup(net netip.Prefix) *Route {
+	if e, ok := g.announced[net]; ok {
+		return e.route(net)
+	}
+	return nil
+}
 
 // MemberAnnouncedCount returns how many prefixes one member has been told
 // (tests and stats): the announced routes of every source sendable to it.
@@ -267,8 +290,8 @@ func (g *GroupOut) ResyncMember(handle *PeerHandle) {
 		return
 	}
 	nets := make([]netip.Prefix, 0, g.MemberAnnouncedCount(handle))
-	for net, r := range g.announced {
-		if sendable(r.Src, handle) {
+	for net, e := range g.announced {
+		if sendable(e.src, handle) {
 			nets = append(nets, net)
 		}
 	}
@@ -276,7 +299,7 @@ func (g *GroupOut) ResyncMember(handle *PeerHandle) {
 	byAttrs := make(map[*PathAttrs][]netip.Prefix)
 	var order []*PathAttrs
 	for _, net := range nets {
-		attrs := g.announced[net].Attrs
+		attrs := g.announced[net].attrs
 		if _, ok := byAttrs[attrs]; !ok {
 			order = append(order, attrs)
 		}
@@ -294,8 +317,8 @@ func (g *GroupOut) WalkAnnounced(handle *PeerHandle, fn func(*Route) bool) {
 	if g.member(handle) == nil {
 		return
 	}
-	for _, r := range g.announced {
-		if sendable(r.Src, handle) && !fn(r) {
+	for net, e := range g.announced {
+		if sendable(e.src, handle) && !fn(e.route(net)) {
 			return
 		}
 	}

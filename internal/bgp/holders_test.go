@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"net/netip"
 	"reflect"
 	"runtime"
@@ -104,6 +105,134 @@ func TestGroupMemberHoldsNoPrefixes(t *testing.T) {
 	}
 }
 
+// TestGroupOutHoldsNoRoutes: the adj-RIB-out is prefix → what a replay needs.
+// A field that could hold a route — by pointer or by value — would be the
+// per-route copy back under another name, and would make the scratch views
+// the bank hands this stage dangle.
+func TestGroupOutHoldsNoRoutes(t *testing.T) {
+	gt := reflect.TypeOf(GroupOut{})
+	for i := 0; i < gt.NumField(); i++ {
+		f := gt.Field(i)
+		holds := reaches(f.Type, map[reflect.Type]bool{}, reflect.TypeOf((*Route)(nil)), reflect.TypeOf(Route{}))
+		if holds != (f.Name == "base") { // base: the scratch run of a stage that sends routes on; this one sends none
+			t.Errorf("GroupOut.%s (%v): reaches a route = %v", f.Name, f.Type, holds)
+		}
+	}
+	if _, ok := Stage(NewGroupOut("g")).(noRouteKeeper); !ok {
+		t.Fatal("GroupOut no longer declares that it keeps no routes: its bank would go back to heap views")
+	}
+
+	// Behind a bank whose views are scratch, what it recorded of one call
+	// must survive the next.
+	g, bank, runs := exportSide(t, 2, 8)
+	bank.Add(runs[0])
+	bank.Add(runs[1])
+	if len(g.run) != 0 {
+		t.Fatalf("GroupOut used its scratch run (%d routes)", len(g.run))
+	}
+	for i, run := range runs {
+		for _, r := range run {
+			got := g.Lookup(r.Net)
+			if got == nil || got.Src != r.Src || !got.Attrs.Equal(naiveEBGPExport(r.Attrs, 65000, mustA("192.0.2.1"))) {
+				t.Fatalf("run %d: adj-RIB-out says %+v for %v", i, got, r.Net)
+			}
+		}
+	}
+}
+
+// exportSide is one output branch — an EBGP export bank into a GroupOut with
+// two members that discard what they are sent — and nruns runs of n routes,
+// each run with its own attribute set and source.
+func exportSide(t *testing.T, nruns, n int) (*GroupOut, *FilterBank, [][]*Route) {
+	g := NewGroupOut("rs")
+	bank := NewFilterBank("out-filter(group:rs)", FilterEBGPExport(65000, mustA("192.0.2.1")))
+	Plumb(bank, g)
+	for i := 0; i < 2; i++ {
+		h := testPeer(fmt.Sprintf("m%d", i), fmt.Sprintf("10.0.1.%d", i+1), uint16(65010+i), false)
+		if err := g.AddMember(h, GroupSenderFunc(func([]byte) {})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs := make([][]*Route, nruns)
+	for k := range runs {
+		src := testPeer(fmt.Sprintf("src%d", k), fmt.Sprintf("10.0.0.%d", k+1), uint16(65001+k), false)
+		attrs := attrsVia(src.Addr.String(), src.AS, 64512)
+		attrs.Communities = []uint32{uint32(k)}
+		for i := 0; i < n; i++ {
+			net := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(20 + k), byte(i), 0, 0}), 16)
+			runs[k] = append(runs[k], &Route{Net: net, Attrs: attrs, Src: src, Resolvable: true})
+		}
+	}
+	return g, bank, runs
+}
+
+// TestExportSideAllocs: past the fanout nothing is made per route. A run
+// costs the one rewrite its attribute set needs (the set and the two slices
+// of the prepended path) plus the encode's scratch; a burst of withdrawals
+// costs the same one rewrite, and a withdrawal or replace under the set the
+// filter saw last costs nothing. Every shortcut back to per-route work —
+// a view on the heap, a rewrite before the memo is asked, a *Route in the
+// adj-RIB-out — shows here as 64 times something.
+func TestExportSideAllocs(t *testing.T) {
+	const n = 64
+	g, bank, runs := exportSide(t, 2, n)
+	twins := make([]*Route, n) // the same routes as runs[0], as other objects
+	for i, r := range runs[0] {
+		twins[i] = r.Clone()
+	}
+	withdraw := func(run []*Route) {
+		for _, r := range run {
+			bank.Delete(r)
+		}
+	}
+	for i := 0; i < 3; i++ { // steady state: map, encode buffer and slab at size
+		bank.Add(runs[0])
+		bank.Add(runs[1])
+		withdraw(runs[0])
+		withdraw(runs[1])
+	}
+	// Summed over rounds and divided down like testing.AllocsPerRun, so the
+	// runtime's own stray allocation does not count; per-route work would
+	// show as 64 times something.
+	const rounds = 20
+	var add, replace, del, delOther uint64
+	mallocs := func(total *uint64, fn func()) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		*total += after.Mallocs - before.Mallocs
+	}
+	for i := 0; i < rounds; i++ {
+		bank.Add(runs[0])
+		mallocs(&add, func() { bank.Add(runs[1]) }) // the filter saw runs[0]'s set last: one rewrite
+		mallocs(&del, func() { withdraw(runs[1]) })
+		bank.Add(runs[1])
+		mallocs(&replace, func() { // one rewrite, then twice 63 memo hits
+			for i, r := range runs[0] {
+				bank.Replace(r, twins[i])
+			}
+		})
+		withdraw(runs[1])
+		mallocs(&delOther, func() { withdraw(runs[0]) }) // likewise
+	}
+	if g.AnnouncedCount() != 0 {
+		t.Fatalf("%d routes left announced", g.AnnouncedCount())
+	}
+	add, del, delOther, replace = add/rounds, del/rounds, delOther/rounds, replace/rounds
+	t.Logf("per %d-route call: Add %d, Delete burst under the set seen last %d, under another %d, Replace burst under another %d",
+		n, add, del, delOther, replace)
+	if add > 6 {
+		t.Errorf("Add of a %d-route run costs %d allocations, want <= 6", n, add)
+	}
+	if del != 0 {
+		t.Errorf("%d Deletes under the set the filter saw last cost %d allocations, want 0", n, del)
+	}
+	if delOther > 3 || replace > 3 {
+		t.Errorf("a burst of %d Deletes under another set costs %d allocations, of Replaces %d; want <= 3 (one rewrite)", n, delOther, replace)
+	}
+}
+
 // bytesPerRouteRouter is the route-server stage network: a PeerIn and a
 // resolver per client, Decision, Fanout, one shared export bank and GroupOut.
 func bytesPerRouteRouter(clients, routesEach int) (keep any, routes int) {
@@ -144,12 +273,12 @@ func bytesPerRouteRouter(clients, routesEach int) (keep any, routes int) {
 }
 
 // TestBGPBytesPerRoute pins the live heap a route costs across the BGP
-// stage network of a route server: the PeerIn's trie nodes and Route, the
-// export clone and its slot in the group's adj-RIB-out. It measures 322 B;
-// the bound is 10 % above. With 184-byte trie nodes under the PeerIn it
-// measured 391 B.
+// stage network of a route server: the PeerIn's trie nodes and Route, and
+// its prefix → {attrs, source} slot in the group's adj-RIB-out. It measures
+// 266 B; the bound is 10 % above. With an export clone per route behind the
+// slot it measured 322 B, and with 184-byte trie nodes under the PeerIn 391.
 func TestBGPBytesPerRoute(t *testing.T) {
-	const bound = 355
+	const bound = 293
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()

@@ -74,9 +74,10 @@ type nexthopEntry struct {
 //
 // The stage stores no routes (§5.1: only the PeerIn does). The annotation
 // depends on the nexthop alone, so it is kept per nexthop and written into
-// the route the stage is handed — with no cloning filter upstream that is
-// the PeerIn's own object — and Lookup asks upstream and stamps the answer
-// again. Only ops still waiting for an answer hold routes here.
+// the route the stage is handed — the PeerIn's own object, or the heap view
+// of it a rewriting filter upstream made — and Lookup asks upstream and
+// stamps the answer again. Only ops still waiting for an answer hold routes
+// here.
 type NexthopResolver struct {
 	base
 	src MetricSource
@@ -163,8 +164,13 @@ func (n *NexthopResolver) Replace(old, new *Route) { n.submit(pendingOp{old: old
 func (n *NexthopResolver) Delete(r *Route) { n.submit(pendingOp{old: r}) }
 
 // submit queues op behind its net's earlier ops and sends on what is ready.
+// An op with nothing ahead of it and nothing to wait for goes straight out.
 func (n *NexthopResolver) submit(op pendingOp) {
 	net := op.net()
+	if len(n.queues[net]) == 0 && (op.new == nil || n.resolved(op.new.Attrs.NextHop)) {
+		n.forward(op)
+		return
+	}
 	n.queues[net] = append(n.queues[net], op)
 	n.drain(net)
 }
@@ -231,7 +237,7 @@ func (n *NexthopResolver) answered(nh netip.Addr, info NexthopInfo) {
 }
 
 // forward annotates and emits one op. The old side is stamped too: with a
-// cloning filter upstream it is a fresh copy, and what downstream holds of
+// rewriting filter upstream it is a fresh view, and what downstream holds of
 // it carries its nexthop's entry.
 func (n *NexthopResolver) forward(op pendingOp) {
 	n.annotate(op.old)

@@ -234,15 +234,19 @@ func (o *refRouter) change(m *refMember, net netip.Prefix, r *Route) {
 }
 
 // view is what member x is told about winner r: nothing if r is its own
-// or breaks the IBGP rule, else r through x's export chain.
+// or breaks the IBGP rule, else r under what x's export chain makes of its
+// attributes — each filter is shown a fresh copy of the route carrying the
+// answer of the one before it.
 func (x *refMember) view(r *Route) *Route {
 	if r == nil || !sendable(r.Src, x.handle) {
 		return nil
 	}
 	for _, f := range x.export {
-		if r = f(r); r == nil {
+		a := f(r)
+		if a == nil {
 			return nil
 		}
+		r = &Route{Net: r.Net, Attrs: a, Src: r.Src, Resolvable: r.Resolvable}
 	}
 	return r
 }
@@ -436,21 +440,19 @@ func oraclePolicies(r *rand.Rand) []Filter {
 	var policy []Filter
 	if r.Intn(2) == 0 {
 		maxBits := 20 + r.Intn(30)
-		policy = append(policy, func(rt *Route) *Route {
+		policy = append(policy, func(rt *Route) *PathAttrs {
 			if rt.Net.Bits() > maxBits && rt.Net.Addr().Is4() {
 				return nil
 			}
-			return rt
+			return rt.Attrs
 		})
 	}
 	if r.Intn(2) == 0 {
 		med := uint32(r.Intn(500))
-		policy = append(policy, func(rt *Route) *Route {
-			out := rt.Clone()
+		policy = append(policy, func(rt *Route) *PathAttrs {
 			a := rt.Attrs.Clone()
 			a.MED, a.HasMED = med, true
-			out.Attrs = a
-			return out
+			return a
 		})
 	}
 	return policy

@@ -144,20 +144,19 @@ func modelNet(i int) netip.Prefix {
 }
 
 // modelCloningFilter is an in-filter of the kind only tests install: it
-// never hands on the PeerIn's own object, drops a quarter of the prefixes
-// and moves another quarter onto a different nexthop, so the resolver can
-// trust neither the object it is handed nor the nexthop the PeerIn stores.
-func modelCloningFilter(r *Route) *Route {
+// never answers with the set it was shown, so the bank never hands on the
+// PeerIn's own object; it drops a quarter of the prefixes and moves another
+// quarter onto a different nexthop, so the resolver can trust neither the
+// object it is handed nor the nexthop the PeerIn stores.
+func modelCloningFilter(r *Route) *PathAttrs {
+	a := *r.Attrs
 	switch r.Net.Addr().As4()[2] % 4 {
 	case 0:
 		return nil
 	case 1:
-		out := r.Clone()
-		out.Attrs = r.Attrs.Clone()
-		out.Attrs.NextHop = modelNexthops[2]
-		return out
+		a.NextHop = modelNexthops[2]
 	}
-	return r.Clone()
+	return &a
 }
 
 type resolverModel struct {

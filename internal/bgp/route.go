@@ -30,12 +30,13 @@ func (p *PeerHandle) String() string {
 
 // Route is a BGP route flowing through the staged pipeline. Routes are
 // immutable once emitted by a stage, except the two annotation fields,
-// which belong to the input branch's resolver: stages that modify
-// attributes clone first, so the originals stored in PeerIn stay pristine
-// (§5.1), and the resolver writes IGPMetric and Resolvable into the route
-// it is handed — the PeerIn's own object when no filter upstream clones.
-// A holder downstream therefore reads the nexthop's current annotation,
-// which may be newer than the one the route was emitted with, never older.
+// which belong to the input branch's resolver: a filter bank sends a route
+// whose attributes it rewrote on as a view, a copy carrying the new set, so
+// the originals stored in PeerIn stay pristine (§5.1), and the resolver
+// writes IGPMetric and Resolvable into the route it is handed — the PeerIn's
+// own object when no filter upstream rewrote it. A holder downstream
+// therefore reads the nexthop's current annotation, which may be newer than
+// the one the route was emitted with, never older.
 type Route struct {
 	// Net is the destination prefix.
 	Net netip.Prefix
@@ -51,8 +52,7 @@ type Route struct {
 	Resolvable bool
 }
 
-// Clone returns a copy sharing Attrs (callers clone Attrs separately when
-// modifying them).
+// Clone returns a copy sharing Attrs.
 func (r *Route) Clone() *Route {
 	c := *r
 	return &c

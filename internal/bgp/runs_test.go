@@ -82,18 +82,16 @@ func segUpdates(ops []segOp, cut func(n int) bool) []oracleEvent {
 // deletion stage has to cut runs).
 func TestSegmentationInvariant(t *testing.T) {
 	policy := []Filter{
-		func(rt *Route) *Route {
+		func(rt *Route) *PathAttrs {
 			if rt.Net.Bits()%5 == 0 {
 				return nil
 			}
-			return rt
+			return rt.Attrs
 		},
-		func(rt *Route) *Route {
-			out := rt.Clone()
+		func(rt *Route) *PathAttrs {
 			a := rt.Attrs.Clone()
 			a.MED, a.HasMED = uint32(rt.Net.Bits()%3), true
-			out.Attrs = a
-			return out
+			return a
 		},
 	}
 	members := []struct {

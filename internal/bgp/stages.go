@@ -21,6 +21,15 @@ import (
 // (only the Fanout does) copies it. A stage may re-cut a run into shorter
 // ones, with Replaces in between where per-route semantics demand it, but
 // never reorders it.
+//
+// The routes themselves outlive the call — the resolver's queue, the
+// fanout's queue and the decision process's lookups keep them — with one
+// exception. A route whose attributes a filter bank rewrote goes on as a
+// view the bank makes, and the bank owns what the view is made of: a heap
+// object, as long-lived as any route, when the stage downstream may keep
+// it; scratch the bank's next call overwrites when that stage declares it
+// keeps none (a GroupOut, which records prefix → attributes and source).
+// What Lookup answers is always the asker's to keep.
 type Stage interface {
 	// Name identifies the stage for diagnostics.
 	Name() string

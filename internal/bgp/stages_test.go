@@ -296,18 +296,16 @@ func TestFilterBankDropAndModify(t *testing.T) {
 	// Drop everything in 10.66.0.0/16; add MED 99 to everything else.
 	drop := mustP("10.66.0.0/16")
 	p1.filter.filters = []Filter{
-		func(r *Route) *Route {
+		func(r *Route) *PathAttrs {
 			if drop.Contains(r.Net.Addr()) {
 				return nil
 			}
-			return r
+			return r.Attrs
 		},
-		func(r *Route) *Route {
-			out := r.Clone()
+		func(r *Route) *PathAttrs {
 			a := r.Attrs.Clone()
 			a.MED, a.HasMED = 99, true
-			out.Attrs = a
-			return out
+			return a
 		},
 	}
 	p1.peerin.Announce(mustP("10.66.1.0/24"), attrsVia("10.0.0.1", 65001))
@@ -346,11 +344,11 @@ func TestRefilterBackgroundTask(t *testing.T) {
 	}
 	// New policy: drop 10.66/16.
 	drop := mustP("10.66.0.0/16")
-	p1.filter.Refilter(tr.loop, []Filter{func(r *Route) *Route {
+	p1.filter.Refilter(tr.loop, []Filter{func(r *Route) *PathAttrs {
 		if drop.Contains(r.Net.Addr()) {
 			return nil
 		}
-		return r
+		return r.Attrs
 	}}, p1.peerin.Walk)
 	tr.settle()
 	if len(tr.sink.tbl) != 200 {

@@ -312,6 +312,16 @@ func decodePrefix(d *wireDecoder) netip.Prefix {
 	return netip.PrefixFrom(netip.AddrFrom4(b), bits).Masked()
 }
 
+// countPrefixes counts the length bytes of a block of encoded prefixes, to
+// size the slice they decode into: one per prefix the block can hold, never
+// more than it has bytes.
+func countPrefixes(block []byte) (n int) {
+	for i := 0; i < len(block); i += 1 + (int(block[i])+7)/8 {
+		n++
+	}
+	return n
+}
+
 // appendPrefix6 appends the RFC 4760 IPv6 prefix encoding.
 func appendPrefix6(dst []byte, p netip.Prefix) []byte {
 	p = p.Masked()
@@ -405,12 +415,18 @@ func DecodeMessage(buf []byte) (*Message, error) {
 		}
 		return &Message{Notification: m}, nil
 	case MsgUpdate:
-		m := &UpdateMsg{}
+		both := &struct {
+			msg Message
+			upd UpdateMsg
+		}{}
+		m := &both.upd
+		both.msg.Update = m
 		wLen := int(d.u16())
 		wEnd := d.off + wLen
 		if wEnd > len(buf) {
 			return nil, fmt.Errorf("bgp: withdrawn length overruns message")
 		}
+		m.Withdrawn = make([]netip.Prefix, 0, countPrefixes(buf[d.off:wEnd]))
 		for d.off < wEnd && d.err == nil {
 			m.Withdrawn = append(m.Withdrawn, decodePrefix(d))
 		}
@@ -431,10 +447,10 @@ func DecodeMessage(buf []byte) (*Message, error) {
 			nlri6 = n6
 			m.Withdrawn = append(m.Withdrawn, w6...)
 		}
-		n4 := 0
+		n4 := countPrefixes(buf[d.off:])
+		m.NLRI = make([]netip.Prefix, 0, n4+len(nlri6))
 		for d.off < len(buf) && d.err == nil {
 			m.NLRI = append(m.NLRI, decodePrefix(d))
-			n4++
 		}
 		m.NLRI = append(m.NLRI, nlri6...)
 		if d.err != nil {
@@ -451,7 +467,7 @@ func DecodeMessage(buf []byte) (*Message, error) {
 				return nil, fmt.Errorf("bgp: IPv4 NLRI with non-IPv4 NEXT_HOP %v", m.Attrs.NextHop)
 			}
 		}
-		return &Message{Update: m}, nil
+		return &both.msg, nil
 	default:
 		return nil, fmt.Errorf("bgp: unknown message type %d", msgType)
 	}

@@ -102,6 +102,41 @@ func TestUpdateWithdrawOnly(t *testing.T) {
 	}
 }
 
+// TestDecodeUpdateAllocs: the decoder sizes what it builds from what the
+// bytes say, so a full UPDATE costs its parts and not their growth: message
+// and update as one object, the prefix slice, and for an announcement the
+// attribute set, its path and the path's one segment.
+func TestDecodeUpdateAllocs(t *testing.T) {
+	var nets []netip.Prefix
+	for i := 0; i < 64; i++ {
+		nets = append(nets, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16))
+	}
+	announce, err := AppendUpdate(nil, &UpdateMsg{Attrs: attrsVia("10.0.0.1", 65001, 64512, 64513), NLRI: nets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withdraw, err := AppendUpdate(nil, &UpdateMsg{Withdrawn: nets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		wire  []byte
+		bound float64
+	}{{"64-NLRI announce", announce, 6}, {"64-prefix withdraw", withdraw, 3}} {
+		got := testing.AllocsPerRun(200, func() {
+			m, err := DecodeMessage(c.wire)
+			if err != nil || len(m.Update.NLRI)+len(m.Update.Withdrawn) != 64 {
+				t.Fatalf("%s: %+v, %v", c.name, m, err)
+			}
+		})
+		t.Logf("%s: %.0f allocations", c.name, got)
+		if got > c.bound {
+			t.Errorf("%s decodes in %.0f allocations, want <= %.0f", c.name, got, c.bound)
+		}
+	}
+}
+
 func TestUpdateRejectsNLRIWithoutAttrs(t *testing.T) {
 	if _, err := AppendUpdate(nil, &UpdateMsg{NLRI: []netip.Prefix{mustP("10.0.0.0/8")}}); err == nil {
 		t.Fatal("NLRI without attrs encoded")

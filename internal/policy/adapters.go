@@ -12,11 +12,11 @@ import (
 	"xorp/internal/route"
 )
 
-// bgpRoute adapts a bgp.Route for policy execution. Mutations clone
-// attributes first (stage routes are immutable, §5.1).
+// bgpRoute adapts a bgp.Route for policy execution. attrs is the route's own
+// set until a mutation makes it a copy (stage routes are immutable, §5.1).
 type bgpRoute struct {
-	r       *bgp.Route
-	mutated bool
+	r     *bgp.Route
+	attrs *bgp.PathAttrs
 }
 
 func (b *bgpRoute) Get(attr string) (Value, bool) {
@@ -24,20 +24,23 @@ func (b *bgpRoute) Get(attr string) (Value, bool) {
 	case "net":
 		return NetVal(b.r.Net), true
 	case "med":
-		if !b.r.Attrs.HasMED {
+		if !b.attrs.HasMED {
 			return Value{}, false
 		}
-		return Num(uint64(b.r.Attrs.MED)), true
+		return Num(uint64(b.attrs.MED)), true
 	case "localpref":
-		return Num(uint64(b.r.LocalPrefOrDefault())), true
+		if !b.attrs.HasLocalPref {
+			return Num(100), true // the RFC default, as Route.LocalPrefOrDefault
+		}
+		return Num(uint64(b.attrs.LocalPref)), true
 	case "as-path-len":
-		return Num(uint64(b.r.Attrs.ASPath.Length())), true
+		return Num(uint64(b.attrs.ASPath.Length())), true
 	case "as-path":
-		return Str(b.r.Attrs.ASPath.String()), true
+		return Str(b.attrs.ASPath.String()), true
 	case "origin":
-		return Num(uint64(b.r.Attrs.Origin)), true
+		return Num(uint64(b.attrs.Origin)), true
 	case "nexthop":
-		return Str(b.r.Attrs.NextHop.String()), true
+		return Str(b.attrs.NextHop.String()), true
 	case "neighbor":
 		if b.r.Src == nil {
 			return Str("local"), true
@@ -55,39 +58,36 @@ func (b *bgpRoute) Get(attr string) (Value, bool) {
 	return Value{}, false
 }
 
-func (b *bgpRoute) mutable() *bgp.Route {
-	if !b.mutated {
-		out := b.r.Clone()
-		out.Attrs = b.r.Attrs.Clone()
-		b.r = out
-		b.mutated = true
+func (b *bgpRoute) mutable() *bgp.PathAttrs {
+	if b.attrs == b.r.Attrs {
+		b.attrs = b.r.Attrs.Clone()
 	}
-	return b.r
+	return b.attrs
 }
 
 func (b *bgpRoute) Set(attr string, v Value) error {
 	switch attr {
 	case "med":
-		r := b.mutable()
-		r.Attrs.MED = uint32(v.Num)
-		r.Attrs.HasMED = true
+		a := b.mutable()
+		a.MED = uint32(v.Num)
+		a.HasMED = true
 	case "localpref":
-		r := b.mutable()
-		r.Attrs.LocalPref = uint32(v.Num)
-		r.Attrs.HasLocalPref = true
+		a := b.mutable()
+		a.LocalPref = uint32(v.Num)
+		a.HasLocalPref = true
 	case "origin":
 		if v.Num > bgp.OriginIncomplete {
 			return fmt.Errorf("policy: origin %d out of range", v.Num)
 		}
-		b.mutable().Attrs.Origin = uint8(v.Num)
+		b.mutable().Origin = uint8(v.Num)
 	case "community":
-		b.mutable().Attrs.Communities = append(b.mutable().Attrs.Communities, uint32(v.Num))
+		b.mutable().Communities = append(b.mutable().Communities, uint32(v.Num))
 	case "nexthop":
 		a, err := netip.ParseAddr(valueString(v))
 		if err != nil {
 			return fmt.Errorf("policy: bad nexthop %q", valueString(v))
 		}
-		b.mutable().Attrs.NextHop = a
+		b.mutable().NextHop = a
 	default:
 		return fmt.Errorf("policy: cannot set BGP attribute %q", attr)
 	}
@@ -97,13 +97,13 @@ func (b *bgpRoute) Set(attr string, v Value) error {
 // BGPFilter compiles a policy into a BGP filter-bank filter: rejected
 // routes drop, accepted/passed routes continue (possibly modified).
 func BGPFilter(p *Policy) bgp.Filter {
-	return func(r *bgp.Route) *bgp.Route {
-		ad := &bgpRoute{r: r}
+	return func(r *bgp.Route) *bgp.PathAttrs {
+		ad := &bgpRoute{r: r, attrs: r.Attrs}
 		act, err := p.Execute(ad)
 		if err != nil || act == ActionReject {
 			return nil
 		}
-		return ad.r
+		return ad.attrs
 	}
 }
 

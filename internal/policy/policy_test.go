@@ -175,7 +175,7 @@ term prefer-short {
 		t.Fatal("martian not dropped")
 	}
 	out := f(mk("10.0.0.0/8", 65001, 65002))
-	if out == nil || !out.Attrs.HasLocalPref || out.Attrs.LocalPref != 200 {
+	if out == nil || !out.HasLocalPref || out.LocalPref != 200 {
 		t.Fatalf("short path not preferred: %+v", out)
 	}
 	// The original route must be untouched (immutability).
@@ -186,7 +186,7 @@ term prefer-short {
 	}
 	// Long path: no term decides; route passes unmodified.
 	long := mk("10.0.0.0/8", 1, 2, 3, 4)
-	if out := f(long); out != long {
+	if out := f(long); out != long.Attrs {
 		t.Fatal("unmatched route was copied or dropped")
 	}
 }
@@ -250,7 +250,7 @@ func TestBGPAdapterAttributes(t *testing.T) {
 		},
 		Src: src,
 	}
-	ad := &bgpRoute{r: r}
+	ad := &bgpRoute{r: r, attrs: r.Attrs}
 	checks := map[string]string{
 		"as-path":  "1 2",
 		"nexthop":  "10.0.0.1",
@@ -272,7 +272,7 @@ func TestBGPAdapterAttributes(t *testing.T) {
 	if err := ad.Set("nexthop", Str("10.2.2.2")); err != nil {
 		t.Fatal(err)
 	}
-	if ad.r.Attrs.NextHop != mustA("10.2.2.2") {
+	if ad.attrs.NextHop != mustA("10.2.2.2") || r.Attrs.NextHop != mustA("10.0.0.1") {
 		t.Fatal("nexthop not set")
 	}
 	if err := ad.Set("origin", Num(9)); err == nil {
