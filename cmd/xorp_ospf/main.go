@@ -25,6 +25,7 @@ import (
 	"xorp/internal/finder"
 	"xorp/internal/ospf"
 	"xorp/internal/route"
+	"xorp/internal/rtrmgr"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
 )
@@ -56,7 +57,7 @@ func main() {
 	router.SetFinderTCP(*finderAddr)
 
 	tr := &xrlTransport{fea: xif.NewFEAUDPClient(router, "fea")}
-	proc := ospf.NewProcess(loop, cfg, tr, &xrlRIB{stub: xif.NewRIBClient(router, "rib")})
+	proc := ospf.NewProcess(loop, cfg, tr, rtrmgr.NewXRLRouteClient(router, "rib", route.ProtoOSPF))
 
 	target := xif.NewTarget("ospf", "ospf")
 	xif.BindOSPF(target, ospfServer{proc})
@@ -128,30 +129,6 @@ func (t *xrlTransport) Send(dst netip.AddrPort, payload []byte) error {
 
 func (t *xrlTransport) Multicast(payload []byte) error {
 	return t.Send(netip.AddrPortFrom(ospf.AllSPFRouters, ospf.Port), payload)
-}
-
-// xrlRIB feeds OSPF routes to the RIB process through the typed stub.
-type xrlRIB struct {
-	stub *xif.RIBClient
-}
-
-func (r *xrlRIB) AddRoute(e route.Entry) {
-	r.stub.AddRoute4("ospf", e, nil)
-}
-
-func (r *xrlRIB) DeleteRoute(net netip.Prefix) {
-	r.stub.DeleteRoute4("ospf", net, nil)
-}
-
-// AddRoutes ships a whole SPF result as one add_routes4 list XRL
-// (ospf.BatchRIBClient), which the RIB takes as one run.
-func (r *xrlRIB) AddRoutes(es []route.Entry) {
-	r.stub.AddRoutes4("ospf", es, nil)
-}
-
-// DeleteRoutes ships a batch withdrawal as one delete_routes4 XRL.
-func (r *xrlRIB) DeleteRoutes(nets []netip.Prefix) {
-	r.stub.DeleteRoutes4("ospf", nets, nil)
 }
 
 func fatal(err error) {

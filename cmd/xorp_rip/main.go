@@ -24,6 +24,7 @@ import (
 	"xorp/internal/finder"
 	"xorp/internal/rip"
 	"xorp/internal/route"
+	"xorp/internal/rtrmgr"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
 )
@@ -49,7 +50,7 @@ func main() {
 
 	proc := rip.NewProcess(loop, rip.Config{LocalAddr: localAddr, IfName: "eth0"},
 		&xrlTransport{fea: xif.NewFEAUDPClient(router, "fea")},
-		&xrlRIB{stub: xif.NewRIBClient(router, "rib")})
+		rtrmgr.NewXRLRouteClient(router, "rib", route.ProtoRIP))
 
 	target := xif.NewTarget("rip", "rip")
 	xif.BindRIP(target, ripServer{proc})
@@ -106,25 +107,6 @@ func (t *xrlTransport) Send(dst netip.AddrPort, payload []byte) error {
 func (t *xrlTransport) Broadcast(payload []byte) error {
 	t.fea.Broadcast(rip.Port, rip.Port, payload, nil)
 	return nil
-}
-
-// xrlRIB feeds RIP routes to the RIB process through the typed stub.
-type xrlRIB struct {
-	stub *xif.RIBClient
-}
-
-func (r *xrlRIB) AddRoute(e route.Entry) {
-	r.stub.AddRoute4("rip", e, nil)
-}
-
-func (r *xrlRIB) DeleteRoute(net netip.Prefix) {
-	r.stub.DeleteRoute4("rip", net, nil)
-}
-
-// AddRoutes ships one received update's routes as a single add_routes4
-// list XRL (rip.BatchRIBClient), which the RIB takes as one run.
-func (r *xrlRIB) AddRoutes(es []route.Entry) {
-	r.stub.AddRoutes4("rip", es, nil)
 }
 
 func fatal(err error) {

@@ -21,20 +21,20 @@ func newCollector() *collector {
 	return &collector{routes: make(map[netip.Prefix]*Route)}
 }
 
-func (c *collector) AddRoute(r *Route, done func(error)) {
+func (c *collector) AddRoute(r *Route) {
 	c.mu.Lock()
 	c.routes[r.Net] = r
 	c.adds++
 	c.mu.Unlock()
 }
 
-func (c *collector) ReplaceRoute(old, new *Route, done func(error)) {
+func (c *collector) ReplaceRoute(old, new *Route) {
 	c.mu.Lock()
 	c.routes[new.Net] = new
 	c.mu.Unlock()
 }
 
-func (c *collector) DeleteRoute(r *Route, done func(error)) {
+func (c *collector) DeleteRoute(r *Route) {
 	c.mu.Lock()
 	delete(c.routes, r.Net)
 	c.dels++

@@ -18,9 +18,9 @@ import (
 // of Figure 5). The production implementation sends XRLs to the RIB
 // process; tests plug in collectors.
 type RIBClient interface {
-	AddRoute(r *Route, done func(error))
-	ReplaceRoute(old, new *Route, done func(error))
-	DeleteRoute(r *Route, done func(error))
+	AddRoute(r *Route)
+	ReplaceRoute(old, new *Route)
+	DeleteRoute(r *Route)
 }
 
 // Config configures a BGP process.
@@ -211,7 +211,7 @@ func (s *ribSinkStage) Add(run []*Route) {
 	for _, r := range run {
 		s.log("add", r.Net)
 		if s.proc.ribClient != nil {
-			s.proc.ribClient.AddRoute(r, nil)
+			s.proc.ribClient.AddRoute(r)
 		}
 	}
 }
@@ -219,14 +219,14 @@ func (s *ribSinkStage) Add(run []*Route) {
 func (s *ribSinkStage) Replace(old, new *Route) {
 	s.log("replace", new.Net)
 	if s.proc.ribClient != nil {
-		s.proc.ribClient.ReplaceRoute(old, new, nil)
+		s.proc.ribClient.ReplaceRoute(old, new)
 	}
 }
 
 func (s *ribSinkStage) Delete(r *Route) {
 	s.log("delete", r.Net)
 	if s.proc.ribClient != nil {
-		s.proc.ribClient.DeleteRoute(r, nil)
+		s.proc.ribClient.DeleteRoute(r)
 	}
 }
 

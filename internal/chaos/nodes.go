@@ -9,35 +9,53 @@ import (
 	"xorp/internal/fwd"
 	"xorp/internal/kernel"
 	"xorp/internal/ospf"
+	"xorp/internal/rib"
 	"xorp/internal/rip"
 	"xorp/internal/route"
 	"xorp/internal/telemetry"
 )
 
 // ribRec stands in for a node's RIB+FIB: it publishes the protocol's
-// route pushes (both rip.RIBClient and ospf.RIBClient have this shape)
-// as immutable fwd snapshots — the same data-plane read path the
-// forwarding workers use, so the chaos matrix's hop-by-hop walk probes
-// what a packet would actually see, not the control plane's map. The
-// publisher deliberately survives a process kill: the forwarding table
-// keeps forwarding while the control process is down, which is exactly
-// the graceful-restart property the process-kill scenario measures.
+// runs (both rip.RIBClient and ospf.RIBClient have this shape) as
+// immutable fwd snapshots, one generation per run — the same data-plane
+// read path the forwarding workers use, so the chaos matrix's hop-by-hop
+// walk probes what a packet would actually see, not the control plane's
+// map. The publisher deliberately survives a process kill: the
+// forwarding table keeps forwarding while the control process is down,
+// which is exactly the graceful-restart property the process-kill
+// scenario measures.
 type ribRec struct {
-	pub *fwd.Publisher
+	pub   *fwd.Publisher
+	batch *rib.FIBBatch // reused: the protocols call from the one sim loop
 	// tracer, when wired, opens an apply→publish tail trace for every
-	// route push (origin StageFIBApply); the publisher completes it at
+	// route pushed (origin StageFIBApply); the publisher completes it at
 	// StageSnapPub. Wall-clock, not sim-clock: it measures the real cost
 	// of making a route visible to the data plane.
 	tracer *telemetry.Tracer
 }
 
-func (r *ribRec) AddRoute(e route.Entry) {
+func (r *ribRec) AddRoutes(es []route.Entry) {
 	if r.tracer.Enabled() {
-		r.tracer.Stamp(telemetry.StageFIBApply, e.Net)
+		r.tracer.StampBatch(telemetry.StageFIBApply, func(yield func(netip.Prefix)) {
+			for i := range es {
+				yield(es[i].Net)
+			}
+		})
 	}
-	r.pub.FIBAdd(e)
+	r.batch.Reset()
+	for i := range es {
+		r.batch.Add(es[i])
+	}
+	r.pub.Apply(r.batch)
 }
-func (r *ribRec) DeleteRoute(net netip.Prefix) { r.pub.FIBDelete(route.Entry{Net: net}) }
+
+func (r *ribRec) DeleteRoutes(nets []netip.Prefix) {
+	r.batch.Reset()
+	for _, net := range nets {
+		r.batch.Delete(route.Entry{Net: net})
+	}
+	r.pub.Apply(r.batch)
+}
 
 // Snapshot returns the node's current published forwarding table.
 func (r *ribRec) Snapshot() *fwd.Snapshot { return r.pub.Current() }
@@ -66,7 +84,7 @@ func newNode(loop *eventloop.Loop, netw *kernel.Network, idx int, addr netip.Add
 		idx:  idx,
 		addr: addr,
 		fea:  fea.New(loop, kernel.NewFIB(), host, nil),
-		rec:  &ribRec{pub: fwd.NewPublisher()},
+		rec:  &ribRec{pub: fwd.NewPublisher(), batch: rib.NewFIBBatch()},
 	}, nil
 }
 

@@ -43,7 +43,7 @@ type Process struct {
 	profArrive *profiler.Point // "route_arrive_fea"
 	profKernel *profiler.Point // "route_enter_kernel"
 
-	// listBatch carries a decoded add_entries4/delete_entries4 list into
+	// listBatch carries the run of an fti/0.2 add or delete XRL into
 	// ApplyBatch; reused across XRLs (handlers run on the loop).
 	listBatch *rib.FIBBatch
 
@@ -125,42 +125,11 @@ func (p *Process) SetBackend(b fwd.Backend) { p.backend = b }
 // (and any other data-plane reader) should chase.
 func (p *Process) Snapshots() fwd.Source { return p.backend }
 
-// AddEntry installs a forwarding entry ("the FEA will unconditionally
-// install the route in the kernel", §8.2). The profile points are
-// checked before formatting so disabled points cost no per-route
-// allocation.
-func (p *Process) AddEntry(e route.Entry) error {
-	if p.profArrive.Enabled() {
-		p.profArrive.Logf("add %v", e.Net)
-	}
-	if p.tracer.Enabled() {
-		p.tracer.Stamp(telemetry.StageFIBApply, e.Net)
-	}
-	p.mApplies.Inc()
-	err := p.backend.ApplyEntry(e)
-	if err == nil && p.profKernel.Enabled() {
-		p.profKernel.Logf("add %v", e.Net)
-	}
-	return err
-}
-
-// DeleteEntry removes a forwarding entry.
-func (p *Process) DeleteEntry(net netip.Prefix) error {
-	if p.profArrive.Enabled() {
-		p.profArrive.Logf("delete %v", net)
-	}
-	if !p.backend.RemoveEntry(net) {
-		return fmt.Errorf("fea: no FIB entry %v", net)
-	}
-	p.mApplies.Inc()
-	if p.profKernel.Enabled() {
-		p.profKernel.Logf("delete %v", net)
-	}
-	return nil
-}
-
 // ApplyBatch installs a coalesced forwarding update set in one pass —
-// the receiving end of the RIB's FIB push coalescing. The whole batch
+// the receiving end of the RIB's FIB push coalescing, and the one way
+// into the forwarding plane ("the FEA will unconditionally install the
+// route in the kernel", §8.2). The profile points are checked before
+// formatting so disabled points cost no per-route allocation. The batch
 // lands in the backend as one transaction and publishes as one
 // snapshot generation, so a forwarding worker sees either the table
 // before the batch or after it, never between. Individual entry
@@ -198,55 +167,6 @@ func (p *Process) ApplyBatch(b *rib.FIBBatch) error {
 		})
 	}
 	return err
-}
-
-// AddEntries installs a decoded add_entries4 list as one ApplyBatch: one
-// backend transaction and one snapshot generation however long the list.
-// A list of one takes AddEntry, which is the same transaction without
-// the batch bookkeeping (2-3 % of a single-route update end to end).
-func (p *Process) AddEntries(es []route.Entry) error {
-	if len(es) == 0 {
-		return nil
-	}
-	if len(es) == 1 {
-		return p.AddEntry(es[0])
-	}
-	b := p.listBatch
-	b.Reset()
-	for i := range es {
-		b.Add(es[i])
-	}
-	return p.ApplyBatch(b)
-}
-
-// DeleteEntries removes a decoded delete_entries4 list as one
-// ApplyBatch. A prefix with no entry is skipped and reported (the first
-// such error is returned); the others are still removed. A list of one
-// takes DeleteEntry, as in AddEntries.
-func (p *Process) DeleteEntries(nets []netip.Prefix) error {
-	if len(nets) == 1 {
-		return p.DeleteEntry(nets[0])
-	}
-	var firstErr error
-	snap := p.backend.Current()
-	b := p.listBatch
-	b.Reset()
-	for _, net := range nets {
-		if _, ok := snap.Get(net); !ok {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("fea: no FIB entry %v", net)
-			}
-			continue
-		}
-		b.Delete(route.Entry{Net: net})
-	}
-	if b.Len() == 0 {
-		return firstErr
-	}
-	if err := p.ApplyBatch(b); firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
 }
 
 // RIBClient adapts the FEA as the RIB's FIBClient for in-process
@@ -345,11 +265,46 @@ func (p *Process) UDPBroadcast(srcPort, dstPort uint16, payload []byte) error {
 // ifmgr/0.1 and fea_udp/0.1.
 type feaServer struct{ p *Process }
 
-func (s feaServer) AddEntry4(e route.Entry) error       { return s.p.AddEntry(e) }
-func (s feaServer) DeleteEntry4(net netip.Prefix) error { return s.p.DeleteEntry(net) }
+// AddEntries4 installs an add_entries4 list — or add_entry4's run of one
+// — as one ApplyBatch: one backend transaction and one snapshot
+// generation however long the run.
+func (s feaServer) AddEntries4(es []route.Entry) error {
+	if len(es) == 0 {
+		return nil
+	}
+	b := s.p.listBatch
+	b.Reset()
+	for i := range es {
+		b.Add(es[i])
+	}
+	return s.p.ApplyBatch(b)
+}
 
-func (s feaServer) AddEntries4(es []route.Entry) error       { return s.p.AddEntries(es) }
-func (s feaServer) DeleteEntries4(nets []netip.Prefix) error { return s.p.DeleteEntries(nets) }
+// DeleteEntries4 removes a run as one ApplyBatch. A prefix with no entry
+// is skipped and reported (the first such error is returned); the others
+// are still removed.
+func (s feaServer) DeleteEntries4(nets []netip.Prefix) error {
+	var firstErr error
+	snap := s.p.backend.Current()
+	b := s.p.listBatch
+	b.Reset()
+	for _, net := range nets {
+		if _, ok := snap.Get(net); !ok {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("fea: no FIB entry %v", net)
+			}
+			continue
+		}
+		b.Delete(route.Entry{Net: net})
+	}
+	if b.Len() == 0 {
+		return firstErr
+	}
+	if err := s.p.ApplyBatch(b); firstErr == nil {
+		firstErr = err
+	}
+	return firstErr
+}
 
 // LookupEntry4 answers from the published snapshot — the same immutable
 // table the forwarding workers read — so an XRL lookup and a concurrent

@@ -27,16 +27,17 @@ func newFEA(t *testing.T) (*Process, *kernel.FIB, *eventloop.Loop) {
 func TestAddDeleteEntry(t *testing.T) {
 	p, fib, _ := newFEA(t)
 	e := route.Entry{Net: mustP("10.0.0.0/8"), NextHop: mustA("192.168.1.254"), IfName: "eth0"}
-	if err := p.AddEntry(e); err != nil {
+	srv := feaServer{p}
+	if err := srv.AddEntries4([]route.Entry{e}); err != nil {
 		t.Fatal(err)
 	}
 	if fib.Len() != 1 {
 		t.Fatal("entry not installed")
 	}
-	if err := p.DeleteEntry(e.Net); err != nil {
+	if err := srv.DeleteEntries4([]netip.Prefix{e.Net}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.DeleteEntry(e.Net); err == nil {
+	if err := srv.DeleteEntries4([]netip.Prefix{e.Net}); err == nil {
 		t.Fatal("double delete accepted")
 	}
 }
@@ -52,7 +53,7 @@ func TestProfilePointsFire(t *testing.T) {
 	if !enabled {
 		t.Fatal("loop stuck")
 	}
-	p.AddEntry(route.Entry{Net: mustP("10.0.0.0/8"), IfName: "eth0"})
+	feaServer{p}.AddEntries4([]route.Entry{{Net: mustP("10.0.0.0/8"), IfName: "eth0"}})
 	recs := p.Profiler().Entries("route_enter_kernel")
 	if len(recs) != 1 || recs[0].Event != "add 10.0.0.0/8" {
 		t.Fatalf("records %v", recs)

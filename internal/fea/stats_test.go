@@ -25,7 +25,7 @@ func TestStatsXRL(t *testing.T) {
 	go loop.Run()
 	defer loop.Stop()
 
-	if err := p.AddEntry(route.Entry{Net: mustP("10.0.0.0/8"), IfName: "eth0"}); err != nil {
+	if err := (feaServer{p}).AddEntries4([]route.Entry{{Net: mustP("10.0.0.0/8"), IfName: "eth0"}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -23,19 +23,11 @@ type Transport interface {
 	Multicast(payload []byte) error
 }
 
-// RIBClient is where OSPF's routes go (the RIB's ospf origin table) —
-// the same shape RIP uses, per the paper's claim that new protocols
-// plug into existing seams.
+// RIBClient is where OSPF's routes go (the RIB's ospf origin table), a
+// run at a time — the same shape RIP uses, per the paper's claim that
+// new protocols plug into existing seams. The slices are only valid for
+// the duration of the call.
 type RIBClient interface {
-	AddRoute(e route.Entry)
-	DeleteRoute(net netip.Prefix)
-}
-
-// BatchRIBClient is optionally implemented by RIBClients that can absorb
-// a whole SPF result in one call (one run through the RIB). The
-// slices are only valid for the duration of the call.
-type BatchRIBClient interface {
-	RIBClient
 	AddRoutes(es []route.Entry)
 	DeleteRoutes(nets []netip.Prefix)
 }
@@ -650,9 +642,8 @@ func (p *Process) runSPF() {
 		want[net] = e
 	}
 
-	// Collect the delta and ship it in (at most) two batch calls when the
-	// client supports them — an SPF recompute emits its whole result at
-	// once, the textbook churn run.
+	// Collect the delta and ship it as (at most) two runs — an SPF
+	// recompute emits its whole result at once, the textbook churn run.
 	var adds []route.Entry
 	for net, e := range want {
 		if old, ok := p.installed[net]; ok && old.Equal(e) {
@@ -671,20 +662,11 @@ func (p *Process) runSPF() {
 	if p.rib == nil {
 		return
 	}
-	if bc, ok := p.rib.(BatchRIBClient); ok {
-		if len(adds) > 0 {
-			bc.AddRoutes(adds)
-		}
-		if len(dels) > 0 {
-			bc.DeleteRoutes(dels)
-		}
-		return
+	if len(adds) > 0 {
+		p.rib.AddRoutes(adds)
 	}
-	for _, e := range adds {
-		p.rib.AddRoute(e)
-	}
-	for _, net := range dels {
-		p.rib.DeleteRoute(net)
+	if len(dels) > 0 {
+		p.rib.DeleteRoutes(dels)
 	}
 }
 

@@ -152,9 +152,8 @@ func (p *Process) LookupBest(addr netip.Addr) (route.Entry, bool) {
 // Len returns the number of final routes.
 func (p *Process) Len() int { return p.extint.AnnouncedLen() }
 
-// AddRoute feeds one protocol route into its origin table (the
-// add_route4 XRL path; also used directly by in-process protocol
-// clients): a run of one.
+// AddRoute feeds one protocol route into its origin table (in-process
+// feeders such as static routes): a run of one.
 func (p *Process) AddRoute(proto route.Protocol, e route.Entry) error {
 	return p.AddRoutes(proto, []route.Entry{e})
 }
@@ -375,25 +374,12 @@ func (s *fibSinkStage) ship(kind FIBOpKind, old route.Entry, run []route.Entry) 
 // surface behind the rib/1.0 binding.
 type ribServer struct{ p *Process }
 
-func (s ribServer) AddRoute4(proto route.Protocol, e route.Entry) error {
-	return s.p.AddRoute(proto, e)
-}
-
-// ReplaceRoute4 shares AddRoute4's semantics: the origin table upserts.
-func (s ribServer) ReplaceRoute4(proto route.Protocol, e route.Entry) error {
-	return s.p.AddRoute(proto, e)
-}
-
-func (s ribServer) DeleteRoute4(proto route.Protocol, net netip.Prefix) error {
-	return s.p.DeleteRoute(proto, net)
-}
-
 func (s ribServer) AddRoutes4(proto route.Protocol, es []route.Entry) error {
 	return s.p.AddRoutes(proto, es)
 }
 
-func (s ribServer) DeleteRoutes4(proto route.Protocol, nets []netip.Prefix) error {
-	return s.p.DeleteRoutes(proto, nets)
+func (s ribServer) DeleteRoutes4(proto route.Protocol, nets []netip.Prefix) (int, error) {
+	return s.p.deleteRoutes(proto, nets)
 }
 
 func (s ribServer) RegisterInterest4(client string, addr netip.Addr) (xif.RIBInterest, error) {

@@ -21,18 +21,12 @@ type Transport interface {
 	Broadcast(payload []byte) error
 }
 
-// RIBClient is where RIP's routes go (the RIB's rip origin table).
+// RIBClient is where RIP's routes go (the RIB's rip origin table), a run
+// at a time: one received update's routes are one call, one run through
+// the RIB. The slices are only valid for the duration of the call.
 type RIBClient interface {
-	AddRoute(e route.Entry)
-	DeleteRoute(net netip.Prefix)
-}
-
-// BatchRIBClient is optionally implemented by RIBClients that can absorb
-// one received update's routes in a single call (one run through the
-// RIB). The slice is only valid for the duration of the call.
-type BatchRIBClient interface {
-	RIBClient
 	AddRoutes(es []route.Entry)
+	DeleteRoutes(nets []netip.Prefix)
 }
 
 // Config tunes the protocol timers. Defaults follow RFC 2453 §3.8.
@@ -85,7 +79,7 @@ type Process struct {
 	updateTmr *eventloop.Timer
 	trigTmr   *eventloop.Timer
 	// batching collects the RIB adds of one received update so they ship
-	// as a single batch (one loop hop, one origin load) at end-of-packet.
+	// as a single run (one loop hop, one origin load) at end-of-packet.
 	batching bool
 	pendAdds []route.Entry
 	// stats
@@ -212,17 +206,17 @@ func (p *Process) receive(src netip.AddrPort, payload []byte) {
 	}
 }
 
-// ribAdd pushes one route to the RIB, buffering it while a received
-// update is being applied so the whole packet ships as one batch.
+// ribAdd pushes one route to the RIB: buffered while a received update
+// is being applied, so the whole packet ships as one run, and a run of
+// one otherwise.
 func (p *Process) ribAdd(e route.Entry) {
 	if p.rib == nil {
 		return
 	}
-	if p.batching {
-		p.pendAdds = append(p.pendAdds, e)
-		return
+	p.pendAdds = append(p.pendAdds, e)
+	if !p.batching {
+		p.flushRIBAdds()
 	}
-	p.rib.AddRoute(e)
 }
 
 // ribDelete pushes one withdrawal, flushing buffered adds first so the
@@ -232,22 +226,15 @@ func (p *Process) ribDelete(net netip.Prefix) {
 		return
 	}
 	p.flushRIBAdds()
-	p.rib.DeleteRoute(net)
+	p.rib.DeleteRoutes([]netip.Prefix{net})
 }
 
 func (p *Process) flushRIBAdds() {
 	if len(p.pendAdds) == 0 {
 		return
 	}
-	adds := p.pendAdds
+	p.rib.AddRoutes(p.pendAdds)
 	p.pendAdds = p.pendAdds[:0]
-	if bc, ok := p.rib.(BatchRIBClient); ok {
-		bc.AddRoutes(adds)
-		return
-	}
-	for _, e := range adds {
-		p.rib.AddRoute(e)
-	}
 }
 
 // processRTE applies RFC 2453 §3.9.2 input processing, event-driven:

@@ -96,8 +96,16 @@ type ribRec struct {
 	routes map[netip.Prefix]route.Entry
 }
 
-func (r *ribRec) AddRoute(e route.Entry)       { r.routes[e.Net] = e }
-func (r *ribRec) DeleteRoute(net netip.Prefix) { delete(r.routes, net) }
+func (r *ribRec) AddRoutes(es []route.Entry) {
+	for _, e := range es {
+		r.routes[e.Net] = e
+	}
+}
+func (r *ribRec) DeleteRoutes(nets []netip.Prefix) {
+	for _, net := range nets {
+		delete(r.routes, net)
+	}
+}
 
 func newRIPNode(t *testing.T, loop *eventloop.Loop, netw *kernel.Network, addr string) *ripNode {
 	t.Helper()

@@ -3,6 +3,7 @@ package rtrmgr
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -589,7 +590,7 @@ func (r *Router) setupRIP(cfg *Node) error {
 		}
 		rcfg.UpdateInterval = time.Duration(sec) * time.Second
 	}
-	proc := rip.NewProcess(ripLoop, rcfg, tr, ripRIBAdapter{r.RIB})
+	proc := rip.NewProcess(ripLoop, rcfg, tr, ribLoopClient{r.RIB, route.ProtoRIP})
 	xif.BindConfig(tgt, &txAgent{r: r, class: "rip", loop: ripLoop, rip: proc})
 	r.procMu.Lock()
 	r.ripLoop, r.RIPRouter, r.RIP, r.ripTarget = ripLoop, xr, proc, tgt
@@ -656,7 +657,7 @@ func (r *Router) setupOSPF(cfg *Node) error {
 		}
 		ocfg.Cost = uint16(c)
 	}
-	proc := ospf.NewProcess(ospfLoop, ocfg, tr, ospfRIBAdapter{r.RIB})
+	proc := ospf.NewProcess(ospfLoop, ocfg, tr, ribLoopClient{r.RIB, route.ProtoOSPF})
 	xif.BindConfig(tgt, &txAgent{r: r, class: "ospf", loop: ospfLoop, ospf: proc})
 
 	if polName := cfg.Leaf("export"); polName != "" {
@@ -695,30 +696,24 @@ func (r *Router) setupOSPF(cfg *Node) error {
 	return nil
 }
 
-// ospfRIBAdapter feeds OSPF routes into the RIB's ospf origin table
-// directly (like ripRIBAdapter; the XRL path is exercised by BGP and
-// the FEA, and by cmd/xorp_ospf in multi-process deployments).
-type ospfRIBAdapter struct{ rib *rib.Process }
-
-func (a ospfRIBAdapter) AddRoute(e route.Entry) {
-	a.rib.Loop().Dispatch(func() { a.rib.AddRoute(route.ProtoOSPF, e) })
+// ribLoopClient feeds an in-process IGP's runs into the RIB's origin
+// table for proto, hopping onto the RIB loop: rip.RIBClient and
+// ospf.RIBClient for this assembly, where the IGPs and the RIB share
+// fate (the XRL path is NewXRLRouteClient, exercised by cmd/xorp_ospf
+// and cmd/xorp_rip in multi-process deployments).
+type ribLoopClient struct {
+	rib   *rib.Process
+	proto route.Protocol
 }
 
-func (a ospfRIBAdapter) DeleteRoute(net netip.Prefix) {
-	a.rib.Loop().Dispatch(func() { a.rib.DeleteRoute(route.ProtoOSPF, net) })
+func (a ribLoopClient) AddRoutes(es []route.Entry) {
+	es = slices.Clone(es) // crossing loops: the caller's slice is valid for the call only
+	a.rib.Loop().Dispatch(func() { a.rib.AddRoutes(a.proto, es) })
 }
 
-// AddRoutes implements ospf.BatchRIBClient: one loop hop and one batch
-// origin load for a whole SPF result.
-func (a ospfRIBAdapter) AddRoutes(es []route.Entry) {
-	es = append([]route.Entry(nil), es...) // crossing loops: don't share the caller's slice
-	a.rib.Loop().Dispatch(func() { a.rib.AddRoutes(route.ProtoOSPF, es) })
-}
-
-// DeleteRoutes implements ospf.BatchRIBClient.
-func (a ospfRIBAdapter) DeleteRoutes(nets []netip.Prefix) {
-	nets = append([]netip.Prefix(nil), nets...)
-	a.rib.Loop().Dispatch(func() { a.rib.DeleteRoutes(route.ProtoOSPF, nets) })
+func (a ribLoopClient) DeleteRoutes(nets []netip.Prefix) {
+	nets = slices.Clone(nets)
+	a.rib.Loop().Dispatch(func() { a.rib.DeleteRoutes(a.proto, nets) })
 }
 
 // ospfRedistAdapter hops rib.Redistributor callbacks (which arrive on
@@ -734,26 +729,6 @@ func (a ospfRedistAdapter) RedistAdd(e route.Entry) {
 
 func (a ospfRedistAdapter) RedistDelete(e route.Entry) {
 	a.loop.Dispatch(func() { a.p.RedistDelete(e) })
-}
-
-// ripRIBAdapter feeds RIP routes into the RIB's rip origin table
-// directly (RIP and RIB share fate in this assembly; the XRL path is
-// exercised by BGP and the FEA).
-type ripRIBAdapter struct{ rib *rib.Process }
-
-func (a ripRIBAdapter) AddRoute(e route.Entry) {
-	a.rib.Loop().Dispatch(func() { a.rib.AddRoute(route.ProtoRIP, e) })
-}
-
-func (a ripRIBAdapter) DeleteRoute(net netip.Prefix) {
-	a.rib.Loop().Dispatch(func() { a.rib.DeleteRoute(route.ProtoRIP, net) })
-}
-
-// AddRoutes implements rip.BatchRIBClient: one loop hop and one batch
-// origin load for a whole received update.
-func (a ripRIBAdapter) AddRoutes(es []route.Entry) {
-	es = append([]route.Entry(nil), es...) // crossing loops: don't share the caller's slice
-	a.rib.Loop().Dispatch(func() { a.rib.AddRoutes(route.ProtoRIP, es) })
 }
 
 // Start enables protocol sessions (loops already run in real-clock mode;

@@ -20,15 +20,14 @@ import (
 // the Figures 10–12 latency path crosses the real IPC machinery.
 
 // xrlRIBClient implements bgp.RIBClient over the typed xif.RIBClient
-// stub. AddRoute and DeleteRoute calls issued within one event-loop drain
-// (a full table load, a peer's withdrawal of a slice of its table, a
-// burst of decision-process output) are buffered in one pending queue,
-// in call order, and shipped as list XRLs — add_routes4 or
-// delete_routes4 per consecutive run of one kind and one protocol — so
-// each travels the RIB as one run and reaches the FEA as one FIB batch
-// per run. A change of kind or protocol, a ReplaceRoute, the 256-op cap
-// and the end of the drain flush the queue, so the RIB sees exactly the
-// order BGP issued.
+// stub. The calls issued within one event-loop drain (a full table load,
+// a peer's withdrawal of a slice of its table, a burst of
+// decision-process output) are buffered in one pending queue, in call
+// order, and shipped as runs — one stub call per consecutive stretch of
+// one kind and one protocol — so each travels the RIB as one run and
+// reaches the FEA as one FIB batch. A change of kind or protocol, the
+// 256-op cap and the end of the drain flush the queue, so the RIB sees
+// exactly the order BGP issued.
 type xrlRIBClient struct {
 	stub *xif.RIBClient
 	loop *eventloop.Loop
@@ -43,13 +42,12 @@ type xrlRIBClient struct {
 	nets []netip.Prefix
 }
 
-// pendingRIBOp is one buffered AddRoute or DeleteRoute, reduced to the
-// RIB entry so no *bgp.Route is retained past the call.
+// pendingRIBOp is one buffered add or withdraw, reduced to the RIB entry
+// so no *bgp.Route is retained past the call.
 type pendingRIBOp struct {
 	del   bool
 	proto string
 	e     route.Entry // a delete uses only e.Net
-	done  func(error)
 }
 
 // ribBatchCap bounds the buffered queue (and thus the list XRL size).
@@ -77,13 +75,24 @@ func ribEntryOf(r *bgp.Route) route.Entry {
 }
 
 // AddRoute implements bgp.RIBClient, buffering the add.
-func (c *xrlRIBClient) AddRoute(r *bgp.Route, done func(error)) {
-	c.enqueue(pendingRIBOp{proto: protoName(r), e: ribEntryOf(r), done: done})
+func (c *xrlRIBClient) AddRoute(r *bgp.Route) {
+	c.enqueue(pendingRIBOp{proto: protoName(r), e: ribEntryOf(r)})
 }
 
 // DeleteRoute implements bgp.RIBClient, buffering the withdraw.
-func (c *xrlRIBClient) DeleteRoute(r *bgp.Route, done func(error)) {
-	c.enqueue(pendingRIBOp{del: true, proto: protoName(r), e: route.Entry{Net: r.Net}, done: done})
+func (c *xrlRIBClient) DeleteRoute(r *bgp.Route) {
+	c.enqueue(pendingRIBOp{del: true, proto: protoName(r), e: route.Entry{Net: r.Net}})
+}
+
+// ReplaceRoute implements bgp.RIBClient. The origin table upserts, so a
+// replace is an add in the ordered queue. The RIB keys origin tables by
+// protocol: when the winner moved between ebgp and ibgp, the old
+// protocol's entry is withdrawn first.
+func (c *xrlRIBClient) ReplaceRoute(old, new *bgp.Route) {
+	if protoName(old) != protoName(new) {
+		c.DeleteRoute(old)
+	}
+	c.AddRoute(new)
 }
 
 func (c *xrlRIBClient) enqueue(op pendingRIBOp) {
@@ -98,8 +107,8 @@ func (c *xrlRIBClient) enqueue(op pendingRIBOp) {
 	}
 }
 
-// flush ships the pending queue in order, one XRL per run of consecutive
-// ops of the same kind and protocol.
+// flush ships the pending queue in order, one run per stretch of
+// consecutive ops of the same kind and protocol.
 func (c *xrlRIBClient) flush() {
 	c.flushQueued = false
 	if len(c.pend) == 0 {
@@ -117,65 +126,38 @@ func (c *xrlRIBClient) flush() {
 		c.ship(pend[start:end])
 		start = end
 	}
-	clear(pend) // drop the done callbacks
 	if c.pend == nil {
 		c.pend = pend[:0]
 	}
 }
 
-// ship sends one run. A lone withdraw goes as delete_route4 (the
-// single-route XRL costs less than a list of one); everything else as a
-// list XRL.
+// ship hands one run to the stub.
 func (c *xrlRIBClient) ship(run []pendingRIBOp) {
-	done, proto := runDone(run), run[0].proto
-	switch {
-	case !run[0].del:
-		c.es = c.es[:0]
-		for i := range run {
-			c.es = append(c.es, run[i].e)
-		}
-		c.stub.AddRoutes4(proto, c.es, done)
-	case len(run) == 1:
-		c.stub.DeleteRoute4(proto, run[0].e.Net, done)
-	default:
+	if run[0].del {
 		c.nets = c.nets[:0]
 		for i := range run {
 			c.nets = append(c.nets, run[i].e.Net)
 		}
-		c.stub.DeleteRoutes4(proto, c.nets, done)
+		c.stub.DeleteRoutes4(run[0].proto, c.nets, nil)
+		return
 	}
-}
-
-// runDone returns a callback that reports the run's outcome to every op
-// that asked for one, or nil when none did.
-func runDone(run []pendingRIBOp) func(error) {
-	var dones []func(error)
+	c.es = c.es[:0]
 	for i := range run {
-		if run[i].done != nil {
-			dones = append(dones, run[i].done)
-		}
+		c.es = append(c.es, run[i].e)
 	}
-	if dones == nil {
-		return nil
-	}
-	return func(err error) {
-		for _, d := range dones {
-			d(err)
-		}
-	}
+	c.stub.AddRoutes4(run[0].proto, c.es, nil)
 }
 
-// ReplaceRoute implements bgp.RIBClient.
-func (c *xrlRIBClient) ReplaceRoute(old, new *bgp.Route, done func(error)) {
-	c.flush() // keep the stream ordered past the buffered ops
-	// Protocol identity may change between old and new (ebgp vs ibgp
-	// winner): the RIB keys origin tables by protocol, so clear the old
-	// entry when it moved.
-	if protoName(old) != protoName(new) {
-		c.stub.DeleteRoute4(protoName(old), old.Net, nil)
-	}
-	c.stub.ReplaceRoute4(protoName(new), ribEntryOf(new), done)
+// xrlRouteClient feeds an IGP's runs to the RIB process as proto's
+// routes: rip.RIBClient and ospf.RIBClient over the typed stub.
+type xrlRouteClient struct {
+	stub  *xif.RIBClient
+	proto string
 }
+
+func (c xrlRouteClient) AddRoutes(es []route.Entry) { c.stub.AddRoutes4(c.proto, es, nil) }
+
+func (c xrlRouteClient) DeleteRoutes(nets []netip.Prefix) { c.stub.DeleteRoutes4(c.proto, nets, nil) }
 
 // xrlMetricSource implements bgp.MetricSource over the rib/1.0
 // register_interest4 stub; invalidations arrive via the BGP target's
@@ -228,52 +210,42 @@ func (m *xrlMetricSource) Invalidate(net netip.Prefix) {
 // stub.
 type xrlFIBClient struct {
 	stub *xif.FTIClient
+
+	// Scratch for the run being gathered; the stub encodes before
+	// returning, so each is free again once shipped.
+	es   []route.Entry
+	nets []netip.Prefix
 }
 
-// FIBApplyBatch implements rib.FIBClient. A batch of one ships as the
-// single-route XRL; anything longer as runs of list-carrying XRLs
-// (adds/replaces as add_entries4, deletes as delete_entries4) instead of
-// one XRL per route.
+// FIBApplyBatch implements rib.FIBClient: the batch goes out as runs of
+// one kind (adds and replaces install, deletes remove), one stub call
+// per run instead of one per route.
 func (c *xrlFIBClient) FIBApplyBatch(b *rib.FIBBatch) {
-	n := b.Len()
-	if n == 1 {
-		b.Ops(func(op rib.FIBOp) {
-			if op.Kind == rib.FIBOpDelete {
-				c.stub.DeleteEntry4(op.Old.Net, nil)
-			} else {
-				c.stub.AddEntry4(op.New, nil)
-			}
-		})
-		return
-	}
-	// One array holds every list item of the batch; each run of one kind
-	// ships as the stretch it appended. The items of a shipped run stay
-	// untouched — an intra-process receiver reads them in place after
-	// this returns — and later runs only append past them.
-	items := make([]xrl.Atom, 0, n)
-	start, dels := 0, false
-	ship := func() {
-		if run := items[start:len(items):len(items)]; len(run) > 0 {
-			if dels {
-				c.stub.DeleteEntries4Encoded(run, nil)
-			} else {
-				c.stub.AddEntries4Encoded(run, nil)
-			}
-		}
-		start = len(items)
-	}
 	b.Ops(func(op rib.FIBOp) {
-		if del := op.Kind == rib.FIBOpDelete; del != dels {
-			ship()
-			dels = del
-		}
-		if dels {
-			items = append(items, xrl.Net("", op.Old.Net))
+		if op.Kind == rib.FIBOpDelete {
+			c.shipAdds()
+			c.nets = append(c.nets, op.Old.Net)
 		} else {
-			items = append(items, xif.EncodeRouteAtom(op.New))
+			c.shipDels()
+			c.es = append(c.es, op.New)
 		}
 	})
-	ship()
+	c.shipAdds()
+	c.shipDels()
+}
+
+func (c *xrlFIBClient) shipAdds() {
+	if len(c.es) > 0 {
+		c.stub.AddEntries4(c.es, nil)
+		c.es = c.es[:0]
+	}
+}
+
+func (c *xrlFIBClient) shipDels() {
+	if len(c.nets) > 0 {
+		c.stub.DeleteEntries4(c.nets, nil)
+		c.nets = c.nets[:0]
+	}
 }
 
 // directRedist adapts a BGP process as a rib.Redistributor (route
@@ -299,7 +271,8 @@ func (d directRedist) RedistDelete(e route.Entry) {
 var _ rib.Redistributor = directRedist{}
 
 // Exported constructors so the standalone process binaries (cmd/xorp_rib,
-// cmd/xorp_bgp) can wire the same XRL clients the router manager uses.
+// cmd/xorp_bgp, cmd/xorp_ospf, cmd/xorp_rip) can wire the same XRL
+// clients the router manager uses.
 
 // NewXRLFIBClient returns a rib.FIBClient that sends fti/0.2 XRLs to
 // feaTarget through router.
@@ -311,6 +284,12 @@ func NewXRLFIBClient(router *xipc.Router, feaTarget string) rib.FIBClient {
 // ribTarget through router.
 func NewXRLRIBClient(router *xipc.Router, ribTarget string) bgp.RIBClient {
 	return newXRLRIBClient(xif.NewRIBClient(router, ribTarget), router.Loop())
+}
+
+// NewXRLRouteClient returns a rip.RIBClient and ospf.RIBClient that sends
+// proto's runs as rib/1.0 XRLs to ribTarget through router.
+func NewXRLRouteClient(router *xipc.Router, ribTarget string, proto route.Protocol) xrlRouteClient {
+	return xrlRouteClient{stub: xif.NewRIBClient(router, ribTarget), proto: proto.String()}
 }
 
 // NewXRLMetricSource returns a bgp.MetricSource that registers interest

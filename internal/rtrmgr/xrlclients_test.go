@@ -10,43 +10,50 @@ import (
 
 	"xorp/internal/bgp"
 	"xorp/internal/eventloop"
+	"xorp/internal/fea"
+	"xorp/internal/kernel"
+	"xorp/internal/rib"
 	"xorp/internal/route"
 	"xorp/internal/workload"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
 )
 
-// recRIB is a rib/1.0 server that records the XRLs it is handed, in
-// arrival order, as "method proto net…".
-type recRIB struct{ log []string }
+// recRIB is a rib/1.0 server that records the runs it is handed, in
+// arrival order: log has one "method proto net…" line per run, ops the
+// same stream flattened to one op per route.
+type recRIB struct {
+	log []string
+	ops []ribOp
+}
 
-func (r *recRIB) rec(method string, proto route.Protocol, nets ...netip.Prefix) error {
+// ribOp is one route's worth of a run: what BGP asked of the RIB.
+type ribOp struct {
+	del   bool
+	proto string
+	e     route.Entry // a delete names only e.Net
+}
+
+func (r *recRIB) rec(method string, proto route.Protocol, del bool, es ...route.Entry) {
 	s := fmt.Sprintf("%s %v", method, proto)
-	for _, n := range nets {
-		s += " " + n.String()
+	for _, e := range es {
+		s += " " + e.Net.String()
+		r.ops = append(r.ops, ribOp{del, proto.String(), e})
 	}
 	r.log = append(r.log, s)
-	return nil
 }
 
-func (r *recRIB) AddRoute4(p route.Protocol, e route.Entry) error {
-	return r.rec("add_route4", p, e.Net)
-}
-func (r *recRIB) ReplaceRoute4(p route.Protocol, e route.Entry) error {
-	return r.rec("replace_route4", p, e.Net)
-}
-func (r *recRIB) DeleteRoute4(p route.Protocol, net netip.Prefix) error {
-	return r.rec("delete_route4", p, net)
-}
 func (r *recRIB) AddRoutes4(p route.Protocol, es []route.Entry) error {
-	nets := make([]netip.Prefix, len(es))
-	for i := range es {
-		nets[i] = es[i].Net
-	}
-	return r.rec("add_routes4", p, nets...)
+	r.rec("add_routes4", p, false, es...)
+	return nil
 }
-func (r *recRIB) DeleteRoutes4(p route.Protocol, nets []netip.Prefix) error {
-	return r.rec("delete_routes4", p, nets...)
+func (r *recRIB) DeleteRoutes4(p route.Protocol, nets []netip.Prefix) (int, error) {
+	es := make([]route.Entry, len(nets))
+	for i := range nets {
+		es[i].Net = nets[i]
+	}
+	r.rec("delete_routes4", p, true, es...)
+	return len(nets), nil
 }
 func (r *recRIB) RegisterInterest4(string, netip.Addr) (xif.RIBInterest, error) {
 	return xif.RIBInterest{}, nil
@@ -74,36 +81,63 @@ func bgpRoute(net string, ibgp bool) *bgp.Route {
 	}
 }
 
-// TestRIBClientKeepsOrderAcrossKinds: adds and withdraws share one
-// pending queue, so add → withdraw → add of one prefix inside one drain
-// reaches the RIB as three XRLs in that order, and a ReplaceRoute flushes
-// what was buffered before it.
+// TestRIBClientKeepsOrderAcrossKinds: adds, withdraws and replaces share
+// one pending queue, so however a drain is cut into runs, replaying what
+// the RIB received route by route is the sequence of calls BGP made — a
+// replace being an add, after a withdraw under the old protocol when the
+// winner changed protocol — and so leaves every prefix in the state BGP's
+// last call gave it.
 func TestRIBClientKeepsOrderAcrossKinds(t *testing.T) {
 	c, rec, loop := newRecClient()
+	// The script's calls also append what they mean to want.
+	var want []ribOp
+	add := func(r *bgp.Route) {
+		c.AddRoute(r)
+		want = append(want, ribOp{false, protoName(r), ribEntryOf(r)})
+	}
+	del := func(r *bgp.Route) {
+		c.DeleteRoute(r)
+		want = append(want, ribOp{true, protoName(r), route.Entry{Net: r.Net}})
+	}
+	replace := func(old, new *bgp.Route) {
+		c.ReplaceRoute(old, new)
+		if protoName(old) != protoName(new) {
+			want = append(want, ribOp{true, protoName(old), route.Entry{Net: old.Net}})
+		}
+		want = append(want, ribOp{false, protoName(new), ribEntryOf(new)})
+	}
+
 	r := bgpRoute("20.1.0.0/16", false)
+	r2 := bgpRoute("20.1.0.0/16", false)
+	r2.IGPMetric = 9
+	rIBGP := bgpRoute("20.1.0.0/16", true)
 	other := bgpRoute("20.2.0.0/16", false)
-	var outcomes []error
 	loop.Dispatch(func() {
-		c.AddRoute(r, nil)
-		c.DeleteRoute(r, func(err error) { outcomes = append(outcomes, err) })
-		c.AddRoute(r, nil)
-		c.AddRoute(other, nil)
-		c.ReplaceRoute(r, r, nil)
-		c.DeleteRoute(other, nil)
+		add(r)
+		del(r)
+		add(r)
+		add(other)
+		replace(r, r2) // behind the add of the same prefix: one run names it twice
+		del(other)
+		replace(r2, rIBGP) // the winner moves to an IBGP peer: the ebgp entry goes first
 	})
 	loop.RunPending()
-	want := []string{
-		"add_routes4 ebgp 20.1.0.0/16",
-		"delete_route4 ebgp 20.1.0.0/16",
-		"add_routes4 ebgp 20.1.0.0/16 20.2.0.0/16",
-		"replace_route4 ebgp 20.1.0.0/16",
-		"delete_route4 ebgp 20.2.0.0/16",
+	if !reflect.DeepEqual(rec.ops, want) {
+		t.Fatalf("RIB saw, route by route\n  %v\nBGP called\n  %v", rec.ops, want)
 	}
-	if !reflect.DeepEqual(rec.log, want) {
-		t.Fatalf("RIB saw\n  %q\nwant\n  %q", rec.log, want)
+	final := make(map[string]route.Entry)
+	for _, op := range rec.ops {
+		if key := op.proto + " " + op.e.Net.String(); op.del {
+			delete(final, key)
+		} else {
+			final[key] = op.e
+		}
 	}
-	if len(outcomes) != 1 || outcomes[0] != nil {
-		t.Fatalf("withdraw completion = %v, want one nil", outcomes)
+	if e, ok := final["ibgp 20.1.0.0/16"]; len(final) != 1 || !ok || !e.Equal(ribEntryOf(rIBGP)) {
+		t.Fatalf("replayed, the RIB holds %v, want only the IBGP winner", final)
+	}
+	if rec.log[2] != "add_routes4 ebgp 20.1.0.0/16 20.2.0.0/16 20.1.0.0/16" {
+		t.Fatalf("third run = %q, want the add, the other add and the replace in one list", rec.log[2])
 	}
 	if len(c.pend) != 0 || cap(c.pend) == 0 {
 		t.Fatalf("pending queue len %d cap %d after the drain, want empty and kept", len(c.pend), cap(c.pend))
@@ -117,7 +151,7 @@ func TestRIBClientBatchesWithdraws(t *testing.T) {
 	c, rec, loop := newRecClient()
 	loop.Dispatch(func() {
 		for i := 0; i < ribBatchCap; i++ {
-			c.DeleteRoute(bgpRoute(fmt.Sprintf("20.%d.%d.0/24", i/256, i%256), false), nil)
+			c.DeleteRoute(bgpRoute(fmt.Sprintf("20.%d.%d.0/24", i/256, i%256), false))
 		}
 	})
 	loop.RunPending()
@@ -131,13 +165,13 @@ func TestRIBClientBatchesWithdraws(t *testing.T) {
 
 	rec.log = nil
 	loop.Dispatch(func() {
-		c.DeleteRoute(bgpRoute("30.0.1.0/24", false), nil)
-		c.DeleteRoute(bgpRoute("30.0.2.0/24", false), nil)
-		c.DeleteRoute(bgpRoute("30.0.3.0/24", true), nil)
-		c.DeleteRoute(bgpRoute("30.0.4.0/24", true), nil)
-		c.AddRoute(bgpRoute("30.0.5.0/24", true), nil)
-		c.AddRoute(bgpRoute("30.0.6.0/24", false), nil)
-		c.AddRoute(bgpRoute("30.0.7.0/24", false), nil)
+		c.DeleteRoute(bgpRoute("30.0.1.0/24", false))
+		c.DeleteRoute(bgpRoute("30.0.2.0/24", false))
+		c.DeleteRoute(bgpRoute("30.0.3.0/24", true))
+		c.DeleteRoute(bgpRoute("30.0.4.0/24", true))
+		c.AddRoute(bgpRoute("30.0.5.0/24", true))
+		c.AddRoute(bgpRoute("30.0.6.0/24", false))
+		c.AddRoute(bgpRoute("30.0.7.0/24", false))
 	})
 	loop.RunPending()
 	want := []string{
@@ -252,5 +286,39 @@ func TestMetricSourceRetriesFailedLookup(t *testing.T) {
 	}
 	if n := resolver.PendingOps(); n != 0 {
 		t.Fatalf("%d ops still pending after the answer", n)
+	}
+}
+
+// TestLoneEntryEqualsListedEntry: the wire form is the stub's business —
+// a route the RIB publishes alone (it travels as add_entry4) lands in the
+// FEA's snapshot as the same route.Entry, metric included, as when it
+// shares a batch.
+func TestLoneEntryEqualsListedEntry(t *testing.T) {
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	router := xipc.NewRouter("rib_process", loop)
+	feaProc := fea.New(loop, kernel.NewFIB(), nil, router)
+	target := xif.NewTarget("fea", "fea")
+	feaProc.RegisterXRLs(target)
+	router.AddTarget(target)
+	fib := NewXRLFIBClient(router, "fea")
+
+	e := route.Entry{Net: mustP("10.1.0.0/16"), NextHop: mustA("192.168.1.254"), Metric: 7, IfName: "eth0"}
+	filler := route.Entry{Net: mustP("10.2.0.0/16"), IfName: "eth0"}
+	var got [2]route.Entry
+	for i, run := range [][]route.Entry{{e}, {filler, e}} {
+		b := rib.NewFIBBatch()
+		for _, e := range run {
+			b.Add(e)
+		}
+		fib.FIBApplyBatch(b)
+		loop.RunPending()
+		got[i], _ = feaProc.Snapshots().Current().Get(e.Net)
+		b.Reset()
+		b.Delete(e)
+		fib.FIBApplyBatch(b)
+		loop.RunPending()
+	}
+	if !got[0].Equal(e) || !got[1].Equal(e) {
+		t.Fatalf("published alone the snapshot holds %+v, in a batch %+v; want %+v both times", got[0], got[1], e)
 	}
 }

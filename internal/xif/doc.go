@@ -30,15 +30,21 @@
 //     never mistaken for absent. Every adapter takes what it needs out
 //     of the xrl.Args by value before calling the server, which is what
 //     xipc's rule that a handler's arguments die with the call asks for;
-//     none keeps the argument slice.
+//     none keeps the argument slice. The same rule covers the run a
+//     route server is handed: the single-route handlers (add_route4,
+//     add_entry4, ...) decode into a one-element slice the binding
+//     reuses and call the list server method, so a server sees runs
+//     only and must copy out what it keeps.
 //
 //   - *Client (e.g. RIBClient, FTIClient, FEAUDPClient) is the
-//     generated-style client stub: methods like AddRoute4(proto, entry,
+//     generated-style client stub: methods like AddRoutes4(proto, run,
 //     done) take Go values, own the atom layout, and send through
-//     xipc.Router. Call sites never hand-roll xrl.New argument lists;
-//     the wire encoding produced by a stub is pinned byte-for-byte
-//     against the legacy hand-built XRLs by the wire-compatibility
-//     oracle in xif_test.go.
+//     xipc.Router. Route methods take runs, and the stub — not the
+//     caller — picks the wire form: a run of one goes as the
+//     single-route XRL, anything longer as the list. Call sites never
+//     hand-roll xrl.New argument lists; the wire encoding produced by a
+//     stub is pinned byte-for-byte against the legacy hand-built XRLs
+//     by the wire-compatibility oracle in xif_test.go.
 //
 // Routes cross the list XRLs typed (routeatom.go): an add_routes4 or
 // add_entries4 item is one xrl route atom — prefix, next hop, metric,
@@ -64,6 +70,7 @@
 // bound automatically on every target created with NewTarget.
 //
 // The drift gate under xif/lint keeps the layer load-bearing: any
-// non-test code registering handlers with raw Target.Register or
-// composing calls with xrl.New fails CI and must go through a Spec.
+// non-test code registering handlers with raw Target.Register,
+// composing calls with xrl.New or naming a single-route wire method
+// fails CI and must go through a Spec and its stub.
 package xif

@@ -2,6 +2,7 @@ package xif
 
 import (
 	"net/netip"
+	"slices"
 
 	"xorp/internal/route"
 	"xorp/internal/xipc"
@@ -21,6 +22,7 @@ var FTISpec = Define(Spec{
 			{Name: "network", Type: xrl.TypeIPv4Net},
 			{Name: "nexthop", Type: xrl.TypeIPv4, Optional: true},
 			{Name: "ifname", Type: xrl.TypeText, Optional: true},
+			{Name: "metric", Type: xrl.TypeU32, Optional: true},
 		}, Idempotent: true},
 		{Name: "delete_entry4", Args: []Arg{
 			{Name: "network", Type: xrl.TypeIPv4Net},
@@ -48,10 +50,9 @@ type FTILookup struct {
 	Entry route.Entry
 }
 
-// FTIServer is the typed implementation contract for fti/0.2.
+// FTIServer is the typed implementation contract for fti/0.2. A run is
+// valid for the call only: a single-entry XRL's is the binding's slice.
 type FTIServer interface {
-	AddEntry4(e route.Entry) error
-	DeleteEntry4(net netip.Prefix) error
 	AddEntries4(es []route.Entry) error
 	DeleteEntries4(nets []netip.Prefix) error
 	LookupEntry4(addr netip.Addr) (FTILookup, error)
@@ -59,29 +60,24 @@ type FTIServer interface {
 
 // BindFTI wires an FTIServer onto t as fti/0.2. add_entries4 is a hot
 // batch path: one slice per call, decoded fully before the server sees
-// it so a malformed atom rejects the whole batch.
+// it so a malformed atom rejects the whole batch. The single-entry
+// handlers share the list server methods the way BindRIB's do.
 func BindFTI(t *xipc.Target, s FTIServer) {
 	b := newBinding(t, FTISpec)
+	var oneEntry [1]route.Entry
+	var oneNet [1]netip.Prefix
 	b.handle("add_entry4", func(args xrl.Args) (xrl.Args, error) {
-		net, err := args.NetArg("network")
-		if err != nil {
+		if err := parseEntryArgs(args, &oneEntry[0]); err != nil {
 			return nil, err
 		}
-		e := route.Entry{Net: net}
-		opt := optionals{args: args}
-		opt.addr("nexthop", &e.NextHop)
-		opt.text("ifname", &e.IfName)
-		if opt.err != nil {
-			return nil, opt.err
-		}
-		return nil, s.AddEntry4(e)
+		return nil, s.AddEntries4(oneEntry[:])
 	})
 	b.handle("delete_entry4", func(args xrl.Args) (xrl.Args, error) {
-		net, err := args.NetArg("network")
-		if err != nil {
+		var err error
+		if oneNet[0], err = args.NetArg("network"); err != nil {
 			return nil, err
 		}
-		return nil, s.DeleteEntry4(net)
+		return nil, s.DeleteEntries4(oneNet[:])
 	})
 	b.handle("add_entries4", func(args xrl.Args) (xrl.Args, error) {
 		items, err := args.ListArg("entries")
@@ -130,7 +126,8 @@ func BindFTI(t *xipc.Target, s FTIServer) {
 	b.done()
 }
 
-// FTIClient is the typed stub for fti/0.2 (the RIB's FIB-push side).
+// FTIClient is the typed stub for fti/0.2 (the RIB's FIB-push side). Like
+// RIBClient it takes runs and sends a run of one as the single-entry XRL.
 type FTIClient struct{ client }
 
 // NewFTIClient returns a stub sending fti/0.2 XRLs to target through r.
@@ -138,43 +135,37 @@ func NewFTIClient(r *xipc.Router, target string) *FTIClient {
 	return &FTIClient{newClient(r, target, FTISpec)}
 }
 
-// AddEntry4 installs one forwarding entry.
-func (c *FTIClient) AddEntry4(e route.Entry, done func(error)) {
-	// Sized for the optional nexthop, so appending it never regrows.
-	args := append(make(xrl.Args, 0, 3),
+// entryArgs builds the add_entry4 argument list, sized exactly as routeArgs.
+func entryArgs(e *route.Entry) xrl.Args {
+	var buf [4]xrl.Atom
+	args := append(buf[:0],
 		xrl.Net("network", e.Net),
 		xrl.Text("ifname", e.IfName))
 	if e.NextHop.IsValid() {
 		args = append(args, xrl.Addr("nexthop", e.NextHop))
 	}
-	c.call("add_entry4", Done(done), args...)
+	if e.Metric != 0 {
+		args = append(args, xrl.U32("metric", e.Metric))
+	}
+	return slices.Clone(args)
 }
 
-// DeleteEntry4 removes one forwarding entry.
-func (c *FTIClient) DeleteEntry4(net netip.Prefix, done func(error)) {
-	c.call("delete_entry4", Done(done), xrl.Net("network", net))
-}
-
-// AddEntries4Encoded ships a coalesced run of installs as one list XRL;
-// items are EncodeRouteAtom-encoded entries.
-func (c *FTIClient) AddEntries4Encoded(items []xrl.Atom, done func(error)) {
-	c.call("add_entries4", Done(done), xrl.List("entries", items...))
-}
-
-// AddEntries4 ships a batch of installs as one list XRL.
+// AddEntries4 installs a run of forwarding entries as one transaction.
 func (c *FTIClient) AddEntries4(es []route.Entry, done func(error)) {
-	c.AddEntries4Encoded(EncodeRouteAtoms(es), done)
+	if len(es) == 1 {
+		c.call("add_entry4", Done(done), entryArgs(&es[0])...)
+		return
+	}
+	c.call("add_entries4", Done(done), xrl.List("entries", EncodeRouteAtoms(es)...))
 }
 
-// DeleteEntries4Encoded ships a coalesced run of removals as one list
-// XRL; items are bare prefix text atoms (see EncodeNetAtoms).
-func (c *FTIClient) DeleteEntries4Encoded(items []xrl.Atom, done func(error)) {
-	c.call("delete_entries4", Done(done), xrl.List("networks", items...))
-}
-
-// DeleteEntries4 ships a batch of removals as one list XRL.
+// DeleteEntries4 removes a run of forwarding entries as one transaction.
 func (c *FTIClient) DeleteEntries4(nets []netip.Prefix, done func(error)) {
-	c.DeleteEntries4Encoded(EncodeNetAtoms(nets), done)
+	if len(nets) == 1 {
+		c.call("delete_entry4", Done(done), xrl.Net("network", nets[0]))
+		return
+	}
+	c.call("delete_entries4", Done(done), xrl.List("networks", EncodeNetAtoms(nets)...))
 }
 
 // LookupEntry4 queries the FEA's forwarding table.

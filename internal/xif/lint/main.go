@@ -1,7 +1,9 @@
 // Command lint is the xif drift gate: it fails the build when a non-test
 // file outside internal/xif bypasses the typed interface layer by
-// registering handlers with raw Target.Register or composing calls with
-// xrl.New. Run from the module root:
+// registering handlers with raw Target.Register, composing calls with
+// xrl.New, or naming a single-route wire method (callers hand the stubs
+// runs; which XRL a run of one rides is the stub's choice). Run from the
+// module root:
 //
 //	go run ./internal/xif/lint
 //
@@ -27,6 +29,7 @@ var patterns = []struct {
 }{
 	{regexp.MustCompile(`xrl\.New\(`), "hand-built XRL (use a xif client stub or Spec.NewXRL)"},
 	{regexp.MustCompile(`\.Register\("`), "raw Target.Register (use a xif Bind)"},
+	{regexp.MustCompile(`"(add|delete)_(route|entry)4"`), "single-route wire method (hand the xif stub a run)"},
 }
 
 // allowed reports whether path may use raw IPC primitives: the xif layer

@@ -2,6 +2,7 @@ package xif
 
 import (
 	"net/netip"
+	"slices"
 
 	"xorp/internal/route"
 	"xorp/internal/xipc"
@@ -15,6 +16,9 @@ var RIBSpec = Define(Spec{
 	Name:    "rib",
 	Version: "1.0",
 	Methods: []Method{
+		// The single-route XRLs are how a run of one travels (the stub
+		// picks them). replace_route4 is an alias of add — the origin table
+		// upserts — that XORP's rib.xif has and textual callers may send.
 		{Name: "add_route4", Args: ribRouteArgs, Idempotent: true},
 		{Name: "replace_route4", Args: ribRouteArgs, Idempotent: true},
 		{Name: "delete_route4", Args: []Arg{
@@ -86,11 +90,11 @@ type RIBLookup struct {
 // compiler enforces completeness; BindRIB enforces spec coverage at
 // registration.
 type RIBServer interface {
-	AddRoute4(proto route.Protocol, e route.Entry) error
-	ReplaceRoute4(proto route.Protocol, e route.Entry) error
-	DeleteRoute4(proto route.Protocol, net netip.Prefix) error
+	// A run is valid for the call only: a single-route XRL's is a slice
+	// the binding reuses. DeleteRoutes4 skips prefixes proto never
+	// announced and returns how many it had.
 	AddRoutes4(proto route.Protocol, es []route.Entry) error
-	DeleteRoutes4(proto route.Protocol, nets []netip.Prefix) error
+	DeleteRoutes4(proto route.Protocol, nets []netip.Prefix) (int, error)
 	RegisterInterest4(client string, addr netip.Addr) (RIBInterest, error)
 	DeregisterInterest4(client string, covering netip.Prefix) error
 	LookupRouteByDest4(addr netip.Addr) (RIBLookup, error)
@@ -101,25 +105,20 @@ type RIBServer interface {
 	ResyncComplete4(proto route.Protocol) (uint32, error)
 }
 
-// parseRouteArgs decodes the shared add/replace argument shape.
-func parseRouteArgs(args xrl.Args) (route.Protocol, route.Entry, error) {
-	proto, err := parseProtoArg(args)
-	if err != nil {
-		return route.ProtoUnknown, route.Entry{}, err
-	}
+// parseEntryArgs decodes the argument shape add_route4, replace_route4
+// and fti's add_entry4 share — a network and an optional next hop, metric
+// and interface — into *e.
+func parseEntryArgs(args xrl.Args, e *route.Entry) error {
 	net, err := args.NetArg("network")
 	if err != nil {
-		return route.ProtoUnknown, route.Entry{}, err
+		return err
 	}
-	e := route.Entry{Net: net}
+	*e = route.Entry{Net: net}
 	opt := optionals{args: args}
 	opt.addr("nexthop", &e.NextHop)
 	opt.u32("metric", &e.Metric)
 	opt.text("ifname", &e.IfName)
-	if opt.err != nil {
-		return route.ProtoUnknown, route.Entry{}, opt.err
-	}
-	return proto, e, nil
+	return opt.err
 }
 
 func parseProtoArg(args xrl.Args) (route.Protocol, error) {
@@ -136,33 +135,41 @@ func parseProtoArg(args xrl.Args) (route.Protocol, error) {
 
 // BindRIB wires a RIBServer onto t as rib/1.0. The hot batch handlers
 // (add_routes4/delete_routes4) decode into one slice per call and hand
-// it straight to the server — no reflection, no per-route boxing.
+// it straight to the server — no reflection, no per-route boxing. The
+// single-route handlers call the same server methods with a one-element
+// slice the binding keeps: a target's handlers run one at a time on its
+// loop, and like a handler's xrl.Args the run dies with the call.
 func BindRIB(t *xipc.Target, s RIBServer) {
 	b := newBinding(t, RIBSpec)
-	b.handle("add_route4", func(args xrl.Args) (xrl.Args, error) {
-		proto, e, err := parseRouteArgs(args)
+	var oneEntry [1]route.Entry
+	var oneNet [1]netip.Prefix
+	addOne := func(args xrl.Args) (xrl.Args, error) {
+		proto, err := parseProtoArg(args)
+		if err == nil {
+			err = parseEntryArgs(args, &oneEntry[0])
+		}
 		if err != nil {
 			return nil, err
 		}
-		return nil, s.AddRoute4(proto, e)
-	})
-	b.handle("replace_route4", func(args xrl.Args) (xrl.Args, error) {
-		proto, e, err := parseRouteArgs(args)
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.ReplaceRoute4(proto, e)
-	})
+		return nil, s.AddRoutes4(proto, oneEntry[:])
+	}
+	b.handle("add_route4", addOne)
+	b.handle("replace_route4", addOne)
 	b.handle("delete_route4", func(args xrl.Args) (xrl.Args, error) {
 		proto, err := parseProtoArg(args)
 		if err != nil {
 			return nil, err
 		}
-		net, err := args.NetArg("network")
-		if err != nil {
+		if oneNet[0], err = args.NetArg("network"); err != nil {
 			return nil, err
 		}
-		return nil, s.DeleteRoute4(proto, net)
+		// Unlike a list, a lone withdrawal of a prefix the protocol
+		// never announced is an error.
+		had, err := s.DeleteRoutes4(proto, oneNet[:])
+		if err == nil && had == 0 {
+			err = xrl.Errorf(xrl.CodeCommandFailed, "rib: %v has no route %v", proto, oneNet[0])
+		}
+		return nil, err
 	})
 	b.handle("add_routes4", func(args xrl.Args) (xrl.Args, error) {
 		proto, err := parseProtoArg(args)
@@ -192,7 +199,8 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 		if err != nil {
 			return nil, err
 		}
-		return nil, s.DeleteRoutes4(proto, nets)
+		_, err = s.DeleteRoutes4(proto, nets)
+		return nil, err
 	})
 	b.handle("register_interest4", func(args xrl.Args) (xrl.Args, error) {
 		client, err := args.TextArg("target")
@@ -272,7 +280,10 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 }
 
 // RIBClient is the typed stub for rib/1.0: what XORP would generate from
-// rib.xif. Route arguments are Go values; the stub owns atom layout.
+// rib.xif. Route arguments are runs of Go values, valid for the call; the
+// stub owns atom layout and the choice of wire form — a run of one goes
+// as the single-route XRL (one argument list, nothing to decode into),
+// anything longer as the list XRL.
 type RIBClient struct{ client }
 
 // NewRIBClient returns a stub sending rib/1.0 XRLs to target through r.
@@ -280,12 +291,13 @@ func NewRIBClient(r *xipc.Router, target string) *RIBClient {
 	return &RIBClient{newClient(r, target, RIBSpec)}
 }
 
-// routeArgs builds the shared add/replace argument list. Argument order
-// matches the legacy hand-built call sites byte for byte (the wire-compat
-// oracle pins this).
+// routeArgs builds the add_route4 argument list. Argument order matches
+// the legacy hand-built call sites byte for byte (the wire-compat oracle
+// pins this). The result is sized exactly: the call record holds it until
+// delivery, and one spare 160-byte atom moves it up a size class.
 func routeArgs(proto string, e route.Entry) xrl.Args {
-	// Sized for the optional atoms, so appending them never regrows.
-	args := append(make(xrl.Args, 0, 5),
+	var buf [5]xrl.Atom
+	args := append(buf[:0],
 		xrl.Text("protocol", proto),
 		xrl.Net("network", e.Net),
 		xrl.U32("metric", e.Metric))
@@ -295,43 +307,30 @@ func routeArgs(proto string, e route.Entry) xrl.Args {
 	if e.NextHop.IsValid() {
 		args = append(args, xrl.Addr("nexthop", e.NextHop))
 	}
-	return args
+	return slices.Clone(args)
 }
 
-// AddRoute4 feeds one route into the RIB's origin table for proto.
-func (c *RIBClient) AddRoute4(proto string, e route.Entry, done func(error)) {
-	c.call("add_route4", Done(done), routeArgs(proto, e)...)
-}
-
-// ReplaceRoute4 replaces proto's route for e.Net.
-func (c *RIBClient) ReplaceRoute4(proto string, e route.Entry, done func(error)) {
-	c.call("replace_route4", Done(done), routeArgs(proto, e)...)
-}
-
-// DeleteRoute4 withdraws proto's route for net.
-func (c *RIBClient) DeleteRoute4(proto string, net netip.Prefix, done func(error)) {
-	c.call("delete_route4", Done(done),
-		xrl.Text("protocol", proto),
-		xrl.Net("network", net))
-}
-
-// AddRoutes4 ships a batch of routes as one list XRL, which the RIB
-// takes as one run.
+// AddRoutes4 feeds a run of routes into the RIB's origin table for
+// proto, which takes it as one run.
 func (c *RIBClient) AddRoutes4(proto string, es []route.Entry, done func(error)) {
-	c.AddRoutes4Encoded(proto, EncodeRouteAtoms(es), done)
-}
-
-// AddRoutes4Encoded is AddRoutes4 for callers that pre-encode entries
-// with EncodeRouteAtom (per-drain coalescers encode at enqueue time so
-// no protocol route object is retained).
-func (c *RIBClient) AddRoutes4Encoded(proto string, items []xrl.Atom, done func(error)) {
+	if len(es) == 1 {
+		c.call("add_route4", Done(done), routeArgs(proto, es[0])...)
+		return
+	}
 	c.call("add_routes4", Done(done),
 		xrl.Text("protocol", proto),
-		xrl.List("routes", items...))
+		xrl.List("routes", EncodeRouteAtoms(es)...))
 }
 
-// DeleteRoutes4 withdraws a batch of prefixes as one list XRL.
+// DeleteRoutes4 withdraws a run of proto's prefixes. A run of one is
+// delete_route4, which fails when proto had not announced the prefix.
 func (c *RIBClient) DeleteRoutes4(proto string, nets []netip.Prefix, done func(error)) {
+	if len(nets) == 1 {
+		c.call("delete_route4", Done(done),
+			xrl.Text("protocol", proto),
+			xrl.Net("network", nets[0]))
+		return
+	}
 	c.call("delete_routes4", Done(done),
 		xrl.Text("protocol", proto),
 		xrl.List("networks", EncodeNetAtoms(nets)...))

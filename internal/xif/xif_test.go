@@ -5,10 +5,15 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"xorp/internal/eventloop"
+	"xorp/internal/fea"
+	"xorp/internal/kernel"
+	"xorp/internal/rib"
 	"xorp/internal/route"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
@@ -103,14 +108,15 @@ func TestWireCompatOracle(t *testing.T) {
 	// rib/1.0 add_route4 — legacy: rtrmgr xrlRIBClient.send (protocol,
 	// network, metric, then optional nexthop; BGP entries carry no
 	// ifname) and cmd/xorp_rip xrlRIB.AddRoute (ifname before nexthop).
-	ribStub.AddRoute4("ebgp", e1, nil)
+	// A run of one is what the stubs send as the single-route XRLs.
+	ribStub.AddRoutes4("ebgp", es[:1], nil)
 	wants = append(wants, want{"rib/1.0/add_route4", xrl.Args{
 		xrl.Text("protocol", "ebgp"),
 		xrl.Net("network", e1.Net),
 		xrl.U32("metric", e1.Metric),
 		xrl.Addr("nexthop", e1.NextHop),
 	}})
-	ribStub.AddRoute4("rip", e2, nil)
+	ribStub.AddRoutes4("rip", es[1:], nil)
 	wants = append(wants, want{"rib/1.0/add_route4", xrl.Args{
 		xrl.Text("protocol", "rip"),
 		xrl.Net("network", e2.Net),
@@ -118,15 +124,7 @@ func TestWireCompatOracle(t *testing.T) {
 		xrl.Text("ifname", e2.IfName),
 	}})
 
-	ribStub.ReplaceRoute4("ibgp", e1, nil)
-	wants = append(wants, want{"rib/1.0/replace_route4", xrl.Args{
-		xrl.Text("protocol", "ibgp"),
-		xrl.Net("network", e1.Net),
-		xrl.U32("metric", e1.Metric),
-		xrl.Addr("nexthop", e1.NextHop),
-	}})
-
-	ribStub.DeleteRoute4("ebgp", e1.Net, nil)
+	ribStub.DeleteRoutes4("ebgp", nets[:1], nil)
 	wants = append(wants, want{"rib/1.0/delete_route4", xrl.Args{
 		xrl.Text("protocol", "ebgp"),
 		xrl.Net("network", e1.Net),
@@ -147,14 +145,15 @@ func TestWireCompatOracle(t *testing.T) {
 	}})
 
 	// fti/0.2 — legacy: rtrmgr xrlFIBClient (network, ifname, optional
-	// nexthop; batches as lists).
-	ftiStub.AddEntry4(e1, nil)
+	// nexthop; batches as lists), plus the metric when there is one.
+	ftiStub.AddEntries4(es[:1], nil)
 	wants = append(wants, want{"fti/0.2/add_entry4", xrl.Args{
 		xrl.Net("network", e1.Net),
 		xrl.Text("ifname", e1.IfName),
 		xrl.Addr("nexthop", e1.NextHop),
+		xrl.U32("metric", e1.Metric),
 	}})
-	ftiStub.DeleteEntry4(e1.Net, nil)
+	ftiStub.DeleteEntries4(nets[:1], nil)
 	wants = append(wants, want{"fti/0.2/delete_entry4", xrl.Args{
 		xrl.Net("network", e1.Net),
 	}})
@@ -277,9 +276,9 @@ func (s *listServer) AddRoutes4(_ route.Protocol, es []route.Entry) error {
 	s.adds = append(s.adds, es...)
 	return nil
 }
-func (s *listServer) DeleteRoutes4(_ route.Protocol, nets []netip.Prefix) error {
+func (s *listServer) DeleteRoutes4(_ route.Protocol, nets []netip.Prefix) (int, error) {
 	s.dels = append(s.dels, nets...)
-	return nil
+	return len(nets), nil
 }
 func (s *listServer) AddEntries4(es []route.Entry) error {
 	s.adds = append(s.adds, es...)
@@ -307,11 +306,10 @@ var confEntry = route.Entry{
 	IfName:  "eth0",
 }
 
-func (confServer) AddRoute4(route.Protocol, route.Entry) error        { return nil }
-func (confServer) ReplaceRoute4(route.Protocol, route.Entry) error    { return nil }
-func (confServer) DeleteRoute4(route.Protocol, netip.Prefix) error    { return nil }
-func (confServer) AddRoutes4(route.Protocol, []route.Entry) error     { return nil }
-func (confServer) DeleteRoutes4(route.Protocol, []netip.Prefix) error { return nil }
+func (confServer) AddRoutes4(route.Protocol, []route.Entry) error { return nil }
+func (confServer) DeleteRoutes4(_ route.Protocol, nets []netip.Prefix) (int, error) {
+	return len(nets), nil
+}
 func (confServer) RegisterInterest4(string, netip.Addr) (xif.RIBInterest, error) {
 	return xif.RIBInterest{Resolves: true, Covering: confEntry.Net, Route: confEntry}, nil
 }
@@ -323,8 +321,6 @@ func (confServer) ResyncComplete4(route.Protocol) (uint32, error) { return 0, ni
 
 func (confServer) RouteInfoInvalid(netip.Prefix) error { return nil }
 
-func (confServer) AddEntry4(route.Entry) error         { return nil }
-func (confServer) DeleteEntry4(netip.Prefix) error     { return nil }
 func (confServer) AddEntries4([]route.Entry) error     { return nil }
 func (confServer) DeleteEntries4([]netip.Prefix) error { return nil }
 func (confServer) LookupEntry4(netip.Addr) (xif.FTILookup, error) {
@@ -686,16 +682,12 @@ type optServer struct {
 	last  route.Entry
 }
 
-func (s *optServer) AddRoute4(_ route.Protocol, e route.Entry) error {
-	s.calls, s.last = s.calls+1, e
+func (s *optServer) AddRoutes4(_ route.Protocol, es []route.Entry) error {
+	s.calls, s.last = s.calls+1, es[0]
 	return nil
 }
-func (s *optServer) ReplaceRoute4(_ route.Protocol, e route.Entry) error {
-	s.calls, s.last = s.calls+1, e
-	return nil
-}
-func (s *optServer) AddEntry4(e route.Entry) error {
-	s.calls, s.last = s.calls+1, e
+func (s *optServer) AddEntries4(es []route.Entry) error {
+	s.calls, s.last = s.calls+1, es[0]
 	return nil
 }
 func (s *optServer) Originate(netip.Prefix, uint32) error { s.calls++; return nil }
@@ -818,5 +810,110 @@ func TestRouteAtomAllocs(t *testing.T) {
 	// list's items. Nothing per route.
 	if allocs := testing.AllocsPerRun(50, round); allocs > 2 {
 		t.Fatalf("%d routes through the wire: %.1f allocations, want <= 2 per list", n, allocs)
+	}
+}
+
+// TestSingleHandlersShareListPath drives the single-route XRLs, as text
+// or an old caller sends them, into a real RIB and FEA: each is a run of
+// one through the list server method, in a slice the binding reuses.
+func TestSingleHandlersShareListPath(t *testing.T) {
+	loop := eventloop.New(nil)
+	r := xipc.NewRouter("single", loop)
+	feaProc := fea.New(loop, kernel.NewFIB(), nil, nil)
+	ribProc := rib.NewProcess(loop, nil, nil)
+	ribTarget, feaTarget := xif.NewTarget("rib", "rib"), xif.NewTarget("fea", "fea")
+	ribProc.RegisterXRLs(ribTarget)
+	feaProc.RegisterXRLs(feaTarget)
+	r.AddTarget(ribTarget)
+	r.AddTarget(feaTarget)
+	call := func(text string) *xrl.Error {
+		t.Helper()
+		x, err := xrl.Parse("finder://" + text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *xrl.Error
+		r.SendFromLoop(x, func(_ xrl.Args, err *xrl.Error) { got = err })
+		return got
+	}
+
+	// Back to back, both land: neither server kept the binding's slice.
+	a := route.Entry{Net: netip.MustParsePrefix("10.0.1.0/24"), NextHop: netip.MustParseAddr("192.168.1.254"), Metric: 5, IfName: "eth0"}
+	b := route.Entry{Net: netip.MustParsePrefix("10.0.2.0/24"), Metric: 1, IfName: "eth1"}
+	for _, text := range []string{
+		"rib/rib/1.0/add_route4?protocol:txt=static&network:ipv4net=10.0.1.0/24&nexthop:ipv4=192.168.1.254&metric:u32=5&ifname:txt=eth0",
+		"rib/rib/1.0/replace_route4?protocol:txt=static&network:ipv4net=10.0.2.0/24&metric:u32=1&ifname:txt=eth1",
+		"fea/fti/0.2/add_entry4?network:ipv4net=10.0.1.0/24&nexthop:ipv4=192.168.1.254&metric:u32=5&ifname:txt=eth0",
+		"fea/fti/0.2/add_entry4?network:ipv4net=10.0.2.0/24&metric:u32=1&ifname:txt=eth1",
+	} {
+		if err := call(text); err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+	}
+	for _, e := range []route.Entry{a, b} {
+		inRIB, _ := ribProc.LookupBest(e.Net.Addr())
+		inFEA, _ := feaProc.Snapshots().Current().Get(e.Net)
+		if inRIB.Net != e.Net || inRIB.NextHop != e.NextHop || inRIB.Metric != e.Metric || inRIB.IfName != e.IfName || !inFEA.Equal(e) {
+			t.Errorf("sent %+v: the RIB holds %+v, the FEA %+v", e, inRIB, inFEA)
+		}
+	}
+
+	// A lone withdrawal of a prefix never announced is an error; in a
+	// list it is skipped.
+	if err := call("rib/rib/1.0/delete_route4?protocol:txt=static&network:ipv4net=10.9.0.0/16"); err == nil || err.Code != xrl.CodeCommandFailed {
+		t.Errorf("delete_route4 of an unannounced prefix: %v, want COMMAND_FAILED", err)
+	}
+	if err := call("rib/rib/1.0/delete_routes4?protocol:txt=static&networks:list=10.9.0.0/16"); err != nil {
+		t.Errorf("delete_routes4 of an unannounced prefix: %v", err)
+	}
+	if err := call("rib/rib/1.0/delete_route4?protocol:txt=static&network:ipv4net=10.0.1.0/24"); err != nil || ribProc.Len() != 1 {
+		t.Errorf("delete_route4 of an announced prefix: %v, %d routes left, want 1", err, ribProc.Len())
+	}
+	if err := call("fea/fti/0.2/delete_entry4?network:ipv4net=10.0.1.0/24"); err != nil || feaProc.FIB().Len() != 1 {
+		t.Errorf("delete_entry4: %v, %d entries left, want 1", err, feaProc.FIB().Len())
+	}
+
+	// A mistyped optional rejects the call before the server sees it.
+	if err := call("rib/rib/1.0/add_route4?protocol:txt=static&network:ipv4net=10.0.3.0/24&metric:txt=5"); err == nil || err.Code != xrl.CodeBadArgs || ribProc.Len() != 1 {
+		t.Errorf("add_route4 with metric as txt: %v, %d routes, want BAD_ARGS and 1", err, ribProc.Len())
+	}
+}
+
+// TestSingleArgsSizedExactly: a run of one travels as the single-route
+// XRL, whose argument list — held by the call record until delivery — is
+// the only thing the send allocates and has no spare atom (a BGP route
+// uses four; room for a fifth is the next size class).
+func TestSingleArgsSizedExactly(t *testing.T) {
+	loop := eventloop.New(nil)
+	r := xipc.NewRouter("sized", loop)
+	target := xipc.NewTarget("rib", "rib")
+	singles := 0
+	target.Register("rib", "1.0", "add_route4", func(xrl.Args) (xrl.Args, error) {
+		singles++
+		return nil, nil
+	})
+	r.AddTarget(target)
+	stub := xif.NewRIBClient(r, "rib")
+	run := []route.Entry{{Net: netip.MustParsePrefix("20.1.0.0/16"), NextHop: netip.MustParseAddr("10.0.0.1"), Metric: 5}}
+	send := func() {
+		stub.AddRoutes4("ebgp", run, nil)
+		loop.RunPending()
+	}
+	send()
+
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		send()
+	}
+	runtime.ReadMemStats(&after)
+	if singles != runs+1 {
+		t.Fatalf("%d of %d runs of one arrived as add_route4", singles, runs+1)
+	}
+	// The allocator rounds four atoms up a little; five would not fit.
+	perSend := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := 5 * uint64(unsafe.Sizeof(xrl.Atom{})); perSend >= limit {
+		t.Fatalf("a lone add allocates %d bytes, want its four atoms and no room for a fifth (%d)", perSend, limit)
 	}
 }

@@ -35,10 +35,8 @@ func TestRIBClientBatchAllocParity(t *testing.T) {
 			Metric:  uint32(i),
 		}
 	}
-	// Coalescing senders encode once at enqueue time; both paths below
-	// ship the same pre-encoded run, isolating the stub overhead.
-	items := xif.EncodeRouteAtoms(es)
-
+	// Both paths below encode the run and ship it, isolating the stub
+	// overhead.
 	stub := xif.NewRIBClient(r, "rib")
 
 	rawSend := func() {
@@ -47,13 +45,13 @@ func TestRIBClientBatchAllocParity(t *testing.T) {
 			Interface: "rib", Version: "1.0", Method: "add_routes4",
 			Args: xrl.Args{
 				xrl.Text("protocol", "ebgp"),
-				xrl.List("routes", items...),
+				xrl.List("routes", xif.EncodeRouteAtoms(es)...),
 			},
 		}, nil)
 		loop.RunPending()
 	}
 	stubSend := func() {
-		stub.AddRoutes4Encoded("ebgp", items, nil)
+		stub.AddRoutes4("ebgp", es, nil)
 		loop.RunPending()
 	}
 
@@ -64,7 +62,7 @@ func TestRIBClientBatchAllocParity(t *testing.T) {
 	rawAllocs := testing.AllocsPerRun(300, rawSend)
 	stubAllocs := testing.AllocsPerRun(300, stubSend)
 	if stubAllocs > rawAllocs {
-		t.Fatalf("xif.RIBClient.AddRoutes4Encoded allocates %.1f objects per call, raw Send %.1f: stub must add 0",
+		t.Fatalf("xif.RIBClient.AddRoutes4 allocates %.1f objects per call, raw Send %.1f: stub must add 0",
 			stubAllocs, rawAllocs)
 	}
 }
