@@ -10,9 +10,10 @@ import (
 // TestTableLoadTraced pins the ops-plane acceptance criteria at a
 // test-friendly size: the traced pipeline produces per-stage latencies
 // for every stage pair, and the wired-but-disabled tracer costs no
-// measurable allocations per route. Throughput deltas are checked
-// loosely — a unit test on a shared machine cannot pin 5%, that bound
-// is asserted over full-size runs via the bench grid's stddev columns.
+// measurable allocations per route. Throughput deltas are not checked
+// here — a unit test on a shared machine cannot pin them, even loosely;
+// that bound is asserted over full-size runs via the bench grid's stddev
+// columns.
 func TestTableLoadTraced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline assembly")
@@ -27,11 +28,6 @@ func TestTableLoadTraced(t *testing.T) {
 	// alloc counts of the plain and disabled runs agree to noise.
 	if extra := res.DisabledExtraAllocs(); extra > 0.5 {
 		t.Errorf("disabled tracer costs %.2f allocs/route, want ~0", extra)
-	}
-	// Loose throughput sanity: wiring a disabled tracer cannot halve
-	// throughput (the ≤5%% bound is a bench-grid assertion, not a CI one).
-	if d := res.DisabledThroughputDelta(); d < -0.5 {
-		t.Errorf("disabled tracer throughput delta %.1f%%", d*100)
 	}
 
 	// Every adjacent stage pair plus the total must be summarized, with

@@ -15,6 +15,10 @@
 // cannot be confused between sessions). The single-entry FIBAdd and
 // FIBDelete are batches of one: one path copy, one generation.
 //
+// The table stores a route.Stored under each prefix, the route less its
+// key; every read rebuilds the route.Entry from the two without allocating,
+// so a valued node is 96 bytes and a prefix comes back masked, as filed.
+//
 // The shape follows NDN-DPDK's FwFwd design (one forwarding thread per
 // core, per-worker counters and a latency RunningStat, no shared mutable
 // state) and Harmonia's snapshot isolation for read scaling: readers run

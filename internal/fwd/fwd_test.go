@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"xorp/internal/eventloop"
@@ -141,15 +142,18 @@ func TestSnapshotFIBOracle(t *testing.T) {
 // to make safe. Meaningful under -race (the CI race job runs it); it
 // also asserts reader-visible invariants: generations never go
 // backward, and a snapshot's length always matches a full walk of it.
+// Every route names an interface, so readers rebuild names from interned
+// handles while the writer interns them.
 func TestRaceSwapVsLookup(t *testing.T) {
 	fib := kernel.NewFIB()
 	backend := fwd.NewSimBackend(fib)
 
+	ifName := func(p netip.Prefix) string { return fmt.Sprintf("eth%d", p.Addr().As4()[1]%4) }
 	seed := rib.NewFIBBatch()
 	prefixes := make([]netip.Prefix, 0, 64)
 	for i := 0; i < 64; i++ {
 		p := mustP(fmt.Sprintf("10.%d.0.0/16", i))
-		seed.Add(route.Entry{Net: p, NextHop: mustA("192.168.1.1")})
+		seed.Add(route.Entry{Net: p, NextHop: mustA("192.168.1.1"), IfName: ifName(p)})
 		prefixes = append(prefixes, p)
 	}
 	if err := backend.Apply(seed); err != nil {
@@ -173,8 +177,8 @@ func TestRaceSwapVsLookup(t *testing.T) {
 					lastGen = g
 				}
 				a := netip.AddrFrom4([4]byte{10, byte(rng.Intn(64)), 1, 1})
-				if e, ok := snap.Lookup(a); ok && !e.Net.Contains(a) {
-					t.Errorf("reader %d: LPM %v does not cover %v", id, e.Net, a)
+				if e, ok := snap.Lookup(a); ok && (!e.Net.Contains(a) || e.IfName != ifName(e.Net)) {
+					t.Errorf("reader %d: LPM %v dev %q for %v", id, e.Net, e.IfName, a)
 					return
 				}
 				// Occasionally verify whole-snapshot consistency.
@@ -199,7 +203,7 @@ func TestRaceSwapVsLookup(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				b.Delete(route.Entry{Net: p})
 			} else {
-				b.Add(route.Entry{Net: p, NextHop: mustA("192.168.1.2")})
+				b.Add(route.Entry{Net: p, NextHop: mustA("192.168.1.2"), IfName: ifName(p)})
 			}
 		}
 		if err := backend.Apply(b); err != nil {
@@ -208,6 +212,67 @@ func TestRaceSwapVsLookup(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestTablesReturnTheKey: a prefix written with host bits set is filed
+// under the masked prefix, and that is what each of the four route tables
+// hands back from an exact get, a longest match and a walk — the key is
+// the only copy. The RIB masks on entry; the snapshot and the kernel FIB
+// are told 10.0.0.5/24 as it stands.
+func TestTablesReturnTheKey(t *testing.T) {
+	unmasked, key, dst := mustP("10.0.0.5/24"), mustP("10.0.0.0/24"), mustA("10.0.0.9")
+	e := route.Entry{Net: unmasked, NextHop: mustA("192.168.1.1"), IfName: "eth0"}
+	check := func(table, read string, got netip.Prefix, ok bool) {
+		t.Helper()
+		if !ok || got != key {
+			t.Errorf("%s %s answers %v, %v; want the key %v", table, read, got, ok, key)
+		}
+	}
+
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	origin := rib.NewOriginTable(loop, route.ProtoStatic)
+	final := rib.NewExtIntStage("extint", rib.NewOriginTable(loop, route.ProtoEBGP), origin)
+	origin.AddRoutes([]route.Entry{e})
+	for name, tbl := range map[string]interface {
+		rib.Table
+		Walk(func(route.Entry) bool)
+	}{"OriginTable": origin, "ExtIntStage": final} {
+		for _, arg := range []netip.Prefix{unmasked, key} {
+			got, ok := tbl.Lookup(arg)
+			check(name, fmt.Sprintf("Lookup(%v)", arg), got.Net, ok)
+		}
+		got, ok := tbl.LookupBest(dst)
+		check(name, "LookupBest", got.Net, ok)
+		tbl.Walk(func(got route.Entry) bool { check(name, "Walk", got.Net, true); return true })
+	}
+
+	single, batched := fwd.NewPublisher(), fwd.NewPublisher()
+	single.FIBAdd(e)
+	b := rib.NewFIBBatch()
+	b.Add(e)
+	batched.Apply(b)
+	for name, snap := range map[string]*fwd.Snapshot{"Snapshot (FIBAdd)": single.Current(), "Snapshot (Apply)": batched.Current()} {
+		for _, arg := range []netip.Prefix{unmasked, key} {
+			got, ok := snap.Get(arg)
+			check(name, fmt.Sprintf("Get(%v)", arg), got.Net, ok)
+		}
+		got, ok := snap.Lookup(dst)
+		check(name, "Lookup", got.Net, ok)
+		snap.Walk(func(got route.Entry) bool { check(name, "Walk", got.Net, true); return true })
+	}
+
+	installed, applied := kernel.NewFIB(), kernel.NewFIB()
+	if err := installed.Install(kernel.FIBEntry{Net: unmasked, NextHop: e.NextHop, IfName: e.IfName}); err != nil {
+		t.Fatal(err)
+	}
+	if err := applied.ApplyBatch([]kernel.FIBEntry{{Net: unmasked, NextHop: e.NextHop, IfName: e.IfName}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for name, fib := range map[string]*kernel.FIB{"kernel.FIB (Install)": installed, "kernel.FIB (ApplyBatch)": applied} {
+		got, ok := fib.Lookup(dst)
+		check(name, "Lookup", got.Net, ok)
+		fib.Walk(func(got kernel.FIBEntry) bool { check(name, "Walk", got.Net, true); return true })
+	}
 }
 
 // TestPoolForwarding runs a real worker pool briefly and checks the
@@ -389,12 +454,14 @@ func loadedPublisher(n int) (*fwd.Publisher, []route.Entry) {
 }
 
 // TestSnapshotBytesPerRoute pins the live heap a route costs in the
-// forwarding plane's table: a 160-byte valued node, its share of the glue
-// (48 bytes each) and of the fans and buckets above it. It measures
-// 192 B; the bound is 10 % above. It also pins the lookup to no
-// allocation, now that it builds the prefix it returns.
+// forwarding plane's table: a 96-byte valued node (a 48-byte header and a
+// 48-byte route.Stored), its share of the glue (48 bytes each) and of the
+// fans and buckets above it. It measures 128 B; the bound is 10 % above
+// (192 B when the node held a route.Entry and sat in the 160 class). It
+// also pins the lookup to no allocation, now that it builds the prefix
+// and the entry it returns.
 func TestSnapshotBytesPerRoute(t *testing.T) {
-	const n, bound = 100000, 212
+	const n, bound = 100000, 141
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()

@@ -12,16 +12,16 @@ import (
 )
 
 // Snapshot is one immutable FIB version: a generation number and a
-// copy-on-write LPM table. A Snapshot never changes after publication;
-// readers may hold one for any length of time and see a consistent
-// forwarding table — exactly the route set after some whole number of
-// applied batches, never a half-applied one.
+// copy-on-write LPM table of route.Stored values. A Snapshot never changes
+// after publication; readers may hold one for any length of time and see a
+// consistent forwarding table — exactly the route set after some whole
+// number of applied batches, never a half-applied one.
 type Snapshot struct {
 	gen uint64
-	tbl *trie.Persistent[route.Entry]
+	tbl *trie.Persistent[route.Stored]
 }
 
-var emptySnapshot = &Snapshot{tbl: trie.NewPersistent[route.Entry]()}
+var emptySnapshot = &Snapshot{tbl: trie.NewPersistent[route.Stored]()}
 
 // Gen returns the snapshot's generation: the number of publications that
 // produced it (the empty table is generation 0).
@@ -33,18 +33,22 @@ func (s *Snapshot) Len() int { return s.tbl.Len() }
 // Lookup returns the longest-prefix-match entry for dst. This is the
 // forwarding hot path: a pure pointer walk, no locks, no allocation.
 func (s *Snapshot) Lookup(dst netip.Addr) (route.Entry, bool) {
-	_, e, ok := s.tbl.LongestMatch(dst)
-	return e, ok
+	net, e, ok := s.tbl.LongestMatch(dst)
+	return e.Entry(net), ok
 }
 
-// Get returns the entry installed exactly at net.
+// Get returns the entry installed exactly at net, masked: the key.
 func (s *Snapshot) Get(net netip.Prefix) (route.Entry, bool) {
-	return s.tbl.Get(net)
+	net = net.Masked()
+	if e, ok := s.tbl.Get(net); ok {
+		return e.Entry(net), true
+	}
+	return route.Entry{}, false
 }
 
 // Walk visits every installed entry in lexicographic order.
 func (s *Snapshot) Walk(fn func(route.Entry) bool) {
-	s.tbl.Walk(func(_ netip.Prefix, e route.Entry) bool { return fn(e) })
+	s.tbl.Walk(func(net netip.Prefix, e route.Stored) bool { return fn(e.Entry(net)) })
 }
 
 // Source is anything that exposes a current forwarding snapshot: the
@@ -101,7 +105,7 @@ func (p *Publisher) Apply(b *rib.FIBBatch) *Snapshot {
 	b.Ops(func(op rib.FIBOp) {
 		switch op.Kind {
 		case rib.FIBOpAdd, rib.FIBOpReplace:
-			edit.Insert(op.New.Net, op.New)
+			edit.Insert(op.New.Net, op.New.Stored())
 		case rib.FIBOpDelete:
 			edit.Delete(op.Old.Net)
 		}
@@ -121,7 +125,7 @@ func (p *Publisher) Apply(b *rib.FIBBatch) *Snapshot {
 }
 
 // publish1 applies a single-entry mutation as its own generation.
-func (p *Publisher) publish1(mutate func(*trie.Persistent[route.Entry]) *trie.Persistent[route.Entry]) {
+func (p *Publisher) publish1(mutate func(*trie.Persistent[route.Stored]) *trie.Persistent[route.Stored]) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	old := p.cur.Load()
@@ -130,8 +134,8 @@ func (p *Publisher) publish1(mutate func(*trie.Persistent[route.Entry]) *trie.Pe
 
 // FIBAdd publishes one add or replace as its own generation.
 func (p *Publisher) FIBAdd(e route.Entry) {
-	p.publish1(func(t *trie.Persistent[route.Entry]) *trie.Persistent[route.Entry] {
-		return t.Insert(e.Net, e)
+	p.publish1(func(t *trie.Persistent[route.Stored]) *trie.Persistent[route.Stored] {
+		return t.Insert(e.Net, e.Stored())
 	})
 	if p.tracer.Enabled() {
 		p.tracer.Stamp(telemetry.StageSnapPub, e.Net)
@@ -140,7 +144,7 @@ func (p *Publisher) FIBAdd(e route.Entry) {
 
 // FIBDelete publishes one delete as its own generation.
 func (p *Publisher) FIBDelete(e route.Entry) {
-	p.publish1(func(t *trie.Persistent[route.Entry]) *trie.Persistent[route.Entry] {
+	p.publish1(func(t *trie.Persistent[route.Stored]) *trie.Persistent[route.Stored] {
 		t, _ = t.Delete(e.Net)
 		return t
 	})

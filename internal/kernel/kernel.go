@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
+	"unique"
 
 	"xorp/internal/trie"
 )
@@ -23,6 +24,29 @@ type FIBEntry struct {
 	Net     netip.Prefix
 	NextHop netip.Addr
 	IfName  string
+}
+
+// fibValue is what the table keeps under FIBEntry.Net: the entry less its
+// key, the interface name interned (zero handle for "": its Value panics).
+type fibValue struct {
+	nextHop netip.Addr
+	ifName  unique.Handle[string]
+}
+
+func (e FIBEntry) value() fibValue {
+	v := fibValue{nextHop: e.NextHop}
+	if e.IfName != "" {
+		v.ifName = unique.Make(e.IfName)
+	}
+	return v
+}
+
+func (v fibValue) entry(net netip.Prefix) FIBEntry {
+	e := FIBEntry{Net: net, NextHop: v.nextHop}
+	if v.ifName != (unique.Handle[string]{}) {
+		e.IfName = v.ifName.Value()
+	}
+	return e
 }
 
 // Interface is a simulated network interface.
@@ -37,7 +61,7 @@ type Interface struct {
 // use (the kernel is shared below all processes).
 type FIB struct {
 	mu       sync.Mutex
-	tbl      *trie.Trie[FIBEntry]
+	tbl      *trie.Trie[fibValue]
 	ifaces   map[string]*Interface
 	installs uint64
 	removals uint64
@@ -49,7 +73,7 @@ type FIB struct {
 // NewFIB returns an empty forwarding table.
 func NewFIB() *FIB {
 	return &FIB{
-		tbl:    trie.New[FIBEntry](),
+		tbl:    trie.New[fibValue](),
 		ifaces: make(map[string]*Interface),
 	}
 }
@@ -85,7 +109,7 @@ func (f *FIB) Install(e FIBEntry) error {
 		return fmt.Errorf("kernel: invalid prefix %v", e.Net)
 	}
 	f.mu.Lock()
-	f.tbl.Insert(e.Net, e)
+	f.tbl.Insert(e.Net, e.value())
 	f.installs++
 	cb := f.onInstall
 	f.mu.Unlock()
@@ -112,7 +136,7 @@ func (f *FIB) ApplyBatch(adds []FIBEntry, removes []netip.Prefix) error {
 			}
 			continue
 		}
-		f.tbl.Insert(e.Net, e)
+		f.tbl.Insert(e.Net, e.value())
 		f.installs++
 	}
 	for _, net := range removes {
@@ -147,8 +171,8 @@ func (f *FIB) Remove(net netip.Prefix) bool {
 func (f *FIB) Lookup(dst netip.Addr) (FIBEntry, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	_, e, ok := f.tbl.LongestMatch(dst)
-	return e, ok
+	net, v, ok := f.tbl.LongestMatch(dst)
+	return v.entry(net), ok
 }
 
 // Len returns the number of installed entries.
@@ -169,5 +193,5 @@ func (f *FIB) Stats() (installs, removals uint64) {
 func (f *FIB) Walk(fn func(FIBEntry) bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.tbl.Walk(func(_ netip.Prefix, e FIBEntry) bool { return fn(e) })
+	f.tbl.Walk(func(net netip.Prefix, v fibValue) bool { return fn(v.entry(net)) })
 }

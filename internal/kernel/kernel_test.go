@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mustA(s string) netip.Addr   { return netip.MustParseAddr(s) }
@@ -336,5 +337,28 @@ func TestFIBApplyBatch(t *testing.T) {
 	installs, removals := fib.Stats()
 	if installs != 3 || removals != 1 {
 		t.Fatalf("stats = %d/%d, want 3 installs, 1 removal", installs, removals)
+	}
+}
+
+// TestFIBValue pins what the table keeps per entry — 32 bytes, the entry
+// less its key — and that reading it back costs no allocation, name
+// included; an entry without a name comes back without one.
+func TestFIBValue(t *testing.T) {
+	if got := unsafe.Sizeof(fibValue{}); got != 32 {
+		t.Errorf("the table's value is %d bytes, want 32", got)
+	}
+	f := NewFIB()
+	named := FIBEntry{Net: mustP("10.0.0.0/8"), NextHop: mustA("192.168.1.1"), IfName: "eth0"}
+	bare := FIBEntry{Net: mustP("11.0.0.0/8")}
+	if err := f.ApplyBatch([]FIBEntry{named, bare}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for dst, want := range map[netip.Addr]FIBEntry{mustA("10.1.2.3"): named, mustA("11.1.2.3"): bare} {
+		if got, ok := f.Lookup(dst); !ok || got != want {
+			t.Errorf("Lookup(%v) = %v, %v; want %v", dst, got, ok, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { f.Lookup(dst) }); n != 0 {
+			t.Errorf("Lookup(%v) allocates %.1f/op", dst, n)
+		}
 	}
 }

@@ -19,16 +19,17 @@ import (
 // periodic rescans (§4).
 //
 // The stage stores what it decided, not what it was told: announced is the
-// RIB's final table, the only route.Entry store outside the origin tables.
-// The external routes stay in their origin tables (ext.Lookup); the stage
-// keeps only the nexthop index that resolves them.
+// RIB's final table, the only route store outside the origin tables, and
+// like them it keeps a route.Stored under each prefix. The external routes
+// stay in their origin tables (ext.Lookup); the stage keeps only the
+// nexthop index that resolves them.
 type ExtIntStage struct {
 	base
 	ext, int Table
 
 	// announced is the stage's downstream view (both sides merged),
 	// updated in reconcile ahead of the flush that carries the change.
-	announced *trie.Trie[route.Entry]
+	announced *trie.Trie[route.Stored]
 	// nexthops indexes the external routes that need resolving by their
 	// nexthop as announced: how it resolves now and the prefixes riding on
 	// it — a bare prefix per route and a struct per nexthop (full-table
@@ -63,7 +64,7 @@ func NewExtIntStage(name string, ext, int_ Table) *ExtIntStage {
 		base:      base{name: name},
 		ext:       ext,
 		int:       int_,
-		announced: trie.New[route.Entry](),
+		announced: trie.New[route.Stored](),
 		nexthops:  make(map[netip.Addr]*nhState),
 	}
 	ext.setDownstream(&extInput{e: e})
@@ -246,34 +247,33 @@ func (s *ExtIntStage) reconcile(net netip.Prefix, ext route.Entry, extOK bool, e
 		want, wantOK = ext, true
 	}
 	if wantOK {
-		have, haveOK := s.announced.Upsert(net, want)
-		switch {
-		case !haveOK:
+		stored, haveOK := s.announced.Upsert(net, want.Stored())
+		if !haveOK {
 			em.Add(want)
-		case !want.Equal(have):
+		} else if have := stored.Entry(net); !want.Equal(have) {
 			em.Replace(have, want)
 		}
 		return
 	}
 	if have, haveOK := s.announced.Delete(net); haveOK {
-		em.Delete(have)
+		em.Delete(have.Entry(net))
 	}
 }
 
 // Lookup implements Table from the announced table.
 func (s *ExtIntStage) Lookup(net netip.Prefix) (route.Entry, bool) {
-	return s.announced.Get(net)
+	return getEntry(s.announced, net)
 }
 
 // LookupBest implements Table from the announced table.
 func (s *ExtIntStage) LookupBest(addr netip.Addr) (route.Entry, bool) {
-	_, e, ok := s.announced.LongestMatch(addr)
-	return e, ok
+	net, e, ok := s.announced.LongestMatch(addr)
+	return e.Entry(net), ok
 }
 
 // Walk visits the announced table in prefix order.
 func (s *ExtIntStage) Walk(fn func(route.Entry) bool) {
-	s.announced.Walk(func(_ netip.Prefix, e route.Entry) bool { return fn(e) })
+	s.announced.Walk(func(net netip.Prefix, e route.Stored) bool { return fn(e.Entry(net)) })
 }
 
 // AnnouncedLen reports the downstream view's size.

@@ -28,7 +28,7 @@ type registration struct {
 // finalTable is the register stage's read-only view of the RIB's final
 // table, which the ExtInt stage maintains.
 type finalTable interface {
-	LongestMatch(addr netip.Addr) (netip.Prefix, route.Entry, bool)
+	LongestMatch(addr netip.Addr) (netip.Prefix, route.Stored, bool)
 	HasEntryInside(p netip.Prefix) bool
 }
 
@@ -104,7 +104,7 @@ func (rs *RegisterStage) answer(addr netip.Addr) RegistrationAnswer {
 		s = narrowed
 	}
 	if found {
-		return RegistrationAnswer{Resolves: true, Covering: s, Route: e}
+		return RegistrationAnswer{Resolves: true, Covering: s, Route: e.Entry(matchNet)}
 	}
 	return RegistrationAnswer{Resolves: false, Covering: s}
 }

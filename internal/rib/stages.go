@@ -175,13 +175,14 @@ func betterEntry(a, b route.Entry) route.Entry {
 }
 
 // OriginTable is the origin stage for one protocol (Figure 7): it stores
-// that protocol's routes and emits changes downstream.
+// that protocol's routes, a route.Stored under each prefix turned back into
+// the route.Entry on every read, and emits changes downstream.
 type OriginTable struct {
 	base
 	loop  *eventloop.Loop
 	proto route.Protocol
 	ad    uint8
-	tbl   *trie.Trie[route.Entry]
+	tbl   *trie.Trie[route.Stored]
 
 	// stale marks routes retained across their protocol's death (BGP
 	// graceful-restart semantics, §3's survivability claim): when the
@@ -214,7 +215,7 @@ func NewOriginTable(loop *eventloop.Loop, proto route.Protocol) *OriginTable {
 		loop:  loop,
 		proto: proto,
 		ad:    route.AdminDistance(proto),
-		tbl:   trie.New[route.Entry](),
+		tbl:   trie.New[route.Stored](),
 	}
 }
 
@@ -238,7 +239,7 @@ func (o *OriginTable) MarkAllStale() int {
 		o.stale = make(map[netip.Prefix]bool, o.tbl.Len())
 	}
 	n := 0
-	o.tbl.Walk(func(net netip.Prefix, _ route.Entry) bool {
+	o.tbl.Walk(func(net netip.Prefix, _ route.Stored) bool {
 		if !o.stale[net] {
 			o.stale[net] = true
 			n++
@@ -290,12 +291,11 @@ func (o *OriginTable) AddRoutes(es []route.Entry) {
 		e.Net = e.Net.Masked()
 		e.Protocol = o.proto
 		e.AdminDistance = o.ad
-		old, existed := o.tbl.Upsert(e.Net, e)
+		stored, existed := o.tbl.Upsert(e.Net, e.Stored())
 		o.clearStale(e.Net)
-		switch {
-		case !existed:
+		if !existed {
 			em.Add(e)
-		case !old.Equal(e):
+		} else if old := stored.Entry(e.Net); !old.Equal(e) {
 			em.Replace(old, e)
 		}
 		if lockstep {
@@ -319,7 +319,7 @@ func (o *OriginTable) DeleteRoutes(nets []netip.Prefix) int {
 			continue
 		}
 		removed++
-		em.Delete(old)
+		em.Delete(old.Entry(net))
 		if lockstep {
 			em.Flush()
 		}
@@ -349,7 +349,7 @@ func (o *OriginTable) DeleteAll() *eventloop.Task {
 				continue
 			}
 			o.tbl.Delete(net)
-			em.Delete(e)
+			em.Delete(e.Entry(net))
 			if lockstep {
 				em.Flush()
 			}
@@ -363,18 +363,28 @@ func (o *OriginTable) Empty() bool { return o.tbl.Len() == 0 }
 
 // Walk visits the stored routes.
 func (o *OriginTable) Walk(fn func(route.Entry) bool) {
-	o.tbl.Walk(func(_ netip.Prefix, e route.Entry) bool { return fn(e) })
+	o.tbl.Walk(func(net netip.Prefix, e route.Stored) bool { return fn(e.Entry(net)) })
 }
 
 // Lookup implements Table.
 func (o *OriginTable) Lookup(net netip.Prefix) (route.Entry, bool) {
-	return o.tbl.Get(net)
+	return getEntry(o.tbl, net)
 }
 
-// LookupBest implements Table.
+// LookupBest implements Table; a miss rebuilds the zero entry.
 func (o *OriginTable) LookupBest(addr netip.Addr) (route.Entry, bool) {
-	_, e, ok := o.tbl.LongestMatch(addr)
-	return e, ok
+	net, e, ok := o.tbl.LongestMatch(addr)
+	return e.Entry(net), ok
+}
+
+// getEntry returns the route a table holds exactly at net, rebuilt from
+// the key it is filed under — net masked, not net as the caller wrote it.
+func getEntry(tbl *trie.Trie[route.Stored], net netip.Prefix) (route.Entry, bool) {
+	net = net.Masked()
+	if e, ok := tbl.Get(net); ok {
+		return e.Entry(net), true
+	}
+	return route.Entry{}, false
 }
 
 // MergeStage combines two route streams, preferring the lower

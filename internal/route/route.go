@@ -1,11 +1,14 @@
 // Package route defines the route representations shared by the RIB, the
 // routing protocols and the FEA: protocol identities, administrative
-// distances, and the RIB-level route entry.
+// distances, and the RIB-level route in its two forms. Entry is the message:
+// what a run, a FIB batch, an XRL atom and every exported signature carry.
+// Stored is what a table keeps under the prefix: the route less its key.
 package route
 
 import (
 	"fmt"
 	"net/netip"
+	"unique"
 )
 
 // Protocol identifies the origin protocol of a route.
@@ -114,6 +117,47 @@ func (e Entry) Equal(o Entry) bool {
 		}
 	}
 	return true
+}
+
+// Stored is the value a table files under Entry.Net: 48 bytes against the
+// Entry's 104. The prefix is the table's key, the interface name — one of a
+// handful per router — is interned by the standard library (process-wide,
+// safe from any goroutine, collected with the last route that names it),
+// and the tag list costs a nil pointer on the routes that carry none.
+type Stored struct {
+	NextHop       netip.Addr
+	ifName        unique.Handle[string] // zero for "": Value on a zero handle panics
+	tags          *[]uint32             // nil unless the route carries policy tags
+	Metric        uint32
+	Protocol      Protocol
+	AdminDistance uint8
+}
+
+// Stored returns the form of e a table keeps under e.Net. It allocates
+// only for a route that carries policy tags.
+func (e Entry) Stored() Stored {
+	s := Stored{NextHop: e.NextHop, Metric: e.Metric, Protocol: e.Protocol, AdminDistance: e.AdminDistance}
+	if e.IfName != "" {
+		s.ifName = unique.Make(e.IfName)
+	}
+	if len(e.PolicyTags) > 0 {
+		tags := e.PolicyTags
+		s.tags = &tags
+	}
+	return s
+}
+
+// Entry rebuilds the message from the stored value and the key it was
+// filed under, without allocating.
+func (s Stored) Entry(net netip.Prefix) Entry {
+	e := Entry{Net: net, NextHop: s.NextHop, Metric: s.Metric, Protocol: s.Protocol, AdminDistance: s.AdminDistance}
+	if s.ifName != (unique.Handle[string]{}) {
+		e.IfName = s.ifName.Value()
+	}
+	if s.tags != nil {
+		e.PolicyTags = *s.tags
+	}
+	return e
 }
 
 // String renders the entry for diagnostics.

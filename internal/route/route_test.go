@@ -1,8 +1,12 @@
 package route
 
 import (
+	"math/rand"
 	"net/netip"
+	"strconv"
 	"testing"
+	"unique"
+	"unsafe"
 )
 
 func TestAdminDistanceOrdering(t *testing.T) {
@@ -114,4 +118,64 @@ func TestEntryEqual(t *testing.T) {
 	if base.String() == "" {
 		t.Fatal("empty String")
 	}
+}
+
+// TestStoredRoundTrip: what a table keeps and the key it keeps it under
+// give back the entry, over every shape a field takes.
+func TestStoredRoundTrip(t *testing.T) {
+	if got := unsafe.Sizeof(Stored{}); got != 48 {
+		t.Errorf("Stored is %d bytes, want 48", got)
+	}
+	rng := rand.New(rand.NewSource(26))
+	nexthops := []netip.Addr{{}, netip.MustParseAddr("192.168.1.1"), netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("fe80::1%eth0")}
+	names := []string{"", "", "eth0", "eth1", "a-rather-longer-interface-name"}
+	for i := 0; i < 10000; i++ {
+		var a [16]byte
+		rng.Read(a[:])
+		addr, bits := netip.AddrFrom16(a), rng.Intn(129)
+		if i%2 == 0 {
+			addr, bits = netip.AddrFrom4([4]byte(a[:4])), rng.Intn(33)
+		}
+		e := Entry{
+			Net:           netip.PrefixFrom(addr, bits).Masked(),
+			NextHop:       nexthops[rng.Intn(len(nexthops))],
+			IfName:        names[rng.Intn(len(names))],
+			Metric:        rng.Uint32(),
+			Protocol:      Protocol(rng.Intn(int(ProtoExperimental) + 1)),
+			AdminDistance: uint8(rng.Intn(256)),
+		}
+		switch rng.Intn(3) {
+		case 1:
+			e.PolicyTags = []uint32{}
+		case 2:
+			e.PolicyTags = []uint32{rng.Uint32(), rng.Uint32()}[:1+rng.Intn(2)]
+		}
+		s := e.Stored()
+		if got := s.Entry(e.Net); !got.Equal(e) {
+			t.Fatalf("round trip of %v tags %v gave %v tags %v", e, e.PolicyTags, got, got.PolicyTags)
+		}
+		if (e.IfName == "") != (s.ifName == unique.Handle[string]{}) {
+			t.Fatalf("name %q stored as handle %v: the empty name and only it is the zero handle", e.IfName, s.ifName)
+		}
+		if (len(e.PolicyTags) == 0) != (s.tags == nil) {
+			t.Fatalf("tags %v stored as %v: no tags and only that is nil", e.PolicyTags, s.tags)
+		}
+	}
+	// Equal names built apart: the handle compares contents, not backing arrays.
+	a, b := Entry{IfName: "eth" + strconv.Itoa(7)}, Entry{IfName: "eth7", Metric: 1}
+	if a.Stored().ifName != b.Stored().ifName {
+		t.Fatal("two routes naming one interface hold different handles")
+	}
+
+	e := Entry{Net: netip.MustParsePrefix("10.0.0.0/8"), NextHop: nexthops[1], IfName: "eth0", Metric: 5}
+	s := e.Stored()
+	var sinkS Stored
+	var sinkE Entry
+	if n := testing.AllocsPerRun(100, func() { sinkS = e.Stored() }); n != 0 {
+		t.Errorf("Stored() of an untagged entry allocates %.1f/op", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkE = s.Entry(e.Net) }); n != 0 {
+		t.Errorf("Entry() allocates %.1f/op", n)
+	}
+	_, _ = sinkS, sinkE
 }

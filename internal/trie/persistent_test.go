@@ -240,7 +240,10 @@ func TestPnodeSize(t *testing.T) {
 	}{
 		{"glue pnode", unsafe.Sizeof(pnode[route.Entry]{}), 48, true},
 		{"glue pnode[uint64]", unsafe.Sizeof(pnode[uint64]{}), 48, true},
-		// The forwarding plane's valued node: 152 bytes, the 160 class.
+		// The forwarding plane's valued node: header and value fill the 96
+		// class; a field more in either lands every route in the 112 class.
+		{"route.Stored", unsafe.Sizeof(route.Stored{}), 48, true},
+		{"valued[route.Stored]", unsafe.Sizeof(valued[route.Stored]{}), 96, true},
 		{"valued[route.Entry]", unsafe.Sizeof(valued[route.Entry]{}), 160, false},
 		{"Trie node[route.Entry]", unsafe.Sizeof(node[route.Entry]{}), 56, true},
 		{"fan with its kids", unsafe.Sizeof(fanned[route.Entry]{}), 160, false},
@@ -254,6 +257,10 @@ func TestPnodeSize(t *testing.T) {
 	// pointerful object fill one size class.
 	if block := nodeSlabSize*unsafe.Sizeof(node[int]{}) + 8; block > 14336 || block < 14336-56 {
 		t.Errorf("a block of %d nodes is %d bytes with its header, want just under the 14336 class", nodeSlabSize, block)
+	}
+	// Likewise a block of the RIB tables' values, in the 12288 class.
+	if block := nodeSlabSize*unsafe.Sizeof(route.Stored{}) + 8; block > 12288 || block < 12288-48 {
+		t.Errorf("a block of %d stored routes is %d bytes with its header, want just under the 12288 class", nodeSlabSize, block)
 	}
 	// The self-pointers that make one allocation of a header and its tail.
 	n := newLeaf(1, key128{}, 0, 7)

@@ -171,7 +171,8 @@ type Trie[T any] struct {
 // nodeSlabSize is the growth quantum of both slabs. A block of 255 nodes
 // and the allocator's 8-byte header fill the 14,336-byte size class
 // exactly; a 256th node would spill every block into the 16 KB class and
-// waste an eighth of it (likewise 255 pointer-sized values and 2,048).
+// waste an eighth of it (likewise 255 pointer-sized values and 2,048, and
+// 255 of the RIB's 48-byte route.Stored and 12,288: a 256th makes it 13,568).
 const nodeSlabSize = 255
 
 // newNode returns a zeroed node from the freelist or the current slab.
