@@ -56,17 +56,10 @@ func main() {
 	}
 	router.SetFinderTCP(*finderAddr)
 
-	tr := &xrlTransport{fea: xif.NewFEAUDPClient(router, "fea")}
-	proc := ospf.NewProcess(loop, cfg, tr, rtrmgr.NewXRLRouteClient(router, "rib", route.ProtoOSPF))
-
 	target := xif.NewTarget("ospf", "ospf")
+	proc := ospf.NewProcess(loop, cfg, rtrmgr.NewXRLOSPFTransport(router, target, "fea"),
+		rtrmgr.NewXRLRouteClient(router, "rib", route.ProtoOSPF))
 	xif.BindOSPF(target, ospfServer{proc})
-	// The FEA pushes received datagrams here.
-	xif.BindFEAUDPRecv(target, xif.FEAUDPRecvFunc(
-		func(src netip.AddrPort, payload []byte) error {
-			tr.deliver(src, payload)
-			return nil
-		}))
 	router.AddTarget(target)
 	go loop.Run()
 	if err := finder.RegisterTargetSync(router, target, true); err != nil {
@@ -99,36 +92,6 @@ func (s ospfServer) Originate(net netip.Prefix, cost uint32) error {
 func (s ospfServer) Withdraw(net netip.Prefix) error {
 	s.proc.WithdrawPrefix(net)
 	return nil
-}
-
-// xrlTransport relays OSPF packets through the FEA's fea_udp stub,
-// joining the AllSPFRouters group via join_group.
-type xrlTransport struct {
-	fea  *xif.FEAUDPClient
-	recv func(src netip.AddrPort, payload []byte)
-}
-
-func (t *xrlTransport) Bind(recv func(src netip.AddrPort, payload []byte)) error {
-	t.recv = recv
-	t.fea.JoinGroup(ospf.AllSPFRouters, nil)
-	t.fea.Bind(ospf.Port, "ospf", nil)
-	return nil
-}
-
-// deliver hands an FEA-relayed datagram to the process (on the loop).
-func (t *xrlTransport) deliver(src netip.AddrPort, payload []byte) {
-	if t.recv != nil {
-		t.recv(src, payload)
-	}
-}
-
-func (t *xrlTransport) Send(dst netip.AddrPort, payload []byte) error {
-	t.fea.Send(ospf.Port, dst, payload, nil)
-	return nil
-}
-
-func (t *xrlTransport) Multicast(payload []byte) error {
-	return t.Send(netip.AddrPortFrom(ospf.AllSPFRouters, ospf.Port), payload)
 }
 
 func fatal(err error) {

@@ -48,16 +48,11 @@ func main() {
 	}
 	router.SetFinderTCP(*finderAddr)
 
-	proc := rip.NewProcess(loop, rip.Config{LocalAddr: localAddr, IfName: "eth0"},
-		&xrlTransport{fea: xif.NewFEAUDPClient(router, "fea")},
-		rtrmgr.NewXRLRouteClient(router, "rib", route.ProtoRIP))
-
 	target := xif.NewTarget("rip", "rip")
+	proc := rip.NewProcess(loop, rip.Config{LocalAddr: localAddr, IfName: "eth0"},
+		rtrmgr.NewXRLRIPTransport(router, target, "fea"),
+		rtrmgr.NewXRLRouteClient(router, "rib", route.ProtoRIP))
 	xif.BindRIP(target, ripServer{proc})
-	// The FEA pushes received datagrams here; delivery happens through
-	// the transport's receive callback below.
-	xif.BindFEAUDPRecv(target, xif.FEAUDPRecvFunc(
-		func(netip.AddrPort, []byte) error { return nil }))
 	router.AddTarget(target)
 	go loop.Run()
 	if err := finder.RegisterTargetSync(router, target, true); err != nil {
@@ -86,26 +81,6 @@ func (s ripServer) AddStaticRoute(net netip.Prefix, metric uint32) error {
 
 func (s ripServer) DeleteStaticRoute(net netip.Prefix) error {
 	s.proc.WithdrawLocal(net)
-	return nil
-}
-
-// xrlTransport relays RIP datagrams through the FEA's fea_udp stub.
-type xrlTransport struct {
-	fea *xif.FEAUDPClient
-}
-
-func (t *xrlTransport) Bind(recv func(src netip.AddrPort, payload []byte)) error {
-	t.fea.Bind(rip.Port, "rip", nil)
-	return nil
-}
-
-func (t *xrlTransport) Send(dst netip.AddrPort, payload []byte) error {
-	t.fea.Send(rip.Port, dst, payload, nil)
-	return nil
-}
-
-func (t *xrlTransport) Broadcast(payload []byte) error {
-	t.fea.Broadcast(rip.Port, rip.Port, payload, nil)
 	return nil
 }
 

@@ -136,13 +136,22 @@ func (p *Process) Retune(cfg Config) {
 // Timers reports the live timer configuration (tests, show-config).
 func (p *Process) Timers() Config { return p.cfg }
 
-// Stop cancels timers.
+// Stop cancels every timer, each route's expiry and garbage-collection
+// timers included: on a loop that outlives the process they would go on
+// withdrawing routes from the RIB.
 func (p *Process) Stop() {
-	for _, t := range []*eventloop.Timer{p.updateTmr, p.trigTmr} {
-		if t != nil {
-			t.Cancel()
+	cancel := func(timers ...*eventloop.Timer) {
+		for _, t := range timers {
+			if t != nil {
+				t.Cancel()
+			}
 		}
 	}
+	cancel(p.updateTmr, p.trigTmr)
+	p.routes.Walk(func(_ netip.Prefix, r *ripRoute) bool {
+		cancel(r.expiry, r.gc)
+		return true
+	})
 }
 
 // RouteCount returns the number of live (non-GC) routes.

@@ -190,6 +190,28 @@ func TestRouteExpiryWithoutRefresh(t *testing.T) {
 	}
 }
 
+// A stopped process is silent: the per-route expiry timer of a route it
+// learned, left running on a loop that outlives the process, would
+// withdraw from the RIB a route the process's successor still holds.
+func TestStopCancelsRouteTimers(t *testing.T) {
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	netw := kernel.NewNetwork()
+	a := newRIPNode(t, loop, netw, "10.0.0.1")
+	b := newRIPNode(t, loop, netw, "10.0.0.2")
+	net := mustP("172.16.0.0/16")
+	loop.Dispatch(func() { a.proc.InjectLocal(net, 1, 0) })
+	loop.RunFor(5 * time.Second)
+	if _, ok := b.rib.routes[net]; !ok {
+		t.Fatal("route not learned")
+	}
+	b.fea.UDPUnbind("rip") // b dies: nothing refreshes its route any more
+	b.proc.Stop()
+	loop.RunFor(400 * time.Second) // past Timeout and GCTime
+	if _, ok := b.rib.routes[net]; !ok {
+		t.Fatal("a stopped process withdrew a route from its RIB")
+	}
+}
+
 func TestSplitHorizonPoisonedReverse(t *testing.T) {
 	// b must not advertise a's route back as reachable: count-to-infinity
 	// protection. We verify by checking a never learns its own route from

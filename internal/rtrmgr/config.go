@@ -1,7 +1,8 @@
 // Package rtrmgr implements the XORP Router Manager (paper §3): it holds
-// the router configuration, starts and wires the other processes (Finder,
-// FEA, RIB, BGP, RIP, OSPF), and hides the router's internal structure
-// behind a unified configuration interface.
+// the router configuration, starts and wires the other processes — the
+// Finder, the FEA, the RIB, and one process for every class of its module
+// table (modules.go) that the configuration names — and hides the
+// router's internal structure behind a unified configuration interface.
 package rtrmgr
 
 import (

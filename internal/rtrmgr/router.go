@@ -41,10 +41,10 @@ type Options struct {
 	ConsistencyChecks bool
 }
 
-// Router is a fully assembled XORP router: Finder, FEA, RIB, and
-// (config-dependent) BGP and RIP, wired over XRLs through an in-process
-// Hub — the paper's multi-process architecture with each "process" an
-// event loop.
+// Router is a fully assembled XORP router: Finder, FEA, RIB and one
+// process per configured class of the module table, wired over XRLs
+// through an in-process Hub — the paper's multi-process architecture with
+// each "process" an event loop.
 type Router struct {
 	Config *Node
 	Hub    *xipc.Hub
@@ -52,40 +52,25 @@ type Router struct {
 	FIB    *kernel.FIB
 	FEA    *fea.Process
 	RIB    *rib.Process
-	BGP    *bgp.Process
-	RIP    *rip.Process
-	OSPF   *ospf.Process
+	// Typed views of procs for callers outside the package, nil while the
+	// process is dead; assigned in typedViews only.
+	BGP  *bgp.Process
+	RIP  *rip.Process
+	OSPF *ospf.Process
 
-	// Routers (one per process) and their loops.
-	FEARouter  *xipc.Router
-	RIBRouter  *xipc.Router
-	BGPRouter  *xipc.Router
-	RIPRouter  *xipc.Router
-	OSPFRouter *xipc.Router
+	FEARouter *xipc.Router
+	RIBRouter *xipc.Router
 
-	MetricSource *bgp.MetricSource
-	loops        []*eventloop.Loop
-	bgpLoop      *eventloop.Loop
-	ripLoop      *eventloop.Loop
-	ospfLoop     *eventloop.Loop
-	opts         Options
-	running      bool
+	modules []*module // the process classes this router knows, in start order
+	loops   []*eventloop.Loop
+	opts    Options
+	running bool
 
-	// Finder targets for the supervised protocol processes, kept so a
-	// respawn can re-register them.
-	bgpTarget  *xipc.Target
-	ripTarget  *xipc.Target
-	ospfTarget *xipc.Target
-
-	// Names of the RIB redistribution stages each protocol spliced in,
-	// removed on teardown so a respawn re-splices them cleanly.
-	bgpRedists  []string
-	ospfRedists []string
-
-	// procMu guards the swappable process fields (BGP/RIP/OSPF, their
-	// routers, loops, targets, redist names): the supervisor replaces
-	// them on respawn while tests and chaos harnesses read them.
+	// procMu guards procs, every instance's redists, the typed views and
+	// loops: the supervisor replaces an instance on respawn while tests
+	// and chaos harnesses read them.
 	procMu sync.Mutex
+	procs  map[string]*instance // live instances by class
 	// respawning marks that setup code is running on the shared loop
 	// itself (supervisor respawn); syncDo must not dispatch-and-wait.
 	respawning atomic.Bool
@@ -103,8 +88,51 @@ type Router struct {
 	txPoison     string // set when a participant dies mid-transaction
 	txDeadline   time.Duration
 	txHooks      TxHooks
-	configLoop   *eventloop.Loop
 	configRouter *xipc.Router
+}
+
+// module describes one supervised process class. The class name is its
+// Finder class and instance name, the key of its block under `protocols`,
+// and its participant name in a reload transaction. Assembly, Start, Stop,
+// supervision, KillProcess and the reload planner all walk one table of
+// these (modules.go) and know nothing else about a protocol.
+type module struct {
+	class string
+	// setup builds the process from cfg, its block of the configuration,
+	// on the loop, XRL router and Finder target the core made in inst:
+	// config parsing, the constructor, XRL bindings on inst.target, peers,
+	// filters, redistribution (spliceRedists).
+	setup func(r *Router, inst *instance, cfg *Node) (proc, error)
+}
+
+// proc is what the core needs of a running process.
+type proc interface {
+	// begin is the class's slice of Start, run on the process loop: bind,
+	// listen, enable what cfg (the class's running config block) names.
+	begin(cfg *Node) error
+	// close stops the process, on its loop: timers, listeners, sessions.
+	close()
+	// stage validates one change to the class's config block against live
+	// state and returns its apply steps, or a nack reason (txagents.go).
+	stage(a *txAgent, c Change) ([]txStep, string, error)
+}
+
+// instance is one incarnation of a module's process. A respawn makes a
+// new one; nothing of the old survives but its config block.
+type instance struct {
+	class  string
+	loop   *eventloop.Loop
+	router *xipc.Router
+	target *xipc.Target // kept so a respawn can register it
+	proc   proc
+	// redists names the RIB redistribution stages spliced in for this
+	// instance, removed on teardown so a respawn splices afresh (procMu).
+	redists []string
+	// dead is set first thing in teardown. A killed process must not reach
+	// the RIB again — what it taught is what stale retention is keeping —
+	// and its timers may outlive it on a shared loop: a closed xipc.Router
+	// stops the XRL road, this flag the in-process one (ribLoopClient).
+	dead atomic.Bool
 }
 
 // simulated reports whether the assembly runs on a simulated clock.
@@ -129,6 +157,25 @@ func (r *Router) loopFor() *eventloop.Loop {
 	return l
 }
 
+// processRouter returns the XRL router of a new process named
+// <name>_process: on a loop from loopFor, attached to the hub.
+func (r *Router) processRouter(name string) *xipc.Router {
+	xr := xipc.NewRouter(name+"_process", r.loopFor())
+	xr.AttachHub(r.Hub)
+	return xr
+}
+
+// pump drives the simulated loops until *done is set, reporting whether
+// it was (false: the loops drained with the work unfinished).
+func (r *Router) pump(done *bool) bool {
+	for i := 0; !*done && i < 20000; i++ {
+		for _, l := range r.loops {
+			l.RunPending()
+		}
+	}
+	return *done
+}
+
 // syncDo runs fn on loop and waits for completion, driving simulated
 // loops as needed.
 func (r *Router) syncDo(loop *eventloop.Loop, fn func()) {
@@ -148,61 +195,37 @@ func (r *Router) syncDo(loop *eventloop.Loop, fn func()) {
 		fn()
 		done = true
 	})
-	for i := 0; !done && i < 10000; i++ {
-		for _, l := range r.loops {
-			l.RunPending()
-		}
-	}
-	if !done {
+	if !r.pump(&done) {
 		panic("rtrmgr: simulated loops wedged")
 	}
 }
 
-// registerTarget registers t with the Finder, driving simulated loops.
-func (r *Router) registerTarget(xr *xipc.Router, t *xipc.Target) error {
-	if !r.simulated() {
-		return finder.RegisterTargetSync(xr, t, true)
-	}
-	var err error
-	done := false
-	finder.RegisterTarget(xr, t, true, func(e error) {
-		err = e
-		done = true
-	})
-	for i := 0; !done && i < 10000; i++ {
-		for _, l := range r.loops {
-			l.RunPending()
-		}
-	}
-	if !done {
-		return fmt.Errorf("rtrmgr: finder registration wedged")
-	}
-	return err
-}
-
-// watch subscribes watcherTarget (hosted by xr) to Finder lifetime
-// events for class, driving simulated loops as needed.
-func (r *Router) watch(xr *xipc.Router, watcherTarget, class string) error {
+// await runs one asynchronous Finder call to completion from outside the
+// loops, driving simulated ones as needed.
+func (r *Router) await(what string, start func(done func(error))) error {
 	if !r.simulated() {
 		ch := make(chan error, 1)
-		finder.Watch(xr, watcherTarget, class, func(e error) { ch <- e })
+		start(func(e error) { ch <- e })
 		return <-ch
 	}
 	var err error
 	done := false
-	finder.Watch(xr, watcherTarget, class, func(e error) {
-		err = e
-		done = true
-	})
-	for i := 0; !done && i < 10000; i++ {
-		for _, l := range r.loops {
-			l.RunPending()
-		}
-	}
-	if !done {
-		return fmt.Errorf("rtrmgr: finder watch wedged")
+	start(func(e error) { err, done = e, true })
+	if !r.pump(&done) {
+		return fmt.Errorf("rtrmgr: %s wedged", what)
 	}
 	return err
+}
+
+// registerTarget registers t, hosted by xr, with the Finder.
+func (r *Router) registerTarget(xr *xipc.Router, t *xipc.Target) error {
+	return r.await("finder registration", func(done func(error)) { finder.RegisterTarget(xr, t, true, done) })
+}
+
+// watch subscribes watcherTarget (hosted by xr) to Finder lifetime
+// events for class.
+func (r *Router) watch(xr *xipc.Router, watcherTarget, class string) error {
+	return r.await("finder watch", func(done func(error)) { finder.Watch(xr, watcherTarget, class, done) })
 }
 
 // NewRouter assembles a router from configuration text. Supported
@@ -218,20 +241,25 @@ func (r *Router) watch(xr *xipc.Router, watcherTarget, class string) error {
 //	}
 //	policy import-bgp { term a { from ...; then ...; } }
 func NewRouter(cfgText string, opts Options) (*Router, error) {
+	return newRouter(cfgText, opts, modules)
+}
+
+// newRouter is NewRouter over an explicit module table.
+func newRouter(cfgText string, opts Options, table []*module) (*Router, error) {
 	cfg, err := ParseConfig(cfgText)
 	if err != nil {
 		return nil, err
 	}
-	r := &Router{Config: cfg, Hub: xipc.NewHub(), FIB: kernel.NewFIB(), opts: opts, generation: 1}
+	r := &Router{Config: cfg, Hub: xipc.NewHub(), FIB: kernel.NewFIB(), opts: opts, generation: 1,
+		modules: table, procs: make(map[string]*instance)}
 
 	// Finder process.
 	r.Finder = finder.New(r.loopFor())
 	r.Finder.AttachHub(r.Hub)
 
 	// FEA process.
-	feaLoop := r.loopFor()
-	r.FEARouter = xipc.NewRouter("fea_process", feaLoop)
-	r.FEARouter.AttachHub(r.Hub)
+	r.FEARouter = r.processRouter("fea")
+	feaLoop := r.FEARouter.Loop()
 	var host *kernel.Host
 	if opts.Network != nil && opts.LocalAddr.IsValid() {
 		host, err = opts.Network.Attach(opts.LocalAddr)
@@ -242,20 +270,19 @@ func NewRouter(cfgText string, opts Options) (*Router, error) {
 	r.FEA = fea.New(feaLoop, r.FIB, host, r.FEARouter)
 	feaTarget := xif.NewTarget("fea", "fea")
 	r.FEA.RegisterXRLs(feaTarget)
-	xif.BindConfig(feaTarget, &txAgent{r: r, class: "fea", loop: feaLoop})
+	xif.BindConfig(feaTarget, &txAgent{r: r, class: "fea", loop: feaLoop, stage: (*txAgent).stageFEA})
 	r.FEARouter.AddTarget(feaTarget)
 	if err := r.registerTarget(r.FEARouter, feaTarget); err != nil {
 		return nil, fmt.Errorf("rtrmgr: register fea: %w", err)
 	}
 
 	// RIB process, forwarding to the FEA over XRLs.
-	ribLoop := r.loopFor()
-	r.RIBRouter = xipc.NewRouter("rib_process", ribLoop)
-	r.RIBRouter.AttachHub(r.Hub)
+	r.RIBRouter = r.processRouter("rib")
+	ribLoop := r.RIBRouter.Loop()
 	r.RIB = rib.NewProcess(ribLoop, &xrlFIBClient{stub: xif.NewFTIClient(r.RIBRouter, "fea")}, r.RIBRouter)
 	ribTarget := xif.NewTarget("rib", "rib")
 	r.RIB.RegisterXRLs(ribTarget)
-	xif.BindConfig(ribTarget, &txAgent{r: r, class: "rib", loop: ribLoop})
+	xif.BindConfig(ribTarget, &txAgent{r: r, class: "rib", loop: ribLoop, stage: (*txAgent).stageRIB})
 	r.RIBRouter.AddTarget(ribTarget)
 	if err := r.registerTarget(r.RIBRouter, ribTarget); err != nil {
 		return nil, fmt.Errorf("rtrmgr: register rib: %w", err)
@@ -270,23 +297,11 @@ func NewRouter(cfgText string, opts Options) (*Router, error) {
 	// Interfaces and connected routes.
 	if ifs := cfg.Child("interfaces"); ifs != nil {
 		for _, ifn := range ifs.Children {
-			addrStr := ifn.Leaf("address")
-			if addrStr == "" {
-				return nil, fmt.Errorf("rtrmgr: interface %s has no address", ifn.Key)
-			}
-			pfx, err := netip.ParsePrefix(addrStr)
+			pfx, mtu, err := parseInterface(ifn)
 			if err != nil {
-				return nil, fmt.Errorf("rtrmgr: interface %s: %v", ifn.Key, err)
+				return nil, err
 			}
-			mtu := 1500
-			if m := ifn.Leaf("mtu"); m != "" {
-				if mtu, err = strconv.Atoi(m); err != nil {
-					return nil, err
-				}
-			}
-			r.FIB.AddInterface(ifn.Key, pfx, mtu)
-			entry := route.Entry{Net: pfx.Masked(), IfName: ifn.Key}
-			r.syncDo(ribLoop, func() { r.RIB.AddRoute(route.ProtoConnected, entry) })
+			r.syncDo(ribLoop, func() { r.addInterface(ifn.Key, pfx, mtu) })
 		}
 	}
 
@@ -301,196 +316,231 @@ func NewRouter(cfgText string, opts Options) (*Router, error) {
 		}
 	}
 
-	protos := cfg.Child("protocols")
-
-	// Protocol processes. Each setup builds the process and its XRL
-	// router; registration with the Finder happens here so the respawn
-	// path (which must register asynchronously) can reuse the setups.
-	if protos != nil && protos.Child("bgp") != nil {
-		if err := r.setupBGP(protos.Child("bgp")); err != nil {
+	// One process per configured class. Registration with the Finder
+	// happens here, not in setup: the respawn path must register
+	// asynchronously.
+	for _, m := range r.modules {
+		pcfg := r.classConfig(m.class)
+		if pcfg == nil {
+			continue
+		}
+		inst, err := r.setup(m, pcfg)
+		if err != nil {
 			return nil, err
 		}
-		if err := r.registerTarget(r.BGPRouter, r.bgpTarget); err != nil {
-			return nil, fmt.Errorf("rtrmgr: register bgp: %w", err)
+		if err := r.registerTarget(inst.router, inst.target); err != nil {
+			return nil, fmt.Errorf("rtrmgr: register %s: %w", m.class, err)
 		}
 	}
-	if protos != nil && protos.Child("rip") != nil {
-		if err := r.setupRIP(protos.Child("rip")); err != nil {
-			return nil, err
-		}
-		if err := r.registerTarget(r.RIPRouter, r.ripTarget); err != nil {
-			return nil, fmt.Errorf("rtrmgr: register rip: %w", err)
-		}
-	}
-	if protos != nil && protos.Child("ospf") != nil {
-		if err := r.setupOSPF(protos.Child("ospf")); err != nil {
-			return nil, err
-		}
-		if err := r.registerTarget(r.OSPFRouter, r.ospfTarget); err != nil {
-			return nil, fmt.Errorf("rtrmgr: register ospf: %w", err)
-		}
-	}
-
 	return r, nil
 }
 
-func (r *Router) setupBGP(cfg *Node) error {
-	asStr := cfg.Leaf("local-as")
-	if asStr == "" {
-		return fmt.Errorf("rtrmgr: bgp needs local-as")
+// runningConfig returns the running configuration tree. Once the router
+// is live it is read from process loops and the supervisor's while a
+// reload swaps it, hence txMu.
+func (r *Router) runningConfig() *Node {
+	r.txMu.Lock()
+	defer r.txMu.Unlock()
+	return r.Config
+}
+
+// classConfig returns class's block of the running configuration, nil
+// when the class is not configured.
+func (r *Router) classConfig(class string) *Node {
+	if protos := r.runningConfig().Child("protocols"); protos != nil {
+		return protos.Child(class)
 	}
-	as, err := strconv.ParseUint(asStr, 10, 16)
-	if err != nil {
-		return err
-	}
-	id, err := cfg.LeafAddr("id")
-	if err != nil {
-		return err
-	}
+	return nil
+}
 
-	// Build into locals; publish the swappable fields under procMu at
-	// the end so respawn-time readers never see a half-built process.
-	bgpLoop := r.loopFor()
-	xr := xipc.NewRouter("bgp_process", bgpLoop)
-	xr.AttachHub(r.Hub)
-
-	ms := &xrlMetricSource{stub: xif.NewRIBClient(xr, "rib"), loop: bgpLoop, bgpTarget: "bgp"}
-	var metricSrc bgp.MetricSource = ms
-	ribClient := newXRLRIBClient(xif.NewRIBClient(xr, "rib"), bgpLoop)
-	proc := bgp.NewProcess(bgpLoop, bgp.Config{
-		AS:                uint16(as),
-		BGPID:             id,
-		ListenAddr:        r.opts.BGPListen,
-		EnableDamping:     cfg.Child("damping") != nil,
-		ConsistencyChecks: r.opts.ConsistencyChecks,
-	}, ribClient, metricSrc)
-
-	bgpTarget := xif.NewTarget("bgp", "bgp")
-	proc.RegisterXRLs(bgpTarget)
-	xif.BindConfig(bgpTarget, &txAgent{r: r, class: "bgp", loop: bgpLoop, bgp: proc})
-	xr.AddTarget(bgpTarget)
-
-	// Peers (created on the BGP loop; enabled at Start).
-	for _, p := range cfg.ChildrenNamed("peer") {
-		pc, err := parsePeerConfig(p, cfg)
-		if err != nil {
-			return err
-		}
-		var aerr error
-		r.syncDo(bgpLoop, func() { _, aerr = proc.AddPeer(pc) })
-		if aerr != nil {
-			return aerr
+// module returns class's descriptor, nil for an unknown class.
+func (r *Router) module(class string) *module {
+	for _, m := range r.modules {
+		if m.class == class {
+			return m
 		}
 	}
+	return nil
+}
 
-	// Redistribution into BGP, optionally policy-filtered:
-	//   bgp { redistribute static policy-name; }
-	var redists []string
+// current returns class's live instance, nil while it is dead.
+func (r *Router) current(class string) *instance {
+	r.procMu.Lock()
+	defer r.procMu.Unlock()
+	return r.procs[class]
+}
+
+// instances snapshots the live instances in module order.
+func (r *Router) instances() []*instance {
+	r.procMu.Lock()
+	defer r.procMu.Unlock()
+	var out []*instance
+	for _, m := range r.modules {
+		if inst := r.procs[m.class]; inst != nil {
+			out = append(out, inst)
+		}
+	}
+	return out
+}
+
+// setup assembles an instance of m from cfg — its own loop, XRL router
+// and Finder target, the process m.setup builds on them, the process's
+// side of the reload protocol — and publishes it as live.
+func (r *Router) setup(m *module, cfg *Node) (*instance, error) {
+	xr := r.processRouter(m.class)
+	inst := &instance{class: m.class, loop: xr.Loop(), router: xr, target: xif.NewTarget(m.class, m.class)}
+	p, err := m.setup(r, inst, cfg)
+	if err != nil {
+		r.dismantle(inst)
+		return nil, err
+	}
+	inst.proc = p
+	xif.BindConfig(inst.target, &txAgent{r: r, class: m.class, loop: inst.loop, inst: inst, stage: p.stage})
+	inst.router.AddTarget(inst.target)
+	r.procMu.Lock()
+	r.procs[m.class] = inst
+	r.typedViews()
+	r.procMu.Unlock()
+	return inst, nil
+}
+
+// teardown is the destructive half of a crash or respawn. It unpublishes
+// class's instance first, so readers never see a half-dead process, then
+// dismantles it. Idempotent: a second call finds nothing and reports
+// false.
+func (r *Router) teardown(class string) bool {
+	r.procMu.Lock()
+	inst := r.procs[class]
+	delete(r.procs, class)
+	r.typedViews()
+	r.procMu.Unlock()
+	if inst == nil {
+		return false
+	}
+	r.dismantle(inst)
+	return true
+}
+
+// dismantle takes inst out of the router: dead before anything else, then
+// the RIB stops feeding it, the FEA releases its ports for a respawn's
+// re-bind, its XRL router closes — before the process, so the peer-down
+// machinery of a dying process cannot push withdrawals into the RIB —
+// and the process stops on its loop.
+func (r *Router) dismantle(inst *instance) {
+	inst.dead.Store(true)
+	r.procMu.Lock()
+	redists := inst.redists
+	inst.redists = nil
+	r.procMu.Unlock()
+	if len(redists) > 0 {
+		r.syncDo(r.RIB.Loop(), func() {
+			for _, name := range redists {
+				r.RIB.RemoveRedist(name)
+			}
+		})
+	}
+	r.FEA.UDPUnbind(inst.class)
+	inst.router.Close()
+	if inst.proc != nil { // nil when setup failed half way
+		r.syncDo(inst.loop, inst.proc.close)
+	}
+	r.dropLoop(inst.loop)
+}
+
+// dropLoop retires a dead process's dedicated loop. The shared loop
+// hosts every other process and stays.
+func (r *Router) dropLoop(l *eventloop.Loop) {
+	if r.opts.SharedLoop {
+		return
+	}
+	l.Stop()
+	r.procMu.Lock()
+	if i := slices.Index(r.loops, l); i >= 0 {
+		r.loops = slices.Delete(r.loops, i, i+1)
+	}
+	r.procMu.Unlock()
+}
+
+// respawn replaces class m's instance: teardown (idempotent — KillProcess
+// usually already did it), setup from the class's block of the running
+// config, asynchronous registration with the Finder, then begin. The
+// registration callback runs on the new process's loop, so begin executes
+// in-loop. done is called exactly once, possibly from that loop.
+func (r *Router) respawn(m *module, done func(error)) {
+	cfg := r.classConfig(m.class)
+	// Respawn runs on the supervisor's loop, which under SharedLoop is the
+	// loop syncDo would dispatch to: the flag makes it call directly.
+	r.respawning.Store(true)
+	r.teardown(m.class)
+	inst, err := r.setup(m, cfg)
+	r.respawning.Store(false)
+	if err != nil {
+		done(err)
+		return
+	}
+	finder.RegisterTarget(inst.router, inst.target, true, func(err error) {
+		if err == nil {
+			err = inst.proc.begin(cfg)
+		}
+		done(err)
+	})
+}
+
+// spliceRedists gives each `redistribute <proto> [policy]` statement of
+// cfg a RIB redistribution stage feeding out, policy-filtered when the
+// statement names one.
+func (r *Router) spliceRedists(inst *instance, cfg *Node, out rib.Redistributor) error {
 	for _, rd := range cfg.ChildrenNamed("redistribute") {
 		proto, filter, err := r.redistFilter(rd)
 		if err != nil {
 			return err
 		}
-		name := "to-bgp-" + proto
-		var rerr error
-		r.syncDo(r.RIB.Loop(), func() {
-			_, rerr = r.RIB.AddRedist(name, filter, directRedist{bgp: proc})
-		})
-		if rerr != nil {
-			return rerr
+		r.syncDo(r.RIB.Loop(), func() { err = r.addRedist(inst, proto, filter, out) })
+		if err != nil {
+			return err
 		}
-		redists = append(redists, name)
 	}
+	return nil
+}
 
+// redistName names the RIB stage redistributing proto into class.
+func redistName(class, proto string) string { return "to-" + class + "-" + proto }
+
+// addRedist splices one redistribution stage and records it on inst. Runs
+// on the RIB loop.
+func (r *Router) addRedist(inst *instance, proto string, filter rib.RedistFilter, out rib.Redistributor) error {
+	name := redistName(inst.class, proto)
+	if _, err := r.RIB.AddRedist(name, filter, out); err != nil {
+		return err
+	}
 	r.procMu.Lock()
-	r.bgpLoop, r.BGPRouter, r.BGP = bgpLoop, xr, proc
-	r.MetricSource, r.bgpTarget, r.bgpRedists = &metricSrc, bgpTarget, redists
+	inst.redists = append(inst.redists, name)
 	r.procMu.Unlock()
 	return nil
 }
 
-// parsePeerConfig parses one `peer <name> { ... }` block into a BGP peer
-// configuration (shared by assembly and the transactional reload agent).
-//
-// A `group <name>` leaf joins the peer to a named peer group: members
-// share one output branch and a single shared encode per outbound UPDATE.
-// A matching top-level `peer-group <name> { ... }` block may supply
-// defaults (local-addr, as, holdtime, dial, passive) that the peer block
-// inherits where it is silent. bgpCfg is the surrounding bgp block used to
-// resolve the group by name; the reload planner instead embeds the
-// peer-group block into the change node (the change is the only context
-// the agent gets), so bgpCfg may be nil.
-func parsePeerConfig(p, bgpCfg *Node) (bgp.PeerConfig, error) {
-	var pc bgp.PeerConfig
-	group := p.Leaf("group")
-	def := p.Child("peer-group") // embedded by the reload planner
-	if def == nil && group != "" && bgpCfg != nil {
-		def = findPeerGroup(bgpCfg, group)
+// parseInterface parses one `<name> { address <addr>/<len>; [mtu <n>;] }`
+// block (shared by assembly and the reload agent).
+func parseInterface(ifn *Node) (pfx netip.Prefix, mtu int, err error) {
+	addr := ifn.Leaf("address")
+	if addr == "" {
+		return pfx, 0, fmt.Errorf("rtrmgr: interface %s has no address", ifn.Key)
 	}
-	if def != nil && group == "" {
-		group = def.Arg(0)
+	if pfx, err = netip.ParsePrefix(addr); err != nil {
+		return pfx, 0, fmt.Errorf("rtrmgr: interface %s: %v", ifn.Key, err)
 	}
-	leaf := func(key string) string {
-		if v := p.Leaf(key); v != "" {
-			return v
-		}
-		if def != nil {
-			return def.Leaf(key)
-		}
-		return ""
+	mtu = 1500
+	if m := ifn.Leaf("mtu"); m != "" {
+		mtu, err = strconv.Atoi(m)
 	}
-	parseAddr := func(key string) (netip.Addr, error) {
-		s := leaf(key)
-		if s == "" {
-			return netip.Addr{}, fmt.Errorf("rtrmgr: missing %q under %q", key, p.Key)
-		}
-		return netip.ParseAddr(s)
-	}
-	localAddr, err := parseAddr("local-addr")
-	if err != nil {
-		return pc, err
-	}
-	peerAddr, err := p.LeafAddr("peer-addr")
-	if err != nil {
-		return pc, err
-	}
-	peerAS, err := strconv.ParseUint(leaf("as"), 10, 16)
-	if err != nil {
-		return pc, fmt.Errorf("rtrmgr: peer %s: bad as: %v", p.Key, err)
-	}
-	holdTime := 90 * time.Second
-	if ht := leaf("holdtime"); ht != "" {
-		sec, err := strconv.Atoi(ht)
-		if err != nil {
-			return pc, err
-		}
-		holdTime = time.Duration(sec) * time.Second
-	}
-	pc = bgp.PeerConfig{
-		Name:      p.Arg(0),
-		LocalAddr: localAddr,
-		PeerAddr:  peerAddr,
-		PeerAS:    uint16(peerAS),
-		DialAddr:  leaf("dial"),
-		HoldTime:  holdTime,
-		Passive:   p.Child("passive") != nil || (def != nil && def.Child("passive") != nil),
-		Group:     group,
-	}
-	if pc.Name == "" {
-		pc.Name = "peer-" + peerAddr.String()
-	}
-	return pc, nil
+	return pfx, mtu, err
 }
 
-// findPeerGroup returns the `peer-group <name>` block under a bgp config
-// node, or nil.
-func findPeerGroup(bgpCfg *Node, name string) *Node {
-	for _, g := range bgpCfg.ChildrenNamed("peer-group") {
-		if g.Arg(0) == name {
-			return g
-		}
-	}
-	return nil
+// addInterface gives the kernel the interface and the RIB its connected
+// route. Runs on the RIB loop.
+func (r *Router) addInterface(name string, pfx netip.Prefix, mtu int) error {
+	r.FIB.AddInterface(name, pfx, mtu)
+	return r.RIB.AddRoute(route.ProtoConnected, route.Entry{Net: pfx.Masked(), IfName: name})
 }
 
 // parseStaticRoute parses one `route <prefix> [next-hop a] [interface i]
@@ -531,7 +581,7 @@ func parseStaticRoute(rt *Node) (route.Entry, error) {
 func (r *Router) redistFilter(rd *Node) (string, rib.RedistFilter, error) {
 	proto := rd.Arg(0)
 	if polName := rd.Arg(1); polName != "" {
-		pol, err := r.compilePolicy(polName)
+		pol, err := r.compilePolicy(rd, polName)
 		if err != nil {
 			return proto, nil, err
 		}
@@ -549,230 +599,60 @@ func (r *Router) redistFilter(rd *Node) (string, rib.RedistFilter, error) {
 	}, nil
 }
 
-// compilePolicy finds `policy <name> { ... }` in the config and compiles
-// its body.
-func (r *Router) compilePolicy(name string) (*policy.Policy, error) {
-	for _, p := range r.Config.ChildrenNamed("policy") {
-		if p.Arg(0) == name {
-			return policy.Compile(name, Render(p, 0))
-		}
+// compilePolicy compiles `policy <name> { ... }` for the statement st
+// that names it: the body the reload planner embedded in st (the
+// candidate's version) when there is one, the running config's otherwise.
+func (r *Router) compilePolicy(st *Node, name string) (*policy.Policy, error) {
+	p := findBlock(st, "policy", name)
+	if p == nil {
+		p = findBlock(r.runningConfig(), "policy", name)
 	}
-	return nil, fmt.Errorf("rtrmgr: no policy %q", name)
-}
-
-func (r *Router) setupRIP(cfg *Node) error {
-	if r.opts.Network == nil || !r.opts.LocalAddr.IsValid() {
-		return fmt.Errorf("rtrmgr: rip requires Options.Network and LocalAddr")
+	if p == nil {
+		return nil, fmt.Errorf("rtrmgr: no policy %q", name)
 	}
-	ripLoop := r.loopFor()
-	// RIP feeds the RIB through a direct adapter, but it still registers
-	// a Finder target: lifetime events are what drive the RIB's stale-
-	// route retention and the supervisor's respawn on its death.
-	xr := xipc.NewRouter("rip_process", ripLoop)
-	xr.AttachHub(r.Hub)
-	tgt := xif.NewTarget("rip", "rip")
-	xr.AddTarget(tgt)
-	tr := &rip.FEATransport{
-		BindFn: func(port uint16, recv func(src netip.AddrPort, payload []byte)) error {
-			// Receive on the FEA, hop to the RIP loop.
-			return r.FEA.UDPBind(port, "rip", func(src netip.AddrPort, payload []byte) {
-				ripLoop.Dispatch(func() { recv(src, payload) })
-			})
-		},
-		SendFn:      r.FEA.UDPSend,
-		BroadcastFn: r.FEA.UDPBroadcast,
-	}
-	rcfg := rip.Config{LocalAddr: r.opts.LocalAddr, IfName: "eth0"}
-	if v := cfg.Leaf("update-interval"); v != "" {
-		sec, err := strconv.Atoi(v)
-		if err != nil {
-			return err
-		}
-		rcfg.UpdateInterval = time.Duration(sec) * time.Second
-	}
-	proc := rip.NewProcess(ripLoop, rcfg, tr, ribLoopClient{r.RIB, route.ProtoRIP})
-	xif.BindConfig(tgt, &txAgent{r: r, class: "rip", loop: ripLoop, rip: proc})
-	r.procMu.Lock()
-	r.ripLoop, r.RIPRouter, r.RIP, r.ripTarget = ripLoop, xr, proc, tgt
-	r.procMu.Unlock()
-	return nil
-}
-
-// setupOSPF assembles the OSPF process:
-//
-//	protocols {
-//	    ospf { router-id 10.0.0.1; hello-interval 10; dead-interval 40;
-//	           cost 1; export pol-name; redistribute static [pol-name]; }
-//	}
-//
-// Connected interface prefixes are originated as stub networks at
-// Start; `export` applies a policy to SPF routes entering the RIB;
-// `redistribute` splices a RIB redist stage feeding OSPF externals.
-func (r *Router) setupOSPF(cfg *Node) error {
-	if r.opts.Network == nil || !r.opts.LocalAddr.IsValid() {
-		return fmt.Errorf("rtrmgr: ospf requires Options.Network and LocalAddr")
-	}
-	ospfLoop := r.loopFor()
-	// Finder presence for lifetime events, as for RIP above.
-	xr := xipc.NewRouter("ospf_process", ospfLoop)
-	xr.AttachHub(r.Hub)
-	tgt := xif.NewTarget("ospf", "ospf")
-	xr.AddTarget(tgt)
-	tr := &ospf.FEATransport{
-		BindFn: func(group netip.Addr, port uint16, recv func(src netip.AddrPort, payload []byte)) error {
-			if err := r.FEA.UDPJoinGroup(group); err != nil {
-				return err
-			}
-			// Receive on the FEA, hop to the OSPF loop.
-			return r.FEA.UDPBind(port, "ospf", func(src netip.AddrPort, payload []byte) {
-				ospfLoop.Dispatch(func() { recv(src, payload) })
-			})
-		},
-		SendFn: r.FEA.UDPSend,
-	}
-	ocfg := ospf.Config{LocalAddr: r.opts.LocalAddr, IfName: "eth0"}
-	if v := cfg.Leaf("router-id"); v != "" {
-		id, err := netip.ParseAddr(v)
-		if err != nil {
-			return err
-		}
-		ocfg.RouterID = id
-	}
-	for key, dst := range map[string]*time.Duration{
-		"hello-interval": &ocfg.HelloInterval,
-		"dead-interval":  &ocfg.DeadInterval,
-	} {
-		if v := cfg.Leaf(key); v != "" {
-			sec, err := strconv.Atoi(v)
-			if err != nil {
-				return err
-			}
-			*dst = time.Duration(sec) * time.Second
-		}
-	}
-	if v := cfg.Leaf("cost"); v != "" {
-		c, err := strconv.ParseUint(v, 10, 16)
-		if err != nil {
-			return err
-		}
-		ocfg.Cost = uint16(c)
-	}
-	proc := ospf.NewProcess(ospfLoop, ocfg, tr, ribLoopClient{r.RIB, route.ProtoOSPF})
-	xif.BindConfig(tgt, &txAgent{r: r, class: "ospf", loop: ospfLoop, ospf: proc})
-
-	if polName := cfg.Leaf("export"); polName != "" {
-		pol, err := r.compilePolicy(polName)
-		if err != nil {
-			return err
-		}
-		filter := policy.OSPFExportFilter(pol)
-		r.syncDo(ospfLoop, func() { proc.SetExportFilter(filter) })
-	}
-
-	// Redistribution into OSPF, optionally policy-filtered:
-	//   ospf { redistribute static policy-name; }
-	var redists []string
-	for _, rd := range cfg.ChildrenNamed("redistribute") {
-		proto, filter, err := r.redistFilter(rd)
-		if err != nil {
-			return err
-		}
-		out := ospfRedistAdapter{loop: ospfLoop, p: proc}
-		name := "to-ospf-" + proto
-		var rerr error
-		r.syncDo(r.RIB.Loop(), func() {
-			_, rerr = r.RIB.AddRedist(name, filter, out)
-		})
-		if rerr != nil {
-			return rerr
-		}
-		redists = append(redists, name)
-	}
-
-	r.procMu.Lock()
-	r.ospfLoop, r.OSPFRouter, r.OSPF = ospfLoop, xr, proc
-	r.ospfTarget, r.ospfRedists = tgt, redists
-	r.procMu.Unlock()
-	return nil
+	return policy.Compile(name, Render(p, 0))
 }
 
 // ribLoopClient feeds an in-process IGP's runs into the RIB's origin
 // table for proto, hopping onto the RIB loop: rip.RIBClient and
 // ospf.RIBClient for this assembly, where the IGPs and the RIB share
 // fate (the XRL path is NewXRLRouteClient, exercised by cmd/xorp_ospf
-// and cmd/xorp_rip in multi-process deployments).
+// and cmd/xorp_rip in multi-process deployments). A dead instance's runs
+// are dropped, as a closed XRL router would drop them.
 type ribLoopClient struct {
 	rib   *rib.Process
 	proto route.Protocol
+	inst  *instance
 }
 
 func (a ribLoopClient) AddRoutes(es []route.Entry) {
+	if a.inst.dead.Load() {
+		return
+	}
 	es = slices.Clone(es) // crossing loops: the caller's slice is valid for the call only
 	a.rib.Loop().Dispatch(func() { a.rib.AddRoutes(a.proto, es) })
 }
 
 func (a ribLoopClient) DeleteRoutes(nets []netip.Prefix) {
+	if a.inst.dead.Load() {
+		return
+	}
 	nets = slices.Clone(nets)
 	a.rib.Loop().Dispatch(func() { a.rib.DeleteRoutes(a.proto, nets) })
 }
 
-// ospfRedistAdapter hops rib.Redistributor callbacks (which arrive on
-// the RIB loop) onto the OSPF loop.
-type ospfRedistAdapter struct {
-	loop *eventloop.Loop
-	p    *ospf.Process
-}
-
-func (a ospfRedistAdapter) RedistAdd(e route.Entry) {
-	a.loop.Dispatch(func() { a.p.RedistAdd(e) })
-}
-
-func (a ospfRedistAdapter) RedistDelete(e route.Entry) {
-	a.loop.Dispatch(func() { a.p.RedistDelete(e) })
-}
-
-// Start enables protocol sessions (loops already run in real-clock mode;
-// simulated assemblies are driven with SettleAll / the loops directly).
+// Start begins every configured process (loops already run in real-clock
+// mode; simulated assemblies are driven with SettleAll / the loops
+// directly).
 func (r *Router) Start() error {
 	if r.running {
 		return nil
 	}
 	r.running = true
-	// Snapshot the process pointers: the closures below run later on
-	// the protocol loops, possibly after a supervisor teardown nils the
-	// fields.
-	if bgpProc := r.BGP; bgpProc != nil {
-		if err := bgpProc.Listen(); err != nil {
-			return err
-		}
-		protos := r.Config.Child("protocols")
-		for _, p := range protos.Child("bgp").ChildrenNamed("peer") {
-			name := p.Arg(0)
-			if name == "" {
-				name = "peer-" + p.Leaf("peer-addr")
-			}
-			bgpProc.Loop().Dispatch(func() { bgpProc.EnablePeer(name) })
-		}
-	}
-	if ripProc := r.RIP; ripProc != nil {
+	for _, inst := range r.instances() {
+		cfg := r.classConfig(inst.class)
 		var err error
-		r.syncDo(r.ripLoop, func() { err = ripProc.Start() })
-		if err != nil {
-			return err
-		}
-	}
-	if ospfProc := r.OSPF; ospfProc != nil {
-		ifaces := r.FIB.Interfaces()
-		var err error
-		r.syncDo(r.ospfLoop, func() {
-			if err = ospfProc.Start(); err != nil {
-				return
-			}
-			// Connected networks become stub prefixes.
-			for _, ifc := range ifaces {
-				ospfProc.OriginatePrefix(ifc.Addr.Masked(), 1)
-			}
-		})
+		r.syncDo(inst.loop, func() { err = inst.proc.begin(cfg) })
 		if err != nil {
 			return err
 		}
@@ -780,31 +660,20 @@ func (r *Router) Start() error {
 	return nil
 }
 
-// Stop shuts everything down. Snapshot the swappable process fields
-// under procMu: the supervisor may have replaced them since Start.
+// Stop shuts everything down. The instances are snapshotted under procMu:
+// the supervisor may have replaced them since Start.
 func (r *Router) Stop() {
+	insts := r.instances()
 	r.procMu.Lock()
-	bgpProc, ripProc, ospfProc := r.BGP, r.RIP, r.OSPF
-	ripLoop, ospfLoop := r.ripLoop, r.ospfLoop
-	loops := append([]*eventloop.Loop(nil), r.loops...)
+	loops := slices.Clone(r.loops)
 	r.procMu.Unlock()
-	if bgpProc != nil && !r.simulated() {
-		bgpProc.Loop().DispatchAndWait(bgpProc.Close)
-	}
-	// Protocol timers are loop-owned state: cancel them on their own
-	// loops (real-clock loops are still running here).
-	if ripProc != nil {
+	// Timers and sessions are loop-owned state: stop each process on its
+	// own loop (real-clock loops are still running here).
+	for _, inst := range insts {
 		if r.simulated() {
-			ripProc.Stop()
+			inst.proc.close()
 		} else {
-			ripLoop.DispatchAndWait(ripProc.Stop)
-		}
-	}
-	if ospfProc != nil {
-		if r.simulated() {
-			ospfProc.Stop()
-		} else {
-			ospfLoop.DispatchAndWait(ospfProc.Stop)
+			inst.loop.DispatchAndWait(inst.proc.close)
 		}
 	}
 	for _, l := range loops {

@@ -227,7 +227,7 @@ func TestManagementViaXRLs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args, xerr := r.BGPRouter.Call(x)
+	args, xerr := r.current("bgp").router.Call(x)
 	if xerr != nil {
 		t.Fatalf("peer_state: %v", xerr)
 	}
@@ -235,7 +235,7 @@ func TestManagementViaXRLs(t *testing.T) {
 		t.Fatal("empty peer state")
 	}
 	// Cross-process: ask the RIB from the BGP router.
-	args, xerr = r.BGPRouter.Call(xrl.New("rib", "rib", "1.0", "lookup_route_by_dest4",
+	args, xerr = r.current("bgp").router.Call(xrl.New("rib", "rib", "1.0", "lookup_route_by_dest4",
 		xrl.Addr("addr", mustA("10.1.1.1"))))
 	if xerr != nil {
 		t.Fatalf("lookup_route_by_dest4: %v", xerr)
@@ -244,7 +244,7 @@ func TestManagementViaXRLs(t *testing.T) {
 		t.Fatal("static route not found via XRL")
 	}
 	// Profiling control via XRLs.
-	if _, xerr = r.BGPRouter.Call(xrl.New("rib", "profile", "0.1", "enable",
+	if _, xerr = r.current("bgp").router.Call(xrl.New("rib", "profile", "0.1", "enable",
 		xrl.Text("pname", "route_arrive_rib"))); xerr != nil {
 		t.Fatalf("profile enable: %v", xerr)
 	}
@@ -490,7 +490,7 @@ protocols {
 
 	// The reload planner embeds the peer-group block into peer changes so
 	// the agent can resolve defaults with no other context.
-	embedded := withEmbeddedPeerGroup(peers[0], cfg)
+	embedded := withEmbeddedGroup(peers[0], bgpNode)
 	if embedded.Child("peer-group") == nil {
 		t.Fatal("peer-group block not embedded")
 	}
@@ -502,7 +502,7 @@ protocols {
 		t.Fatalf("embedded parse lost defaults: %+v", pe)
 	}
 	// A peer that is not in a group passes through unembedded.
-	if withEmbeddedPeerGroup(peers[2], cfg) != peers[2] {
+	if withEmbeddedGroup(peers[2], bgpNode) != peers[2] {
 		t.Fatal("ungrouped peer was copied")
 	}
 }

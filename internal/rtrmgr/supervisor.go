@@ -5,21 +5,20 @@ import (
 	"sync"
 	"time"
 
-	"xorp/internal/bgp"
 	"xorp/internal/eventloop"
 	"xorp/internal/finder"
-	"xorp/internal/ospf"
-	"xorp/internal/rip"
 	"xorp/internal/xif"
-	"xorp/internal/xipc"
 )
 
 // Process supervision: the rtrmgr watches Finder lifetime events for
-// the protocol processes it assembled and respawns any that die. XORP's
-// rtrmgr restarts crashed processes and re-applies their slice of the
-// configuration; combined with the RIB's stale-route retention
-// (rib/graceful.go) a protocol crash keeps forwarding intact while the
-// replacement process re-learns its routes.
+// every class of the module table it assembled an instance of and
+// respawns any that die, through the same setup and begin that NewRouter
+// and Start use (router.go). XORP's rtrmgr restarts crashed processes and
+// re-applies their slice of the configuration; combined with the RIB's
+// stale-route retention (rib/graceful.go) a protocol crash keeps
+// forwarding intact while the replacement process re-learns its routes —
+// provided the dead one is dead: teardown cuts both of its roads into the
+// RIB before anything else (instance.dead, xipc.Router.Close).
 //
 // Respawns back off exponentially, and a process that keeps dying in
 // quick succession is eventually abandoned with an alarm rather than
@@ -68,7 +67,7 @@ func (c *SupervisorConfig) applyDefaults() {
 // scheduling fields (lastDeath, backoff) are only touched on the
 // supervisor loop.
 type supervised struct {
-	respawn func(done func(error))
+	mod *module
 
 	lastDeath time.Time
 	backoff   time.Duration
@@ -81,41 +80,33 @@ type supervised struct {
 
 // Supervisor watches protocol process lifetimes and respawns the dead.
 type Supervisor struct {
-	r      *Router
-	loop   *eventloop.Loop
-	router *xipc.Router
-	cfg    SupervisorConfig
+	r    *Router
+	loop *eventloop.Loop
+	cfg  SupervisorConfig
 
 	mu    sync.Mutex
 	procs map[string]*supervised
 }
 
-// EnableSupervision starts supervising the assembled protocol processes
-// (those present in the configuration). The supervisor registers its
-// own "rtrmgr" Finder target and watches all lifetime events; protocol
-// deaths — real crashes surfaced by liveness probing, or KillProcess in
-// chaos tests — trigger a respawn of that process from its config slice.
+// EnableSupervision starts supervising the assembled processes (the
+// module table's classes present in the configuration). The supervisor
+// registers its own "rtrmgr" Finder target and watches all lifetime
+// events; deaths — real crashes surfaced by liveness probing, or
+// KillProcess in chaos tests — trigger a respawn of that process from its
+// config block.
 func (r *Router) EnableSupervision(cfg SupervisorConfig) (*Supervisor, error) {
 	cfg.applyDefaults()
-	loop := r.loopFor()
-	xr := xipc.NewRouter("rtrmgr_process", loop)
-	xr.AttachHub(r.Hub)
+	xr := r.processRouter("rtrmgr")
 	tgt := xif.NewTarget("rtrmgr", "rtrmgr")
 	xr.AddTarget(tgt)
 	if err := r.registerTarget(xr, tgt); err != nil {
 		return nil, fmt.Errorf("rtrmgr: register supervisor: %w", err)
 	}
 
-	s := &Supervisor{r: r, loop: loop, router: xr, cfg: cfg, procs: make(map[string]*supervised)}
-	if protos := r.Config.Child("protocols"); protos != nil {
-		if protos.Child("bgp") != nil {
-			s.procs["bgp"] = &supervised{respawn: r.respawnBGP}
-		}
-		if protos.Child("rip") != nil {
-			s.procs["rip"] = &supervised{respawn: r.respawnRIP}
-		}
-		if protos.Child("ospf") != nil {
-			s.procs["ospf"] = &supervised{respawn: r.respawnOSPF}
+	s := &Supervisor{r: r, loop: xr.Loop(), cfg: cfg, procs: make(map[string]*supervised)}
+	for _, m := range r.modules {
+		if r.classConfig(m.class) != nil {
+			s.procs[m.class] = &supervised{mod: m}
 		}
 	}
 	xr.SetFinderEvent(s.handleEvent)
@@ -202,7 +193,7 @@ func (s *Supervisor) respawnNow(class string, st *supervised) {
 	}
 	st.respawns++
 	s.mu.Unlock()
-	st.respawn(func(err error) {
+	s.r.respawn(st.mod, func(err error) {
 		if err == nil {
 			return
 		}
@@ -216,18 +207,10 @@ func (s *Supervisor) respawnNow(class string, st *supervised) {
 // so every watcher sees the same death event a real crash would produce
 // once liveness probing noticed the silence.
 func (r *Router) KillProcess(class string) error {
-	var ok bool
-	switch class {
-	case "bgp":
-		ok = r.teardownBGP()
-	case "rip":
-		ok = r.teardownRIP()
-	case "ospf":
-		ok = r.teardownOSPF()
-	default:
+	if r.module(class) == nil {
 		return fmt.Errorf("rtrmgr: unknown process class %q", class)
 	}
-	if !ok {
+	if !r.teardown(class) {
 		return fmt.Errorf("rtrmgr: no running %s process", class)
 	}
 	// Poison any open reload transaction synchronously: the Finder's
@@ -246,240 +229,6 @@ func (r *Router) unregisterInstance(instance string) {
 		finder.UnregisterTarget(r.FEARouter, instance, nil)
 		return
 	}
-	ch := make(chan error, 1)
-	finder.UnregisterTarget(r.FEARouter, instance, func(e error) { ch <- e })
-	<-ch
-}
-
-// --- Teardown: the destructive half of a crash or respawn. Each
-// teardown publishes nil fields under procMu first (so readers never
-// see a half-dead process), then dismantles with locals. Idempotent:
-// a second call finds nil fields and reports false.
-
-func (r *Router) teardownBGP() bool {
-	r.procMu.Lock()
-	p, xr, loop := r.BGP, r.BGPRouter, r.bgpLoop
-	redists := r.bgpRedists
-	r.BGP, r.BGPRouter, r.bgpLoop, r.bgpTarget, r.bgpRedists = nil, nil, nil, nil, nil
-	r.MetricSource = nil
-	r.procMu.Unlock()
-	if p == nil {
-		return false
-	}
-	// Unsplice redistribution first so the RIB stops feeding the dying
-	// process. Then close the XRL router BEFORE the process: a crash
-	// must not let the dying BGP's peer-down machinery push withdrawals
-	// into the RIB — those routes are exactly what stale retention keeps.
-	if len(redists) > 0 {
-		r.syncDo(r.RIB.Loop(), func() {
-			for _, name := range redists {
-				r.RIB.RemoveRedist(name)
-			}
-		})
-	}
-	xr.Close()
-	r.syncDo(loop, p.Close)
-	r.dropLoop(loop)
-	return true
-}
-
-func (r *Router) teardownRIP() bool {
-	r.procMu.Lock()
-	p, xr, loop := r.RIP, r.RIPRouter, r.ripLoop
-	r.RIP, r.RIPRouter, r.ripLoop, r.ripTarget = nil, nil, nil, nil
-	r.procMu.Unlock()
-	if p == nil {
-		return false
-	}
-	r.FEA.UDPUnbind("rip") // release the RIP port for the respawn's re-bind
-	xr.Close()
-	r.syncDo(loop, p.Stop)
-	r.dropLoop(loop)
-	return true
-}
-
-func (r *Router) teardownOSPF() bool {
-	r.procMu.Lock()
-	p, xr, loop := r.OSPF, r.OSPFRouter, r.ospfLoop
-	redists := r.ospfRedists
-	r.OSPF, r.OSPFRouter, r.ospfLoop, r.ospfTarget, r.ospfRedists = nil, nil, nil, nil, nil
-	r.procMu.Unlock()
-	if p == nil {
-		return false
-	}
-	if len(redists) > 0 {
-		r.syncDo(r.RIB.Loop(), func() {
-			for _, name := range redists {
-				r.RIB.RemoveRedist(name)
-			}
-		})
-	}
-	r.FEA.UDPUnbind("ospf")
-	xr.Close()
-	r.syncDo(loop, p.Stop)
-	r.dropLoop(loop)
-	return true
-}
-
-// dropLoop retires a dead process's dedicated loop. The shared loop
-// hosts every other process and stays.
-func (r *Router) dropLoop(l *eventloop.Loop) {
-	if r.opts.SharedLoop || l == nil {
-		return
-	}
-	l.Stop()
-	r.procMu.Lock()
-	for i, x := range r.loops {
-		if x == l {
-			r.loops = append(r.loops[:i], r.loops[i+1:]...)
-			break
-		}
-	}
-	r.procMu.Unlock()
-}
-
-// --- Respawn: teardown (idempotent — KillProcess usually already did
-// it), re-run the config slice's setup, re-register with the Finder
-// asynchronously, then restart the protocol. The registration callback
-// runs on the new process's loop, so the start slice executes in-loop.
-// done is called exactly once, possibly from that loop.
-
-func (r *Router) respawnBGP(done func(error)) {
-	r.teardownBGP()
-	cfg := r.Config.Child("protocols").Child("bgp")
-	if err := r.runSetup(func() error { return r.setupBGP(cfg) }); err != nil {
-		done(err)
-		return
-	}
-	r.procMu.Lock()
-	xr, tgt := r.BGPRouter, r.bgpTarget
-	r.procMu.Unlock()
-	finder.RegisterTarget(xr, tgt, true, func(err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		done(r.startBGPInLoop())
-	})
-}
-
-func (r *Router) respawnRIP(done func(error)) {
-	r.teardownRIP()
-	cfg := r.Config.Child("protocols").Child("rip")
-	if err := r.runSetup(func() error { return r.setupRIP(cfg) }); err != nil {
-		done(err)
-		return
-	}
-	r.procMu.Lock()
-	xr, tgt := r.RIPRouter, r.ripTarget
-	r.procMu.Unlock()
-	finder.RegisterTarget(xr, tgt, true, func(err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		done(r.startRIPInLoop())
-	})
-}
-
-func (r *Router) respawnOSPF(done func(error)) {
-	r.teardownOSPF()
-	cfg := r.Config.Child("protocols").Child("ospf")
-	if err := r.runSetup(func() error { return r.setupOSPF(cfg) }); err != nil {
-		done(err)
-		return
-	}
-	r.procMu.Lock()
-	xr, tgt := r.OSPFRouter, r.ospfTarget
-	r.procMu.Unlock()
-	finder.RegisterTarget(xr, tgt, true, func(err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		done(r.startOSPFInLoop())
-	})
-}
-
-// runSetup executes a setup slice from the supervisor loop. The
-// respawning flag makes syncDo direct-call when setup already runs on
-// the (shared) loop it would otherwise dispatch to.
-func (r *Router) runSetup(fn func() error) error {
-	r.respawning.Store(true)
-	defer r.respawning.Store(false)
-	return fn()
-}
-
-// startBGPInLoop is Start's BGP slice, run on the BGP loop itself.
-func (r *Router) startBGPInLoop() error {
-	r.procMu.Lock()
-	p := r.BGP
-	r.procMu.Unlock()
-	if p == nil {
-		return nil
-	}
-	if err := p.Listen(); err != nil {
-		return err
-	}
-	for _, pn := range r.Config.Child("protocols").Child("bgp").ChildrenNamed("peer") {
-		name := pn.Arg(0)
-		if name == "" {
-			name = "peer-" + pn.Leaf("peer-addr")
-		}
-		p.EnablePeer(name)
-	}
-	return nil
-}
-
-// startRIPInLoop is Start's RIP slice, run on the RIP loop itself.
-func (r *Router) startRIPInLoop() error {
-	r.procMu.Lock()
-	p := r.RIP
-	r.procMu.Unlock()
-	if p == nil {
-		return nil
-	}
-	return p.Start()
-}
-
-// startOSPFInLoop is Start's OSPF slice, run on the OSPF loop itself.
-func (r *Router) startOSPFInLoop() error {
-	r.procMu.Lock()
-	p := r.OSPF
-	r.procMu.Unlock()
-	if p == nil {
-		return nil
-	}
-	if err := p.Start(); err != nil {
-		return err
-	}
-	for _, ifc := range r.FIB.Interfaces() {
-		p.OriginatePrefix(ifc.Addr.Masked(), 1)
-	}
-	return nil
-}
-
-// --- Swappable-field accessors: the supervisor replaces the process
-// fields on respawn, so concurrent readers (tests, chaos harnesses)
-// must go through procMu.
-
-// CurrentBGP returns the live BGP process, nil while dead.
-func (r *Router) CurrentBGP() *bgp.Process {
-	r.procMu.Lock()
-	defer r.procMu.Unlock()
-	return r.BGP
-}
-
-// CurrentRIP returns the live RIP process, nil while dead.
-func (r *Router) CurrentRIP() *rip.Process {
-	r.procMu.Lock()
-	defer r.procMu.Unlock()
-	return r.RIP
-}
-
-// CurrentOSPF returns the live OSPF process, nil while dead.
-func (r *Router) CurrentOSPF() *ospf.Process {
-	r.procMu.Lock()
-	defer r.procMu.Unlock()
-	return r.OSPF
+	// The error is dropped: the process is gone whatever the Finder says.
+	_ = r.await("finder unregistration", func(done func(error)) { finder.UnregisterTarget(r.FEARouter, instance, done) })
 }

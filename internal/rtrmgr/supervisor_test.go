@@ -9,6 +9,7 @@ import (
 	"xorp/internal/bgp"
 	"xorp/internal/eventloop"
 	"xorp/internal/kernel"
+	"xorp/internal/rip"
 	"xorp/internal/route"
 	"xorp/internal/workload"
 )
@@ -460,5 +461,167 @@ func TestSupervisorRespawnDuringTransactionAborts(t *testing.T) {
 	r.SettleAll()
 	if !havePeer {
 		t.Fatal("retried reload did not add peer p3")
+	}
+}
+
+// A killed process stays dead, the in-process road. RIP feeds the RIB
+// through ribLoopClient, not XRLs, and on a shared loop the killed
+// incarnation's timers outlive it. Handed a withdrawal, it must not reach
+// the RIB — the route is what stale retention is keeping. And the expiry
+// timer of a route it had learned must not fire 180 s after its last
+// refresh: the respawned RIP holds the same route at the same metric and
+// would never re-add it, a black hole until the neighbour's metric
+// changed. The neighbour is a raw host on the fabric, so nothing but its
+// refreshes keeps the route.
+func TestSupervisorKilledRIPCannotWithdraw(t *testing.T) {
+	clock := eventloop.NewSimClock(time.Unix(1000, 0))
+	netw := kernel.NewNetwork()
+	r, err := NewRouter(`
+interfaces { eth0 { address 192.168.1.1/24; } }
+protocols { rip { } }
+`, Options{Clock: clock, SharedLoop: true, Network: netw, LocalAddr: mustA("192.168.1.1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	if _, err := r.EnableSupervision(fastSup()); err != nil {
+		t.Fatal(err)
+	}
+	loop := r.Loops()[0]
+
+	nbr, err := netw.Attach(mustA("192.168.1.2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	learned, local := mustP("172.30.0.0/16"), mustP("172.29.0.0/16")
+	pkt, err := (&rip.Packet{Command: rip.CmdResponse, RTEs: []rip.RTE{{Net: learned, Metric: 1}}}).Append(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	teach := func() {
+		nbr.SendTo(rip.Port, netip.AddrPortFrom(mustA("192.168.1.1"), rip.Port), pkt)
+		r.SettleAll()
+	}
+	inFIB := func(net netip.Prefix) bool {
+		e, ok := r.FIB.Lookup(net.Addr().Next())
+		return ok && e.Net == net
+	}
+
+	old := r.CurrentRIP()
+	old.RedistAdd(route.Entry{Net: local})
+	teach()
+	if !inFIB(learned) || !inFIB(local) {
+		t.Fatalf("before the kill: learned in FIB %v, local in FIB %v", inFIB(learned), inFIB(local))
+	}
+
+	if err := r.KillProcess("rip"); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	old.WithdrawLocal(local)
+	r.SettleAll()
+	if !inFIB(local) {
+		t.Fatal("a killed RIP process withdrew a route from the RIB")
+	}
+
+	loop.RunFor(time.Second) // the respawn backoff
+	r.SettleAll()
+	nu := r.CurrentRIP()
+	if nu == nil || nu == old {
+		t.Fatal("RIP not respawned")
+	}
+	nu.RedistAdd(route.Entry{Net: local}) // what the redistribution it serves would re-teach
+	for at := 0; at <= 240; at += 30 {
+		teach()
+		if !inFIB(learned) {
+			t.Fatalf("route lost at +%ds although the live RIP holds it (count %d)", at, nu.RouteCount())
+		}
+		if n := r.RIB.StaleCount(route.ProtoRIP); n != 0 {
+			t.Fatalf("%d RIP routes stale at +%ds", n, at)
+		}
+		loop.RunFor(30 * time.Second)
+		r.SettleAll()
+	}
+}
+
+// A killed process stays dead, the XRL road: teardown closes the dead
+// BGP's XRL router so that nothing it still does reaches the RIB, and a
+// closed router must mean that — not merely that bgp.Process.Close
+// happens not to emit. Hand the killed process a withdrawal of the route
+// stale retention is keeping.
+func TestSupervisorKilledBGPCannotReachRIB(t *testing.T) {
+	clock := eventloop.NewSimClock(time.Unix(1000, 0))
+	r, err := NewRouter(baseConfig, Options{Clock: clock, SharedLoop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+
+	net1 := mustP("20.1.0.0/16")
+	old := r.CurrentBGP()
+	old.InjectUpdate("p1", &bgp.UpdateMsg{
+		Attrs: workload.TestAttrs(mustA("10.0.0.1"), 65002),
+		NLRI:  []netip.Prefix{net1},
+	})
+	r.SettleAll()
+	if e, ok := r.FIB.Lookup(mustA("20.1.2.3")); !ok || e.Net != net1 {
+		t.Fatalf("route not installed: %+v %v", e, ok)
+	}
+	if err := r.KillProcess("bgp"); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	old.InjectUpdate("p1", &bgp.UpdateMsg{Withdrawn: []netip.Prefix{net1}})
+	r.SettleAll()
+	if e, ok := r.FIB.Lookup(mustA("20.1.2.3")); !ok || e.Net != net1 {
+		t.Fatal("a killed BGP process withdrew a route from the RIB")
+	}
+	if n := r.RIB.StaleCount(route.ProtoEBGP); n != 1 {
+		t.Fatalf("stale count = %d, want the killed process's route retained", n)
+	}
+}
+
+// The running config belongs to txMu once the router is live: a respawn
+// reads its class's block on the supervisor's loop while a reload on
+// another goroutine commits and swaps the tree. Static-only reloads, back
+// to back across the respawn of a killed BGP; the race detector is the
+// assertion.
+func TestSupervisorRespawnReadsConfigUnderTxMu(t *testing.T) {
+	r, err := NewRouter(baseConfig, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.EnableSupervision(fastSup()); err != nil {
+		t.Fatal(err)
+	}
+	more := strings.Replace(baseConfig, "route 10.99.0.0/16 next-hop 192.168.1.253;",
+		"route 10.99.0.0/16 next-hop 192.168.1.253;\n    route 10.77.0.0/16 next-hop 192.168.1.253;", 1)
+	for kill := 0; kill < 3; kill++ {
+		old := r.CurrentBGP()
+		if err := r.KillProcess("bgp"); err != nil {
+			t.Fatal(err)
+		}
+		// The respawn fires 10 ms after the death; reload through it.
+		for until := time.Now().Add(50 * time.Millisecond); time.Now().Before(until); {
+			for _, cand := range []string{more, baseConfig} {
+				if err := r.Reload(cand); err != nil {
+					t.Fatalf("static-only reload: %v", err)
+				}
+			}
+		}
+		waitCond(t, "BGP respawned", func() bool {
+			p := r.CurrentBGP()
+			return p != nil && p != old
+		})
 	}
 }

@@ -2,10 +2,10 @@ package rtrmgr
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
-	"xorp/internal/eventloop"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
 	"xorp/internal/xrl"
@@ -25,9 +25,15 @@ import (
 // churn causes zero FIB operations for unaffected prefixes.
 
 // txOrder is the deterministic participant order: infrastructure
-// processes validate and commit before protocols so a protocol's
-// changes land on an already-updated RIB/FEA.
-var txOrder = [...]string{"fea", "rib", "bgp", "rip", "ospf"}
+// processes validate and commit before the module table's classes, so a
+// protocol's changes land on an already-updated RIB/FEA.
+func (r *Router) txOrder() []string {
+	order := []string{"fea", "rib"}
+	for _, m := range r.modules {
+		order = append(order, m.class)
+	}
+	return order
+}
 
 // TxHooks are fault-injection points for the transaction coordinator
 // (tests and chaos runs): AfterValidate runs between the phases,
@@ -112,8 +118,7 @@ func (r *Router) configPlane() *xipc.Router {
 	r.txMu.Lock()
 	defer r.txMu.Unlock()
 	if r.configRouter == nil {
-		r.configLoop = r.loopFor()
-		r.configRouter = xipc.NewRouter("rtrmgr_config", r.configLoop)
+		r.configRouter = xipc.NewRouter("rtrmgr_config", r.loopFor())
 		r.configRouter.AttachHub(r.Hub)
 	}
 	return r.configRouter
@@ -132,7 +137,7 @@ func (r *Router) Reload(candidateText string) error {
 
 // ReloadTree is Reload for an already-parsed candidate tree.
 func (r *Router) ReloadTree(candidate *Node) error {
-	running := r.Config
+	running := r.runningConfig()
 	changes := DiffConfig(running, candidate)
 	if len(changes) == 0 {
 		return nil
@@ -142,7 +147,7 @@ func (r *Router) ReloadTree(candidate *Node) error {
 		return err
 	}
 	var parts []string
-	for _, class := range txOrder {
+	for _, class := range r.txOrder() {
 		if len(plan[class]) > 0 {
 			parts = append(parts, class)
 		}
@@ -261,58 +266,49 @@ func (r *Router) rollback(plan map[string][]Change, committed []string) []string
 // abortAll sends abort_tx to the given participants (idempotent; errors
 // ignored — an unreachable participant has no staged state to clear).
 func (r *Router) abortAll(txID uint32, classes []string) {
-	xr := r.configPlane()
 	for _, class := range classes {
-		cl := xif.NewConfigClient(xr, class)
-		_ = r.txCall(func(finish func()) {
-			cl.AbortTx(txID, func(error) { finish() })
+		_ = r.configCall(class, func(cl *xif.ConfigClient, finish func(*xrl.Error)) {
+			cl.AbortTx(txID, func(error) { finish(nil) })
 		})
 	}
 }
 
-func (r *Router) sendValidate(class string, txID, gen uint32, cs []Change) (bool, string, error) {
-	cl := xif.NewConfigClient(r.configPlane(), class)
-	var (
-		ok     bool
-		reason string
-		callE  error
-	)
-	err := r.txCall(func(finish func()) {
+func (r *Router) sendValidate(class string, txID, gen uint32, cs []Change) (ok bool, reason string, err error) {
+	err = r.configCall(class, func(cl *xif.ConfigClient, finish func(*xrl.Error)) {
 		cl.ValidateTx(txID, gen, EncodeChanges(cs), func(o bool, rsn string, e *xrl.Error) {
-			if e != nil {
-				callE = e
-			} else {
-				ok, reason = o, rsn
-			}
-			finish()
+			ok, reason = o, rsn
+			finish(e)
 		})
 	})
-	if err != nil {
-		return false, "", err
-	}
-	return ok, reason, callE
+	return ok, reason, err
 }
 
-func (r *Router) sendCommit(class string, txID uint32) (uint32, error) {
-	cl := xif.NewConfigClient(r.configPlane(), class)
-	var (
-		applied uint32
-		callE   error
-	)
-	err := r.txCall(func(finish func()) {
+func (r *Router) sendCommit(class string, txID uint32) (applied uint32, err error) {
+	err = r.configCall(class, func(cl *xif.ConfigClient, finish func(*xrl.Error)) {
 		cl.CommitTx(txID, func(n uint32, e *xrl.Error) {
+			applied = n
+			finish(e)
+		})
+	})
+	return applied, err
+}
+
+// configCall runs one config/0.1 call to class to completion: send gets
+// the stub and what its reply callback must end with.
+func (r *Router) configCall(class string, send func(cl *xif.ConfigClient, finish func(*xrl.Error))) error {
+	var callE error
+	err := r.txCall(func(finish func()) {
+		send(xif.NewConfigClient(r.configPlane(), class), func(e *xrl.Error) {
 			if e != nil {
 				callE = e
-			} else {
-				applied = n
 			}
 			finish()
 		})
 	})
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return applied, callE
+	return callE
 }
 
 // txCall runs one async config XRL to completion: in simulated mode it
@@ -323,15 +319,7 @@ func (r *Router) txCall(send func(finish func())) error {
 	if r.simulated() {
 		done := false
 		send(func() { done = true })
-		r.procMu.Lock()
-		loops := append([]*eventloop.Loop(nil), r.loops...)
-		r.procMu.Unlock()
-		for i := 0; !done && i < 20000; i++ {
-			for _, l := range loops {
-				l.RunPending()
-			}
-		}
-		if !done {
+		if !r.pump(&done) {
 			return fmt.Errorf("config call wedged (simulated loops drained)")
 		}
 		return nil
@@ -393,9 +381,7 @@ func (r *Router) compilePlan(changes []Change, running, candidate *Node) (map[st
 				return nil, fmt.Errorf("rtrmgr: cannot reload the whole protocols block (restart required)")
 			}
 			class := c.Path[1]
-			switch class {
-			case "bgp", "rip", "ospf":
-			default:
+			if r.module(class) == nil {
 				return nil, fmt.Errorf("rtrmgr: unsupported protocol %q in change %s", class, c.PathString())
 			}
 			if len(c.Path) == 2 {
@@ -404,10 +390,10 @@ func (r *Router) compilePlan(changes []Change, running, candidate *Node) (map[st
 			if len(c.Path) > 3 {
 				c = liftChange(c, c.Path[:3], running, candidate)
 			}
-			add(class, embedPolicy(embedPeerGroup(c, running, candidate), running, candidate))
+			add(class, embedPolicy(embedGroup(c, running, candidate), running, candidate))
 		case head == "policy" || strings.HasPrefix(head, "policy "):
 			name := strings.TrimPrefix(head, "policy ")
-			for _, cc := range policyRefChanges(name, running, candidate) {
+			for _, cc := range r.policyRefChanges(name, running, candidate) {
 				add(cc.class, cc.change)
 			}
 		default:
@@ -472,77 +458,61 @@ func embedPolicy(c Change, running, candidate *Node) Change {
 	return c
 }
 
-// embedPeerGroup copies a referenced `peer-group` block into peer
-// changes, like embedPolicy does for policies: the agent resolves group
-// defaults against the candidate config (and the inverse against the
-// running one), and the wire change is the only context it gets.
-func embedPeerGroup(c Change, running, candidate *Node) Change {
-	c.Old = withEmbeddedPeerGroup(c.Old, running)
-	c.New = withEmbeddedPeerGroup(c.New, candidate)
+// embedGroup copies a referenced group block into the change, like
+// embedPolicy does for policies: a unit with a `group <name>` leaf (a BGP
+// peer) inherits defaults from the `<unit>-group <name>` block of its
+// class, which the agent must resolve against the candidate config (and
+// the inverse against the running one).
+func embedGroup(c Change, running, candidate *Node) Change {
+	c.Old = withEmbeddedGroup(c.Old, nodeAtPath(running, c.Path[:2]))
+	c.New = withEmbeddedGroup(c.New, nodeAtPath(candidate, c.Path[:2]))
 	return c
 }
 
-func withEmbeddedPeerGroup(n, cfg *Node) *Node {
-	if n == nil || cfg == nil || n.Key != "peer" {
+func withEmbeddedGroup(n, classCfg *Node) *Node {
+	if n == nil || classCfg == nil {
 		return n
 	}
-	group := n.Leaf("group")
-	if group == "" {
-		return n
-	}
-	protos := cfg.Child("protocols")
-	if protos == nil {
-		return n
-	}
-	bgpCfg := protos.Child("bgp")
-	if bgpCfg == nil {
-		return n
-	}
-	grp := findPeerGroup(bgpCfg, group)
-	if grp == nil {
-		return n
-	}
-	return &Node{
-		Key:      n.Key,
-		Args:     append([]string{}, n.Args...),
-		Children: append(append([]*Node{}, n.Children...), grp),
-	}
+	return withChild(n, findBlock(classCfg, n.Key+"-group", n.Leaf("group")))
 }
 
 func withEmbeddedPolicy(n, cfg *Node) *Node {
 	if n == nil || cfg == nil {
 		return n
 	}
-	var polName string
-	switch n.Key {
-	case "redistribute":
-		polName = n.Arg(1)
-	case "export":
-		polName = n.Arg(0)
-	default:
-		return n
-	}
-	if polName == "" {
-		return n
-	}
-	pol := findPolicy(cfg, polName)
-	if pol == nil {
-		return n
-	}
-	return &Node{
-		Key:      n.Key,
-		Args:     append([]string{}, n.Args...),
-		Children: append(append([]*Node{}, n.Children...), pol),
-	}
+	return withChild(n, findBlock(cfg, "policy", policyArg(n)))
 }
 
-func findPolicy(cfg *Node, name string) *Node {
-	for _, p := range cfg.ChildrenNamed("policy") {
-		if p.Arg(0) == name {
-			return p
+// withChild returns a copy of n with extra as one more child, n itself
+// when there is nothing to add.
+func withChild(n, extra *Node) *Node {
+	if extra == nil {
+		return n
+	}
+	return &Node{Key: n.Key, Args: slices.Clone(n.Args), Children: append(slices.Clone(n.Children), extra)}
+}
+
+// findBlock returns the `<key> <name>` block among n's children, nil when
+// there is none (or name is empty).
+func findBlock(n *Node, key, name string) *Node {
+	for _, c := range n.ChildrenNamed(key) {
+		if name != "" && c.Arg(0) == name {
+			return c
 		}
 	}
 	return nil
+}
+
+// policyArg returns the policy a statement names ("" for none):
+// `redistribute <proto> [policy]` and `export <policy>`.
+func policyArg(n *Node) string {
+	switch n.Key {
+	case "redistribute":
+		return n.Arg(1)
+	case "export":
+		return n.Arg(0)
+	}
+	return ""
 }
 
 type classChange struct {
@@ -554,39 +524,24 @@ type classChange struct {
 // references the policy: each referencing redistribute/export becomes a
 // synthetic modify carrying the old and new policy bodies, so the
 // owning process recompiles and swaps its filter in place.
-func policyRefChanges(name string, running, candidate *Node) []classChange {
+func (r *Router) policyRefChanges(name string, running, candidate *Node) []classChange {
 	var out []classChange
-	cp := candidate.Child("protocols")
-	if cp == nil {
-		return nil
-	}
-	for _, class := range []string{"bgp", "ospf"} {
-		cn := cp.Child(class)
+	for _, m := range r.modules {
+		cn := nodeAtPath(candidate, []string{"protocols", m.class})
 		if cn == nil {
 			continue
 		}
-		for _, rd := range cn.ChildrenNamed("redistribute") {
-			if rd.Arg(1) != name {
+		for _, st := range cn.Children {
+			if policyArg(st) != name {
 				continue
 			}
-			id := strings.Join(append([]string{rd.Key}, rd.Args...), " ")
-			path := []string{"protocols", class, id}
+			path := []string{"protocols", m.class, ident(st, leafSetKey(st))}
 			if nodeAtPath(running, path) == nil {
 				continue // newly added: the add change handles it
 			}
-			out = append(out, classChange{class, embedPolicy(Change{
-				Verb: ChangeModify, Path: path, Old: rd, New: rd,
+			out = append(out, classChange{m.class, embedPolicy(Change{
+				Verb: ChangeModify, Path: path, Old: st, New: st,
 			}, running, candidate)})
-		}
-		if class == "ospf" {
-			if ex := cn.Child("export"); ex != nil && ex.Arg(0) == name {
-				path := []string{"protocols", "ospf", "export"}
-				if nodeAtPath(running, path) != nil {
-					out = append(out, classChange{class, embedPolicy(Change{
-						Verb: ChangeModify, Path: path, Old: ex, New: ex,
-					}, running, candidate)})
-				}
-			}
 		}
 	}
 	return out

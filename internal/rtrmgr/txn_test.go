@@ -122,8 +122,8 @@ func TestReloadCommitInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCond(t, "static routes in FIB", func() bool {
-		_, ok := r.FIB.Lookup(mustA("10.99.1.1"))
-		return ok
+		e, ok := r.FIB.Lookup(mustA("10.99.1.1"))
+		return ok && e.Net == mustP("10.99.0.0/16") // 10.0.0.0/8 answers too, and lands first
 	})
 
 	// A live BGP route that the reload must not touch.
@@ -192,8 +192,8 @@ func TestReloadValidateRejectAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCond(t, "static routes in FIB", func() bool {
-		_, ok := r.FIB.Lookup(mustA("10.99.1.1"))
-		return ok
+		e, ok := r.FIB.Lookup(mustA("10.99.1.1"))
+		return ok && e.Net == mustP("10.99.0.0/16") // 10.0.0.0/8 answers too, and lands first
 	})
 	before := txDump(t, r)
 
@@ -232,8 +232,8 @@ func TestReloadKillMidCommitRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCond(t, "static routes in FIB", func() bool {
-		_, ok := r.FIB.Lookup(mustA("10.99.1.1"))
-		return ok
+		e, ok := r.FIB.Lookup(mustA("10.99.1.1"))
+		return ok && e.Net == mustP("10.99.0.0/16") // 10.0.0.0/8 answers too, and lands first
 	})
 	before := txDump(t, r)
 
@@ -283,8 +283,8 @@ func TestReloadKillBetweenPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCond(t, "static routes in FIB", func() bool {
-		_, ok := r.FIB.Lookup(mustA("10.99.1.1"))
-		return ok
+		e, ok := r.FIB.Lookup(mustA("10.99.1.1"))
+		return ok && e.Net == mustP("10.99.0.0/16") // 10.0.0.0/8 answers too, and lands first
 	})
 	before := txDump(t, r)
 
@@ -375,8 +375,8 @@ protocols {
 	}
 	var ripIv, helloIv time.Duration
 	var cost uint16
-	r.ripLoop.DispatchAndWait(func() { ripIv = r.RIP.Timers().UpdateInterval })
-	r.ospfLoop.DispatchAndWait(func() {
+	r.current("rip").loop.DispatchAndWait(func() { ripIv = r.RIP.Timers().UpdateInterval })
+	r.current("ospf").loop.DispatchAndWait(func() {
 		helloIv = r.OSPF.Timers().HelloInterval
 		cost = r.OSPF.Timers().Cost
 	})

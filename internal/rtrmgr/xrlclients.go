@@ -6,7 +6,9 @@ import (
 
 	"xorp/internal/bgp"
 	"xorp/internal/eventloop"
+	"xorp/internal/ospf"
 	"xorp/internal/rib"
+	"xorp/internal/rip"
 	"xorp/internal/route"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
@@ -248,27 +250,19 @@ func (c *xrlFIBClient) shipDels() {
 	}
 }
 
-// directRedist adapts a BGP process as a rib.Redistributor (route
-// redistribution into BGP, §3).
-type directRedist struct {
-	bgp *bgp.Process
+// loopRedist is a protocol process as a rib.Redistributor (route
+// redistribution into the protocol, §3): the RIB calls on its own loop,
+// add and del run on the protocol's.
+type loopRedist struct {
+	loop     *eventloop.Loop
+	add, del func(route.Entry)
 }
 
 // RedistAdd implements rib.Redistributor.
-func (d directRedist) RedistAdd(e route.Entry) {
-	nh := e.NextHop
-	if !nh.IsValid() {
-		nh = netip.AddrFrom4([4]byte{0, 0, 0, 0})
-	}
-	d.bgp.Loop().Dispatch(func() { d.bgp.Originate(e.Net, nh, e.Metric) })
-}
+func (d loopRedist) RedistAdd(e route.Entry) { d.loop.Dispatch(func() { d.add(e) }) }
 
 // RedistDelete implements rib.Redistributor.
-func (d directRedist) RedistDelete(e route.Entry) {
-	d.bgp.Loop().Dispatch(func() { d.bgp.WithdrawOriginated(e.Net) })
-}
-
-var _ rib.Redistributor = directRedist{}
+func (d loopRedist) RedistDelete(e route.Entry) { d.loop.Dispatch(func() { d.del(e) }) }
 
 // Exported constructors so the standalone process binaries (cmd/xorp_rib,
 // cmd/xorp_bgp, cmd/xorp_ospf, cmd/xorp_rip) can wire the same XRL
@@ -290,6 +284,68 @@ func NewXRLRIBClient(router *xipc.Router, ribTarget string) bgp.RIBClient {
 // proto's runs as rib/1.0 XRLs to ribTarget through router.
 func NewXRLRouteClient(router *xipc.Router, ribTarget string, proto route.Protocol) xrlRouteClient {
 	return xrlRouteClient{stub: xif.NewRIBClient(router, ribTarget), proto: proto.String()}
+}
+
+// udpRelay is an IGP's view of the FEA's packet relay (paper §7: a
+// sandboxed process never touches the network): fea_udp/0.1 calls out,
+// and the datagrams the FEA pushes back to the IGP's own target.
+type udpRelay struct {
+	fea    *xif.FEAUDPClient
+	client string
+	recv   func(src netip.AddrPort, payload []byte)
+}
+
+// newUDPRelay binds fea_udp_client/0.1 on client at once — a target's
+// methods are fixed when it registers with the Finder — and delivers to
+// whatever the protocol's Bind installs later. Both run on router's loop.
+func newUDPRelay(router *xipc.Router, client *xipc.Target, feaTarget string) *udpRelay {
+	u := &udpRelay{fea: xif.NewFEAUDPClient(router, feaTarget), client: client.Name}
+	xif.BindFEAUDPRecv(client, xif.FEAUDPRecvFunc(func(src netip.AddrPort, payload []byte) error {
+		if u.recv != nil {
+			u.recv(src, payload)
+		}
+		return nil
+	}))
+	return u
+}
+
+func (u *udpRelay) bind(port uint16, recv func(src netip.AddrPort, payload []byte)) error {
+	u.recv = recv
+	u.fea.Bind(port, u.client, nil)
+	return nil
+}
+
+func (u *udpRelay) send(sport uint16, dst netip.AddrPort, payload []byte) error {
+	u.fea.Send(sport, dst, payload, nil)
+	return nil
+}
+
+// NewXRLRIPTransport returns RIP's transport over the fea_udp/0.1 relay
+// of feaTarget, reached through router; relayed datagrams arrive at
+// client, the RIP process's own target on router.
+func NewXRLRIPTransport(router *xipc.Router, client *xipc.Target, feaTarget string) *rip.FEATransport {
+	u := newUDPRelay(router, client, feaTarget)
+	return &rip.FEATransport{
+		BindFn: u.bind,
+		SendFn: u.send,
+		BroadcastFn: func(sport, dport uint16, payload []byte) error {
+			u.fea.Broadcast(sport, dport, payload, nil)
+			return nil
+		},
+	}
+}
+
+// NewXRLOSPFTransport is NewXRLRIPTransport for OSPF, whose Bind joins
+// the AllSPFRouters group first.
+func NewXRLOSPFTransport(router *xipc.Router, client *xipc.Target, feaTarget string) *ospf.FEATransport {
+	u := newUDPRelay(router, client, feaTarget)
+	return &ospf.FEATransport{
+		BindFn: func(group netip.Addr, port uint16, recv func(src netip.AddrPort, payload []byte)) error {
+			u.fea.JoinGroup(group, nil)
+			return u.bind(port, recv)
+		},
+		SendFn: u.send,
+	}
 }
 
 // NewXRLMetricSource returns a bgp.MetricSource that registers interest

@@ -11,8 +11,11 @@ import (
 	"xorp/internal/bgp"
 	"xorp/internal/eventloop"
 	"xorp/internal/fea"
+	"xorp/internal/finder"
 	"xorp/internal/kernel"
+	"xorp/internal/ospf"
 	"xorp/internal/rib"
+	"xorp/internal/rip"
 	"xorp/internal/route"
 	"xorp/internal/workload"
 	"xorp/internal/xif"
@@ -320,5 +323,78 @@ func TestLoneEntryEqualsListedEntry(t *testing.T) {
 	}
 	if !got[0].Equal(e) || !got[1].Equal(e) {
 		t.Fatalf("published alone the snapshot holds %+v, in a batch %+v; want %+v both times", got[0], got[1], e)
+	}
+}
+
+// The IGP binaries reach the network only through the FEA's fea_udp
+// relay, and what the FEA hears for them comes back as an XRL to their
+// own target. Wire a RIP process and an OSPF transport to a real FEA
+// through the constructors alone: a RIP response sent to the FEA's host
+// is learned, a datagram to AllSPFRouters is delivered. (cmd/xorp_rip
+// used to bind the port and drop every datagram.)
+func TestXRLTransportsHear(t *testing.T) {
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	hub := xipc.NewHub()
+	finder.New(loop).AttachHub(hub)
+	node := func(name string) (*xipc.Router, *xipc.Target) {
+		r := xipc.NewRouter(name+"_process", loop)
+		r.AttachHub(hub)
+		return r, xif.NewTarget(name, name)
+	}
+	register := func(r *xipc.Router, tgt *xipc.Target) {
+		t.Helper()
+		r.AddTarget(tgt)
+		err := fmt.Errorf("registration of %s never finished", tgt.Name)
+		finder.RegisterTarget(r, tgt, true, func(e error) { err = e })
+		loop.RunPending()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	netw := kernel.NewNetwork()
+	host, err := netw.Attach(mustA("192.168.1.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbr, err := netw.Attach(mustA("192.168.1.2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feaRouter, feaTarget := node("fea")
+	fea.New(loop, kernel.NewFIB(), host, feaRouter).RegisterXRLs(feaTarget)
+	register(feaRouter, feaTarget)
+
+	ripRouter, ripTarget := node("rip")
+	proc := rip.NewProcess(loop, rip.Config{LocalAddr: host.Addr(), IfName: "eth0"},
+		NewXRLRIPTransport(ripRouter, ripTarget, "fea"), nil)
+	register(ripRouter, ripTarget)
+	if err := proc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	loop.RunPending()
+	learned := mustP("172.30.0.0/16")
+	pkt, err := (&rip.Packet{Command: rip.CmdResponse, RTEs: []rip.RTE{{Net: learned, Metric: 3}}}).Append(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbr.SendTo(rip.Port, netip.AddrPortFrom(host.Addr(), rip.Port), pkt)
+	loop.RunPending()
+	if metric, ok := proc.Lookup(learned); !ok || metric != 4 {
+		t.Fatalf("RIP behind the XRL relay: route learned %v at metric %d, want metric 4", ok, metric)
+	}
+
+	ospfRouter, ospfTarget := node("ospf")
+	tr := NewXRLOSPFTransport(ospfRouter, ospfTarget, "fea")
+	register(ospfRouter, ospfTarget)
+	var heard string
+	if err := tr.Bind(func(_ netip.AddrPort, payload []byte) { heard = string(payload) }); err != nil {
+		t.Fatal(err)
+	}
+	loop.RunPending()
+	nbr.SendTo(ospf.Port, netip.AddrPortFrom(ospf.AllSPFRouters, ospf.Port), []byte("hello"))
+	loop.RunPending()
+	if heard != "hello" {
+		t.Fatalf("OSPF behind the XRL relay heard %q from AllSPFRouters", heard)
 	}
 }

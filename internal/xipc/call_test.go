@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -534,4 +535,105 @@ func TestCallRecordReuseKeepsSemantics(t *testing.T) {
 	if r.nfree == 0 || r.nfree > 4 {
 		t.Errorf("free list holds %d records, want the few that were ever in flight at once", r.nfree)
 	}
+}
+
+// Close is final. A process that was killed may still have timers on a
+// loop it shared, and what they send must not arrive: after Close, Send,
+// SendFromLoop and Call finish with an error and no handler runs, whether
+// the resolution was cached, the target is local to the closed router, or
+// the endpoint is a TCP listener that is still up.
+func TestClosedRouterSendsNothing(t *testing.T) {
+	sink := func(handled *atomic.Int32) *Target {
+		tgt := NewTarget("sink", "sink")
+		tgt.Register("bench", "1.0", "sink", func(xrl.Args) (xrl.Args, error) {
+			handled.Add(1)
+			return nil, nil
+		})
+		return tgt
+	}
+	call := xrl.New("sink", "bench", "1.0", "sink")
+	wantFailed := func(t *testing.T, how string, err *xrl.Error) {
+		t.Helper()
+		if err == nil || err.Code != xrl.CodeSendFailed {
+			t.Errorf("%s on a closed router: err = %v, want SEND_FAILED", how, err)
+		}
+	}
+
+	t.Run("hub", func(t *testing.T) {
+		loop, hub := simLoop(), NewHub()
+		newStubFinder(loop, hub, func(string, string) (xrl.Args, error) {
+			return resolution("sink", "", xrl.ProtoIntra+"|"+hub.ID()), nil
+		})
+		var handled, local atomic.Int32
+		recv := NewRouter("receiver", loop)
+		recv.AddTarget(sink(&handled))
+		recv.AttachHub(hub)
+		send := NewRouter("sender", loop)
+		own := NewTarget("own", "own")
+		own.Register("bench", "1.0", "sink", func(xrl.Args) (xrl.Args, error) {
+			local.Add(1)
+			return nil, nil
+		})
+		send.AddTarget(own)
+		send.AttachHub(hub)
+
+		send.Send(call, nil) // resolves and caches: the next one needs no Finder
+		loop.RunPending()
+		if handled.Load() != 1 {
+			t.Fatalf("open router: %d calls handled, want 1", handled.Load())
+		}
+		send.Close()
+		replies := 0
+		fail := func(how string) Callback {
+			return func(_ xrl.Args, err *xrl.Error) {
+				replies++
+				wantFailed(t, how, err)
+			}
+		}
+		send.Send(call, fail("Send"))
+		send.SendFromLoop(call, fail("SendFromLoop"))
+		send.SendIdempotent(call, fail("SendIdempotent"))
+		send.SendFromLoop(xrl.New("own", "bench", "1.0", "sink"), fail("SendFromLoop to a local target"))
+		loop.RunFor(time.Minute)
+		if replies != 4 || handled.Load() != 1 || local.Load() != 0 {
+			t.Fatalf("after Close: %d replies (want 4), %d handled remotely (want 1), %d locally (want 0)",
+				replies, handled.Load(), local.Load())
+		}
+	})
+
+	t.Run("tcp", func(t *testing.T) {
+		recvLoop := eventloop.New(nil)
+		recv := NewRouter("receiver", recvLoop)
+		var handled atomic.Int32
+		recv.AddTarget(sink(&handled))
+		if err := recv.ListenTCP("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		sendLoop, hub := eventloop.New(nil), NewHub()
+		newStubFinder(sendLoop, hub, func(string, string) (xrl.Args, error) {
+			return resolution("sink", "", recv.Endpoints()[0]), nil
+		})
+		send := NewRouter("sender", sendLoop)
+		send.AttachHub(hub)
+		go recvLoop.Run()
+		go sendLoop.Run()
+		defer func() {
+			recv.Close()
+			sendLoop.Stop()
+			recvLoop.Stop()
+		}()
+
+		if _, err := send.Call(call); err != nil {
+			t.Fatalf("open router: %v", err)
+		}
+		send.Close()
+		_, err := send.Call(call)
+		wantFailed(t, "Call", err)
+		// A request that left before the reply came back would have been
+		// handled by now: the receiver's loop is idle.
+		recvLoop.DispatchAndWait(func() {})
+		if handled.Load() != 1 {
+			t.Fatalf("%d calls handled, want 1: a closed router reached its target over TCP", handled.Load())
+		}
+	})
 }

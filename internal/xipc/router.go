@@ -60,6 +60,7 @@ type Router struct {
 	cache         map[cacheKey]resolved
 	senders       map[epKey]sender
 	hub           *Hub
+	closed        bool // Close is final: every later send fails in route
 	tcpLn         *tcpListener
 	udpLn         *udpListener
 	finderEp      string // "proto|addr" of the Finder ("" = hub lookup)
@@ -256,7 +257,7 @@ func (r *Router) enqueue(x xrl.XRL, cb Callback, idem bool) {
 // intra-process "direct method call" family of §6.3 and Figure 9).
 func (r *Router) sendFromLoop(x xrl.XRL, cb Callback, idem bool) {
 	r.mu.Lock()
-	if t, ok := r.targets[x.Target]; ok && !x.IsResolved() {
+	if t, ok := r.targets[x.Target]; ok && !x.IsResolved() && !r.closed {
 		r.mu.Unlock()
 		r.dispatchLocal(t, &x, cb)
 		return
@@ -295,6 +296,7 @@ func (r *Router) route(c *call) {
 		hit bool
 	)
 	r.mu.Lock()
+	closed := r.closed
 	t, isLocal := r.targets[x.Target]
 	if !isLocal && !preResolved {
 		res, hit = r.cache[keyOf(x)]
@@ -303,6 +305,13 @@ func (r *Router) route(c *call) {
 	parked := r.pendingSends[x.Target]
 
 	switch {
+	case closed:
+		// Nothing a closed router is handed reaches a target, local or
+		// remote: the process behind it is gone, and what it still says
+		// (a timer that outlived it on a shared loop) must not be heard.
+		c.allowRetry, c.idem = false, false
+		r.finish(c, nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "router closed"})
+
 	case isLocal && !preResolved:
 		// The record only carried the XRL across the queue.
 		local, cb := c.x, c.cb
@@ -698,9 +707,14 @@ func (r *Router) CacheLen() int {
 	return len(r.cache)
 }
 
-// Close shuts down listeners and senders.
+// Close shuts down listeners and senders, for good: every send after it
+// finishes with CodeSendFailed and goes nowhere. The resolution cache goes
+// too, so sends parked behind a resolution in flight fail with it rather
+// than ship on a hit.
 func (r *Router) Close() {
 	r.mu.Lock()
+	r.closed = true
+	clear(r.cache)
 	senders := make([]sender, 0, len(r.senders))
 	for _, s := range r.senders {
 		senders = append(senders, s)
