@@ -73,7 +73,7 @@ func main() {
 		for _, s := range []string{"10.10.0.0/16", "10.20.0.0/16", "192.168.100.0/24"} {
 			net := netip.MustParsePrefix(s)
 			// Peek via the fanout's upstream lookup (the decision).
-			if rt := r.BGP.Fanout().Lookup(net); rt != nil {
+			if r.BGP.Fanout().Lookup(net, new(bgp.Route)) {
 				fmt.Printf("  %v (originated)\n", net)
 				count++
 			} else {

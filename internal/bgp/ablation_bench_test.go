@@ -134,8 +134,8 @@ func BenchmarkDampingStage(b *testing.B) {
 	damp := NewDampingStage("damp", loop)
 	s := newSink("sink")
 	Plumb(damp, s)
-	r := &Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}
-	run := []*Route{r}
+	r := Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}
+	run := []Route{r}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		damp.Add(run)
@@ -181,7 +181,7 @@ func BenchmarkNexthopChangeUnderTable(b *testing.B) {
 		tr.settle()
 	}
 	b.StopTimer()
-	if r := tr.sink.Lookup(mustP("20.0.0.0/24")); r == nil || p1.resolver.Lookup(r.Net).IGPMetric != src.truth[moved].Metric {
+	if r := lookup(tr.sink, mustP("20.0.0.0/24")); r == nil || lookup(p1.resolver, r.Net).IGPMetric != src.truth[moved].Metric {
 		b.Fatalf("the change did not reach the routes via %v", moved)
 	}
 }

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"encoding/binary"
+	"hash/maphash"
 	"net/netip"
 )
 
@@ -17,47 +18,103 @@ import (
 // released *PathAttrs alive (the GC handles lifetime), they just stop
 // deduplicating against it.
 //
+// The pool is one map, keyed by a 64-bit hash of the set's canonical key
+// (appendAttrKey) with the entry stored inline, so a miss allocates nothing
+// beyond map growth. Sets whose hashes collide chain off the map's entry and
+// are told apart by PathAttrs.Equal; finding a set by its canonical pointer
+// takes the same path as finding it by content.
+//
 // The pool is confined to the BGP process loop, like the stages using it.
 type AttrPool struct {
-	byKey map[string]*poolEntry
-	byPtr map[*PathAttrs]*poolEntry
-	// scratch is the reusable key-building buffer; map lookups use
-	// string(scratch) which Go compiles without allocating.
+	sets map[uint64]poolEntry
+	seed maphash.Seed
+	// hashMask is all ones; a test clears it to make every set collide.
+	hashMask uint64
+	// scratch is the reusable key-building buffer.
 	scratch []byte
+	// last is the canonical pointer found or made last, and its hash: a
+	// run's references are taken and dropped one after the other, and an
+	// interned set does not change.
+	last     *PathAttrs
+	lastHash uint64
 }
 
+// poolEntry is one interned set. next is nil unless another set shares the
+// hash.
 type poolEntry struct {
 	attrs *PathAttrs
-	key   string
 	refs  int
+	next  *poolEntry
 }
 
 // NewAttrPool returns an empty pool.
 func NewAttrPool() *AttrPool {
-	return &AttrPool{
-		byKey: make(map[string]*poolEntry),
-		byPtr: make(map[*PathAttrs]*poolEntry),
-	}
+	return &AttrPool{sets: make(map[uint64]poolEntry), seed: maphash.MakeSeed(), hashMask: ^uint64(0)}
 }
 
-// Len returns the number of distinct interned attribute sets.
+// Len returns the number of distinct interned attribute sets (tests).
 func (p *AttrPool) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.byKey)
+	sets, _ := p.count()
+	return sets
 }
 
 // Refs returns the total refcount across all entries (tests).
 func (p *AttrPool) Refs() int {
+	_, refs := p.count()
+	return refs
+}
+
+// count walks every chain.
+func (p *AttrPool) count() (sets, refs int) {
 	if p == nil {
-		return 0
+		return 0, 0
 	}
-	total := 0
-	for _, e := range p.byKey {
-		total += e.refs
+	for _, head := range p.sets {
+		for e := &head; e != nil; e = e.next {
+			sets++
+			refs += e.refs
+		}
 	}
-	return total
+	return sets, refs
+}
+
+// hash returns the pool's hash of a's canonical key.
+func (p *AttrPool) hash(a *PathAttrs) uint64 {
+	if a == p.last {
+		return p.lastHash
+	}
+	p.scratch = appendAttrKey(p.scratch[:0], a)
+	return maphash.Bytes(p.seed, p.scratch) & p.hashMask
+}
+
+// adjust adds delta to the refcount of the set under h that is a — or, with
+// byContent, equals a — and returns its canonical pointer, nil if there is
+// no such set. A set whose count reaches zero leaves the pool.
+func (p *AttrPool) adjust(h uint64, a *PathAttrs, delta int, byContent bool) *PathAttrs {
+	head, ok := p.sets[h]
+	if !ok {
+		return nil
+	}
+	// The chain is walked from a pointer to the map's entry, a copy, which
+	// is written back (or, with the last set gone, deleted) after a change.
+	first := &head
+	for link := &first; *link != nil; link = &(*link).next {
+		e := *link
+		if e.attrs != a && !(byContent && e.attrs.Equal(a)) {
+			continue
+		}
+		if e.refs += delta; e.refs <= 0 {
+			*link = e.next
+		}
+		if first == nil {
+			delete(p.sets, h)
+		} else {
+			p.sets[h] = *first
+		}
+		p.last, p.lastHash = e.attrs, h
+		return e.attrs
+	}
+	return nil
 }
 
 // Intern returns the canonical pointer for a's attribute set and takes
@@ -69,47 +126,32 @@ func (p *AttrPool) Intern(a *PathAttrs) *PathAttrs {
 	if p == nil || a == nil {
 		return a
 	}
-	// Fast path: a is already canonical.
-	if e, ok := p.byPtr[a]; ok {
-		e.refs++
-		return a
+	h := p.hash(a)
+	if c := p.adjust(h, a, 1, true); c != nil {
+		return c
 	}
-	p.scratch = appendAttrKey(p.scratch[:0], a)
-	if e, ok := p.byKey[string(p.scratch)]; ok {
-		e.refs++
-		return e.attrs
+	e := poolEntry{attrs: a, refs: 1}
+	if head, collides := p.sets[h]; collides {
+		chained := head // on the heap only when there is a collision
+		e.next = &chained
 	}
-	e := &poolEntry{attrs: a, key: string(p.scratch), refs: 1}
-	p.byKey[e.key] = e
-	p.byPtr[a] = e
+	p.sets[h] = e
+	p.last, p.lastHash = a, h
 	return a
 }
 
 // Retain takes an additional reference on an interned set. Unknown (or
 // never-interned) pointers are ignored, so callers need not track whether
 // an attrs value came from the pool.
-func (p *AttrPool) Retain(a *PathAttrs) {
-	if p == nil || a == nil {
-		return
-	}
-	if e, ok := p.byPtr[a]; ok {
-		e.refs++
-	}
-}
+func (p *AttrPool) Retain(a *PathAttrs) { p.retain(a, 1) }
 
 // Release drops one reference; the entry leaves the pool at zero.
-func (p *AttrPool) Release(a *PathAttrs) {
-	if p == nil || a == nil {
-		return
-	}
-	e, ok := p.byPtr[a]
-	if !ok {
-		return
-	}
-	e.refs--
-	if e.refs <= 0 {
-		delete(p.byKey, e.key)
-		delete(p.byPtr, a)
+func (p *AttrPool) Release(a *PathAttrs) { p.retain(a, -1) }
+
+// retain takes n more references on an interned set, or drops -n.
+func (p *AttrPool) retain(a *PathAttrs, n int) {
+	if p != nil && a != nil && n != 0 {
+		p.adjust(p.hash(a), a, n, false)
 	}
 }
 
@@ -152,17 +194,9 @@ func appendAttrKey(dst []byte, a *PathAttrs) []byte {
 	return dst
 }
 
+// appendAddrKey appends a's family (0: none) and its 16 bytes: an IPv4
+// address and its IPv4-mapped twin differ in the first.
 func appendAddrKey(dst []byte, a netip.Addr) []byte {
-	switch {
-	case !a.IsValid():
-		return append(dst, 0)
-	case a.Is4():
-		b := a.As4()
-		dst = append(dst, 4)
-		return append(dst, b[:]...)
-	default:
-		b := a.As16()
-		dst = append(dst, 16)
-		return append(dst, b[:]...)
-	}
+	b := a.As16()
+	return append(append(dst, byte(a.BitLen())), b[:]...)
 }

@@ -103,6 +103,88 @@ func TestAttrPoolNeverConflates(t *testing.T) {
 	}
 }
 
+// TestAttrPoolDistinctSetsNeverMerge: the pool's key says whether a field is
+// present and which family an address is, so sets that differ only there
+// stay apart — whatever the hash does.
+func TestAttrPoolDistinctSetsNeverMerge(t *testing.T) {
+	for _, collide := range []bool{false, true} {
+		pool := NewAttrPool()
+		if collide {
+			pool.hashMask = 0
+		}
+		pairs := [][2]*PathAttrs{
+			{{NextHop: mustA("10.0.0.1"), HasMED: true}, {NextHop: mustA("10.0.0.1")}},                     // MED 0 present vs absent
+			{{NextHop: mustA("10.0.0.2")}, {NextHop: mustA("::ffff:10.0.0.2")}},                            // v4 vs v4-mapped
+			{{NextHop: mustA("10.0.0.3"), HasLocalPref: true}, {NextHop: mustA("10.0.0.3"), HasMED: true}}, // which zero is present
+		}
+		for i, p := range pairs {
+			if a, b := pool.Intern(p[0]), pool.Intern(p[1]); a == b || a != p[0] || b != p[1] {
+				t.Fatalf("collide=%v pair %d: %+v and %+v interned as one set", collide, i, p[0], p[1])
+			}
+		}
+	}
+}
+
+// TestAttrPoolHashCollision: with every set forced onto one hash the pool
+// is one chain, told apart by PathAttrs.Equal, and must behave exactly as it
+// does spread out: dedup, refcounts, sets leaving from the head, the middle
+// and the tail of the chain, and re-entering.
+func TestAttrPoolHashCollision(t *testing.T) {
+	pool := NewAttrPool()
+	pool.hashMask = 0
+	sets := make([]*PathAttrs, 5)
+	for i := range sets {
+		sets[i] = attrsVia("10.0.0.1", 65001, uint16(64512+i))
+		if got := pool.Intern(sets[i]); got != sets[i] {
+			t.Fatalf("set %d interned as another set", i)
+		}
+		if got := pool.Intern(sets[i].Clone()); got != sets[i] {
+			t.Fatalf("an equal copy of set %d did not dedup", i)
+		}
+	}
+	if len(pool.sets) != 1 || pool.Len() != 5 || pool.Refs() != 10 {
+		t.Fatalf("%d map entries, Len %d, Refs %d; want one chain of 5 sets holding 10 references", len(pool.sets), pool.Len(), pool.Refs())
+	}
+	pool.Retain(sets[2])
+	pool.retain(sets[2], 2)
+	pool.Retain(sets[2].Clone()) // not the canonical pointer: ignored
+	if pool.Refs() != 13 {
+		t.Fatalf("Refs %d after three retains, want 13", pool.Refs())
+	}
+	// The newest set heads the chain; drop head, middle, tail.
+	for n, i := range []int{4, 2, 0} {
+		for refs := map[int]int{4: 2, 2: 5, 0: 2}[i]; refs > 0; refs-- {
+			if pool.Len() != 5-n {
+				t.Fatalf("set %d left the pool with %d references to go", i, refs)
+			}
+			pool.Release(sets[i])
+		}
+		if pool.Len() != 4-n {
+			t.Fatalf("after dropping set %d: Len %d, want %d", i, pool.Len(), 4-n)
+		}
+		for _, j := range []int{1, 3} {
+			if got := pool.Intern(sets[j].Clone()); got != sets[j] {
+				t.Fatalf("set %d lost when set %d left the chain", j, i)
+			}
+			pool.Release(sets[j])
+		}
+	}
+	if pool.Refs() != 4 {
+		t.Fatalf("Refs %d, want the 4 of sets 1 and 3", pool.Refs())
+	}
+	// A set that left re-enters under whatever pointer comes first.
+	again := sets[0].Clone()
+	if pool.Intern(again) != again || pool.Intern(sets[0]) != again {
+		t.Fatal("re-entered set did not become canonical")
+	}
+	for _, a := range []*PathAttrs{again, again, sets[1], sets[1], sets[3], sets[3]} {
+		pool.Release(a)
+	}
+	if pool.Len() != 0 || pool.Refs() != 0 || len(pool.sets) != 0 {
+		t.Fatalf("pool not drained: Len %d, Refs %d, %d map entries", pool.Len(), pool.Refs(), len(pool.sets))
+	}
+}
+
 // TestAttrPoolRefcount drives a full table through a real input branch and
 // asserts the pool drains to zero after a full-table withdraw: every
 // reference the stored routes held is released, including across replaces

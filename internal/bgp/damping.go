@@ -31,12 +31,13 @@ type DampingStage struct {
 
 // dampState tracks one prefix's flap history.
 type dampState struct {
-	penalty    float64
-	lastUpdate time.Time
-	suppressed bool
-	current    *Route // latest route from upstream (nil = withdrawn)
-	announced  *Route // what downstream believes (nil = nothing)
-	reuseTimer *eventloop.Timer
+	penalty                  float64
+	lastUpdate               time.Time
+	suppressed               bool
+	current                  Route // latest route from upstream, if hasCurrent (else withdrawn)
+	announced                Route // what downstream believes, if hasAnnounced (else nothing)
+	hasCurrent, hasAnnounced bool
+	reuseTimer               *eventloop.Timer
 }
 
 // NewDampingStage returns a damping stage with standard parameters.
@@ -85,25 +86,25 @@ func (d *DampingStage) flap(s *dampState) {
 // reconcile compares what downstream believes with the current route,
 // honouring suppression, and emits the difference.
 func (d *DampingStage) reconcile(net netip.Prefix, s *dampState) {
-	want := s.current
-	if s.suppressed {
-		want = nil
+	want, wanted := s.current, s.hasCurrent && !s.suppressed
+	if !wanted {
+		want = Route{}
 	}
 	// Recorded before it is emitted: downstream looks back up through this
 	// stage while it handles the message.
-	have := s.announced
-	s.announced = want
+	have, had := s.announced, s.hasAnnounced
+	s.announced, s.hasAnnounced = want, wanted
 	if d.next != nil {
 		switch {
-		case have == nil && want != nil:
+		case !had && wanted:
 			d.addOne(want)
-		case have != nil && want == nil:
+		case had && !wanted:
 			d.next.Delete(have)
-		case have != nil && want != nil && !SameRoute(have, want):
+		case had && wanted && !SameRoute(&have, &want):
 			d.next.Replace(have, want)
 		}
 	}
-	if s.current == nil && !s.suppressed && s.penalty < d.ReuseBelow {
+	if !s.hasCurrent && !s.suppressed && s.penalty < d.ReuseBelow {
 		// Fully withdrawn, nothing pending: garbage-collect.
 		if s.reuseTimer != nil {
 			s.reuseTimer.Cancel()
@@ -150,43 +151,44 @@ func (d *DampingStage) scheduleReuse(net netip.Prefix, s *dampState) {
 
 // Add implements Stage. Flap history is per prefix, so the run is cut
 // into runs of one. A first announcement is not a flap.
-func (d *DampingStage) Add(run []*Route) {
+func (d *DampingStage) Add(run []Route) {
 	for _, r := range run {
 		s := d.ensureState(r.Net)
-		if s.current != nil || s.announced != nil || s.penalty > 0 {
+		if s.hasCurrent || s.hasAnnounced || s.penalty > 0 {
 			// Re-announcement of a previously flapping prefix.
 			d.flap(s)
 		}
-		s.current = r
+		s.current, s.hasCurrent = r, true
 		d.evaluate(r.Net, s)
 	}
 }
 
 // Replace implements Stage. An attribute change counts as a flap.
-func (d *DampingStage) Replace(old, new *Route) {
+func (d *DampingStage) Replace(old, new Route) {
 	s := d.ensureState(new.Net)
 	d.flap(s)
-	s.current = new
+	s.current, s.hasCurrent = new, true
 	d.evaluate(new.Net, s)
 }
 
 // Delete implements Stage. A withdrawal counts as a flap.
-func (d *DampingStage) Delete(r *Route) {
+func (d *DampingStage) Delete(r Route) {
 	s := d.ensureState(r.Net)
 	d.flap(s)
-	s.current = nil
+	s.current, s.hasCurrent = Route{}, false
 	d.evaluate(r.Net, s)
 }
 
-// Lookup implements Stage: suppressed prefixes answer nil, consistent
+// Lookup implements Stage: suppressed prefixes answer nothing, consistent
 // with the message stream.
-func (d *DampingStage) Lookup(net netip.Prefix) *Route {
+func (d *DampingStage) Lookup(net netip.Prefix, r *Route) bool {
 	if d.state != nil {
 		if s, ok := d.state.Get(net); ok {
-			return s.announced
+			*r = s.announced
+			return s.hasAnnounced
 		}
 	}
-	return d.lookupParent(net)
+	return d.lookupParent(net, r)
 }
 
 // Suppressed reports whether net is currently suppressed (for tests and

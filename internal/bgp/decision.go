@@ -17,6 +17,9 @@ import (
 type Decision struct {
 	base
 	parents []Stage
+	// answer is where each branch's Lookup answer lands: a local handed to
+	// an interface method would be on the heap, one allocation per call.
+	answer Route
 
 	// tracer, when set and enabled, stamps StageDecision as winners emit
 	// downstream (nil-safe; losers are never stamped).
@@ -45,102 +48,93 @@ func (d *Decision) RemoveParent(s Stage) {
 	}
 }
 
-// bestExcluding returns the best route for net among all branches,
-// skipping any branch answer identical to skip (the route whose change is
-// being processed).
-func (d *Decision) bestExcluding(net netip.Prefix, skip *Route) *Route {
-	var best *Route
+// bestExcluding returns the best usable route for net among all branches,
+// and whether there is one, skipping any branch answer identical to skip
+// (the route whose change is being processed).
+func (d *Decision) bestExcluding(net netip.Prefix, skip *Route) (best Route, ok bool) {
+	r := &d.answer
 	for _, p := range d.parents {
-		r := p.Lookup(net)
-		if r == nil || !r.Resolvable {
+		if !p.Lookup(net, r) || !r.Resolvable {
 			continue
 		}
 		if skip != nil && SameRoute(r, skip) {
 			continue
 		}
-		if r.Better(best) {
-			best = r
+		if !ok || r.Better(&best) {
+			best, ok = *r, true
 		}
 	}
-	return best
+	return best, ok
 }
 
-// usable reports whether a route may win (unresolvable routes may flow
-// through the pipeline but never to the forwarding plane).
-func usable(r *Route) bool { return r != nil && r.Resolvable }
+// winner picks between a branch's own route and alt, the best of the other
+// branches, if there is one: unresolvable routes may flow through the
+// pipeline but never win, and so never reach the forwarding plane.
+func winner(own, alt Route, hasAlt bool) (Route, bool) {
+	if !own.Resolvable || hasAlt && alt.Better(&own) {
+		return alt, hasAlt
+	}
+	return own, true
+}
 
 // Add implements Stage: a branch announces routes it did not have. The
 // winner is computed once per route against the other branches, losers
 // are skipped without materializing anything downstream, and consecutive
 // fresh winners stay one run. A winner that displaces a previous best
 // cuts the run and becomes a Replace at its position.
-func (d *Decision) Add(run []*Route) {
+func (d *Decision) Add(run []Route) {
 	if d.next == nil {
 		return
 	}
-	for _, r := range run {
-		prevBest := d.bestExcluding(r.Net, r)
-		if !usable(r) || !r.Better(prevBest) {
+	for i := range run {
+		r := &run[i]
+		prevBest, displaces := d.bestExcluding(r.Net, r)
+		if !r.Resolvable || displaces && !r.Better(&prevBest) {
 			continue // loser: never materialized downstream
 		}
 		if d.tracer.Enabled() {
 			d.tracer.Stamp(telemetry.StageDecision, r.Net)
 		}
-		if prevBest == nil {
-			d.run = append(d.run, r)
+		if !displaces {
+			d.run = append(d.run, *r)
 			continue
 		}
 		d.flush()
-		d.next.Replace(prevBest, r)
+		d.next.Replace(prevBest, *r)
 	}
 	d.flush()
 }
 
 // Replace implements Stage: a branch replaces its route for a net.
-func (d *Decision) Replace(old, new *Route) {
-	alt := d.bestExcluding(new.Net, new) // best among the other branches
-	prevWinner := old
-	if !usable(old) || (alt != nil && alt.Better(old)) {
-		prevWinner = alt
-	}
-	newWinner := new
-	if !usable(new) || (alt != nil && alt.Better(new)) {
-		newWinner = alt
-	}
-	d.emitTransition(old.Net, prevWinner, newWinner)
+func (d *Decision) Replace(old, new Route) {
+	alt, hasAlt := d.bestExcluding(new.Net, &new) // best among the other branches
+	prev, hadPrev := winner(old, alt, hasAlt)
+	next, hasNext := winner(new, alt, hasAlt)
+	d.emitTransition(prev, hadPrev, next, hasNext)
 }
 
 // Delete implements Stage: a branch withdraws its route.
-func (d *Decision) Delete(old *Route) {
-	alt := d.bestExcluding(old.Net, old)
-	prevWinner := old
-	if !usable(old) || (alt != nil && alt.Better(old)) {
-		prevWinner = alt
-	}
-	d.emitTransition(old.Net, prevWinner, alt)
+func (d *Decision) Delete(old Route) {
+	alt, hasAlt := d.bestExcluding(old.Net, &old)
+	prev, hadPrev := winner(old, alt, hasAlt)
+	d.emitTransition(prev, hadPrev, alt, hasAlt)
 }
 
 // emitTransition sends the downstream messages for a winner change.
-func (d *Decision) emitTransition(net netip.Prefix, prev, next *Route) {
-	if !usable(prev) {
-		prev = nil
-	}
-	if !usable(next) {
-		next = nil
-	}
+func (d *Decision) emitTransition(prev Route, hadPrev bool, next Route, hasNext bool) {
 	if d.next == nil {
 		return
 	}
 	switch {
-	case prev == nil && next == nil:
-	case prev == nil:
+	case !hadPrev && !hasNext:
+	case !hadPrev:
 		if d.tracer.Enabled() {
 			d.tracer.Stamp(telemetry.StageDecision, next.Net)
 		}
 		d.addOne(next)
-	case next == nil:
+	case !hasNext:
 		d.next.Delete(prev)
-	case SameRoute(prev, next):
+	case SameRoute(&prev, &next):
 	default:
 		if d.tracer.Enabled() {
 			d.tracer.Stamp(telemetry.StageDecision, next.Net)
@@ -150,6 +144,7 @@ func (d *Decision) emitTransition(net netip.Prefix, prev, next *Route) {
 }
 
 // Lookup implements Stage: the best route among all branches.
-func (d *Decision) Lookup(net netip.Prefix) *Route {
-	return d.bestExcluding(net, nil)
+func (d *Decision) Lookup(net netip.Prefix, r *Route) (ok bool) {
+	*r, ok = d.bestExcluding(net, nil)
+	return ok
 }

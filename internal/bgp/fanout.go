@@ -11,11 +11,11 @@ import (
 // fanoutEntry is one decision-process output queued for fanout. An OpAdd
 // carries a run: its first route in new, and the fanout's own copy of the
 // whole run in run when there is more than one route (the queue outlives
-// the call that delivered the run).
+// the call that delivered the run, and the sender's buffer with it).
 type fanoutEntry struct {
 	op       core.Op
-	old, new *Route
-	run      []*Route
+	old, new Route
+	run      []Route
 }
 
 // Fanout is the fanout-queue stage of Figure 5: it duplicates the
@@ -149,7 +149,7 @@ func (f *Fanout) pump() {
 
 // Add implements Stage: the run is queued as one entry, so every branch
 // pays one specialization (and one encode) per run.
-func (f *Fanout) Add(run []*Route) {
+func (f *Fanout) Add(run []Route) {
 	e := fanoutEntry{op: core.OpAdd, new: run[0]}
 	if len(run) > 1 {
 		e.run = slices.Clone(run)
@@ -159,13 +159,13 @@ func (f *Fanout) Add(run []*Route) {
 }
 
 // Replace implements Stage.
-func (f *Fanout) Replace(old, new *Route) {
+func (f *Fanout) Replace(old, new Route) {
 	f.q.Push(fanoutEntry{op: core.OpReplace, old: old, new: new})
 	f.schedulePump()
 }
 
 // Delete implements Stage.
-func (f *Fanout) Delete(r *Route) {
+func (f *Fanout) Delete(r Route) {
 	f.q.Push(fanoutEntry{op: core.OpDelete, old: r})
 	f.schedulePump()
 }
@@ -174,4 +174,4 @@ func (f *Fanout) Delete(r *Route) {
 func (f *Fanout) Flush() { f.q.PumpAll() }
 
 // Lookup implements Stage, passing upstream to the decision process.
-func (f *Fanout) Lookup(net netip.Prefix) *Route { return f.lookupParent(net) }
+func (f *Fanout) Lookup(net netip.Prefix, r *Route) bool { return f.lookupParent(net, r) }

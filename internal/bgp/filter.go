@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"net/netip"
-	"slices"
 
 	"xorp/internal/eventloop"
 )
@@ -23,61 +22,34 @@ type Filter func(*Route) *PathAttrs
 // flowing back up. The policy framework (§8.3) and the default
 // import/export transforms are expressed as filters.
 //
-// A route the chain rewrote goes on as a view: a copy of the route carrying
-// the new set. Views are heap objects, except on the way to a downstream
-// that keeps no route past the call (noRouteKeeper): those are carved from
-// slab, which the next call overwrites.
+// A route the chain rewrote goes on as the same value under the new set.
 type FilterBank struct {
 	base
 	filters []Filter
-	slab    []Route
+	// view is the route the filter being run is shown: the bank's own copy,
+	// under the answer of the filter before it.
+	view Route
 }
-
-// noRouteKeeper is implemented by a stage that keeps no *Route it is handed
-// past the call that hands it over, and passes none on.
-type noRouteKeeper interface{ keepsNoRoutes() }
 
 // NewFilterBank returns an empty (pass-everything) filter bank.
 func NewFilterBank(name string, filters ...Filter) *FilterBank {
 	return &FilterBank{base: base{name: name}, filters: filters}
 }
 
-// reserve starts a call that sends up to n views downstream and reports
-// whether they may be scratch. The slab is sized here, once, so that no view
-// moves while the call runs.
-func (f *FilterBank) reserve(n int) bool {
-	if _, ok := f.next.(noRouteKeeper); !ok {
-		return false
+// apply runs filters over r and returns what they make of its attribute
+// set: r's own when none rewrote it, nil when one dropped it, else the last
+// rewrite. Later filters see the route under the earlier ones' answer.
+func (f *FilterBank) apply(filters []Filter, r Route) *PathAttrs {
+	if len(filters) == 0 {
+		return r.Attrs
 	}
-	f.slab = slices.Grow(f.slab[:0], n)
-	return true
-}
-
-// apply runs filters over r (nil in, nil out): r itself when none rewrote
-// it, nil when one dropped it, else the view of r under the last rewrite.
-// Later filters see the view.
-func (f *FilterBank) apply(filters []Filter, r *Route, scratch bool) *Route {
-	if r == nil {
-		return nil
-	}
-	out := r
+	f.view = r
 	for _, flt := range filters {
-		a := flt(out)
-		switch {
-		case a == nil:
-			return nil
-		case a == out.Attrs:
-			continue
-		case out != r: // already a view
-		case scratch:
-			f.slab = append(f.slab, *r)
-			out = &f.slab[len(f.slab)-1]
-		default:
-			out = r.Clone()
+		if f.view.Attrs = flt(&f.view); f.view.Attrs == nil {
+			break
 		}
-		out.Attrs = a
 	}
-	return out
+	return f.view.Attrs
 }
 
 // Add implements Stage. A filter may build a set per route, which would
@@ -87,34 +59,34 @@ func (f *FilterBank) apply(filters []Filter, r *Route, scratch bool) *Route {
 // substitutes the canonical output pointer, keeping runs shareable
 // downstream. If a filter's rewrite genuinely depends on the prefix, the
 // memo misses and the run is cut at the divergence point.
-func (f *FilterBank) Add(run []*Route) {
+func (f *FilterBank) Add(run []Route) {
 	if f.next == nil {
 		return
 	}
-	scratch := f.reserve(len(run))
 	// Results are collected in f.run, never written back into run (the
 	// fanout hands the same run to every branch), and only once a filter
 	// drops or rewrites a route: an untouched run is forwarded as it came.
 	var lastIn, lastOut *PathAttrs
 	out, changed := f.run, false
 	for i, r := range run {
-		fr := f.apply(f.filters, r, scratch)
-		if fr != nil && fr.Attrs != r.Attrs {
-			if lastIn == r.Attrs && fr.Attrs.Equal(lastOut) {
-				fr.Attrs = lastOut
+		a := f.apply(f.filters, r)
+		if a != nil && a != r.Attrs {
+			if lastIn == r.Attrs && a.Equal(lastOut) {
+				a = lastOut
 			} else {
-				lastIn, lastOut = r.Attrs, fr.Attrs
+				lastIn, lastOut = r.Attrs, a
 			}
 		}
 		if !changed {
-			if fr == r {
+			if a == r.Attrs {
 				continue
 			}
 			changed = true
 			out = append(out, run[:i]...)
 		}
-		if fr != nil {
-			out = append(out, fr)
+		if a != nil {
+			r.Attrs = a
+			out = append(out, r)
 		}
 	}
 	if !changed {
@@ -130,47 +102,51 @@ func (f *FilterBank) Add(run []*Route) {
 		f.next.Add(out[i:j])
 		i = j
 	}
-	clear(out)
 	f.run = out[:0]
 }
 
 // Replace implements Stage, degrading to Add/Delete when filtering drops
 // one side of the pair.
-func (f *FilterBank) Replace(old, new *Route) {
+func (f *FilterBank) Replace(old, new Route) {
 	if f.next != nil {
 		f.emit(f.filters, f.filters, old, new, false)
 	}
 }
 
 // Delete implements Stage.
-func (f *FilterBank) Delete(r *Route) {
-	if f.next != nil {
-		f.emit(f.filters, nil, r, nil, false)
+func (f *FilterBank) Delete(r Route) {
+	if f.next == nil {
+		return
+	}
+	if r.Attrs = f.apply(f.filters, r); r.Attrs != nil {
+		f.next.Delete(r)
 	}
 }
 
 // emit sends downstream what becomes of old under the chain was and of new
-// under now (either may be nil). A pair that filters to the same route is
-// still a Replace — upstream said it changed — unless skipSame is set.
-func (f *FilterBank) emit(was, now []Filter, old, new *Route, skipSame bool) {
-	scratch := f.reserve(2)
-	fo, fn := f.apply(was, old, scratch), f.apply(now, new, scratch)
+// under now. A pair that filters to the same route is still a Replace —
+// upstream said it changed — unless skipSame is set.
+func (f *FilterBank) emit(was, now []Filter, old, new Route, skipSame bool) {
+	old.Attrs, new.Attrs = f.apply(was, old), f.apply(now, new)
 	switch {
-	case fo == nil && fn == nil:
-	case fo == nil:
-		f.addOne(fn)
-	case fn == nil:
-		f.next.Delete(fo)
-	case !skipSame || !SameRoute(fo, fn):
-		f.next.Replace(fo, fn)
+	case old.Attrs == nil && new.Attrs == nil:
+	case old.Attrs == nil:
+		f.addOne(new)
+	case new.Attrs == nil:
+		f.next.Delete(old)
+	case !skipSame || !SameRoute(&old, &new):
+		f.next.Replace(old, new)
 	}
 }
 
 // Lookup implements Stage: upstream answers are passed through the chain
-// so they match what was announced downstream. The asker may keep the
-// answer, so a rewritten one is always a heap view.
-func (f *FilterBank) Lookup(net netip.Prefix) *Route {
-	return f.apply(f.filters, f.lookupParent(net), false)
+// so they match what was announced downstream.
+func (f *FilterBank) Lookup(net netip.Prefix, r *Route) bool {
+	if !f.lookupParent(net, r) {
+		return false
+	}
+	r.Attrs = f.apply(f.filters, *r)
+	return r.Attrs != nil
 }
 
 // Refilter atomically replaces the filter chain and reconciles downstream
@@ -178,12 +154,12 @@ func (f *FilterBank) Lookup(net netip.Prefix) *Route {
 // the operator and many routes need to be re-filtered and reevaluated").
 // walk must iterate the upstream origin table (e.g. PeerIn.Walk). The
 // returned task completes when reconciliation is done.
-func (f *FilterBank) Refilter(loop *eventloop.Loop, newFilters []Filter, walk func(func(*Route) bool)) *eventloop.Task {
+func (f *FilterBank) Refilter(loop *eventloop.Loop, newFilters []Filter, walk func(func(Route) bool)) *eventloop.Task {
 	oldFilters := f.filters
 	f.filters = newFilters
 	// Snapshot the upstream routes; reconcile in slices.
-	var pending []*Route
-	walk(func(r *Route) bool {
+	var pending []Route
+	walk(func(r Route) bool {
 		pending = append(pending, r)
 		return true
 	})

@@ -49,8 +49,7 @@ func TestFilterIBGPExport(t *testing.T) {
 		t.Fatalf("LOCAL_PREF default not applied: %+v", out)
 	}
 	// Already-set LOCAL_PREF passes through unchanged, same object.
-	in2 := in.Clone()
-	in2.Attrs = in.Attrs.Clone()
+	in2 := &Route{Net: in.Net, Attrs: in.Attrs.Clone()}
 	in2.Attrs.HasLocalPref, in2.Attrs.LocalPref = true, 300
 	if got := f(in2); got != in2.Attrs {
 		t.Fatal("already-set LOCAL_PREF route was copied")
@@ -149,7 +148,7 @@ func TestPeerOutResyncAfterSessionBounce(t *testing.T) {
 	peer := testPeer("p", "10.0.0.9", 65009, false)
 	po, sent := groupOfOne(t, peer)
 	for i := 0; i < 5; i++ {
-		po.Add([]*Route{{
+		po.Add([]Route{{
 			Net:   netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16),
 			Attrs: attrsVia("10.0.0.1", 65001),
 		}})
@@ -168,7 +167,7 @@ func TestPeerOutResyncAfterSessionBounce(t *testing.T) {
 		t.Fatalf("resync replayed %d routes", replayed)
 	}
 	walked := 0
-	po.WalkAnnounced(peer, func(r *Route) bool {
+	po.WalkAnnounced(peer, func(Route) bool {
 		walked++
 		return true
 	})
@@ -177,7 +176,7 @@ func TestPeerOutResyncAfterSessionBounce(t *testing.T) {
 	}
 	// Early-terminating walk.
 	n := 0
-	po.WalkAnnounced(peer, func(*Route) bool {
+	po.WalkAnnounced(peer, func(Route) bool {
 		n++
 		return false
 	})
@@ -191,14 +190,13 @@ func TestFanoutRemoveBranchStopsDelivery(t *testing.T) {
 	f := NewFanout("fanout", loop)
 	s := newSink("out")
 	f.AddPeerBranch("p", testPeer("p", "10.0.0.9", 65009, false), s)
-	r := &Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}
-	f.Add([]*Route{r})
+	f.Add([]Route{{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}})
 	loop.RunPending()
 	if s.adds != 1 {
 		t.Fatalf("adds %d", s.adds)
 	}
 	f.RemoveBranch("p")
-	f.Add([]*Route{{Net: mustP("10.2.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}})
+	f.Add([]Route{{Net: mustP("10.2.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}})
 	loop.RunPending()
 	if s.adds != 1 {
 		t.Fatal("removed branch still received routes")

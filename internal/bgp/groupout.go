@@ -34,9 +34,8 @@ func (f GroupSenderFunc) SendEncodedUpdate(buf []byte) { f(buf) }
 // keeps one announced map (the shared adj-RIB-out) and nothing per member:
 // whether a member was told a prefix is sendable(announced[net].src,
 // member), a function of what is already held. The map holds what a replay
-// needs — the set sent and the source it is screened by — and no *Route: the
-// stage reads the routes it is handed and keeps none (keepsNoRoutes), which
-// is what lets the bank upstream hand it scratch views.
+// needs beyond its key — the set sent and the source it is screened by — and
+// no Route.
 //
 // A message that cannot be encoded (an attribute set that outgrows the
 // 4096-byte limit on export, say) is dropped whole and counted, and the
@@ -73,13 +72,9 @@ type sentRoute struct {
 }
 
 // route builds the Route a lookup or a walk answers with.
-func (e sentRoute) route(net netip.Prefix) *Route {
-	r := Route{Net: net, Attrs: e.attrs, Src: e.src}
-	return &r
+func (e sentRoute) route(net netip.Prefix) Route {
+	return Route{Net: net, Attrs: e.attrs, Src: e.src}
 }
-
-// keepsNoRoutes implements noRouteKeeper.
-func (g *GroupOut) keepsNoRoutes() {}
 
 type groupMember struct {
 	handle *PeerHandle
@@ -186,7 +181,7 @@ func (g *GroupOut) forget(src *PeerHandle) {
 // Add implements Stage — the shared encode: one wire encode for the whole
 // run, one sendable check per member (runs share Src), and the same bytes
 // fanned out to every member the run is sendable to.
-func (g *GroupOut) Add(run []*Route) {
+func (g *GroupOut) Add(run []Route) {
 	g.netBuf = g.netBuf[:0]
 	for _, r := range run {
 		g.netBuf = append(g.netBuf, r.Net)
@@ -210,7 +205,7 @@ func (g *GroupOut) Add(run []*Route) {
 // withdraw (announce), a plain announce (the member never saw the old
 // route), an explicit withdraw (the member must not see the new one), or
 // nothing.
-func (g *GroupOut) Replace(old, new *Route) {
+func (g *GroupOut) Replace(old, new Route) {
 	g.netBuf = append(g.netBuf[:0], new.Net)
 	msgs := g.encodeAnnounce(new.Attrs, g.netBuf)
 	if msgs == 0 {
@@ -239,7 +234,7 @@ func (g *GroupOut) Replace(old, new *Route) {
 }
 
 // Delete implements Stage: withdraw from every member that saw the route.
-func (g *GroupOut) Delete(r *Route) {
+func (g *GroupOut) Delete(r Route) {
 	prev, was := g.announced[r.Net]
 	if !was {
 		return // its announcement was dropped
@@ -257,11 +252,10 @@ func (g *GroupOut) Delete(r *Route) {
 }
 
 // Lookup implements Stage: the group adj-RIB-out.
-func (g *GroupOut) Lookup(net netip.Prefix) *Route {
-	if e, ok := g.announced[net]; ok {
-		return e.route(net)
-	}
-	return nil
+func (g *GroupOut) Lookup(net netip.Prefix, r *Route) bool {
+	e, ok := g.announced[net]
+	*r = e.route(net)
+	return ok
 }
 
 // MemberAnnouncedCount returns how many prefixes one member has been told
@@ -281,9 +275,10 @@ func (g *GroupOut) MemberAnnouncedCount(handle *PeerHandle) int {
 
 // ResyncMember replays the full member-visible table to one member's
 // sender (session re-established), in prefix order. Prefixes are grouped
-// by attr set, sets in the order of their first prefix, so the dump packs
-// NLRI like the live path does and two replays of one table are the same
-// bytes.
+// by attr set — by content: an exported set is a fresh object per run,
+// however few distinct sets the table holds — and sets go in the order of
+// their first prefix, so the dump packs NLRI like the live path does and
+// two replays of one table are the same bytes.
 func (g *GroupOut) ResyncMember(handle *PeerHandle) {
 	m := g.member(handle)
 	if m == nil {
@@ -296,24 +291,33 @@ func (g *GroupOut) ResyncMember(handle *PeerHandle) {
 		}
 	}
 	slices.SortFunc(nets, trie.ComparePrefix)
-	byAttrs := make(map[*PathAttrs][]netip.Prefix)
-	var order []*PathAttrs
+	type set struct {
+		attrs *PathAttrs
+		nets  []netip.Prefix
+	}
+	byKey := make(map[string]*set)
+	var order []*set
+	var key []byte
 	for _, net := range nets {
 		attrs := g.announced[net].attrs
-		if _, ok := byAttrs[attrs]; !ok {
-			order = append(order, attrs)
+		key = appendAttrKey(key[:0], attrs)
+		s, ok := byKey[string(key)]
+		if !ok {
+			s = &set{attrs: attrs}
+			byKey[string(key)] = s
+			order = append(order, s)
 		}
-		byAttrs[attrs] = append(byAttrs[attrs], net)
+		s.nets = append(s.nets, net)
 	}
-	for _, attrs := range order {
-		if msgs := g.encodeAnnounce(attrs, byAttrs[attrs]); msgs > 0 {
+	for _, s := range order {
+		if msgs := g.encodeAnnounce(s.attrs, s.nets); msgs > 0 {
 			g.send(m, msgs)
 		}
 	}
 }
 
 // WalkAnnounced visits every route one member knows (tests).
-func (g *GroupOut) WalkAnnounced(handle *PeerHandle, fn func(*Route) bool) {
+func (g *GroupOut) WalkAnnounced(handle *PeerHandle, fn func(Route) bool) {
 	if g.member(handle) == nil {
 		return
 	}

@@ -2,6 +2,8 @@ package bgp
 
 import (
 	"net/netip"
+
+	"xorp/internal/core"
 )
 
 // NexthopInfo is the RIB's answer about one nexthop: whether it is
@@ -46,16 +48,12 @@ func (s *StaticMetricSource) WatchInvalidation(func(covering netip.Prefix)) {}
 // An add has no old side and a delete no new one; only a new side needs a
 // nexthop and can wait.
 type pendingOp struct {
-	old, new *Route
+	op       core.Op
+	old, new Route
 }
 
-// net returns the prefix the op is about.
-func (p pendingOp) net() netip.Prefix {
-	if p.new != nil {
-		return p.new.Net
-	}
-	return p.old.Net
-}
+// held returns what downstream holds while the op waits: its old side.
+func (p pendingOp) held() (Route, bool) { return p.old, p.op != core.OpAdd }
 
 // nexthopEntry is what the resolver knows about one nexthop. Every route via
 // the nexthop that downstream holds carries exactly info, so an entry is
@@ -73,10 +71,9 @@ type nexthopEntry struct {
 // per-net stream.
 //
 // The stage stores no routes (§5.1: only the PeerIn does). The annotation
-// depends on the nexthop alone, so it is kept per nexthop and written into
-// the route the stage is handed — the PeerIn's own object, or the heap view
-// of it a rewriting filter upstream made — and Lookup asks upstream and
-// stamps the answer again. Only ops still waiting for an answer hold routes
+// depends on the nexthop alone, so it is kept per nexthop and stamped into
+// each route on its way downstream, and Lookup asks upstream and stamps the
+// answer the same way. Only ops still waiting for an answer hold routes
 // here.
 type NexthopResolver struct {
 	base
@@ -123,34 +120,44 @@ func (n *NexthopResolver) resolved(nh netip.Addr) bool {
 	return e != nil && !e.stale
 }
 
-// annotate writes r's nexthop entry into r, and reports whether there was a
-// route and an entry: a route without one has never gone downstream.
+// stamp writes e's annotation into r.
+func (e *nexthopEntry) stamp(r *Route) {
+	r.Resolvable, r.IGPMetric = e.info.Resolvable, e.info.Metric
+}
+
+// annotate stamps r from its nexthop's entry and reports whether there is
+// one: a route without has never gone downstream. The empty side of an add
+// or a delete has neither.
 func (n *NexthopResolver) annotate(r *Route) bool {
-	if r == nil {
+	if r.Attrs == nil {
 		return false
 	}
 	e := n.nexthops[r.Attrs.NextHop]
 	if e != nil {
-		r.Resolvable, r.IGPMetric = e.info.Resolvable, e.info.Metric
+		e.stamp(r)
 	}
 	return e != nil
 }
 
 // Add implements Stage. A run shares one attribute set and thus one
-// nexthop: with the answer at hand the whole run is annotated and forwarded
-// in one pass; a route with queued predecessors cuts the run and goes
-// through the queue at its position, and an unresolved nexthop queues every
-// route (the first issues the query, the rest wait behind it).
-func (n *NexthopResolver) Add(run []*Route) {
-	resolved := n.resolved(run[0].Attrs.NextHop)
+// nexthop: with the answer at hand the whole run is annotated from the one
+// entry and forwarded in one pass; a route with queued predecessors cuts
+// the run and goes through the queue at its position, and an unresolved
+// nexthop queues every route (the first issues the query, the rest wait
+// behind it).
+func (n *NexthopResolver) Add(run []Route) {
+	nh := run[0].Attrs.NextHop
+	e := n.nexthops[nh]
+	resolved := e != nil && !e.stale
 	for _, r := range run {
-		if !resolved || len(n.queues[r.Net]) > 0 {
+		if !resolved || len(n.queues) > 0 && len(n.queues[r.Net]) > 0 {
 			n.flush()
-			n.submit(pendingOp{new: r})
+			n.submit(pendingOp{op: core.OpAdd, new: r})
+			e = n.nexthops[nh] // an answer may have come in meanwhile
 			continue
 		}
-		n.annotate(r)
 		if n.next != nil {
+			e.stamp(&r)
 			n.run = append(n.run, r)
 		}
 	}
@@ -158,16 +165,21 @@ func (n *NexthopResolver) Add(run []*Route) {
 }
 
 // Replace implements Stage.
-func (n *NexthopResolver) Replace(old, new *Route) { n.submit(pendingOp{old: old, new: new}) }
+func (n *NexthopResolver) Replace(old, new Route) {
+	n.submit(pendingOp{op: core.OpReplace, old: old, new: new})
+}
 
 // Delete implements Stage.
-func (n *NexthopResolver) Delete(r *Route) { n.submit(pendingOp{old: r}) }
+func (n *NexthopResolver) Delete(r Route) { n.submit(pendingOp{op: core.OpDelete, old: r}) }
 
 // submit queues op behind its net's earlier ops and sends on what is ready.
 // An op with nothing ahead of it and nothing to wait for goes straight out.
 func (n *NexthopResolver) submit(op pendingOp) {
-	net := op.net()
-	if len(n.queues[net]) == 0 && (op.new == nil || n.resolved(op.new.Attrs.NextHop)) {
+	net := op.new.Net
+	if op.op == core.OpDelete {
+		net = op.old.Net
+	}
+	if len(n.queues[net]) == 0 && (op.op == core.OpDelete || n.resolved(op.new.Attrs.NextHop)) {
 		n.forward(op)
 		return
 	}
@@ -183,7 +195,7 @@ func (n *NexthopResolver) submit(op pendingOp) {
 func (n *NexthopResolver) drain(net netip.Prefix) {
 	for q := n.queues[net]; len(q) > 0; q = n.queues[net] {
 		op := q[0]
-		if op.new != nil && !n.resolved(op.new.Attrs.NextHop) {
+		if op.op != core.OpDelete && !n.resolved(op.new.Attrs.NextHop) {
 			n.wait(op.new.Attrs.NextHop, net)
 			return
 		}
@@ -236,17 +248,19 @@ func (n *NexthopResolver) answered(nh netip.Addr, info NexthopInfo) {
 	}
 }
 
-// forward annotates and emits one op. The old side is stamped too: with a
-// rewriting filter upstream it is a fresh view, and what downstream holds of
-// it carries its nexthop's entry.
+// forward annotates and emits one op. The old side is stamped too: it comes
+// from upstream bare, and what downstream holds of it carries its nexthop's
+// entry.
 func (n *NexthopResolver) forward(op pendingOp) {
-	n.annotate(op.old)
-	n.annotate(op.new)
-	switch {
-	case n.next == nil:
-	case op.old == nil:
+	if n.next == nil {
+		return
+	}
+	n.annotate(&op.old)
+	n.annotate(&op.new)
+	switch op.op {
+	case core.OpAdd:
 		n.addOne(op.new)
-	case op.new == nil:
+	case core.OpDelete:
 		n.next.Delete(op.old)
 	default:
 		n.next.Replace(op.old, op.new)
@@ -274,7 +288,7 @@ func (n *NexthopResolver) invalidate(covering netip.Prefix) {
 
 // routeHolder is a stage of the input branch that stores routes: the
 // PeerIn, and a DeletionStage for as long as it drains.
-type routeHolder interface{ Walk(func(*Route) bool) }
+type routeHolder interface{ Walk(func(Route) bool) }
 
 // reannounce replaces every route via nh that downstream holds — the entry
 // has just moved from prev — with the same route under the new annotation.
@@ -284,26 +298,29 @@ type routeHolder interface{ Walk(func(*Route) bool) }
 // walk is O(table) per changed nexthop; a nexthop → prefixes index would
 // cost about as much per route as the clone table this stage used to keep.
 func (n *NexthopResolver) reannounce(nh netip.Addr, prev NexthopInfo) {
-	emit := func(r *Route) {
-		if r == nil || r.Attrs.NextHop != nh {
-			return
+	was, now := nexthopEntry{info: prev}, n.nexthops[nh]
+	emit := func(r Route) {
+		if r.Attrs.NextHop == nh {
+			old := r
+			was.stamp(&old)
+			now.stamp(&r)
+			n.next.Replace(old, r)
 		}
-		old := *r
-		old.Resolvable, old.IGPMetric = prev.Resolvable, prev.Metric
-		n.annotate(r)
-		n.next.Replace(&old, r)
 	}
 	for _, q := range n.queues {
-		emit(q[0].old)
+		if old, ok := q[0].held(); ok {
+			emit(old)
+		}
 	}
+	var r Route
 	for s := n.parent; s != nil; s = s.parentStage() {
 		h, ok := s.(routeHolder)
 		if !ok {
 			continue
 		}
-		h.Walk(func(held *Route) bool {
-			if len(n.queues[held.Net]) == 0 {
-				emit(n.lookupParent(held.Net))
+		h.Walk(func(held Route) bool {
+			if len(n.queues[held.Net]) == 0 && n.lookupParent(held.Net, &r) {
+				emit(r)
 			}
 			return true
 		})
@@ -313,13 +330,12 @@ func (n *NexthopResolver) reannounce(nh netip.Addr, prev NexthopInfo) {
 // Lookup implements Stage: what downstream last saw of net. With ops
 // queued that is the old side of the head (nothing, for a queued add:
 // queued routes are invisible); otherwise upstream's answer, annotated.
-func (n *NexthopResolver) Lookup(net netip.Prefix) *Route {
-	r := n.lookupParent(net)
-	if q := n.queues[net]; len(q) > 0 {
-		r = q[0].old
+func (n *NexthopResolver) Lookup(net netip.Prefix, r *Route) bool {
+	ok := n.lookupParent(net, r)
+	if len(n.queues) > 0 {
+		if q := n.queues[net]; len(q) > 0 {
+			*r, ok = q[0].held()
+		}
 	}
-	if !n.annotate(r) {
-		return nil
-	}
-	return r
+	return ok && n.annotate(r)
 }

@@ -119,9 +119,9 @@ func (o *oracleRouter) inject(name string, u *UpdateMsg) {
 
 // announcedSet flattens what one member has been told, for end-state
 // comparison with the model.
-func (o *oracleRouter) announcedSet(m *oracleMember) map[netip.Prefix]*Route {
-	set := make(map[netip.Prefix]*Route)
-	m.gout.WalkAnnounced(m.handle, func(r *Route) bool {
+func (o *oracleRouter) announcedSet(m *oracleMember) map[netip.Prefix]Route {
+	set := make(map[netip.Prefix]Route)
+	m.gout.WalkAnnounced(m.handle, func(r Route) bool {
 		set[r.Net] = r
 		return true
 	})
@@ -166,17 +166,20 @@ func (o *refRouter) addMember(name, addr string, as uint16, localAddr netip.Addr
 }
 
 // inject applies one UPDATE: withdrawals, then announcements, prefix by
-// prefix in message order.
+// prefix in message order. A route with our own AS in its path is one we
+// must not use, and it replaces what the peer said before: the prefix is
+// left with no route from this peer.
 func (o *refRouter) inject(name string, u *UpdateMsg) {
 	m := o.byName[name]
 	for _, w := range u.Withdrawn {
 		o.change(m, w.Masked(), nil)
 	}
-	if len(u.NLRI) == 0 || u.Attrs.ASPath.Contains(o.localAS) {
-		return
-	}
 	for _, n := range u.NLRI {
-		o.change(m, n.Masked(), &Route{Net: n.Masked(), Attrs: u.Attrs, Src: m.handle, Resolvable: true})
+		var r *Route
+		if !u.Attrs.ASPath.Contains(o.localAS) {
+			r = &Route{Net: n.Masked(), Attrs: u.Attrs, Src: m.handle, Resolvable: true}
+		}
+		o.change(m, n.Masked(), r)
 	}
 }
 
@@ -401,14 +404,23 @@ func buildWorkload(r *rand.Rand, steps int) (peers []struct {
 		name := peers[pi].name
 		attrs := variants[pi][r.Intn(len(variants[pi]))]
 		var nlri, wdr []netip.Prefix
-		switch n := r.Intn(10); {
+		switch n := r.Intn(11); {
 		case n < 6:
 			nlri = pick(8)
 		case n < 9:
 			wdr = pick(4)
-		default:
+		case n < 10:
 			wdr = pick(3)
 			nlri = pick(5)
+		default:
+			// A looped re-announcement: the universe is small, so most of
+			// these prefixes are held. Now and then it withdraws as well.
+			nlri = pick(5)
+			if r.Intn(3) == 0 {
+				wdr = pick(2)
+			}
+			attrs = attrs.Clone()
+			attrs.ASPath = append(attrs.ASPath, ASSegment{Type: SegSequence, ASes: []uint16{65000}})
 		}
 		a := attrs
 		events = append(events, oracleEvent{peer: name, msg: func() *UpdateMsg {
@@ -524,7 +536,7 @@ func TestFanoutMatchesPerPeer(t *testing.T) {
 			// A group of one is screened ahead of its branch: it keeps no
 			// state for the routes its own peer sent.
 			for _, m := range solo.members {
-				m.gout.WalkAnnounced(m.handle, func(r *Route) bool {
+				m.gout.WalkAnnounced(m.handle, func(r Route) bool {
 					if r.Src == m.handle {
 						t.Errorf("%s: group of one stores its own route %v", m.handle.Name, r.Net)
 					}
@@ -622,8 +634,8 @@ func TestGroupOutMembership(t *testing.T) {
 	}
 
 	net1 := mustP("10.1.0.0/16")
-	r1 := &Route{Net: net1, Attrs: testAttrs(), Src: h1}
-	g.Add([]*Route{r1}) // from m1: split horizon suppresses m1
+	r1 := Route{Net: net1, Attrs: testAttrs(), Src: h1}
+	g.Add([]Route{r1}) // from m1: split horizon suppresses m1
 	if len(got1) != 0 {
 		t.Fatalf("m1 received its own route")
 	}
@@ -645,7 +657,7 @@ func TestGroupOutMembership(t *testing.T) {
 
 	// Replace with a route from m2: m1 gains it, m2 must get a withdraw
 	// (it previously saw m1's version).
-	r2 := &Route{Net: net1, Attrs: testAttrs(), Src: h2}
+	r2 := Route{Net: net1, Attrs: testAttrs(), Src: h2}
 	got1, got2 = nil, nil
 	g.Replace(r1, r2)
 	if len(got1) != 1 {
@@ -695,10 +707,10 @@ func TestGroupOutRunSharesBytes(t *testing.T) {
 	}
 	src := testPeer("src", "10.0.9.9", 65100, false)
 	attrs := testAttrs()
-	var rs []*Route
+	var rs []Route
 	for i := 0; i < 1000; i++ {
 		net := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 50, byte(i >> 8), byte(i)}), 32)
-		rs = append(rs, &Route{Net: net, Attrs: attrs, Src: src})
+		rs = append(rs, Route{Net: net, Attrs: attrs, Src: src})
 	}
 	g.Add(rs)
 	if g.EncodeCalls != 1 {

@@ -8,32 +8,61 @@ import (
 	"xorp/internal/trie"
 )
 
+// inTable is what one incarnation of a peering said, unfiltered: per prefix
+// the attribute pointer and nothing else. The prefix is the trie key and the
+// source is peer, so the Route is built from the three on the way out.
+type inTable struct {
+	peer *PeerHandle
+	tbl  *trie.Trie[*PathAttrs]
+	// pool interns attribute sets: each stored prefix holds one reference
+	// on its (canonical, shared) attrs. May be nil (tests).
+	pool *AttrPool
+}
+
+// route builds the route stored as attrs under net.
+func (t *inTable) route(net netip.Prefix, attrs *PathAttrs) Route {
+	return Route{Net: net, Attrs: attrs, Src: t.peer}
+}
+
+// Walk visits the stored routes.
+func (t *inTable) Walk(fn func(Route) bool) {
+	t.tbl.Walk(func(net netip.Prefix, attrs *PathAttrs) bool { return fn(t.route(net, attrs)) })
+}
+
+// get writes the route stored under net into r and reports whether there
+// is one.
+func (t *inTable) get(net netip.Prefix, r *Route) bool {
+	attrs, ok := t.tbl.Get(net)
+	if ok {
+		*r = t.route(net, attrs)
+	}
+	return ok
+}
+
 // PeerIn is the origin stage of one peering's input branch (§5.1): it
-// stores the original, unfiltered routes received from the peer — the only
-// place input routes are stored, so filters can be re-run at any time —
-// and emits Add/Replace/Delete messages downstream.
+// stores the original routes received from the peer — the only place input
+// routes are stored, so filters can be re-run at any time — and emits
+// Add/Replace/Delete messages downstream.
 type PeerIn struct {
 	base
 	loop *eventloop.Loop
-	peer *PeerHandle
-	tbl  *trie.Trie[*Route]
-	// pool interns attribute sets: each stored route holds one reference
-	// on its (canonical, shared) attrs. May be nil (tests).
-	pool *AttrPool
+	inTable
 	// tracer, when set and enabled, opens a RouteTrace at StagePeerIn as
 	// each announced prefix lands in the table (nil-safe).
 	tracer *telemetry.Tracer
+	// loopRoutes counts the NLRI of UPDATEs whose AS_PATH holds the local
+	// AS. A Process points its PeerIns at its bgp_in_as_loop_routes_total.
+	loopRoutes *telemetry.Counter
 }
 
 // NewPeerIn returns the input stage for peer. pool may be nil to store
 // attrs unpooled.
 func NewPeerIn(loop *eventloop.Loop, peer *PeerHandle, pool *AttrPool) *PeerIn {
 	return &PeerIn{
-		base: base{name: "peerin(" + peer.Name + ")"},
-		loop: loop,
-		peer: peer,
-		tbl:  trie.New[*Route](),
-		pool: pool,
+		base:       base{name: "peerin(" + peer.Name + ")"},
+		loop:       loop,
+		inTable:    inTable{peer: peer, tbl: trie.New[*PathAttrs](), pool: pool},
+		loopRoutes: new(telemetry.Counter),
 	}
 }
 
@@ -44,11 +73,14 @@ func (p *PeerIn) Peer() *PeerHandle { return p.peer }
 func (p *PeerIn) Len() int { return p.tbl.Len() }
 
 // ReceiveUpdate processes a decoded UPDATE from the peer: withdrawals,
-// then announcements. Routes whose AS_PATH contains localAS are dropped
-// (loop prevention). The attribute set is interned once per message and
-// shared (pointer-identical) by every announced route; consecutive fresh
-// announcements leave as one run, cut where a prefix the peer already
-// announced becomes a Replace, so downstream sees the UPDATE's own order.
+// then announcements. An announcement whose AS_PATH contains localAS is a
+// routing loop: the peer has replaced whatever it said before about each
+// prefix with a route we must not use (RFC 4271 §9.1.2), so what we hold of
+// them is withdrawn. Otherwise the attribute set is interned once per
+// message, with one reference per NLRI, and shared (pointer-identical) by
+// every announced route; consecutive fresh announcements leave as one run,
+// cut where a prefix the peer already announced becomes a Replace, so
+// downstream sees the UPDATE's own order.
 func (p *PeerIn) ReceiveUpdate(m *UpdateMsg, localAS uint16) {
 	for _, w := range m.Withdrawn {
 		p.Withdraw(w)
@@ -57,29 +89,16 @@ func (p *PeerIn) ReceiveUpdate(m *UpdateMsg, localAS uint16) {
 		return
 	}
 	if m.Attrs.ASPath.Contains(localAS) {
-		return // our own AS in the path: routing loop
+		p.loopRoutes.Add(uint64(len(m.NLRI)))
+		for _, n := range m.NLRI {
+			p.Withdraw(n)
+		}
+		return
 	}
-	attrs := m.Attrs
-	if p.pool != nil {
-		attrs = p.pool.Intern(attrs)
-		defer p.pool.Release(attrs) // stored routes hold their own refs
-	}
+	attrs := p.pool.Intern(m.Attrs)
+	p.pool.retain(attrs, len(m.NLRI)-1)
 	for _, n := range m.NLRI {
-		net := n.Masked()
-		if _, existed := p.tbl.Get(net); existed {
-			p.flush()
-			p.Announce(net, attrs)
-			continue
-		}
-		r := &Route{Net: net, Attrs: attrs, Src: p.peer}
-		p.tbl.Insert(net, r)
-		p.pool.Retain(attrs)
-		if p.tracer.Enabled() {
-			p.tracer.Stamp(telemetry.StagePeerIn, net)
-		}
-		if p.next != nil {
-			p.run = append(p.run, r)
-		}
+		p.store(n.Masked(), attrs)
 	}
 	p.flush()
 }
@@ -87,47 +106,45 @@ func (p *PeerIn) ReceiveUpdate(m *UpdateMsg, localAS uint16) {
 // Announce stores one route and emits a run of one, or a Replace,
 // downstream.
 func (p *PeerIn) Announce(net netip.Prefix, attrs *PathAttrs) {
-	if p.pool != nil {
-		attrs = p.pool.Intern(attrs) // the stored route's reference
+	p.store(net.Masked(), p.pool.Intern(attrs))
+	p.flush()
+}
+
+// store puts attrs, with the reference the caller took for it, under net.
+// A fresh prefix joins the run being collected, which the caller flushes; a
+// prefix the peer already announced sends the run so far on and becomes a
+// Replace.
+func (p *PeerIn) store(net netip.Prefix, attrs *PathAttrs) {
+	old, existed := p.tbl.Get(net)
+	if existed {
+		p.flush()
+		p.pool.Release(old)
 	}
-	r := &Route{Net: net.Masked(), Attrs: attrs, Src: p.peer}
-	old, existed := p.tbl.Get(r.Net)
-	p.tbl.Insert(r.Net, r)
+	p.tbl.Insert(net, attrs)
 	if p.tracer.Enabled() {
-		p.tracer.Stamp(telemetry.StagePeerIn, r.Net)
+		p.tracer.Stamp(telemetry.StagePeerIn, net)
 	}
-	if existed {
-		p.pool.Release(old.Attrs)
-	}
-	if p.next == nil {
-		return
-	}
-	if existed {
-		if SameRoute(old, r) {
-			return // duplicate announcement, nothing changed
-		}
-		p.next.Replace(old, r)
-	} else {
-		p.addOne(r)
+	switch {
+	case p.next == nil:
+	case !existed:
+		p.run = append(p.run, p.route(net, attrs))
+	case !old.Equal(attrs): // else a duplicate announcement, nothing changed
+		p.next.Replace(p.route(net, old), p.route(net, attrs))
 	}
 }
 
 // Withdraw removes a route and emits Delete downstream. Unknown prefixes
 // are ignored (RFC 4271 tolerates spurious withdrawals).
 func (p *PeerIn) Withdraw(net netip.Prefix) {
-	old, existed := p.tbl.Delete(net.Masked())
+	net = net.Masked()
+	old, existed := p.tbl.Delete(net)
 	if !existed {
 		return
 	}
-	p.pool.Release(old.Attrs)
+	p.pool.Release(old)
 	if p.next != nil {
-		p.next.Delete(old)
+		p.next.Delete(p.route(net, old))
 	}
-}
-
-// Walk visits the stored original routes.
-func (p *PeerIn) Walk(fn func(*Route) bool) {
-	p.tbl.Walk(func(_ netip.Prefix, r *Route) bool { return fn(r) })
 }
 
 // PeerDown implements the dynamic deletion stage handoff (§5.1.2): the
@@ -139,32 +156,27 @@ func (p *PeerIn) PeerDown() *DeletionStage {
 	if p.tbl.Len() == 0 {
 		return nil
 	}
-	d := newDeletionStage(p.loop, p.peer, p.tbl, p.pool)
-	p.tbl = trie.New[*Route]()
+	d := &DeletionStage{base: base{name: "deletion(" + p.peer.Name + ")"}, loop: p.loop, inTable: p.inTable}
+	p.tbl = trie.New[*PathAttrs]()
 	Splice(p, d)
-	d.start()
+	d.it = d.tbl.Iterate()
+	d.task = d.loop.AddTask(d.name, d.step)
 	return d
 }
 
 // Stage interface: a PeerIn is an origin; nothing is upstream of it.
 
 // Add panics: PeerIn has no upstream.
-func (p *PeerIn) Add([]*Route) { panic("bgp: PeerIn has no upstream") }
+func (p *PeerIn) Add([]Route) { panic("bgp: PeerIn has no upstream") }
 
 // Replace panics: PeerIn has no upstream.
-func (p *PeerIn) Replace(_, _ *Route) { panic("bgp: PeerIn has no upstream") }
+func (p *PeerIn) Replace(_, _ Route) { panic("bgp: PeerIn has no upstream") }
 
 // Delete panics: PeerIn has no upstream.
-func (p *PeerIn) Delete(*Route) { panic("bgp: PeerIn has no upstream") }
+func (p *PeerIn) Delete(Route) { panic("bgp: PeerIn has no upstream") }
 
 // Lookup returns the stored original route.
-func (p *PeerIn) Lookup(net netip.Prefix) *Route {
-	r, ok := p.tbl.Get(net)
-	if !ok {
-		return nil
-	}
-	return r
-}
+func (p *PeerIn) Lookup(net netip.Prefix, r *Route) bool { return p.get(net, r) }
 
 // deletionBatch is how many routes one background slice deletes. Small
 // enough to keep event latency low, large enough to finish a full table
@@ -178,113 +190,88 @@ const deletionBatch = 64
 // drained.
 type DeletionStage struct {
 	base
-	loop *eventloop.Loop
-	tbl  *trie.Trie[*Route]
-	pool *AttrPool
-	task *eventloop.Task
-	it   *trie.Iterator[*Route]
-	done bool
-}
-
-func newDeletionStage(loop *eventloop.Loop, peer *PeerHandle, tbl *trie.Trie[*Route], pool *AttrPool) *DeletionStage {
-	return &DeletionStage{
-		base: base{name: "deletion(" + peer.Name + ")"},
-		loop: loop,
-		tbl:  tbl,
-		pool: pool,
-	}
-}
-
-func (d *DeletionStage) start() {
-	d.it = d.tbl.Iterate()
-	d.task = d.loop.AddTask(d.name, d.step)
+	loop    *eventloop.Loop
+	inTable // the routes not yet deleted, which downstream still holds
+	task    *eventloop.Task
+	it      *trie.Iterator[*PathAttrs]
+	done    bool
 }
 
 // Done reports whether the stage has drained and unplumbed itself.
 func (d *DeletionStage) Done() bool { return d.done }
 
-// Walk visits the routes not yet deleted, which downstream still holds.
-func (d *DeletionStage) Walk(fn func(*Route) bool) {
-	d.tbl.Walk(func(_ netip.Prefix, r *Route) bool { return fn(r) })
-}
-
 // step deletes one batch; it is a cooperative background slice (§4),
 // using the safe iterator of §5.3 to survive concurrent route changes.
 func (d *DeletionStage) step() bool {
-	for i := 0; i < deletionBatch; i++ {
-		if !d.it.Valid() {
-			d.finish()
-			return true
-		}
-		net, r, ok := d.it.Entry()
+	for i := 0; i < deletionBatch && d.it.Valid(); i++ {
+		net, attrs, ok := d.it.Entry()
 		d.it.Next()
 		if !ok {
 			continue // entry vanished while we were paused
 		}
 		d.tbl.Delete(net)
-		d.pool.Release(r.Attrs)
+		d.pool.Release(attrs)
 		if d.next != nil {
-			d.next.Delete(r)
+			d.next.Delete(d.route(net, attrs))
 		}
 	}
-	if d.tbl.Len() == 0 {
-		d.finish()
-		return true
-	}
-	return false
+	d.finishIfEmpty()
+	return d.done
 }
 
-// finish unplumbs the stage; downstream stages never knew it existed.
-func (d *DeletionStage) finish() {
-	if d.done {
+// finishIfEmpty unplumbs the drained stage and ends its task; downstream
+// stages never knew it existed.
+func (d *DeletionStage) finishIfEmpty() {
+	if d.done || d.tbl.Len() > 0 && d.it.Valid() {
 		return
 	}
 	d.done = true
 	d.it.Close()
 	Unsplice(d)
+	d.task.Stop()
 }
 
 // Add handles fresh announcements from the revived PeerIn. Where we still
 // hold a prefix, downstream believes the old route is current, so the run
 // is cut there and the pair becomes a Replace; our copy is dropped (each
 // route lives in at most one deletion stage).
-func (d *DeletionStage) Add(run []*Route) {
+func (d *DeletionStage) Add(run []Route) {
 	start := 0
 	for i, r := range run {
 		old, held := d.tbl.Delete(r.Net)
 		if !held {
 			continue
 		}
-		d.pool.Release(old.Attrs)
+		d.pool.Release(old)
 		if d.next != nil {
 			if i > start {
 				d.next.Add(run[start:i])
 			}
-			d.next.Replace(old, r)
+			d.next.Replace(d.route(r.Net, old), r)
 		}
 		start = i + 1
 	}
 	if d.next != nil && len(run) > start {
 		d.next.Add(run[start:])
 	}
-	d.maybeFinishEarly()
+	d.finishIfEmpty()
 }
 
 // Replace passes through; if we somehow still hold the prefix, drop our
 // stale copy first (downstream already saw the new route's Add).
-func (d *DeletionStage) Replace(old, new *Route) {
+func (d *DeletionStage) Replace(old, new Route) {
 	if stale, held := d.tbl.Delete(new.Net); held {
-		d.pool.Release(stale.Attrs)
+		d.pool.Release(stale)
 	}
 	if d.next != nil {
 		d.next.Replace(old, new)
 	}
-	d.maybeFinishEarly()
+	d.finishIfEmpty()
 }
 
 // Delete passes through (the PeerIn only deletes routes it announced
 // after the handoff, which we do not hold).
-func (d *DeletionStage) Delete(r *Route) {
+func (d *DeletionStage) Delete(r Route) {
 	if d.next != nil {
 		d.next.Delete(r)
 	}
@@ -292,18 +279,6 @@ func (d *DeletionStage) Delete(r *Route) {
 
 // Lookup: routes not yet deleted are still answered (rule 2), otherwise
 // ask upstream.
-func (d *DeletionStage) Lookup(net netip.Prefix) *Route {
-	if r, ok := d.tbl.Get(net); ok {
-		return r
-	}
-	return d.lookupParent(net)
-}
-
-func (d *DeletionStage) maybeFinishEarly() {
-	if d.tbl.Len() == 0 && !d.done {
-		d.finish()
-		if d.task != nil {
-			d.task.Stop()
-		}
-	}
+func (d *DeletionStage) Lookup(net netip.Prefix, r *Route) bool {
+	return d.get(net, r) || d.lookupParent(net, r)
 }

@@ -16,7 +16,8 @@ import (
 
 // RIBClient is where BGP's best routes go (the "Best routes to RIB" arrow
 // of Figure 5). The production implementation sends XRLs to the RIB
-// process; tests plug in collectors.
+// process; tests plug in collectors. The routes are valid only for the
+// call.
 type RIBClient interface {
 	AddRoute(r *Route)
 	ReplaceRoute(old, new *Route)
@@ -66,6 +67,7 @@ type Process struct {
 	metrics     *telemetry.Registry
 	mUpdates    *telemetry.Counter // bgp_updates_total
 	mEncodeErrs *telemetry.Counter // bgp_out_encode_errors_total
+	mLoopRoutes *telemetry.Counter // bgp_in_as_loop_routes_total
 
 	cache    *CacheStage
 	listener net.Listener
@@ -102,6 +104,7 @@ func NewProcess(loop *eventloop.Loop, cfg Config, ribClient RIBClient, metricSrc
 	p.metrics = telemetry.NewRegistry()
 	p.mUpdates = p.metrics.Counter("bgp_updates_total", "UPDATE messages processed")
 	p.mEncodeErrs = p.metrics.Counter("bgp_out_encode_errors_total", "outbound UPDATEs dropped because they could not be encoded")
+	p.mLoopRoutes = p.metrics.Counter("bgp_in_as_loop_routes_total", "announced prefixes rejected, and withdrawn if held, because their AS_PATH holds the local AS")
 	p.metrics.GaugeFunc("bgp_peers", "configured peerings",
 		func() float64 { return float64(len(p.peers)) })
 	p.metrics.GaugeFunc("bgp_peerin_routes", "routes stored across peer-in tables",
@@ -190,10 +193,13 @@ func (p *Process) CacheViolations() []*core.ConsistencyError {
 	return p.cache.Violations()
 }
 
-// ribSinkStage converts the fanout's RIB branch into RIBClient calls.
+// ribSinkStage converts the fanout's RIB branch into RIBClient calls. The
+// client is shown run elements in place, and a Replace's or Delete's routes
+// in old and new.
 type ribSinkStage struct {
 	base
-	proc *Process
+	proc     *Process
+	old, new Route
 }
 
 // log records the two profile points a route passes on its way to the
@@ -207,30 +213,32 @@ func (s *ribSinkStage) log(op string, net netip.Prefix) {
 	}
 }
 
-func (s *ribSinkStage) Add(run []*Route) {
-	for _, r := range run {
-		s.log("add", r.Net)
+func (s *ribSinkStage) Add(run []Route) {
+	for i := range run {
+		s.log("add", run[i].Net)
 		if s.proc.ribClient != nil {
-			s.proc.ribClient.AddRoute(r)
+			s.proc.ribClient.AddRoute(&run[i])
 		}
 	}
 }
 
-func (s *ribSinkStage) Replace(old, new *Route) {
+func (s *ribSinkStage) Replace(old, new Route) {
 	s.log("replace", new.Net)
 	if s.proc.ribClient != nil {
-		s.proc.ribClient.ReplaceRoute(old, new)
+		s.old, s.new = old, new
+		s.proc.ribClient.ReplaceRoute(&s.old, &s.new)
 	}
 }
 
-func (s *ribSinkStage) Delete(r *Route) {
+func (s *ribSinkStage) Delete(r Route) {
 	s.log("delete", r.Net)
 	if s.proc.ribClient != nil {
-		s.proc.ribClient.DeleteRoute(r)
+		s.old = r
+		s.proc.ribClient.DeleteRoute(&s.old)
 	}
 }
 
-func (s *ribSinkStage) Lookup(net netip.Prefix) *Route { return s.lookupParent(net) }
+func (s *ribSinkStage) Lookup(net netip.Prefix, r *Route) bool { return s.lookupParent(net, r) }
 
 // AddPeer configures a peering and builds its input/output branches:
 //
@@ -261,6 +269,7 @@ func (p *Process) AddPeer(cfg PeerConfig) (*Peer, error) {
 	}
 	peer.peerin = NewPeerIn(p.loop, peer.handle, p.pool)
 	peer.peerin.tracer = p.tracer
+	peer.peerin.loopRoutes = p.mLoopRoutes
 	inFilter := NewFilterBank("in-filter(" + cfg.Name + ")")
 	resolver := NewNexthopResolver("nexthop("+cfg.Name+")", p.metricSrc)
 	if p.cfg.EnableDamping {
@@ -329,22 +338,12 @@ func (p *Process) RemovePeer(name string) error {
 	// decision process after the branch is unhooked. This drains both
 	// the FSM's deletion stages (splice right after the PeerIn) and any
 	// routes injected without an established session.
-	if d := peer.peerin.PeerDown(); d != nil {
-		for !d.Done() {
-			d.step()
-		}
-		if d.task != nil {
-			d.task.Stop()
-		}
-	}
+	peer.peerin.PeerDown()
 	for s := peer.peerin.downstream(); s != nil && s != Stage(p.decision); {
-		next := s.downstream()
+		next := s.downstream() // read first: a drained stage unplumbs itself
 		if d, isDel := s.(*DeletionStage); isDel {
-			for !d.Done() {
+			for !d.done {
 				d.step()
-			}
-			if d.task != nil {
-				d.task.Stop()
 			}
 		}
 		s = next

@@ -86,14 +86,14 @@ func (m *modelRecorder) held(net netip.Prefix) *Route {
 // checkLookup holds the resolver's answer for net to the replayed stream.
 func (m *modelRecorder) checkLookup(when string, net netip.Prefix) {
 	m.t.Helper()
-	if got, want := m.parent.Lookup(net), m.held(net); !sameAnnotated(got, want) {
+	if got, want := lookup(m.parent, net), m.held(net); !sameAnnotated(got, want) {
 		m.fail("%s: Lookup(%v) = %s, stream says %s", when, net, fmtRoute(got), fmtRoute(want))
 	}
 }
 
-func (m *modelRecorder) Add(run []*Route) {
+func (m *modelRecorder) Add(run []Route) {
 	for _, r := range run {
-		m.log = append(m.log, "    add "+fmtRoute(r))
+		m.log = append(m.log, "    add "+fmtRoute(&r))
 		if r.Attrs != run[0].Attrs || r.Src != run[0].Src {
 			m.fail("run mixes attribute sets or sources at %v", r.Net)
 		}
@@ -102,35 +102,38 @@ func (m *modelRecorder) Add(run []*Route) {
 		}
 	}
 	for _, r := range run {
-		m.tbl[r.Net] = *r
+		m.tbl[r.Net] = r
 	}
 	for _, r := range run {
 		m.checkLookup("in Add", r.Net)
 	}
 }
 
-func (m *modelRecorder) Replace(old, new *Route) {
-	m.log = append(m.log, "    replace "+fmtRoute(old)+" -> "+fmtRoute(new))
+func (m *modelRecorder) Replace(old, new Route) {
+	m.log = append(m.log, "    replace "+fmtRoute(&old)+" -> "+fmtRoute(&new))
 	if old.Net != new.Net {
 		m.fail("replace across prefixes %v -> %v", old.Net, new.Net)
 	}
-	if have := m.held(old.Net); !sameAnnotated(have, old) {
-		m.fail("replace of %s, but downstream holds %s", fmtRoute(old), fmtRoute(have))
+	if have := m.held(old.Net); !sameAnnotated(have, &old) {
+		m.fail("replace of %s, but downstream holds %s", fmtRoute(&old), fmtRoute(have))
 	}
-	m.tbl[new.Net] = *new
+	m.tbl[new.Net] = new
 	m.checkLookup("in Replace", new.Net)
 }
 
-func (m *modelRecorder) Delete(old *Route) {
-	m.log = append(m.log, "    delete "+fmtRoute(old))
-	if have := m.held(old.Net); !sameAnnotated(have, old) {
-		m.fail("delete of %s, but downstream holds %s", fmtRoute(old), fmtRoute(have))
+func (m *modelRecorder) Delete(old Route) {
+	m.log = append(m.log, "    delete "+fmtRoute(&old))
+	if have := m.held(old.Net); !sameAnnotated(have, &old) {
+		m.fail("delete of %s, but downstream holds %s", fmtRoute(&old), fmtRoute(have))
 	}
 	delete(m.tbl, old.Net)
 	m.checkLookup("in Delete", old.Net)
 }
 
-func (m *modelRecorder) Lookup(net netip.Prefix) *Route { return m.held(net) }
+func (m *modelRecorder) Lookup(net netip.Prefix, r *Route) (ok bool) {
+	*r, ok = m.tbl[net]
+	return ok
+}
 
 var (
 	modelNexthops = []netip.Addr{mustA("10.0.0.1"), mustA("10.0.0.2"), mustA("10.0.1.1")}
@@ -145,9 +148,9 @@ func modelNet(i int) netip.Prefix {
 
 // modelCloningFilter is an in-filter of the kind only tests install: it
 // never answers with the set it was shown, so the bank never hands on the
-// PeerIn's own object; it drops a quarter of the prefixes and moves another
+// set the PeerIn stores; it drops a quarter of the prefixes and moves another
 // quarter onto a different nexthop, so the resolver can trust neither the
-// object it is handed nor the nexthop the PeerIn stores.
+// set it is handed nor the nexthop the PeerIn stores.
 func modelCloningFilter(r *Route) *PathAttrs {
 	a := *r.Attrs
 	switch r.Net.Addr().As4()[2] % 4 {
@@ -293,7 +296,7 @@ func (m *resolverModel) settle() {
 	for i := 0; i < modelNets; i++ {
 		net := modelNet(i)
 		m.rec.checkLookup("at quiescence", net)
-		want := m.res.parentStage().Lookup(net)
+		want := lookup(m.res.parentStage(), net)
 		if want != nil {
 			c := *want
 			info := m.src.truth[c.Attrs.NextHop]

@@ -28,15 +28,14 @@ func (p *PeerHandle) String() string {
 	return fmt.Sprintf("%s(%v AS%d)", p.Name, p.Addr, p.AS)
 }
 
-// Route is a BGP route flowing through the staged pipeline. Routes are
-// immutable once emitted by a stage, except the two annotation fields,
-// which belong to the input branch's resolver: a filter bank sends a route
-// whose attributes it rewrote on as a view, a copy carrying the new set, so
-// the originals stored in PeerIn stay pristine (§5.1), and the resolver
-// writes IGPMetric and Resolvable into the route it is handed — the PeerIn's
-// own object when no filter upstream rewrote it. A holder downstream
-// therefore reads the nexthop's current annotation, which may be newer than
-// the one the route was emitted with, never older.
+// Route is a BGP route flowing through the staged pipeline, and it is a
+// value: every stage message carries its own copy and every Lookup answer
+// is written into the asker's own, so nobody reads a route through somebody
+// else's object. The PeerIn stores
+// one attribute pointer per prefix and builds the Route — its trie key, the
+// stored set, its own peer — on the way out; a filter bank that rewrites the
+// attributes sends the value on under the new set, which leaves what the
+// PeerIn stores pristine (§5.1).
 type Route struct {
 	// Net is the destination prefix.
 	Net netip.Prefix
@@ -46,16 +45,15 @@ type Route struct {
 	// originated locally, e.g. redistributed into BGP).
 	Src *PeerHandle
 
-	// IGPMetric and Resolvable are annotated by the nexthop resolver
-	// stage from RIB data ("hot potato" inputs, §3).
+	// IGPMetric and Resolvable are the nexthop resolver's annotation from
+	// RIB data ("hot potato" inputs, §3). They are a function of the nexthop
+	// alone: the resolver keeps them per nexthop and stamps them into each
+	// value it sends downstream and each Lookup answer it gives, so a route
+	// upstream of it carries zeroes, and a holder downstream the annotation
+	// of the moment the value was emitted — a change of the nexthop's entry
+	// arrives as a Replace.
 	IGPMetric  uint32
 	Resolvable bool
-}
-
-// Clone returns a copy sharing Attrs.
-func (r *Route) Clone() *Route {
-	c := *r
-	return &c
 }
 
 // LocalPrefOrDefault returns LOCAL_PREF with the RFC default of 100 when

@@ -159,7 +159,7 @@ func TestSegmentationInvariant(t *testing.T) {
 						t.Fatalf("%s: adj-RIB-out %d routes, singletons %d", name, len(ga), len(wa))
 					}
 					for net, wr := range wa {
-						if gr := ga[net]; gr == nil || !gr.Attrs.Equal(wr.Attrs) || gr.Src.Name != wr.Src.Name {
+						if gr, ok := ga[net]; !ok || !gr.Attrs.Equal(wr.Attrs) || gr.Src.Name != wr.Src.Name {
 							t.Fatalf("%s: adj-RIB-out differs at %v", name, net)
 						}
 					}
@@ -173,7 +173,10 @@ func TestSegmentationInvariant(t *testing.T) {
 // must cost no more than the per-route Add it replaced. One one-NLRI
 // UPDATE through PeerIn → resolver → Decision → Fanout → out-filter →
 // group of one, and its withdrawal, cost 28 allocations at the parent of
-// the change that made Add take a run (per-peer PeerOut, no-op sender).
+// the change that made Add take a run (per-peer PeerOut, no-op sender), and
+// 3 — the PeerIn's Route, the pool's entry and its key — before a route was
+// a value and the pool one table. Under a set the pool and the export
+// filter have seen they cost none.
 func TestRunOfOneAllocs(t *testing.T) {
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
 	dec := NewDecision("decision")
@@ -207,8 +210,8 @@ func TestRunOfOneAllocs(t *testing.T) {
 		loop.RunPending()
 	}
 	cycle()
-	if got := testing.AllocsPerRun(200, cycle); got > 28 {
-		t.Fatalf("announce+withdraw of one route costs %.0f allocations, want <= 28", got)
+	if got := testing.AllocsPerRun(200, cycle); got > 0 {
+		t.Fatalf("announce+withdraw of one route costs %.0f allocations, want 0", got)
 	}
 }
 
@@ -257,7 +260,7 @@ func TestSoloPeerIsGroupOfOne(t *testing.T) {
 	if got := counts(); got != [3]int{1, 2, 2} {
 		t.Fatalf("after i1's route: e1/i1/i2 hold %v, want [1 2 2] (IBGP routes go to EBGP peers only)", got)
 	}
-	if r := outs["e1"].Lookup(mustP("10.7.0.0/16")); r == nil || r.Attrs.ASPath.Length() != 2 {
+	if r := lookup(outs["e1"], mustP("10.7.0.0/16")); r == nil || r.Attrs.ASPath.Length() != 2 {
 		t.Fatalf("e1 was told %+v, want i1's route through the EBGP export transform", r)
 	}
 
@@ -313,7 +316,7 @@ func TestResyncIsDeterministic(t *testing.T) {
 		}
 		if !seen[net] {
 			seen[net] = true
-			g.Add([]*Route{{Net: net, Attrs: sets[r.Intn(len(sets))]}})
+			g.Add([]Route{{Net: net, Attrs: sets[r.Intn(len(sets))]}})
 		}
 	}
 	replay := func() []byte {
@@ -340,6 +343,42 @@ func TestResyncIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestResyncPacksEqualSets: an exported attribute set is a fresh object per
+// run, so a replay that grouped prefixes by set identity would send one
+// UPDATE per run the table was learned in. Four runs exported from two
+// distinct sets replay as two announcements carrying the same prefixes.
+func TestResyncPacksEqualSets(t *testing.T) {
+	g, bank, runs := exportSide(t, 2, 8)
+	half := len(runs[0]) / 2
+	var live []*UpdateMsg
+	record := GroupSenderFunc(func(buf []byte) { live = append(live, decodeUpdates(t, buf)...) })
+	late := testPeer("late", "10.0.1.9", 65019, false)
+	if err := g.AddMember(late, record); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range [][]Route{runs[0][:half], runs[1][:half], runs[0][half:], runs[1][half:]} {
+		bank.Add(run) // the export filter remembers one rewrite: each of these is a new set
+	}
+	if len(live) != 4 {
+		t.Fatalf("the live path sent %d messages for 4 runs", len(live))
+	}
+	var replay []*UpdateMsg
+	g.member(late).sender = GroupSenderFunc(func(buf []byte) { replay = append(replay, decodeUpdates(t, buf)...) })
+	g.ResyncMember(late)
+	if len(replay) != 2 {
+		t.Fatalf("replay of 4 runs over 2 distinct sets sent %d announcements, want 2", len(replay))
+	}
+	for k, u := range replay {
+		var want []netip.Prefix
+		for _, r := range runs[k] {
+			want = append(want, r.Net)
+		}
+		if !u.Attrs.Equal(naiveEBGPExport(runs[k][0].Attrs, 65000, mustA("192.0.2.1"))) || !slices.Equal(u.NLRI, want) {
+			t.Fatalf("replayed announcement %d carries %v under %+v, want %v under run %d's exported set", k, u.NLRI, u.Attrs, want, k)
+		}
+	}
+}
+
 // TestEncodeFailureIsCountedDrop: what a peer may validly send can become
 // unencodable on export. A full 255-AS AS_SEQUENCE must get a second
 // segment for the local AS (RFC 4271 §5.1.2) and go out; an attribute set
@@ -361,7 +400,7 @@ func TestEncodeFailureIsCountedDrop(t *testing.T) {
 		}
 	}
 	// validFromPeer checks the route is something a peer can send.
-	validFromPeer := func(r *Route) int {
+	validFromPeer := func(r Route) int {
 		t.Helper()
 		buf, err := AppendUpdate(nil, &UpdateMsg{Attrs: r.Attrs, NLRI: []netip.Prefix{r.Net}})
 		if err != nil {
@@ -375,9 +414,9 @@ func TestEncodeFailureIsCountedDrop(t *testing.T) {
 	for len(long.ASPath[0].ASes) < 255 {
 		long.ASPath[0].ASes = append(long.ASPath[0].ASes, uint16(64000+len(long.ASPath[0].ASes)))
 	}
-	r1 := &Route{Net: mustP("10.1.0.0/16"), Attrs: long, Src: src}
+	r1 := Route{Net: mustP("10.1.0.0/16"), Attrs: long, Src: src}
 	validFromPeer(r1)
-	bank.Add([]*Route{r1})
+	bank.Add([]Route{r1})
 	for i := range sent {
 		if len(sent[i]) != 1 {
 			t.Fatalf("member %d got %d messages for the 255-AS route", i, len(sent[i]))
@@ -397,16 +436,16 @@ func TestEncodeFailureIsCountedDrop(t *testing.T) {
 	for len(big.Communities) < 1012 {
 		big.Communities = append(big.Communities, uint32(len(big.Communities)))
 	}
-	r2 := &Route{Net: mustP("10.2.0.0/16"), Attrs: big, Src: src}
+	r2 := Route{Net: mustP("10.2.0.0/16"), Attrs: big, Src: src}
 	if n := validFromPeer(r2); n != maxMsgLen {
 		t.Fatalf("test route encodes to %d bytes, want the full %d", n, maxMsgLen)
 	}
 	sent = [2][]*UpdateMsg{}
-	bank.Add([]*Route{r2})
+	bank.Add([]Route{r2})
 	if g.EncodeErrors.Value() != 1 {
 		t.Fatalf("encode errors %d, want 1", g.EncodeErrors.Value())
 	}
-	if g.AnnouncedCount() != 1 || g.Lookup(r2.Net) != nil {
+	if g.AnnouncedCount() != 1 || lookup(g, r2.Net) != nil {
 		t.Fatal("dropped route recorded in the adj-RIB-out")
 	}
 	bank.Delete(r2) // never sent: nothing to withdraw
@@ -415,7 +454,7 @@ func TestEncodeFailureIsCountedDrop(t *testing.T) {
 	}
 
 	// A replace whose new side cannot go out withdraws the old.
-	r1big := &Route{Net: r1.Net, Attrs: big, Src: src}
+	r1big := Route{Net: r1.Net, Attrs: big, Src: src}
 	bank.Replace(r1, r1big)
 	for i := range sent {
 		if len(sent[i]) != 1 || len(sent[i][0].Withdrawn) != 1 || sent[i][0].Withdrawn[0] != r1.Net {

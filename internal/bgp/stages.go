@@ -14,6 +14,14 @@ import (
 // Consistency rules (§5.1): a Delete must match a previous Add; Lookup
 // answers must agree with the message stream already sent downstream.
 //
+// A route is a value (see Route): a message carries its own copy, and a
+// Lookup answer is written into the Route the asker brings, so nobody owns
+// anybody's object and what a stage is handed or answered is its own to
+// keep. (Lookup fills the asker's Route instead of returning one because it
+// is the decision process's inner loop — every branch is asked about every
+// prefix — and a 56-byte struct result is copied through memory at each
+// stage on the way back, hit or miss.)
+//
 // The add message is a run: 1..n routes sharing one *PathAttrs pointer
 // (interned attrs) and one Src, with distinct prefixes none of which the
 // sender has announced. A run is read-only and valid only for the call —
@@ -21,27 +29,19 @@ import (
 // (only the Fanout does) copies it. A stage may re-cut a run into shorter
 // ones, with Replaces in between where per-route semantics demand it, but
 // never reorders it.
-//
-// The routes themselves outlive the call — the resolver's queue, the
-// fanout's queue and the decision process's lookups keep them — with one
-// exception. A route whose attributes a filter bank rewrote goes on as a
-// view the bank makes, and the bank owns what the view is made of: a heap
-// object, as long-lived as any route, when the stage downstream may keep
-// it; scratch the bank's next call overwrites when that stage declares it
-// keeps none (a GroupOut, which records prefix → attributes and source).
-// What Lookup answers is always the asker's to keep.
 type Stage interface {
 	// Name identifies the stage for diagnostics.
 	Name() string
 	// Add announces a run of new routes.
-	Add(run []*Route)
+	Add(run []Route)
 	// Replace substitutes the announced route for a prefix.
-	Replace(old, new *Route)
+	Replace(old, new Route)
 	// Delete withdraws the announced route for a prefix.
-	Delete(r *Route)
-	// Lookup returns this stage's announced route for net (asking
-	// upstream as needed), or nil.
-	Lookup(net netip.Prefix) *Route
+	Delete(r Route)
+	// Lookup writes this stage's announced route for net (asking upstream
+	// as needed) into r, which is the asker's, and reports whether there
+	// is one; without one r holds nothing of use.
+	Lookup(net netip.Prefix, r *Route) bool
 
 	// setDownstream / setParent plumb the stage network; downstream and
 	// parent expose the links for re-plumbing (dynamic stages, §5.1.2).
@@ -59,20 +59,19 @@ type base struct {
 	// run collects the run being built for next; it is empty between
 	// calls and its storage is reused, which is why receivers may not keep
 	// a run.
-	run []*Route
+	run []Route
 }
 
 // flush sends the collected run downstream.
 func (b *base) flush() {
 	if len(b.run) > 0 {
 		b.next.Add(b.run)
-		clear(b.run)
 		b.run = b.run[:0]
 	}
 }
 
 // addOne sends r downstream as a run of one.
-func (b *base) addOne(r *Route) {
+func (b *base) addOne(r Route) {
 	b.run = append(b.run, r)
 	b.flush()
 }
@@ -85,11 +84,8 @@ func (b *base) parentStage() Stage    { return b.parent }
 
 // lookupParent forwards a lookup upstream, the default for stages that
 // hold no routes of their own.
-func (b *base) lookupParent(net netip.Prefix) *Route {
-	if b.parent == nil {
-		return nil
-	}
-	return b.parent.Lookup(net)
+func (b *base) lookupParent(net netip.Prefix, r *Route) bool {
+	return b.parent != nil && b.parent.Lookup(net, r)
 }
 
 // Plumb links stages left-to-right: Plumb(a, b, c) wires a → b → c and
@@ -130,31 +126,34 @@ func Unsplice(s Stage) {
 type sink struct {
 	base
 	adds, replaces, deletes int
-	tbl                     map[netip.Prefix]*Route
+	tbl                     map[netip.Prefix]Route
 }
 
 func newSink(name string) *sink {
-	return &sink{base: base{name: name}, tbl: make(map[netip.Prefix]*Route)}
+	return &sink{base: base{name: name}, tbl: make(map[netip.Prefix]Route)}
 }
 
-func (s *sink) Add(run []*Route) {
+func (s *sink) Add(run []Route) {
 	for _, r := range run {
 		s.adds++
 		s.tbl[r.Net] = r
 	}
 }
 
-func (s *sink) Replace(old, new *Route) {
+func (s *sink) Replace(old, new Route) {
 	s.replaces++
 	s.tbl[new.Net] = new
 }
 
-func (s *sink) Delete(r *Route) {
+func (s *sink) Delete(r Route) {
 	s.deletes++
 	delete(s.tbl, r.Net)
 }
 
-func (s *sink) Lookup(net netip.Prefix) *Route { return s.tbl[net] }
+func (s *sink) Lookup(net netip.Prefix, r *Route) (ok bool) {
+	*r, ok = s.tbl[net]
+	return ok
+}
 
 // CacheStage is the consistency-checking cache stage of §5.1: it shadows
 // the message stream in its own table, verifies the two consistency rules,
@@ -163,7 +162,7 @@ func (s *sink) Lookup(net netip.Prefix) *Route { return s.tbl[net] }
 // suspected" — all integration tests run with it plumbed in.
 type CacheStage struct {
 	base
-	chk *core.Checker[*Route]
+	chk *core.Checker[Route]
 	// Panic indicates a violation should panic (tests) rather than be
 	// recorded.
 	Panic bool
@@ -171,7 +170,7 @@ type CacheStage struct {
 
 // NewCacheStage returns a cache stage labeled name.
 func NewCacheStage(name string) *CacheStage {
-	return &CacheStage{base: base{name: name}, chk: core.NewChecker[*Route](name)}
+	return &CacheStage{base: base{name: name}, chk: core.NewChecker[Route](name)}
 }
 
 // Violations returns the recorded consistency violations.
@@ -185,7 +184,7 @@ func (c *CacheStage) check(v *core.ConsistencyError) {
 
 // Add implements Stage: every route in the run is checked against the
 // consistency rules individually, then the run is forwarded intact.
-func (c *CacheStage) Add(run []*Route) {
+func (c *CacheStage) Add(run []Route) {
 	for _, r := range run {
 		c.check(c.chk.Add(r.Net, r))
 	}
@@ -195,7 +194,7 @@ func (c *CacheStage) Add(run []*Route) {
 }
 
 // Replace implements Stage.
-func (c *CacheStage) Replace(old, new *Route) {
+func (c *CacheStage) Replace(old, new Route) {
 	c.check(c.chk.Replace(new.Net, new))
 	if c.next != nil {
 		c.next.Replace(old, new)
@@ -203,7 +202,7 @@ func (c *CacheStage) Replace(old, new *Route) {
 }
 
 // Delete implements Stage.
-func (c *CacheStage) Delete(r *Route) {
+func (c *CacheStage) Delete(r Route) {
 	c.check(c.chk.Delete(r.Net))
 	if c.next != nil {
 		c.next.Delete(r)
@@ -211,7 +210,7 @@ func (c *CacheStage) Delete(r *Route) {
 }
 
 // Lookup implements Stage: the cache answers from its shadow table.
-func (c *CacheStage) Lookup(net netip.Prefix) *Route {
-	r, _ := c.chk.Lookup(net)
-	return r
+func (c *CacheStage) Lookup(net netip.Prefix, r *Route) (ok bool) {
+	*r, ok = c.chk.Lookup(net)
+	return ok
 }

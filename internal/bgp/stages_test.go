@@ -70,7 +70,7 @@ func TestSinglePeerAddReachesSink(t *testing.T) {
 	p1 := tr.addPeer(t, "p1", "10.0.0.1", 65001)
 	p1.peerin.Announce(mustP("10.1.0.0/16"), attrsVia("10.0.0.1", 65001))
 	tr.settle()
-	r := tr.sink.Lookup(mustP("10.1.0.0/16"))
+	r := lookup(tr.sink, mustP("10.1.0.0/16"))
 	if r == nil {
 		t.Fatal("route did not reach the sink")
 	}
@@ -96,7 +96,7 @@ func TestDecisionPrefersShorterASPath(t *testing.T) {
 	p2.peerin.Announce(net, attrsVia("10.0.0.2", 65002, 65010))
 	tr.settle()
 
-	r := tr.sink.Lookup(net)
+	r := lookup(tr.sink, net)
 	if r == nil || r.Src.Name != "p2" {
 		t.Fatalf("winner = %v, want p2 (shorter path)", r)
 	}
@@ -107,7 +107,7 @@ func TestDecisionPrefersShorterASPath(t *testing.T) {
 	// Announcing a longer path from p2 flips the winner back to p1.
 	p2.peerin.Announce(net, attrsVia("10.0.0.2", 65002, 65010, 65011, 65012))
 	tr.settle()
-	r = tr.sink.Lookup(net)
+	r = lookup(tr.sink, net)
 	if r == nil || r.Src.Name != "p1" {
 		t.Fatalf("winner after worsening = %v, want p1", r)
 	}
@@ -127,7 +127,7 @@ func TestDecisionLocalPrefDominates(t *testing.T) {
 	p1.peerin.Announce(net, a1)
 	p2.peerin.Announce(net, a2)
 	tr.settle()
-	r := tr.sink.Lookup(net)
+	r := lookup(tr.sink, net)
 	if r == nil || r.Src.Name != "p1" {
 		t.Fatalf("winner = %v, want p1 (higher LOCAL_PREF beats shorter path)", r)
 	}
@@ -142,17 +142,17 @@ func TestWithdrawFailsOverToAlternative(t *testing.T) {
 	p1.peerin.Announce(net, attrsVia("10.0.0.1", 65001))
 	p2.peerin.Announce(net, attrsVia("10.0.0.2", 65002, 65003))
 	tr.settle()
-	if r := tr.sink.Lookup(net); r == nil || r.Src.Name != "p1" {
+	if r := lookup(tr.sink, net); r == nil || r.Src.Name != "p1" {
 		t.Fatalf("initial winner %v", r)
 	}
 	p1.peerin.Withdraw(net)
 	tr.settle()
-	if r := tr.sink.Lookup(net); r == nil || r.Src.Name != "p2" {
+	if r := lookup(tr.sink, net); r == nil || r.Src.Name != "p2" {
 		t.Fatalf("failover winner %v, want p2", r)
 	}
 	p2.peerin.Withdraw(net)
 	tr.settle()
-	if r := tr.sink.Lookup(net); r != nil {
+	if r := lookup(tr.sink, net); r != nil {
 		t.Fatalf("route still present after both withdrawals: %v", r)
 	}
 	if tr.sink.deletes != 1 {
@@ -250,7 +250,7 @@ func TestPeerFlapDuringBackgroundDeletion(t *testing.T) {
 	// The 150 re-announced stay; the other 150 are gone.
 	live := 0
 	for _, net := range nets {
-		if tr.sink.Lookup(net) != nil {
+		if lookup(tr.sink, net) != nil {
 			live++
 		}
 	}
@@ -311,10 +311,10 @@ func TestFilterBankDropAndModify(t *testing.T) {
 	p1.peerin.Announce(mustP("10.66.1.0/24"), attrsVia("10.0.0.1", 65001))
 	p1.peerin.Announce(mustP("10.70.1.0/24"), attrsVia("10.0.0.1", 65001))
 	tr.settle()
-	if tr.sink.Lookup(mustP("10.66.1.0/24")) != nil {
+	if lookup(tr.sink, mustP("10.66.1.0/24")) != nil {
 		t.Fatal("filtered route leaked")
 	}
-	r := tr.sink.Lookup(mustP("10.70.1.0/24"))
+	r := lookup(tr.sink, mustP("10.70.1.0/24"))
 	if r == nil || !r.Attrs.HasMED || r.Attrs.MED != 99 {
 		t.Fatalf("modified route = %+v", r)
 	}
@@ -364,7 +364,7 @@ func TestNexthopResolverQueuesUntilAnswer(t *testing.T) {
 
 	p1.peerin.Announce(mustP("10.1.0.0/16"), attrsVia("10.0.0.1", 65001))
 	tr.settle()
-	if got := tr.sink.Lookup(mustP("10.1.0.0/16")); got != nil {
+	if got := lookup(tr.sink, mustP("10.1.0.0/16")); got != nil {
 		t.Fatal("route passed decision before nexthop resolved")
 	}
 	if p1.resolver.PendingOps() != 1 {
@@ -372,7 +372,7 @@ func TestNexthopResolverQueuesUntilAnswer(t *testing.T) {
 	}
 	fake.answer(mustA("10.0.0.1"), NexthopInfo{Resolvable: true, Metric: 10, Covering: mustP("10.0.0.0/24")})
 	tr.settle()
-	r := tr.sink.Lookup(mustP("10.1.0.0/16"))
+	r := lookup(tr.sink, mustP("10.1.0.0/16"))
 	if r == nil || r.IGPMetric != 10 {
 		t.Fatalf("resolved route %+v", r)
 	}
@@ -398,7 +398,7 @@ func TestNexthopInvalidationSwingsDecision(t *testing.T) {
 	f1.answer(mustA("10.0.0.1"), NexthopInfo{Resolvable: true, Metric: 5, Covering: mustP("10.0.0.0/30")})
 	f2.answer(mustA("10.0.0.2"), NexthopInfo{Resolvable: true, Metric: 20, Covering: mustP("10.0.0.0/30")})
 	tr.settle()
-	if r := tr.sink.Lookup(net); r == nil || r.Src.Name != "p1" {
+	if r := lookup(tr.sink, net); r == nil || r.Src.Name != "p1" {
 		t.Fatalf("initial winner %v, want p1 (metric 5 < 20)", r)
 	}
 
@@ -406,7 +406,7 @@ func TestNexthopInvalidationSwingsDecision(t *testing.T) {
 	f1.next = NexthopInfo{Resolvable: true, Metric: 50, Covering: mustP("10.0.0.0/30")}
 	f1.watch(mustP("10.0.0.0/30"))
 	tr.settle()
-	if r := tr.sink.Lookup(net); r == nil || r.Src.Name != "p2" {
+	if r := lookup(tr.sink, net); r == nil || r.Src.Name != "p2" {
 		t.Fatalf("winner after IGP change %v, want p2", r)
 	}
 }
@@ -460,20 +460,20 @@ func TestFanoutSplitHorizonAndIBGP(t *testing.T) {
 	net1 := mustP("10.5.0.0/16")
 	e1.peerin.Announce(net1, attrsVia("10.0.0.1", 65001))
 	tr.settle()
-	if outs["e1"].Lookup(net1) != nil {
+	if lookup(outs["e1"], net1) != nil {
 		t.Fatal("split horizon violated: route echoed to originator")
 	}
-	if outs["i1"].Lookup(net1) == nil || outs["i2"].Lookup(net1) == nil {
+	if lookup(outs["i1"], net1) == nil || lookup(outs["i2"], net1) == nil {
 		t.Fatal("EBGP route not fanned out to IBGP peers")
 	}
 
 	net2 := mustP("10.6.0.0/16")
 	i1.peerin.Announce(net2, attrsVia("10.0.1.1", 65001))
 	tr.settle()
-	if outs["i2"].Lookup(net2) != nil {
+	if lookup(outs["i2"], net2) != nil {
 		t.Fatal("IBGP route reflected to another IBGP peer")
 	}
-	if outs["e1"].Lookup(net2) == nil {
+	if lookup(outs["e1"], net2) == nil {
 		t.Fatal("IBGP route not sent to EBGP peer")
 	}
 }
@@ -523,9 +523,9 @@ func groupOfOne(t *testing.T, peer *PeerHandle) (*GroupOut, *[]*UpdateMsg) {
 
 func TestPeerOutEmitsUpdates(t *testing.T) {
 	po, sent := groupOfOne(t, testPeer("p", "10.0.0.9", 65009, false))
-	r1 := &Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001), Src: nil}
-	po.Add([]*Route{r1})
-	r2 := r1.Clone()
+	r1 := Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001), Src: nil}
+	po.Add([]Route{r1})
+	r2 := r1
 	r2.Attrs = r1.Attrs.Clone()
 	r2.Attrs.MED, r2.Attrs.HasMED = 5, true
 	po.Replace(r1, r2)
@@ -556,24 +556,24 @@ func TestDampingSuppressesFlappingRoute(t *testing.T) {
 	Plumb(damp, s)
 
 	net := mustP("10.1.0.0/16")
-	mk := func() *Route { return &Route{Net: net, Attrs: attrsVia("10.0.0.1", 65001)} }
+	mk := func() Route { return Route{Net: net, Attrs: attrsVia("10.0.0.1", 65001)} }
 
-	damp.Add([]*Route{mk()})
+	damp.Add([]Route{mk()})
 	if s.adds != 1 {
 		t.Fatal("first announcement suppressed")
 	}
 	// Flap hard: each delete+add adds 2×1000 penalty; threshold 2000.
 	damp.Delete(mk())
-	damp.Add([]*Route{mk()})
+	damp.Add([]Route{mk()})
 	damp.Delete(mk())
-	damp.Add([]*Route{mk()})
+	damp.Add([]Route{mk()})
 	if !damp.Suppressed(net) {
 		t.Fatal("flapping route not suppressed")
 	}
-	if s.Lookup(net) != nil {
+	if lookup(s, net) != nil {
 		t.Fatal("suppressed route still announced downstream")
 	}
-	if damp.Lookup(net) != nil {
+	if lookup(damp, net) != nil {
 		t.Fatal("suppressed route visible via Lookup")
 	}
 
@@ -583,7 +583,7 @@ func TestDampingSuppressesFlappingRoute(t *testing.T) {
 	if damp.Suppressed(net) {
 		t.Fatal("route still suppressed after decay")
 	}
-	if s.Lookup(net) == nil {
+	if lookup(s, net) == nil {
 		t.Fatal("route not reannounced after reuse")
 	}
 }
@@ -593,14 +593,14 @@ func TestDampingStableRouteUnaffected(t *testing.T) {
 	damp := NewDampingStage("damp", loop)
 	s := newSink("sink")
 	Plumb(damp, s)
-	r := &Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}
-	damp.Add([]*Route{r})
-	r2 := r.Clone()
+	r := Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}
+	damp.Add([]Route{r})
+	r2 := r
 	damp.Replace(r, r2) // one attribute change: below threshold
 	if damp.Suppressed(r.Net) {
 		t.Fatal("single change suppressed")
 	}
-	if s.Lookup(r.Net) == nil {
+	if lookup(s, r.Net) == nil {
 		t.Fatal("stable route lost")
 	}
 }
@@ -654,8 +654,8 @@ func TestConsistencyUnderRandomChurn(t *testing.T) {
 			}
 			// Final invariant: sink contents equal decision's view.
 			for _, net := range nets {
-				want := tr.decision.Lookup(net)
-				got := tr.sink.Lookup(net)
+				want := lookup(tr.decision, net)
+				got := lookup(tr.sink, net)
 				if (want == nil) != (got == nil) {
 					t.Fatalf("seed %d: sink/decision disagree on %v: %v vs %v",
 						seed, net, got, want)
@@ -680,16 +680,16 @@ func TestPipelineIsFamilyGeneric(t *testing.T) {
 	p1.peerin.Announce(v6net, attrs)
 	p1.peerin.Announce(mustP("10.1.0.0/16"), attrsVia("10.0.0.1", 65001))
 	tr.settle()
-	if r := tr.sink.Lookup(v6net); r == nil || !r.Resolvable {
+	if r := lookup(tr.sink, v6net); r == nil || !r.Resolvable {
 		t.Fatalf("v6 route did not traverse the pipeline: %v", r)
 	}
-	if tr.sink.Lookup(mustP("10.1.0.0/16")) == nil {
+	if lookup(tr.sink, mustP("10.1.0.0/16")) == nil {
 		t.Fatal("v4 route lost alongside v6")
 	}
 	// Withdrawal and deletion-stage handling work for v6 too.
 	p1.peerin.Withdraw(v6net)
 	tr.settle()
-	if tr.sink.Lookup(v6net) != nil {
+	if lookup(tr.sink, v6net) != nil {
 		t.Fatal("v6 withdraw lost")
 	}
 	p1.peerin.Announce(v6net, attrs)
@@ -698,7 +698,7 @@ func TestPipelineIsFamilyGeneric(t *testing.T) {
 	for i := 0; i < 50 && !d.Done(); i++ {
 		tr.settle()
 	}
-	if tr.sink.Lookup(v6net) != nil {
+	if lookup(tr.sink, v6net) != nil {
 		t.Fatal("v6 route survived peer down")
 	}
 }

@@ -32,3 +32,12 @@ func attrsVia(nh string, ases ...uint16) *PathAttrs {
 func testPeer(name string, addr string, as uint16, ibgp bool) *PeerHandle {
 	return &PeerHandle{Name: name, Addr: mustA(addr), AS: as, IBGP: ibgp}
 }
+
+// lookup returns stage s's answer for net as tests like to read it: nil when
+// there is none.
+func lookup(s Stage, net netip.Prefix) *Route {
+	if r := new(Route); s.Lookup(net, r) {
+		return r
+	}
+	return nil
+}

@@ -278,13 +278,14 @@ func TestMetricSourceRetriesFailedLookup(t *testing.T) {
 	net := mustP("20.1.0.0/16")
 	loop.Dispatch(func() { in.Announce(net, workload.TestAttrs(mustA("10.0.0.1"), 65002)) })
 	loop.RunPending()
-	if rib.asked != 1 || resolver.PendingOps() != 1 || sink.Lookup(net) != nil {
+	var r bgp.Route
+	if held := sink.Lookup(net, &r); rib.asked != 1 || resolver.PendingOps() != 1 || held {
 		t.Fatalf("after the failed lookup: asked %d times, %d ops pending, sink holds %v; want 1, 1, nothing",
-			rib.asked, resolver.PendingOps(), sink.Lookup(net))
+			rib.asked, resolver.PendingOps(), r)
 	}
 	loop.RunFor(2 * nexthopRetry)
-	r := sink.Lookup(net)
-	if rib.asked != 2 || r == nil || !r.Resolvable || r.IGPMetric != 7 {
+	held := sink.Lookup(net, &r)
+	if rib.asked != 2 || !held || !r.Resolvable || r.IGPMetric != 7 {
 		t.Fatalf("after the retry: asked %d times, sink holds %+v; want 2 and the route resolvable at metric 7", rib.asked, r)
 	}
 	if n := resolver.PendingOps(); n != 0 {
