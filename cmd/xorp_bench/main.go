@@ -1,19 +1,17 @@
 // Command xorp_bench regenerates the paper's evaluation (§8): every
-// figure and table, printed in the paper's format. See EXPERIMENTS.md for
-// the recorded paper-vs-measured comparison.
+// figure and table, printed in the paper's format (costs: benchmark/run.sh).
 //
 // Usage:
 //
 //	xorp_bench -experiment all          # everything (full sizes: slow)
 //	xorp_bench -experiment fig9         # XRL throughput vs #args
+//	xorp_bench -experiment fig9 -fig9json BENCH_fig9.json  # ... and write the recorded file
 //	xorp_bench -experiment fig10        # latency, empty table
 //	xorp_bench -experiment fig11        # latency, full table, same peering
 //	xorp_bench -experiment fig12        # latency, full table, diff peering
 //	xorp_bench -experiment fig13        # event-driven vs scanner
 //	xorp_bench -experiment memory       # §5.1 memory footprint
 //	xorp_bench -experiment spf          # OSPF SPF full vs incremental
-//	xorp_bench -experiment tableload -trace  # full-table load through the traced BGP->FIB pipeline
-//	xorp_bench -experiment forward      # forwarding lookups/sec vs workers, idle + churn
 //	xorp_bench -quick                   # scaled-down table sizes
 package main
 
@@ -22,11 +20,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"xorp/internal/bench"
-	"xorp/internal/ospf"
-	"xorp/internal/telemetry"
 	"xorp/internal/workload"
 )
 
@@ -34,10 +31,7 @@ func main() {
 	experiment := flag.String("experiment", "all", "which experiment to run")
 	quick := flag.Bool("quick", false, "scale the full-table experiments down (20k routes)")
 	points := flag.Bool("points", false, "also dump per-route data points (gnuplot style)")
-	fig9json := flag.String("fig9json", "", "write the fig9 results as JSON to this file (see BENCH_fig9.json)")
-	trace := flag.Bool("trace", false, "with -experiment tableload: run the full BGP->FIB pipeline with per-stage latency tracing")
-	traceShift := flag.Uint("trace-shift", 6, "with -trace: sample 1 in 2^shift routes")
-	traceCSV := flag.String("trace-csv", "", "with -trace: also write the raw sampled traces as CSV to this file")
+	fig9json := flag.String("fig9json", "", "write the fig9 rows and the machine they ran on as JSON to this file (BENCH_fig9.json)")
 	grid := flag.String("grid", "", "run a named experiment grid from -grid-spec (e.g. quick, full) instead of -experiment")
 	gridSpec := flag.String("grid-spec", "experiments.json", "grid definition file")
 	gridOut := flag.String("grid-out", "", "write the grid summary CSV to this file (default: stdout only)")
@@ -97,11 +91,18 @@ func main() {
 			fmt.Println()
 		}
 		if *fig9json != "" {
-			out, err := json.MarshalIndent(all, "", "  ")
+			// The whole file is this run: the rows and what measured them.
+			out, err := json.MarshalIndent(map[string]any{
+				"recorded": time.Now().UTC().Format("2006-01-02"),
+				"go":       runtime.Version(),
+				"platform": runtime.GOOS + "/" + runtime.GOARCH,
+				"num_cpu":  runtime.NumCPU(),
+				"rows":     all,
+			}, "", "  ")
 			if err != nil {
 				return err
 			}
-			if err := os.WriteFile(*fig9json, out, 0o644); err != nil {
+			if err := os.WriteFile(*fig9json, append(out, '\n'), 0o644); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", *fig9json)
@@ -146,84 +147,18 @@ func main() {
 	})
 
 	run("spf", func() error {
-		fmt.Println("OSPF SPF recompute cost on grid topologies (see BENCH_fig9.json \"spf\")")
+		fmt.Println("OSPF SPF recompute cost on grid topologies")
 		fmt.Println("full = Dijkstra re-run (link change); incremental = prefix-table only (route churn)")
 		fmt.Printf("%-8s %14s %14s %9s\n", "routers", "full", "incremental", "speedup")
-		const iters = 100
 		for _, n := range []int{100, 1000} {
-			db, root := ospf.GridLSDB(n)
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				s := ospf.NewSPF(root)
-				if got := len(s.Recompute(db, true)); got != n {
-					return fmt.Errorf("spf: %d routes at n=%d", got, n)
-				}
+			res, err := bench.RunSPF(n, 100)
+			if err != nil {
+				return err
 			}
-			full := time.Since(start) / iters
-
-			s := ospf.NewSPF(root)
-			s.Recompute(db, true) // warm the shortest-path tree
-			start = time.Now()
-			for i := 0; i < iters; i++ {
-				if !db.MutatePrefix(root, uint16(2+i%7)) {
-					return fmt.Errorf("spf: mutation was not prefix-only")
-				}
-				if got := len(s.Recompute(db, false)); got != n {
-					return fmt.Errorf("spf: %d routes at n=%d (incremental)", got, n)
-				}
-			}
-			incr := time.Since(start) / iters
 			fmt.Printf("%-8d %12.1fµs %12.1fµs %8.1fx\n", n,
-				float64(full.Nanoseconds())/1e3, float64(incr.Nanoseconds())/1e3,
-				float64(full)/float64(incr))
+				float64(res.Full.Nanoseconds())/1e3, float64(res.Incremental.Nanoseconds())/1e3,
+				float64(res.Full)/float64(res.Incremental))
 		}
-		return nil
-	})
-
-	run("tableload", func() error {
-		if !*trace {
-			fmt.Println("the load alone is the repo benchmark's bulk workload (bash benchmark/run.sh --workload bulk); -trace runs it through the traced pipeline")
-			return nil
-		}
-		n := preload
-		fmt.Printf("Traced pipeline table load (%d routes, 1 in %d sampled)\n", n, 1<<*traceShift)
-		res, err := bench.RunTableLoadTraced(n, *traceShift)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatTableLoadTraced(res))
-		if *traceCSV != "" {
-			if err := os.WriteFile(*traceCSV, []byte(telemetry.WriteCSV(res.Traces)), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *traceCSV)
-		}
-		return nil
-	})
-
-	run("forward", func() error {
-		n := preload
-		dur := 2 * time.Second
-		if *quick {
-			dur = 300 * time.Millisecond
-		}
-		fmt.Printf("Forwarding-plane lookups/sec, %d routes, %v per cell (zipf dst, 5%% misses)\n", n, dur)
-		fmt.Println("churn column runs concurrently with continuous withdraw/re-add RIB transactions")
-		var idle, active []bench.ForwardResult
-		for _, w := range []int{1, 2, 4, 8} {
-			ri, err := bench.RunForward(n, w, false, dur)
-			if err != nil {
-				return err
-			}
-			ra, err := bench.RunForward(n, w, true, dur)
-			if err != nil {
-				return err
-			}
-			idle = append(idle, ri)
-			active = append(active, ra)
-		}
-		fmt.Print(bench.FormatForward(idle, active))
-		fmt.Println(`(recorded baselines: BENCH_fig9.json "forward")`)
 		return nil
 	})
 

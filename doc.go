@@ -13,7 +13,8 @@
 //   - internal/xrl, internal/xipc, internal/finder — the XRL IPC system
 //     (§6);
 //   - internal/bench — the §8 evaluation, regenerating every figure and
-//     table (see bench_test.go and cmd/xorp_bench);
+//     table (run by cmd/xorp_bench); benchmark/ measures what each layer
+//     costs underneath;
 //   - examples/ — runnable programs; cmd/ — the per-process binaries.
 //
 // See README.md for a guided tour, DESIGN.md for the system inventory and

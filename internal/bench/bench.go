@@ -1,6 +1,8 @@
 // Package bench implements the paper's evaluation (§8): one experiment
-// per figure/table, shared between `go test -bench` (bench_test.go) and
-// the cmd/xorp_bench binary that prints paper-formatted tables.
+// per figure/table (Figures 9–13, the §5.1 memory claim, and the OSPF SPF
+// recompute), run by cmd/xorp_bench, which prints paper-formatted tables
+// and drives the experiments.json grid. Costs below the figures are the
+// repo benchmark's (benchmark/, BENCHMARK.json).
 package bench
 
 import (
@@ -15,6 +17,7 @@ import (
 	"xorp/internal/bgp"
 	"xorp/internal/eventloop"
 	"xorp/internal/finder"
+	"xorp/internal/ospf"
 	"xorp/internal/profiler"
 	"xorp/internal/rib"
 	"xorp/internal/route"
@@ -35,13 +38,13 @@ import (
 // XRL (the latter counts socket read/write ops, ~1 syscall each; intra
 // traffic performs none).
 type Fig9Result struct {
-	Transport      string
-	Args           int
-	Total          int
-	Elapsed        time.Duration
-	XRLsPerSec     float64
-	AllocsPerXRL   float64
-	SyscallsPerXRL float64
+	Transport      string        `json:"transport"`
+	Args           int           `json:"args"`
+	Total          int           `json:"total"`
+	Elapsed        time.Duration `json:"elapsed_ns"`
+	XRLsPerSec     float64       `json:"xrls_per_sec"`
+	AllocsPerXRL   float64       `json:"allocs_per_xrl"`
+	SyscallsPerXRL float64       `json:"syscalls_per_xrl"`
 }
 
 // RunFig9 measures XRL throughput: a transaction of total XRLs with a
@@ -505,6 +508,47 @@ func Fig13Points(s scanner.Series) string {
 		fmt.Fprintf(&sb, "%.0f %.3f\n", smp.ArrivalTime.Seconds(), smp.Delay.Seconds())
 	}
 	return sb.String()
+}
+
+// ---------------------------------------------------------------------
+// OSPF SPF: full Dijkstra vs the incremental prefix-only recompute.
+// ---------------------------------------------------------------------
+
+// SPFResult is the mean cost of one recompute on an n-router grid: a full
+// Dijkstra re-run (what a link change costs) and a prefix-table-only pass
+// over the kept shortest-path tree (what route churn costs).
+type SPFResult struct {
+	Routers           int
+	Full, Incremental time.Duration
+}
+
+// RunSPF times iters full and iters incremental recomputes on
+// ospf.GridLSDB(n), checking every one yields n routes.
+func RunSPF(n, iters int) (SPFResult, error) {
+	res := SPFResult{Routers: n}
+	db, root := ospf.GridLSDB(n)
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		s := ospf.NewSPF(root)
+		if got := len(s.Recompute(db, true)); got != n {
+			return res, fmt.Errorf("spf: %d routes at n=%d", got, n)
+		}
+	}
+	res.Full = time.Since(start) / time.Duration(iters)
+
+	s := ospf.NewSPF(root)
+	s.Recompute(db, true) // warm the shortest-path tree
+	start = time.Now()
+	for i := 0; i < iters; i++ {
+		if !db.MutatePrefix(root, uint16(2+i%7)) {
+			return res, fmt.Errorf("spf: mutation was not prefix-only")
+		}
+		if got := len(s.Recompute(db, false)); got != n {
+			return res, fmt.Errorf("spf: %d routes at n=%d (incremental)", got, n)
+		}
+	}
+	res.Incremental = time.Since(start) / time.Duration(iters)
+	return res, nil
 }
 
 // ---------------------------------------------------------------------

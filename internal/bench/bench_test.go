@@ -6,7 +6,7 @@ import (
 )
 
 // These are correctness smoke tests of the experiment harness itself (the
-// performance numbers live in the root bench_test.go and xorp_bench).
+// performance numbers come from xorp_bench).
 
 func TestFig9IntraSmoke(t *testing.T) {
 	res, err := RunFig9("intra", 3, 500, 50)

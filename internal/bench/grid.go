@@ -6,9 +6,7 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
-	"xorp/internal/ospf"
 	"xorp/internal/telemetry"
 )
 
@@ -151,73 +149,14 @@ func runGridCell(cell GridCell) ([]gridMetric, error) {
 		}, nil
 
 	case "spf":
-		n := intParam(p, "routers", 100)
-		iters := intParam(p, "iters", 20)
-		db, root := ospf.GridLSDB(n)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			s := ospf.NewSPF(root)
-			if got := len(s.Recompute(db, true)); got != n {
-				return nil, fmt.Errorf("spf: %d routes at n=%d", got, n)
-			}
-		}
-		full := time.Since(start) / time.Duration(iters)
-		s := ospf.NewSPF(root)
-		s.Recompute(db, true)
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			if !db.MutatePrefix(root, uint16(2+i%7)) {
-				return nil, fmt.Errorf("spf: mutation was not prefix-only")
-			}
-			if got := len(s.Recompute(db, false)); got != n {
-				return nil, fmt.Errorf("spf: %d routes at n=%d (incremental)", got, n)
-			}
-		}
-		incr := time.Since(start) / time.Duration(iters)
-		return []gridMetric{
-			{"full_us", float64(full.Nanoseconds()) / 1e3},
-			{"incremental_us", float64(incr.Nanoseconds()) / 1e3},
-			{"speedup", float64(full) / float64(incr)},
-		}, nil
-
-	case "tableload":
-		if mode := strParam(p, "mode", "traced"); mode != "traced" {
-			return nil, fmt.Errorf("tableload: unknown mode %q", mode)
-		}
-		res, err := RunTableLoadTraced(intParam(p, "routes", 20000), uint(intParam(p, "shift", 6)))
-		if err != nil {
-			return nil, err
-		}
-		out := []gridMetric{
-			{"routes_per_sec", res.Traced.RoutesPerSec},
-			{"allocs_per_route", res.Traced.AllocsPerRoute},
-			{"disabled_delta_pct", res.DisabledThroughputDelta() * 100},
-			{"disabled_extra_allocs", res.DisabledExtraAllocs()},
-			{"sampled", float64(res.Sampled)},
-		}
-		for _, row := range res.Stages {
-			if row.Label != "total" {
-				continue
-			}
-			out = append(out,
-				gridMetric{"total_p50_us", row.P50 / 1e3},
-				gridMetric{"total_p95_us", row.P95 / 1e3},
-				gridMetric{"total_p99_us", row.P99 / 1e3})
-		}
-		return out, nil
-
-	case "forward":
-		res, err := RunForward(intParam(p, "routes", 20000), intParam(p, "workers", 2),
-			boolParam(p, "churn", false),
-			time.Duration(intParam(p, "duration_ms", 300))*time.Millisecond)
+		res, err := RunSPF(intParam(p, "routers", 100), intParam(p, "iters", 20))
 		if err != nil {
 			return nil, err
 		}
 		return []gridMetric{
-			{"lookups_per_sec", res.LookupsPerSec},
-			{"hit_ratio", res.HitRatio},
-			{"lat_mean_ns", res.LatMeanNs},
-			{"snapshots", float64(res.Batches)},
+			{"full_us", float64(res.Full.Nanoseconds()) / 1e3},
+			{"incremental_us", float64(res.Incremental.Nanoseconds()) / 1e3},
+			{"speedup", float64(res.Full) / float64(res.Incremental)},
 		}, nil
 
 	default:
@@ -251,15 +190,6 @@ func intParam(p map[string]any, key string, def int) int {
 	if v, ok := p[key]; ok {
 		if f, ok := v.(float64); ok {
 			return int(f)
-		}
-	}
-	return def
-}
-
-func boolParam(p map[string]any, key string, def bool) bool {
-	if v, ok := p[key]; ok {
-		if b, ok := v.(bool); ok {
-			return b
 		}
 	}
 	return def

@@ -1,46 +1,39 @@
 package bench
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestLoadGridSpec pins the committed experiments.json: both named
-// grids parse, and the quick grid covers every experiment the CI smoke
-// is expected to exercise.
+// grids (CI's smoke runs "quick") parse and name exactly the fig9 and
+// spf experiments.
 func TestLoadGridSpec(t *testing.T) {
 	for _, name := range []string{"quick", "full"} {
 		cells, err := LoadGrid("../../experiments.json", name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(cells) == 0 {
-			t.Fatalf("grid %q is empty", name)
-		}
-		if name != "quick" {
-			continue
-		}
 		seen := map[string]bool{}
 		for _, c := range cells {
 			seen[c.Experiment] = true
 		}
-		for _, want := range []string{"fig9", "spf", "tableload", "forward"} {
-			if !seen[want] {
-				t.Errorf("quick grid missing experiment %q", want)
-			}
+		if want := map[string]bool{"fig9": true, "spf": true}; !reflect.DeepEqual(seen, want) {
+			t.Errorf("grid %q names experiments %v, want exactly fig9 and spf", name, seen)
 		}
 	}
 	if _, err := LoadGrid("../../experiments.json", "nope"); err == nil {
 		t.Fatal("unknown grid name did not error")
 	}
-	// The single-vs-batch table load is gone (the repo benchmark's bulk
-	// workload measures it); a cell still asking for it must fail, not run
-	// the traced pipeline under the old name.
-	for _, mode := range []string{"single", "batch"} {
-		cell := GridCell{Experiment: "tableload", Params: map[string]any{"routes": float64(10), "mode": mode}}
+	// The traced table load and the forwarding-worker matrix are gone (the
+	// repo benchmark's bulk and forward workloads measure them); a cell
+	// still asking for either must fail, not be skipped.
+	for _, exp := range []string{"tableload", "forward"} {
+		cell := GridCell{Experiment: exp, Params: map[string]any{"routes": float64(10)}}
 		if _, err := RunGrid([]GridCell{cell}, nil); err == nil {
-			t.Errorf("tableload mode %q still accepted", mode)
+			t.Errorf("grid cell %q still accepted", exp)
 		}
 	}
 }

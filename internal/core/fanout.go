@@ -6,9 +6,9 @@ package core
 // slow peer costs one cursor, not a private copy of every change.
 //
 // The queue is generic and delivery-agnostic: consumers attach a deliver
-// function; Pump pushes as many entries as the reader will take. A reader
-// reporting busy (e.g. a peer with a full TCP buffer) stops consuming
-// until Resume.
+// function; PumpAll pushes each reader as many entries as it will take. A
+// reader marked busy (e.g. a peer with a full TCP buffer) stops consuming
+// until it is marked not busy.
 type FanoutQueue[T any] struct {
 	entries []T
 	base    int // absolute index of entries[0]
@@ -45,7 +45,7 @@ func (q *FanoutQueue[T]) RemoveReader(r *FanoutReader[T]) {
 	q.trim()
 }
 
-// Push appends an entry. Delivery happens on the next Pump.
+// Push appends an entry. Delivery happens on the next PumpAll.
 func (q *FanoutQueue[T]) Push(v T) {
 	q.entries = append(q.entries, v)
 }
@@ -68,17 +68,11 @@ func (r *FanoutReader[T]) Backlog() int {
 	return r.q.base + len(r.q.entries) - r.pos
 }
 
-// SetBusy marks the reader flow-controlled; Pump skips it until Resume.
+// SetBusy marks the reader flow-controlled; PumpAll skips it while busy.
 func (r *FanoutReader[T]) SetBusy(busy bool) { r.busy = busy }
 
 // Busy reports the flow-control state.
 func (r *FanoutReader[T]) Busy() bool { return r.busy }
-
-// Pump advances this reader only, then trims.
-func (r *FanoutReader[T]) Pump() {
-	r.pump()
-	r.q.trim()
-}
 
 func (r *FanoutReader[T]) pump() {
 	for !r.busy && r.pos < r.q.base+len(r.q.entries) {

@@ -20,8 +20,8 @@
 // so a valued node is 96 bytes and a prefix comes back masked, as filed.
 //
 // The shape follows NDN-DPDK's FwFwd design (one forwarding thread per
-// core, per-worker counters and a latency RunningStat, no shared mutable
-// state) and Harmonia's snapshot isolation for read scaling: readers run
+// core, per-worker counters, no shared mutable state) and Harmonia's
+// snapshot isolation for read scaling: readers run
 // against consistent immutable versions, so route churn never takes a
 // lock a lookup can observe, lookups never see a half-applied batch, and
 // lookup throughput scales with cores by construction.
@@ -38,7 +38,7 @@
 //	 │ worker 0│ worker 1│ worker N│  lock-free LongestMatch loops,
 //	 └─────────┴─────────┴─────────┘  per-worker hit/drop counters
 //
-// xorp_bench -experiment forward drives the workers concurrently with a
-// full-table churn run; the fwd/0.1 XRL interface exposes the live
-// counters.
+// No router process runs a Pool: the repo benchmark does (bash
+// benchmark/run.sh --workload forward --trace 1 reports
+// fwd.pool_lookups_per_s), and so do the tests.
 package fwd

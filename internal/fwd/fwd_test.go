@@ -16,9 +16,6 @@ import (
 	"xorp/internal/kernel"
 	"xorp/internal/rib"
 	"xorp/internal/route"
-	"xorp/internal/xif"
-	"xorp/internal/xipc"
-	"xorp/internal/xrl"
 )
 
 func mustP(s string) netip.Prefix { return netip.MustParsePrefix(s) }
@@ -276,8 +273,8 @@ func TestTablesReturnTheKey(t *testing.T) {
 }
 
 // TestPoolForwarding runs a real worker pool briefly and checks the
-// counter identities: lookups = hits + drops, all workers progressed,
-// and the miss traffic actually misses.
+// counter identities: lookups = hits + drops, and the miss traffic
+// actually misses.
 func TestPoolForwarding(t *testing.T) {
 	fib := kernel.NewFIB()
 	backend := fwd.NewSimBackend(fib)
@@ -314,14 +311,6 @@ func TestPoolForwarding(t *testing.T) {
 	ratio := float64(agg.Drops) / float64(agg.Lookups)
 	if ratio < 0.15 || ratio > 0.35 {
 		t.Fatalf("drop ratio %.3f, want ~0.25 (miss traffic must miss)", ratio)
-	}
-	for _, c := range pool.WorkerCounters() {
-		if c.Lookups == 0 {
-			t.Fatalf("worker %d made no progress", c.Worker)
-		}
-	}
-	if agg.Latency.Count() == 0 || agg.Latency.Mean() <= 0 {
-		t.Fatalf("no latency samples aggregated: %+v", agg.Latency)
 	}
 }
 
@@ -368,61 +357,6 @@ func TestStreamDeterminismAndDistribution(t *testing.T) {
 	}
 	if _, err := fwd.NewStream(fwd.StreamConfig{}); err == nil {
 		t.Fatal("empty prefix set accepted")
-	}
-}
-
-// TestFwdXRL scrapes a running pool through the fwd/0.1 typed stub.
-func TestFwdXRL(t *testing.T) {
-	fib := kernel.NewFIB()
-	backend := fwd.NewSimBackend(fib)
-	seed := rib.NewFIBBatch()
-	prefixes := []netip.Prefix{mustP("10.0.0.0/8")}
-	seed.Add(route.Entry{Net: prefixes[0], NextHop: mustA("192.168.1.1")})
-	backend.Apply(seed)
-
-	stream, err := fwd.NewStream(fwd.StreamConfig{Prefixes: prefixes, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := fwd.NewPool(backend, stream, 2)
-	pool.Start()
-	defer pool.Stop()
-	for pool.Counters().Lookups < 2048 {
-	}
-
-	loop := eventloop.New(nil)
-	r := xipc.NewRouter("fwdtest", loop)
-	target := xipc.NewTarget("fwd", "fwd")
-	pool.RegisterXRLs(target)
-	r.AddTarget(target)
-
-	stub := xif.NewFwdClient(r, "fwd")
-	var got xif.FwdCounters
-	var stats []string
-	stub.GetCounters(func(c xif.FwdCounters, err *xrl.Error) {
-		if err != nil {
-			t.Errorf("get_counters: %v", err)
-			return
-		}
-		got = c
-	})
-	stub.GetWorkerStats(func(s []string, err *xrl.Error) {
-		if err != nil {
-			t.Errorf("get_worker_stats: %v", err)
-			return
-		}
-		stats = s
-	})
-	loop.RunPending()
-
-	if got.Workers != 2 || got.Lookups == 0 || got.Lookups != got.Hits+got.Drops {
-		t.Fatalf("scraped counters %+v", got)
-	}
-	if got.Gen == 0 {
-		t.Fatalf("scraped gen = 0, want the seeded publication: %+v", got)
-	}
-	if len(stats) != 2 {
-		t.Fatalf("worker stats = %v, want 2 lines", stats)
 	}
 }
 

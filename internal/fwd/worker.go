@@ -3,10 +3,6 @@ package fwd
 import (
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"xorp/internal/profiler"
-	"xorp/internal/telemetry"
 )
 
 // flushEvery is how many lookups a worker batches locally before
@@ -15,76 +11,39 @@ import (
 // observers read counters at most flushEvery lookups stale.
 const flushEvery = 1024
 
-// Worker is one forwarding shard: a goroutine looping
+// Counters is a pool's forwarding counters. Lookups = Hits + Drops; a drop
+// is a lookup that found no route (the packet a real data plane would
+// discard).
+type Counters struct {
+	Lookups uint64
+	Hits    uint64
+	Drops   uint64
+}
+
+// worker is one forwarding shard: a goroutine looping
 // Cursor.Next → Source.Current → Snapshot.Lookup. All mutable state is
 // worker-local; the published counters below are write-mostly atomics
 // the worker flushes periodically and anyone may read live.
-type Worker struct {
-	id      int
-	lookups atomic.Uint64
-	hits    atomic.Uint64
-	drops   atomic.Uint64
-	gen     atomic.Uint64 // snapshot generation seen at last flush
-
-	latMu sync.Mutex // guards lat: taken once per flush by the worker
-	lat   RunningStat
-}
-
-// ID returns the worker's index in its pool.
-func (w *Worker) ID() int { return w.id }
-
-// Counters returns a live sample of the worker's counters (at most
-// flushEvery lookups stale).
-func (w *Worker) Counters() Counters {
-	c := Counters{
-		Worker:  w.id,
-		Lookups: w.lookups.Load(),
-		Hits:    w.hits.Load(),
-		Drops:   w.drops.Load(),
-		Gen:     w.gen.Load(),
-	}
-	w.latMu.Lock()
-	c.Latency = w.lat
-	w.latMu.Unlock()
-	return c
+type worker struct {
+	hits  atomic.Uint64
+	drops atomic.Uint64
 }
 
 // run is the forwarding loop. Each lookup is one atomic snapshot load
-// plus a lock-free trie walk; every flushEvery lookups the worker times
-// a single lookup as a latency sample, flushes local counts to the
-// atomics, and checks for stop.
-func (w *Worker) run(src Source, cur *Cursor, stop *atomic.Bool) {
-	var hits, drops uint64
+// plus a lock-free trie walk; every flushEvery lookups the worker
+// flushes local counts to the atomics and checks for stop.
+func (w *worker) run(src Source, cur *Cursor, stop *atomic.Bool) {
 	for {
-		for i := 0; i < flushEvery-1; i++ {
-			dst := cur.Next()
-			if _, ok := src.Current().Lookup(dst); ok {
+		var hits, drops uint64
+		for i := 0; i < flushEvery; i++ {
+			if _, ok := src.Current().Lookup(cur.Next()); ok {
 				hits++
 			} else {
 				drops++
 			}
 		}
-		// Timed sample: one full lookup including the snapshot load.
-		dst := cur.Next()
-		t0 := time.Now()
-		snap := src.Current()
-		_, ok := snap.Lookup(dst)
-		dt := time.Since(t0)
-		if ok {
-			hits++
-		} else {
-			drops++
-		}
-
-		w.latMu.Lock()
-		w.lat.Push(float64(dt.Nanoseconds()))
-		w.latMu.Unlock()
-		w.lookups.Add(hits + drops)
 		w.hits.Add(hits)
 		w.drops.Add(drops)
-		w.gen.Store(snap.Gen())
-		hits, drops = 0, 0
-
 		if stop.Load() {
 			return
 		}
@@ -96,57 +55,21 @@ func (w *Worker) run(src Source, cur *Cursor, stop *atomic.Bool) {
 type Pool struct {
 	src     Source
 	stream  *Stream
-	workers []*Worker
+	workers []*worker
 	stop    atomic.Bool
 	wg      sync.WaitGroup
 	started bool
-
-	point *profiler.Point
 }
 
 // NewPool creates (but does not start) a pool of n workers forwarding
 // stream traffic against src.
 func NewPool(src Source, stream *Stream, n int) *Pool {
-	if n < 1 {
-		n = 1
-	}
-	p := &Pool{src: src, stream: stream}
-	for i := 0; i < n; i++ {
-		p.workers = append(p.workers, &Worker{id: i})
+	p := &Pool{src: src, stream: stream, workers: make([]*worker, max(n, 1))}
+	for i := range p.workers {
+		p.workers[i] = &worker{}
 	}
 	return p
 }
-
-// AttachProfiler registers the pool's fwd_counters profiling point, so
-// Scrape records land in the standard profile/0.1 retrieval path.
-func (p *Pool) AttachProfiler(prof *profiler.Profiler) {
-	p.point = prof.Point("fwd_counters")
-}
-
-// RegisterMetrics publishes the pool's live counters into a telemetry
-// registry: pool-aggregate lookup/hit/drop counters, the observed
-// snapshot generation, and the merged per-worker latency summary. All
-// reads go through the workers' atomics (at most flushEvery lookups
-// stale), so a scrape never touches the forwarding hot loop.
-func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
-	reg.GaugeFunc("fwd_workers", "forwarding worker count",
-		func() float64 { return float64(len(p.workers)) })
-	reg.CounterFunc("fwd_lookups_total", "forwarding lookups performed",
-		func() float64 { return float64(p.Counters().Lookups) })
-	reg.CounterFunc("fwd_hits_total", "lookups that matched a route",
-		func() float64 { return float64(p.Counters().Hits) })
-	reg.CounterFunc("fwd_drops_total", "lookups with no matching route",
-		func() float64 { return float64(p.Counters().Drops) })
-	reg.GaugeFunc("fwd_snapshot_gen", "snapshot generation observed by workers",
-		func() float64 { return float64(p.src.Current().Gen()) })
-	reg.GaugeFunc("fwd_lat_mean_ns", "mean sampled lookup latency (ns)",
-		func() float64 { lat := p.Counters().Latency; return lat.Mean() })
-	reg.GaugeFunc("fwd_lat_max_ns", "max sampled lookup latency (ns)",
-		func() float64 { lat := p.Counters().Latency; return lat.Max() })
-}
-
-// Workers returns the worker count.
-func (p *Pool) Workers() int { return len(p.workers) }
 
 // Start launches the worker goroutines. Idempotent until Stop.
 func (p *Pool) Start() {
@@ -155,9 +78,8 @@ func (p *Pool) Start() {
 	}
 	p.started = true
 	p.stop.Store(false)
-	for _, w := range p.workers {
-		w := w
-		cur := p.stream.Cursor(w.id)
+	for i, w := range p.workers {
+		cur := p.stream.Cursor(i)
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
@@ -176,38 +98,15 @@ func (p *Pool) Stop() {
 	p.started = false
 }
 
-// WorkerCounters samples every worker's counters.
-func (p *Pool) WorkerCounters() []Counters {
-	out := make([]Counters, len(p.workers))
-	for i, w := range p.workers {
-		out[i] = w.Counters()
-	}
-	return out
-}
-
-// Counters samples and aggregates all workers (Worker == -1).
+// Counters samples and sums every worker's counters (each at most
+// flushEvery lookups stale while the pool runs).
 func (p *Pool) Counters() Counters {
-	agg := Counters{Worker: -1, Gen: p.src.Current().Gen()}
+	var c Counters
 	for _, w := range p.workers {
-		c := w.Counters()
-		agg.Lookups += c.Lookups
-		agg.Hits += c.Hits
-		agg.Drops += c.Drops
-		agg.Latency.Merge(c.Latency)
+		hits, drops := w.hits.Load(), w.drops.Load()
+		c.Hits += hits
+		c.Drops += drops
+		c.Lookups += hits + drops
 	}
-	return agg
-}
-
-// Scrape logs one record per worker plus the aggregate to the
-// fwd_counters profiling point (a no-op when the point is disabled or
-// no profiler is attached). Call from the owning event loop, like any
-// Point.Log.
-func (p *Pool) Scrape() {
-	if p.point == nil || !p.point.Enabled() {
-		return
-	}
-	for _, w := range p.workers {
-		p.point.Log(w.Counters().String())
-	}
-	p.point.Log(p.Counters().String())
+	return c
 }

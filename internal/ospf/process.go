@@ -174,8 +174,8 @@ func (p *Process) Stats() Stats {
 }
 
 // SetExportFilter installs the policy filter applied to routes before
-// they are pushed to the RIB. Pass nil to remove. Takes effect at the
-// next SPF run; callers on the loop may call ScheduleSPF to force one.
+// they are pushed to the RIB. Pass nil to remove. Schedules an SPF run,
+// where it takes effect.
 func (p *Process) SetExportFilter(f Filter) {
 	p.filter = f
 	p.scheduleSPF(false)
@@ -614,9 +614,6 @@ func (p *Process) scheduleSPF(topoChanged bool) {
 	}
 	p.spfTmr = p.loop.OneShot(p.cfg.SPFDelay, p.runSPF)
 }
-
-// ScheduleSPF requests a recompute (configuration changes).
-func (p *Process) ScheduleSPF() { p.scheduleSPF(false) }
 
 func (p *Process) runSPF() {
 	routes := p.spf.Recompute(p.db, p.topoDirty)

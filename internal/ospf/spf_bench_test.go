@@ -8,7 +8,8 @@ import (
 // The SPF benchmarks measure the cost of route recomputation at 100-
 // and 1000-router grid topologies: a full Dijkstra re-run (link
 // failure) versus the incremental prefix-table-only recompute (route
-// redistribution churn). Recorded baselines live in BENCH_fig9.json.
+// redistribution churn). xorp_bench -experiment spf prints the same
+// comparison, and the experiments.json grid repeats it.
 
 func benchmarkSPFFull(b *testing.B, n int) {
 	db, root := GridLSDB(n)

@@ -219,9 +219,6 @@ func NewOriginTable(loop *eventloop.Loop, proto route.Protocol) *OriginTable {
 	}
 }
 
-// SetAdminDistance overrides the table's administrative distance.
-func (o *OriginTable) SetAdminDistance(ad uint8) { o.ad = ad }
-
 // lockstep reports whether the table may not run ahead of its emissions.
 func (o *OriginTable) lockstep() bool { return o.batchGate != nil && !o.batchGate() }
 

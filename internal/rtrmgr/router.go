@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xorp/internal/bgp"
 	"xorp/internal/eventloop"
@@ -86,7 +85,6 @@ type Router struct {
 	txOpen       uint32 // open transaction id (0 = none)
 	txParts      map[string]bool
 	txPoison     string // set when a participant dies mid-transaction
-	txDeadline   time.Duration
 	txHooks      TxHooks
 	configRouter *xipc.Router
 }

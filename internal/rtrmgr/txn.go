@@ -50,15 +50,6 @@ func (r *Router) SetTxHooks(h TxHooks) {
 	r.txMu.Unlock()
 }
 
-// SetTxDeadline bounds each config XRL round-trip (default 5s). A
-// participant that neither acks nor nacks within the deadline fails the
-// transaction as if it had nacked.
-func (r *Router) SetTxDeadline(d time.Duration) {
-	r.txMu.Lock()
-	r.txDeadline = d
-	r.txMu.Unlock()
-}
-
 // Generation returns the running config's generation, bumped on every
 // committed reload. validate_tx carries it so agents reject stale
 // transactions built against an older tree.
@@ -311,11 +302,14 @@ func (r *Router) configCall(class string, send func(cl *xif.ConfigClient, finish
 	return callE
 }
 
+// txDeadline bounds each config XRL round-trip. A participant that neither
+// acks nor nacks within it fails the transaction as if it had nacked.
+const txDeadline = 5 * time.Second
+
 // txCall runs one async config XRL to completion: in simulated mode it
 // pumps every loop until the callback fires; in real mode it waits on a
-// channel up to the transaction deadline.
+// channel up to txDeadline.
 func (r *Router) txCall(send func(finish func())) error {
-	deadline := r.txDeadlineOr(5 * time.Second)
 	if r.simulated() {
 		done := false
 		send(func() { done = true })
@@ -334,18 +328,9 @@ func (r *Router) txCall(send func(finish func())) error {
 	select {
 	case <-ch:
 		return nil
-	case <-time.After(deadline):
-		return fmt.Errorf("config call timed out after %v", deadline)
+	case <-time.After(txDeadline):
+		return fmt.Errorf("config call timed out after %v", txDeadline)
 	}
-}
-
-func (r *Router) txDeadlineOr(def time.Duration) time.Duration {
-	r.txMu.Lock()
-	defer r.txMu.Unlock()
-	if r.txDeadline > 0 {
-		return r.txDeadline
-	}
-	return def
 }
 
 // --- Plan compilation: route each diff change to its owning process

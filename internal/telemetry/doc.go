@@ -18,7 +18,7 @@
 // (instantaneous, atomic or computed-on-scrape), and Welford histograms
 // (RunningStat: count/mean/stddev/min/max without storing samples).
 // Every process registers its vitals — XRLs/sec from the xipc IO
-// counters, routes by protocol, forwarding worker stats — and exposes
+// counters, routes by protocol — and exposes
 // the registry over the stats/0.1 XRL interface; Render emits
 // Prometheus-style plaintext for cmd/xorp_profiler's scrape, watch and
 // HTTP endpoint modes. Registry updates are safe from any goroutine,

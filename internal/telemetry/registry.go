@@ -34,7 +34,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // Histogram is a Welford summary of observed samples: count, mean,
 // stddev, min, max — no buckets, no stored samples, O(1) per Observe.
 // Safe for concurrent use (updates from a hot path should instead keep
-// a local RunningStat and Merge periodically, the fwd worker pattern).
+// a local RunningStat and Merge periodically).
 type Histogram struct {
 	mu sync.Mutex
 	s  RunningStat

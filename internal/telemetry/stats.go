@@ -6,10 +6,10 @@ import (
 )
 
 // RunningStat accumulates count/min/max/mean/variance online (Welford's
-// algorithm) — the per-worker latency statistic of NDN-DPDK's FwFwd,
-// which keeps a RunningStat per forwarding thread precisely so the hot
-// loop never touches shared state. Not safe for concurrent use; each
-// owner keeps its own and aggregates with Merge.
+// algorithm, after NDN-DPDK's RunningStat): the experiment grid keeps one
+// per cell metric across repeats, and the registry's histograms one per
+// series. Not safe for concurrent use; each owner keeps its own and
+// aggregates with Merge.
 type RunningStat struct {
 	n        uint64
 	min, max float64

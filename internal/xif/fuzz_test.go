@@ -47,6 +47,29 @@ func sampleFrames(f *testing.F) (requests, replies [][]byte) {
 			})
 		}
 	}
+	// Two frames of each kind that no sample call makes: the shortest
+	// request and one whose atoms nest, a bare failure and an empty okay.
+	for _, req := range []*xrl.Request{
+		{},
+		{Seq: 7, Target: "conf", Command: "x/1.0/y", Args: xrl.Args{
+			xrl.List("l", xrl.Binary("b", []byte{0, 0xff}), xrl.List("", xrl.FP64("", -0.5)))}},
+	} {
+		b, err := xrl.AppendRequest(nil, req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		requests = append(requests, b)
+	}
+	for _, rep := range []*xrl.Reply{
+		{Seq: 7, Code: xrl.CodeCommandFailed, Note: "no such route"},
+		{Seq: 7, Code: xrl.CodeOkay},
+	} {
+		b, err := xrl.AppendReply(nil, rep)
+		if err != nil {
+			f.Fatal(err)
+		}
+		replies = append(replies, b)
+	}
 	return requests, replies
 }
 

@@ -376,18 +376,11 @@ func (confServer) DeleteStaticRoute(netip.Prefix) error      { return nil }
 
 func (confServer) Sink(args xrl.Args) (xrl.Args, error) { return nil, nil }
 
-func (confServer) FwdGetCounters() (xif.FwdCounters, error) {
-	return xif.FwdCounters{Workers: 2, Lookups: 10, Hits: 9, Drops: 1, Gen: 3}, nil
-}
 func (confServer) ValidateTx(uint32, uint32, []string) (bool, string, error) {
 	return true, "", nil
 }
 func (confServer) CommitTx(uint32) (uint32, error) { return 1, nil }
 func (confServer) AbortTx(uint32) error            { return nil }
-
-func (confServer) FwdGetWorkerStats() ([]string, error) {
-	return []string{"worker=0 lookups=5 hits=5 drops=0 gen=3"}, nil
-}
 
 func (confServer) StatsScrape() ([]string, error) {
 	return []string{"# TYPE up gauge", "up 1"}, nil
@@ -409,7 +402,6 @@ func bindAll(target *xipc.Target) {
 	xif.BindOSPF(target, srv)
 	xif.BindRIP(target, srv)
 	xif.BindBench(target, srv)
-	xif.BindFwd(target, srv)
 	xif.BindConfig(target, srv)
 	xif.BindStats(target, srv)
 }
@@ -562,11 +554,15 @@ func TestRegistryLookup(t *testing.T) {
 	for _, want := range []string{"rib/1.0", "fti/0.2", "fea_udp/0.1", "fea_udp_client/0.1",
 		"ifmgr/0.1", "finder/1.0", "finder_client/1.0", "rib_client/0.1",
 		"profile/0.1", "bgp/1.0", "ospf/0.1", "rip/0.1", "bench/1.0", "common/0.1",
-		"fwd/0.1", "config/0.1"} {
+		"config/0.1", "stats/0.1"} {
 		name, ver, _ := strings.Cut(want, "/")
 		if _, ok := xif.Lookup(name, ver); !ok {
 			t.Errorf("registry is missing %s", want)
 		}
+	}
+	// No process serves the forwarding pool's counters, so no spec does.
+	if _, ok := xif.Lookup("fwd", "0.1"); ok {
+		t.Error("registry still lists fwd/0.1")
 	}
 	all := xif.All()
 	for i := 1; i < len(all); i++ {

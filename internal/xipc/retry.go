@@ -80,7 +80,3 @@ func backoff(p RetryPolicy, attempt int) time.Duration {
 // A local target is called directly and cannot fail with a transport
 // error, so it never retries. Safe to call from any goroutine.
 func (r *Router) SendIdempotent(x xrl.XRL, cb Callback) { r.enqueue(x, cb, true) }
-
-// SendIdempotentFromLoop is SendIdempotent for callers already on the
-// router's event loop.
-func (r *Router) SendIdempotentFromLoop(x xrl.XRL, cb Callback) { r.sendFromLoop(x, cb, true) }

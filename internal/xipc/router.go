@@ -242,7 +242,21 @@ func (r *Router) Send(x xrl.XRL, cb Callback) { r.enqueue(x, cb, false) }
 // local component or the send fails on the spot; callers must not hold
 // locks that cb also takes. Calling it from any other goroutine is a
 // data-ordering bug.
-func (r *Router) SendFromLoop(x xrl.XRL, cb Callback) { r.sendFromLoop(x, cb, false) }
+//
+// A local target is called directly, with no record, no marshaling, no
+// Finder, not even a command string (the intra-process "direct method
+// call" family of §6.3 and Figure 9).
+func (r *Router) SendFromLoop(x xrl.XRL, cb Callback) {
+	r.mu.Lock()
+	if t, ok := r.targets[x.Target]; ok && !x.IsResolved() && !r.closed {
+		r.mu.Unlock()
+		r.dispatchLocal(t, &x, cb)
+		return
+	}
+	c := r.newCall(x, cb, false)
+	r.mu.Unlock()
+	r.route(c)
+}
 
 // enqueue is Send: the XRL crosses to the loop in a call record.
 func (r *Router) enqueue(x xrl.XRL, cb Callback, idem bool) {
@@ -250,21 +264,6 @@ func (r *Router) enqueue(x xrl.XRL, cb Callback, idem bool) {
 	c := r.newCall(x, cb, idem)
 	r.mu.Unlock()
 	r.loop.Dispatch(c.startFn)
-}
-
-// sendFromLoop is SendFromLoop. A local target is called directly, with
-// no record, no marshaling, no Finder, not even a command string (the
-// intra-process "direct method call" family of §6.3 and Figure 9).
-func (r *Router) sendFromLoop(x xrl.XRL, cb Callback, idem bool) {
-	r.mu.Lock()
-	if t, ok := r.targets[x.Target]; ok && !x.IsResolved() && !r.closed {
-		r.mu.Unlock()
-		r.dispatchLocal(t, &x, cb)
-		return
-	}
-	c := r.newCall(x, cb, idem)
-	r.mu.Unlock()
-	r.route(c)
 }
 
 // Call is a synchronous convenience wrapper around Send for code running
@@ -423,7 +422,7 @@ func (r *Router) resolve(ck cacheKey, done func(resolved, *xrl.Error)) {
 		Interface: "finder", Version: "1.0", Method: "resolve",
 		Args: qargs,
 	}
-	r.sendFromLoop(q, func(args xrl.Args, err *xrl.Error) {
+	r.SendFromLoop(q, func(args xrl.Args, err *xrl.Error) {
 		if err != nil {
 			if err.Code == xrl.CodeReplyTimeout || err.Code == xrl.CodeSendFailed {
 				err = &xrl.Error{Code: xrl.CodeNoFinder, Note: err.Note}
@@ -451,7 +450,7 @@ func (r *Router) resolve(ck cacheKey, done func(resolved, *xrl.Error)) {
 			res.cmd = chosen
 		}
 		done(res, nil)
-	}, false)
+	})
 }
 
 // pickEndpoint chooses the best protocol family from a resolution reply:

@@ -41,14 +41,8 @@ var (
 	ioReads  atomic.Uint64
 )
 
-// ResetIOStats zeroes the transport I/O counters (bench setup).
-func ResetIOStats() {
-	ioWrites.Store(0)
-	ioReads.Store(0)
-}
-
 // IOStats returns the number of socket write and read ops performed by
-// all xipc transports since the last reset.
+// all xipc transports since the process started.
 func IOStats() (writes, reads uint64) {
 	return ioWrites.Load(), ioReads.Load()
 }
