@@ -6,6 +6,7 @@ package bgp
 // hot path.
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -67,9 +68,63 @@ func BenchmarkAblationDeletionSliceVsBlocking(b *testing.B) {
 	b.ReportMetric(avgDrain/1e3, "us-max-event-delay(blocking)")
 }
 
+// addPeers adds n eBGP peers to tr, the c-th at 10.0.1.c+1 in AS 65101+c.
+func addPeers(tr *testRouter, n int) []*testBranch {
+	ps := make([]*testBranch, n)
+	for c := range ps {
+		ps[c] = tr.addPeer(nil, fmt.Sprintf("q%d", c), fmt.Sprintf("10.0.1.%d", c+1), uint16(65101+c))
+	}
+	return ps
+}
+
+// feedPeer has p announce n /24s under 20+c.0.0.0/8, via its own address,
+// in one UPDATE.
+func feedPeer(tr *testRouter, p *testBranch, c, n int) {
+	u := &UpdateMsg{Attrs: attrsVia(p.peer.Addr.String(), p.peer.AS)}
+	for i := 0; i < n; i++ {
+		u.NLRI = append(u.NLRI, netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(20 + c), byte(i >> 8), byte(i), 0}), 24))
+	}
+	p.peerin.ReceiveUpdate(u, tr.localAS)
+	tr.settle()
+}
+
+// BenchmarkAblationPeerDownAmongPeers drains a small peering, 640 routes,
+// among 32 whose PeerIns share one AttrPool and so one RIB-in; the other 31
+// hold 6,400 routes each, all sorting before the small one's. A slice steps
+// over their entries as well as its own, so slices/op and us/slice say what
+// the others cost the drain: its own routes alone fill 10 slices.
+func BenchmarkAblationPeerDownAmongPeers(b *testing.B) {
+	const peers, each, small = 32, 6400, 640
+	tr := newTestRouter(nil, 65000)
+	ps := addPeers(tr, peers)
+	last := peers - 1
+	for c := 0; c < last; c++ {
+		feedPeer(tr, ps[c], c, each)
+	}
+	slices := 0
+	var longest time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		feedPeer(tr, ps[last], last, small)
+		b.StartTimer()
+		d := ps[last].peerin.PeerDown()
+		for ; !d.Done(); slices++ {
+			start := time.Now()
+			d.step()
+			longest = max(longest, time.Since(start))
+		}
+		tr.settle()
+	}
+	b.ReportMetric(float64(slices)/float64(b.N), "slices/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(slices)/1e3, "us/slice")
+	b.ReportMetric(float64(longest.Nanoseconds())/1e3, "us-longest-slice")
+}
+
 // BenchmarkAblationDecisionLookupUpstream measures the decision process's
 // "look alternatives up through the pipeline" design (§5.1): one add that
-// must query three peer branches.
+// must query three peer branches. The flapping peer's route joins and
+// leaves the prefix's holder list, which must not allocate once warm.
 func BenchmarkAblationDecisionLookupUpstream(b *testing.B) {
 	tr := newTestRouter(nil, 65000)
 	peers := []*testBranch{
@@ -82,14 +137,43 @@ func BenchmarkAblationDecisionLookupUpstream(b *testing.B) {
 		p.peerin.Announce(net, attrsVia(p.peer.Addr.String(), p.peer.AS, 65100))
 	}
 	tr.settle()
+	loser := attrsVia("10.0.0.3", 65003, 65100, 65101)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Flap the losing route: decision must re-evaluate (3 upstream
 		// lookups) but emit nothing.
-		peers[2].peerin.Announce(net, attrsVia("10.0.0.3", 65003, 65100, 65101))
+		peers[2].peerin.Announce(net, loser)
 		peers[2].peerin.Withdraw(net)
 	}
 	tr.settle()
+}
+
+// BenchmarkRouteServerOverlap times a route server's 32 clients each
+// announcing 6,400 prefixes and then withdrawing them, in UPDATEs of 64.
+// In disjoint every client has prefixes of its own, so a prefix has one
+// holder, as in the routeserver workload. In shared every client sends the
+// same prefixes, so a prefix has up to 32 holders and the decision asks
+// each of them. ns/route is per (client, prefix): one announcement and one
+// withdrawal.
+func BenchmarkRouteServerOverlap(b *testing.B) {
+	for _, shared := range []bool{false, true} {
+		name := "disjoint"
+		if shared {
+			name = "shared"
+		}
+		b.Run(name, func(b *testing.B) {
+			const clients, routesEach = 32, 6400
+			rs := newRouteServer(clients, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rs.announce(routesEach, shared, false)
+				rs.announce(routesEach, shared, true)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*clients*routesEach), "ns/route")
+		})
+	}
 }
 
 // BenchmarkUpdateEncode / Decode: the wire codec on the hot path.
@@ -149,10 +233,20 @@ func BenchmarkDampingStage(b *testing.B) {
 // it are found by walking the PeerIn and re-announced to the decision
 // process. CHANGES.md (PR 21) has the figure against the clone table the
 // resolver used to scan instead.
-func BenchmarkNexthopChangeUnderTable(b *testing.B) {
+func BenchmarkNexthopChangeUnderTable(b *testing.B) { nexthopChangeUnderTable(b, 0) }
+
+// BenchmarkNexthopChangeAmongPeers is the same change with 31 more peers of
+// 10,000 routes each beside p1. Their PeerIns share one RIB-in with p1's,
+// so the walk for p1's routes steps over theirs too.
+func BenchmarkNexthopChangeAmongPeers(b *testing.B) { nexthopChangeUnderTable(b, 31) }
+
+func nexthopChangeUnderTable(b *testing.B, others int) {
 	const n, nexthops = 10000, 4
 	tr := newTestRouter(nil, 65000)
 	p1 := tr.addPeer(nil, "p1", "10.0.0.1", 65001)
+	for c, p := range addPeers(tr, others) {
+		feedPeer(tr, p, 1+c, n)
+	}
 	src := &modelSource{truth: make(map[netip.Addr]NexthopInfo)}
 	p1.resolver.src, src.watch = src, p1.resolver.invalidate
 	for h := 0; h < nexthops; h++ {
@@ -166,8 +260,8 @@ func BenchmarkNexthopChangeUnderTable(b *testing.B) {
 		src.deliver(0)
 	}
 	tr.settle()
-	if len(tr.sink.tbl) != n {
-		b.Fatalf("%d routes reached the sink, want %d", len(tr.sink.tbl), n)
+	if len(tr.sink.tbl) != n*(1+others) {
+		b.Fatalf("%d routes reached the sink, want %d", len(tr.sink.tbl), n*(1+others))
 	}
 	moved := netip.AddrFrom4([4]byte{10, 0, 0, 1})
 	b.ReportAllocs()

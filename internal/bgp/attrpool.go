@@ -11,9 +11,9 @@ import (
 // thousands of routes, so PeerIn stores one canonical *PathAttrs per
 // distinct set and one pointer per route instead of a per-route copy.
 //
-// Entries are refcounted by the routes that store them (PeerIn tables and
-// the deletion stages they hand off to); a set whose last route is
-// withdrawn leaves the pool, so a drained table drains the pool too.
+// Entries are refcounted by the routes stored in the RIB-in the pool
+// carries; a set whose last route is withdrawn leaves the pool, so a
+// drained table drains the pool too.
 // Refcounts only govern pool membership — stages downstream may keep a
 // released *PathAttrs alive (the GC handles lifetime), they just stop
 // deduplicating against it.
@@ -37,6 +37,7 @@ type AttrPool struct {
 	// interned set does not change.
 	last     *PathAttrs
 	lastHash uint64
+	rib      *ribIn
 }
 
 // poolEntry is one interned set. next is nil unless another set shares the
@@ -49,7 +50,7 @@ type poolEntry struct {
 
 // NewAttrPool returns an empty pool.
 func NewAttrPool() *AttrPool {
-	return &AttrPool{sets: make(map[uint64]poolEntry), seed: maphash.MakeSeed(), hashMask: ^uint64(0)}
+	return &AttrPool{sets: make(map[uint64]poolEntry), seed: maphash.MakeSeed(), hashMask: ^uint64(0), rib: newRIBIn()}
 }
 
 // Len returns the number of distinct interned attribute sets (tests).

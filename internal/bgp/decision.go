@@ -13,10 +13,14 @@ import (
 //
 // Alternative routes are not stored here: the decision process looks up
 // alternatives via calls upstream through the pipeline (§5.1), so filter
-// changes automatically re-evaluate correctly.
+// changes automatically re-evaluate correctly. It finds the prefix in its
+// PeerIns' RIB-in and asks, in AddParent order, the other branches holding
+// it, any with resolver ops queued (they answer for routes the PeerIn may
+// have dropped) and any rooted elsewhere.
 type Decision struct {
 	base
-	parents []Stage
+	parents []branch
+	rib     *ribIn // the first PeerIn's
 	// answer is where each branch's Lookup answer lands: a local handed to
 	// an interface method would be on the heap, one allocation per call.
 	answer Route
@@ -26,21 +30,42 @@ type Decision struct {
 	tracer *telemetry.Tracer
 }
 
+// branch is an input branch with its resolver and its PeerIn, if in d.rib.
+type branch struct {
+	Stage
+	in  *PeerIn
+	res *NexthopResolver
+}
+
 // NewDecision returns an empty decision stage.
 func NewDecision(name string) *Decision {
 	return &Decision{base: base{name: name}}
 }
 
-// AddParent attaches an input branch (the end of a peering's pipeline).
+// AddParent attaches an input branch: the end of a fully plumbed pipeline.
 func (d *Decision) AddParent(s Stage) {
-	d.parents = append(d.parents, s)
+	b := branch{Stage: s}
+	for u := s; u != nil; u = u.parentStage() {
+		switch u := u.(type) {
+		case *NexthopResolver:
+			b.res = u
+		case *PeerIn:
+			if d.rib == nil {
+				d.rib = u.rib
+			}
+			if u.rib == d.rib {
+				b.in = u
+			}
+		}
+	}
+	d.parents = append(d.parents, b)
 	s.setDownstream(d)
 }
 
 // RemoveParent detaches a branch.
 func (d *Decision) RemoveParent(s Stage) {
 	for i, p := range d.parents {
-		if p == s {
+		if p.Stage == s {
 			d.parents = append(d.parents[:i], d.parents[i+1:]...)
 			s.setDownstream(nil)
 			return
@@ -48,12 +73,33 @@ func (d *Decision) RemoveParent(s Stage) {
 	}
 }
 
+// mark asks who's branch, unless it sent skip: it answers that or nothing.
+func (d *Decision) mark(who *holder, skip *Route) {
+	if in := who.in; in != nil && (skip == nil || in.peer != skip.Src) {
+		in.ask = true
+	}
+}
+
 // bestExcluding returns the best usable route for net among all branches,
 // and whether there is one, skipping any branch answer identical to skip
 // (the route whose change is being processed).
 func (d *Decision) bestExcluding(net netip.Prefix, skip *Route) (best Route, ok bool) {
+	if d.rib != nil {
+		if s, held := d.rib.tbl.Get(net); held {
+			d.mark(s.who, skip)
+			for _, h := range s.who.list {
+				d.mark(h.who, skip)
+			}
+		}
+	}
 	r := &d.answer
-	for _, p := range d.parents {
+	for i := range d.parents {
+		p := &d.parents[i]
+		if p.in != nil && !p.in.ask && (p.res == nil || len(p.res.queues) == 0) {
+			continue
+		} else if p.in != nil {
+			p.in.ask = false
+		}
 		if !p.Lookup(net, r) || !r.Resolvable {
 			continue
 		}

@@ -219,66 +219,173 @@ func TestExportSideAllocs(t *testing.T) {
 	}
 }
 
-// bytesPerRouteRouter is the route-server stage network: a PeerIn and a
-// resolver per client, Decision, Fanout, one shared export bank and GroupOut.
-func bytesPerRouteRouter(clients, routesEach int) (keep any, routes int) {
+// routeServer is the route-server stage network: a PeerIn and a resolver per
+// client, Decision, Fanout, one shared export bank and GroupOut.
+type routeServer struct {
+	loop  *eventloop.Loop
+	ins   []*PeerIn
+	dec   *Decision
+	fan   *Fanout
+	group *GroupOut
+}
+
+// newRouteServer builds it for clients clients; between, if set, makes the
+// stage plumbed between each client's resolver and the decision.
+func newRouteServer(clients int, between func() Stage) *routeServer {
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
-	dec, fan, pool := NewDecision("decision"), NewFanout("fanout", loop), NewAttrPool()
-	Plumb(dec, fan)
+	rs := &routeServer{loop: loop, dec: NewDecision("decision"), fan: NewFanout("fanout", loop), group: NewGroupOut("rs")}
+	pool := NewAttrPool()
+	Plumb(rs.dec, rs.fan)
 	outBank := NewFilterBank("out-filter(group:rs)", FilterEBGPExport(65000, mustA("192.0.2.1")))
-	group := NewGroupOut("rs")
-	Plumb(outBank, group)
-	fan.AddGroupBranch("group:rs", outBank)
-	ins := make([]*PeerIn, clients)
-	for c := range ins {
+	Plumb(outBank, rs.group)
+	rs.fan.AddGroupBranch("group:rs", outBank)
+	for c := 0; c < clients; c++ {
 		addr := netip.AddrFrom4([4]byte{10, 0, 0, byte(1 + c)})
 		h := &PeerHandle{Name: addr.String(), Addr: addr, AS: uint16(65001 + c)}
-		ins[c] = NewPeerIn(loop, h, pool)
-		resolver := NewNexthopResolver("nexthop("+h.Name+")", &StaticMetricSource{})
-		Plumb(ins[c], resolver)
-		if err := group.AddMember(h, GroupSenderFunc(func([]byte) {})); err != nil {
+		in := NewPeerIn(loop, h, pool)
+		var last Stage = NewNexthopResolver("nexthop("+h.Name+")", &StaticMetricSource{})
+		Plumb(in, last)
+		if between != nil {
+			s := between()
+			Plumb(last, s)
+			last = s
+		}
+		if err := rs.group.AddMember(h, GroupSenderFunc(func([]byte) {})); err != nil {
 			panic(err)
 		}
-		dec.AddParent(resolver)
+		rs.dec.AddParent(last)
+		rs.ins = append(rs.ins, in)
 	}
+	return rs
+}
+
+// rsNet is client c's i-th prefix: one of its own, or with shared the same
+// for every client.
+func rsNet(c, i int, shared bool) netip.Prefix {
+	if shared {
+		c = 0
+	}
+	return netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(20 + c), byte(i >> 8), byte(i), 0}), 24)
+}
+
+// announce has each client in turn announce routesEach prefixes in
+// UPDATEs of 64, or withdraw them.
+func (rs *routeServer) announce(routesEach int, shared, withdraw bool) {
 	const perUpdate = 64
-	for c, in := range ins {
+	for c, in := range rs.ins {
 		for first := 0; first < routesEach; first += perUpdate {
 			u := &UpdateMsg{Attrs: attrsVia(in.Peer().Addr.String(), in.Peer().AS, uint16(64512+first/perUpdate))}
 			for i := first; i < first+perUpdate && i < routesEach; i++ {
-				u.NLRI = append(u.NLRI, netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(20 + c), byte(i >> 8), byte(i), 0}), 24))
+				u.NLRI = append(u.NLRI, rsNet(c, i, shared))
+			}
+			if withdraw {
+				u = &UpdateMsg{Withdrawn: u.NLRI}
 			}
 			in.ReceiveUpdate(u, 65000)
-			loop.RunPending()
+			rs.loop.RunPending()
 		}
 	}
-	if got := group.AnnouncedCount(); got != clients*routesEach {
+}
+
+// bytesPerRouteRouter loads a route server and returns it, to be kept
+// alive, with the number of (client, prefix) routes it stores.
+func bytesPerRouteRouter(clients, routesEach int, shared bool) (keep any, routes int) {
+	rs := newRouteServer(clients, nil)
+	rs.announce(routesEach, shared, false)
+	want := clients * routesEach
+	if shared {
+		want = routesEach
+	}
+	if got := rs.group.AnnouncedCount(); got != want {
 		panic("route server did not announce every route")
 	}
-	return []any{ins, dec, fan, group}, clients * routesEach
+	return rs, clients * routesEach
 }
 
 // TestBGPBytesPerRoute pins the live heap a route costs across the BGP
-// stage network of a route server: the PeerIn's trie nodes and attribute
-// pointer, and its prefix → {attrs, source} slot in the group's adj-RIB-out.
-// It measures 203 B; the bound is 10 % above. With a 64-byte Route object
-// behind the PeerIn's pointer it measured 266 B, with an export clone per
-// route behind the slot as well 322 B, and with 184-byte trie nodes under the
-// PeerIn 391.
+// stage network of a route server. With every client on prefixes of its
+// own: the RIB-in's trie node and 16-byte slot, and the prefix → {attrs,
+// source} slot in the group's adj-RIB-out. It measures 209 B (203 with a
+// trie of bare attribute pointers per PeerIn); the bound is 10 % above
+// that. With a 64-byte Route object behind the PeerIn's pointer it measured
+// 266 B, with an export clone per route behind the slot as well 322 B, and
+// with 184-byte trie nodes under the PeerIn 391. With 32 clients on the
+// same prefixes a (client, prefix) pair costs a slot in a holder list, the
+// node and the adj-RIB-out shared 32 ways: 29 B (130 with a trie per
+// PeerIn).
 func TestBGPBytesPerRoute(t *testing.T) {
-	const bound = 223
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	keep, n := bytesPerRouteRouter(8, 6400)
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	perRoute := float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
-	runtime.KeepAlive(keep)
-	t.Logf("%.0f B of live heap per route", perRoute)
-	if perRoute > bound {
-		t.Fatalf("%.0f B of live heap per route, bound %d", perRoute, bound)
+	for _, tc := range []struct {
+		name                string
+		clients, routesEach int
+		shared              bool
+		bound               float64
+	}{
+		{"disjoint", 8, 6400, false, 223},
+		{"shared", 32, 6400, true, 35},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		keep, n := bytesPerRouteRouter(tc.clients, tc.routesEach, tc.shared)
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perRoute := float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
+		runtime.KeepAlive(keep)
+		t.Logf("%s: %.0f B of live heap per (client, prefix)", tc.name, perRoute)
+		if perRoute > tc.bound {
+			t.Errorf("%s: %.0f B of live heap per (client, prefix), bound %.0f", tc.name, perRoute, tc.bound)
+		}
+	}
+}
+
+// lookupCounter passes everything through and counts the Lookups it is
+// asked.
+type lookupCounter struct {
+	base
+	n *int
+}
+
+func (c *lookupCounter) Add(run []Route)        { c.next.Add(run) }
+func (c *lookupCounter) Replace(old, new Route) { c.next.Replace(old, new) }
+func (c *lookupCounter) Delete(r Route)         { c.next.Delete(r) }
+func (c *lookupCounter) Lookup(net netip.Prefix, r *Route) bool {
+	*c.n++
+	return c.lookupParent(net, r)
+}
+
+// TestDecisionLookupsPerRoute counts the branch Lookups the decision makes
+// per route announced and withdrawn by 32 clients. On prefixes of their
+// own it asks at most the one branch that holds the prefix — none, as that
+// branch sent the route — where it asked all 32 each time when every
+// branch was asked about every prefix. With every client on the same
+// prefixes it asks no more branches than hold the prefix at the time.
+func TestDecisionLookupsPerRoute(t *testing.T) {
+	const clients, routesEach = 32, 256
+	for _, shared := range []bool{false, true} {
+		lookups := 0
+		rs := newRouteServer(clients, func() Stage { return &lookupCounter{base: base{name: "count"}, n: &lookups} })
+		rs.announce(routesEach, shared, false)
+		announced := lookups
+		rs.announce(routesEach, shared, true)
+		withdrawn := lookups - announced
+		if rib := rs.ins[0].rib; rs.group.AnnouncedCount() != 0 || rib.tbl.Len() != 0 || rib.n != 0 {
+			t.Fatalf("shared=%v: %d routes left announced; the RIB-in keeps %d prefixes, %d routes",
+				shared, rs.group.AnnouncedCount(), rib.tbl.Len(), rib.n)
+		}
+		routes := clients * routesEach
+		// Client c announces when c others hold the prefix (shared) and
+		// withdraws when clients-1-c others still do.
+		wantAnnounced, wantWithdrawn := routes, 0
+		if shared {
+			wantAnnounced, wantWithdrawn = routesEach*clients*(clients+1)/2, routesEach*clients*(clients-1)/2
+		}
+		t.Logf("shared=%v: %.2f lookups per route announced, %.2f per route withdrawn",
+			shared, float64(announced)/float64(routes), float64(withdrawn)/float64(routes))
+		if announced > wantAnnounced || withdrawn > wantWithdrawn {
+			t.Errorf("shared=%v: %d lookups for %d announcements, %d for as many withdrawals; want <= %d and %d (one per holder)",
+				shared, announced, routes, withdrawn, wantAnnounced, wantWithdrawn)
+		}
 	}
 }

@@ -8,37 +8,6 @@ import (
 	"xorp/internal/trie"
 )
 
-// inTable is what one incarnation of a peering said, unfiltered: per prefix
-// the attribute pointer and nothing else. The prefix is the trie key and the
-// source is peer, so the Route is built from the three on the way out.
-type inTable struct {
-	peer *PeerHandle
-	tbl  *trie.Trie[*PathAttrs]
-	// pool interns attribute sets: each stored prefix holds one reference
-	// on its (canonical, shared) attrs. May be nil (tests).
-	pool *AttrPool
-}
-
-// route builds the route stored as attrs under net.
-func (t *inTable) route(net netip.Prefix, attrs *PathAttrs) Route {
-	return Route{Net: net, Attrs: attrs, Src: t.peer}
-}
-
-// Walk visits the stored routes.
-func (t *inTable) Walk(fn func(Route) bool) {
-	t.tbl.Walk(func(net netip.Prefix, attrs *PathAttrs) bool { return fn(t.route(net, attrs)) })
-}
-
-// get writes the route stored under net into r and reports whether there
-// is one.
-func (t *inTable) get(net netip.Prefix, r *Route) bool {
-	attrs, ok := t.tbl.Get(net)
-	if ok {
-		*r = t.route(net, attrs)
-	}
-	return ok
-}
-
 // PeerIn is the origin stage of one peering's input branch (§5.1): it
 // stores the original routes received from the peer — the only place input
 // routes are stored, so filters can be re-run at any time — and emits
@@ -47,6 +16,7 @@ type PeerIn struct {
 	base
 	loop *eventloop.Loop
 	inTable
+	ask bool // its branch holds the prefix the decision is deciding
 	// tracer, when set and enabled, opens a RouteTrace at StagePeerIn as
 	// each announced prefix lands in the table (nil-safe).
 	tracer *telemetry.Tracer
@@ -55,22 +25,24 @@ type PeerIn struct {
 	loopRoutes *telemetry.Counter
 }
 
-// NewPeerIn returns the input stage for peer. pool may be nil to store
-// attrs unpooled.
+// NewPeerIn returns the input stage for peer, which stores in pool's RIB-in
+// or, with pool nil, unpooled in one of its own.
 func NewPeerIn(loop *eventloop.Loop, peer *PeerHandle, pool *AttrPool) *PeerIn {
-	return &PeerIn{
+	p := &PeerIn{
 		base:       base{name: "peerin(" + peer.Name + ")"},
 		loop:       loop,
-		inTable:    inTable{peer: peer, tbl: trie.New[*PathAttrs](), pool: pool},
+		inTable:    inTable{peer: peer, rib: newRIBIn(), pool: pool},
 		loopRoutes: new(telemetry.Counter),
 	}
+	if pool != nil {
+		p.rib = pool.rib
+	}
+	p.who = &holder{in: p}
+	return p
 }
 
 // Peer returns the peering handle.
 func (p *PeerIn) Peer() *PeerHandle { return p.peer }
-
-// Len returns the number of stored routes.
-func (p *PeerIn) Len() int { return p.tbl.Len() }
 
 // ReceiveUpdate processes a decoded UPDATE from the peer: withdrawals,
 // then announcements. An announcement whose AS_PATH contains localAS is a
@@ -113,14 +85,14 @@ func (p *PeerIn) Announce(net netip.Prefix, attrs *PathAttrs) {
 // store puts attrs, with the reference the caller took for it, under net.
 // A fresh prefix joins the run being collected, which the caller flushes; a
 // prefix the peer already announced sends the run so far on and becomes a
-// Replace.
+// Replace. The run may go on after the store: one holding net stored these
+// attrs.
 func (p *PeerIn) store(net netip.Prefix, attrs *PathAttrs) {
-	old, existed := p.tbl.Get(net)
+	old, existed := p.rib.put(net, p.who, attrs)
 	if existed {
 		p.flush()
 		p.pool.Release(old)
 	}
-	p.tbl.Insert(net, attrs)
 	if p.tracer.Enabled() {
 		p.tracer.Stamp(telemetry.StagePeerIn, net)
 	}
@@ -137,7 +109,7 @@ func (p *PeerIn) store(net netip.Prefix, attrs *PathAttrs) {
 // are ignored (RFC 4271 tolerates spurious withdrawals).
 func (p *PeerIn) Withdraw(net netip.Prefix) {
 	net = net.Masked()
-	old, existed := p.tbl.Delete(net)
+	old, existed := p.rib.remove(net, p.who)
 	if !existed {
 		return
 	}
@@ -148,18 +120,18 @@ func (p *PeerIn) Withdraw(net netip.Prefix) {
 }
 
 // PeerDown implements the dynamic deletion stage handoff (§5.1.2): the
-// stored table moves into a fresh DeletionStage plumbed directly after the
-// PeerIn, a new empty table takes its place, and the background deletion
-// begins. The PeerIn — and thus BGP as a whole — is immediately ready for
-// the peering to come back up.
+// stored routes' holder identity passes to a fresh DeletionStage plumbed
+// directly after the PeerIn, which takes a new one, and the background
+// deletion begins. The PeerIn — and thus BGP as a whole — is immediately
+// ready for the peering to come back up.
 func (p *PeerIn) PeerDown() *DeletionStage {
-	if p.tbl.Len() == 0 {
+	if p.Len() == 0 {
 		return nil
 	}
 	d := &DeletionStage{base: base{name: "deletion(" + p.peer.Name + ")"}, loop: p.loop, inTable: p.inTable}
-	p.tbl = trie.New[*PathAttrs]()
+	p.who = &holder{in: p}
 	Splice(p, d)
-	d.it = d.tbl.Iterate()
+	d.it = d.rib.tbl.Iterate()
 	d.task = d.loop.AddTask(d.name, d.step)
 	return d
 }
@@ -178,10 +150,10 @@ func (p *PeerIn) Delete(Route) { panic("bgp: PeerIn has no upstream") }
 // Lookup returns the stored original route.
 func (p *PeerIn) Lookup(net netip.Prefix, r *Route) bool { return p.get(net, r) }
 
-// deletionBatch is how many routes one background slice deletes. Small
-// enough to keep event latency low, large enough to finish a full table
-// in a few thousand slices.
-const deletionBatch = 64
+// deletionBatch is how many routes one background slice deletes: few enough
+// to keep event latency low, enough to drain a full table in a few thousand
+// slices. Stepping over another holder's entry costs 1/skipSpan as much.
+const deletionBatch, skipSpan = 64, 16
 
 // DeletionStage deletes a failed peering's routes in the background while
 // preserving the §5.1 consistency rules for everything downstream. If the
@@ -193,7 +165,7 @@ type DeletionStage struct {
 	loop    *eventloop.Loop
 	inTable // the routes not yet deleted, which downstream still holds
 	task    *eventloop.Task
-	it      *trie.Iterator[*PathAttrs]
+	it      *trie.Iterator[ribSlot]
 	done    bool
 }
 
@@ -203,13 +175,14 @@ func (d *DeletionStage) Done() bool { return d.done }
 // step deletes one batch; it is a cooperative background slice (§4),
 // using the safe iterator of §5.3 to survive concurrent route changes.
 func (d *DeletionStage) step() bool {
-	for i := 0; i < deletionBatch && d.it.Valid(); i++ {
-		net, attrs, ok := d.it.Entry()
+	for work := 0; work < deletionBatch*skipSpan && d.it.Valid(); work++ {
+		net, s, ok := d.it.Entry()
 		d.it.Next()
-		if !ok {
-			continue // entry vanished while we were paused
+		if !ok || d.rib.ref(&s, d.who) == nil {
+			continue // another holder's, or gone while we were paused
 		}
-		d.tbl.Delete(net)
+		work += skipSpan - 1
+		attrs, _ := d.rib.remove(net, d.who)
 		d.pool.Release(attrs)
 		if d.next != nil {
 			d.next.Delete(d.route(net, attrs))
@@ -222,7 +195,7 @@ func (d *DeletionStage) step() bool {
 // finishIfEmpty unplumbs the drained stage and ends its task; downstream
 // stages never knew it existed.
 func (d *DeletionStage) finishIfEmpty() {
-	if d.done || d.tbl.Len() > 0 && d.it.Valid() {
+	if d.done || d.Len() > 0 && d.it.Valid() {
 		return
 	}
 	d.done = true
@@ -238,7 +211,7 @@ func (d *DeletionStage) finishIfEmpty() {
 func (d *DeletionStage) Add(run []Route) {
 	start := 0
 	for i, r := range run {
-		old, held := d.tbl.Delete(r.Net)
+		old, held := d.rib.remove(r.Net, d.who)
 		if !held {
 			continue
 		}
@@ -260,7 +233,7 @@ func (d *DeletionStage) Add(run []Route) {
 // Replace passes through; if we somehow still hold the prefix, drop our
 // stale copy first (downstream already saw the new route's Add).
 func (d *DeletionStage) Replace(old, new Route) {
-	if stale, held := d.tbl.Delete(new.Net); held {
+	if stale, held := d.rib.remove(new.Net, d.who); held {
 		d.pool.Release(stale)
 	}
 	if d.next != nil {

@@ -107,14 +107,8 @@ func NewProcess(loop *eventloop.Loop, cfg Config, ribClient RIBClient, metricSrc
 	p.mLoopRoutes = p.metrics.Counter("bgp_in_as_loop_routes_total", "announced prefixes rejected, and withdrawn if held, because their AS_PATH holds the local AS")
 	p.metrics.GaugeFunc("bgp_peers", "configured peerings",
 		func() float64 { return float64(len(p.peers)) })
-	p.metrics.GaugeFunc("bgp_peerin_routes", "routes stored across peer-in tables",
-		func() float64 {
-			n := p.localIn.Len()
-			for _, peer := range p.peers {
-				n += peer.peerin.Len()
-			}
-			return float64(n)
-		})
+	p.metrics.GaugeFunc("bgp_peerin_routes", "routes stored in the RIB-in, deletion stages' not yet withdrawn included",
+		func() float64 { return float64(p.localIn.rib.n) })
 	p.metrics.GaugeFunc("bgp_queue_depth", "event-loop input backlog",
 		func() float64 { return float64(loop.QueueDepth()) })
 	xipc.RegisterIOMetrics(p.metrics)

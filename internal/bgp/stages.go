@@ -18,9 +18,9 @@ import (
 // Lookup answer is written into the Route the asker brings, so nobody owns
 // anybody's object and what a stage is handed or answered is its own to
 // keep. (Lookup fills the asker's Route instead of returning one because it
-// is the decision process's inner loop — every branch is asked about every
-// prefix — and a 56-byte struct result is copied through memory at each
-// stage on the way back, hit or miss.)
+// is the decision process's inner loop — each branch holding a prefix is
+// asked about it, for every change to it — and a 56-byte struct result is
+// copied through memory at each stage on the way back.)
 //
 // The add message is a run: 1..n routes sharing one *PathAttrs pointer
 // (interned attrs) and one Src, with distinct prefixes none of which the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -215,6 +216,35 @@ func TestPeerDownDeletionStage(t *testing.T) {
 	}
 }
 
+// TestDeletionSliceBounds: a slice of a deletion stage among other peers'
+// routes deletes at most deletionBatch of its own and steps through at most
+// deletionBatch*skipSpan entries, a deletion counting skipSpan. q0's 3,000
+// routes sort before q1's 200, so the first two slices step over q0's
+// alone and delete nothing, and a slice inside q1's deletes a full batch.
+func TestDeletionSliceBounds(t *testing.T) {
+	tr := newTestRouter(t, 65000)
+	ps := addPeers(tr, 2)
+	feedPeer(tr, ps[0], 0, 3000)
+	feedPeer(tr, ps[1], 1, 200)
+	d := ps[1].peerin.PeerDown()
+	var deleted []int
+	for !d.Done() {
+		before := d.Len()
+		d.step()
+		deleted = append(deleted, before-d.Len())
+	}
+	tr.settle()
+	// Steps over 1,024, 1,024, then 952 of q0's entries and deletes 5 of
+	// q1's (the budget is checked before each entry), then 64, 64, 64 and
+	// the last 3.
+	if want := []int{0, 0, 5, 64, 64, 64, 3}; !slices.Equal(deleted, want) {
+		t.Fatalf("routes deleted per slice %v, want %v", deleted, want)
+	}
+	if len(tr.sink.tbl) != 3000 {
+		t.Fatalf("%d routes left downstream, want q0's 3000", len(tr.sink.tbl))
+	}
+}
+
 func TestPeerFlapDuringBackgroundDeletion(t *testing.T) {
 	// The §5.1.2 scenario: the peering comes back up and re-announces
 	// while the deletion stage is still draining. Downstream must see a
@@ -375,6 +405,43 @@ func TestNexthopResolverQueuesUntilAnswer(t *testing.T) {
 	r := lookup(tr.sink, mustP("10.1.0.0/16"))
 	if r == nil || r.IGPMetric != 10 {
 		t.Fatalf("resolved route %+v", r)
+	}
+}
+
+// TestDecisionAsksQueuedBranch: a branch answers for a prefix its PeerIn has
+// dropped while the withdrawal waits in the resolver behind an op whose
+// nexthop is unresolved. The decision must still ask it, or it takes
+// another peer's route for the first one and the cache panics on an add
+// for a prefix already present.
+func TestDecisionAsksQueuedBranch(t *testing.T) {
+	tr := newTestRouter(t, 65000)
+	p1 := tr.addPeer(t, "p1", "10.0.0.1", 65001)
+	p2 := tr.addPeer(t, "p2", "10.0.0.2", 65002)
+	fake := &fakeMetricSource{}
+	p2.resolver.src = fake
+	net := mustP("10.1.0.0/16")
+	resolved := NexthopInfo{Resolvable: true, Metric: 10, Covering: mustP("10.0.0.0/24")}
+
+	p2.peerin.Announce(net, attrsVia("10.0.0.2", 65002))
+	fake.answer(mustA("10.0.0.2"), resolved)
+	fake.auto = false
+	p2.peerin.Announce(net, attrsVia("10.0.0.99", 65002))
+	p2.peerin.Withdraw(net)
+	tr.settle()
+	if p2.peerin.Len() != 0 || p2.resolver.PendingOps() != 2 {
+		t.Fatalf("p2 stores %d routes with %d ops queued, want 0 and 2", p2.peerin.Len(), p2.resolver.PendingOps())
+	}
+
+	p1.peerin.Announce(net, attrsVia("10.0.0.1", 65001, 65009, 65010))
+	tr.settle()
+	if r := lookup(tr.sink, net); r == nil || r.Src != p2.peer || r.Attrs.NextHop != mustA("10.0.0.2") {
+		t.Fatalf("winner %+v, want p2's route via 10.0.0.2, which downstream still holds", r)
+	}
+
+	fake.answer(mustA("10.0.0.99"), resolved)
+	tr.settle()
+	if r := lookup(tr.sink, net); r == nil || r.Src != p1.peer {
+		t.Fatalf("winner after p2's queue drained %+v, want p1's", r)
 	}
 }
 

@@ -23,6 +23,35 @@ func newTelemetryProc(t *testing.T) *Process {
 	return p
 }
 
+// TestPeerInRoutesGaugeCountsDeletion: bgp_peerin_routes counts what the
+// RIB-in stores, so a dead session's routes count until its deletion stage
+// has withdrawn them — downstream still holds them until then.
+func TestPeerInRoutesGaugeCountsDeletion(t *testing.T) {
+	p := newTelemetryProc(t)
+	const n = 100
+	u := &UpdateMsg{Attrs: attrsVia("192.0.2.1", 65001)}
+	for i := 0; i < n; i++ {
+		u.NLRI = append(u.NLRI, modelNet(i))
+	}
+	if err := p.InjectUpdate("feed", u); err != nil {
+		t.Fatal(err)
+	}
+	gauge := func(when string, want float64) {
+		t.Helper()
+		if got, _ := p.Metrics().Get("bgp_peerin_routes"); got != want {
+			t.Fatalf("%s: bgp_peerin_routes = %v, want %v", when, got, want)
+		}
+	}
+	gauge("loaded", n)
+	peer, _ := p.Peer("feed")
+	d := peer.peerin.PeerDown()
+	gauge("after PeerDown, before the drain", n)
+	for !d.Done() {
+		d.step()
+	}
+	gauge("drained", 0)
+}
+
 // TestDisabledProfilerZeroAlloc pins the §8.2 guard discipline: with
 // every profile point disabled (the default), the UPDATE injection path
 // must not pay the variadic boxing of Point.Logf. A withdraw of an

@@ -7,8 +7,9 @@ import (
 
 // FuzzTrie differentially fuzzes the trie against a map+linear-scan
 // reference model. The input bytes are decoded as an op stream over both
-// address families: insert, upsert, delete, get and longest-match, with
-// every result cross-checked, plus a full-content sweep at the end.
+// address families: insert, upsert, delete, get, longest-match and update
+// (keeping or declining the slot), with every result cross-checked, plus a
+// full-content sweep at the end.
 //
 // A third model rides along: a Persistent chain advanced through edit
 // sessions whose lengths (1…300 mutations) the input also chooses. Every
@@ -27,6 +28,12 @@ func FuzzTrie(f *testing.F) {
 	})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0})
 	f.Add(nibbleBoundarySeed())
+	// Update (every fourth step declines): a fresh slot kept, an entry kept,
+	// a fresh slot declined, a glue node's slot kept, an entry declined.
+	f.Add([]byte{
+		5, 10, 0, 0, 0, 8, 0, 10, 0, 0, 0, 8, 5, 10, 0, 0, 0, 8, 5, 10, 128, 0, 0, 9,
+		0, 10, 1, 0, 0, 16, 0, 10, 2, 0, 0, 16, 5, 10, 0, 0, 0, 14, 5, 10, 0, 0, 0, 8,
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := New[int]()
@@ -142,7 +149,7 @@ func FuzzTrie(f *testing.F) {
 				break
 			}
 			step++
-			switch op % 5 {
+			switch op % 6 {
 			case 0: // Insert
 				wantReplaced := false
 				if _, had := model[p]; had {
@@ -197,6 +204,24 @@ func FuzzTrie(f *testing.F) {
 				if ok && gv != model[bestP] {
 					t.Fatalf("LongestMatch(%v) value %d, model %d", addr, gv, model[bestP])
 				}
+			case 5: // Update: every fourth step declines, else stores step
+				wantV, wantExisted := model[p]
+				keep := step%4 != 0
+				tr.Update(p, func(v *int, existed bool) bool {
+					if existed != wantExisted || *v != wantV {
+						t.Fatalf("Update(%v) handed (%d,%v), model (%d,%v)", p, *v, existed, wantV, wantExisted)
+					}
+					*v = step
+					return keep
+				})
+				if keep {
+					model[p] = step
+					edit.Insert(p, step)
+				} else {
+					delete(model, p)
+					edit.Delete(p)
+				}
+				mutated(step*7 + p.Bits())
 			}
 		}
 

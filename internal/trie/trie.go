@@ -267,111 +267,108 @@ func (t *Trie[T]) Insert(p netip.Prefix, v T) (replaced bool, err error) {
 // Get+Insert the RIB's origin tables perform per arriving route. An
 // invalid prefix is a no-op reporting existed=false.
 func (t *Trie[T]) Upsert(p netip.Prefix, v T) (old T, existed bool) {
+	t.Update(p, func(s *T, had bool) bool {
+		old, existed, *s = *s, had, v
+		return true
+	})
+	return old, existed
+}
+
+// Update is find-or-insert on p's value slot (p masked first) in one walk:
+// fn may change the stored value (existed) or a zeroed new one, and says
+// whether p keeps an entry. A stored one not kept is deleted; for a new one
+// not kept nothing is built. fn must not touch the trie.
+func (t *Trie[T]) Update(p netip.Prefix, fn func(v *T, existed bool) (keep bool)) {
 	if !p.IsValid() {
-		return old, false
+		return
 	}
 	p = p.Masked()
-	k := keyOf(p.Addr())
-	pb := uint8(p.Bits())
-	cur := t.ensureRoot(p)
-	for {
-		if cur.bits == pb && cur.key == k {
-			if cur.val != nil {
-				old, *cur.val = *cur.val, v
-				return old, true
-			}
-			cur.val = t.newVal(v)
-			t.size++
-			return old, false
+	n, k, pb := t.deepest(p)
+	if n != nil && n.bits == pb && n.val != nil {
+		if !fn(n.val, true) {
+			t.drop(n)
 		}
-		// Invariant: cur strictly covers p, so cur.bits < pb.
-		b := k.bit(cur.bits)
-		c := cur.child[b]
+		return
+	}
+	v := t.newVal(*new(T))
+	if !fn(v, false) {
+		t.freeVal(v)
+		return
+	}
+	if n == nil {
+		n = t.ensureRoot(p)
+	}
+	for n.bits != pb {
+		// Invariant: n strictly covers p and no child of n does.
+		b := k.bit(n.bits)
+		c := n.child[b]
 		if c == nil {
-			cur.child[b] = t.newValNode(k, pb, v, cur)
-			t.size++
-			return old, false
+			c = t.newNode()
+			c.key, c.bits, c.v4, c.parent = k, pb, n.v4, n
+			n.child[b] = c
+		} else {
+			// p and c part at their longest common prefix: a glue node
+			// there, between n and c, which is p's own when p covers c.
+			gb := commonPrefixLen(k, c.key, min(pb, c.bits))
+			g := t.newNode()
+			g.key, g.bits, g.v4, g.parent = k.masked(gb), gb, n.v4, n
+			g.child[c.key.bit(gb)] = c
+			n.child[b], c.parent, c = g, g, g
 		}
-		if c.covers(k, pb) {
-			cur = c
-			continue
-		}
-		if pb < c.bits && c.key.hasPrefix(k, pb) {
-			// Insert p between cur and c.
-			n := t.newValNode(k, pb, v, cur)
-			cur.child[b] = n
-			n.child[c.key.bit(pb)] = c
-			c.parent = n
-			t.size++
-			return old, false
-		}
-		// Diverge: create a glue node at the longest common prefix.
-		gb := commonPrefixLen(k, c.key, min(pb, c.bits))
-		g := t.newNode()
-		g.key, g.bits, g.v4, g.parent = k.masked(gb), gb, cur.v4, cur
-		cur.child[b] = g
-		g.child[c.key.bit(gb)] = c
-		c.parent = g
-		n := t.newValNode(k, pb, v, g)
-		g.child[k.bit(gb)] = n
-		t.size++
-		return old, false
+		n = c
 	}
+	n.val = v
+	t.size++
 }
 
-// newValNode builds a valued leaf from the slab.
-func (t *Trie[T]) newValNode(k key128, pb uint8, v T, parent *node[T]) *node[T] {
-	n := t.newNode()
-	n.key, n.bits, n.v4, n.val, n.parent = k, pb, parent.v4, t.newVal(v), parent
-	return n
+// deepest returns the deepest node covering p (masked), which is p's own
+// if p has a node, or nil if p's family has no root; and p's key and length.
+func (t *Trie[T]) deepest(p netip.Prefix) (n *node[T], k key128, pb uint8) {
+	k, pb = keyOf(p.Addr()), uint8(p.Bits())
+	for c := t.rootFor(p); c != nil && c.covers(k, pb); c = c.child[k.bit(c.bits)] {
+		if n = c; c.bits == pb {
+			break
+		}
+	}
+	return n, k, pb
 }
 
-// find returns the node holding exactly p, valued or not.
+// find returns the node holding an entry exactly at p, or nil.
 func (t *Trie[T]) find(p netip.Prefix) *node[T] {
-	p = p.Masked()
-	cur := t.rootFor(p)
-	if cur == nil || !p.IsValid() {
+	if !p.IsValid() {
 		return nil
 	}
-	k := keyOf(p.Addr())
-	pb := uint8(p.Bits())
-	for cur != nil {
-		if cur.bits == pb && cur.key == k {
-			return cur
-		}
-		if !cur.covers(k, pb) {
-			return nil
-		}
-		cur = cur.child[k.bit(cur.bits)]
+	if n, _, pb := t.deepest(p.Masked()); n != nil && n.bits == pb && n.val != nil {
+		return n
 	}
 	return nil
 }
 
 // Get returns the value stored exactly at p.
-func (t *Trie[T]) Get(p netip.Prefix) (T, bool) {
-	var zero T
-	n := t.find(p)
-	if n == nil || n.val == nil {
-		return zero, false
+func (t *Trie[T]) Get(p netip.Prefix) (v T, ok bool) {
+	if n := t.find(p); n != nil {
+		v, ok = *n.val, true
 	}
-	return *n.val, true
+	return v, ok
 }
 
 // Delete removes the entry stored exactly at p, returning the removed
-// value. If iterators reference the node, its value is invalidated now and
-// the node is physically removed when the last iterator leaves (§5.3).
-func (t *Trie[T]) Delete(p netip.Prefix) (T, bool) {
-	var zero T
-	n := t.find(p)
-	if n == nil || n.val == nil {
-		return zero, false
+// value; a miss only reads the trie.
+func (t *Trie[T]) Delete(p netip.Prefix) (v T, existed bool) {
+	if n := t.find(p); n != nil {
+		v, existed = *n.val, true
+		t.drop(n)
 	}
-	v := *n.val
+	return v, existed
+}
+
+// drop deletes n's entry; an iterator on n defers the node's removal until
+// the last one leaves (§5.3).
+func (t *Trie[T]) drop(n *node[T]) {
 	t.freeVal(n.val)
 	n.val = nil
 	t.size--
 	t.cleanup(n)
-	return v, true
 }
 
 // cleanup physically removes n if it is valueless, unreferenced, and

@@ -232,34 +232,40 @@ func TestIteratorBasic(t *testing.T) {
 func TestIteratorSurvivesDeletionOfCurrent(t *testing.T) {
 	// The §5.3 scenario: a background task pauses on a route, the route is
 	// deleted, and the iterator must still make forward progress and
-	// perform the deferred physical deletion.
-	tr := New[int]()
-	for i, s := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16"} {
-		tr.Insert(mustP(s), i)
-	}
-	it := tr.Iterate()
-	it.Next() // now on 10.1.0.0/16
-	if it.Prefix() != mustP("10.1.0.0/16") {
-		t.Fatalf("iterator at %v", it.Prefix())
-	}
-	tr.Delete(mustP("10.1.0.0/16"))
-	if _, _, ok := it.Entry(); ok {
-		t.Fatal("deleted entry should report !ok")
-	}
-	it.Next()
-	if it.Prefix() != mustP("10.2.0.0/16") {
-		t.Fatalf("after delete, iterator at %v", it.Prefix())
-	}
-	it.Close()
-	// The deleted node must be physically gone: re-inserting and walking
-	// must behave normally, and Len must be consistent.
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	n := 0
-	tr.Walk(func(netip.Prefix, int) bool { n++; return true })
-	if n != 3 {
-		t.Fatalf("walked %d entries", n)
+	// perform the deferred physical deletion. Deleted by Delete, and by an
+	// Update that declines the entry.
+	for name, del := range map[string]func(*Trie[int], netip.Prefix){
+		"Delete": func(tr *Trie[int], p netip.Prefix) { tr.Delete(p) },
+		"Update": func(tr *Trie[int], p netip.Prefix) { tr.Update(p, func(*int, bool) bool { return false }) },
+	} {
+		tr := New[int]()
+		for i, s := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16"} {
+			tr.Insert(mustP(s), i)
+		}
+		it := tr.Iterate()
+		it.Next() // now on 10.1.0.0/16
+		if it.Prefix() != mustP("10.1.0.0/16") {
+			t.Fatalf("%s: iterator at %v", name, it.Prefix())
+		}
+		del(tr, mustP("10.1.0.0/16"))
+		if _, _, ok := it.Entry(); ok {
+			t.Fatalf("%s: deleted entry should report !ok", name)
+		}
+		it.Next()
+		if it.Prefix() != mustP("10.2.0.0/16") {
+			t.Fatalf("%s: after delete, iterator at %v", name, it.Prefix())
+		}
+		it.Close()
+		// The deleted node must be physically gone: re-inserting and walking
+		// must behave normally, and Len must be consistent.
+		if tr.Len() != 3 {
+			t.Fatalf("%s: Len = %d", name, tr.Len())
+		}
+		n := 0
+		tr.Walk(func(netip.Prefix, int) bool { n++; return true })
+		if n != 3 {
+			t.Fatalf("%s: walked %d entries", name, n)
+		}
 	}
 }
 
@@ -554,6 +560,60 @@ func TestUpsertMatchesGetInsert(t *testing.T) {
 		t.Fatalf("Len diverged: %d vs %d", a.Len(), b.Len())
 	}
 	checkInvariants(t, a)
+}
+
+// TestMissBuildsNothing: a Delete of an absent prefix, and an Update that
+// declines an absent prefix's fresh slot, take no node and create no root —
+// at a glue node, below a leaf, where a glue node would be needed, and in a
+// family with no entries.
+func TestMissBuildsNothing(t *testing.T) {
+	tr := New[int]()
+	for _, s := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.2.0.0/16"} {
+		tr.Insert(mustP(s), 1)
+	}
+	tr.Delete(mustP("10.0.0.0/8")) // 10.0.0.0/8 stays as glue
+	type state struct {
+		slab       int
+		free       *node[int]
+		root4      *node[int]
+		root6      *node[int]
+		len, nodes int
+	}
+	snap := func() state {
+		nodes := 0
+		var count func(*node[int])
+		count = func(n *node[int]) {
+			if n != nil {
+				nodes++
+				count(n.child[0])
+				count(n.child[1])
+			}
+		}
+		count(tr.root4)
+		count(tr.root6)
+		return state{len(tr.slab), tr.free, tr.root4, tr.root6, tr.Len(), nodes}
+	}
+	before := snap()
+	for _, s := range []string{"10.0.0.0/8", "10.1.2.0/24", "10.128.0.0/9", "11.0.0.0/8", "2001:db8::/32"} {
+		p := mustP(s)
+		if _, ok := tr.Delete(p); ok {
+			t.Fatalf("Delete(%v) found an entry", p)
+		}
+		tr.Update(p, func(v *int, existed bool) bool {
+			if existed || *v != 0 {
+				t.Fatalf("Update(%v) handed (%d, %v), want a zeroed fresh slot", p, *v, existed)
+			}
+			*v = 7
+			return false
+		})
+		if after := snap(); after != before {
+			t.Fatalf("a miss on %v changed the trie: %+v, was %+v", p, after, before)
+		}
+		if _, ok := tr.Get(p); ok {
+			t.Fatalf("declined %v is stored", p)
+		}
+	}
+	checkInvariants(t, tr)
 }
 
 func TestDeepChainWalk(t *testing.T) {
