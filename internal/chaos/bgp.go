@@ -3,12 +3,10 @@ package chaos
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"strings"
 	"time"
 
 	"xorp/internal/bgp"
-	"xorp/internal/kernel"
 	"xorp/internal/route"
 	"xorp/internal/rtrmgr"
 	"xorp/internal/workload"
@@ -217,10 +215,12 @@ func inject(r *rtrmgr.Router, prefixes []netip.Prefix) {
 	}
 }
 
+// fibHasAll reports whether r's published forwarding table — what a
+// packet would see — holds every prefix.
 func fibHasAll(r *rtrmgr.Router, prefixes []netip.Prefix) bool {
+	snap := r.FEA.Snapshots().Current()
 	for _, pfx := range prefixes {
-		e, ok := r.FIB.Lookup(pfx.Addr().Next())
-		if !ok || e.Net != pfx {
+		if _, ok := snap.Get(pfx); !ok {
 			return false
 		}
 	}
@@ -260,15 +260,15 @@ func resyncComplete(r *rtrmgr.Router, proto route.Protocol) (int, error) {
 	}
 }
 
-// dumpTables renders a router's FIB (every entry) and RIB (best route
-// per injected prefix) deterministically, for byte comparison.
+// dumpTables renders a router's published forwarding table (every entry,
+// in prefix order) and RIB (best route per injected prefix)
+// deterministically, for byte comparison.
 func dumpTables(r *rtrmgr.Router, prefixes []netip.Prefix) string {
 	var lines []string
-	r.FIB.Walk(func(e kernel.FIBEntry) bool {
+	r.FEA.Snapshots().Current().Walk(func(e route.Entry) bool {
 		lines = append(lines, fmt.Sprintf("fib %v via %v dev %s", e.Net, e.NextHop, e.IfName))
 		return true
 	})
-	sort.Strings(lines)
 	var ribLines []string
 	r.RIB.Loop().DispatchAndWait(func() {
 		for _, pfx := range prefixes {

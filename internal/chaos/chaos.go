@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"xorp/internal/eventloop"
+	"xorp/internal/fwd"
 	"xorp/internal/kernel"
+	"xorp/internal/rtrmgr"
 	"xorp/internal/telemetry"
 )
 
@@ -143,14 +145,15 @@ func (tm Timing) fill() Timing {
 	return tm
 }
 
-// runner drives one scenario on the simulated clock. Everything runs
-// on the driving goroutine (the loop is advanced with RunFor), so no
-// locking is needed.
+// runner drives one scenario on the simulated clock. Every node is a
+// full rtrmgr.Router — FEA, RIB, one supervised IGP process — on its own
+// shared loop, and all the loops advance together on one SimClock. It
+// all runs on the driving goroutine, so no locking is needed.
 type runner struct {
 	spec     Spec
 	tm       Timing
-	loop     *eventloop.Loop
-	nodes    []*node
+	routers  []*rtrmgr.Router
+	loops    []*eventloop.Loop // every router's loop, advanced together
 	nodeOf   map[netip.Addr]int
 	prefix   netip.Prefix
 	failed   map[[2]int]bool
@@ -161,56 +164,79 @@ type runner struct {
 }
 
 func newRunner(spec Spec) (*runner, error) {
+	if spec.Protocol != "rip" && spec.Protocol != "ospf" {
+		return nil, fmt.Errorf("chaos: unknown protocol %q", spec.Protocol)
+	}
 	t := spec.Topology
 	r := &runner{
 		spec:     spec,
 		tm:       spec.Timing.fill(),
-		loop:     eventloop.New(eventloop.NewSimClock(time.Unix(0, 0))),
 		nodeOf:   make(map[netip.Addr]int, t.N),
 		prefix:   netip.MustParsePrefix("172.16.0.0/16"),
 		failed:   make(map[[2]int]bool),
 		blackPer: make([]time.Duration, t.N),
 	}
-	// Apply→publish tail tracer, shared across every node's publisher:
-	// chaos pushes few routes, so sample them all.
+	// Apply→publish tail tracer, shared across every node's FEA: chaos
+	// pushes few routes, so sample them all.
 	r.tracer = telemetry.NewTracer()
 	r.tracer.SetOrigin(telemetry.StageFIBApply)
 	r.tracer.SetSampleShift(0)
 	r.tracer.Enable()
+	clock := eventloop.NewSimClock(time.Unix(0, 0))
 	netw := kernel.NewNetwork()
 	netw.SetDropFunc(r.drop)
 	for i := 0; i < t.N; i++ {
-		addr := t.Addr(i)
-		n, err := newNode(r.loop, netw, i, addr)
+		r.nodeOf[t.Addr(i)] = i
+	}
+	for i := 0; i < t.N; i++ {
+		rt, err := rtrmgr.NewRouter(r.config(i), rtrmgr.Options{
+			Clock: clock, SharedLoop: true, Network: netw, LocalAddr: t.Addr(i),
+		})
 		if err != nil {
+			r.stop()
 			return nil, err
 		}
-		n.rec.tracer = r.tracer
-		n.rec.pub.SetTracer(r.tracer)
-		r.nodes = append(r.nodes, n)
-		r.nodeOf[addr] = i
+		r.routers = append(r.routers, rt)
+		r.loops = append(r.loops, rt.Loops()...)
+		rt.FEA.SetTracer(r.tracer)
+		// The respawn delay is the supervisor's first backoff.
+		if _, err := rt.EnableSupervision(rtrmgr.SupervisorConfig{InitialBackoff: r.tm.RespawnDelay}); err != nil {
+			r.stop()
+			return nil, err
+		}
 	}
-	for i, n := range r.nodes {
-		if err := n.startProto(r.loop, spec.Protocol, r.originates(i)); err != nil {
+	for _, rt := range r.routers {
+		if err := rt.Start(); err != nil {
+			r.stop()
 			return nil, err
 		}
 	}
 	return r, nil
 }
 
-// originates returns the prefixes node i announces: the target at the
-// origin (metric 1) and, when the topology is multi-homed, at the
-// backup (metric 5).
-func (r *runner) originates(i int) map[netip.Prefix]uint32 {
+// config is node i's configuration: its IGP, redistributing statics, and
+// at the origin (metric 1) and the backup of a multi-homed topology
+// (metric 5) a static route to the target prefix.
+func (r *runner) config(i int) string {
 	t := r.spec.Topology
+	var static string
 	switch i {
 	case t.Origin:
-		return map[netip.Prefix]uint32{r.prefix: 1}
+		static = fmt.Sprintf("static { route %v metric 1; }\n", r.prefix)
 	case t.Backup:
-		return map[netip.Prefix]uint32{r.prefix: 5}
+		static = fmt.Sprintf("static { route %v metric 5; }\n", r.prefix)
 	}
-	return nil
+	return static + fmt.Sprintf("protocols { %s { redistribute static; } }\n", r.spec.Protocol)
 }
+
+func (r *runner) stop() {
+	for _, rt := range r.routers {
+		rt.Stop()
+	}
+}
+
+// now is the shared simulated clock's reading.
+func (r *runner) now() time.Time { return r.loops[0].Now() }
 
 // drop is the Network's shaping predicate: only datagrams between
 // linked, un-failed pairs get through.
@@ -244,8 +270,8 @@ func (r *runner) pathEndFrom(start int) int {
 		}
 		seen[cur] = true
 		// Forward the way a packet would: longest-prefix match against
-		// the node's published snapshot, not the control plane's state.
-		e, ok := r.nodes[cur].rec.Snapshot().Lookup(r.prefix.Addr())
+		// the FEA's published snapshot, not the control plane's state.
+		e, ok := r.snapshot(cur).Lookup(r.prefix.Addr())
 		if !ok {
 			return -1
 		}
@@ -258,17 +284,20 @@ func (r *runner) pathEndFrom(start int) int {
 	return -1
 }
 
+// snapshot is node i's forwarding table as its FEA last published it.
+func (r *runner) snapshot(i int) *fwd.Snapshot { return r.routers[i].FEA.Snapshots().Current() }
+
 func (r *runner) pathOK() bool { return r.pathEnd() >= 0 }
 
 // converged: every non-origin node holds the route and the observer's
 // forwarding path actually reaches an origin.
 func (r *runner) converged() bool {
 	t := r.spec.Topology
-	for i, n := range r.nodes {
+	for i := range r.routers {
 		if i == t.Origin || i == t.Backup {
 			continue
 		}
-		if _, ok := n.rec.Snapshot().Get(r.prefix); !ok {
+		if _, ok := r.snapshot(i).Get(r.prefix); !ok {
 			return false
 		}
 	}
@@ -286,12 +315,12 @@ func (r *runner) initialConverged() bool {
 // is the headline Blackhole; the full per-node distribution feeds the
 // percentiles.
 func (r *runner) step() {
-	r.loop.RunFor(r.tm.StepQuantum)
+	eventloop.AdvanceAll(r.now().Add(r.tm.StepQuantum), r.loops...)
 	if !r.sampling {
 		return
 	}
 	t := r.spec.Topology
-	for i := range r.nodes {
+	for i := range r.routers {
 		if i == t.Origin || i == t.Backup {
 			continue
 		}
@@ -305,20 +334,20 @@ func (r *runner) step() {
 }
 
 func (r *runner) runFor(d time.Duration) {
-	end := r.loop.Now().Add(d)
-	for r.loop.Now().Before(end) {
+	end := r.now().Add(d)
+	for r.now().Before(end) {
 		r.step()
 	}
 }
 
 func (r *runner) until(limit time.Duration, cond func() bool) (time.Duration, bool) {
-	start := r.loop.Now()
+	start := r.now()
 	for {
 		if cond() {
-			return r.loop.Now().Sub(start), true
+			return r.now().Sub(start), true
 		}
-		if r.loop.Now().Sub(start) >= limit {
-			return r.loop.Now().Sub(start), false
+		if r.now().Sub(start) >= limit {
+			return r.now().Sub(start), false
 		}
 		r.step()
 	}
@@ -355,6 +384,7 @@ func Run(spec Spec) Result {
 		res.Note = err.Error()
 		return res
 	}
+	defer r.stop()
 	res.Initial, res.Converged = r.until(r.tm.InitialLimit, r.initialConverged)
 	if !res.Converged {
 		res.Note = "never converged"
@@ -380,12 +410,13 @@ func Run(spec Spec) Result {
 		r.heal()
 		res.Recovery, res.Recovered = r.until(r.tm.RecoveryLimit, r.converged)
 	case ProcessKill:
-		r.nodes[t.Origin].killProto()
-		r.runFor(r.tm.RespawnDelay)
-		if err := r.nodes[t.Origin].startProto(r.loop, spec.Protocol, r.originates(t.Origin)); err != nil {
-			res.Note = fmt.Sprintf("respawn: %v", err)
+		// The supervisor respawns the process RespawnDelay after the
+		// Finder reports its death; the RIB keeps its routes meanwhile.
+		if err := r.routers[t.Origin].KillProcess(spec.Protocol); err != nil {
+			res.Note = fmt.Sprintf("kill: %v", err)
 			return res
 		}
+		r.runFor(r.tm.RespawnDelay)
 		res.Recovery, res.Recovered = r.until(r.tm.RecoveryLimit, r.converged)
 		if res.Recovered {
 			// Prove the respawned origin really re-announced: ride
@@ -429,7 +460,7 @@ func (r *runner) pubLatencies() (n int, p50, p95, p99 time.Duration) {
 func (r *runner) blackPercentiles() (p50, p95, p99 time.Duration) {
 	t := r.spec.Topology
 	ds := make([]time.Duration, 0, t.N)
-	for i := range r.nodes {
+	for i := range r.routers {
 		if i == t.Origin || i == t.Backup {
 			continue
 		}

@@ -52,27 +52,33 @@ func TestDefaultMatrix(t *testing.T) {
 	}
 }
 
-// The graceful-restart contrast on the LAN topology: a supervised
-// process crash is invisible to the data plane (retained forwarding
-// state, respawn inside every protocol timer), while an equivalent
-// link loss blackholes traffic for the protocol's detection time —
-// 180 s route timeout for RIP, 40 s dead interval for OSPF.
+// The graceful-restart contrast: a supervised process crash is invisible
+// to the data plane (retained forwarding state, respawn inside every
+// protocol timer), while an equivalent link loss blackholes traffic for
+// the protocol's detection time — 180 s route timeout for RIP, 40 s dead
+// interval for OSPF. On the ring there is no backup origin to fail over
+// to: the respawned origin's neighbours must re-form their adjacencies
+// with it at once.
 func TestProcessKillIsHitless(t *testing.T) {
-	for _, proto := range []string{"rip", "ospf"} {
-		kill := Run(Spec{Topology: LAN3(), Protocol: proto, Failure: ProcessKill})
+	for _, c := range []struct {
+		topo  *Topology
+		proto string
+	}{{LAN3(), "rip"}, {LAN3(), "ospf"}, {Ring(6), "ospf"}} {
+		name := c.topo.Name + "/" + c.proto
+		kill := Run(Spec{Topology: c.topo, Protocol: c.proto, Failure: ProcessKill})
 		if !kill.Converged || !kill.Recovered {
-			t.Fatalf("%s process-kill: %+v", proto, kill)
+			t.Fatalf("%s process-kill: %+v", name, kill)
 		}
 		if kill.Blackhole != 0 {
-			t.Errorf("%s process-kill blackholed for %v; graceful restart should be hitless", proto, kill.Blackhole)
+			t.Errorf("%s process-kill blackholed for %v; graceful restart should be hitless", name, kill.Blackhole)
 		}
 
-		loss := Run(Spec{Topology: LAN3(), Protocol: proto, Failure: LinkLoss})
+		loss := Run(Spec{Topology: c.topo, Protocol: c.proto, Failure: LinkLoss})
 		if !loss.Converged || !loss.Recovered {
-			t.Fatalf("%s link-loss: %+v", proto, loss)
+			t.Fatalf("%s link-loss: %+v", name, loss)
 		}
 		if loss.Blackhole == 0 {
-			t.Errorf("%s link-loss reported no blackhole; cutting the active link must hurt", proto)
+			t.Errorf("%s link-loss reported no blackhole; cutting the active link must hurt", name)
 		}
 	}
 }

@@ -4,12 +4,14 @@
 // the time to reconverge after repair (paper §8.2–§8.3: the cost of a
 // routing disturbance is blackholed traffic, not just protocol churn).
 //
-// RIP and OSPF scenarios run as light in-process nodes on the
-// simulated clock and datagram network, so hundreds of simulated
-// seconds replay in milliseconds and every run is deterministic. The
-// BGP scenario (RunBGPKillRespawn) exercises the full rtrmgr assembly
-// in real time: kill the BGP process under load and check the graceful
-// restart machinery end to end.
+// RIP and OSPF scenarios run one full rtrmgr.Router per node — FEA,
+// RIB, a supervised IGP process — on one simulated clock and datagram
+// network, so hundreds of simulated seconds replay in milliseconds and
+// every run is deterministic; a process kill goes through the
+// supervisor and the RIB's stale retention, as in a deployed router.
+// The BGP scenario (RunBGPKillRespawn) runs the same assembly in real
+// time: kill the BGP process under load and check the graceful restart
+// machinery end to end.
 package chaos
 
 import (

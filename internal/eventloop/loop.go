@@ -12,7 +12,8 @@ import (
 // state owned by a Loop needs no further synchronization.
 //
 // A Loop may be driven in real time by Run (typically in a dedicated
-// goroutine) or deterministically by RunPending / AdvanceTo / RunFor.
+// goroutine) or deterministically by RunPending / AdvanceTo / RunFor
+// (AdvanceAll for several loops on one simulated clock).
 // The two driving styles must not be mixed concurrently.
 type Loop struct {
 	clock Clock
@@ -316,21 +317,62 @@ func (l *Loop) RunPending() int {
 // pending work, then repeatedly jumps the clock to the next timer deadline
 // not after t and fires it. On return the clock reads exactly t. It panics
 // if the loop's clock is not a *SimClock.
-func (l *Loop) AdvanceTo(t time.Time) {
-	sim, ok := l.clock.(*SimClock)
+func (l *Loop) AdvanceTo(t time.Time) { AdvanceAll(t, l) }
+
+// AdvanceAll is AdvanceTo for loops sharing one SimClock — a simulated
+// network of routers, each with its own loop. The clock jumps to the
+// earliest timer deadline of any loop, and every loop's runnable work is
+// run to quiescence before the next jump: a callback on one loop may
+// dispatch onto another (a datagram to a neighbour), and that work happens
+// at the sender's instant. It panics unless every loop's clock is the same
+// *SimClock.
+func AdvanceAll(t time.Time, loops ...*Loop) {
+	sim, ok := loops[0].clock.(*SimClock)
 	if !ok {
 		panic("eventloop: AdvanceTo requires a SimClock")
 	}
+	for _, l := range loops[1:] {
+		if l.clock != Clock(sim) {
+			panic("eventloop: AdvanceAll requires loops sharing one SimClock")
+		}
+	}
 	for {
-		l.RunPending()
-		d, ok := l.nextDeadline()
+		settle(loops)
+		d, ok := nextDeadline(loops)
 		if !ok || d.After(t) {
 			break
 		}
 		sim.Set(d)
 	}
 	sim.Set(t)
-	l.RunPending()
+	settle(loops)
+}
+
+// settle runs every loop's runnable work until none has any. One loop's
+// RunPending already drains it; several go round until a pass finds no
+// work, since each may have fed the others.
+func settle(loops []*Loop) {
+	for {
+		n := 0
+		for _, l := range loops {
+			n += l.RunPending()
+		}
+		if n == 0 || len(loops) == 1 {
+			return
+		}
+	}
+}
+
+// nextDeadline returns the earliest timer deadline across loops, if any.
+func nextDeadline(loops []*Loop) (time.Time, bool) {
+	var next time.Time
+	found := false
+	for _, l := range loops {
+		if d, ok := l.nextDeadline(); ok && (!found || d.Before(next)) {
+			next, found = d, true
+		}
+	}
+	return next, found
 }
 
 // RunFor is AdvanceTo(Now().Add(d)).

@@ -1,6 +1,7 @@
 package eventloop
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -261,6 +262,39 @@ func TestAdvanceToPanicsOnRealClock(t *testing.T) {
 		}
 	}()
 	New(nil).AdvanceTo(time.Now())
+}
+
+// Loops sharing a clock advance together: timers on either fire in
+// deadline order, and work one loop hands another runs at the sender's
+// instant, before the clock moves on.
+func TestAdvanceAllSharesTheClock(t *testing.T) {
+	clock := NewSimClock(time.Unix(0, 0))
+	a, b := New(clock), New(clock)
+	var log []string
+	note := func(what string) func() {
+		return func() { log = append(log, fmt.Sprintf("%s@%v", what, clock.Now().Unix())) }
+	}
+	a.OneShot(3*time.Second, note("a3"))
+	b.OneShot(time.Second, func() {
+		note("b1")()
+		a.Dispatch(note("a-from-b")) // a datagram: b's instant, a's loop
+	})
+	b.OneShot(2*time.Second, note("b2"))
+	AdvanceAll(time.Unix(5, 0), a, b)
+	want := "[b1@1 a-from-b@1 b2@2 a3@3]"
+	if got := fmt.Sprint(log); got != want {
+		t.Fatalf("ran %s, want %s", got, want)
+	}
+	if !clock.Now().Equal(time.Unix(5, 0)) {
+		t.Fatalf("clock at %v, want 5s", clock.Now())
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AdvanceAll over two clocks did not panic")
+		}
+	}()
+	AdvanceAll(time.Unix(6, 0), a, New(NewSimClock(time.Unix(5, 0))))
 }
 
 func TestPeriodicZeroPanics(t *testing.T) {

@@ -392,6 +392,30 @@ func TestDeadRouterRoutesWithdrawn(t *testing.T) {
 	}
 }
 
+// A restarted neighbor's first hello does not list us. The one-way
+// regression answers at once, so both sides are Full again within a round
+// trip rather than after the survivor's next periodic hello.
+func TestRestartedNeighborReadjacentAtOnce(t *testing.T) {
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	netw := kernel.NewNetwork()
+	a := newOSPFNode(t, loop, netw, "10.0.0.1")
+	b := newOSPFNode(t, loop, netw, "10.0.0.2")
+	loop.RunFor(5 * time.Second)
+	a.proc.Stop()
+	a.fea.UDPUnbind("ospf")
+	restarted := NewProcess(loop, Config{LocalAddr: mustA("10.0.0.1"), IfName: "eth0"}, a.proc.tr, a.rib)
+	if err := restarted.Start(); err != nil {
+		t.Fatal(err)
+	}
+	loop.RunFor(time.Second)
+	if st := restarted.NeighborState(mustA("10.0.0.2")); st != "Full" {
+		t.Fatalf("restarted router sees b %q, want Full", st)
+	}
+	if st := b.proc.NeighborState(mustA("10.0.0.1")); st != "Full" {
+		t.Fatalf("b sees the restarted router %q, want Full", st)
+	}
+}
+
 func TestIncrementalSPFOnPrefixChurn(t *testing.T) {
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
 	netw := kernel.NewNetwork()

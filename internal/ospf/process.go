@@ -394,6 +394,9 @@ func (p *Process) handleHello(src netip.AddrPort, pkt *Packet) {
 			nb.rexmitTmr.Cancel()
 		}
 		p.originateSelf() // drops the link
+		// Answer at once, as for a new neighbor: a restarted peer goes
+		// two-way on hearing itself listed, not a hello interval later.
+		p.sendHello()
 	}
 }
 

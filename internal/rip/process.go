@@ -186,8 +186,12 @@ func (p *Process) WithdrawLocal(net netip.Prefix) {
 }
 
 // RedistAdd / RedistDelete implement rib.Redistributor so a RedistStage
-// can feed RIP directly.
-func (p *Process) RedistAdd(e route.Entry) { p.InjectLocal(e.Net, 1, 0) }
+// can feed RIP directly. The route keeps its metric, clamped to RIP's
+// reachable range: 0 becomes 1, and anything at or past Infinity becomes
+// Infinity-1 — redistributed means reachable.
+func (p *Process) RedistAdd(e route.Entry) {
+	p.InjectLocal(e.Net, min(max(e.Metric, 1), Infinity-1), 0)
+}
 
 // RedistDelete implements rib.Redistributor.
 func (p *Process) RedistDelete(e route.Entry) { p.WithdrawLocal(e.Net) }

@@ -259,6 +259,30 @@ func TestBetterMetricFromOtherNeighborWins(t *testing.T) {
 	}
 }
 
+// A redistributed route is advertised at its own metric, clamped to RIP's
+// reachable range: redistributed at 5, a neighbour one hop away holds it
+// at 6 — not at 2, which would make a worse-metric backup origin win.
+func TestRedistributionKeepsMetric(t *testing.T) {
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	netw := kernel.NewNetwork()
+	a := newRIPNode(t, loop, netw, "10.0.0.1")
+	b := newRIPNode(t, loop, netw, "10.0.0.2")
+	loop.Dispatch(func() {
+		a.proc.RedistAdd(route.Entry{Net: mustP("172.16.0.0/16"), Metric: 5})
+		a.proc.RedistAdd(route.Entry{Net: mustP("172.17.0.0/16")})
+		a.proc.RedistAdd(route.Entry{Net: mustP("172.18.0.0/16"), Metric: 100})
+	})
+	loop.RunFor(3 * time.Second)
+	for net, want := range map[string]uint32{"172.16.0.0/16": 5, "172.17.0.0/16": 1, "172.18.0.0/16": Infinity - 1} {
+		if m, ok := a.proc.Lookup(mustP(net)); !ok || m != want {
+			t.Errorf("a holds %s at metric %d %v, want %d", net, m, ok, want)
+		}
+	}
+	if m, ok := b.proc.Lookup(mustP("172.16.0.0/16")); !ok || m != 6 {
+		t.Fatalf("b learned the metric-5 redistribution at %d %v, want 6", m, ok)
+	}
+}
+
 func TestRequestResponse(t *testing.T) {
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
 	netw := kernel.NewNetwork()

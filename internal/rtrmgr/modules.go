@@ -100,7 +100,7 @@ func setupBGP(r *Router, inst *instance, cfg *Node) (proc, error) {
 			return nil, err
 		}
 	}
-	out := loopRedist{inst.loop, func(e route.Entry) {
+	out := loopRedist{inst, func(e route.Entry) {
 		nh := e.NextHop
 		if !nh.IsValid() {
 			nh = netip.IPv4Unspecified()
@@ -263,9 +263,16 @@ func (p bgpProc) stagePeer(c Change) ([]txStep, string, error) {
 
 // --- RIP (needs Options.Network and LocalAddr):
 //
-//	rip { update-interval 30; timeout 180; gc-time 120; triggered-delay 1; }
+//	rip { update-interval 30; timeout 180; gc-time 120; triggered-delay 1;
+//	      redistribute static [pol-name]; }
+//
+// `redistribute` splices a RIB redist stage feeding RIP local routes,
+// advertised at the redistributed route's metric.
 
-type ripProc struct{ *rip.Process }
+type ripProc struct {
+	*rip.Process
+	out loopRedist // redistribution into RIP: local routes
+}
 
 func setupRIP(r *Router, inst *instance, cfg *Node) (proc, error) {
 	if r.opts.Network == nil || !r.opts.LocalAddr.IsValid() {
@@ -288,7 +295,9 @@ func setupRIP(r *Router, inst *instance, cfg *Node) (proc, error) {
 	// RIP feeds the RIB through a direct adapter, but its instance still
 	// has a Finder target: lifetime events are what drive the RIB's stale-
 	// route retention and the supervisor's respawn on its death.
-	return ripProc{rip.NewProcess(inst.loop, rcfg, tr, ribLoopClient{r.RIB, route.ProtoRIP, inst})}, nil
+	p := rip.NewProcess(inst.loop, rcfg, tr, ribLoopClient{r.RIB, route.ProtoRIP, inst})
+	out := loopRedist{inst, p.RedistAdd, p.RedistDelete}
+	return ripProc{p, out}, r.spliceRedists(inst, cfg, out)
 }
 
 // onLoop wraps an FEA receive callback (which runs on the FEA's loop) so
@@ -303,10 +312,13 @@ func (p ripProc) begin(*Node) error { return p.Start() }
 
 func (p ripProc) close() { p.Stop() }
 
-// stage: timer retunes only.
-func (p ripProc) stage(_ *txAgent, c Change) ([]txStep, string, error) {
+// stage: timer retunes and redistribution.
+func (p ripProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
 	if len(c.Path) < 3 {
 		return nil, "unsupported RIP change", nil
+	}
+	if strings.HasPrefix(c.Path[2], "redistribute") {
+		return a.stageRedist(c, p.out)
 	}
 	if c.Verb == ChangeRemove {
 		return nil, "removing a RIP timer requires a restart", nil
@@ -392,7 +404,7 @@ func setupOSPF(r *Router, inst *instance, cfg *Node) (proc, error) {
 		}
 		r.syncDo(inst.loop, func() { p.SetExportFilter(policy.OSPFExportFilter(pol)) })
 	}
-	out := loopRedist{inst.loop, p.RedistAdd, p.RedistDelete}
+	out := loopRedist{inst, p.RedistAdd, p.RedistDelete}
 	return ospfProc{p, r, out}, r.spliceRedists(inst, cfg, out)
 }
 

@@ -547,6 +547,52 @@ protocols { rip { } }
 	}
 }
 
+// RIP honours `redistribute static` at the static route's metric, and a
+// killed process is handed nothing of it: teardown unsplices the
+// redistribution, and the withdrawals that sends must not reach the dead
+// incarnation — a crash withdraws nothing, and an IGP handed one would
+// flood it to its neighbours as its last act. The respawn gets the route
+// afresh.
+func TestSupervisorKilledProcessKeepsRedistribution(t *testing.T) {
+	clock := eventloop.NewSimClock(time.Unix(1000, 0))
+	r, err := NewRouter(`
+static { route 172.16.0.0/16 metric 3; }
+protocols { rip { redistribute static; } }
+`, Options{Clock: clock, SharedLoop: true, Network: kernel.NewNetwork(), LocalAddr: mustA("192.168.1.1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.EnableSupervision(fastSup()); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	net := mustP("172.16.0.0/16")
+	old := r.CurrentRIP()
+	if m, ok := old.Lookup(net); !ok || m != 3 {
+		t.Fatalf("RIP holds the redistributed static at %d %v, want metric 3", m, ok)
+	}
+
+	if err := r.KillProcess("rip"); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	if _, ok := old.Lookup(net); !ok {
+		t.Fatal("the killed RIP process was handed its redistribution's withdrawal")
+	}
+	r.Loops()[0].RunFor(time.Second) // the respawn backoff
+	r.SettleAll()
+	nu := r.CurrentRIP()
+	if nu == nil || nu == old {
+		t.Fatal("RIP not respawned")
+	}
+	if m, ok := nu.Lookup(net); !ok || m != 3 {
+		t.Fatalf("respawned RIP holds the redistributed static at %d %v, want metric 3", m, ok)
+	}
+}
+
 // A killed process stays dead, the XRL road: teardown closes the dead
 // BGP's XRL router so that nothing it still does reaches the RIB, and a
 // closed router must mean that — not merely that bgp.Process.Close

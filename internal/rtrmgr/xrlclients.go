@@ -252,17 +252,28 @@ func (c *xrlFIBClient) shipDels() {
 
 // loopRedist is a protocol process as a rib.Redistributor (route
 // redistribution into the protocol, §3): the RIB calls on its own loop,
-// add and del run on the protocol's.
+// add and del run on the instance's — unless it is dead by then. Teardown
+// unsplices a killed instance's redistribution, and the withdrawals that
+// sends must not reach the process: a crash withdraws nothing, and an
+// IGP handed one would flood it to its neighbours as its last act.
 type loopRedist struct {
-	loop     *eventloop.Loop
+	inst     *instance
 	add, del func(route.Entry)
 }
 
 // RedistAdd implements rib.Redistributor.
-func (d loopRedist) RedistAdd(e route.Entry) { d.loop.Dispatch(func() { d.add(e) }) }
+func (d loopRedist) RedistAdd(e route.Entry) { d.dispatch(d.add, e) }
 
 // RedistDelete implements rib.Redistributor.
-func (d loopRedist) RedistDelete(e route.Entry) { d.loop.Dispatch(func() { d.del(e) }) }
+func (d loopRedist) RedistDelete(e route.Entry) { d.dispatch(d.del, e) }
+
+func (d loopRedist) dispatch(fn func(route.Entry), e route.Entry) {
+	d.inst.loop.Dispatch(func() {
+		if !d.inst.dead.Load() {
+			fn(e)
+		}
+	})
+}
 
 // Exported constructors so the standalone process binaries (cmd/xorp_rib,
 // cmd/xorp_bgp, cmd/xorp_ospf, cmd/xorp_rip) can wire the same XRL
