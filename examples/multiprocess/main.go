@@ -2,9 +2,10 @@
 // operating-system processes, exactly the paper's architecture, wired
 // over TCP XRLs and driven externally the way call_xrl scripts would.
 // This example builds the cmd/ binaries, spawns them, configures a BGP
-// peering and a static route over XRLs, injects a route by originating
-// it, and reads the FEA's forwarding table back — all across process
-// boundaries.
+// peering and a static route over XRLs, switches the FEA's §8.2
+// route_enter_kernel profile point on, injects a route by originating it,
+// and reads the FEA's forwarding table and that point's record back — all
+// across process boundaries.
 //
 //	go run ./examples/multiprocess
 package main
@@ -15,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"xorp/internal/eventloop"
@@ -90,6 +92,9 @@ func main() {
 	// Interface route.
 	call("finder://rib/rib/1.0/add_route4?protocol:txt=connected&network:ipv4net=192.168.1.0/24&ifname:txt=eth0")
 	fmt.Println("  rib: added connected 192.168.1.0/24")
+	// Profile the route's last hop in the FEA's own process (§8.2).
+	call("finder://fea/profile/0.1/enable?pname:txt=route_enter_kernel")
+	fmt.Println("  fea: profile point route_enter_kernel enabled")
 	// Originate a BGP route (as route redistribution would).
 	call("finder://bgp/bgp/1.0/originate_route4?nlri:ipv4net=20.5.0.0/16&next_hop:ipv4=10.0.0.1")
 	fmt.Println("  bgp: originated 20.5.0.0/16 via 10.0.0.1")
@@ -110,9 +115,16 @@ func main() {
 	if !found {
 		log.Fatal("route never reached the FEA")
 	}
+	args := call("finder://fea/profile/0.1/get_entries?pname:txt=route_enter_kernel")
+	entries, _ := args.ListArg("entries")
+	for _, e := range entries {
+		if strings.HasSuffix(e.TextVal, " 20.5.0.0/16") {
+			fmt.Printf("FEA profile record: %s\n", e.TextVal)
+		}
+	}
 
 	// Show the Finder's view of the running system.
-	args := call("finder://finder/finder/1.0/targets")
+	args = call("finder://finder/finder/1.0/targets")
 	targets, _ := args.ListArg("targets")
 	fmt.Println("\nregistered components:")
 	for _, t := range targets {

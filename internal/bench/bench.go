@@ -18,11 +18,11 @@ import (
 	"xorp/internal/eventloop"
 	"xorp/internal/finder"
 	"xorp/internal/ospf"
-	"xorp/internal/profiler"
 	"xorp/internal/rib"
 	"xorp/internal/route"
 	"xorp/internal/rtrmgr"
 	"xorp/internal/scanner"
+	"xorp/internal/telemetry"
 	"xorp/internal/workload"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
@@ -188,31 +188,6 @@ func RunFig9(transport string, nargs, total, window int) (Fig9Result, error) {
 // Figures 10–12: route propagation latency through the 8 profile points.
 // ---------------------------------------------------------------------
 
-// PointNames are the eight §8.2 profile points, in pipeline order. The
-// first is the reference (delta 0).
-var PointNames = []string{
-	"route_ribin",        // 1 Entering BGP
-	"route_queued_rib",   // 2 Queued for transmission to the RIB
-	"route_sent_rib",     // 3 Sent to RIB
-	"route_arrive_rib",   // 4 Arriving at the RIB
-	"route_queued_fea",   // 5 Queued for transmission to the FEA
-	"route_sent_fea",     // 6 Sent to the FEA
-	"route_arrive_fea",   // 7 Arriving at FEA
-	"route_enter_kernel", // 8 Entering kernel
-}
-
-// PointLabels are the paper's row labels.
-var PointLabels = []string{
-	"Entering BGP",
-	"Queued for transmission to the RIB",
-	"Sent to RIB",
-	"Arriving at the RIB",
-	"Queued for transmission to the FEA",
-	"Sent to the FEA",
-	"Arriving at FEA",
-	"Entering kernel",
-}
-
 // LatencyStats summarizes one profile point's deltas (ms from Entering
 // BGP), like the paper's tables.
 type LatencyStats struct {
@@ -252,13 +227,18 @@ protocols {
 // RunLatency reproduces Figures 10–12: preload routes via the "feed"
 // peering, then introduce testN routes (on "feed" when samePeering, else
 // on "test"), each add followed by a withdraw, timing the eight profile
-// points. It returns per-point statistics in ms.
+// points: the tracer stages with a paper label, stamped by one tracer the
+// three processes share. It returns per-point statistics in ms.
 func RunLatency(label string, preload, testN int, samePeering bool) (*LatencyResult, error) {
 	r, err := rtrmgr.NewRouter(latencyConfig, rtrmgr.Options{ConsistencyChecks: false})
 	if err != nil {
 		return nil, err
 	}
 	defer r.Stop()
+	tr := telemetry.NewTracer()
+	r.BGP.Loop().DispatchAndWait(func() { r.BGP.SetTracer(tr) })
+	r.RIB.Loop().DispatchAndWait(func() { r.RIB.SetTracer(tr) })
+	r.FEA.Loop().DispatchAndWait(func() { r.FEA.SetTracer(tr) })
 	if err := r.Start(); err != nil {
 		return nil, err
 	}
@@ -305,27 +285,7 @@ func RunLatency(label string, preload, testN int, samePeering bool) (*LatencyRes
 	}
 	r.BGP.Loop().DispatchAndWait(func() { r.BGP.InjectUpdate("feed", keeper) })
 
-	// Enable the profile points on their owning processes.
-	profs := map[*profiler.Profiler][]string{
-		r.BGP.Profiler(): {"route_ribin", "route_queued_rib", "route_sent_rib"},
-		r.RIB.Profiler(): {"route_arrive_rib", "route_queued_fea", "route_sent_fea"},
-		r.FEA.Profiler(): {"route_arrive_fea", "route_enter_kernel"},
-	}
-	loops := map[*profiler.Profiler]*eventloop.Loop{
-		r.BGP.Profiler(): r.BGP.Loop(),
-		r.RIB.Profiler(): r.RIB.Loop(),
-		r.FEA.Profiler(): r.FEA.Loop(),
-	}
-	for pr, names := range profs {
-		pr := pr
-		names := names
-		loops[pr].DispatchAndWait(func() {
-			for _, n := range names {
-				pr.Clear(n)
-				pr.Enable(n)
-			}
-		})
-	}
+	tr.Enable()
 
 	peering := "test"
 	peerAS := uint16(65002)
@@ -365,52 +325,35 @@ func RunLatency(label string, preload, testN int, samePeering bool) (*LatencyRes
 		}
 	}
 
-	// Harvest the records and correlate "add <net>" events per point.
-	events := make(map[string]map[string]time.Time) // point -> event -> time
-	for pr, names := range profs {
-		pr := pr
-		names := names
-		loops[pr].DispatchAndWait(func() {
-			for _, n := range names {
-				m := make(map[string]time.Time)
-				for _, rec := range pr.Entries(n) {
-					if _, dup := m[rec.Event]; !dup {
-						m[rec.Event] = rec.When
-					}
-				}
-				events[n] = m
-			}
-		})
+	// Each add that reached every point is one row; the withdrawals'
+	// traces are all deletes.
+	var points []telemetry.Stage
+	for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
+		if s.Label() != "" {
+			points = append(points, s)
+		}
 	}
-
 	res := &LatencyResult{Label: label, Preload: preload}
-	deltas := make([][]float64, len(PointNames))
-	for _, net := range routes {
-		key := "add " + net.String()
-		base, ok := events[PointNames[0]][key]
-		if !ok {
+	deltas := make([][]float64, len(points))
+traces:
+	for _, x := range tr.Take() {
+		if x.Del != 0 {
 			continue
 		}
-		row := make([]float64, len(PointNames))
-		complete := true
-		for pi, pn := range PointNames {
-			when, ok := events[pn][key]
-			if !ok {
-				complete = false
-				break
+		row := make([]float64, len(points))
+		for pi, s := range points {
+			if x.T[s] == 0 {
+				continue traces
 			}
-			row[pi] = float64(when.Sub(base)) / float64(time.Millisecond)
-		}
-		if !complete {
-			continue
+			row[pi] = float64(x.T[s]-x.T[points[0]]) / float64(time.Millisecond)
 		}
 		res.PerRoute = append(res.PerRoute, row)
-		for pi := range PointNames {
+		for pi := range points {
 			deltas[pi] = append(deltas[pi], row[pi])
 		}
 	}
-	for pi, label := range PointLabels {
-		res.Stats = append(res.Stats, summarize(label, deltas[pi]))
+	for pi, s := range points {
+		res.Stats = append(res.Stats, summarize(s.Label(), deltas[pi]))
 	}
 	return res, nil
 }

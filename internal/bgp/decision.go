@@ -25,8 +25,8 @@ type Decision struct {
 	// an interface method would be on the heap, one allocation per call.
 	answer Route
 
-	// tracer, when set and enabled, stamps StageDecision as winners emit
-	// downstream (nil-safe; losers are never stamped).
+	// tracer, when set, stamps StageDecision as winners and withdrawals
+	// emit downstream (nil-safe; losers are never stamped).
 	tracer *telemetry.Tracer
 }
 
@@ -138,7 +138,7 @@ func (d *Decision) Add(run []Route) {
 		if !r.Resolvable || displaces && !r.Better(&prevBest) {
 			continue // loser: never materialized downstream
 		}
-		if d.tracer.Enabled() {
+		if d.tracer.On(telemetry.StageDecision) {
 			d.tracer.Stamp(telemetry.StageDecision, r.Net)
 		}
 		if !displaces {
@@ -174,15 +174,18 @@ func (d *Decision) emitTransition(prev Route, hadPrev bool, next Route, hasNext 
 	switch {
 	case !hadPrev && !hasNext:
 	case !hadPrev:
-		if d.tracer.Enabled() {
+		if d.tracer.On(telemetry.StageDecision) {
 			d.tracer.Stamp(telemetry.StageDecision, next.Net)
 		}
 		d.addOne(next)
 	case !hasNext:
+		if d.tracer.On(telemetry.StageDecision) {
+			d.tracer.StampOp(telemetry.StageDecision, prev.Net, true)
+		}
 		d.next.Delete(prev)
 	case SameRoute(&prev, &next):
 	default:
-		if d.tracer.Enabled() {
+		if d.tracer.On(telemetry.StageDecision) {
 			d.tracer.Stamp(telemetry.StageDecision, next.Net)
 		}
 		d.next.Replace(prev, next)

@@ -312,23 +312,10 @@ func (p *Peer) handleUpdate(u *UpdateMsg) {
 	}
 	p.statsUpdates++
 	p.armHoldTimer(p.holdTime)
-	if p.proc != nil && p.proc.profEnter.Enabled() {
-		p.proc.profEnter.Logf("add %v", firstNet(u))
-	}
 	if p.proc != nil {
 		p.proc.mUpdates.Inc()
 	}
 	p.peerin.ReceiveUpdate(u, p.proc.cfg.AS)
-}
-
-func firstNet(u *UpdateMsg) netip.Prefix {
-	if len(u.NLRI) > 0 {
-		return u.NLRI[0]
-	}
-	if len(u.Withdrawn) > 0 {
-		return u.Withdrawn[0]
-	}
-	return netip.Prefix{}
 }
 
 func (p *Peer) armHoldTimer(d time.Duration) {

@@ -17,8 +17,8 @@ type PeerIn struct {
 	loop *eventloop.Loop
 	inTable
 	ask bool // its branch holds the prefix the decision is deciding
-	// tracer, when set and enabled, opens a RouteTrace at StagePeerIn as
-	// each announced prefix lands in the table (nil-safe).
+	// tracer, when set, stamps StagePeerIn as each announced prefix lands
+	// in the table and each withdrawn one arrives (nil-safe).
 	tracer *telemetry.Tracer
 	// loopRoutes counts the NLRI of UPDATEs whose AS_PATH holds the local
 	// AS. A Process points its PeerIns at its bgp_in_as_loop_routes_total.
@@ -93,7 +93,7 @@ func (p *PeerIn) store(net netip.Prefix, attrs *PathAttrs) {
 		p.flush()
 		p.pool.Release(old)
 	}
-	if p.tracer.Enabled() {
+	if p.tracer.On(telemetry.StagePeerIn) {
 		p.tracer.Stamp(telemetry.StagePeerIn, net)
 	}
 	switch {
@@ -109,6 +109,9 @@ func (p *PeerIn) store(net netip.Prefix, attrs *PathAttrs) {
 // are ignored (RFC 4271 tolerates spurious withdrawals).
 func (p *PeerIn) Withdraw(net netip.Prefix) {
 	net = net.Masked()
+	if p.tracer.On(telemetry.StagePeerIn) {
+		p.tracer.StampOp(telemetry.StagePeerIn, net, true)
+	}
 	old, existed := p.rib.remove(net, p.who)
 	if !existed {
 		return

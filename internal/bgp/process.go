@@ -7,7 +7,6 @@ import (
 
 	"xorp/internal/core"
 	"xorp/internal/eventloop"
-	"xorp/internal/profiler"
 	"xorp/internal/telemetry"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
@@ -55,13 +54,9 @@ type Process struct {
 	ribClient RIBClient
 	metricSrc MetricSource
 
-	prof      *profiler.Profiler
-	profEnter *profiler.Point // "route_ribin": route enters BGP
-	profQueue *profiler.Point // "route_queued_rib": queued for RIB
-	profSent  *profiler.Point // "route_sent_rib": handed to the transport
-
-	// tracer, when set and enabled, stamps StagePeerIn as UPDATEs land in
-	// the peer-in tables and StageDecision as winners emit downstream.
+	// tracer is the process's probe: the peer-in tables stamp StagePeerIn,
+	// the decision StageDecision and the RIB branch StageQueuedRIB and
+	// StageSentRIB; profile/0.1 renders it.
 	tracer *telemetry.Tracer
 
 	metrics     *telemetry.Registry
@@ -90,11 +85,7 @@ func NewProcess(loop *eventloop.Loop, cfg Config, ribClient RIBClient, metricSrc
 		groups:    make(map[string]*peerGroup),
 		ribClient: ribClient,
 		metricSrc: metricSrc,
-		prof:      profiler.New(loop.Clock()),
 	}
-	p.profEnter = p.prof.Point("route_ribin")
-	p.profQueue = p.prof.Point("route_queued_rib")
-	p.profSent = p.prof.Point("route_sent_rib")
 	Plumb(p.decision, p.fanout)
 
 	// Live metrics. Scrapes arrive through the stats/0.1 XRL handler,
@@ -111,6 +102,8 @@ func NewProcess(loop *eventloop.Loop, cfg Config, ribClient RIBClient, metricSrc
 		func() float64 { return float64(p.localIn.rib.n) })
 	p.metrics.GaugeFunc("bgp_queue_depth", "event-loop input backlog",
 		func() float64 { return float64(loop.QueueDepth()) })
+	p.metrics.CounterFunc("trace_dropped_total", "trace records lost to the tracer's bounds",
+		func() float64 { return float64(p.tracer.Dropped()) })
 	xipc.RegisterIOMetrics(p.metrics)
 
 	// The RIB branch of the fanout, optionally behind a consistency cache.
@@ -128,18 +121,16 @@ func NewProcess(loop *eventloop.Loop, cfg Config, ribClient RIBClient, metricSrc
 	p.localNH = NewNexthopResolver("nexthop(local)", metricSrc)
 	Plumb(p.localIn, p.localNH)
 	p.decision.AddParent(p.localNH)
+	p.SetTracer(telemetry.NewTracer())
 	return p
 }
 
 // Loop returns the process event loop.
 func (p *Process) Loop() *eventloop.Loop { return p.loop }
 
-// Profiler returns the process profiler.
-func (p *Process) Profiler() *profiler.Profiler { return p.prof }
-
-// SetTracer wires the route-latency tracer into the peer-in stages
-// (StagePeerIn, the trace origin) and the decision stage
-// (StageDecision). Call at assembly time, before routes flow.
+// SetTracer replaces the process's tracer, e.g. with one shared by the
+// RIB and FEA so a route's trace spans the three. Call on the process
+// loop, before routes flow.
 func (p *Process) SetTracer(tr *telemetry.Tracer) {
 	p.tracer = tr
 	p.decision.tracer = tr
@@ -196,20 +187,21 @@ type ribSinkStage struct {
 	old, new Route
 }
 
-// log records the two profile points a route passes on its way to the
-// RIB: taken off the fanout queue, handed to the transport.
-func (s *ribSinkStage) log(op string, net netip.Prefix) {
-	if s.proc.profQueue.Enabled() {
-		s.proc.profQueue.Logf("%s %v", op, net)
+// stamp records the two stages a route passes on its way to the RIB:
+// taken off the fanout queue, handed to the transport.
+func (s *ribSinkStage) stamp(net netip.Prefix, del bool) {
+	tr := s.proc.tracer
+	if tr.On(telemetry.StageQueuedRIB) {
+		tr.StampOp(telemetry.StageQueuedRIB, net, del)
 	}
-	if s.proc.ribClient != nil && s.proc.profSent.Enabled() {
-		s.proc.profSent.Logf("%s %v", op, net)
+	if s.proc.ribClient != nil && tr.On(telemetry.StageSentRIB) {
+		tr.StampOp(telemetry.StageSentRIB, net, del)
 	}
 }
 
 func (s *ribSinkStage) Add(run []Route) {
 	for i := range run {
-		s.log("add", run[i].Net)
+		s.stamp(run[i].Net, false)
 		if s.proc.ribClient != nil {
 			s.proc.ribClient.AddRoute(&run[i])
 		}
@@ -217,7 +209,7 @@ func (s *ribSinkStage) Add(run []Route) {
 }
 
 func (s *ribSinkStage) Replace(old, new Route) {
-	s.log("replace", new.Net)
+	s.stamp(new.Net, false)
 	if s.proc.ribClient != nil {
 		s.old, s.new = old, new
 		s.proc.ribClient.ReplaceRoute(&s.old, &s.new)
@@ -225,7 +217,7 @@ func (s *ribSinkStage) Replace(old, new Route) {
 }
 
 func (s *ribSinkStage) Delete(r Route) {
-	s.log("delete", r.Net)
+	s.stamp(r.Net, true)
 	if s.proc.ribClient != nil {
 		s.old = r
 		s.proc.ribClient.DeleteRoute(&s.old)
@@ -380,9 +372,6 @@ func (p *Process) Originate(net netip.Prefix, nexthop netip.Addr, med uint32) {
 		MED:     med,
 		HasMED:  med != 0,
 	}
-	if p.profEnter.Enabled() {
-		p.profEnter.Logf("add %v", net)
-	}
 	p.localIn.Announce(net, attrs)
 }
 
@@ -398,9 +387,6 @@ func (p *Process) InjectUpdate(peerName string, u *UpdateMsg) error {
 	peer, ok := p.peers[peerName]
 	if !ok {
 		return fmt.Errorf("bgp: unknown peer %q", peerName)
-	}
-	if p.profEnter.Enabled() {
-		p.profEnter.Logf("add %v", firstNet(u))
 	}
 	p.mUpdates.Inc()
 	peer.peerin.ReceiveUpdate(u, p.cfg.AS)
@@ -532,13 +518,13 @@ func (s bgpServer) RouteInfoInvalid(net netip.Prefix) error {
 	return nil
 }
 
-// RegisterXRLs exposes the bgp/1.0, rib_client/0.1 and profile/0.1
-// interfaces on target t through their spec-checked bindings. Handlers
-// run on the process loop (the router shares it).
+// RegisterXRLs exposes the bgp/1.0, rib_client/0.1, stats/0.1 and
+// profile/0.1 interfaces on target t through their spec-checked bindings.
+// Handlers run on the process loop (the router shares it).
 func (p *Process) RegisterXRLs(t *xipc.Target) {
 	srv := bgpServer{p}
 	xif.BindBGP(t, srv)
 	xif.BindRIBNotify(t, srv)
 	xif.BindStatsRegistry(t, p.metrics.RenderLines, p.metrics.Get)
-	p.prof.RegisterXRLs(t)
+	xif.BindProfile(t, telemetry.ProfileView(func() *telemetry.Tracer { return p.tracer }))
 }

@@ -2,11 +2,16 @@ package bgp
 
 import (
 	"net/netip"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"xorp/internal/eventloop"
 	"xorp/internal/telemetry"
+	"xorp/internal/xipc"
+	"xorp/internal/xrl"
 )
 
 func newTelemetryProc(t *testing.T) *Process {
@@ -53,10 +58,10 @@ func TestPeerInRoutesGaugeCountsDeletion(t *testing.T) {
 }
 
 // TestDisabledProfilerZeroAlloc pins the §8.2 guard discipline: with
-// every profile point disabled (the default), the UPDATE injection path
-// must not pay the variadic boxing of Point.Logf. A withdraw of an
-// unknown prefix exercises the full guarded path without mutating any
-// table, so the steady state is exactly zero allocations.
+// every stage of the process's tracer off (the default), the UPDATE
+// injection path pays one load per guard and nothing else. A withdraw of
+// an unknown prefix passes the peer-in guard without mutating any table,
+// so the steady state is exactly zero allocations.
 func TestDisabledProfilerZeroAlloc(t *testing.T) {
 	p := newTelemetryProc(t)
 	u := &UpdateMsg{Withdrawn: []netip.Prefix{netip.MustParsePrefix("203.0.113.0/24")}}
@@ -71,9 +76,9 @@ func TestDisabledProfilerZeroAlloc(t *testing.T) {
 }
 
 // TestDisabledTracerZeroExtraAlloc pins the tracing seam's cost when
-// compiled in but disabled: announcing routes through a process with a
-// wired-but-disabled Tracer must allocate exactly as much as a process
-// with no tracer at all.
+// compiled in but disabled: announcing and withdrawing routes through a
+// process with its own tracer, every stage off, must allocate exactly as
+// much as a process with no tracer at all.
 func TestDisabledTracerZeroExtraAlloc(t *testing.T) {
 	attrs := &PathAttrs{
 		Origin:  OriginIGP,
@@ -95,6 +100,7 @@ func TestDisabledTracerZeroExtraAlloc(t *testing.T) {
 	}
 
 	plain := newTelemetryProc(t)
+	plain.SetTracer(nil)
 	base := testing.AllocsPerRun(500, cycle(plain))
 
 	traced := newTelemetryProc(t)
@@ -107,5 +113,64 @@ func TestDisabledTracerZeroExtraAlloc(t *testing.T) {
 	}
 	if n := len(tr.Take()); n != 0 {
 		t.Fatalf("disabled tracer collected %d traces", n)
+	}
+}
+
+// TestEntryPointRecordsEveryRoute: route_ribin, switched on over
+// profile/0.1, records each route of an UPDATE as it enters BGP, and a
+// withdrawal as a delete.
+func TestEntryPointRecordsEveryRoute(t *testing.T) {
+	loop := eventloop.New(nil)
+	router := xipc.NewRouter("bgp_process", loop)
+	p := NewProcess(loop, Config{AS: 65000, BGPID: netip.MustParseAddr("10.0.0.1")}, nil, nil)
+	target := xipc.NewTarget("bgp", "bgp")
+	p.RegisterXRLs(target)
+	router.AddTarget(target)
+	go loop.Run()
+	defer loop.Stop()
+	loop.DispatchAndWait(func() {
+		if _, err := p.AddPeer(PeerConfig{Name: "feed", PeerAddr: netip.MustParseAddr("192.0.2.1"), PeerAS: 65001}); err != nil {
+			t.Error(err)
+		}
+	})
+
+	profile := func(method string) []string {
+		t.Helper()
+		args, err := router.Call(xrl.New("bgp", "profile", "0.1", method, xrl.Text("pname", "route_ribin")))
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		items, _ := args.ListArg("entries")
+		var verbs []string
+		for _, it := range items {
+			f := strings.Fields(it.TextVal) // route_ribin <sec> <usec> <verb> <net>
+			verbs = append(verbs, f[3]+" "+f[4])
+		}
+		sort.Strings(verbs)
+		return verbs
+	}
+	inject := func(u *UpdateMsg) {
+		loop.DispatchAndWait(func() {
+			if err := p.InjectUpdate("feed", u); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	nets := []netip.Prefix{
+		netip.MustParsePrefix("172.16.0.0/24"),
+		netip.MustParsePrefix("172.16.1.0/24"),
+		netip.MustParsePrefix("172.16.2.0/24"),
+	}
+	profile("enable")
+	inject(&UpdateMsg{Attrs: attrsVia("192.0.2.1", 65001), NLRI: nets})
+	want := []string{"add 172.16.0.0/24", "add 172.16.1.0/24", "add 172.16.2.0/24"}
+	if got := profile("get_entries"); !slices.Equal(got, want) {
+		t.Fatalf("after the announcement: %q, want %q", got, want)
+	}
+	profile("clear")
+	inject(&UpdateMsg{Withdrawn: nets})
+	want = []string{"delete 172.16.0.0/24", "delete 172.16.1.0/24", "delete 172.16.2.0/24"}
+	if got := profile("get_entries"); !slices.Equal(got, want) {
+		t.Fatalf("after the withdrawal: %q, want %q", got, want)
 	}
 }

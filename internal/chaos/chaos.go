@@ -176,11 +176,9 @@ func newRunner(spec Spec) (*runner, error) {
 		failed:   make(map[[2]int]bool),
 		blackPer: make([]time.Duration, t.N),
 	}
-	// Apply→publish tail tracer, shared across every node's FEA: chaos
-	// pushes few routes, so sample them all.
+	// One tracer shared by every node's FEA: its traces open where the FEA
+	// first sees a route, and end at the snapshot publish.
 	r.tracer = telemetry.NewTracer()
-	r.tracer.SetOrigin(telemetry.StageFIBApply)
-	r.tracer.SetSampleShift(0)
 	r.tracer.Enable()
 	clock := eventloop.NewSimClock(time.Unix(0, 0))
 	netw := kernel.NewNetwork()

@@ -15,7 +15,6 @@ import (
 	"xorp/internal/eventloop"
 	"xorp/internal/fwd"
 	"xorp/internal/kernel"
-	"xorp/internal/profiler"
 	"xorp/internal/rib"
 	"xorp/internal/route"
 	"xorp/internal/telemetry"
@@ -39,16 +38,13 @@ type Process struct {
 	router     *xipc.Router
 	recvPush   *xif.FEAUDPRecvClient // fea_udp_client/0.1 stub over router
 
-	prof       *profiler.Profiler
-	profArrive *profiler.Point // "route_arrive_fea"
-	profKernel *profiler.Point // "route_enter_kernel"
-
 	// listBatch carries the run of an fti/0.2 add or delete XRL into
 	// ApplyBatch; reused across XRLs (handlers run on the loop).
 	listBatch *rib.FIBBatch
 
-	// tracer, when set and enabled, receives the StageFIBApply stamp as
-	// each entry lands in the kernel-shaped backend.
+	// tracer is the process's probe: StageArriveFEA and StageFIBApply as
+	// a batch arrives and enters the backend, StageSnapPub (stamped by the
+	// backend's publisher) as it is published; profile/0.1 renders it.
 	tracer *telemetry.Tracer
 
 	metrics  *telemetry.Registry
@@ -64,12 +60,10 @@ func New(loop *eventloop.Loop, fib *kernel.FIB, host *kernel.Host, router *xipc.
 		host:       host,
 		udpClients: make(map[uint16]string),
 		router:     router,
-		prof:       profiler.New(loop.Clock()),
 		listBatch:  rib.NewFIBBatch(),
+		backend:    fwd.NewSimBackend(fib),
 	}
-	p.backend = fwd.NewSimBackend(fib)
-	p.profArrive = p.prof.Point("route_arrive_fea")
-	p.profKernel = p.prof.Point("route_enter_kernel")
+	p.SetTracer(telemetry.NewTracer())
 	if router != nil {
 		p.recvPush = xif.NewFEAUDPRecvClient(router)
 	}
@@ -85,6 +79,8 @@ func New(loop *eventloop.Loop, fib *kernel.FIB, host *kernel.Host, router *xipc.
 		func() float64 { return float64(p.backend.Current().Gen()) })
 	p.metrics.GaugeFunc("fea_queue_depth", "event-loop input backlog",
 		func() float64 { return float64(loop.QueueDepth()) })
+	p.metrics.CounterFunc("trace_dropped_total", "trace records lost to the tracer's bounds",
+		func() float64 { return float64(p.tracer.Dropped()) })
 	xipc.RegisterIOMetrics(p.metrics)
 	return p
 }
@@ -92,16 +88,13 @@ func New(loop *eventloop.Loop, fib *kernel.FIB, host *kernel.Host, router *xipc.
 // Loop returns the process event loop.
 func (p *Process) Loop() *eventloop.Loop { return p.loop }
 
-// Profiler returns the process profiler.
-func (p *Process) Profiler() *profiler.Profiler { return p.prof }
-
 // Metrics returns the process's live metrics registry.
 func (p *Process) Metrics() *telemetry.Registry { return p.metrics }
 
-// SetTracer wires the route-latency tracer: the FEA stamps StageFIBApply
-// as entries land in the backend, and forwards the tracer to the backend
-// (which stamps StageSnapPub at snapshot publication). Call at assembly
-// time, before routes flow.
+// SetTracer replaces the process's tracer, in the FEA and in its backend
+// (which stamps StageSnapPub at snapshot publication), e.g. with one
+// shared by BGP and the RIB. Call on the process loop, before routes
+// flow.
 func (p *Process) SetTracer(tr *telemetry.Tracer) {
 	p.tracer = tr
 	if bt, ok := p.backend.(interface{ SetTracer(*telemetry.Tracer) }); ok {
@@ -128,45 +121,21 @@ func (p *Process) Snapshots() fwd.Source { return p.backend }
 // ApplyBatch installs a coalesced forwarding update set in one pass —
 // the receiving end of the RIB's FIB push coalescing, and the one way
 // into the forwarding plane ("the FEA will unconditionally install the
-// route in the kernel", §8.2). The profile points are checked before
-// formatting so disabled points cost no per-route allocation. The batch
-// lands in the backend as one transaction and publishes as one
-// snapshot generation, so a forwarding worker sees either the table
-// before the batch or after it, never between. Individual entry
+// route in the kernel", §8.2). The batch lands in the backend as one
+// transaction and publishes as one snapshot generation, so a forwarding
+// worker sees either the table before the batch or after it, never
+// between. StageFIBApply (route_enter_kernel) is stamped before the write,
+// because the publish inside it closes the trace. Individual entry
 // failures don't abort the rest; the first error is returned.
 func (p *Process) ApplyBatch(b *rib.FIBBatch) error {
-	if p.profArrive.Enabled() {
-		b.Ops(func(op rib.FIBOp) {
-			switch op.Kind {
-			case rib.FIBOpAdd, rib.FIBOpReplace:
-				p.profArrive.Logf("add %v", op.New.Net)
-			case rib.FIBOpDelete:
-				p.profArrive.Logf("delete %v", op.Old.Net)
-			}
-		})
+	if p.tracer.On(telemetry.StageArriveFEA) {
+		p.tracer.StampBatch(telemetry.StageArriveFEA, b.Nets)
 	}
-	if p.tracer.Enabled() {
-		p.tracer.StampBatch(telemetry.StageFIBApply, func(yield func(netip.Prefix)) {
-			b.Ops(func(op rib.FIBOp) {
-				if op.Kind == rib.FIBOpAdd || op.Kind == rib.FIBOpReplace {
-					yield(op.New.Net)
-				}
-			})
-		})
+	if p.tracer.On(telemetry.StageFIBApply) {
+		p.tracer.StampBatch(telemetry.StageFIBApply, b.Nets)
 	}
 	p.mApplies.Add(uint64(b.Len()))
-	err := p.backend.Apply(b)
-	if p.profKernel.Enabled() {
-		b.Ops(func(op rib.FIBOp) {
-			switch op.Kind {
-			case rib.FIBOpAdd, rib.FIBOpReplace:
-				p.profKernel.Logf("add %v", op.New.Net)
-			case rib.FIBOpDelete:
-				p.profKernel.Logf("delete %v", op.Old.Net)
-			}
-		})
-	}
-	return err
+	return p.backend.Apply(b)
 }
 
 // RIBClient adapts the FEA as the RIB's FIBClient for in-process
@@ -338,13 +307,13 @@ func (s feaServer) UDPBroadcast(sport, dport uint16, payload []byte) error {
 }
 
 // RegisterXRLs exposes fti/0.2 (forwarding table), ifmgr/0.1 (interfaces),
-// fea_udp/0.1 (packet relay) and profile/0.1 on target t through their
-// spec-checked bindings.
+// fea_udp/0.1 (packet relay), stats/0.1 and profile/0.1 on target t
+// through their spec-checked bindings.
 func (p *Process) RegisterXRLs(t *xipc.Target) {
 	srv := feaServer{p}
 	xif.BindFTI(t, srv)
 	xif.BindIfMgr(t, srv)
 	xif.BindFEAUDP(t, srv)
 	xif.BindStatsRegistry(t, p.metrics.RenderLines, p.metrics.Get)
-	p.prof.RegisterXRLs(t)
+	xif.BindProfile(t, telemetry.ProfileView(func() *telemetry.Tracer { return p.tracer }))
 }

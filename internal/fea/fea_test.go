@@ -42,21 +42,49 @@ func TestAddDeleteEntry(t *testing.T) {
 	}
 }
 
+// TestProfilePointsFire switches one FEA point on over profile/0.1: an add
+// and a delete each leave one record there, and the point beside it, left
+// off, records nothing.
 func TestProfilePointsFire(t *testing.T) {
-	p, _, loop := newFEA(t)
-	var enabled bool
-	loop.Dispatch(func() {
-		p.Profiler().Enable("route_enter_kernel")
-		enabled = true
-	})
-	loop.RunPending()
-	if !enabled {
-		t.Fatal("loop stuck")
+	loop := eventloop.New(nil)
+	router := xipc.NewRouter("fea_process", loop)
+	p := New(loop, kernel.NewFIB(), nil, router)
+	target := xipc.NewTarget("fea", "fea")
+	p.RegisterXRLs(target)
+	router.AddTarget(target)
+	go loop.Run()
+	defer loop.Stop()
+
+	profile := xif.NewProfileClient(router, "fea")
+	entries := func(point string) []string {
+		t.Helper()
+		var out []string
+		done := make(chan struct{})
+		profile.GetEntries(point, func(es []string, err *xrl.Error) {
+			if err != nil {
+				t.Error(err)
+			}
+			out = es
+			close(done)
+		})
+		<-done
+		return out
 	}
-	feaServer{p}.AddEntries4([]route.Entry{{Net: mustP("10.0.0.0/8"), IfName: "eth0"}})
-	recs := p.Profiler().Entries("route_enter_kernel")
-	if len(recs) != 1 || recs[0].Event != "add 10.0.0.0/8" {
-		t.Fatalf("records %v", recs)
+	enabled := make(chan error, 1)
+	profile.Enable("route_enter_kernel", func(err error) { enabled <- err })
+	if err := <-enabled; err != nil {
+		t.Fatal(err)
+	}
+	loop.DispatchAndWait(func() {
+		feaServer{p}.AddEntries4([]route.Entry{{Net: mustP("10.0.0.0/8"), IfName: "eth0"}})
+		feaServer{p}.DeleteEntries4([]netip.Prefix{mustP("10.0.0.0/8")})
+	})
+	recs := entries("route_enter_kernel")
+	if len(recs) != 2 || !strings.HasSuffix(recs[0], " add 10.0.0.0/8") || !strings.HasSuffix(recs[1], " delete 10.0.0.0/8") {
+		t.Fatalf("records %q", recs)
+	}
+	if recs := entries("route_arrive_fea"); len(recs) != 0 {
+		t.Fatalf("a point left off recorded %q", recs)
 	}
 }
 

@@ -70,9 +70,9 @@ type Publisher struct {
 
 	mu sync.Mutex // serializes Apply/FIBAdd/FIBDelete writers
 
-	// tracer, when set and enabled, receives the StageSnapPub stamp for
-	// every added/replaced prefix the moment its snapshot is published —
-	// the end of a RouteTrace. Set at assembly time, before traffic.
+	// tracer, when set, receives the StageSnapPub stamp for every prefix
+	// the moment its snapshot is published — the end of a RouteTrace. Set
+	// at assembly time, before traffic.
 	tracer *telemetry.Tracer
 }
 
@@ -112,14 +112,8 @@ func (p *Publisher) Apply(b *rib.FIBBatch) *Snapshot {
 	})
 	next := &Snapshot{gen: old.gen + 1, tbl: edit.Publish()}
 	p.cur.Store(next)
-	if p.tracer.Enabled() {
-		p.tracer.StampBatch(telemetry.StageSnapPub, func(yield func(netip.Prefix)) {
-			b.Ops(func(op rib.FIBOp) {
-				if op.Kind == rib.FIBOpAdd || op.Kind == rib.FIBOpReplace {
-					yield(op.New.Net)
-				}
-			})
-		})
+	if p.tracer.On(telemetry.StageSnapPub) {
+		p.tracer.StampBatch(telemetry.StageSnapPub, b.Nets)
 	}
 	return next
 }
@@ -137,7 +131,7 @@ func (p *Publisher) FIBAdd(e route.Entry) {
 	p.publish1(func(t *trie.Persistent[route.Stored]) *trie.Persistent[route.Stored] {
 		return t.Insert(e.Net, e.Stored())
 	})
-	if p.tracer.Enabled() {
+	if p.tracer.On(telemetry.StageSnapPub) {
 		p.tracer.Stamp(telemetry.StageSnapPub, e.Net)
 	}
 }

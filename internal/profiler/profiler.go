@@ -1,159 +1,26 @@
-// Package profiler implements XORP's profiling mechanism (§8.2): named
-// profiling points may be inserted anywhere in the code; each is
-// associated with a profiling variable configured by an external program
-// (cmd/xorp_profiler) using XRLs. Enabling a point causes time-stamped
-// records such as
-//
-//	route ribin 1097173928 664085 add 10.0.1.0/24
-//
-// to be stored for later retrieval. Disabled points cost one map-free
-// boolean check on the hot path.
+// Package profiler is what is left of the §8.2 profiler once its points
+// became telemetry.Tracer stages: the four names benchmark/layers.go's
+// probe measurement calls, kept compiling until ROADMAP item 1 moves that
+// driver onto the tracer. No router process imports it, and nothing can
+// switch a Point on.
 package profiler
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"time"
+import "xorp/internal/eventloop"
 
-	"xorp/internal/eventloop"
-	"xorp/internal/xif"
-	"xorp/internal/xipc"
-)
+// Profiler hands out points.
+type Profiler struct{}
 
-// Record is one time-stamped profiling record.
-type Record struct {
-	When  time.Time
-	Event string
-}
+// New returns a Profiler; the clock is unused.
+func New(eventloop.Clock) *Profiler { return &Profiler{} }
 
-// String renders the record in the paper's format: point name, seconds,
-// microseconds, event.
-func (r Record) String() string {
-	return fmt.Sprintf("%d %06d %s", r.When.Unix(), r.When.Nanosecond()/1000, r.Event)
-}
+// Point returns a new, disabled point.
+func (*Profiler) Point(string) *Point { return &Point{} }
 
-// Point is one profiling point. Log is safe to call on the owning event
-// loop only, like all component state.
-type Point struct {
-	name    string
-	clock   eventloop.Clock
-	enabled bool
-	records []Record
-}
+// Point is a probe that is never switched on.
+type Point struct{ enabled bool }
 
-// Name returns the point's name.
-func (p *Point) Name() string { return p.name }
-
-// Enabled reports whether records are being kept.
+// Enabled reports whether records are kept: the one load a guard costs.
 func (p *Point) Enabled() bool { return p.enabled }
 
-// Log stores a record if the point is enabled.
-func (p *Point) Log(event string) {
-	if !p.enabled {
-		return
-	}
-	p.records = append(p.records, Record{When: p.clock.Now(), Event: event})
-}
-
-// Logf stores a formatted record if the point is enabled; arguments are
-// not evaluated when disabled.
-func (p *Point) Logf(format string, args ...any) {
-	if !p.enabled {
-		return
-	}
-	p.records = append(p.records, Record{When: p.clock.Now(), Event: fmt.Sprintf(format, args...)})
-}
-
-// Profiler owns a process's profiling points.
-type Profiler struct {
-	clock  eventloop.Clock
-	points map[string]*Point
-}
-
-// New returns a Profiler stamping records with clock (nil = wall clock).
-func New(clock eventloop.Clock) *Profiler {
-	if clock == nil {
-		clock = eventloop.RealClock{}
-	}
-	return &Profiler{clock: clock, points: make(map[string]*Point)}
-}
-
-// Point returns (creating on first use) the named point.
-func (pr *Profiler) Point(name string) *Point {
-	if p, ok := pr.points[name]; ok {
-		return p
-	}
-	p := &Point{name: name, clock: pr.clock}
-	pr.points[name] = p
-	return p
-}
-
-// Enable turns a point on.
-func (pr *Profiler) Enable(name string) { pr.Point(name).enabled = true }
-
-// Disable turns a point off (records are kept).
-func (pr *Profiler) Disable(name string) { pr.Point(name).enabled = false }
-
-// EnableAll enables every existing point.
-func (pr *Profiler) EnableAll() {
-	for _, p := range pr.points {
-		p.enabled = true
-	}
-}
-
-// Clear drops a point's records.
-func (pr *Profiler) Clear(name string) { pr.Point(name).records = nil }
-
-// Entries returns a copy of a point's records.
-func (pr *Profiler) Entries(name string) []Record {
-	return append([]Record(nil), pr.Point(name).records...)
-}
-
-// List returns all point names, sorted.
-func (pr *Profiler) List() []string {
-	names := make([]string, 0, len(pr.points))
-	for n := range pr.points {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// profileServer adapts the Profiler as a xif.ProfileServer.
-type profileServer struct{ pr *Profiler }
-
-func (s profileServer) ProfileEnable(pname string) error {
-	s.pr.Enable(pname)
-	return nil
-}
-
-func (s profileServer) ProfileDisable(pname string) error {
-	s.pr.Disable(pname)
-	return nil
-}
-
-func (s profileServer) ProfileClear(pname string) error {
-	s.pr.Clear(pname)
-	return nil
-}
-
-func (s profileServer) ProfileList() (string, error) {
-	return strings.Join(s.pr.List(), " "), nil
-}
-
-func (s profileServer) ProfileEntries(pname string) ([]string, error) {
-	recs := s.pr.Entries(pname)
-	out := make([]string, len(recs))
-	for i, r := range recs {
-		out[i] = pname + " " + r.String()
-	}
-	return out, nil
-}
-
-// RegisterXRLs exposes the profiler on target t under the "profile/0.1"
-// interface, mirroring xorp_profiler's control protocol, through the
-// spec-checked binding. All handlers run on the owning loop.
-func (pr *Profiler) RegisterXRLs(t *xipc.Target) {
-	xif.BindProfile(t, profileServer{pr})
-}
+// Logf keeps no record.
+func (p *Point) Logf(string, ...any) {}

@@ -1,107 +1,22 @@
 package profiler
 
 import (
-	"strings"
+	"net/netip"
 	"testing"
-	"time"
-
-	"xorp/internal/eventloop"
-	"xorp/internal/xipc"
-	"xorp/internal/xrl"
 )
 
+// TestDisabledPointIsFree pins what benchmark/layers.go measures as
+// profiler.disabled_point_ns: a guarded disabled point is one load and no
+// allocation.
 func TestDisabledPointIsFree(t *testing.T) {
-	pr := New(eventloop.NewSimClock(time.Unix(100, 0)))
-	pt := pr.Point("route_ribin")
-	pt.Log("add 10.0.1.0/24")
-	pt.Logf("add %s", "10.0.2.0/24")
-	if len(pr.Entries("route_ribin")) != 0 {
-		t.Fatal("disabled point recorded")
-	}
-}
-
-func TestEnableRecordClear(t *testing.T) {
-	clk := eventloop.NewSimClock(time.Unix(1097173928, 664085000))
-	pr := New(clk)
-	pr.Enable("route_ribin")
-	pr.Point("route_ribin").Log("add 10.0.1.0/24")
-	recs := pr.Entries("route_ribin")
-	if len(recs) != 1 {
-		t.Fatalf("%d records", len(recs))
-	}
-	// The paper's record format: seconds, microseconds, event.
-	if got := recs[0].String(); got != "1097173928 664085 add 10.0.1.0/24" {
-		t.Fatalf("record %q", got)
-	}
-	pr.Disable("route_ribin")
-	pr.Point("route_ribin").Log("add 10.0.2.0/24")
-	if len(pr.Entries("route_ribin")) != 1 {
-		t.Fatal("disabled point kept recording")
-	}
-	pr.Clear("route_ribin")
-	if len(pr.Entries("route_ribin")) != 0 {
-		t.Fatal("clear failed")
-	}
-}
-
-func TestListAndEnableAll(t *testing.T) {
-	pr := New(nil)
-	pr.Point("b")
-	pr.Point("a")
-	names := pr.List()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("List = %v", names)
-	}
-	pr.EnableAll()
-	if !pr.Point("a").Enabled() || !pr.Point("b").Enabled() {
-		t.Fatal("EnableAll missed a point")
-	}
-	if pr.Point("a").Name() != "a" {
-		t.Fatal("name lost")
-	}
-}
-
-func TestXRLControl(t *testing.T) {
-	loop := eventloop.New(nil)
-	pr := New(eventloop.RealClock{})
-	router := xipc.NewRouter("prof_process", loop)
-	target := xipc.NewTarget("profiled", "profiled")
-	pr.RegisterXRLs(target)
-	router.AddTarget(target)
-	go loop.Run()
-	defer loop.Stop()
-
-	if _, err := router.Call(xrl.New("profiled", "profile", "0.1", "enable",
-		xrl.Text("pname", "pt1"))); err != nil {
-		t.Fatalf("enable: %v", err)
-	}
-	loop.DispatchAndWait(func() { pr.Point("pt1").Log("event one") })
-	args, err := router.Call(xrl.New("profiled", "profile", "0.1", "get_entries",
-		xrl.Text("pname", "pt1")))
-	if err != nil {
-		t.Fatalf("get_entries: %v", err)
-	}
-	entries, _ := args.ListArg("entries")
-	if len(entries) != 1 || !strings.Contains(entries[0].TextVal, "event one") {
-		t.Fatalf("entries %v", entries)
-	}
-	args, err = router.Call(xrl.New("profiled", "profile", "0.1", "list"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pts, _ := args.TextArg("points"); !strings.Contains(pts, "pt1") {
-		t.Fatalf("list %q", pts)
-	}
-	if _, err := router.Call(xrl.New("profiled", "profile", "0.1", "clear",
-		xrl.Text("pname", "pt1"))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := router.Call(xrl.New("profiled", "profile", "0.1", "disable",
-		xrl.Text("pname", "pt1"))); err != nil {
-		t.Fatal(err)
-	}
-	// Missing argument.
-	if _, err := router.Call(xrl.New("profiled", "profile", "0.1", "enable")); err == nil {
-		t.Fatal("enable without pname accepted")
+	pt := New(nil).Point("route_ribin")
+	net := netip.MustParsePrefix("10.0.1.0/24")
+	allocs := testing.AllocsPerRun(100, func() {
+		if pt.Enabled() {
+			pt.Logf("add %v", net)
+		}
+	})
+	if pt.Enabled() || allocs != 0 {
+		t.Fatalf("disabled point: enabled %v, %.1f allocations", pt.Enabled(), allocs)
 	}
 }

@@ -155,3 +155,9 @@ func (b *FIBBatch) Ops(fn func(FIBOp)) {
 		}
 	}
 }
+
+// Nets visits each live op's prefix and whether it is a delete, in
+// first-touch order: what telemetry.Tracer.StampBatch takes.
+func (b *FIBBatch) Nets(yield func(net netip.Prefix, del bool)) {
+	b.Ops(func(op FIBOp) { yield(op.Net(), op.Kind == FIBOpDelete) })
+}

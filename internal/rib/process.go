@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"xorp/internal/eventloop"
-	"xorp/internal/profiler"
 	"xorp/internal/route"
 	"xorp/internal/telemetry"
 	"xorp/internal/xif"
@@ -42,13 +41,9 @@ type Process struct {
 	gracePeriod time.Duration
 	graceTimers map[route.Protocol]*eventloop.Timer
 
-	prof       *profiler.Profiler
-	profArrive *profiler.Point
-	profQueue  *profiler.Point
-	profSent   *profiler.Point
-
-	// tracer, when set and enabled, receives the StageRIBIn stamp as each
-	// route enters the stage network (nil-safe; zero cost when disabled).
+	// tracer is the process's probe: StageRIBIn as routes enter the origin
+	// tables, StageQueuedFEA and StageSentFEA as they leave for the FEA;
+	// profile/0.1 renders it.
 	tracer *telemetry.Tracer
 
 	metrics *telemetry.Registry
@@ -64,11 +59,8 @@ func NewProcess(loop *eventloop.Loop, fib FIBClient, router *xipc.Router) *Proce
 		redists: make(map[string]*RedistStage),
 		fib:     fib,
 		router:  router,
-		prof:    profiler.New(loop.Clock()),
+		tracer:  telemetry.NewTracer(),
 	}
-	p.profArrive = p.prof.Point("route_arrive_rib")
-	p.profQueue = p.prof.Point("route_queued_fea")
-	p.profSent = p.prof.Point("route_sent_fea")
 	if router != nil {
 		p.notify = xif.NewRIBNotifyClient(router)
 	}
@@ -120,6 +112,8 @@ func NewProcess(loop *eventloop.Loop, fib FIBClient, router *xipc.Router) *Proce
 	}
 	p.metrics.GaugeFunc("rib_queue_depth", "event-loop input backlog",
 		func() float64 { return float64(loop.QueueDepth()) })
+	p.metrics.CounterFunc("trace_dropped_total", "trace records lost to the tracer's bounds",
+		func() float64 { return float64(p.tracer.Dropped()) })
 	xipc.RegisterIOMetrics(p.metrics)
 	return p
 }
@@ -127,14 +121,11 @@ func NewProcess(loop *eventloop.Loop, fib FIBClient, router *xipc.Router) *Proce
 // Loop returns the process event loop.
 func (p *Process) Loop() *eventloop.Loop { return p.loop }
 
-// Profiler returns the process profiler.
-func (p *Process) Profiler() *profiler.Profiler { return p.prof }
-
 // Metrics returns the process's live metrics registry.
 func (p *Process) Metrics() *telemetry.Registry { return p.metrics }
 
-// SetTracer wires the route-latency tracer stamped as routes enter the
-// RIB stage network. Call at assembly time, before routes flow.
+// SetTracer replaces the process's tracer, e.g. with one shared by BGP
+// and the FEA. Call on the process loop, before routes flow.
 func (p *Process) SetTracer(tr *telemetry.Tracer) { p.tracer = tr }
 
 // Origin returns the origin table for proto.
@@ -160,24 +151,14 @@ func (p *Process) AddRoute(proto route.Protocol, e route.Entry) error {
 
 // AddRoutes feeds a run of same-protocol routes into their origin table
 // (the add_routes4 XRL path), which flushes the stage network in
-// coalesced runs. The profile point is checked before formatting so a
-// disabled point costs no per-route allocation (variadic boxing).
+// coalesced runs.
 func (p *Process) AddRoutes(proto route.Protocol, es []route.Entry) error {
 	o, ok := p.origins[proto]
 	if !ok {
 		return fmt.Errorf("rib: no origin table for %v", proto)
 	}
-	if p.profArrive.Enabled() {
-		for i := range es {
-			p.profArrive.Logf("add %v", es[i].Net)
-		}
-	}
-	if p.tracer.Enabled() {
-		p.tracer.StampBatch(telemetry.StageRIBIn, func(yield func(netip.Prefix)) {
-			for i := range es {
-				yield(es[i].Net)
-			}
-		})
+	if p.tracer.On(telemetry.StageRIBIn) {
+		p.stampRun(telemetry.StageRIBIn, es, false)
 	}
 	p.mEvents.Add(uint64(len(es)))
 	o.AddRoutes(es)
@@ -206,10 +187,12 @@ func (p *Process) deleteRoutes(proto route.Protocol, nets []netip.Prefix) (int, 
 	if !ok {
 		return 0, fmt.Errorf("rib: no origin table for %v", proto)
 	}
-	if p.profArrive.Enabled() {
-		for _, net := range nets {
-			p.profArrive.Logf("delete %v", net)
-		}
+	if p.tracer.On(telemetry.StageRIBIn) {
+		p.tracer.StampBatch(telemetry.StageRIBIn, func(yield func(netip.Prefix, bool)) {
+			for _, net := range nets {
+				yield(net, true)
+			}
+		})
 	}
 	removed := o.DeleteRoutes(nets)
 	p.mEvents.Add(uint64(removed))
@@ -312,10 +295,8 @@ func (p *Process) notifyInvalid(client string, covering netip.Prefix) {
 	p.notify.RouteInfoInvalid(client, covering, nil)
 }
 
-// fibSinkStage hands final routes to the FIB client with the §8.2
+// fibSinkStage hands final routes to the FIB client past two §8.2
 // profile points: every message, run or Replace, ships as one FIBBatch.
-// Disabled points are checked before formatting so the hot path never
-// pays variadic boxing.
 type fibSinkStage struct {
 	base
 	proc *Process
@@ -331,24 +312,18 @@ func (s *fibSinkStage) Replace(old, new route.Entry) { s.ship(FIBOpReplace, old,
 
 func (s *fibSinkStage) Delete(run []route.Entry) { s.ship(FIBOpDelete, route.Entry{}, run) }
 
-var fibVerbs = [...]string{FIBOpAdd: "add", FIBOpReplace: "replace", FIBOpDelete: "delete"}
-
 // ship sends run to the FIB client as one batch of kind ops (old is the
 // Replace's previous entry).
 func (s *fibSinkStage) ship(kind FIBOpKind, old route.Entry, run []route.Entry) {
 	p := s.proc
-	if p.profQueue.Enabled() {
-		for i := range run {
-			p.profQueue.Logf("%s %v", fibVerbs[kind], run[i].Net)
-		}
+	if p.tracer.On(telemetry.StageQueuedFEA) {
+		p.stampRun(telemetry.StageQueuedFEA, run, kind == FIBOpDelete)
 	}
 	if p.fib == nil {
 		return
 	}
-	if p.profSent.Enabled() {
-		for i := range run {
-			p.profSent.Logf("%s %v", fibVerbs[kind], run[i].Net)
-		}
+	if p.tracer.On(telemetry.StageSentFEA) {
+		p.stampRun(telemetry.StageSentFEA, run, kind == FIBOpDelete)
 	}
 	b := s.batch
 	s.batch = nil
@@ -368,6 +343,16 @@ func (s *fibSinkStage) ship(kind FIBOpKind, old route.Entry, run []route.Entry) 
 	p.fib.FIBApplyBatch(b)
 	b.Reset()
 	s.batch = b
+}
+
+// stampRun stamps a run of adds, or deletes, at stage s. Callers guard
+// with On(s).
+func (p *Process) stampRun(s telemetry.Stage, run []route.Entry, del bool) {
+	p.tracer.StampBatch(s, func(yield func(netip.Prefix, bool)) {
+		for i := range run {
+			yield(run[i].Net, del)
+		}
+	})
 }
 
 // ribServer adapts the Process as a xif.RIBServer: the typed handler
@@ -401,10 +386,10 @@ func (s ribServer) ResyncComplete4(proto route.Protocol) (uint32, error) {
 	return uint32(s.p.ResyncComplete(proto)), nil
 }
 
-// RegisterXRLs exposes the rib/1.0 and profile/0.1 interfaces on target t
-// through their spec-checked bindings.
+// RegisterXRLs exposes the rib/1.0, stats/0.1 and profile/0.1 interfaces
+// on target t through their spec-checked bindings.
 func (p *Process) RegisterXRLs(t *xipc.Target) {
 	xif.BindRIB(t, ribServer{p})
 	xif.BindStatsRegistry(t, p.metrics.RenderLines, p.metrics.Get)
-	p.prof.RegisterXRLs(t)
+	xif.BindProfile(t, telemetry.ProfileView(func() *telemetry.Tracer { return p.tracer }))
 }

@@ -7,16 +7,17 @@ import (
 	"time"
 
 	"xorp/internal/eventloop"
+	"xorp/internal/route"
 	"xorp/internal/telemetry"
 	"xorp/internal/workload"
 )
 
-// TestTracerStampsEveryStage is the one test that wires a route tracer
+// TestTracerStampsEveryStage is the one test that wires one route tracer
 // through the assembled router — BGP peer-in → decision → XRL → RIB → XRL
 // → FEA → snapshot publish — on the SharedLoop/SimClock assembly the repo
-// benchmark drives. With every prefix sampled, each route of a table load
-// must come out as a complete trace, so all four adjacent stage pairs and
-// the total have one sample per route and ordered percentiles. Wired but
+// benchmark drives. With every stage on, each route of a table load must
+// come out as one complete trace, so all nine adjacent stage pairs and the
+// total have one sample per route and ordered percentiles. Wired but
 // disabled, the same tracer must cost the load no allocation at all: the
 // assembly is deterministic, so the two counts are compared to within the
 // runtime's own noise.
@@ -37,11 +38,9 @@ func TestTracerStampsEveryStage(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Stop()
-		if tr != nil {
-			r.BGP.SetTracer(tr)
-			r.RIB.SetTracer(tr)
-			r.FEA.SetTracer(tr)
-		}
+		r.BGP.SetTracer(tr)
+		r.RIB.SetTracer(tr)
+		r.FEA.SetTracer(tr)
 		if err := r.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +69,6 @@ func TestTracerStampsEveryStage(t *testing.T) {
 	}
 
 	tr := telemetry.NewTracer()
-	tr.SetSampleShift(0)
 	tr.Enable()
 	load(tr)
 	traces := tr.Take()
@@ -79,7 +77,7 @@ func TestTracerStampsEveryStage(t *testing.T) {
 	}
 	rows := telemetry.Summarize(traces)
 	if len(rows) != int(telemetry.NumStages) {
-		t.Fatalf("%d summary rows, want %d (four stage pairs and the total):\n%s",
+		t.Fatalf("%d summary rows, want %d (nine stage pairs and the total):\n%s",
 			len(rows), telemetry.NumStages, telemetry.FormatSummary(rows))
 	}
 	for _, s := range rows {
@@ -99,5 +97,43 @@ func TestTracerStampsEveryStage(t *testing.T) {
 	if disabled > plain+slack {
 		t.Errorf("a wired but disabled tracer cost %d allocations over %d routes (%d without a tracer, %d with), want none",
 			disabled-plain, n, plain, disabled)
+	}
+}
+
+// TestStaticRouteIsTraced: a static route enters the router at the RIB, so
+// its trace opens there and runs to the snapshot publish, with nothing
+// stamped for BGP.
+func TestStaticRouteIsTraced(t *testing.T) {
+	r, err := NewRouter(baseConfig, Options{
+		Clock:      eventloop.NewSimClock(time.Unix(0, 0)),
+		SharedLoop: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	tr := telemetry.NewTracer()
+	r.RIB.SetTracer(tr)
+	r.FEA.SetTracer(tr)
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	tr.Enable()
+	net := netip.MustParsePrefix("10.77.0.0/16")
+	r.RIB.Loop().Dispatch(func() {
+		if err := r.RIB.AddRoute(route.ProtoStatic, route.Entry{Net: net, NextHop: mustA("192.168.1.254"), IfName: "eth0"}); err != nil {
+			t.Error(err)
+		}
+	})
+	r.SettleAll()
+	traces := tr.Take()
+	if len(traces) != 1 || traces[0].Net != net {
+		t.Fatalf("%d traces %v, want one of %v", len(traces), traces, net)
+	}
+	x := traces[0]
+	if x.T[telemetry.StageRIBIn] == 0 || x.T[telemetry.StageSnapPub] < x.T[telemetry.StageRIBIn] ||
+		x.T[telemetry.StagePeerIn] != 0 || x.T[telemetry.StageDecision] != 0 || x.Del != 0 {
+		t.Fatalf("static route trace %v (del %b), want rib_in through snap_pub", x.T, x.Del)
 	}
 }

@@ -1,18 +1,19 @@
-// Package telemetry is the ops plane's observability core: per-stage
-// route latency tracing and a live metrics registry, shared by every
-// XORP process.
+// Package telemetry is the ops plane's observability core: the route
+// tracer, which is every process's one probe, and a live metrics
+// registry, shared by every XORP process.
 //
-// Tracing. A RouteTrace is one sampled route's timestamps through the
-// pipeline's five stages — BGP peer-in decode, decision, RIB stage
-// network entry, FIB batch apply, forwarding snapshot publish — kept
-// flat and CSV-friendly so churn latency distributions (p50/p95/p99)
-// are first-class alongside throughput. Trace points follow the same
-// discipline as profiler.Point.Logf call sites: the hot path checks
-// Tracer.Enabled() (one atomic load, nil-safe) before touching the
-// tracer, so a compiled-in but disabled tracer costs zero allocations
-// and no measurable throughput. Stamps correlate by prefix, like the
-// §8.2 profile points, and are sampled 1-in-2^k by prefix hash so a
-// full-table load traces a bounded subset.
+// Tracing. The Tracer is the paper's §8.2 profiling mechanism: its stages
+// are the eight named profile points (route_ribin … route_enter_kernel)
+// plus the decision and the forwarding-snapshot publish, each switched on
+// alone, over profile/0.1 or by a harness. A stamp records an add or a
+// delete; stamps correlate by prefix into one RouteTrace per pass of a
+// route, opened at whichever stage first sees it, so a process traces
+// from its own first stage and a static route from the RIB. The hot path
+// checks Tracer.On(stage) (one atomic load, nil-safe) before touching the
+// tracer, so a compiled-in but disabled stage costs zero allocations.
+// Open and closed traces are bounded, and what the bounds drop is counted
+// (trace_dropped_total). ProfileView renders a tracer as profile/0.1, in
+// the paper's record format, for cmd/xorp_profiler and Figures 10–12.
 //
 // Metrics. A Registry holds typed counters (monotonic, atomic), gauges
 // (instantaneous, atomic or computed-on-scrape), and Welford histograms

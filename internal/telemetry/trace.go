@@ -10,216 +10,191 @@ import (
 	"time"
 )
 
-// Stage indexes one timestamp slot of a RouteTrace: the five points of
-// a route's life from the peer-in decode to the forwarding snapshot
-// publish. The set is deliberately flat — one int64 per stage — so a
-// trace record is CSV-friendly and never allocates per stage.
+// Stage is one point of a route's life a Tracer can stamp: the eight §8.2
+// profile points, plus the two only the tracer has (the decision and the
+// forwarding-snapshot publish), in pipeline order. One int64 per stage, so
+// a trace never allocates per stage.
 type Stage int
 
 const (
-	// StagePeerIn: the UPDATE was decoded and the route entered the BGP
-	// peer-in table.
+	// StagePeerIn (route_ribin): the route entered BGP's peer-in table, or
+	// was withdrawn from it.
 	StagePeerIn Stage = iota
-	// StageDecision: the decision process chose the route as a winner
-	// and emitted it downstream.
+	// StageDecision: the decision process emitted the route downstream.
 	StageDecision
-	// StageRIBIn: the route entered the RIB's stage network (origin
-	// table load).
+	// StageQueuedRIB (route_queued_rib): taken off the fanout for the RIB.
+	StageQueuedRIB
+	// StageSentRIB (route_sent_rib): handed to the transport to the RIB.
+	StageSentRIB
+	// StageRIBIn (route_arrive_rib): entered the RIB's origin tables.
 	StageRIBIn
-	// StageFIBApply: the FEA applied the route to the forwarding
-	// backend (kernel FIB), individually or in a batch.
+	// StageQueuedFEA (route_queued_fea): left the RIB's stage network.
+	StageQueuedFEA
+	// StageSentFEA (route_sent_fea): handed to the RIB's FIB client.
+	StageSentFEA
+	// StageArriveFEA (route_arrive_fea): arrived at the FEA.
+	StageArriveFEA
+	// StageFIBApply (route_enter_kernel): about to be written to the
+	// forwarding backend, individually or in a batch.
 	StageFIBApply
-	// StageSnapPub: the immutable forwarding snapshot containing the
-	// route was published (the atomic pointer flip data-plane workers
-	// observe). This completes the trace.
+	// StageSnapPub: the forwarding snapshot holding the change was
+	// published (the atomic pointer flip data-plane workers observe). This
+	// closes the trace.
 	StageSnapPub
 
 	// NumStages is the trace record width.
 	NumStages
 )
 
-// StageNames are the CSV column / report row names, in pipeline order.
-var StageNames = [NumStages]string{"peer_in", "decision", "rib_in", "fib_apply", "snap_pub"}
+// stages is the one table of stage names: the profile/0.1 point name, and
+// for the eight §8.2 points the paper's row label (Figures 10–12).
+var stages = [NumStages]struct{ name, label string }{
+	StagePeerIn:    {"route_ribin", "Entering BGP"},
+	StageDecision:  {"route_decision", ""},
+	StageQueuedRIB: {"route_queued_rib", "Queued for transmission to the RIB"},
+	StageSentRIB:   {"route_sent_rib", "Sent to RIB"},
+	StageRIBIn:     {"route_arrive_rib", "Arriving at the RIB"},
+	StageQueuedFEA: {"route_queued_fea", "Queued for transmission to the FEA"},
+	StageSentFEA:   {"route_sent_fea", "Sent to the FEA"},
+	StageArriveFEA: {"route_arrive_fea", "Arriving at FEA"},
+	StageFIBApply:  {"route_enter_kernel", "Entering kernel"},
+	StageSnapPub:   {"route_snap_pub", ""},
+}
 
-// RouteTrace is one sampled route's per-stage timestamps: flat, fixed
-// width, one unix-nanosecond stamp per stage (0 = the route never
-// reached that stage, e.g. a decision loser).
+// String returns the stage's profile point name.
+func (s Stage) String() string { return stages[s].name }
+
+// Label returns the paper's row label of a §8.2 point, "" for the stages
+// only the tracer has.
+func (s Stage) Label() string { return stages[s].label }
+
+// RouteTrace is one pass of a route through the pipeline: one
+// unix-nanosecond stamp per stage (0 = the pass never reached that stage,
+// e.g. a decision loser), and which of the stamps were deletes.
 type RouteTrace struct {
 	Net netip.Prefix
 	T   [NumStages]int64
+	Del uint16 // bit s set: the stamp at stage s was a delete
 }
 
-// CSVHeader is the header row for WriteCSV output.
-const CSVHeader = "net,peer_in_ns,decision_ns,rib_in_ns,fib_apply_ns,snap_pub_ns"
-
-// AppendCSV appends the trace as one CSV row (no trailing newline).
-func (r *RouteTrace) AppendCSV(b []byte) []byte {
-	b = append(b, r.Net.String()...)
-	for _, t := range r.T {
-		b = append(b, ',')
-		b = fmt.Appendf(b, "%d", t)
-	}
-	return b
+// forget zeroes stage s, reporting whether the trace is then empty.
+func (r *RouteTrace) forget(s Stage) bool {
+	r.T[s], r.Del = 0, r.Del&^(1<<s)
+	return r.T == [NumStages]int64{}
 }
 
-// maxOpen bounds the open-trace map; maxDone bounds retained completed
-// traces. Past either bound new samples are dropped (and counted), so
-// an unharvested tracer cannot grow without bound.
+// maxOpen bounds the open-trace map; maxDone bounds retained closed
+// traces. Past either bound new records are dropped (and counted), so an
+// unharvested tracer cannot grow without bound.
 const (
 	maxOpen = 1 << 16
 	maxDone = 1 << 17
 )
 
-// Tracer collects sampled RouteTraces. The hot-path contract mirrors
-// profiler.Point: callers check Enabled() — one nil check plus one
-// atomic load, zero allocations — before calling Stamp, so a disabled
-// tracer costs nothing. Stamps are safe from any goroutine: the
-// pipeline's stages run on different event loops (BGP, RIB, FEA) and
+// Tracer is a process's one probe (§8.2): each stage is switched on alone,
+// and every stamp of a switched-on stage is kept, correlated by prefix
+// into RouteTraces. The hot-path contract is the paper's: call sites guard
+// with On(stage) — one nil check plus one atomic load, zero allocations —
+// so a disabled stage costs nothing. Stamps are safe from any goroutine:
+// the pipeline's stages run on different event loops (BGP, RIB, FEA) and
 // the snapshot publish on whichever goroutine applies the batch.
 type Tracer struct {
-	enabled atomic.Bool
-	mask    atomic.Uint64 // sample a prefix iff hash&mask == 0
-
-	origin Stage // stage that opens a trace (StagePeerIn by default)
-	now    func() int64
+	on  atomic.Uint32 // bit s set: stage s is stamped
+	now func() int64
 
 	mu      sync.Mutex
 	open    map[netip.Prefix]*RouteTrace
 	done    []RouteTrace
-	dropped uint64 // samples lost to the maxOpen/maxDone bounds
+	dropped uint64 // records lost to the maxOpen/maxDone bounds
 }
 
-// NewTracer returns a disabled tracer sampling 1-in-64 prefixes whose
-// traces open at StagePeerIn.
+// NewTracer returns a tracer with every stage off, stamping wall-clock
+// time.
 func NewTracer() *Tracer {
-	t := &Tracer{
-		origin: StagePeerIn,
-		now:    func() int64 { return time.Now().UnixNano() },
-		open:   make(map[netip.Prefix]*RouteTrace),
-	}
-	t.mask.Store((1 << 6) - 1)
-	return t
+	return &Tracer{now: func() int64 { return time.Now().UnixNano() }}
 }
-
-// SetOrigin sets the stage that opens a trace (stamps for un-opened
-// prefixes at other stages are ignored). The chaos harness traces the
-// apply→publish tail only, so its traces open at StageFIBApply.
-func (t *Tracer) SetOrigin(s Stage) { t.origin = s }
-
-// SetSampleShift samples 1-in-2^k prefixes (k=0 traces every route).
-func (t *Tracer) SetSampleShift(k uint) { t.mask.Store((1 << k) - 1) }
 
 // SetNow overrides the timestamp source (tests).
 func (t *Tracer) SetNow(now func() int64) { t.now = now }
 
-// Enable starts collecting. Safe from any goroutine.
-func (t *Tracer) Enable() { t.enabled.Store(true) }
+// Enable switches every stage on. Safe from any goroutine.
+func (t *Tracer) Enable() { t.on.Store(1<<NumStages - 1) }
 
-// Disable stops collecting (records are kept for Take).
-func (t *Tracer) Disable() { t.enabled.Store(false) }
+// Enabled reports whether any stage is on. Nil-safe.
+func (t *Tracer) Enabled() bool { return t != nil && t.on.Load() != 0 }
 
-// Enabled reports whether the tracer is collecting. Nil-safe: every
-// trace point in the pipeline guards with `if tr.Enabled()`, so code
-// without a tracer wired pays one nil check.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
+// On reports whether stage s is stamped: the guard every trace point in
+// the pipeline takes. Nil-safe, so code without a tracer wired pays one
+// nil check.
+func (t *Tracer) On(s Stage) bool { return t != nil && t.on.Load()&(1<<s) != 0 }
 
-// sampled reports whether net falls in the sampled subset (FNV-1a over
-// the address bytes and prefix length; no allocation).
-func (t *Tracer) sampled(net netip.Prefix) bool {
-	mask := t.mask.Load()
-	if mask == 0 {
-		return true
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	a16 := net.Addr().As16()
-	h := uint64(offset64)
-	for _, b := range a16 {
-		h = (h ^ uint64(b)) * prime64
-	}
-	h = (h ^ uint64(net.Bits())) * prime64
-	return h&mask == 0
+// Stamp records that an add of net reached stage s. Callers MUST guard
+// with On(s) (or, for a tracer Enable switched on whole, Enabled).
+func (t *Tracer) Stamp(s Stage, net netip.Prefix) { t.StampOp(s, net, false) }
+
+// StampOp records that an add, or with del a delete, of net reached stage
+// s. Callers MUST guard with On(s).
+func (t *Tracer) StampOp(s Stage, net netip.Prefix, del bool) {
+	ts := t.now()
+	t.mu.Lock()
+	t.stamp(s, net, del, ts)
+	t.mu.Unlock()
 }
 
-// Stamp records that net reached stage now. Only the origin stage
-// opens a trace; later stages fill their slot (first stamp wins, so a
-// re-announced prefix keeps its original trace) and StageSnapPub
-// completes the record. Callers MUST guard with Enabled().
-func (t *Tracer) Stamp(stage Stage, net netip.Prefix) {
-	if !t.sampled(net) {
-		return
-	}
+// StampBatch records every (prefix, delete) ops yields reaching stage s
+// at one timestamp: the batch points (a RIB run, an FEA batch, a snapshot
+// publish), where the whole batch moves at once. Callers MUST guard with
+// On(s).
+func (t *Tracer) StampBatch(s Stage, ops func(yield func(net netip.Prefix, del bool))) {
 	ts := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	tr, ok := t.open[net]
-	if !ok {
-		if stage != t.origin {
-			return
-		}
+	ops(func(net netip.Prefix, del bool) { t.stamp(s, net, del, ts) })
+}
+
+// stamp files one record; t.mu held. A prefix with no open trace opens one
+// at whichever stage first sees it. A stage the open trace already holds
+// is a new pass of the route (a re-announcement, a withdrawal after a
+// decision loss), so the open trace is closed and a fresh one started: a
+// trace never spans two announcements. StageSnapPub closes the trace.
+func (t *Tracer) stamp(s Stage, net netip.Prefix, del bool, ts int64) {
+	tr := t.open[net]
+	if tr != nil && tr.T[s] != 0 {
+		t.close(tr)
+		tr = nil
+	}
+	if tr == nil {
 		if len(t.open) >= maxOpen {
 			t.dropped++
 			return
 		}
+		if t.open == nil {
+			t.open = make(map[netip.Prefix]*RouteTrace)
+		}
 		tr = &RouteTrace{Net: net}
-		tr.T[stage] = ts
 		t.open[net] = tr
+	}
+	tr.T[s] = ts
+	if del {
+		tr.Del |= 1 << s
+	}
+	if s == StageSnapPub {
+		t.close(tr)
+	}
+}
+
+// close moves tr from the open map to the closed list; t.mu held.
+func (t *Tracer) close(tr *RouteTrace) {
+	delete(t.open, tr.Net)
+	if len(t.done) >= maxDone {
+		t.dropped++
 		return
 	}
-	if tr.T[stage] == 0 {
-		tr.T[stage] = ts
-	}
-	if stage == StageSnapPub {
-		delete(t.open, net)
-		if len(t.done) >= maxDone {
-			t.dropped++
-			return
-		}
-		t.done = append(t.done, *tr)
-	}
+	t.done = append(t.done, *tr)
 }
 
-// StampBatch records a whole batch of prefixes reaching stage at one
-// timestamp (the FIB-batch apply and snapshot-publish points, where
-// the entire batch becomes visible at once). Like Stamp, the origin
-// stage opens traces for sampled prefixes.
-func (t *Tracer) StampBatch(stage Stage, nets func(yield func(netip.Prefix))) {
-	ts := t.now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	nets(func(net netip.Prefix) {
-		tr, ok := t.open[net]
-		if !ok {
-			if stage != t.origin || !t.sampled(net) {
-				return
-			}
-			if len(t.open) >= maxOpen {
-				t.dropped++
-				return
-			}
-			tr = &RouteTrace{Net: net}
-			tr.T[stage] = ts
-			t.open[net] = tr
-			return
-		}
-		if tr.T[stage] == 0 {
-			tr.T[stage] = ts
-		}
-		if stage == StageSnapPub {
-			delete(t.open, net)
-			if len(t.done) >= maxDone {
-				t.dropped++
-				return
-			}
-			t.done = append(t.done, *tr)
-		}
-	})
-}
-
-// Take returns the completed traces collected so far and resets the
-// tracer's record store (open traces are kept in flight).
+// Take returns the traces closed so far and resets the tracer's closed
+// list (open traces are kept in flight).
 func (t *Tracer) Take() []RouteTrace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -228,25 +203,123 @@ func (t *Tracer) Take() []RouteTrace {
 	return out
 }
 
-// Dropped returns how many samples were lost to the retention bounds.
+// Dropped returns how many records were lost to the retention bounds.
 func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
 }
 
-// WriteCSV renders traces as CSV (header + one row per trace).
-func WriteCSV(traces []RouteTrace) string {
-	var sb strings.Builder
-	sb.WriteString(CSVHeader)
-	sb.WriteByte('\n')
-	buf := make([]byte, 0, 128)
-	for i := range traces {
-		buf = traces[i].AppendCSV(buf[:0])
-		sb.Write(buf)
-		sb.WriteByte('\n')
+// records renders stage s's stamps, open and closed, oldest first, in the
+// paper's record format: "route_ribin 1097173928 664085 add 10.0.1.0/24".
+func (t *Tracer) records(s Stage) []string {
+	t.mu.Lock()
+	var hits []RouteTrace
+	for i := range t.done {
+		if t.done[i].T[s] != 0 {
+			hits = append(hits, t.done[i])
+		}
 	}
-	return sb.String()
+	for _, tr := range t.open {
+		if tr.T[s] != 0 {
+			hits = append(hits, *tr)
+		}
+	}
+	t.mu.Unlock()
+	sort.SliceStable(hits, func(i, j int) bool {
+		a, b := &hits[i], &hits[j]
+		return a.T[s] < b.T[s] || a.T[s] == b.T[s] && a.Net.Addr().Less(b.Net.Addr())
+	})
+	out := make([]string, len(hits))
+	for i := range hits {
+		verb := "add"
+		if hits[i].Del&(1<<s) != 0 {
+			verb = "delete"
+		}
+		when := time.Unix(0, hits[i].T[s])
+		out[i] = fmt.Sprintf("%s %d %06d %s %v", s, when.Unix(), when.Nanosecond()/1000, verb, hits[i].Net)
+	}
+	return out
+}
+
+// clear drops stage s's stamps, and with them every trace left empty.
+func (t *Tracer) clear(s Stage) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for net, tr := range t.open {
+		if tr.forget(s) {
+			delete(t.open, net)
+		}
+	}
+	kept := t.done[:0]
+	for _, tr := range t.done {
+		if !tr.forget(s) {
+			kept = append(kept, tr)
+		}
+	}
+	t.done = kept
+}
+
+// ProfileView serves a process's tracer as profile/0.1 (it implements
+// xif.ProfileServer): a point is a stage, enable and disable switch it
+// alone, and get_entries renders its stamps as the paper's records. The
+// view calls its func per request, so the binding follows a tracer a
+// harness swaps in after the process registered its XRLs.
+type ProfileView func() *Tracer
+
+// stageNamed resolves a profile point name.
+func stageNamed(name string) (Stage, error) {
+	for s := Stage(0); s < NumStages; s++ {
+		if stages[s].name == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("telemetry: no profile point %q", name)
+}
+
+// ProfileEnable switches one point on.
+func (v ProfileView) ProfileEnable(name string) error {
+	s, err := stageNamed(name)
+	if err == nil {
+		v().on.Or(1 << s)
+	}
+	return err
+}
+
+// ProfileDisable switches one point off; its records are kept.
+func (v ProfileView) ProfileDisable(name string) error {
+	s, err := stageNamed(name)
+	if err == nil {
+		v().on.And(^uint32(1 << s))
+	}
+	return err
+}
+
+// ProfileClear drops one point's records.
+func (v ProfileView) ProfileClear(name string) error {
+	s, err := stageNamed(name)
+	if err == nil {
+		v().clear(s)
+	}
+	return err
+}
+
+// ProfileList names every point, in pipeline order.
+func (v ProfileView) ProfileList() (string, error) {
+	names := make([]string, NumStages)
+	for s := range names {
+		names[s] = stages[s].name
+	}
+	return strings.Join(names, " "), nil
+}
+
+// ProfileEntries returns one point's records.
+func (v ProfileView) ProfileEntries(name string) ([]string, error) {
+	s, err := stageNamed(name)
+	if err != nil {
+		return nil, err
+	}
+	return v().records(s), nil
 }
 
 // StageLatency is one row of a trace summary: the latency distribution
@@ -275,7 +348,7 @@ func Summarize(traces []RouteTrace) []StageLatency {
 		if len(deltas) == 0 {
 			continue
 		}
-		rows = append(rows, summarizeDeltas(StageNames[s]+" -> "+StageNames[s+1], deltas))
+		rows = append(rows, summarizeDeltas(s.String()+" -> "+(s+1).String(), deltas))
 	}
 	var totals []float64
 	for i := range traces {
@@ -316,10 +389,10 @@ func summarizeDeltas(label string, deltas []float64) StageLatency {
 // FormatSummary renders Summarize rows as a fixed-width table (µs).
 func FormatSummary(rows []StageLatency) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-24s %8s %10s %10s %10s %10s %10s\n",
+	fmt.Fprintf(&sb, "%-40s %8s %10s %10s %10s %10s %10s\n",
 		"stage", "samples", "p50(µs)", "p95(µs)", "p99(µs)", "mean(µs)", "max(µs)")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-24s %8d %10.1f %10.1f %10.1f %10.1f %10.1f\n",
+		fmt.Fprintf(&sb, "%-40s %8d %10.1f %10.1f %10.1f %10.1f %10.1f\n",
 			r.Label, r.Samples, r.P50/1e3, r.P95/1e3, r.P99/1e3, r.Mean/1e3, r.Max/1e3)
 	}
 	return sb.String()
