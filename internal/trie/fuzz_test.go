@@ -19,6 +19,14 @@ import (
 // Every Walk — the Trie's and each version's — must also come out in
 // strictly increasing ComparePrefix order, IPv4 before IPv6: membership
 // alone would pass a fan that emitted its short prefixes after its kids.
+//
+// One §5.3 iterator rides along too, pinning the node it stands on so that
+// deletions under it are deferred: op bytes 6–31 move it (even: IterateFrom
+// the op's prefix, odd: Next), every other op byte is one of the six ops
+// above, by op % 6 — the checked-in corpus uses no byte in 6–31, so its
+// inputs keep their meaning. After every mutation the Trie's structure,
+// its /16 index included, is checked (checkInvariants), not only its
+// contents.
 func FuzzTrie(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 0, 0, 8, 1, 10, 1, 0, 0, 16, 2, 10, 0, 0, 0, 8})
 	f.Add([]byte{0, 1, 2, 3, 4, 32, 4, 1, 2, 3, 4, 32, 2, 1, 2, 3, 4, 32})
@@ -34,10 +42,24 @@ func FuzzTrie(f *testing.F) {
 		5, 10, 0, 0, 0, 8, 0, 10, 0, 0, 0, 8, 5, 10, 0, 0, 0, 8, 5, 10, 128, 0, 0, 9,
 		0, 10, 1, 0, 0, 16, 0, 10, 2, 0, 0, 16, 5, 10, 0, 0, 0, 14, 5, 10, 0, 0, 0, 8,
 	})
+	// The /16 index: a region's top spliced into its only child, valued
+	// (the /16 itself) and glue (the /23 two /24s make); a /15 inserted
+	// above a region's top; a region emptied while the iterator is pinned
+	// on its top, written through the pinned node's slot and left; emptied
+	// again and left empty.
+	f.Add([]byte{
+		0, 10, 1, 0, 0, 16, 0, 10, 1, 2, 0, 24, 2, 10, 1, 0, 0, 16, 3, 10, 1, 2, 0, 24,
+		0, 10, 2, 2, 0, 24, 0, 10, 2, 3, 0, 24, 2, 10, 2, 3, 0, 24, 3, 10, 2, 2, 0, 24,
+		0, 10, 0, 0, 0, 15, 3, 10, 1, 2, 0, 24, 0, 10, 1, 3, 0, 24, 2, 10, 0, 0, 0, 15,
+		6, 10, 2, 2, 0, 24, 2, 10, 2, 2, 0, 24, 3, 10, 2, 2, 0, 24, 0, 10, 2, 2, 0, 24,
+		2, 10, 2, 2, 0, 24, 0, 10, 2, 3, 0, 24, 7, 0, 0, 0, 0, 0, 3, 10, 2, 3, 0, 24,
+		6, 10, 2, 3, 0, 24, 2, 10, 2, 3, 0, 24, 7, 0, 0, 0, 0, 0, 3, 10, 2, 3, 0, 24,
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := New[int]()
 		model := map[netip.Prefix]int{}
+		it := tr.Iterate()
 
 		type version struct {
 			tbl  *Persistent[int]
@@ -74,10 +96,12 @@ func FuzzTrie(f *testing.F) {
 			}
 		}
 		edit, left := NewPersistent[int]().Edit(), 1
-		// mutated counts one session mutation; when the session's length
-		// is reached it publishes, is checked against tr, and the next
-		// session's length comes from the op's bytes.
+		// mutated checks tr's structure and counts one session mutation;
+		// when the session's length is reached it publishes, is checked
+		// against tr, and the next session's length comes from the op's
+		// bytes.
 		mutated := func(seed int) {
+			checkInvariants(t, tr)
 			if left--; left > 0 {
 				return
 			}
@@ -142,6 +166,18 @@ func FuzzTrie(f *testing.F) {
 			return op, p, true
 		}
 
+		// first is where the model says the iterator stands: its least entry
+		// at or after p (strictly after, if strict), or the zero prefix.
+		first := func(p netip.Prefix, strict bool) (w netip.Prefix) {
+			for e := range model {
+				c := ComparePrefix(e, p)
+				if (c > 0 || c == 0 && !strict) && (!w.IsValid() || ComparePrefix(e, w) < 0) {
+					w = e
+				}
+			}
+			return w
+		}
+
 		step := 0
 		for {
 			op, p, ok := next()
@@ -149,6 +185,23 @@ func FuzzTrie(f *testing.F) {
 				break
 			}
 			step++
+			if op >= 6 && op < 32 { // the iterator
+				var want netip.Prefix
+				if op%2 == 0 {
+					want = first(p, false)
+					it.Close()
+					it = tr.IterateFrom(p)
+				} else if it.Valid() {
+					want = first(it.Prefix(), true)
+					it.Next()
+				}
+				got, v, ok := it.Entry()
+				if got != want || ok != want.IsValid() || ok && v != model[want] {
+					t.Fatalf("iterator at (%v,%d,%v), model %v", got, v, ok, want)
+				}
+				checkInvariants(t, tr) // leaving a node may have removed it
+				continue
+			}
 			switch op % 6 {
 			case 0: // Insert
 				wantReplaced := false
@@ -224,6 +277,8 @@ func FuzzTrie(f *testing.F) {
 				mutated(step*7 + p.Bits())
 			}
 		}
+		it.Close() // performs any removal its pin deferred
+		checkInvariants(t, tr)
 
 		if tr.Len() != len(model) {
 			t.Fatalf("Len = %d, model %d", tr.Len(), len(model))

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func mustP(s string) netip.Prefix { return netip.MustParsePrefix(s) }
@@ -351,11 +352,20 @@ func TestMultipleIteratorsSameNode(t *testing.T) {
 
 // checkInvariants verifies structural invariants: child prefixes are
 // contained in parents, branch bits are correct, glue nodes (unreferenced)
-// have two children, and parent pointers are consistent.
+// have two children, and parent pointers are consistent. And the /16
+// index: every node ≥ /16 whose parent is shorter holds its /16's slot,
+// and no other slot is set.
 func checkInvariants[T any](t *testing.T, tr *Trie[T]) {
 	t.Helper()
+	tops := 0
 	var walk func(n *node[T])
 	walk = func(n *node[T]) {
+		if n.bits >= jumpBits && n.parent.bits < jumpBits {
+			if tr.jumpTo(n.key, n.v4) != n {
+				t.Fatalf("%v is the top of its /16 but does not hold the slot", n.prefix())
+			}
+			tops++
+		}
 		for b, c := range n.child {
 			if c == nil {
 				continue
@@ -385,6 +395,30 @@ func checkInvariants[T any](t *testing.T, tr *Trie[T]) {
 			walk(root)
 		}
 	}
+	if set := jumpSlotsSet(tr); set != tops {
+		t.Fatalf("%d /16 slots set, %d /16 tops in the tree", set, tops)
+	}
+}
+
+// jumpSlotsSet counts the /16 index's non-nil slots.
+func jumpSlotsSet[T any](tr *Trie[T]) int {
+	set := 0
+	for _, top := range tr.jump {
+		if top == nil {
+			continue
+		}
+		for _, sub := range top {
+			if sub == nil {
+				continue
+			}
+			for _, s := range sub {
+				if s != nil {
+					set++
+				}
+			}
+		}
+	}
+	return set
 }
 
 func randomPrefix(r *rand.Rand) netip.Prefix {
@@ -813,6 +847,112 @@ func BenchmarkTrieUpsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Upsert(ps[i%len(ps)], i)
 	}
+}
+
+// fullTable returns n distinct random IPv4 prefixes in the order drawn:
+// first octet 1–223, half of them /24 and the rest /8–/24 — a full table's
+// shape. It is a generator of its own because package workload's would
+// be an import cycle (workload imports bgp, which imports this package).
+func fullTable(n int) []netip.Prefix {
+	r := rand.New(rand.NewSource(1))
+	seen := make(map[netip.Prefix]bool, n)
+	ps := make([]netip.Prefix, 0, n)
+	for len(ps) < n {
+		bits := 24
+		if r.Intn(2) == 0 {
+			bits = 8 + r.Intn(17)
+		}
+		a := netip.AddrFrom4([4]byte{byte(1 + r.Intn(223)), byte(r.Intn(256)), byte(r.Intn(256)), 0})
+		if p, _ := a.Prefix(bits); !seen[p] {
+			seen[p] = true
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+// TestJumpIndexCost pins what the /16 index costs. A full table's index is
+// one 2 KiB array per /8 holding a prefix of /16 or longer, plus the 2 KiB
+// top level. And announcing, replacing and withdrawing a prefix in a /16
+// whose array exists allocates nothing: trickle's steady state, both in a
+// /16 that holds routes and in an empty one, whose slot is set and cleared.
+func TestJumpIndexCost(t *testing.T) {
+	tr := New[int]()
+	populated := map[byte]bool{}
+	for i, p := range fullTable(146515) {
+		tr.Insert(p, i)
+		if p.Bits() >= jumpBits {
+			populated[p.Addr().As4()[0]] = true
+		}
+	}
+	if tr.jump[1] != nil {
+		t.Error("an IPv4-only table built an IPv6 index")
+	}
+	arrays := 1 // the top level
+	for _, sub := range tr.jump[0] {
+		if sub != nil {
+			arrays++
+		}
+	}
+	const twoKiB = 2 << 10
+	size := int(unsafe.Sizeof([256]*node[int]{}))
+	if bytes, bound := arrays*size, twoKiB*(len(populated)+1); bytes > bound {
+		t.Errorf("the index is %d bytes (%d arrays of %d) for %d populated /8s, want ≤ %d", bytes, arrays, size, len(populated), bound)
+	}
+	t.Logf("index: %d arrays of %d bytes for %d populated /8s", arrays, size, len(populated))
+
+	// A /24 absent from an occupied /16, and one in an empty /16; both /8s
+	// have their array.
+	var fresh, empty netip.Prefix
+	for x := 0; x < 1<<16 && !(fresh.IsValid() && empty.IsValid()); x++ {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, byte(x >> 8), byte(x), 0}), 24)
+		if _, ok := tr.Get(p); ok {
+			continue
+		}
+		if tr.jumpTo(keyOf(p.Addr()), true) == nil {
+			empty = p
+		} else {
+			fresh = p
+		}
+	}
+	if !populated[100] || !fresh.IsValid() || !empty.IsValid() {
+		t.Fatalf("no probe prefixes (fresh %v, empty %v)", fresh, empty)
+	}
+	for _, p := range []netip.Prefix{fresh, empty} {
+		allocs := testing.AllocsPerRun(100, func() {
+			tr.Insert(p, 1)
+			tr.Upsert(p, 2)
+			tr.Delete(p)
+		})
+		if allocs != 0 {
+			t.Errorf("announce, replace, withdraw of %v allocates %.1f", p, allocs)
+		}
+	}
+	checkInvariants(t, tr)
+}
+
+// BenchmarkTrieSliceChurn is bulk's shape at the trie layer: each op
+// deletes one 256-prefix slice of a full table, taken in insertion order,
+// then inserts it again.
+func BenchmarkTrieSliceChurn(b *testing.B) {
+	const slice = 256
+	ps := fullTable(146515)
+	tr := New[int]()
+	for i, p := range ps {
+		tr.Insert(p, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := ps[i%(len(ps)/slice)*slice:][:slice]
+		for _, p := range s {
+			tr.Delete(p)
+		}
+		for j, p := range s {
+			tr.Insert(p, j)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slice), "ns/route")
 }
 
 // TestIterateFromMatchesLinearScan cross-checks the seeking IterateFrom
