@@ -117,8 +117,7 @@ func tokenize(src string) ([]string, error) {
 			i = j + 1
 		default:
 			j := i
-			for j < len(src) && !unicode.IsSpace(rune(src[j])) &&
-				src[j] != '{' && src[j] != '}' && src[j] != ';' && src[j] != '#' {
+			for j < len(src) && !endsWord(src[j]) {
 				j++
 			}
 			toks = append(toks, src[i:j])
@@ -128,9 +127,23 @@ func tokenize(src string) ([]string, error) {
 	return toks, nil
 }
 
+// endsWord reports whether c ends a bare word: whitespace (a byte read as
+// a rune, as tokenize reads it), a separator, or a comment.
+func endsWord(c byte) bool {
+	return unicode.IsSpace(rune(c)) || c == '{' || c == '}' || c == ';' || c == '#'
+}
+
+// maxConfigDepth bounds how deep blocks may nest. Real configurations nest
+// a handful deep; without a bound, text of nothing but "a {" would recurse
+// parseBlock once per brace.
+const maxConfigDepth = 32
+
 // parseBlock consumes statements until the block's closing '}' (or end of
 // input at depth 0).
 func parseBlock(toks []string, parent *Node, depth int) ([]string, error) {
+	if depth > maxConfigDepth {
+		return nil, fmt.Errorf("rtrmgr: blocks nested deeper than %d", maxConfigDepth)
+	}
 	for len(toks) > 0 {
 		switch toks[0] {
 		case "}":
@@ -169,16 +182,17 @@ func parseBlock(toks []string, parent *Node, depth int) ([]string, error) {
 	return toks, nil
 }
 
-// Render prints a node tree back as configuration text (show-config).
+// Render prints a node tree back as configuration text (show-config),
+// which ParseConfig reads back as the same tree.
 func Render(n *Node, indent int) string {
 	var sb strings.Builder
 	pad := strings.Repeat("    ", indent)
 	for _, c := range n.Children {
 		sb.WriteString(pad)
-		sb.WriteString(c.Key)
+		writeWord(&sb, c.Key)
 		for _, a := range c.Args {
 			sb.WriteByte(' ')
-			sb.WriteString(a)
+			writeWord(&sb, a)
 		}
 		if len(c.Children) > 0 {
 			sb.WriteString(" {\n")
@@ -190,4 +204,22 @@ func Render(n *Node, indent int) string {
 		}
 	}
 	return sb.String()
+}
+
+// writeWord writes a key or argument so that tokenize reads it back as one
+// word: quoted when it is empty or holds a byte that would end a bare
+// word. No word that needs quoting holds '"' — a bare word cannot hold
+// what would end it, nor a quoted one a '"' — so quoting needs no escapes.
+func writeWord(sb *strings.Builder, s string) {
+	quote := s == ""
+	for i := 0; i < len(s) && !quote; i++ {
+		quote = endsWord(s[i])
+	}
+	if !quote {
+		sb.WriteString(s)
+		return
+	}
+	sb.WriteByte('"')
+	sb.WriteString(s)
+	sb.WriteByte('"')
 }

@@ -76,6 +76,7 @@ func TestConfigParser(t *testing.T) {
 func TestConfigParserErrors(t *testing.T) {
 	bad := []string{
 		"a { b", "}", `x "unterminated`, "a } b",
+		strings.Repeat("a {", maxConfigDepth+1) + strings.Repeat("}", maxConfigDepth+1),
 	}
 	for _, src := range bad {
 		if _, err := ParseConfig(src); err == nil {

@@ -345,18 +345,19 @@ func TestReloadSimulated(t *testing.T) {
 	}
 }
 
-// TestReloadRetunesTimers covers the in-place RIP/OSPF apply hooks:
-// timer changes commit without restarting either process.
-func TestReloadRetunesTimers(t *testing.T) {
-	netw := kernel.NewNetwork()
-	cfg := `
+const igpTimersConfig = `
 interfaces { eth0 { address 10.0.0.1/24; } }
 protocols {
     rip { update-interval 10; }
     ospf { router-id 10.0.0.1; hello-interval 10; dead-interval 40; cost 1; }
 }
 `
-	r, err := NewRouter(cfg, Options{Network: netw, LocalAddr: mustA("10.0.0.1")})
+
+// TestReloadRetunesTimers covers the in-place RIP/OSPF apply hooks:
+// timer changes commit without restarting either process.
+func TestReloadRetunesTimers(t *testing.T) {
+	netw := kernel.NewNetwork()
+	r, err := NewRouter(igpTimersConfig, Options{Network: netw, LocalAddr: mustA("10.0.0.1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +370,7 @@ protocols {
 		"update-interval 10", "update-interval 5",
 		"hello-interval 10", "hello-interval 2",
 		"cost 1", "cost 7",
-	).Replace(cfg)
+	).Replace(igpTimersConfig)
 	if err := r.Reload(cand); err != nil {
 		t.Fatalf("reload: %v", err)
 	}
@@ -440,10 +441,7 @@ func TestReloadRemovePeer(t *testing.T) {
 	}
 }
 
-// TestReloadPolicySwap covers the re-policy apply hook: editing a
-// policy body re-filters an existing redistribution in place.
-func TestReloadPolicySwap(t *testing.T) {
-	cfg := `
+const policyConfig = `
 interfaces { eth0 { address 192.168.1.1/24; } }
 static {
     route 10.1.0.0/16 next-hop 192.168.1.254;
@@ -465,7 +463,11 @@ protocols {
     }
 }
 `
-	r, err := NewRouter(cfg, Options{})
+
+// TestReloadPolicySwap covers the re-policy apply hook: editing a
+// policy body re-filters an existing redistribution in place.
+func TestReloadPolicySwap(t *testing.T) {
+	r, err := NewRouter(policyConfig, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +482,7 @@ protocols {
 		return n == 1
 	})
 
-	cand := strings.Replace(cfg, "from net <= 10.1.0.0/16", "from net <= 10.2.0.0/16", 1)
+	cand := strings.Replace(policyConfig, "from net <= 10.1.0.0/16", "from net <= 10.2.0.0/16", 1)
 	if err := r.Reload(cand); err != nil {
 		t.Fatalf("reload: %v", err)
 	}

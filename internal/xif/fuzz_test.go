@@ -2,6 +2,7 @@ package xif_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"xorp/internal/eventloop"
@@ -11,7 +12,7 @@ import (
 )
 
 // Fuzz targets for the decoders an XRL's bytes reach first: the frame
-// codec and the route atom. They live here rather than in package xrl so
+// codec, its reuse of the frame it decodes into, and the route atom. They live here rather than in package xrl so
 // that their seeds can be every declared interface's sample call (xif
 // imports xrl). Each has a checked-in corpus under testdata/fuzz.
 
@@ -113,6 +114,37 @@ func FuzzParseReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fixedPoint(t, data, xrl.ParseReply, xrl.AppendReply)
 	})
+}
+
+// FuzzParseReuse holds the decoders' reuse of their destination to its
+// contract. A transport parses every frame of a connection into one
+// Request or Reply, and the decoder keeps a string the destination
+// already holds when the frame repeats it. So frame b parsed into the
+// Request (or Reply) that last held frame a — decoded or not — must give
+// exactly what b parsed into a fresh one gives, error included.
+func FuzzParseReuse(f *testing.F) {
+	requests, replies := sampleFrames(f)
+	for _, frames := range [][][]byte{requests, replies} {
+		for k := range frames {
+			f.Add(frames[k], frames[(k+1)%len(frames)])
+		}
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		sameAfterReuse(t, a, b, xrl.ParseRequest)
+		sameAfterReuse(t, a, b, xrl.ParseReply)
+	})
+}
+
+func sameAfterReuse[T any](t *testing.T, a, b []byte, parse func([]byte, *T) error) {
+	var reused, fresh T
+	_ = parse(a, &reused) // a need not decode: what it leaves behind is what b is parsed over
+	errReused, errFresh := parse(b, &reused), parse(b, &fresh)
+	if (errReused == nil) != (errFresh == nil) || errReused != nil && errReused.Error() != errFresh.Error() {
+		t.Fatalf("after frame %x, frame %x parses with error %v; into a fresh %T, %v", a, b, errReused, fresh, errFresh)
+	}
+	if errFresh == nil && !reflect.DeepEqual(reused, fresh) {
+		t.Fatalf("after frame %x, frame %x parses to\n%+v\ninto a fresh %T,\n%+v", a, b, reused, fresh, fresh)
+	}
 }
 
 // FuzzRouteAtom drives the route atom through both of its forms: wire

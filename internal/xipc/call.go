@@ -3,7 +3,6 @@ package xipc
 import (
 	"time"
 
-	"xorp/internal/eventloop"
 	"xorp/internal/xrl"
 )
 
@@ -13,15 +12,16 @@ import (
 // list only fills when a window drains, and what it then holds is what
 // the next window takes. 128 covers the Figure-9 window of 100: measured
 // on the xrl workload, a list of 32 drops 68 records per drained window
-// and pays 0.41 allocations per XRL to make them again (a record is six
-// objects, about 0.5 KB), where 128 pays none and holds at most 64 KB.
+// and pays 0.41 allocations per XRL to make them again (measured with a
+// record of six objects; it is four, under 0.5 KB), where 128 pays none
+// and holds at most 64 KB.
 const maxFreeCalls = 128
 
 // call is the record of one outgoing XRL, from Send to the callback: the
 // one object that replaces a chain of per-call closures. The Router owns
-// it and reuses it. Whatever it hands to a Loop or a Timer is one of the
-// four funcs bound when it was made, so a steady stream of XRLs allocates
-// nothing here.
+// it and reuses it. Whatever it hands to a Loop is one of the three funcs
+// bound when it was made, so a steady stream of XRLs allocates nothing
+// here.
 //
 // A record belongs to one loop at a time. It is the sending Router's,
 // except between intraSend and complete, when the destination's loop
@@ -31,6 +31,16 @@ const maxFreeCalls = 128
 // reply finds its record through the sender's pending table by sequence
 // number, a number used once, so a reply that arrives after its record
 // timed out and went on to carry another call finds nothing.
+//
+// A record waiting for a reply, or backing off between idempotent
+// attempts, is on its Router's deadline list: the records in flight,
+// threaded through prev and next in the order their deadlines fall, with
+// one loop timer armed for the head (arm and expire below). A Router has
+// one reply timeout, so a new deadline is nearly always the latest and
+// joins at the tail; finish takes a record off in O(1). So a window of
+// calls in flight costs the loop's timer heap nothing per call: a timer
+// per record would cost a heap push and a heap remove, each under the
+// loop's lock, on a heap as deep as the window.
 type call struct {
 	r *Router
 
@@ -42,7 +52,7 @@ type call struct {
 	// Progress, touched only on r's loop.
 	attempt    int    // idempotent attempt, from 1
 	allowRetry bool   // sent over a cached resolution not yet refreshed
-	backingOff bool   // timer is an idempotent backoff, not a reply timeout
+	backingOff bool   // deadline ends an idempotent backoff, not a reply timeout
 	away       bool   // at the destination's loop (intra)
 	done       bool   // timed out while away; complete only releases it
 	proto      string // protocol family in use, for the timeout note
@@ -56,13 +66,14 @@ type call struct {
 	out xrl.Args
 	err *xrl.Error
 
-	// timer is the reply timeout, and between idempotent attempts the
-	// backoff. Made on first use and kept: Reschedule re-arms it.
-	timer *eventloop.Timer
+	// deadline is when the reply timeout, or the backoff, runs out; zero
+	// while the record is off the deadline list. prev and next link that
+	// list, earliest first. next also links the free list, which a record
+	// joins only once off the deadline list.
+	deadline   time.Time
+	prev, next *call
 
-	startFn, handleFn, completeFn, timerFn func()
-
-	next *call // free list
+	startFn, handleFn, completeFn func()
 }
 
 // newCall takes a record off the free list, or makes one. r.mu is held.
@@ -73,7 +84,7 @@ func (r *Router) newCall(x xrl.XRL, cb Callback, idem bool) *call {
 		r.nfree--
 	} else {
 		c = &call{r: r}
-		c.startFn, c.handleFn, c.completeFn, c.timerFn = c.start, c.handle, c.complete, c.onTimer
+		c.startFn, c.handleFn, c.completeFn = c.start, c.handle, c.complete
 	}
 	c.x, c.cb, c.idem, c.attempt, c.allowRetry = x, cb, idem, 1, true
 	return c
@@ -96,16 +107,82 @@ func (r *Router) release(c *call) {
 // start is where a Send lands on the loop.
 func (c *call) start() { c.r.route(c) }
 
-// armTimer (re)schedules the record's timer d from now on the loop clock.
-func (c *call) armTimer(d time.Duration) {
-	if c.timer == nil {
-		c.timer = c.r.loop.OneShot(d, c.timerFn)
+// arm puts c, which is off the deadline list, on it to expire d from now
+// on the loop clock. The walk back from the tail ends at once unless d is
+// shorter than the deadlines already listed: a backoff, or the reply
+// timeout after SetTimeout shortened it. Runs on the loop.
+func (r *Router) arm(c *call, d time.Duration) {
+	now := r.loop.Now()
+	c.deadline = now.Add(d)
+	at := r.dtail // c goes after at, the last record due no later
+	for at != nil && at.deadline.After(c.deadline) {
+		at = at.prev
+	}
+	c.prev = at
+	if at == nil {
+		c.next, r.dhead = r.dhead, c
 	} else {
-		c.timer.Reschedule(d)
+		c.next, at.next = at.next, c
+	}
+	if c.next == nil {
+		r.dtail = c
+	} else {
+		c.next.prev = c
+	}
+	r.wakeBy(c.deadline, now)
+}
+
+// unlink takes c off the deadline list, if it is on it. The timer is left
+// as it is: when the head goes early, the timer fires once with nothing
+// due and re-arms for the new head. Runs on the loop.
+func (r *Router) unlink(c *call) {
+	if c.deadline.IsZero() {
+		return
+	}
+	if c.prev == nil {
+		r.dhead = c.next
+	} else {
+		c.prev.next = c.next
+	}
+	if c.next == nil {
+		r.dtail = c.prev
+	} else {
+		c.next.prev = c.prev
+	}
+	c.deadline, c.prev, c.next = time.Time{}, nil, nil
+}
+
+// wakeBy makes sure the deadline timer fires no later than at.
+func (r *Router) wakeBy(at, now time.Time) {
+	if !r.dtimerAt.IsZero() && !at.Before(r.dtimerAt) {
+		return
+	}
+	r.dtimerAt = at
+	if r.dtimer == nil {
+		r.dtimer = r.loop.OneShot(at.Sub(now), r.expire)
+	} else {
+		r.dtimer.Reschedule(at.Sub(now))
 	}
 }
 
-func (c *call) onTimer() {
+// expire is the deadline timer firing: every call whose deadline has
+// passed expires, earliest first, and the timer is re-armed for the head
+// that is left. Runs on the loop.
+func (r *Router) expire() {
+	r.dtimerAt = time.Time{}
+	now := r.loop.Now()
+	for c := r.dhead; c != nil && !c.deadline.After(now); c = r.dhead {
+		r.unlink(c)
+		c.expired()
+	}
+	if r.dhead != nil {
+		r.wakeBy(r.dhead.deadline, now)
+	}
+}
+
+// expired is c's deadline passing: a backoff that ends sends the call
+// again, a reply timeout fails it.
+func (c *call) expired() {
 	if c.backingOff {
 		c.backingOff, c.allowRetry = false, true
 		c.r.route(c)
@@ -145,9 +222,7 @@ func staleResolution(code xrl.ErrorCode) bool {
 // released before the callback runs: callbacks usually send the next XRL,
 // and that one then takes this record. Runs on the loop.
 func (r *Router) finish(c *call, args xrl.Args, err *xrl.Error) {
-	if c.timer != nil {
-		c.timer.Cancel()
-	}
+	r.unlink(c)
 	if c.via != nil {
 		c.via.forget(c)
 		c.via = nil
@@ -167,7 +242,7 @@ func (r *Router) finish(c *call, args xrl.Args, err *xrl.Error) {
 			r.mu.Unlock()
 			if c.attempt < pol.Attempts {
 				c.backingOff = true
-				c.armTimer(backoff(pol, c.attempt))
+				r.arm(c, backoff(pol, c.attempt))
 				c.attempt++
 				return
 			}

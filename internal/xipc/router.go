@@ -76,6 +76,13 @@ type Router struct {
 	free  *call
 	nfree int
 
+	// dhead and dtail end the deadline list of the calls in flight
+	// (call.go); dtimer fires for its head, at dtimerAt (zero when not
+	// armed). Touched only on the loop goroutine.
+	dhead, dtail *call
+	dtimer       *eventloop.Timer
+	dtimerAt     time.Time
+
 	// pendingSends holds, per target, sends queued behind an in-flight
 	// Finder resolution so the per-target send order survives a cold
 	// cache: without it, the first use of a new method waits a resolution
@@ -521,7 +528,7 @@ func (r *Router) transportSend(c *call, res resolved) {
 	c.req = xrl.Request{Target: res.instance, Command: res.cmd, Key: res.key, Args: c.x.Args}
 	c.proto = res.proto
 	if r.timeout > 0 {
-		c.armTimer(r.timeout)
+		r.arm(c, r.timeout)
 	}
 	if res.proto == xrl.ProtoIntra {
 		r.intraSend(c, res.addr)

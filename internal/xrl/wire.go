@@ -106,10 +106,11 @@ func DecodeFrame(buf []byte) (req *Request, rep *Reply, err error) {
 }
 
 // ParseRequest decodes a request frame into req, reusing the capacity of
-// req.Args. With a warm intern table the decode performs no allocations
-// for flat frames, which is what keeps the receive side of the Figure-9
-// benchmark off the garbage collector. Like DecodeFrame, the result does
-// not alias buf.
+// req.Args, and keeping each string req (or the atom at that index of
+// req.Args' backing array) already holds when the frame repeats it. With
+// a warm intern table the decode performs no allocations for flat frames,
+// which is what keeps the receive side of the Figure-9 benchmark off the
+// garbage collector. Like DecodeFrame, the result does not alias buf.
 func ParseRequest(buf []byte, req *Request) error {
 	d := decoder{buf: buf}
 	if ft := d.u8(); ft != FrameRequest {
@@ -135,9 +136,9 @@ func ParseReply(buf []byte, rep *Reply) error {
 
 func (r *Request) parseBody(d *decoder) error {
 	r.Seq = d.u32()
-	r.Target = d.str16()
-	r.Command = d.str16()
-	r.Key = d.str16()
+	r.Target = d.str16(r.Target)
+	r.Command = d.str16(r.Command)
+	r.Key = d.str16(r.Key)
 	r.Args = d.args(r.Args[:0])
 	if d.err != nil {
 		return d.err
@@ -151,7 +152,7 @@ func (r *Request) parseBody(d *decoder) error {
 func (r *Reply) parseBody(d *decoder) error {
 	r.Seq = d.u32()
 	r.Code = ErrorCode(d.u32())
-	r.Note = d.str16()
+	r.Note = d.str16(r.Note)
 	r.Args = d.args(r.Args[:0])
 	if d.err != nil {
 		return d.err
@@ -364,21 +365,28 @@ func (d *decoder) u64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-// str8 and str16 return interned strings: names, targets, commands and
-// keys form a small closed set per deployment, so steady-state decodes of
-// them are allocation-free.
-func (d *decoder) str8() string {
-	n := int(d.u8())
-	return internBytes(d.take(n))
+// str8 and str16 return the string the next bytes spell. A transport
+// decodes every frame of a connection into one Request or Reply, and the
+// frames repeat their strings, so last — what the destination held before
+// this frame — is tried first: bytes equal to it return it without a
+// lookup. Anything else is interned: names, targets, commands and keys
+// form a small closed set per deployment, so steady-state decodes of them
+// are allocation-free either way.
+func (d *decoder) str8(last string) string { return d.str(int(d.u8()), last) }
+
+func (d *decoder) str16(last string) string { return d.str(int(d.u16()), last) }
+
+func (d *decoder) str(n int, last string) string {
+	b := d.take(n)
+	if string(b) == last {
+		return last
+	}
+	return internBytes(b)
 }
 
-func (d *decoder) str16() string {
-	n := int(d.u16())
-	return internBytes(d.take(n))
-}
-
-// args decodes an argument list, appending to dst (pass nil, or a
-// zero-length slice with capacity to reuse).
+// args decodes an argument list into dst, which is empty: nil, or a
+// zero-length slice whose capacity is reused. Each atom is decoded in
+// place, over what the backing array held at its index.
 func (d *decoder) args(dst Args) Args {
 	n := int(d.u16())
 	if d.err != nil {
@@ -393,14 +401,18 @@ func (d *decoder) args(dst Args) Args {
 		dst = make(Args, 0, n)
 	}
 	for i := 0; i < n && d.err == nil; i++ {
-		dst = append(dst, d.atom())
+		dst = dst[:i+1]
+		d.atom(&dst[i])
 	}
 	return dst
 }
 
-func (d *decoder) atom() Atom {
-	a := Atom{Type: AtomType(d.u8())}
-	a.Name = d.str8()
+// atom decodes one atom over *a. The name a held, the previous frame's at
+// this index, is the one the new name most likely repeats.
+func (d *decoder) atom(a *Atom) {
+	last := a.Name
+	*a = Atom{Type: AtomType(d.u8())}
+	a.Name = d.str8(last)
 	switch a.Type {
 	case TypeBool:
 		a.BoolVal = d.u8() != 0
@@ -428,7 +440,7 @@ func (d *decoder) atom() Atom {
 	case TypeIPv4Net, TypeIPv6Net:
 		a.NetVal = d.prefix(a.Type == TypeIPv6Net)
 	case TypeRoute:
-		d.route(&a)
+		d.route(a)
 	case TypeList:
 		if d.depth == maxListDepth {
 			d.fail("lists nested deeper than %d", maxListDepth)
@@ -440,7 +452,6 @@ func (d *decoder) atom() Atom {
 	default:
 		d.fail("unknown atom type %d", a.Type)
 	}
-	return a
 }
 
 // ip decodes a 4- or 16-byte address.
@@ -482,5 +493,5 @@ func (d *decoder) route(a *Atom) {
 		a.AddrVal = d.ip(flags&routeNexthop6 != 0)
 	}
 	a.IntVal = int64(d.u32())
-	a.TextVal = d.str8()
+	a.TextVal = d.str8("")
 }
