@@ -5,8 +5,9 @@
 // binary is only useful alongside an FEA attached to a packet network;
 // in the standalone multi-process deployment the FEA has no simulated
 // fabric and OSPF idles. It exists for completeness and for driving
-// with originate XRLs; the OSPF system itself is exercised in-process
-// (see examples/convergence and the ospf package tests).
+// with ospf/0.1 XRLs; the rtrmgr assembly wires OSPF with the same calls,
+// and that is where the OSPF system is exercised (examples/convergence,
+// the rtrmgr and chaos tests).
 //
 // Usage:
 //
@@ -59,7 +60,7 @@ func main() {
 	target := xif.NewTarget("ospf", "ospf")
 	proc := ospf.NewProcess(loop, cfg, rtrmgr.NewXRLOSPFTransport(router, target, "fea"),
 		rtrmgr.NewXRLRouteClient(router, "rib", route.ProtoOSPF))
-	xif.BindOSPF(target, ospfServer{proc})
+	rtrmgr.BindOSPF(target, proc)
 	router.AddTarget(target)
 	go loop.Run()
 	if err := finder.RegisterTargetSync(router, target, true); err != nil {
@@ -76,22 +77,6 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	loop.Stop()
-}
-
-// ospfServer exposes the process's prefix origination as ospf/0.1.
-type ospfServer struct{ proc *ospf.Process }
-
-func (s ospfServer) Originate(net netip.Prefix, cost uint32) error {
-	if cost == 0 {
-		cost = 1
-	}
-	s.proc.OriginatePrefix(net, uint16(min(cost, 0xffff)))
-	return nil
-}
-
-func (s ospfServer) Withdraw(net netip.Prefix) error {
-	s.proc.WithdrawPrefix(net)
-	return nil
 }
 
 func fatal(err error) {

@@ -3,9 +3,9 @@
 // §7: sandboxed processes never touch the network directly), so this
 // binary is only useful alongside an FEA attached to a packet network; in
 // the standalone multi-process deployment the FEA has no simulated fabric
-// and RIP idles. It exists for completeness and for driving with
-// originate XRLs; the RIP system itself is exercised in-process (see
-// examples/policy-routing and the rip package tests).
+// and RIP idles. It exists for completeness and for driving with rip/0.1
+// XRLs; the rtrmgr assembly wires RIP with the same calls, and that is
+// where the RIP system is exercised (the rtrmgr and chaos tests).
 //
 // Usage:
 //
@@ -52,7 +52,7 @@ func main() {
 	proc := rip.NewProcess(loop, rip.Config{LocalAddr: localAddr, IfName: "eth0"},
 		rtrmgr.NewXRLRIPTransport(router, target, "fea"),
 		rtrmgr.NewXRLRouteClient(router, "rib", route.ProtoRIP))
-	xif.BindRIP(target, ripServer{proc})
+	rtrmgr.BindRIP(target, proc)
 	router.AddTarget(target)
 	go loop.Run()
 	if err := finder.RegisterTargetSync(router, target, true); err != nil {
@@ -69,19 +69,6 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	loop.Stop()
-}
-
-// ripServer exposes the process's local-route injection as rip/0.1.
-type ripServer struct{ proc *rip.Process }
-
-func (s ripServer) AddStaticRoute(net netip.Prefix, metric uint32) error {
-	s.proc.InjectLocal(net, metric, 0)
-	return nil
-}
-
-func (s ripServer) DeleteStaticRoute(net netip.Prefix) error {
-	s.proc.WithdrawLocal(net)
-	return nil
 }
 
 func fatal(err error) {

@@ -10,7 +10,6 @@ package fea
 import (
 	"fmt"
 	"net/netip"
-	"sync"
 
 	"xorp/internal/eventloop"
 	"xorp/internal/fwd"
@@ -30,13 +29,10 @@ type Process struct {
 	host    *kernel.Host // attachment to the simulated datagram network
 
 	// udpClients maps bound port -> client target to push received
-	// datagrams to (the RIP relay path). Guarded by udpMu: protocols
-	// bind from their own loops, and the rtrmgr supervisor unbinds a
-	// dead protocol's ports from yet another loop before respawning it.
-	udpMu      sync.Mutex
+	// datagrams to (the RIP and OSPF relay path). Loop-owned: binds
+	// arrive as fea_udp XRLs.
 	udpClients map[uint16]string
-	router     *xipc.Router
-	recvPush   *xif.FEAUDPRecvClient // fea_udp_client/0.1 stub over router
+	recvPush   *xif.FEAUDPRecvClient // fea_udp_client/0.1 stub, nil without a router
 
 	// listBatch carries the run of an fti/0.2 add or delete XRL into
 	// ApplyBatch; reused across XRLs (handlers run on the loop).
@@ -59,7 +55,6 @@ func New(loop *eventloop.Loop, fib *kernel.FIB, host *kernel.Host, router *xipc.
 		fib:        fib,
 		host:       host,
 		udpClients: make(map[uint16]string),
-		router:     router,
 		listBatch:  rib.NewFIBBatch(),
 		backend:    fwd.NewSimBackend(fib),
 	}
@@ -146,49 +141,29 @@ type RIBClient struct{ P *Process }
 func (c RIBClient) FIBApplyBatch(b *rib.FIBBatch) { c.P.ApplyBatch(b) }
 
 // UDPBind binds a relay port on behalf of client; received datagrams are
-// pushed to the client target's fea_udp_client/0.1/recv method (or to
-// recv directly when non-nil, for in-process protocols).
-func (p *Process) UDPBind(port uint16, client string, recv func(src netip.AddrPort, payload []byte)) error {
+// pushed to the client target's fea_udp_client/0.1/recv method. A port
+// is the client's, not its incarnation's: the push goes to whatever
+// process holds the target name, so a respawn's re-bind of its port keeps
+// the binding, and a dead client's datagrams fail to resolve.
+func (p *Process) UDPBind(port uint16, client string) error {
 	if p.host == nil {
 		return fmt.Errorf("fea: no network attachment")
 	}
-	if recv == nil {
-		recv = func(src netip.AddrPort, payload []byte) {
-			if p.recvPush == nil {
-				return
-			}
-			p.recvPush.Recv(client, src, payload, nil)
-		}
+	if owner, ok := p.udpClients[port]; ok && owner == client {
+		return nil
 	}
-	handler := func(src netip.AddrPort, payload []byte) {
+	err := p.host.Bind(port, func(src netip.AddrPort, payload []byte) {
 		// Handler runs on the sender's goroutine; hop onto our loop.
-		p.loop.Dispatch(func() { recv(src, payload) })
+		p.loop.Dispatch(func() {
+			if p.recvPush != nil {
+				p.recvPush.Recv(client, src, payload, nil)
+			}
+		})
+	})
+	if err == nil {
+		p.udpClients[port] = client
 	}
-	if err := p.host.Bind(port, handler); err != nil {
-		return err
-	}
-	p.udpMu.Lock()
-	p.udpClients[port] = client
-	p.udpMu.Unlock()
-	return nil
-}
-
-// UDPUnbind releases every UDP port bound on behalf of client. A
-// respawned protocol process re-runs its setup from scratch, so its
-// previous incarnation's bindings must be gone or the re-bind fails
-// with a duplicate-port error.
-func (p *Process) UDPUnbind(client string) {
-	if p.host == nil {
-		return
-	}
-	p.udpMu.Lock()
-	defer p.udpMu.Unlock()
-	for port, c := range p.udpClients {
-		if c == client {
-			p.host.Unbind(port)
-			delete(p.udpClients, port)
-		}
-	}
+	return err
 }
 
 // UDPJoinGroup subscribes the router to a multicast group on behalf of
@@ -230,8 +205,8 @@ func (p *Process) UDPBroadcast(srcPort, dstPort uint16, payload []byte) error {
 	return nil
 }
 
-// feaServer adapts the Process as the typed xif server for fti/0.2,
-// ifmgr/0.1 and fea_udp/0.1.
+// feaServer adapts the Process as the typed xif server for fti/0.2 and
+// ifmgr/0.1.
 type feaServer struct{ p *Process }
 
 // AddEntries4 installs an add_entries4 list — or add_entry4's run of one
@@ -294,26 +269,14 @@ func (s feaServer) GetInterfaces() ([]string, error) {
 	return out, nil
 }
 
-func (s feaServer) UDPBind(port uint16, client string) error {
-	return s.p.UDPBind(port, client, nil)
-}
-func (s feaServer) UDPJoinGroup(group netip.Addr) error  { return s.p.UDPJoinGroup(group) }
-func (s feaServer) UDPLeaveGroup(group netip.Addr) error { return s.p.UDPLeaveGroup(group) }
-func (s feaServer) UDPSend(sport uint16, dst netip.AddrPort, payload []byte) error {
-	return s.p.UDPSend(sport, dst, payload)
-}
-func (s feaServer) UDPBroadcast(sport, dport uint16, payload []byte) error {
-	return s.p.UDPBroadcast(sport, dport, payload)
-}
-
 // RegisterXRLs exposes fti/0.2 (forwarding table), ifmgr/0.1 (interfaces),
-// fea_udp/0.1 (packet relay), stats/0.1 and profile/0.1 on target t
-// through their spec-checked bindings.
+// fea_udp/0.1 (packet relay, the Process's own UDP methods), stats/0.1 and
+// profile/0.1 on target t through their spec-checked bindings.
 func (p *Process) RegisterXRLs(t *xipc.Target) {
 	srv := feaServer{p}
 	xif.BindFTI(t, srv)
 	xif.BindIfMgr(t, srv)
-	xif.BindFEAUDP(t, srv)
+	xif.BindFEAUDP(t, p)
 	xif.BindStatsRegistry(t, p.metrics.RenderLines, p.metrics.Get)
 	xif.BindProfile(t, telemetry.ProfileView(func() *telemetry.Tracer { return p.tracer }))
 }

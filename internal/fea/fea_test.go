@@ -138,7 +138,7 @@ func TestXRLInterface(t *testing.T) {
 
 func TestUDPRelayWithoutNetworkFails(t *testing.T) {
 	p, _, _ := newFEA(t)
-	if err := p.UDPBind(520, "rip", nil); err == nil {
+	if err := p.UDPBind(520, "rip"); err == nil {
 		t.Fatal("bind without network accepted")
 	}
 	if err := p.UDPJoinGroup(mustA("224.0.0.5")); err == nil {
@@ -152,26 +152,46 @@ func TestUDPRelayWithoutNetworkFails(t *testing.T) {
 	}
 }
 
+// relayTo returns an FEA on host whose router also hosts client, a target
+// recording the datagrams the FEA pushes to its fea_udp_client/0.1.
+func relayTo(loop *eventloop.Loop, host *kernel.Host, client string) (*Process, *[]string) {
+	router := xipc.NewRouter("fea_process", loop)
+	p := New(loop, kernel.NewFIB(), host, router)
+	var got []string
+	target := xipc.NewTarget(client, client)
+	xif.BindFEAUDPRecv(target, xif.FEAUDPRecvFunc(func(_ netip.AddrPort, payload []byte) error {
+		got = append(got, string(payload))
+		return nil
+	}))
+	router.AddTarget(target)
+	return p, &got
+}
+
 func TestUDPRelayRoundTrip(t *testing.T) {
 	netw := kernel.NewNetwork()
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
 	hostA, _ := netw.Attach(mustA("10.0.0.1"))
 	hostB, _ := netw.Attach(mustA("10.0.0.2"))
 	feaA := New(loop, kernel.NewFIB(), hostA, nil)
-	feaB := New(loop, kernel.NewFIB(), hostB, nil)
+	feaB, got := relayTo(loop, hostB, "rip")
 
-	var got []byte
-	if err := feaB.UDPBind(520, "rip", func(src netip.AddrPort, payload []byte) {
-		got = payload
-	}); err != nil {
+	if err := feaB.UDPBind(520, "rip"); err != nil {
 		t.Fatal(err)
+	}
+	// A port is its client's: a respawned client binds it again, and no
+	// other client may.
+	if err := feaB.UDPBind(520, "rip"); err != nil {
+		t.Fatalf("re-bind by the port's client: %v", err)
+	}
+	if err := feaB.UDPBind(520, "ospf"); err == nil {
+		t.Fatal("another client bound a held port")
 	}
 	if err := feaA.UDPSend(520, netip.AddrPortFrom(mustA("10.0.0.2"), 520), []byte("rip-pkt")); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunPending()
-	if string(got) != "rip-pkt" {
-		t.Fatalf("relay got %q", got)
+	if len(*got) != 1 || (*got)[0] != "rip-pkt" {
+		t.Fatalf("relay pushed %q, want the one datagram", *got)
 	}
 }
 
@@ -183,33 +203,29 @@ func TestUDPMulticastRelay(t *testing.T) {
 	hostA, _ := netw.Attach(mustA("10.0.0.1"))
 	hostB, _ := netw.Attach(mustA("10.0.0.2"))
 	feaA := New(loop, kernel.NewFIB(), hostA, nil)
-	feaB := New(loop, kernel.NewFIB(), hostB, nil)
+	feaB, got := relayTo(loop, hostB, "ospf")
 
 	group := mustA("224.0.0.5")
 	if err := feaB.UDPJoinGroup(group); err != nil {
 		t.Fatal(err)
 	}
-	var got []byte
-	if err := feaB.UDPBind(89, "ospf", func(src netip.AddrPort, payload []byte) {
-		got = payload
-	}); err != nil {
+	if err := feaB.UDPBind(89, "ospf"); err != nil {
 		t.Fatal(err)
 	}
 	if err := feaA.UDPSend(89, netip.AddrPortFrom(group, 89), []byte("hello-pkt")); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunPending()
-	if string(got) != "hello-pkt" {
-		t.Fatalf("multicast relay got %q", got)
+	if len(*got) != 1 || (*got)[0] != "hello-pkt" {
+		t.Fatalf("multicast relay pushed %q", *got)
 	}
 	// After leaving, group traffic stops.
 	if err := feaB.UDPLeaveGroup(group); err != nil {
 		t.Fatal(err)
 	}
-	got = nil
 	feaA.UDPSend(89, netip.AddrPortFrom(group, 89), []byte("hello-pkt"))
 	loop.RunPending()
-	if got != nil {
+	if len(*got) != 1 {
 		t.Fatal("received multicast after leaving the group")
 	}
 }

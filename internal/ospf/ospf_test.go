@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"xorp/internal/eventloop"
-	"xorp/internal/fea"
 	"xorp/internal/kernel"
 	"xorp/internal/route"
 )
@@ -214,9 +213,11 @@ func (r *ribRec) DeleteRoutes(nets []netip.Prefix) {
 	}
 }
 
+// ospfNode is one simulated OSPF router: OSPF on a shared loop, its
+// transport a host on the fabric.
 type ospfNode struct {
 	proc *Process
-	fea  *fea.Process
+	host *kernel.Host
 	rib  *ribRec
 }
 
@@ -226,22 +227,37 @@ func newOSPFNode(t *testing.T, loop *eventloop.Loop, netw *kernel.Network, addr 
 	if err != nil {
 		t.Fatal(err)
 	}
-	feaProc := fea.New(loop, kernel.NewFIB(), host, nil)
 	rib := &ribRec{routes: make(map[netip.Prefix]route.Entry)}
-	tr := &FEATransport{
-		BindFn: func(group netip.Addr, port uint16, recv func(src netip.AddrPort, payload []byte)) error {
-			if err := feaProc.UDPJoinGroup(group); err != nil {
-				return err
-			}
-			return feaProc.UDPBind(port, "ospf", recv)
-		},
-		SendFn: feaProc.UDPSend,
-	}
-	proc := NewProcess(loop, Config{LocalAddr: mustA(addr), IfName: "eth0"}, tr, rib)
+	proc := NewProcess(loop, Config{LocalAddr: mustA(addr), IfName: "eth0"}, hostTransport{host, loop}, rib)
 	if err := proc.Start(); err != nil {
 		t.Fatal(err)
 	}
-	return &ospfNode{proc: proc, fea: feaProc, rib: rib}
+	return &ospfNode{proc: proc, host: host, rib: rib}
+}
+
+// hostTransport is a Transport straight onto a host on the fabric, its
+// datagrams delivered on loop: what the FEA's relay does, minus the XRLs.
+type hostTransport struct {
+	host *kernel.Host
+	loop *eventloop.Loop
+}
+
+func (t hostTransport) Bind(recv func(src netip.AddrPort, payload []byte)) error {
+	if err := t.host.JoinGroup(AllSPFRouters); err != nil {
+		return err
+	}
+	return t.host.Bind(Port, func(src netip.AddrPort, payload []byte) {
+		t.loop.Dispatch(func() { recv(src, payload) })
+	})
+}
+
+func (t hostTransport) Send(dst netip.AddrPort, payload []byte) error {
+	t.host.SendTo(Port, dst, payload)
+	return nil
+}
+
+func (t hostTransport) Multicast(payload []byte) error {
+	return t.Send(netip.AddrPortFrom(AllSPFRouters, Port), payload)
 }
 
 // shapeLinks restricts the fabric to the given links (pairs of host
@@ -402,7 +418,7 @@ func TestRestartedNeighborReadjacentAtOnce(t *testing.T) {
 	b := newOSPFNode(t, loop, netw, "10.0.0.2")
 	loop.RunFor(5 * time.Second)
 	a.proc.Stop()
-	a.fea.UDPUnbind("ospf")
+	a.host.Unbind(Port)
 	restarted := NewProcess(loop, Config{LocalAddr: mustA("10.0.0.1"), IfName: "eth0"}, a.proc.tr, a.rib)
 	if err := restarted.Start(); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 )
 
 // Transport carries OSPF packets; the production implementation relays
-// through the FEA (fea.Process.UDPBind / UDPJoinGroup / UDPSend),
+// through the FEA's fea_udp/0.1 XRLs (rtrmgr.NewXRLOSPFTransport),
 // keeping OSPF sandboxed (§7). Bind must subscribe the router to the
 // AllSPFRouters group as well as install the receive callback.
 type Transport interface {
@@ -668,29 +668,4 @@ func (p *Process) runSPF() {
 	if len(dels) > 0 {
 		p.rib.DeleteRoutes(dels)
 	}
-}
-
-// FEATransport adapts the FEA's UDP relay as an OSPF Transport (kept as
-// functions to avoid an import cycle and allow loss injection).
-type FEATransport struct {
-	// BindFn joins the group and binds the port, installing recv.
-	BindFn func(group netip.Addr, port uint16, recv func(src netip.AddrPort, payload []byte)) error
-	// SendFn transmits one datagram (multicast destinations fan out to
-	// group members).
-	SendFn func(srcPort uint16, dst netip.AddrPort, payload []byte) error
-}
-
-// Bind implements Transport.
-func (t *FEATransport) Bind(recv func(src netip.AddrPort, payload []byte)) error {
-	return t.BindFn(AllSPFRouters, Port, recv)
-}
-
-// Send implements Transport.
-func (t *FEATransport) Send(dst netip.AddrPort, payload []byte) error {
-	return t.SendFn(Port, dst, payload)
-}
-
-// Multicast implements Transport.
-func (t *FEATransport) Multicast(payload []byte) error {
-	return t.SendFn(Port, netip.AddrPortFrom(AllSPFRouters, Port), payload)
 }

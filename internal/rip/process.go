@@ -10,8 +10,8 @@ import (
 )
 
 // Transport carries RIP datagrams; the production implementation relays
-// through the FEA (fea.Process.UDPBind / UDPBroadcast), keeping RIP
-// sandboxed (§7).
+// through the FEA's fea_udp/0.1 XRLs (rtrmgr.NewXRLRIPTransport), keeping
+// RIP sandboxed (§7).
 type Transport interface {
 	// Bind installs the receive callback (invoked on the RIP loop).
 	Bind(recv func(src netip.AddrPort, payload []byte)) error
@@ -422,28 +422,4 @@ func (p *Process) Lookup(net netip.Prefix) (metric uint32, ok bool) {
 		return 0, false
 	}
 	return r.metric, true
-}
-
-// FEATransport adapts the FEA's UDP relay as a RIP Transport.
-type FEATransport struct {
-	// BindFn, SendFn and BroadcastFn wrap an fea.Process (kept as
-	// functions to avoid an import cycle and allow loss injection).
-	BindFn      func(port uint16, recv func(src netip.AddrPort, payload []byte)) error
-	SendFn      func(srcPort uint16, dst netip.AddrPort, payload []byte) error
-	BroadcastFn func(srcPort, dstPort uint16, payload []byte) error
-}
-
-// Bind implements Transport.
-func (t *FEATransport) Bind(recv func(src netip.AddrPort, payload []byte)) error {
-	return t.BindFn(Port, recv)
-}
-
-// Send implements Transport.
-func (t *FEATransport) Send(dst netip.AddrPort, payload []byte) error {
-	return t.SendFn(Port, dst, payload)
-}
-
-// Broadcast implements Transport.
-func (t *FEATransport) Broadcast(payload []byte) error {
-	return t.BroadcastFn(Port, Port, payload)
 }

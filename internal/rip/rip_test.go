@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"xorp/internal/eventloop"
-	"xorp/internal/fea"
 	"xorp/internal/kernel"
 	"xorp/internal/route"
 )
@@ -85,10 +84,11 @@ func TestQuickMaskBits(t *testing.T) {
 	}
 }
 
-// ripNode is one simulated RIP router: FEA + RIP on a shared loop.
+// ripNode is one simulated RIP router: RIP on a shared loop, its transport
+// a host on the fabric.
 type ripNode struct {
 	proc *Process
-	fea  *fea.Process
+	host *kernel.Host
 	rib  *ribRec
 }
 
@@ -113,27 +113,41 @@ func newRIPNode(t *testing.T, loop *eventloop.Loop, netw *kernel.Network, addr s
 	if err != nil {
 		t.Fatal(err)
 	}
-	fib := kernel.NewFIB()
-	feaProc := fea.New(loop, fib, host, nil)
 	rib := &ribRec{routes: make(map[netip.Prefix]route.Entry)}
-	tr := &FEATransport{
-		BindFn: func(port uint16, recv func(src netip.AddrPort, payload []byte)) error {
-			return feaProc.UDPBind(port, "rip", recv)
-		},
-		SendFn:      feaProc.UDPSend,
-		BroadcastFn: feaProc.UDPBroadcast,
-	}
 	proc := NewProcess(loop, Config{
 		LocalAddr: mustA(addr), IfName: "eth0",
 		UpdateInterval: 30 * time.Second,
 		Timeout:        180 * time.Second,
 		GCTime:         120 * time.Second,
 		TriggeredDelay: time.Second,
-	}, tr, rib)
+	}, hostTransport{host, loop}, rib)
 	if err := proc.Start(); err != nil {
 		t.Fatal(err)
 	}
-	return &ripNode{proc: proc, fea: feaProc, rib: rib}
+	return &ripNode{proc: proc, host: host, rib: rib}
+}
+
+// hostTransport is a Transport straight onto a host on the fabric, its
+// datagrams delivered on loop: what the FEA's relay does, minus the XRLs.
+type hostTransport struct {
+	host *kernel.Host
+	loop *eventloop.Loop
+}
+
+func (t hostTransport) Bind(recv func(src netip.AddrPort, payload []byte)) error {
+	return t.host.Bind(Port, func(src netip.AddrPort, payload []byte) {
+		t.loop.Dispatch(func() { recv(src, payload) })
+	})
+}
+
+func (t hostTransport) Send(dst netip.AddrPort, payload []byte) error {
+	t.host.SendTo(Port, dst, payload)
+	return nil
+}
+
+func (t hostTransport) Broadcast(payload []byte) error {
+	t.host.Broadcast(Port, Port, payload)
+	return nil
 }
 
 func TestTwoRouterConvergence(t *testing.T) {
@@ -204,7 +218,7 @@ func TestStopCancelsRouteTimers(t *testing.T) {
 	if _, ok := b.rib.routes[net]; !ok {
 		t.Fatal("route not learned")
 	}
-	b.fea.UDPUnbind("rip") // b dies: nothing refreshes its route any more
+	b.host.Unbind(Port) // b dies: nothing refreshes its route any more
 	b.proc.Stop()
 	loop.RunFor(400 * time.Second) // past Timeout and GCTime
 	if _, ok := b.rib.routes[net]; !ok {

@@ -2,6 +2,7 @@ package rtrmgr
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -70,6 +71,36 @@ func FuzzParseConfig(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, cfg) {
 			t.Fatalf("config %q renders as %q, which parses as a different tree", src, text)
+		}
+	})
+}
+
+// FuzzChangeWire holds the reload's wire form to the diff: for any two
+// configs that parse, every change DiffConfig finds between them comes
+// back from DecodeChange(c.Encode()) with its verb, its path — whatever a
+// quoted ident holds, tabs and newlines included — and both subtrees.
+// testdata/fuzz/FuzzChangeWire holds a peer named with each.
+func FuzzChangeWire(f *testing.F) {
+	f.Add(baseConfig, strings.Replace(baseConfig, "local-as 65001", "local-as 65999", 1))
+	f.Add(baseConfig, policyConfig)
+	f.Fuzz(func(t *testing.T, running, candidate string) {
+		a, err := ParseConfig(running)
+		if err != nil {
+			return
+		}
+		b, err := ParseConfig(candidate)
+		if err != nil {
+			return
+		}
+		for _, c := range DiffConfig(a, b) {
+			back, err := DecodeChange(c.Encode())
+			if err != nil {
+				t.Fatalf("change %q does not decode: %v", c.Encode(), err)
+			}
+			if back.Verb != c.Verb || !slices.Equal(back.Path, c.Path) ||
+				renderNode(back.Old) != renderNode(c.Old) || renderNode(back.New) != renderNode(c.New) {
+				t.Fatalf("change %s %q decodes as %s %q", c.Verb, c.Path, back.Verb, back.Path)
+			}
 		}
 	})
 }

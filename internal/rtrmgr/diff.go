@@ -2,6 +2,7 @@ package rtrmgr
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -166,11 +167,16 @@ func renderNode(n *Node) string {
 }
 
 // Encode serializes a change for the config/0.1 wire: verb and path on
-// header lines (path elements tab-joined — idents never contain tabs),
-// then the new subtree length-prefixed, then the old subtree.
+// header lines (each path element Go-quoted, space-separated — a quoted
+// ident may hold a tab or a newline), then the new subtree
+// length-prefixed, then the old subtree.
 func (c Change) Encode() string {
 	nb, ob := renderNode(c.New), renderNode(c.Old)
-	return fmt.Sprintf("%s\n%s\n%d\n%s%s", c.Verb, strings.Join(c.Path, "\t"), len(nb), nb, ob)
+	path := make([]string, len(c.Path))
+	for i, p := range c.Path {
+		path[i] = strconv.Quote(p)
+	}
+	return fmt.Sprintf("%s\n%s\n%d\n%s%s", c.Verb, strings.Join(path, " "), len(nb), nb, ob)
 }
 
 // DecodeChange parses the wire form back into a Change. The subtrees
@@ -191,7 +197,15 @@ func DecodeChange(s string) (Change, error) {
 	if !ok {
 		return c, fmt.Errorf("rtrmgr: change %q has no path", verb)
 	}
-	c.Path = strings.Split(pathLine, "\t")
+	for pathLine != "" {
+		q, err := strconv.QuotedPrefix(pathLine)
+		if err != nil {
+			return c, fmt.Errorf("rtrmgr: bad change path %q", pathLine)
+		}
+		elem, _ := strconv.Unquote(q) // cannot fail: QuotedPrefix vetted q
+		c.Path = append(c.Path, elem)
+		pathLine = strings.TrimPrefix(pathLine[len(q):], " ")
+	}
 	lenLine, rest, ok := strings.Cut(rest, "\n")
 	if !ok {
 		return c, fmt.Errorf("rtrmgr: change %q has no body length", verb)

@@ -45,7 +45,7 @@ protocols { toy { knob 1; } }
 // by a two-phase reload, refused removal, poisons a transaction it dies
 // in, and is torn down by Stop, with no non-test file knowing its name.
 // The route-bearing half (an origin table for a new protocol, and with it
-// stale-route retention across the respawn) waits for ROADMAP 8(b):
+// stale-route retention across the respawn) waits for ROADMAP item 7:
 // rib.NewProcess still builds a fixed set of origin tables.
 func TestToyModuleLifecycle(t *testing.T) {
 	var toys []*toyProc

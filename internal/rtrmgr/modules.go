@@ -8,12 +8,10 @@ import (
 	"time"
 
 	"xorp/internal/bgp"
-	"xorp/internal/eventloop"
 	"xorp/internal/ospf"
 	"xorp/internal/policy"
 	"xorp/internal/rip"
 	"xorp/internal/route"
-	"xorp/internal/xif"
 )
 
 // modules is the table of process classes NewRouter assembles, in start
@@ -85,8 +83,7 @@ func setupBGP(r *Router, inst *instance, cfg *Node) (proc, error) {
 		ListenAddr:        r.opts.BGPListen,
 		EnableDamping:     cfg.Child("damping") != nil,
 		ConsistencyChecks: r.opts.ConsistencyChecks,
-	}, newXRLRIBClient(xif.NewRIBClient(inst.router, "rib"), inst.loop),
-		&xrlMetricSource{stub: xif.NewRIBClient(inst.router, "rib"), loop: inst.loop, bgpTarget: inst.class})
+	}, NewXRLRIBClient(inst.router, "rib"), NewXRLMetricSource(inst.router, "rib", inst.class))
 	p.RegisterXRLs(inst.target)
 
 	// Peers (created on the BGP loop; enabled by begin).
@@ -278,13 +275,6 @@ func setupRIP(r *Router, inst *instance, cfg *Node) (proc, error) {
 	if r.opts.Network == nil || !r.opts.LocalAddr.IsValid() {
 		return nil, fmt.Errorf("rtrmgr: rip requires Options.Network and LocalAddr")
 	}
-	tr := &rip.FEATransport{
-		BindFn: func(port uint16, recv func(src netip.AddrPort, payload []byte)) error {
-			return r.FEA.UDPBind(port, inst.class, onLoop(inst.loop, recv))
-		},
-		SendFn:      r.FEA.UDPSend,
-		BroadcastFn: r.FEA.UDPBroadcast,
-	}
 	rcfg := rip.Config{LocalAddr: r.opts.LocalAddr, IfName: "eth0"}
 	if v := cfg.Leaf("update-interval"); v != "" {
 		var err error
@@ -292,20 +282,11 @@ func setupRIP(r *Router, inst *instance, cfg *Node) (proc, error) {
 			return nil, err
 		}
 	}
-	// RIP feeds the RIB through a direct adapter, but its instance still
-	// has a Finder target: lifetime events are what drive the RIB's stale-
-	// route retention and the supervisor's respawn on its death.
-	p := rip.NewProcess(inst.loop, rcfg, tr, ribLoopClient{r.RIB, route.ProtoRIP, inst})
+	p := rip.NewProcess(inst.loop, rcfg, NewXRLRIPTransport(inst.router, inst.target, "fea"),
+		NewXRLRouteClient(inst.router, "rib", route.ProtoRIP))
+	BindRIP(inst.target, p)
 	out := loopRedist{inst, p.RedistAdd, p.RedistDelete}
 	return ripProc{p, out}, r.spliceRedists(inst, cfg, out)
-}
-
-// onLoop wraps an FEA receive callback (which runs on the FEA's loop) so
-// recv runs on the protocol's.
-func onLoop(loop *eventloop.Loop, recv func(src netip.AddrPort, payload []byte)) func(netip.AddrPort, []byte) {
-	return func(src netip.AddrPort, payload []byte) {
-		loop.Dispatch(func() { recv(src, payload) })
-	}
 }
 
 func (p ripProc) begin(*Node) error { return p.Start() }
@@ -365,15 +346,6 @@ func setupOSPF(r *Router, inst *instance, cfg *Node) (proc, error) {
 	if r.opts.Network == nil || !r.opts.LocalAddr.IsValid() {
 		return nil, fmt.Errorf("rtrmgr: ospf requires Options.Network and LocalAddr")
 	}
-	tr := &ospf.FEATransport{
-		BindFn: func(group netip.Addr, port uint16, recv func(src netip.AddrPort, payload []byte)) error {
-			if err := r.FEA.UDPJoinGroup(group); err != nil {
-				return err
-			}
-			return r.FEA.UDPBind(port, inst.class, onLoop(inst.loop, recv))
-		},
-		SendFn: r.FEA.UDPSend,
-	}
 	ocfg := ospf.Config{LocalAddr: r.opts.LocalAddr, IfName: "eth0"}
 	var err error
 	if v := cfg.Leaf("router-id"); v != "" {
@@ -396,7 +368,9 @@ func setupOSPF(r *Router, inst *instance, cfg *Node) (proc, error) {
 			return nil, err
 		}
 	}
-	p := ospf.NewProcess(inst.loop, ocfg, tr, ribLoopClient{r.RIB, route.ProtoOSPF, inst})
+	p := ospf.NewProcess(inst.loop, ocfg, NewXRLOSPFTransport(inst.router, inst.target, "fea"),
+		NewXRLRouteClient(inst.router, "rib", route.ProtoOSPF))
+	BindOSPF(inst.target, p)
 	if ex := cfg.Child("export"); ex != nil && ex.Arg(0) != "" {
 		pol, err := r.compilePolicy(ex, ex.Arg(0))
 		if err != nil {

@@ -126,10 +126,12 @@ type instance struct {
 	// redists names the RIB redistribution stages spliced in for this
 	// instance, removed on teardown so a respawn splices afresh (procMu).
 	redists []string
-	// dead is set first thing in teardown. A killed process must not reach
-	// the RIB again — what it taught is what stale retention is keeping —
-	// and its timers may outlive it on a shared loop: a closed xipc.Router
-	// stops the XRL road, this flag the in-process one (ribLoopClient).
+	// dead is set first thing in teardown, for loopRedist alone: the RIB
+	// hands routes to a process (RIB → protocol) by a call on its loop,
+	// and a killed one must not be handed its redistribution's
+	// withdrawals. Everything a process says goes out over its xipc.Router,
+	// which teardown closes, so a killed one reaches nothing — not the RIB,
+	// where stale retention keeps what it taught, nor the network.
 	dead atomic.Bool
 }
 
@@ -277,7 +279,7 @@ func newRouter(cfgText string, opts Options, table []*module) (*Router, error) {
 	// RIB process, forwarding to the FEA over XRLs.
 	r.RIBRouter = r.processRouter("rib")
 	ribLoop := r.RIBRouter.Loop()
-	r.RIB = rib.NewProcess(ribLoop, &xrlFIBClient{stub: xif.NewFTIClient(r.RIBRouter, "fea")}, r.RIBRouter)
+	r.RIB = rib.NewProcess(ribLoop, NewXRLFIBClient(r.RIBRouter, "fea"), r.RIBRouter)
 	ribTarget := xif.NewTarget("rib", "rib")
 	r.RIB.RegisterXRLs(ribTarget)
 	xif.BindConfig(ribTarget, &txAgent{r: r, class: "rib", loop: ribLoop, stage: (*txAgent).stageRIB})
@@ -420,10 +422,11 @@ func (r *Router) teardown(class string) bool {
 }
 
 // dismantle takes inst out of the router: dead before anything else, then
-// the RIB stops feeding it, the FEA releases its ports for a respawn's
-// re-bind, its XRL router closes — before the process, so the peer-down
-// machinery of a dying process cannot push withdrawals into the RIB —
-// and the process stops on its loop.
+// the RIB stops feeding it, its XRL router closes — before the process,
+// so the peer-down machinery of a dying process cannot push withdrawals
+// into the RIB, nor a dying IGP poison its routes on the wire — and the
+// process stops on its loop. The FEA keeps its relay ports: they are the
+// class's, and a respawn's bind finds them held.
 func (r *Router) dismantle(inst *instance) {
 	inst.dead.Store(true)
 	r.procMu.Lock()
@@ -437,7 +440,6 @@ func (r *Router) dismantle(inst *instance) {
 			}
 		})
 	}
-	r.FEA.UDPUnbind(inst.class)
 	inst.router.Close()
 	if inst.proc != nil { // nil when setup failed half way
 		r.syncDo(inst.loop, inst.proc.close)
@@ -609,34 +611,6 @@ func (r *Router) compilePolicy(st *Node, name string) (*policy.Policy, error) {
 		return nil, fmt.Errorf("rtrmgr: no policy %q", name)
 	}
 	return policy.Compile(name, Render(p, 0))
-}
-
-// ribLoopClient feeds an in-process IGP's runs into the RIB's origin
-// table for proto, hopping onto the RIB loop: rip.RIBClient and
-// ospf.RIBClient for this assembly, where the IGPs and the RIB share
-// fate (the XRL path is NewXRLRouteClient, exercised by cmd/xorp_ospf
-// and cmd/xorp_rip in multi-process deployments). A dead instance's runs
-// are dropped, as a closed XRL router would drop them.
-type ribLoopClient struct {
-	rib   *rib.Process
-	proto route.Protocol
-	inst  *instance
-}
-
-func (a ribLoopClient) AddRoutes(es []route.Entry) {
-	if a.inst.dead.Load() {
-		return
-	}
-	es = slices.Clone(es) // crossing loops: the caller's slice is valid for the call only
-	a.rib.Loop().Dispatch(func() { a.rib.AddRoutes(a.proto, es) })
-}
-
-func (a ribLoopClient) DeleteRoutes(nets []netip.Prefix) {
-	if a.inst.dead.Load() {
-		return
-	}
-	nets = slices.Clone(nets)
-	a.rib.Loop().Dispatch(func() { a.rib.DeleteRoutes(a.proto, nets) })
 }
 
 // Start begins every configured process (loops already run in real-clock

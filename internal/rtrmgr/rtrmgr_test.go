@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xorp/internal/bgp"
+	"xorp/internal/eventloop"
 	"xorp/internal/kernel"
 	"xorp/internal/route"
 	"xorp/internal/workload"
@@ -326,6 +327,45 @@ protocols { rip { } }
 		e, ok := b.FIB.Lookup(mustA("172.30.1.1"))
 		return ok && e.Net == mustP("172.30.0.0/16")
 	})
+}
+
+// An assembled router's IGPs answer the XRLs cmd/xorp_rip and
+// cmd/xorp_ospf bind: an add_static_route to RIP reaches the RIB through
+// RIP, and OSPF takes an originate.
+func TestIGPControlXRLsInAssembly(t *testing.T) {
+	r, err := NewRouter(`
+interfaces { eth0 { address 192.168.1.1/24; } }
+protocols { rip { } ospf { } }
+`, Options{Clock: eventloop.NewSimClock(time.Unix(0, 0)), SharedLoop: true,
+		Network: kernel.NewNetwork(), LocalAddr: mustA("192.168.1.1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	call := func(text string) {
+		t.Helper()
+		x, err := xrl.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var xerr *xrl.Error
+		answered := false
+		r.RIBRouter.Send(x, func(_ xrl.Args, err *xrl.Error) { xerr, answered = err, true })
+		r.SettleAll()
+		if !answered || xerr != nil {
+			t.Fatalf("%s: answered %v, error %v", text, answered, xerr)
+		}
+	}
+
+	call("finder://rip/rip/0.1/add_static_route?network:ipv4net=172.29.0.0/16&metric:u32=3")
+	e, ok := r.RIB.LookupBest(mustA("172.29.1.1"))
+	if !ok || e.Net != mustP("172.29.0.0/16") || e.Protocol != route.ProtoRIP || e.Metric != 3 {
+		t.Fatalf("after add_static_route the RIB holds %+v %v, want the RIP route at metric 3", e, ok)
+	}
+	call("finder://ospf/ospf/0.1/originate?network:ipv4net=172.28.0.0/16")
 }
 
 func TestOSPFInAssembly(t *testing.T) {

@@ -102,10 +102,10 @@ func TestSupervisorRespawnsKilledBGP(t *testing.T) {
 	}
 }
 
-// Kill RIP on one of two peered routers: the respawn must re-bind the
-// RIP port through the FEA (the previous incarnation's binding is
-// released) and re-learn the neighbour's routes from its periodic
-// updates.
+// Kill RIP on one of two peered routers: the respawn must bind the RIP
+// port through the FEA again (the port is the class's, so the FEA finds
+// it held and keeps it) and re-learn the neighbour's routes from its
+// periodic updates.
 func TestSupervisorRespawnsKilledRIP(t *testing.T) {
 	netw := kernel.NewNetwork()
 	mk := func(addr string) *Router {
@@ -464,13 +464,13 @@ func TestSupervisorRespawnDuringTransactionAborts(t *testing.T) {
 	}
 }
 
-// A killed process stays dead, the in-process road. RIP feeds the RIB
-// through ribLoopClient, not XRLs, and on a shared loop the killed
-// incarnation's timers outlive it. Handed a withdrawal, it must not reach
-// the RIB — the route is what stale retention is keeping. And the expiry
-// timer of a route it had learned must not fire 180 s after its last
-// refresh: the respawned RIP holds the same route at the same metric and
-// would never re-add it, a black hole until the neighbour's metric
+// A killed IGP stays dead. RIP reaches the RIB over XRLs like every other
+// process, and on a shared loop the killed incarnation's timers outlive
+// it. Handed a withdrawal, it must not reach the RIB: its XRL router is
+// closed, and the route is what stale retention is keeping. And the
+// expiry timer of a route it had learned must not fire 180 s after its
+// last refresh: the respawned RIP holds the same route at the same metric
+// and would never re-add it, a black hole until the neighbour's metric
 // changed. The neighbour is a raw host on the fabric, so nothing but its
 // refreshes keeps the route.
 func TestSupervisorKilledRIPCannotWithdraw(t *testing.T) {
@@ -544,6 +544,78 @@ protocols { rip { } }
 		}
 		loop.RunFor(30 * time.Second)
 		r.SettleAll()
+	}
+}
+
+// Nor does a killed IGP reach the network: its packets go out through the
+// FEA's relay over the XRL router teardown closed. Handed a withdrawal of
+// a route it advertised, the dead incarnation's triggered update must not
+// put a poisoned route on the wire — the neighbour would drop what the
+// respawn is about to re-teach. The neighbour is a raw host counting, from
+// the kill on, the RTEs for that prefix at metric 16.
+func TestSupervisorKilledRIPIsSilent(t *testing.T) {
+	clock := eventloop.NewSimClock(time.Unix(1000, 0))
+	netw := kernel.NewNetwork()
+	r, err := NewRouter(`
+interfaces { eth0 { address 192.168.1.1/24; } }
+protocols { rip { } }
+`, Options{Clock: clock, SharedLoop: true, Network: netw, LocalAddr: mustA("192.168.1.1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	if _, err := r.EnableSupervision(fastSup()); err != nil {
+		t.Fatal(err)
+	}
+	nbr, err := netw.Attach(mustA("192.168.1.2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := mustP("172.29.0.0/16")
+	var killed bool
+	var advertised, poisoned int
+	if err := nbr.Bind(rip.Port, func(_ netip.AddrPort, payload []byte) {
+		pkt, err := rip.Decode(payload)
+		if err != nil {
+			t.Errorf("undecodable RIP datagram: %v", err)
+			return
+		}
+		for _, rte := range pkt.RTEs {
+			switch {
+			case rte.Net != local:
+			case rte.Metric < rip.Infinity:
+				advertised++
+			case killed:
+				poisoned++
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	old := r.CurrentRIP()
+	old.RedistAdd(route.Entry{Net: local})
+	r.Loops()[0].RunFor(5 * time.Second) // the triggered update
+	r.SettleAll()
+	if advertised == 0 {
+		t.Fatal("RIP never advertised the route")
+	}
+	if err := r.KillProcess("rip"); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	killed = true
+	old.WithdrawLocal(local)
+	r.Loops()[0].RunFor(5 * time.Second) // the dead incarnation's triggered update, and the respawn
+	r.SettleAll()
+	if poisoned != 0 {
+		t.Fatalf("a killed RIP process put %d poisoned RTEs for %v on the wire", poisoned, local)
+	}
+	if nu := r.CurrentRIP(); nu == nil || nu == old {
+		t.Fatal("RIP not respawned")
 	}
 }
 

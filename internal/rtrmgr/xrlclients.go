@@ -16,10 +16,12 @@ import (
 )
 
 // The XRL client adapters wiring processes together across IPC: BGP's
-// best routes to the RIB, the RIB's final routes to the FEA, and BGP's
-// nexthop lookups to the RIB's register stage. These are the arrows of
-// Figure 1 realized as XRLs through the typed xif stubs, so every hop in
-// the Figures 10–12 latency path crosses the real IPC machinery.
+// best routes and the IGPs' to the RIB, the RIB's final routes to the
+// FEA, BGP's nexthop lookups to the RIB's register stage, and the IGPs'
+// packets through the FEA's relay. These are the arrows of Figure 1
+// realized as XRLs through the typed xif stubs, so every hop in the
+// Figures 10–12 latency path crosses the real IPC machinery, and a
+// process whose XRL router is closed reaches nothing.
 
 // xrlRIBClient implements bgp.RIBClient over the typed xif.RIBClient
 // stub. The calls issued within one event-loop drain (a full table load,
@@ -54,12 +56,6 @@ type pendingRIBOp struct {
 
 // ribBatchCap bounds the buffered queue (and thus the list XRL size).
 const ribBatchCap = 256
-
-func newXRLRIBClient(stub *xif.RIBClient, loop *eventloop.Loop) *xrlRIBClient {
-	c := &xrlRIBClient{stub: stub, loop: loop}
-	c.flushFn = c.flush
-	return c
-}
 
 func protoName(r *bgp.Route) string {
 	if r.Src != nil && r.Src.IBGP {
@@ -275,9 +271,9 @@ func (d loopRedist) dispatch(fn func(route.Entry), e route.Entry) {
 	})
 }
 
-// Exported constructors so the standalone process binaries (cmd/xorp_rib,
-// cmd/xorp_bgp, cmd/xorp_ospf, cmd/xorp_rip) can wire the same XRL
-// clients the router manager uses.
+// Exported constructors and bindings: the router manager's setup and the
+// standalone process binaries (cmd/xorp_rib, cmd/xorp_bgp, cmd/xorp_ospf,
+// cmd/xorp_rip) wire a process with the same calls.
 
 // NewXRLFIBClient returns a rib.FIBClient that sends fti/0.2 XRLs to
 // feaTarget through router.
@@ -288,7 +284,9 @@ func NewXRLFIBClient(router *xipc.Router, feaTarget string) rib.FIBClient {
 // NewXRLRIBClient returns a bgp.RIBClient that sends rib/1.0 XRLs to
 // ribTarget through router.
 func NewXRLRIBClient(router *xipc.Router, ribTarget string) bgp.RIBClient {
-	return newXRLRIBClient(xif.NewRIBClient(router, ribTarget), router.Loop())
+	c := &xrlRIBClient{stub: xif.NewRIBClient(router, ribTarget), loop: router.Loop()}
+	c.flushFn = c.flush
+	return c
 }
 
 // NewXRLRouteClient returns a rip.RIBClient and ospf.RIBClient that sends
@@ -297,20 +295,23 @@ func NewXRLRouteClient(router *xipc.Router, ribTarget string, proto route.Protoc
 	return xrlRouteClient{stub: xif.NewRIBClient(router, ribTarget), proto: proto.String()}
 }
 
-// udpRelay is an IGP's view of the FEA's packet relay (paper §7: a
-// sandboxed process never touches the network): fea_udp/0.1 calls out,
-// and the datagrams the FEA pushes back to the IGP's own target.
+// udpRelay is an IGP's transport over the FEA's packet relay (paper §7: a
+// sandboxed process never touches the network): fea_udp/0.1 calls out
+// from port, and the datagrams the FEA pushes back to the IGP's own
+// target. It is a rip.Transport and, with group set, an ospf.Transport.
 type udpRelay struct {
 	fea    *xif.FEAUDPClient
 	client string
+	port   uint16
+	group  netip.Addr // joined by Bind when valid: OSPF's AllSPFRouters
 	recv   func(src netip.AddrPort, payload []byte)
 }
 
 // newUDPRelay binds fea_udp_client/0.1 on client at once — a target's
 // methods are fixed when it registers with the Finder — and delivers to
 // whatever the protocol's Bind installs later. Both run on router's loop.
-func newUDPRelay(router *xipc.Router, client *xipc.Target, feaTarget string) *udpRelay {
-	u := &udpRelay{fea: xif.NewFEAUDPClient(router, feaTarget), client: client.Name}
+func newUDPRelay(router *xipc.Router, client *xipc.Target, feaTarget string, port uint16, group netip.Addr) *udpRelay {
+	u := &udpRelay{fea: xif.NewFEAUDPClient(router, feaTarget), client: client.Name, port: port, group: group}
 	xif.BindFEAUDPRecv(client, xif.FEAUDPRecvFunc(func(src netip.AddrPort, payload []byte) error {
 		if u.recv != nil {
 			u.recv(src, payload)
@@ -320,43 +321,44 @@ func newUDPRelay(router *xipc.Router, client *xipc.Target, feaTarget string) *ud
 	return u
 }
 
-func (u *udpRelay) bind(port uint16, recv func(src netip.AddrPort, payload []byte)) error {
+// Bind implements rip.Transport and ospf.Transport.
+func (u *udpRelay) Bind(recv func(src netip.AddrPort, payload []byte)) error {
+	if u.group.IsValid() {
+		u.fea.JoinGroup(u.group, nil)
+	}
 	u.recv = recv
-	u.fea.Bind(port, u.client, nil)
+	u.fea.Bind(u.port, u.client, nil)
 	return nil
 }
 
-func (u *udpRelay) send(sport uint16, dst netip.AddrPort, payload []byte) error {
-	u.fea.Send(sport, dst, payload, nil)
+// Send implements rip.Transport and ospf.Transport.
+func (u *udpRelay) Send(dst netip.AddrPort, payload []byte) error {
+	u.fea.Send(u.port, dst, payload, nil)
 	return nil
+}
+
+// Broadcast implements rip.Transport.
+func (u *udpRelay) Broadcast(payload []byte) error {
+	u.fea.Broadcast(u.port, u.port, payload, nil)
+	return nil
+}
+
+// Multicast implements ospf.Transport.
+func (u *udpRelay) Multicast(payload []byte) error {
+	return u.Send(netip.AddrPortFrom(u.group, u.port), payload)
 }
 
 // NewXRLRIPTransport returns RIP's transport over the fea_udp/0.1 relay
 // of feaTarget, reached through router; relayed datagrams arrive at
 // client, the RIP process's own target on router.
-func NewXRLRIPTransport(router *xipc.Router, client *xipc.Target, feaTarget string) *rip.FEATransport {
-	u := newUDPRelay(router, client, feaTarget)
-	return &rip.FEATransport{
-		BindFn: u.bind,
-		SendFn: u.send,
-		BroadcastFn: func(sport, dport uint16, payload []byte) error {
-			u.fea.Broadcast(sport, dport, payload, nil)
-			return nil
-		},
-	}
+func NewXRLRIPTransport(router *xipc.Router, client *xipc.Target, feaTarget string) rip.Transport {
+	return newUDPRelay(router, client, feaTarget, rip.Port, netip.Addr{})
 }
 
 // NewXRLOSPFTransport is NewXRLRIPTransport for OSPF, whose Bind joins
 // the AllSPFRouters group first.
-func NewXRLOSPFTransport(router *xipc.Router, client *xipc.Target, feaTarget string) *ospf.FEATransport {
-	u := newUDPRelay(router, client, feaTarget)
-	return &ospf.FEATransport{
-		BindFn: func(group netip.Addr, port uint16, recv func(src netip.AddrPort, payload []byte)) error {
-			u.fea.JoinGroup(group, nil)
-			return u.bind(port, recv)
-		},
-		SendFn: u.send,
-	}
+func NewXRLOSPFTransport(router *xipc.Router, client *xipc.Target, feaTarget string) ospf.Transport {
+	return newUDPRelay(router, client, feaTarget, ospf.Port, ospf.AllSPFRouters)
 }
 
 // NewXRLMetricSource returns a bgp.MetricSource that registers interest
@@ -364,4 +366,37 @@ func NewXRLOSPFTransport(router *xipc.Router, client *xipc.Target, feaTarget str
 // Invalidate method (the BGP process's rib_client XRL handler does this).
 func NewXRLMetricSource(router *xipc.Router, ribTarget, bgpTarget string) bgp.MetricSource {
 	return &xrlMetricSource{stub: xif.NewRIBClient(router, ribTarget), loop: router.Loop(), bgpTarget: bgpTarget}
+}
+
+// BindRIP exposes p's local-route injection on t as rip/0.1.
+func BindRIP(t *xipc.Target, p *rip.Process) { xif.BindRIP(t, ripServer{p}) }
+
+type ripServer struct{ p *rip.Process }
+
+func (s ripServer) AddStaticRoute(net netip.Prefix, metric uint32) error {
+	s.p.InjectLocal(net, metric, 0)
+	return nil
+}
+
+func (s ripServer) DeleteStaticRoute(net netip.Prefix) error {
+	s.p.WithdrawLocal(net)
+	return nil
+}
+
+// BindOSPF exposes p's prefix origination on t as ospf/0.1.
+func BindOSPF(t *xipc.Target, p *ospf.Process) { xif.BindOSPF(t, ospfServer{p}) }
+
+type ospfServer struct{ p *ospf.Process }
+
+func (s ospfServer) Originate(net netip.Prefix, cost uint32) error {
+	if cost == 0 {
+		cost = 1
+	}
+	s.p.OriginatePrefix(net, uint16(min(cost, 0xffff)))
+	return nil
+}
+
+func (s ospfServer) Withdraw(net netip.Prefix) error {
+	s.p.WithdrawPrefix(net)
+	return nil
 }

@@ -73,7 +73,7 @@ func newRecClient() (*xrlRIBClient, *recRIB, *eventloop.Loop) {
 	rec := &recRIB{}
 	xif.BindRIB(target, rec)
 	router.AddTarget(target)
-	return newXRLRIBClient(xif.NewRIBClient(router, "rib"), loop), rec, loop
+	return NewXRLRIBClient(router, "rib").(*xrlRIBClient), rec, loop
 }
 
 func bgpRoute(net string, ibgp bool) *bgp.Route {

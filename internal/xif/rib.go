@@ -28,6 +28,7 @@ var RIBSpec = Define(Spec{
 		{Name: "add_routes4", Args: []Arg{
 			{Name: "protocol", Type: xrl.TypeText, Sample: "static"},
 			{Name: "routes", Type: xrl.TypeList, Sample: "192.0.2.0/24 192.0.2.1 5 eth0"},
+			policyTagsArg,
 		}, Idempotent: true},
 		{Name: "delete_routes4", Args: []Arg{
 			{Name: "protocol", Type: xrl.TypeText, Sample: "static"},
@@ -71,7 +72,12 @@ var ribRouteArgs = []Arg{
 	{Name: "nexthop", Type: xrl.TypeIPv4, Optional: true},
 	{Name: "metric", Type: xrl.TypeU32, Optional: true},
 	{Name: "ifname", Type: xrl.TypeText, Optional: true},
+	policyTagsArg,
 }
+
+// policyTagsArg is XORP's policytags: the u32 tag list the policy
+// framework set on the call's routes (§8.3), every one of them.
+var policyTagsArg = Arg{Name: "policytags", Type: xrl.TypeList, Optional: true}
 
 // RIBInterest is the reply to register_interest4.
 type RIBInterest struct {
@@ -133,6 +139,24 @@ func parseProtoArg(args xrl.Args) (route.Protocol, error) {
 	return proto, nil
 }
 
+// parseTags decodes the optional policytags into a list of its own (the
+// RIB keeps it with the routes), nil when the call carries none.
+func parseTags(args xrl.Args) ([]uint32, error) {
+	a, err := args.Optional("policytags", xrl.TypeList)
+	if a == nil || len(a.ListVal) == 0 {
+		return nil, err
+	}
+	tags := make([]uint32, len(a.ListVal))
+	for i := range a.ListVal {
+		it := &a.ListVal[i]
+		if it.Type != xrl.TypeU32 {
+			return nil, xrl.Errorf(xrl.CodeBadArgs, "xif: policy tag %v is not a u32", *it)
+		}
+		tags[i] = uint32(it.IntVal)
+	}
+	return tags, nil
+}
+
 // BindRIB wires a RIBServer onto t as rib/1.0. The hot batch handlers
 // (add_routes4/delete_routes4) decode into one slice per call and hand
 // it straight to the server — no reflection, no per-route boxing. The
@@ -147,6 +171,9 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 		proto, err := parseProtoArg(args)
 		if err == nil {
 			err = parseEntryArgs(args, &oneEntry[0])
+		}
+		if err == nil {
+			oneEntry[0].PolicyTags, err = parseTags(args)
 		}
 		if err != nil {
 			return nil, err
@@ -183,6 +210,13 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 		es, err := decodeRouteList(items)
 		if err != nil {
 			return nil, err
+		}
+		tags, err := parseTags(args)
+		if err != nil {
+			return nil, err
+		}
+		for i := range es {
+			es[i].PolicyTags = tags
 		}
 		return nil, s.AddRoutes4(proto, es)
 	})
@@ -296,7 +330,7 @@ func NewRIBClient(r *xipc.Router, target string) *RIBClient {
 // pins this). The result is sized exactly: the call record holds it until
 // delivery, and one spare 160-byte atom moves it up a size class.
 func routeArgs(proto string, e route.Entry) xrl.Args {
-	var buf [5]xrl.Atom
+	var buf [6]xrl.Atom
 	args := append(buf[:0],
 		xrl.Text("protocol", proto),
 		xrl.Net("network", e.Net),
@@ -307,19 +341,82 @@ func routeArgs(proto string, e route.Entry) xrl.Args {
 	if e.NextHop.IsValid() {
 		args = append(args, xrl.Addr("nexthop", e.NextHop))
 	}
+	if len(e.PolicyTags) > 0 {
+		args = append(args, tagsAtom(e.PolicyTags))
+	}
 	return slices.Clone(args)
 }
 
+// tagsAtom encodes a policytags argument.
+func tagsAtom(tags []uint32) xrl.Atom {
+	items := make([]xrl.Atom, len(tags))
+	for i, tag := range tags {
+		items[i] = xrl.U32("", tag)
+	}
+	return xrl.List("policytags", items...)
+}
+
 // AddRoutes4 feeds a run of routes into the RIB's origin table for
-// proto, which takes it as one run.
+// proto, which takes it as one run. Policy tags ride as the call's
+// policytags, so a run whose routes carry different tag lists goes as one
+// call per stretch sharing one, and done hears the first error once every
+// call has answered.
 func (c *RIBClient) AddRoutes4(proto string, es []route.Entry, done func(error)) {
-	if len(es) == 1 {
-		c.call("add_route4", Done(done), routeArgs(proto, es[0])...)
+	if tagStretch(es) == len(es) {
+		c.addRun(proto, es, Done(done))
 		return
 	}
-	c.call("add_routes4", Done(done),
-		xrl.Text("protocol", proto),
-		xrl.List("routes", EncodeRouteAtoms(es)...))
+	calls := 0
+	for rest := es; len(rest) > 0; calls++ {
+		rest = rest[tagStretch(rest):]
+	}
+	cb := Done(joinDone(calls, done))
+	for len(es) > 0 {
+		n := tagStretch(es)
+		c.addRun(proto, es[:n], cb)
+		es = es[n:]
+	}
+}
+
+// tagStretch is the length of es's leading stretch of routes that carry
+// es[0]'s tag list.
+func tagStretch(es []route.Entry) int {
+	n := min(len(es), 1)
+	for n < len(es) && slices.Equal(es[n].PolicyTags, es[0].PolicyTags) {
+		n++
+	}
+	return n
+}
+
+// joinDone returns one callback for n calls: done hears the first error
+// once all n have answered.
+func joinDone(n int, done func(error)) func(error) {
+	if done == nil {
+		return nil
+	}
+	var first error
+	return func(err error) {
+		if first == nil {
+			first = err
+		}
+		if n--; n == 0 {
+			done(first)
+		}
+	}
+}
+
+// addRun sends one run whose routes share a tag list.
+func (c *RIBClient) addRun(proto string, es []route.Entry, cb xipc.Callback) {
+	if len(es) == 1 {
+		c.call("add_route4", cb, routeArgs(proto, es[0])...)
+		return
+	}
+	routes := xrl.List("routes", EncodeRouteAtoms(es)...)
+	if len(es) > 0 && len(es[0].PolicyTags) > 0 {
+		c.call("add_routes4", cb, xrl.Text("protocol", proto), routes, tagsAtom(es[0].PolicyTags))
+		return
+	}
+	c.call("add_routes4", cb, xrl.Text("protocol", proto), routes)
 }
 
 // DeleteRoutes4 withdraws a run of proto's prefixes. A run of one is

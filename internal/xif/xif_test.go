@@ -207,6 +207,71 @@ func TestWireCompatOracle(t *testing.T) {
 	}
 }
 
+// TestPolicyTagsRideRIB: a run's policy tags travel as the policytags
+// argument of add_route4 / add_routes4, one call per stretch of routes
+// sharing a tag list with done told once, and the binding sets them on
+// every route it hands the server. A tag that is not a u32 is BAD_ARGS.
+func TestPolicyTagsRideRIB(t *testing.T) {
+	loop := eventloop.New(nil)
+	r := xipc.NewRouter("tags", loop)
+	var cap capture
+	r.AddTarget(captureTarget("cap", &cap, xif.RIBSpec))
+	srv := &listServer{}
+	target := xif.NewTarget("rib", "rib")
+	xif.BindRIB(target, srv)
+	r.AddTarget(target)
+
+	mk := func(net string, tags ...uint32) route.Entry {
+		return route.Entry{Net: netip.MustParsePrefix(net), Metric: 1, PolicyTags: tags}
+	}
+	run := []route.Entry{mk("10.0.1.0/24", 42, 7), mk("10.0.2.0/24", 42, 7), mk("10.0.3.0/24"), mk("10.0.4.0/24", 9)}
+	xif.NewRIBClient(r, "cap").AddRoutes4("ospf", run, nil)
+	dones := 0
+	xif.NewRIBClient(r, "rib").AddRoutes4("ospf", run, func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		dones++
+	})
+	loop.RunPending()
+
+	wantCmds := []string{"rib/1.0/add_routes4", "rib/1.0/add_route4", "rib/1.0/add_route4"}
+	wantTags := [][]uint32{{42, 7}, nil, {9}}
+	if !reflect.DeepEqual(cap.cmds, wantCmds) {
+		t.Fatalf("the run went as %q, want %q", cap.cmds, wantCmds)
+	}
+	for i, args := range cap.args {
+		var got []uint32
+		if a, ok := args.Get("policytags"); ok {
+			for _, it := range a.ListVal {
+				if it.Type != xrl.TypeU32 {
+					t.Errorf("call %d: policy tag %v is not a u32", i, it)
+				}
+				got = append(got, uint32(it.IntVal))
+			}
+		}
+		if !reflect.DeepEqual(got, wantTags[i]) {
+			t.Errorf("call %d carries policytags %v, want %v", i, got, wantTags[i])
+		}
+	}
+	if dones != 1 || !reflect.DeepEqual(srv.adds, run) {
+		t.Fatalf("done ran %d times; the RIB was handed %+v, want %+v", dones, srv.adds, run)
+	}
+
+	bad := xrl.List("policytags", xrl.Text("", "42"))
+	for _, x := range []xrl.XRL{
+		xrl.New("rib", "rib", "1.0", "add_route4", xrl.Text("protocol", "ospf"), xrl.Net("network", run[0].Net), bad),
+		xrl.New("rib", "rib", "1.0", "add_routes4", xrl.Text("protocol", "ospf"),
+			xrl.List("routes", xif.EncodeRouteAtoms(run)...), bad),
+	} {
+		var xerr *xrl.Error
+		r.SendFromLoop(x, func(_ xrl.Args, err *xrl.Error) { xerr = err })
+		if xerr == nil || xerr.Code != xrl.CodeBadArgs || len(srv.adds) != len(run) {
+			t.Errorf("%s with a txt tag: %v, the server holds %d routes; want BAD_ARGS and %d", x.Method, xerr, len(srv.adds), len(run))
+		}
+	}
+}
+
 // TestListXRLsFromText is the other half of the oracle: the list XRLs as a
 // person or a script spells them. Textual lists are flat txt items, so a
 // route arrives as "net nexthop metric ifname" and a network as a bare
