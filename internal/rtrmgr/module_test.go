@@ -39,22 +39,20 @@ protocols { toy { knob 1; } }
 `
 
 // §8.3, the lifecycle half: the paper tests its design by adding a
-// protocol without touching the core. A class defined here — one
-// descriptor, one proc — and appended to the table is configured under
-// `protocols`, started, killed, respawned from its config block, retuned
-// by a two-phase reload, refused removal, poisons a transaction it dies
-// in, and is torn down by Stop, with no non-test file knowing its name.
-// The route-bearing half (an origin table for a new protocol, and with it
-// stale-route retention across the respawn) waits for ROADMAP item 7:
-// rib.NewProcess still builds a fixed set of origin tables.
+// protocol without touching the core. A class defined here — a
+// constructor and a stage, one descriptor, one proc — and appended to the
+// table is configured under `protocols` (its knob reaches it through the
+// stage at boot, as on a reload), started, killed, respawned from its
+// config block, retuned by a two-phase reload, refused removal, poisons a
+// transaction it dies in, and is torn down by Stop, with no non-test file
+// knowing its name. The route-bearing half (an origin table for a new
+// protocol, and with it stale-route retention across the respawn) waits
+// for ROADMAP item 7: rib.NewProcess still builds a fixed set of origin
+// tables.
 func TestToyModuleLifecycle(t *testing.T) {
 	var toys []*toyProc
-	toy := &module{class: "toy", setup: func(_ *Router, _ *instance, cfg *Node) (proc, error) {
-		knob, err := strconv.Atoi(cfg.Leaf("knob"))
-		if err != nil {
-			return nil, err
-		}
-		toys = append(toys, &toyProc{knob: knob})
+	toy := &module{class: "toy", setup: func(*Router, *instance, *Node) (proc, error) {
+		toys = append(toys, &toyProc{})
 		return toys[len(toys)-1], nil
 	}}
 	clock := eventloop.NewSimClock(time.Unix(1000, 0))
@@ -104,7 +102,7 @@ func TestToyModuleLifecycle(t *testing.T) {
 	if err := r.Reload(strings.Replace(toyConfig, "knob 1", "knob 2", 1)); err != nil {
 		t.Fatalf("reload: %v", err)
 	}
-	if toys[1].knob != 2 || toys[1].steps != 1 || len(toys) != 2 || r.Generation() != 2 {
+	if toys[1].knob != 2 || toys[1].steps != 2 || len(toys) != 2 || r.Generation() != 2 {
 		t.Fatalf("after reload: %+v, %d toys, generation %d", toys[1], len(toys), r.Generation())
 	}
 	// Its own nack reaches the operator; its removal never reaches it.

@@ -18,9 +18,9 @@ import (
 // and commit order. Everything the router manager knows about a protocol
 // is in this file: one descriptor, one row here, and a proc.
 var modules = []*module{
-	{class: "bgp", setup: setupBGP},
+	{class: "bgp", setup: setupBGP, identity: []string{"local-as", "id", "damping"}},
 	{class: "rip", setup: setupRIP},
-	{class: "ospf", setup: setupOSPF},
+	{class: "ospf", setup: setupOSPF, identity: []string{"router-id"}},
 }
 
 // procOf returns inst's process as the wrapper type T, the zero T (whose
@@ -60,7 +60,6 @@ func (r *Router) CurrentOSPF() *ospf.Process { return procOf[ospfProc](r.current
 
 type bgpProc struct {
 	*bgp.Process
-	r   *Router
 	out loopRedist // redistribution into BGP: originate and withdraw
 }
 
@@ -85,26 +84,13 @@ func setupBGP(r *Router, inst *instance, cfg *Node) (proc, error) {
 		ConsistencyChecks: r.opts.ConsistencyChecks,
 	}, NewXRLRIBClient(inst.router, "rib"), NewXRLMetricSource(inst.router, "rib", inst.class))
 	p.RegisterXRLs(inst.target)
-
-	// Peers (created on the BGP loop; enabled by begin).
-	for _, pn := range cfg.ChildrenNamed("peer") {
-		pc, err := parsePeerConfig(pn, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.syncDo(inst.loop, func() { _, err = p.AddPeer(pc) })
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := loopRedist{inst, func(e route.Entry) {
+	return bgpProc{p, loopRedist{inst, func(e route.Entry) {
 		nh := e.NextHop
 		if !nh.IsValid() {
 			nh = netip.IPv4Unspecified()
 		}
 		p.Originate(e.Net, nh, e.Metric)
-	}, func(e route.Entry) { p.WithdrawOriginated(e.Net) }}
-	return bgpProc{p, r, out}, r.spliceRedists(inst, cfg, out)
+	}, func(e route.Entry) { p.WithdrawOriginated(e.Net) }}}, nil
 }
 
 func (p bgpProc) begin(cfg *Node) error {
@@ -112,42 +98,25 @@ func (p bgpProc) begin(cfg *Node) error {
 		return err
 	}
 	for _, pn := range cfg.ChildrenNamed("peer") {
-		p.EnablePeer(peerName(pn))
+		p.EnablePeer(pn.Arg(0))
 	}
 	return nil
 }
 
 func (p bgpProc) close() { p.Close() }
 
-// peerName is a peer block's name: its argument, or peer-<addr>.
-func peerName(pn *Node) string {
-	if name := pn.Arg(0); name != "" {
-		return name
-	}
-	return "peer-" + pn.Leaf("peer-addr")
-}
-
 // parsePeerConfig parses one `peer <name> { ... }` block into a BGP peer
-// configuration (shared by assembly and the transactional reload agent).
+// configuration.
 //
 // A `group <name>` leaf joins the peer to a named peer group: members
 // share one output branch and a single shared encode per outbound UPDATE.
-// A matching `peer-group <name> { ... }` block may supply defaults
-// (local-addr, as, holdtime, dial, passive) that the peer block inherits
-// where it is silent. bgpCfg is the surrounding bgp block used to resolve
-// the group by name; the reload planner instead embeds the peer-group
-// block into the change node (the change is the only context the agent
-// gets), so bgpCfg may be nil.
-func parsePeerConfig(p, bgpCfg *Node) (bgp.PeerConfig, error) {
+// The group's `peer-group <name> { ... }` block, which the planner embeds
+// in the peer's change (embedGroup: the change is the only context the
+// agent gets), supplies defaults (local-addr, as, holdtime, dial,
+// passive) that the peer block inherits where it is silent.
+func parsePeerConfig(p *Node) (bgp.PeerConfig, error) {
 	var pc bgp.PeerConfig
-	group := p.Leaf("group")
-	def := p.Child("peer-group") // embedded by the reload planner
-	if def == nil && group != "" && bgpCfg != nil {
-		def = findBlock(bgpCfg, "peer-group", group)
-	}
-	if def != nil && group == "" {
-		group = def.Arg(0)
-	}
+	def := p.Child("peer-group")
 	leaf := func(key string) string {
 		if v := p.Leaf(key); v != "" {
 			return v
@@ -183,42 +152,37 @@ func parsePeerConfig(p, bgpCfg *Node) (bgp.PeerConfig, error) {
 		}
 	}
 	return bgp.PeerConfig{
-		Name:      peerName(p),
+		Name:      p.Arg(0),
 		LocalAddr: localAddr,
 		PeerAddr:  peerAddr,
 		PeerAS:    uint16(peerAS),
 		DialAddr:  leaf("dial"),
 		HoldTime:  holdTime,
 		Passive:   p.Child("passive") != nil || (def != nil && def.Child("passive") != nil),
-		Group:     group,
+		Group:     p.Leaf("group"),
 	}, nil
 }
 
-// stage: per-peer add/remove/rebuild and redistribution filter swaps.
-// Everything else under the bgp block is identity (local-as, id) and
-// needs a restart.
+// stage: per-peer add/remove/rebuild and redistribution filter swaps. A
+// peer group's add is no step of its own: its members' changes carry the
+// block embedded.
 func (p bgpProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
-	if len(c.Path) < 3 {
-		return nil, "unsupported BGP change", nil
-	}
 	unit := c.Path[2]
 	switch {
-	case unit == "local-as" || unit == "id":
-		return nil, "changing the BGP identity requires a restart", nil
-	case unit == "damping":
-		return nil, "toggling damping requires a restart", nil
 	case strings.HasPrefix(unit, "peer "):
-		return p.stagePeer(c)
+		return p.stagePeer(a, c)
+	case c.Verb == ChangeAdd && c.New.Key == "peer-group":
+		return nil, "", nil
 	case strings.HasPrefix(unit, "redistribute"):
 		return a.stageRedist(c, p.out)
 	}
 	return nil, fmt.Sprintf("unsupported BGP change %q", unit), nil
 }
 
-func (p bgpProc) stagePeer(c Change) ([]txStep, string, error) {
+func (p bgpProc) stagePeer(a *txAgent, c Change) ([]txStep, string, error) {
 	var steps []txStep
 	if c.Old != nil {
-		pc, err := parsePeerConfig(c.Old, nil)
+		pc, err := parsePeerConfig(c.Old)
 		if err != nil {
 			return nil, "", err
 		}
@@ -232,7 +196,7 @@ func (p bgpProc) stagePeer(c Change) ([]txStep, string, error) {
 		})
 	}
 	if c.New != nil {
-		pc, err := parsePeerConfig(c.New, nil)
+		pc, err := parsePeerConfig(c.New)
 		if err != nil {
 			return nil, "", err
 		}
@@ -241,7 +205,8 @@ func (p bgpProc) stagePeer(c Change) ([]txStep, string, error) {
 				return nil, fmt.Sprintf("peer %q already exists", pc.Name), nil
 			}
 		}
-		enable := p.r.running
+		// An instance not yet live (boot, respawn) leaves its peers to begin.
+		enable := a.r.current(a.class) == a.inst && a.r.running
 		steps = append(steps, txStep{
 			desc: "add peer " + pc.Name,
 			apply: func() error {
@@ -271,22 +236,14 @@ type ripProc struct {
 	out loopRedist // redistribution into RIP: local routes
 }
 
-func setupRIP(r *Router, inst *instance, cfg *Node) (proc, error) {
+func setupRIP(r *Router, inst *instance, _ *Node) (proc, error) {
 	if r.opts.Network == nil || !r.opts.LocalAddr.IsValid() {
 		return nil, fmt.Errorf("rtrmgr: rip requires Options.Network and LocalAddr")
 	}
-	rcfg := rip.Config{LocalAddr: r.opts.LocalAddr, IfName: "eth0"}
-	if v := cfg.Leaf("update-interval"); v != "" {
-		var err error
-		if rcfg.UpdateInterval, err = seconds(v); err != nil {
-			return nil, err
-		}
-	}
-	p := rip.NewProcess(inst.loop, rcfg, NewXRLRIPTransport(inst.router, inst.target, "fea"),
-		NewXRLRouteClient(inst.router, "rib", route.ProtoRIP))
+	p := rip.NewProcess(inst.loop, rip.Config{LocalAddr: r.opts.LocalAddr, IfName: "eth0"},
+		NewXRLRIPTransport(inst.router, inst.target, "fea"), NewXRLRouteClient(inst.router, "rib", route.ProtoRIP))
 	BindRIP(inst.target, p)
-	out := loopRedist{inst, p.RedistAdd, p.RedistDelete}
-	return ripProc{p, out}, r.spliceRedists(inst, cfg, out)
+	return ripProc{p, loopRedist{inst, p.RedistAdd, p.RedistDelete}}, nil
 }
 
 func (p ripProc) begin(*Node) error { return p.Start() }
@@ -295,9 +252,6 @@ func (p ripProc) close() { p.Stop() }
 
 // stage: timer retunes and redistribution.
 func (p ripProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
-	if len(c.Path) < 3 {
-		return nil, "unsupported RIP change", nil
-	}
 	if strings.HasPrefix(c.Path[2], "redistribute") {
 		return a.stageRedist(c, p.out)
 	}
@@ -347,44 +301,25 @@ func setupOSPF(r *Router, inst *instance, cfg *Node) (proc, error) {
 		return nil, fmt.Errorf("rtrmgr: ospf requires Options.Network and LocalAddr")
 	}
 	ocfg := ospf.Config{LocalAddr: r.opts.LocalAddr, IfName: "eth0"}
-	var err error
 	if v := cfg.Leaf("router-id"); v != "" {
+		var err error
 		if ocfg.RouterID, err = netip.ParseAddr(v); err != nil {
-			return nil, err
-		}
-	}
-	for key, dst := range map[string]*time.Duration{
-		"hello-interval": &ocfg.HelloInterval,
-		"dead-interval":  &ocfg.DeadInterval,
-	} {
-		if v := cfg.Leaf(key); v != "" {
-			if *dst, err = seconds(v); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if v := cfg.Leaf("cost"); v != "" {
-		if ocfg.Cost, err = parseCost(v); err != nil {
 			return nil, err
 		}
 	}
 	p := ospf.NewProcess(inst.loop, ocfg, NewXRLOSPFTransport(inst.router, inst.target, "fea"),
 		NewXRLRouteClient(inst.router, "rib", route.ProtoOSPF))
 	BindOSPF(inst.target, p)
-	if ex := cfg.Child("export"); ex != nil && ex.Arg(0) != "" {
-		pol, err := r.compilePolicy(ex, ex.Arg(0))
-		if err != nil {
-			return nil, err
-		}
-		r.syncDo(inst.loop, func() { p.SetExportFilter(policy.OSPFExportFilter(pol)) })
-	}
-	out := loopRedist{inst, p.RedistAdd, p.RedistDelete}
-	return ospfProc{p, r, out}, r.spliceRedists(inst, cfg, out)
+	return ospfProc{p, r, loopRedist{inst, p.RedistAdd, p.RedistDelete}}, nil
 }
 
+// parseCost parses an OSPF link cost, 1 to 65535.
 func parseCost(v string) (uint16, error) {
 	c, err := strconv.ParseUint(v, 10, 16)
-	return uint16(c), err
+	if err != nil || c < 1 {
+		return 0, fmt.Errorf("bad cost %q: want 1 to 65535", v)
+	}
+	return uint16(c), nil
 }
 
 func (p ospfProc) begin(*Node) error {
@@ -402,16 +337,11 @@ func (p ospfProc) close() { p.Stop() }
 
 // stage: timer/cost retunes, export filter swaps and redistribution.
 func (p ospfProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
-	if len(c.Path) < 3 {
-		return nil, "unsupported OSPF change", nil
-	}
 	unit := c.Path[2]
 	if strings.HasPrefix(unit, "redistribute") {
 		return a.stageRedist(c, p.out)
 	}
 	switch unit {
-	case "router-id":
-		return nil, "changing the OSPF router id requires a restart", nil
 	case "export":
 		if c.Verb == ChangeRemove {
 			return []txStep{{
@@ -420,7 +350,7 @@ func (p ospfProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
 			}}, "", nil
 		}
 		polName := c.New.Arg(0)
-		pol, err := a.r.compilePolicy(c.New, polName)
+		pol, err := compilePolicy(c.New, polName)
 		if err != nil {
 			return nil, "", err
 		}
@@ -457,11 +387,11 @@ func (p ospfProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
 	return nil, fmt.Sprintf("unsupported OSPF change %q", unit), nil
 }
 
-// seconds parses a whole number of seconds.
+// seconds parses a whole number of seconds, at least 1.
 func seconds(v string) (time.Duration, error) {
 	sec, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad duration %q: %v", v, err)
+	if err != nil || sec < 1 {
+		return 0, fmt.Errorf("bad duration %q: want a whole number of seconds, at least 1", v)
 	}
 	return time.Duration(sec) * time.Second, nil
 }

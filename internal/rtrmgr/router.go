@@ -96,11 +96,13 @@ type Router struct {
 // these (modules.go) and know nothing else about a protocol.
 type module struct {
 	class string
-	// setup builds the process from cfg, its block of the configuration,
-	// on the loop, XRL router and Finder target the core made in inst:
-	// config parsing, the constructor, XRL bindings on inst.target, peers,
-	// filters, redistribution (spliceRedists).
+	// setup builds the process on the loop, XRL router and Finder target
+	// the core made in inst: the constructor, reading only the identity
+	// units of cfg (the class's block), and XRL bindings on inst.target.
+	// The rest of the block arrives through stage (bootPlan).
 	setup func(r *Router, inst *instance, cfg *Node) (proc, error)
+	// identity lists the units setup reads; changing one needs a restart.
+	identity []string
 }
 
 // proc is what the core needs of a running process.
@@ -110,8 +112,9 @@ type proc interface {
 	begin(cfg *Node) error
 	// close stops the process, on its loop: timers, listeners, sessions.
 	close()
-	// stage validates one change to the class's config block against live
-	// state and returns its apply steps, or a nack reason (txagents.go).
+	// stage validates one change to the class's config block (a path of at
+	// least three elements) against live state and returns its apply
+	// steps, or a nack reason (txagents.go).
 	stage(a *txAgent, c Change) ([]txStep, string, error)
 }
 
@@ -252,6 +255,10 @@ func newRouter(cfgText string, opts Options, table []*module) (*Router, error) {
 	}
 	r := &Router{Config: cfg, Hub: xipc.NewHub(), FIB: kernel.NewFIB(), opts: opts, generation: 1,
 		modules: table, procs: make(map[string]*instance)}
+	plan, err := r.bootPlan(cfg)
+	if err != nil {
+		return nil, err
+	}
 
 	// Finder process.
 	r.Finder = finder.New(r.loopFor())
@@ -270,7 +277,8 @@ func newRouter(cfgText string, opts Options, table []*module) (*Router, error) {
 	r.FEA = fea.New(feaLoop, r.FIB, host, r.FEARouter)
 	feaTarget := xif.NewTarget("fea", "fea")
 	r.FEA.RegisterXRLs(feaTarget)
-	xif.BindConfig(feaTarget, &txAgent{r: r, class: "fea", loop: feaLoop, stage: (*txAgent).stageFEA})
+	feaAgent := &txAgent{r: r, class: "fea", loop: feaLoop, stage: (*txAgent).stageFEA}
+	xif.BindConfig(feaTarget, feaAgent)
 	r.FEARouter.AddTarget(feaTarget)
 	if err := r.registerTarget(r.FEARouter, feaTarget); err != nil {
 		return nil, fmt.Errorf("rtrmgr: register fea: %w", err)
@@ -282,7 +290,8 @@ func newRouter(cfgText string, opts Options, table []*module) (*Router, error) {
 	r.RIB = rib.NewProcess(ribLoop, NewXRLFIBClient(r.RIBRouter, "fea"), r.RIBRouter)
 	ribTarget := xif.NewTarget("rib", "rib")
 	r.RIB.RegisterXRLs(ribTarget)
-	xif.BindConfig(ribTarget, &txAgent{r: r, class: "rib", loop: ribLoop, stage: (*txAgent).stageRIB})
+	ribAgent := &txAgent{r: r, class: "rib", loop: ribLoop, stage: (*txAgent).stageRIB}
+	xif.BindConfig(ribTarget, ribAgent)
 	r.RIBRouter.AddTarget(ribTarget)
 	if err := r.registerTarget(r.RIBRouter, ribTarget); err != nil {
 		return nil, fmt.Errorf("rtrmgr: register rib: %w", err)
@@ -294,25 +303,10 @@ func newRouter(cfgText string, opts Options, table []*module) (*Router, error) {
 		return nil, fmt.Errorf("rtrmgr: rib lifetime watch: %w", err)
 	}
 
-	// Interfaces and connected routes.
-	if ifs := cfg.Child("interfaces"); ifs != nil {
-		for _, ifn := range ifs.Children {
-			pfx, mtu, err := parseInterface(ifn)
-			if err != nil {
-				return nil, err
-			}
-			r.syncDo(ribLoop, func() { r.addInterface(ifn.Key, pfx, mtu) })
-		}
-	}
-
-	// Static routes.
-	if st := cfg.Child("static"); st != nil {
-		for _, rt := range st.ChildrenNamed("route") {
-			e, err := parseStaticRoute(rt)
-			if err != nil {
-				return nil, err
-			}
-			r.syncDo(ribLoop, func() { r.RIB.AddRoute(route.ProtoStatic, e) })
+	// Interfaces and connected routes, then static routes.
+	for _, a := range []*txAgent{feaAgent, ribAgent} {
+		if err := a.boot(plan[a.class]); err != nil {
+			return nil, err
 		}
 	}
 
@@ -324,7 +318,7 @@ func newRouter(cfgText string, opts Options, table []*module) (*Router, error) {
 		if pcfg == nil {
 			continue
 		}
-		inst, err := r.setup(m, pcfg)
+		inst, err := r.setup(m, pcfg, plan[m.class])
 		if err != nil {
 			return nil, err
 		}
@@ -383,10 +377,11 @@ func (r *Router) instances() []*instance {
 	return out
 }
 
-// setup assembles an instance of m from cfg — its own loop, XRL router
-// and Finder target, the process m.setup builds on them, the process's
-// side of the reload protocol — and publishes it as live.
-func (r *Router) setup(m *module, cfg *Node) (*instance, error) {
+// setup assembles an instance of m — its own loop, XRL router and Finder
+// target, the process m.setup builds on them from cfg, the process's side
+// of the reload protocol — configures it with changes, its slice of a
+// boot plan, and publishes it as live.
+func (r *Router) setup(m *module, cfg *Node, changes []Change) (*instance, error) {
 	xr := r.processRouter(m.class)
 	inst := &instance{class: m.class, loop: xr.Loop(), router: xr, target: xif.NewTarget(m.class, m.class)}
 	p, err := m.setup(r, inst, cfg)
@@ -395,7 +390,20 @@ func (r *Router) setup(m *module, cfg *Node) (*instance, error) {
 		return nil, err
 	}
 	inst.proc = p
-	xif.BindConfig(inst.target, &txAgent{r: r, class: m.class, loop: inst.loop, inst: inst, stage: p.stage})
+	a := &txAgent{r: r, class: m.class, loop: inst.loop, inst: inst, stage: func(a *txAgent, c Change) ([]txStep, string, error) {
+		switch {
+		case len(c.Path) < 3:
+			return nil, "unsupported " + m.class + " change", nil
+		case slices.Contains(m.identity, c.Path[2]):
+			return nil, "changing " + c.Path[2] + " requires a restart", nil
+		}
+		return p.stage(a, c)
+	}}
+	if err := a.boot(changes); err != nil {
+		r.dismantle(inst)
+		return nil, err
+	}
+	xif.BindConfig(inst.target, a)
 	inst.router.AddTarget(inst.target)
 	r.procMu.Lock()
 	r.procs[m.class] = inst
@@ -462,17 +470,22 @@ func (r *Router) dropLoop(l *eventloop.Loop) {
 }
 
 // respawn replaces class m's instance: teardown (idempotent — KillProcess
-// usually already did it), setup from the class's block of the running
-// config, asynchronous registration with the Finder, then begin. The
-// registration callback runs on the new process's loop, so begin executes
-// in-loop. done is called exactly once, possibly from that loop.
+// usually already did it), setup configured by the boot plan of the
+// running config, asynchronous registration with the Finder, then begin.
+// The registration callback runs on the new process's loop, so begin
+// executes in-loop. done is called exactly once, possibly from that loop.
 func (r *Router) respawn(m *module, done func(error)) {
 	cfg := r.classConfig(m.class)
+	plan, err := r.bootPlan(r.runningConfig())
+	if err != nil {
+		done(err)
+		return
+	}
 	// Respawn runs on the supervisor's loop, which under SharedLoop is the
 	// loop syncDo would dispatch to: the flag makes it call directly.
 	r.respawning.Store(true)
 	r.teardown(m.class)
-	inst, err := r.setup(m, cfg)
+	inst, err := r.setup(m, cfg, plan[m.class])
 	r.respawning.Store(false)
 	if err != nil {
 		done(err)
@@ -484,23 +497,6 @@ func (r *Router) respawn(m *module, done func(error)) {
 		}
 		done(err)
 	})
-}
-
-// spliceRedists gives each `redistribute <proto> [policy]` statement of
-// cfg a RIB redistribution stage feeding out, policy-filtered when the
-// statement names one.
-func (r *Router) spliceRedists(inst *instance, cfg *Node, out rib.Redistributor) error {
-	for _, rd := range cfg.ChildrenNamed("redistribute") {
-		proto, filter, err := r.redistFilter(rd)
-		if err != nil {
-			return err
-		}
-		r.syncDo(r.RIB.Loop(), func() { err = r.addRedist(inst, proto, filter, out) })
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // redistName names the RIB stage redistributing proto into class.
@@ -520,7 +516,7 @@ func (r *Router) addRedist(inst *instance, proto string, filter rib.RedistFilter
 }
 
 // parseInterface parses one `<name> { address <addr>/<len>; [mtu <n>;] }`
-// block (shared by assembly and the reload agent).
+// block.
 func parseInterface(ifn *Node) (pfx netip.Prefix, mtu int, err error) {
 	addr := ifn.Leaf("address")
 	if addr == "" {
@@ -544,7 +540,7 @@ func (r *Router) addInterface(name string, pfx netip.Prefix, mtu int) error {
 }
 
 // parseStaticRoute parses one `route <prefix> [next-hop a] [interface i]
-// [metric m]` leaf (shared by assembly and the reload agent).
+// [metric m]` leaf.
 func parseStaticRoute(rt *Node) (route.Entry, error) {
 	if len(rt.Args) < 1 {
 		return route.Entry{}, fmt.Errorf("rtrmgr: static route needs a prefix")
@@ -578,10 +574,10 @@ func parseStaticRoute(rt *Node) (route.Entry, error) {
 // redistFilter builds the RIB redistribution filter for one
 // `redistribute <proto> [policy]` statement: the named policy when
 // given, a protocol match otherwise.
-func (r *Router) redistFilter(rd *Node) (string, rib.RedistFilter, error) {
+func redistFilter(rd *Node) (string, rib.RedistFilter, error) {
 	proto := rd.Arg(0)
 	if polName := rd.Arg(1); polName != "" {
-		pol, err := r.compilePolicy(rd, polName)
+		pol, err := compilePolicy(rd, polName)
 		if err != nil {
 			return proto, nil, err
 		}
@@ -600,13 +596,9 @@ func (r *Router) redistFilter(rd *Node) (string, rib.RedistFilter, error) {
 }
 
 // compilePolicy compiles `policy <name> { ... }` for the statement st
-// that names it: the body the reload planner embedded in st (the
-// candidate's version) when there is one, the running config's otherwise.
-func (r *Router) compilePolicy(st *Node, name string) (*policy.Policy, error) {
+// that names it, from the body the planner embedded in st (embedPolicy).
+func compilePolicy(st *Node, name string) (*policy.Policy, error) {
 	p := findBlock(st, "policy", name)
-	if p == nil {
-		p = findBlock(r.runningConfig(), "policy", name)
-	}
 	if p == nil {
 		return nil, fmt.Errorf("rtrmgr: no policy %q", name)
 	}

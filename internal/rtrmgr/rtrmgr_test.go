@@ -511,7 +511,7 @@ protocols {
 	if len(peers) != 3 {
 		t.Fatalf("parsed %d peers", len(peers))
 	}
-	p1, err := parsePeerConfig(peers[0], bgpNode)
+	p1, err := parsePeerConfig(withEmbeddedGroup(peers[0], bgpNode))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +521,7 @@ protocols {
 	if p1.HoldTime != 30*time.Second || !p1.Passive {
 		t.Fatalf("p1 holdtime/passive: %+v", p1)
 	}
-	solo, err := parsePeerConfig(peers[2], bgpNode)
+	solo, err := parsePeerConfig(peers[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ protocols {
 	if embedded.Child("peer-group") == nil {
 		t.Fatal("peer-group block not embedded")
 	}
-	pe, err := parsePeerConfig(embedded, nil)
+	pe, err := parsePeerConfig(embedded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,8 @@ type txAgent struct {
 	inst *instance
 	// stage validates one change and returns its apply steps (or a nack
 	// reason for changes this process cannot absorb without a restart):
-	// the process's own proc.stage, stageFEA or stageRIB.
+	// stageFEA, stageRIB, or the class's proc.stage behind setup's guard
+	// on path length and identity units.
 	stage func(a *txAgent, c Change) ([]txStep, string, error)
 
 	mu    sync.Mutex
@@ -57,16 +58,9 @@ func (a *txAgent) ValidateTx(txID, generation uint32, encoded []string) (bool, s
 	if err != nil {
 		return false, err.Error(), nil
 	}
-	var steps []txStep
-	for _, c := range changes {
-		ss, reason, err := a.stage(a, c)
-		if err != nil {
-			return false, fmt.Sprintf("%s: %v", c.PathString(), err), nil
-		}
-		if reason != "" {
-			return false, fmt.Sprintf("%s: %s", c.PathString(), reason), nil
-		}
-		steps = append(steps, ss...)
+	steps, reason := a.stageAll(changes)
+	if reason != "" {
+		return false, reason, nil
 	}
 	a.txID, a.steps = txID, steps
 	return true, "", nil
@@ -79,16 +73,52 @@ func (a *txAgent) CommitTx(txID uint32) (uint32, error) {
 	if a.txID != txID {
 		return 0, fmt.Errorf("%s: no staged transaction %d", a.class, txID)
 	}
-	var n uint32
-	for _, st := range a.steps {
-		if err := st.apply(); err != nil {
-			a.txID, a.steps = 0, nil
-			return n, fmt.Errorf("%s: %s: %w", a.class, st.desc, err)
-		}
-		n++
-	}
+	steps := a.steps
 	a.txID, a.steps = 0, nil
-	return n, nil
+	return a.applyAll(steps)
+}
+
+// stageAll stages changes in order (validate_tx): the steps of all of
+// them, or the first one's nack.
+func (a *txAgent) stageAll(changes []Change) (steps []txStep, nack string) {
+	for _, c := range changes {
+		ss, reason, err := a.stage(a, c)
+		if err != nil {
+			reason = err.Error()
+		}
+		if reason != "" {
+			return nil, c.PathString() + ": " + reason
+		}
+		steps = append(steps, ss...)
+	}
+	return steps, ""
+}
+
+// applyAll runs staged steps in order (commit_tx), stopping at the first
+// that fails: how many ran, and its error.
+func (a *txAgent) applyAll(steps []txStep) (uint32, error) {
+	for i, st := range steps {
+		if err := st.apply(); err != nil {
+			return uint32(i), fmt.Errorf("%s: %s: %w", a.class, st.desc, err)
+		}
+	}
+	return uint32(len(steps)), nil
+}
+
+// boot configures the agent's process, not yet live, with its slice of a
+// boot plan, on its loop as validate_tx and commit_tx would: there is
+// nothing to roll back, so an error fails the boot.
+func (a *txAgent) boot(changes []Change) (err error) {
+	if len(changes) > 0 {
+		a.r.syncDo(a.loop, func() {
+			if steps, nack := a.stageAll(changes); nack != "" {
+				err = fmt.Errorf("rtrmgr: %s: %s", a.class, nack)
+			} else {
+				_, err = a.applyAll(steps)
+			}
+		})
+	}
+	return err
 }
 
 // AbortTx implements xif.ConfigServer (idempotent).
@@ -193,7 +223,7 @@ func (a *txAgent) stageRedist(c Change, out rib.Redistributor) ([]txStep, string
 	if c.New == nil {
 		return nil, "unsupported redistribute change", nil
 	}
-	proto, filter, err := a.r.redistFilter(c.New)
+	proto, filter, err := redistFilter(c.New)
 	if err != nil {
 		return nil, "", err
 	}

@@ -388,6 +388,34 @@ func (r *Router) compilePlan(changes []Change, running, candidate *Node) (map[st
 	return plan, nil
 }
 
+// bootPlan is the plan that configures a router from nothing: cfg diffed
+// against its skeleton (each section the planner routes to a process, and
+// each known class block under protocols, emptied) and compiled as a
+// reload is. A policy is compiled where a statement names it; an unknown
+// section or class fails the plan as an add; identity units are setup's.
+func (r *Router) bootPlan(cfg *Node) (map[string][]Change, error) {
+	skel := &Node{Key: cfg.Key}
+	for _, sec := range cfg.Children {
+		if sec.Key == "interfaces" || sec.Key == "static" || sec.Key == "protocols" {
+			empty := &Node{Key: sec.Key}
+			for _, cl := range sec.Children {
+				if sec.Key == "protocols" && r.module(cl.Key) != nil {
+					empty.Children = append(empty.Children, &Node{Key: cl.Key})
+				}
+			}
+			skel.Children = append(skel.Children, empty)
+		}
+	}
+	plan, err := r.compilePlan(DiffConfig(skel, cfg), skel, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range r.modules {
+		plan[m.class] = slices.DeleteFunc(plan[m.class], func(c Change) bool { return slices.Contains(m.identity, c.Path[2]) })
+	}
+	return plan, nil
+}
+
 // liftChange replaces a deep edit (e.g. a holdtime leaf inside a BGP
 // peer) with a modify of the unit node above it: the unit is what the
 // agent knows how to re-apply atomically.
