@@ -4,10 +4,12 @@
 // including AllSPFRouters group membership via join_group, so this
 // binary is only useful alongside an FEA attached to a packet network;
 // in the standalone multi-process deployment the FEA has no simulated
-// fabric and OSPF idles. It exists for completeness and for driving
-// with ospf/0.1 XRLs; the rtrmgr assembly wires OSPF with the same calls,
-// and that is where the OSPF system is exercised (examples/convergence,
-// the rtrmgr and chaos tests).
+// fabric and OSPF idles. It exists for completeness and for driving by
+// hand: it binds redist4/0.1, the interface a RIB redist stage feeds, so a
+// redist4/0.1 add_route4 makes OSPF originate the prefix at the metric as
+// its cost. The rtrmgr assembly wires OSPF with the same calls, and that
+// is where the OSPF system is exercised (examples/convergence, the rtrmgr
+// and chaos tests).
 //
 // Usage:
 //
@@ -60,7 +62,7 @@ func main() {
 	target := xif.NewTarget("ospf", "ospf")
 	proc := ospf.NewProcess(loop, cfg, rtrmgr.NewXRLOSPFTransport(router, target, "fea"),
 		rtrmgr.NewXRLRouteClient(router, "rib", route.ProtoOSPF))
-	rtrmgr.BindOSPF(target, proc)
+	xif.BindRedist4(target, proc)
 	router.AddTarget(target)
 	go loop.Run()
 	if err := finder.RegisterTargetSync(router, target, true); err != nil {

@@ -3,9 +3,11 @@
 // §7: sandboxed processes never touch the network directly), so this
 // binary is only useful alongside an FEA attached to a packet network; in
 // the standalone multi-process deployment the FEA has no simulated fabric
-// and RIP idles. It exists for completeness and for driving with rip/0.1
-// XRLs; the rtrmgr assembly wires RIP with the same calls, and that is
-// where the RIP system is exercised (the rtrmgr and chaos tests).
+// and RIP idles. It exists for completeness and for driving by hand: it
+// binds redist4/0.1, the interface a RIB redist stage feeds, so a
+// redist4/0.1 add_route4 makes RIP originate a local route and teach it
+// to the RIB. The rtrmgr assembly wires RIP with the same calls, and that
+// is where the RIP system is exercised (the rtrmgr and chaos tests).
 //
 // Usage:
 //
@@ -52,7 +54,7 @@ func main() {
 	proc := rip.NewProcess(loop, rip.Config{LocalAddr: localAddr, IfName: "eth0"},
 		rtrmgr.NewXRLRIPTransport(router, target, "fea"),
 		rtrmgr.NewXRLRouteClient(router, "rib", route.ProtoRIP))
-	rtrmgr.BindRIP(target, proc)
+	xif.BindRedist4(target, proc)
 	router.AddTarget(target)
 	go loop.Run()
 	if err := finder.RegisterTargetSync(router, target, true); err != nil {

@@ -509,7 +509,7 @@ type MemoryResult struct {
 // into a RIB, reporting heap growth at each stage.
 func RunMemory(n int) (MemoryResult, error) {
 	res := MemoryResult{Routes: n}
-	baseline := heapMB()
+	baseline := settledHeapMB()
 
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
 	proc := bgp.NewProcess(loop, bgp.Config{AS: 65000, BGPID: netip.MustParseAddr("1.1.1.1")}, nil, nil)
@@ -553,6 +553,23 @@ func RunMemory(n int) (MemoryResult, error) {
 	runtime.KeepAlive(proc)
 	runtime.KeepAlive(ribProc)
 	return res, nil
+}
+
+// settledHeapMB is heapMB once a collection frees nothing more. What
+// earlier work left behind — the goroutine of a stopped loop not yet gone,
+// and the router it still reaches — is freed by then rather than during
+// the measurement, where it would read as a negative size.
+func settledHeapMB() float64 {
+	h := heapMB()
+	for range 10 {
+		time.Sleep(time.Millisecond) // let exiting goroutines run
+		next := heapMB()
+		if next >= h {
+			return next
+		}
+		h = next
+	}
+	return h
 }
 
 func heapMB() float64 {

@@ -7,6 +7,7 @@ import (
 
 	"xorp/internal/core"
 	"xorp/internal/eventloop"
+	"xorp/internal/route"
 	"xorp/internal/telemetry"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
@@ -362,8 +363,7 @@ func (p *Process) EnablePeer(name string) error {
 	return nil
 }
 
-// Originate injects a locally originated route (the originate_route XRL;
-// also the redistribution entry point used by the RIB's redist stage).
+// Originate injects a locally originated route (bgp/1.0 originate_route4).
 func (p *Process) Originate(net netip.Prefix, nexthop netip.Addr, med uint32) {
 	attrs := &PathAttrs{
 		Origin:  OriginIGP,
@@ -379,6 +379,20 @@ func (p *Process) Originate(net netip.Prefix, nexthop netip.Addr, med uint32) {
 func (p *Process) WithdrawOriginated(net netip.Prefix) {
 	p.localIn.Withdraw(net)
 }
+
+// RedistAdd implements rib.Redistributor, bound as redist4/0.1: a
+// redistributed route is originated with its metric as the MED, and one
+// without a next hop gets 0.0.0.0.
+func (p *Process) RedistAdd(e route.Entry) {
+	nh := e.NextHop
+	if !nh.IsValid() {
+		nh = netip.IPv4Unspecified()
+	}
+	p.Originate(e.Net, nh, e.Metric)
+}
+
+// RedistDelete implements rib.Redistributor.
+func (p *Process) RedistDelete(e route.Entry) { p.WithdrawOriginated(e.Net) }
 
 // InjectUpdate feeds an UPDATE into a peering as if received from the
 // session — the workload-injection path used by benchmarks and tests
@@ -518,12 +532,14 @@ func (s bgpServer) RouteInfoInvalid(net netip.Prefix) error {
 	return nil
 }
 
-// RegisterXRLs exposes the bgp/1.0, rib_client/0.1, stats/0.1 and
-// profile/0.1 interfaces on target t through their spec-checked bindings.
-// Handlers run on the process loop (the router shares it).
+// RegisterXRLs exposes the bgp/1.0, redist4/0.1, rib_client/0.1,
+// stats/0.1 and profile/0.1 interfaces on target t through their
+// spec-checked bindings. Handlers run on the process loop (the router
+// shares it).
 func (p *Process) RegisterXRLs(t *xipc.Target) {
 	srv := bgpServer{p}
 	xif.BindBGP(t, srv)
+	xif.BindRedist4(t, p)
 	xif.BindRIBNotify(t, srv)
 	xif.BindStatsRegistry(t, p.metrics.RenderLines, p.metrics.Get)
 	xif.BindProfile(t, telemetry.ProfileView(func() *telemetry.Tracer { return p.tracer }))

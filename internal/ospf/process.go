@@ -286,8 +286,9 @@ func (p *Process) WithdrawPrefix(net netip.Prefix) {
 	p.originateSelf()
 }
 
-// RedistAdd / RedistDelete implement rib.Redistributor so a RedistStage
-// can feed OSPF external routes directly.
+// RedistAdd / RedistDelete implement rib.Redistributor, bound as
+// redist4/0.1: a redistributed route is an originated prefix, its metric
+// the cost, clamped to 1–65535.
 func (p *Process) RedistAdd(e route.Entry) {
 	cost := e.Metric
 	if cost > 0xffff {

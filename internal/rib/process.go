@@ -3,6 +3,7 @@ package rib
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 
 	"xorp/internal/eventloop"
@@ -269,22 +270,28 @@ func (p *Process) SetRedistFilter(name string, filter RedistFilter) error {
 // RemoveRedist removes a redistribution stage, withdrawing the mirrored
 // routes from the subscriber.
 func (p *Process) RemoveRedist(name string) error {
-	rd, ok := p.redists[name]
-	if !ok {
-		return fmt.Errorf("rib: no redist %q", name)
+	rd, err := p.UnspliceRedist(name)
+	if err != nil {
+		return err
 	}
-	delete(p.redists, name)
-	for i, s := range p.chain {
-		if s == rd {
-			p.chain = append(p.chain[:i], p.chain[i+1:]...)
-			break
-		}
-	}
-	Plumb(p.extint, p.chain...)
 	for _, e := range rd.mirrored {
 		rd.out.RedistDelete(e)
 	}
 	return nil
+}
+
+// UnspliceRedist removes a redistribution stage and returns it, sending
+// its subscriber nothing: a subscriber that crashed withdraws nothing it
+// was fed.
+func (p *Process) UnspliceRedist(name string) (*RedistStage, error) {
+	rd, ok := p.redists[name]
+	if !ok {
+		return nil, fmt.Errorf("rib: no redist %q", name)
+	}
+	delete(p.redists, name)
+	p.chain = slices.DeleteFunc(p.chain, func(s Stage) bool { return s == rd })
+	Plumb(p.extint, p.chain...)
+	return rd, nil
 }
 
 // notifyInvalid pushes a cache-invalidation to a registered client.

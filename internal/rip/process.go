@@ -166,9 +166,13 @@ func (p *Process) RouteCount() int {
 	return n
 }
 
-// InjectLocal originates a route (connected networks, redistribution).
+// InjectLocal originates a route (connected networks, redistribution) at
+// its metric, clamped to RIP's reachable range: 0 becomes 1, and anything
+// at or past Infinity becomes Infinity-1 — originated means reachable, and
+// a metric RIP cannot send would make a neighbour refuse the whole update.
 func (p *Process) InjectLocal(net netip.Prefix, metric uint32, tag uint16) {
 	net = net.Masked()
+	metric = min(max(metric, 1), Infinity-1)
 	r := &ripRoute{net: net, metric: metric, tag: tag, local: true, changed: true}
 	p.routes.Insert(net, r)
 	if p.rib != nil {
@@ -185,13 +189,9 @@ func (p *Process) WithdrawLocal(net netip.Prefix) {
 	}
 }
 
-// RedistAdd / RedistDelete implement rib.Redistributor so a RedistStage
-// can feed RIP directly. The route keeps its metric, clamped to RIP's
-// reachable range: 0 becomes 1, and anything at or past Infinity becomes
-// Infinity-1 — redistributed means reachable.
-func (p *Process) RedistAdd(e route.Entry) {
-	p.InjectLocal(e.Net, min(max(e.Metric, 1), Infinity-1), 0)
-}
+// RedistAdd / RedistDelete implement rib.Redistributor, bound as
+// redist4/0.1: a redistributed route is a local route at its own metric.
+func (p *Process) RedistAdd(e route.Entry) { p.InjectLocal(e.Net, e.Metric, 0) }
 
 // RedistDelete implements rib.Redistributor.
 func (p *Process) RedistDelete(e route.Entry) { p.WithdrawLocal(e.Net) }

@@ -297,6 +297,48 @@ func TestRedistributionKeepsMetric(t *testing.T) {
 	}
 }
 
+// A local route's metric is clamped where it is injected, whichever road
+// brought it: put on the wire at 0 or at 100, it makes the neighbour's
+// decoder refuse the whole response, and the good route beside it with
+// it. The neighbour is a raw host decoding what it hears.
+func TestInjectLocalClampsMetric(t *testing.T) {
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	netw := kernel.NewNetwork()
+	a := newRIPNode(t, loop, netw, "10.0.0.1")
+	nbr, err := netw.Attach(mustA("10.0.0.2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heard := make(map[netip.Prefix]uint32)
+	rejected := 0
+	if err := nbr.Bind(Port, func(_ netip.AddrPort, payload []byte) {
+		pkt, err := Decode(payload)
+		if err != nil {
+			rejected++
+			return
+		}
+		for _, rte := range pkt.RTEs {
+			heard[rte.Net] = rte.Metric
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	loop.Dispatch(func() {
+		a.proc.InjectLocal(mustP("172.16.0.0/16"), 1, 0)
+		a.proc.InjectLocal(mustP("172.17.0.0/16"), 0, 0)
+		a.proc.InjectLocal(mustP("172.18.0.0/16"), 100, 0)
+	})
+	loop.RunFor(3 * time.Second)
+	if rejected != 0 {
+		t.Errorf("the neighbour refused %d responses", rejected)
+	}
+	for net, want := range map[string]uint32{"172.16.0.0/16": 1, "172.17.0.0/16": 1, "172.18.0.0/16": Infinity - 1} {
+		if m, ok := heard[mustP(net)]; !ok || m != want {
+			t.Errorf("the neighbour heard %s at metric %d %v, want %d", net, m, ok, want)
+		}
+	}
+}
+
 func TestRequestResponse(t *testing.T) {
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
 	netw := kernel.NewNetwork()

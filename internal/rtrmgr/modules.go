@@ -12,6 +12,7 @@ import (
 	"xorp/internal/policy"
 	"xorp/internal/rip"
 	"xorp/internal/route"
+	"xorp/internal/xif"
 )
 
 // modules is the table of process classes NewRouter assembles, in start
@@ -58,10 +59,7 @@ func (r *Router) CurrentOSPF() *ospf.Process { return procOf[ospfProc](r.current
 //	      peer p1 { local-addr ...; peer-addr ...; as 65002; dial host:port; group g; }
 //	      redistribute static policy-name; }
 
-type bgpProc struct {
-	*bgp.Process
-	out loopRedist // redistribution into BGP: originate and withdraw
-}
+type bgpProc struct{ *bgp.Process }
 
 func setupBGP(r *Router, inst *instance, cfg *Node) (proc, error) {
 	asStr := cfg.Leaf("local-as")
@@ -84,13 +82,7 @@ func setupBGP(r *Router, inst *instance, cfg *Node) (proc, error) {
 		ConsistencyChecks: r.opts.ConsistencyChecks,
 	}, NewXRLRIBClient(inst.router, "rib"), NewXRLMetricSource(inst.router, "rib", inst.class))
 	p.RegisterXRLs(inst.target)
-	return bgpProc{p, loopRedist{inst, func(e route.Entry) {
-		nh := e.NextHop
-		if !nh.IsValid() {
-			nh = netip.IPv4Unspecified()
-		}
-		p.Originate(e.Net, nh, e.Metric)
-	}, func(e route.Entry) { p.WithdrawOriginated(e.Net) }}}, nil
+	return bgpProc{p}, nil
 }
 
 func (p bgpProc) begin(cfg *Node) error {
@@ -174,7 +166,7 @@ func (p bgpProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
 	case c.Verb == ChangeAdd && c.New.Key == "peer-group":
 		return nil, "", nil
 	case strings.HasPrefix(unit, "redistribute"):
-		return a.stageRedist(c, p.out)
+		return a.stageRedist(c)
 	}
 	return nil, fmt.Sprintf("unsupported BGP change %q", unit), nil
 }
@@ -228,13 +220,10 @@ func (p bgpProc) stagePeer(a *txAgent, c Change) ([]txStep, string, error) {
 //	rip { update-interval 30; timeout 180; gc-time 120; triggered-delay 1;
 //	      redistribute static [pol-name]; }
 //
-// `redistribute` splices a RIB redist stage feeding RIP local routes,
-// advertised at the redistributed route's metric.
+// `redistribute` splices a RIB redist stage feeding RIP local routes over
+// redist4/0.1, advertised at the redistributed route's metric.
 
-type ripProc struct {
-	*rip.Process
-	out loopRedist // redistribution into RIP: local routes
-}
+type ripProc struct{ *rip.Process }
 
 func setupRIP(r *Router, inst *instance, _ *Node) (proc, error) {
 	if r.opts.Network == nil || !r.opts.LocalAddr.IsValid() {
@@ -242,8 +231,8 @@ func setupRIP(r *Router, inst *instance, _ *Node) (proc, error) {
 	}
 	p := rip.NewProcess(inst.loop, rip.Config{LocalAddr: r.opts.LocalAddr, IfName: "eth0"},
 		NewXRLRIPTransport(inst.router, inst.target, "fea"), NewXRLRouteClient(inst.router, "rib", route.ProtoRIP))
-	BindRIP(inst.target, p)
-	return ripProc{p, loopRedist{inst, p.RedistAdd, p.RedistDelete}}, nil
+	xif.BindRedist4(inst.target, p)
+	return ripProc{p}, nil
 }
 
 func (p ripProc) begin(*Node) error { return p.Start() }
@@ -253,7 +242,7 @@ func (p ripProc) close() { p.Stop() }
 // stage: timer retunes and redistribution.
 func (p ripProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
 	if strings.HasPrefix(c.Path[2], "redistribute") {
-		return a.stageRedist(c, p.out)
+		return a.stageRedist(c)
 	}
 	if c.Verb == ChangeRemove {
 		return nil, "removing a RIP timer requires a restart", nil
@@ -288,12 +277,12 @@ func (p ripProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
 //
 // Connected interface prefixes are originated as stub networks by begin;
 // `export` applies a policy to SPF routes entering the RIB;
-// `redistribute` splices a RIB redist stage feeding OSPF externals.
+// `redistribute` splices a RIB redist stage feeding OSPF externals over
+// redist4/0.1.
 
 type ospfProc struct {
 	*ospf.Process
-	r   *Router
-	out loopRedist // redistribution into OSPF: externals
+	r *Router
 }
 
 func setupOSPF(r *Router, inst *instance, cfg *Node) (proc, error) {
@@ -309,8 +298,8 @@ func setupOSPF(r *Router, inst *instance, cfg *Node) (proc, error) {
 	}
 	p := ospf.NewProcess(inst.loop, ocfg, NewXRLOSPFTransport(inst.router, inst.target, "fea"),
 		NewXRLRouteClient(inst.router, "rib", route.ProtoOSPF))
-	BindOSPF(inst.target, p)
-	return ospfProc{p, r, loopRedist{inst, p.RedistAdd, p.RedistDelete}}, nil
+	xif.BindRedist4(inst.target, p)
+	return ospfProc{p, r}, nil
 }
 
 // parseCost parses an OSPF link cost, 1 to 65535.
@@ -339,7 +328,7 @@ func (p ospfProc) close() { p.Stop() }
 func (p ospfProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
 	unit := c.Path[2]
 	if strings.HasPrefix(unit, "redistribute") {
-		return a.stageRedist(c, p.out)
+		return a.stageRedist(c)
 	}
 	switch unit {
 	case "export":

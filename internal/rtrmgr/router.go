@@ -129,13 +129,6 @@ type instance struct {
 	// redists names the RIB redistribution stages spliced in for this
 	// instance, removed on teardown so a respawn splices afresh (procMu).
 	redists []string
-	// dead is set first thing in teardown, for loopRedist alone: the RIB
-	// hands routes to a process (RIB → protocol) by a call on its loop,
-	// and a killed one must not be handed its redistribution's
-	// withdrawals. Everything a process says goes out over its xipc.Router,
-	// which teardown closes, so a killed one reaches nothing — not the RIB,
-	// where stale retention keeps what it taught, nor the network.
-	dead atomic.Bool
 }
 
 // simulated reports whether the assembly runs on a simulated clock.
@@ -310,21 +303,27 @@ func newRouter(cfgText string, opts Options, table []*module) (*Router, error) {
 		}
 	}
 
-	// One process per configured class. Registration with the Finder
-	// happens here, not in setup: the respawn path must register
-	// asynchronously.
+	// One process per configured class: registered, then configured, then
+	// published. Registration happens here, not in setup: the respawn path
+	// must register asynchronously.
 	for _, m := range r.modules {
 		pcfg := r.classConfig(m.class)
 		if pcfg == nil {
 			continue
 		}
-		inst, err := r.setup(m, pcfg, plan[m.class])
+		inst, a, err := r.setup(m, pcfg)
 		if err != nil {
 			return nil, err
 		}
 		if err := r.registerTarget(inst.router, inst.target); err != nil {
+			r.dismantle(inst)
 			return nil, fmt.Errorf("rtrmgr: register %s: %w", m.class, err)
 		}
+		if err := a.boot(plan[m.class]); err != nil {
+			r.dismantle(inst)
+			return nil, err
+		}
+		r.publish(inst)
 	}
 	return r, nil
 }
@@ -378,16 +377,19 @@ func (r *Router) instances() []*instance {
 }
 
 // setup assembles an instance of m — its own loop, XRL router and Finder
-// target, the process m.setup builds on them from cfg, the process's side
-// of the reload protocol — configures it with changes, its slice of a
-// boot plan, and publishes it as live.
-func (r *Router) setup(m *module, cfg *Node, changes []Change) (*instance, error) {
+// target, the process m.setup builds on them from cfg — and returns it
+// with its side of the reload protocol, the agent that configures it.
+// The caller registers the instance, then configures it with its slice
+// of a boot plan, then publishes it: what a process is configured with
+// may send at once (a redist stage primes its subscriber), and an XRL to
+// a target the Finder does not know yet is lost.
+func (r *Router) setup(m *module, cfg *Node) (*instance, *txAgent, error) {
 	xr := r.processRouter(m.class)
 	inst := &instance{class: m.class, loop: xr.Loop(), router: xr, target: xif.NewTarget(m.class, m.class)}
 	p, err := m.setup(r, inst, cfg)
 	if err != nil {
 		r.dismantle(inst)
-		return nil, err
+		return nil, nil, err
 	}
 	inst.proc = p
 	a := &txAgent{r: r, class: m.class, loop: inst.loop, inst: inst, stage: func(a *txAgent, c Change) ([]txStep, string, error) {
@@ -399,17 +401,17 @@ func (r *Router) setup(m *module, cfg *Node, changes []Change) (*instance, error
 		}
 		return p.stage(a, c)
 	}}
-	if err := a.boot(changes); err != nil {
-		r.dismantle(inst)
-		return nil, err
-	}
 	xif.BindConfig(inst.target, a)
 	inst.router.AddTarget(inst.target)
+	return inst, a, nil
+}
+
+// publish makes inst its class's live instance.
+func (r *Router) publish(inst *instance) {
 	r.procMu.Lock()
-	r.procs[m.class] = inst
+	r.procs[inst.class] = inst
 	r.typedViews()
 	r.procMu.Unlock()
-	return inst, nil
 }
 
 // teardown is the destructive half of a crash or respawn. It unpublishes
@@ -429,14 +431,16 @@ func (r *Router) teardown(class string) bool {
 	return true
 }
 
-// dismantle takes inst out of the router: dead before anything else, then
-// the RIB stops feeding it, its XRL router closes — before the process,
-// so the peer-down machinery of a dying process cannot push withdrawals
-// into the RIB, nor a dying IGP poison its routes on the wire — and the
-// process stops on its loop. The FEA keeps its relay ports: they are the
-// class's, and a respawn's bind finds them held.
+// dismantle takes inst out of the router. Its XRL router, the process's
+// one road to the RIB and the network, closes first: the peer-down
+// machinery of a dying process cannot push withdrawals into the RIB, nor
+// a dying IGP poison its routes on the wire, and redistribution XRLs on
+// their way to it fail there. Then the RIB unsplices the instance's
+// redistribution stages and sends it nothing — a crash withdraws nothing
+// — and the process stops on its loop. The FEA keeps its relay ports:
+// they are the class's, and a respawn's bind finds them held.
 func (r *Router) dismantle(inst *instance) {
-	inst.dead.Store(true)
+	inst.router.Close()
 	r.procMu.Lock()
 	redists := inst.redists
 	inst.redists = nil
@@ -444,11 +448,10 @@ func (r *Router) dismantle(inst *instance) {
 	if len(redists) > 0 {
 		r.syncDo(r.RIB.Loop(), func() {
 			for _, name := range redists {
-				r.RIB.RemoveRedist(name)
+				r.RIB.UnspliceRedist(name)
 			}
 		})
 	}
-	inst.router.Close()
 	if inst.proc != nil { // nil when setup failed half way
 		r.syncDo(inst.loop, inst.proc.close)
 	}
@@ -470,10 +473,10 @@ func (r *Router) dropLoop(l *eventloop.Loop) {
 }
 
 // respawn replaces class m's instance: teardown (idempotent — KillProcess
-// usually already did it), setup configured by the boot plan of the
-// running config, asynchronous registration with the Finder, then begin.
-// The registration callback runs on the new process's loop, so begin
-// executes in-loop. done is called exactly once, possibly from that loop.
+// usually already did it), setup, asynchronous registration with the
+// Finder, then — in the registration callback, on the new process's loop
+// — the boot plan of the running config, publish and begin. done is
+// called exactly once, possibly from that loop.
 func (r *Router) respawn(m *module, done func(error)) {
 	cfg := r.classConfig(m.class)
 	plan, err := r.bootPlan(r.runningConfig())
@@ -485,13 +488,19 @@ func (r *Router) respawn(m *module, done func(error)) {
 	// loop syncDo would dispatch to: the flag makes it call directly.
 	r.respawning.Store(true)
 	r.teardown(m.class)
-	inst, err := r.setup(m, cfg, plan[m.class])
+	inst, a, err := r.setup(m, cfg)
 	r.respawning.Store(false)
 	if err != nil {
 		done(err)
 		return
 	}
 	finder.RegisterTarget(inst.router, inst.target, true, func(err error) {
+		if err == nil {
+			err = a.configure(plan[m.class])
+		}
+		// Published even when it failed, so the next respawn's teardown
+		// takes it down.
+		r.publish(inst)
 		if err == nil {
 			err = inst.proc.begin(cfg)
 		}

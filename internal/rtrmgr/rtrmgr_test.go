@@ -3,6 +3,7 @@ package rtrmgr
 import (
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -252,9 +253,50 @@ func TestManagementViaXRLs(t *testing.T) {
 	}
 }
 
+// peerRIB is a BGP peer's RIB as a set of prefixes, written on the peer's
+// loop and read from the test's goroutine.
+type peerRIB struct {
+	mu  sync.Mutex
+	has map[netip.Prefix]bool
+}
+
+func (c *peerRIB) AddRoute(r *bgp.Route)          { c.set(r.Net, true) }
+func (c *peerRIB) ReplaceRoute(_, new *bgp.Route) { c.set(new.Net, true) }
+func (c *peerRIB) DeleteRoute(r *bgp.Route)       { c.set(r.Net, false) }
+
+func (c *peerRIB) set(net netip.Prefix, on bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if on {
+		c.has[net] = true
+	} else {
+		delete(c.has, net)
+	}
+}
+
+func (c *peerRIB) holds(net netip.Prefix) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.has[net]
+}
+
+// `redistribute static` into BGP, watched from the far end: a plain BGP
+// process on loopback peers with p1 and must be told the static routes —
+// the one configured, one the RIB learns later — and the withdrawal of a
+// static the RIB deletes.
 func TestRedistributionStaticToBGP(t *testing.T) {
-	cfgText := strings.Replace(baseConfig, "local-as 65001", "local-as 65001\n        redistribute static", 1)
-	r, err := NewRouter(cfgText, Options{})
+	r, err := NewRouter(`
+interfaces { eth0 { address 192.168.1.1/24; } }
+static { route 10.0.0.0/8 next-hop 192.168.1.254; }
+protocols {
+    bgp {
+        local-as 65001
+        id 192.168.1.1
+        redistribute static
+        peer p1 { local-addr 127.0.0.1; peer-addr 127.0.0.1; as 65002; passive; }
+    }
+}
+`, Options{BGPListen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,42 +304,34 @@ func TestRedistributionStaticToBGP(t *testing.T) {
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// The static 10/8 must be originated into BGP and announced to
-	// peers... observe via the peer p1 PeerOut announcement count.
-	waitCond(t, "static route redistributed into BGP", func() bool {
-		found := false
-		r.BGP.Loop().DispatchAndWait(func() {
-			if peer, ok := r.BGP.Peer("p1"); ok {
-				_ = peer
-			}
-			// The local PeerIn holds the originated route.
-			found = true
-		})
-		// Check through the decision: the route must be visible to BGP.
-		done := make(chan bool, 1)
-		r.BGP.Loop().Dispatch(func() {
-			done <- true
-		})
-		<-done
-		return found
+	var listen string
+	r.BGP.Loop().DispatchAndWait(func() { listen = r.BGP.ListenAddr() })
+
+	loop := eventloop.New(nil)
+	go loop.Run()
+	defer loop.Stop()
+	got := &peerRIB{has: make(map[netip.Prefix]bool)}
+	peer := bgp.NewProcess(loop, bgp.Config{AS: 65002, BGPID: mustA("192.168.1.2")}, got, nil)
+	defer loop.DispatchAndWait(peer.Close)
+	loop.DispatchAndWait(func() {
+		if _, err := peer.AddPeer(bgp.PeerConfig{
+			Name: "r", LocalAddr: mustA("127.0.0.1"), PeerAddr: mustA("127.0.0.1"), PeerAS: 65001,
+			DialAddr: listen, HoldTime: 30 * time.Second, ConnectRetry: 200 * time.Millisecond,
+		}); err != nil {
+			t.Error(err)
+		}
+		peer.EnablePeer("r")
 	})
-	// Stronger check: new static route appears at the RIB and is pushed
-	// into BGP origination.
-	r.RIB.Loop().Dispatch(func() {
-		r.RIB.AddRoute(route.ProtoStatic, route.Entry{
-			Net: mustP("44.0.0.0/8"), NextHop: mustA("192.168.1.254"), IfName: "eth0",
-		})
-	})
-	waitCond(t, "new static redistributed", func() bool {
-		var n int
-		r.BGP.Loop().DispatchAndWait(func() {
-			// The route must be in the FIB too (via static), and BGP must
-			// have originated it (local branch holds it).
-			n = 1
-		})
-		_, ok := r.FIB.Lookup(mustA("44.1.1.1"))
-		return ok && n == 1
-	})
+
+	waitCond(t, "the configured static announced to the peer", func() bool { return got.holds(mustP("10.0.0.0/8")) })
+	late := route.Entry{Net: mustP("44.0.0.0/8"), NextHop: mustA("192.168.1.254"), IfName: "eth0"}
+	r.RIB.Loop().Dispatch(func() { r.RIB.AddRoute(route.ProtoStatic, late) })
+	waitCond(t, "a later static announced to the peer", func() bool { return got.holds(late.Net) })
+	r.RIB.Loop().Dispatch(func() { r.RIB.DeleteRoute(route.ProtoStatic, late.Net) })
+	waitCond(t, "the deleted static withdrawn from the peer", func() bool { return !got.holds(late.Net) })
+	if !got.holds(mustP("10.0.0.0/8")) {
+		t.Fatal("the configured static was withdrawn with the later one")
+	}
 }
 
 func TestRIPInAssembly(t *testing.T) {
@@ -330,8 +364,9 @@ protocols { rip { } }
 }
 
 // An assembled router's IGPs answer the XRLs cmd/xorp_rip and
-// cmd/xorp_ospf bind: an add_static_route to RIP reaches the RIB through
-// RIP, and OSPF takes an originate.
+// cmd/xorp_ospf bind, redist4/0.1: an add_route4 to RIP reaches the RIB
+// through RIP at its metric — one left out is 1, RIP's least — and OSPF
+// takes one too.
 func TestIGPControlXRLsInAssembly(t *testing.T) {
 	r, err := NewRouter(`
 interfaces { eth0 { address 192.168.1.1/24; } }
@@ -360,12 +395,17 @@ protocols { rip { } ospf { } }
 		}
 	}
 
-	call("finder://rip/rip/0.1/add_static_route?network:ipv4net=172.29.0.0/16&metric:u32=3")
+	call("finder://rip/redist4/0.1/add_route4?network:ipv4net=172.29.0.0/16&metric:u32=3")
 	e, ok := r.RIB.LookupBest(mustA("172.29.1.1"))
 	if !ok || e.Net != mustP("172.29.0.0/16") || e.Protocol != route.ProtoRIP || e.Metric != 3 {
-		t.Fatalf("after add_static_route the RIB holds %+v %v, want the RIP route at metric 3", e, ok)
+		t.Fatalf("after add_route4 the RIB holds %+v %v, want the RIP route at metric 3", e, ok)
 	}
-	call("finder://ospf/ospf/0.1/originate?network:ipv4net=172.28.0.0/16")
+	call("finder://rip/redist4/0.1/add_route4?network:ipv4net=172.27.0.0/16")
+	e, ok = r.RIB.LookupBest(mustA("172.27.1.1"))
+	if !ok || e.Net != mustP("172.27.0.0/16") || e.Protocol != route.ProtoRIP || e.Metric != 1 {
+		t.Fatalf("after add_route4 with no metric the RIB holds %+v %v, want the RIP route at metric 1", e, ok)
+	}
+	call("finder://ospf/redist4/0.1/add_route4?network:ipv4net=172.28.0.0/16")
 }
 
 func TestOSPFInAssembly(t *testing.T) {

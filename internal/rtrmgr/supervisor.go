@@ -17,8 +17,8 @@ import (
 // re-applies their slice of the configuration; combined with the RIB's
 // stale-route retention (rib/graceful.go) a protocol crash keeps
 // forwarding intact while the replacement process re-learns its routes —
-// provided the dead one is dead: teardown cuts both of its roads into the
-// RIB before anything else (instance.dead, xipc.Router.Close).
+// provided the dead one is dead: teardown closes its XRL router, its one
+// road to the RIB and the network, before anything else.
 //
 // Respawns back off exponentially, and a process that keeps dying in
 // quick succession is eventually abandoned with an alarm rather than

@@ -665,6 +665,51 @@ protocols { rip { redistribute static; } }
 	}
 }
 
+// redistSpy is a redistribution subscriber in the test's hands.
+type redistSpy struct{ adds, dels int }
+
+func (s *redistSpy) RedistAdd(route.Entry)    { s.adds++ }
+func (s *redistSpy) RedistDelete(route.Entry) { s.dels++ }
+
+// Teardown takes a killed instance's redistribution stages out of the RIB
+// and sends nothing through them: a crash withdraws nothing, whoever
+// would hear it. One stage of the instance's feeds a spy, which must hear
+// its priming and no withdrawal.
+func TestSupervisorKilledProcessUnsplicesSilently(t *testing.T) {
+	r, err := NewRouter(`
+static { route 172.16.0.0/16 metric 3; }
+protocols { rip { redistribute static; } }
+`, Options{Clock: eventloop.NewSimClock(time.Unix(1000, 0)), SharedLoop: true,
+		Network: kernel.NewNetwork(), LocalAddr: mustA("192.168.1.1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	spy := &redistSpy{}
+	all := func(e route.Entry) *route.Entry { return &e }
+	if err := r.addRedist(r.current("rip"), "spy", all, spy); err != nil {
+		t.Fatal(err)
+	}
+	if spy.adds == 0 {
+		t.Fatal("the spy's stage was not primed")
+	}
+	if err := r.KillProcess("rip"); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	if spy.dels != 0 {
+		t.Fatalf("teardown sent %d withdrawals through the killed instance's redistribution", spy.dels)
+	}
+	for _, name := range []string{redistName("rip", "spy"), redistName("rip", "static")} {
+		if _, err := r.RIB.UnspliceRedist(name); err == nil {
+			t.Errorf("stage %s still spliced after the kill", name)
+		}
+	}
+}
+
 // A killed process stays dead, the XRL road: teardown closes the dead
 // BGP's XRL router so that nothing it still does reaches the RIB, and a
 // closed router must mean that — not merely that bgp.Process.Close

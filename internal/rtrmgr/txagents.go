@@ -6,8 +6,8 @@ import (
 	"sync"
 
 	"xorp/internal/eventloop"
-	"xorp/internal/rib"
 	"xorp/internal/route"
+	"xorp/internal/xif"
 )
 
 // txAgent is one process's side of the config/0.1 transaction protocol
@@ -110,14 +110,18 @@ func (a *txAgent) applyAll(steps []txStep) (uint32, error) {
 // nothing to roll back, so an error fails the boot.
 func (a *txAgent) boot(changes []Change) (err error) {
 	if len(changes) > 0 {
-		a.r.syncDo(a.loop, func() {
-			if steps, nack := a.stageAll(changes); nack != "" {
-				err = fmt.Errorf("rtrmgr: %s: %s", a.class, nack)
-			} else {
-				_, err = a.applyAll(steps)
-			}
-		})
+		a.r.syncDo(a.loop, func() { err = a.configure(changes) })
 	}
+	return err
+}
+
+// configure is boot run on the agent's loop.
+func (a *txAgent) configure(changes []Change) error {
+	steps, nack := a.stageAll(changes)
+	if nack != "" {
+		return fmt.Errorf("rtrmgr: %s: %s", a.class, nack)
+	}
+	_, err := a.applyAll(steps)
 	return err
 }
 
@@ -197,10 +201,11 @@ func (a *txAgent) stageRIB(c Change) ([]txStep, string, error) {
 }
 
 // stageRedist handles a `redistribute <proto> [policy]` statement of the
-// agent's class: add splices a fresh RIB redist stage feeding out,
-// remove unsplices it, and the synthetic policy-edit modify swaps the
+// agent's class: add splices a fresh RIB redist stage feeding the class
+// over redist4/0.1 XRLs from the RIB's router, remove unsplices it and
+// withdraws what it fed, and the synthetic policy-edit modify swaps the
 // filter in place.
-func (a *txAgent) stageRedist(c Change, out rib.Redistributor) ([]txStep, string, error) {
+func (a *txAgent) stageRedist(c Change) ([]txStep, string, error) {
 	if c.Verb == ChangeRemove {
 		name := redistName(a.class, c.Old.Arg(0))
 		return []txStep{{
@@ -237,6 +242,7 @@ func (a *txAgent) stageRedist(c Change, out rib.Redistributor) ([]txStep, string
 			},
 		}}, "", nil
 	}
+	out := xif.NewRedist4Client(a.r.RIBRouter, a.class)
 	return []txStep{{
 		desc: "add redist " + name,
 		apply: func() error {

@@ -496,3 +496,56 @@ func TestReloadPolicySwap(t *testing.T) {
 		return n == 1 && has102
 	})
 }
+
+// A redistribution policy flipped back and forth by reload, in the manner
+// of rib's TestSetRedistFilterReplay, through the assembly: each flip
+// reaches RIP as redist4/0.1 XRLs — a route whose metric changes as a
+// delete then an add — and after each reload RIP's own table must equal
+// the RIB's mirror. A delete overtaking its add would leave RIP short.
+func TestReloadRedistFlipReachesRIP(t *testing.T) {
+	const cfg = `
+static {
+    route 10.0.0.0/16 metric 1;
+    route 10.1.0.0/16 metric 2;
+    route 10.2.0.0/16 metric 3;
+    route 10.3.0.0/16 metric 4;
+}
+policy flip { term all { then set metric 9; then accept } }
+protocols { rip { redistribute static flip; } }
+`
+	const low = `policy flip { term low { from metric < 3; then accept } term rest { then reject } }`
+	r, err := NewRouter(cfg, Options{Clock: eventloop.NewSimClock(time.Unix(0, 0)), SharedLoop: true,
+		Network: kernel.NewNetwork(), LocalAddr: mustA("192.168.1.1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	flipped := strings.Replace(cfg, "policy flip { term all { then set metric 9; then accept } }", low, 1)
+	for i, text := range []string{cfg, flipped, cfg, flipped, cfg} {
+		if i > 0 {
+			if err := r.Reload(text); err != nil {
+				t.Fatalf("reload %d: %v", i, err)
+			}
+			r.SettleAll()
+		}
+		for m := uint32(1); m <= 4; m++ {
+			net := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(m - 1), 0, 0}), 16)
+			mirrored := r.RIB.RedistHas("to-rip-static", net)
+			want := uint32(9)
+			if text == flipped {
+				want = m
+			}
+			got, held := r.RIP.Lookup(net)
+			if held != mirrored || held && got != want {
+				t.Fatalf("after reload %d: RIP holds %v at metric %d %v, the RIB mirrors it %v (metric %d)",
+					i, net, got, held, mirrored, want)
+			}
+			if mirrored != (text == cfg || m < 3) {
+				t.Fatalf("after reload %d: the RIB mirrors %v %v", i, net, mirrored)
+			}
+		}
+	}
+}

@@ -18,7 +18,8 @@ import (
 // The XRL client adapters wiring processes together across IPC: BGP's
 // best routes and the IGPs' to the RIB, the RIB's final routes to the
 // FEA, BGP's nexthop lookups to the RIB's register stage, and the IGPs'
-// packets through the FEA's relay. These are the arrows of Figure 1
+// packets through the FEA's relay; the RIB's redistribution into a
+// protocol rides xif.Redist4Client. These are the arrows of Figure 1
 // realized as XRLs through the typed xif stubs, so every hop in the
 // Figures 10–12 latency path crosses the real IPC machinery, and a
 // process whose XRL router is closed reaches nothing.
@@ -246,32 +247,7 @@ func (c *xrlFIBClient) shipDels() {
 	}
 }
 
-// loopRedist is a protocol process as a rib.Redistributor (route
-// redistribution into the protocol, §3): the RIB calls on its own loop,
-// add and del run on the instance's — unless it is dead by then. Teardown
-// unsplices a killed instance's redistribution, and the withdrawals that
-// sends must not reach the process: a crash withdraws nothing, and an
-// IGP handed one would flood it to its neighbours as its last act.
-type loopRedist struct {
-	inst     *instance
-	add, del func(route.Entry)
-}
-
-// RedistAdd implements rib.Redistributor.
-func (d loopRedist) RedistAdd(e route.Entry) { d.dispatch(d.add, e) }
-
-// RedistDelete implements rib.Redistributor.
-func (d loopRedist) RedistDelete(e route.Entry) { d.dispatch(d.del, e) }
-
-func (d loopRedist) dispatch(fn func(route.Entry), e route.Entry) {
-	d.inst.loop.Dispatch(func() {
-		if !d.inst.dead.Load() {
-			fn(e)
-		}
-	})
-}
-
-// Exported constructors and bindings: the router manager's setup and the
+// Exported constructors: the router manager's setup and the
 // standalone process binaries (cmd/xorp_rib, cmd/xorp_bgp, cmd/xorp_ospf,
 // cmd/xorp_rip) wire a process with the same calls.
 
@@ -366,37 +342,4 @@ func NewXRLOSPFTransport(router *xipc.Router, client *xipc.Target, feaTarget str
 // Invalidate method (the BGP process's rib_client XRL handler does this).
 func NewXRLMetricSource(router *xipc.Router, ribTarget, bgpTarget string) bgp.MetricSource {
 	return &xrlMetricSource{stub: xif.NewRIBClient(router, ribTarget), loop: router.Loop(), bgpTarget: bgpTarget}
-}
-
-// BindRIP exposes p's local-route injection on t as rip/0.1.
-func BindRIP(t *xipc.Target, p *rip.Process) { xif.BindRIP(t, ripServer{p}) }
-
-type ripServer struct{ p *rip.Process }
-
-func (s ripServer) AddStaticRoute(net netip.Prefix, metric uint32) error {
-	s.p.InjectLocal(net, metric, 0)
-	return nil
-}
-
-func (s ripServer) DeleteStaticRoute(net netip.Prefix) error {
-	s.p.WithdrawLocal(net)
-	return nil
-}
-
-// BindOSPF exposes p's prefix origination on t as ospf/0.1.
-func BindOSPF(t *xipc.Target, p *ospf.Process) { xif.BindOSPF(t, ospfServer{p}) }
-
-type ospfServer struct{ p *ospf.Process }
-
-func (s ospfServer) Originate(net netip.Prefix, cost uint32) error {
-	if cost == 0 {
-		cost = 1
-	}
-	s.p.OriginatePrefix(net, uint16(min(cost, 0xffff)))
-	return nil
-}
-
-func (s ospfServer) Withdraw(net netip.Prefix) error {
-	s.p.WithdrawPrefix(net)
-	return nil
 }

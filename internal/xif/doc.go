@@ -10,7 +10,7 @@
 //
 //   - Spec (spec.go) is the .xif file: one declarative value per
 //     interface (RIBSpec, FTISpec, FEAUDPSpec, FinderSpec, ProfileSpec,
-//     BGPSpec, OSPFSpec, RIPSpec, CommonSpec, ...) listing each method's
+//     BGPSpec, Redist4Spec, CommonSpec, ...) listing each method's
 //     named, typed argument and return atoms. The package registry
 //     (Define/Lookup/All) makes the full interface catalogue available
 //     to tools — cmd/call_xrl uses it to typecheck calls client-side

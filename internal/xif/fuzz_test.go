@@ -2,6 +2,8 @@ package xif_test
 
 import (
 	"bytes"
+	"math"
+	"net/netip"
 	"reflect"
 	"testing"
 
@@ -48,12 +50,21 @@ func sampleFrames(f *testing.F) (requests, replies [][]byte) {
 			})
 		}
 	}
-	// Two frames of each kind that no sample call makes: the shortest
-	// request and one whose atoms nest, a bare failure and an empty okay.
+	// Four frames of each kind that no sample call makes (a sample call
+	// sends every optional argument). Requests: the shortest, one whose
+	// atoms nest, a redistributed route with its optionals left out, and
+	// integers at their extremes beside an IPv6 net. Replies: a bare
+	// failure, an empty okay, a BAD_ARGS failure, and an okay whose
+	// results nest.
 	for _, req := range []*xrl.Request{
 		{},
 		{Seq: 7, Target: "conf", Command: "x/1.0/y", Args: xrl.Args{
 			xrl.List("l", xrl.Binary("b", []byte{0, 0xff}), xrl.List("", xrl.FP64("", -0.5)))}},
+		{Seq: 7, Target: "conf", Command: xif.Redist4Spec.Command("add_route4"), Key: "0123456789abcdef",
+			Args: xrl.Args{xrl.Net("network", netip.MustParsePrefix("10.1.0.0/16"))}},
+		{Seq: ^uint32(0), Target: "conf", Command: "x/1.0/y", Args: xrl.Args{
+			xrl.I32("i32", math.MinInt32), xrl.I64("i64", math.MinInt64), xrl.U64("u64", math.MaxUint64),
+			xrl.Bool("b", false), xrl.Net("net", netip.MustParsePrefix("2001:db8::/32"))}},
 	} {
 		b, err := xrl.AppendRequest(nil, req)
 		if err != nil {
@@ -64,6 +75,10 @@ func sampleFrames(f *testing.F) (requests, replies [][]byte) {
 	for _, rep := range []*xrl.Reply{
 		{Seq: 7, Code: xrl.CodeCommandFailed, Note: "no such route"},
 		{Seq: 7, Code: xrl.CodeOkay},
+		{Seq: 7, Code: xrl.CodeBadArgs, Note: "missing argument network"},
+		{Seq: ^uint32(0), Code: xrl.CodeOkay, Args: xrl.Args{
+			xrl.List("routes", xrl.Route("", netip.MustParsePrefix("192.0.2.0/24"), netip.MustParseAddr("192.0.2.1"), 5, "eth0")),
+			xrl.IPv6("addr", netip.MustParseAddr("fe80::1"))}},
 	} {
 		b, err := xrl.AppendReply(nil, rep)
 		if err != nil {

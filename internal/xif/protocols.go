@@ -1,103 +1,97 @@
 package xif
 
 import (
-	"net/netip"
+	"slices"
 
+	"xorp/internal/route"
 	"xorp/internal/xipc"
 	"xorp/internal/xrl"
 )
 
-// OSPFSpec declares ospf/0.1: external control of the OSPF process
-// (prefix origination, mirroring the originate XRLs of PR 2).
-var OSPFSpec = Define(Spec{
-	Name:    "ospf",
+// Redist4Spec declares redist4/0.1 (XORP's name): the RIB's
+// redistribution feed into a protocol (§5.2). A RIB redist stage hands the
+// routes its filter passes to the protocol that asked for them; every
+// protocol binds it, and it is a protocol's one way in for a
+// redistributed route.
+var Redist4Spec = Define(Spec{
+	Name:    "redist4",
 	Version: "0.1",
 	Methods: []Method{
-		{Name: "originate", Args: []Arg{
+		{Name: "add_route4", Args: []Arg{
 			{Name: "network", Type: xrl.TypeIPv4Net},
-			{Name: "cost", Type: xrl.TypeU32, Optional: true},
-		}},
-		{Name: "withdraw", Args: []Arg{
-			{Name: "network", Type: xrl.TypeIPv4Net},
-		}},
-	},
-})
-
-// OSPFServer is the typed implementation contract for ospf/0.1.
-type OSPFServer interface {
-	Originate(net netip.Prefix, cost uint32) error
-	Withdraw(net netip.Prefix) error
-}
-
-// BindOSPF wires an OSPFServer onto t as ospf/0.1.
-func BindOSPF(t *xipc.Target, s OSPFServer) {
-	b := newBinding(t, OSPFSpec)
-	b.handle("originate", func(args xrl.Args) (xrl.Args, error) {
-		net, err := args.NetArg("network")
-		if err != nil {
-			return nil, err
-		}
-		var cost uint32
-		opt := optionals{args: args}
-		if opt.u32("cost", &cost); opt.err != nil {
-			return nil, opt.err
-		}
-		return nil, s.Originate(net, cost)
-	})
-	b.handle("withdraw", func(args xrl.Args) (xrl.Args, error) {
-		net, err := args.NetArg("network")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.Withdraw(net)
-	})
-	b.done()
-}
-
-// RIPSpec declares rip/0.1: external control of the RIP process.
-var RIPSpec = Define(Spec{
-	Name:    "rip",
-	Version: "0.1",
-	Methods: []Method{
-		{Name: "add_static_route", Args: []Arg{
-			{Name: "network", Type: xrl.TypeIPv4Net},
+			{Name: "nexthop", Type: xrl.TypeIPv4, Optional: true},
 			{Name: "metric", Type: xrl.TypeU32, Optional: true},
 		}},
-		{Name: "delete_static_route", Args: []Arg{
+		{Name: "delete_route4", Args: []Arg{
 			{Name: "network", Type: xrl.TypeIPv4Net},
 		}},
 	},
 })
 
-// RIPServer is the typed implementation contract for rip/0.1.
-type RIPServer interface {
-	AddStaticRoute(net netip.Prefix, metric uint32) error
-	DeleteStaticRoute(net netip.Prefix) error
+// Redist4Server is the typed implementation contract for redist4/0.1:
+// rib.Redistributor's method set (the rib package imports this one, so it
+// cannot be named here). A left-out nexthop arrives invalid, a left-out
+// metric as 0.
+type Redist4Server interface {
+	RedistAdd(e route.Entry)
+	RedistDelete(e route.Entry)
 }
 
-// BindRIP wires a RIPServer onto t as rip/0.1.
-func BindRIP(t *xipc.Target, s RIPServer) {
-	b := newBinding(t, RIPSpec)
-	b.handle("add_static_route", func(args xrl.Args) (xrl.Args, error) {
-		net, err := args.NetArg("network")
-		if err != nil {
+// BindRedist4 wires a Redist4Server onto t as redist4/0.1.
+func BindRedist4(t *xipc.Target, s Redist4Server) {
+	b := newBinding(t, Redist4Spec)
+	b.handle("add_route4", func(args xrl.Args) (xrl.Args, error) {
+		var e route.Entry
+		var err error
+		if e.Net, err = args.NetArg("network"); err != nil {
 			return nil, err
 		}
-		var metric uint32
 		opt := optionals{args: args}
-		if opt.u32("metric", &metric); opt.err != nil {
+		opt.addr("nexthop", &e.NextHop)
+		if opt.u32("metric", &e.Metric); opt.err != nil {
 			return nil, opt.err
 		}
-		return nil, s.AddStaticRoute(net, metric)
+		s.RedistAdd(e)
+		return nil, nil
 	})
-	b.handle("delete_static_route", func(args xrl.Args) (xrl.Args, error) {
+	b.handle("delete_route4", func(args xrl.Args) (xrl.Args, error) {
 		net, err := args.NetArg("network")
 		if err != nil {
 			return nil, err
 		}
-		return nil, s.DeleteStaticRoute(net)
+		s.RedistDelete(route.Entry{Net: net})
+		return nil, nil
 	})
 	b.done()
+}
+
+// Redist4Client is the typed stub for redist4/0.1, and itself a
+// rib.Redistributor: a RIB redist stage given one feeds the protocol at
+// target over XRLs. Calls go out without waiting for a reply, in order.
+type Redist4Client struct{ client }
+
+// NewRedist4Client returns a stub sending redist4/0.1 XRLs to target
+// through r.
+func NewRedist4Client(r *xipc.Router, target string) *Redist4Client {
+	return &Redist4Client{newClient(r, target, Redist4Spec)}
+}
+
+// RedistAdd implements rib.Redistributor: add_route4.
+func (c *Redist4Client) RedistAdd(e route.Entry) {
+	var buf [3]xrl.Atom
+	args := append(buf[:0], xrl.Net("network", e.Net))
+	if e.NextHop.IsValid() {
+		args = append(args, xrl.Addr("nexthop", e.NextHop))
+	}
+	if e.Metric != 0 {
+		args = append(args, xrl.U32("metric", e.Metric))
+	}
+	c.call("add_route4", nil, slices.Clone(args)...)
+}
+
+// RedistDelete implements rib.Redistributor: delete_route4.
+func (c *Redist4Client) RedistDelete(e route.Entry) {
+	c.call("delete_route4", nil, xrl.Net("network", e.Net))
 }
 
 // BenchSpec declares bench/1.0: the Figure 9 echo sink. sink absorbs an

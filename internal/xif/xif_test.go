@@ -433,11 +433,8 @@ func (confServer) PeerState(string) (string, error)                       { retu
 func (confServer) OriginateRoute4(netip.Prefix, netip.Addr, uint32) error { return nil }
 func (confServer) WithdrawRoute4(netip.Prefix) error                      { return nil }
 
-func (confServer) Originate(netip.Prefix, uint32) error { return nil }
-func (confServer) Withdraw(netip.Prefix) error          { return nil }
-
-func (confServer) AddStaticRoute(netip.Prefix, uint32) error { return nil }
-func (confServer) DeleteStaticRoute(netip.Prefix) error      { return nil }
+func (confServer) RedistAdd(route.Entry)    {}
+func (confServer) RedistDelete(route.Entry) {}
 
 func (confServer) Sink(args xrl.Args) (xrl.Args, error) { return nil, nil }
 
@@ -464,8 +461,7 @@ func bindAll(target *xipc.Target) {
 	xif.BindFinder(target, srv)
 	xif.BindProfile(target, srv)
 	xif.BindBGP(target, srv)
-	xif.BindOSPF(target, srv)
-	xif.BindRIP(target, srv)
+	xif.BindRedist4(target, srv)
 	xif.BindBench(target, srv)
 	xif.BindConfig(target, srv)
 	xif.BindStats(target, srv)
@@ -618,16 +614,20 @@ func TestDispatchErrorCodes(t *testing.T) {
 func TestRegistryLookup(t *testing.T) {
 	for _, want := range []string{"rib/1.0", "fti/0.2", "fea_udp/0.1", "fea_udp_client/0.1",
 		"ifmgr/0.1", "finder/1.0", "finder_client/1.0", "rib_client/0.1",
-		"profile/0.1", "bgp/1.0", "ospf/0.1", "rip/0.1", "bench/1.0", "common/0.1",
+		"profile/0.1", "bgp/1.0", "redist4/0.1", "bench/1.0", "common/0.1",
 		"config/0.1", "stats/0.1"} {
 		name, ver, _ := strings.Cut(want, "/")
 		if _, ok := xif.Lookup(name, ver); !ok {
 			t.Errorf("registry is missing %s", want)
 		}
 	}
-	// No process serves the forwarding pool's counters, so no spec does.
-	if _, ok := xif.Lookup("fwd", "0.1"); ok {
-		t.Error("registry still lists fwd/0.1")
+	// No process serves the forwarding pool's counters, so no spec does;
+	// and a protocol's one way in for a redistributed route is redist4/0.1.
+	for _, gone := range []string{"fwd/0.1", "rip/0.1", "ospf/0.1"} {
+		name, ver, _ := strings.Cut(gone, "/")
+		if _, ok := xif.Lookup(name, ver); ok {
+			t.Errorf("registry still lists %s", gone)
+		}
 	}
 	all := xif.All()
 	for i := 1; i < len(all); i++ {
@@ -706,11 +706,45 @@ func TestCompareVersions(t *testing.T) {
 
 func TestTargetInterfaces(t *testing.T) {
 	target := xif.NewTarget("x", "x")
-	xif.BindRIP(target, confServer{})
+	xif.BindRedist4(target, confServer{})
 	got := xif.TargetInterfaces(target)
-	want := []string{"common/0.1", "rip/0.1"}
+	want := []string{"common/0.1", "redist4/0.1"}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("TargetInterfaces = %v, want %v", got, want)
+	}
+}
+
+// redistRec records what a redist4/0.1 binding hands its server.
+type redistRec struct{ adds, dels []route.Entry }
+
+func (r *redistRec) RedistAdd(e route.Entry)    { r.adds = append(r.adds, e) }
+func (r *redistRec) RedistDelete(e route.Entry) { r.dels = append(r.dels, e) }
+
+// The redist4/0.1 stub is a rib.Redistributor whose routes reach the
+// protocol's rib.Redistributor, the optional next hop and metric intact
+// and their absence read as the zero value, in the order the RIB sent
+// them.
+func TestRedist4RoundTrip(t *testing.T) {
+	var _ rib.Redistributor = (*xif.Redist4Client)(nil)
+	loop := eventloop.New(nil)
+	r := xipc.NewRouter("redist", loop)
+	srv := &redistRec{}
+	target := xif.NewTarget("proto", "proto")
+	xif.BindRedist4(target, srv)
+	r.AddTarget(target)
+	stub := xif.NewRedist4Client(r, "proto")
+
+	full := route.Entry{Net: confEntry.Net, NextHop: confEntry.NextHop, Metric: 7}
+	bare := route.Entry{Net: netip.MustParsePrefix("10.1.0.0/16")}
+	stub.RedistAdd(full)
+	stub.RedistAdd(bare)
+	stub.RedistDelete(route.Entry{Net: full.Net, Metric: 9})
+	loop.RunPending()
+	if !reflect.DeepEqual(srv.adds, []route.Entry{full, bare}) {
+		t.Fatalf("adds %+v, want %+v then %+v", srv.adds, full, bare)
+	}
+	if !reflect.DeepEqual(srv.dels, []route.Entry{{Net: full.Net}}) {
+		t.Fatalf("deletes %+v, want the network alone", srv.dels)
 	}
 }
 
@@ -751,7 +785,7 @@ func (s *optServer) AddEntries4(es []route.Entry) error {
 	s.calls, s.last = s.calls+1, es[0]
 	return nil
 }
-func (s *optServer) Originate(netip.Prefix, uint32) error { s.calls++; return nil }
+func (s *optServer) RedistAdd(route.Entry) { s.calls++ }
 
 // TestOptionalArguments: an optional argument left out is free, and one
 // sent with the wrong type is BAD_ARGS before the server sees the call —
@@ -763,7 +797,7 @@ func TestOptionalArguments(t *testing.T) {
 	target := xif.NewTarget("conf", "conf")
 	xif.BindRIB(target, srv)
 	xif.BindFTI(target, srv)
-	xif.BindOSPF(target, srv)
+	xif.BindRedist4(target, srv)
 	r.AddTarget(target)
 
 	var got *xrl.Error
@@ -789,8 +823,8 @@ func TestOptionalArguments(t *testing.T) {
 			[]xrl.Atom{xrl.Text("protocol", "static"), net, xrl.U32("ifname", 0)}},
 		{"add_entry4 nexthop as ipv4net", "fti", "0.2", "add_entry4",
 			[]xrl.Atom{net, xrl.Net("nexthop", confEntry.Net)}},
-		{"ospf originate cost as txt", "ospf", "0.1", "originate",
-			[]xrl.Atom{net, xrl.Text("cost", "10")}},
+		{"redist4 add_route4 metric as txt", "redist4", "0.1", "add_route4",
+			[]xrl.Atom{net, xrl.Text("metric", "10")}},
 	} {
 		err := call(c.iface, c.version, c.method, c.args...)
 		if err == nil || err.Code != xrl.CodeBadArgs {

@@ -537,6 +537,37 @@ func TestCallRecordReuseKeepsSemantics(t *testing.T) {
 	}
 }
 
+// Nor is a closed router handed anything: a call already on its way when
+// the receiver closed, its intra record queued on the receiver's loop, is
+// refused there, and the sender hears a failure.
+func TestClosedRouterHandlesNothing(t *testing.T) {
+	sendLoop, recvLoop, hub := simLoop(), simLoop(), NewHub()
+	newStubFinder(sendLoop, hub, func(string, string) (xrl.Args, error) {
+		return resolution("sink", "", xrl.ProtoIntra+"|"+hub.ID()), nil
+	})
+	handled := 0
+	recv := NewRouter("receiver", recvLoop)
+	tgt := NewTarget("sink", "sink")
+	tgt.Register("bench", "1.0", "sink", func(xrl.Args) (xrl.Args, error) {
+		handled++
+		return nil, nil
+	})
+	recv.AddTarget(tgt)
+	recv.AttachHub(hub)
+	send := NewRouter("sender", sendLoop)
+	send.AttachHub(hub)
+
+	var replies []*xrl.Error
+	send.Send(xrl.New("sink", "bench", "1.0", "sink"), func(_ xrl.Args, err *xrl.Error) { replies = append(replies, err) })
+	sendLoop.RunPending() // resolved: the record waits on the receiver's loop
+	recv.Close()
+	recvLoop.RunPending()
+	sendLoop.RunPending()
+	if handled != 0 || len(replies) != 1 || replies[0] == nil {
+		t.Fatalf("a call in flight to a closed router: %d handled (want 0), replies %v (want one failure)", handled, replies)
+	}
+}
+
 // Close is final. A process that was killed may still have timers on a
 // loop it shared, and what they send must not arrive: after Close, Send,
 // SendFromLoop and Call finish with an error and no handler runs, whether

@@ -647,8 +647,12 @@ func (r *Router) dispatch(targetName, cmd, key string, args xrl.Args) (xrl.Args,
 	}
 	r.mu.Lock()
 	t, ok := r.targets[targetName]
+	closed := r.closed
 	r.mu.Unlock()
-	if !ok {
+	if !ok || closed {
+		// A call that was on its way when the router closed (an intra
+		// record already queued on this loop) is refused like any later
+		// one: the process behind a closed router is gone.
 		return nil, &xrl.Error{Code: xrl.CodeNoSuchTarget,
 			Note: "no target " + targetName + " in process " + r.name}
 	}
