@@ -10,10 +10,11 @@ import (
 
 // RegisterTarget registers target t — hosted by router r — with the
 // Finder: it announces the instance with r's transport endpoints, then
-// registers every method, recording the Finder-issued keys on t so the
-// router enforces them on dispatch. The Finder also derives the
-// interface versions t implements from the command list, enabling
-// version-negotiated resolution. done runs on r's loop.
+// registers every method (none is a registration too: it is what the
+// Finder announces as the instance's birth), recording the Finder-issued
+// keys on t so the router enforces them on dispatch. The Finder also
+// derives the interface versions t implements from the command list,
+// enabling version-negotiated resolution. done runs on r's loop.
 //
 // Registration also primes the xrl codec's intern table with the
 // instance, class and command strings: every frame addressed to t decodes
@@ -34,10 +35,6 @@ func RegisterTarget(r *xipc.Router, t *xipc.Target, sole bool, done func(error))
 			return
 		}
 		cmds := t.Commands()
-		if len(cmds) == 0 {
-			done(nil)
-			return
-		}
 		fc.RegisterMethods(t.Name, cmds, func(keys []string, xerr *xrl.Error) {
 			if xerr != nil {
 				done(xerr)

@@ -29,6 +29,7 @@ type instanceInfo struct {
 	// (iface name -> version set), derived from its registered commands;
 	// resolution negotiates against it (§6 rolling-upgrade scenario).
 	ifaces   map[string]map[string]bool
+	born     bool // its methods are registered and its birth announced
 	lastSeen time.Time
 	// Liveness bookkeeping (pingAll): missed counts consecutive ping
 	// rounds that began with no reply yet processed; a reply (whenever it
@@ -195,13 +196,14 @@ func (f *Finder) registerTarget(instance, class string, sole bool, endpoints []s
 		lastSeen:  f.loop.Now(),
 	}
 	f.classes[class] = append(f.classes[class], instance)
-	f.notifyLifetime("birth", class, instance)
 	return nil
 }
 
 // registerMethods issues (or re-issues) one key per command, and records
 // the implemented interface versions for resolution-time negotiation.
-// Runs on the loop.
+// The first call announces the instance's birth: a watcher may call it
+// the moment it hears of it, so the birth waits until its methods
+// resolve. Runs on the loop.
 func (f *Finder) registerMethods(instance string, commands []string) ([]string, error) {
 	info, ok := f.instances[instance]
 	if !ok {
@@ -223,6 +225,10 @@ func (f *Finder) registerMethods(instance string, commands []string) ([]string, 
 			}
 			vs[version] = true
 		}
+	}
+	if !info.born {
+		info.born = true
+		f.notifyLifetime("birth", info.class, instance)
 	}
 	return keys, nil
 }

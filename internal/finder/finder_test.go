@@ -667,6 +667,41 @@ func TestLivenessSurvivesInFlightReply(t *testing.T) {
 	}
 }
 
+// A birth announces an instance that can be called: a watcher that calls
+// the newborn the moment it hears of it reaches it, because the Finder
+// announces the birth only once the instance's methods are registered.
+// The RIB primes a redistribution's subscriber so.
+func TestBirthIsCallable(t *testing.T) {
+	_, hub, nodes := setupHub(t, "alpha")
+	a := nodes["alpha"]
+	called := make(chan *xrl.Error, 1)
+	a.router.SetFinderEvent(func(event, _, instance string) {
+		if event == "birth" && instance == "beta" {
+			a.router.SendFromLoop(xrl.New("beta", "test", "1.0", "echo"), func(_ xrl.Args, err *xrl.Error) { called <- err })
+		}
+	})
+	done := make(chan error, 1)
+	Watch(a.router, "alpha", "*", func(err error) { done <- err })
+	if err := <-done; err != nil {
+		t.Fatalf("watch: %v", err)
+	}
+
+	b := newTestNode("beta")
+	defer b.stop()
+	b.router.AttachHub(hub)
+	if err := RegisterTargetSync(b.router, b.target, true); err != nil {
+		t.Fatalf("register beta: %v", err)
+	}
+	select {
+	case err := <-called:
+		if err != nil {
+			t.Fatalf("a call on beta's birth failed: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("no birth event")
+	}
+}
+
 // TestDeathThenRebirthOrdered: unregistering an instance and immediately
 // re-registering the same name must deliver watchers exactly one death
 // and one birth, in that order — reordering or coalescing would leave a

@@ -594,7 +594,7 @@ func TestReentrantClients(t *testing.T) {
 			if via == "redistributor" {
 				// The redist stage sits ahead of the FIB sink, so its
 				// callback is the one that fires.
-				if _, err := p.AddRedist("re", nil, r); err != nil {
+				if _, err := p.AddRedist("re", "", nil, r); err != nil {
 					t.Fatal(err)
 				}
 			}

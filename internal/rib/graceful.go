@@ -37,12 +37,27 @@ func (p *Process) SetGracePeriod(d time.Duration) {
 	p.gracePeriod = d
 }
 
-// HandleFinderEvent reacts to component lifetime events: a death of a
+// HandleFinderEvent reacts to component lifetime events. A death of a
 // protocol class marks that protocol's routes stale and arms the grace
-// timer. Births need no action — the respawned process re-announces, and
-// either resync_complete or the timer closes the window. Wire it with
-// Router.SetFinderEvent plus a Finder watch; runs on the RIB loop.
+// timer; the respawned process re-announces, and either resync_complete
+// or the timer closes the window. A redistribution stage lives as long
+// as its subscriber: a death of its class quiets it (it forgets its
+// mirror and sends nothing, so a crash withdraws nothing), and a birth
+// primes it afresh from the table — a stage spliced before its
+// subscriber registered, and a respawned subscriber, are fed alike. Wire
+// it with Router.SetFinderEvent plus a Finder watch; runs on the RIB loop.
 func (p *Process) HandleFinderEvent(event, class, instance string) {
+	for _, s := range p.chain {
+		rd, ok := s.(*RedistStage)
+		switch {
+		case !ok || rd.class != class:
+		case event == "death":
+			rd.quiet = true
+			clear(rd.mirrored)
+		case event == "birth":
+			p.prime(rd)
+		}
+	}
 	if event == "death" {
 		p.HandleDeath(class)
 	}

@@ -191,3 +191,55 @@ func TestSweepStaleIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// A redistribution stage lives as long as its subscriber, by the Finder
+// events alone. A birth primes it afresh even over a mirror it holds (a
+// stage spliced before its subscriber registered fed no one). A death
+// quiets it: the subscriber hears no withdrawal, no add and no filter
+// swap until the next birth primes it from the table. Other classes'
+// events leave it alone.
+func TestRedistFollowsSubscriberLifetime(t *testing.T) {
+	p, _, _ := newRib(t)
+	static := func(n int) route.Entry {
+		return route.Entry{Net: mustP(fmt.Sprintf("10.%d.0.0/16", n)), NextHop: mustA("10.0.0.1"), IfName: "eth0"}
+	}
+	p.AddRoute(route.ProtoStatic, static(1))
+	rec := newRedistRec()
+	if _, err := p.AddRedist("r", "rip", nil, rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.adds != 1 {
+		t.Fatalf("AddRedist primed %d routes, want 1", rec.adds)
+	}
+	p.HandleFinderEvent("birth", "rip", "rip")
+	if rec.adds != 2 || rec.dels != 0 || len(rec.got) != 1 {
+		t.Fatalf("after a birth: %d adds, %d withdrawals, mirror %v; want one fresh add", rec.adds, rec.dels, rec.got)
+	}
+
+	p.HandleFinderEvent("death", "ospf", "ospf")
+	p.AddRoute(route.ProtoStatic, static(2))
+	if rec.adds != 3 {
+		t.Fatalf("another class's death quieted the stage: %d adds", rec.adds)
+	}
+	p.HandleFinderEvent("death", "rip", "rip")
+	p.AddRoute(route.ProtoStatic, static(3))
+	p.DeleteRoute(route.ProtoStatic, static(1).Net)
+	if err := p.SetRedistFilter("r", func(e route.Entry) *route.Entry { e.Metric = 7; return &e }); err != nil {
+		t.Fatal(err)
+	}
+	if rec.adds != 3 || rec.dels != 0 || p.RedistMirrored("r") != 0 {
+		t.Fatalf("while dead: %d adds, %d withdrawals, %d mirrored; want nothing sent or kept",
+			rec.adds-3, rec.dels, p.RedistMirrored("r"))
+	}
+
+	p.HandleFinderEvent("birth", "rip", "rip")
+	if rec.adds != 5 || rec.dels != 0 || p.RedistMirrored("r") != 2 {
+		t.Fatalf("after the rebirth: %d adds, %d withdrawals, %d mirrored; want the table of 2",
+			rec.adds-3, rec.dels, p.RedistMirrored("r"))
+	}
+	for _, n := range []int{2, 3} {
+		if e := rec.got[static(n).Net]; e.Metric != 7 {
+			t.Errorf("the rebirth primed %v at metric %d, want the swapped filter's 7", static(n).Net, e.Metric)
+		}
+	}
+}

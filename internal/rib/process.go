@@ -30,8 +30,8 @@ type Process struct {
 	origins  map[route.Protocol]*OriginTable
 	extint   *ExtIntStage
 	register *RegisterStage
-	redists  map[string]*RedistStage
-	chain    []Stage // what extint feeds: redists ... register, fibSink
+	feeds    map[string]*RedistStage // redistribution stages by name
+	chain    []Stage                 // what extint feeds: redists ... register, fibSink
 	fib      FIBClient
 
 	router *xipc.Router         // for invalidation pushes; may be nil
@@ -57,7 +57,7 @@ func NewProcess(loop *eventloop.Loop, fib FIBClient, router *xipc.Router) *Proce
 	p := &Process{
 		loop:    loop,
 		origins: make(map[route.Protocol]*OriginTable),
-		redists: make(map[string]*RedistStage),
+		feeds:   make(map[string]*RedistStage),
 		fib:     fib,
 		router:  router,
 		tracer:  telemetry.NewTracer(),
@@ -202,29 +202,38 @@ func (p *Process) deleteRoutes(proto route.Protocol, nets []netip.Prefix) (int, 
 
 // AddRedist splices a redistribution stage (a dynamic stage, §5.2) into
 // the chain ahead of the register stage and primes the subscriber with
-// the current table.
-func (p *Process) AddRedist(name string, filter RedistFilter, out Redistributor) (*RedistStage, error) {
-	if _, dup := p.redists[name]; dup {
+// the current table. class is the subscriber's Finder class: the stage
+// lives as long as its subscriber does (HandleFinderEvent).
+func (p *Process) AddRedist(name, class string, filter RedistFilter, out Redistributor) (*RedistStage, error) {
+	if _, dup := p.feeds[name]; dup {
 		return nil, fmt.Errorf("rib: redist %q already exists", name)
 	}
 	rd := NewRedistStage("redist("+name+")", filter, out)
-	p.redists[name] = rd
+	rd.class = class
+	p.feeds[name] = rd
 	// Insert before the register stage (chain = ... register fib).
 	idx := len(p.chain) - 2
 	p.chain = append(p.chain[:idx], append([]Stage{rd}, p.chain[idx:]...)...)
 	Plumb(p.extint, p.chain...)
-	// Prime: replay the current final table into the subscriber only.
+	p.prime(rd)
+	return rd, nil
+}
+
+// prime forgets what rd's subscriber was given and replays the current
+// final table into the subscriber only.
+func (p *Process) prime(rd *RedistStage) {
+	rd.quiet = false
+	clear(rd.mirrored)
 	p.extint.Walk(func(e route.Entry) bool {
 		rd.apply(e)
 		return true
 	})
-	return rd, nil
 }
 
 // RedistMirrored reports how many routes the named redistribution's
 // subscriber currently holds (0 if the stage does not exist).
 func (p *Process) RedistMirrored(name string) int {
-	rd, ok := p.redists[name]
+	rd, ok := p.feeds[name]
 	if !ok {
 		return 0
 	}
@@ -234,7 +243,7 @@ func (p *Process) RedistMirrored(name string) int {
 // RedistHas reports whether the named redistribution currently mirrors
 // net to its subscriber.
 func (p *Process) RedistHas(name string, net netip.Prefix) bool {
-	rd, ok := p.redists[name]
+	rd, ok := p.feeds[name]
 	if !ok {
 		return false
 	}
@@ -246,9 +255,10 @@ func (p *Process) RedistHas(name string, net netip.Prefix) bool {
 // reconciles the subscriber against the current table: newly-passing
 // routes are announced, newly-failing ones withdrawn, and routes that
 // pass under both filters are left untouched (no churn for the
-// unaffected subset — the hot-reload invariant).
+// unaffected subset — the hot-reload invariant). A quiet stage takes the
+// filter and sends nothing: its subscriber's birth primes it.
 func (p *Process) SetRedistFilter(name string, filter RedistFilter) error {
-	rd, ok := p.redists[name]
+	rd, ok := p.feeds[name]
 	if !ok {
 		return fmt.Errorf("rib: no redist %q", name)
 	}
@@ -270,28 +280,17 @@ func (p *Process) SetRedistFilter(name string, filter RedistFilter) error {
 // RemoveRedist removes a redistribution stage, withdrawing the mirrored
 // routes from the subscriber.
 func (p *Process) RemoveRedist(name string) error {
-	rd, err := p.UnspliceRedist(name)
-	if err != nil {
-		return err
+	rd, ok := p.feeds[name]
+	if !ok {
+		return fmt.Errorf("rib: no redist %q", name)
 	}
+	delete(p.feeds, name)
+	p.chain = slices.DeleteFunc(p.chain, func(s Stage) bool { return s == rd })
+	Plumb(p.extint, p.chain...)
 	for _, e := range rd.mirrored {
 		rd.out.RedistDelete(e)
 	}
 	return nil
-}
-
-// UnspliceRedist removes a redistribution stage and returns it, sending
-// its subscriber nothing: a subscriber that crashed withdraws nothing it
-// was fed.
-func (p *Process) UnspliceRedist(name string) (*RedistStage, error) {
-	rd, ok := p.redists[name]
-	if !ok {
-		return nil, fmt.Errorf("rib: no redist %q", name)
-	}
-	delete(p.redists, name)
-	p.chain = slices.DeleteFunc(p.chain, func(s Stage) bool { return s == rd })
-	Plumb(p.extint, p.chain...)
-	return rd, nil
 }
 
 // notifyInvalid pushes a cache-invalidation to a registered client.

@@ -172,6 +172,10 @@ type RedistStage struct {
 	base
 	filter RedistFilter
 	out    Redistributor
+	class  string // the subscriber's Finder class
+	// quiet is set while the subscriber is dead: the stage mirrors and
+	// sends nothing, and passes runs on.
+	quiet bool
 	// mirrored tracks what the subscriber was given, so filter changes
 	// and deletes stay consistent.
 	mirrored map[netip.Prefix]route.Entry
@@ -192,6 +196,9 @@ func NewRedistStage(name string, filter RedistFilter, out Redistributor) *Redist
 }
 
 func (rd *RedistStage) apply(e route.Entry) {
+	if rd.quiet {
+		return
+	}
 	want := rd.filter(e)
 	have, had := rd.mirrored[e.Net]
 	switch {

@@ -417,7 +417,7 @@ func TestRedistFilteredMirror(t *testing.T) {
 		}
 		return &e
 	}
-	if _, err := p.AddRedist("static-to-bgp", onlyStatic, rec); err != nil {
+	if _, err := p.AddRedist("static-to-bgp", "", onlyStatic, rec); err != nil {
 		t.Fatal(err)
 	}
 	// Priming: the existing static route arrives immediately.
@@ -484,7 +484,7 @@ func TestSetRedistFilterReplay(t *testing.T) {
 				Net: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(2*i + 1), 0, 0}), 16), NextHop: mustA("10.0.0.2"), IfName: "eth1", Metric: 3})
 		}
 		rec := &seqRec{}
-		if _, err := p.AddRedist("r", nil, rec); err != nil {
+		if _, err := p.AddRedist("r", "", nil, rec); err != nil {
 			t.Fatal(err)
 		}
 		if len(rec.seq) != 8 {
@@ -536,7 +536,7 @@ func TestSetRedistFilterAllocs(t *testing.T) {
 			Net: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24), NextHop: mustA("10.0.0.1"), IfName: "eth0"})
 	}
 	none := func(route.Entry) *route.Entry { return nil }
-	if _, err := p.AddRedist("r", none, newRedistRec()); err != nil {
+	if _, err := p.AddRedist("r", "", none, newRedistRec()); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {

@@ -56,8 +56,7 @@ func (r *Router) CurrentOSPF() *ospf.Process { return procOf[ospfProc](r.current
 //
 //	bgp { local-as 65001; id 10.0.0.1; damping { }
 //	      peer-group g { local-addr ...; as ...; }
-//	      peer p1 { local-addr ...; peer-addr ...; as 65002; dial host:port; group g; }
-//	      redistribute static policy-name; }
+//	      peer p1 { local-addr ...; peer-addr ...; as 65002; dial host:port; group g; } }
 
 type bgpProc struct{ *bgp.Process }
 
@@ -155,9 +154,8 @@ func parsePeerConfig(p *Node) (bgp.PeerConfig, error) {
 	}, nil
 }
 
-// stage: per-peer add/remove/rebuild and redistribution filter swaps. A
-// peer group's add is no step of its own: its members' changes carry the
-// block embedded.
+// stage: per-peer add/remove/rebuild. A peer group's add is no step of
+// its own: its members' changes carry the block embedded.
 func (p bgpProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
 	unit := c.Path[2]
 	switch {
@@ -165,8 +163,6 @@ func (p bgpProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
 		return p.stagePeer(a, c)
 	case c.Verb == ChangeAdd && c.New.Key == "peer-group":
 		return nil, "", nil
-	case strings.HasPrefix(unit, "redistribute"):
-		return a.stageRedist(c)
 	}
 	return nil, fmt.Sprintf("unsupported BGP change %q", unit), nil
 }
@@ -217,11 +213,7 @@ func (p bgpProc) stagePeer(a *txAgent, c Change) ([]txStep, string, error) {
 
 // --- RIP (needs Options.Network and LocalAddr):
 //
-//	rip { update-interval 30; timeout 180; gc-time 120; triggered-delay 1;
-//	      redistribute static [pol-name]; }
-//
-// `redistribute` splices a RIB redist stage feeding RIP local routes over
-// redist4/0.1, advertised at the redistributed route's metric.
+//	rip { update-interval 30; timeout 180; gc-time 120; triggered-delay 1; }
 
 type ripProc struct{ *rip.Process }
 
@@ -239,11 +231,8 @@ func (p ripProc) begin(*Node) error { return p.Start() }
 
 func (p ripProc) close() { p.Stop() }
 
-// stage: timer retunes and redistribution.
+// stage: timer retunes.
 func (p ripProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
-	if strings.HasPrefix(c.Path[2], "redistribute") {
-		return a.stageRedist(c)
-	}
 	if c.Verb == ChangeRemove {
 		return nil, "removing a RIP timer requires a restart", nil
 	}
@@ -273,12 +262,11 @@ func (p ripProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
 // --- OSPF (needs Options.Network and LocalAddr):
 //
 //	ospf { router-id 10.0.0.1; hello-interval 10; dead-interval 40;
-//	       cost 1; export pol-name; redistribute static [pol-name]; }
+//	       cost 1; export pol-name; }
 //
-// Connected interface prefixes are originated as stub networks by begin;
-// `export` applies a policy to SPF routes entering the RIB;
-// `redistribute` splices a RIB redist stage feeding OSPF externals over
-// redist4/0.1.
+// The running config's interface prefixes are originated as stub
+// networks by begin; `export` applies a policy to SPF routes entering
+// the RIB.
 
 type ospfProc struct {
 	*ospf.Process
@@ -316,20 +304,21 @@ func (p ospfProc) begin(*Node) error {
 		return err
 	}
 	// Connected networks become stub prefixes.
-	for _, ifc := range p.r.FIB.Interfaces() {
-		p.OriginatePrefix(ifc.Addr.Masked(), 1)
+	for _, ifn := range p.r.runningConfig().ChildrenNamed("interfaces") {
+		for _, ifc := range ifn.Children {
+			if pfx, _, err := parseInterface(ifc); err == nil {
+				p.OriginatePrefix(pfx.Masked(), 1)
+			}
+		}
 	}
 	return nil
 }
 
 func (p ospfProc) close() { p.Stop() }
 
-// stage: timer/cost retunes, export filter swaps and redistribution.
+// stage: timer/cost retunes and export filter swaps.
 func (p ospfProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
 	unit := c.Path[2]
-	if strings.HasPrefix(unit, "redistribute") {
-		return a.stageRedist(c)
-	}
 	switch unit {
 	case "export":
 		if c.Verb == ChangeRemove {

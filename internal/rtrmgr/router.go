@@ -65,9 +65,9 @@ type Router struct {
 	opts    Options
 	running bool
 
-	// procMu guards procs, every instance's redists, the typed views and
-	// loops: the supervisor replaces an instance on respawn while tests
-	// and chaos harnesses read them.
+	// procMu guards procs, the typed views and loops: the supervisor
+	// replaces an instance on respawn while tests and chaos harnesses
+	// read them.
 	procMu sync.Mutex
 	procs  map[string]*instance // live instances by class
 	// respawning marks that setup code is running on the shared loop
@@ -126,9 +126,6 @@ type instance struct {
 	router *xipc.Router
 	target *xipc.Target // kept so a respawn can register it
 	proc   proc
-	// redists names the RIB redistribution stages spliced in for this
-	// instance, removed on teardown so a respawn splices afresh (procMu).
-	redists []string
 }
 
 // simulated reports whether the assembly runs on a simulated clock.
@@ -380,9 +377,9 @@ func (r *Router) instances() []*instance {
 // target, the process m.setup builds on them from cfg — and returns it
 // with its side of the reload protocol, the agent that configures it.
 // The caller registers the instance, then configures it with its slice
-// of a boot plan, then publishes it: what a process is configured with
-// may send at once (a redist stage primes its subscriber), and an XRL to
-// a target the Finder does not know yet is lost.
+// of a boot plan, then publishes it. What feeds it from other processes
+// is theirs to configure: the RIB primes the redistribution stages of
+// the class when the registration's birth event reaches it.
 func (r *Router) setup(m *module, cfg *Node) (*instance, *txAgent, error) {
 	xr := r.processRouter(m.class)
 	inst := &instance{class: m.class, loop: xr.Loop(), router: xr, target: xif.NewTarget(m.class, m.class)}
@@ -435,23 +432,12 @@ func (r *Router) teardown(class string) bool {
 // one road to the RIB and the network, closes first: the peer-down
 // machinery of a dying process cannot push withdrawals into the RIB, nor
 // a dying IGP poison its routes on the wire, and redistribution XRLs on
-// their way to it fail there. Then the RIB unsplices the instance's
-// redistribution stages and sends it nothing — a crash withdraws nothing
-// — and the process stops on its loop. The FEA keeps its relay ports:
+// their way to it fail there. Then the process stops on its loop; no
+// other process is touched. The RIB quiets the redistribution feeding the
+// class on its own, at the death event. The FEA keeps its relay ports:
 // they are the class's, and a respawn's bind finds them held.
 func (r *Router) dismantle(inst *instance) {
 	inst.router.Close()
-	r.procMu.Lock()
-	redists := inst.redists
-	inst.redists = nil
-	r.procMu.Unlock()
-	if len(redists) > 0 {
-		r.syncDo(r.RIB.Loop(), func() {
-			for _, name := range redists {
-				r.RIB.UnspliceRedist(name)
-			}
-		})
-	}
 	if inst.proc != nil { // nil when setup failed half way
 		r.syncDo(inst.loop, inst.proc.close)
 	}
@@ -508,22 +494,6 @@ func (r *Router) respawn(m *module, done func(error)) {
 	})
 }
 
-// redistName names the RIB stage redistributing proto into class.
-func redistName(class, proto string) string { return "to-" + class + "-" + proto }
-
-// addRedist splices one redistribution stage and records it on inst. Runs
-// on the RIB loop.
-func (r *Router) addRedist(inst *instance, proto string, filter rib.RedistFilter, out rib.Redistributor) error {
-	name := redistName(inst.class, proto)
-	if _, err := r.RIB.AddRedist(name, filter, out); err != nil {
-		return err
-	}
-	r.procMu.Lock()
-	inst.redists = append(inst.redists, name)
-	r.procMu.Unlock()
-	return nil
-}
-
 // parseInterface parses one `<name> { address <addr>/<len>; [mtu <n>;] }`
 // block.
 func parseInterface(ifn *Node) (pfx netip.Prefix, mtu int, err error) {
@@ -539,13 +509,6 @@ func parseInterface(ifn *Node) (pfx netip.Prefix, mtu int, err error) {
 		mtu, err = strconv.Atoi(m)
 	}
 	return pfx, mtu, err
-}
-
-// addInterface gives the kernel the interface and the RIB its connected
-// route. Runs on the RIB loop.
-func (r *Router) addInterface(name string, pfx netip.Prefix, mtu int) error {
-	r.FIB.AddInterface(name, pfx, mtu)
-	return r.RIB.AddRoute(route.ProtoConnected, route.Entry{Net: pfx.Masked(), IfName: name})
 }
 
 // parseStaticRoute parses one `route <prefix> [next-hop a] [interface i]

@@ -620,11 +620,11 @@ protocols { rip { } }
 }
 
 // RIP honours `redistribute static` at the static route's metric, and a
-// killed process is handed nothing of it: teardown unsplices the
-// redistribution, and the withdrawals that sends must not reach the dead
+// killed process is handed nothing of it: the RIB quiets the
+// redistribution at the death, and no withdrawal may reach the dead
 // incarnation — a crash withdraws nothing, and an IGP handed one would
-// flood it to its neighbours as its last act. The respawn gets the route
-// afresh.
+// flood it to its neighbours as its last act. The respawn's birth gets
+// it the route afresh.
 func TestSupervisorKilledProcessKeepsRedistribution(t *testing.T) {
 	clock := eventloop.NewSimClock(time.Unix(1000, 0))
 	r, err := NewRouter(`
@@ -671,42 +671,62 @@ type redistSpy struct{ adds, dels int }
 func (s *redistSpy) RedistAdd(route.Entry)    { s.adds++ }
 func (s *redistSpy) RedistDelete(route.Entry) { s.dels++ }
 
-// Teardown takes a killed instance's redistribution stages out of the RIB
-// and sends nothing through them: a crash withdraws nothing, whoever
-// would hear it. One stage of the instance's feeds a spy, which must hear
-// its priming and no withdrawal.
-func TestSupervisorKilledProcessUnsplicesSilently(t *testing.T) {
+// A killed process is fed nothing while it is dead, and afresh once it is
+// born again. Its death quiets every redist stage feeding its class: no
+// withdrawal reaches anyone (a crash withdraws nothing), nor an add for a
+// route the RIB learns meanwhile. Its respawn's birth primes each stage
+// from the table. A spy stage spliced for class rip hears all of it.
+func TestSupervisorKilledProcessIsFedNothingWhileDead(t *testing.T) {
+	clock := eventloop.NewSimClock(time.Unix(1000, 0))
 	r, err := NewRouter(`
 static { route 172.16.0.0/16 metric 3; }
 protocols { rip { redistribute static; } }
-`, Options{Clock: eventloop.NewSimClock(time.Unix(1000, 0)), SharedLoop: true,
-		Network: kernel.NewNetwork(), LocalAddr: mustA("192.168.1.1")})
+`, Options{Clock: clock, SharedLoop: true, Network: kernel.NewNetwork(), LocalAddr: mustA("192.168.1.1")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}
-	r.SettleAll()
-	spy := &redistSpy{}
-	all := func(e route.Entry) *route.Entry { return &e }
-	if err := r.addRedist(r.current("rip"), "spy", all, spy); err != nil {
+	if _, err := r.EnableSupervision(fastSup()); err != nil {
 		t.Fatal(err)
 	}
-	if spy.adds == 0 {
-		t.Fatal("the spy's stage was not primed")
+	r.SettleAll()
+	spy := &redistSpy{}
+	if _, err := r.RIB.AddRedist("spy", "rip", nil, spy); err != nil {
+		t.Fatal(err)
 	}
+	if spy.adds != 1 {
+		t.Fatalf("the spy's stage was primed with %d routes, want 1", spy.adds)
+	}
+
 	if err := r.KillProcess("rip"); err != nil {
 		t.Fatal(err)
 	}
-	r.SettleAll()
-	if spy.dels != 0 {
-		t.Fatalf("teardown sent %d withdrawals through the killed instance's redistribution", spy.dels)
+	r.SettleAll() // the death event, not yet the respawn
+	if r.CurrentRIP() != nil {
+		t.Fatal("RIP respawned before its backoff")
 	}
-	for _, name := range []string{redistName("rip", "spy"), redistName("rip", "static")} {
-		if _, err := r.RIB.UnspliceRedist(name); err == nil {
-			t.Errorf("stage %s still spliced after the kill", name)
-		}
+	late := mustP("172.17.0.0/16")
+	if err := r.RIB.AddRoute(route.ProtoStatic, route.Entry{Net: late, Metric: 4}); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	if spy.adds != 1 || spy.dels != 0 {
+		t.Fatalf("while RIP was dead the spy heard %d adds and %d withdrawals, want none", spy.adds-1, spy.dels)
+	}
+
+	r.Loops()[0].RunFor(time.Second) // the respawn backoff
+	r.SettleAll()
+	nu := r.CurrentRIP()
+	if nu == nil {
+		t.Fatal("RIP not respawned")
+	}
+	if spy.adds != 3 || spy.dels != 0 {
+		t.Fatalf("after the respawn the spy heard %d adds and %d withdrawals, want a priming of 2", spy.adds-1, spy.dels)
+	}
+	if m, ok := nu.Lookup(late); !ok || m != 4 {
+		t.Fatalf("the respawned RIP holds the static learnt while it was dead at %d %v, want metric 4", m, ok)
 	}
 }
 

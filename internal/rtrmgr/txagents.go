@@ -1,8 +1,9 @@
 package rtrmgr
 
 import (
+	"errors"
 	"fmt"
-	"slices"
+	"net/netip"
 	"sync"
 
 	"xorp/internal/eventloop"
@@ -23,8 +24,8 @@ type txAgent struct {
 	r     *Router
 	class string
 	loop  *eventloop.Loop
-	// inst is the module instance the agent serves (nil for the fea and
-	// rib agents, which reach r.FIB / r.RIB directly).
+	// inst is the module instance the agent serves; nil for the fea and
+	// rib agents, the only ones whose steps touch r.FIB and r.RIB.
 	inst *instance
 	// stage validates one change and returns its apply steps (or a nack
 	// reason for changes this process cannot absorb without a restart):
@@ -135,45 +136,51 @@ func (a *txAgent) AbortTx(txID uint32) error {
 	return nil
 }
 
-// onRIB runs fn on the RIB loop and waits. With a shared loop (all
-// simulated assemblies) the agent is already on it, so the call is
-// direct; with per-process loops the RIB loop runs on its own
-// goroutine, so a blocking hop is safe.
-func (a *txAgent) onRIB(fn func() error) error {
-	ribLoop := a.r.RIB.Loop()
-	if ribLoop == a.loop {
-		return fn()
-	}
-	var err error
-	ribLoop.DispatchAndWait(func() { err = fn() })
-	return err
-}
-
-// --- FEA: interface additions only. Removing or renumbering a live
-// interface strands connected routes and bound sockets — restart.
+// --- FEA: interface additions only.
 
 func (a *txAgent) stageFEA(c Change) ([]txStep, string, error) {
-	if len(c.Path) < 2 || c.Path[0] != "interfaces" {
-		return nil, "unsupported FEA change", nil
-	}
-	if c.Verb != ChangeAdd {
-		return nil, "interface removal or renumbering requires a restart", nil
-	}
-	name := c.New.Key
-	pfx, mtu, err := parseInterface(c.New)
+	name, pfx, mtu, err := interfaceAdd(c)
 	if err != nil {
 		return nil, "", err
 	}
 	return []txStep{{
 		desc:  "add interface " + name,
-		apply: func() error { return a.onRIB(func() error { return a.r.addInterface(name, pfx, mtu) }) },
+		apply: func() error { a.r.FIB.AddInterface(name, pfx, mtu); return nil },
 	}}, "", nil
 }
 
-// --- RIB: static route set changes.
+// interfaceAdd parses an `interfaces` change, which may only add:
+// removing or renumbering a live interface strands connected routes and
+// bound sockets — restart.
+func interfaceAdd(c Change) (name string, pfx netip.Prefix, mtu int, err error) {
+	if len(c.Path) < 2 || c.Path[0] != "interfaces" {
+		return "", pfx, 0, errors.New("unsupported interfaces change")
+	}
+	if c.Verb != ChangeAdd {
+		return "", pfx, 0, errors.New("interface removal or renumbering requires a restart")
+	}
+	pfx, mtu, err = parseInterface(c.New)
+	return c.New.Key, pfx, mtu, err
+}
+
+// --- RIB: connected routes, static route set changes and
+// redistribution.
 
 func (a *txAgent) stageRIB(c Change) ([]txStep, string, error) {
-	if len(c.Path) < 2 || c.Path[0] != "static" {
+	switch {
+	case len(c.Path) > 0 && c.Path[0] == "interfaces":
+		name, pfx, _, err := interfaceAdd(c)
+		if err != nil {
+			return nil, "", err
+		}
+		e := route.Entry{Net: pfx.Masked(), IfName: name}
+		return []txStep{{
+			desc:  "add connected " + e.Net.String(),
+			apply: func() error { return a.r.RIB.AddRoute(route.ProtoConnected, e) },
+		}}, "", nil
+	case len(c.Path) == 3 && c.Path[0] == "protocols" && owner(c.Path[2], c.Path[1]) == "rib":
+		return a.stageRedist(c)
+	case len(c.Path) < 2 || c.Path[0] != "static":
 		return nil, "unsupported RIB change", nil
 	}
 	var steps []txStep
@@ -200,29 +207,18 @@ func (a *txAgent) stageRIB(c Change) ([]txStep, string, error) {
 	return steps, "", nil
 }
 
-// stageRedist handles a `redistribute <proto> [policy]` statement of the
-// agent's class: add splices a fresh RIB redist stage feeding the class
-// over redist4/0.1 XRLs from the RIB's router, remove unsplices it and
-// withdraws what it fed, and the synthetic policy-edit modify swaps the
-// filter in place.
+// stageRedist handles a `protocols <class> { redistribute <proto>
+// [policy]; }` statement: add splices a fresh redist stage feeding the
+// class over redist4/0.1 XRLs from the RIB's router, tied to the class's
+// Finder lifetime; remove unsplices it and withdraws what it fed; and the
+// synthetic policy-edit modify swaps the filter in place.
 func (a *txAgent) stageRedist(c Change) ([]txStep, string, error) {
+	class := c.Path[1]
 	if c.Verb == ChangeRemove {
-		name := redistName(a.class, c.Old.Arg(0))
+		name := redistName(class, c.Old.Arg(0))
 		return []txStep{{
-			desc: "remove redist " + name,
-			apply: func() error {
-				return a.onRIB(func() error {
-					if err := a.r.RIB.RemoveRedist(name); err != nil {
-						return err
-					}
-					a.r.procMu.Lock()
-					defer a.r.procMu.Unlock()
-					if i := slices.Index(a.inst.redists, name); i >= 0 {
-						a.inst.redists = slices.Delete(a.inst.redists, i, i+1)
-					}
-					return nil
-				})
-			},
+			desc:  "remove redist " + name,
+			apply: func() error { return a.r.RIB.RemoveRedist(name) },
 		}}, "", nil
 	}
 	if c.New == nil {
@@ -232,21 +228,23 @@ func (a *txAgent) stageRedist(c Change) ([]txStep, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	name := redistName(a.class, proto)
+	name := redistName(class, proto)
 	if c.Verb == ChangeModify {
 		// Policy body edit: recompile and swap the filter in place.
 		return []txStep{{
-			desc: "re-filter " + name,
-			apply: func() error {
-				return a.onRIB(func() error { return a.r.RIB.SetRedistFilter(name, filter) })
-			},
+			desc:  "re-filter " + name,
+			apply: func() error { return a.r.RIB.SetRedistFilter(name, filter) },
 		}}, "", nil
 	}
-	out := xif.NewRedist4Client(a.r.RIBRouter, a.class)
+	out := xif.NewRedist4Client(a.r.RIBRouter, class)
 	return []txStep{{
 		desc: "add redist " + name,
 		apply: func() error {
-			return a.onRIB(func() error { return a.r.addRedist(a.inst, proto, filter, out) })
+			_, err := a.r.RIB.AddRedist(name, class, filter, out)
+			return err
 		},
 	}}, "", nil
 }
+
+// redistName names the RIB stage redistributing proto into class.
+func redistName(class, proto string) string { return "to-" + class + "-" + proto }

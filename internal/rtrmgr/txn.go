@@ -333,9 +333,11 @@ func (r *Router) txCall(send func(finish func())) error {
 	}
 }
 
-// --- Plan compilation: route each diff change to its owning process
-// class, lifting deep edits to the nearest independently-applicable
-// unit and embedding policy bodies where filters must be recompiled.
+// --- Plan compilation: route each diff change to the processes that
+// hold its state (an interface is the FEA's, and as a connected route the
+// RIB's; a redistribute statement is the RIB's), lifting deep edits to
+// the nearest independently-applicable unit and embedding policy bodies
+// where filters must be recompiled.
 
 func (r *Router) compilePlan(changes []Change, running, candidate *Node) (map[string][]Change, error) {
 	plan := make(map[string][]Change)
@@ -359,6 +361,7 @@ func (r *Router) compilePlan(changes []Change, running, candidate *Node) (map[st
 				c = liftChange(c, c.Path[:2], running, candidate)
 			}
 			add("fea", c)
+			add("rib", c)
 		case head == "static":
 			add("rib", c)
 		case head == "protocols":
@@ -375,7 +378,7 @@ func (r *Router) compilePlan(changes []Change, running, candidate *Node) (map[st
 			if len(c.Path) > 3 {
 				c = liftChange(c, c.Path[:3], running, candidate)
 			}
-			add(class, embedPolicy(embedGroup(c, running, candidate), running, candidate))
+			add(owner(c.Path[2], class), embedPolicy(embedGroup(c, running, candidate), running, candidate))
 		case head == "policy" || strings.HasPrefix(head, "policy "):
 			name := strings.TrimPrefix(head, "policy ")
 			for _, cc := range r.policyRefChanges(name, running, candidate) {
@@ -528,6 +531,16 @@ func policyArg(n *Node) string {
 	return ""
 }
 
+// owner names the participant that holds the state of unit, a statement
+// in class's block: a redistribution stage is the RIB's, the rest is the
+// class's own.
+func owner(unit, class string) string {
+	if strings.HasPrefix(unit, "redistribute") {
+		return "rib"
+	}
+	return class
+}
+
 type classChange struct {
 	class  string
 	change Change
@@ -552,7 +565,7 @@ func (r *Router) policyRefChanges(name string, running, candidate *Node) []class
 			if nodeAtPath(running, path) == nil {
 				continue // newly added: the add change handles it
 			}
-			out = append(out, classChange{m.class, embedPolicy(Change{
+			out = append(out, classChange{owner(path[2], m.class), embedPolicy(Change{
 				Verb: ChangeModify, Path: path, Old: st, New: st,
 			}, running, candidate)})
 		}

@@ -549,3 +549,147 @@ protocols { rip { redistribute static flip; } }
 		}
 	}
 }
+
+// The planner hands each statement to the process that holds its state:
+// a redistribute statement, and an edit of the policy it names, to the RIB
+// alone; an export policy's edit to its class; an interface to the FEA
+// and, as a connected route, to the RIB.
+func TestCompilePlanRoutesToOwner(t *testing.T) {
+	const from = `
+interfaces { eth0 { address 192.168.1.1/24; } }
+policy rp { term a { then accept } }
+policy ep { term a { then accept } }
+protocols {
+    bgp { local-as 65001; id 192.168.1.1; redistribute static rp; }
+    rip { }
+    ospf { export ep; }
+}
+`
+	r := &Router{modules: modules}
+	for _, tc := range []struct {
+		name, old, new string
+		want           map[string]string // participant: its changes
+	}{
+		{"redistribute added", "rip { }", "rip { redistribute connected; }",
+			map[string]string{"rib": "add protocols / rip / redistribute connected"}},
+		{"redistribute removed", " redistribute static rp;", "",
+			map[string]string{"rib": "remove protocols / bgp / redistribute static rp"}},
+		{"redistribute policy edited", "policy rp { term a { then accept } }", "policy rp { term a { then reject } }",
+			map[string]string{"rib": "modify protocols / bgp / redistribute static rp"}},
+		{"export policy edited", "policy ep { term a { then accept } }", "policy ep { term a { then reject } }",
+			map[string]string{"ospf": "modify protocols / ospf / export"}},
+		{"interface added", "eth0 {", "eth1 { address 10.50.0.1/24; }\n    eth0 {",
+			map[string]string{"fea": "add interfaces / eth1", "rib": "add interfaces / eth1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			running, err := ParseConfig(from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			candidate, err := ParseConfig(strings.Replace(from, tc.old, tc.new, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := r.compilePlan(DiffConfig(running, candidate), running, candidate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(map[string]string)
+			for class, cs := range plan {
+				var s []string
+				for _, c := range cs {
+					s = append(s, string(c.Verb)+" "+c.PathString())
+				}
+				got[class] = strings.Join(s, ", ")
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("plan %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// The RIB's slice of a boot plan follows the config's order, and the
+// order must not matter: static routes written before the interfaces
+// their next hops sit on boot to the state the usual order does.
+func TestBootStaticBeforeInterfaces(t *testing.T) {
+	i, j := strings.Index(bootBase, "static {"), strings.Index(bootBase, "protocols {")
+	reordered := bootBase[i:j] + bootBase[:i] + bootBase[j:]
+	usual, early := simRouter(t, bootBase), simRouter(t, reordered)
+	strip := func(r *Router) string { return strings.TrimPrefix(bootState(r), Render(r.Config, 0)) }
+	if want, got := strip(usual), strip(early); got != want {
+		t.Errorf("static first boots to\n%s\nthe usual order to\n%s", got, want)
+	}
+}
+
+// A dead process's redistribution is the RIB's config, so a reload
+// changes it while the process is down. With RIP killed and unsupervised,
+// a re-filtered `redistribute static flip`, its removal and its return
+// all commit: the quiet stage takes the new filter and mirrors nothing,
+// the removal unsplices it, and the return splices a fresh one, primed at
+// once as any new stage is. A supervisor then told of the death respawns
+// RIP holding exactly what the last committed config redistributes.
+func TestReloadRedistOfDeadProcess(t *testing.T) {
+	const cfg = `
+static {
+    route 10.0.0.0/16 metric 1;
+    route 10.1.0.0/16 metric 2;
+    route 10.2.0.0/16 metric 3;
+}
+policy flip { term all { then set metric 9; then accept } }
+protocols { rip { redistribute static flip; } }
+`
+	flipped := strings.Replace(cfg, "term all { then set metric 9; then accept }",
+		"term low { from metric < 3; then accept } term rest { then reject }", 1)
+	removed := strings.Replace(flipped, " redistribute static flip; ", " ", 1)
+	r, err := NewRouter(cfg, Options{Clock: eventloop.NewSimClock(time.Unix(0, 0)), SharedLoop: true,
+		Network: kernel.NewNetwork(), LocalAddr: mustA("192.168.1.1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	if n := r.RIB.RedistMirrored("to-rip-static"); n != 3 {
+		t.Fatalf("the RIB mirrors %d statics to RIP, want 3", n)
+	}
+	if err := r.KillProcess("rip"); err != nil {
+		t.Fatal(err)
+	}
+	r.SettleAll()
+	for i, step := range []struct {
+		text     string
+		mirrored int
+	}{{flipped, 0}, {removed, 0}, {flipped, 2}} {
+		if err := r.Reload(step.text); err != nil {
+			t.Fatalf("reload %d with RIP dead: %v", i, err)
+		}
+		r.SettleAll()
+		if n := r.RIB.RedistMirrored("to-rip-static"); n != step.mirrored {
+			t.Fatalf("after reload %d the RIB mirrors %d statics to the dead RIP, want %d", i, n, step.mirrored)
+		}
+	}
+
+	sup, err := r.EnableSupervision(fastSup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Loops()[0].Dispatch(func() { sup.noteDeath("rip") })
+	r.Loops()[0].RunFor(time.Second) // the respawn backoff
+	r.SettleAll()
+	rip := r.CurrentRIP()
+	if rip == nil {
+		t.Fatal("RIP not respawned")
+	}
+	for m := uint32(1); m <= 3; m++ {
+		net := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(m - 1), 0, 0}), 16)
+		got, held := rip.Lookup(net)
+		if held != (m < 3) || held && got != m {
+			t.Errorf("the respawned RIP holds %v at metric %d %v, want it only below metric 3", net, got, held)
+		}
+	}
+	if n := r.RIB.RedistMirrored("to-rip-static"); n != 2 {
+		t.Fatalf("the RIB mirrors %d statics to the respawned RIP, want 2", n)
+	}
+}
