@@ -2,8 +2,10 @@ package bgp
 
 import (
 	"net/netip"
+	"slices"
 
 	"xorp/internal/telemetry"
+	"xorp/internal/trie"
 )
 
 // Decision is the simple decision-process stage of Figure 5: stripped of
@@ -196,4 +198,55 @@ func (d *Decision) emitTransition(prev Route, hadPrev bool, next Route, hasNext 
 func (d *Decision) Lookup(net netip.Prefix, r *Route) (ok bool) {
 	*r, ok = d.bestExcluding(net, nil)
 	return ok
+}
+
+// walk visits the decision table in prefix order: the best route of every
+// prefix a branch may answer for, one bestExcluding each. Those are the
+// RIB-in's prefixes, plus any only a resolver's queue holds (a withdrawal
+// queued behind an unresolved op) or only a branch rooted elsewhere does.
+func (d *Decision) walk(_ Stage, fn func(Route) bool) {
+	var extra []netip.Prefix
+	for i := range d.parents {
+		p := &d.parents[i]
+		if p.res != nil {
+			for net := range p.res.queues {
+				extra = append(extra, net)
+			}
+		}
+		if p.in != nil {
+			continue
+		}
+		for s := p.Stage; s != nil; s = s.parentStage() {
+			if h, ok := s.(routeHolder); ok {
+				h.Walk(func(r Route) bool {
+					extra = append(extra, r.Net)
+					return true
+				})
+			}
+		}
+	}
+	slices.SortFunc(extra, trie.ComparePrefix)
+	extra = slices.Compact(extra)
+	stop := false
+	visit := func(net netip.Prefix) bool {
+		best, ok := d.bestExcluding(net, nil)
+		stop = ok && !fn(best)
+		return !stop
+	}
+	if d.rib != nil { // the two ordered lists, merged
+		d.rib.tbl.Walk(func(net netip.Prefix, _ ribSlot) bool {
+			for ; len(extra) > 0 && trie.ComparePrefix(extra[0], net) < 0; extra = extra[1:] {
+				if !visit(extra[0]) {
+					return false
+				}
+			}
+			if len(extra) > 0 && extra[0] == net {
+				extra = extra[1:]
+			}
+			return visit(net)
+		})
+	}
+	for ; !stop && len(extra) > 0; extra = extra[1:] {
+		visit(extra[0])
+	}
 }

@@ -58,11 +58,13 @@ func NewFanout(name string, loop *eventloop.Loop) *Fanout {
 // AddPeerBranch attaches the output pipeline of a group of one. Split
 // horizon and the IBGP non-reflection rule are applied here, at
 // duplication time and ahead of the branch's filter bank, so the routes a
-// peer sent us cost its own branch nothing.
+// peer sent us cost its own branch nothing. The branch's lookups and
+// replays come back up through the fanout.
 func (f *Fanout) AddPeerBranch(name string, peer *PeerHandle, head Stage) {
 	b := &fanoutBranch{name: name, peer: peer, head: head}
 	b.reader = f.q.AddReader(func(e fanoutEntry) bool { return f.deliver(b, e) })
 	f.branches[name] = b
+	head.setParent(f)
 }
 
 // AddGroupBranch attaches a pipeline that takes the decision stream whole:
@@ -77,6 +79,7 @@ func (f *Fanout) RemoveBranch(name string) {
 	if b, ok := f.branches[name]; ok {
 		f.q.RemoveReader(b.reader)
 		delete(f.branches, name)
+		b.head.setParent(nil)
 	}
 }
 
@@ -175,3 +178,34 @@ func (f *Fanout) Flush() { f.q.PumpAll() }
 
 // Lookup implements Stage, passing upstream to the decision process.
 func (f *Fanout) Lookup(net netip.Prefix, r *Route) bool { return f.lookupParent(net, r) }
+
+// walk replays the decision table to the branch holding from. The branch's
+// backlog is delivered first, stalled or not, so the table is what the
+// branch has been sent (the asker mutes whoever the replay is for); a
+// group of one's table is screened as its deliveries are.
+func (f *Fanout) walk(from Stage, fn func(Route) bool) {
+	b := f.branchOf(from)
+	d, ok := f.parent.(walker)
+	if b == nil || !ok {
+		return
+	}
+	busy := b.reader.Busy()
+	b.reader.SetBusy(false)
+	f.q.PumpAll()
+	b.reader.SetBusy(busy)
+	d.walk(from, func(r Route) bool {
+		return b.peer != nil && !sendable(r.Src, b.peer) || fn(r)
+	})
+}
+
+// branchOf returns the branch whose pipeline s is part of, or nil.
+func (f *Fanout) branchOf(s Stage) *fanoutBranch {
+	for _, b := range f.branches {
+		for h := b.head; h != nil; h = h.downstream() {
+			if h == s {
+				return b
+			}
+		}
+	}
+	return nil
+}

@@ -2,8 +2,10 @@ package bgp
 
 import (
 	"net/netip"
+	"slices"
 
 	"xorp/internal/eventloop"
+	"xorp/internal/trie"
 )
 
 // Filter judges a route by its attribute set: it returns the route's own
@@ -29,6 +31,30 @@ type FilterBank struct {
 	// view is the route the filter being run is shown: the bank's own copy,
 	// under the answer of the filter before it.
 	view Route
+	// refilter is the Refilter reconciliation under way, if any.
+	refilter *refilter
+}
+
+// refilter is a Refilter's reconciliation: the prefixes upstream held when
+// the chain was replaced, in prefix order, and how far its task has got.
+// Downstream holds what the replaced chain made of the prefixes not yet
+// reached, so their routes go through that chain until the task gets there.
+type refilter struct {
+	was     []Filter
+	pending []netip.Prefix
+	next    int
+}
+
+// chain returns the filters net's routes go through now.
+func (f *FilterBank) chain(net netip.Prefix) []Filter {
+	if f.refilter == nil {
+		return f.filters
+	}
+	rf := f.refilter
+	if _, ahead := slices.BinarySearchFunc(rf.pending[rf.next:], net, trie.ComparePrefix); ahead {
+		return rf.was
+	}
+	return f.filters
 }
 
 // NewFilterBank returns an empty (pass-everything) filter bank.
@@ -69,7 +95,7 @@ func (f *FilterBank) Add(run []Route) {
 	var lastIn, lastOut *PathAttrs
 	out, changed := f.run, false
 	for i, r := range run {
-		a := f.apply(f.filters, r)
+		a := f.apply(f.chain(r.Net), r)
 		if a != nil && a != r.Attrs {
 			if lastIn == r.Attrs && a.Equal(lastOut) {
 				a = lastOut
@@ -109,7 +135,8 @@ func (f *FilterBank) Add(run []Route) {
 // one side of the pair.
 func (f *FilterBank) Replace(old, new Route) {
 	if f.next != nil {
-		f.emit(f.filters, f.filters, old, new, false)
+		chain := f.chain(new.Net)
+		f.emit(chain, chain, old, new, false)
 	}
 }
 
@@ -118,7 +145,7 @@ func (f *FilterBank) Delete(r Route) {
 	if f.next == nil {
 		return
 	}
-	if r.Attrs = f.apply(f.filters, r); r.Attrs != nil {
+	if r.Attrs = f.apply(f.chain(r.Net), r); r.Attrs != nil {
 		f.next.Delete(r)
 	}
 }
@@ -145,33 +172,65 @@ func (f *FilterBank) Lookup(net netip.Prefix, r *Route) bool {
 	if !f.lookupParent(net, r) {
 		return false
 	}
-	r.Attrs = f.apply(f.filters, *r)
+	r.Attrs = f.apply(f.chain(net), *r)
 	return r.Attrs != nil
+}
+
+// walk passes the replay upstream and what it visits through the chain,
+// leaving out what the chain drops.
+func (f *FilterBank) walk(from Stage, fn func(Route) bool) {
+	if w, ok := f.parent.(walker); ok {
+		w.walk(from, func(r Route) bool {
+			r.Attrs = f.apply(f.chain(r.Net), r)
+			return r.Attrs == nil || fn(r)
+		})
+	}
 }
 
 // Refilter atomically replaces the filter chain and reconciles downstream
 // with a background task (§5.1.2: "routing policy filters are changed by
 // the operator and many routes need to be re-filtered and reevaluated").
-// walk must iterate the upstream origin table (e.g. PeerIn.Walk). The
-// returned task completes when reconciliation is done.
+// walk must iterate the upstream origin table (e.g. PeerIn.Walk). Until
+// the task reaches a prefix walk visited, the prefix's routes, and its
+// lookups, still go through the old chain, because that is what downstream
+// holds of it; the task then reconciles it against upstream's current
+// route. A reconciliation still under way completes before the chain is
+// replaced again. The returned task completes when reconciliation is done.
 func (f *FilterBank) Refilter(loop *eventloop.Loop, newFilters []Filter, walk func(func(Route) bool)) *eventloop.Task {
-	oldFilters := f.filters
-	f.filters = newFilters
-	// Snapshot the upstream routes; reconcile in slices.
-	var pending []Route
+	if f.refilter != nil {
+		f.reconcile(len(f.refilter.pending))
+	}
+	rf := &refilter{was: f.filters}
 	walk(func(r Route) bool {
-		pending = append(pending, r)
+		rf.pending = append(rf.pending, r.Net)
 		return true
 	})
-	i := 0
+	slices.SortFunc(rf.pending, trie.ComparePrefix)
+	f.filters, f.refilter = newFilters, rf
 	return loop.AddTask("refilter("+f.name+")", func() bool {
-		for n := 0; n < deletionBatch && i < len(pending); n, i = n+1, i+1 {
-			if f.next != nil {
-				f.emit(oldFilters, newFilters, pending[i], pending[i], true)
-			}
-		}
-		return i >= len(pending)
+		return f.refilter != rf || f.reconcile(deletionBatch)
 	})
+}
+
+// reconcile moves up to n prefixes the reconciliation has not reached
+// under the new chain and reports whether it is done. A prefix counts as
+// reached before its change goes out: downstream looks back up through
+// this bank while handling it.
+func (f *FilterBank) reconcile(n int) bool {
+	rf := f.refilter
+	var cur Route
+	for ; n > 0 && rf.next < len(rf.pending); n-- {
+		net := rf.pending[rf.next]
+		rf.next++
+		if f.next != nil && f.lookupParent(net, &cur) {
+			f.emit(rf.was, f.filters, cur, cur, true)
+		}
+	}
+	if rf.next < len(rf.pending) {
+		return false
+	}
+	f.refilter = nil
+	return true
 }
 
 // Common default filters used when assembling peer pipelines.

@@ -143,14 +143,18 @@ func TestFilterDropIfNexthopEquals(t *testing.T) {
 }
 
 func TestPeerOutResyncAfterSessionBounce(t *testing.T) {
-	// A group of one retains the announced table across sessions so a
+	// A group of one replays the table across sessions, so a
 	// re-established peer receives a full resync.
 	peer := testPeer("p", "10.0.0.9", 65009, false)
 	po, sent := groupOfOne(t, peer)
+	up := newUpstream()
+	up.branch(peer, nil, po)
+	src := testPeer("src", "10.0.0.1", 65001, false)
 	for i := 0; i < 5; i++ {
-		po.Add([]Route{{
+		up.announce([]Route{{
 			Net:   netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16),
 			Attrs: attrsVia("10.0.0.1", 65001),
+			Src:   src,
 		}})
 	}
 	if po.AnnouncedCount() != 5 {

@@ -3,10 +3,8 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
-	"slices"
 
 	"xorp/internal/telemetry"
-	"xorp/internal/trie"
 )
 
 // GroupSender consumes pre-encoded UPDATE bytes for one peer-group member.
@@ -31,27 +29,29 @@ func (f GroupSenderFunc) SendEncodedUpdate(buf []byte) { f(buf) }
 //
 // Split horizon and the IBGP non-reflection rule still differ per member;
 // they are applied here, per member, against the route's Src. The group
-// keeps one announced map (the shared adj-RIB-out) and nothing per member:
-// whether a member was told a prefix is sendable(announced[net].src,
-// member), a function of what is already held. The map holds what a replay
-// needs beyond its key — the set sent and the source it is screened by — and
-// no Route.
+// keeps no adj-RIB-out (§5.1: only the PeerIn stores routes; RFC 4271 §3.2:
+// the Adj-RIBs-Out need no copy of their own). What it sends is encoded
+// from the route it is handed, whose Src says which members may have it; a
+// replay to a (re)established member is the decision table brought down
+// through the branch's filter, and Lookup asks upstream. Beyond the members
+// it keeps only what the stream does not say: a route count per source, and
+// the prefixes whose announcement could not be encoded.
 //
 // A message that cannot be encoded (an attribute set that outgrows the
-// 4096-byte limit on export, say) is dropped whole and counted, and the
-// adj-RIB-out records only what was sent: the later Delete of a dropped
-// prefix sends nothing, and a Replace whose new side is dropped withdraws
-// the old.
+// 4096-byte limit on export, say) is dropped whole and counted, and its
+// prefixes are remembered until upstream withdraws or replaces them: the
+// later Delete of a dropped prefix sends nothing, a Replace whose new side
+// is dropped withdraws the old, and a replay leaves dropped prefixes out.
 type GroupOut struct {
 	base
 	members []*groupMember
 
-	// announced is the group-level adj-RIB-out: what the shared pipeline
-	// has emitted, before per-member suppression.
-	announced map[netip.Prefix]sentRoute
-	// bySrc counts announced routes per Src, so a member's share of the
+	// bySrc counts the routes sent per Src, so a member's share of the
 	// table is a sum over sources, not a walk over prefixes.
 	bySrc map[*PeerHandle]int
+	// dropped holds the prefixes upstream announced whose announcement
+	// could not be encoded; empty in normal operation.
+	dropped map[netip.Prefix]struct{}
 
 	encBuf []byte
 	netBuf []netip.Prefix
@@ -65,28 +65,20 @@ type GroupOut struct {
 	EncodeErrors *telemetry.Counter
 }
 
-// sentRoute is the adj-RIB-out's record of one announced prefix.
-type sentRoute struct {
-	attrs *PathAttrs
-	src   *PeerHandle
-}
-
-// route builds the Route a lookup or a walk answers with.
-func (e sentRoute) route(net netip.Prefix) Route {
-	return Route{Net: net, Attrs: e.attrs, Src: e.src}
-}
-
 type groupMember struct {
 	handle *PeerHandle
 	sender GroupSender
+	// muted is set while the member is being replayed to: the replay
+	// carries whatever the branch's backlog says, so it is not sent twice.
+	muted bool
 }
 
 // NewGroupOut returns an empty group output stage.
 func NewGroupOut(name string) *GroupOut {
 	return &GroupOut{
 		base:         base{name: "groupout(" + name + ")"},
-		announced:    make(map[netip.Prefix]sentRoute),
 		bySrc:        make(map[*PeerHandle]int),
+		dropped:      make(map[netip.Prefix]struct{}),
 		EncodeErrors: new(telemetry.Counter),
 	}
 }
@@ -94,8 +86,15 @@ func NewGroupOut(name string) *GroupOut {
 // Members returns the current member count.
 func (g *GroupOut) Members() int { return len(g.members) }
 
-// AnnouncedCount returns the group adj-RIB-out size.
-func (g *GroupOut) AnnouncedCount() int { return len(g.announced) }
+// AnnouncedCount returns how many routes the group has sent, before
+// per-member screening.
+func (g *GroupOut) AnnouncedCount() int {
+	n := 0
+	for _, routes := range g.bySrc {
+		n += routes
+	}
+	return n
+}
 
 // AddMember joins a peer to the group and returns an error if the handle
 // is already a member. The caller resyncs the member (ResyncMember) once
@@ -131,7 +130,7 @@ func (g *GroupOut) member(handle *PeerHandle) *groupMember {
 
 // send delivers the encode buffer to one member, counting msgs messages.
 func (g *GroupOut) send(m *groupMember, msgs int) {
-	if m.sender == nil {
+	if m.sender == nil || m.muted {
 		return
 	}
 	m.sender.SendEncodedUpdate(g.encBuf)
@@ -171,11 +170,21 @@ func (g *GroupOut) encodeWithdraw(net netip.Prefix) bool {
 	return true
 }
 
-// forget drops one announced route from the per-source count.
+// forget drops one sent route from the per-source count.
 func (g *GroupOut) forget(src *PeerHandle) {
 	if g.bySrc[src]--; g.bySrc[src] == 0 {
 		delete(g.bySrc, src)
 	}
+}
+
+// undrop reports whether net's announcement was dropped, and forgets it.
+func (g *GroupOut) undrop(net netip.Prefix) bool {
+	if len(g.dropped) == 0 {
+		return false
+	}
+	_, was := g.dropped[net]
+	delete(g.dropped, net)
+	return was
 }
 
 // Add implements Stage — the shared encode: one wire encode for the whole
@@ -188,10 +197,10 @@ func (g *GroupOut) Add(run []Route) {
 	}
 	msgs := g.encodeAnnounce(run[0].Attrs, g.netBuf)
 	if msgs == 0 {
+		for _, r := range run {
+			g.dropped[r.Net] = struct{}{}
+		}
 		return
-	}
-	for _, r := range run {
-		g.announced[r.Net] = sentRoute{r.Attrs, r.Src}
 	}
 	g.bySrc[run[0].Src] += len(run)
 	for _, m := range g.members {
@@ -210,19 +219,19 @@ func (g *GroupOut) Replace(old, new Route) {
 	msgs := g.encodeAnnounce(new.Attrs, g.netBuf)
 	if msgs == 0 {
 		g.Delete(old)
+		g.dropped[new.Net] = struct{}{}
 		return
 	}
-	prev, was := g.announced[new.Net]
+	was := !g.undrop(old.Net)
 	if was {
-		g.forget(prev.src)
+		g.forget(old.Src)
 	}
-	g.announced[new.Net] = sentRoute{new.Attrs, new.Src}
 	g.bySrc[new.Src]++
 	var withdraw []*groupMember
 	for _, m := range g.members {
 		if sendable(new.Src, m.handle) {
 			g.send(m, msgs)
-		} else if was && sendable(prev.src, m.handle) {
+		} else if was && sendable(old.Src, m.handle) {
 			withdraw = append(withdraw, m)
 		}
 	}
@@ -235,31 +244,32 @@ func (g *GroupOut) Replace(old, new Route) {
 
 // Delete implements Stage: withdraw from every member that saw the route.
 func (g *GroupOut) Delete(r Route) {
-	prev, was := g.announced[r.Net]
-	if !was {
+	if g.undrop(r.Net) {
 		return // its announcement was dropped
 	}
-	delete(g.announced, r.Net)
-	g.forget(prev.src)
+	g.forget(r.Src)
 	if !g.encodeWithdraw(r.Net) {
 		return
 	}
 	for _, m := range g.members {
-		if sendable(prev.src, m.handle) {
+		if sendable(r.Src, m.handle) {
 			g.send(m, 1)
 		}
 	}
 }
 
-// Lookup implements Stage: the group adj-RIB-out.
+// Lookup implements Stage: upstream's answer through the branch, unless
+// its announcement was dropped. It is the group's view, before per-member
+// screening, and may run ahead of a stalled branch, as Fanout.Lookup does.
 func (g *GroupOut) Lookup(net netip.Prefix, r *Route) bool {
-	e, ok := g.announced[net]
-	*r = e.route(net)
-	return ok
+	if _, drop := g.dropped[net]; drop {
+		return false
+	}
+	return g.lookupParent(net, r)
 }
 
 // MemberAnnouncedCount returns how many prefixes one member has been told
-// (tests and stats): the announced routes of every source sendable to it.
+// (tests and stats): the routes sent from every source sendable to it.
 func (g *GroupOut) MemberAnnouncedCount(handle *PeerHandle) int {
 	if g.member(handle) == nil {
 		return 0
@@ -273,6 +283,25 @@ func (g *GroupOut) MemberAnnouncedCount(handle *PeerHandle) int {
 	return n
 }
 
+// replay visits, in prefix order, every route the group has sent m: it
+// asks upstream to walk its table down the branch, which first delivers
+// the branch's backlog with m muted, so the walk is what the group has
+// emitted; dropped prefixes and routes m may not have are left out.
+func (g *GroupOut) replay(m *groupMember, fn func(Route) bool) {
+	w, ok := g.parent.(walker)
+	if !ok {
+		return
+	}
+	m.muted = true
+	defer func() { m.muted = false }()
+	w.walk(g, func(r Route) bool {
+		if _, drop := g.dropped[r.Net]; drop || !sendable(r.Src, m.handle) {
+			return true
+		}
+		return fn(r)
+	})
+}
+
 // ResyncMember replays the full member-visible table to one member's
 // sender (session re-established), in prefix order. Prefixes are grouped
 // by attr set — by content: an exported set is a fresh object per run,
@@ -284,13 +313,6 @@ func (g *GroupOut) ResyncMember(handle *PeerHandle) {
 	if m == nil {
 		return
 	}
-	nets := make([]netip.Prefix, 0, g.MemberAnnouncedCount(handle))
-	for net, e := range g.announced {
-		if sendable(e.src, handle) {
-			nets = append(nets, net)
-		}
-	}
-	slices.SortFunc(nets, trie.ComparePrefix)
 	type set struct {
 		attrs *PathAttrs
 		nets  []netip.Prefix
@@ -298,32 +320,22 @@ func (g *GroupOut) ResyncMember(handle *PeerHandle) {
 	byKey := make(map[string]*set)
 	var order []*set
 	var key []byte
-	for _, net := range nets {
-		attrs := g.announced[net].attrs
-		key = appendAttrKey(key[:0], attrs)
-		s, ok := byKey[string(key)]
-		if !ok {
-			s = &set{attrs: attrs}
-			byKey[string(key)] = s
-			order = append(order, s)
+	var last *set
+	g.replay(m, func(r Route) bool {
+		if last == nil || r.Attrs != last.attrs { // a run shares its exported set
+			key = appendAttrKey(key[:0], r.Attrs)
+			if last = byKey[string(key)]; last == nil {
+				last = &set{attrs: r.Attrs}
+				byKey[string(key)] = last
+				order = append(order, last)
+			}
 		}
-		s.nets = append(s.nets, net)
-	}
+		last.nets = append(last.nets, r.Net)
+		return true
+	})
 	for _, s := range order {
 		if msgs := g.encodeAnnounce(s.attrs, s.nets); msgs > 0 {
 			g.send(m, msgs)
-		}
-	}
-}
-
-// WalkAnnounced visits every route one member knows (tests).
-func (g *GroupOut) WalkAnnounced(handle *PeerHandle, fn func(Route) bool) {
-	if g.member(handle) == nil {
-		return
-	}
-	for net, e := range g.announced {
-		if sendable(e.src, handle) && !fn(e.route(net)) {
-			return
 		}
 	}
 }

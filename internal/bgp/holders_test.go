@@ -105,24 +105,30 @@ func TestGroupMemberHoldsNoPrefixes(t *testing.T) {
 	}
 }
 
-// TestGroupOutHoldsNoRoutes: the adj-RIB-out is prefix → what a replay needs.
-// A field that could hold a route — by pointer or by value — would be the
-// per-route copy back under another name.
+// TestGroupOutHoldsNoRoutes: the group keeps no adj-RIB-out. A field that
+// could hold a route, by pointer or by value, or an attribute set, or that
+// is keyed by prefix, would be the per-route copy back under another name;
+// the one prefix-keyed field is the set of prefixes whose announcement
+// could not be encoded. What the group answers is asked of the stages
+// upstream.
 func TestGroupOutHoldsNoRoutes(t *testing.T) {
 	gt := reflect.TypeOf(GroupOut{})
 	for i := 0; i < gt.NumField(); i++ {
 		f := gt.Field(i)
-		holds := reaches(f.Type, map[reflect.Type]bool{}, reflect.TypeOf((*Route)(nil)), reflect.TypeOf(Route{}))
+		holds := reaches(f.Type, map[reflect.Type]bool{}, reflect.TypeOf((*Route)(nil)), reflect.TypeOf(Route{}), reflect.TypeOf((*PathAttrs)(nil)))
 		if holds != (f.Name == "base") { // base: the scratch run of a stage that sends routes on; this one sends none
-			t.Errorf("GroupOut.%s (%v): reaches a route = %v", f.Name, f.Type, holds)
+			t.Errorf("GroupOut.%s (%v): reaches a route or an attribute set = %v", f.Name, f.Type, holds)
+		}
+		if keyed := f.Type.Kind() == reflect.Map && f.Type.Key() == reflect.TypeOf(netip.Prefix{}); keyed != (f.Name == "dropped") {
+			t.Errorf("GroupOut.%s (%v): keyed by prefix = %v; only the drop set may be", f.Name, f.Type, keyed)
 		}
 	}
 
-	// Behind a bank that rewrites every route in its one scratch view, what
-	// it recorded of one call must survive the next.
-	g, bank, runs := exportSide(t, 2, 8)
-	bank.Add(runs[0])
-	bank.Add(runs[1])
+	// Behind a bank that rewrites every route in its one scratch view, the
+	// routes the group sent read back through the upstream that sent them.
+	g, _, runs, up := exportSide(t, 2, 8)
+	up.announce(runs[0])
+	up.announce(runs[1])
 	if len(g.run) != 0 {
 		t.Fatalf("GroupOut used its scratch run (%d routes)", len(g.run))
 	}
@@ -130,19 +136,89 @@ func TestGroupOutHoldsNoRoutes(t *testing.T) {
 		for _, r := range run {
 			got := lookup(g, r.Net)
 			if got == nil || got.Src != r.Src || !got.Attrs.Equal(naiveEBGPExport(r.Attrs, 65000, mustA("192.0.2.1"))) {
-				t.Fatalf("run %d: adj-RIB-out says %+v for %v", i, got, r.Net)
+				t.Fatalf("run %d: the group says %+v for %v", i, got, r.Net)
 			}
 		}
 	}
 }
 
+// upstream is the stage network above output branches: a PeerIn and a
+// resolver per source over one pool, Decision and Fanout. A GroupOut hung
+// under it answers lookups and replays from a real table.
+type upstream struct {
+	loop *eventloop.Loop
+	dec  *Decision
+	fan  *Fanout
+	pool *AttrPool
+	ins  map[*PeerHandle]*PeerIn
+}
+
+func newUpstream() *upstream {
+	u := &upstream{
+		loop: eventloop.New(eventloop.NewSimClock(time.Unix(0, 0))),
+		dec:  NewDecision("decision"),
+		pool: NewAttrPool(),
+		ins:  make(map[*PeerHandle]*PeerIn),
+	}
+	u.fan = NewFanout("fanout", u.loop)
+	Plumb(u.dec, u.fan)
+	return u
+}
+
+// branch hangs g under the fanout behind bank, a pass-all one if nil: a
+// group branch, or with peer set a group of one.
+func (u *upstream) branch(peer *PeerHandle, bank *FilterBank, g *GroupOut) {
+	if bank == nil {
+		bank = NewFilterBank("out-filter(" + g.name + ")")
+	}
+	Plumb(bank, g)
+	u.fan.AddPeerBranch(g.name, peer, bank)
+}
+
+// in returns src's PeerIn, building its input branch on first use.
+func (u *upstream) in(src *PeerHandle) *PeerIn {
+	in, ok := u.ins[src]
+	if !ok {
+		in = NewPeerIn(u.loop, src, u.pool)
+		res := NewNexthopResolver("nexthop("+src.Name+")", &StaticMetricSource{})
+		Plumb(in, res)
+		u.dec.AddParent(res)
+		u.ins[src] = in
+	}
+	return in
+}
+
+// announce has a run's source announce it in one UPDATE, and drains. The
+// nexthop is resolved first, so the run stays whole: one arriving under a
+// nexthop not yet asked about is queued, and sent on, route by route.
+func (u *upstream) announce(run []Route) {
+	m := &UpdateMsg{Attrs: run[0].Attrs}
+	for _, r := range run {
+		m.NLRI = append(m.NLRI, r.Net)
+	}
+	in := u.in(run[0].Src)
+	if res := in.downstream().(*NexthopResolver); res.nexthops[m.Attrs.NextHop] == nil {
+		res.query(m.Attrs.NextHop)
+	}
+	in.ReceiveUpdate(m, 65000)
+	u.loop.RunPending()
+}
+
+// withdraw has r's source withdraw it, and drains.
+func (u *upstream) withdraw(r Route) {
+	u.in(r.Src).Withdraw(r.Net)
+	u.loop.RunPending()
+}
+
 // exportSide is one output branch — an EBGP export bank into a GroupOut with
-// two members that discard what they are sent — and nruns runs of n routes,
-// each run with its own attribute set and source.
-func exportSide(t *testing.T, nruns, n int) (*GroupOut, *FilterBank, [][]Route) {
+// two members that discard what they are sent — under an upstream, and
+// nruns runs of n routes, each run with its own attribute set and source.
+// A test drives the bank directly, or the upstream.
+func exportSide(t *testing.T, nruns, n int) (*GroupOut, *FilterBank, [][]Route, *upstream) {
 	g := NewGroupOut("rs")
 	bank := NewFilterBank("out-filter(group:rs)", FilterEBGPExport(65000, mustA("192.0.2.1")))
-	Plumb(bank, g)
+	up := newUpstream()
+	up.branch(nil, bank, g)
 	for i := 0; i < 2; i++ {
 		h := testPeer(fmt.Sprintf("m%d", i), fmt.Sprintf("10.0.1.%d", i+1), uint16(65010+i), false)
 		if err := g.AddMember(h, GroupSenderFunc(func([]byte) {})); err != nil {
@@ -159,7 +235,7 @@ func exportSide(t *testing.T, nruns, n int) (*GroupOut, *FilterBank, [][]Route) 
 			runs[k] = append(runs[k], Route{Net: net, Attrs: attrs, Src: src, Resolvable: true})
 		}
 	}
-	return g, bank, runs
+	return g, bank, runs, up
 }
 
 // TestExportSideAllocs: past the fanout nothing is made per route. A run
@@ -171,7 +247,7 @@ func exportSide(t *testing.T, nruns, n int) (*GroupOut, *FilterBank, [][]Route) 
 // adj-RIB-out — shows here as 64 times something.
 func TestExportSideAllocs(t *testing.T) {
 	const n = 64
-	g, bank, runs := exportSide(t, 2, n)
+	g, bank, runs, _ := exportSide(t, 2, n)
 	twins := slices.Clone(runs[0]) // the same routes as runs[0], as other values
 	withdraw := func(run []Route) {
 		for _, r := range run {
@@ -304,15 +380,15 @@ func bytesPerRouteRouter(clients, routesEach int, shared bool) (keep any, routes
 
 // TestBGPBytesPerRoute pins the live heap a route costs across the BGP
 // stage network of a route server. With every client on prefixes of its
-// own: the RIB-in's trie node and 16-byte slot, and the prefix → {attrs,
-// source} slot in the group's adj-RIB-out. It measures 209 B (203 with a
-// trie of bare attribute pointers per PeerIn); the bound is 10 % above
-// that. With a 64-byte Route object behind the PeerIn's pointer it measured
-// 266 B, with an export clone per route behind the slot as well 322 B, and
-// with 184-byte trie nodes under the PeerIn 391. With 32 clients on the
-// same prefixes a (client, prefix) pair costs a slot in a holder list, the
-// node and the adj-RIB-out shared 32 ways: 29 B (130 with a trie per
-// PeerIn).
+// own: the RIB-in's trie node and 16-byte slot, and nothing in the group,
+// which keeps no adj-RIB-out. It measures 135 B; the bound is 10 % above
+// that. With the group's prefix → {attrs, source} map it measured 209 B
+// (203 with a trie of bare attribute pointers per PeerIn), with a 64-byte
+// Route object behind the PeerIn's pointer 266 B, with an export clone per
+// route behind the map's slot as well 322 B, and with 184-byte trie nodes
+// under the PeerIn 391. With 32 clients on the same prefixes a (client,
+// prefix) pair costs a slot in a holder list and the node shared 32 ways:
+// 27 B (29 with the group's map, 130 with a trie per PeerIn).
 func TestBGPBytesPerRoute(t *testing.T) {
 	for _, tc := range []struct {
 		name                string
@@ -320,8 +396,8 @@ func TestBGPBytesPerRoute(t *testing.T) {
 		shared              bool
 		bound               float64
 	}{
-		{"disjoint", 8, 6400, false, 223},
-		{"shared", 32, 6400, true, 35},
+		{"disjoint", 8, 6400, false, 150},
+		{"shared", 32, 6400, true, 30},
 	} {
 		var before, after runtime.MemStats
 		runtime.GC()

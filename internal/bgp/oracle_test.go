@@ -621,11 +621,111 @@ func TestOracleBatchedPeerDown(t *testing.T) {
 	}
 }
 
+// TestReplayIsWhatGroupEmitted bounces a member's session after a
+// randomized workload, in three states of its branch: caught up, with a
+// pump still pending, and — a group of one — stalled by SetBusy while the
+// workload goes on. The member forgets what it was told and is resynced.
+// It must then hold exactly the model's adj-RIB-out, each prefix announced
+// once, and be sent nothing more once the loop has run and the branch is
+// released: the replay is what the group has emitted, neither behind the
+// branch's stream nor ahead of it. The other members' streams stay the
+// model's.
+func TestReplayIsWhatGroupEmitted(t *testing.T) {
+	for _, state := range []string{"caught up", "pump pending", "stalled"} {
+		for _, target := range []string{"e1", "i1"} {
+			for seed := int64(0); seed < 3; seed++ {
+				t.Run(fmt.Sprintf("%s/%s/seed%d", state, target, seed), func(t *testing.T) {
+					r := rand.New(rand.NewSource(2000 + seed))
+					peers, events := buildWorkload(r, 200)
+					localAddr := mustA("192.0.2.1")
+					policies := map[string][]Filter{"rs": oraclePolicies(r), "ibgp": oraclePolicies(r)}
+					ref := newRefRouter(t, 65000)
+					fast := newOracleRouter(t, state == "stalled", 65000)
+					for _, p := range peers {
+						ref.addMember(p.name, p.addr, p.as, localAddr, policies[p.group])
+						fast.addMember(p.name, p.addr, p.as, p.group, localAddr, policies[p.group])
+					}
+					for _, ev := range events[:150] {
+						ref.inject(ev.peer, ev.msg())
+						fast.inject(ev.peer, ev.msg())
+					}
+					if state == "stalled" {
+						fast.fan.SetBusy(target, true)
+					}
+					for _, ev := range events[150:] {
+						ref.inject(ev.peer, ev.msg())
+						if state == "pump pending" {
+							fast.byName[ev.peer].in.ReceiveUpdate(ev.msg(), fast.localAS)
+						} else {
+							fast.inject(ev.peer, ev.msg())
+						}
+					}
+
+					branch := target
+					if state != "stalled" {
+						branch = "group:" + map[string]string{"e1": "rs", "i1": "ibgp"}[target]
+					}
+					if backlog := fast.fan.Backlog(branch); backlog == 0 != (state == "caught up") {
+						t.Fatalf("branch %s has a backlog of %d at the bounce", branch, backlog)
+					}
+					x := fast.byName[target]
+					start := len(x.atoms)
+					x.gout.ResyncMember(x.handle)
+					replayed := len(x.atoms) - start
+					checkHolds(t, x.atoms[start:], ref.byName[target].out)
+					fast.fan.SetBusy(target, false)
+					fast.loop.RunPending()
+					if later := len(x.atoms) - start - replayed; later != 0 {
+						t.Fatalf("%s was sent %d more atoms after its replay", target, later)
+					}
+					for i, rm := range ref.members {
+						if rm.handle.Name != target {
+							compareAtomStreams(t, rm.handle.Name, rm.atoms, fast.members[i].atoms)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// checkHolds asserts that the atoms a member was sent since its session
+// came up announce exactly the model's adj-RIB-out for it, once each.
+func checkHolds(t *testing.T, atoms [][]byte, out map[netip.Prefix]*Route) {
+	t.Helper()
+	held := make(map[netip.Prefix][]byte)
+	for _, atom := range atoms {
+		m, err := DecodeMessage(atom)
+		if err != nil || len(m.Update.Withdrawn) != 0 || len(m.Update.NLRI) != 1 {
+			t.Fatalf("replay atom %+v (err %v) is not one announcement", m, err)
+		}
+		net := m.Update.NLRI[0]
+		if held[net] != nil {
+			t.Fatalf("replay announced %v twice", net)
+		}
+		held[net] = atom
+	}
+	for net, r := range out {
+		want, err := AppendUpdate(nil, &UpdateMsg{Attrs: r.Attrs, NLRI: []netip.Prefix{net}})
+		if err != nil {
+			t.Fatalf("model encode: %v", err)
+		}
+		if !bytes.Equal(held[net], want) {
+			t.Fatalf("%v: replay says %x, model %x", net, held[net], want)
+		}
+	}
+	if len(held) != len(out) {
+		t.Fatalf("replay announced %d prefixes, the model's adj-RIB-out holds %d", len(held), len(out))
+	}
+}
+
 // TestGroupOutMembership exercises the per-member suppression bookkeeping
-// directly: split horizon back to the originator, late joins, and the
-// replace-to-unsendable withdraw.
+// through a real upstream: split horizon back to the originator, late
+// joins, and the replace-to-unsendable withdraw.
 func TestGroupOutMembership(t *testing.T) {
 	g := NewGroupOut("rs")
+	up := newUpstream()
+	up.branch(nil, nil, g)
 	h1 := testPeer("m1", "10.0.0.1", 65001, false)
 	h2 := testPeer("m2", "10.0.0.2", 65002, false)
 	var got1, got2 [][]byte
@@ -634,8 +734,8 @@ func TestGroupOutMembership(t *testing.T) {
 	}
 
 	net1 := mustP("10.1.0.0/16")
-	r1 := Route{Net: net1, Attrs: testAttrs(), Src: h1}
-	g.Add([]Route{r1}) // from m1: split horizon suppresses m1
+	r1 := Route{Net: net1, Attrs: attrsVia("10.0.0.1", 65001, 65009), Src: h1}
+	up.announce([]Route{r1}) // from m1: split horizon suppresses m1
 	if len(got1) != 0 {
 		t.Fatalf("m1 received its own route")
 	}
@@ -655,11 +755,11 @@ func TestGroupOutMembership(t *testing.T) {
 		t.Fatalf("m2 announced count %d", g.MemberAnnouncedCount(h2))
 	}
 
-	// Replace with a route from m2: m1 gains it, m2 must get a withdraw
-	// (it previously saw m1's version).
-	r2 := Route{Net: net1, Attrs: testAttrs(), Src: h2}
+	// Replace with a (shorter, so better) route from m2: m1 gains it, m2
+	// must get a withdraw (it previously saw m1's version).
+	r2 := Route{Net: net1, Attrs: attrsVia("10.0.0.2", 65002), Src: h2}
 	got1, got2 = nil, nil
-	g.Replace(r1, r2)
+	up.announce([]Route{r2})
 	if len(got1) != 1 {
 		t.Fatalf("m1 got %d bufs for replace", len(got1))
 	}
@@ -676,9 +776,11 @@ func TestGroupOutMembership(t *testing.T) {
 		t.Fatal("duplicate member accepted")
 	}
 
-	// Delete: only m1 saw the route at this point.
+	// Delete: only m1 saw the route at this point. m1's own route, the
+	// loser, goes first and changes nothing downstream.
 	got1, got2 = nil, nil
-	g.Delete(r2)
+	up.withdraw(r1)
+	up.withdraw(r2)
 	if len(got1) != 1 || len(got2) != 0 {
 		t.Fatalf("delete fanout: m1=%d m2=%d", len(got1), len(got2))
 	}

@@ -301,7 +301,8 @@ func (p *Peer) established() {
 			p.writeMsg(AppendKeepalive(p.encBuf[:0]))
 		}
 	})
-	// Replay the announced table to the (re)established session.
+	// Replay what the group has sent to the (re)established session: the
+	// decision table through the group's export filter, asked upstream.
 	p.group.out.ResyncMember(p.handle)
 }
 

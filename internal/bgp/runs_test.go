@@ -302,11 +302,14 @@ func TestSoloPeerIsGroupOfOne(t *testing.T) {
 func TestResyncIsDeterministic(t *testing.T) {
 	peer := testPeer("p", "10.0.0.9", 65009, false)
 	g := NewGroupOut("p")
+	up := newUpstream()
+	up.branch(nil, nil, g)
 	var sent []byte
 	if err := g.AddMember(peer, GroupSenderFunc(func(b []byte) { sent = append(sent, b...) })); err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(7))
+	src := testPeer("src", "10.0.0.1", 65001, false)
 	sets := []*PathAttrs{attrsVia("10.0.0.1", 65001), attrsVia("10.0.0.1", 65001, 65002), attrsVia("10.0.0.2", 65003)}
 	seen := make(map[netip.Prefix]bool)
 	for len(seen) < 300 {
@@ -316,7 +319,7 @@ func TestResyncIsDeterministic(t *testing.T) {
 		}
 		if !seen[net] {
 			seen[net] = true
-			g.Add([]Route{{Net: net, Attrs: sets[r.Intn(len(sets))]}})
+			up.announce([]Route{{Net: net, Attrs: sets[r.Intn(len(sets))], Src: src}})
 		}
 	}
 	replay := func() []byte {
@@ -348,7 +351,7 @@ func TestResyncIsDeterministic(t *testing.T) {
 // UPDATE per run the table was learned in. Four runs exported from two
 // distinct sets replay as two announcements carrying the same prefixes.
 func TestResyncPacksEqualSets(t *testing.T) {
-	g, bank, runs := exportSide(t, 2, 8)
+	g, _, runs, up := exportSide(t, 2, 8)
 	half := len(runs[0]) / 2
 	var live []*UpdateMsg
 	record := GroupSenderFunc(func(buf []byte) { live = append(live, decodeUpdates(t, buf)...) })
@@ -357,7 +360,7 @@ func TestResyncPacksEqualSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, run := range [][]Route{runs[0][:half], runs[1][:half], runs[0][half:], runs[1][half:]} {
-		bank.Add(run) // the export filter remembers one rewrite: each of these is a new set
+		up.announce(run) // the export filter remembers one rewrite: each of these is a new set
 	}
 	if len(live) != 4 {
 		t.Fatalf("the live path sent %d messages for 4 runs", len(live))
@@ -387,8 +390,8 @@ func TestResyncPacksEqualSets(t *testing.T) {
 // adj-RIB-out left consistent — not a panic that takes BGP down.
 func TestEncodeFailureIsCountedDrop(t *testing.T) {
 	g := NewGroupOut("rs")
-	bank := NewFilterBank("out-filter(group:rs)", FilterEBGPExport(65000, mustA("192.0.2.1")))
-	Plumb(bank, g)
+	up := newUpstream()
+	up.branch(nil, NewFilterBank("out-filter(group:rs)", FilterEBGPExport(65000, mustA("192.0.2.1"))), g)
 	src := testPeer("src", "10.0.0.1", 65001, false)
 	var sent [2][]*UpdateMsg
 	for i := range sent {
@@ -416,7 +419,7 @@ func TestEncodeFailureIsCountedDrop(t *testing.T) {
 	}
 	r1 := Route{Net: mustP("10.1.0.0/16"), Attrs: long, Src: src}
 	validFromPeer(r1)
-	bank.Add([]Route{r1})
+	up.announce([]Route{r1})
 	for i := range sent {
 		if len(sent[i]) != 1 {
 			t.Fatalf("member %d got %d messages for the 255-AS route", i, len(sent[i]))
@@ -441,21 +444,27 @@ func TestEncodeFailureIsCountedDrop(t *testing.T) {
 		t.Fatalf("test route encodes to %d bytes, want the full %d", n, maxMsgLen)
 	}
 	sent = [2][]*UpdateMsg{}
-	bank.Add([]Route{r2})
+	up.announce([]Route{r2})
 	if g.EncodeErrors.Value() != 1 {
 		t.Fatalf("encode errors %d, want 1", g.EncodeErrors.Value())
 	}
 	if g.AnnouncedCount() != 1 || lookup(g, r2.Net) != nil {
 		t.Fatal("dropped route recorded in the adj-RIB-out")
 	}
-	bank.Delete(r2) // never sent: nothing to withdraw
+	// A bounce replays what was sent: the dropped route is not tried again.
+	g.ResyncMember(g.members[0].handle)
+	if len(sent[0]) != 1 || !slices.Equal(sent[0][0].NLRI, []netip.Prefix{r1.Net}) || len(sent[1]) != 0 || g.EncodeErrors.Value() != 1 {
+		t.Fatalf("replay with a dropped route sent %+v, %d errors; want %v alone", sent[0], g.EncodeErrors.Value(), r1.Net)
+	}
+	sent = [2][]*UpdateMsg{}
+	up.withdraw(r2) // never sent: nothing to withdraw
 	if len(sent[0])+len(sent[1]) != 0 {
 		t.Fatalf("dropped route caused %d+%d messages", len(sent[0]), len(sent[1]))
 	}
 
 	// A replace whose new side cannot go out withdraws the old.
 	r1big := Route{Net: r1.Net, Attrs: big, Src: src}
-	bank.Replace(r1, r1big)
+	up.announce([]Route{r1big})
 	for i := range sent {
 		if len(sent[i]) != 1 || len(sent[i][0].Withdrawn) != 1 || sent[i][0].Withdrawn[0] != r1.Net {
 			t.Fatalf("member %d got %+v, want the withdrawal of %v", i, sent[i], r1.Net)
@@ -466,7 +475,7 @@ func TestEncodeFailureIsCountedDrop(t *testing.T) {
 	}
 	// ...and the way back is a plain announcement.
 	sent = [2][]*UpdateMsg{}
-	bank.Replace(r1big, r1)
+	up.announce([]Route{r1})
 	for i := range sent {
 		if len(sent[i]) != 1 || len(sent[i][0].NLRI) != 1 {
 			t.Fatalf("member %d got %+v, want %v announced again", i, sent[i], r1.Net)

@@ -51,6 +51,16 @@ type Stage interface {
 	parentStage() Stage
 }
 
+// walker is a stage of an output branch that can replay its table down the
+// branch: the way a session bounce is resynced, flowing upstream as Lookup
+// does (GroupOut → FilterBank → Fanout → Decision).
+type walker interface {
+	// walk visits, in prefix order, every route this stage has announced
+	// to the branch holding from, once that branch has been sent all it
+	// is owed.
+	walk(from Stage, fn func(Route) bool)
+}
+
 // base provides the plumbing shared by stage implementations.
 type base struct {
 	name   string

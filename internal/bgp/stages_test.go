@@ -386,6 +386,61 @@ func TestRefilterBackgroundTask(t *testing.T) {
 	}
 }
 
+// TestRefilterWithdrawDuringTask: until the refilter task reaches a prefix,
+// downstream holds what the old chain made of it, so a withdrawal arriving
+// first goes through the old chain. Dropped by the old chain, the route is
+// withdrawn from nobody (the cache panics on a delete for a prefix never
+// added), and the task, which reconciles against upstream's current route,
+// does not bring it back. Passed by the old chain, it is withdrawn at once,
+// not left downstream until the task gets there.
+func TestRefilterWithdrawDuringTask(t *testing.T) {
+	block := mustP("10.66.0.0/16")
+	drop66 := func(r *Route) *PathAttrs {
+		if block.Contains(r.Net.Addr()) {
+			return nil
+		}
+		return r.Attrs
+	}
+	gone := mustP("10.66.99.0/24")
+	for _, tc := range []struct {
+		name     string
+		old, new []Filter
+	}{
+		{"old chain drops", []Filter{drop66}, nil},
+		{"old chain passes", nil, []Filter{drop66}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := newTestRouter(t, 65000)
+			p1 := tr.addPeer(t, "p1", "10.0.0.1", 65001)
+			for i := 0; i < 200; i++ {
+				p1.peerin.Announce(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 1, byte(i), 0}), 24), attrsVia("10.0.0.1", 65001))
+			}
+			for i := 0; i < 100; i++ {
+				p1.peerin.Announce(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 66, byte(i), 0}), 24), attrsVia("10.0.0.1", 65001))
+			}
+			tr.settle()
+			if tc.old != nil {
+				p1.filter.Refilter(tr.loop, tc.old, p1.peerin.Walk)
+				tr.settle()
+			}
+			p1.filter.Refilter(tr.loop, tc.new, p1.peerin.Walk)
+			p1.peerin.Withdraw(gone) // the task has not run a slice yet
+			tr.fanout.Flush()
+			if lookup(tr.sink, gone) != nil || lookup(tr.decision, gone) != nil {
+				t.Fatalf("%v withdrawn upstream but still held downstream", gone)
+			}
+			tr.settle()
+			want := 299
+			if tc.new != nil {
+				want = 200
+			}
+			if len(tr.sink.tbl) != want || lookup(tr.sink, gone) != nil {
+				t.Fatalf("after the task: %d routes (want %d), %v held: %v", len(tr.sink.tbl), want, gone, lookup(tr.sink, gone) != nil)
+			}
+		})
+	}
+}
+
 func TestNexthopResolverQueuesUntilAnswer(t *testing.T) {
 	tr := newTestRouter(t, 65000)
 	p1 := tr.addPeer(t, "p1", "10.0.0.1", 65001)
@@ -412,7 +467,7 @@ func TestNexthopResolverQueuesUntilAnswer(t *testing.T) {
 // dropped while the withdrawal waits in the resolver behind an op whose
 // nexthop is unresolved. The decision must still ask it, or it takes
 // another peer's route for the first one and the cache panics on an add
-// for a prefix already present.
+// for a prefix already present; and a replay must still visit the prefix.
 func TestDecisionAsksQueuedBranch(t *testing.T) {
 	tr := newTestRouter(t, 65000)
 	p1 := tr.addPeer(t, "p1", "10.0.0.1", 65001)
@@ -421,6 +476,13 @@ func TestDecisionAsksQueuedBranch(t *testing.T) {
 	p2.resolver.src = fake
 	net := mustP("10.1.0.0/16")
 	resolved := NexthopInfo{Resolvable: true, Metric: 10, Covering: mustP("10.0.0.0/24")}
+	g, member := NewGroupOut("rs"), testPeer("m", "10.0.0.3", 65003, false)
+	bank := NewFilterBank("out-filter(group:rs)")
+	Plumb(bank, g)
+	tr.fanout.AddGroupBranch("group:rs", bank)
+	if err := g.AddMember(member, GroupSenderFunc(func([]byte) {})); err != nil {
+		t.Fatal(err)
+	}
 
 	p2.peerin.Announce(net, attrsVia("10.0.0.2", 65002))
 	fake.answer(mustA("10.0.0.2"), resolved)
@@ -430,6 +492,16 @@ func TestDecisionAsksQueuedBranch(t *testing.T) {
 	tr.settle()
 	if p2.peerin.Len() != 0 || p2.resolver.PendingOps() != 2 {
 		t.Fatalf("p2 stores %d routes with %d ops queued, want 0 and 2", p2.peerin.Len(), p2.resolver.PendingOps())
+	}
+	// A replay carries the route too: the group sent it, though the RIB-in
+	// no longer holds the prefix.
+	var replayed []Route
+	g.WalkAnnounced(member, func(r Route) bool {
+		replayed = append(replayed, r)
+		return true
+	})
+	if len(replayed) != 1 || replayed[0].Src != p2.peer || replayed[0].Attrs.NextHop != mustA("10.0.0.2") {
+		t.Fatalf("replay %+v, want p2's route via 10.0.0.2", replayed)
 	}
 
 	p1.peerin.Announce(net, attrsVia("10.0.0.1", 65001, 65009, 65010))
