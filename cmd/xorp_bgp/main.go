@@ -1,86 +1,32 @@
 // Command xorp_bgp runs the BGP process: the staged BGP pipeline of paper
 // §5.1 behind real RFC 4271 sessions, sending its best routes to the RIB
-// and resolving nexthops through it.
-//
-// Peers are configured at runtime with bgp/1.0 XRLs (see cmd/call_xrl):
+// and resolving nexthops through it. Its AS, identifier, damping and
+// peers are the configuration's `protocols { bgp { ... } }` block; peers
+// may also be added at runtime with bgp/1.0 XRLs (see cmd/call_xrl):
 //
 //	call_xrl 'finder://bgp/bgp/1.0/add_peer?name:txt=p1&local_addr:ipv4=...&peer_addr:ipv4=...&as:u32=65002&dial:txt=host:port'
 //	call_xrl 'finder://bgp/bgp/1.0/enable_peer?name:txt=p1'
 //
 // Usage:
 //
-//	xorp_bgp -finder 127.0.0.1:19999 -as 65001 -id 10.0.0.1 [-listen 0.0.0.0:179]
+//	xorp_bgp -finder 127.0.0.1:19999 -config router.conf [-listen 0.0.0.0:179]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net/netip"
 	"os"
-	"os/signal"
-	"syscall"
 
-	"xorp/internal/bgp"
-	"xorp/internal/eventloop"
-	"xorp/internal/finder"
 	"xorp/internal/rtrmgr"
-	"xorp/internal/xif"
-	"xorp/internal/xipc"
 )
 
 func main() {
 	finderAddr := flag.String("finder", "127.0.0.1:19999", "Finder TCP address")
-	localAS := flag.Uint("as", 0, "local AS number")
-	bgpID := flag.String("id", "", "BGP identifier (IPv4 address)")
+	config := flag.String("config", "", "router configuration file: its bgp block")
 	listen := flag.String("listen", "", "address for incoming BGP sessions")
-	damping := flag.Bool("damping", false, "enable route-flap damping stages")
 	flag.Parse()
-	if *localAS == 0 || *bgpID == "" {
-		fatal(fmt.Errorf("-as and -id are required"))
+	if err := rtrmgr.RunProcess("bgp", *finderAddr, *config, rtrmgr.Options{BGPListen: *listen}); err != nil {
+		fmt.Fprintf(os.Stderr, "xorp_bgp: %v\n", err)
+		os.Exit(1)
 	}
-	id, err := netip.ParseAddr(*bgpID)
-	if err != nil {
-		fatal(err)
-	}
-
-	loop := eventloop.New(nil)
-	router := xipc.NewRouter("bgp_process", loop)
-	if err := router.ListenTCP("127.0.0.1:0"); err != nil {
-		fatal(err)
-	}
-	router.SetFinderTCP(*finderAddr)
-
-	metricSrc := rtrmgr.NewXRLMetricSource(router, "rib", "bgp")
-	proc := bgp.NewProcess(loop, bgp.Config{
-		AS:            uint16(*localAS),
-		BGPID:         id,
-		ListenAddr:    *listen,
-		EnableDamping: *damping,
-	}, rtrmgr.NewXRLRIBClient(router, "rib"), metricSrc)
-
-	target := xif.NewTarget("bgp", "bgp")
-	proc.RegisterXRLs(target)
-	router.AddTarget(target)
-	go loop.Run()
-	if err := finder.RegisterTargetSync(router, target, true); err != nil {
-		fatal(err)
-	}
-	if err := proc.Listen(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("xorp_bgp: AS%d id %s registered with finder at %s\n", *localAS, id, *finderAddr)
-	if addr := proc.ListenAddr(); addr != "" {
-		fmt.Printf("xorp_bgp: accepting BGP sessions on %s\n", addr)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	loop.DispatchAndWait(proc.Close)
-	loop.Stop()
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "xorp_bgp: %v\n", err)
-	os.Exit(1)
 }

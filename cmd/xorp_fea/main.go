@@ -1,77 +1,27 @@
 // Command xorp_fea runs the Forwarding Engine Abstraction process: it
 // owns the (simulated) kernel FIB, installs the routes the RIB sends it,
-// and relays routing protocol packets (paper §3, §7).
+// and relays routing protocol packets (paper §3, §7). Its interfaces are
+// the configuration's `interfaces` block.
 //
 // Usage:
 //
-//	xorp_fea -finder 127.0.0.1:19999 [-iface eth0=192.168.1.1/24 ...]
+//	xorp_fea -finder 127.0.0.1:19999 [-config router.conf]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net/netip"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 
-	"xorp/internal/eventloop"
-	"xorp/internal/fea"
-	"xorp/internal/finder"
-	"xorp/internal/kernel"
-	"xorp/internal/xif"
-	"xorp/internal/xipc"
+	"xorp/internal/rtrmgr"
 )
-
-type ifaceList []string
-
-func (l *ifaceList) String() string     { return strings.Join(*l, ",") }
-func (l *ifaceList) Set(s string) error { *l = append(*l, s); return nil }
 
 func main() {
 	finderAddr := flag.String("finder", "127.0.0.1:19999", "Finder TCP address")
-	var ifaces ifaceList
-	flag.Var(&ifaces, "iface", "interface as name=addr/prefix (repeatable)")
+	config := flag.String("config", "", "router configuration file: its interfaces block")
 	flag.Parse()
-
-	loop := eventloop.New(nil)
-	router := xipc.NewRouter("fea_process", loop)
-	if err := router.ListenTCP("127.0.0.1:0"); err != nil {
-		fatal(err)
+	if err := rtrmgr.RunProcess("fea", *finderAddr, *config, rtrmgr.Options{}); err != nil {
+		fmt.Fprintf(os.Stderr, "xorp_fea: %v\n", err)
+		os.Exit(1)
 	}
-	router.SetFinderTCP(*finderAddr)
-
-	fib := kernel.NewFIB()
-	for _, spec := range ifaces {
-		name, addr, ok := strings.Cut(spec, "=")
-		if !ok {
-			fatal(fmt.Errorf("bad -iface %q, want name=addr/prefix", spec))
-		}
-		pfx, err := netip.ParsePrefix(addr)
-		if err != nil {
-			fatal(err)
-		}
-		fib.AddInterface(name, pfx, 1500)
-	}
-
-	proc := fea.New(loop, fib, nil, router)
-	target := xif.NewTarget("fea", "fea")
-	proc.RegisterXRLs(target)
-	router.AddTarget(target)
-	go loop.Run()
-	if err := finder.RegisterTargetSync(router, target, true); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("xorp_fea: registered with finder at %s\n", *finderAddr)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	loop.Stop()
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "xorp_fea: %v\n", err)
-	os.Exit(1)
 }

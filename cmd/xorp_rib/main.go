@@ -1,56 +1,30 @@
 // Command xorp_rib runs the Routing Information Base process: the staged
 // plumbing between routing protocols (paper §5.2), forwarding its final
-// routes to the FEA over fti XRLs.
+// routes to the FEA over fti XRLs. The configuration's interfaces become
+// connected routes, its `static` block static routes, and each
+// `redistribute` statement under `protocols` a redist stage feeding that
+// process. It watches every process's Finder lifetime: a protocol's
+// death marks its routes stale (graceful restart).
 //
 // Usage:
 //
-//	xorp_rib -finder 127.0.0.1:19999 [-fea fea]
+//	xorp_rib -finder 127.0.0.1:19999 [-config router.conf]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
-	"xorp/internal/eventloop"
-	"xorp/internal/finder"
-	"xorp/internal/rib"
 	"xorp/internal/rtrmgr"
-	"xorp/internal/xif"
-	"xorp/internal/xipc"
 )
 
 func main() {
 	finderAddr := flag.String("finder", "127.0.0.1:19999", "Finder TCP address")
-	feaTarget := flag.String("fea", "fea", "FEA target name for FIB installs")
+	config := flag.String("config", "", "router configuration file: interfaces, static routes, redistribution")
 	flag.Parse()
-
-	loop := eventloop.New(nil)
-	router := xipc.NewRouter("rib_process", loop)
-	if err := router.ListenTCP("127.0.0.1:0"); err != nil {
-		fatal(err)
+	if err := rtrmgr.RunProcess("rib", *finderAddr, *config, rtrmgr.Options{}); err != nil {
+		fmt.Fprintf(os.Stderr, "xorp_rib: %v\n", err)
+		os.Exit(1)
 	}
-	router.SetFinderTCP(*finderAddr)
-
-	proc := rib.NewProcess(loop, rtrmgr.NewXRLFIBClient(router, *feaTarget), router)
-	target := xif.NewTarget("rib", "rib")
-	proc.RegisterXRLs(target)
-	router.AddTarget(target)
-	go loop.Run()
-	if err := finder.RegisterTargetSync(router, target, true); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("xorp_rib: registered with finder at %s\n", *finderAddr)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	loop.Stop()
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "xorp_rib: %v\n", err)
-	os.Exit(1)
 }

@@ -1,17 +1,14 @@
-// Command xorp_rip runs the RIP process against a running FEA and RIB.
-// RIP's network access is relayed through the FEA's fea_udp XRLs (paper
-// §7: sandboxed processes never touch the network directly), so this
-// binary is only useful alongside an FEA attached to a packet network; in
-// the standalone multi-process deployment the FEA has no simulated fabric
-// and RIP idles. It exists for completeness and for driving by hand: it
-// binds redist4/0.1, the interface a RIB redist stage feeds, so a
-// redist4/0.1 add_route4 makes RIP originate a local route and teach it
-// to the RIB. The rtrmgr assembly wires RIP with the same calls, and that
-// is where the RIP system is exercised (the rtrmgr and chaos tests).
+// Command xorp_rip runs the RIP process against a running FEA and RIB,
+// built as the rtrmgr assembly builds it; its timers are the
+// configuration's `protocols { rip { ... } }` block. Its packets are
+// relayed through the FEA's fea_udp XRLs (paper §7), so without an FEA
+// attached to a packet network it idles. It binds redist4/0.1, the
+// interface a RIB redist stage feeds, so a redist4/0.1 add_route4 makes
+// RIP originate a local route and teach it to the RIB.
 //
 // Usage:
 //
-//	xorp_rip -finder 127.0.0.1:19999 -local 192.168.1.1
+//	xorp_rip -finder 127.0.0.1:19999 -local 192.168.1.1 [-config router.conf]
 package main
 
 import (
@@ -19,61 +16,21 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
-	"os/signal"
-	"syscall"
 
-	"xorp/internal/eventloop"
-	"xorp/internal/finder"
-	"xorp/internal/rip"
-	"xorp/internal/route"
 	"xorp/internal/rtrmgr"
-	"xorp/internal/xif"
-	"xorp/internal/xipc"
 )
 
 func main() {
 	finderAddr := flag.String("finder", "127.0.0.1:19999", "Finder TCP address")
-	local := flag.String("local", "", "local address")
-	flag.Parse()
-	if *local == "" {
-		fatal(fmt.Errorf("-local is required"))
-	}
-	localAddr, err := netip.ParseAddr(*local)
-	if err != nil {
-		fatal(err)
-	}
-
-	loop := eventloop.New(nil)
-	router := xipc.NewRouter("rip_process", loop)
-	if err := router.ListenTCP("127.0.0.1:0"); err != nil {
-		fatal(err)
-	}
-	router.SetFinderTCP(*finderAddr)
-
-	target := xif.NewTarget("rip", "rip")
-	proc := rip.NewProcess(loop, rip.Config{LocalAddr: localAddr, IfName: "eth0"},
-		rtrmgr.NewXRLRIPTransport(router, target, "fea"),
-		rtrmgr.NewXRLRouteClient(router, "rib", route.ProtoRIP))
-	xif.BindRedist4(target, proc)
-	router.AddTarget(target)
-	go loop.Run()
-	if err := finder.RegisterTargetSync(router, target, true); err != nil {
-		fatal(err)
-	}
-	loop.Dispatch(func() {
-		if err := proc.Start(); err != nil {
-			fmt.Fprintf(os.Stderr, "xorp_rip: start: %v\n", err)
-		}
+	config := flag.String("config", "", "router configuration file: its rip block")
+	var opts rtrmgr.Options
+	flag.Func("local", "local address", func(s string) (err error) {
+		opts.LocalAddr, err = netip.ParseAddr(s)
+		return err
 	})
-	fmt.Printf("xorp_rip: registered with finder at %s\n", *finderAddr)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	loop.Stop()
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "xorp_rip: %v\n", err)
-	os.Exit(1)
+	flag.Parse()
+	if err := rtrmgr.RunProcess("rip", *finderAddr, *config, opts); err != nil {
+		fmt.Fprintf(os.Stderr, "xorp_rip: %v\n", err)
+		os.Exit(1)
+	}
 }

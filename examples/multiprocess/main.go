@@ -1,8 +1,11 @@
 // Multiprocess: the real thing — Finder, FEA, RIB and BGP as separate
 // operating-system processes, exactly the paper's architecture, wired
 // over TCP XRLs and driven externally the way call_xrl scripts would.
-// This example builds the cmd/ binaries, spawns them, configures a BGP
-// peering and a static route over XRLs, switches the FEA's §8.2
+// This example builds the cmd/ binaries and writes one router config
+// file that every process is started with: each configures itself from
+// its own slice of it (the FEA its interfaces, the RIB the connected and
+// static routes, BGP its AS and identifier), as the router manager would.
+// It then adds a static route over an XRL, switches the FEA's §8.2
 // route_enter_kernel profile point on, injects a route by originating it,
 // and reads the FEA's forwarding table and that point's record back — all
 // across process boundaries.
@@ -26,6 +29,12 @@ import (
 
 const finderAddr = "127.0.0.1:29999"
 
+const config = `
+interfaces { eth0 { address 192.168.1.1/24; } }
+static { route 10.0.0.0/8 next-hop 192.168.1.254 interface eth0; }
+protocols { bgp { local-as 65001; id 192.168.1.1; } }
+`
+
 func main() {
 	bindir, err := os.MkdirTemp("", "xorp-bins-")
 	if err != nil {
@@ -41,6 +50,10 @@ func main() {
 		log.Fatal("go build: ", err)
 	}
 
+	cfgPath := filepath.Join(bindir, "router.conf")
+	if err := os.WriteFile(cfgPath, []byte(config), 0o644); err != nil {
+		log.Fatal(err)
+	}
 	spawn := func(name string, args ...string) *exec.Cmd {
 		cmd := exec.Command(filepath.Join(bindir, name), args...)
 		cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
@@ -59,11 +72,9 @@ func main() {
 
 	procs = append(procs, spawn("xorp_finder", "-listen", finderAddr))
 	time.Sleep(300 * time.Millisecond)
-	procs = append(procs, spawn("xorp_fea", "-finder", finderAddr,
-		"-iface", "eth0=192.168.1.1/24"))
-	procs = append(procs, spawn("xorp_rib", "-finder", finderAddr))
-	procs = append(procs, spawn("xorp_bgp", "-finder", finderAddr,
-		"-as", "65001", "-id", "192.168.1.1"))
+	for _, name := range []string{"xorp_fea", "xorp_rib", "xorp_bgp"} {
+		procs = append(procs, spawn(name, "-finder", finderAddr, "-config", cfgPath))
+	}
 	time.Sleep(500 * time.Millisecond)
 
 	// A management client (what call_xrl is, as a library).
@@ -86,12 +97,10 @@ func main() {
 	}
 
 	fmt.Println("\nconfiguring the running router over XRLs:")
-	// A static route so BGP nexthops resolve.
-	call("finder://rib/rib/1.0/add_route4?protocol:txt=static&network:ipv4net=10.0.0.0/8&nexthop:ipv4=192.168.1.254&ifname:txt=eth0")
-	fmt.Println("  rib: added static 10.0.0.0/8")
-	// Interface route.
-	call("finder://rib/rib/1.0/add_route4?protocol:txt=connected&network:ipv4net=192.168.1.0/24&ifname:txt=eth0")
-	fmt.Println("  rib: added connected 192.168.1.0/24")
+	// The config's static 10.0.0.0/8 resolves BGP's nexthops; one more
+	// static route travels as a textual XRL.
+	call("finder://rib/rib/1.0/add_route4?protocol:txt=static&network:ipv4net=10.9.0.0/16&nexthop:ipv4=192.168.1.253&ifname:txt=eth0")
+	fmt.Println("  rib: added static 10.9.0.0/16")
 	// Profile the route's last hop in the FEA's own process (§8.2).
 	call("finder://fea/profile/0.1/enable?pname:txt=route_enter_kernel")
 	fmt.Println("  fea: profile point route_enter_kernel enabled")

@@ -10,7 +10,7 @@ import (
 )
 
 // Transport carries RIP datagrams; the production implementation relays
-// through the FEA's fea_udp/0.1 XRLs (rtrmgr.NewXRLRIPTransport), keeping
+// through the FEA's fea_udp/0.1 XRLs (rtrmgr's udpRelay), keeping
 // RIP sandboxed (§7).
 type Transport interface {
 	// Bind installs the receive callback (invoked on the RIP loop).

@@ -58,9 +58,9 @@ func simOptions() Options {
 }
 
 // bootState renders what boot and reload must agree on: the running
-// config, the FIB, the IGP timers, each configured BGP peer (its handle
-// and session state; bgp exports no PeerConfig) and group, and what each
-// redistribution of statics mirrors.
+// config, the FIB, the IGP timers, OSPF's self-originated stub prefixes,
+// each configured BGP peer (its handle and session state; bgp exports no
+// PeerConfig) and group, and what each redistribution of statics mirrors.
 func bootState(r *Router) string {
 	var sb strings.Builder
 	sb.WriteString(Render(r.Config, 0))
@@ -72,6 +72,8 @@ func bootState(r *Router) string {
 	sort.Strings(fib)
 	sb.WriteString(strings.Join(fib, ""))
 	fmt.Fprintf(&sb, "rip %+v\nospf %+v\n", r.RIP.Timers(), r.OSPF.Timers())
+	self, _ := r.OSPF.DB().Get(r.OSPF.RouterID())
+	fmt.Fprintf(&sb, "ospf stubs %v\n", self.Prefixes)
 	bgpCfg := r.classConfig("bgp")
 	for _, pn := range bgpCfg.ChildrenNamed("peer") {
 		if p, ok := r.BGP.Peer(pn.Arg(0)); ok {

@@ -21,7 +21,7 @@ func (p *toyProc) begin(*Node) error { p.begins++; return nil }
 
 func (p *toyProc) close() { p.closes++ }
 
-func (p *toyProc) stage(_ *txAgent, c Change) ([]txStep, string, error) {
+func (p *toyProc) stage(c Change) ([]txStep, string, error) {
 	if c.Path[2] != "knob" || c.New == nil {
 		return nil, "the toy has a knob and nothing else", nil
 	}
@@ -51,7 +51,7 @@ protocols { toy { knob 1; } }
 // tables.
 func TestToyModuleLifecycle(t *testing.T) {
 	var toys []*toyProc
-	toy := &module{class: "toy", setup: func(*Router, *instance, *Node) (proc, error) {
+	toy := &module{class: "toy", setup: func(*deployment, *instance, *Node) (proc, error) {
 		toys = append(toys, &toyProc{})
 		return toys[len(toys)-1], nil
 	}}

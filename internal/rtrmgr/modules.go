@@ -1,6 +1,7 @@
 package rtrmgr
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"strconv"
@@ -8,49 +9,263 @@ import (
 	"time"
 
 	"xorp/internal/bgp"
+	"xorp/internal/fea"
+	"xorp/internal/kernel"
 	"xorp/internal/ospf"
 	"xorp/internal/policy"
+	"xorp/internal/rib"
 	"xorp/internal/rip"
 	"xorp/internal/route"
 	"xorp/internal/xif"
+	"xorp/internal/xipc"
 )
 
 // modules is the table of process classes NewRouter assembles, in start
-// and commit order. Everything the router manager knows about a protocol
-// is in this file: one descriptor, one row here, and a proc.
+// and commit order. Everything the router manager knows about a process
+// is in this file: one descriptor, one row here, and a proc. A setup, a
+// stage and a begin see their instance, the deployment and their slice
+// of the plan, nothing else: a process is built the same way inside a
+// router and alone (StartProcess).
 var modules = []*module{
 	{class: "bgp", setup: setupBGP, identity: []string{"local-as", "id", "damping"}},
 	{class: "rip", setup: setupRIP},
-	{class: "ospf", setup: setupOSPF, identity: []string{"router-id"}},
+	{class: "ospf", setup: setupOSPF, identity: []string{"router-id"}, sections: []string{"interfaces"}},
 }
 
-// procOf returns inst's process as the wrapper type T, the zero T (whose
-// embedded process pointer is nil) for a nil instance.
-func procOf[T proc](inst *instance) (p T) {
-	if inst != nil {
-		p, _ = inst.proc.(T)
+// The FEA and the RIB are built by the same path as a row of the table,
+// but every router has them and nothing supervises them (ROADMAP item
+// 22), so they are no rows of it.
+var (
+	feaModule = &module{class: "fea", setup: setupFEA, sections: []string{"interfaces"}}
+	ribModule = &module{class: "rib", setup: setupRIB, sections: []string{"interfaces", "static"}, watch: true}
+)
+
+// --- FEA: the kernel FIB and the packet relay.
+
+type feaProc struct{ *fea.Process }
+
+func setupFEA(d *deployment, inst *instance, _ *Node) (proc, error) {
+	p := fea.New(inst.loop, kernel.NewFIB(), d.host, inst.router)
+	p.RegisterXRLs(inst.target)
+	return feaProc{p}, nil
+}
+
+func (feaProc) begin(*Node) error { return nil }
+
+func (feaProc) close() {}
+
+// stage: interface additions only.
+func (p feaProc) stage(c Change) ([]txStep, string, error) {
+	name, pfx, mtu, err := interfaceAdd(c)
+	if err != nil {
+		return nil, "", err
 	}
-	return p
+	return []txStep{{
+		desc:  "add interface " + name,
+		apply: func() error { p.FIB().AddInterface(name, pfx, mtu); return nil },
+	}}, "", nil
 }
 
-// typedViews refreshes the exported typed fields from procs after it
-// changed. procMu held.
-func (r *Router) typedViews() {
-	r.BGP = procOf[bgpProc](r.procs["bgp"]).Process
-	r.RIP = procOf[ripProc](r.procs["rip"]).Process
-	r.OSPF = procOf[ospfProc](r.procs["ospf"]).Process
+// interfaceAdd parses an `interfaces` change, which may only add:
+// removing or renumbering a live interface strands connected routes and
+// bound sockets — restart.
+func interfaceAdd(c Change) (name string, pfx netip.Prefix, mtu int, err error) {
+	if len(c.Path) < 2 || c.Path[0] != "interfaces" {
+		return "", pfx, 0, errors.New("unsupported interfaces change")
+	}
+	if c.Verb != ChangeAdd {
+		return "", pfx, 0, errors.New("interface removal or renumbering requires a restart")
+	}
+	pfx, mtu, err = parseInterface(c.New)
+	return c.New.Key, pfx, mtu, err
 }
 
-// CurrentBGP returns the live BGP process, nil while dead. The supervisor
-// replaces processes on respawn, so concurrent readers (tests, chaos
-// harnesses) use these rather than the fields.
-func (r *Router) CurrentBGP() *bgp.Process { return procOf[bgpProc](r.current("bgp")).Process }
+// parseInterface parses one `<name> { address <addr>/<len>; [mtu <n>;] }`
+// block.
+func parseInterface(ifn *Node) (pfx netip.Prefix, mtu int, err error) {
+	addr := ifn.Leaf("address")
+	if addr == "" {
+		return pfx, 0, fmt.Errorf("rtrmgr: interface %s has no address", ifn.Key)
+	}
+	if pfx, err = netip.ParsePrefix(addr); err != nil {
+		return pfx, 0, fmt.Errorf("rtrmgr: interface %s: %v", ifn.Key, err)
+	}
+	mtu = 1500
+	if m := ifn.Leaf("mtu"); m != "" {
+		mtu, err = strconv.Atoi(m)
+	}
+	return pfx, mtu, err
+}
 
-// CurrentRIP returns the live RIP process, nil while dead.
-func (r *Router) CurrentRIP() *rip.Process { return procOf[ripProc](r.current("rip")).Process }
+// --- RIB: connected routes, static routes and redistribution, forwarded
+// to the FEA over fti XRLs. It watches every class's lifetime: a
+// protocol's death marks its routes stale instead of stranding them
+// (rib/graceful.go), and ties a redist stage to its subscriber.
 
-// CurrentOSPF returns the live OSPF process, nil while dead.
-func (r *Router) CurrentOSPF() *ospf.Process { return procOf[ospfProc](r.current("ospf")).Process }
+type ribProc struct {
+	*rib.Process
+	router *xipc.Router // sends the redist stages' redist4/0.1 XRLs
+}
+
+func setupRIB(_ *deployment, inst *instance, _ *Node) (proc, error) {
+	p := rib.NewProcess(inst.loop, &xrlFIBClient{stub: xif.NewFTIClient(inst.router, "fea")}, inst.router)
+	p.RegisterXRLs(inst.target)
+	inst.router.SetFinderEvent(p.HandleFinderEvent)
+	return ribProc{p, inst.router}, nil
+}
+
+func (ribProc) begin(*Node) error { return nil }
+
+func (ribProc) close() {}
+
+func (p ribProc) stage(c Change) ([]txStep, string, error) {
+	switch {
+	case c.Path[0] == "interfaces":
+		name, pfx, _, err := interfaceAdd(c)
+		if err != nil {
+			return nil, "", err
+		}
+		e := route.Entry{Net: pfx.Masked(), IfName: name}
+		return []txStep{{
+			desc:  "add connected " + e.Net.String(),
+			apply: func() error { return p.AddRoute(route.ProtoConnected, e) },
+		}}, "", nil
+	case len(c.Path) == 3 && c.Path[0] == "protocols" && owner(c.Path[2], c.Path[1]) == "rib":
+		return p.stageRedist(c)
+	case c.Path[0] != "static":
+		return nil, "unsupported RIB change", nil
+	}
+	var steps []txStep
+	if c.Old != nil { // remove (or the removal half of a modify)
+		e, err := parseStaticRoute(c.Old)
+		if err != nil {
+			return nil, "", err
+		}
+		steps = append(steps, txStep{
+			desc:  "delete static " + e.Net.String(),
+			apply: func() error { return p.DeleteRoute(route.ProtoStatic, e.Net) },
+		})
+	}
+	if c.New != nil { // add
+		e, err := parseStaticRoute(c.New)
+		if err != nil {
+			return nil, "", err
+		}
+		steps = append(steps, txStep{
+			desc:  "add static " + e.Net.String(),
+			apply: func() error { return p.AddRoute(route.ProtoStatic, e) },
+		})
+	}
+	return steps, "", nil
+}
+
+// stageRedist handles a `protocols <class> { redistribute <proto>
+// [policy]; }` statement: add splices a fresh redist stage feeding the
+// class over redist4/0.1 XRLs from the RIB's router, tied to the class's
+// Finder lifetime; remove unsplices it and withdraws what it fed; and the
+// synthetic policy-edit modify swaps the filter in place.
+func (p ribProc) stageRedist(c Change) ([]txStep, string, error) {
+	class := c.Path[1]
+	if c.Verb == ChangeRemove {
+		name := redistName(class, c.Old.Arg(0))
+		return []txStep{{
+			desc:  "remove redist " + name,
+			apply: func() error { return p.RemoveRedist(name) },
+		}}, "", nil
+	}
+	if c.New == nil {
+		return nil, "unsupported redistribute change", nil
+	}
+	proto, filter, err := redistFilter(c.New)
+	if err != nil {
+		return nil, "", err
+	}
+	name := redistName(class, proto)
+	if c.Verb == ChangeModify {
+		// Policy body edit: recompile and swap the filter in place.
+		return []txStep{{
+			desc:  "re-filter " + name,
+			apply: func() error { return p.SetRedistFilter(name, filter) },
+		}}, "", nil
+	}
+	out := xif.NewRedist4Client(p.router, class)
+	return []txStep{{
+		desc: "add redist " + name,
+		apply: func() error {
+			_, err := p.AddRedist(name, class, filter, out)
+			return err
+		},
+	}}, "", nil
+}
+
+// redistName names the RIB stage redistributing proto into class.
+func redistName(class, proto string) string { return "to-" + class + "-" + proto }
+
+// parseStaticRoute parses one `route <prefix> [next-hop a] [interface i]
+// [metric m]` leaf.
+func parseStaticRoute(rt *Node) (route.Entry, error) {
+	if len(rt.Args) < 1 {
+		return route.Entry{}, fmt.Errorf("rtrmgr: static route needs a prefix")
+	}
+	pfx, err := netip.ParsePrefix(rt.Arg(0))
+	if err != nil {
+		return route.Entry{}, err
+	}
+	e := route.Entry{Net: pfx}
+	for i := 1; i+1 < len(rt.Args); i += 2 {
+		switch rt.Args[i] {
+		case "next-hop":
+			nh, err := netip.ParseAddr(rt.Args[i+1])
+			if err != nil {
+				return route.Entry{}, err
+			}
+			e.NextHop = nh
+		case "interface":
+			e.IfName = rt.Args[i+1]
+		case "metric":
+			m, err := strconv.ParseUint(rt.Args[i+1], 10, 32)
+			if err != nil {
+				return route.Entry{}, err
+			}
+			e.Metric = uint32(m)
+		}
+	}
+	return e, nil
+}
+
+// redistFilter builds the RIB redistribution filter for one
+// `redistribute <proto> [policy]` statement: the named policy when
+// given, a protocol match otherwise.
+func redistFilter(rd *Node) (string, rib.RedistFilter, error) {
+	proto := rd.Arg(0)
+	if polName := rd.Arg(1); polName != "" {
+		pol, err := compilePolicy(rd, polName)
+		if err != nil {
+			return proto, nil, err
+		}
+		return proto, policy.RIBRedistFilter(pol), nil
+	}
+	want, err := route.ParseProtocol(proto)
+	if err != nil {
+		return proto, nil, err
+	}
+	return proto, func(e route.Entry) *route.Entry {
+		if e.Protocol != want {
+			return nil
+		}
+		return &e
+	}, nil
+}
+
+// compilePolicy compiles `policy <name> { ... }` for the statement st
+// that names it, from the body the planner embedded in st (embedPolicy).
+func compilePolicy(st *Node, name string) (*policy.Policy, error) {
+	p := findBlock(st, "policy", name)
+	if p == nil {
+		return nil, fmt.Errorf("rtrmgr: no policy %q", name)
+	}
+	return policy.Compile(name, Render(p, 0))
+}
 
 // --- BGP:
 //
@@ -58,9 +273,12 @@ func (r *Router) CurrentOSPF() *ospf.Process { return procOf[ospfProc](r.current
 //	      peer-group g { local-addr ...; as ...; }
 //	      peer p1 { local-addr ...; peer-addr ...; as 65002; dial host:port; group g; } }
 
-type bgpProc struct{ *bgp.Process }
+type bgpProc struct {
+	*bgp.Process
+	begun *bool // set by begin: a peer added later is enabled at once
+}
 
-func setupBGP(r *Router, inst *instance, cfg *Node) (proc, error) {
+func setupBGP(d *deployment, inst *instance, cfg *Node) (proc, error) {
 	asStr := cfg.Leaf("local-as")
 	if asStr == "" {
 		return nil, fmt.Errorf("rtrmgr: bgp needs local-as")
@@ -76,18 +294,20 @@ func setupBGP(r *Router, inst *instance, cfg *Node) (proc, error) {
 	p := bgp.NewProcess(inst.loop, bgp.Config{
 		AS:                uint16(as),
 		BGPID:             id,
-		ListenAddr:        r.opts.BGPListen,
+		ListenAddr:        d.bgpListen,
 		EnableDamping:     cfg.Child("damping") != nil,
-		ConsistencyChecks: r.opts.ConsistencyChecks,
-	}, NewXRLRIBClient(inst.router, "rib"), NewXRLMetricSource(inst.router, "rib", inst.class))
+		ConsistencyChecks: d.consistencyChecks,
+	}, newXRLRIBClient(inst.router, "rib"),
+		&xrlMetricSource{stub: xif.NewRIBClient(inst.router, "rib"), loop: inst.loop, bgpTarget: inst.class})
 	p.RegisterXRLs(inst.target)
-	return bgpProc{p}, nil
+	return bgpProc{p, new(bool)}, nil
 }
 
 func (p bgpProc) begin(cfg *Node) error {
 	if err := p.Listen(); err != nil {
 		return err
 	}
+	*p.begun = true
 	for _, pn := range cfg.ChildrenNamed("peer") {
 		p.EnablePeer(pn.Arg(0))
 	}
@@ -156,18 +376,18 @@ func parsePeerConfig(p *Node) (bgp.PeerConfig, error) {
 
 // stage: per-peer add/remove/rebuild. A peer group's add is no step of
 // its own: its members' changes carry the block embedded.
-func (p bgpProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
+func (p bgpProc) stage(c Change) ([]txStep, string, error) {
 	unit := c.Path[2]
 	switch {
 	case strings.HasPrefix(unit, "peer "):
-		return p.stagePeer(a, c)
+		return p.stagePeer(c)
 	case c.Verb == ChangeAdd && c.New.Key == "peer-group":
 		return nil, "", nil
 	}
 	return nil, fmt.Sprintf("unsupported BGP change %q", unit), nil
 }
 
-func (p bgpProc) stagePeer(a *txAgent, c Change) ([]txStep, string, error) {
+func (p bgpProc) stagePeer(c Change) ([]txStep, string, error) {
 	var steps []txStep
 	if c.Old != nil {
 		pc, err := parsePeerConfig(c.Old)
@@ -193,15 +413,13 @@ func (p bgpProc) stagePeer(a *txAgent, c Change) ([]txStep, string, error) {
 				return nil, fmt.Sprintf("peer %q already exists", pc.Name), nil
 			}
 		}
-		// An instance not yet live (boot, respawn) leaves its peers to begin.
-		enable := a.r.current(a.class) == a.inst && a.r.running
 		steps = append(steps, txStep{
 			desc: "add peer " + pc.Name,
 			apply: func() error {
 				if _, err := p.AddPeer(pc); err != nil {
 					return err
 				}
-				if enable {
+				if *p.begun { // before begin (boot, respawn), begin enables it
 					return p.EnablePeer(pc.Name)
 				}
 				return nil
@@ -211,18 +429,19 @@ func (p bgpProc) stagePeer(a *txAgent, c Change) ([]txStep, string, error) {
 	return steps, "", nil
 }
 
-// --- RIP (needs Options.Network and LocalAddr):
+// --- RIP (needs LocalAddr):
 //
 //	rip { update-interval 30; timeout 180; gc-time 120; triggered-delay 1; }
 
 type ripProc struct{ *rip.Process }
 
-func setupRIP(r *Router, inst *instance, _ *Node) (proc, error) {
-	if r.opts.Network == nil || !r.opts.LocalAddr.IsValid() {
-		return nil, fmt.Errorf("rtrmgr: rip requires Options.Network and LocalAddr")
+func setupRIP(d *deployment, inst *instance, _ *Node) (proc, error) {
+	if !d.localAddr.IsValid() {
+		return nil, fmt.Errorf("rtrmgr: rip requires a local address")
 	}
-	p := rip.NewProcess(inst.loop, rip.Config{LocalAddr: r.opts.LocalAddr, IfName: "eth0"},
-		NewXRLRIPTransport(inst.router, inst.target, "fea"), NewXRLRouteClient(inst.router, "rib", route.ProtoRIP))
+	p := rip.NewProcess(inst.loop, rip.Config{LocalAddr: d.localAddr, IfName: "eth0"},
+		newUDPRelay(inst.router, inst.target, "fea", rip.Port, netip.Addr{}),
+		xrlRouteClient{xif.NewRIBClient(inst.router, "rib"), route.ProtoRIP.String()})
 	xif.BindRedist4(inst.target, p)
 	return ripProc{p}, nil
 }
@@ -232,7 +451,7 @@ func (p ripProc) begin(*Node) error { return p.Start() }
 func (p ripProc) close() { p.Stop() }
 
 // stage: timer retunes.
-func (p ripProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
+func (p ripProc) stage(c Change) ([]txStep, string, error) {
 	if c.Verb == ChangeRemove {
 		return nil, "removing a RIP timer requires a restart", nil
 	}
@@ -259,35 +478,32 @@ func (p ripProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
 	}}, "", nil
 }
 
-// --- OSPF (needs Options.Network and LocalAddr):
+// --- OSPF (needs LocalAddr):
 //
 //	ospf { router-id 10.0.0.1; hello-interval 10; dead-interval 40;
 //	       cost 1; export pol-name; }
 //
-// The running config's interface prefixes are originated as stub
-// networks by begin; `export` applies a policy to SPF routes entering
-// the RIB.
+// Its agent stages the `interfaces` section too: each interface's
+// prefix is originated as a stub network. `export` applies a policy to
+// SPF routes entering the RIB.
 
-type ospfProc struct {
-	*ospf.Process
-	r *Router
-}
+type ospfProc struct{ *ospf.Process }
 
-func setupOSPF(r *Router, inst *instance, cfg *Node) (proc, error) {
-	if r.opts.Network == nil || !r.opts.LocalAddr.IsValid() {
-		return nil, fmt.Errorf("rtrmgr: ospf requires Options.Network and LocalAddr")
+func setupOSPF(d *deployment, inst *instance, cfg *Node) (proc, error) {
+	if !d.localAddr.IsValid() {
+		return nil, fmt.Errorf("rtrmgr: ospf requires a local address")
 	}
-	ocfg := ospf.Config{LocalAddr: r.opts.LocalAddr, IfName: "eth0"}
+	ocfg := ospf.Config{LocalAddr: d.localAddr, IfName: "eth0"}
 	if v := cfg.Leaf("router-id"); v != "" {
 		var err error
 		if ocfg.RouterID, err = netip.ParseAddr(v); err != nil {
 			return nil, err
 		}
 	}
-	p := ospf.NewProcess(inst.loop, ocfg, NewXRLOSPFTransport(inst.router, inst.target, "fea"),
-		NewXRLRouteClient(inst.router, "rib", route.ProtoOSPF))
+	p := ospf.NewProcess(inst.loop, ocfg, newUDPRelay(inst.router, inst.target, "fea", ospf.Port, ospf.AllSPFRouters),
+		xrlRouteClient{xif.NewRIBClient(inst.router, "rib"), route.ProtoOSPF.String()})
 	xif.BindRedist4(inst.target, p)
-	return ospfProc{p, r}, nil
+	return ospfProc{p}, nil
 }
 
 // parseCost parses an OSPF link cost, 1 to 65535.
@@ -299,25 +515,23 @@ func parseCost(v string) (uint16, error) {
 	return uint16(c), nil
 }
 
-func (p ospfProc) begin(*Node) error {
-	if err := p.Start(); err != nil {
-		return err
-	}
-	// Connected networks become stub prefixes.
-	for _, ifn := range p.r.runningConfig().ChildrenNamed("interfaces") {
-		for _, ifc := range ifn.Children {
-			if pfx, _, err := parseInterface(ifc); err == nil {
-				p.OriginatePrefix(pfx.Masked(), 1)
-			}
-		}
-	}
-	return nil
-}
+func (p ospfProc) begin(*Node) error { return p.Start() }
 
 func (p ospfProc) close() { p.Stop() }
 
-// stage: timer/cost retunes and export filter swaps.
-func (p ospfProc) stage(a *txAgent, c Change) ([]txStep, string, error) {
+// stage: connected networks as stub prefixes, timer/cost retunes and
+// export filter swaps.
+func (p ospfProc) stage(c Change) ([]txStep, string, error) {
+	if c.Path[0] == "interfaces" {
+		name, pfx, _, err := interfaceAdd(c)
+		if err != nil {
+			return nil, "", err
+		}
+		return []txStep{{
+			desc:  "originate " + name,
+			apply: func() error { p.OriginatePrefix(pfx.Masked(), 1); return nil },
+		}}, "", nil
+	}
 	unit := c.Path[2]
 	switch unit {
 	case "export":

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -14,10 +13,8 @@ import (
 	"xorp/internal/finder"
 	"xorp/internal/kernel"
 	"xorp/internal/ospf"
-	"xorp/internal/policy"
 	"xorp/internal/rib"
 	"xorp/internal/rip"
-	"xorp/internal/route"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
 )
@@ -63,6 +60,7 @@ type Router struct {
 	modules []*module // the process classes this router knows, in start order
 	loops   []*eventloop.Loop
 	opts    Options
+	dep     deployment
 	running bool
 
 	// procMu guards procs, the typed views and loops: the supervisor
@@ -89,20 +87,27 @@ type Router struct {
 	configRouter *xipc.Router
 }
 
-// module describes one supervised process class. The class name is its
-// Finder class and instance name, the key of its block under `protocols`,
-// and its participant name in a reload transaction. Assembly, Start, Stop,
+// module describes one process class. The class name is its Finder class
+// and instance name, the key of its block under `protocols`, and its
+// participant name in a reload transaction. Assembly, Start, Stop,
 // supervision, KillProcess and the reload planner all walk one table of
 // these (modules.go) and know nothing else about a protocol.
 type module struct {
 	class string
 	// setup builds the process on the loop, XRL router and Finder target
 	// the core made in inst: the constructor, reading only the identity
-	// units of cfg (the class's block), and XRL bindings on inst.target.
-	// The rest of the block arrives through stage (bootPlan).
-	setup func(r *Router, inst *instance, cfg *Node) (proc, error)
+	// units of cfg (the class's block) and the deployment, and XRL
+	// bindings on inst.target. The rest of the block arrives through
+	// stage (bootPlan).
+	setup func(d *deployment, inst *instance, cfg *Node) (proc, error)
 	// identity lists the units setup reads; changing one needs a restart.
 	identity []string
+	// sections lists the top-level config sections, besides its own
+	// block, whose changes the class's agent stages.
+	sections []string
+	// watch subscribes the registered instance to every class's Finder
+	// lifetime events, delivered to the handler its setup installed.
+	watch bool
 }
 
 // proc is what the core needs of a running process.
@@ -112,10 +117,32 @@ type proc interface {
 	begin(cfg *Node) error
 	// close stops the process, on its loop: timers, listeners, sessions.
 	close()
-	// stage validates one change to the class's config block (a path of at
-	// least three elements) against live state and returns its apply
+	// stage validates one change routed to the class (a unit of its block,
+	// or of one of its sections) against live state and returns its apply
 	// steps, or a nack reason (txagents.go).
-	stage(a *txAgent, c Change) ([]txStep, string, error)
+	stage(c Change) ([]txStep, string, error)
+}
+
+// deployment is what a process's setup, stage and begin see of the router
+// they are part of, besides their instance and their slice of the plan.
+type deployment struct {
+	localAddr         netip.Addr
+	bgpListen         string
+	consistencyChecks bool
+	host              *kernel.Host // the FEA's attachment to Options.Network, nil without one
+}
+
+// newDeployment takes opts' settings, attaching the FEA's host to
+// opts.Network when there is one.
+func newDeployment(opts Options) (deployment, error) {
+	d := deployment{localAddr: opts.LocalAddr, bgpListen: opts.BGPListen, consistencyChecks: opts.ConsistencyChecks}
+	if opts.Network != nil && opts.LocalAddr.IsValid() {
+		var err error
+		if d.host, err = opts.Network.Attach(opts.LocalAddr); err != nil {
+			return d, err
+		}
+	}
+	return d, nil
 }
 
 // instance is one incarnation of a module's process. A respawn makes a
@@ -210,15 +237,33 @@ func (r *Router) await(what string, start func(done func(error))) error {
 	return err
 }
 
-// registerTarget registers t, hosted by xr, with the Finder.
-func (r *Router) registerTarget(xr *xipc.Router, t *xipc.Target) error {
-	return r.await("finder registration", func(done func(error)) { finder.RegisterTarget(xr, t, true, done) })
+// register announces t, hosted by xr, to the Finder and, when watch is
+// set, subscribes it to every class's lifetime events. done runs on xr's
+// loop.
+func register(xr *xipc.Router, t *xipc.Target, watch bool, done func(error)) {
+	finder.RegisterTarget(xr, t, true, func(err error) {
+		if err != nil || !watch {
+			done(err)
+			return
+		}
+		finder.Watch(xr, t.Name, "*", done)
+	})
 }
 
-// watch subscribes watcherTarget (hosted by xr) to Finder lifetime
-// events for class.
-func (r *Router) watch(xr *xipc.Router, watcherTarget, class string) error {
-	return r.await("finder watch", func(done func(error)) { finder.Watch(xr, watcherTarget, class, done) })
+// boot registers inst (for m.watch, with its lifetime watch) and then,
+// on inst's loop, configures it through a with its slice of a boot plan:
+// how a process boots in NewRouter, on respawn and alone. Registration
+// comes first, and is asynchronous, because a respawn runs on a loop it
+// must not block. done runs on inst's loop.
+func boot(m *module, inst *instance, a *txAgent, plan []Change, done func(error)) {
+	register(inst.router, inst.target, m.watch, func(err error) {
+		if err != nil {
+			err = fmt.Errorf("rtrmgr: register %s: %w", m.class, err)
+		} else {
+			err = a.configure(plan)
+		}
+		done(err)
+	})
 }
 
 // NewRouter assembles a router from configuration text. Supported
@@ -243,86 +288,55 @@ func newRouter(cfgText string, opts Options, table []*module) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Router{Config: cfg, Hub: xipc.NewHub(), FIB: kernel.NewFIB(), opts: opts, generation: 1,
+	r := &Router{Config: cfg, Hub: xipc.NewHub(), opts: opts, generation: 1,
 		modules: table, procs: make(map[string]*instance)}
-	plan, err := r.bootPlan(cfg)
+	plan, err := bootPlan(table, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	// Finder process.
+	if r.dep, err = newDeployment(opts); err != nil {
+		return nil, err
+	}
 	r.Finder = finder.New(r.loopFor())
 	r.Finder.AttachHub(r.Hub)
 
-	// FEA process.
-	r.FEARouter = r.processRouter("fea")
-	feaLoop := r.FEARouter.Loop()
-	var host *kernel.Host
-	if opts.Network != nil && opts.LocalAddr.IsValid() {
-		host, err = opts.Network.Attach(opts.LocalAddr)
-		if err != nil {
-			return nil, err
-		}
+	// The FEA, then the RIB forwarding to it, then one process per
+	// configured class.
+	feaInst, err := r.bringUp(feaModule, nil, plan)
+	if err != nil {
+		return nil, err
 	}
-	r.FEA = fea.New(feaLoop, r.FIB, host, r.FEARouter)
-	feaTarget := xif.NewTarget("fea", "fea")
-	r.FEA.RegisterXRLs(feaTarget)
-	feaAgent := &txAgent{r: r, class: "fea", loop: feaLoop, stage: (*txAgent).stageFEA}
-	xif.BindConfig(feaTarget, feaAgent)
-	r.FEARouter.AddTarget(feaTarget)
-	if err := r.registerTarget(r.FEARouter, feaTarget); err != nil {
-		return nil, fmt.Errorf("rtrmgr: register fea: %w", err)
+	r.FEA, r.FEARouter = feaInst.proc.(feaProc).Process, feaInst.router
+	r.FIB = r.FEA.FIB()
+	ribInst, err := r.bringUp(ribModule, nil, plan)
+	if err != nil {
+		return nil, err
 	}
-
-	// RIB process, forwarding to the FEA over XRLs.
-	r.RIBRouter = r.processRouter("rib")
-	ribLoop := r.RIBRouter.Loop()
-	r.RIB = rib.NewProcess(ribLoop, NewXRLFIBClient(r.RIBRouter, "fea"), r.RIBRouter)
-	ribTarget := xif.NewTarget("rib", "rib")
-	r.RIB.RegisterXRLs(ribTarget)
-	ribAgent := &txAgent{r: r, class: "rib", loop: ribLoop, stage: (*txAgent).stageRIB}
-	xif.BindConfig(ribTarget, ribAgent)
-	r.RIBRouter.AddTarget(ribTarget)
-	if err := r.registerTarget(r.RIBRouter, ribTarget); err != nil {
-		return nil, fmt.Errorf("rtrmgr: register rib: %w", err)
-	}
-	// Graceful restart: the RIB watches component lifetimes so a protocol
-	// death marks its routes stale instead of stranding them (rib/graceful.go).
-	r.RIBRouter.SetFinderEvent(r.RIB.HandleFinderEvent)
-	if err := r.watch(r.RIBRouter, "rib", "*"); err != nil {
-		return nil, fmt.Errorf("rtrmgr: rib lifetime watch: %w", err)
-	}
-
-	// Interfaces and connected routes, then static routes.
-	for _, a := range []*txAgent{feaAgent, ribAgent} {
-		if err := a.boot(plan[a.class]); err != nil {
-			return nil, err
-		}
-	}
-
-	// One process per configured class: registered, then configured, then
-	// published. Registration happens here, not in setup: the respawn path
-	// must register asynchronously.
+	r.RIB, r.RIBRouter = ribInst.proc.(ribProc).Process, ribInst.router
 	for _, m := range r.modules {
-		pcfg := r.classConfig(m.class)
-		if pcfg == nil {
-			continue
+		if pcfg := r.classConfig(m.class); pcfg != nil {
+			inst, err := r.bringUp(m, pcfg, plan)
+			if err != nil {
+				return nil, err
+			}
+			r.publish(inst)
 		}
-		inst, a, err := r.setup(m, pcfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.registerTarget(inst.router, inst.target); err != nil {
-			r.dismantle(inst)
-			return nil, fmt.Errorf("rtrmgr: register %s: %w", m.class, err)
-		}
-		if err := a.boot(plan[m.class]); err != nil {
-			r.dismantle(inst)
-			return nil, err
-		}
-		r.publish(inst)
 	}
 	return r, nil
+}
+
+// bringUp builds m's process from cfg and boots it with its slice of
+// plan, dismantling it on failure.
+func (r *Router) bringUp(m *module, cfg *Node, plan map[string][]Change) (*instance, error) {
+	inst, a, err := build(m, &r.dep, r.processRouter(m.class), cfg)
+	if err == nil {
+		err = r.await("boot", func(done func(error)) { boot(m, inst, a, plan[m.class], done) })
+	}
+	if err != nil {
+		r.dismantle(inst)
+		return nil, err
+	}
+	return inst, nil
 }
 
 // runningConfig returns the running configuration tree. Once the router
@@ -339,16 +353,6 @@ func (r *Router) runningConfig() *Node {
 func (r *Router) classConfig(class string) *Node {
 	if protos := r.runningConfig().Child("protocols"); protos != nil {
 		return protos.Child(class)
-	}
-	return nil
-}
-
-// module returns class's descriptor, nil for an unknown class.
-func (r *Router) module(class string) *module {
-	for _, m := range r.modules {
-		if m.class == class {
-			return m
-		}
 	}
 	return nil
 }
@@ -373,35 +377,65 @@ func (r *Router) instances() []*instance {
 	return out
 }
 
-// setup assembles an instance of m — its own loop, XRL router and Finder
-// target, the process m.setup builds on them from cfg — and returns it
-// with its side of the reload protocol, the agent that configures it.
-// The caller registers the instance, then configures it with its slice
-// of a boot plan, then publishes it. What feeds it from other processes
-// is theirs to configure: the RIB primes the redistribution stages of
-// the class when the registration's birth event reaches it.
-func (r *Router) setup(m *module, cfg *Node) (*instance, *txAgent, error) {
-	xr := r.processRouter(m.class)
+// build assembles an instance of m on xr — its loop, XRL router and Finder
+// target, the process m.setup builds on them from cfg and d — and returns
+// it with its side of the reload protocol, the agent that configures it,
+// bound on the target. The caller registers the instance, then configures
+// it with its slice of a boot plan, then begins it: NewRouter, a respawn
+// and StartProcess alike. What feeds it from other processes is theirs to
+// configure: the RIB primes the redistribution stages of the class when
+// the registration's birth event reaches it.
+func build(m *module, d *deployment, xr *xipc.Router, cfg *Node) (*instance, *txAgent, error) {
 	inst := &instance{class: m.class, loop: xr.Loop(), router: xr, target: xif.NewTarget(m.class, m.class)}
-	p, err := m.setup(r, inst, cfg)
+	p, err := m.setup(d, inst, cfg)
 	if err != nil {
-		r.dismantle(inst)
-		return nil, nil, err
+		return inst, nil, err
 	}
 	inst.proc = p
-	a := &txAgent{r: r, class: m.class, loop: inst.loop, inst: inst, stage: func(a *txAgent, c Change) ([]txStep, string, error) {
+	// A stage sees a unit of one of m's sections, or a statement under
+	// protocols; a change to one of the class's identity units is refused.
+	a := &txAgent{class: m.class, stage: func(c Change) ([]txStep, string, error) {
 		switch {
-		case len(c.Path) < 3:
+		case len(c.Path) >= 2 && slices.Contains(m.sections, c.Path[0]):
+		case len(c.Path) < 3 || c.Path[0] != "protocols":
 			return nil, "unsupported " + m.class + " change", nil
-		case slices.Contains(m.identity, c.Path[2]):
+		case c.Path[1] == m.class && slices.Contains(m.identity, c.Path[2]):
 			return nil, "changing " + c.Path[2] + " requires a restart", nil
 		}
-		return p.stage(a, c)
+		return p.stage(c)
 	}}
 	xif.BindConfig(inst.target, a)
-	inst.router.AddTarget(inst.target)
+	xr.AddTarget(inst.target)
 	return inst, a, nil
 }
+
+// procOf returns inst's process as the wrapper type T, the zero T for a
+// nil instance.
+func procOf[T proc](inst *instance) (p T) {
+	if inst != nil {
+		p, _ = inst.proc.(T)
+	}
+	return p
+}
+
+// typedViews refreshes the exported typed fields from procs after it
+// changed. procMu held.
+func (r *Router) typedViews() {
+	r.BGP = procOf[bgpProc](r.procs["bgp"]).Process
+	r.RIP = procOf[ripProc](r.procs["rip"]).Process
+	r.OSPF = procOf[ospfProc](r.procs["ospf"]).Process
+}
+
+// CurrentBGP returns the live BGP process, nil while dead. The supervisor
+// replaces processes on respawn, so concurrent readers (tests, chaos
+// harnesses) use these rather than the fields.
+func (r *Router) CurrentBGP() *bgp.Process { return procOf[bgpProc](r.current("bgp")).Process }
+
+// CurrentRIP returns the live RIP process, nil while dead.
+func (r *Router) CurrentRIP() *rip.Process { return procOf[ripProc](r.current("rip")).Process }
+
+// CurrentOSPF returns the live OSPF process, nil while dead.
+func (r *Router) CurrentOSPF() *ospf.Process { return procOf[ospfProc](r.current("ospf")).Process }
 
 // publish makes inst its class's live instance.
 func (r *Router) publish(inst *instance) {
@@ -459,13 +493,12 @@ func (r *Router) dropLoop(l *eventloop.Loop) {
 }
 
 // respawn replaces class m's instance: teardown (idempotent — KillProcess
-// usually already did it), setup, asynchronous registration with the
-// Finder, then — in the registration callback, on the new process's loop
-// — the boot plan of the running config, publish and begin. done is
+// usually already did it), setup, boot with the running config's plan,
+// then — on the new process's loop — publish and begin. done is
 // called exactly once, possibly from that loop.
 func (r *Router) respawn(m *module, done func(error)) {
 	cfg := r.classConfig(m.class)
-	plan, err := r.bootPlan(r.runningConfig())
+	plan, err := bootPlan(r.modules, r.runningConfig())
 	if err != nil {
 		done(err)
 		return
@@ -474,16 +507,16 @@ func (r *Router) respawn(m *module, done func(error)) {
 	// loop syncDo would dispatch to: the flag makes it call directly.
 	r.respawning.Store(true)
 	r.teardown(m.class)
-	inst, a, err := r.setup(m, cfg)
+	inst, a, err := build(m, &r.dep, r.processRouter(m.class), cfg)
+	if err != nil {
+		r.dismantle(inst)
+	}
 	r.respawning.Store(false)
 	if err != nil {
 		done(err)
 		return
 	}
-	finder.RegisterTarget(inst.router, inst.target, true, func(err error) {
-		if err == nil {
-			err = a.configure(plan[m.class])
-		}
+	boot(m, inst, a, plan[m.class], func(err error) {
 		// Published even when it failed, so the next respawn's teardown
 		// takes it down.
 		r.publish(inst)
@@ -492,89 +525,6 @@ func (r *Router) respawn(m *module, done func(error)) {
 		}
 		done(err)
 	})
-}
-
-// parseInterface parses one `<name> { address <addr>/<len>; [mtu <n>;] }`
-// block.
-func parseInterface(ifn *Node) (pfx netip.Prefix, mtu int, err error) {
-	addr := ifn.Leaf("address")
-	if addr == "" {
-		return pfx, 0, fmt.Errorf("rtrmgr: interface %s has no address", ifn.Key)
-	}
-	if pfx, err = netip.ParsePrefix(addr); err != nil {
-		return pfx, 0, fmt.Errorf("rtrmgr: interface %s: %v", ifn.Key, err)
-	}
-	mtu = 1500
-	if m := ifn.Leaf("mtu"); m != "" {
-		mtu, err = strconv.Atoi(m)
-	}
-	return pfx, mtu, err
-}
-
-// parseStaticRoute parses one `route <prefix> [next-hop a] [interface i]
-// [metric m]` leaf.
-func parseStaticRoute(rt *Node) (route.Entry, error) {
-	if len(rt.Args) < 1 {
-		return route.Entry{}, fmt.Errorf("rtrmgr: static route needs a prefix")
-	}
-	pfx, err := netip.ParsePrefix(rt.Arg(0))
-	if err != nil {
-		return route.Entry{}, err
-	}
-	e := route.Entry{Net: pfx}
-	for i := 1; i+1 < len(rt.Args); i += 2 {
-		switch rt.Args[i] {
-		case "next-hop":
-			nh, err := netip.ParseAddr(rt.Args[i+1])
-			if err != nil {
-				return route.Entry{}, err
-			}
-			e.NextHop = nh
-		case "interface":
-			e.IfName = rt.Args[i+1]
-		case "metric":
-			m, err := strconv.ParseUint(rt.Args[i+1], 10, 32)
-			if err != nil {
-				return route.Entry{}, err
-			}
-			e.Metric = uint32(m)
-		}
-	}
-	return e, nil
-}
-
-// redistFilter builds the RIB redistribution filter for one
-// `redistribute <proto> [policy]` statement: the named policy when
-// given, a protocol match otherwise.
-func redistFilter(rd *Node) (string, rib.RedistFilter, error) {
-	proto := rd.Arg(0)
-	if polName := rd.Arg(1); polName != "" {
-		pol, err := compilePolicy(rd, polName)
-		if err != nil {
-			return proto, nil, err
-		}
-		return proto, policy.RIBRedistFilter(pol), nil
-	}
-	want, err := route.ParseProtocol(proto)
-	if err != nil {
-		return proto, nil, err
-	}
-	return proto, func(e route.Entry) *route.Entry {
-		if e.Protocol != want {
-			return nil
-		}
-		return &e
-	}, nil
-}
-
-// compilePolicy compiles `policy <name> { ... }` for the statement st
-// that names it, from the body the planner embedded in st (embedPolicy).
-func compilePolicy(st *Node, name string) (*policy.Policy, error) {
-	p := findBlock(st, "policy", name)
-	if p == nil {
-		return nil, fmt.Errorf("rtrmgr: no policy %q", name)
-	}
-	return policy.Compile(name, Render(p, 0))
 }
 
 // Start begins every configured process (loops already run in real-clock

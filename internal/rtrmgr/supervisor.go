@@ -99,10 +99,6 @@ func (r *Router) EnableSupervision(cfg SupervisorConfig) (*Supervisor, error) {
 	xr := r.processRouter("rtrmgr")
 	tgt := xif.NewTarget("rtrmgr", "rtrmgr")
 	xr.AddTarget(tgt)
-	if err := r.registerTarget(xr, tgt); err != nil {
-		return nil, fmt.Errorf("rtrmgr: register supervisor: %w", err)
-	}
-
 	s := &Supervisor{r: r, loop: xr.Loop(), cfg: cfg, procs: make(map[string]*supervised)}
 	for _, m := range r.modules {
 		if r.classConfig(m.class) != nil {
@@ -110,8 +106,8 @@ func (r *Router) EnableSupervision(cfg SupervisorConfig) (*Supervisor, error) {
 		}
 	}
 	xr.SetFinderEvent(s.handleEvent)
-	if err := r.watch(xr, "rtrmgr", "*"); err != nil {
-		return nil, fmt.Errorf("rtrmgr: supervisor watch: %w", err)
+	if err := r.await("finder registration", func(done func(error)) { register(xr, tgt, true, done) }); err != nil {
+		return nil, fmt.Errorf("rtrmgr: register supervisor: %w", err)
 	}
 	r.sup = s
 	return s, nil
@@ -207,7 +203,7 @@ func (s *Supervisor) respawnNow(class string, st *supervised) {
 // so every watcher sees the same death event a real crash would produce
 // once liveness probing noticed the silence.
 func (r *Router) KillProcess(class string) error {
-	if r.module(class) == nil {
+	if lookup(r.modules, class) == nil {
 		return fmt.Errorf("rtrmgr: unknown process class %q", class)
 	}
 	if !r.teardown(class) {

@@ -24,15 +24,27 @@ import (
 // touched: the apply hooks are in-place, so a reload under full-table
 // churn causes zero FIB operations for unaffected prefixes.
 
-// txOrder is the deterministic participant order: infrastructure
-// processes validate and commit before the module table's classes, so a
-// protocol's changes land on an already-updated RIB/FEA.
-func (r *Router) txOrder() []string {
-	order := []string{"fea", "rib"}
-	for _, m := range r.modules {
-		order = append(order, m.class)
+// participants returns the processes a router configured by cfg runs, in
+// start and commit order: the FEA, the RIB, then each class of table cfg
+// configures, so a protocol's changes land on an already-updated RIB/FEA.
+func participants(table []*module, cfg *Node) []*module {
+	out := []*module{feaModule, ribModule}
+	for _, m := range table {
+		if nodeAtPath(cfg, []string{"protocols", m.class}) != nil {
+			out = append(out, m)
+		}
 	}
-	return order
+	return out
+}
+
+// lookup returns class's descriptor in table, nil for an unknown class.
+func lookup(table []*module, class string) *module {
+	for _, m := range table {
+		if m.class == class {
+			return m
+		}
+	}
+	return nil
 }
 
 // TxHooks are fault-injection points for the transaction coordinator
@@ -133,14 +145,14 @@ func (r *Router) ReloadTree(candidate *Node) error {
 	if len(changes) == 0 {
 		return nil
 	}
-	plan, err := r.compilePlan(changes, running, candidate)
+	plan, err := compilePlan(r.modules, changes, running, candidate)
 	if err != nil {
 		return err
 	}
 	var parts []string
-	for _, class := range r.txOrder() {
-		if len(plan[class]) > 0 {
-			parts = append(parts, class)
+	for _, m := range participants(r.modules, candidate) {
+		if len(plan[m.class]) > 0 {
+			parts = append(parts, m.class)
 		}
 	}
 	if len(parts) == 0 {
@@ -334,12 +346,14 @@ func (r *Router) txCall(send func(finish func())) error {
 }
 
 // --- Plan compilation: route each diff change to the processes that
-// hold its state (an interface is the FEA's, and as a connected route the
-// RIB's; a redistribute statement is the RIB's), lifting deep edits to
-// the nearest independently-applicable unit and embedding policy bodies
-// where filters must be recompiled.
+// hold its state (a section to every participant whose row lists it: an
+// interface is the FEA's, as a connected route the RIB's, and as a stub
+// prefix OSPF's; a class's block to the class, but a redistribute
+// statement to the RIB), lifting deep edits to the nearest
+// independently-applicable unit and embedding policy bodies where
+// filters must be recompiled.
 
-func (r *Router) compilePlan(changes []Change, running, candidate *Node) (map[string][]Change, error) {
+func compilePlan(table []*module, changes []Change, running, candidate *Node) (map[string][]Change, error) {
 	plan := make(map[string][]Change)
 	seen := make(map[string]bool)
 	add := func(class string, c Change) {
@@ -356,20 +370,21 @@ func (r *Router) compilePlan(changes []Change, running, candidate *Node) (map[st
 		}
 		head := c.Path[0]
 		switch {
-		case head == "interfaces":
+		case head == "interfaces" || head == "static":
 			if len(c.Path) > 2 {
 				c = liftChange(c, c.Path[:2], running, candidate)
 			}
-			add("fea", c)
-			add("rib", c)
-		case head == "static":
-			add("rib", c)
+			for _, m := range participants(table, candidate) {
+				if slices.Contains(m.sections, head) {
+					add(m.class, c)
+				}
+			}
 		case head == "protocols":
 			if len(c.Path) < 2 {
 				return nil, fmt.Errorf("rtrmgr: cannot reload the whole protocols block (restart required)")
 			}
 			class := c.Path[1]
-			if r.module(class) == nil {
+			if lookup(table, class) == nil {
 				return nil, fmt.Errorf("rtrmgr: unsupported protocol %q in change %s", class, c.PathString())
 			}
 			if len(c.Path) == 2 {
@@ -381,7 +396,7 @@ func (r *Router) compilePlan(changes []Change, running, candidate *Node) (map[st
 			add(owner(c.Path[2], class), embedPolicy(embedGroup(c, running, candidate), running, candidate))
 		case head == "policy" || strings.HasPrefix(head, "policy "):
 			name := strings.TrimPrefix(head, "policy ")
-			for _, cc := range r.policyRefChanges(name, running, candidate) {
+			for _, cc := range policyRefChanges(table, name, running, candidate) {
 				add(cc.class, cc.change)
 			}
 		default:
@@ -396,25 +411,27 @@ func (r *Router) compilePlan(changes []Change, running, candidate *Node) (map[st
 // each known class block under protocols, emptied) and compiled as a
 // reload is. A policy is compiled where a statement names it; an unknown
 // section or class fails the plan as an add; identity units are setup's.
-func (r *Router) bootPlan(cfg *Node) (map[string][]Change, error) {
+func bootPlan(table []*module, cfg *Node) (map[string][]Change, error) {
 	skel := &Node{Key: cfg.Key}
 	for _, sec := range cfg.Children {
 		if sec.Key == "interfaces" || sec.Key == "static" || sec.Key == "protocols" {
 			empty := &Node{Key: sec.Key}
 			for _, cl := range sec.Children {
-				if sec.Key == "protocols" && r.module(cl.Key) != nil {
+				if sec.Key == "protocols" && lookup(table, cl.Key) != nil {
 					empty.Children = append(empty.Children, &Node{Key: cl.Key})
 				}
 			}
 			skel.Children = append(skel.Children, empty)
 		}
 	}
-	plan, err := r.compilePlan(DiffConfig(skel, cfg), skel, cfg)
+	plan, err := compilePlan(table, DiffConfig(skel, cfg), skel, cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range r.modules {
-		plan[m.class] = slices.DeleteFunc(plan[m.class], func(c Change) bool { return slices.Contains(m.identity, c.Path[2]) })
+	for _, m := range table {
+		plan[m.class] = slices.DeleteFunc(plan[m.class], func(c Change) bool {
+			return c.Path[0] == "protocols" && slices.Contains(m.identity, c.Path[2])
+		})
 	}
 	return plan, nil
 }
@@ -550,9 +567,9 @@ type classChange struct {
 // references the policy: each referencing redistribute/export becomes a
 // synthetic modify carrying the old and new policy bodies, so the
 // owning process recompiles and swaps its filter in place.
-func (r *Router) policyRefChanges(name string, running, candidate *Node) []classChange {
+func policyRefChanges(table []*module, name string, running, candidate *Node) []classChange {
 	var out []classChange
-	for _, m := range r.modules {
+	for _, m := range table {
 		cn := nodeAtPath(candidate, []string{"protocols", m.class})
 		if cn == nil {
 			continue

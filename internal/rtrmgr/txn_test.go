@@ -552,8 +552,8 @@ protocols { rip { redistribute static flip; } }
 
 // The planner hands each statement to the process that holds its state:
 // a redistribute statement, and an edit of the policy it names, to the RIB
-// alone; an export policy's edit to its class; an interface to the FEA
-// and, as a connected route, to the RIB.
+// alone; an export policy's edit to its class; an interface to the FEA,
+// as a connected route to the RIB, and as a stub prefix to OSPF.
 func TestCompilePlanRoutesToOwner(t *testing.T) {
 	const from = `
 interfaces { eth0 { address 192.168.1.1/24; } }
@@ -565,7 +565,6 @@ protocols {
     ospf { export ep; }
 }
 `
-	r := &Router{modules: modules}
 	for _, tc := range []struct {
 		name, old, new string
 		want           map[string]string // participant: its changes
@@ -579,7 +578,7 @@ protocols {
 		{"export policy edited", "policy ep { term a { then accept } }", "policy ep { term a { then reject } }",
 			map[string]string{"ospf": "modify protocols / ospf / export"}},
 		{"interface added", "eth0 {", "eth1 { address 10.50.0.1/24; }\n    eth0 {",
-			map[string]string{"fea": "add interfaces / eth1", "rib": "add interfaces / eth1"}},
+			map[string]string{"fea": "add interfaces / eth1", "rib": "add interfaces / eth1", "ospf": "add interfaces / eth1"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			running, err := ParseConfig(from)
@@ -590,7 +589,7 @@ protocols {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := r.compilePlan(DiffConfig(running, candidate), running, candidate)
+			plan, err := compilePlan(modules, DiffConfig(running, candidate), running, candidate)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -691,5 +690,62 @@ protocols { rip { redistribute static flip; } }
 	}
 	if n := r.RIB.RedistMirrored("to-rip-static"); n != 2 {
 		t.Fatalf("the RIB mirrors %d statics to the respawned RIP, want 2", n)
+	}
+}
+
+// An agent judges a transaction's generation by its own record: a
+// validate_tx built against a generation older than the last it committed
+// is nacked as stale, while the current generation is acked, and so is
+// the rollback of a commit, which carries that commit's generation.
+func TestAgentRefusesStaleGeneration(t *testing.T) {
+	running, _ := ParseConfig("static { }")
+	candidate, _ := ParseConfig("static { route 10.9.0.0/16 next-hop 192.168.1.1; }")
+	changes := EncodeChanges(DiffConfig(running, candidate))
+	applied := 0
+	a := &txAgent{class: "rib", stage: func(Change) ([]txStep, string, error) {
+		return []txStep{{desc: "count", apply: func() error { applied++; return nil }}}, "", nil
+	}}
+	validate := func(txID, gen uint32) (bool, string) {
+		t.Helper()
+		ok, reason, err := a.ValidateTx(txID, gen, changes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok, reason
+	}
+	if ok, reason := validate(1, 4); !ok {
+		t.Fatalf("first transaction nacked: %s", reason)
+	}
+	if _, err := a.CommitTx(1); err != nil || applied != 1 {
+		t.Fatalf("commit: %v, %d steps applied", err, applied)
+	}
+	if ok, reason := validate(2, 3); ok || !strings.Contains(reason, "stale generation 3") {
+		t.Fatalf("generation 3 after a commit at 4: ok=%v %q", ok, reason)
+	}
+	if ok, reason := validate(3, 4); !ok {
+		t.Fatalf("rollback at the committed generation nacked: %s", reason)
+	}
+	if _, err := a.CommitTx(3); err != nil || applied != 2 {
+		t.Fatalf("rollback commit: %v, %d steps applied", err, applied)
+	}
+	if ok, reason := validate(4, 5); !ok {
+		t.Fatalf("current generation nacked: %s", reason)
+	}
+}
+
+// config/0.1 is open to any caller, so an agent refuses a change its
+// class does not stage instead of handing it to a stage that indexes the
+// path: an interface reaches OSPF's stage (a section of its row) and is
+// nacked by BGP's agent.
+func TestAgentRefusesChangesOutsideItsClass(t *testing.T) {
+	r := simRouter(t, bootBase)
+	candidate, _ := ParseConfig(strings.Replace(bootBase, "# interfaces+", "eth1 { address 10.50.0.1/24; }", 1))
+	add := DiffConfig(r.Config, candidate)
+	for class, want := range map[string]string{"bgp": "unsupported bgp change", "ospf": ""} {
+		ok, reason, err := r.sendValidate(class, 99, r.Generation(), add)
+		if err != nil || ok != (want == "") || !strings.Contains(reason, want) {
+			t.Errorf("%s: ok=%v %q %v, want %q", class, ok, reason, err, want)
+		}
+		r.abortAll(99, []string{class})
 	}
 }

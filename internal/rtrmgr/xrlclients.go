@@ -6,9 +6,7 @@ import (
 
 	"xorp/internal/bgp"
 	"xorp/internal/eventloop"
-	"xorp/internal/ospf"
 	"xorp/internal/rib"
-	"xorp/internal/rip"
 	"xorp/internal/route"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
@@ -148,7 +146,8 @@ func (c *xrlRIBClient) ship(run []pendingRIBOp) {
 }
 
 // xrlRouteClient feeds an IGP's runs to the RIB process as proto's
-// routes: rip.RIBClient and ospf.RIBClient over the typed stub.
+// routes (a route.Protocol's name): rip.RIBClient and ospf.RIBClient over
+// the typed stub.
 type xrlRouteClient struct {
 	stub  *xif.RIBClient
 	proto string
@@ -247,28 +246,12 @@ func (c *xrlFIBClient) shipDels() {
 	}
 }
 
-// Exported constructors: the router manager's setup and the
-// standalone process binaries (cmd/xorp_rib, cmd/xorp_bgp, cmd/xorp_ospf,
-// cmd/xorp_rip) wire a process with the same calls.
-
-// NewXRLFIBClient returns a rib.FIBClient that sends fti/0.2 XRLs to
-// feaTarget through router.
-func NewXRLFIBClient(router *xipc.Router, feaTarget string) rib.FIBClient {
-	return &xrlFIBClient{stub: xif.NewFTIClient(router, feaTarget)}
-}
-
-// NewXRLRIBClient returns a bgp.RIBClient that sends rib/1.0 XRLs to
+// newXRLRIBClient returns a bgp.RIBClient that sends rib/1.0 XRLs to
 // ribTarget through router.
-func NewXRLRIBClient(router *xipc.Router, ribTarget string) bgp.RIBClient {
+func newXRLRIBClient(router *xipc.Router, ribTarget string) bgp.RIBClient {
 	c := &xrlRIBClient{stub: xif.NewRIBClient(router, ribTarget), loop: router.Loop()}
 	c.flushFn = c.flush
 	return c
-}
-
-// NewXRLRouteClient returns a rip.RIBClient and ospf.RIBClient that sends
-// proto's runs as rib/1.0 XRLs to ribTarget through router.
-func NewXRLRouteClient(router *xipc.Router, ribTarget string, proto route.Protocol) xrlRouteClient {
-	return xrlRouteClient{stub: xif.NewRIBClient(router, ribTarget), proto: proto.String()}
 }
 
 // udpRelay is an IGP's transport over the FEA's packet relay (paper §7: a
@@ -322,24 +305,4 @@ func (u *udpRelay) Broadcast(payload []byte) error {
 // Multicast implements ospf.Transport.
 func (u *udpRelay) Multicast(payload []byte) error {
 	return u.Send(netip.AddrPortFrom(u.group, u.port), payload)
-}
-
-// NewXRLRIPTransport returns RIP's transport over the fea_udp/0.1 relay
-// of feaTarget, reached through router; relayed datagrams arrive at
-// client, the RIP process's own target on router.
-func NewXRLRIPTransport(router *xipc.Router, client *xipc.Target, feaTarget string) rip.Transport {
-	return newUDPRelay(router, client, feaTarget, rip.Port, netip.Addr{})
-}
-
-// NewXRLOSPFTransport is NewXRLRIPTransport for OSPF, whose Bind joins
-// the AllSPFRouters group first.
-func NewXRLOSPFTransport(router *xipc.Router, client *xipc.Target, feaTarget string) ospf.Transport {
-	return newUDPRelay(router, client, feaTarget, ospf.Port, ospf.AllSPFRouters)
-}
-
-// NewXRLMetricSource returns a bgp.MetricSource that registers interest
-// with ribTarget; invalidations must be fed to the returned source's
-// Invalidate method (the BGP process's rib_client XRL handler does this).
-func NewXRLMetricSource(router *xipc.Router, ribTarget, bgpTarget string) bgp.MetricSource {
-	return &xrlMetricSource{stub: xif.NewRIBClient(router, ribTarget), loop: router.Loop(), bgpTarget: bgpTarget}
 }

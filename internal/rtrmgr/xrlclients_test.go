@@ -73,7 +73,7 @@ func newRecClient() (*xrlRIBClient, *recRIB, *eventloop.Loop) {
 	rec := &recRIB{}
 	xif.BindRIB(target, rec)
 	router.AddTarget(target)
-	return NewXRLRIBClient(router, "rib").(*xrlRIBClient), rec, loop
+	return newXRLRIBClient(router, "rib").(*xrlRIBClient), rec, loop
 }
 
 func bgpRoute(net string, ibgp bool) *bgp.Route {
@@ -271,7 +271,7 @@ func TestMetricSourceRetriesFailedLookup(t *testing.T) {
 	router.AddTarget(target)
 
 	in := bgp.NewPeerIn(loop, &bgp.PeerHandle{Name: "p1"}, nil)
-	resolver := bgp.NewNexthopResolver("nexthop(p1)", NewXRLMetricSource(router, "rib", "bgp"))
+	resolver := bgp.NewNexthopResolver("nexthop(p1)", &xrlMetricSource{stub: xif.NewRIBClient(router, "rib"), loop: router.Loop(), bgpTarget: "bgp"})
 	sink := bgp.NewCacheStage("sink")
 	bgp.Plumb(in, resolver, sink)
 
@@ -304,7 +304,7 @@ func TestLoneEntryEqualsListedEntry(t *testing.T) {
 	target := xif.NewTarget("fea", "fea")
 	feaProc.RegisterXRLs(target)
 	router.AddTarget(target)
-	fib := NewXRLFIBClient(router, "fea")
+	fib := &xrlFIBClient{stub: xif.NewFTIClient(router, "fea")}
 
 	e := route.Entry{Net: mustP("10.1.0.0/16"), NextHop: mustA("192.168.1.254"), Metric: 7, IfName: "eth0"}
 	filler := route.Entry{Net: mustP("10.2.0.0/16"), IfName: "eth0"}
@@ -368,7 +368,7 @@ func TestXRLTransportsHear(t *testing.T) {
 
 	ripRouter, ripTarget := node("rip")
 	proc := rip.NewProcess(loop, rip.Config{LocalAddr: host.Addr(), IfName: "eth0"},
-		NewXRLRIPTransport(ripRouter, ripTarget, "fea"), nil)
+		newUDPRelay(ripRouter, ripTarget, "fea", rip.Port, netip.Addr{}), nil)
 	register(ripRouter, ripTarget)
 	if err := proc.Start(); err != nil {
 		t.Fatal(err)
@@ -386,7 +386,7 @@ func TestXRLTransportsHear(t *testing.T) {
 	}
 
 	ospfRouter, ospfTarget := node("ospf")
-	tr := NewXRLOSPFTransport(ospfRouter, ospfTarget, "fea")
+	tr := newUDPRelay(ospfRouter, ospfTarget, "fea", ospf.Port, ospf.AllSPFRouters)
 	register(ospfRouter, ospfTarget)
 	var heard string
 	if err := tr.Bind(func(_ netip.AddrPort, payload []byte) { heard = string(payload) }); err != nil {

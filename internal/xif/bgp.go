@@ -172,49 +172,3 @@ func BindBGP(t *xipc.Target, s BGPServer) {
 	})
 	b.done()
 }
-
-// BGPClient is the typed stub for bgp/1.0.
-type BGPClient struct{ client }
-
-// NewBGPClient returns a stub sending bgp/1.0 XRLs to target through r.
-func NewBGPClient(r *xipc.Router, target string) *BGPClient {
-	return &BGPClient{newClient(r, target, BGPSpec)}
-}
-
-// AddPeer configures a peering.
-func (c *BGPClient) AddPeer(cfg BGPPeerConfig, done func(error)) {
-	args := xrl.Args{
-		xrl.Text("name", cfg.Name),
-		xrl.Addr("local_addr", cfg.LocalAddr),
-		xrl.Addr("peer_addr", cfg.PeerAddr),
-		xrl.U32("as", uint32(cfg.PeerAS)),
-	}
-	if cfg.DialAddr != "" {
-		args = append(args, xrl.Text("dial", cfg.DialAddr))
-	}
-	if cfg.HoldTime > 0 {
-		args = append(args, xrl.U32("holdtime", uint32(cfg.HoldTime/time.Second)))
-	}
-	if cfg.Group != "" {
-		args = append(args, xrl.Text("group", cfg.Group))
-	}
-	c.call("add_peer", Done(done), args...)
-}
-
-// EnablePeer brings a configured peering up.
-func (c *BGPClient) EnablePeer(name string, done func(error)) {
-	c.call("enable_peer", Done(done), xrl.Text("name", name))
-}
-
-// OriginateRoute4 injects a locally-originated route.
-func (c *BGPClient) OriginateRoute4(nlri netip.Prefix, nexthop netip.Addr, med uint32, done func(error)) {
-	c.call("originate_route4", Done(done),
-		xrl.Net("nlri", nlri),
-		xrl.Addr("next_hop", nexthop),
-		xrl.U32("med", med))
-}
-
-// WithdrawRoute4 withdraws a locally-originated route.
-func (c *BGPClient) WithdrawRoute4(nlri netip.Prefix, done func(error)) {
-	c.call("withdraw_route4", Done(done), xrl.Net("nlri", nlri))
-}

@@ -96,19 +96,6 @@ func NewCommonClient(r *xipc.Router, target string) *CommonClient {
 	return &CommonClient{newClient(r, target, CommonSpec)}
 }
 
-// GetTargetName fetches the target's instance name.
-func (c *CommonClient) GetTargetName(cb func(name string, err *xrl.Error)) {
-	c.call("get_target_name",
-		func(args xrl.Args, err *xrl.Error) {
-			if err != nil {
-				cb("", err)
-				return
-			}
-			name, _ := args.TextArg("name")
-			cb(name, nil)
-		})
-}
-
 // GetInterfaces fetches the "iface/version" pairs the target implements.
 func (c *CommonClient) GetInterfaces(cb func(ifaces []string, err *xrl.Error)) {
 	c.call("get_interfaces",

@@ -58,7 +58,7 @@ func fourAtoms() []xrl.Atom {
 func TestIntraHopAllocs(t *testing.T) {
 	loop, hub := simLoop(), NewHub()
 	newStubFinder(loop, hub, func(string, string) (xrl.Args, error) {
-		return resolution("sink", "", xrl.ProtoIntra+"|"+hub.ID()), nil
+		return resolution("sink", "", xrl.ProtoIntra+"|"+hub.id), nil
 	})
 	recv := NewRouter("receiver", loop)
 	handled := 0
@@ -335,7 +335,7 @@ func TestStaleReplyAfterTimeout(t *testing.T) {
 	t.Run("intra", func(t *testing.T) {
 		loop, hub := simLoop(), NewHub()
 		newStubFinder(loop, hub, func(string, string) (xrl.Args, error) {
-			return resolution("slow", "", xrl.ProtoIntra+"|"+hub.ID()), nil
+			return resolution("slow", "", xrl.ProtoIntra+"|"+hub.id), nil
 		})
 		farLoop := eventloop.New(nil)
 		far := NewRouter("far", farLoop)
@@ -414,7 +414,7 @@ func TestCallRecordReuseKeepsSemantics(t *testing.T) {
 	addPeer("peer2").SetMethodKey("test/1.0/m1", "k1")
 	peerRouter.AttachHub(hub)
 
-	intra := xrl.ProtoIntra + "|" + hub.ID()
+	intra := xrl.ProtoIntra + "|" + hub.id
 	answers := map[string][]xrl.Args{} // per target, consumed in order; the last one repeats
 	finder := newStubFinder(loop, hub, func(target, _ string) (xrl.Args, error) {
 		q := answers[target]
@@ -543,7 +543,7 @@ func TestCallRecordReuseKeepsSemantics(t *testing.T) {
 func TestClosedRouterHandlesNothing(t *testing.T) {
 	sendLoop, recvLoop, hub := simLoop(), simLoop(), NewHub()
 	newStubFinder(sendLoop, hub, func(string, string) (xrl.Args, error) {
-		return resolution("sink", "", xrl.ProtoIntra+"|"+hub.ID()), nil
+		return resolution("sink", "", xrl.ProtoIntra+"|"+hub.id), nil
 	})
 	handled := 0
 	recv := NewRouter("receiver", recvLoop)
@@ -593,7 +593,7 @@ func TestClosedRouterSendsNothing(t *testing.T) {
 	t.Run("hub", func(t *testing.T) {
 		loop, hub := simLoop(), NewHub()
 		newStubFinder(loop, hub, func(string, string) (xrl.Args, error) {
-			return resolution("sink", "", xrl.ProtoIntra+"|"+hub.ID()), nil
+			return resolution("sink", "", xrl.ProtoIntra+"|"+hub.id), nil
 		})
 		var handled, local atomic.Int32
 		recv := NewRouter("receiver", loop)

@@ -39,7 +39,7 @@ func newDeadlineRig(t *testing.T) *deadlineRig {
 		if target != "live" && target != "dead" {
 			return nil, &xrl.Error{Code: xrl.CodeResolveFailed, Note: "no target " + target}
 		}
-		return resolution(target, "", xrl.ProtoIntra+"|"+hub.ID()), nil
+		return resolution(target, "", xrl.ProtoIntra+"|"+hub.id), nil
 	})
 	for _, h := range []struct {
 		name string

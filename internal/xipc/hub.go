@@ -12,7 +12,7 @@ import (
 // benchmarks, the quickstart example) every XORP "process" is a Router on
 // its own event loop attached to one Hub.
 type Hub struct {
-	id string
+	id string // unique per hub: the intra endpoint address
 
 	mu      sync.Mutex
 	routers map[*Router]struct{}
@@ -31,9 +31,6 @@ func NewHub() *Hub {
 		targets: make(map[string]*Router),
 	}
 }
-
-// ID returns the hub's unique id (the intra endpoint address).
-func (h *Hub) ID() string { return h.id }
 
 func (h *Hub) addRouter(r *Router) {
 	h.mu.Lock()

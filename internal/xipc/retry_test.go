@@ -22,7 +22,7 @@ func TestSendIdempotentRetriesResolveFailure(t *testing.T) {
 		if !present {
 			return nil, &xrl.Error{Code: xrl.CodeResolveFailed, Note: "no target"}
 		}
-		return resolution("peer", "", xrl.ProtoIntra+"|"+hub.ID()), nil
+		return resolution("peer", "", xrl.ProtoIntra+"|"+hub.id), nil
 	})
 
 	pr := NewRouter("peer_process", loop)
