@@ -39,6 +39,7 @@ type Fanout struct {
 type fanoutBranch struct {
 	name   string
 	peer   *PeerHandle // the one peer the branch will ever serve, else nil
+	out    *GroupOut   // the pipeline's terminal group; nil for the RIB branch
 	head   Stage       // first stage of the branch's pipeline
 	reader *core.FanoutReader[fanoutEntry]
 }
@@ -63,6 +64,11 @@ func NewFanout(name string, loop *eventloop.Loop) *Fanout {
 func (f *Fanout) AddPeerBranch(name string, peer *PeerHandle, head Stage) {
 	b := &fanoutBranch{name: name, peer: peer, head: head}
 	b.reader = f.q.AddReader(func(e fanoutEntry) bool { return f.deliver(b, e) })
+	for s := head; s != nil; s = s.downstream() {
+		if g, ok := s.(*GroupOut); ok {
+			b.out, g.release = g, func() { f.SetBusy(name, false) }
+		}
+	}
 	f.branches[name] = b
 	head.setParent(f)
 }
@@ -116,8 +122,12 @@ func sendable(src, peer *PeerHandle) bool {
 
 // deliver drives one queued change into a branch, screened first when
 // the branch has a sole peer. A run is screened by its first route: run
-// members share Src, the only route field sendable reads.
+// members share Src, the only route field sendable reads. A parked group's
+// branch takes the change and does nothing: no member is there to tell.
 func (f *Fanout) deliver(b *fanoutBranch, e fanoutEntry) bool {
+	if b.out != nil && b.out.parked {
+		return true
+	}
 	so, sn := e.op != core.OpAdd, e.op != core.OpDelete
 	if b.peer != nil {
 		so, sn = so && sendable(e.old.Src, b.peer), sn && sendable(e.new.Src, b.peer)

@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"xorp/internal/telemetry"
 )
@@ -37,6 +38,11 @@ func (f GroupSenderFunc) SendEncodedUpdate(buf []byte) { f(buf) }
 // it keeps only what the stream does not say: a route count per source, and
 // the prefixes whose announcement could not be encoded.
 //
+// Only a live member, one whose session is up, is sent anything. A group
+// with no live member is parked: it is handed nothing, and keeps no counts.
+// The first member to go live wakes it with one replay of the table, which
+// tells that member and rebuilds the counts (§5.3's background dump).
+//
 // A message that cannot be encoded (an attribute set that outgrows the
 // 4096-byte limit on export, say) is dropped whole and counted, and its
 // prefixes are remembered until upstream withdraws or replaces them: the
@@ -45,6 +51,10 @@ func (f GroupSenderFunc) SendEncodedUpdate(buf []byte) { f(buf) }
 type GroupOut struct {
 	base
 	members []*groupMember
+	// parked is set while no member is live. release frees the fanout
+	// branch feeding the group from flow control; the Fanout sets it.
+	parked  bool
+	release func()
 
 	// bySrc counts the routes sent per Src, so a member's share of the
 	// table is a sum over sources, not a walk over prefixes.
@@ -68,6 +78,8 @@ type GroupOut struct {
 type groupMember struct {
 	handle *PeerHandle
 	sender GroupSender
+	// live is set while the member's session is up.
+	live bool
 	// muted is set while the member is being replayed to: the replay
 	// carries whatever the branch's backlog says, so it is not sent twice.
 	muted bool
@@ -77,6 +89,8 @@ type groupMember struct {
 func NewGroupOut(name string) *GroupOut {
 	return &GroupOut{
 		base:         base{name: "groupout(" + name + ")"},
+		parked:       true,
+		release:      func() {},
 		bySrc:        make(map[*PeerHandle]int),
 		dropped:      make(map[netip.Prefix]struct{}),
 		EncodeErrors: new(telemetry.Counter),
@@ -96,14 +110,21 @@ func (g *GroupOut) AnnouncedCount() int {
 	return n
 }
 
-// AddMember joins a peer to the group and returns an error if the handle
-// is already a member. The caller resyncs the member (ResyncMember) once
-// its session is established.
+// AddMember joins a peer to the group, live: it is sent every change from
+// now on, and the caller resyncs it (ResyncMember) with what came before.
+// It returns an error if the handle is already a member.
 func (g *GroupOut) AddMember(handle *PeerHandle, sender GroupSender) error {
-	for _, m := range g.members {
-		if m.handle == handle {
-			return fmt.Errorf("bgp: %s already in %s", handle.Name, g.name)
-		}
+	if err := g.join(handle, sender); err != nil {
+		return err
+	}
+	g.resync(handle, false)
+	return nil
+}
+
+// join adds a member not live: a Process peer, until its session is up.
+func (g *GroupOut) join(handle *PeerHandle, sender GroupSender) error {
+	if g.member(handle) != nil {
+		return fmt.Errorf("bgp: %s already in %s", handle.Name, g.name)
 	}
 	g.members = append(g.members, &groupMember{handle: handle, sender: sender})
 	return nil
@@ -111,11 +132,21 @@ func (g *GroupOut) AddMember(handle *PeerHandle, sender GroupSender) error {
 
 // RemoveMember detaches a peer from the group.
 func (g *GroupOut) RemoveMember(handle *PeerHandle) {
-	for i, m := range g.members {
-		if m.handle == handle {
-			g.members = append(g.members[:i], g.members[i+1:]...)
-			return
-		}
+	g.down(handle)
+	g.members = slices.DeleteFunc(g.members, func(m *groupMember) bool { return m.handle == handle })
+}
+
+// down takes a member's session down. The last live member parks the group:
+// it forgets what it sent, and its branch is released from flow control.
+func (g *GroupOut) down(handle *PeerHandle) {
+	if m := g.member(handle); m != nil {
+		m.live = false
+	}
+	if !g.parked && !slices.ContainsFunc(g.members, func(m *groupMember) bool { return m.live }) {
+		g.parked = true
+		clear(g.bySrc)
+		clear(g.dropped)
+		g.release()
 	}
 }
 
@@ -130,7 +161,7 @@ func (g *GroupOut) member(handle *PeerHandle) *groupMember {
 
 // send delivers the encode buffer to one member, counting msgs messages.
 func (g *GroupOut) send(m *groupMember, msgs int) {
-	if m.sender == nil || m.muted {
+	if m.sender == nil || m.muted || !m.live {
 		return
 	}
 	m.sender.SendEncodedUpdate(g.encBuf)
@@ -268,10 +299,10 @@ func (g *GroupOut) Lookup(net netip.Prefix, r *Route) bool {
 	return g.lookupParent(net, r)
 }
 
-// MemberAnnouncedCount returns how many prefixes one member has been told
-// (tests and stats): the routes sent from every source sendable to it.
+// MemberAnnouncedCount returns how many prefixes one live member has been
+// told (tests and stats): the routes sent from every source sendable to it.
 func (g *GroupOut) MemberAnnouncedCount(handle *PeerHandle) int {
-	if g.member(handle) == nil {
+	if m := g.member(handle); m == nil || !m.live {
 		return 0
 	}
 	n := 0
@@ -283,10 +314,10 @@ func (g *GroupOut) MemberAnnouncedCount(handle *PeerHandle) int {
 	return n
 }
 
-// replay visits, in prefix order, every route the group has sent m: it
-// asks upstream to walk its table down the branch, which first delivers
-// the branch's backlog with m muted, so the walk is what the group has
-// emitted; dropped prefixes and routes m may not have are left out.
+// replay visits, in prefix order, every route the group has sent: it asks
+// upstream to walk its table down the branch, which first delivers the
+// branch's backlog with m muted, so the walk is what the group has emitted;
+// dropped prefixes are left out.
 func (g *GroupOut) replay(m *groupMember, fn func(Route) bool) {
 	w, ok := g.parent.(walker)
 	if !ok {
@@ -295,22 +326,31 @@ func (g *GroupOut) replay(m *groupMember, fn func(Route) bool) {
 	m.muted = true
 	defer func() { m.muted = false }()
 	w.walk(g, func(r Route) bool {
-		if _, drop := g.dropped[r.Net]; drop || !sendable(r.Src, m.handle) {
-			return true
-		}
-		return fn(r)
+		_, drop := g.dropped[r.Net]
+		return drop || fn(r)
 	})
 }
 
-// ResyncMember replays the full member-visible table to one member's
-// sender (session re-established), in prefix order. Prefixes are grouped
-// by attr set — by content: an exported set is a fresh object per run,
-// however few distinct sets the table holds — and sets go in the order of
-// their first prefix, so the dump packs NLRI like the live path does and
+// ResyncMember makes a member live, its session (re)established, and
+// replays the full member-visible table to its sender, in prefix order.
+func (g *GroupOut) ResyncMember(handle *PeerHandle) { g.resync(handle, true) }
+
+// resync makes a member live and replays the table, telling the member what
+// it may have when tell (AddMember's wake tells no one). Prefixes are
+// grouped by attr set — by content: an exported set is a fresh object per
+// run, however few distinct sets the table holds — and sets go in the order
+// of their first prefix, so the dump packs NLRI like the live path does and
 // two replays of one table are the same bytes.
-func (g *GroupOut) ResyncMember(handle *PeerHandle) {
+//
+// A parked group's replay is its wake: the walk consumes the branch's
+// backlog unread, and rebuilds what the group would have sent, each route
+// counted by source or, when its announcement does not encode, dropped.
+func (g *GroupOut) resync(handle *PeerHandle, tell bool) {
 	m := g.member(handle)
 	if m == nil {
+		return
+	}
+	if m.live = true; !g.parked && !tell {
 		return
 	}
 	type set struct {
@@ -321,7 +361,23 @@ func (g *GroupOut) ResyncMember(handle *PeerHandle) {
 	var order []*set
 	var key []byte
 	var last *set
+	wake, drop := g.parked, false
+	var prev Route // a wake's last route checked for encoding
 	g.replay(m, func(r Route) bool {
+		if wake {
+			if r.Attrs != prev.Attrs || r.Net.Addr().Is4() != prev.Net.Addr().Is4() {
+				g.netBuf = append(g.netBuf[:0], r.Net)
+				prev, drop = r, g.encodeAnnounce(r.Attrs, g.netBuf) == 0
+			}
+			if drop {
+				g.dropped[r.Net] = struct{}{}
+				return true
+			}
+			g.bySrc[r.Src]++
+		}
+		if !tell || !sendable(r.Src, m.handle) {
+			return true
+		}
 		if last == nil || r.Attrs != last.attrs { // a run shares its exported set
 			key = appendAttrKey(key[:0], r.Attrs)
 			if last = byKey[string(key)]; last == nil {
@@ -333,6 +389,7 @@ func (g *GroupOut) ResyncMember(handle *PeerHandle) {
 		last.nets = append(last.nets, r.Net)
 		return true
 	})
+	g.parked = false
 	for _, s := range order {
 		if msgs := g.encodeAnnounce(s.attrs, s.nets); msgs > 0 {
 			g.send(m, msgs)

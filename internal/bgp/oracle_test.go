@@ -12,6 +12,7 @@ package bgp
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/netip"
 	"slices"
@@ -147,6 +148,9 @@ type refMember struct {
 	in     map[netip.Prefix]*Route // what the peer announces to us
 	out    map[netip.Prefix]*Route // what we announce to the peer
 	atoms  [][]byte
+	// down is set while the peer's session is: it is told nothing, and
+	// out is what a resync will tell it.
+	down bool
 }
 
 func newRefRouter(t testing.TB, localAS uint16) *refRouter {
@@ -255,6 +259,9 @@ func (x *refMember) view(r *Route) *Route {
 }
 
 func (x *refMember) emit(t testing.TB, u *UpdateMsg) {
+	if x.down {
+		return
+	}
 	buf, err := AppendUpdate(nil, u)
 	if err != nil {
 		t.Fatalf("model encode: %v", err)
@@ -624,7 +631,8 @@ func TestOracleBatchedPeerDown(t *testing.T) {
 // TestReplayIsWhatGroupEmitted bounces a member's session after a
 // randomized workload, in three states of its branch: caught up, with a
 // pump still pending, and — a group of one — stalled by SetBusy while the
-// workload goes on. The member forgets what it was told and is resynced.
+// workload goes on; and, parked then woken, after every member of its
+// group was down (parkedThenWoken). The member forgets what it was told and is resynced.
 // It must then hold exactly the model's adj-RIB-out, each prefix announced
 // once, and be sent nothing more once the loop has run and the branch is
 // released: the replay is what the group has emitted, neither behind the
@@ -687,6 +695,115 @@ func TestReplayIsWhatGroupEmitted(t *testing.T) {
 			}
 		}
 	}
+	for _, solo := range []bool{false, true} {
+		for _, target := range []string{"e1", "i1"} {
+			for seed := int64(0); seed < 3; seed++ {
+				t.Run(fmt.Sprintf("parked then woken/solo=%v/%s/seed%d", solo, target, seed), func(t *testing.T) {
+					parkedThenWoken(t, solo, target, seed)
+				})
+			}
+		}
+	}
+}
+
+// parkedThenWoken is TestReplayIsWhatGroupEmitted's parked case: every
+// member of the target's group goes down over the middle events, so the
+// group parks, and then the target alone comes back. Its wake must tell it
+// exactly the model's adj-RIB-out and leave the group counting what a
+// never-parked twin counts, and from then on the target's stream is the
+// model's. A route whose export cannot be encoded, announced while the
+// group is parked, stays unsent after the wake, and its withdrawal sends
+// nothing.
+func parkedThenWoken(t *testing.T, solo bool, target string, seed int64) {
+	r := rand.New(rand.NewSource(2000 + seed))
+	peers, events := buildWorkload(r, 200)
+	localAddr := mustA("192.0.2.1")
+	policies := map[string][]Filter{"rs": oraclePolicies(r), "ibgp": oraclePolicies(r)}
+	ref := newRefRouter(t, 65000)
+	fast := newOracleRouter(t, solo, 65000)
+	twin := newOracleRouter(t, solo, 65000)
+	for _, p := range peers {
+		ref.addMember(p.name, p.addr, p.as, localAddr, policies[p.group])
+		fast.addMember(p.name, p.addr, p.as, p.group, localAddr, policies[p.group])
+		twin.addMember(p.name, p.addr, p.as, p.group, localAddr, policies[p.group])
+	}
+	inject := func(evs []oracleEvent) {
+		for _, ev := range evs {
+			ref.inject(ev.peer, ev.msg())
+			fast.inject(ev.peer, ev.msg())
+			twin.inject(ev.peer, ev.msg())
+		}
+	}
+	// Equal counts: the per-source counts and the dropped prefixes,
+	// sources by name.
+	sameCounts := func(when string) {
+		t.Helper()
+		g, tg := fast.byName[target].gout, twin.byName[target].gout
+		bySrc := func(g *GroupOut) map[string]int {
+			m := make(map[string]int)
+			for src, n := range g.bySrc {
+				m[src.Name] = n
+			}
+			return m
+		}
+		if a, b := bySrc(g), bySrc(tg); !maps.Equal(a, b) {
+			t.Fatalf("%s: per-source counts %v, the never-parked twin's %v", when, a, b)
+		}
+		if !maps.Equal(g.dropped, tg.dropped) {
+			t.Fatalf("%s: dropped %v, the twin's %v", when, g.dropped, tg.dropped)
+		}
+	}
+
+	inject(events[:100])
+	x := fast.byName[target]
+	for _, m := range slices.Clone(x.gout.members) {
+		x.gout.down(m.handle)
+		ref.byName[m.handle.Name].down = true
+	}
+	if !x.gout.parked || x.gout.AnnouncedCount() != 0 {
+		t.Fatalf("group with no live member: parked %v, %d routes", x.gout.parked, x.gout.AnnouncedCount())
+	}
+	encodes := x.gout.EncodeCalls
+	big := attrsVia("10.0.0.3", 65003) // fills a message: no export of it encodes
+	for len(big.Communities) < 1012 {
+		big.Communities = append(big.Communities, uint32(len(big.Communities)))
+	}
+	dropNet := mustP("10.250.0.0/16")
+	for _, o := range []*oracleRouter{fast, twin} {
+		o.inject("e3", &UpdateMsg{Attrs: big.Clone(), NLRI: []netip.Prefix{dropNet}})
+	}
+	inject(events[100:150])
+	if x.gout.EncodeCalls != encodes {
+		t.Fatalf("parked group encoded %d times", x.gout.EncodeCalls-encodes)
+	}
+
+	rx := ref.byName[target]
+	rx.down = false
+	start, refStart := len(x.atoms), len(rx.atoms)
+	x.gout.ResyncMember(x.handle)
+	checkHolds(t, x.atoms[start:], rx.out)
+	if _, ok := x.gout.dropped[dropNet]; !ok {
+		t.Fatalf("the wake did not record %v as dropped", dropNet)
+	}
+	sameCounts("at the wake")
+	start = len(x.atoms)
+	inject(events[150:])
+	compareAtomStreams(t, target, rx.atoms[refStart:], x.atoms[start:])
+	for i, rm := range ref.members {
+		if fast.members[i].gout != x.gout {
+			compareAtomStreams(t, rm.handle.Name, rm.atoms, fast.members[i].atoms)
+		}
+	}
+	sameCounts("at the end")
+
+	start = len(x.atoms)
+	for _, o := range []*oracleRouter{fast, twin} {
+		o.inject("e3", &UpdateMsg{Withdrawn: []netip.Prefix{dropNet}})
+	}
+	if len(x.atoms) != start {
+		t.Fatalf("the dropped prefix's withdrawal sent %d atoms", len(x.atoms)-start)
+	}
+	sameCounts("after the withdrawal")
 }
 
 // checkHolds asserts that the atoms a member was sent since its session
@@ -786,6 +903,42 @@ func TestGroupOutMembership(t *testing.T) {
 	}
 	if g.AnnouncedCount() != 0 {
 		t.Fatalf("announced not drained: %d", g.AnnouncedCount())
+	}
+}
+
+// TestDownMemberIsSentNothing: a member whose session is down, in a group
+// another member keeps live, is sent nothing and reports 0, whichever way
+// the change goes: announce, replace, withdraw.
+func TestDownMemberIsSentNothing(t *testing.T) {
+	g := NewGroupOut("rs")
+	up := newUpstream()
+	up.branch(nil, nil, g)
+	spies := make([]int, 3)
+	var handles []*PeerHandle
+	for i := range spies {
+		h := testPeer(fmt.Sprintf("m%d", i), fmt.Sprintf("10.0.0.%d", i+1), uint16(65001+i), false)
+		spy := GroupSenderFunc(func([]byte) { spies[i]++ })
+		if err := g.join(h, spy); err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	g.ResyncMember(handles[0])
+	g.ResyncMember(handles[1])
+	src := testPeer("src", "10.0.9.9", 65100, false)
+	net := mustP("10.1.0.0/16")
+	up.announce([]Route{{Net: net, Attrs: attrsVia("10.0.9.9", 65100), Src: src}})
+	up.announce([]Route{{Net: net, Attrs: attrsVia("10.0.9.9", 65100, 65101), Src: src}})
+	if spies[0] != 2 || spies[1] != 2 || spies[2] != 0 {
+		t.Fatalf("sends to m0/m1/down m2: %v, want [2 2 0]", spies)
+	}
+	if g.MemberAnnouncedCount(handles[1]) != 1 || g.MemberAnnouncedCount(handles[2]) != 0 {
+		t.Fatalf("counts: live %d, down %d; want 1 and 0", g.MemberAnnouncedCount(handles[1]), g.MemberAnnouncedCount(handles[2]))
+	}
+	g.down(handles[1])
+	up.withdraw(Route{Net: net, Src: src})
+	if spies[0] != 3 || spies[1] != 2 || spies[2] != 0 {
+		t.Fatalf("withdrawal sends to m0/down m1/down m2: %v, want [3 2 0]", spies)
 	}
 }
 

@@ -205,13 +205,11 @@ func (p *Peer) writeMsg(buf []byte) {
 }
 
 // SendEncodedUpdate implements GroupSender: the GroupOut fans one
-// pre-encoded byte run out to every member through here. The buffer is the
+// pre-encoded byte run out to every live member through here, and a peer
+// is live exactly while its session is established. The buffer is the
 // group's reusable encode buffer; tcpMsgConn.WriteMsg copies it into its
 // own queue synchronously, so no retention happens.
 func (p *Peer) SendEncodedUpdate(buf []byte) {
-	if p.state != StateEstablished || p.conn == nil {
-		return // GroupOut bookkeeping retains state; resync re-sends on establish
-	}
 	if err := p.conn.WriteMsg(buf); err != nil {
 		p.closeSession("write failed: "+err.Error(), p.enabled)
 		return
@@ -351,7 +349,9 @@ func (p *Peer) closeSession(reason string, restart bool) {
 	wasEstablished := p.state == StateEstablished
 	p.state = StateIdle
 	if wasEstablished {
-		// Dynamic deletion stage handoff (§5.1.2).
+		// Tell the session nothing more (parking its group if it was the
+		// last one up); its routes go to a deletion stage (§5.1.2).
+		p.group.out.down(p.handle)
 		p.peerin.PeerDown()
 	}
 	if restart && p.enabled {

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"net/netip"
 	"sync"
 	"testing"
@@ -319,4 +320,129 @@ func (r *rawConn) expectType(t *testing.T, msgType uint8) *Message {
 	}
 	t.Fatal("timeout waiting for message")
 	return nil
+}
+
+// memConn is an in-memory session transport: it keeps what it is written
+// and reports no backlog.
+type memConn struct{ msgs [][]byte }
+
+func (c *memConn) WriteMsg(msg []byte) error {
+	c.msgs = append(c.msgs, append([]byte(nil), msg...))
+	return nil
+}
+func (c *memConn) Close() error { return nil }
+func (c *memConn) Backlog() int { return 0 }
+
+// announced counts the prefixes the session has been sent in UPDATEs.
+func (c *memConn) announced(t *testing.T) int {
+	n := 0
+	for _, msg := range c.msgs {
+		if m, err := DecodeMessage(msg); err != nil {
+			t.Fatal(err)
+		} else if m.Update != nil {
+			n += len(m.Update.NLRI)
+		}
+	}
+	return n
+}
+
+// establish brings peer's session up over a memConn, as the far end's OPEN
+// and KEEPALIVE would. Run on the peer's loop.
+func establish(t *testing.T, peer *Peer) *memConn {
+	t.Helper()
+	c := &memConn{}
+	peer.Enable()
+	peer.AdoptIncoming(c)
+	peer.handleMessage(peer.connGen, &Message{Open: &OpenMsg{Version: Version, AS: peer.cfg.PeerAS, HoldTime: 90, BGPID: peer.cfg.PeerAddr}})
+	peer.handleMessage(peer.connGen, &Message{Keepalive: true})
+	if peer.State() != StateEstablished {
+		t.Fatalf("%s: session %v, want Established", peer.cfg.Name, peer.State())
+	}
+	return c
+}
+
+// TestClosedSessionReleasesQueue: a session that closes while its branch is
+// flow-controlled must not pin the fanout queue. Its group parks, which
+// releases the branch, so later changes are consumed as they come.
+func TestClosedSessionReleasesQueue(t *testing.T) {
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	p := NewProcess(loop, Config{AS: 65000, BGPID: mustA("10.0.0.254")}, nil, nil)
+	var e1, e2 *Peer
+	for i, pp := range []**Peer{&e1, &e2} {
+		peer, err := p.AddPeer(PeerConfig{Name: fmt.Sprintf("e%d", i+1), PeerAddr: mustA(fmt.Sprintf("10.0.0.%d", i+1)),
+			PeerAS: uint16(65001 + i), LocalAddr: mustA("192.0.2.1")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		establish(t, peer)
+		*pp = peer
+	}
+	p.Fanout().SetBusy("e1", true)
+	e1.notifyAndClose(NotifHoldTimerExpire, 0) // what the stalled peer's hold timer does
+	for i := 0; i < 100; i++ {
+		u := &UpdateMsg{Attrs: attrsVia("10.0.0.2", 65002), NLRI: []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 30, byte(i), 0}), 24)}}
+		if err := p.InjectUpdate("e2", u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loop.RunPending()
+	if q, b := p.Fanout().QueueLen(), p.Fanout().Backlog("e1"); q != 0 || b != 0 {
+		t.Fatalf("after the pump: queue %d, e1's backlog %d; want 0 and 0", q, b)
+	}
+}
+
+// sessionlessProc is the pipeline's BGP process: two passive EBGP peers,
+// feed and test, with no session, and no RIB.
+func sessionlessProc(t *testing.T) *Process {
+	t.Helper()
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	p := NewProcess(loop, Config{AS: 65000, BGPID: mustA("192.168.1.1")}, nil, nil)
+	for _, pc := range []PeerConfig{
+		{Name: "feed", LocalAddr: mustA("192.168.1.1"), PeerAddr: mustA("192.168.1.2"), PeerAS: 65001, Passive: true},
+		{Name: "test", LocalAddr: mustA("192.168.1.1"), PeerAddr: mustA("192.168.1.3"), PeerAS: 65002, Passive: true},
+	} {
+		if _, err := p.AddPeer(pc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// TestSessionlessPeersCostNothing: the pipeline's two passive EBGP peers
+// with no session and no RIB. A route announced, replaced and withdrawn
+// by one of them must cost neither group a filter call, an encode or an
+// allocation: both groups are parked.
+func TestSessionlessPeersCostNothing(t *testing.T) {
+	p := sessionlessProc(t)
+	loop := p.Loop()
+	var groups []*GroupOut
+	filterCalls := 0
+	for _, name := range []string{"feed", "test"} {
+		peer, _ := p.Peer(name)
+		groups = append(groups, peer.group.out)
+		bank := p.fanout.branches[name].head.(*FilterBank)
+		bank.filters = append(bank.filters, func(r *Route) *PathAttrs { filterCalls++; return r.Attrs })
+	}
+	net := mustP("10.40.0.0/16")
+	msgs := []*UpdateMsg{
+		{Attrs: attrsVia("192.168.1.3", 65002), NLRI: []netip.Prefix{net}},
+		{Attrs: attrsVia("192.168.1.3", 65002, 65009), NLRI: []netip.Prefix{net}},
+		{Withdrawn: []netip.Prefix{net}},
+	}
+	cycle := func() {
+		for _, u := range msgs {
+			if err := p.InjectUpdate("test", u); err != nil {
+				t.Fatal(err)
+			}
+			loop.RunPending()
+		}
+	}
+	cycle()
+	allocs := testing.AllocsPerRun(100, cycle)
+	if filterCalls != 0 || groups[0].EncodeCalls != 0 || groups[1].EncodeCalls != 0 {
+		t.Fatalf("out-filter calls %d, encodes %d and %d; want none", filterCalls, groups[0].EncodeCalls, groups[1].EncodeCalls)
+	}
+	if allocs != 0 {
+		t.Fatalf("announce/replace/withdraw costs %.2f allocations, want 0", allocs)
+	}
 }

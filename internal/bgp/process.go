@@ -101,6 +101,15 @@ func NewProcess(loop *eventloop.Loop, cfg Config, ribClient RIBClient, metricSrc
 		func() float64 { return float64(len(p.peers)) })
 	p.metrics.GaugeFunc("bgp_peerin_routes", "routes stored in the RIB-in, deletion stages' not yet withdrawn included",
 		func() float64 { return float64(p.localIn.rib.n) })
+	p.metrics.GaugeFunc("bgp_out_groups_parked", "output branches doing no work: their group has no established member",
+		func() (n float64) {
+			for _, b := range p.fanout.branches {
+				if b.out != nil && b.out.parked {
+					n++
+				}
+			}
+			return n
+		})
 	p.metrics.GaugeFunc("bgp_queue_depth", "event-loop input backlog",
 		func() float64 { return float64(loop.QueueDepth()) })
 	p.metrics.CounterFunc("trace_dropped_total", "trace records lost to the tracer's bounds",
@@ -240,6 +249,9 @@ func (s *ribSinkStage) Lookup(net netip.Prefix, r *Route) bool { return s.lookup
 // the peer's own name, which is what Peer.updateBusy stalls when the
 // transport backs up (§5.1.1).
 //
+// A peer is a live member of its group only while its session is
+// established; a group with no live member does no work (GroupOut).
+//
 // Peers start disabled; call EnablePeer. Must run on the loop.
 func (p *Process) AddPeer(cfg PeerConfig) (*Peer, error) {
 	if _, dup := p.peers[cfg.Name]; dup {
@@ -292,7 +304,7 @@ func (p *Process) AddPeer(cfg PeerConfig) (*Peer, error) {
 		return nil, fmt.Errorf("bgp: peer %q: group %q members must share local-addr (%v != %v)",
 			cfg.Name, cfg.Group, cfg.LocalAddr, g.localAddr)
 	}
-	if err := g.out.AddMember(peer.handle, peer); err != nil {
+	if err := g.out.join(peer.handle, peer); err != nil {
 		return nil, err
 	}
 	g.members++

@@ -218,11 +218,14 @@ func TestRunOfOneAllocs(t *testing.T) {
 // TestSoloPeerIsGroupOfOne: a peer outside any group gets a GroupOut of
 // its own behind a fanout branch that carries the peer's name and screens
 // for it, so split horizon and the IBGP rule hold, the peer's own routes
-// cost its group nothing, and flow control by peer name still works.
+// cost its group nothing, and flow control by peer name still works. A
+// group whose session is not established does no work: it reports 0 and
+// encodes nothing, and the session's coming up tells it the table.
 func TestSoloPeerIsGroupOfOne(t *testing.T) {
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
 	p := NewProcess(loop, Config{AS: 65000, BGPID: mustA("10.0.0.254")}, nil, nil)
 	outs := make(map[string]*GroupOut)
+	peers := make(map[string]*Peer)
 	for _, pc := range []PeerConfig{
 		{Name: "e1", PeerAddr: mustA("10.0.0.1"), PeerAS: 65001, LocalAddr: mustA("192.0.2.1")},
 		{Name: "i1", PeerAddr: mustA("10.0.1.1"), PeerAS: 65000},
@@ -235,7 +238,7 @@ func TestSoloPeerIsGroupOfOne(t *testing.T) {
 		if peer.group.out.Members() != 1 || p.Group(pc.Name) != nil {
 			t.Fatalf("%s: not a private group of one", pc.Name)
 		}
-		outs[pc.Name] = peer.group.out
+		outs[pc.Name], peers[pc.Name] = peer.group.out, peer
 	}
 	inject := func(peer string, as uint16, nets ...string) {
 		t.Helper()
@@ -251,10 +254,21 @@ func TestSoloPeerIsGroupOfOne(t *testing.T) {
 	counts := func() [3]int {
 		return [3]int{outs["e1"].AnnouncedCount(), outs["i1"].AnnouncedCount(), outs["i2"].AnnouncedCount()}
 	}
+	encodes := func() int { return outs["e1"].EncodeCalls + outs["i1"].EncodeCalls + outs["i2"].EncodeCalls }
 
 	inject("e1", 65001, "10.5.0.0/16", "10.6.0.0/16")
+	if got := counts(); got != [3]int{0, 0, 0} || encodes() != 0 {
+		t.Fatalf("sessionless: e1/i1/i2 hold %v after %d encodes, want [0 0 0] and none", got, encodes())
+	}
+	conns := make(map[string]*memConn)
+	for _, name := range []string{"e1", "i1", "i2"} {
+		conns[name] = establish(t, peers[name])
+	}
 	if got := counts(); got != [3]int{0, 2, 2} {
 		t.Fatalf("after e1's routes: e1/i1/i2 hold %v, want [0 2 2] (split horizon, nothing stored for the originator)", got)
+	}
+	if got := [3]int{conns["e1"].announced(t), conns["i1"].announced(t), conns["i2"].announced(t)}; got != [3]int{0, 2, 2} {
+		t.Fatalf("the sessions were told %v, want [0 2 2]", got)
 	}
 	inject("i1", 65009, "10.7.0.0/16")
 	if got := counts(); got != [3]int{1, 2, 2} {
@@ -290,9 +304,10 @@ func TestSoloPeerIsGroupOfOne(t *testing.T) {
 	if err := p.RemovePeer("i1"); err != nil {
 		t.Fatal(err)
 	}
+	before := outs["i1"].EncodeCalls
 	inject("e1", 65001, "10.9.0.0/16")
-	if outs["i1"].AnnouncedCount() != 3 || p.Fanout().Backlog("i1") != 0 {
-		t.Fatalf("removed peer's group still fed: %d routes", outs["i1"].AnnouncedCount())
+	if p.fanout.branches["i1"] != nil || outs["i1"].AnnouncedCount() != 0 || outs["i1"].EncodeCalls != before {
+		t.Fatalf("removed peer's group still fed: %d routes, %d encodes", outs["i1"].AnnouncedCount(), outs["i1"].EncodeCalls-before)
 	}
 }
 

@@ -42,7 +42,9 @@ func streamUpdate(tb testing.TB, peer int, u *UpdateMsg) []byte {
 // FuzzUpdateStream fuzzes the stream, not just the message: a script of
 // wire UPDATEs (decoded by DecodeMessage, as a session would), peer-downs
 // and branch stalls on four sessions is driven through the stage network
-// and through refRouter side by side. Every member must be sent the same
+// and through refRouter side by side. A peer-down takes the session down
+// too, parking its group when no other member is up, and the next step on
+// that peer brings it back with a resync. Every member must be sent the same
 // atoms in the same order and end with the same adj-RIB-out, and the pool
 // must hold exactly one reference per stored route. An UPDATE the decoder
 // rejects is skipped, as the session would drop it (and the peer).
@@ -52,6 +54,15 @@ func FuzzUpdateStream(f *testing.F) {
 		streamUpdate(f, 0, &UpdateMsg{Attrs: attrsVia("10.0.0.1", 65001), NLRI: []netip.Prefix{mustP("10.1.0.0/16")}}),
 		streamUpdate(f, 1, &UpdateMsg{Attrs: attrsVia("10.0.0.2", 65002), NLRI: []netip.Prefix{mustP("10.1.0.0/16")}}),
 		[]byte{stepPeerDown | 0<<2},
+	))
+	// Groups parked and woken: s1's and i1's sessions go down while e1 and
+	// e2 go on; s1's next UPDATE wakes its group, i1 comes back at the end.
+	f.Add(slices.Concat(
+		streamUpdate(f, 0, &UpdateMsg{Attrs: attrsVia("10.0.0.1", 65001), NLRI: []netip.Prefix{mustP("10.1.0.0/16"), mustP("10.2.0.0/16")}}),
+		[]byte{stepPeerDown | 2<<2, stepPeerDown | 3<<2},
+		streamUpdate(f, 1, &UpdateMsg{Attrs: attrsVia("10.0.0.2", 65002), NLRI: []netip.Prefix{mustP("10.2.0.0/16"), mustP("10.3.0.0/16")}}),
+		streamUpdate(f, 0, &UpdateMsg{Withdrawn: []netip.Prefix{mustP("10.1.0.0/16")}}),
+		streamUpdate(f, 2, &UpdateMsg{Attrs: attrsVia("10.0.0.3", 65003), NLRI: []netip.Prefix{mustP("10.4.0.0/16")}}),
 	))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		localAddr := mustA("192.0.2.1")
@@ -65,15 +76,32 @@ func FuzzUpdateStream(f *testing.F) {
 				branch[i] = p.name
 			}
 		}
+		// comeBack brings a peer's session back up: the fast side resyncs
+		// it, which must tell it exactly the model's adj-RIB-out; the model
+		// takes those atoms as its own, and both streams go on from there.
+		comeBack := func(peer int) {
+			rm, fm := ref.members[peer], fast.members[peer]
+			rm.down = false
+			start := len(fm.atoms)
+			fm.gout.ResyncMember(fm.handle)
+			checkHolds(t, fm.atoms[start:], rm.out)
+			rm.atoms = append(rm.atoms, fm.atoms[start:]...)
+		}
 		for len(script) > 0 {
 			op := script[0]
 			script = script[1:]
 			peer := int(op >> 2 & 3)
 			name := streamPeers[peer].name
+			if ref.members[peer].down {
+				comeBack(peer)
+			}
 			switch op & 3 {
 			case stepPeerDown:
-				// The model withdraws at once, so the deletion stage is
-				// run to the end before the next step.
+				// The session goes down, and the model withdraws the peer's
+				// routes at once, so the deletion stage is run to the end
+				// before the next step.
+				fast.byName[name].gout.down(fast.byName[name].handle)
+				ref.byName[name].down = true
 				ref.peerDown(name)
 				if d := fast.byName[name].in.PeerDown(); d != nil {
 					for !d.Done() {
@@ -110,6 +138,11 @@ func FuzzUpdateStream(f *testing.F) {
 			fast.fan.SetBusy(b, false)
 		}
 		fast.loop.RunPending()
+		for peer, rm := range ref.members {
+			if rm.down {
+				comeBack(peer)
+			}
+		}
 
 		stored := 0
 		for i, rm := range ref.members {

@@ -28,6 +28,40 @@ func newTelemetryProc(t *testing.T) *Process {
 	return p
 }
 
+// TestParkedGroupsGauge: bgp_out_groups_parked counts the output branches
+// whose group has no established member: both of a process whose peers
+// have no session, none of a process whose one session is up, and that
+// one again once the session closes.
+func TestParkedGroupsGauge(t *testing.T) {
+	parked := func(p *Process) (v float64) {
+		v, _ = p.Metrics().Get("bgp_out_groups_parked")
+		return v
+	}
+	if v := parked(sessionlessProc(t)); v != 2 {
+		t.Fatalf("two sessionless peers: %v parked, want 2", v)
+	}
+	a, b, _, _, cleanup := twoRouters(t)
+	defer cleanup()
+	for _, p := range []*Process{a, b} {
+		var v float64
+		p.loop.DispatchAndWait(func() { v = parked(p) })
+		if v != 0 {
+			t.Fatalf("established: %v parked, want 0", v)
+		}
+	}
+	a.loop.DispatchAndWait(func() {
+		peer, _ := a.Peer("to-b")
+		peer.Disable()
+	})
+	for _, p := range []*Process{a, b} {
+		waitFor(t, "the closed session's group parked", func() bool {
+			var v float64
+			p.loop.DispatchAndWait(func() { v = parked(p) })
+			return v == 1
+		})
+	}
+}
+
 // TestPeerInRoutesGaugeCountsDeletion: bgp_peerin_routes counts what the
 // RIB-in stores, so a dead session's routes count until its deletion stage
 // has withdrawn them — downstream still holds them until then.

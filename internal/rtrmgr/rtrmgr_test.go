@@ -1,6 +1,7 @@
 package rtrmgr
 
 import (
+	"fmt"
 	"net/netip"
 	"strings"
 	"sync"
@@ -592,13 +593,32 @@ func TestPeerGroupInAssembly(t *testing.T) {
 	// A full router with grouped peers: the BGP process must build one
 	// shared group output branch, and a route from one member must be
 	// encoded once and fanned to the other members (split horizon keeps
-	// it away from the contributor).
-	cfgText := strings.Replace(baseConfig,
-		"peer p1 {\n            local-addr 192.168.1.1",
-		"peer p1 {\n            group rs\n            local-addr 192.168.1.1", 1)
-	cfgText = strings.Replace(cfgText,
-		"peer p2 {\n            local-addr 192.168.1.1",
-		"peer p2 {\n            group rs\n            local-addr 192.168.1.1", 1)
+	// it away from the contributor). The members dial a plain BGP speaker
+	// each on loopback; the group works only while a session is up.
+	var fars [2]*peerRIB
+	cfgText := baseConfig
+	for i, as := range []uint16{65002, 65003} {
+		loop := eventloop.New(nil)
+		go loop.Run()
+		defer loop.Stop()
+		fars[i] = &peerRIB{has: make(map[netip.Prefix]bool)}
+		far := bgp.NewProcess(loop, bgp.Config{AS: as, BGPID: mustA(fmt.Sprintf("192.168.1.%d", i+2)), ListenAddr: "127.0.0.1:0"}, fars[i], nil)
+		defer loop.DispatchAndWait(far.Close)
+		loop.DispatchAndWait(func() {
+			if err := far.Listen(); err != nil {
+				t.Error(err)
+			}
+			if _, err := far.AddPeer(bgp.PeerConfig{Name: "r", LocalAddr: mustA("127.0.0.1"), PeerAddr: mustA("127.0.0.1"),
+				PeerAS: 65001, Passive: true, HoldTime: 30 * time.Second}); err != nil {
+				t.Error(err)
+			}
+			far.EnablePeer("r")
+		})
+		member := fmt.Sprintf("peer p%d {\n            local-addr 192.168.1.1", i+1)
+		cfgText = strings.Replace(cfgText, member, strings.Replace(member, "{", "{\n            group rs", 1), 1)
+		cfgText = strings.Replace(cfgText, fmt.Sprintf("as %d\n            passive", as),
+			fmt.Sprintf("as %d\n            dial %s", as, far.ListenAddr()), 1)
+	}
 	r, err := NewRouter(cfgText, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -615,26 +635,54 @@ func TestPeerGroupInAssembly(t *testing.T) {
 	if g.Members() != 2 {
 		t.Fatalf("group has %d members", g.Members())
 	}
-	attrs := workload.TestAttrs(mustA("10.0.0.1"), 65002)
+	// onBGP reads the group's state on the BGP loop: what the group has
+	// sent, what each member has been told, and its encode count.
+	onBGP := func() (sent, c1, c2, encodes int, established bool) {
+		r.BGP.Loop().DispatchAndWait(func() {
+			p1, _ := r.BGP.Peer("p1")
+			p2, _ := r.BGP.Peer("p2")
+			sent, encodes = g.AnnouncedCount(), g.EncodeCalls
+			c1, c2 = g.MemberAnnouncedCount(p1.Handle()), g.MemberAnnouncedCount(p2.Handle())
+			established = p1.State() == bgp.StateEstablished && p2.State() == bgp.StateEstablished
+		})
+		return
+	}
+	waitCond(t, "both members' sessions established", func() bool {
+		_, _, _, _, up := onBGP()
+		return up
+	})
+	inject := func(net netip.Prefix) {
+		attrs := workload.TestAttrs(mustA("10.0.0.1"), 65002)
+		r.BGP.Loop().DispatchAndWait(func() {
+			r.BGP.InjectUpdate("p1", &bgp.UpdateMsg{Attrs: attrs, NLRI: []netip.Prefix{net}})
+		})
+	}
 	net := mustP("20.9.0.0/16")
-	r.BGP.Loop().DispatchAndWait(func() {
-		r.BGP.InjectUpdate("p1", &bgp.UpdateMsg{Attrs: attrs, NLRI: []netip.Prefix{net}})
+	inject(net)
+	waitCond(t, "route reaches the group", func() bool {
+		sent, _, _, _, _ := onBGP()
+		return sent == 1
 	})
-	waitCond(t, "route reaches the group adj-RIB-out", func() bool {
-		var n int
-		r.BGP.Loop().DispatchAndWait(func() { n = g.AnnouncedCount() })
-		return n == 1
-	})
-	// Contributor suppressed, other member told (no live session: counts
-	// only; bytes flow once a session establishes and resyncs).
-	var c1, c2 int
-	r.BGP.Loop().DispatchAndWait(func() {
-		p1, _ := r.BGP.Peer("p1")
-		p2, _ := r.BGP.Peer("p2")
-		c1 = g.MemberAnnouncedCount(p1.Handle())
-		c2 = g.MemberAnnouncedCount(p2.Handle())
-	})
-	if c1 != 0 || c2 != 1 {
-		t.Fatalf("member visibility: contributor=%d other=%d", c1, c2)
+	// Contributor suppressed, other member told, once encoded.
+	if _, c1, c2, encodes, _ := onBGP(); c1 != 0 || c2 != 1 || encodes != 1 {
+		t.Fatalf("member visibility: contributor=%d other=%d after %d encodes", c1, c2, encodes)
+	}
+	waitCond(t, "the other member's speaker holds the route", func() bool { return fars[1].holds(net) })
+	if fars[0].holds(net) {
+		t.Fatal("the contributor's speaker was sent its own route")
+	}
+
+	// With both sessions closed the group is parked: it reports 0 and
+	// encodes nothing.
+	for i := range fars {
+		r.BGP.Loop().DispatchAndWait(func() {
+			p, _ := r.BGP.Peer(fmt.Sprintf("p%d", i+1))
+			p.Disable()
+		})
+	}
+	_, _, _, before, _ := onBGP()
+	inject(mustP("20.10.0.0/16"))
+	if sent, c1, c2, encodes, _ := onBGP(); sent != 0 || c1 != 0 || c2 != 0 || encodes != before {
+		t.Fatalf("sessionless group: %d sent (%d, %d to members) after %d encodes", sent, c1, c2, encodes-before)
 	}
 }
