@@ -63,9 +63,11 @@ func New(loop *eventloop.Loop, fib *kernel.FIB, host *kernel.Host, router *xipc.
 		p.recvPush = xif.NewFEAUDPRecvClient(router)
 	}
 
-	// Live metrics. The kernel FIB is mutexed and the snapshot chain is
-	// an atomic load, so every gauge here is safe from any scrape
-	// goroutine, not just the process loop.
+	// Live metrics. The kernel FIB hands out its committed table under
+	// its mutex and the snapshot chain is an atomic load, so every gauge
+	// here is safe from any scrape goroutine, not just the process loop;
+	// after a publish fea_fib_entries and the snapshot's length agree,
+	// because they count one table.
 	p.metrics = telemetry.NewRegistry()
 	p.mApplies = p.metrics.Counter("fea_fib_writes_total", "forwarding entries written to the backend")
 	p.metrics.GaugeFunc("fea_fib_entries", "entries installed in the kernel FIB",

@@ -1,13 +1,17 @@
 package fea
 
 import (
+	"math/rand"
 	"net/netip"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"xorp/internal/eventloop"
 	"xorp/internal/kernel"
+	"xorp/internal/rib"
 	"xorp/internal/route"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
@@ -310,5 +314,70 @@ func TestListXRLsPublishOnce(t *testing.T) {
 	}
 	if installs, removals := fib.Stats(); installs != uint64(len(es)) || removals != 10 {
 		t.Fatalf("kernel counters installs=%d removals=%d, want %d and 10", installs, removals, len(es))
+	}
+}
+
+// TestFEABytesPerRoute pins the live heap a route costs the FEA: one
+// table, which the kernel FIB commits and the snapshot publishes. It
+// measures 117 B, the snapshot's own 116 (TestSnapshotBytesPerRoute in
+// internal/fwd); with a second, mutable table in the kernel FIB beside the
+// snapshot it read 254 B. The routes go in as the RIB sends them, in
+// 256-route batches; the inputs stay live on both sides of the measure.
+func TestFEABytesPerRoute(t *testing.T) {
+	const n, batch, bound = 100000, 256, 160
+	rng := rand.New(rand.NewSource(11))
+	seen := make(map[netip.Prefix]bool, n)
+	es := make([]route.Entry, 0, n)
+	for len(es) < n {
+		a := netip.AddrFrom4([4]byte{byte(1 + rng.Intn(223)), byte(rng.Intn(256)), byte(rng.Intn(256)), 0})
+		net := netip.PrefixFrom(a, 16+rng.Intn(9)).Masked()
+		if !seen[net] {
+			seen[net] = true
+			es = append(es, route.Entry{Net: net, NextHop: mustA("192.168.1.1"), IfName: "eth0"})
+		}
+	}
+	b := rib.NewFIBBatch()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p, _, _ := newFEA(t)
+	for off := 0; off < n; off += batch {
+		b.Reset()
+		for _, e := range es[off:min(off+batch, n)] {
+			b.Add(e)
+		}
+		if err := p.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perRoute := float64(after.HeapAlloc-before.HeapAlloc) / n
+	runtime.KeepAlive(es)
+	runtime.KeepAlive(b)
+	t.Logf("%.0f B of live heap per route", perRoute)
+	if perRoute > bound {
+		t.Fatalf("%.0f B of live heap per route, bound %d", perRoute, bound)
+	}
+	entries, _ := p.Metrics().Get("fea_fib_entries")
+	if snap := p.Snapshots().Current().Len(); snap != n || entries != float64(snap) {
+		t.Fatalf("fea_fib_entries reads %v, the snapshot holds %d, want %d", entries, snap, n)
+	}
+}
+
+// TestGetInterfacesSorted: ifmgr/0.1 get_interfaces answers in name
+// order, the same list on every call.
+func TestGetInterfacesSorted(t *testing.T) {
+	p, fib, _ := newFEA(t)
+	for i, name := range []string{"eth2", "lo0", "eth0", "eth1"} {
+		fib.AddInterface(name, netip.PrefixFrom(netip.AddrFrom4([4]byte{192, 168, byte(i), 1}), 24), 1500)
+	}
+	want := []string{"eth0 192.168.2.1/24 1500 true", "eth1 192.168.3.1/24 1500 true", "eth2 192.168.0.1/24 1500 true", "lo0 192.168.1.1/24 1500 true"}
+	for i := 0; i < 50; i++ {
+		if got, err := (feaServer{p}).GetInterfaces(); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("call %d: get_interfaces = %q, %v; want %q", i, got, err, want)
+		}
 	}
 }

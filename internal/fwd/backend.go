@@ -2,7 +2,6 @@ package fwd
 
 import (
 	"net/netip"
-	"sync"
 
 	"xorp/internal/kernel"
 	"xorp/internal/rib"
@@ -30,37 +29,20 @@ type Backend interface {
 	RemoveEntry(net netip.Prefix) bool
 }
 
-// SimBackend is the in-process simulated kernel: batches land in a
-// kernel.FIB (preserving its install counters and observer hooks — the
-// paper's profile point 8, "entering the kernel") and publish through an
-// embedded Publisher. The mutexed FIB remains the write-side source of
-// truth for control-plane reads (interfaces, stats); the data plane
-// reads the published snapshots.
+// SimBackend is the in-process simulated kernel: a Publisher over a
+// kernel.FIB. A batch is committed to the FIB (preserving its install
+// counters and observer hooks — the paper's profile point 8, "entering
+// the kernel") and the version that results is published, so the kernel
+// view (interfaces, stats, Lookup) and the data plane read one table.
 type SimBackend struct {
-	fib *kernel.FIB
 	pub *Publisher
-
-	// mu guards the scratch Apply translates a batch into; the slices
-	// are reused so a batch costs no garbage of its own.
-	mu      sync.Mutex
-	adds    []kernel.FIBEntry
-	removes []netip.Prefix
 }
 
 // NewSimBackend returns a simulated-kernel backend over fib. The initial
-// snapshot mirrors fib's current contents, so a backend attached to a
+// snapshot is fib's current table, so a backend attached to a
 // pre-populated FIB starts consistent.
 func NewSimBackend(fib *kernel.FIB) *SimBackend {
-	b := &SimBackend{fib: fib, pub: NewPublisher()}
-	if fib.Len() > 0 {
-		seed := rib.NewFIBBatch()
-		fib.Walk(func(e kernel.FIBEntry) bool {
-			seed.Add(route.Entry{Net: e.Net, NextHop: e.NextHop, IfName: e.IfName})
-			return true
-		})
-		b.pub.Apply(seed)
-	}
-	return b
+	return &SimBackend{pub: newPublisher(fib)}
 }
 
 // Name implements Backend.
@@ -70,50 +52,25 @@ func (b *SimBackend) Name() string { return "sim" }
 // publisher (the StageSnapPub trace point).
 func (b *SimBackend) SetTracer(tr *telemetry.Tracer) { b.pub.SetTracer(tr) }
 
-// FIB returns the underlying simulated kernel table.
-func (b *SimBackend) FIB() *kernel.FIB { return b.fib }
-
-// Publisher returns the backend's snapshot publisher.
-func (b *SimBackend) Publisher() *Publisher { return b.pub }
-
 // Current implements Source.
 func (b *SimBackend) Current() *Snapshot { return b.pub.Current() }
 
-// Apply implements Backend: the batch lands in the kernel FIB in one
-// critical section and in the snapshot chain as one generation.
-// Individual entry failures don't abort the rest; the first error is
-// returned.
+// Apply implements Backend: the batch is one FIB commit and one snapshot
+// generation. Individual entry failures don't abort the rest; the first
+// error is returned.
 func (b *SimBackend) Apply(batch *rib.FIBBatch) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.adds, b.removes = b.adds[:0], b.removes[:0]
-	batch.Ops(func(op rib.FIBOp) {
-		switch op.Kind {
-		case rib.FIBOpAdd, rib.FIBOpReplace:
-			b.adds = append(b.adds, kernel.FIBEntry{Net: op.New.Net, NextHop: op.New.NextHop, IfName: op.New.IfName})
-		case rib.FIBOpDelete:
-			b.removes = append(b.removes, op.Old.Net)
-		}
-	})
-	err := b.fib.ApplyBatch(b.adds, b.removes)
-	b.pub.Apply(batch)
+	_, _, err := b.pub.apply(batch)
 	return err
 }
 
-// ApplyEntry implements Backend.
+// ApplyEntry implements Backend: a batch of one.
 func (b *SimBackend) ApplyEntry(e route.Entry) error {
-	err := b.fib.Install(kernel.FIBEntry{Net: e.Net, NextHop: e.NextHop, IfName: e.IfName})
-	if err == nil {
-		b.pub.FIBAdd(e)
-	}
+	_, _, err := b.pub.apply(one(e, false))
 	return err
 }
 
-// RemoveEntry implements Backend.
+// RemoveEntry implements Backend: a batch of one.
 func (b *SimBackend) RemoveEntry(net netip.Prefix) bool {
-	ok := b.fib.Remove(net)
-	if ok {
-		b.pub.FIBDelete(route.Entry{Net: net})
-	}
-	return ok
+	_, removed, _ := b.pub.apply(one(route.Entry{Net: net}, true))
+	return removed == 1
 }

@@ -6,16 +6,20 @@
 // atomic pointer flip — and forwards a synthetic packet stream against
 // it from N shared-nothing lookup workers.
 //
-// A batch is one edit session is one generation: Publisher.Apply opens a
-// trie.Edit on the current table, applies every operation of the batch
-// and publishes once. Inside a session a node the session allocated is
+// A batch is one edit session is one generation: Publisher.Apply hands
+// the batch to its kernel.FIB, whose Commit opens a trie.Edit on the FIB's
+// table, applies every operation of the batch and ends the session, and
+// the publisher publishes the version that results. The FIB keeps no
+// other copy: the kernel view and the data plane read one table, and a
+// write made straight to the FIB shows in the data plane at the next
+// publish. Inside a session a node the session allocated is
 // changed in place and any other node is copied first, so a batch copies
 // each touched node at most once and a published snapshot is never
 // written (see the trie package's persistent.go for why the owner mark
 // cannot be confused between sessions). The single-entry FIBAdd and
 // FIBDelete are batches of one: one path copy, one generation. Beside the
 // path copy a publish allocates one object, the Snapshot: it holds the
-// table version by value, and Apply's session stays on the stack.
+// table version by value, and Commit's session stays on the stack.
 //
 // A path copy is the fans the route's address passes — four, the last
 // holding its /16's Patricia trie in its own slot — and the few trie nodes
@@ -36,9 +40,10 @@
 //	RIB stage network
 //	      │  rib.FIBBatch (coalesced adds/replaces/deletes)
 //	      ▼
-//	 fwd.Backend ── sim kernel (kernel.FIB mirror)
+//	 fwd.Backend (SimBackend: a Publisher over a kernel.FIB)
 //	      │
-//	 Publisher.Apply: derive snapshot n+1 from n (one trie edit session)
+//	 Publisher.Apply: kernel.FIB.Commit derives version n+1 from n
+//	                  (one trie edit session); it is snapshot n+1
 //	      │  one atomic pointer flip
 //	      ▼
 //	 ┌─────────┬─────────┬─────────┐

@@ -62,76 +62,254 @@ func TestPublisherBasics(t *testing.T) {
 	}
 }
 
-// randomEntry generates prefixes in 10.0.0.0/8 with varied lengths, so
-// streams collide often enough to exercise replace/delete folding.
-func randomEntry(rng *rand.Rand) route.Entry {
-	bits := 8 + rng.Intn(17) // /8../24
-	v := uint32(10)<<24 | uint32(rng.Intn(1<<16))<<8
-	a := netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), 0})
+// model is the oracle's reference FIB: a map from the masked prefix to
+// its entry, and a longest-prefix match that scans all of it.
+type model map[netip.Prefix]route.Entry
+
+func (m model) lookup(dst netip.Addr) (route.Entry, bool) {
+	var best route.Entry
+	found := false
+	for net, e := range m {
+		if net.Contains(dst) && (!found || net.Bits() > best.Net.Bits()) {
+			best, found = e, true
+		}
+	}
+	return best, found
+}
+
+// modelEntry draws a prefix of 10.0.0.0/13 of length /8…/24, so prefixes
+// nest and repeat often, with a random gateway, interface and metric.
+func modelEntry(rng *rand.Rand) route.Entry {
+	a := netip.AddrFrom4([4]byte{10, byte(rng.Intn(8)), byte(rng.Intn(8) * 32), 0})
 	return route.Entry{
-		Net:     netip.PrefixFrom(a, bits).Masked(),
-		NextHop: netip.AddrFrom4([4]byte{192, 168, byte(rng.Intn(4)), byte(1 + rng.Intn(250))}),
-		IfName:  fmt.Sprintf("eth%d", rng.Intn(3)),
+		Net:      netip.PrefixFrom(a, 8+rng.Intn(17)).Masked(),
+		NextHop:  netip.AddrFrom4([4]byte{192, 168, byte(rng.Intn(4)), byte(1 + rng.Intn(250))}),
+		IfName:   fmt.Sprintf("eth%d", rng.Intn(3)),
+		Metric:   uint32(rng.Intn(100)),
+		Protocol: route.ProtoStatic,
 	}
 }
 
-// TestSnapshotFIBOracle is the differential oracle: the same batch
-// stream applied to a mutexed kernel.FIB (through the SimBackend) and
-// read back through the published snapshots must give byte-identical
-// longest-prefix-match answers at every generation. CI fails on any
-// divergence.
+// kernelView is what the kernel FIB answers for e: no metric, no protocol.
+func kernelView(e route.Entry) kernel.FIBEntry {
+	return kernel.FIBEntry{Net: e.Net, NextHop: e.NextHop, IfName: e.IfName}
+}
+
+// checkAgainst compares the published snapshot and the kernel FIB with
+// m, the model as of that snapshot's publish, and the model as of now
+// for the FIB: Lookup on probes, Get on every prefix, Len, and Walk.
+func checkAgainst(t *testing.T, step int, snap *fwd.Snapshot, fib *kernel.FIB, m model, probes []netip.Addr) {
+	t.Helper()
+	if snap.Len() != len(m) || fib.Len() != len(m) {
+		t.Fatalf("step %d: snapshot holds %d, FIB %d, model %d", step, snap.Len(), fib.Len(), len(m))
+	}
+	for _, a := range probes {
+		want, wantOK := m.lookup(a)
+		got, ok := snap.Lookup(a)
+		if ok != wantOK || ok && !got.Equal(want) {
+			t.Fatalf("step %d: snapshot Lookup(%v) = %v, %v; model %v, %v", step, a, got, ok, want, wantOK)
+		}
+		fe, fok := fib.Lookup(a)
+		if fok != wantOK || fok && fe != kernelView(want) {
+			t.Fatalf("step %d: FIB Lookup(%v) = %v, %v; model %v, %v", step, a, fe, fok, want, wantOK)
+		}
+	}
+	for net, want := range m {
+		if got, ok := snap.Get(net); !ok || !got.Equal(want) {
+			t.Fatalf("step %d: snapshot Get(%v) = %v, %v; model %v", step, net, got, ok, want)
+		}
+	}
+	n := 0
+	snap.Walk(func(got route.Entry) bool {
+		if want, ok := m[got.Net]; !ok || !got.Equal(want) {
+			t.Fatalf("step %d: snapshot walks %v; model %v, %v", step, got, want, ok)
+		}
+		n++
+		return true
+	})
+	fib.Walk(func(got kernel.FIBEntry) bool {
+		if want, ok := m[got.Net]; !ok || got != kernelView(want) {
+			t.Fatalf("step %d: FIB walks %v; model %v, %v", step, got, want, ok)
+		}
+		n--
+		return true
+	})
+	if n != 0 {
+		t.Fatalf("step %d: the snapshot walks %d more entries than the FIB", step, n)
+	}
+}
+
+// TestSnapshotFIBOracle is the differential oracle: 300 random batches
+// of adds, replaces and deletes go through the SimBackend, and after each
+// publish the snapshot and the kernel FIB are compared with a model — a
+// map and a linear-scan longest match. Between batches the test writes
+// straight to the FIB (Install, Remove): the FIB shows such a write at
+// once, the data plane at the next generation.
 func TestSnapshotFIBOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	fib := kernel.NewFIB()
 	backend := fwd.NewSimBackend(fib)
-
-	probes := make([]netip.Addr, 256)
-	for i := range probes {
-		probes[i] = netip.AddrFrom4([4]byte{10, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))})
+	m := model{}
+	anyNet := func() netip.Prefix {
+		for net := range m {
+			return net
+		}
+		return netip.Prefix{}
 	}
 
-	check := func(step int) {
-		snap := backend.Current()
-		if snap.Len() != fib.Len() {
-			t.Fatalf("step %d: snapshot len %d != FIB len %d", step, snap.Len(), fib.Len())
-		}
-		for _, a := range probes {
-			se, sok := snap.Lookup(a)
-			fe, fok := fib.Lookup(a)
-			if sok != fok {
-				t.Fatalf("step %d: probe %v: snapshot found=%v, FIB found=%v", step, a, sok, fok)
-			}
-			if !sok {
-				continue
-			}
-			got := fmt.Sprintf("%v %v %s", se.Net, se.NextHop, se.IfName)
-			want := fmt.Sprintf("%v %v %s", fe.Net, fe.NextHop, fe.IfName)
-			if got != want {
-				t.Fatalf("step %d: probe %v: snapshot %q != FIB %q", step, a, got, want)
-			}
-		}
-	}
-
-	live := make([]netip.Prefix, 0, 512)
 	for step := 0; step < 300; step++ {
 		b := rib.NewFIBBatch()
 		for n := rng.Intn(20) + 1; n > 0; n-- {
-			if len(live) > 0 && rng.Intn(3) == 0 {
-				i := rng.Intn(len(live))
-				b.Delete(route.Entry{Net: live[i]})
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-			} else {
-				e := randomEntry(rng)
-				b.Add(e)
-				live = append(live, e.Net)
+			switch e := modelEntry(rng); {
+			case len(m) > 0 && rng.Intn(3) == 0:
+				net := anyNet()
+				b.Delete(m[net])
+				delete(m, net)
+			case len(m) > 0 && rng.Intn(3) == 0:
+				old := m[anyNet()]
+				e.Net = old.Net
+				b.Replace(old, e)
+				m[e.Net] = e
+			default:
+				if old, ok := m[e.Net]; ok {
+					b.Replace(old, e)
+				} else {
+					b.Add(e)
+				}
+				m[e.Net] = e
 			}
 		}
 		if err := backend.Apply(b); err != nil {
 			t.Fatalf("step %d: apply: %v", step, err)
 		}
-		check(step)
+		probes := make([]netip.Addr, 0, 128)
+		for len(probes) < 128 {
+			probes = append(probes, netip.AddrFrom4([4]byte{10, byte(rng.Intn(9)), byte(rng.Intn(256)), byte(rng.Intn(256))}))
+		}
+		snap := backend.Current()
+		if snap.Gen() != uint64(step+1) {
+			t.Fatalf("step %d: generation %d, want %d", step, snap.Gen(), step+1)
+		}
+		checkAgainst(t, step, snap, fib, m, probes)
+
+		if step%3 != 0 {
+			continue
+		}
+		// A direct write: the FIB has it now, the snapshot only after
+		// the next Apply (checked above on the next step).
+		if e := modelEntry(rng); rng.Intn(2) == 0 || len(m) == 0 {
+			e.Metric, e.Protocol = 0, 0
+			if err := fib.Install(kernel.FIBEntry{Net: e.Net, NextHop: e.NextHop, IfName: e.IfName}); err != nil {
+				t.Fatal(err)
+			}
+			m[e.Net] = e
+		} else {
+			net := anyNet()
+			if !fib.Remove(net) {
+				t.Fatalf("step %d: Remove(%v) found nothing", step, net)
+			}
+			delete(m, net)
+		}
+		if backend.Current() != snap {
+			t.Fatalf("step %d: a direct FIB write published a snapshot", step)
+		}
+		if fib.Len() != len(m) {
+			t.Fatalf("step %d: FIB holds %d after a direct write, model %d", step, fib.Len(), len(m))
+		}
 	}
+}
+
+// TestConcurrentWritersAgree: a batch (Apply) and single-entry writes
+// (ApplyEntry, RemoveEntry) racing on the same prefixes must leave the
+// kernel FIB and the snapshot holding the same routes — each prefix one
+// of the two writes — while a reader sees generations only go forward.
+// While a single-entry write wrote the FIB and the snapshot chain under
+// no lock of the backend's, 5 of 50,000 trials (ten runs) left the FIB on
+// one writer's next hop and the snapshot on the other's.
+func TestConcurrentWritersAgree(t *testing.T) {
+	const trials, shared = 5000, 4
+	fib := kernel.NewFIB()
+	backend := fwd.NewSimBackend(fib)
+	m := model{}
+
+	var stop atomic.Bool
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		last := uint64(0)
+		for !stop.Load() {
+			if g := backend.Current().Gen(); g < last {
+				t.Errorf("generation went backward %d -> %d", last, g)
+				return
+			} else {
+				last = g
+			}
+		}
+	}()
+
+	nets := make([]netip.Prefix, shared)
+	for i := range nets {
+		nets[i] = mustP(fmt.Sprintf("10.0.%d.0/24", i))
+	}
+	viaA, viaB := mustA("192.168.1.1"), mustA("192.168.1.2")
+	divergent := 0
+	for trial := 0; trial < trials; trial++ {
+		own := route.Entry{Net: mustP(fmt.Sprintf("10.1.%d.0/24", trial%256)), NextHop: viaA, IfName: "eth0"}
+		batch := rib.NewFIBBatch()
+		for _, net := range nets {
+			batch.Add(route.Entry{Net: net, NextHop: viaA, IfName: "eth0"})
+		}
+		batch.Add(own)
+		removing := trial%2 == 1
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := backend.Apply(batch); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, net := range nets {
+				if removing {
+					backend.RemoveEntry(net)
+				} else if err := backend.ApplyEntry(route.Entry{Net: net, NextHop: viaB, IfName: "eth1"}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		close(start)
+		wg.Wait()
+
+		snap := backend.Current()
+		m[own.Net] = own
+		for _, net := range nets {
+			got, ok := snap.Get(net)
+			fe, fok := fib.Lookup(net.Addr())
+			if ok != fok || ok && fe != kernelView(got) {
+				divergent++
+			}
+			switch {
+			case !ok && removing:
+				delete(m, net)
+			case ok && (got.NextHop == viaA || got.NextHop == viaB && !removing):
+				m[net] = got
+			default:
+				t.Fatalf("trial %d: %v holds %v, %v: neither writer's", trial, net, got, ok)
+			}
+		}
+	}
+	stop.Store(true)
+	reader.Wait()
+	if divergent != 0 {
+		t.Fatalf("%d of %d trials left the FIB and the snapshot on different next hops", divergent, trials)
+	}
+	checkAgainst(t, trials, backend.Current(), fib, m, []netip.Addr{mustA("10.0.0.1"), mustA("10.0.3.1"), mustA("10.1.7.1"), mustA("10.2.0.1")})
 }
 
 // TestRaceSwapVsLookup runs concurrent snapshot publication against

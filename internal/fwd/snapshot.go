@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"xorp/internal/kernel"
 	"xorp/internal/rib"
 	"xorp/internal/route"
 	"xorp/internal/telemetry"
@@ -13,19 +14,18 @@ import (
 
 // Snapshot is one immutable FIB version: a generation number and a
 // copy-on-write LPM table of route.Stored values, held by value so that a
-// publish is one allocation. A Snapshot never changes after publication;
-// readers may hold one for any length of time and see a consistent
-// forwarding table — exactly the route set after some whole number of
-// applied batches, never a half-applied one.
+// publish is one allocation. The table is the version a kernel.FIB
+// commit returned: the snapshot and the kernel view share it. A Snapshot
+// never changes after publication; readers may hold one for any length of
+// time and see a consistent forwarding table — exactly the route set
+// after some whole number of commits, never a half-applied one.
 type Snapshot struct {
 	gen uint64
 	tbl trie.Persistent[route.Stored]
 }
 
-var emptySnapshot = &Snapshot{}
-
 // Gen returns the snapshot's generation: the number of publications that
-// produced it (the empty table is generation 0).
+// produced it (the version the publisher started from is generation 0).
 func (s *Snapshot) Gen() uint64 { return s.gen }
 
 // Len returns the number of installed entries.
@@ -58,18 +58,24 @@ type Source interface {
 	Current() *Snapshot
 }
 
-// Publisher owns the write side of the RCU-style snapshot chain: each
-// applied rib.FIBBatch derives the next version from the current one in
-// one edit session and publishes it with one atomic pointer store. Writers
-// serialize among themselves on an internal mutex that no reader ever
-// touches; Current is a single atomic load.
+// Publisher publishes versions of a kernel.FIB, RCU-style: each applied
+// rib.FIBBatch is committed to the FIB in one edit session, and the
+// version that results is published with one atomic pointer store.
+// Writers serialize among themselves on an internal mutex that no reader
+// ever touches; Current is a single atomic load.
 //
 // Publisher implements rib.FIBClient, so it can sit directly below a
 // RIB's fib sink, and Source, so workers can chase its snapshots.
 type Publisher struct {
 	cur atomic.Pointer[Snapshot]
+	fib *kernel.FIB
 
-	mu sync.Mutex // serializes Apply/FIBAdd/FIBDelete writers
+	// mu makes a commit and its publish one step, so no publish stores a
+	// version older than the one before it. It guards the scratch a batch
+	// is handed to the FIB in, reused so a batch costs no garbage of its own.
+	mu      sync.Mutex
+	adds    []route.Entry
+	removes []netip.Prefix
 
 	// tracer, when set, receives the StageSnapPub stamp for every prefix
 	// the moment its snapshot is published — the end of a RouteTrace. Set
@@ -77,11 +83,16 @@ type Publisher struct {
 	tracer *telemetry.Tracer
 }
 
-// NewPublisher returns a publisher holding the empty generation-0
-// snapshot.
-func NewPublisher() *Publisher {
-	p := &Publisher{}
-	p.cur.Store(emptySnapshot)
+// NewPublisher returns a publisher over an empty FIB of its own, holding
+// the empty generation-0 snapshot.
+func NewPublisher() *Publisher { return newPublisher(kernel.NewFIB()) }
+
+// newPublisher returns a publisher over fib whose generation 0 is fib's
+// table as it stands: a commit of nothing returns it.
+func newPublisher(fib *kernel.FIB) *Publisher {
+	p := &Publisher{fib: fib}
+	tbl, _, _ := fib.Commit(nil, nil)
+	p.cur.Store(&Snapshot{tbl: tbl})
 	return p
 }
 
@@ -93,57 +104,57 @@ func (p *Publisher) Current() *Snapshot { return p.cur.Load() }
 // publication. Call at assembly time, before traffic flows.
 func (p *Publisher) SetTracer(tr *telemetry.Tracer) { p.tracer = tr }
 
-// Apply derives the next snapshot from the current one by applying the
-// batch's net operations in one trie edit session — each touched node is
-// copied at most once however many of the batch's routes pass through
-// it — and publishes it. The whole batch becomes visible in one pointer
-// flip. Returns the published snapshot.
+// Apply commits the batch's net operations to the FIB in one trie edit
+// session — each touched node is copied at most once however many of the
+// batch's routes pass through it — and publishes the version that
+// results. The whole batch becomes visible in one pointer flip, with
+// whatever was written straight to the FIB since the last publish.
+// Returns the published snapshot.
 func (p *Publisher) Apply(b *rib.FIBBatch) *Snapshot {
+	s, _, _ := p.apply(b)
+	return s
+}
+
+// apply is Apply, also returning what the FIB's Commit reports: how many
+// deletes found an entry and the first invalid add's error.
+func (p *Publisher) apply(b *rib.FIBBatch) (*Snapshot, int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	old := p.cur.Load()
-	edit := old.tbl.Edit()
+	p.adds, p.removes = p.adds[:0], p.removes[:0]
 	b.Ops(func(op rib.FIBOp) {
 		switch op.Kind {
 		case rib.FIBOpAdd, rib.FIBOpReplace:
-			edit.Insert(op.New.Net, op.New.Stored())
+			p.adds = append(p.adds, op.New)
 		case rib.FIBOpDelete:
-			edit.Delete(op.Old.Net)
+			p.removes = append(p.removes, op.Old.Net)
 		}
 	})
-	next := &Snapshot{gen: old.gen + 1, tbl: edit.Publish()}
+	tbl, removed, err := p.fib.Commit(p.adds, p.removes)
+	clear(p.adds) // pins no names or tag lists
+	next := &Snapshot{gen: p.cur.Load().gen + 1, tbl: tbl}
 	p.cur.Store(next)
 	if p.tracer.On(telemetry.StageSnapPub) {
 		p.tracer.StampBatch(telemetry.StageSnapPub, b.Nets)
 	}
-	return next
+	return next, removed, err
 }
 
-// publish1 applies a single-entry mutation as its own generation.
-func (p *Publisher) publish1(mutate func(*trie.Persistent[route.Stored]) *trie.Persistent[route.Stored]) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	old := p.cur.Load()
-	p.cur.Store(&Snapshot{gen: old.gen + 1, tbl: *mutate(&old.tbl)})
+// one returns a batch of one op.
+func one(e route.Entry, del bool) *rib.FIBBatch {
+	b := rib.NewFIBBatch()
+	if del {
+		b.Delete(e)
+	} else {
+		b.Add(e)
+	}
+	return b
 }
 
 // FIBAdd publishes one add or replace as its own generation.
-func (p *Publisher) FIBAdd(e route.Entry) {
-	p.publish1(func(t *trie.Persistent[route.Stored]) *trie.Persistent[route.Stored] {
-		return t.Insert(e.Net, e.Stored())
-	})
-	if p.tracer.On(telemetry.StageSnapPub) {
-		p.tracer.Stamp(telemetry.StageSnapPub, e.Net)
-	}
-}
+func (p *Publisher) FIBAdd(e route.Entry) { p.Apply(one(e, false)) }
 
 // FIBDelete publishes one delete as its own generation.
-func (p *Publisher) FIBDelete(e route.Entry) {
-	p.publish1(func(t *trie.Persistent[route.Stored]) *trie.Persistent[route.Stored] {
-		t, _ = t.Delete(e.Net)
-		return t
-	})
-}
+func (p *Publisher) FIBDelete(e route.Entry) { p.Apply(one(e, true)) }
 
 // FIBApplyBatch implements rib.FIBClient.
 func (p *Publisher) FIBApplyBatch(b *rib.FIBBatch) { p.Apply(b) }

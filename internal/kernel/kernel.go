@@ -1,7 +1,10 @@
 // Package kernel simulates the forwarding plane underneath the FEA: a
 // longest-prefix-match forwarding table (the "kernel FIB"), network
 // interfaces, and a host-local datagram network used to carry routing
-// protocol packets between simulated routers.
+// protocol packets between simulated routers. The FIB's table is the
+// copy-on-write version the FEA publishes as its forwarding snapshot
+// (internal/fwd): one table, which the kernel view and the data plane
+// both read.
 //
 // Substitution note (DESIGN.md §5): the paper's testbed installed routes
 // into the FreeBSD kernel (or Click). The evaluation measures when a
@@ -13,9 +16,11 @@ package kernel
 import (
 	"fmt"
 	"net/netip"
+	"slices"
+	"strings"
 	"sync"
-	"unique"
 
+	"xorp/internal/route"
 	"xorp/internal/trie"
 )
 
@@ -26,27 +31,12 @@ type FIBEntry struct {
 	IfName  string
 }
 
-// fibValue is what the table keeps under FIBEntry.Net: the entry less its
-// key, the interface name interned (zero handle for "": its Value panics).
-type fibValue struct {
-	nextHop netip.Addr
-	ifName  unique.Handle[string]
+func (e FIBEntry) route() route.Entry {
+	return route.Entry{Net: e.Net, NextHop: e.NextHop, IfName: e.IfName}
 }
 
-func (e FIBEntry) value() fibValue {
-	v := fibValue{nextHop: e.NextHop}
-	if e.IfName != "" {
-		v.ifName = unique.Make(e.IfName)
-	}
-	return v
-}
-
-func (v fibValue) entry(net netip.Prefix) FIBEntry {
-	e := FIBEntry{Net: net, NextHop: v.nextHop}
-	if v.ifName != (unique.Handle[string]{}) {
-		e.IfName = v.ifName.Value()
-	}
-	return e
+func fibEntry(e route.Entry) FIBEntry {
+	return FIBEntry{Net: e.Net, NextHop: e.NextHop, IfName: e.IfName}
 }
 
 // Interface is a simulated network interface.
@@ -58,10 +48,14 @@ type Interface struct {
 }
 
 // FIB is the simulated kernel forwarding table. It is safe for concurrent
-// use (the kernel is shared below all processes).
+// use (the kernel is shared below all processes). Its routes are one
+// copy-on-write version: every write is a Commit, and a reader copies the
+// version out under the lock and reads it outside. A write made straight
+// to the FIB (Install, Remove, ApplyBatch) reaches the data plane at the
+// FEA publisher's next publish.
 type FIB struct {
 	mu       sync.Mutex
-	tbl      *trie.Trie[fibValue]
+	tbl      trie.Persistent[route.Stored]
 	ifaces   map[string]*Interface
 	installs uint64
 	removals uint64
@@ -72,10 +66,7 @@ type FIB struct {
 
 // NewFIB returns an empty forwarding table.
 func NewFIB() *FIB {
-	return &FIB{
-		tbl:    trie.New[fibValue](),
-		ifaces: make(map[string]*Interface),
-	}
+	return &FIB{ifaces: make(map[string]*Interface)}
 }
 
 // SetInstallObserver registers a callback invoked on every install.
@@ -92,7 +83,7 @@ func (f *FIB) AddInterface(name string, addr netip.Prefix, mtu int) {
 	f.mu.Unlock()
 }
 
-// Interfaces lists the configured interfaces.
+// Interfaces lists the configured interfaces, sorted by name.
 func (f *FIB) Interfaces() []Interface {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -100,86 +91,94 @@ func (f *FIB) Interfaces() []Interface {
 	for _, i := range f.ifaces {
 		out = append(out, *i)
 	}
+	slices.SortFunc(out, func(a, b Interface) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
 // Install adds or replaces a forwarding entry.
 func (f *FIB) Install(e FIBEntry) error {
-	if !e.Net.IsValid() {
-		return fmt.Errorf("kernel: invalid prefix %v", e.Net)
-	}
-	f.mu.Lock()
-	f.tbl.Insert(e.Net, e.value())
-	f.installs++
-	cb := f.onInstall
-	f.mu.Unlock()
-	if cb != nil {
-		cb(e)
-	}
-	return nil
+	_, _, err := f.Commit([]route.Entry{e.route()}, nil)
+	return err
 }
 
-// ApplyBatch installs adds and deletes removes in one critical section,
-// so a coalesced FIB batch costs one lock round-trip instead of one per
-// entry. Install observers fire after the lock is released — never
-// under it — so an observer may reenter the FIB (Lookup, Len, even
-// Install) without deadlocking, and a slow observer never extends the
-// forwarding table's critical section. The first invalid entry aborts
-// nothing else; its error is returned.
+// ApplyBatch installs adds and deletes removes as one Commit.
 func (f *FIB) ApplyBatch(adds []FIBEntry, removes []netip.Prefix) error {
-	var firstErr error
-	f.mu.Lock()
-	for _, e := range adds {
-		if !e.Net.IsValid() {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("kernel: invalid prefix %v", e.Net)
-			}
-			continue
-		}
-		f.tbl.Insert(e.Net, e.value())
-		f.installs++
+	es := make([]route.Entry, len(adds))
+	for i, e := range adds {
+		es[i] = e.route()
 	}
-	for _, net := range removes {
-		if _, ok := f.tbl.Delete(net); ok {
-			f.removals++
-		}
-	}
-	cb := f.onInstall
-	f.mu.Unlock()
-	if cb != nil {
-		for _, e := range adds {
-			if e.Net.IsValid() {
-				cb(e)
-			}
-		}
-	}
-	return firstErr
+	_, _, err := f.Commit(es, removes)
+	return err
 }
 
 // Remove deletes a forwarding entry.
 func (f *FIB) Remove(net netip.Prefix) bool {
+	_, removed, _ := f.Commit(nil, []netip.Prefix{net})
+	return removed == 1
+}
+
+// Commit is every write to the table: adds and then removes land in one
+// edit session, in one critical section, so a coalesced batch costs one
+// lock round-trip and one path copy per touched node. It returns the
+// version that results, how many removes found an entry, and the first
+// invalid add's error; an invalid add aborts nothing else. Install
+// observers fire after the lock is released — never under it — once per
+// valid add, so an observer may reenter the FIB (Lookup, Len, even
+// Install) without deadlocking, and a slow observer never extends the
+// critical section. The slices are read only during the call.
+func (f *FIB) Commit(adds []route.Entry, removes []netip.Prefix) (trie.Persistent[route.Stored], int, error) {
+	var firstErr error
+	removed := 0
 	f.mu.Lock()
-	_, ok := f.tbl.Delete(net)
-	if ok {
-		f.removals++
+	edit := f.tbl.Edit()
+	for i := range adds {
+		if !adds[i].Net.IsValid() {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("kernel: invalid prefix %v", adds[i].Net)
+			}
+			continue
+		}
+		edit.Insert(adds[i].Net, adds[i].Stored())
+		f.installs++
 	}
+	for _, net := range removes {
+		if edit.Delete(net) {
+			removed++
+		}
+	}
+	f.removals += uint64(removed)
+	f.tbl = edit.Publish()
+	tbl, cb := f.tbl, f.onInstall
 	f.mu.Unlock()
-	return ok
+	if cb != nil {
+		for i := range adds {
+			if adds[i].Net.IsValid() {
+				cb(fibEntry(adds[i]))
+			}
+		}
+	}
+	return tbl, removed, firstErr
+}
+
+// version returns the committed table; it never changes, so it is read
+// outside the lock.
+func (f *FIB) version() trie.Persistent[route.Stored] {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.tbl
 }
 
 // Lookup returns the longest-prefix-match entry for dst.
 func (f *FIB) Lookup(dst netip.Addr) (FIBEntry, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	net, v, ok := f.tbl.LongestMatch(dst)
-	return v.entry(net), ok
+	tbl := f.version()
+	net, v, ok := tbl.LongestMatch(dst)
+	return fibEntry(v.Entry(net)), ok
 }
 
 // Len returns the number of installed entries.
 func (f *FIB) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.tbl.Len()
+	tbl := f.version()
+	return tbl.Len()
 }
 
 // Stats returns cumulative install/removal counters.
@@ -189,9 +188,8 @@ func (f *FIB) Stats() (installs, removals uint64) {
 	return f.installs, f.removals
 }
 
-// Walk visits all entries.
+// Walk visits all entries of the committed table, outside the lock.
 func (f *FIB) Walk(fn func(FIBEntry) bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.tbl.Walk(func(net netip.Prefix, v fibValue) bool { return fn(v.entry(net)) })
+	tbl := f.version()
+	tbl.Walk(func(net netip.Prefix, v route.Stored) bool { return fn(fibEntry(v.Entry(net))) })
 }

@@ -2,10 +2,13 @@ package kernel
 
 import (
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
-	"unsafe"
+
+	"xorp/internal/route"
+	"xorp/internal/trie"
 )
 
 func mustA(s string) netip.Addr   { return netip.MustParseAddr(s) }
@@ -340,12 +343,14 @@ func TestFIBApplyBatch(t *testing.T) {
 	}
 }
 
-// TestFIBValue pins what the table keeps per entry — 32 bytes, the entry
-// less its key — and that reading it back costs no allocation, name
-// included; an entry without a name comes back without one.
+// TestFIBValue pins what the table keeps per entry — a route.Stored, the
+// route less its key (48 bytes, pinned in route_test.go), the one value
+// the FEA's published snapshot holds too — and that reading it back costs
+// no allocation, name included; an entry without a name comes back
+// without one.
 func TestFIBValue(t *testing.T) {
-	if got := unsafe.Sizeof(fibValue{}); got != 32 {
-		t.Errorf("the table's value is %d bytes, want 32", got)
+	if got, want := reflect.TypeOf(NewFIB().tbl), reflect.TypeOf(trie.Persistent[route.Stored]{}); got != want {
+		t.Errorf("the table is a %v, want %v", got, want)
 	}
 	f := NewFIB()
 	named := FIBEntry{Net: mustP("10.0.0.0/8"), NextHop: mustA("192.168.1.1"), IfName: "eth0"}

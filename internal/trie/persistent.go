@@ -5,10 +5,10 @@
 // version can be read forever — lock-free, from any goroutine — while
 // arbitrarily many successors are built beside it.
 //
-// This is the structure underneath internal/fwd's RCU-style FIB
-// snapshots: the forwarding workers chase an atomic pointer to the
-// current version; the write side derives version n+1 from n and flips
-// the pointer. Readers never observe a half-applied batch because no
+// This is the structure underneath the kernel FIB (internal/kernel),
+// whose versions internal/fwd publishes as RCU-style snapshots: the
+// forwarding workers chase an atomic pointer to the current version; the
+// write side derives version n+1 from n and flips the pointer. Readers never observe a half-applied batch because no
 // reachable node is ever mutated.
 //
 // # Layout
@@ -53,8 +53,8 @@
 //
 // Publish hands the version out by value. Edit returns a pointer, so a
 // session is never copied, but one that does not outlive its caller stays
-// on the stack: internal/fwd's publish costs one allocation, its
-// Snapshot, which holds the version in place.
+// on the stack: kernel.FIB.Commit's does, so internal/fwd's publish costs
+// one allocation, its Snapshot, which holds the version in place.
 //
 // A valued node is copied with its value. Copying only the header and
 // leaving val pointing into the old allocation would be 100 bytes
