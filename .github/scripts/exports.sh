@@ -13,7 +13,7 @@
 #   recorded below: lower them here when a change deletes such names.
 set -euo pipefail
 MAX_UNUSED=0
-MAX_TEST_ONLY=45
+MAX_TEST_ONLY=43
 
 cd "$(git rev-parse --show-toplevel)"
 git ls-files --cached --others --exclude-standard -- '*.go' | xargs awk '

@@ -26,7 +26,7 @@ type DampingStage struct {
 	HalfLife      time.Duration // exponential decay half-life
 	MaxPenalty    float64       // penalty ceiling
 
-	state *trie.Trie[*dampState]
+	state *trie.Table[*dampState]
 }
 
 // dampState tracks one prefix's flap history.
@@ -61,7 +61,7 @@ func (d *DampingStage) ensureState(net netip.Prefix) *dampState {
 		return s
 	}
 	s := &dampState{lastUpdate: d.loop.Now()}
-	d.state.Insert(net, s)
+	d.state.Upsert(net, s)
 	return s
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"xorp/internal/eventloop"
 	"xorp/internal/telemetry"
-	"xorp/internal/trie"
 )
 
 // PeerIn is the origin stage of one peering's input branch (§5.1): it
@@ -134,7 +133,6 @@ func (p *PeerIn) PeerDown() *DeletionStage {
 	d := &DeletionStage{base: base{name: "deletion(" + p.peer.Name + ")"}, loop: p.loop, inTable: p.inTable}
 	p.who = &holder{in: p}
 	Splice(p, d)
-	d.it = d.rib.tbl.Iterate()
 	d.task = d.loop.AddTask(d.name, d.step)
 	return d
 }
@@ -168,41 +166,61 @@ type DeletionStage struct {
 	loop    *eventloop.Loop
 	inTable // the routes not yet deleted, which downstream still holds
 	task    *eventloop.Task
-	it      *trie.Iterator[ribSlot]
+	last    netip.Prefix   // the cursor: the last prefix a slice visited
+	batch   []netip.Prefix // a slice's routes, collected before any goes
 	done    bool
 }
 
 // Done reports whether the stage has drained and unplumbed itself.
 func (d *DeletionStage) Done() bool { return d.done }
 
-// step deletes one batch; it is a cooperative background slice (§4),
-// using the safe iterator of §5.3 to survive concurrent route changes.
+// step deletes one batch; it is a cooperative background slice (§4). The
+// safe iterator of §5.3 is a key: the slice resumes after the last prefix
+// the one before it visited, wherever routes came and went meanwhile, and
+// deletes only once its walk is over, since the RIB-in is not written
+// inside its own walk.
 func (d *DeletionStage) step() bool {
-	for work := 0; work < deletionBatch*skipSpan && d.it.Valid(); work++ {
-		net, s, ok := d.it.Entry()
-		d.it.Next()
-		if !ok || d.rib.ref(&s, d.who) == nil {
-			continue // another holder's, or gone while we were paused
+	work, more := 0, false
+	d.batch = d.batch[:0]
+	d.rib.tbl.WalkFrom(d.last, func(net netip.Prefix, s ribSlot) bool {
+		if work >= deletionBatch*skipSpan {
+			more = true
+			return false
 		}
-		work += skipSpan - 1
+		d.last, work = net, work+1
+		if d.rib.ref(&s, d.who) != nil {
+			d.batch = append(d.batch, net)
+			work += skipSpan - 1
+		}
+		return true
+	})
+	for _, net := range d.batch {
 		attrs, _ := d.rib.remove(net, d.who)
 		d.pool.Release(attrs)
 		if d.next != nil {
 			d.next.Delete(d.route(net, attrs))
 		}
 	}
-	d.finishIfEmpty()
+	if !more || d.Len() == 0 {
+		d.finish()
+	}
 	return d.done
 }
 
-// finishIfEmpty unplumbs the drained stage and ends its task; downstream
-// stages never knew it existed.
+// finishIfEmpty finishes the stage once it holds nothing.
 func (d *DeletionStage) finishIfEmpty() {
-	if d.done || d.Len() > 0 && d.it.Valid() {
+	if d.Len() == 0 {
+		d.finish()
+	}
+}
+
+// finish unplumbs the drained stage and ends its task; downstream stages
+// never knew it existed.
+func (d *DeletionStage) finish() {
+	if d.done {
 		return
 	}
 	d.done = true
-	d.it.Close()
 	Unsplice(d)
 	d.task.Stop()
 }

@@ -10,7 +10,7 @@ import (
 // trie for all the PeerIns over one AttrPool and their deletion stages. The
 // decision process finds a prefix here to learn which branches to ask.
 type ribIn struct {
-	tbl   *trie.Trie[ribSlot]
+	tbl   *trie.Table[ribSlot]
 	spare []*holder // emptied lists, kept with their capacity
 	n     int       // (holder, prefix) pairs stored
 }

@@ -245,6 +245,158 @@ func TestDeletionSliceBounds(t *testing.T) {
 	}
 }
 
+// deadDeletes passes everything through and counts, per prefix, the
+// routes carrying dead's attributes that go downstream: deleted, or
+// replaced by a fresh route.
+type deadDeletes struct {
+	base
+	dead *PathAttrs
+	n    map[netip.Prefix]int
+}
+
+func (c *deadDeletes) Add(run []Route) { c.next.Add(run) }
+func (c *deadDeletes) Replace(old, new Route) {
+	if old.Attrs.Equal(c.dead) {
+		c.n[old.Net]++
+	}
+	c.next.Replace(old, new)
+}
+func (c *deadDeletes) Delete(r Route) {
+	if r.Attrs.Equal(c.dead) {
+		c.n[r.Net]++
+	}
+	c.next.Delete(r)
+}
+func (c *deadDeletes) Lookup(net netip.Prefix, r *Route) bool { return c.lookupParent(net, r) }
+
+// TestDeletionCursorSurvivesChurn steps a deletion stage one slice at a
+// time through a dead peering's 2,000 routes, which share the RIB-in with
+// three other holders, and changes the table between slices around the
+// cursor, the last prefix a slice visited: the revived peering announces
+// and withdraws the prefix at the cursor, q1 announces prefixes behind and
+// ahead of it, and q2 withdraws routes of its own on both sides. q0 holds
+// a tenth of the dead routes' prefixes too. The cursor must neither skip
+// an entry when it resumes nor visit one twice: every dead route goes
+// downstream exactly once, nothing of another holder's is touched, and the
+// pool's references are the routes the RIB-in still holds.
+func TestDeletionCursorSurvivesChurn(t *testing.T) {
+	tr := newTestRouter(t, 65000)
+	p := tr.addPeer(t, "p", "10.0.0.1", 65001)
+	qs := addPeers(tr, 3)
+	net := func(j int) netip.Prefix {
+		return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(j >> 8), byte(j), 0}), 24)
+	}
+	idx := func(n netip.Prefix) int { a := n.Addr().As4(); return int(a[1])<<8 | int(a[2]) }
+	announce := func(b *testBranch, attrs *PathAttrs, js ...int) {
+		u := &UpdateMsg{Attrs: attrs}
+		for _, j := range js {
+			u.NLRI = append(u.NLRI, net(j))
+		}
+		b.peerin.ReceiveUpdate(u, tr.localAS)
+	}
+	withdraw := func(b *testBranch, j int) {
+		b.peerin.ReceiveUpdate(&UpdateMsg{Withdrawn: []netip.Prefix{net(j)}}, tr.localAS)
+	}
+	via := func(b *testBranch, ases ...uint16) *PathAttrs { return attrsVia(b.peer.Addr.String(), ases...) }
+
+	// p holds the even indices below 4,000; q0 every fifth of those; q2
+	// the odd multiples of three. q1 takes the other odd ones as it goes.
+	const n = 2000
+	dead := via(p, 65001, 65100)
+	held := [3]map[int]bool{{}, {}, {}}
+	var deadJs []int
+	for j := 0; j < 2*n; j++ {
+		switch {
+		case j%2 == 0:
+			deadJs = append(deadJs, j)
+			if j%10 == 0 {
+				held[0][j] = true
+			}
+		case j%3 == 0:
+			held[2][j] = true
+		}
+	}
+	announce(p, dead, deadJs...)
+	for i, h := range held {
+		for j := range h {
+			announce(qs[i], via(qs[i], qs[i].peer.AS), j)
+		}
+	}
+	tr.settle()
+
+	rec := &deadDeletes{base: base{name: "dead-deletes"}, dead: dead, n: map[netip.Prefix]int{}}
+	Splice(p.peerin, rec)
+	d := p.peerin.PeerDown()
+	if d == nil || d.Len() != n {
+		t.Fatalf("deletion stage holds %v routes, want %d", d, n)
+	}
+	// free returns the nearest index from j on, stepping by dir, that no
+	// holder has taken and q1 may: odd, not a multiple of three.
+	free := func(j, dir int) (int, bool) {
+		for ; j >= 0 && j < 2*n; j += dir {
+			if j%2 == 1 && j%3 != 0 && !held[1][j] {
+				return j, true
+			}
+		}
+		return 0, false
+	}
+	slicesRun := 0
+	for ; !d.Done(); slicesRun++ {
+		d.step()
+		if !d.last.IsValid() || d.Done() {
+			continue
+		}
+		c := idx(d.last)
+		announce(p, via(p, 65001), c)
+		withdraw(p, c)
+		for _, dir := range []int{-1, 1} {
+			if j, ok := free(c+dir*(1+slicesRun%7), dir); ok {
+				held[1][j] = true
+				announce(qs[1], via(qs[1], qs[1].peer.AS), j)
+			}
+			for j := c + dir; j >= 0 && j < 2*n; j += dir {
+				if held[2][j] {
+					delete(held[2], j)
+					withdraw(qs[2], j)
+					break
+				}
+			}
+		}
+	}
+	tr.settle()
+
+	if slicesRun < n/deletionBatch {
+		t.Fatalf("drained in %d slices, fewer than %d routes allow", slicesRun, n)
+	}
+	for _, j := range deadJs {
+		if got := rec.n[net(j)]; got != 1 {
+			t.Errorf("dead route %v went downstream %d times", net(j), got)
+		}
+	}
+	if len(rec.n) != n {
+		t.Errorf("dead routes went downstream for %d prefixes, want %d", len(rec.n), n)
+	}
+	want := 0
+	for i, h := range held {
+		if got := qs[i].peerin.Len(); got != len(h) {
+			t.Errorf("q%d holds %d routes, want %d", i, got, len(h))
+		}
+		for j := range h {
+			r := lookup(tr.sink, net(j))
+			if r == nil || r.Src != qs[i].peer {
+				t.Fatalf("q%d's %v is not downstream: %v", i, net(j), r)
+			}
+		}
+		want += len(h)
+	}
+	if len(tr.sink.tbl) != want || p.peerin.Len() != 0 {
+		t.Fatalf("%d routes downstream, want the %d the other holders keep; the revived peering holds %d", len(tr.sink.tbl), want, p.peerin.Len())
+	}
+	if refs, rib := tr.pool.Refs(), p.peerin.rib; refs != rib.n || rib.n != want {
+		t.Fatalf("pool holds %d references for the RIB-in's %d routes, want %d", refs, rib.n, want)
+	}
+}
+
 func TestPeerFlapDuringBackgroundDeletion(t *testing.T) {
 	// The §5.1.2 scenario: the peering comes back up and re-announces
 	// while the deletion stage is still draining. Downstream must see a

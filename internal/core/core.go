@@ -61,7 +61,7 @@ func (e *ConsistencyError) Error() string {
 // without passing upstream.
 type Checker[R any] struct {
 	name       string
-	tbl        *trie.Trie[R]
+	tbl        *trie.Table[R]
 	violations []*ConsistencyError
 }
 
@@ -76,7 +76,7 @@ func (c *Checker[R]) Add(net netip.Prefix, r R) *ConsistencyError {
 	if _, dup := c.tbl.Get(net); dup {
 		return c.violate(OpAdd, net, "add for prefix already present")
 	}
-	c.tbl.Insert(net, r)
+	c.tbl.Upsert(net, r)
 	return nil
 }
 
@@ -86,7 +86,7 @@ func (c *Checker[R]) Replace(net netip.Prefix, r R) *ConsistencyError {
 	if _, ok := c.tbl.Get(net); !ok {
 		return c.violate(OpReplace, net, "replace for prefix never added")
 	}
-	c.tbl.Insert(net, r)
+	c.tbl.Upsert(net, r)
 	return nil
 }
 

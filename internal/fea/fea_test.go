@@ -381,3 +381,37 @@ func TestGetInterfacesSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestFEALookupIsLongest installs nested /8, /16, /24 and /32 routes with
+// ApplyBatch, most specific first, and asks for an address inside each and
+// outside the next: the answer is the most specific route that covers it,
+// through the FEA's lookup_entry4 handler and through the snapshot the
+// forwarding workers read.
+func TestFEALookupIsLongest(t *testing.T) {
+	p, _, _ := newFEA(t)
+	nets := []string{"10.1.2.3/32", "10.1.2.0/24", "10.1.0.0/16", "10.0.0.0/8"}
+	b := rib.NewFIBBatch()
+	for i, s := range nets {
+		b.Add(route.Entry{Net: mustP(s), NextHop: netip.AddrFrom4([4]byte{192, 168, 1, byte(1 + i)}), IfName: "eth0"})
+	}
+	if err := p.ApplyBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	for addr, want := range map[string]string{
+		"10.1.2.3":   "10.1.2.3/32",
+		"10.1.2.4":   "10.1.2.0/24",
+		"10.1.200.1": "10.1.0.0/16",
+		"10.200.0.1": "10.0.0.0/8",
+		"11.0.0.1":   "",
+	} {
+		a := mustA(addr)
+		got, err := feaServer{p}.LookupEntry4(a)
+		if err != nil || got.Found != (want != "") || got.Found && got.Entry.Net != mustP(want) {
+			t.Errorf("lookup_entry4(%v) = %v %v, %v; want %q", a, got.Found, got.Entry.Net, err, want)
+		}
+		e, ok := p.Snapshots().Current().Lookup(a)
+		if ok != (want != "") || ok && e.Net != mustP(want) {
+			t.Errorf("snapshot Lookup(%v) = %v, %v; want %q", a, e.Net, ok, want)
+		}
+	}
+}

@@ -8,10 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 	"unsafe"
 
-	"xorp/internal/eventloop"
 	"xorp/internal/fwd"
 	"xorp/internal/kernel"
 	"xorp/internal/rib"
@@ -404,9 +402,8 @@ func TestTablesReturnTheKey(t *testing.T) {
 		}
 	}
 
-	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
-	origin := rib.NewOriginTable(loop, route.ProtoStatic)
-	final := rib.NewExtIntStage("extint", rib.NewOriginTable(loop, route.ProtoEBGP), origin)
+	origin := rib.NewOriginTable(route.ProtoStatic)
+	final := rib.NewExtIntStage("extint", rib.NewOriginTable(route.ProtoEBGP), origin)
 	origin.AddRoutes([]route.Entry{e})
 	for name, tbl := range map[string]interface {
 		rib.Table

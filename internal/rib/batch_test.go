@@ -264,40 +264,6 @@ func TestSegmentationInvariant(t *testing.T) {
 	}
 }
 
-// TestDeleteAllBatchStream verifies DeleteAll's chunked runs produce the
-// plain per-route delete stream.
-func TestDeleteAllBatchStream(t *testing.T) {
-	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
-	rec := &streamRec{}
-	p := NewProcess(loop, rec, nil)
-	loop.Dispatch(func() {
-		for i := 0; i < 200; i++ {
-			p.AddRoute(route.ProtoRIP, route.Entry{
-				Net:     netip.PrefixFrom(netip.AddrFrom4([4]byte{40, byte(i), 0, 0}), 16),
-				NextHop: mustA("10.0.0.2"), IfName: "eth1",
-			})
-		}
-	})
-	loop.RunPending()
-	n := len(rec.ops)
-	if n != 200 {
-		t.Fatalf("expected 200 adds, streamed %d", n)
-	}
-	loop.Dispatch(func() { p.Origin(route.ProtoRIP).DeleteAll() })
-	loop.RunPending()
-	if len(rec.ops) != 400 {
-		t.Fatalf("expected 200 deletes, streamed %d ops total", len(rec.ops))
-	}
-	for _, op := range rec.ops[200:] {
-		if op[:6] != "delete" {
-			t.Fatalf("non-delete op in DeleteAll stream: %s", op)
-		}
-	}
-	if p.Len() != 0 {
-		t.Fatalf("%d routes left", p.Len())
-	}
-}
-
 // ---------------------------------------------------------------------
 // FIBBatch folding.
 // ---------------------------------------------------------------------
@@ -456,7 +422,7 @@ func TestFIBBatchNetEffect(t *testing.T) {
 // full stage network with profiling points disabled. The seed paid ~8
 // extra allocations per cycle boxing profiler Logf arguments that were
 // then discarded; the Enabled() guards must keep that at zero, and the
-// trie slab keeps node allocation amortized.
+// tables' node blocks and free lists keep node allocation amortized.
 func TestAddRouteAllocs(t *testing.T) {
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
 	p := NewProcess(loop, nil, nil)

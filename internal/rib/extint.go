@@ -29,7 +29,7 @@ type ExtIntStage struct {
 
 	// announced is the stage's downstream view (both sides merged),
 	// updated in reconcile ahead of the flush that carries the change.
-	announced *trie.Trie[route.Stored]
+	announced *trie.Table[route.Stored]
 	// nexthops indexes the external routes that need resolving by their
 	// nexthop as announced: how it resolves now and the prefixes riding on
 	// it — a bare prefix per route and a struct per nexthop (full-table

@@ -70,7 +70,7 @@ func NewProcess(loop *eventloop.Loop, fib FIBClient, router *xipc.Router) *Proce
 		route.ProtoConnected, route.ProtoStatic, route.ProtoRIP,
 		route.ProtoOSPF, route.ProtoEBGP, route.ProtoIBGP,
 	} {
-		p.origins[proto] = NewOriginTable(loop, proto)
+		p.origins[proto] = NewOriginTable(proto)
 	}
 
 	// Internal side: connected + static, then the IGPs (Figure 7's

@@ -549,22 +549,6 @@ func TestSetRedistFilterAllocs(t *testing.T) {
 	}
 }
 
-func TestOriginDeleteAllBackground(t *testing.T) {
-	p, fib, loop := newRib(t)
-	for i := 0; i < 300; i++ {
-		net := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
-		p.AddRoute(route.ProtoRIP, route.Entry{Net: net, NextHop: mustA("10.0.0.2"), IfName: "eth1", Metric: 1})
-	}
-	if len(fib.tbl) != 300 {
-		t.Fatalf("fib %d", len(fib.tbl))
-	}
-	p.Origin(route.ProtoRIP).DeleteAll()
-	loop.RunPending()
-	if len(fib.tbl) != 0 {
-		t.Fatalf("fib %d after DeleteAll", len(fib.tbl))
-	}
-}
-
 func TestLookupBest(t *testing.T) {
 	p, _, _ := newRib(t)
 	p.AddRoute(route.ProtoStatic, route.Entry{Net: mustP("10.0.0.0/8"), NextHop: mustA("10.0.0.1"), IfName: "eth0"})
@@ -579,6 +563,12 @@ func TestLookupBest(t *testing.T) {
 	}
 	if _, ok := p.LookupBest(mustA("11.0.0.1")); ok {
 		t.Fatal("uncovered address resolved")
+	}
+	// A /24 under the /16 shares its trie below the fans: the deeper of
+	// two matches there answers, not the first one met on the way down.
+	p.AddRoute(route.ProtoStatic, route.Entry{Net: mustP("10.5.1.0/24"), NextHop: mustA("10.0.0.3"), IfName: "eth1"})
+	if e, ok = p.LookupBest(mustA("10.5.1.1")); !ok || e.Net != mustP("10.5.1.0/24") {
+		t.Fatalf("LookupBest under a nested /24: %v %v", e, ok)
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"net/netip"
 	"slices"
 
-	"xorp/internal/eventloop"
 	"xorp/internal/route"
 	"xorp/internal/trie"
 )
@@ -179,10 +178,9 @@ func betterEntry(a, b route.Entry) route.Entry {
 // the route.Entry on every read, and emits changes downstream.
 type OriginTable struct {
 	base
-	loop  *eventloop.Loop
 	proto route.Protocol
 	ad    uint8
-	tbl   *trie.Trie[route.Stored]
+	tbl   *trie.Table[route.Stored]
 
 	// stale marks routes retained across their protocol's death (BGP
 	// graceful-restart semantics, §3's survivability claim): when the
@@ -209,10 +207,9 @@ type OriginTable struct {
 
 // NewOriginTable returns an origin table for proto with its default
 // administrative distance.
-func NewOriginTable(loop *eventloop.Loop, proto route.Protocol) *OriginTable {
+func NewOriginTable(proto route.Protocol) *OriginTable {
 	return &OriginTable{
 		base:  base{name: "origin(" + proto.String() + ")"},
-		loop:  loop,
 		proto: proto,
 		ad:    route.AdminDistance(proto),
 		tbl:   trie.New[route.Stored](),
@@ -325,36 +322,6 @@ func (o *OriginTable) DeleteRoutes(nets []netip.Prefix) int {
 	return removed
 }
 
-// DeleteAll removes every route as a background task (protocol shutdown),
-// using the safe iterator so concurrent changes are harmless. Each task
-// step ships its deletions downstream as one run.
-func (o *OriginTable) DeleteAll() *eventloop.Task {
-	o.stale = nil // everything is going away; no marks to retain
-	it := o.tbl.Iterate()
-	return o.loop.AddTask("delete-all("+o.name+")", func() bool {
-		lockstep := o.lockstep()
-		em := o.emitter()
-		defer o.release(&em)
-		for i := 0; i < 64; i++ {
-			if !it.Valid() {
-				it.Close()
-				return true
-			}
-			net, e, ok := it.Entry()
-			it.Next()
-			if !ok {
-				continue
-			}
-			o.tbl.Delete(net)
-			em.Delete(e.Entry(net))
-			if lockstep {
-				em.Flush()
-			}
-		}
-		return false
-	})
-}
-
 // Empty reports whether the table announces nothing.
 func (o *OriginTable) Empty() bool { return o.tbl.Len() == 0 }
 
@@ -376,7 +343,7 @@ func (o *OriginTable) LookupBest(addr netip.Addr) (route.Entry, bool) {
 
 // getEntry returns the route a table holds exactly at net, rebuilt from
 // the key it is filed under — net masked, not net as the caller wrote it.
-func getEntry(tbl *trie.Trie[route.Stored], net netip.Prefix) (route.Entry, bool) {
+func getEntry(tbl *trie.Table[route.Stored], net netip.Prefix) (route.Entry, bool) {
 	net = net.Masked()
 	if e, ok := tbl.Get(net); ok {
 		return e.Entry(net), true

@@ -75,7 +75,7 @@ type Process struct {
 	tr   Transport
 	rib  RIBClient
 
-	routes    *trie.Trie[*ripRoute]
+	routes    *trie.Table[*ripRoute]
 	updateTmr *eventloop.Timer
 	trigTmr   *eventloop.Timer
 	// batching collects the RIB adds of one received update so they ship
@@ -174,7 +174,7 @@ func (p *Process) InjectLocal(net netip.Prefix, metric uint32, tag uint16) {
 	net = net.Masked()
 	metric = min(max(metric, 1), Infinity-1)
 	r := &ripRoute{net: net, metric: metric, tag: tag, local: true, changed: true}
-	p.routes.Insert(net, r)
+	p.routes.Upsert(net, r)
 	if p.rib != nil {
 		p.ribAdd(route.Entry{Net: net, Metric: metric, IfName: p.cfg.IfName})
 	}
@@ -271,7 +271,7 @@ func (p *Process) processRTE(from netip.Addr, rte RTE) {
 			net: rte.Net, nexthop: nh, metric: metric, tag: rte.Tag,
 			changed: true, learnedVia: from,
 		}
-		p.routes.Insert(rte.Net, r)
+		p.routes.Upsert(rte.Net, r)
 		p.armExpiry(r)
 		p.ribAdd(route.Entry{Net: rte.Net, NextHop: nh, Metric: metric, IfName: p.cfg.IfName})
 		p.scheduleTriggered()

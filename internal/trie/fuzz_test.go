@@ -1,36 +1,40 @@
 package trie
 
 import (
+	"maps"
 	"net/netip"
+	"slices"
 	"testing"
 )
 
-// FuzzTrie differentially fuzzes the trie against a map+linear-scan
-// reference model. The input bytes are decoded as an op stream over both
-// address families: insert, upsert, delete, get, longest-match and update
-// (keeping or declining the slot), with every result cross-checked, plus a
-// full-content sweep at the end.
+// FuzzTrie differentially fuzzes the one table type against a map and
+// linear-scan reference model. The input bytes are decoded as an op stream
+// over both address families: insert, upsert, delete, get, longest-match
+// and update (keeping or declining the entry), with every result
+// cross-checked. After every op the op prefix's LongestMatch and
+// HasEntryInside and the whole Walk are checked against the model — the
+// walk in strictly increasing ComparePrefix order, IPv4 before IPv6, since
+// membership alone would pass a fan that emitted its short prefixes after
+// its kids — and after every mutation the Table's structure is
+// (checkTable), free lists included.
 //
 // A third model rides along: a Persistent chain advanced through edit
-// sessions whose lengths (1…300 mutations) the input also chooses. Every
-// published version must equal the reference model of that moment, and
-// must still equal it after every later session has run. Its longest match
-// goes to a /16's trie before the fans' own short-prefix tries, and reads
-// those deepest first; the checked-in seed deepest_fan_first holds, in
-// each family, a prefix in a depth-2 fan, one in a depth-3 fan and one in
-// a /16's trie, which a shallowest-first scan answers wrongly.
+// sessions whose lengths (1…300 mutations) the input also chooses. Each
+// session also inserts, replaces and deletes the op's prefix around the
+// op itself, so it drops nodes it owns and takes them back from its free
+// lists. Every published version must equal the reference model of that
+// moment, and must still equal it after every later session has run. Its
+// longest match goes to a /16's trie before the fans' own short-prefix
+// tries, and reads those deepest first; the checked-in seed
+// deepest_fan_first holds, in each family, a prefix in a depth-2 fan, one
+// in a depth-3 fan and one in a /16's trie, which a shallowest-first scan
+// answers wrongly.
 //
-// Every Walk — the Trie's and each version's — must also come out in
-// strictly increasing ComparePrefix order, IPv4 before IPv6: membership
-// alone would pass a fan that emitted its short prefixes after its kids.
-//
-// One §5.3 iterator rides along too, pinning the node it stands on so that
-// deletions under it are deferred: op bytes 6–31 move it (even: IterateFrom
-// the op's prefix, odd: Next), every other op byte is one of the six ops
-// above, by op % 6 — the checked-in corpus uses no byte in 6–31, so its
-// inputs keep their meaning. After every mutation the Trie's structure,
-// its /16 index included, is checked (checkInvariants), not only its
-// contents.
+// A §5.3 cursor rides along too: the last prefix a paused walk visited.
+// Op bytes 6–31 move it (even: to the op's prefix, odd: one entry on, with
+// WalkFrom); every other op byte is one of the six ops above, by op % 6 —
+// the checked-in corpus keeps its meaning. Wherever it stands, the rest of
+// the walk resumed from it must be the model's entries after it.
 func FuzzTrie(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 0, 0, 8, 1, 10, 1, 0, 0, 16, 2, 10, 0, 0, 0, 8})
 	f.Add([]byte{0, 1, 2, 3, 4, 32, 4, 1, 2, 3, 4, 32, 2, 1, 2, 3, 4, 32})
@@ -46,11 +50,10 @@ func FuzzTrie(f *testing.F) {
 		5, 10, 0, 0, 0, 8, 0, 10, 0, 0, 0, 8, 5, 10, 0, 0, 0, 8, 5, 10, 128, 0, 0, 9,
 		0, 10, 1, 0, 0, 16, 0, 10, 2, 0, 0, 16, 5, 10, 0, 0, 0, 14, 5, 10, 0, 0, 0, 8,
 	})
-	// The /16 index: a region's top spliced into its only child, valued
-	// (the /16 itself) and glue (the /23 two /24s make); a /15 inserted
-	// above a region's top; a region emptied while the iterator is pinned
-	// on its top, written through the pinned node's slot and left; emptied
-	// again and left empty.
+	// A /16's trie: its top spliced into its only child, valued (the /16
+	// itself) and glue (the /23 two /24s make); a /15 inserted above it in
+	// its fan's own trie; a /16's trie emptied while the cursor stands on
+	// its top, filled again and left; emptied again and left empty.
 	f.Add([]byte{
 		0, 10, 1, 0, 0, 16, 0, 10, 1, 2, 0, 24, 2, 10, 1, 0, 0, 16, 3, 10, 1, 2, 0, 24,
 		0, 10, 2, 2, 0, 24, 0, 10, 2, 3, 0, 24, 2, 10, 2, 3, 0, 24, 3, 10, 2, 2, 0, 24,
@@ -63,41 +66,45 @@ func FuzzTrie(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := New[int]()
 		model := map[netip.Prefix]int{}
-		it := tr.Iterate()
+		var cursor netip.Prefix // invalid: the walk has not started
 
 		type version struct {
 			tbl  *Persistent[int]
 			want map[netip.Prefix]int
 		}
 		var published []version
-		// ordered returns a check that the prefixes it is fed strictly
-		// increase in ComparePrefix order.
-		ordered := func(what string) func(netip.Prefix) {
-			var last netip.Prefix
-			return func(p netip.Prefix) {
-				if last.IsValid() && ComparePrefix(last, p) >= 0 {
-					t.Fatalf("%s yielded %v after %v", what, p, last)
+		// sorted returns the model's prefixes after from in walk order.
+		sorted := func(want map[netip.Prefix]int, from netip.Prefix) []netip.Prefix {
+			var out []netip.Prefix
+			for p := range want {
+				if !from.IsValid() || ComparePrefix(p, from) > 0 {
+					out = append(out, p)
 				}
-				last = p
+			}
+			slices.SortFunc(out, ComparePrefix)
+			return out
+		}
+		// sameWalk checks that walk yields exactly want's entries after
+		// from, in order.
+		sameWalk := func(what string, walk func(func(netip.Prefix, int) bool), want map[netip.Prefix]int, from netip.Prefix) {
+			exp := sorted(want, from)
+			i := 0
+			walk(func(p netip.Prefix, v int) bool {
+				if i >= len(exp) || p != exp[i] || v != want[p] {
+					t.Fatalf("%s after %v yielded (%v,%d) at %d, want %v", what, from, p, v, i, exp)
+				}
+				i++
+				return true
+			})
+			if i != len(exp) {
+				t.Fatalf("%s after %v yielded %d entries, want %d", what, from, i, len(exp))
 			}
 		}
 		checkVersion := func(v version) {
 			if v.tbl.Len() != len(v.want) {
 				t.Fatalf("version Len = %d, recorded %d", v.tbl.Len(), len(v.want))
 			}
-			n := 0
-			inOrder := ordered("version Walk")
-			v.tbl.Walk(func(p netip.Prefix, got int) bool {
-				if w, ok := v.want[p]; !ok || w != got {
-					t.Fatalf("version Walk yielded (%v,%d), recorded (%d,%v)", p, got, w, ok)
-				}
-				inOrder(p)
-				n++
-				return true
-			})
-			if n != len(v.want) {
-				t.Fatalf("version Walk yielded %d entries, recorded %d", n, len(v.want))
-			}
+			sameWalk("version Walk", v.tbl.Walk, v.want, netip.Prefix{})
 		}
 		edit, left := NewPersistent[int]().Edit(), 1
 		// mutated checks tr's structure and counts one session mutation;
@@ -105,21 +112,20 @@ func FuzzTrie(f *testing.F) {
 		// against tr, and the next session's length comes from the op's
 		// bytes.
 		mutated := func(seed int) {
-			checkInvariants(t, tr)
+			checkTable(t, tr)
 			if left--; left > 0 {
 				return
 			}
 			tbl := edit.Publish()
-			v := version{&tbl, make(map[netip.Prefix]int, len(model))}
+			v := version{&tbl, maps.Clone(model)}
 			for p, val := range model {
-				v.want[p] = val
 				if got, ok := v.tbl.Get(p); !ok || got != val {
 					t.Fatalf("session Get(%v) = (%d,%v), model %d", p, got, ok, val)
 				}
 				ep, ev, eok := v.tbl.LongestMatch(p.Addr())
 				tp, tv, tok := tr.LongestMatch(p.Addr())
 				if ep != tp || ev != tv || eok != tok {
-					t.Fatalf("session LongestMatch(%v) = (%v,%d,%v), trie (%v,%d,%v)", p.Addr(), ep, ev, eok, tp, tv, tok)
+					t.Fatalf("session LongestMatch(%v) = (%v,%d,%v), table (%v,%d,%v)", p.Addr(), ep, ev, eok, tp, tv, tok)
 				}
 			}
 			checkVersion(v)
@@ -127,6 +133,15 @@ func FuzzTrie(f *testing.F) {
 			edit = v.tbl.Edit()
 			if left = 1 + seed%8; seed%3 == 0 {
 				left = 1 + seed%300
+			}
+		}
+		// churn inserts, replaces and deletes p in the session, leaving it
+		// as it was: the nodes it drops go on the session's free lists.
+		churn := func(p netip.Prefix, step int) {
+			if _, had := model[p]; !had {
+				edit.Insert(p, -step)
+				edit.Insert(p, ^step)
+				edit.Delete(p)
 			}
 		}
 
@@ -171,18 +186,6 @@ func FuzzTrie(f *testing.F) {
 			return op, p, true
 		}
 
-		// first is where the model says the iterator stands: its least entry
-		// at or after p (strictly after, if strict), or the zero prefix.
-		first := func(p netip.Prefix, strict bool) (w netip.Prefix) {
-			for e := range model {
-				c := ComparePrefix(e, p)
-				if (c > 0 || c == 0 && !strict) && (!w.IsValid() || ComparePrefix(e, w) < 0) {
-					w = e
-				}
-			}
-			return w
-		}
-
 		step := 0
 		for {
 			op, p, ok := next()
@@ -190,46 +193,30 @@ func FuzzTrie(f *testing.F) {
 				break
 			}
 			step++
-			if op >= 6 && op < 32 { // the iterator
-				var want netip.Prefix
-				if op%2 == 0 {
-					want = first(p, false)
-					it.Close()
-					it = tr.IterateFrom(p)
-				} else if it.Valid() {
-					want = first(it.Prefix(), true)
-					it.Next()
+			switch {
+			case op >= 6 && op < 32 && op%2 == 0: // the cursor, moved to p
+				cursor = p
+			case op >= 6 && op < 32: // the cursor, one entry on
+				want := sorted(model, cursor)
+				got, v, ok := netip.Prefix{}, 0, false
+				tr.WalkFrom(cursor, func(q netip.Prefix, w int) bool { got, v, ok = q, w, true; return false })
+				if ok != (len(want) > 0) || ok && (got != want[0] || v != model[got]) {
+					t.Fatalf("cursor after %v stepped to (%v,%d,%v), model %v", cursor, got, v, ok, want)
 				}
-				got, v, ok := it.Entry()
-				if got != want || ok != want.IsValid() || ok && v != model[want] {
-					t.Fatalf("iterator at (%v,%d,%v), model %v", got, v, ok, want)
+				if ok {
+					cursor = got
 				}
-				checkInvariants(t, tr) // leaving a node may have removed it
-				continue
-			}
-			switch op % 6 {
-			case 0: // Insert
-				wantReplaced := false
-				if _, had := model[p]; had {
-					wantReplaced = true
-				}
-				replaced, err := tr.Insert(p, step)
-				if err != nil || replaced != wantReplaced {
-					t.Fatalf("Insert(%v) = %v, %v; model replaced=%v", p, replaced, err, wantReplaced)
-				}
-				model[p] = step
-				edit.Insert(p, step)
-				mutated(step*7 + p.Bits())
-			case 1: // Upsert
+			case op%6 == 0 || op%6 == 1: // Insert, Upsert
 				wantOld, wantExisted := model[p]
 				old, existed := tr.Upsert(p, step)
 				if existed != wantExisted || old != wantOld {
 					t.Fatalf("Upsert(%v) = (%d,%v), model (%d,%v)", p, old, existed, wantOld, wantExisted)
 				}
+				churn(p, step)
 				model[p] = step
 				edit.Insert(p, step)
 				mutated(step*7 + p.Bits())
-			case 2: // Delete
+			case op%6 == 2: // Delete
 				wantOld, wantExisted := model[p]
 				old, existed := tr.Delete(p)
 				if existed != wantExisted || old != wantOld {
@@ -239,30 +226,16 @@ func FuzzTrie(f *testing.F) {
 				if removed := edit.Delete(p); removed != wantExisted {
 					t.Fatalf("session Delete(%v) = %v, model %v", p, removed, wantExisted)
 				}
+				churn(p, step)
 				mutated(step*7 + p.Bits())
-			case 3: // Get
+			case op%6 == 3: // Get
 				wantV, wantOK := model[p]
 				v, ok := tr.Get(p)
 				if ok != wantOK || v != wantV {
 					t.Fatalf("Get(%v) = (%d,%v), model (%d,%v)", p, v, ok, wantV, wantOK)
 				}
-			case 4: // LongestMatch on the prefix's address
-				addr := p.Addr()
-				var bestP netip.Prefix
-				bestLen, found := -1, false
-				for q := range model {
-					if q.Addr().Is4() == addr.Is4() && q.Contains(addr) && q.Bits() > bestLen {
-						bestP, bestLen, found = q, q.Bits(), true
-					}
-				}
-				gp, gv, ok := tr.LongestMatch(addr)
-				if ok != found || (ok && gp != bestP) {
-					t.Fatalf("LongestMatch(%v) = (%v,%v), model (%v,%v)", addr, gp, ok, bestP, found)
-				}
-				if ok && gv != model[bestP] {
-					t.Fatalf("LongestMatch(%v) value %d, model %d", addr, gv, model[bestP])
-				}
-			case 5: // Update: every fourth step declines, else stores step
+			case op%6 == 4: // LongestMatch, checked below for every op
+			case op%6 == 5: // Update: every fourth step declines, else stores step
 				wantV, wantExisted := model[p]
 				keep := step%4 != 0
 				tr.Update(p, func(v *int, existed bool) bool {
@@ -273,33 +246,38 @@ func FuzzTrie(f *testing.F) {
 					return keep
 				})
 				if keep {
+					churn(p, step)
 					model[p] = step
 					edit.Insert(p, step)
 				} else {
 					delete(model, p)
 					edit.Delete(p)
+					churn(p, step)
 				}
 				mutated(step*7 + p.Bits())
 			}
-		}
-		it.Close() // performs any removal its pin deferred
-		checkInvariants(t, tr)
 
-		if tr.Len() != len(model) {
-			t.Fatalf("Len = %d, model %d", tr.Len(), len(model))
-		}
-		walked := 0
-		inOrder := ordered("Walk")
-		tr.Walk(func(p netip.Prefix, v int) bool {
-			if mv, ok := model[p]; !ok || mv != v {
-				t.Fatalf("Walk yielded (%v,%d), model has (%d,%v)", p, v, mv, ok)
+			addr := p.Addr()
+			var bestP netip.Prefix
+			bestLen, found, inside := -1, false, false
+			for q := range model {
+				if q.Addr().Is4() == addr.Is4() && q.Contains(addr) && q.Bits() > bestLen {
+					bestP, bestLen, found = q, q.Bits(), true
+				}
+				inside = inside || q.Addr().Is4() == addr.Is4() && q.Bits() > p.Bits() && p.Contains(q.Addr())
 			}
-			inOrder(p)
-			walked++
-			return true
-		})
-		if walked != len(model) {
-			t.Fatalf("Walk yielded %d entries, model %d", walked, len(model))
+			gp, gv, ok := tr.LongestMatch(addr)
+			if ok != found || ok && (gp != bestP || gv != model[bestP]) {
+				t.Fatalf("LongestMatch(%v) = (%v,%d,%v), model (%v,%v)", addr, gp, gv, ok, bestP, found)
+			}
+			if got := tr.HasEntryInside(p); got != inside {
+				t.Fatalf("HasEntryInside(%v) = %v, model %v", p, got, inside)
+			}
+			if tr.Len() != len(model) {
+				t.Fatalf("Len = %d, model %d", tr.Len(), len(model))
+			}
+			sameWalk("Walk", tr.Walk, model, netip.Prefix{})
+			sameWalk("WalkFrom", func(fn func(netip.Prefix, int) bool) { tr.WalkFrom(cursor, fn) }, model, cursor)
 		}
 
 		left = 1

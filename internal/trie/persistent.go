@@ -1,89 +1,60 @@
-// Persistent is the copy-on-write sibling of Trie: an immutable
-// longest-prefix-match table where every mutation returns a new version
-// sharing all untouched structure with its predecessor. One route change
-// copies only the path from the root to the changed prefix, so a published
-// version can be read forever — lock-free, from any goroutine — while
-// arbitrarily many successors are built beside it.
-//
-// This is the structure underneath the kernel FIB (internal/kernel),
-// whose versions internal/fwd publishes as RCU-style snapshots: the
-// forwarding workers chase an atomic pointer to the current version; the
-// write side derives version n+1 from n and flips the pointer. Readers never observe a half-applied batch because no
-// reachable node is ever mutated.
+// Persistent is an immutable table version: a change copies only the path
+// from the root to its prefix, so a published version is read lock-free
+// while successors are built beside it — the kernel FIB's table, whose
+// versions internal/fwd publishes as RCU-style snapshots.
 //
 // # Layout
 //
-// The first fanLevels nibbles of an address are resolved by 16-way fan
-// nodes, one nibble a level. The last fan's sixteen slots are not fans but
-// Patricia roots: each holds the trie of every prefix sharing those
-// leading 16 bits, a /16's trie for IPv4. A prefix too short to name a
-// slot of the fan it reaches (the ≤ 15 of length 4d…4d+3 at level d) lives
-// in that fan's own small Patricia trie. In a full IPv4 table the top
-// levels of a binary trie are an almost complete tree, so the fans replace
-// ≈ 16 of the 18 nodes on the path to a route with fanLevels: those fans,
-// plus the few Patricia nodes of the /16's trie, are what one route change
-// copies. A fan above the last level and the last one are two allocation
-// shapes, a header and an array of sixteen pointers, in the same 160-byte
-// size class. Both families use the same code; IPv4 keys sit in the top
-// 32 bits.
+// The first fanLevels nibbles of an address are resolved by 16-way fans,
+// one nibble a level. The last fan's sixteen slots are Patricia roots,
+// each the trie of every prefix sharing those leading 16 bits (a /16's
+// trie for IPv4). A prefix too short to name a slot of the fan it reaches
+// (length 4d…4d+3 at depth d) lives in that fan's own small trie. In a
+// full IPv4 table the top of a binary trie is an almost complete tree, so
+// the fans replace ≈ 16 of the 18 nodes on the path to a route. A lookup
+// reads the /16's trie first and the fans' own tries only when nothing
+// there matched, deepest fan first: a deeper match is the longer one.
 //
-// A lookup goes down the fans to its /16's trie first, and reads the
-// fans' own tries only when nothing there matched, deepest fan first: a
-// deeper match is always the longer one. On the repo benchmark's forward
-// workload (seed 1) the /16's trie answers 93.0 % of the timed lookups;
-// 1.8 % are answered by a fan's own trie and 5.1 % miss, so only 6.9 %
-// read the short-prefix tries at all (seed 2: 94.3, 0.8 and 4.9 %).
-//
-// A Patricia node is 48 bytes when it is glue. A valued node is one
-// allocation of the same header followed by its value, the header's val
-// pointing at its own tail; as in Trie, no node stores a netip.Prefix —
-// key, length and the root it hangs under are the prefix, rebuilt on the
-// way out of LongestMatch and Walk.
+// A glue node is a 48-byte header, always with two children; a valued
+// node is the header and its value in one allocation. No node stores a
+// netip.Prefix: key, length and root are the prefix. A valued node is
+// copied with its value: a copy pointing into the old allocation would pin
+// one old version of the subtree below (TestPersistentChurnHoldsOneVersion).
 //
 // # Edit sessions and the owner mark
 //
-// A batch of changes is built with an Edit session (Persistent.Edit …
-// Edit.Publish). Every node and fan carries the id of the session that
-// allocated it. A session writing one it owns mutates it in place —
-// nothing else can reach it yet, because the session's roots stay
-// private until Publish — and copies any other first, taking ownership
-// of the copy. So a batch copies each touched node at most once instead
-// of once per change, and a node reachable from a published version is
-// still never written.
+// A batch is built in an Edit session (Persistent.Edit … Edit.Publish).
+// Every node and fan carries the id of the session that allocated it. A
+// session writes the ones it owns in place — its roots stay private until
+// Publish — and copies any other first, so a batch copies each touched
+// node at most once and a node reachable from a published version is never
+// written. Every write is one descent (session.put): on the way back up a
+// node is copied, or written when owned, only if the pointer below it
+// changed; Insert, Delete and Table.Update are its three cases. A session
+// that does not outlive its caller stays on the stack (kernel.FIB.Commit's).
 //
-// Publish hands the version out by value. Edit returns a pointer, so a
-// session is never copied, but one that does not outlive its caller stays
-// on the stack: kernel.FIB.Commit's does, so internal/fwd's publish costs
-// one allocation, its Snapshot, which holds the version in place.
+// Ids come from one process-wide 48-bit counter that panics rather than
+// wrap: a repeated id would take nodes a reader holds for its own. Publish
+// zeroes the session's id. Id 0 owns nothing; Persistent.Insert and Delete
+// run in that mode. The mark is three uint16s, so that it and the prefix
+// length fill the header's last eight bytes (TestPnodeSize).
 //
-// A valued node is copied with its value. Copying only the header and
-// leaving val pointing into the old allocation would be 100 bytes
-// cheaper per copy and would pin the old node — and through its stale
-// child pointers one old version of the subtree below it — for as long
-// as the copy lives: a table under churn grows by one dead subtree per
-// valued interior node (TestPersistentChurnHoldsOneVersion). For the same
-// reason a valued node that turns glue is replaced by a fresh 48-byte
-// one, not kept with a dead tail.
+// # Reuse
 //
-// That last claim of the paragraph before rests on session ids never
-// repeating. Ids come from one process-wide 48-bit counter (every
-// Persistent of every element type, every fwd.Publisher, draws from it)
-// and a session panics rather than wrap: at a million sessions a second
-// the counter lasts nine years. A narrower or per-table mark (say
-// uint32(generation)) would repeat, and a session whose id repeated would
-// take nodes a reader still holds for its own. Publish zeroes the
-// session's id, so the mark dies there: no later session can own what it
-// built, and a published session cannot be edited further. Id 0 owns
-// nothing; Insert and Delete run in that mode and therefore always copy.
-//
-// The mark is three uint16s so that it and the prefix length fill the
-// header's last eight bytes (sizes pinned by TestPnodeSize).
+// A node a session owns and drops was never reachable from anything
+// published, so the session zeroes it onto one of two free lists (valued
+// and glue) and takes new nodes from them first: churn allocates nothing.
+// Only nodes that pass the owner check are recycled. A Table also takes
+// new nodes from blocks of blockNodes, which a publishing session never
+// does (one live node would pin a block of dead versions), and keeps a fan
+// once it has emptied, which a publishing session prunes.
 
 package trie
 
 import (
 	"net/netip"
 	"sync/atomic"
+	"unsafe"
 )
 
 // editIDBits is the width of the owner mark.
@@ -102,15 +73,12 @@ func ownerMark(id uint64) owner {
 // is reports whether the mark is session id's. Id 0 owns nothing.
 func (o owner) is(id uint64) bool { return id != 0 && o == ownerMark(id) }
 
-// pnode is one Patricia node of a Persistent table. Like Trie's node it
-// is either valued or structural glue, and carries its prefix bits
-// precomputed as a 128-bit word key so traversal never touches address
-// bytes. Unlike Trie's node it has no parent pointer (paths are copied
-// root-down) and is never mutated once reachable from a published root.
+// pnode is one Patricia node, valued or glue. It has no parent pointer:
+// paths are copied root-down.
 type pnode[T any] struct {
 	key   key128
-	child [2]*pnode[T]
-	val   *T // nil marks glue; otherwise the v of the valued[T] this node heads
+	child [2]*pnode[T] // a free node's child[0] is the next free one
+	val   *T           // nil marks glue; otherwise the v of the valued[T] this node heads
 	owner owner
 	bits  uint8
 }
@@ -121,45 +89,18 @@ type valued[T any] struct {
 	v T
 }
 
-// newValued returns a node owned by session id with hdr's key, length and
-// children, holding v.
-func newValued[T any](id uint64, hdr pnode[T], v T) *pnode[T] {
-	a := &valued[T]{pnode: hdr, v: v}
-	a.val = &a.v
-	a.owner = ownerMark(id)
-	return &a.pnode
-}
-
-// newLeaf returns a valued, childless node owned by session id.
-func newLeaf[T any](id uint64, k key128, pb uint8, v T) *pnode[T] {
-	return newValued(id, pnode[T]{key: k, bits: pb}, v)
-}
-
-// newGlue returns a valueless node owned by session id.
-func newGlue[T any](id uint64, k key128, bits uint8, child [2]*pnode[T]) *pnode[T] {
-	return &pnode[T]{key: k, bits: bits, child: child, owner: ownerMark(id)}
-}
+// blockNodes is how many nodes a Table allocates at once: with the
+// allocator's 8-byte header, 127 of the RIB's 96-byte valued nodes fill the
+// 12,288-byte size class, of BGP's 64-byte ones 8,192, of 48-byte glue
+// 6,144; a 128th spills each into the next class.
+const blockNodes = 127
 
 // covers reports whether n's prefix covers (k, kb).
 func (n *pnode[T]) covers(k key128, kb uint8) bool {
 	return n.bits <= kb && k.hasPrefix(n.key, n.bits)
 }
 
-// own returns the node session id may write in n's place: n itself when
-// the session allocated it, otherwise a copy — value included, see the
-// file header — marked as the session's.
-func (n *pnode[T]) own(id uint64) *pnode[T] {
-	switch {
-	case n.owner.is(id):
-		return n
-	case n.val != nil:
-		return newValued(id, *n, *n.val)
-	}
-	return newGlue(id, n.key, n.bits, n.child)
-}
-
 // fanLevels is how many leading nibbles of an address the fans resolve.
-// CHANGES.md (PR 22) has the table of 2, 3 and 4 it was chosen from.
 const fanLevels = 4
 
 // fan is one 16-way level of the top of a table. sub holds, for a fan at
@@ -188,7 +129,9 @@ type rooted[T any] struct {
 // nibble returns nibble d (0 = most significant) of k, d < 16.
 func (k key128) nibble(d uint8) int { return int(k.hi>>(60-4*d)) & 15 }
 
-// own is pnode.own for a fan; a nil f yields an empty fan for depth.
+// own returns the fan session id may write in f's place: f itself when
+// the session allocated it, otherwise a copy marked as the session's; a
+// nil f yields an empty fan for depth.
 func (f *fan[T]) own(id uint64, depth uint8) *fan[T] {
 	switch {
 	case f != nil && f.owner.is(id):
@@ -209,67 +152,18 @@ func (f *fan[T]) own(id uint64, depth uint8) *fan[T] {
 	return &a.fan
 }
 
-// insert returns a fan equal to f, which sits at depth, with (k, pb, v)
-// stored; what session id does not own on the way is copied.
-func (f *fan[T]) insert(id uint64, depth uint8, k key128, pb uint8, v T, added *bool) *fan[T] {
-	c := f.own(id, depth)
-	i := k.nibble(depth)
-	switch {
-	case pb < 4*(depth+1):
-		c.sub = insertP(c.sub, id, k, pb, v, added)
-	case c.tries != nil:
-		c.tries[i] = insertP(c.tries[i], id, k, pb, v, added)
-	default:
-		c.kids[i] = c.kids[i].insert(id, depth+1, k, pb, v, added)
+// holds reports whether slot i of f holds an entry. A Table keeps emptied
+// fans, so a fan in a slot may hold nothing.
+func (f *fan[T]) holds(i int) bool {
+	if f.tries != nil {
+		return f.tries[i] != nil
 	}
-	return c
-}
-
-// remove returns a fan equal to f with the value at (k, pb) removed: f
-// itself when there was none, nil when that empties it.
-func (f *fan[T]) remove(id uint64, depth uint8, k key128, pb uint8, removed *bool) *fan[T] {
-	if f == nil {
-		return nil
+	k := f.kids[i]
+	if k == nil || k.sub != nil {
+		return k != nil
 	}
-	var (
-		sub = f.sub
-		kid *fan[T]
-		tri *pnode[T]
-		i   = -1
-	)
-	switch {
-	case pb < 4*(depth+1):
-		sub = deleteP(sub, id, k, pb, removed)
-	case f.tries != nil:
-		i = k.nibble(depth)
-		tri = deleteP(f.tries[i], id, k, pb, removed)
-	default:
-		i = k.nibble(depth)
-		kid = f.kids[i].remove(id, depth+1, k, pb, removed)
-	}
-	if !*removed {
-		return f
-	}
-	if sub == nil && kid == nil && tri == nil && !f.hasKidBut(i) {
-		return nil
-	}
-	c := f.own(id, depth)
-	c.sub = sub
-	switch {
-	case i < 0:
-	case c.tries != nil:
-		c.tries[i] = tri
-	default:
-		c.kids[i] = kid
-	}
-	return c
-}
-
-// hasKidBut reports whether f has a fan or a trie in any slot other than
-// skip.
-func (f *fan[T]) hasKidBut(skip int) bool {
-	for i := range 16 {
-		if i != skip && (f.kids != nil && f.kids[i] != nil || f.tries != nil && f.tries[i] != nil) {
+	for j := range 16 {
+		if k.holds(j) {
 			return true
 		}
 	}
@@ -291,29 +185,6 @@ func (f *fan[T]) trieOf(k key128, pb uint8) *pnode[T] {
 	return nil
 }
 
-// walk visits every entry under f, which sits at depth, in address order.
-// A fan's own prefixes are shorter than anything under its slots, so each
-// goes out after the slots whose addresses precede it and before the slot
-// it covers the start of.
-func (f *fan[T]) walk(depth uint8, v4 bool, fn func(netip.Prefix, T) bool) bool {
-	if f == nil {
-		return true
-	}
-	emit := func(n *pnode[T]) bool { return fn(prefixOf(n.key, n.bits, v4), *n.val) }
-	next := 0
-	slotsBelow := func(end int) bool {
-		for ; next < end; next++ {
-			if f.tries != nil && !walkP(f.tries[next], emit) || f.kids != nil && !f.kids[next].walk(depth+1, v4, fn) {
-				return false
-			}
-		}
-		return true
-	}
-	return walkP(f.sub, func(n *pnode[T]) bool {
-		return slotsBelow(n.key.nibble(depth)) && emit(n)
-	}) && slotsBelow(16)
-}
-
 // Persistent is an immutable LPM table version. The zero value is the
 // usable empty table; Insert and Delete return new versions and never
 // modify the receiver. Methods on a *Persistent are safe for concurrent
@@ -330,13 +201,296 @@ func NewPersistent[T any]() *Persistent[T] { return &Persistent[T]{} }
 // Len returns the number of valued entries.
 func (t *Persistent[T]) Len() int { return t.size }
 
+// session is the writer of a table: the version it is building, the id
+// that marks the nodes it owns, and what it keeps for reuse (see Reuse in
+// the file header).
+type session[T any] struct {
+	tbl          Persistent[T]
+	id           uint64
+	freeV, freeG *pnode[T] // dropped valued and glue nodes, zeroed
+	table        bool      // a Table's: never publishes, so blocks and kept fans
+	blockV       []valued[T]
+	blockG       []pnode[T]
+	scratch      *T // what an update is handed for an absent prefix; zero between writes
+}
+
+// update is Table.Update's callback. The descent passes it beside the
+// write, never inside it: a closure stored in a struct whose contents
+// reach the heap would escape with them.
+type update[T any] func(v *T, existed bool) (keep bool)
+
+// write is one change to one prefix as the descent applies it: store v,
+// delete, or, with an update, whatever the update decides.
+type write[T any] struct {
+	v       T
+	old     T // the value the prefix held, for the fixed cases
+	del     bool
+	existed bool
+	kept    bool
+}
+
+// inPlace applies w, or fn, to an entry the session owns, and reports
+// whether the entry stays.
+func (w *write[T]) inPlace(v *T, fn update[T]) bool {
+	w.existed = true
+	if fn != nil {
+		w.kept = fn(v, true)
+		return w.kept
+	}
+	w.old = *v
+	if w.kept = !w.del; w.kept {
+		*v = w.v
+	}
+	return w.kept
+}
+
+// fresh applies w, or fn, where the result needs a node of its own: the
+// prefix is absent (cur nil), or its node is not the session's to write.
+// It returns the value to store, and whether to store one.
+func (s *session[T]) fresh(w *write[T], cur *T, fn update[T]) (v T, keep bool) {
+	w.existed = cur != nil
+	if fn == nil {
+		if cur != nil {
+			w.old = *cur
+		}
+		w.kept = !w.del
+		return w.v, w.kept
+	}
+	if cur != nil {
+		*s.scratch = *cur
+	}
+	w.kept = fn(s.scratch, w.existed)
+	v = *s.scratch
+	var zero T
+	*s.scratch = zero
+	return v, w.kept
+}
+
+// write applies w, or fn, at p (masked first); an invalid prefix is
+// ignored.
+func (s *session[T]) write(p netip.Prefix, w *write[T], fn update[T]) {
+	if !p.IsValid() {
+		return
+	}
+	p = p.Masked()
+	root, _ := s.tbl.root(p.Addr())
+	*root = s.putFan(*root, 0, keyOf(p.Addr()), uint8(p.Bits()), w, fn)
+	switch {
+	case w.kept && !w.existed:
+		s.tbl.size++
+	case w.existed && !w.kept:
+		s.tbl.size--
+	}
+}
+
+// putFan returns f, which sits at depth, with the write applied at
+// (k, pb): f itself when nothing under it moved, nil when a publishing
+// session empties it.
+func (s *session[T]) putFan(f *fan[T], depth uint8, k key128, pb uint8, w *write[T], fn update[T]) *fan[T] {
+	var (
+		i       = k.nibble(depth)
+		sub     = pb < 4*(depth+1)
+		n, m    *pnode[T]
+		kid, nk *fan[T]
+	)
+	switch {
+	case sub:
+		if f != nil {
+			n = f.sub
+		}
+		m = s.put(n, k, pb, w, fn)
+	case depth == fanLevels-1:
+		if f != nil {
+			n = f.tries[i]
+		}
+		m = s.put(n, k, pb, w, fn)
+	default:
+		if f != nil {
+			kid = f.kids[i]
+		}
+		nk = s.putFan(kid, depth+1, k, pb, w, fn)
+	}
+	if m == n && nk == kid {
+		return f
+	}
+	if m == nil && nk == nil && !s.table && (sub || f.sub == nil) {
+		empty := true
+		for j := range 16 {
+			empty = empty && (j == i && !sub || !f.holds(j))
+		}
+		if empty {
+			return nil // a publishing session prunes an emptied fan
+		}
+	}
+	c := f.own(s.id, depth)
+	switch {
+	case sub:
+		c.sub = m
+	case c.tries != nil:
+		c.tries[i] = m
+	default:
+		c.kids[i] = nk
+	}
+	return c
+}
+
+// put returns the root of a subtree equal to n with the write applied at (k, pb):
+// n itself when no pointer under it changed. A node the session does not
+// own is copied before it is written, and only then; a node it owns and
+// drops is recycled.
+func (s *session[T]) put(n *pnode[T], k key128, pb uint8, w *write[T], fn update[T]) *pnode[T] {
+	switch {
+	case n == nil:
+		if v, keep := s.fresh(w, nil, fn); keep {
+			return s.valued(pnode[T]{key: k, bits: pb}, v)
+		}
+		return nil
+	case n.bits == pb && n.key == k:
+		return s.at(n, w, fn)
+	case n.covers(k, pb):
+		b := k.bit(n.bits)
+		c := s.put(n.child[b], k, pb, w, fn)
+		if c == n.child[b] {
+			return n
+		}
+		if c == nil && n.val == nil {
+			// A glue node left with one child splices out.
+			other := n.child[1-b]
+			s.recycle(n)
+			return other
+		}
+		m := s.own(n)
+		m.child[b] = c
+		return m
+	}
+	v, keep := s.fresh(w, nil, fn)
+	if !keep {
+		return n
+	}
+	if pb < n.bits && n.key.hasPrefix(k, pb) {
+		// p covers n: the new node takes n as its child.
+		m := s.valued(pnode[T]{key: k, bits: pb}, v)
+		m.child[n.key.bit(pb)] = n
+		return m
+	}
+	// Diverge: glue node at the longest common prefix of p and n.
+	gb := commonPrefixLen(k, n.key, min(pb, n.bits))
+	g := s.glue(pnode[T]{key: k.masked(gb), bits: gb})
+	g.child[n.key.bit(gb)] = n
+	g.child[k.bit(gb)] = s.valued(pnode[T]{key: k, bits: pb}, v)
+	return g
+}
+
+// at applies the write to n, the node exactly at the prefix.
+func (s *session[T]) at(n *pnode[T], w *write[T], fn update[T]) *pnode[T] {
+	var m *pnode[T]
+	switch {
+	case n.val == nil: // glue: the prefix is absent
+		v, keep := s.fresh(w, nil, fn)
+		if !keep {
+			return n
+		}
+		m = s.valued(*n, v)
+	case n.owner.is(s.id):
+		if w.inPlace(n.val, fn) {
+			return n
+		}
+	default:
+		if v, keep := s.fresh(w, n.val, fn); keep {
+			return s.valued(*n, v)
+		}
+	}
+	if m == nil { // the entry goes
+		switch {
+		case n.child[0] != nil && n.child[1] != nil:
+			// Still needed as a branch point: a glue node takes its place.
+			m = s.glue(*n)
+		case n.child[0] != nil:
+			m = n.child[0]
+		default:
+			m = n.child[1]
+		}
+	}
+	s.recycle(n)
+	return m
+}
+
+// own returns the node the session may write in n's place: n itself when
+// the session allocated it, otherwise a copy — value included, see the
+// file header — marked as the session's.
+func (s *session[T]) own(n *pnode[T]) *pnode[T] {
+	switch {
+	case n.owner.is(s.id):
+		return n
+	case n.val != nil:
+		return s.valued(*n, *n.val)
+	}
+	return s.glue(*n)
+}
+
+// valued returns a node owned by the session with hdr's key, length and
+// children, holding v.
+func (s *session[T]) valued(hdr pnode[T], v T) *pnode[T] {
+	var a *valued[T]
+	switch {
+	case s.freeV != nil:
+		a = (*valued[T])(unsafe.Pointer(s.freeV))
+		s.freeV = a.child[0]
+	case s.table:
+		if len(s.blockV) == 0 {
+			s.blockV = make([]valued[T], blockNodes)
+		}
+		a, s.blockV = &s.blockV[0], s.blockV[1:]
+	default:
+		a = new(valued[T])
+	}
+	a.pnode, a.v = hdr, v
+	a.val, a.owner = &a.v, ownerMark(s.id)
+	return &a.pnode
+}
+
+// glue returns a valueless node owned by the session with hdr's key,
+// length and children.
+func (s *session[T]) glue(hdr pnode[T]) *pnode[T] {
+	var g *pnode[T]
+	switch {
+	case s.freeG != nil:
+		g, s.freeG = s.freeG, s.freeG.child[0]
+	case s.table:
+		if len(s.blockG) == 0 {
+			s.blockG = make([]pnode[T], blockNodes)
+		}
+		g, s.blockG = &s.blockG[0], s.blockG[1:]
+	default:
+		g = new(pnode[T])
+	}
+	*g = hdr
+	g.val, g.owner = nil, ownerMark(s.id)
+	return g
+}
+
+// recycle zeroes n, which has left the session's tree, and keeps it for
+// reuse — if the session owns it. Any other node may still be reachable
+// from a published version.
+func (s *session[T]) recycle(n *pnode[T]) {
+	if !n.owner.is(s.id) {
+		return
+	}
+	if n.val != nil {
+		a := (*valued[T])(unsafe.Pointer(n))
+		*a = valued[T]{}
+		a.child[0], s.freeV = s.freeV, n
+		return
+	}
+	*n = pnode[T]{}
+	n.child[0], s.freeG = s.freeG, n
+}
+
 // Edit is a transient edit session: a private successor of one version,
 // changed in place where the session owns the nodes, and turned into the
 // next immutable version by Publish. A session belongs to one goroutine.
-type Edit[T any] struct {
-	tbl Persistent[T] // private until Publish hands it out
-	id  uint64        // 0 once published
-}
+// Its table stays private until Publish; its id is 0 once published.
+type Edit[T any] session[T]
 
 // Edit opens an edit session on t. t itself never changes.
 func (t *Persistent[T]) Edit() *Edit[T] {
@@ -354,13 +508,15 @@ func (e *Edit[T]) Len() int { return e.tbl.size }
 // invalid prefix is ignored.
 func (e *Edit[T]) Insert(p netip.Prefix, v T) {
 	e.mustBeOpen()
-	e.tbl.insert(e.id, p, v)
+	(*session[T])(e).write(p, &write[T]{v: v}, nil)
 }
 
 // Delete removes the entry exactly at p and reports whether it existed.
 func (e *Edit[T]) Delete(p netip.Prefix) bool {
 	e.mustBeOpen()
-	return e.tbl.remove(e.id, p)
+	w := write[T]{del: true}
+	(*session[T])(e).write(p, &w, nil)
+	return w.existed
 }
 
 // Publish ends the session and returns its contents as an immutable
@@ -369,7 +525,7 @@ func (e *Edit[T]) Delete(p netip.Prefix) bool {
 // session that stays on the stack make a publish cost that one allocation.
 func (e *Edit[T]) Publish() Persistent[T] {
 	e.mustBeOpen()
-	e.id = 0
+	e.id, e.freeV, e.freeG = 0, nil, nil
 	return e.tbl
 }
 
@@ -398,136 +554,23 @@ func (t *Persistent[T]) Insert(p netip.Prefix, v T) *Persistent[T] {
 	if !p.IsValid() {
 		return t
 	}
-	nt := *t
-	nt.insert(0, p, v)
+	s := session[T]{tbl: *t}
+	s.write(p, &write[T]{v: v}, nil)
+	nt := s.tbl
 	return &nt
-}
-
-// insert stores (p, v) in t itself on behalf of session id; t must not
-// be published yet.
-func (t *Persistent[T]) insert(id uint64, p netip.Prefix, v T) {
-	if !p.IsValid() {
-		return
-	}
-	p = p.Masked()
-	added := false
-	root, _ := t.root(p.Addr())
-	*root = (*root).insert(id, 0, keyOf(p.Addr()), uint8(p.Bits()), v, &added)
-	if added {
-		t.size++
-	}
-}
-
-// insertP returns the root of a subtree equal to n with v stored at
-// (k, pb). Nodes on the descent path that session id does not own are
-// copied; the ones it owns are changed in place.
-func insertP[T any](n *pnode[T], id uint64, k key128, pb uint8, v T, added *bool) *pnode[T] {
-	if n == nil {
-		*added = true
-		return newLeaf(id, k, pb, v)
-	}
-	if n.bits == pb && n.key == k {
-		if n.val != nil && n.owner.is(id) {
-			*n.val = v
-			return n
-		}
-		*added = n.val == nil
-		return newValued(id, *n, v)
-	}
-	if n.covers(k, pb) {
-		// n strictly covers p: descend.
-		b := k.bit(n.bits)
-		c := n.own(id)
-		c.child[b] = insertP(n.child[b], id, k, pb, v, added)
-		return c
-	}
-	*added = true
-	if pb < n.bits && n.key.hasPrefix(k, pb) {
-		// p covers n: the new node takes n as its child.
-		nn := newLeaf(id, k, pb, v)
-		nn.child[n.key.bit(pb)] = n
-		return nn
-	}
-	// Diverge: glue node at the longest common prefix of p and n.
-	gb := commonPrefixLen(k, n.key, min(pb, n.bits))
-	g := newGlue(id, k.masked(gb), gb, [2]*pnode[T]{})
-	g.child[n.key.bit(gb)] = n
-	g.child[k.bit(gb)] = newLeaf(id, k, pb, v)
-	return g
 }
 
 // Delete returns a new version with the entry exactly at p removed, and
 // reports whether it existed. When it does not, the receiver itself is
 // returned (no copying).
 func (t *Persistent[T]) Delete(p netip.Prefix) (*Persistent[T], bool) {
-	nt := *t
-	if !nt.remove(0, p) {
+	s := session[T]{tbl: *t}
+	w := write[T]{del: true}
+	if s.write(p, &w, nil); !w.existed {
 		return t, false
 	}
-	out := nt // allocate only on this path
-	return &out, true
-}
-
-// remove deletes the entry at p from t itself on behalf of session id,
-// and reports whether it existed; t must not be published yet.
-func (t *Persistent[T]) remove(id uint64, p netip.Prefix) bool {
-	if !p.IsValid() {
-		return false
-	}
-	p = p.Masked()
-	removed := false
-	root, _ := t.root(p.Addr())
-	*root = (*root).remove(id, 0, keyOf(p.Addr()), uint8(p.Bits()), &removed)
-	if removed {
-		t.size--
-	}
-	return removed
-}
-
-// deleteP returns the root of a subtree equal to n with the value at
-// (k, pb) removed, splicing out nodes that become structurally
-// unnecessary. Returns n itself when nothing changed; otherwise nodes
-// session id does not own are copied, the ones it owns changed in place.
-func deleteP[T any](n *pnode[T], id uint64, k key128, pb uint8, removed *bool) *pnode[T] {
-	if n == nil {
-		return nil
-	}
-	if n.bits == pb && n.key == k {
-		if n.val == nil {
-			return n
-		}
-		*removed = true
-		switch {
-		case n.child[0] != nil && n.child[1] != nil:
-			// Still needed as a branch point: a glue node takes its place.
-			return newGlue(id, n.key, n.bits, n.child)
-		case n.child[0] != nil:
-			return n.child[0]
-		default:
-			return n.child[1]
-		}
-	}
-	if !n.covers(k, pb) {
-		return n
-	}
-	b := k.bit(n.bits)
-	nc := deleteP(n.child[b], id, k, pb, removed)
-	if !*removed {
-		return n
-	}
-	if n.val == nil {
-		// A glue node left with one (or zero) children splices out.
-		other := n.child[1-b]
-		switch {
-		case nc == nil:
-			return other
-		case other == nil:
-			return nc
-		}
-	}
-	c := n.own(id)
-	c.child[b] = nc
-	return c
+	nt := s.tbl // allocate only on this path
+	return &nt, true
 }
 
 // Get returns the value stored exactly at p.
@@ -594,22 +637,144 @@ func matchP[T any](n *pnode[T], k key128) (best *pnode[T]) {
 	return best
 }
 
-// Walk visits every valued entry in lexicographic (DFS pre-)order. fn
+// hasEntryInside reports whether any entry lies strictly within p. It
+// descends toward p; every leaf holds a value, so the first node inside p
+// answers, and so does a slot of a fan p covers.
+func (t *Persistent[T]) hasEntryInside(p netip.Prefix) bool {
+	if !p.IsValid() {
+		return false
+	}
+	p = p.Masked()
+	root, _ := t.root(p.Addr())
+	k, pb := keyOf(p.Addr()), uint8(p.Bits())
+	for f, depth := *root, uint8(0); f != nil; depth++ {
+		i := k.nibble(depth)
+		switch {
+		case pb < 4*(depth+1):
+			if insideP(f.sub, k, pb) {
+				return true
+			}
+			for j := i; j < i+1<<(4*(depth+1)-pb); j++ {
+				if f.holds(j) {
+					return true
+				}
+			}
+			return false
+		case f.tries != nil:
+			return insideP(f.tries[i], k, pb)
+		}
+		f = f.kids[i]
+	}
+	return false
+}
+
+// insideP reports whether the trie under n holds an entry strictly within
+// (k, pb).
+func insideP[T any](n *pnode[T], k key128, pb uint8) bool {
+	for ; n != nil; n = n.child[k.bit(n.bits)] {
+		switch {
+		case n.bits > pb:
+			return n.key.hasPrefix(k, pb)
+		case !n.covers(k, pb):
+			return false
+		case n.bits == pb:
+			return n.child[0] != nil || n.child[1] != nil
+		}
+	}
+	return false
+}
+
+// Walk visits every valued entry in ComparePrefix order, IPv4 first. fn
 // returning false stops the walk. Safe to call on any version at any
 // time; versions never change.
-func (t *Persistent[T]) Walk(fn func(netip.Prefix, T) bool) {
-	if t.root4.walk(0, true, fn) {
-		t.root6.walk(0, false, fn)
+func (t *Persistent[T]) Walk(fn func(netip.Prefix, T) bool) { t.walkFrom(netip.Prefix{}, fn) }
+
+// mark is where a walk resumes: after the prefix (k, bits).
+type mark struct {
+	k    key128
+	bits uint8
+}
+
+// walkFrom visits, in Walk's order, every entry after from; an invalid
+// from walks them all. It seeks from's position in O(depth): no entry
+// before it is visited.
+func (t *Persistent[T]) walkFrom(from netip.Prefix, fn func(netip.Prefix, T) bool) {
+	var m *mark
+	if from.IsValid() {
+		from = from.Masked()
+		m = &mark{keyOf(from.Addr()), uint8(from.Bits())}
+		if !from.Addr().Is4() {
+			t.root6.walk(0, false, m, fn)
+			return
+		}
+	}
+	if t.root4.walk(0, true, m, fn) {
+		t.root6.walk(0, false, nil, fn)
 	}
 }
 
-// walkP visits the valued nodes under n in pre-order.
-func walkP[T any](n *pnode[T], visit func(*pnode[T]) bool) bool {
-	if n == nil {
+// walk visits every entry under f, which sits at depth, in address order,
+// after from if it is not nil. A fan's own prefixes are shorter than
+// anything under its slots, so each goes out after the slots whose
+// addresses precede it and before the slot it covers the start of.
+// Resuming, every slot before from's is skipped whole, from's own is
+// sought recursively when from lies below this fan, and the fan's own trie
+// is sought too.
+func (f *fan[T]) walk(depth uint8, v4 bool, from *mark, fn func(netip.Prefix, T) bool) bool {
+	if f == nil {
 		return true
 	}
+	emit := func(n *pnode[T]) bool { return fn(prefixOf(n.key, n.bits, v4), *n.val) }
+	next := 0
+	if from != nil {
+		next = from.k.nibble(depth)
+		if from.bits >= 4*(depth+1) {
+			if f.tries != nil && !walkP(f.tries[next], from, emit) || f.kids != nil && !f.kids[next].walk(depth+1, v4, from, fn) {
+				return false
+			}
+			next++
+		}
+	}
+	slotsBelow := func(end int) bool {
+		for ; next < end; next++ {
+			if f.tries != nil && !walkP(f.tries[next], nil, emit) || f.kids != nil && !f.kids[next].walk(depth+1, v4, nil, fn) {
+				return false
+			}
+		}
+		return true
+	}
+	return walkP(f.sub, from, func(n *pnode[T]) bool {
+		return slotsBelow(n.key.nibble(depth)) && emit(n)
+	}) && slotsBelow(16)
+}
+
+// walkP visits the valued nodes under n in pre-order, which is
+// ComparePrefix order; with from set, only those after it. The stack holds
+// pending subtrees, next on top: resuming, the descent toward from pushes
+// each right-hand subtree it passes, and the first node after from.
+func walkP[T any](n *pnode[T], from *mark, visit func(*pnode[T]) bool) bool {
 	var buf [48]*pnode[T]
-	stack := append(buf[:0], n)
+	stack := buf[:0]
+	for n != nil && from != nil {
+		k, pb := from.k, from.bits
+		if k.less(n.key) || n.key == k && n.bits > pb {
+			break // n, and so its subtree, comes after from
+		}
+		if !n.covers(k, pb) {
+			n = nil // n's subtree comes before from
+			break
+		}
+		// n covers from. At from itself the bit past its end reads 0: both
+		// of its subtrees follow it.
+		b := k.bit(n.bits)
+		if b == 0 && n.child[1] != nil {
+			stack = append(stack, n.child[1])
+		}
+		n = n.child[b]
+	}
+	if n != nil {
+		stack = append(stack, n)
+	}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

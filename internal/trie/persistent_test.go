@@ -154,7 +154,7 @@ func sameKVs(a, b []kv) bool {
 
 // TestPersistentMatchesTrie drives the same random operation stream
 // (inserts, replaces and deletes over both address families) into three
-// tables — a mutable Trie, a Persistent chain advanced one always-copy
+// tables — a mutable Table, a Persistent chain advanced one always-copy
 // Insert/Delete at a time, and a Persistent chain advanced through edit
 // sessions of random length 1…300 — and demands identical Get,
 // LongestMatch and Walk results whenever a session publishes. It also
@@ -222,7 +222,7 @@ func TestPersistentMatchesTrie(t *testing.T) {
 				live = append(live, p)
 			}
 			v := r.Uint32()
-			mt.Insert(p, v)
+			mt.Upsert(p, v)
 			pt = pt.Insert(p, v)
 			edit.Insert(p, v)
 		}
@@ -287,7 +287,6 @@ func TestPnodeSize(t *testing.T) {
 		{"route.Stored", unsafe.Sizeof(route.Stored{}), 48, true},
 		{"valued[route.Stored]", unsafe.Sizeof(valued[route.Stored]{}), 96, true},
 		{"valued[route.Entry]", unsafe.Sizeof(valued[route.Entry]{}), 160, false},
-		{"Trie node[route.Entry]", unsafe.Sizeof(node[route.Entry]{}), 56, true},
 		{"fan with its kids", unsafe.Sizeof(fanned[route.Entry]{}), 160, false},
 		{"last fan with its tries", unsafe.Sizeof(rooted[route.Entry]{}), 160, false},
 	} {
@@ -295,17 +294,24 @@ func TestPnodeSize(t *testing.T) {
 			t.Errorf("%s is %d bytes, want %d (exact=%v)", c.what, c.got, c.want, c.exact)
 		}
 	}
-	// A Trie's node block and the allocator's 8-byte header for a large
-	// pointerful object fill one size class.
-	if block := nodeSlabSize*unsafe.Sizeof(node[int]{}) + 8; block > 14336 || block < 14336-56 {
-		t.Errorf("a block of %d nodes is %d bytes with its header, want just under the 14336 class", nodeSlabSize, block)
-	}
-	// Likewise a block of the RIB tables' values, in the 12288 class.
-	if block := nodeSlabSize*unsafe.Sizeof(route.Stored{}) + 8; block > 12288 || block < 12288-48 {
-		t.Errorf("a block of %d stored routes is %d bytes with its header, want just under the 12288 class", nodeSlabSize, block)
+	// A Table's blocks and the allocator's 8-byte header for a large
+	// pointerful object fill one size class: the RIB's valued nodes, BGP's
+	// RIB-in nodes (a ribSlot is two pointers, as slot is here) and glue.
+	type slot struct{ attrs, who *int }
+	for _, c := range []struct {
+		what        string
+		node, class uintptr
+	}{
+		{"valued[route.Stored]", unsafe.Sizeof(valued[route.Stored]{}), 12288},
+		{"valued[ribSlot]", unsafe.Sizeof(valued[slot]{}), 8192},
+		{"glue pnode[route.Stored]", unsafe.Sizeof(pnode[route.Stored]{}), 6144},
+	} {
+		if block := blockNodes*c.node + 8; block > c.class || block < c.class-c.node {
+			t.Errorf("a block of %d %s is %d bytes with its header, want just under the %d class", blockNodes, c.what, block, c.class)
+		}
 	}
 	// The self-pointers that make one allocation of a header and its tail.
-	n := newLeaf(1, key128{}, 0, 7)
+	n := (&session[int]{id: 1}).valued(pnode[int]{}, 7)
 	if unsafe.Pointer(n.val) != unsafe.Add(unsafe.Pointer(n), unsafe.Offsetof(valued[int]{}.v)) {
 		t.Error("a valued node's val does not point at its own tail")
 	}
@@ -333,15 +339,16 @@ func TestEditOwnerMark(t *testing.T) {
 
 	// A node stores every bit of the widest id.
 	const widest = uint64(1<<editIDBits - 1)
-	n := (&pnode[int]{}).own(widest)
-	if n.own(widest) != n {
+	as := func(id uint64) *session[int] { return &session[int]{id: id} }
+	n := as(widest).own(&pnode[int]{})
+	if as(widest).own(n) != n {
 		t.Fatal("widest id does not round-trip through a node")
 	}
-	if n.own(widest&^1) == n || n.own(widest&^(1<<40)) == n {
+	if as(widest&^1).own(n) == n || as(widest&^(1<<40)).own(n) == n {
 		t.Fatal("ids differing in one half matched")
 	}
 	// Id 0 (always-copy mode) owns nothing, not even unmarked nodes.
-	if z := (&pnode[int]{}); z.own(0) == z {
+	if z := (&pnode[int]{}); as(0).own(z) == z {
 		t.Fatal("id 0 took ownership of an unmarked node")
 	}
 	// Both fan shapes carry the same mark under the same rules, and a copy
@@ -481,6 +488,19 @@ func TestPersistentChurnHoldsOneVersion(t *testing.T) {
 	if churned > fresh+fresh/10 {
 		t.Fatalf("after 200 sessions the newest version holds %d bytes live, a fresh table %d", churned, fresh)
 	}
+
+	// Sessions that each replace one route leave the newest version's
+	// nodes spread over all of them. Nodes taken from blocks would pin a
+	// block of dead ones each.
+	for session := 1; session <= 200; session++ {
+		e := tbl.Edit()
+		e.Insert(nets[1+session%(len(nets)-1)], val{uint64(session)})
+		tbl = e.Publish()
+	}
+	if spread := liveHeap() - base; spread > fresh+fresh/10 {
+		t.Fatalf("after 200 one-route sessions the newest version holds %d bytes live, a fresh table %d", spread, fresh)
+	}
+	runtime.KeepAlive(tbl)
 }
 
 // countFans returns how many fans hang under f, f included, and how many

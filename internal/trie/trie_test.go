@@ -3,7 +3,9 @@ package trie
 import (
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -17,9 +19,8 @@ func TestInsertGetDelete(t *testing.T) {
 	tr := New[int]()
 	ps := []string{"10.0.0.0/8", "10.1.0.0/16", "10.1.1.0/24", "192.168.0.0/16", "0.0.0.0/0"}
 	for i, s := range ps {
-		replaced, err := tr.Insert(mustP(s), i)
-		if err != nil || replaced {
-			t.Fatalf("Insert(%s) = %v, %v", s, replaced, err)
+		if _, replaced := tr.Upsert(mustP(s), i); replaced {
+			t.Fatalf("Upsert(%s) replaced", s)
 		}
 	}
 	if tr.Len() != len(ps) {
@@ -34,9 +35,8 @@ func TestInsertGetDelete(t *testing.T) {
 	if _, ok := tr.Get(mustP("10.2.0.0/16")); ok {
 		t.Fatal("Get of absent prefix succeeded")
 	}
-	replaced, err := tr.Insert(mustP("10.1.0.0/16"), 99)
-	if err != nil || !replaced {
-		t.Fatalf("re-Insert: replaced=%v err=%v", replaced, err)
+	if old, replaced := tr.Upsert(mustP("10.1.0.0/16"), 99); !replaced || old != 1 {
+		t.Fatalf("re-Upsert: %d, replaced=%v", old, replaced)
 	}
 	if v, _ := tr.Get(mustP("10.1.0.0/16")); v != 99 {
 		t.Fatalf("value after replace = %d", v)
@@ -53,28 +53,23 @@ func TestInsertGetDelete(t *testing.T) {
 	if _, ok := tr.Delete(mustP("10.1.0.0/16")); ok {
 		t.Fatal("double delete succeeded")
 	}
+	checkTable(t, tr)
 }
 
 func TestInsertUnmaskedPrefixIsMasked(t *testing.T) {
 	tr := New[string]()
 	p, _ := netip.ParsePrefix("10.1.2.3/8")
-	if _, err := tr.Insert(p, "x"); err != nil {
-		t.Fatal(err)
-	}
+	tr.Upsert(p, "x")
 	if _, ok := tr.Get(mustP("10.0.0.0/8")); !ok {
 		t.Fatal("unmasked insert not normalized")
 	}
 }
 
 func TestMixedFamilies(t *testing.T) {
-	// IPv4 and IPv6 coexist in one trie (one internal root per family).
+	// IPv4 and IPv6 coexist in one table (one internal root per family).
 	tr := New[int]()
-	if _, err := tr.Insert(mustP("10.0.0.0/8"), 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Insert(mustP("2001:db8::/32"), 2); err != nil {
-		t.Fatalf("mixed-family insert rejected: %v", err)
-	}
+	tr.Upsert(mustP("10.0.0.0/8"), 1)
+	tr.Upsert(mustP("2001:db8::/32"), 2)
 	if tr.Len() != 2 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
@@ -88,32 +83,31 @@ func TestMixedFamilies(t *testing.T) {
 	if _, _, ok := tr.LongestMatch(mustA("2001:db9::1")); ok {
 		t.Fatal("v6 address matched v4 space")
 	}
-	// Iteration covers both families, v4 first.
-	var order []netip.Prefix
-	it := tr.Iterate()
-	for ; it.Valid(); it.Next() {
-		order = append(order, it.Prefix())
+	// Walks cover both families, v4 first, and a walk resumed after the
+	// last IPv4 entry crosses to IPv6.
+	if got := walked(tr, netip.Prefix{}); len(got) != 2 || !got[0].Addr().Is4() || got[1].Addr().Is4() {
+		t.Fatalf("walk order %v", got)
 	}
-	it.Close()
-	if len(order) != 2 || !order[0].Addr().Is4() || order[1].Addr().Is4() {
-		t.Fatalf("iteration order %v", order)
-	}
-	// Walk covers both too.
-	n := 0
-	tr.Walk(func(netip.Prefix, int) bool { n++; return true })
-	if n != 2 {
-		t.Fatalf("walked %d", n)
+	if got := walked(tr, mustP("10.0.0.0/8")); len(got) != 1 || got[0] != mustP("2001:db8::/32") {
+		t.Fatalf("walk after the IPv4 entry: %v", got)
 	}
 	if _, ok := tr.Delete(mustP("2001:db8::/32")); !ok {
 		t.Fatal("v6 delete failed")
 	}
 }
 
+// walked returns the prefixes tr.WalkFrom(from) yields.
+func walked[T any](tr *Table[T], from netip.Prefix) []netip.Prefix {
+	var out []netip.Prefix
+	tr.WalkFrom(from, func(p netip.Prefix, _ T) bool { out = append(out, p); return true })
+	return out
+}
+
 func TestIPv6(t *testing.T) {
 	tr := New[int]()
-	tr.Insert(mustP("2001:db8::/32"), 1)
-	tr.Insert(mustP("2001:db8:1::/48"), 2)
-	tr.Insert(mustP("::/0"), 0)
+	tr.Upsert(mustP("2001:db8::/32"), 1)
+	tr.Upsert(mustP("2001:db8:1::/48"), 2)
+	tr.Upsert(mustP("::/0"), 0)
 	p, v, ok := tr.LongestMatch(mustA("2001:db8:1::5"))
 	if !ok || v != 2 || p != mustP("2001:db8:1::/48") {
 		t.Fatalf("LongestMatch = %v, %d, %v", p, v, ok)
@@ -127,7 +121,7 @@ func TestIPv6(t *testing.T) {
 func TestLongestMatch(t *testing.T) {
 	tr := New[string]()
 	for _, s := range []string{"128.16.0.0/16", "128.16.0.0/18", "128.16.128.0/17", "128.16.192.0/18"} {
-		tr.Insert(mustP(s), s)
+		tr.Upsert(mustP(s), s)
 	}
 	cases := []struct{ addr, want string }{
 		{"128.16.32.1", "128.16.0.0/18"},
@@ -145,7 +139,7 @@ func TestLongestMatch(t *testing.T) {
 		t.Error("match for uncovered address")
 	}
 	if _, _, ok := tr.LongestMatch(mustA("2001:db8::1")); ok {
-		t.Error("v6 lookup in v4 trie matched")
+		t.Error("v6 lookup in v4 table matched")
 	}
 }
 
@@ -153,51 +147,52 @@ func TestWalkOrder(t *testing.T) {
 	tr := New[int]()
 	in := []string{"10.1.1.0/24", "0.0.0.0/0", "10.0.0.0/8", "192.168.0.0/16", "10.1.0.0/16"}
 	for i, s := range in {
-		tr.Insert(mustP(s), i)
+		tr.Upsert(mustP(s), i)
 	}
 	var got []string
-	tr.Walk(func(p netip.Prefix, _ int) bool {
+	for _, p := range walked(tr, netip.Prefix{}) {
 		got = append(got, p.String())
-		return true
-	})
-	want := []string{"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.1.0/24", "192.168.0.0/16"}
-	if len(got) != len(want) {
-		t.Fatalf("walked %v", got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("walk order %v, want %v", got, want)
-		}
+	want := []string{"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.1.0/24", "192.168.0.0/16"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("walk order %v, want %v", got, want)
 	}
 }
 
+// TestWalkCovered: in walk order the entries p covers are one run that
+// starts at p, so a walk resumed after p and stopped at the first prefix
+// outside it visits exactly what p covers below itself — across fan
+// levels, as with a /8 over /16s and /24s.
 func TestWalkCovered(t *testing.T) {
 	tr := New[int]()
-	for i, s := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.1.1.0/24", "10.2.0.0/16", "11.0.0.0/8"} {
-		tr.Insert(mustP(s), i)
+	for i, s := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.1.1.0/24", "10.2.0.0/16", "11.0.0.0/8", "9.0.0.0/8"} {
+		tr.Upsert(mustP(s), i)
 	}
-	var got []string
-	tr.WalkCovered(mustP("10.1.0.0/16"), func(p netip.Prefix, _ int) bool {
-		got = append(got, p.String())
-		return true
-	})
-	if len(got) != 2 || got[0] != "10.1.0.0/16" || got[1] != "10.1.1.0/24" {
-		t.Fatalf("WalkCovered = %v", got)
+	covered := func(p netip.Prefix) (got []string) {
+		tr.WalkFrom(p, func(q netip.Prefix, _ int) bool {
+			if !p.Overlaps(q) || q.Bits() <= p.Bits() {
+				return false
+			}
+			got = append(got, q.String())
+			return true
+		})
+		return got
 	}
-	got = nil
-	tr.WalkCovered(mustP("12.0.0.0/8"), func(p netip.Prefix, _ int) bool {
-		got = append(got, p.String())
-		return true
-	})
-	if len(got) != 0 {
-		t.Fatalf("WalkCovered disjoint = %v", got)
+	if got := covered(mustP("10.1.0.0/16")); !slices.Equal(got, []string{"10.1.1.0/24"}) {
+		t.Fatalf("covered(10.1/16) = %v", got)
+	}
+	if got := covered(mustP("10.0.0.0/8")); !slices.Equal(got, []string{"10.1.0.0/16", "10.1.1.0/24", "10.2.0.0/16"}) {
+		t.Fatalf("covered(10/8) = %v", got)
+	}
+	if got := covered(mustP("12.0.0.0/8")); len(got) != 0 {
+		t.Fatalf("covered disjoint = %v", got)
 	}
 }
 
 func TestHasEntryInside(t *testing.T) {
 	tr := New[int]()
-	tr.Insert(mustP("128.16.128.0/17"), 1)
-	tr.Insert(mustP("128.16.192.0/18"), 2)
+	tr.Upsert(mustP("128.16.128.0/17"), 1)
+	tr.Upsert(mustP("128.16.192.0/18"), 2)
 	if !tr.HasEntryInside(mustP("128.16.128.0/17")) {
 		t.Fatal("should see /18 inside /17")
 	}
@@ -207,66 +202,83 @@ func TestHasEntryInside(t *testing.T) {
 	if tr.HasEntryInside(mustP("128.16.128.0/18")) {
 		t.Fatal("nothing inside left half /18")
 	}
+	// Prefixes short enough to span fan slots: the entries sit in a
+	// /16's trie three fans down, and in a fan's own trie.
+	for _, p := range []string{"0.0.0.0/0", "128.0.0.0/1", "128.0.0.0/6", "128.0.0.0/8", "128.16.0.0/12", "128.16.0.0/16"} {
+		if !tr.HasEntryInside(mustP(p)) {
+			t.Errorf("HasEntryInside(%s) = false over the /17", p)
+		}
+	}
+	for _, p := range []string{"0.0.0.0/1", "129.0.0.0/8", "128.17.0.0/16", "::/0"} {
+		if tr.HasEntryInside(mustP(p)) {
+			t.Errorf("HasEntryInside(%s) = true", p)
+		}
+	}
+	// A table keeps the fans its last entry under a /8 needed: they hold
+	// nothing, and say so.
+	tr.Upsert(mustP("10.1.2.0/24"), 3)
+	tr.Delete(mustP("10.1.2.0/24"))
+	tr.Upsert(mustP("10.0.0.0/9"), 4)
+	tr.Delete(mustP("10.0.0.0/9"))
+	for _, p := range []string{"10.0.0.0/8", "8.0.0.0/6", "0.0.0.0/1"} {
+		if tr.HasEntryInside(mustP(p)) {
+			t.Errorf("HasEntryInside(%s) = true over emptied fans", p)
+		}
+	}
+	if !tr.HasEntryInside(mustP("0.0.0.0/0")) {
+		t.Error("HasEntryInside(0/0) = false")
+	}
+}
+
+// The tests named for iterators check the §5.3 safe iterator as it is
+// now: a key. A paused task remembers the last prefix it visited and
+// resumes with WalkFrom, whatever happened to the table in between.
+
+// next returns the entry WalkFrom(from) yields first.
+func next[T any](tr *Table[T], from netip.Prefix) (p netip.Prefix, v T, ok bool) {
+	tr.WalkFrom(from, func(q netip.Prefix, w T) bool { p, v, ok = q, w, true; return false })
+	return p, v, ok
 }
 
 func TestIteratorBasic(t *testing.T) {
 	tr := New[int]()
 	in := []string{"10.0.0.0/8", "10.1.0.0/16", "172.16.0.0/12", "192.168.1.0/24"}
 	for i, s := range in {
-		tr.Insert(mustP(s), i)
+		tr.Upsert(mustP(s), i)
 	}
-	it := tr.Iterate()
-	defer it.Close()
 	var got []string
-	for ; it.Valid(); it.Next() {
-		p, _, ok := it.Entry()
-		if !ok {
-			t.Fatal("live entry reported deleted")
-		}
-		got = append(got, p.String())
+	for cur, _, ok := next(tr, netip.Prefix{}); ok && len(got) <= len(in); cur, _, ok = next(tr, cur) {
+		got = append(got, cur.String())
 	}
-	if len(got) != len(in) {
-		t.Fatalf("iterated %v", got)
+	if !slices.Equal(got, in) {
+		t.Fatalf("stepped %v", got)
 	}
 }
 
 func TestIteratorSurvivesDeletionOfCurrent(t *testing.T) {
 	// The §5.3 scenario: a background task pauses on a route, the route is
-	// deleted, and the iterator must still make forward progress and
-	// perform the deferred physical deletion. Deleted by Delete, and by an
-	// Update that declines the entry.
-	for name, del := range map[string]func(*Trie[int], netip.Prefix){
-		"Delete": func(tr *Trie[int], p netip.Prefix) { tr.Delete(p) },
-		"Update": func(tr *Trie[int], p netip.Prefix) { tr.Update(p, func(*int, bool) bool { return false }) },
+	// deleted, and the task must still make forward progress. Deleted by
+	// Delete, and by an Update that declines the entry.
+	for name, del := range map[string]func(*Table[int], netip.Prefix){
+		"Delete": func(tr *Table[int], p netip.Prefix) { tr.Delete(p) },
+		"Update": func(tr *Table[int], p netip.Prefix) { tr.Update(p, func(*int, bool) bool { return false }) },
 	} {
 		tr := New[int]()
 		for i, s := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16"} {
-			tr.Insert(mustP(s), i)
+			tr.Upsert(mustP(s), i)
 		}
-		it := tr.Iterate()
-		it.Next() // now on 10.1.0.0/16
-		if it.Prefix() != mustP("10.1.0.0/16") {
-			t.Fatalf("%s: iterator at %v", name, it.Prefix())
+		cur, _, _ := next(tr, mustP("10.0.0.0/8"))
+		if cur != mustP("10.1.0.0/16") {
+			t.Fatalf("%s: cursor at %v", name, cur)
 		}
-		del(tr, mustP("10.1.0.0/16"))
-		if _, _, ok := it.Entry(); ok {
-			t.Fatalf("%s: deleted entry should report !ok", name)
+		del(tr, cur)
+		if p, v, ok := next(tr, cur); !ok || p != mustP("10.2.0.0/16") || v != 2 {
+			t.Fatalf("%s: after delete, resumed at %v %d %v", name, p, v, ok)
 		}
-		it.Next()
-		if it.Prefix() != mustP("10.2.0.0/16") {
-			t.Fatalf("%s: after delete, iterator at %v", name, it.Prefix())
-		}
-		it.Close()
-		// The deleted node must be physically gone: re-inserting and walking
-		// must behave normally, and Len must be consistent.
-		if tr.Len() != 3 {
+		if tr.Len() != 3 || len(walked(tr, netip.Prefix{})) != 3 {
 			t.Fatalf("%s: Len = %d", name, tr.Len())
 		}
-		n := 0
-		tr.Walk(func(netip.Prefix, int) bool { n++; return true })
-		if n != 3 {
-			t.Fatalf("%s: walked %d entries", name, n)
-		}
+		checkTable(t, tr)
 	}
 }
 
@@ -276,149 +288,170 @@ func TestIteratorDeleteEverythingWhilePaused(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)
 		ps = append(ps, p)
-		tr.Insert(p, i)
+		tr.Upsert(p, i)
 	}
-	it := tr.Iterate()
+	cur, _, _ := next(tr, netip.Prefix{})
 	for _, p := range ps {
 		tr.Delete(p)
 	}
 	if tr.Len() != 0 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	// Iterator still pinned on first (now deleted) node; Next must
-	// terminate cleanly.
-	count := 0
-	for ; it.Valid(); it.Next() {
-		if _, _, ok := it.Entry(); ok {
-			count++
-		}
+	if p, _, ok := next(tr, cur); ok {
+		t.Fatalf("resumed at %v after delete-all", p)
 	}
-	if count != 0 {
-		t.Fatalf("saw %d live entries after delete-all", count)
-	}
-	it.Close()
+	checkTable(t, tr)
 }
 
 func TestIteratorSeesInsertsAhead(t *testing.T) {
 	tr := New[int]()
-	tr.Insert(mustP("10.0.0.0/8"), 0)
-	tr.Insert(mustP("30.0.0.0/8"), 2)
-	it := tr.Iterate()
-	tr.Insert(mustP("20.0.0.0/8"), 1)
-	var got []string
-	for ; it.Valid(); it.Next() {
-		got = append(got, it.Prefix().String())
-	}
-	it.Close()
-	if len(got) != 3 {
-		t.Fatalf("iterated %v, want the insert-ahead visible", got)
+	tr.Upsert(mustP("10.0.0.0/8"), 0)
+	tr.Upsert(mustP("30.0.0.0/8"), 2)
+	cur, _, _ := next(tr, netip.Prefix{})
+	tr.Upsert(mustP("20.0.0.0/8"), 1)
+	tr.Upsert(mustP("5.0.0.0/8"), 1) // behind the cursor: not seen
+	if got := walked(tr, cur); len(got) != 2 || got[0] != mustP("20.0.0.0/8") {
+		t.Fatalf("resumed %v, want the insert ahead visible", got)
 	}
 }
 
 func TestIterateFrom(t *testing.T) {
 	tr := New[int]()
 	for i, s := range []string{"10.0.0.0/8", "20.0.0.0/8", "30.0.0.0/8"} {
-		tr.Insert(mustP(s), i)
+		tr.Upsert(mustP(s), i)
 	}
-	it := tr.IterateFrom(mustP("15.0.0.0/8"))
-	defer it.Close()
-	if it.Prefix() != mustP("20.0.0.0/8") {
-		t.Fatalf("IterateFrom landed on %v", it.Prefix())
+	if p, _, _ := next(tr, mustP("15.0.0.0/8")); p != mustP("20.0.0.0/8") {
+		t.Fatalf("WalkFrom(15/8) landed on %v", p)
+	}
+	if p, _, _ := next(tr, mustP("20.0.0.0/8")); p != mustP("30.0.0.0/8") {
+		t.Fatalf("WalkFrom(20/8) landed on %v: it must start after its key", p)
 	}
 }
 
 func TestMultipleIteratorsSameNode(t *testing.T) {
 	tr := New[int]()
-	tr.Insert(mustP("10.0.0.0/8"), 0)
-	tr.Insert(mustP("20.0.0.0/8"), 1)
-	it1 := tr.Iterate()
-	it2 := tr.Iterate()
+	tr.Upsert(mustP("10.0.0.0/8"), 0)
+	tr.Upsert(mustP("20.0.0.0/8"), 1)
+	c1, _, _ := next(tr, netip.Prefix{})
+	c2 := c1
 	tr.Delete(mustP("10.0.0.0/8"))
-	it1.Next()
-	// Node must survive: it2 still references it.
-	if !it2.Valid() {
-		t.Fatal("it2 invalidated")
+	c1, _, _ = next(tr, c1)
+	if c2, _, _ = next(tr, c2); c1 != c2 || c2 != mustP("20.0.0.0/8") {
+		t.Fatalf("cursors at %v and %v", c1, c2)
 	}
-	it2.Next()
-	if it2.Prefix() != mustP("20.0.0.0/8") {
-		t.Fatalf("it2 at %v", it2.Prefix())
-	}
-	it1.Close()
-	it2.Close()
 	if tr.Len() != 1 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 }
 
-// checkInvariants verifies structural invariants: child prefixes are
-// contained in parents, branch bits are correct, glue nodes (unreferenced)
-// have two children, and parent pointers are consistent. And the /16
-// index: every node ≥ /16 whose parent is shorter holds its /16's slot,
-// and no other slot is set.
-func checkInvariants[T any](t *testing.T, tr *Trie[T]) {
+// TestWriteInsideWalkPanics: a write inside the table's own walk could
+// recycle the node the walk stands on, so it panics — in WalkFrom too —
+// and a walk that ends, stopped early or not, leaves the table writable.
+func TestWriteInsideWalkPanics(t *testing.T) {
+	tr := New[int]()
+	tr.Upsert(mustP("10.0.0.0/8"), 1)
+	tr.Upsert(mustP("10.1.0.0/16"), 2)
+	for name, write := range map[string]func(netip.Prefix){
+		"Upsert": func(p netip.Prefix) { tr.Upsert(p, 3) },
+		"Delete": func(p netip.Prefix) { tr.Delete(p) },
+		"Update": func(p netip.Prefix) { tr.Update(p, func(*int, bool) bool { return false }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s inside WalkFrom did not panic", name)
+				}
+			}()
+			tr.WalkFrom(netip.Prefix{}, func(p netip.Prefix, _ int) bool { write(p); return true })
+		}()
+	}
+	tr.Walk(func(netip.Prefix, int) bool { return false })
+	tr.Upsert(mustP("10.2.0.0/16"), 4)
+	if tr.Len() != 3 {
+		t.Fatalf("Len = %d", tr.Len())
+	}
+}
+
+// checkTable verifies the layout under a Table: every Patricia node sits
+// in the fan slot its prefix names, strictly inside its parent under the
+// right branch, with its word key in sync; a glue node has two children,
+// so every leaf holds a value; a valued node's val points at its own tail;
+// the table owns every node and fan; Len counts the valued nodes; and no
+// node on a free list is in the tree or holds anything but the list link.
+func checkTable[T any](t *testing.T, tr *Table[T]) {
 	t.Helper()
-	tops := 0
-	var walk func(n *node[T])
-	walk = func(n *node[T]) {
-		if n.bits >= jumpBits && n.parent.bits < jumpBits {
-			if tr.jumpTo(n.key, n.v4) != n {
-				t.Fatalf("%v is the top of its /16 but does not hold the slot", n.prefix())
-			}
-			tops++
+	s := &tr.s
+	inTree := map[*pnode[T]]bool{}
+	valuedN := 0
+	var walkP func(n *pnode[T], lo, hi uint8, path key128, pathBits uint8, v4 bool)
+	walkP = func(n *pnode[T], lo, hi uint8, path key128, pathBits uint8, v4 bool) {
+		if n == nil {
+			return
+		}
+		p := prefixOf(n.key, n.bits, v4)
+		inTree[n] = true
+		switch {
+		case n.bits < lo || n.bits > hi || !n.key.hasPrefix(path, pathBits):
+			t.Fatalf("%v sits in the wrong fan slot (lengths %d…%d)", p, lo, hi)
+		case n.key != n.key.masked(n.bits) || n.key != keyOf(p.Addr()):
+			t.Fatalf("%v: word key out of sync", p)
+		case !n.owner.is(s.id):
+			t.Fatalf("%v: a node the table does not own", p)
+		case n.val == nil && (n.child[0] == nil || n.child[1] == nil):
+			t.Fatalf("glue node %v has fewer than two children", p)
+		case n.val != nil && unsafe.Pointer(n.val) != unsafe.Add(unsafe.Pointer(n), unsafe.Offsetof(valued[T]{}.v)):
+			t.Fatalf("%v: val does not point at its own tail", p)
+		}
+		if n.val != nil {
+			valuedN++
 		}
 		for b, c := range n.child {
 			if c == nil {
 				continue
 			}
-			if c.parent != n {
-				t.Fatalf("parent pointer broken at %v", c.prefix())
+			if c.bits <= n.bits || !c.key.hasPrefix(n.key, n.bits) || c.key.bit(n.bits) != b {
+				t.Fatalf("%v is not under branch %d of %v", prefixOf(c.key, c.bits, v4), b, p)
 			}
-			if !n.covers(c.key, c.bits) || n.bits == c.bits {
-				t.Fatalf("child %v not strictly inside parent %v", c.prefix(), n.prefix())
-			}
-			if c.key != keyOf(c.prefix().Addr()) || int(c.bits) != c.prefix().Bits() || c.key != c.key.masked(c.bits) || c.v4 != n.v4 {
-				t.Fatalf("node %v word key out of sync", c.prefix())
-			}
-			if c.key.bit(n.bits) != b {
-				t.Fatalf("child %v under wrong branch of %v", c.prefix(), n.prefix())
-			}
-			walk(c)
+			walkP(c, lo, hi, path, pathBits, v4)
 		}
-		if !tr.isRoot(n) && n.val == nil && n.iterRef == 0 {
-			if n.child[0] == nil || n.child[1] == nil {
-				t.Fatalf("degenerate glue node %v survived", n.prefix())
+	}
+	var walkF func(f *fan[T], depth uint8, path key128, v4 bool)
+	walkF = func(f *fan[T], depth uint8, path key128, v4 bool) {
+		if f == nil {
+			return
+		}
+		if !f.owner.is(s.id) || (f.tries != nil) != (depth == fanLevels-1) || (f.kids != nil) == (f.tries != nil) {
+			t.Fatalf("fan at depth %d: wrong owner or shape", depth)
+		}
+		walkP(f.sub, 4*depth, 4*depth+3, path, 4*depth, v4)
+		for i := range 16 {
+			slot := path
+			slot.hi |= uint64(i) << (60 - 4*depth)
+			if f.tries != nil {
+				walkP(f.tries[i], 4*(depth+1), 128, slot, 4*(depth+1), v4)
+			} else {
+				walkF(f.kids[i], depth+1, slot, v4)
 			}
 		}
 	}
-	for _, root := range []*node[T]{tr.root4, tr.root6} {
-		if root != nil {
-			walk(root)
-		}
+	walkF(s.tbl.root4, 0, key128{}, true)
+	walkF(s.tbl.root6, 0, key128{}, false)
+	if valuedN != tr.Len() {
+		t.Fatalf("%d valued nodes, Len %d", valuedN, tr.Len())
 	}
-	if set := jumpSlotsSet(tr); set != tops {
-		t.Fatalf("%d /16 slots set, %d /16 tops in the tree", set, tops)
-	}
-}
-
-// jumpSlotsSet counts the /16 index's non-nil slots.
-func jumpSlotsSet[T any](tr *Trie[T]) int {
-	set := 0
-	for _, top := range tr.jump {
-		if top == nil {
-			continue
-		}
-		for _, sub := range top {
-			if sub == nil {
-				continue
+	for _, free := range []*pnode[T]{s.freeV, s.freeG} {
+		for n := free; n != nil; n = n.child[0] {
+			if inTree[n] {
+				t.Fatal("a node on a free list is still in the tree")
 			}
-			for _, s := range sub {
-				if s != nil {
-					set++
-				}
+			if n.val != nil || n.child[1] != nil || n.bits != 0 || n.key != (key128{}) || n.owner != (owner{}) {
+				t.Fatal("a free node was not zeroed")
 			}
 		}
 	}
-	return set
+	if !reflect.ValueOf(s.scratch).Elem().IsZero() {
+		t.Fatal("Update's scratch value was left set")
+	}
 }
 
 func randomPrefix(r *rand.Rand) netip.Prefix {
@@ -429,7 +462,7 @@ func randomPrefix(r *rand.Rand) netip.Prefix {
 }
 
 func TestQuickAgainstModel(t *testing.T) {
-	// Property: a trie subjected to a random op sequence agrees with a
+	// Property: a table subjected to a random op sequence agrees with a
 	// map-based model on Get, Len, LongestMatch and Walk contents.
 	f := func(seed int64, nops uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -439,7 +472,7 @@ func TestQuickAgainstModel(t *testing.T) {
 			p := randomPrefix(r)
 			switch r.Intn(3) {
 			case 0, 1:
-				tr.Insert(p, i)
+				tr.Upsert(p, i)
 				model[p] = i
 			case 2:
 				_, okT := tr.Delete(p)
@@ -482,7 +515,7 @@ func TestQuickAgainstModel(t *testing.T) {
 			count++
 			return true
 		})
-		checkInvariants(t, tr)
+		checkTable(t, tr)
 		return count == len(model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -491,43 +524,35 @@ func TestQuickAgainstModel(t *testing.T) {
 }
 
 func TestQuickIteratorUnderMutation(t *testing.T) {
-	// Property: an iterator interleaved with random mutation always
-	// terminates, never yields a deleted entry from Entry()'s ok path,
-	// and afterwards the trie still satisfies structural invariants.
+	// Property: a key cursor interleaved with random mutation always
+	// terminates, only ever stands on entries the table holds, never goes
+	// backwards, and afterwards the table is still well formed.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tr := New[int]()
 		for i := 0; i < 60; i++ {
-			tr.Insert(randomPrefix(r), i)
+			tr.Upsert(randomPrefix(r), i)
 		}
-		it := tr.Iterate()
-		steps := 0
-		for it.Valid() && steps < 500 {
-			steps++
+		cur, _, ok := next(tr, netip.Prefix{})
+		for steps := 0; ok && steps < 500; steps++ {
 			switch r.Intn(4) {
 			case 0:
-				tr.Insert(randomPrefix(r), steps)
+				tr.Upsert(randomPrefix(r), steps)
 			case 1:
 				tr.Delete(randomPrefix(r))
 			case 2:
-				// Delete the entry under the iterator.
-				if p, _, ok := it.Entry(); ok {
-					tr.Delete(p)
-				}
+				tr.Delete(cur) // the entry under the cursor
 			}
-			if p, _, ok := it.Entry(); ok {
-				if _, present := tr.Get(p); !present {
-					return false // iterator claims a live entry the trie lacks
+			var p netip.Prefix
+			if p, _, ok = next(tr, cur); ok {
+				if _, present := tr.Get(p); !present || ComparePrefix(p, cur) <= 0 {
+					return false
 				}
+				cur = p
 			}
-			it.Next()
 		}
-		it.Close()
-		checkInvariants(t, tr)
-		// After Close, no deferred nodes may remain pinned.
-		n := 0
-		tr.Walk(func(netip.Prefix, int) bool { n++; return true })
-		return n == tr.Len()
+		checkTable(t, tr)
+		return len(walked(tr, netip.Prefix{})) == tr.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -536,8 +561,10 @@ func TestQuickIteratorUnderMutation(t *testing.T) {
 
 func TestInvalidPrefix(t *testing.T) {
 	tr := New[int]()
-	if _, err := tr.Insert(netip.Prefix{}, 1); err == nil {
-		t.Fatal("invalid prefix accepted")
+	tr.Upsert(netip.Prefix{}, 1)
+	tr.Update(netip.Prefix{}, func(*int, bool) bool { t.Fatal("Update called fn for an invalid prefix"); return true })
+	if _, ok := tr.Delete(netip.Prefix{}); ok || tr.Len() != 0 {
+		t.Fatal("invalid prefix stored")
 	}
 }
 
@@ -555,7 +582,7 @@ func TestUpsert(t *testing.T) {
 	if tr.Len() != 1 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	// Unmasked input is normalized like Insert.
+	// Unmasked input is normalized.
 	p, _ := netip.ParsePrefix("10.1.2.3/8")
 	if old, existed := tr.Upsert(p, 3); !existed || old != 2 {
 		t.Fatalf("unmasked Upsert = %d, %v", old, existed)
@@ -570,22 +597,24 @@ func TestUpsert(t *testing.T) {
 }
 
 func TestUpsertMatchesGetInsert(t *testing.T) {
-	// Property: Upsert behaves exactly like Get-then-Insert.
+	// Property: a Table's one-descent Upsert and Delete answer what a
+	// persistent version's Get, then Insert or Delete, do.
 	r := rand.New(rand.NewSource(11))
-	a, b := New[int](), New[int]()
+	a, b := New[int](), NewPersistent[int]()
 	for i := 0; i < 4000; i++ {
 		p := randomPrefix(r)
 		oldB, existedB := b.Get(p)
-		b.Insert(p, i)
+		b = b.Insert(p, i)
 		oldA, existedA := a.Upsert(p, i)
 		if oldA != oldB || existedA != existedB {
 			t.Fatalf("Upsert(%v) = (%d,%v), Get+Insert = (%d,%v)", p, oldA, existedA, oldB, existedB)
 		}
 		if r.Intn(4) == 0 {
 			q := randomPrefix(r)
+			vb, _ := b.Get(q)
 			va, oka := a.Delete(q)
-			vb, okb := b.Delete(q)
-			if va != vb || oka != okb {
+			var okb bool
+			if b, okb = b.Delete(q); va != vb && okb || oka != okb {
 				t.Fatalf("Delete(%v) diverged", q)
 			}
 		}
@@ -593,68 +622,57 @@ func TestUpsertMatchesGetInsert(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatalf("Len diverged: %d vs %d", a.Len(), b.Len())
 	}
-	checkInvariants(t, a)
+	checkTable(t, a)
 }
 
 // TestMissBuildsNothing: a Delete of an absent prefix, and an Update that
-// declines an absent prefix's fresh slot, take no node and create no root —
-// at a glue node, below a leaf, where a glue node would be needed, and in a
-// family with no entries.
+// declines an absent prefix, take no node and build no fan — at a glue
+// node, below a leaf, where a glue node would be needed, and in a family
+// with no entries.
 func TestMissBuildsNothing(t *testing.T) {
 	tr := New[int]()
-	for _, s := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.2.0.0/16"} {
-		tr.Insert(mustP(s), 1)
+	for _, s := range []string{"10.0.0.0/8", "10.0.0.0/9", "10.128.0.0/9", "10.1.0.0/16", "10.2.0.0/16"} {
+		tr.Upsert(mustP(s), 1)
 	}
-	tr.Delete(mustP("10.0.0.0/8")) // 10.0.0.0/8 stays as glue
+	tr.Delete(mustP("10.0.0.0/8")) // 10.0.0.0/8's fan trie keeps a glue node there
 	type state struct {
-		slab       int
-		free       *node[int]
-		root4      *node[int]
-		root6      *node[int]
-		len, nodes int
+		blockV, blockG int
+		freeV, freeG   *pnode[int]
+		root4, root6   *fan[int]
+		len            int
 	}
 	snap := func() state {
-		nodes := 0
-		var count func(*node[int])
-		count = func(n *node[int]) {
-			if n != nil {
-				nodes++
-				count(n.child[0])
-				count(n.child[1])
-			}
-		}
-		count(tr.root4)
-		count(tr.root6)
-		return state{len(tr.slab), tr.free, tr.root4, tr.root6, tr.Len(), nodes}
+		s := &tr.s
+		return state{len(s.blockV), len(s.blockG), s.freeV, s.freeG, s.tbl.root4, s.tbl.root6, tr.Len()}
 	}
-	before := snap()
-	for _, s := range []string{"10.0.0.0/8", "10.1.2.0/24", "10.128.0.0/9", "11.0.0.0/8", "2001:db8::/32"} {
+	before, shape := snap(), walked(tr, netip.Prefix{})
+	for _, s := range []string{"10.0.0.0/8", "10.1.2.0/24", "10.128.0.0/10", "11.0.0.0/8", "2001:db8::/32"} {
 		p := mustP(s)
 		if _, ok := tr.Delete(p); ok {
 			t.Fatalf("Delete(%v) found an entry", p)
 		}
 		tr.Update(p, func(v *int, existed bool) bool {
 			if existed || *v != 0 {
-				t.Fatalf("Update(%v) handed (%d, %v), want a zeroed fresh slot", p, *v, existed)
+				t.Fatalf("Update(%v) handed (%d, %v), want a zeroed fresh value", p, *v, existed)
 			}
 			*v = 7
 			return false
 		})
-		if after := snap(); after != before {
-			t.Fatalf("a miss on %v changed the trie: %+v, was %+v", p, after, before)
+		if after := snap(); after != before || !slices.Equal(walked(tr, netip.Prefix{}), shape) {
+			t.Fatalf("a miss on %v changed the table: %+v, was %+v", p, after, before)
 		}
 		if _, ok := tr.Get(p); ok {
 			t.Fatalf("declined %v is stored", p)
 		}
 	}
-	checkInvariants(t, tr)
+	checkTable(t, tr)
 }
 
 func TestDeepChainWalk(t *testing.T) {
 	// A /0→/128 chain is the worst case for the subtree walk: every node
 	// has exactly one child, so the walk is 129 levels deep. The iterative
-	// explicit-stack walk must visit all of it in order (the old
-	// per-node recursion burned a call frame per level).
+	// explicit-stack walk must visit all of it in order, and a walk
+	// resumed in the middle of the chain must seek down it.
 	tr := New[int]()
 	base := mustA("8000::") // high bit set so every chain step branches on bit i
 	for bits := 0; bits <= 128; bits++ {
@@ -662,7 +680,7 @@ func TestDeepChainWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.Insert(p, bits)
+		tr.Upsert(p, bits)
 	}
 	// And the v4 analogue.
 	for bits := 0; bits <= 32; bits++ {
@@ -670,7 +688,7 @@ func TestDeepChainWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.Insert(p, 1000+bits)
+		tr.Upsert(p, 1000+bits)
 	}
 	if tr.Len() != 129+33 {
 		t.Fatalf("Len = %d", tr.Len())
@@ -691,6 +709,10 @@ func TestDeepChainWalk(t *testing.T) {
 	if n != 129+33 {
 		t.Fatalf("walked %d entries", n)
 	}
+	mid, _ := base.Prefix(77)
+	if got := walked(tr, mid); len(got) != 128-77 || got[0].Bits() != 78 {
+		t.Fatalf("walk resumed after %v yields %d entries from %v", mid, len(got), got)
+	}
 	// LongestMatch descends the full chain to the /128 and /32 leaves
 	// without panicking past the last bit.
 	if p, v, ok := tr.LongestMatch(mustA("8000::")); !ok || v != 128 || p.Bits() != 128 {
@@ -704,12 +726,10 @@ func TestDeepChainWalk(t *testing.T) {
 		p, _ := base.Prefix(bits)
 		tr.Delete(p)
 	}
-	n = 0
-	tr.Walk(func(netip.Prefix, int) bool { n++; return true })
-	if n != tr.Len() {
+	if n = len(walked(tr, netip.Prefix{})); n != tr.Len() {
 		t.Fatalf("walk saw %d, Len %d", n, tr.Len())
 	}
-	checkInvariants(t, tr)
+	checkTable(t, tr)
 }
 
 func TestLongestMatchZeroAllocs(t *testing.T) {
@@ -718,7 +738,7 @@ func TestLongestMatchZeroAllocs(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		a := netip.AddrFrom4([4]byte{byte(r.Intn(223) + 1), byte(r.Intn(256)), byte(r.Intn(256)), 0})
 		p, _ := a.Prefix(16 + r.Intn(9))
-		tr.Insert(p, i)
+		tr.Upsert(p, i)
 	}
 	addr := netip.AddrFrom4([4]byte{100, 1, 2, 3})
 	if allocs := testing.AllocsPerRun(200, func() { tr.LongestMatch(addr) }); allocs != 0 {
@@ -728,30 +748,29 @@ func TestLongestMatchZeroAllocs(t *testing.T) {
 		t.Fatalf("Get allocates %.1f/op", allocs)
 	}
 
-	// Every way out of either trie rebuilds a netip.Prefix from the key;
+	// Every way out of either holder rebuilds a netip.Prefix from the key;
 	// none of them may pay an allocation for it.
 	pt := NewPersistent[int]()
 	for _, s := range []string{"0.0.0.0/0", "96.0.0.0/3", "100.0.0.0/8", "100.1.0.0/16", "100.1.2.0/24", "2001:db8::/32"} {
-		tr.Insert(mustP(s), 1)
+		tr.Upsert(mustP(s), 1)
 		pt = pt.Insert(mustP(s), 1)
 	}
-	it := tr.IterateFrom(mustP("100.1.2.0/24"))
-	defer it.Close()
 	n := 0
 	count := func(netip.Prefix, int) bool { n++; return true }
+	stop := func(netip.Prefix, int) bool { n++; return false }
 	for what, f := range map[string]func(){
 		"Persistent.LongestMatch": func() { pt.LongestMatch(addr) },
 		"Persistent.Get":          func() { pt.Get(mustP("100.1.2.0/24")) },
 		"Persistent.Walk":         func() { pt.Walk(count) },
-		"Trie.Walk":               func() { tr.WalkCovered(mustP("100.1.0.0/16"), count) },
-		"Iterator.Entry":          func() { it.Entry(); it.Prefix() },
+		"Table.WalkFrom":          func() { tr.WalkFrom(mustP("100.1.2.0/24"), stop) },
+		"Table.HasEntryInside":    func() { tr.HasEntryInside(mustP("100.0.0.0/8")) },
 	} {
 		if allocs := testing.AllocsPerRun(200, f); allocs != 0 {
 			t.Errorf("%s allocates %.1f/op", what, allocs)
 		}
 	}
-	if p, _, ok := it.Entry(); !ok || p != mustP("100.1.2.0/24") || n == 0 {
-		t.Fatalf("iterator at %v (ok=%v), walks counted %d", p, ok, n)
+	if n == 0 {
+		t.Fatal("no walk visited anything")
 	}
 }
 
@@ -763,20 +782,20 @@ type big struct{ _ [1 << 10]byte }
 // reference, and is gone when it returns.
 //
 //go:noinline
-func insertFinalized(tr *Trie[*big], p netip.Prefix) <-chan struct{} {
+func insertFinalized(tr *Table[*big], p netip.Prefix) <-chan struct{} {
 	done := make(chan struct{})
 	b := new(big)
 	runtime.SetFinalizer(b, func(*big) { close(done) })
-	tr.Insert(p, b)
+	tr.Upsert(p, b)
 	return done
 }
 
-// TestTrieDeleteReleasesValue: a value slot outlives its entry (it goes on
-// the free list inside a slab block that stays), so Delete must clear it
-// or the trie keeps every value it ever held reachable.
+// TestTrieDeleteReleasesValue: a node outlives its entry (it goes on the
+// free list inside a block that stays), so Delete must clear its value or
+// the table keeps every value it ever held reachable.
 func TestTrieDeleteReleasesValue(t *testing.T) {
 	tr := New[*big]()
-	tr.Insert(mustP("10.0.0.0/8"), new(big)) // the slab block stays in use
+	tr.Upsert(mustP("10.0.0.0/8"), new(big)) // the block stays in use
 	done := insertFinalized(tr, mustP("10.1.0.0/16"))
 	if _, ok := tr.Delete(mustP("10.1.0.0/16")); !ok {
 		t.Fatal("delete failed")
@@ -803,20 +822,20 @@ func BenchmarkInsert150k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr := New[int]()
 		for j, p := range ps {
-			tr.Insert(p, j)
+			tr.Upsert(p, j)
 		}
 	}
 }
 
 // BenchmarkTrieLongestMatch measures the word-keyed LPM walk against a
-// full-table trie; the fast path requires it to stay at 0 allocs/op.
+// full table; the fast path requires it to stay at 0 allocs/op.
 func BenchmarkTrieLongestMatch(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	tr := New[int]()
 	for i := 0; i < 150000; i++ {
 		a := netip.AddrFrom4([4]byte{byte(r.Intn(223) + 1), byte(r.Intn(256)), byte(r.Intn(256)), 0})
 		p, _ := a.Prefix(16 + r.Intn(9))
-		tr.Insert(p, i)
+		tr.Upsert(p, i)
 	}
 	addrs := make([]netip.Addr, 1024)
 	for i := range addrs {
@@ -829,8 +848,8 @@ func BenchmarkTrieLongestMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkTrieUpsert measures the combined Get+Insert traversal on the
-// replace path (no node allocation).
+// BenchmarkTrieUpsert measures the one-descent Upsert on the replace path
+// (no node allocation).
 func BenchmarkTrieUpsert(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	tr := New[int]()
@@ -838,7 +857,7 @@ func BenchmarkTrieUpsert(b *testing.B) {
 	for i := 0; i < 150000; i++ {
 		a := netip.AddrFrom4([4]byte{byte(r.Intn(223) + 1), byte(r.Intn(256)), byte(r.Intn(256)), 0})
 		p, _ := a.Prefix(16 + r.Intn(9))
-		if replaced, _ := tr.Insert(p, i); !replaced {
+		if _, replaced := tr.Upsert(p, i); !replaced {
 			ps = append(ps, p)
 		}
 	}
@@ -871,64 +890,58 @@ func fullTable(n int) []netip.Prefix {
 	return ps
 }
 
-// TestJumpIndexCost pins what the /16 index costs. A full table's index is
-// one 2 KiB array per /8 holding a prefix of /16 or longer, plus the 2 KiB
-// top level. And announcing, replacing and withdrawing a prefix in a /16
-// whose array exists allocates nothing: trickle's steady state, both in a
-// /16 that holds routes and in an empty one, whose slot is set and cleared.
-func TestJumpIndexCost(t *testing.T) {
+// TestTableChurnAllocatesNothing: announcing, replacing and withdrawing a
+// prefix in a full table allocates nothing — trickle's steady state —
+// both in a /16 that holds routes and in an empty one under an /8 whose
+// fans exist, and in a /8 whose last route went: the table keeps its fans
+// and reuses the nodes it dropped. A whole 256-route slice withdrawn and
+// announced again allocates nothing either, bulk's steady state.
+func TestTableChurnAllocatesNothing(t *testing.T) {
 	tr := New[int]()
-	populated := map[byte]bool{}
-	for i, p := range fullTable(146515) {
-		tr.Insert(p, i)
-		if p.Bits() >= jumpBits {
-			populated[p.Addr().As4()[0]] = true
-		}
+	ps := fullTable(146515)
+	for i, p := range ps {
+		tr.Upsert(p, i)
 	}
-	if tr.jump[1] != nil {
-		t.Error("an IPv4-only table built an IPv6 index")
-	}
-	arrays := 1 // the top level
-	for _, sub := range tr.jump[0] {
-		if sub != nil {
-			arrays++
-		}
-	}
-	const twoKiB = 2 << 10
-	size := int(unsafe.Sizeof([256]*node[int]{}))
-	if bytes, bound := arrays*size, twoKiB*(len(populated)+1); bytes > bound {
-		t.Errorf("the index is %d bytes (%d arrays of %d) for %d populated /8s, want ≤ %d", bytes, arrays, size, len(populated), bound)
-	}
-	t.Logf("index: %d arrays of %d bytes for %d populated /8s", arrays, size, len(populated))
-
-	// A /24 absent from an occupied /16, and one in an empty /16; both /8s
-	// have their array.
 	var fresh, empty netip.Prefix
 	for x := 0; x < 1<<16 && !(fresh.IsValid() && empty.IsValid()); x++ {
 		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, byte(x >> 8), byte(x), 0}), 24)
 		if _, ok := tr.Get(p); ok {
 			continue
 		}
-		if tr.jumpTo(keyOf(p.Addr()), true) == nil {
-			empty = p
-		} else {
+		if tr.HasEntryInside(netip.PrefixFrom(p.Addr(), 16)) {
 			fresh = p
+		} else {
+			empty = p
 		}
 	}
-	if !populated[100] || !fresh.IsValid() || !empty.IsValid() {
+	lone := mustP("240.1.2.0/24") // first octet past every route: its fans empty after each op
+	if !fresh.IsValid() || !empty.IsValid() {
 		t.Fatalf("no probe prefixes (fresh %v, empty %v)", fresh, empty)
 	}
-	for _, p := range []netip.Prefix{fresh, empty} {
+	for _, p := range []netip.Prefix{fresh, empty, lone} {
 		allocs := testing.AllocsPerRun(100, func() {
-			tr.Insert(p, 1)
+			tr.Upsert(p, 1)
 			tr.Upsert(p, 2)
+			tr.Update(p, func(v *int, _ bool) bool { *v++; return true })
 			tr.Delete(p)
 		})
 		if allocs != 0 {
 			t.Errorf("announce, replace, withdraw of %v allocates %.1f", p, allocs)
 		}
 	}
-	checkInvariants(t, tr)
+	slice := ps[512:768]
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, p := range slice {
+			tr.Delete(p)
+		}
+		for j, p := range slice {
+			tr.Upsert(p, j)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a 256-route slice withdrawn and announced again allocates %.1f", allocs)
+	}
+	checkTable(t, tr)
 }
 
 // BenchmarkTrieSliceChurn is bulk's shape at the trie layer: each op
@@ -939,7 +952,7 @@ func BenchmarkTrieSliceChurn(b *testing.B) {
 	ps := fullTable(146515)
 	tr := New[int]()
 	for i, p := range ps {
-		tr.Insert(p, i)
+		tr.Upsert(p, i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -949,15 +962,16 @@ func BenchmarkTrieSliceChurn(b *testing.B) {
 			tr.Delete(p)
 		}
 		for j, p := range s {
-			tr.Insert(p, j)
+			tr.Upsert(p, j)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slice), "ns/route")
 }
 
-// TestIterateFromMatchesLinearScan cross-checks the seeking IterateFrom
+// TestIterateFromMatchesLinearScan cross-checks the seeking WalkFrom
 // against a reference linear scan over random tables, including start
-// prefixes that are absent, covered, covering, before-all and after-all.
+// prefixes that are absent, covered, covering, before-all and after-all:
+// the whole rest of the walk, not only its first entry.
 func TestIterateFromMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -971,7 +985,7 @@ func TestIterateFromMatchesLinearScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if replaced, _ := tr.Insert(p, i); !replaced {
+			if _, replaced := tr.Upsert(p, i); !replaced {
 				entries = append(entries, p)
 			}
 		}
@@ -983,40 +997,21 @@ func TestIterateFromMatchesLinearScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if replaced, _ := tr.Insert(p, i); !replaced {
+			if _, replaced := tr.Upsert(p, i); !replaced {
 				entries = append(entries, p)
 			}
 		}
+		slices.SortFunc(entries, ComparePrefix)
 		probe := func(start netip.Prefix) {
 			t.Helper()
-			// Reference: smallest entry >= start in lex order.
-			var want netip.Prefix
-			found := false
+			var want []netip.Prefix
 			for _, e := range entries {
-				if e.Addr().Is4() != start.Addr().Is4() {
-					// Cross-family: v4 sorts before v6 wholesale.
-					if start.Addr().Is4() && !e.Addr().Is4() {
-						// eligible
-					} else {
-						continue
-					}
-				} else if ComparePrefix(e, start) < 0 {
-					continue
-				}
-				if !found || ComparePrefix(e, want) < 0 {
-					want, found = e, true
+				if ComparePrefix(e, start) > 0 {
+					want = append(want, e)
 				}
 			}
-			it := tr.IterateFrom(start)
-			defer it.Close()
-			if !found {
-				if it.Valid() {
-					t.Fatalf("IterateFrom(%v) = %v, want exhausted", start, it.Prefix())
-				}
-				return
-			}
-			if !it.Valid() || it.Prefix() != want {
-				t.Fatalf("IterateFrom(%v) = %v (valid=%v), want %v", start, it.Prefix(), it.Valid(), want)
+			if got := walked(tr, start); !slices.Equal(got, want) {
+				t.Fatalf("WalkFrom(%v) = %v, want %v", start, got, want)
 			}
 		}
 		// Probe with existing entries and with random prefixes.
@@ -1033,5 +1028,8 @@ func TestIterateFromMatchesLinearScan(t *testing.T) {
 		probe(mustP("255.255.255.255/32"))
 		probe(mustP("::/0"))
 		probe(mustP("ffff::/16"))
+		if got := walked(tr, netip.Prefix{}); !slices.Equal(got, entries) {
+			t.Fatalf("WalkFrom(invalid) = %v, want the whole table", got)
+		}
 	}
 }
