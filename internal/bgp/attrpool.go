@@ -53,32 +53,6 @@ func NewAttrPool() *AttrPool {
 	return &AttrPool{sets: make(map[uint64]poolEntry), seed: maphash.MakeSeed(), hashMask: ^uint64(0), rib: newRIBIn()}
 }
 
-// Len returns the number of distinct interned attribute sets (tests).
-func (p *AttrPool) Len() int {
-	sets, _ := p.count()
-	return sets
-}
-
-// Refs returns the total refcount across all entries (tests).
-func (p *AttrPool) Refs() int {
-	_, refs := p.count()
-	return refs
-}
-
-// count walks every chain.
-func (p *AttrPool) count() (sets, refs int) {
-	if p == nil {
-		return 0, 0
-	}
-	for _, head := range p.sets {
-		for e := &head; e != nil; e = e.next {
-			sets++
-			refs += e.refs
-		}
-	}
-	return sets, refs
-}
-
 // hash returns the pool's hash of a's canonical key.
 func (p *AttrPool) hash(a *PathAttrs) uint64 {
 	if a == p.last {
@@ -140,11 +114,6 @@ func (p *AttrPool) Intern(a *PathAttrs) *PathAttrs {
 	p.last, p.lastHash = a, h
 	return a
 }
-
-// Retain takes an additional reference on an interned set. Unknown (or
-// never-interned) pointers are ignored, so callers need not track whether
-// an attrs value came from the pool.
-func (p *AttrPool) Retain(a *PathAttrs) { p.retain(a, 1) }
 
 // Release drops one reference; the entry leaves the pool at zero.
 func (p *AttrPool) Release(a *PathAttrs) { p.retain(a, -1) }

@@ -190,13 +190,3 @@ func (d *DampingStage) Lookup(net netip.Prefix, r *Route) bool {
 	}
 	return d.lookupParent(net, r)
 }
-
-// Suppressed reports whether net is currently suppressed (for tests and
-// operational show commands).
-func (d *DampingStage) Suppressed(net netip.Prefix) bool {
-	if d.state == nil {
-		return false
-	}
-	s, ok := d.state.Get(net)
-	return ok && s.suppressed
-}

@@ -1,5 +1,7 @@
 package bgp
 
+import "net/netip"
+
 // WalkAnnounced visits, in prefix order, every route one member has been
 // sent: the tests' view of the replay ResyncMember sends, asked of the
 // stages upstream as the replay is. A member that is not live has been
@@ -8,4 +10,89 @@ func (g *GroupOut) WalkAnnounced(handle *PeerHandle, fn func(Route) bool) {
 	if m := g.member(handle); m != nil && m.live {
 		g.replay(m, func(r Route) bool { return !sendable(r.Src, handle) || fn(r) })
 	}
+}
+
+// Len returns the number of distinct interned attribute sets.
+func (p *AttrPool) Len() int {
+	sets, _ := p.count()
+	return sets
+}
+
+// Refs returns the total refcount across all entries.
+func (p *AttrPool) Refs() int {
+	_, refs := p.count()
+	return refs
+}
+
+// count walks every chain.
+func (p *AttrPool) count() (sets, refs int) {
+	if p == nil {
+		return 0, 0
+	}
+	for _, head := range p.sets {
+		for e := &head; e != nil; e = e.next {
+			sets++
+			refs += e.refs
+		}
+	}
+	return sets, refs
+}
+
+// Retain takes an additional reference on an interned set. Unknown (or
+// never-interned) pointers are ignored, so callers need not track whether
+// an attrs value came from the pool.
+func (p *AttrPool) Retain(a *PathAttrs) { p.retain(a, 1) }
+
+// Suppressed reports whether net is currently suppressed.
+func (d *DampingStage) Suppressed(net netip.Prefix) bool {
+	if d.state == nil {
+		return false
+	}
+	s, ok := d.state.Get(net)
+	return ok && s.suppressed
+}
+
+// QueueLen reports the single queue's current length.
+func (f *Fanout) QueueLen() int { return f.q.Len() }
+
+// Peer returns the peering handle.
+func (p *PeerIn) Peer() *PeerHandle { return p.peer }
+
+// Done reports whether the stage has drained and unplumbed itself.
+func (d *DeletionStage) Done() bool { return d.done }
+
+// AttrPool returns the process attribute pool.
+func (p *Process) AttrPool() *AttrPool { return p.pool }
+
+// sink is a terminal stage collecting messages.
+type sink struct {
+	base
+	adds, replaces, deletes int
+	tbl                     map[netip.Prefix]Route
+}
+
+func newSink(name string) *sink {
+	return &sink{base: base{name: name}, tbl: make(map[netip.Prefix]Route)}
+}
+
+func (s *sink) Add(run []Route) {
+	for _, r := range run {
+		s.adds++
+		s.tbl[r.Net] = r
+	}
+}
+
+func (s *sink) Replace(old, new Route) {
+	s.replaces++
+	s.tbl[new.Net] = new
+}
+
+func (s *sink) Delete(r Route) {
+	s.deletes++
+	delete(s.tbl, r.Net)
+}
+
+func (s *sink) Lookup(net netip.Prefix, r *Route) (ok bool) {
+	*r, ok = s.tbl[net]
+	return ok
 }

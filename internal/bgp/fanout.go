@@ -107,9 +107,6 @@ func (f *Fanout) Backlog(name string) int {
 	return 0
 }
 
-// QueueLen reports the single queue's current length.
-func (f *Fanout) QueueLen() int { return f.q.Len() }
-
 // sendable reports whether a route learned from src may be advertised to
 // peer: not back to its originator (split horizon), and not from one IBGP
 // peer to another (IBGP full-mesh rule, RFC 4271 §9.2.1).

@@ -1,12 +1,6 @@
 package bgp
 
-import (
-	"net/netip"
-	"slices"
-
-	"xorp/internal/eventloop"
-	"xorp/internal/trie"
-)
+import "net/netip"
 
 // Filter judges a route by its attribute set: it returns the route's own
 // set to pass it, a rewritten set, or nil to drop it. Prefix and source are
@@ -31,30 +25,6 @@ type FilterBank struct {
 	// view is the route the filter being run is shown: the bank's own copy,
 	// under the answer of the filter before it.
 	view Route
-	// refilter is the Refilter reconciliation under way, if any.
-	refilter *refilter
-}
-
-// refilter is a Refilter's reconciliation: the prefixes upstream held when
-// the chain was replaced, in prefix order, and how far its task has got.
-// Downstream holds what the replaced chain made of the prefixes not yet
-// reached, so their routes go through that chain until the task gets there.
-type refilter struct {
-	was     []Filter
-	pending []netip.Prefix
-	next    int
-}
-
-// chain returns the filters net's routes go through now.
-func (f *FilterBank) chain(net netip.Prefix) []Filter {
-	if f.refilter == nil {
-		return f.filters
-	}
-	rf := f.refilter
-	if _, ahead := slices.BinarySearchFunc(rf.pending[rf.next:], net, trie.ComparePrefix); ahead {
-		return rf.was
-	}
-	return f.filters
 }
 
 // NewFilterBank returns an empty (pass-everything) filter bank.
@@ -62,15 +32,15 @@ func NewFilterBank(name string, filters ...Filter) *FilterBank {
 	return &FilterBank{base: base{name: name}, filters: filters}
 }
 
-// apply runs filters over r and returns what they make of its attribute
-// set: r's own when none rewrote it, nil when one dropped it, else the last
-// rewrite. Later filters see the route under the earlier ones' answer.
-func (f *FilterBank) apply(filters []Filter, r Route) *PathAttrs {
-	if len(filters) == 0 {
+// apply runs the chain over r and returns what it makes of r's attribute
+// set: r's own when no filter rewrote it, nil when one dropped it, else the
+// last rewrite. Later filters see the route under the earlier ones' answer.
+func (f *FilterBank) apply(r Route) *PathAttrs {
+	if len(f.filters) == 0 {
 		return r.Attrs
 	}
 	f.view = r
-	for _, flt := range filters {
+	for _, flt := range f.filters {
 		if f.view.Attrs = flt(&f.view); f.view.Attrs == nil {
 			break
 		}
@@ -95,7 +65,7 @@ func (f *FilterBank) Add(run []Route) {
 	var lastIn, lastOut *PathAttrs
 	out, changed := f.run, false
 	for i, r := range run {
-		a := f.apply(f.chain(r.Net), r)
+		a := f.apply(r)
 		if a != nil && a != r.Attrs {
 			if lastIn == r.Attrs && a.Equal(lastOut) {
 				a = lastOut
@@ -132,11 +102,21 @@ func (f *FilterBank) Add(run []Route) {
 }
 
 // Replace implements Stage, degrading to Add/Delete when filtering drops
-// one side of the pair.
+// one side of the pair. A pair that filters to the same route is still a
+// Replace: upstream said it changed.
 func (f *FilterBank) Replace(old, new Route) {
-	if f.next != nil {
-		chain := f.chain(new.Net)
-		f.emit(chain, chain, old, new, false)
+	if f.next == nil {
+		return
+	}
+	old.Attrs, new.Attrs = f.apply(old), f.apply(new)
+	switch {
+	case old.Attrs == nil && new.Attrs == nil:
+	case old.Attrs == nil:
+		f.addOne(new)
+	case new.Attrs == nil:
+		f.next.Delete(old)
+	default:
+		f.next.Replace(old, new)
 	}
 }
 
@@ -145,24 +125,8 @@ func (f *FilterBank) Delete(r Route) {
 	if f.next == nil {
 		return
 	}
-	if r.Attrs = f.apply(f.chain(r.Net), r); r.Attrs != nil {
+	if r.Attrs = f.apply(r); r.Attrs != nil {
 		f.next.Delete(r)
-	}
-}
-
-// emit sends downstream what becomes of old under the chain was and of new
-// under now. A pair that filters to the same route is still a Replace —
-// upstream said it changed — unless skipSame is set.
-func (f *FilterBank) emit(was, now []Filter, old, new Route, skipSame bool) {
-	old.Attrs, new.Attrs = f.apply(was, old), f.apply(now, new)
-	switch {
-	case old.Attrs == nil && new.Attrs == nil:
-	case old.Attrs == nil:
-		f.addOne(new)
-	case new.Attrs == nil:
-		f.next.Delete(old)
-	case !skipSame || !SameRoute(&old, &new):
-		f.next.Replace(old, new)
 	}
 }
 
@@ -172,7 +136,7 @@ func (f *FilterBank) Lookup(net netip.Prefix, r *Route) bool {
 	if !f.lookupParent(net, r) {
 		return false
 	}
-	r.Attrs = f.apply(f.chain(net), *r)
+	r.Attrs = f.apply(*r)
 	return r.Attrs != nil
 }
 
@@ -181,68 +145,9 @@ func (f *FilterBank) Lookup(net netip.Prefix, r *Route) bool {
 func (f *FilterBank) walk(from Stage, fn func(Route) bool) {
 	if w, ok := f.parent.(walker); ok {
 		w.walk(from, func(r Route) bool {
-			r.Attrs = f.apply(f.chain(r.Net), r)
+			r.Attrs = f.apply(r)
 			return r.Attrs == nil || fn(r)
 		})
-	}
-}
-
-// Refilter atomically replaces the filter chain and reconciles downstream
-// with a background task (§5.1.2: "routing policy filters are changed by
-// the operator and many routes need to be re-filtered and reevaluated").
-// walk must iterate the upstream origin table (e.g. PeerIn.Walk). Until
-// the task reaches a prefix walk visited, the prefix's routes, and its
-// lookups, still go through the old chain, because that is what downstream
-// holds of it; the task then reconciles it against upstream's current
-// route. A reconciliation still under way completes before the chain is
-// replaced again. The returned task completes when reconciliation is done.
-func (f *FilterBank) Refilter(loop *eventloop.Loop, newFilters []Filter, walk func(func(Route) bool)) *eventloop.Task {
-	if f.refilter != nil {
-		f.reconcile(len(f.refilter.pending))
-	}
-	rf := &refilter{was: f.filters}
-	walk(func(r Route) bool {
-		rf.pending = append(rf.pending, r.Net)
-		return true
-	})
-	slices.SortFunc(rf.pending, trie.ComparePrefix)
-	f.filters, f.refilter = newFilters, rf
-	return loop.AddTask("refilter("+f.name+")", func() bool {
-		return f.refilter != rf || f.reconcile(deletionBatch)
-	})
-}
-
-// reconcile moves up to n prefixes the reconciliation has not reached
-// under the new chain and reports whether it is done. A prefix counts as
-// reached before its change goes out: downstream looks back up through
-// this bank while handling it.
-func (f *FilterBank) reconcile(n int) bool {
-	rf := f.refilter
-	var cur Route
-	for ; n > 0 && rf.next < len(rf.pending); n-- {
-		net := rf.pending[rf.next]
-		rf.next++
-		if f.next != nil && f.lookupParent(net, &cur) {
-			f.emit(rf.was, f.filters, cur, cur, true)
-		}
-	}
-	if rf.next < len(rf.pending) {
-		return false
-	}
-	f.refilter = nil
-	return true
-}
-
-// Common default filters used when assembling peer pipelines.
-
-// FilterDropIfNexthopEquals drops routes whose NEXT_HOP equals addr
-// (e.g. our own address: RFC 4271 §9.1.2).
-func FilterDropIfNexthopEquals(addr netip.Addr) Filter {
-	return func(r *Route) *PathAttrs {
-		if r.Attrs.NextHop == addr {
-			return nil
-		}
-		return r.Attrs
 	}
 }
 

@@ -130,6 +130,17 @@ func TestExportRewriteMatchesDeepClone(t *testing.T) {
 	}
 }
 
+// FilterDropIfNexthopEquals drops routes whose NEXT_HOP equals addr
+// (e.g. our own address: RFC 4271 §9.1.2).
+func FilterDropIfNexthopEquals(addr netip.Addr) Filter {
+	return func(r *Route) *PathAttrs {
+		if r.Attrs.NextHop == addr {
+			return nil
+		}
+		return r.Attrs
+	}
+}
+
 func TestFilterDropIfNexthopEquals(t *testing.T) {
 	f := FilterDropIfNexthopEquals(mustA("192.168.1.1"))
 	own := &Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("192.168.1.1", 65001)}

@@ -182,8 +182,8 @@ func TestSessionTeardownTriggersDeletion(t *testing.T) {
 
 	// No consistency violations anywhere.
 	b.loop.DispatchAndWait(func() {
-		if v := b.CacheViolations(); len(v) != 0 {
-			t.Errorf("consistency violations at b: %v", v)
+		if v, _ := b.Metrics().Get("bgp_consistency_violations_total"); v != 0 {
+			t.Errorf("%v consistency violations at b", v)
 		}
 	})
 }

@@ -40,9 +40,6 @@ func NewPeerIn(loop *eventloop.Loop, peer *PeerHandle, pool *AttrPool) *PeerIn {
 	return p
 }
 
-// Peer returns the peering handle.
-func (p *PeerIn) Peer() *PeerHandle { return p.peer }
-
 // ReceiveUpdate processes a decoded UPDATE from the peer: withdrawals,
 // then announcements. An announcement whose AS_PATH contains localAS is a
 // routing loop: the peer has replaced whatever it said before about each
@@ -170,9 +167,6 @@ type DeletionStage struct {
 	batch   []netip.Prefix // a slice's routes, collected before any goes
 	done    bool
 }
-
-// Done reports whether the stage has drained and unplumbed itself.
-func (d *DeletionStage) Done() bool { return d.done }
 
 // step deletes one batch; it is a cooperative background slice (§4). The
 // safe iterator of §5.3 is a key: the slice resumes after the last prefix

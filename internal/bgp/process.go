@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/netip"
 
-	"xorp/internal/core"
 	"xorp/internal/eventloop"
 	"xorp/internal/route"
 	"xorp/internal/telemetry"
@@ -65,7 +64,6 @@ type Process struct {
 	mEncodeErrs *telemetry.Counter // bgp_out_encode_errors_total
 	mLoopRoutes *telemetry.Counter // bgp_in_as_loop_routes_total
 
-	cache    *CacheStage
 	listener net.Listener
 }
 
@@ -97,6 +95,7 @@ func NewProcess(loop *eventloop.Loop, cfg Config, ribClient RIBClient, metricSrc
 	p.mUpdates = p.metrics.Counter("bgp_updates_total", "UPDATE messages processed")
 	p.mEncodeErrs = p.metrics.Counter("bgp_out_encode_errors_total", "outbound UPDATEs dropped because they could not be encoded")
 	p.mLoopRoutes = p.metrics.Counter("bgp_in_as_loop_routes_total", "announced prefixes rejected, and withdrawn if held, because their AS_PATH holds the local AS")
+	violations := p.metrics.Counter("bgp_consistency_violations_total", "§5.1 consistency-rule violations the RIB branch's cache stage saw (0 without ConsistencyChecks)")
 	p.metrics.GaugeFunc("bgp_peers", "configured peerings",
 		func() float64 { return float64(len(p.peers)) })
 	p.metrics.GaugeFunc("bgp_peerin_routes", "routes stored in the RIB-in, deletion stages' not yet withdrawn included",
@@ -119,9 +118,9 @@ func NewProcess(loop *eventloop.Loop, cfg Config, ribClient RIBClient, metricSrc
 	// The RIB branch of the fanout, optionally behind a consistency cache.
 	var ribHead Stage = &ribSinkStage{base: base{name: "rib-branch"}, proc: p}
 	if cfg.ConsistencyChecks {
-		p.cache = NewCacheStage("rib-branch-cache")
-		Plumb(p.cache, ribHead)
-		ribHead = p.cache
+		cache := NewCacheStage("rib-branch-cache", violations)
+		Plumb(cache, ribHead)
+		ribHead = cache
 	}
 	p.fanout.AddGroupBranch("rib", ribHead)
 
@@ -156,9 +155,6 @@ func (p *Process) Metrics() *telemetry.Registry { return p.metrics }
 // Fanout returns the fanout stage (tests, flow control).
 func (p *Process) Fanout() *Fanout { return p.fanout }
 
-// AttrPool returns the process attribute pool (tests, benchmarks).
-func (p *Process) AttrPool() *AttrPool { return p.pool }
-
 // Group returns a peer group's shared output stage, or nil.
 func (p *Process) Group(name string) *GroupOut {
 	if g, ok := p.groups[name]; ok {
@@ -177,15 +173,6 @@ type peerGroup struct {
 	localAddr netip.Addr
 	out       *GroupOut
 	members   int
-}
-
-// CacheViolations returns consistency violations recorded on the RIB
-// branch (nil without ConsistencyChecks).
-func (p *Process) CacheViolations() []*core.ConsistencyError {
-	if p.cache == nil {
-		return nil
-	}
-	return p.cache.Violations()
 }
 
 // ribSinkStage converts the fanout's RIB branch into RIBClient calls. The

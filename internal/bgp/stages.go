@@ -4,6 +4,7 @@ import (
 	"net/netip"
 
 	"xorp/internal/core"
+	"xorp/internal/telemetry"
 )
 
 // Stage is one element of the BGP pipeline (§5.1). Routes flow downstream
@@ -131,40 +132,6 @@ func Unsplice(s Stage) {
 	s.setDownstream(nil)
 }
 
-// sink is a terminal stage collecting messages; used by tests and as a
-// default downstream so stages never nil-check.
-type sink struct {
-	base
-	adds, replaces, deletes int
-	tbl                     map[netip.Prefix]Route
-}
-
-func newSink(name string) *sink {
-	return &sink{base: base{name: name}, tbl: make(map[netip.Prefix]Route)}
-}
-
-func (s *sink) Add(run []Route) {
-	for _, r := range run {
-		s.adds++
-		s.tbl[r.Net] = r
-	}
-}
-
-func (s *sink) Replace(old, new Route) {
-	s.replaces++
-	s.tbl[new.Net] = new
-}
-
-func (s *sink) Delete(r Route) {
-	s.deletes++
-	delete(s.tbl, r.Net)
-}
-
-func (s *sink) Lookup(net netip.Prefix, r *Route) (ok bool) {
-	*r, ok = s.tbl[net]
-	return ok
-}
-
 // CacheStage is the consistency-checking cache stage of §5.1: it shadows
 // the message stream in its own table, verifies the two consistency rules,
 // and answers lookups locally. "While not intended for normal production
@@ -173,18 +140,16 @@ func (s *sink) Lookup(net netip.Prefix, r *Route) (ok bool) {
 type CacheStage struct {
 	base
 	chk *core.Checker[Route]
-	// Panic indicates a violation should panic (tests) rather than be
-	// recorded.
+	// Panic indicates a violation should panic (tests) rather than only be
+	// counted.
 	Panic bool
 }
 
-// NewCacheStage returns a cache stage labeled name.
-func NewCacheStage(name string) *CacheStage {
-	return &CacheStage{base: base{name: name}, chk: core.NewChecker[Route](name)}
+// NewCacheStage returns a cache stage labeled name, counting each
+// violation in violations.
+func NewCacheStage(name string, violations *telemetry.Counter) *CacheStage {
+	return &CacheStage{base: base{name: name}, chk: core.NewChecker[Route](name, violations)}
 }
-
-// Violations returns the recorded consistency violations.
-func (c *CacheStage) Violations() []*core.ConsistencyError { return c.chk.Violations() }
 
 func (c *CacheStage) check(v *core.ConsistencyError) {
 	if v != nil && c.Panic {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"xorp/internal/eventloop"
+	"xorp/internal/telemetry"
 )
 
 // pipeline builds peerin → [damping?] → filter → resolver for one peer,
@@ -37,7 +38,7 @@ func newTestRouter(t *testing.T, localAS uint16) *testRouter {
 		loop:     loop,
 		decision: NewDecision("decision"),
 		fanout:   NewFanout("fanout", loop),
-		cache:    NewCacheStage("cache"),
+		cache:    NewCacheStage("cache", new(telemetry.Counter)),
 		sink:     newSink("sink"),
 		peers:    make(map[string]*testBranch),
 		pool:     NewAttrPool(),
@@ -83,6 +84,35 @@ func TestSinglePeerAddReachesSink(t *testing.T) {
 	}
 	if tr.sink.adds != 1 {
 		t.Fatalf("sink saw %d adds", tr.sink.adds)
+	}
+}
+
+// TestCacheStageCountsViolations: each operation that breaks a §5.1 rule
+// counts once, and a clean stream counts nothing.
+func TestCacheStageCountsViolations(t *testing.T) {
+	var violations telemetry.Counter
+	c := NewCacheStage("cache", &violations)
+	r := Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}
+	c.Add([]Route{r})
+	c.Replace(r, r)
+	c.Delete(r)
+	if n := violations.Value(); n != 0 {
+		t.Fatalf("clean stream counted %d violations", n)
+	}
+	const n = 7
+	for i := 0; i < n; i++ {
+		switch i % 3 {
+		case 0:
+			c.Delete(r) // never added
+		case 1:
+			c.Replace(r, r) // never added
+		case 2:
+			c.Add([]Route{r, r}) // the second is an add for a prefix present
+			c.Delete(r)
+		}
+	}
+	if got := violations.Value(); got != n {
+		t.Fatalf("%d rule-breaking operations counted %d", n, got)
 	}
 }
 
@@ -506,90 +536,6 @@ func TestFilterBankDropAndModify(t *testing.T) {
 	tr.settle()
 	if len(tr.sink.tbl) != 0 {
 		t.Fatal("withdrawals inconsistent through filters")
-	}
-}
-
-func TestRefilterBackgroundTask(t *testing.T) {
-	tr := newTestRouter(t, 65000)
-	p1 := tr.addPeer(t, "p1", "10.0.0.1", 65001)
-	for i := 0; i < 200; i++ {
-		net := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 1, byte(i), 0}), 24)
-		p1.peerin.Announce(net, attrsVia("10.0.0.1", 65001))
-	}
-	for i := 0; i < 100; i++ {
-		net := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 66, byte(i), 0}), 24)
-		p1.peerin.Announce(net, attrsVia("10.0.0.1", 65001))
-	}
-	tr.settle()
-	if len(tr.sink.tbl) != 300 {
-		t.Fatalf("initial routes %d", len(tr.sink.tbl))
-	}
-	// New policy: drop 10.66/16.
-	drop := mustP("10.66.0.0/16")
-	p1.filter.Refilter(tr.loop, []Filter{func(r *Route) *PathAttrs {
-		if drop.Contains(r.Net.Addr()) {
-			return nil
-		}
-		return r.Attrs
-	}}, p1.peerin.Walk)
-	tr.settle()
-	if len(tr.sink.tbl) != 200 {
-		t.Fatalf("after refilter %d routes, want 200", len(tr.sink.tbl))
-	}
-}
-
-// TestRefilterWithdrawDuringTask: until the refilter task reaches a prefix,
-// downstream holds what the old chain made of it, so a withdrawal arriving
-// first goes through the old chain. Dropped by the old chain, the route is
-// withdrawn from nobody (the cache panics on a delete for a prefix never
-// added), and the task, which reconciles against upstream's current route,
-// does not bring it back. Passed by the old chain, it is withdrawn at once,
-// not left downstream until the task gets there.
-func TestRefilterWithdrawDuringTask(t *testing.T) {
-	block := mustP("10.66.0.0/16")
-	drop66 := func(r *Route) *PathAttrs {
-		if block.Contains(r.Net.Addr()) {
-			return nil
-		}
-		return r.Attrs
-	}
-	gone := mustP("10.66.99.0/24")
-	for _, tc := range []struct {
-		name     string
-		old, new []Filter
-	}{
-		{"old chain drops", []Filter{drop66}, nil},
-		{"old chain passes", nil, []Filter{drop66}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tr := newTestRouter(t, 65000)
-			p1 := tr.addPeer(t, "p1", "10.0.0.1", 65001)
-			for i := 0; i < 200; i++ {
-				p1.peerin.Announce(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 1, byte(i), 0}), 24), attrsVia("10.0.0.1", 65001))
-			}
-			for i := 0; i < 100; i++ {
-				p1.peerin.Announce(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 66, byte(i), 0}), 24), attrsVia("10.0.0.1", 65001))
-			}
-			tr.settle()
-			if tc.old != nil {
-				p1.filter.Refilter(tr.loop, tc.old, p1.peerin.Walk)
-				tr.settle()
-			}
-			p1.filter.Refilter(tr.loop, tc.new, p1.peerin.Walk)
-			p1.peerin.Withdraw(gone) // the task has not run a slice yet
-			tr.fanout.Flush()
-			if lookup(tr.sink, gone) != nil || lookup(tr.decision, gone) != nil {
-				t.Fatalf("%v withdrawn upstream but still held downstream", gone)
-			}
-			tr.settle()
-			want := 299
-			if tc.new != nil {
-				want = 200
-			}
-			if len(tr.sink.tbl) != want || lookup(tr.sink, gone) != nil {
-				t.Fatalf("after the task: %d routes (want %d), %v held: %v", len(tr.sink.tbl), want, gone, lookup(tr.sink, gone) != nil)
-			}
-		})
 	}
 }
 

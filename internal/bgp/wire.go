@@ -520,11 +520,3 @@ func (d *wireDecoder) u16() uint16 {
 	}
 	return binary.BigEndian.Uint16(b)
 }
-
-func (d *wireDecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}

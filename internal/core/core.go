@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/netip"
 
+	"xorp/internal/telemetry"
 	"xorp/internal/trie"
 )
 
@@ -56,18 +57,19 @@ func (e *ConsistencyError) Error() string {
 }
 
 // Checker tracks the add/replace/delete stream at one point in a stage
-// network and reports violations. It also serves lookups from its shadow
-// table, which is what makes a "cache stage" able to answer lookup_route
-// without passing upstream.
+// network, and reports and counts violations. It also serves lookups from
+// its shadow table, which is what makes a "cache stage" able to answer
+// lookup_route without passing upstream.
 type Checker[R any] struct {
 	name       string
 	tbl        *trie.Table[R]
-	violations []*ConsistencyError
+	violations *telemetry.Counter
 }
 
-// NewChecker returns a Checker labeled name for diagnostics.
-func NewChecker[R any](name string) *Checker[R] {
-	return &Checker[R]{name: name, tbl: trie.New[R]()}
+// NewChecker returns a Checker labeled name for diagnostics, counting
+// each violation in violations.
+func NewChecker[R any](name string, violations *telemetry.Counter) *Checker[R] {
+	return &Checker[R]{name: name, tbl: trie.New[R](), violations: violations}
 }
 
 // Add records an add_route, reporting a violation if the prefix is
@@ -105,14 +107,7 @@ func (c *Checker[R]) Lookup(net netip.Prefix) (R, bool) {
 	return c.tbl.Get(net)
 }
 
-// Len returns the number of live prefixes.
-func (c *Checker[R]) Len() int { return c.tbl.Len() }
-
-// Violations returns all recorded violations.
-func (c *Checker[R]) Violations() []*ConsistencyError { return c.violations }
-
 func (c *Checker[R]) violate(op Op, net netip.Prefix, note string) *ConsistencyError {
-	v := &ConsistencyError{Stage: c.name, Op: op, Net: net, Note: note}
-	c.violations = append(c.violations, v)
-	return v
+	c.violations.Inc()
+	return &ConsistencyError{Stage: c.name, Op: op, Net: net, Note: note}
 }

@@ -5,12 +5,15 @@ import (
 	"net/netip"
 	"testing"
 	"testing/quick"
+
+	"xorp/internal/telemetry"
 )
 
 func mustP(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
 func TestCheckerRules(t *testing.T) {
-	c := NewChecker[int]("test")
+	var violations telemetry.Counter
+	c := NewChecker[int]("test", &violations)
 	p := mustP("10.0.0.0/8")
 
 	if v := c.Delete(p); v == nil {
@@ -37,10 +40,10 @@ func TestCheckerRules(t *testing.T) {
 	if _, ok := c.Lookup(p); ok {
 		t.Fatal("lookup after delete")
 	}
-	if len(c.Violations()) != 3 {
-		t.Fatalf("recorded %d violations, want 3", len(c.Violations()))
+	if n := violations.Value(); n != 3 {
+		t.Fatalf("counted %d violations, want 3", n)
 	}
-	if c.Violations()[0].Error() == "" {
+	if c.Add(p, 4) != nil || c.Add(p, 5).Error() == "" {
 		t.Fatal("empty violation message")
 	}
 }

@@ -43,9 +43,6 @@ func New(clock Clock) *Loop {
 	}
 }
 
-// Clock returns the loop's clock.
-func (l *Loop) Clock() Clock { return l.clock }
-
 // Now returns the loop clock's current time.
 func (l *Loop) Now() time.Time { return l.clock.Now() }
 

@@ -197,14 +197,14 @@ func TestSnapshotFIBOracle(t *testing.T) {
 		// the next Apply (checked above on the next step).
 		if e := modelEntry(rng); rng.Intn(2) == 0 || len(m) == 0 {
 			e.Metric, e.Protocol = 0, 0
-			if err := fib.Install(kernel.FIBEntry{Net: e.Net, NextHop: e.NextHop, IfName: e.IfName}); err != nil {
+			if _, _, err := fib.Commit([]route.Entry{{Net: e.Net, NextHop: e.NextHop, IfName: e.IfName}}, nil); err != nil {
 				t.Fatal(err)
 			}
 			m[e.Net] = e
 		} else {
 			net := anyNet()
-			if !fib.Remove(net) {
-				t.Fatalf("step %d: Remove(%v) found nothing", step, net)
+			if _, removed, _ := fib.Commit(nil, []netip.Prefix{net}); removed != 1 {
+				t.Fatalf("step %d: removing %v found nothing", step, net)
 			}
 			delete(m, net)
 		}
@@ -433,14 +433,14 @@ func TestTablesReturnTheKey(t *testing.T) {
 		snap.Walk(func(got route.Entry) bool { check(name, "Walk", got.Net, true); return true })
 	}
 
-	installed, applied := kernel.NewFIB(), kernel.NewFIB()
-	if err := installed.Install(kernel.FIBEntry{Net: unmasked, NextHop: e.NextHop, IfName: e.IfName}); err != nil {
+	committed, applied := kernel.NewFIB(), kernel.NewFIB()
+	if _, _, err := committed.Commit([]route.Entry{{Net: unmasked, NextHop: e.NextHop, IfName: e.IfName}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := applied.ApplyBatch([]kernel.FIBEntry{{Net: unmasked, NextHop: e.NextHop, IfName: e.IfName}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	for name, fib := range map[string]*kernel.FIB{"kernel.FIB (Install)": installed, "kernel.FIB (ApplyBatch)": applied} {
+	for name, fib := range map[string]*kernel.FIB{"kernel.FIB (Commit)": committed, "kernel.FIB (ApplyBatch)": applied} {
 		got, ok := fib.Lookup(dst)
 		check(name, "Lookup", got.Net, ok)
 		fib.Walk(func(got kernel.FIBEntry) bool { check(name, "Walk", got.Net, true); return true })

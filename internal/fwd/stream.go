@@ -77,9 +77,6 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	return s, nil
 }
 
-// Len returns the ring length.
-func (s *Stream) Len() int { return len(s.addrs) }
-
 // Cursor returns a walk over the ring starting at a worker-specific
 // offset, so workers issue decorrelated request sequences.
 func (s *Stream) Cursor(worker int) *Cursor {

@@ -51,14 +51,12 @@ type Interface struct {
 // use (the kernel is shared below all processes). Its routes are one
 // copy-on-write version: every write is a Commit, and a reader copies the
 // version out under the lock and reads it outside. A write made straight
-// to the FIB (Install, Remove, ApplyBatch) reaches the data plane at the
+// to the FIB (Commit, ApplyBatch) reaches the data plane at the
 // FEA publisher's next publish.
 type FIB struct {
-	mu       sync.Mutex
-	tbl      trie.Persistent[route.Stored]
-	ifaces   map[string]*Interface
-	installs uint64
-	removals uint64
+	mu     sync.Mutex
+	tbl    trie.Persistent[route.Stored]
+	ifaces map[string]*Interface
 	// onInstall, if set, observes installs (profile point 8, "Entering
 	// the kernel").
 	onInstall func(e FIBEntry)
@@ -95,12 +93,6 @@ func (f *FIB) Interfaces() []Interface {
 	return out
 }
 
-// Install adds or replaces a forwarding entry.
-func (f *FIB) Install(e FIBEntry) error {
-	_, _, err := f.Commit([]route.Entry{e.route()}, nil)
-	return err
-}
-
 // ApplyBatch installs adds and deletes removes as one Commit.
 func (f *FIB) ApplyBatch(adds []FIBEntry, removes []netip.Prefix) error {
 	es := make([]route.Entry, len(adds))
@@ -111,12 +103,6 @@ func (f *FIB) ApplyBatch(adds []FIBEntry, removes []netip.Prefix) error {
 	return err
 }
 
-// Remove deletes a forwarding entry.
-func (f *FIB) Remove(net netip.Prefix) bool {
-	_, removed, _ := f.Commit(nil, []netip.Prefix{net})
-	return removed == 1
-}
-
 // Commit is every write to the table: adds and then removes land in one
 // edit session, in one critical section, so a coalesced batch costs one
 // lock round-trip and one path copy per touched node. It returns the
@@ -124,7 +110,7 @@ func (f *FIB) Remove(net netip.Prefix) bool {
 // invalid add's error; an invalid add aborts nothing else. Install
 // observers fire after the lock is released — never under it — once per
 // valid add, so an observer may reenter the FIB (Lookup, Len, even
-// Install) without deadlocking, and a slow observer never extends the
+// Commit) without deadlocking, and a slow observer never extends the
 // critical section. The slices are read only during the call.
 func (f *FIB) Commit(adds []route.Entry, removes []netip.Prefix) (trie.Persistent[route.Stored], int, error) {
 	var firstErr error
@@ -139,14 +125,12 @@ func (f *FIB) Commit(adds []route.Entry, removes []netip.Prefix) (trie.Persisten
 			continue
 		}
 		edit.Insert(adds[i].Net, adds[i].Stored())
-		f.installs++
 	}
 	for _, net := range removes {
 		if edit.Delete(net) {
 			removed++
 		}
 	}
-	f.removals += uint64(removed)
 	f.tbl = edit.Publish()
 	tbl, cb := f.tbl, f.onInstall
 	f.mu.Unlock()
@@ -179,13 +163,6 @@ func (f *FIB) Lookup(dst netip.Addr) (FIBEntry, bool) {
 func (f *FIB) Len() int {
 	tbl := f.version()
 	return tbl.Len()
-}
-
-// Stats returns cumulative install/removal counters.
-func (f *FIB) Stats() (installs, removals uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.installs, f.removals
 }
 
 // Walk visits all entries of the committed table, outside the lock.

@@ -233,10 +233,10 @@ func TestQuickFIBMatchesModel(t *testing.T) {
 			}
 			e := FIBEntry{Net: p, NextHop: mustA("10.0.0.254"), IfName: "eth0"}
 			if op%3 == 0 {
-				fib.Remove(p)
+				fib.Commit(nil, []netip.Prefix{p})
 				delete(model, p)
 			} else {
-				fib.Install(e)
+				fib.ApplyBatch([]FIBEntry{e}, nil)
 				model[p] = e
 			}
 		}
@@ -266,9 +266,9 @@ func TestFIBInstallObserver(t *testing.T) {
 	fib := NewFIB()
 	var seen []netip.Prefix
 	fib.SetInstallObserver(func(e FIBEntry) { seen = append(seen, e.Net) })
-	fib.Install(FIBEntry{Net: mustP("10.0.0.0/8")})
+	fib.ApplyBatch([]FIBEntry{FIBEntry{Net: mustP("10.0.0.0/8")}}, nil)
 	fib.SetInstallObserver(nil)
-	fib.Install(FIBEntry{Net: mustP("11.0.0.0/8")})
+	fib.ApplyBatch([]FIBEntry{FIBEntry{Net: mustP("11.0.0.0/8")}}, nil)
 	if len(seen) != 1 || seen[0] != mustP("10.0.0.0/8") {
 		t.Fatalf("observer saw %v", seen)
 	}
@@ -276,7 +276,7 @@ func TestFIBInstallObserver(t *testing.T) {
 
 // TestFIBObserverRunsOutsideLock pins the install-observer invariant:
 // callbacks fire with the FIB mutex released, so an observer may
-// reenter the FIB. If Install or ApplyBatch ever invoked the callback
+// reenter the FIB. If Commit or ApplyBatch ever invoked the callback
 // under f.mu, the reentrant Lookup/Len calls here would deadlock (and
 // the test would time out).
 func TestFIBObserverRunsOutsideLock(t *testing.T) {
@@ -293,7 +293,7 @@ func TestFIBObserverRunsOutsideLock(t *testing.T) {
 		seen = append(seen, e.Net)
 	})
 
-	if err := fib.Install(FIBEntry{Net: mustP("10.0.0.0/8")}); err != nil {
+	if err := fib.ApplyBatch([]FIBEntry{FIBEntry{Net: mustP("10.0.0.0/8")}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	err := fib.ApplyBatch([]FIBEntry{
@@ -313,11 +313,10 @@ func TestFIBObserverRunsOutsideLock(t *testing.T) {
 
 // TestFIBApplyBatch covers the batch path's semantics: one call
 // installs and removes atomically with respect to concurrent readers,
-// counts installs/removals, and reports (without aborting on) invalid
-// entries.
+// and reports (without aborting on) invalid entries.
 func TestFIBApplyBatch(t *testing.T) {
 	fib := NewFIB()
-	fib.Install(FIBEntry{Net: mustP("192.168.0.0/16")})
+	fib.ApplyBatch([]FIBEntry{FIBEntry{Net: mustP("192.168.0.0/16")}}, nil)
 
 	err := fib.ApplyBatch([]FIBEntry{
 		{Net: mustP("10.0.0.0/8"), NextHop: mustA("192.168.1.1")},
@@ -336,10 +335,6 @@ func TestFIBApplyBatch(t *testing.T) {
 	e, ok := fib.Lookup(mustA("10.1.2.3"))
 	if !ok || e.Net != mustP("10.1.0.0/16") {
 		t.Fatalf("Lookup(10.1.2.3) = %v, %v", e, ok)
-	}
-	installs, removals := fib.Stats()
-	if installs != 3 || removals != 1 {
-		t.Fatalf("stats = %d/%d, want 3 installs, 1 removal", installs, removals)
 	}
 }
 

@@ -166,13 +166,6 @@ func (p *Process) RouterID() netip.Addr { return p.cfg.RouterID }
 // DB returns the link-state database (tests, diagnostics).
 func (p *Process) DB() *LSDB { return p.db }
 
-// Stats returns a snapshot of the protocol counters.
-func (p *Process) Stats() Stats {
-	s := p.stats
-	s.SPF = p.spf.Stats()
-	return s
-}
-
 // SetExportFilter installs the policy filter applied to routes before
 // they are pushed to the RIB. Pass nil to remove. Schedules an SPF run,
 // where it takes effect.
@@ -246,25 +239,6 @@ func (n *neighbor) cancelTimers() {
 	}
 }
 
-// NeighborCount returns the number of fully adjacent neighbors.
-func (p *Process) NeighborCount() int {
-	n := 0
-	for _, nb := range p.neighbors {
-		if nb.state == StateFull {
-			n++
-		}
-	}
-	return n
-}
-
-// NeighborState reports a neighbor's adjacency state ("" if unknown).
-func (p *Process) NeighborState(id netip.Addr) string {
-	if nb, ok := p.neighbors[id]; ok {
-		return nb.state.String()
-	}
-	return ""
-}
-
 // OriginatePrefix announces a stub prefix (connected networks,
 // redistribution) in the router LSA.
 func (p *Process) OriginatePrefix(net netip.Prefix, cost uint16) {
@@ -302,9 +276,6 @@ func (p *Process) RedistAdd(e route.Entry) {
 
 // RedistDelete implements rib.Redistributor.
 func (p *Process) RedistDelete(e route.Entry) { p.WithdrawPrefix(e.Net) }
-
-// RouteCount returns the number of routes OSPF currently has in the RIB.
-func (p *Process) RouteCount() int { return len(p.installed) }
 
 // Lookup returns OSPF's installed route for net (tests).
 func (p *Process) Lookup(net netip.Prefix) (route.Entry, bool) {

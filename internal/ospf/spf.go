@@ -40,9 +40,6 @@ func NewSPF(root netip.Addr) *SPF {
 	return &SPF{root: root}
 }
 
-// Stats returns the recompute counters.
-func (s *SPF) Stats() SPFStats { return s.stats }
-
 // Recompute returns the best route per prefix. topoChanged must be true
 // if any change since the previous call touched the link topology
 // (installations with changed link sets, LSA removals); prefix-only

@@ -149,7 +149,7 @@ func TestRIBBytesPerRoute(t *testing.T) {
 func TestTableReadsAllocateNothing(t *testing.T) {
 	p := loadedOverCover(t, 100)
 	net, dst := mustP("20.0.7.0/24"), mustA("20.0.7.9")
-	for name, tbl := range map[string]Table{"OriginTable": p.Origin(route.ProtoEBGP), "ExtIntStage": p.extint} {
+	for name, tbl := range map[string]Table{"OriginTable": p.origins[route.ProtoEBGP], "ExtIntStage": p.extint} {
 		e, ok := tbl.Lookup(net)
 		if best, bestOK := tbl.LookupBest(dst); !ok || !bestOK || e.Net != net || !best.Equal(e) {
 			t.Fatalf("%s: Lookup(%v) = %v, %v; LookupBest(%v) = %v, %v", name, net, e, ok, dst, best, bestOK)
@@ -184,7 +184,7 @@ func TestInternalChangeTouchesNexthopsNotRoutes(t *testing.T) {
 	s := p.extint
 	counted := &countingTable{Table: s.int}
 	s.int = counted
-	static, ext := p.Origin(route.ProtoStatic), p.Origin(route.ProtoEBGP)
+	static, ext := p.origins[route.ProtoStatic], p.origins[route.ProtoEBGP]
 
 	static.AddRoutes([]route.Entry{{Net: mustP("172.16.0.0/12"), NextHop: mustA("192.168.1.254"), IfName: "eth0"}})
 	const n = 10000

@@ -28,15 +28,6 @@ var classProtocols = map[string][]route.Protocol{
 	"rip":  {route.ProtoRIP},
 }
 
-// SetGracePeriod overrides the stale-route retention bound (0 restores
-// the default). Must run on the RIB loop (or before it starts).
-func (p *Process) SetGracePeriod(d time.Duration) {
-	if d <= 0 {
-		d = DefaultGracePeriod
-	}
-	p.gracePeriod = d
-}
-
 // HandleFinderEvent reacts to component lifetime events. A death of a
 // protocol class marks that protocol's routes stale and arms the grace
 // timer; the respawned process re-announces, and either resync_complete

@@ -104,7 +104,7 @@ func TestResyncSweepsUnrelearnedRoutes(t *testing.T) {
 func TestGraceTimerSweeps(t *testing.T) {
 	p, fib, _ := gracefulRib(t, 3)
 	loop := p.Loop()
-	p.SetGracePeriod(30 * time.Second)
+	p.gracePeriod = 30 * time.Second
 	loop.RunPending()
 
 	p.HandleDeath("bgp")

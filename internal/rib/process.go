@@ -129,13 +129,6 @@ func (p *Process) Metrics() *telemetry.Registry { return p.metrics }
 // and the FEA. Call on the process loop, before routes flow.
 func (p *Process) SetTracer(tr *telemetry.Tracer) { p.tracer = tr }
 
-// Origin returns the origin table for proto.
-func (p *Process) Origin(proto route.Protocol) *OriginTable { return p.origins[proto] }
-
-// Register returns the register stage (for in-process clients like BGP's
-// nexthop lookup).
-func (p *Process) Register() *RegisterStage { return p.register }
-
 // LookupBest returns the RIB's final longest-prefix match.
 func (p *Process) LookupBest(addr netip.Addr) (route.Entry, bool) {
 	return p.extint.LookupBest(addr)
@@ -233,11 +226,10 @@ func (p *Process) prime(rd *RedistStage) {
 // RedistMirrored reports how many routes the named redistribution's
 // subscriber currently holds (0 if the stage does not exist).
 func (p *Process) RedistMirrored(name string) int {
-	rd, ok := p.feeds[name]
-	if !ok {
-		return 0
+	if rd, ok := p.feeds[name]; ok {
+		return len(rd.mirrored)
 	}
-	return rd.MirroredLen()
+	return 0
 }
 
 // RedistHas reports whether the named redistribution currently mirrors

@@ -79,9 +79,6 @@ func (rs *RegisterStage) DeregisterInterest(client string, covering netip.Prefix
 	}
 }
 
-// Registrations reports the live registration count (tests).
-func (rs *RegisterStage) Registrations() int { return len(rs.regs) }
-
 // answer computes the Figure 8 answer for addr.
 func (rs *RegisterStage) answer(addr netip.Addr) RegistrationAnswer {
 	maxBits := addr.BitLen()
@@ -249,6 +246,3 @@ func (rd *RedistStage) Delete(run []route.Entry) {
 		rd.next.Delete(run)
 	}
 }
-
-// MirroredLen reports how many routes the subscriber currently has.
-func (rd *RedistStage) MirroredLen() int { return len(rd.mirrored) }

@@ -28,7 +28,7 @@ func loadedRib(b *testing.B, n int) *Process {
 // lookup performs.
 func BenchmarkRegisterInterest(b *testing.B) {
 	p := loadedRib(b, 100000)
-	rs := p.Register()
+	rs := p.register
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr := netip.AddrFrom4([4]byte{byte(1 + i%200), byte(i >> 6), byte(i), 7})

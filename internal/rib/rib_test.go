@@ -255,7 +255,7 @@ func TestRegisterInterestFigure8(t *testing.T) {
 	for _, s := range []string{"128.16.0.0/16", "128.16.0.0/18", "128.16.128.0/17", "128.16.192.0/18"} {
 		p.AddRoute(route.ProtoStatic, route.Entry{Net: mustP(s), NextHop: mustA("10.0.0.1"), IfName: "eth0"})
 	}
-	rs := p.Register()
+	rs := p.register
 
 	ans := rs.RegisterInterest("bgp", mustA("128.16.32.1"))
 	if !ans.Resolves || ans.Covering != mustP("128.16.0.0/18") {
@@ -290,13 +290,13 @@ func TestRegisterInterestFigure8(t *testing.T) {
 func TestRegisterInvalidation(t *testing.T) {
 	p, _, _ := newRib(t)
 	p.AddRoute(route.ProtoStatic, route.Entry{Net: mustP("128.16.0.0/16"), NextHop: mustA("10.0.0.1"), IfName: "eth0"})
-	rs := p.Register()
+	rs := p.register
 	var invalidated []netip.Prefix
 	rs.notify = func(client string, covering netip.Prefix) {
 		invalidated = append(invalidated, covering)
 	}
 	ans := rs.RegisterInterest("bgp", mustA("128.16.32.1"))
-	if rs.Registrations() != 1 {
+	if len(rs.regs) != 1 {
 		t.Fatal("registration not recorded")
 	}
 	// A more specific route appears inside the covering subnet: the
@@ -305,7 +305,7 @@ func TestRegisterInvalidation(t *testing.T) {
 	if len(invalidated) != 1 || invalidated[0] != ans.Covering {
 		t.Fatalf("invalidations %v", invalidated)
 	}
-	if rs.Registrations() != 0 {
+	if len(rs.regs) != 0 {
 		t.Fatal("registration not dropped after invalidation")
 	}
 	// Re-query now returns the more specific cover.
@@ -329,7 +329,7 @@ func TestRegisterCoveringsNeverOverlap(t *testing.T) {
 	for _, s := range nets {
 		p.AddRoute(route.ProtoStatic, route.Entry{Net: mustP(s), NextHop: mustA("10.0.0.1"), IfName: "eth0"})
 	}
-	rs := p.Register()
+	rs := p.register
 	var coverings []netip.Prefix
 	for i := 0; i < 256; i++ {
 		addr := netip.AddrFrom4([4]byte{10, byte(i), byte(i * 3), byte(i * 7)})
@@ -348,8 +348,8 @@ func TestRegisterCoveringsNeverOverlap(t *testing.T) {
 			}
 		}
 	}
-	if rs.Registrations() != len(distinct) {
-		t.Fatalf("%d registrations for %d distinct coverings", rs.Registrations(), len(distinct))
+	if len(rs.regs) != len(distinct) {
+		t.Fatalf("%d registrations for %d distinct coverings", len(rs.regs), len(distinct))
 	}
 }
 
@@ -358,7 +358,7 @@ func TestRegisterCoveringsNeverOverlap(t *testing.T) {
 func TestRegisterInterestOncePerCovering(t *testing.T) {
 	p, _, _ := newRib(t)
 	p.AddRoute(route.ProtoStatic, route.Entry{Net: mustP("128.16.0.0/16"), NextHop: mustA("10.0.0.1"), IfName: "eth0"})
-	rs := p.Register()
+	rs := p.register
 	var invalidated []string
 	rs.notify = func(client string, covering netip.Prefix) {
 		invalidated = append(invalidated, client+" "+covering.String())
@@ -369,8 +369,8 @@ func TestRegisterInterestOncePerCovering(t *testing.T) {
 		t.Fatalf("coverings %v and %v, want one subnet", a.Covering, b.Covering)
 	}
 	rs.RegisterInterest("rip", mustA("128.16.32.1")) // another client is another registration
-	if rs.Registrations() != 2 {
-		t.Fatalf("%d registrations, want 2 (one per client)", rs.Registrations())
+	if len(rs.regs) != 2 {
+		t.Fatalf("%d registrations, want 2 (one per client)", len(rs.regs))
 	}
 	p.AddRoute(route.ProtoStatic, route.Entry{Net: mustP("128.16.32.0/24"), NextHop: mustA("10.0.0.2"), IfName: "eth0"})
 	if want := []string{"bgp 128.16.0.0/16", "rip 128.16.0.0/16"}; !slices.Equal(invalidated, want) {
@@ -380,8 +380,8 @@ func TestRegisterInterestOncePerCovering(t *testing.T) {
 	rs.RegisterInterest("bgp", mustA("128.16.99.1"))
 	c := rs.RegisterInterest("bgp", mustA("128.16.99.2"))
 	rs.DeregisterInterest("bgp", c.Covering)
-	if rs.Registrations() != 0 {
-		t.Fatalf("%d registrations left after deregistering the only covering", rs.Registrations())
+	if len(rs.regs) != 0 {
+		t.Fatalf("%d registrations left after deregistering the only covering", len(rs.regs))
 	}
 }
 

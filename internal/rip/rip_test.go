@@ -399,10 +399,12 @@ func TestLossyNetworkEventuallyConverges(t *testing.T) {
 func TestKernelFIB(t *testing.T) {
 	fib := kernel.NewFIB()
 	fib.AddInterface("eth0", mustP("10.0.0.1/24"), 1500)
-	if err := fib.Install(kernel.FIBEntry{Net: mustP("10.1.0.0/16"), NextHop: mustA("10.0.0.254"), IfName: "eth0"}); err != nil {
+	if err := fib.ApplyBatch([]kernel.FIBEntry{
+		{Net: mustP("10.1.0.0/16"), NextHop: mustA("10.0.0.254"), IfName: "eth0"},
+		{Net: mustP("10.1.2.0/24"), NextHop: mustA("10.0.0.253"), IfName: "eth0"},
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	fib.Install(kernel.FIBEntry{Net: mustP("10.1.2.0/24"), NextHop: mustA("10.0.0.253"), IfName: "eth0"})
 	e, ok := fib.Lookup(mustA("10.1.2.3"))
 	if !ok || e.NextHop != mustA("10.0.0.253") {
 		t.Fatalf("LPM %v %v", e, ok)
@@ -411,17 +413,17 @@ func TestKernelFIB(t *testing.T) {
 	if !ok || e.NextHop != mustA("10.0.0.254") {
 		t.Fatalf("fallback %v %v", e, ok)
 	}
-	if !fib.Remove(mustP("10.1.2.0/24")) {
+	remove := func() int {
+		_, removed, _ := fib.Commit(nil, []netip.Prefix{mustP("10.1.2.0/24")})
+		return removed
+	}
+	if remove() != 1 {
 		t.Fatal("remove failed")
 	}
-	if fib.Remove(mustP("10.1.2.0/24")) {
+	if remove() != 0 {
 		t.Fatal("double remove succeeded")
 	}
-	ins, rem := fib.Stats()
-	if ins != 2 || rem != 1 {
-		t.Fatalf("stats %d/%d", ins, rem)
-	}
-	if err := fib.Install(kernel.FIBEntry{}); err == nil {
+	if err := fib.ApplyBatch([]kernel.FIBEntry{{}}, nil); err == nil {
 		t.Fatal("invalid entry installed")
 	}
 	if len(fib.Interfaces()) != 1 {

@@ -117,18 +117,18 @@ func TestToyModuleLifecycle(t *testing.T) {
 
 	// Killed between the RIB's commit and its own, it poisons the
 	// transaction: the static route is rolled back, the knob unturned.
-	r.SetTxHooks(TxHooks{BetweenCommits: func(class string) {
+	r.txHooks = TxHooks{BetweenCommits: func(class string) {
 		if class == "toy" {
 			if err := r.KillProcess("toy"); err != nil {
 				t.Errorf("kill: %v", err)
 			}
 		}
-	}})
+	}}
 	err = r.Reload(strings.NewReplacer("knob 1", "knob 3", "route 10.0.0.0/8", "route 10.77.0.0/16").Replace(toyConfig))
 	if err == nil || !strings.Contains(err.Error(), "participant toy killed mid-transaction") || !strings.Contains(err.Error(), "rolled back") {
 		t.Fatalf("reload across a kill: %v", err)
 	}
-	r.SetTxHooks(TxHooks{})
+	r.txHooks = TxHooks{}
 	r.SettleAll()
 	if e, ok := r.FIB.Lookup(mustA("10.77.1.1")); ok && e.Net == mustP("10.77.0.0/16") {
 		t.Fatal("the rolled-back static route is still installed")

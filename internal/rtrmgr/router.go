@@ -431,12 +431,6 @@ func (r *Router) typedViews() {
 // harnesses) use these rather than the fields.
 func (r *Router) CurrentBGP() *bgp.Process { return procOf[bgpProc](r.current("bgp")).Process }
 
-// CurrentRIP returns the live RIP process, nil while dead.
-func (r *Router) CurrentRIP() *rip.Process { return procOf[ripProc](r.current("rip")).Process }
-
-// CurrentOSPF returns the live OSPF process, nil while dead.
-func (r *Router) CurrentOSPF() *ospf.Process { return procOf[ospfProc](r.current("ospf")).Process }
-
 // publish makes inst its class's live instance.
 func (r *Router) publish(inst *instance) {
 	r.procMu.Lock()

@@ -140,8 +140,8 @@ func TestFullRouterBGPToKernel(t *testing.T) {
 
 	// No consistency violations.
 	r.BGP.Loop().DispatchAndWait(func() {
-		if v := r.BGP.CacheViolations(); len(v) != 0 {
-			t.Errorf("violations: %v", v)
+		if v, _ := r.BGP.Metrics().Get("bgp_consistency_violations_total"); v != 0 {
+			t.Errorf("%v consistency violations", v)
 		}
 	})
 }

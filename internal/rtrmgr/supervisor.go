@@ -113,21 +113,6 @@ func (r *Router) EnableSupervision(cfg SupervisorConfig) (*Supervisor, error) {
 	return s, nil
 }
 
-// Supervisor returns the active supervisor (nil before EnableSupervision).
-func (r *Router) Supervisor() *Supervisor { return r.sup }
-
-// Stats reports the supervision counters for a class. Safe from any
-// goroutine.
-func (s *Supervisor) Stats(class string) (deaths, respawns int, givenUp bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.procs[class]
-	if st == nil {
-		return 0, 0, false
-	}
-	return st.deaths, st.respawns, st.givenUp
-}
-
 // handleEvent runs on the supervisor's loop for every Finder lifetime
 // event ("birth"/"death", class, instance).
 func (s *Supervisor) handleEvent(event, class, _ string) {

@@ -77,7 +77,7 @@ func TestSupervisorRespawnsKilledBGP(t *testing.T) {
 		p := r.CurrentBGP()
 		return p != nil && p != old
 	})
-	deaths, respawns, givenUp := r.Supervisor().Stats("bgp")
+	deaths, respawns, givenUp := r.sup.Stats("bgp")
 	if deaths != 1 || respawns != 1 || givenUp {
 		t.Fatalf("stats = %d deaths, %d respawns, givenUp=%v", deaths, respawns, givenUp)
 	}
@@ -323,7 +323,7 @@ func TestSupervisorBackoffScheduleSim(t *testing.T) {
 			t.Fatalf("kill %d: not respawned after backoff %v", kill+1, backoff)
 		}
 	}
-	deaths, respawns, givenUp := r.Supervisor().Stats("bgp")
+	deaths, respawns, givenUp := r.sup.Stats("bgp")
 	if deaths != 4 || respawns != 4 || givenUp {
 		t.Fatalf("stats = %d deaths, %d respawns, givenUp=%v", deaths, respawns, givenUp)
 	}
@@ -373,7 +373,7 @@ func TestSupervisorAlarmAfterRapidDeathsSim(t *testing.T) {
 	if len(alarms) != 1 || alarms[0] != "bgp" {
 		t.Fatalf("alarms = %v, want exactly one for bgp", alarms)
 	}
-	deaths, respawns, givenUp := r.Supervisor().Stats("bgp")
+	deaths, respawns, givenUp := r.sup.Stats("bgp")
 	if !givenUp || deaths != 3 || respawns != 2 {
 		t.Fatalf("stats = %d deaths, %d respawns, givenUp=%v", deaths, respawns, givenUp)
 	}
@@ -410,7 +410,7 @@ func TestSupervisorRespawnDuringTransactionAborts(t *testing.T) {
 	// Between the phases: kill BGP and drive time until the supervisor
 	// has fully respawned it — the commit phase then faces a process
 	// that never saw validate_tx.
-	r.SetTxHooks(TxHooks{AfterValidate: func() {
+	r.txHooks = TxHooks{AfterValidate: func() {
 		old := r.CurrentBGP()
 		if err := r.KillProcess("bgp"); err != nil {
 			t.Errorf("kill: %v", err)
@@ -426,7 +426,7 @@ func TestSupervisorRespawnDuringTransactionAborts(t *testing.T) {
 		if p := r.CurrentBGP(); p == nil || p == old {
 			t.Errorf("bgp not respawned inside the transaction window")
 		}
-	}})
+	}}
 	cand := strings.NewReplacer(
 		"route 10.99.0.0/16 next-hop 192.168.1.253;", "route 10.77.0.0/16 next-hop 192.168.1.253;",
 		"peer p2 {", "peer p3 { local-addr 192.168.1.1; peer-addr 192.168.1.9; as 65009; passive; }\n        peer p2 {",
@@ -447,7 +447,7 @@ func TestSupervisorRespawnDuringTransactionAborts(t *testing.T) {
 	}
 
 	// Retried against the respawned process, the same candidate commits.
-	r.SetTxHooks(TxHooks{})
+	r.txHooks = TxHooks{}
 	if err := r.Reload(cand); err != nil {
 		t.Fatalf("retry reload: %v", err)
 	}

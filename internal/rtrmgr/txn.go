@@ -55,13 +55,6 @@ type TxHooks struct {
 	BetweenCommits func(class string)
 }
 
-// SetTxHooks installs fault-injection hooks (nil fields are skipped).
-func (r *Router) SetTxHooks(h TxHooks) {
-	r.txMu.Lock()
-	r.txHooks = h
-	r.txMu.Unlock()
-}
-
 // Generation returns the running config's generation, bumped on every
 // committed reload. validate_tx carries it so agents reject stale
 // transactions built against an older tree.

@@ -239,13 +239,13 @@ func TestReloadKillMidCommitRollsBack(t *testing.T) {
 
 	// rib commits first (static route add); bgp is killed immediately
 	// before its own commit.
-	r.SetTxHooks(TxHooks{BetweenCommits: func(class string) {
+	r.txHooks = TxHooks{BetweenCommits: func(class string) {
 		if class == "bgp" {
 			if err := r.KillProcess("bgp"); err != nil {
 				t.Errorf("kill bgp: %v", err)
 			}
 		}
-	}})
+	}}
 	candText := strings.NewReplacer(
 		"route 10.99.0.0/16 next-hop 192.168.1.253;",
 		"route 10.99.0.0/16 next-hop 192.168.1.253;\n    route 10.77.0.0/16 next-hop 192.168.1.253;",
@@ -288,11 +288,11 @@ func TestReloadKillBetweenPhases(t *testing.T) {
 	})
 	before := txDump(t, r)
 
-	r.SetTxHooks(TxHooks{AfterValidate: func() {
+	r.txHooks = TxHooks{AfterValidate: func() {
 		if err := r.KillProcess("bgp"); err != nil {
 			t.Errorf("kill bgp: %v", err)
 		}
-	}})
+	}}
 	candText := strings.NewReplacer(
 		"route 10.99.0.0/16 next-hop 192.168.1.253;",
 		"route 10.99.0.0/16 next-hop 192.168.1.253;\n    route 10.77.0.0/16 next-hop 192.168.1.253;",

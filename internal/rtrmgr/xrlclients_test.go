@@ -17,6 +17,7 @@ import (
 	"xorp/internal/rib"
 	"xorp/internal/rip"
 	"xorp/internal/route"
+	"xorp/internal/telemetry"
 	"xorp/internal/workload"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
@@ -272,7 +273,7 @@ func TestMetricSourceRetriesFailedLookup(t *testing.T) {
 
 	in := bgp.NewPeerIn(loop, &bgp.PeerHandle{Name: "p1"}, nil)
 	resolver := bgp.NewNexthopResolver("nexthop(p1)", &xrlMetricSource{stub: xif.NewRIBClient(router, "rib"), loop: router.Loop(), bgpTarget: "bgp"})
-	sink := bgp.NewCacheStage("sink")
+	sink := bgp.NewCacheStage("sink", new(telemetry.Counter))
 	bgp.Plumb(in, resolver, sink)
 
 	net := mustP("20.1.0.0/16")

@@ -15,10 +15,9 @@
 // (trace_dropped_total). ProfileView renders a tracer as profile/0.1, in
 // the paper's record format, for cmd/xorp_profiler and Figures 10–12.
 //
-// Metrics. A Registry holds typed counters (monotonic, atomic), gauges
-// (instantaneous, atomic or computed-on-scrape), and Welford histograms
-// (RunningStat: count/mean/stddev/min/max without storing samples).
-// Every process registers its vitals — XRLs/sec from the xipc IO
+// Metrics. A Registry holds counters (monotonic: an atomic it owns, or a
+// value read at scrape time) and gauges computed at scrape time. Every
+// process registers its vitals — XRLs/sec from the xipc IO
 // counters, routes by protocol — and exposes
 // the registry over the stats/0.1 XRL interface; Render emits
 // Prometheus-style plaintext for cmd/xorp_profiler's scrape, watch and

@@ -11,14 +11,10 @@ import (
 func TestRegistryRender(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("events_total", "events since start")
-	g := r.Gauge("depth", "queue depth")
-	r.GaugeFunc("table", "table size", func() float64 { return 7 })
-	h := r.Histogram("lat", "latency")
+	r.GaugeFunc("depth", "queue depth", func() float64 { return 2.5 })
+	r.CounterFunc("lat_total", "", func() float64 { return 7 })
 
 	c.Add(3)
-	g.Set(2.5)
-	h.Observe(1)
-	h.Observe(3)
 
 	out := r.Render()
 	for _, want := range []string{
@@ -27,25 +23,25 @@ func TestRegistryRender(t *testing.T) {
 		"events_total 3",
 		"# TYPE depth gauge",
 		"depth 2.5",
-		"table 7",
-		"# TYPE lat summary",
-		"lat_count 2",
-		"lat_mean 2",
-		"lat_min 1",
-		"lat_max 3",
+		"# TYPE lat_total counter",
+		"lat_total 7",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q in:\n%s", want, out)
 		}
 	}
 
-	// Sorted by name: depth before events_total before lat before table.
-	if strings.Index(out, "depth") > strings.Index(out, "events_total") {
+	// Sorted by name: depth before events_total before lat_total.
+	if strings.Index(out, "depth") > strings.Index(out, "events_total") ||
+		strings.Index(out, "events_total") > strings.Index(out, "lat_total") {
 		t.Error("render not sorted by metric name")
 	}
 
-	if v, ok := r.Get("lat_stddev"); !ok || v <= 0 {
-		t.Errorf("Get(lat_stddev) = %v, %v", v, ok)
+	if v, ok := r.Get("depth"); !ok || v != 2.5 {
+		t.Errorf("Get(depth) = %v, %v", v, ok)
+	}
+	if v, ok := r.Get("events_total"); !ok || v != 3 {
+		t.Errorf("Get(events_total) = %v, %v", v, ok)
 	}
 	if _, ok := r.Get("absent"); ok {
 		t.Error("Get(absent) reported found")
@@ -59,9 +55,8 @@ func TestRegistryRender(t *testing.T) {
 func TestRegistryConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops_total", "")
-	g := r.Gauge("depth", "")
-	h := r.Histogram("lat", "")
-	var ext atomic.Uint64
+	var depth, ext atomic.Uint64
+	r.GaugeFunc("depth", "", func() float64 { return float64(depth.Load()) })
 	r.CounterFunc("ext_total", "", func() float64 { return float64(ext.Load()) })
 
 	const writers, iters = 4, 2000
@@ -70,17 +65,10 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var local RunningStat
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Set(float64(i))
-				h.Observe(float64(i % 100))
-				local.Push(float64(i))
+				depth.Store(uint64(i))
 				ext.Add(1)
-				if i%500 == 499 {
-					h.Merge(local)
-					local = RunningStat{}
-				}
 			}
 		}(w)
 	}
@@ -95,7 +83,7 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 		if out := r.Render(); !strings.Contains(out, "ops_total") {
 			t.Fatal("scrape lost a metric")
 		}
-		r.Get("lat_mean")
+		r.Get("depth")
 		r.Get("ops_total")
 	}
 
@@ -116,5 +104,5 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.Gauge("x_total", "")
+	r.GaugeFunc("x_total", "", func() float64 { return 0 })
 }

@@ -7,9 +7,7 @@ import (
 
 // RunningStat accumulates count/min/max/mean/variance online (Welford's
 // algorithm, after NDN-DPDK's RunningStat): the experiment grid keeps one
-// per cell metric across repeats, and the registry's histograms one per
-// series. Not safe for concurrent use; each owner keeps its own and
-// aggregates with Merge.
+// per cell metric across repeats. Not safe for concurrent use.
 type RunningStat struct {
 	n        uint64
 	min, max float64
@@ -52,31 +50,6 @@ func (s *RunningStat) Stddev() float64 {
 		return 0
 	}
 	return math.Sqrt(s.m2 / float64(s.n-1))
-}
-
-// Merge folds other into s (parallel-variance combination), aggregating
-// per-worker stats into a pool total. Merging the per-worker stats of a
-// partitioned stream yields exactly the stats of the combined stream
-// (up to floating-point association), which the telemetry tests pin.
-func (s *RunningStat) Merge(other RunningStat) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = other
-		return
-	}
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	n1, n2 := float64(s.n), float64(other.n)
-	d := other.mean - s.mean
-	s.mean += d * n2 / (n1 + n2)
-	s.m2 += other.m2 + d*d*n1*n2/(n1+n2)
-	s.n += other.n
 }
 
 // String renders the stat as one scrape-friendly fragment.

@@ -1,72 +1,9 @@
 package telemetry
 
 import (
-	"math"
-	"math/rand"
 	"sort"
 	"testing"
 )
-
-// TestRunningStatMerge pins the parallel-variance combination: merging
-// the per-worker stats of a partitioned stream must reproduce the stats
-// of the single combined stream (up to floating-point association).
-// This is the property the fwd worker pool and the grid aggregator
-// depend on.
-func TestRunningStatMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const workers, perWorker = 8, 1000
-
-	var combined RunningStat
-	parts := make([]RunningStat, workers)
-	for w := 0; w < workers; w++ {
-		for i := 0; i < perWorker; i++ {
-			// Mixed scales so a naive mean-of-means would be wrong.
-			x := rng.NormFloat64()*float64(w+1) + float64(w*10)
-			combined.Push(x)
-			parts[w].Push(x)
-		}
-	}
-	var merged RunningStat
-	for _, p := range parts {
-		merged.Merge(p)
-	}
-
-	if merged.Count() != combined.Count() {
-		t.Fatalf("count %d != %d", merged.Count(), combined.Count())
-	}
-	close := func(name string, a, b float64) {
-		if math.Abs(a-b) > 1e-9*math.Max(1, math.Abs(b)) {
-			t.Errorf("%s: merged %v != combined %v", name, a, b)
-		}
-	}
-	close("mean", merged.Mean(), combined.Mean())
-	close("stddev", merged.Stddev(), combined.Stddev())
-	if merged.Min() != combined.Min() || merged.Max() != combined.Max() {
-		t.Errorf("min/max: merged [%v,%v] != combined [%v,%v]",
-			merged.Min(), merged.Max(), combined.Min(), combined.Max())
-	}
-}
-
-// TestRunningStatMergeEdges covers empty-side merges and single samples.
-func TestRunningStatMergeEdges(t *testing.T) {
-	var empty, one RunningStat
-	one.Push(42)
-
-	var a RunningStat
-	a.Merge(empty)
-	if a.Count() != 0 {
-		t.Fatal("empty+empty not empty")
-	}
-	a.Merge(one)
-	if a.Count() != 1 || a.Mean() != 42 || a.Min() != 42 || a.Max() != 42 {
-		t.Fatalf("empty+one = %+v", a)
-	}
-	b := one
-	b.Merge(empty)
-	if b.Count() != 1 || b.Mean() != 42 {
-		t.Fatalf("one+empty = %+v", b)
-	}
-}
 
 // TestPercentile pins the nearest-rank convention on a known sequence.
 func TestPercentile(t *testing.T) {

@@ -114,9 +114,6 @@ func NewTracer() *Tracer {
 	return &Tracer{now: func() int64 { return time.Now().UnixNano() }}
 }
 
-// SetNow overrides the timestamp source (tests).
-func (t *Tracer) SetNow(now func() int64) { t.now = now }
-
 // Enable switches every stage on. Safe from any goroutine.
 func (t *Tracer) Enable() { t.on.Store(1<<NumStages - 1) }
 
@@ -320,80 +317,4 @@ func (v ProfileView) ProfileEntries(name string) ([]string, error) {
 		return nil, err
 	}
 	return v().records(s), nil
-}
-
-// StageLatency is one row of a trace summary: the latency distribution
-// of one stage transition (or the whole route life), in nanoseconds.
-type StageLatency struct {
-	Label         string
-	Samples       int
-	P50, P95, P99 float64
-	Mean, Max     float64
-}
-
-// Summarize reduces traces to per-transition latency distributions:
-// one row per adjacent stage pair (skipping traces that missed either
-// endpoint) plus a total row from the earliest stamped stage to the
-// snapshot publish.
-func Summarize(traces []RouteTrace) []StageLatency {
-	var rows []StageLatency
-	for s := Stage(0); s < NumStages-1; s++ {
-		var deltas []float64
-		for i := range traces {
-			a, b := traces[i].T[s], traces[i].T[s+1]
-			if a > 0 && b > 0 {
-				deltas = append(deltas, float64(b-a))
-			}
-		}
-		if len(deltas) == 0 {
-			continue
-		}
-		rows = append(rows, summarizeDeltas(s.String()+" -> "+(s+1).String(), deltas))
-	}
-	var totals []float64
-	for i := range traces {
-		end := traces[i].T[StageSnapPub]
-		if end == 0 {
-			continue
-		}
-		for _, start := range traces[i].T {
-			if start > 0 {
-				totals = append(totals, float64(end-start))
-				break
-			}
-		}
-	}
-	if len(totals) > 0 {
-		rows = append(rows, summarizeDeltas("total", totals))
-	}
-	return rows
-}
-
-func summarizeDeltas(label string, deltas []float64) StageLatency {
-	sort.Float64s(deltas)
-	var sum float64
-	for _, d := range deltas {
-		sum += d
-	}
-	return StageLatency{
-		Label:   label,
-		Samples: len(deltas),
-		P50:     Percentile(deltas, 50),
-		P95:     Percentile(deltas, 95),
-		P99:     Percentile(deltas, 99),
-		Mean:    sum / float64(len(deltas)),
-		Max:     deltas[len(deltas)-1],
-	}
-}
-
-// FormatSummary renders Summarize rows as a fixed-width table (µs).
-func FormatSummary(rows []StageLatency) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-40s %8s %10s %10s %10s %10s %10s\n",
-		"stage", "samples", "p50(µs)", "p95(µs)", "p99(µs)", "mean(µs)", "max(µs)")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-40s %8d %10.1f %10.1f %10.1f %10.1f %10.1f\n",
-			r.Label, r.Samples, r.P50/1e3, r.P95/1e3, r.P99/1e3, r.Mean/1e3, r.Max/1e3)
-	}
-	return sb.String()
 }

@@ -501,9 +501,6 @@ func (t *Persistent[T]) Edit() *Edit[T] {
 	return &Edit[T]{tbl: *t, id: id}
 }
 
-// Len returns the number of valued entries the session holds.
-func (e *Edit[T]) Len() int { return e.tbl.size }
-
 // Insert stores v at p (masked first), replacing any existing value. An
 // invalid prefix is ignored.
 func (e *Edit[T]) Insert(p netip.Prefix, v T) {

@@ -350,11 +350,6 @@ func (c *FEAUDPClient) JoinGroup(group netip.Addr, done func(error)) {
 	c.call("join_group", Done(done), xrl.Addr("group", group))
 }
 
-// LeaveGroup unsubscribes from a multicast group.
-func (c *FEAUDPClient) LeaveGroup(group netip.Addr, done func(error)) {
-	c.call("leave_group", Done(done), xrl.Addr("group", group))
-}
-
 // Send relays one datagram from sport to dst.
 func (c *FEAUDPClient) Send(sport uint16, dst netip.AddrPort, payload []byte, done func(error)) {
 	c.call("send", Done(done),

@@ -63,7 +63,9 @@ func sampleFrames(f *testing.F) (requests, replies [][]byte) {
 		{Seq: 7, Target: "conf", Command: xif.Redist4Spec.Command("add_route4"), Key: "0123456789abcdef",
 			Args: xrl.Args{xrl.Net("network", netip.MustParsePrefix("10.1.0.0/16"))}},
 		{Seq: ^uint32(0), Target: "conf", Command: "x/1.0/y", Args: xrl.Args{
-			xrl.I32("i32", math.MinInt32), xrl.I64("i64", math.MinInt64), xrl.U64("u64", math.MaxUint64),
+			{Name: "i32", Type: xrl.TypeI32, IntVal: math.MinInt32},
+			{Name: "i64", Type: xrl.TypeI64, IntVal: math.MinInt64},
+			{Name: "u64", Type: xrl.TypeU64, IntVal: -1}, // math.MaxUint64
 			xrl.Bool("b", false), xrl.Net("net", netip.MustParsePrefix("2001:db8::/32"))}},
 	} {
 		b, err := xrl.AppendRequest(nil, req)

@@ -510,8 +510,8 @@ func TestSpecConformance(t *testing.T) {
 				t.Errorf("%s: encode: %v", cmd, eerr)
 				continue
 			}
-			req, _, derr := xrl.DecodeFrame(buf)
-			if derr != nil || req == nil {
+			req := &xrl.Request{}
+			if derr := xrl.ParseRequest(buf, req); derr != nil {
 				t.Errorf("%s: decode: %v", cmd, derr)
 				continue
 			}

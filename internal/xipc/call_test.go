@@ -510,7 +510,7 @@ func TestCallRecordReuseKeepsSemantics(t *testing.T) {
 
 	// Idempotent sends retry a missing target Attempts times in all, with
 	// backoff drawn from [d/2, d] for d = Base, 2*Base, 4*Base.
-	r.SetRetryPolicy(RetryPolicy{Attempts: 4, Base: 100 * time.Millisecond, Max: time.Second})
+	r.retry = RetryPolicy{Attempts: 4, Base: 100 * time.Millisecond, Max: time.Second}
 	idem := send(r.SendIdempotent, xrl.New("nobody", "test", "1.0", "m1"))
 	plain := send(r.Send, xrl.New("nobody", "test", "1.0", "m2"))
 	run(0)

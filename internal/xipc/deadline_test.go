@@ -206,7 +206,7 @@ func TestDeadlineBackoffOvertakesAWindow(t *testing.T) {
 	const timeout = 30 * time.Second
 	g := newDeadlineRig(t)
 	g.r.SetTimeout(timeout)
-	g.r.SetRetryPolicy(RetryPolicy{Attempts: 2, Base: 100 * time.Millisecond, Max: time.Second})
+	g.r.retry = RetryPolicy{Attempts: 2, Base: 100 * time.Millisecond, Max: time.Second}
 	g.sendRange("dead", 0, 100)
 	g.send(g.r.SendIdempotent, "nowhere", 100)
 	g.loop.RunPending() // the first attempt fails to resolve and backs off

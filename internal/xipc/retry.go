@@ -32,23 +32,6 @@ var DefaultRetryPolicy = RetryPolicy{
 	Max:      2 * time.Second,
 }
 
-// SetRetryPolicy replaces the router's policy for SendIdempotent. Call
-// during process setup, before traffic.
-func (r *Router) SetRetryPolicy(p RetryPolicy) {
-	if p.Attempts < 1 {
-		p.Attempts = 1
-	}
-	if p.Base <= 0 {
-		p.Base = DefaultRetryPolicy.Base
-	}
-	if p.Max < p.Base {
-		p.Max = p.Base
-	}
-	r.mu.Lock()
-	r.retry = p
-	r.mu.Unlock()
-}
-
 // retryable reports whether a failure is transient at the transport
 // layer: the target did not (and cannot have) executed the call.
 func retryable(code xrl.ErrorCode) bool {

@@ -32,7 +32,7 @@ func TestSendIdempotentRetriesResolveFailure(t *testing.T) {
 
 	cr := NewRouter("caller_process", loop)
 	cr.AttachHub(hub)
-	cr.SetRetryPolicy(RetryPolicy{Attempts: 4, Base: 50 * time.Millisecond, Max: time.Second})
+	cr.retry = RetryPolicy{Attempts: 4, Base: 50 * time.Millisecond, Max: time.Second}
 
 	// Plain Send fails immediately.
 	var sendErr *xrl.Error

@@ -173,24 +173,6 @@ func (r *Router) AddTarget(t *Target) {
 	}
 }
 
-// RemoveTarget detaches a target.
-func (r *Router) RemoveTarget(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.targets, name)
-	if r.hub != nil {
-		r.hub.removeTarget(name)
-	}
-}
-
-// Target returns the local target with the given name.
-func (r *Router) Target(name string) (*Target, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.targets[name]
-	return t, ok
-}
-
 // AttachHub joins the router to an in-process Hub, enabling the
 // intra-process protocol family.
 func (r *Router) AttachHub(h *Hub) {

@@ -78,39 +78,14 @@ func AppendReply(dst []byte, r *Reply) ([]byte, error) {
 	return appendArgs(dst, r.Args)
 }
 
-// DecodeFrame decodes one frame. Exactly one of req/rep is non-nil on
-// success. The result does not alias buf: short repeated strings (target,
-// command, key, atom names) come from the process-wide intern table and
-// everything else is copied, so callers may reuse buf immediately.
-func DecodeFrame(buf []byte) (req *Request, rep *Reply, err error) {
-	d := decoder{buf: buf}
-	switch ft := d.u8(); ft {
-	case FrameRequest:
-		r := &Request{}
-		if err := r.parseBody(&d); err != nil {
-			return nil, nil, err
-		}
-		return r, nil, nil
-	case FrameReply:
-		r := &Reply{}
-		if err := r.parseBody(&d); err != nil {
-			return nil, nil, err
-		}
-		return nil, r, nil
-	default:
-		if d.err != nil {
-			return nil, nil, d.err
-		}
-		return nil, nil, fmt.Errorf("xrl: unknown frame type %d", ft)
-	}
-}
-
 // ParseRequest decodes a request frame into req, reusing the capacity of
 // req.Args, and keeping each string req (or the atom at that index of
 // req.Args' backing array) already holds when the frame repeats it. With
 // a warm intern table the decode performs no allocations for flat frames,
 // which is what keeps the receive side of the Figure-9 benchmark off the
-// garbage collector. Like DecodeFrame, the result does not alias buf.
+// garbage collector. The result does not alias buf: short repeated strings
+// (target, command, key, atom names) come from the process-wide intern
+// table and everything else is copied, so callers may reuse buf at once.
 func ParseRequest(buf []byte, req *Request) error {
 	d := decoder{buf: buf}
 	if ft := d.u8(); ft != FrameRequest {

@@ -147,9 +147,9 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotReq, gotRep, err := DecodeFrame(buf)
-	if err != nil || gotRep != nil || gotReq == nil {
-		t.Fatalf("DecodeFrame: req=%v rep=%v err=%v", gotReq, gotRep, err)
+	gotReq := &Request{}
+	if err := ParseRequest(buf, gotReq); err != nil {
+		t.Fatalf("ParseRequest: %v", err)
 	}
 	if gotReq.Seq != req.Seq || gotReq.Target != req.Target || gotReq.Command != req.Command || gotReq.Key != req.Key {
 		t.Fatalf("header mismatch: %+v", gotReq)
@@ -170,8 +170,8 @@ func TestWireReplyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := DecodeFrame(buf)
-	if err != nil || got == nil {
+	got := &Reply{}
+	if err := ParseReply(buf, got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if got.Seq != 99 || got.Code != CodeCommandFailed || got.Note != "boom" || len(got.Args) != 1 {
@@ -184,7 +184,7 @@ func TestWireMalformed(t *testing.T) {
 	buf, _ := AppendRequest(nil, req)
 	// Every strict prefix of a valid frame must fail cleanly.
 	for i := 0; i < len(buf); i++ {
-		if r, _, err := DecodeFrame(buf[:i]); err == nil && r != nil {
+		if err := ParseRequest(buf[:i], &Request{}); err == nil {
 			// A prefix accidentally decoding completely should be
 			// impossible since we check trailing bytes.
 			t.Fatalf("prefix of %d bytes decoded successfully", i)
@@ -193,16 +193,19 @@ func TestWireMalformed(t *testing.T) {
 	// Corrupt frame type.
 	bad := append([]byte{}, buf...)
 	bad[0] = 9
-	if _, _, err := DecodeFrame(bad); err == nil {
+	if err := ParseRequest(bad, &Request{}); err == nil {
 		t.Fatal("bad frame type accepted")
 	}
+	if err := ParseReply(buf, &Reply{}); err == nil {
+		t.Fatal("request frame accepted as a reply")
+	}
 	// Trailing garbage must be rejected.
-	if _, _, err := DecodeFrame(append(buf, 0)); err == nil {
+	if err := ParseRequest(append(buf, 0), &Request{}); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 	// Huge argument count must be rejected without allocating.
 	hdr := []byte{FrameRequest, 0, 0, 0, 1, 0, 1, 't', 0, 3, 'a', '/', 'b', 0, 0, 0xff, 0xff}
-	if _, _, err := DecodeFrame(hdr); err == nil {
+	if err := ParseRequest(hdr, &Request{}); err == nil {
 		t.Fatal("absurd arg count accepted")
 	}
 }
@@ -276,8 +279,8 @@ func TestQuickWireRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, _, err := DecodeFrame(buf)
-		if err != nil {
+		got := &Request{}
+		if err := ParseRequest(buf, got); err != nil {
 			return false
 		}
 		if got.Seq != req.Seq || len(got.Args) != len(args) {
@@ -300,10 +303,11 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {
 		defer func() {
 			if recover() != nil {
-				t.Errorf("DecodeFrame panicked on %x", b)
+				t.Errorf("decode panicked on %x", b)
 			}
 		}()
-		DecodeFrame(b)
+		ParseRequest(b, &Request{})
+		ParseReply(b, &Reply{})
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
