@@ -87,26 +87,6 @@ func (p ASPath) Contains(as uint16) bool {
 	return false
 }
 
-// Prepend returns a new path with as prepended to the leading sequence, or
-// in a new leading segment when the path starts with a set or a sequence
-// already at the 255 ASes a segment can carry (RFC 4271 §5.1.2). Only the
-// leading segment is built; those after it are p's own, which stay as they
-// were.
-func (p ASPath) Prepend(as uint16) ASPath {
-	var lead []uint16
-	rest := p
-	if len(p) > 0 && p[0].Type == SegSequence && len(p[0].ASes) < 255 {
-		lead, rest = p[0].ASes, p[1:]
-	}
-	ases := make([]uint16, 1+len(lead))
-	ases[0] = as
-	copy(ases[1:], lead)
-	out := make(ASPath, 1+len(rest))
-	out[0] = ASSegment{Type: SegSequence, ASes: ases}
-	copy(out[1:], rest)
-	return out
-}
-
 // String renders the path like "1 2 {3,4}".
 func (p ASPath) String() string {
 	var sb strings.Builder
@@ -153,23 +133,71 @@ func (p ASPath) Equal(o ASPath) bool {
 }
 
 // PathAttrs is the decoded attribute set of a BGP route. Optional
-// attributes carry a presence flag.
+// attributes carry a presence flag. The fields are ordered widest first so
+// the set packs into 112 bytes, and an attrBlock into the 160-byte size
+// class.
 type PathAttrs struct {
-	Origin  uint8
-	ASPath  ASPath
-	NextHop netip.Addr
+	ASPath         ASPath
+	Communities    []uint32
+	NextHop        netip.Addr
+	AggregatorAddr netip.Addr
 
 	MED          uint32
-	HasMED       bool
 	LocalPref    uint32
-	HasLocalPref bool
+	AggregatorAS uint16
+	Origin       uint8
 
+	HasMED          bool
+	HasLocalPref    bool
 	AtomicAggregate bool
-	AggregatorAS    uint16
-	AggregatorAddr  netip.Addr
 	HasAggregator   bool
+}
 
-	Communities []uint32
+// attrBlock is an attribute set with room beside it for the path most
+// routes carry: one segment of up to len(ases) ASes. Decode and the EBGP
+// export rewrite each build a set as one block; a longer path spills what
+// does not fit to allocations of its own, a fixed number of them however
+// many segments it has.
+type attrBlock struct {
+	attrs PathAttrs
+	seg   [1]ASSegment
+	ases  [8]uint16
+}
+
+// segs returns room for a path of n segments: the block's own when n is 1.
+func (b *attrBlock) segs(n int) ASPath {
+	if n == 1 {
+		return b.seg[:]
+	}
+	return make(ASPath, n)
+}
+
+// leadASes returns room for the n ASes of a path's first segment: the
+// block's own when they fit. No other segment may use it.
+func (b *attrBlock) leadASes(n int) []uint16 {
+	if n <= len(b.ases) {
+		return b.ases[:n:n]
+	}
+	return make([]uint16, n)
+}
+
+// prepend returns p with as prepended to its leading sequence, or in a new
+// leading segment when p starts with a set or a sequence already at the 255
+// ASes a segment can carry (RFC 4271 §5.1.2), built in b. Only the leading
+// segment is new; those after it are p's own, which stay as they were.
+func (b *attrBlock) prepend(p ASPath, as uint16) ASPath {
+	var lead []uint16
+	rest := p
+	if len(p) > 0 && p[0].Type == SegSequence && len(p[0].ASes) < 255 {
+		lead, rest = p[0].ASes, p[1:]
+	}
+	ases := b.leadASes(1 + len(lead))
+	ases[0] = as
+	copy(ases[1:], lead)
+	out := b.segs(1 + len(rest))
+	out[0] = ASSegment{Type: SegSequence, ASes: ases}
+	copy(out[1:], rest)
+	return out
 }
 
 // WellFormed verifies the mandatory attributes are present.
@@ -217,7 +245,8 @@ func (a *PathAttrs) Equal(o *PathAttrs) bool {
 	return a.ASPath.Equal(o.ASPath)
 }
 
-// appendTo encodes the attribute set in canonical (ascending type) order.
+// appendTo encodes the attribute set in canonical (ascending type) order,
+// straight into dst.
 func (a *PathAttrs) appendTo(dst []byte) ([]byte, error) {
 	if err := a.WellFormed(); err != nil {
 		return dst, err
@@ -225,19 +254,22 @@ func (a *PathAttrs) appendTo(dst []byte) ([]byte, error) {
 	// ORIGIN
 	dst = append(dst, flagTransitive, attrOrigin, 1, a.Origin)
 	// AS_PATH
-	body := make([]byte, 0, 16)
+	n := 0
 	for _, s := range a.ASPath {
 		if len(s.ASes) > 255 {
 			return dst, fmt.Errorf("bgp: AS segment too long")
 		}
-		body = append(body, s.Type, byte(len(s.ASes)))
-		for _, as := range s.ASes {
-			body = binary.BigEndian.AppendUint16(body, as)
-		}
+		n += 2 + 2*len(s.ASes)
 	}
-	dst, err := appendAttr(dst, flagTransitive, attrASPath, body)
+	dst, err := appendAttrHeader(dst, flagTransitive, attrASPath, n)
 	if err != nil {
 		return dst, err
+	}
+	for _, s := range a.ASPath {
+		dst = append(dst, s.Type, byte(len(s.ASes)))
+		for _, as := range s.ASes {
+			dst = binary.BigEndian.AppendUint16(dst, as)
+		}
 	}
 	// NEXT_HOP — classic form is IPv4-only; an IPv6 next hop rides in
 	// MP_REACH_NLRI instead (AppendUpdate enforces that IPv4 NLRI always
@@ -273,189 +305,194 @@ func (a *PathAttrs) appendTo(dst []byte) ([]byte, error) {
 	}
 	// COMMUNITY
 	if len(a.Communities) > 0 {
-		body = body[:0]
-		for _, c := range a.Communities {
-			body = binary.BigEndian.AppendUint32(body, c)
-		}
-		if dst, err = appendAttr(dst, flagOptional|flagTransitive, attrCommunity, body); err != nil {
+		if dst, err = appendAttrHeader(dst, flagOptional|flagTransitive, attrCommunity, 4*len(a.Communities)); err != nil {
 			return dst, err
+		}
+		for _, c := range a.Communities {
+			dst = binary.BigEndian.AppendUint32(dst, c)
 		}
 	}
 	return dst, nil
 }
 
-// appendAttr emits one attribute, choosing extended length as needed.
-func appendAttr(dst []byte, flags, typ uint8, body []byte) ([]byte, error) {
-	if len(body) > 0xffff {
-		return dst, fmt.Errorf("bgp: attribute %d too long (%d)", typ, len(body))
+// appendAttrHeader appends an attribute's flags, type and the length of a
+// body of n bytes, the extended form when n needs it, and grows dst once
+// for the header and the body the caller appends next.
+func appendAttrHeader(dst []byte, flags, typ uint8, n int) ([]byte, error) {
+	if n > 0xffff {
+		return dst, fmt.Errorf("bgp: attribute %d too long (%d)", typ, n)
 	}
-	if len(body) > 0xff {
-		dst = append(dst, flags|flagExtLen, typ)
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(body)))
-	} else {
-		dst = append(dst, flags, typ, byte(len(body)))
+	dst = slices.Grow(dst, 4+n)
+	if n > 0xff {
+		return binary.BigEndian.AppendUint16(append(dst, flags|flagExtLen, typ), uint16(n)), nil
 	}
-	return append(dst, body...), nil
+	return append(dst, flags, typ, byte(n)), nil
 }
 
-// decodePathAttrs parses attributes up to end. MP_REACH_NLRI and
+// decodePathAttrs parses an attribute block in one pass. MP_REACH_NLRI and
 // MP_UNREACH_NLRI carry NLRI, which belongs to the message rather than the
-// attribute set, so the IPv6 announcements/withdrawals are returned
-// alongside. seen reports whether anything other than MP_UNREACH_NLRI was
-// decoded (a withdraw-only message has no attribute set).
-func decodePathAttrs(d *wireDecoder, end int) (a *PathAttrs, nlri6, wdr6 []netip.Prefix, seen bool, err error) {
-	a = &PathAttrs{}
-	for d.off < end && d.err == nil {
-		flags := d.u8()
-		typ := d.u8()
-		var alen int
+// attribute set, so their IPv6 prefix blocks are handed back undecoded. The
+// set is nil when nothing but MP_UNREACH_NLRI (or attributes it ignores)
+// was seen: a withdraw-only message has none, and builds none. An attribute
+// may appear once (RFC 4271 §6.3, Malformed Attribute List).
+func decodePathAttrs(b []byte) (attrs *PathAttrs, reach, unreach []byte, err error) {
+	var (
+		a         PathAttrs
+		set       bool // an attribute of the set was decoded
+		path      []byte
+		nseg, nas int
+		seen      [256 / 64]uint64
+	)
+	for len(b) > 0 {
+		if len(b) < 3 || b[0]&flagExtLen != 0 && len(b) < 4 {
+			return nil, nil, nil, fmt.Errorf("bgp: truncated attribute header")
+		}
+		flags, typ := b[0], b[1]
+		alen, hdr := int(b[2]), 3
 		if flags&flagExtLen != 0 {
-			alen = int(d.u16())
-		} else {
-			alen = int(d.u8())
+			alen, hdr = int(binary.BigEndian.Uint16(b[2:])), 4
 		}
-		if d.err != nil {
-			break
+		if hdr+alen > len(b) {
+			return nil, nil, nil, fmt.Errorf("bgp: attribute %d overruns attribute block", typ)
 		}
-		if d.off+alen > end {
-			return nil, nil, nil, false, fmt.Errorf("bgp: attribute %d overruns attribute block", typ)
+		body := b[hdr : hdr+alen]
+		b = b[hdr+alen:]
+		if seen[typ/64]&(1<<(typ%64)) != 0 {
+			return nil, nil, nil, fmt.Errorf("bgp: attribute %d repeated", typ)
 		}
-		body := d.take(alen)
-		if body == nil {
-			break
-		}
+		seen[typ/64] |= 1 << (typ % 64)
 		switch typ {
 		case attrOrigin:
 			if alen != 1 {
-				return nil, nil, nil, false, fmt.Errorf("bgp: ORIGIN length %d", alen)
+				return nil, nil, nil, fmt.Errorf("bgp: ORIGIN length %d", alen)
 			}
 			a.Origin = body[0]
-			seen = true
 		case attrASPath:
-			path, err := decodeASPath(body)
-			if err != nil {
-				return nil, nil, nil, false, err
+			if nseg, nas, err = checkASPath(body); err != nil {
+				return nil, nil, nil, err
 			}
-			a.ASPath = path
-			seen = true
+			path = body
 		case attrNextHop:
 			if alen != 4 {
-				return nil, nil, nil, false, fmt.Errorf("bgp: NEXT_HOP length %d", alen)
+				return nil, nil, nil, fmt.Errorf("bgp: NEXT_HOP length %d", alen)
 			}
 			a.NextHop = netip.AddrFrom4([4]byte(body))
-			seen = true
 		case attrMED:
 			if alen != 4 {
-				return nil, nil, nil, false, fmt.Errorf("bgp: MED length %d", alen)
+				return nil, nil, nil, fmt.Errorf("bgp: MED length %d", alen)
 			}
 			a.MED = binary.BigEndian.Uint32(body)
 			a.HasMED = true
-			seen = true
 		case attrLocalPref:
 			if alen != 4 {
-				return nil, nil, nil, false, fmt.Errorf("bgp: LOCAL_PREF length %d", alen)
+				return nil, nil, nil, fmt.Errorf("bgp: LOCAL_PREF length %d", alen)
 			}
 			a.LocalPref = binary.BigEndian.Uint32(body)
 			a.HasLocalPref = true
-			seen = true
 		case attrAtomicAggregate:
 			if alen != 0 {
-				return nil, nil, nil, false, fmt.Errorf("bgp: ATOMIC_AGGREGATE length %d", alen)
+				return nil, nil, nil, fmt.Errorf("bgp: ATOMIC_AGGREGATE length %d", alen)
 			}
 			a.AtomicAggregate = true
-			seen = true
 		case attrAggregator:
 			if alen != 6 {
-				return nil, nil, nil, false, fmt.Errorf("bgp: AGGREGATOR length %d", alen)
+				return nil, nil, nil, fmt.Errorf("bgp: AGGREGATOR length %d", alen)
 			}
 			a.AggregatorAS = binary.BigEndian.Uint16(body)
 			a.AggregatorAddr = netip.AddrFrom4([4]byte(body[2:6]))
 			a.HasAggregator = true
-			seen = true
 		case attrCommunity:
 			if alen%4 != 0 {
-				return nil, nil, nil, false, fmt.Errorf("bgp: COMMUNITY length %d", alen)
+				return nil, nil, nil, fmt.Errorf("bgp: COMMUNITY length %d", alen)
 			}
-			a.Communities = slices.Grow(a.Communities, alen/4)
-			for i := 0; i < alen; i += 4 {
-				a.Communities = append(a.Communities, binary.BigEndian.Uint32(body[i:]))
+			a.Communities = make([]uint32, alen/4)
+			for i := range a.Communities {
+				a.Communities[i] = binary.BigEndian.Uint32(body[4*i:])
 			}
-			seen = true
 		case attrMPReachNLRI:
-			sub := &wireDecoder{buf: body}
-			afi := sub.u16()
-			safi := sub.u8()
-			if sub.err != nil {
-				return nil, nil, nil, false, fmt.Errorf("bgp: truncated MP_REACH_NLRI")
+			if alen < 3 {
+				return nil, nil, nil, fmt.Errorf("bgp: truncated MP_REACH_NLRI")
 			}
-			if afi != afiIPv6 || safi != safiUnicast {
+			if binary.BigEndian.Uint16(body) != afiIPv6 || body[2] != safiUnicast {
 				continue // unimplemented family: ignore (optional attr)
 			}
-			nhLen := int(sub.u8())
-			if sub.err == nil && nhLen != 16 {
-				return nil, nil, nil, false, fmt.Errorf("bgp: MP_REACH_NLRI next-hop length %d", nhLen)
+			if alen > 3 && body[3] != 16 {
+				return nil, nil, nil, fmt.Errorf("bgp: MP_REACH_NLRI next-hop length %d", body[3])
 			}
-			nh := sub.take(nhLen)
-			sub.u8() // reserved
-			for sub.off < len(body) && sub.err == nil {
-				nlri6 = append(nlri6, decodePrefix6(sub))
+			if alen < 21 { // AFI, SAFI, next-hop length, next hop, reserved
+				return nil, nil, nil, fmt.Errorf("bgp: truncated MP_REACH_NLRI")
 			}
-			if sub.err != nil {
-				return nil, nil, nil, false, sub.err
-			}
-			a.NextHop = netip.AddrFrom16([16]byte(nh)).Unmap()
-			seen = true
+			a.NextHop = netip.AddrFrom16([16]byte(body[4:20])).Unmap()
+			reach = body[21:]
 		case attrMPUnreachNLRI:
-			sub := &wireDecoder{buf: body}
-			afi := sub.u16()
-			safi := sub.u8()
-			if sub.err != nil {
-				return nil, nil, nil, false, fmt.Errorf("bgp: truncated MP_UNREACH_NLRI")
+			if alen < 3 {
+				return nil, nil, nil, fmt.Errorf("bgp: truncated MP_UNREACH_NLRI")
 			}
-			if afi != afiIPv6 || safi != safiUnicast {
-				continue
+			if binary.BigEndian.Uint16(body) == afiIPv6 && body[2] == safiUnicast {
+				unreach = body[3:]
 			}
-			for sub.off < len(body) && sub.err == nil {
-				wdr6 = append(wdr6, decodePrefix6(sub))
-			}
-			if sub.err != nil {
-				return nil, nil, nil, false, sub.err
-			}
+			continue // not part of the set
 		default:
 			if flags&flagOptional == 0 {
-				return nil, nil, nil, false, fmt.Errorf("bgp: unrecognized well-known attribute %d", typ)
+				return nil, nil, nil, fmt.Errorf("bgp: unrecognized well-known attribute %d", typ)
 			}
 			// Unrecognized optional attributes are ignored (transitive
 			// ones would be forwarded by a full implementation).
+			continue
 		}
+		set = true
 	}
-	if d.err != nil {
-		return nil, nil, nil, false, d.err
+	if !set {
+		return nil, reach, unreach, nil
 	}
-	return a, nlri6, wdr6, seen, nil
+	blk := &attrBlock{attrs: a}
+	if nseg > 0 {
+		blk.setPath(path, nseg, nas)
+	}
+	return &blk.attrs, reach, unreach, nil
 }
 
-func decodeASPath(body []byte) (ASPath, error) {
-	var path ASPath
-	for len(body) > 0 {
+// checkASPath validates an AS_PATH body and counts its segments and ASes.
+func checkASPath(body []byte) (nseg, nas int, err error) {
+	for ; len(body) > 0; nseg++ {
 		if len(body) < 2 {
-			return nil, fmt.Errorf("bgp: truncated AS_PATH segment header")
+			return 0, 0, fmt.Errorf("bgp: truncated AS_PATH segment header")
 		}
-		seg := ASSegment{Type: body[0]}
-		if seg.Type != SegSet && seg.Type != SegSequence {
-			return nil, fmt.Errorf("bgp: AS_PATH segment type %d", seg.Type)
+		if t := body[0]; t != SegSet && t != SegSequence {
+			return 0, 0, fmt.Errorf("bgp: AS_PATH segment type %d", t)
 		}
 		n := int(body[1])
-		body = body[2:]
-		if len(body) < 2*n {
-			return nil, fmt.Errorf("bgp: truncated AS_PATH segment")
+		if len(body) < 2+2*n {
+			return 0, 0, fmt.Errorf("bgp: truncated AS_PATH segment")
 		}
-		seg.ASes = make([]uint16, n)
-		for i := range seg.ASes {
-			seg.ASes[i] = binary.BigEndian.Uint16(body[2*i:])
-		}
-		body = body[2*n:]
-		path = append(path, seg)
+		nas += n
+		body = body[2+2*n:]
 	}
-	return path, nil
+	return nseg, nas, nil
+}
+
+// setPath builds the path of a checked AS_PATH body of nseg segments and
+// nas ASes in b: a first segment that fits takes the block's own room, and
+// every segment after it shares one spill array.
+func (b *attrBlock) setPath(body []byte, nseg, nas int) {
+	path := b.segs(nseg)
+	var more []uint16 // the ASes of the segments after the first
+	if nseg > 1 {
+		more = make([]uint16, nas-int(body[1]))
+	}
+	for i := range path {
+		n := int(body[1])
+		var ases []uint16
+		if i == 0 {
+			ases = b.leadASes(n)
+		} else {
+			ases, more = more[:n:n], more[n:]
+		}
+		for j := range ases {
+			ases[j] = binary.BigEndian.Uint16(body[2+2*j:])
+		}
+		path[i] = ASSegment{Type: body[0], ASes: ases}
+		body = body[2+2*n:]
+	}
+	b.attrs.ASPath = path
 }

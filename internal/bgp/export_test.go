@@ -2,6 +2,9 @@ package bgp
 
 import "net/netip"
 
+// Prepend is the EBGP export rewrite's prepend, built in a block of its own.
+func (p ASPath) Prepend(as uint16) ASPath { return new(attrBlock).prepend(p, as) }
+
 // WalkAnnounced visits, in prefix order, every route one member has been
 // sent: the tests' view of the replay ResyncMember sends, asked of the
 // stages upstream as the replay is. A member that is not live has been

@@ -169,15 +169,17 @@ func rewriteOnce(rewrite func(in *PathAttrs) *PathAttrs) Filter {
 // FilterEBGPExport prepends the local AS, rewrites NEXT_HOP to the local
 // peering address and strips LOCAL_PREF — the standard EBGP export
 // transform. Only the leading AS segment is new; the rest of the path and
-// the communities are the input's.
+// the communities are the input's. The rewrite is one attribute block,
+// leading segment included, when that segment fits it.
 func FilterEBGPExport(localAS uint16, localAddr netip.Addr) Filter {
 	return rewriteOnce(func(in *PathAttrs) *PathAttrs {
-		a := *in
-		a.ASPath = in.ASPath.Prepend(localAS)
+		b := &attrBlock{attrs: *in}
+		a := &b.attrs
+		a.ASPath = b.prepend(in.ASPath, localAS)
 		a.NextHop = localAddr
 		a.HasLocalPref = false
 		a.LocalPref = 0
-		return &a
+		return a
 	})
 }
 

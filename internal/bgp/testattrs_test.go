@@ -28,6 +28,25 @@ func attrsVia(nh string, ases ...uint16) *PathAttrs {
 	}
 }
 
+// fullAttrs returns a set carrying every attribute the codec knows, its
+// path a sequence followed by a set.
+func fullAttrs() *PathAttrs {
+	return &PathAttrs{
+		Origin:          OriginEGP,
+		ASPath:          ASPath{{Type: SegSequence, ASes: []uint16{65001, 65002, 65003}}, {Type: SegSet, ASes: []uint16{64512, 64513}}},
+		NextHop:         mustA("10.1.1.1"),
+		MED:             50,
+		HasMED:          true,
+		LocalPref:       200,
+		HasLocalPref:    true,
+		AtomicAggregate: true,
+		AggregatorAS:    65100,
+		AggregatorAddr:  mustA("10.9.9.9"),
+		HasAggregator:   true,
+		Communities:     []uint32{0x00010002, 0xffff0001},
+	}
+}
+
 // testPeer returns a PeerHandle for tests.
 func testPeer(name string, addr string, as uint16, ibgp bool) *PeerHandle {
 	return &PeerHandle{Name: name, Addr: mustA(addr), AS: as, IBGP: ibgp}

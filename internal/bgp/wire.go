@@ -10,6 +10,7 @@
 package bgp
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
@@ -205,18 +206,22 @@ func AppendUpdateRun(dst []byte, attrs *PathAttrs, nlri []netip.Prefix) ([]byte,
 	if len(nlri) == 1 { // nothing to pack: skip sizing the attributes
 		return AppendUpdate(dst, &UpdateMsg{Attrs: attrs, NLRI: nlri})
 	}
-	classic, err := attrs.appendTo(nil)
+	// The classic attributes are sized by encoding them where the first
+	// message will put them, then dropping them again.
+	sized, err := attrs.appendTo(dst)
 	if err != nil {
 		return dst, err
 	}
+	classic := len(sized) - len(dst)
+	dst = sized[:len(dst)]
 	// Per-message fixed overhead: header (19) + withdrawn-length (2) +
 	// attribute-length (2) + classic attributes; IPv6 chunks add the
 	// MP_REACH_NLRI header and fixed body (exactly 25 bytes with the
-	// extended-length form appendAttr may choose).
+	// extended-length form appendAttrHeader may choose).
 	const mpOverhead = 25
 	for start := 0; start < len(nlri); {
 		is6 := !nlri[start].Addr().Is4()
-		size := headerLen + 4 + len(classic)
+		size := headerLen + 4 + classic
 		if is6 {
 			size += mpOverhead
 		}
@@ -226,7 +231,7 @@ func AppendUpdateRun(dst []byte, attrs *PathAttrs, nlri []netip.Prefix) ([]byte,
 			if (!p.Addr().Is4()) != is6 {
 				break
 			}
-			cost := 1 + (p.Bits()+7)/8
+			cost := prefixLen(p)
 			if size+cost > maxMsgLen {
 				break
 			}
@@ -251,35 +256,40 @@ func appendMPReach(dst []byte, nh netip.Addr, nlri []netip.Prefix) ([]byte, erro
 	if !nh.IsValid() {
 		return dst, fmt.Errorf("bgp: MP_REACH_NLRI without next hop")
 	}
-	body := make([]byte, 0, 64)
-	body = binary.BigEndian.AppendUint16(body, afiIPv6)
-	body = append(body, safiUnicast)
-	nh16 := nh.As16()
-	body = append(body, 16)
-	body = append(body, nh16[:]...)
-	body = append(body, 0) // reserved
-	for _, p := range nlri {
-		if p.Addr().Is4() {
-			continue
-		}
-		body = appendPrefix6(body, p)
+	dst, err := appendAttrHeader(dst, flagOptional, attrMPReachNLRI, 21+prefixLen6(nlri))
+	if err != nil {
+		return dst, err
 	}
-	return appendAttr(dst, flagOptional, attrMPReachNLRI, body)
+	nh16 := nh.As16()
+	dst = append(binary.BigEndian.AppendUint16(dst, afiIPv6), safiUnicast, 16)
+	dst = append(dst, nh16[:]...)
+	dst = append(dst, 0) // reserved
+	return appendPrefixes6(dst, nlri), nil
 }
 
 // appendMPUnreach emits an MP_UNREACH_NLRI attribute carrying the IPv6
 // prefixes of withdrawn.
 func appendMPUnreach(dst []byte, withdrawn []netip.Prefix) ([]byte, error) {
-	body := make([]byte, 0, 32)
-	body = binary.BigEndian.AppendUint16(body, afiIPv6)
-	body = append(body, safiUnicast)
-	for _, p := range withdrawn {
-		if p.Addr().Is4() {
-			continue
-		}
-		body = appendPrefix6(body, p)
+	dst, err := appendAttrHeader(dst, flagOptional, attrMPUnreachNLRI, 3+prefixLen6(withdrawn))
+	if err != nil {
+		return dst, err
 	}
-	return appendAttr(dst, flagOptional, attrMPUnreachNLRI, body)
+	dst = append(binary.BigEndian.AppendUint16(dst, afiIPv6), safiUnicast)
+	return appendPrefixes6(dst, withdrawn), nil
+}
+
+// prefixLen is the size of p's encoding: a length byte and the octets the
+// length covers.
+func prefixLen(p netip.Prefix) int { return 1 + (p.Bits()+7)/8 }
+
+// prefixLen6 is the size of the encoding of the IPv6 prefixes of ps.
+func prefixLen6(ps []netip.Prefix) (n int) {
+	for _, p := range ps {
+		if !p.Addr().Is4() {
+			n += prefixLen(p)
+		}
+	}
+	return n
 }
 
 // appendPrefix appends RFC 4271 prefix encoding: length byte + minimal
@@ -296,20 +306,18 @@ func appendPrefix(dst []byte, p netip.Prefix) ([]byte, error) {
 	return dst, nil
 }
 
-func decodePrefix(d *wireDecoder) netip.Prefix {
-	bits := int(d.u8())
-	if bits > 32 {
-		d.fail("prefix length %d", bits)
-		return netip.Prefix{}
+// appendPrefixes6 appends the RFC 4760 encoding of the IPv6 prefixes of ps.
+func appendPrefixes6(dst []byte, ps []netip.Prefix) []byte {
+	for _, p := range ps {
+		if p.Addr().Is4() {
+			continue
+		}
+		p = p.Masked()
+		bits := p.Bits()
+		b := p.Addr().As16()
+		dst = append(append(dst, byte(bits)), b[:(bits+7)/8]...)
 	}
-	n := (bits + 7) / 8
-	raw := d.take(n)
-	if raw == nil {
-		return netip.Prefix{}
-	}
-	var b [4]byte
-	copy(b[:], raw)
-	return netip.PrefixFrom(netip.AddrFrom4(b), bits).Masked()
+	return dst
 }
 
 // countPrefixes counts the length bytes of a block of encoded prefixes, to
@@ -322,29 +330,33 @@ func countPrefixes(block []byte) (n int) {
 	return n
 }
 
-// appendPrefix6 appends the RFC 4760 IPv6 prefix encoding.
-func appendPrefix6(dst []byte, p netip.Prefix) []byte {
-	p = p.Masked()
-	bits := p.Bits()
-	dst = append(dst, byte(bits))
-	b := p.Addr().As16()
-	return append(dst, b[:(bits+7)/8]...)
-}
-
-func decodePrefix6(d *wireDecoder) netip.Prefix {
-	bits := int(d.u8())
-	if bits > 128 {
-		d.fail("v6 prefix length %d", bits)
-		return netip.Prefix{}
+// decodePrefixes fills dst, sized by countPrefixes(block), with block's
+// prefixes of at most maxBits bits: 32 for the classic fields, 128 for the
+// RFC 4760 ones, which decode as IPv6 whatever their length.
+func decodePrefixes(dst []netip.Prefix, block []byte, maxBits int) error {
+	for i := range dst {
+		bits := int(block[0])
+		if bits > maxBits {
+			return fmt.Errorf("bgp: decode: prefix length %d of at most %d", bits, maxBits)
+		}
+		n := 1 + (bits+7)/8
+		if n > len(block) {
+			return fmt.Errorf("bgp: decode: truncated prefix")
+		}
+		var addr netip.Addr
+		if maxBits == 32 {
+			var b [4]byte
+			copy(b[:], block[1:n])
+			addr = netip.AddrFrom4(b)
+		} else {
+			var b [16]byte
+			copy(b[:], block[1:n])
+			addr = netip.AddrFrom16(b)
+		}
+		dst[i] = netip.PrefixFrom(addr, bits).Masked()
+		block = block[n:]
 	}
-	n := (bits + 7) / 8
-	raw := d.take(n)
-	if raw == nil {
-		return netip.Prefix{}
-	}
-	var b [16]byte
-	copy(b[:], raw)
-	return netip.PrefixFrom(netip.AddrFrom16(b), bits).Masked()
+	return nil
 }
 
 // Message is a decoded BGP message: exactly one field is non-nil.
@@ -374,7 +386,8 @@ func HeaderInfo(buf []byte) (msgLen int, msgType uint8, err error) {
 	return msgLen, msgType, nil
 }
 
-// DecodeMessage decodes one complete wire message (header included).
+// DecodeMessage decodes one complete wire message (header included). What
+// it returns is the caller's and holds nothing of buf.
 func DecodeMessage(buf []byte) (*Message, error) {
 	msgLen, msgType, err := HeaderInfo(buf)
 	if err != nil {
@@ -383,140 +396,118 @@ func DecodeMessage(buf []byte) (*Message, error) {
 	if msgLen != len(buf) {
 		return nil, fmt.Errorf("bgp: message length %d != buffer %d", msgLen, len(buf))
 	}
-	d := &wireDecoder{buf: buf, off: headerLen}
+	body := buf[headerLen:]
 	switch msgType {
 	case MsgOpen:
-		m := &OpenMsg{}
-		m.Version = d.u8()
-		m.AS = d.u16()
-		m.HoldTime = d.u16()
-		b := d.take(4)
-		if b != nil {
-			m.BGPID = netip.AddrFrom4([4]byte(b))
+		// Version, AS, hold time, BGP identifier, optional parameters
+		// (ignored) after their length.
+		if len(body) < 10 || len(body) < 10+int(body[9]) {
+			return nil, fmt.Errorf("bgp: truncated OPEN")
 		}
-		optLen := int(d.u8())
-		d.take(optLen) // optional parameters ignored
-		if d.err != nil {
-			return nil, d.err
-		}
-		return &Message{Open: m}, nil
+		return &Message{Open: &OpenMsg{
+			Version:  body[0],
+			AS:       binary.BigEndian.Uint16(body[1:]),
+			HoldTime: binary.BigEndian.Uint16(body[3:]),
+			BGPID:    netip.AddrFrom4([4]byte(body[5:9])),
+		}}, nil
 	case MsgKeepalive:
 		if msgLen != headerLen {
 			return nil, fmt.Errorf("bgp: KEEPALIVE with body")
 		}
 		return &Message{Keepalive: true}, nil
 	case MsgNotification:
-		m := &NotificationMsg{}
-		m.Code = d.u8()
-		m.Subcode = d.u8()
-		m.Data = append([]byte(nil), d.rest()...)
-		if d.err != nil {
-			return nil, d.err
+		if len(body) < 2 {
+			return nil, fmt.Errorf("bgp: truncated NOTIFICATION")
 		}
-		return &Message{Notification: m}, nil
+		return &Message{Notification: &NotificationMsg{Code: body[0], Subcode: body[1], Data: append([]byte(nil), body[2:]...)}}, nil
 	case MsgUpdate:
-		both := &struct {
-			msg Message
-			upd UpdateMsg
-		}{}
-		m := &both.upd
-		both.msg.Update = m
-		wLen := int(d.u16())
-		wEnd := d.off + wLen
-		if wEnd > len(buf) {
-			return nil, fmt.Errorf("bgp: withdrawn length overruns message")
-		}
-		m.Withdrawn = make([]netip.Prefix, 0, countPrefixes(buf[d.off:wEnd]))
-		for d.off < wEnd && d.err == nil {
-			m.Withdrawn = append(m.Withdrawn, decodePrefix(d))
-		}
-		aLen := int(d.u16())
-		aEnd := d.off + aLen
-		if aEnd > len(buf) {
-			return nil, fmt.Errorf("bgp: attribute length overruns message")
-		}
-		var nlri6 []netip.Prefix
-		if aLen > 0 {
-			attrs, n6, w6, seen, err := decodePathAttrs(d, aEnd)
-			if err != nil {
-				return nil, err
-			}
-			if seen {
-				m.Attrs = attrs
-			}
-			nlri6 = n6
-			m.Withdrawn = append(m.Withdrawn, w6...)
-		}
-		n4 := countPrefixes(buf[d.off:])
-		m.NLRI = make([]netip.Prefix, 0, n4+len(nlri6))
-		for d.off < len(buf) && d.err == nil {
-			m.NLRI = append(m.NLRI, decodePrefix(d))
-		}
-		m.NLRI = append(m.NLRI, nlri6...)
-		if d.err != nil {
-			return nil, d.err
-		}
-		if len(m.NLRI) > 0 {
-			if m.Attrs == nil {
-				return nil, fmt.Errorf("bgp: NLRI without path attributes")
-			}
-			if err := m.Attrs.WellFormed(); err != nil {
-				return nil, err
-			}
-			if n4 > 0 && !m.Attrs.NextHop.Is4() {
-				return nil, fmt.Errorf("bgp: IPv4 NLRI with non-IPv4 NEXT_HOP %v", m.Attrs.NextHop)
-			}
-		}
-		return &both.msg, nil
+		return decodeUpdate(body)
 	default:
 		return nil, fmt.Errorf("bgp: unknown message type %d", msgType)
 	}
 }
 
-// wireDecoder is a bounds-checked cursor with sticky errors.
-type wireDecoder struct {
-	buf []byte
-	off int
-	err error
+// updateBlock is a decoded UPDATE in one allocation: the message and the
+// update.
+type updateBlock struct {
+	msg Message
+	upd UpdateMsg
 }
 
-func (d *wireDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("bgp: decode: "+format, args...)
-	}
+// updateBlockOne is an updateBlock with room for the one prefix most
+// UPDATEs carry; one with more takes the plain block and an array, so the
+// room it would not use costs nothing.
+type updateBlockOne struct {
+	updateBlock
+	one [1]netip.Prefix
 }
 
-func (d *wireDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
+// decodeUpdate decodes an UPDATE's body at a fixed cost: the message block
+// (holding the prefix when there is just one), else the block and one
+// prefix array, and the attribute block of an announcement. The four prefix
+// blocks (classic and MP_UNREACH withdrawals, classic and MP_REACH
+// announcements) are counted before anything is built; Withdrawn and NLRI
+// share the array, each capped at its own end.
+func decodeUpdate(body []byte) (*Message, error) {
+	wdr, body, ok := lengthBlock(body)
+	if !ok {
+		return nil, fmt.Errorf("bgp: withdrawn length overruns message")
 	}
-	if n < 0 || d.off+n > len(d.buf) {
-		d.fail("truncated at %d (+%d of %d)", d.off, n, len(d.buf))
-		return nil
+	attrBytes, nlri, ok := lengthBlock(body)
+	if !ok {
+		return nil, fmt.Errorf("bgp: attribute length overruns message")
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
+	attrs, reach, unreach, err := decodePathAttrs(attrBytes)
+	if err != nil {
+		return nil, err
+	}
+	nw, nu, n4 := countPrefixes(wdr), countPrefixes(unreach), countPrefixes(nlri)
+	w := nw + nu
+	total := w + n4 + countPrefixes(reach)
+	var blk *updateBlock
+	var pfx []netip.Prefix
+	if total <= 1 {
+		b := &updateBlockOne{}
+		blk, pfx = &b.updateBlock, b.one[:total:total]
+	} else {
+		blk, pfx = &updateBlock{}, make([]netip.Prefix, total)
+	}
+	blk.msg.Update = &blk.upd
+	m := &blk.upd
+	if err := cmp.Or(
+		decodePrefixes(pfx[:nw], wdr, 32),
+		decodePrefixes(pfx[nw:w], unreach, 128),
+		decodePrefixes(pfx[w:w+n4], nlri, 32),
+		decodePrefixes(pfx[w+n4:], reach, 128),
+	); err != nil {
+		return nil, err
+	}
+	m.Withdrawn, m.NLRI = pfx[:w:w], pfx[w:]
+	if len(m.NLRI) == 0 {
+		// Attributes without NLRI describe no route: RFC 4271 §6.3 asks
+		// for the mandatory ones only beside NLRI, and none is kept.
+		return &blk.msg, nil
+	}
+	if m.Attrs = attrs; m.Attrs == nil {
+		return nil, fmt.Errorf("bgp: NLRI without path attributes")
+	}
+	if err := m.Attrs.WellFormed(); err != nil {
+		return nil, err
+	}
+	if n4 > 0 && !m.Attrs.NextHop.Is4() {
+		return nil, fmt.Errorf("bgp: IPv4 NLRI with non-IPv4 NEXT_HOP %v", m.Attrs.NextHop)
+	}
+	return &blk.msg, nil
 }
 
-func (d *wireDecoder) rest() []byte {
-	b := d.buf[d.off:]
-	d.off = len(d.buf)
-	return b
-}
-
-func (d *wireDecoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
+// lengthBlock splits b after the block its leading 2-byte length covers.
+func lengthBlock(b []byte) (block, rest []byte, ok bool) {
+	if len(b) < 2 {
+		return nil, nil, false
 	}
-	return b[0]
-}
-
-func (d *wireDecoder) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
+	n := 2 + int(binary.BigEndian.Uint16(b))
+	if n > len(b) {
+		return nil, nil, false
 	}
-	return binary.BigEndian.Uint16(b)
+	return b[2:n], b[n:], true
 }

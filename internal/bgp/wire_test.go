@@ -2,10 +2,14 @@ package bgp
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOpenRoundTrip(t *testing.T) {
@@ -102,37 +106,149 @@ func TestUpdateWithdrawOnly(t *testing.T) {
 	}
 }
 
-// TestDecodeUpdateAllocs: the decoder sizes what it builds from what the
-// bytes say, so a full UPDATE costs its parts and not their growth: message
-// and update as one object, the prefix slice, and for an announcement the
-// attribute set, its path and the path's one segment.
+// TestDecodeUpdateAllocs: an UPDATE decodes at a fixed cost, whatever its
+// family or prefix count: the message block (holding the prefix when there
+// is one), one prefix array when there are more, and the attribute block of
+// an announcement.
 func TestDecodeUpdateAllocs(t *testing.T) {
-	var nets []netip.Prefix
+	var nets, nets6 []netip.Prefix
 	for i := 0; i < 64; i++ {
 		nets = append(nets, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16))
+		nets6 = append(nets6, netip.PrefixFrom(netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, byte(i)}), 48))
 	}
-	announce, err := AppendUpdate(nil, &UpdateMsg{Attrs: attrsVia("10.0.0.1", 65001, 64512, 64513), NLRI: nets})
-	if err != nil {
-		t.Fatal(err)
+	wire := func(m *UpdateMsg) []byte {
+		b, err := AppendUpdate(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	withdraw, err := AppendUpdate(nil, &UpdateMsg{Withdrawn: nets})
-	if err != nil {
-		t.Fatal(err)
-	}
+	via4, via6 := attrsVia("10.0.0.1", 65001, 64512, 64513), attrsVia("2001:db8::1", 65001, 64512, 64513)
 	for _, c := range []struct {
 		name  string
 		wire  []byte
+		n     int // prefixes
 		bound float64
-	}{{"64-NLRI announce", announce, 6}, {"64-prefix withdraw", withdraw, 3}} {
+	}{
+		{"64-NLRI announce", wire(&UpdateMsg{Attrs: via4, NLRI: nets}), 64, 3},
+		{"64-prefix withdraw", wire(&UpdateMsg{Withdrawn: nets}), 64, 2},
+		{"64-NLRI IPv6 announce", wire(&UpdateMsg{Attrs: via6, NLRI: nets6}), 64, 3},
+		{"64-prefix IPv6 withdraw", wire(&UpdateMsg{Withdrawn: nets6}), 64, 2},
+		{"one-prefix announce", wire(&UpdateMsg{Attrs: via4, NLRI: nets[:1]}), 1, 2},
+		{"one-prefix withdraw", wire(&UpdateMsg{Withdrawn: nets[:1]}), 1, 1},
+	} {
 		got := testing.AllocsPerRun(200, func() {
 			m, err := DecodeMessage(c.wire)
-			if err != nil || len(m.Update.NLRI)+len(m.Update.Withdrawn) != 64 {
+			if err != nil || len(m.Update.NLRI)+len(m.Update.Withdrawn) != c.n {
 				t.Fatalf("%s: %+v, %v", c.name, m, err)
 			}
 		})
 		t.Logf("%s: %.0f allocations", c.name, got)
 		if got > c.bound {
 			t.Errorf("%s decodes in %.0f allocations, want <= %.0f", c.name, got, c.bound)
+		}
+	}
+}
+
+// TestEncodeAllocs: the export side's rewrite is one attribute block, and a
+// run, IPv4 and IPv6 mixed, encodes into a buffer already at size without
+// any scratch of its own.
+func TestEncodeAllocs(t *testing.T) {
+	in := &PathAttrs{
+		Origin:      OriginIGP,
+		ASPath:      ASPath{{Type: SegSequence, ASes: []uint16{65001, 65002, 65003}}},
+		NextHop:     mustA("10.0.0.1"),
+		Communities: []uint32{1, 2, 3},
+	}
+	var run []netip.Prefix
+	for i := 0; i < 64; i++ {
+		run = append(run, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16),
+			netip.PrefixFrom(netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, byte(i)}), 48))
+	}
+	export := FilterEBGPExport(64512, mustA("192.0.2.1"))
+	// Two input sets in turn, so the filter's memo of its last rewrite
+	// never answers.
+	ins, r := [2]*PathAttrs{in, in.Clone()}, Route{Net: run[0]}
+	var out *PathAttrs
+	rewrite := testing.AllocsPerRun(100, func() {
+		r.Attrs = ins[0]
+		ins[0], ins[1] = ins[1], ins[0]
+		out = export(&r)
+	})
+	if got := out.ASPath.String(); got != "64512 65001 65002 65003" {
+		t.Fatalf("rewritten path %q", got)
+	}
+	if rewrite > 1 {
+		t.Errorf("an EBGP export rewrite costs %.0f allocations, want 1", rewrite)
+	}
+	buf, err := AppendUpdateRun(nil, out, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := testing.AllocsPerRun(100, func() {
+		if buf, err = AppendUpdateRun(buf[:0], out, run); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if encode != 0 {
+		t.Errorf("a mixed run encodes into a warmed buffer in %.0f allocations, want 0", encode)
+	}
+}
+
+// TestAttrBlockSize: the attribute block fills the 160-byte size class
+// exactly; a field that widens PathAttrs moves every set into the next.
+func TestAttrBlockSize(t *testing.T) {
+	if a, b := unsafe.Sizeof(PathAttrs{}), unsafe.Sizeof(attrBlock{}); a != 112 || b != 160 {
+		t.Errorf("PathAttrs is %d bytes, attrBlock %d; want 112 and 160", a, b)
+	}
+}
+
+// TestRepeatedAttributeRejected: an attribute may appear once in an
+// UPDATE (RFC 4271 §6.3, Malformed Attribute List), the multiprotocol ones
+// and those the decoder ignores included. Each row takes one attribute of a
+// message that carries every type, and repeats it at the end.
+func TestRepeatedAttributeRejected(t *testing.T) {
+	wire, err := AppendUpdate(nil, &UpdateMsg{
+		Withdrawn: []netip.Prefix{mustP("2001:db8:1::/48")},
+		Attrs:     fullAttrs(),
+		NLRI:      []netip.Prefix{mustP("10.0.0.0/8"), mustP("2001:db8:2::/48")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wdr, attrs, nlri, _ := updateParts(wire)
+	// An optional attribute the decoder does not know, which it ignores.
+	attrs = append(slices.Clone(attrs), flagOptional|flagTransitive, 99, 1, 7)
+	if _, err := DecodeMessage(rawUpdate(wdr, attrs, nlri)); err != nil {
+		t.Fatalf("each attribute once: %v", err)
+	}
+	byType := make(map[uint8][]byte)
+	for _, a := range splitAttrs(attrs) {
+		byType[a[1]] = a
+	}
+	for _, c := range []struct {
+		name string
+		typ  uint8
+	}{
+		{"ORIGIN", attrOrigin},
+		{"AS_PATH", attrASPath},
+		{"NEXT_HOP", attrNextHop},
+		{"MULTI_EXIT_DISC", attrMED},
+		{"LOCAL_PREF", attrLocalPref},
+		{"ATOMIC_AGGREGATE", attrAtomicAggregate},
+		{"AGGREGATOR", attrAggregator},
+		{"COMMUNITY", attrCommunity},
+		{"MP_REACH_NLRI", attrMPReachNLRI},
+		{"MP_UNREACH_NLRI", attrMPUnreachNLRI},
+		{"unknown optional", 99},
+	} {
+		a := byType[c.typ]
+		if a == nil {
+			t.Fatalf("%s: the message carries no attribute %d", c.name, c.typ)
+		}
+		_, err := DecodeMessage(rawUpdate(wdr, append(slices.Clone(attrs), a...), nlri))
+		if want := fmt.Sprintf("attribute %d repeated", c.typ); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s twice: err %v, want one saying %q", c.name, err, want)
 		}
 	}
 }
