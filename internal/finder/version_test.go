@@ -22,7 +22,7 @@ func newVersionedNode(name string) *testNode {
 		n.mu.Lock()
 		n.calls++
 		n.mu.Unlock()
-		return args, nil
+		return append(xrl.Args(nil), args...), nil // a handler's args are not its to return
 	})
 	n.router.AddTarget(n.target)
 	go n.loop.Run()

@@ -88,11 +88,10 @@ func (o *optionals) net(name string, dst *netip.Prefix) {
 }
 
 // client is the shared base of the typed client stubs: a router, the
-// destination target name, and the spec every outgoing call is built
-// from — interface name, version and method strings never appear in
-// stub bodies, so a stub cannot drift from its declaration (Spec.NewXRL
-// panics on an undeclared method or argument the first time the path
-// runs).
+// destination target name, and the spec every outgoing call is checked
+// against — interface name, version and method strings never appear in
+// stub bodies, so a stub cannot drift from its declaration (send panics
+// on an undeclared method or argument the first time the path runs).
 type client struct {
 	r      *xipc.Router
 	target string
@@ -106,17 +105,9 @@ func newClient(r *xipc.Router, target string, s *Spec) client {
 	return client{r: r, target: target, spec: s}
 }
 
-// call sends a spec-checked XRL for method to the stub's target. Methods
-// the spec marks Idempotent ride the retrying send path: a transient
-// resolve/send failure (a crashed process mid-respawn, a torn connection)
-// is retried with backoff instead of surfacing immediately.
+// call sends a spec-checked call of method to the stub's target.
 func (c *client) call(method string, cb xipc.Callback, args ...xrl.Atom) {
-	x := c.spec.NewXRL(c.target, method, args...)
-	if m, ok := c.spec.Method(method); ok && m.Idempotent {
-		c.r.SendIdempotent(x, cb)
-		return
-	}
-	c.r.Send(x, cb)
+	send(c.r, c.spec, c.target, method, cb, args)
 }
 
 // anycast is the base of stubs whose destination target varies per call
@@ -132,15 +123,24 @@ func newAnycast(r *xipc.Router, s *Spec) anycast {
 	return anycast{r: r, spec: s}
 }
 
-// call sends a spec-checked XRL for method to an explicit target,
-// selecting the retrying path for Idempotent methods as client.call does.
+// call sends a spec-checked call of method to an explicit target.
 func (c *anycast) call(target, method string, cb xipc.Callback, args ...xrl.Atom) {
-	x := c.spec.NewXRL(target, method, args...)
-	if m, ok := c.spec.Method(method); ok && m.Idempotent {
-		c.r.SendIdempotent(x, cb)
-		return
+	send(c.r, c.spec, target, method, cb, args)
+}
+
+// send checks a call of method with args against s, a violation
+// panicking as in Spec.NewXRL, and hands it to r.SendArgs, which copies
+// args into its call record: a stub's arguments live on its stack.
+// Methods the spec marks Idempotent ride the retrying path: a transient
+// resolve/send failure (a crashed process mid-respawn, a torn
+// connection) is retried with backoff instead of surfacing immediately.
+func send(r *xipc.Router, s *Spec, target, method string, cb xipc.Callback, args xrl.Args) {
+	if err := s.Check(method, args); err != nil {
+		panic("xif: " + err.Error())
 	}
-	c.r.Send(x, cb)
+	r.SendArgs(xrl.XRL{Protocol: xrl.ProtoFinder, Target: target,
+		Interface: s.Name, Version: s.Version, Method: method},
+		args, cb, s.byName[method].Idempotent)
 }
 
 // Done adapts a plain error callback to an xipc.Callback, for stub

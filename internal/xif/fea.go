@@ -2,7 +2,6 @@ package xif
 
 import (
 	"net/netip"
-	"slices"
 
 	"xorp/internal/route"
 	"xorp/internal/xipc"
@@ -135,9 +134,8 @@ func NewFTIClient(r *xipc.Router, target string) *FTIClient {
 	return &FTIClient{newClient(r, target, FTISpec)}
 }
 
-// entryArgs builds the add_entry4 argument list, sized exactly as routeArgs.
-func entryArgs(e *route.Entry) xrl.Args {
-	var buf [4]xrl.Atom
+// entryArgs builds the add_entry4 argument list in buf, as routeArgs does.
+func entryArgs(buf *[4]xrl.Atom, e *route.Entry) xrl.Args {
 	args := append(buf[:0],
 		xrl.Net("network", e.Net),
 		xrl.Text("ifname", e.IfName))
@@ -147,13 +145,14 @@ func entryArgs(e *route.Entry) xrl.Args {
 	if e.Metric != 0 {
 		args = append(args, xrl.U32("metric", e.Metric))
 	}
-	return slices.Clone(args)
+	return args
 }
 
 // AddEntries4 installs a run of forwarding entries as one transaction.
 func (c *FTIClient) AddEntries4(es []route.Entry, done func(error)) {
 	if len(es) == 1 {
-		c.call("add_entry4", Done(done), entryArgs(&es[0])...)
+		var buf [4]xrl.Atom
+		c.call("add_entry4", Done(done), entryArgs(&buf, &es[0])...)
 		return
 	}
 	c.call("add_entries4", Done(done), xrl.List("entries", EncodeRouteAtoms(es)...))

@@ -1,9 +1,10 @@
 // Command lint is the xif drift gate: it fails the build when a non-test
 // file outside internal/xif bypasses the typed interface layer by
 // registering handlers with raw Target.Register, composing calls with
-// xrl.New, or naming a single-route wire method (callers hand the stubs
-// runs; which XRL a run of one rides is the stub's choice). Run from the
-// module root:
+// xrl.New, naming a single-route wire method (callers hand the stubs
+// runs; which XRL a run of one rides is the stub's choice), or sending
+// through Router.SendArgs, the stubs' own entry point, outside
+// internal/xipc. Run from the module root:
 //
 //	go run ./internal/xif/lint
 //
@@ -20,24 +21,34 @@ import (
 	"strings"
 )
 
-// Raw-IPC patterns. `.Register("` requires a string-literal first
-// argument, which distinguishes xipc's Target.Register(iface, ...) from
-// unrelated Register() methods (e.g. rib.Process.Register()).
+// Raw-IPC patterns, each with the packages besides internal/xif that may
+// use it. `.Register("` requires a string-literal first argument, which
+// distinguishes xipc's Target.Register(iface, ...) from unrelated
+// Register() methods (e.g. rib.Process.Register()).
 var patterns = []struct {
 	re   *regexp.Regexp
 	what string
+	also []string
 }{
-	{regexp.MustCompile(`xrl\.New\(`), "hand-built XRL (use a xif client stub or Spec.NewXRL)"},
-	{regexp.MustCompile(`\.Register\("`), "raw Target.Register (use a xif Bind)"},
-	{regexp.MustCompile(`"(add|delete)_(route|entry)4"`), "single-route wire method (hand the xif stub a run)"},
+	{regexp.MustCompile(`xrl\.New\(`), "hand-built XRL (use a xif client stub or Spec.NewXRL)", nil},
+	{regexp.MustCompile(`\.Register\("`), "raw Target.Register (use a xif Bind)", nil},
+	{regexp.MustCompile(`"(add|delete)_(route|entry)4"`), "single-route wire method (hand the xif stub a run)", nil},
+	{regexp.MustCompile(`\.SendArgs\(`), "the stubs' send entry point (use a xif client stub)", []string{"xipc"}},
 }
 
 // allowed reports whether path may use raw IPC primitives: the xif layer
-// itself, and tests (which pin wire formats and drive edge cases the
-// typed surface forbids).
-func allowed(path string) bool {
-	return strings.HasSuffix(path, "_test.go") ||
-		strings.HasPrefix(path, filepath.Join("internal", "xif")+string(filepath.Separator))
+// itself, the packages a pattern names (also), and tests (which pin wire
+// formats and drive edge cases the typed surface forbids).
+func allowed(path string, also []string) bool {
+	if strings.HasSuffix(path, "_test.go") {
+		return true
+	}
+	for _, pkg := range append([]string{"xif"}, also...) {
+		if strings.HasPrefix(path, filepath.Join("internal", pkg)+string(filepath.Separator)) {
+			return true
+		}
+	}
+	return false
 }
 
 func main() {
@@ -64,16 +75,13 @@ func main() {
 		if rerr != nil {
 			rel = path
 		}
-		if allowed(rel) {
-			return nil
-		}
 		data, rerr := os.ReadFile(path)
 		if rerr != nil {
 			return rerr
 		}
 		for lineNo, line := range strings.Split(string(data), "\n") {
 			for _, p := range patterns {
-				if p.re.MatchString(line) {
+				if p.re.MatchString(line) && !allowed(rel, p.also) {
 					fmt.Fprintf(os.Stderr, "%s:%d: %s\n\t%s\n",
 						rel, lineNo+1, p.what, strings.TrimSpace(line))
 					bad++

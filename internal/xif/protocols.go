@@ -1,8 +1,6 @@
 package xif
 
 import (
-	"slices"
-
 	"xorp/internal/route"
 	"xorp/internal/xipc"
 	"xorp/internal/xrl"
@@ -86,7 +84,7 @@ func (c *Redist4Client) RedistAdd(e route.Entry) {
 	if e.Metric != 0 {
 		args = append(args, xrl.U32("metric", e.Metric))
 	}
-	c.call("add_route4", nil, slices.Clone(args)...)
+	c.call("add_route4", nil, args...)
 }
 
 // RedistDelete implements rib.Redistributor: delete_route4.

@@ -325,12 +325,11 @@ func NewRIBClient(r *xipc.Router, target string) *RIBClient {
 	return &RIBClient{newClient(r, target, RIBSpec)}
 }
 
-// routeArgs builds the add_route4 argument list. Argument order matches
-// the legacy hand-built call sites byte for byte (the wire-compat oracle
-// pins this). The result is sized exactly: the call record holds it until
-// delivery, and one spare 160-byte atom moves it up a size class.
-func routeArgs(proto string, e route.Entry) xrl.Args {
-	var buf [6]xrl.Atom
+// routeArgs builds the add_route4 argument list in buf, the caller's,
+// which send copies into its call record. Argument order matches the
+// legacy hand-built call sites byte for byte (the wire-compat oracle pins
+// this).
+func routeArgs(buf *[6]xrl.Atom, proto string, e *route.Entry) xrl.Args {
 	args := append(buf[:0],
 		xrl.Text("protocol", proto),
 		xrl.Net("network", e.Net),
@@ -344,7 +343,7 @@ func routeArgs(proto string, e route.Entry) xrl.Args {
 	if len(e.PolicyTags) > 0 {
 		args = append(args, tagsAtom(e.PolicyTags))
 	}
-	return slices.Clone(args)
+	return args
 }
 
 // tagsAtom encodes a policytags argument.
@@ -408,7 +407,8 @@ func joinDone(n int, done func(error)) func(error) {
 // addRun sends one run whose routes share a tag list.
 func (c *RIBClient) addRun(proto string, es []route.Entry, cb xipc.Callback) {
 	if len(es) == 1 {
-		c.call("add_route4", cb, routeArgs(proto, es[0])...)
+		var buf [6]xrl.Atom
+		c.call("add_route4", cb, routeArgs(&buf, proto, &es[0])...)
 		return
 	}
 	routes := xrl.List("routes", EncodeRouteAtoms(es)...)

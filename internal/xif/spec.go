@@ -174,9 +174,9 @@ func (m *Method) CheckArgs(args xrl.Args) error {
 				m.Name, d.Name, a.Type, d.Type)
 		}
 	}
-	for _, a := range args {
-		if m.arg(a.Name) == nil {
-			return fmt.Errorf("method %s: unknown argument %q", m.Name, a.Name)
+	for i := range args {
+		if m.arg(args[i].Name) == nil {
+			return fmt.Errorf("method %s: unknown argument %q", m.Name, args[i].Name)
 		}
 	}
 	return nil

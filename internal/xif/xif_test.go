@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"xorp/internal/eventloop"
 	"xorp/internal/fea"
@@ -971,44 +969,5 @@ func TestSingleHandlersShareListPath(t *testing.T) {
 	// A mistyped optional rejects the call before the server sees it.
 	if err := call("rib/rib/1.0/add_route4?protocol:txt=static&network:ipv4net=10.0.3.0/24&metric:txt=5"); err == nil || err.Code != xrl.CodeBadArgs || ribProc.Len() != 1 {
 		t.Errorf("add_route4 with metric as txt: %v, %d routes, want BAD_ARGS and 1", err, ribProc.Len())
-	}
-}
-
-// TestSingleArgsSizedExactly: a run of one travels as the single-route
-// XRL, whose argument list — held by the call record until delivery — is
-// the only thing the send allocates and has no spare atom (a BGP route
-// uses four; room for a fifth is the next size class).
-func TestSingleArgsSizedExactly(t *testing.T) {
-	loop := eventloop.New(nil)
-	r := xipc.NewRouter("sized", loop)
-	target := xipc.NewTarget("rib", "rib")
-	singles := 0
-	target.Register("rib", "1.0", "add_route4", func(xrl.Args) (xrl.Args, error) {
-		singles++
-		return nil, nil
-	})
-	r.AddTarget(target)
-	stub := xif.NewRIBClient(r, "rib")
-	run := []route.Entry{{Net: netip.MustParsePrefix("20.1.0.0/16"), NextHop: netip.MustParseAddr("10.0.0.1"), Metric: 5}}
-	send := func() {
-		stub.AddRoutes4("ebgp", run, nil)
-		loop.RunPending()
-	}
-	send()
-
-	const runs = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		send()
-	}
-	runtime.ReadMemStats(&after)
-	if singles != runs+1 {
-		t.Fatalf("%d of %d runs of one arrived as add_route4", singles, runs+1)
-	}
-	// The allocator rounds four atoms up a little; five would not fit.
-	perSend := (after.TotalAlloc - before.TotalAlloc) / runs
-	if limit := 5 * uint64(unsafe.Sizeof(xrl.Atom{})); perSend >= limit {
-		t.Fatalf("a lone add allocates %d bytes, want its four atoms and no room for a fifth (%d)", perSend, limit)
 	}
 }

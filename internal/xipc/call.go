@@ -6,6 +6,21 @@ import (
 	"xorp/internal/xrl"
 )
 
+// Who owns an XRL's arguments, from the send to the callback:
+//
+//   - SendArgs, and Send, copy the arguments into the call record before
+//     they return. The caller may overwrite or reuse its slice at once;
+//     a stub builds its arguments on its own stack.
+//   - SendFromLoop borrows them: the caller keeps x.Args unchanged until
+//     the callback runs.
+//   - A Handler may read its args only until it returns. They are the
+//     record's storage, or a transport's decoded request, and the next
+//     call is copied or decoded over them. A handler keeps what it needs
+//     by value: strings, addresses, a list's items and a binary atom's
+//     bytes are safe to keep; the Args slice is not, not even as its
+//     reply.
+//   - The reply args a Callback receives belong to the callback.
+
 // maxFreeCalls bounds the Router's list of idle call records. A steady
 // pipeline reuses one record at a time — a record is released before its
 // callback runs, and the callback is what sends the next XRL — so the
@@ -13,15 +28,24 @@ import (
 // the next window takes. 128 covers the Figure-9 window of 100: measured
 // on the xrl workload, a list of 32 drops 68 records per drained window
 // and pays 0.41 allocations per XRL to make them again (measured with a
-// record of six objects; it is four, under 0.5 KB), where 128 pays none
-// and holds at most 64 KB.
+// record of six objects), where 128 pays none. A record is four objects,
+// under 0.5 KB, and a fifth once it has copied a call's arguments: its
+// storage, at most maxOwnArgs atoms, 1.25 KB. So the list holds at most
+// 64 KB of records and 160 KB of argument storage; the Figure-9 window,
+// sent from the loop, borrows its arguments and fills only the first.
 const maxFreeCalls = 128
 
-// call is the record of one outgoing XRL, from Send to the callback: the
-// one object that replaces a chain of per-call closures. The Router owns
-// it and reuses it. Whatever it hands to a Loop is one of the three funcs
-// bound when it was made, so a steady stream of XRLs allocates nothing
-// here.
+// maxOwnArgs is the widest argument storage a released record keeps: a
+// single-route XRL carries at most six atoms. Wider storage, from a call
+// with more arguments, is dropped, so one wide call cannot fatten the
+// free list.
+const maxOwnArgs = 8
+
+// call is the record of one outgoing XRL, from the send to the
+// callback: the one object that replaces a chain of per-call closures.
+// The Router owns it and reuses it. Whatever it hands to a Loop is one of
+// the three funcs bound when it was made, so a steady stream of XRLs
+// allocates nothing here.
 //
 // A record belongs to one loop at a time. It is the sending Router's,
 // except between intraSend and complete, when the destination's loop
@@ -44,10 +68,17 @@ const maxFreeCalls = 128
 type call struct {
 	r *Router
 
-	// What was asked; set by Send, cleared by release.
+	// What was asked; set by the send, cleared by release. x.Args is own
+	// when the send copied the arguments, the caller's when SendFromLoop
+	// lent them.
 	x    xrl.XRL
 	cb   Callback
-	idem bool // SendIdempotent: transient transport failures are retried
+	idem bool // transient transport failures are retried (retry.go)
+
+	// own is the record's argument storage, reused call after call;
+	// release zeroes it, so it pins nothing, and drops it when it is
+	// wider than maxOwnArgs.
+	own []xrl.Atom
 
 	// Progress, touched only on r's loop.
 	attempt    int    // idempotent attempt, from 1
@@ -55,7 +86,6 @@ type call struct {
 	backingOff bool   // deadline ends an idempotent backoff, not a reply timeout
 	away       bool   // at the destination's loop (intra)
 	done       bool   // timed out while away; complete only releases it
-	proto      string // protocol family in use, for the timeout note
 	via        sender // transport holding the pending entry, if any
 
 	// The wire request, and the intra destination that reads it.
@@ -94,6 +124,12 @@ func (r *Router) newCall(x xrl.XRL, cb Callback, idem bool) *call {
 // referenced. Runs on the loop.
 func (r *Router) release(c *call) {
 	c.x, c.cb, c.req, c.dest, c.via = xrl.XRL{}, nil, xrl.Request{}, nil, nil
+	clear(c.own)
+	if cap(c.own) > maxOwnArgs {
+		c.own = nil
+	} else {
+		c.own = c.own[:0]
+	}
 	c.out, c.err = nil, nil
 	c.allowRetry, c.backingOff, c.away, c.done = false, false, false, false
 	r.mu.Lock()
@@ -188,8 +224,12 @@ func (c *call) expired() {
 		c.r.route(c)
 		return
 	}
+	proto := xrl.ProtoIntra // the one family that holds no sender
+	if c.via != nil {
+		proto = c.via.proto()
+	}
 	c.r.finish(c, nil, &xrl.Error{Code: xrl.CodeReplyTimeout,
-		Note: c.proto + " reply timeout for " + c.req.Command})
+		Note: proto + " reply timeout for " + c.req.Command})
 }
 
 // handle runs the request on the destination's loop (intra) and sends

@@ -344,7 +344,7 @@ func TestStaleReplyAfterTimeout(t *testing.T) {
 		tgt.Register("test", "1.0", "echo", func(args xrl.Args) (xrl.Args, error) {
 			entered <- struct{}{}
 			<-gate
-			return args, nil
+			return append(xrl.Args(nil), args...), nil // a handler's args are not its to return
 		})
 		far.AddTarget(tgt)
 		far.AttachHub(hub)
@@ -511,7 +511,7 @@ func TestCallRecordReuseKeepsSemantics(t *testing.T) {
 	// Idempotent sends retry a missing target Attempts times in all, with
 	// backoff drawn from [d/2, d] for d = Base, 2*Base, 4*Base.
 	r.retry = RetryPolicy{Attempts: 4, Base: 100 * time.Millisecond, Max: time.Second}
-	idem := send(r.SendIdempotent, xrl.New("nobody", "test", "1.0", "m1"))
+	idem := send(r.sendIdempotent, xrl.New("nobody", "test", "1.0", "m1"))
 	plain := send(r.Send, xrl.New("nobody", "test", "1.0", "m2"))
 	run(0)
 	check("plain send to a missing target", plain, xrl.CodeResolveFailed, 2) // its own and the idempotent one's first
@@ -523,7 +523,7 @@ func TestCallRecordReuseKeepsSemantics(t *testing.T) {
 	check("idempotent send to a missing target", idem, xrl.CodeResolveFailed, 3)
 
 	// A target that appears during the backoff is reached.
-	idem = send(r.SendIdempotent, xrl.New("late", "test", "1.0", "m1"))
+	idem = send(r.sendIdempotent, xrl.New("late", "test", "1.0", "m1"))
 	run(0)
 	answers["late"] = []xrl.Args{resolution("peer", "", intra)}
 	run(time.Second)
@@ -623,7 +623,7 @@ func TestClosedRouterSendsNothing(t *testing.T) {
 		}
 		send.Send(call, fail("Send"))
 		send.SendFromLoop(call, fail("SendFromLoop"))
-		send.SendIdempotent(call, fail("SendIdempotent"))
+		send.sendIdempotent(call, fail("idempotent SendArgs"))
 		send.SendFromLoop(xrl.New("own", "bench", "1.0", "sink"), fail("SendFromLoop to a local target"))
 		loop.RunFor(time.Minute)
 		if replies != 4 || handled.Load() != 1 || local.Load() != 0 {

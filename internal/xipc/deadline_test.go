@@ -56,7 +56,7 @@ func newDeadlineRig(t *testing.T) *deadlineRig {
 	return g
 }
 
-// send sends call i to target; how is Router.Send or SendIdempotent.
+// send sends call i to target; how is Router.Send or sendIdempotent.
 func (g *deadlineRig) send(how func(xrl.XRL, Callback), target string, i int) {
 	how(xrl.New(target, "test", "1.0", "echo", xrl.U32("i", uint32(i))), func(_ xrl.Args, err *xrl.Error) {
 		o := answer{i: i, code: xrl.CodeOkay}
@@ -208,7 +208,7 @@ func TestDeadlineBackoffOvertakesAWindow(t *testing.T) {
 	g.r.SetTimeout(timeout)
 	g.r.retry = RetryPolicy{Attempts: 2, Base: 100 * time.Millisecond, Max: time.Second}
 	g.sendRange("dead", 0, 100)
-	g.send(g.r.SendIdempotent, "nowhere", 100)
+	g.send(g.r.sendIdempotent, "nowhere", 100)
 	g.loop.RunPending() // the first attempt fails to resolve and backs off
 	if got := g.listed(t); len(got) != 101 || got[0] != 100 {
 		t.Fatalf("deadline list holds calls %v, want the backoff at the head", got)

@@ -16,7 +16,7 @@ import (
 // Non-idempotent calls must keep failing fast: re-delivering them can
 // double-apply.
 
-// RetryPolicy bounds SendIdempotent's retry behaviour.
+// RetryPolicy bounds the retries of an idempotent SendArgs.
 type RetryPolicy struct {
 	Attempts int           // total tries, including the first (min 1)
 	Base     time.Duration // backoff before the first retry
@@ -53,13 +53,3 @@ func backoff(p RetryPolicy, attempt int) time.Duration {
 	half := d / 2
 	return half + time.Duration(rand.Int63n(int64(half)+1))
 }
-
-// SendIdempotent dispatches x like Send, but transient transport
-// failures (CodeResolveFailed, CodeSendFailed) are retried with bounded
-// jittered exponential backoff before the error reaches cb (finish, in
-// call.go, keeps the attempt count in the call record). Use only for
-// calls that are safe to deliver more than once — the typed stub layer
-// (internal/xif) selects this path from the spec's Idempotent flag.
-// A local target is called directly and cannot fail with a transport
-// error, so it never retries. Safe to call from any goroutine.
-func (r *Router) SendIdempotent(x xrl.XRL, cb Callback) { r.enqueue(x, cb, true) }

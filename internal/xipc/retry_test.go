@@ -8,10 +8,13 @@ import (
 	"xorp/internal/xrl"
 )
 
+// sendIdempotent is an idempotent SendArgs of x with its own arguments.
+func (r *Router) sendIdempotent(x xrl.XRL, cb Callback) { r.SendArgs(x, x.Args, cb, true) }
+
 // A target that registers only after the first attempts fail: Send
-// surfaces the resolve failure, SendIdempotent rides it out. Uses a sim
-// clock so the backoff timers are driven deterministically.
-func TestSendIdempotentRetriesResolveFailure(t *testing.T) {
+// surfaces the resolve failure, an idempotent SendArgs rides it out. Uses
+// a sim clock so the backoff timers are driven deterministically.
+func TestIdempotentSendRetriesResolveFailure(t *testing.T) {
 	clock := eventloop.NewSimClock(time.Unix(0, 0))
 	loop := eventloop.New(clock)
 	hub := NewHub()
@@ -45,22 +48,22 @@ func TestSendIdempotentRetriesResolveFailure(t *testing.T) {
 		t.Fatalf("Send: done=%v err=%v, want immediate RESOLVE_FAILED", sendDone, sendErr)
 	}
 
-	// SendIdempotent keeps trying; the target appears during the backoff
+	// The idempotent send keeps trying; the target appears during the backoff
 	// window and the call lands.
 	var idemErr *xrl.Error
 	idemDone := false
-	cr.SendIdempotent(xrl.New("peer", "test", "1.0", "echo"), func(_ xrl.Args, err *xrl.Error) {
+	cr.sendIdempotent(xrl.New("peer", "test", "1.0", "echo"), func(_ xrl.Args, err *xrl.Error) {
 		idemErr, idemDone = err, true
 	})
 	loop.RunPending()
 	if idemDone {
-		t.Fatalf("SendIdempotent reported %v before retries ran", idemErr)
+		t.Fatalf("idempotent send reported %v before retries ran", idemErr)
 	}
 	present = true
 	pr.AddTarget(pt)
 	loop.RunFor(3 * time.Second) // covers every jittered backoff
 	if !idemDone || idemErr != nil {
-		t.Fatalf("SendIdempotent: done=%v err=%v, want success after retry", idemDone, idemErr)
+		t.Fatalf("idempotent send: done=%v err=%v, want success after retry", idemDone, idemErr)
 	}
 
 	// With the target gone for good, retries are bounded: the failure
@@ -68,7 +71,7 @@ func TestSendIdempotentRetriesResolveFailure(t *testing.T) {
 	present = false
 	pr.RemoveTarget("peer")
 	idemDone, idemErr = false, nil
-	cr.SendIdempotent(xrl.New("peer", "test", "1.0", "missing"), func(_ xrl.Args, err *xrl.Error) {
+	cr.sendIdempotent(xrl.New("peer", "test", "1.0", "missing"), func(_ xrl.Args, err *xrl.Error) {
 		idemErr, idemDone = err, true
 	})
 	loop.RunFor(10 * time.Second)

@@ -65,7 +65,7 @@ type Router struct {
 	udpLn         *udpListener
 	finderEp      string // "proto|addr" of the Finder ("" = hub lookup)
 	timeout       time.Duration
-	retry         RetryPolicy // SendIdempotent backoff (retry.go)
+	retry         RetryPolicy // idempotent sends' backoff (retry.go)
 	onFinderEvent func(event, class, instance string)
 	// advertised maps interface name -> versions this process's client
 	// stubs can speak, preferred first; sent as the resolve accept list
@@ -218,19 +218,41 @@ func (r *Router) nextSeq() uint32 { return r.seq.Add(1) }
 // router's event loop with the reply, never before Send returns.
 // Unresolved XRLs are resolved via the Finder first, with results cached;
 // resolved XRLs go straight to the named transport. Safe to call from any
-// goroutine.
+// goroutine. x.Args is copied, as SendArgs copies its args.
 //
 // The reply args handed to cb are the callback's to keep: nothing in the
 // Router recycles them.
-func (r *Router) Send(x xrl.XRL, cb Callback) { r.enqueue(x, cb, false) }
+func (r *Router) Send(x xrl.XRL, cb Callback) { r.SendArgs(x, x.Args, cb, false) }
+
+// SendArgs is Send for x with the arguments args (x.Args is ignored). It
+// copies args into the call record before it returns, so the caller may
+// build them on its stack and overwrite them at once; the record keeps
+// the copy until the call is answered, and reuses its storage for the
+// next call. With idem set, transient transport failures
+// (CodeResolveFailed, CodeSendFailed) are retried with bounded jittered
+// exponential backoff before the error reaches cb (finish, in call.go,
+// keeps the attempt count in the record); set it only for calls that are
+// safe to deliver more than once. A local target is called directly and
+// cannot fail with a transport error, so it never retries. This is the
+// typed stubs' one way out (internal/xif): they check the call against
+// its spec and take idem from it. Safe to call from any goroutine.
+func (r *Router) SendArgs(x xrl.XRL, args xrl.Args, cb Callback, idem bool) {
+	r.mu.Lock()
+	c := r.newCall(x, cb, idem)
+	r.mu.Unlock()
+	c.own = append(c.own, args...)
+	c.x.Args = c.own
+	r.loop.Dispatch(c.startFn)
+}
 
 // SendFromLoop is Send for callers already running on the router's event
 // loop (handlers, reply callbacks, timers). It skips the queue round-trip,
-// which roughly halves the cost of a local XRL. Unlike Send, cb may run
-// synchronously — before SendFromLoop returns — when the target is a
-// local component or the send fails on the spot; callers must not hold
-// locks that cb also takes. Calling it from any other goroutine is a
-// data-ordering bug.
+// which roughly halves the cost of a local XRL, and it borrows x.Args
+// instead of copying them: the caller leaves them unchanged until cb runs.
+// Unlike Send, cb may run synchronously — before SendFromLoop returns —
+// when the target is a local component or the send fails on the spot;
+// callers must not hold locks that cb also takes. Calling it from any
+// other goroutine is a data-ordering bug.
 //
 // A local target is called directly, with no record, no marshaling, no
 // Finder, not even a command string (the intra-process "direct method
@@ -239,20 +261,15 @@ func (r *Router) SendFromLoop(x xrl.XRL, cb Callback) {
 	r.mu.Lock()
 	if t, ok := r.targets[x.Target]; ok && !x.IsResolved() && !r.closed {
 		r.mu.Unlock()
-		r.dispatchLocal(t, &x, cb)
+		out, err := r.dispatchLocal(t, &x)
+		if cb != nil {
+			cb(out, err)
+		}
 		return
 	}
 	c := r.newCall(x, cb, false)
 	r.mu.Unlock()
 	r.route(c)
-}
-
-// enqueue is Send: the XRL crosses to the loop in a call record.
-func (r *Router) enqueue(x xrl.XRL, cb Callback, idem bool) {
-	r.mu.Lock()
-	c := r.newCall(x, cb, idem)
-	r.mu.Unlock()
-	r.loop.Dispatch(c.startFn)
 }
 
 // Call is a synchronous convenience wrapper around Send for code running
@@ -301,10 +318,16 @@ func (r *Router) route(c *call) {
 		r.finish(c, nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "router closed"})
 
 	case isLocal && !preResolved:
-		// The record only carried the XRL across the queue.
-		local, cb := c.x, c.cb
+		// The record carried the XRL across the queue, and the handler
+		// reads the record's arguments: release it only once the handler
+		// has returned, or a send from the handler takes the record and
+		// copies its own arguments over them.
+		out, err := r.dispatchLocal(t, x)
+		cb := c.cb
 		r.release(c)
-		r.dispatchLocal(t, &local, cb)
+		if cb != nil {
+			cb(out, err)
+		}
 
 	case preResolved:
 		// Resolved by the caller (e.g. parsed from a call_xrl string).
@@ -486,29 +509,22 @@ func (r *Router) finderEndpoint() (resolved, bool) {
 	return resolved{}, false
 }
 
-// dispatchLocal runs a handler on a local target and delivers the
-// callback synchronously — the caller is already on the loop, so both the
-// handler and the callback run exactly where the contract requires with
-// zero additional queue trips or allocations.
-func (r *Router) dispatchLocal(t *Target, x *xrl.XRL, cb Callback) {
+// dispatchLocal runs a handler on a local target and returns its reply,
+// for the caller, already on the loop, to hand to the callback at once:
+// no queue trips and no allocations.
+func (r *Router) dispatchLocal(t *Target, x *xrl.XRL) (xrl.Args, *xrl.Error) {
 	h, ok := t.handlerIVM(x.Interface, x.Version, x.Method)
 	if !ok {
-		if cb != nil {
-			cb(nil, &xrl.Error{Code: xrl.CodeNoSuchMethod, Note: t.Name + " has no method " + x.Command()})
-		}
-		return
+		return nil, &xrl.Error{Code: xrl.CodeNoSuchMethod, Note: t.Name + " has no method " + x.Command()}
 	}
 	out, err := h(x.Args)
-	if cb != nil {
-		cb(out, xrl.AsError(err))
-	}
+	return out, xrl.AsError(err)
 }
 
 // transportSend puts c's request on the transport res names and arms the
 // reply timeout, on the loop clock so simulated time works.
 func (r *Router) transportSend(c *call, res resolved) {
 	c.req = xrl.Request{Target: res.instance, Command: res.cmd, Key: res.key, Args: c.x.Args}
-	c.proto = res.proto
 	if r.timeout > 0 {
 		r.arm(c, r.timeout)
 	}
@@ -527,7 +543,7 @@ func (r *Router) transportSend(c *call, res resolved) {
 }
 
 // intraSend is the intra-process zero-copy dispatch (§6.3): a resolved
-// co-resident target gets the caller's xrl.Args handed over directly — no
+// co-resident target gets the record's xrl.Args handed over directly — no
 // encode/decode round-trip, no sender object. The record itself crosses
 // to the destination router's loop, runs the handler there and hops back
 // with the reply. Resolution (and with it the Finder's ACLs and method
@@ -746,5 +762,7 @@ type sender interface {
 	// forget drops whatever the sender holds for c: the call is over
 	// (answered, or timed out). Called on the loop, by finish.
 	forget(c *call)
+	// proto names the sender's protocol family, for a timeout's note.
+	proto() string
 	close()
 }

@@ -10,10 +10,11 @@
 //
 // # One XRL, one record
 //
-// An outgoing XRL is carried from Send to its callback by one call record
-// (call.go) that the Router owns and reuses: the XRL, the callback, the
-// retry state, the wire Request and the reply timer live in it, and what
-// it hands to a Loop or a Timer is a func bound when the record was made.
+// An outgoing XRL is carried from its send to its callback by one call
+// record (call.go) that the Router owns and reuses: the XRL, its
+// arguments, the callback, the retry state, the wire Request and the
+// reply timer live in it, and what it hands to a Loop or a Timer is a
+// func bound when the record was made.
 // The resolution cache is keyed by the XRL's own (target, interface,
 // version, method) strings and holds the command string to put on the
 // wire, so a send over a warm cache builds nothing. On the intra-process
@@ -24,15 +25,10 @@
 //
 // # Whose arguments
 //
-// Two lifetimes follow from the reuse, and both are part of the API:
-//
-//   - The xrl.Args a Handler receives are valid only until it returns. A
-//     transport decodes the next request over them (an intra-process
-//     caller owns them to begin with). A handler keeps what it needs by
-//     value; the accessors' results — strings, addresses, a list's items,
-//     a binary atom's bytes — are safe to keep, the Args slice is not.
-//   - The reply xrl.Args a Callback receives belong to the callback.
-//     Nothing recycles them: Router.Call returns them to its caller.
+// Who owns an XRL's arguments, from the send to the callback, is part of
+// the API and is set out once, at the top of call.go: SendArgs and Send
+// copy them into the record, SendFromLoop borrows them, a Handler may
+// read its args only until it returns, and a Callback keeps its reply.
 package xipc
 
 import (
@@ -44,9 +40,9 @@ import (
 )
 
 // Handler implements one XRL method. It runs on the owning Router's event
-// loop. args are the handler's only until it returns (see the package
-// comment). It returns the reply arguments; a returned error is converted
-// with xrl.AsError (so handlers may return *xrl.Error for a precise code).
+// loop. args are the handler's only until it returns (see call.go). It
+// returns the reply arguments; a returned error is converted with
+// xrl.AsError (so handlers may return *xrl.Error for a precise code).
 type Handler func(args xrl.Args) (xrl.Args, error)
 
 // Target is an XRL receiving point: a component instance (paper §6.2).

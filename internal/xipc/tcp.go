@@ -171,6 +171,8 @@ func (s *tcpSender) send(c *call) {
 // call is over, and a reply that still arrives finds nothing.
 func (s *tcpSender) forget(c *call) { delete(s.pending, c.req.Seq) }
 
+func (s *tcpSender) proto() string { return xrl.ProtoSTCP }
+
 // replyFrame decodes one reply and completes the call waiting for it.
 // Runs on the loop.
 func (s *tcpSender) replyFrame(frame []byte) error {

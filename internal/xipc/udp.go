@@ -145,6 +145,8 @@ func (s *udpSender) send(c *call) {
 // number that its call is over.
 func (s *udpSender) forget(*call) {}
 
+func (s *udpSender) proto() string { return xrl.ProtoSUDP }
+
 // completeLater finishes p's call on the loop, unless the call is over
 // already (it timed out, and the record may since carry another).
 func (s *udpSender) completeLater(p *udpPending, args xrl.Args, err *xrl.Error) {

@@ -435,14 +435,14 @@ func unescape(s string) (string, error) {
 // method handlers can return the accessor error directly.
 type Args []Atom
 
-// Get returns the atom named name.
-func (as Args) Get(name string) (Atom, bool) {
-	for _, a := range as {
-		if a.Name == name {
-			return a, true
+// Get returns the atom named name. The atom points into as.
+func (as Args) Get(name string) (*Atom, bool) {
+	for i := range as {
+		if as[i].Name == name {
+			return &as[i], true
 		}
 	}
-	return Atom{}, false
+	return nil, false
 }
 
 // Accepts reports whether an atom of type got satisfies a declaration of
@@ -480,17 +480,23 @@ func (as Args) Optional(name string, t AtomType) (*Atom, error) {
 	return nil, nil
 }
 
-func (as Args) typed(name string, t AtomType) (Atom, error) {
+// typed returns the atom named name, which must have type t; the zero
+// atom on an error, so an accessor's value reads as its zero value. The
+// atom points into as.
+func (as Args) typed(name string, t AtomType) (*Atom, error) {
 	a, ok := as.Get(name)
 	if !ok {
-		return Atom{}, &Error{Code: CodeBadArgs, Note: "missing argument " + name}
+		return &zeroAtom, &Error{Code: CodeBadArgs, Note: "missing argument " + name}
 	}
 	if a.Type != t {
-		return Atom{}, &Error{Code: CodeBadArgs,
+		return &zeroAtom, &Error{Code: CodeBadArgs,
 			Note: fmt.Sprintf("argument %s has type %v, want %v", name, a.Type, t)}
 	}
 	return a, nil
 }
+
+// zeroAtom is what typed returns on an error. Nothing writes it.
+var zeroAtom Atom
 
 // BoolArg returns the named bool argument.
 func (as Args) BoolArg(name string) (bool, error) {
