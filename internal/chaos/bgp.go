@@ -215,10 +215,10 @@ func inject(r *rtrmgr.Router, prefixes []netip.Prefix) {
 	}
 }
 
-// fibHasAll reports whether r's published forwarding table — what a
-// packet would see — holds every prefix.
+// fibHasAll reports whether r's forwarding table — what a packet would
+// see — holds every prefix. It reads off the FEA's loop, so it pins.
 func fibHasAll(r *rtrmgr.Router, prefixes []netip.Prefix) bool {
-	snap := r.FEA.Snapshots().Current()
+	snap := r.FEA.Snapshots().Pin()
 	for _, pfx := range prefixes {
 		if _, ok := snap.Get(pfx); !ok {
 			return false
@@ -260,12 +260,12 @@ func resyncComplete(r *rtrmgr.Router, proto route.Protocol) (int, error) {
 	}
 }
 
-// dumpTables renders a router's published forwarding table (every entry,
-// in prefix order) and RIB (best route per injected prefix)
+// dumpTables renders a router's forwarding table (every entry, in prefix
+// order, from a pinned snapshot) and RIB (best route per injected prefix)
 // deterministically, for byte comparison.
 func dumpTables(r *rtrmgr.Router, prefixes []netip.Prefix) string {
 	var lines []string
-	r.FEA.Snapshots().Current().Walk(func(e route.Entry) bool {
+	r.FEA.Snapshots().Pin().Walk(func(e route.Entry) bool {
 		lines = append(lines, fmt.Sprintf("fib %v via %v dev %s", e.Net, e.NextHop, e.IfName))
 		return true
 	})

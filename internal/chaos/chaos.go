@@ -282,7 +282,9 @@ func (r *runner) pathEndFrom(start int) int {
 	return -1
 }
 
-// snapshot is node i's forwarding table as its FEA last published it.
+// snapshot is node i's forwarding table as its FEA last published it. The
+// runner advances every loop itself, so it reads between commits and
+// needs no pin.
 func (r *runner) snapshot(i int) *fwd.Snapshot { return r.routers[i].FEA.Snapshots().Current() }
 
 func (r *runner) pathOK() bool { return r.pathEnd() >= 0 }

@@ -63,11 +63,12 @@ func New(loop *eventloop.Loop, fib *kernel.FIB, host *kernel.Host, router *xipc.
 		p.recvPush = xif.NewFEAUDPRecvClient(router)
 	}
 
-	// Live metrics. The kernel FIB hands out its committed table under
-	// its mutex and the snapshot chain is an atomic load, so every gauge
-	// here is safe from any scrape goroutine, not just the process loop;
-	// after a publish fea_fib_entries and the snapshot's length agree,
-	// because they count one table.
+	// Live metrics. The kernel FIB counts its table under its mutex, and a
+	// snapshot's generation is fixed at its publish and reached by an
+	// atomic load, so every gauge here is safe from any scrape goroutine,
+	// not just the process loop, and none pins; after a publish
+	// fea_fib_entries and the snapshot's length agree, because they count
+	// one table.
 	p.metrics = telemetry.NewRegistry()
 	p.mApplies = p.metrics.Counter("fea_fib_writes_total", "forwarding entries written to the backend")
 	p.metrics.GaugeFunc("fea_fib_entries", "entries installed in the kernel FIB",
@@ -112,7 +113,8 @@ func (p *Process) Backend() fwd.Backend { return p.backend }
 func (p *Process) SetBackend(b fwd.Backend) { p.backend = b }
 
 // Snapshots returns the published-snapshot source forwarding workers
-// (and any other data-plane reader) should chase.
+// (and any other data-plane reader) should chase: Current on the process
+// loop, Pin anywhere else.
 func (p *Process) Snapshots() fwd.Source { return p.backend }
 
 // ApplyBatch installs a coalesced forwarding update set in one pass —
@@ -252,9 +254,11 @@ func (s feaServer) DeleteEntries4(nets []netip.Prefix) error {
 	return firstErr
 }
 
-// LookupEntry4 answers from the published snapshot — the same immutable
-// table the forwarding workers read — so an XRL lookup and a concurrent
-// data-plane lookup can never disagree.
+// LookupEntry4 answers from the published snapshot — the table the
+// forwarding plane reads — so an XRL lookup and a data-plane lookup can
+// never disagree. It runs on the loop that makes every commit, so the
+// snapshot is valid without a pin, and a lookup costs the next commit no
+// copy.
 func (s feaServer) LookupEntry4(addr netip.Addr) (xif.FTILookup, error) {
 	e, ok := s.p.backend.Current().Lookup(addr)
 	if !ok {

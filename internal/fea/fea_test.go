@@ -263,7 +263,7 @@ func TestListXRLsPublishOnce(t *testing.T) {
 			return nil
 		}
 	}
-	gen := func() uint64 { return p.Snapshots().Current().Gen() }
+	gen := func() uint64 { return p.Snapshots().Current().Gen() } // fixed at the publish: safe off the loop
 
 	es := make([]route.Entry, 40)
 	nets := make([]netip.Prefix, len(es))
@@ -294,7 +294,7 @@ func TestListXRLsPublishOnce(t *testing.T) {
 	if got := gen() - g1; got != 1 {
 		t.Fatalf("delete_entries4 of %d prefixes published %d generations, want 1", len(dels), got)
 	}
-	snap := p.Snapshots().Current()
+	snap := p.Snapshots().Pin() // read off the running loop
 	if snap.Len() != len(es)-10 || fib.Len() != len(es)-10 {
 		t.Fatalf("after delete: snapshot %d, kernel %d entries, want %d", snap.Len(), fib.Len(), len(es)-10)
 	}

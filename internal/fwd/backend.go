@@ -11,7 +11,7 @@ import (
 
 // Backend is the seam between the FEA's control-plane writes and a real
 // forwarding plane: every applied rib.FIBBatch lands in some
-// kernel-shaped sink and is published as the next immutable snapshot.
+// kernel-shaped sink and is published as the next snapshot.
 // SimBackend, the in-process simulated kernel, is the one implementation
 // in this module; the interface is what fea.Process.SetBackend accepts,
 // so a wrapper that times the writes (the benchmark's span recorder) or a
@@ -54,6 +54,9 @@ func (b *SimBackend) SetTracer(tr *telemetry.Tracer) { b.pub.SetTracer(tr) }
 
 // Current implements Source.
 func (b *SimBackend) Current() *Snapshot { return b.pub.Current() }
+
+// Pin implements Source.
+func (b *SimBackend) Pin() *Snapshot { return b.pub.Pin() }
 
 // Apply implements Backend: the batch is one FIB commit and one snapshot
 // generation. Individual entry failures don't abort the rest; the first

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,7 +22,7 @@ func mustA(s string) netip.Addr   { return netip.MustParseAddr(s) }
 
 func TestPublisherBasics(t *testing.T) {
 	p := fwd.NewPublisher()
-	s0 := p.Current()
+	s0 := p.Pin()
 	if s0.Gen() != 0 || s0.Len() != 0 {
 		t.Fatalf("initial snapshot gen=%d len=%d", s0.Gen(), s0.Len())
 	}
@@ -48,6 +49,10 @@ func TestPublisherBasics(t *testing.T) {
 		t.Fatal("miss resolved")
 	}
 
+	s1 = p.Pin() // held across the next commit
+	if s1.Gen() != 1 || s1.Len() != 2 {
+		t.Fatalf("pinned: gen=%d len=%d", s1.Gen(), s1.Len())
+	}
 	d := rib.NewFIBBatch()
 	d.Delete(route.Entry{Net: mustP("10.1.0.0/16")})
 	s2 := p.Apply(d)
@@ -141,8 +146,8 @@ func checkAgainst(t *testing.T, step int, snap *fwd.Snapshot, fib *kernel.FIB, m
 // of adds, replaces and deletes go through the SimBackend, and after each
 // publish the snapshot and the kernel FIB are compared with a model — a
 // map and a linear-scan longest match. Between batches the test writes
-// straight to the FIB (Install, Remove): the FIB shows such a write at
-// once, the data plane at the next generation.
+// straight to the FIB (Commit): the FIB shows such a write at once; it
+// publishes nothing, and the next generation carries it to the data plane.
 func TestSnapshotFIBOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	fib := kernel.NewFIB()
@@ -193,8 +198,9 @@ func TestSnapshotFIBOracle(t *testing.T) {
 		if step%3 != 0 {
 			continue
 		}
-		// A direct write: the FIB has it now, the snapshot only after
-		// the next Apply (checked above on the next step).
+		// A direct write: the FIB has it now, and the next Apply publishes
+		// it (checked above on the next step). It is a commit, so snap,
+		// which was not pinned, is not read again.
 		if e := modelEntry(rng); rng.Intn(2) == 0 || len(m) == 0 {
 			e.Metric, e.Protocol = 0, 0
 			if _, _, err := fib.Commit([]route.Entry{{Net: e.Net, NextHop: e.NextHop, IfName: e.IfName}}, nil); err != nil {
@@ -217,6 +223,70 @@ func TestSnapshotFIBOracle(t *testing.T) {
 	}
 }
 
+// TestPinnedSnapshotNeverChanges: a pinned snapshot reads the same —
+// Walk, Len, Gen and 128 longest matches — after 50 later batches of adds,
+// replaces and deletes over the same prefixes, including its own, while
+// the current snapshot follows the model.
+func TestPinnedSnapshotNeverChanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pub := fwd.NewPublisher()
+	m := model{}
+	batch := func() {
+		b := rib.NewFIBBatch()
+		for n := 0; n < 20; n++ {
+			e := modelEntry(rng)
+			old, ok := m[e.Net]
+			switch {
+			case ok && rng.Intn(2) == 0:
+				b.Delete(old)
+				delete(m, e.Net)
+			case ok:
+				b.Replace(old, e)
+				m[e.Net] = e
+			default:
+				b.Add(e)
+				m[e.Net] = e
+			}
+		}
+		pub.Apply(b)
+	}
+	for i := 0; i < 10; i++ {
+		batch()
+	}
+	probes := make([]netip.Addr, 128)
+	for i := range probes {
+		probes[i] = netip.AddrFrom4([4]byte{10, byte(rng.Intn(9)), byte(rng.Intn(256)), byte(rng.Intn(256))})
+	}
+	type reading struct {
+		gen     uint64
+		n       int
+		walk    []route.Entry
+		matches []route.Entry
+	}
+	read := func(s *fwd.Snapshot) reading {
+		r := reading{gen: s.Gen(), n: s.Len()}
+		s.Walk(func(e route.Entry) bool { r.walk = append(r.walk, e); return true })
+		for _, a := range probes {
+			e, _ := s.Lookup(a)
+			r.matches = append(r.matches, e)
+		}
+		return r
+	}
+	pinned := pub.Pin()
+	want := read(pinned)
+	if want.n != len(m) || len(want.walk) != len(m) {
+		t.Fatalf("pinned %d entries and walked %d, model %d", want.n, len(want.walk), len(m))
+	}
+	for i := 0; i < 50; i++ {
+		batch()
+		got := read(pinned)
+		if got.gen != want.gen || got.n != want.n || !slices.EqualFunc(got.walk, want.walk, route.Entry.Equal) || !slices.EqualFunc(got.matches, want.matches, route.Entry.Equal) {
+			t.Fatalf("batch %d after the pin changed it: gen %d→%d, len %d→%d", i, want.gen, got.gen, want.n, got.n)
+		}
+	}
+	checkAgainst(t, 50, pub.Current(), pub.FIB(), m, probes)
+}
+
 // TestConcurrentWritersAgree: a batch (Apply) and single-entry writes
 // (ApplyEntry, RemoveEntry) racing on the same prefixes must leave the
 // kernel FIB and the snapshot holding the same routes — each prefix one
@@ -237,7 +307,7 @@ func TestConcurrentWritersAgree(t *testing.T) {
 		defer reader.Done()
 		last := uint64(0)
 		for !stop.Load() {
-			if g := backend.Current().Gen(); g < last {
+			if g := backend.Pin().Gen(); g < last {
 				t.Errorf("generation went backward %d -> %d", last, g)
 				return
 			} else {
@@ -311,8 +381,8 @@ func TestConcurrentWritersAgree(t *testing.T) {
 }
 
 // TestRaceSwapVsLookup runs concurrent snapshot publication against
-// worker lookups — the exact interleaving the lock-free design claims
-// to make safe. Meaningful under -race (the CI race job runs it); it
+// lookups on pinned snapshots from other goroutines — the interleaving a
+// pin makes safe. Meaningful under -race (the CI race job runs it); it
 // also asserts reader-visible invariants: generations never go
 // backward, and a snapshot's length always matches a full walk of it.
 // Every route names an interface, so readers rebuild names from interned
@@ -342,7 +412,7 @@ func TestRaceSwapVsLookup(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(id)))
 			lastGen := uint64(0)
 			for !stop.Load() {
-				snap := backend.Current()
+				snap := backend.Pin()
 				if g := snap.Gen(); g < lastGen {
 					t.Errorf("reader %d: generation went backward %d -> %d", id, lastGen, g)
 					return
@@ -596,12 +666,16 @@ func TestSnapshotBytesPerRoute(t *testing.T) {
 	}
 }
 
-// TestApplyBatchAllocs pins what a batch costs the snapshot chain: one
-// edit session copies each touched fan and trie node once, and the fans
-// keep the path short — 3.1 allocs/route for withdrawing and re-announcing
-// 256 scattered routes of a 100k-route table (4.0 with a bucket between
-// each fan and its /16's trie, 10.2 over a binary trie, ~19 when every
-// route copied its whole path).
+// TestApplyBatchAllocs pins what a batch costs: withdrawing and
+// re-announcing 256 scattered routes of a 100k-route table. Unpinned, the
+// FIB writes in place and reuses the nodes it dropped, so the two batches
+// cost their two Snapshots and nothing per route. With the FIB pinned
+// before each batch the batch copies each touched fan and trie node the
+// pin reaches, once, and the fans keep the path short — 3.0 allocs/route
+// (4.0 with a bucket between each fan and its /16's trie, 10.2 over a
+// binary trie, ~19 when every route copied its whole path). The pin is
+// the FIB's, so the count is the batch's own; Publisher.Pin adds its
+// Snapshot.
 func TestApplyBatchAllocs(t *testing.T) {
 	pub, es := loadedPublisher(100000)
 
@@ -611,31 +685,43 @@ func TestApplyBatchAllocs(t *testing.T) {
 		del.Delete(e)
 		add.Add(e)
 	}
-	g0 := pub.Current().Gen()
-	perCycle := testing.AllocsPerRun(20, func() {
-		pub.Apply(del)
-		pub.Apply(add)
-	})
-	if got := pub.Current().Gen() - g0; got != 2*21 {
-		t.Fatalf("%d generations for 21 delete+add cycles, want one per batch", got)
-	}
-	if pub.Current().Len() != len(es) {
-		t.Fatalf("table holds %d routes after the cycles, want %d", pub.Current().Len(), len(es))
-	}
-	const limit = 3.5
-	if perRoute := perCycle / (2 * n); perRoute > limit {
-		t.Fatalf("Publisher.Apply costs %.1f allocs/route on a %d-route batch, limit %.1f", perRoute, n, limit)
-	} else {
-		t.Logf("%.1f allocs/route", perRoute)
+	for _, c := range []struct {
+		pin   bool
+		limit float64
+	}{{false, 0.01}, {true, 3.5}} {
+		apply := func(b *rib.FIBBatch) {
+			if c.pin {
+				pub.FIB().Pin()
+			}
+			pub.Apply(b)
+		}
+		g0 := pub.Current().Gen()
+		perCycle := testing.AllocsPerRun(20, func() {
+			apply(del)
+			apply(add)
+		})
+		if got := pub.Current().Gen() - g0; got != 2*21 {
+			t.Fatalf("pinned %v: %d generations for 21 delete+add cycles, want one per batch", c.pin, got)
+		}
+		if pub.Current().Len() != len(es) {
+			t.Fatalf("pinned %v: table holds %d routes after the cycles, want %d", c.pin, pub.Current().Len(), len(es))
+		}
+		if perRoute := perCycle / (2 * n); perRoute > c.limit {
+			t.Errorf("pinned %v: Publisher.Apply costs %.3f allocs/route on a %d-route batch, limit %.2f", c.pin, perRoute, n, c.limit)
+		} else {
+			t.Logf("pinned %v: %.3f allocs/route", c.pin, perRoute)
+		}
 	}
 }
 
 // TestPublishOneRouteAllocs pins a batch of one, trickle's shape: announce,
-// replace and withdraw a /24 in a /8 the 100k-route table leaves empty. The
-// announce and the replace each copy or build the four fans and the leaf,
-// the withdraw copies the root fan, and each publish adds its Snapshot:
-// 14 allocations for the three, where a bucket under each fan and a
-// session on the heap made 19.
+// replace and withdraw a /24 in a /8 the 100k-route table leaves empty.
+// Unpinned, each publish costs its Snapshot and nothing else: the leaf is
+// written in place or reused, and the emptied fans stay. With the FIB
+// pinned before each batch, the announce builds the four fans and the
+// leaf, the replace copies them, the withdraw copies the root fan and
+// drops the three below it, which it would otherwise have to copy, and
+// each publish adds its Snapshot: 14 allocations for the three.
 func TestPublishOneRouteAllocs(t *testing.T) {
 	pub, _ := loadedPublisher(100000)
 	e := route.Entry{Net: mustP("240.1.2.0/24"), NextHop: mustA("192.168.1.1"), IfName: "eth0"}
@@ -646,17 +732,72 @@ func TestPublishOneRouteAllocs(t *testing.T) {
 	repl.Replace(e, replaced)
 	del.Delete(replaced)
 	n := pub.Current().Len()
-	const bound = 5.0
-	perPublish := testing.AllocsPerRun(50, func() {
-		pub.Apply(add)
-		pub.Apply(repl)
-		pub.Apply(del)
-	}) / 3
-	if pub.Current().Len() != n {
-		t.Fatalf("table holds %d routes after the cycles, want %d", pub.Current().Len(), n)
+	for _, c := range []struct {
+		pin   bool
+		bound float64
+	}{{false, 1.0}, {true, 5.0}} {
+		apply := func(b *rib.FIBBatch) {
+			if c.pin {
+				pub.FIB().Pin()
+			}
+			pub.Apply(b)
+		}
+		perPublish := testing.AllocsPerRun(50, func() {
+			apply(add)
+			apply(repl)
+			apply(del)
+		}) / 3
+		if pub.Current().Len() != n {
+			t.Fatalf("pinned %v: table holds %d routes after the cycles, want %d", c.pin, pub.Current().Len(), n)
+		}
+		if perPublish > c.bound {
+			t.Errorf("pinned %v: a one-route publish costs %.2f allocations, bound %.1f", c.pin, perPublish, c.bound)
+		}
+		t.Logf("pinned %v: %.2f allocs per one-route publish", c.pin, perPublish)
 	}
-	if perPublish > bound {
-		t.Fatalf("a one-route publish costs %.2f allocations, bound %.1f", perPublish, bound)
+}
+
+// BenchmarkPublisherApply prices bulk's shape at this layer: a 256-route
+// batch withdrawn from a 100k-route table and announced again, with the
+// FIB unpinned (it writes in place) and pinned before each batch (it
+// copies what the pin holds).
+func BenchmarkPublisherApply(b *testing.B) {
+	const n = 256
+	pub, es := loadedPublisher(100000)
+	for _, pin := range []bool{false, true} {
+		name := "unpinned"
+		if pin {
+			name = "pinned"
+		}
+		b.Run(name, func(b *testing.B) {
+			var dels, adds []*rib.FIBBatch
+			for off := 0; off+n <= len(es); off += 16 * n {
+				del, add := rib.NewFIBBatch(), rib.NewFIBBatch()
+				for _, e := range es[off : off+n] {
+					del.Delete(e)
+					add.Add(e)
+				}
+				dels, adds = append(dels, del), append(adds, add)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(dels)
+				if pin {
+					pub.FIB().Pin()
+				}
+				pub.Apply(dels[k])
+				if pin {
+					pub.FIB().Pin()
+				}
+				pub.Apply(adds[k])
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			routes := float64(2 * n * b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/routes, "ns/route")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/routes, "allocs/route")
+		})
 	}
-	t.Logf("%.2f allocs per one-route publish", perPublish)
 }

@@ -12,13 +12,12 @@ import (
 	"xorp/internal/trie"
 )
 
-// Snapshot is one immutable FIB version: a generation number and a
-// copy-on-write LPM table of route.Stored values, held by value so that a
-// publish is one allocation. The table is the version a kernel.FIB
-// commit returned: the snapshot and the kernel view share it. A Snapshot
-// never changes after publication; readers may hold one for any length of
-// time and see a consistent forwarding table — exactly the route set
-// after some whole number of commits, never a half-applied one.
+// Snapshot is one FIB version: a generation number and an LPM table of
+// route.Stored values, held by value so that a publish is one allocation.
+// A published one is the kernel.FIB's table as its commit left it, valid
+// until the next commit; a pinned one (Source.Pin) never changes, for a
+// reader on another goroutine or across commits. Gen and Len are fixed
+// when it is made, and safe anywhere.
 type Snapshot struct {
 	gen uint64
 	tbl trie.Persistent[route.Stored]
@@ -53,16 +52,18 @@ func (s *Snapshot) Walk(fn func(route.Entry) bool) {
 }
 
 // Source is anything that exposes a current forwarding snapshot: the
-// Publisher itself, or a Backend wrapping one.
+// Publisher itself, or a Backend wrapping one. Current is the published
+// snapshot, valid until the next commit; Pin is one no commit changes.
 type Source interface {
 	Current() *Snapshot
+	Pin() *Snapshot
 }
 
-// Publisher publishes versions of a kernel.FIB, RCU-style: each applied
-// rib.FIBBatch is committed to the FIB in one edit session, and the
-// version that results is published with one atomic pointer store.
-// Writers serialize among themselves on an internal mutex that no reader
-// ever touches; Current is a single atomic load.
+// Publisher publishes generations of a kernel.FIB: each applied
+// rib.FIBBatch is committed to the FIB in place, and the table that
+// results is published with one atomic pointer store. Writers serialize
+// among themselves on an internal mutex; Current is a single atomic load,
+// and Pin takes the mutex, so it never meets a commit half done.
 //
 // Publisher implements rib.FIBClient, so it can sit directly below a
 // RIB's fib sink, and Source, so workers can chase its snapshots.
@@ -88,28 +89,34 @@ type Publisher struct {
 func NewPublisher() *Publisher { return newPublisher(kernel.NewFIB()) }
 
 // newPublisher returns a publisher over fib whose generation 0 is fib's
-// table as it stands: a commit of nothing returns it.
+// table as it stands, pinned, so the table takes no blocks.
 func newPublisher(fib *kernel.FIB) *Publisher {
 	p := &Publisher{fib: fib}
-	tbl, _, _ := fib.Commit(nil, nil)
-	p.cur.Store(&Snapshot{tbl: tbl})
+	p.cur.Store(&Snapshot{tbl: fib.Pin()})
 	return p
 }
 
-// Current returns the latest published snapshot. Safe from any
-// goroutine; the result is immutable.
+// Current returns the latest published snapshot, valid until the next
+// commit: read it on the goroutine that makes the commits, or Pin.
 func (p *Publisher) Current() *Snapshot { return p.cur.Load() }
+
+// Pin returns the FIB's table as it stands — a direct FIB write since the
+// last publish included — at the current generation, as a snapshot that
+// no later commit changes. Safe from any goroutine.
+func (p *Publisher) Pin() *Snapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return &Snapshot{gen: p.cur.Load().gen, tbl: p.fib.Pin()}
+}
 
 // SetTracer wires the route-latency tracer stamped at snapshot
 // publication. Call at assembly time, before traffic flows.
 func (p *Publisher) SetTracer(tr *telemetry.Tracer) { p.tracer = tr }
 
-// Apply commits the batch's net operations to the FIB in one trie edit
-// session — each touched node is copied at most once however many of the
-// batch's routes pass through it — and publishes the version that
-// results. The whole batch becomes visible in one pointer flip, with
-// whatever was written straight to the FIB since the last publish.
-// Returns the published snapshot.
+// Apply commits the batch's net operations to the FIB (one Commit) and
+// publishes the table that results as the next generation, with whatever
+// was written straight to the FIB since the last publish. Returns the
+// published snapshot.
 func (p *Publisher) Apply(b *rib.FIBBatch) *Snapshot {
 	s, _, _ := p.apply(b)
 	return s

@@ -20,23 +20,25 @@ type Counters struct {
 	Drops   uint64
 }
 
-// worker is one forwarding shard: a goroutine looping
-// Cursor.Next → Source.Current → Snapshot.Lookup. All mutable state is
-// worker-local; the published counters below are write-mostly atomics
-// the worker flushes periodically and anyone may read live.
+// worker is one forwarding shard: a goroutine that pins a snapshot
+// (Source.Pin) and loops Cursor.Next → Snapshot.Lookup on it for
+// flushEvery lookups. All mutable state is worker-local; the published
+// counters below are write-mostly atomics the worker flushes periodically
+// and anyone may read live.
 type worker struct {
 	hits  atomic.Uint64
 	drops atomic.Uint64
 }
 
-// run is the forwarding loop. Each lookup is one atomic snapshot load
-// plus a lock-free trie walk; every flushEvery lookups the worker
+// run is the forwarding loop. A burst of flushEvery lookups reads one
+// pinned snapshot lock-free, at most a burst stale; after it the worker
 // flushes local counts to the atomics and checks for stop.
 func (w *worker) run(src Source, cur *Cursor, stop *atomic.Bool) {
 	for {
 		var hits, drops uint64
+		snap := src.Pin()
 		for i := 0; i < flushEvery; i++ {
-			if _, ok := src.Current().Lookup(cur.Next()); ok {
+			if _, ok := snap.Lookup(cur.Next()); ok {
 				hits++
 			} else {
 				drops++

@@ -1,10 +1,9 @@
 // Package kernel simulates the forwarding plane underneath the FEA: a
 // longest-prefix-match forwarding table (the "kernel FIB"), network
 // interfaces, and a host-local datagram network used to carry routing
-// protocol packets between simulated routers. The FIB's table is the
-// copy-on-write version the FEA publishes as its forwarding snapshot
-// (internal/fwd): one table, which the kernel view and the data plane
-// both read.
+// protocol packets between simulated routers. The FIB's table, written
+// in place, is the one the FEA publishes as its forwarding snapshot
+// (internal/fwd): the kernel view and the data plane both read it.
 //
 // Substitution note (DESIGN.md §5): the paper's testbed installed routes
 // into the FreeBSD kernel (or Click). The evaluation measures when a
@@ -48,14 +47,11 @@ type Interface struct {
 }
 
 // FIB is the simulated kernel forwarding table. It is safe for concurrent
-// use (the kernel is shared below all processes). Its routes are one
-// copy-on-write version: every write is a Commit, and a reader copies the
-// version out under the lock and reads it outside. A write made straight
-// to the FIB (Commit, ApplyBatch) reaches the data plane at the
-// FEA publisher's next publish.
+// use (the kernel is shared below all processes). Every write is a
+// Commit, in place, and Lookup, Len and Walk read under the lock.
 type FIB struct {
 	mu     sync.Mutex
-	tbl    trie.Persistent[route.Stored]
+	tbl    *trie.Table[route.Stored]
 	ifaces map[string]*Interface
 	// onInstall, if set, observes installs (profile point 8, "Entering
 	// the kernel").
@@ -64,7 +60,7 @@ type FIB struct {
 
 // NewFIB returns an empty forwarding table.
 func NewFIB() *FIB {
-	return &FIB{ifaces: make(map[string]*Interface)}
+	return &FIB{tbl: trie.New[route.Stored](), ifaces: make(map[string]*Interface)}
 }
 
 // SetInstallObserver registers a callback invoked on every install.
@@ -103,11 +99,12 @@ func (f *FIB) ApplyBatch(adds []FIBEntry, removes []netip.Prefix) error {
 	return err
 }
 
-// Commit is every write to the table: adds and then removes land in one
-// edit session, in one critical section, so a coalesced batch costs one
-// lock round-trip and one path copy per touched node. It returns the
-// version that results, how many removes found an entry, and the first
-// invalid add's error; an invalid add aborts nothing else. Install
+// Commit is every write to the table: adds and then removes land in place,
+// in one critical section, so a coalesced batch costs one lock round-trip
+// and, after a Pin, one copy of each node it touches that the pin can
+// reach. It returns the table's live contents, valid until the next
+// Commit, how many removes found an entry, and the first invalid add's
+// error; an invalid add aborts nothing else. Install
 // observers fire after the lock is released — never under it — once per
 // valid add, so an observer may reenter the FIB (Lookup, Len, even
 // Commit) without deadlocking, and a slow observer never extends the
@@ -116,7 +113,6 @@ func (f *FIB) Commit(adds []route.Entry, removes []netip.Prefix) (trie.Persisten
 	var firstErr error
 	removed := 0
 	f.mu.Lock()
-	edit := f.tbl.Edit()
 	for i := range adds {
 		if !adds[i].Net.IsValid() {
 			if firstErr == nil {
@@ -124,15 +120,14 @@ func (f *FIB) Commit(adds []route.Entry, removes []netip.Prefix) (trie.Persisten
 			}
 			continue
 		}
-		edit.Insert(adds[i].Net, adds[i].Stored())
+		f.tbl.Upsert(adds[i].Net, adds[i].Stored())
 	}
 	for _, net := range removes {
-		if edit.Delete(net) {
+		if _, ok := f.tbl.Delete(net); ok {
 			removed++
 		}
 	}
-	f.tbl = edit.Publish()
-	tbl, cb := f.tbl, f.onInstall
+	tbl, cb := f.tbl.Live(), f.onInstall
 	f.mu.Unlock()
 	if cb != nil {
 		for i := range adds {
@@ -144,29 +139,39 @@ func (f *FIB) Commit(adds []route.Entry, removes []netip.Prefix) (trie.Persisten
 	return tbl, removed, firstErr
 }
 
-// version returns the committed table; it never changes, so it is read
-// outside the lock.
-func (f *FIB) version() trie.Persistent[route.Stored] {
+// Pin returns the table as it stands as a version no later Commit changes.
+func (f *FIB) Pin() trie.Persistent[route.Stored] {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.tbl
+	return f.tbl.Pin()
 }
 
-// Lookup returns the longest-prefix-match entry for dst.
+// Lookup returns the longest-prefix-match entry for dst. It reads under
+// the lock and pins nothing, so it costs the next Commit no copy.
 func (f *FIB) Lookup(dst netip.Addr) (FIBEntry, bool) {
-	tbl := f.version()
-	net, v, ok := tbl.LongestMatch(dst)
+	f.mu.Lock()
+	net, v, ok := f.tbl.LongestMatch(dst)
+	f.mu.Unlock()
 	return fibEntry(v.Entry(net)), ok
 }
 
 // Len returns the number of installed entries.
 func (f *FIB) Len() int {
-	tbl := f.version()
-	return tbl.Len()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.tbl.Len()
 }
 
-// Walk visits all entries of the committed table, outside the lock.
+// Walk visits every entry in prefix order. It copies them out under the
+// lock and calls fn outside it, so fn may call the FIB.
 func (f *FIB) Walk(fn func(FIBEntry) bool) {
-	tbl := f.version()
-	tbl.Walk(func(net netip.Prefix, v route.Stored) bool { return fn(fibEntry(v.Entry(net))) })
+	f.mu.Lock()
+	es := make([]FIBEntry, 0, f.tbl.Len())
+	f.tbl.Walk(func(net netip.Prefix, v route.Stored) bool { es = append(es, fibEntry(v.Entry(net))); return true })
+	f.mu.Unlock()
+	for _, e := range es {
+		if !fn(e) {
+			return
+		}
+	}
 }

@@ -192,7 +192,7 @@ func TestRIBClientBatchesWithdraws(t *testing.T) {
 // TestWithdrawRunPublishesOnce runs the whole pipeline: one UPDATE
 // withdrawing 256 routes reaches the forwarding plane as one snapshot
 // generation (delete_routes4 → RIB DeleteRoutes → one FIB batch →
-// delete_entries4 → one edit session), and so does the UPDATE that
+// delete_entries4 → one FIB commit), and so does the UPDATE that
 // announced them.
 func TestWithdrawRunPublishesOnce(t *testing.T) {
 	r, err := NewRouter(baseConfig, Options{

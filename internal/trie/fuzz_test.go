@@ -18,17 +18,20 @@ import (
 // its kids — and after every mutation the Table's structure is
 // (checkTable), free lists included.
 //
-// A third model rides along: a Persistent chain advanced through edit
-// sessions whose lengths (1…300 mutations) the input also chooses. Each
-// session also inserts, replaces and deletes the op's prefix around the
-// op itself, so it drops nodes it owns and takes them back from its free
-// lists. Every published version must equal the reference model of that
-// moment, and must still equal it after every later session has run. Its
-// longest match goes to a /16's trie before the fans' own short-prefix
-// tries, and reads those deepest first; the checked-in seed
-// deepest_fan_first holds, in each family, a prefix in a depth-2 fan, one
-// in a depth-3 fan and one in a /16's trie, which a shallowest-first scan
-// answers wrongly.
+// A third model rides along: a second Table, given the same writes and
+// pinned at points the input chooses (every 1…300 mutations), writes going
+// on after each pin. It also inserts, replaces and deletes the op's prefix
+// around the op itself, so it drops nodes it owns and takes them back from
+// its free lists. Every pinned version must equal the reference model at
+// its pin, the newest must still equal it after every later write, and
+// all of them at the end. The checked-in seed pin_then_rewrite pins one
+// entry, then deletes and re-inserts it and a route under it: a Pin that
+// kept the owner id would let those writes land in the pinned nodes. A
+// pinned version's longest match goes to a /16's trie before the fans'
+// own short-prefix tries, and reads those deepest first; the checked-in
+// seed deepest_fan_first holds, in each family, a prefix in a depth-2 fan,
+// one in a depth-3 fan and one in a /16's trie, which a shallowest-first
+// scan answers wrongly.
 //
 // A §5.3 cursor rides along too: the last prefix a paused walk visited.
 // Op bytes 6–31 move it (even: to the op's prefix, odd: one entry on, with
@@ -72,7 +75,7 @@ func FuzzTrie(f *testing.F) {
 			tbl  *Persistent[int]
 			want map[netip.Prefix]int
 		}
-		var published []version
+		var pinned []version
 		// sorted returns the model's prefixes after from in walk order.
 		sorted := func(want map[netip.Prefix]int, from netip.Prefix) []netip.Prefix {
 			var out []netip.Prefix
@@ -106,42 +109,45 @@ func FuzzTrie(f *testing.F) {
 			}
 			sameWalk("version Walk", v.tbl.Walk, v.want, netip.Prefix{})
 		}
-		edit, left := NewPersistent[int]().Edit(), 1
-		// mutated checks tr's structure and counts one session mutation;
-		// when the session's length is reached it publishes, is checked
-		// against tr, and the next session's length comes from the op's
-		// bytes.
+		pt, left := New[int](), 1
+		// mutated checks tr's structure and the newest pinned version, and
+		// counts one mutation of pt; when the count is reached pt is
+		// pinned, the version is checked against tr, and the next count
+		// comes from the op's bytes.
 		mutated := func(seed int) {
 			checkTable(t, tr)
+			checkTable(t, pt)
+			if len(pinned) > 0 {
+				checkVersion(pinned[len(pinned)-1])
+			}
 			if left--; left > 0 {
 				return
 			}
-			tbl := edit.Publish()
+			tbl := pt.Pin()
 			v := version{&tbl, maps.Clone(model)}
 			for p, val := range model {
 				if got, ok := v.tbl.Get(p); !ok || got != val {
-					t.Fatalf("session Get(%v) = (%d,%v), model %d", p, got, ok, val)
+					t.Fatalf("pinned Get(%v) = (%d,%v), model %d", p, got, ok, val)
 				}
 				ep, ev, eok := v.tbl.LongestMatch(p.Addr())
 				tp, tv, tok := tr.LongestMatch(p.Addr())
 				if ep != tp || ev != tv || eok != tok {
-					t.Fatalf("session LongestMatch(%v) = (%v,%d,%v), table (%v,%d,%v)", p.Addr(), ep, ev, eok, tp, tv, tok)
+					t.Fatalf("pinned LongestMatch(%v) = (%v,%d,%v), table (%v,%d,%v)", p.Addr(), ep, ev, eok, tp, tv, tok)
 				}
 			}
 			checkVersion(v)
-			published = append(published, v)
-			edit = v.tbl.Edit()
+			pinned = append(pinned, v)
 			if left = 1 + seed%8; seed%3 == 0 {
 				left = 1 + seed%300
 			}
 		}
-		// churn inserts, replaces and deletes p in the session, leaving it
-		// as it was: the nodes it drops go on the session's free lists.
+		// churn inserts, replaces and deletes p in pt, leaving it as it
+		// was: the nodes it drops go on pt's free lists.
 		churn := func(p netip.Prefix, step int) {
 			if _, had := model[p]; !had {
-				edit.Insert(p, -step)
-				edit.Insert(p, ^step)
-				edit.Delete(p)
+				pt.Upsert(p, -step)
+				pt.Upsert(p, ^step)
+				pt.Delete(p)
 			}
 		}
 
@@ -214,7 +220,7 @@ func FuzzTrie(f *testing.F) {
 				}
 				churn(p, step)
 				model[p] = step
-				edit.Insert(p, step)
+				pt.Upsert(p, step)
 				mutated(step*7 + p.Bits())
 			case op%6 == 2: // Delete
 				wantOld, wantExisted := model[p]
@@ -223,8 +229,8 @@ func FuzzTrie(f *testing.F) {
 					t.Fatalf("Delete(%v) = (%d,%v), model (%d,%v)", p, old, existed, wantOld, wantExisted)
 				}
 				delete(model, p)
-				if removed := edit.Delete(p); removed != wantExisted {
-					t.Fatalf("session Delete(%v) = %v, model %v", p, removed, wantExisted)
+				if _, removed := pt.Delete(p); removed != wantExisted {
+					t.Fatalf("pinned table's Delete(%v) = %v, model %v", p, removed, wantExisted)
 				}
 				churn(p, step)
 				mutated(step*7 + p.Bits())
@@ -248,10 +254,10 @@ func FuzzTrie(f *testing.F) {
 				if keep {
 					churn(p, step)
 					model[p] = step
-					edit.Insert(p, step)
+					pt.Upsert(p, step)
 				} else {
 					delete(model, p)
-					edit.Delete(p)
+					pt.Delete(p)
 					churn(p, step)
 				}
 				mutated(step*7 + p.Bits())
@@ -281,8 +287,8 @@ func FuzzTrie(f *testing.F) {
 		}
 
 		left = 1
-		mutated(0) // publish the open session
-		for _, v := range published {
+		mutated(0) // pin what the last pin missed
+		for _, v := range pinned {
 			checkVersion(v)
 		}
 	})

@@ -1,7 +1,7 @@
 // Persistent is an immutable table version: a change copies only the path
-// from the root to its prefix, so a published version is read lock-free
-// while successors are built beside it — the kernel FIB's table, whose
-// versions internal/fwd publishes as RCU-style snapshots.
+// from the root to its prefix, so a version is read lock-free while the
+// table it was pinned from goes on changing — the kernel FIB's table, whose
+// pinned versions internal/fwd hands to readers that hold a snapshot.
 //
 // # Layout
 //
@@ -21,33 +21,40 @@
 // copied with its value: a copy pointing into the old allocation would pin
 // one old version of the subtree below (TestPersistentChurnHoldsOneVersion).
 //
-// # Edit sessions and the owner mark
+// # Sessions, the owner mark and pins
 //
-// A batch is built in an Edit session (Persistent.Edit … Edit.Publish).
-// Every node and fan carries the id of the session that allocated it. A
-// session writes the ones it owns in place — its roots stay private until
-// Publish — and copies any other first, so a batch copies each touched
-// node at most once and a node reachable from a published version is never
-// written. Every write is one descent (session.put): on the way back up a
-// node is copied, or written when owned, only if the pointer below it
-// changed; Insert, Delete and Table.Update are its three cases. A session
-// that does not outlive its caller stays on the stack (kernel.FIB.Commit's).
+// Every write goes through a session: the table it changes, and the id
+// that marks the nodes it owns. Every node and fan carries the id of the
+// session that allocated it. A session writes the ones it owns in place
+// and copies any other first, so a node is copied at most once per id
+// and a node marked with an older id is never written. Every write is one
+// descent (session.put): on the way back up a node is copied, or written
+// when owned, only if the pointer below it changed; Insert, Delete and
+// Table.Update are its three cases.
+//
+// A Table is one long-lived session. Table.Pin hands out its contents as
+// an immutable version and gives the session a fresh id, so every node
+// the version can reach carries an older mark: the writes after a pin
+// copy what they touch of it, once each. A table nobody pins copies
+// nothing. Table.Live hands out the contents without a pin.
 //
 // Ids come from one process-wide 48-bit counter that panics rather than
-// wrap: a repeated id would take nodes a reader holds for its own. Publish
-// zeroes the session's id. Id 0 owns nothing; Persistent.Insert and Delete
-// run in that mode. The mark is three uint16s, so that it and the prefix
-// length fill the header's last eight bytes (TestPnodeSize).
+// wrap: a repeated id would take nodes a pinned version holds for its
+// own. Id 0 owns nothing; Persistent.Insert and Delete run in that mode,
+// one copied path per change. The mark is three uint16s, so that it and
+// the prefix length fill the header's last eight bytes (TestPnodeSize).
 //
 // # Reuse
 //
-// A node a session owns and drops was never reachable from anything
-// published, so the session zeroes it onto one of two free lists (valued
+// A node a session owns and drops was never reachable from a pinned
+// version, so the session zeroes it onto one of two free lists (valued
 // and glue) and takes new nodes from them first: churn allocates nothing.
-// Only nodes that pass the owner check are recycled. A Table also takes
-// new nodes from blocks of blockNodes, which a publishing session never
-// does (one live node would pin a block of dead versions), and keeps a fan
-// once it has emptied, which a publishing session prunes.
+// Only nodes that pass the owner check are recycled. A fan the session
+// owns stays when it empties, for the next route under it; one it would
+// have to copy to empty it goes instead, so Persistent.Delete prunes, an
+// unpinned Table keeps, and a pinned one drops what the pin holds. Until
+// its first pin a Table takes new nodes from blocks of blockNodes: after
+// a pin, one live node would keep a block of a pinned version's dead ones.
 
 package trie
 
@@ -60,10 +67,19 @@ import (
 // editIDBits is the width of the owner mark.
 const editIDBits = 48
 
-// editIDs issues edit-session ids; see the file header.
+// editIDs issues session ids; see the file header.
 var editIDs atomic.Uint64
 
-// owner is an edit-session id as a node stores it.
+// newID returns a session id no node carries yet.
+func newID() uint64 {
+	id := editIDs.Add(1)
+	if id >= 1<<editIDBits {
+		panic("trie: session ids exhausted")
+	}
+	return id
+}
+
+// owner is a session id as a node stores it.
 type owner [3]uint16
 
 func ownerMark(id uint64) owner {
@@ -89,7 +105,7 @@ type valued[T any] struct {
 	v T
 }
 
-// blockNodes is how many nodes a Table allocates at once: with the
+// blockNodes is how many nodes an unpinned Table allocates at once: with the
 // allocator's 8-byte header, 127 of the RIB's 96-byte valued nodes fill the
 // 12,288-byte size class, of BGP's 64-byte ones 8,192, of 48-byte glue
 // 6,144; a 128th spills each into the next class.
@@ -188,7 +204,8 @@ func (f *fan[T]) trieOf(k key128, pb uint8) *pnode[T] {
 // Persistent is an immutable LPM table version. The zero value is the
 // usable empty table; Insert and Delete return new versions and never
 // modify the receiver. Methods on a *Persistent are safe for concurrent
-// use by any number of readers while writers build successors.
+// use by any number of readers while writers build successors — except
+// on a Table.Live view, which is the table itself until its next write.
 type Persistent[T any] struct {
 	root4 *fan[T]
 	root6 *fan[T]
@@ -201,14 +218,14 @@ func NewPersistent[T any]() *Persistent[T] { return &Persistent[T]{} }
 // Len returns the number of valued entries.
 func (t *Persistent[T]) Len() int { return t.size }
 
-// session is the writer of a table: the version it is building, the id
+// session is the writer of a table: the contents it is changing, the id
 // that marks the nodes it owns, and what it keeps for reuse (see Reuse in
 // the file header).
 type session[T any] struct {
 	tbl          Persistent[T]
 	id           uint64
 	freeV, freeG *pnode[T] // dropped valued and glue nodes, zeroed
-	table        bool      // a Table's: never publishes, so blocks and kept fans
+	blocks       bool      // takes new nodes from blocks: a Table's, until its first pin
 	blockV       []valued[T]
 	blockG       []pnode[T]
 	scratch      *T // what an update is handed for an absent prefix; zero between writes
@@ -284,8 +301,9 @@ func (s *session[T]) write(p netip.Prefix, w *write[T], fn update[T]) {
 }
 
 // putFan returns f, which sits at depth, with the write applied at
-// (k, pb): f itself when nothing under it moved, nil when a publishing
-// session empties it.
+// (k, pb): f itself when nothing under it moved, nil when the write
+// empties a fan the session does not own. One it owns stays, for the
+// next route under it.
 func (s *session[T]) putFan(f *fan[T], depth uint8, k key128, pb uint8, w *write[T], fn update[T]) *fan[T] {
 	var (
 		i       = k.nibble(depth)
@@ -313,13 +331,13 @@ func (s *session[T]) putFan(f *fan[T], depth uint8, k key128, pb uint8, w *write
 	if m == n && nk == kid {
 		return f
 	}
-	if m == nil && nk == nil && !s.table && (sub || f.sub == nil) {
+	if m == nil && nk == nil && !f.owner.is(s.id) && (sub || f.sub == nil) {
 		empty := true
 		for j := range 16 {
 			empty = empty && (j == i && !sub || !f.holds(j))
 		}
 		if empty {
-			return nil // a publishing session prunes an emptied fan
+			return nil // dropped, where keeping it would cost a copy
 		}
 	}
 	c := f.own(s.id, depth)
@@ -436,7 +454,7 @@ func (s *session[T]) valued(hdr pnode[T], v T) *pnode[T] {
 	case s.freeV != nil:
 		a = (*valued[T])(unsafe.Pointer(s.freeV))
 		s.freeV = a.child[0]
-	case s.table:
+	case s.blocks:
 		if len(s.blockV) == 0 {
 			s.blockV = make([]valued[T], blockNodes)
 		}
@@ -456,7 +474,7 @@ func (s *session[T]) glue(hdr pnode[T]) *pnode[T] {
 	switch {
 	case s.freeG != nil:
 		g, s.freeG = s.freeG, s.freeG.child[0]
-	case s.table:
+	case s.blocks:
 		if len(s.blockG) == 0 {
 			s.blockG = make([]pnode[T], blockNodes)
 		}
@@ -471,7 +489,7 @@ func (s *session[T]) glue(hdr pnode[T]) *pnode[T] {
 
 // recycle zeroes n, which has left the session's tree, and keeps it for
 // reuse — if the session owns it. Any other node may still be reachable
-// from a published version.
+// from a pinned version.
 func (s *session[T]) recycle(n *pnode[T]) {
 	if !n.owner.is(s.id) {
 		return
@@ -484,55 +502,6 @@ func (s *session[T]) recycle(n *pnode[T]) {
 	}
 	*n = pnode[T]{}
 	n.child[0], s.freeG = s.freeG, n
-}
-
-// Edit is a transient edit session: a private successor of one version,
-// changed in place where the session owns the nodes, and turned into the
-// next immutable version by Publish. A session belongs to one goroutine.
-// Its table stays private until Publish; its id is 0 once published.
-type Edit[T any] session[T]
-
-// Edit opens an edit session on t. t itself never changes.
-func (t *Persistent[T]) Edit() *Edit[T] {
-	id := editIDs.Add(1)
-	if id >= 1<<editIDBits {
-		panic("trie: edit-session ids exhausted")
-	}
-	return &Edit[T]{tbl: *t, id: id}
-}
-
-// Insert stores v at p (masked first), replacing any existing value. An
-// invalid prefix is ignored.
-func (e *Edit[T]) Insert(p netip.Prefix, v T) {
-	e.mustBeOpen()
-	(*session[T])(e).write(p, &write[T]{v: v}, nil)
-}
-
-// Delete removes the entry exactly at p and reports whether it existed.
-func (e *Edit[T]) Delete(p netip.Prefix) bool {
-	e.mustBeOpen()
-	w := write[T]{del: true}
-	(*session[T])(e).write(p, &w, nil)
-	return w.existed
-}
-
-// Publish ends the session and returns its contents as an immutable
-// version. The session cannot be used afterwards. The version comes back
-// by value, so a caller that keeps it in a struct of its own and a
-// session that stays on the stack make a publish cost that one allocation.
-func (e *Edit[T]) Publish() Persistent[T] {
-	e.mustBeOpen()
-	e.id, e.freeV, e.freeG = 0, nil, nil
-	return e.tbl
-}
-
-// mustBeOpen guards the owner-mark invariant: a published session's
-// table is in readers' hands, and id 0 would copy where the caller
-// expects in-place edits to accumulate.
-func (e *Edit[T]) mustBeOpen() {
-	if e.id == 0 {
-		panic("trie: Edit used after Publish")
-	}
 }
 
 // root returns the slot holding the root of p's family, and whether that
@@ -683,7 +652,7 @@ func insideP[T any](n *pnode[T], k key128, pb uint8) bool {
 
 // Walk visits every valued entry in ComparePrefix order, IPv4 first. fn
 // returning false stops the walk. Safe to call on any version at any
-// time; versions never change.
+// time; versions never change (a Live view: until its table's next write).
 func (t *Persistent[T]) Walk(fn func(netip.Prefix, T) bool) { t.walkFrom(netip.Prefix{}, fn) }
 
 // mark is where a walk resumes: after the prefix (k, bits).

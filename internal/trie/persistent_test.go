@@ -155,18 +155,17 @@ func sameKVs(a, b []kv) bool {
 // TestPersistentMatchesTrie drives the same random operation stream
 // (inserts, replaces and deletes over both address families) into three
 // tables — a mutable Table, a Persistent chain advanced one always-copy
-// Insert/Delete at a time, and a Persistent chain advanced through edit
-// sessions of random length 1…300 — and demands identical Get,
-// LongestMatch and Walk results whenever a session publishes. It also
-// keeps every version the session chain ever published and checks that
-// each still walks to the contents recorded at its publication: an edit
-// session must never write a node a published version can reach. This is
-// the correctness anchor the fwd snapshot oracle builds on.
+// Insert/Delete at a time, and a second Table pinned after runs of random
+// length 1…300 — and demands identical Get, LongestMatch and Walk results
+// at every pin. It also keeps every version ever pinned and checks that
+// each still walks to the contents recorded at its pin: a write must never
+// land in a node a pinned version can reach. This is the correctness
+// anchor the fwd snapshot oracle builds on.
 func TestPersistentMatchesTrie(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	mt := New[uint32]()
 	pt := NewPersistent[uint32]()
-	et := NewPersistent[uint32]()
+	pinning := New[uint32]()
 
 	randAddr := func(host bool) netip.Addr {
 		last := byte(r.Intn(4))
@@ -196,10 +195,10 @@ func TestPersistentMatchesTrie(t *testing.T) {
 		tbl  *Persistent[uint32]
 		want []kv
 	}
-	var published []version
+	var pinned []version
 
 	var live []netip.Prefix
-	edit, left := et.Edit(), 1+r.Intn(300)
+	left := 1 + r.Intn(300)
 	const steps = 12000
 	for step := 0; step < steps; step++ {
 		switch {
@@ -210,9 +209,9 @@ func TestPersistentMatchesTrie(t *testing.T) {
 			_, mok := mt.Delete(p)
 			var pok bool
 			pt, pok = pt.Delete(p)
-			eok := edit.Delete(p)
+			_, eok := pinning.Delete(p)
 			if mok != pok || mok != eok {
-				t.Fatalf("step %d: delete(%v) trie=%v persistent=%v session=%v", step, p, mok, pok, eok)
+				t.Fatalf("step %d: delete(%v) trie=%v persistent=%v pinned=%v", step, p, mok, pok, eok)
 			}
 		default:
 			p := randPrefix()
@@ -224,31 +223,31 @@ func TestPersistentMatchesTrie(t *testing.T) {
 			v := r.Uint32()
 			mt.Upsert(p, v)
 			pt = pt.Insert(p, v)
-			edit.Insert(p, v)
+			pinning.Upsert(p, v)
 		}
-		if mt.Len() != pt.Len() || mt.Len() != edit.Len() {
-			t.Fatalf("step %d: len trie=%d persistent=%d session=%d", step, mt.Len(), pt.Len(), edit.Len())
+		if mt.Len() != pt.Len() || mt.Len() != pinning.Len() {
+			t.Fatalf("step %d: len trie=%d persistent=%d pinned=%d", step, mt.Len(), pt.Len(), pinning.Len())
 		}
 		if left--; left > 0 && step != steps-1 {
 			continue
 		}
 
-		v := edit.Publish()
-		et = &v
-		edit, left = et.Edit(), 1+r.Intn(300)
+		v := pinning.Pin()
+		et := &v
+		left = 1 + r.Intn(300)
 
 		want := walkAll(mt.Walk)
 		if got := walkAll(pt.Walk); !sameKVs(got, want) {
 			t.Fatalf("step %d: persistent walk differs from trie", step)
 		}
 		if got := walkAll(et.Walk); !sameKVs(got, want) {
-			t.Fatalf("step %d: session-built walk differs from trie", step)
+			t.Fatalf("step %d: pinned walk differs from trie", step)
 		}
 		for _, e := range want {
 			pv, pok := pt.Get(e.p)
 			ev, eok := et.Get(e.p)
 			if !pok || !eok || pv != e.v || ev != e.v {
-				t.Fatalf("step %d: Get(%v) persistent=(%d,%v) session=(%d,%v), want %d", step, e.p, pv, pok, ev, eok, e.v)
+				t.Fatalf("step %d: Get(%v) persistent=(%d,%v) pinned=(%d,%v), want %d", step, e.p, pv, pok, ev, eok, e.v)
 			}
 		}
 		for _, a := range probes {
@@ -256,19 +255,19 @@ func TestPersistentMatchesTrie(t *testing.T) {
 			pp, pv, pok := pt.LongestMatch(a)
 			ep, ev, eok := et.LongestMatch(a)
 			if mok != pok || mp != pp || mv != pv || mok != eok || mp != ep || mv != ev {
-				t.Fatalf("step %d: LPM(%v) trie=(%v,%d,%v) persistent=(%v,%d,%v) session=(%v,%d,%v)",
+				t.Fatalf("step %d: LPM(%v) trie=(%v,%d,%v) persistent=(%v,%d,%v) pinned=(%v,%d,%v)",
 					step, a, mp, mv, mok, pp, pv, pok, ep, ev, eok)
 			}
 		}
-		for i, old := range published {
+		for i, old := range pinned {
 			if old.tbl.Len() != len(old.want) || !sameKVs(walkAll(old.tbl.Walk), old.want) {
-				t.Fatalf("step %d: version %d changed after it was published", step, i)
+				t.Fatalf("step %d: version %d changed after it was pinned", step, i)
 			}
 		}
-		published = append(published, version{et, want})
+		pinned = append(pinned, version{et, want})
 	}
-	if len(published) < 40 {
-		t.Fatalf("only %d sessions published", len(published))
+	if len(pinned) < 40 {
+		t.Fatalf("only %d versions pinned", len(pinned))
 	}
 }
 
@@ -326,15 +325,13 @@ func TestPnodeSize(t *testing.T) {
 }
 
 // TestEditOwnerMark pins the safety of the owner mark: ids are unique
-// across sessions, tables and element types, they fit the 48 bits a node
-// stores, and a published session can neither be edited nor confused
-// with a later one.
+// across tables and element types, they fit the 48 bits a node stores, a
+// pin renews its table's id, and a version pinned from a table is never
+// written by the table's later writes.
 func TestEditOwnerMark(t *testing.T) {
-	a := NewPersistent[int]().Edit()
-	b := NewPersistent[string]().Edit()
-	c := NewPersistent[int]().Edit()
-	if a.id == 0 || a.id == b.id || b.id == c.id || a.id == c.id {
-		t.Fatalf("session ids not unique: %d %d %d", a.id, b.id, c.id)
+	a, b, c := New[int](), New[string](), New[int]()
+	if a.s.id == 0 || a.s.id == b.s.id || b.s.id == c.s.id || a.s.id == c.s.id {
+		t.Fatalf("table ids not unique: %d %d %d", a.s.id, b.s.id, c.s.id)
 	}
 
 	// A node stores every bit of the widest id.
@@ -366,36 +363,21 @@ func TestEditOwnerMark(t *testing.T) {
 		}
 	}
 
-	// A second session over a published version copies, never shares.
+	// The writes after a pin copy, never share.
 	p10 := netip.MustParsePrefix("10.0.0.0/8")
-	a.Insert(p10, 1)
-	v1 := a.Publish()
-	if a.id != 0 {
-		t.Fatal("Publish left the session's mark alive")
+	a.Upsert(p10, 1)
+	before := a.s.id
+	v1 := a.Pin()
+	if a.s.id == before || a.s.id == 0 {
+		t.Fatal("Pin left the table's mark as it was")
 	}
-	d := v1.Edit()
-	d.Insert(p10, 2)
-	v2 := d.Publish()
+	a.Upsert(p10, 2)
+	v2 := a.Pin()
 	if got, _ := v1.Get(p10); got != 1 {
-		t.Fatalf("v1 mutated by a later session: %d", got)
+		t.Fatalf("v1 mutated by a later write: %d", got)
 	}
 	if got, _ := v2.Get(p10); got != 2 {
 		t.Fatalf("v2 = %d", got)
-	}
-
-	for name, use := range map[string]func(){
-		"Insert":  func() { a.Insert(p10, 3) },
-		"Delete":  func() { a.Delete(p10) },
-		"Publish": func() { a.Publish() },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s after Publish did not panic", name)
-				}
-			}()
-			use()
-		}()
 	}
 
 	// Exhaustion panics instead of wrapping into ids still in use.
@@ -403,21 +385,23 @@ func TestEditOwnerMark(t *testing.T) {
 	defer editIDs.Store(saved)
 	defer func() {
 		if recover() == nil {
-			t.Error("Edit past the last id did not panic")
+			t.Error("Pin past the last id did not panic")
 		}
 	}()
-	v2.Edit()
+	a.Pin()
 }
 
-// TestEditCopiesEachNodeOnce is the point of a session: n changes under
-// one shared path cost about one copy of that path, not n.
+// TestEditCopiesEachNodeOnce is the point of writing in place: n changes
+// under one shared path after a pin cost about one copy of that path, not
+// n.
 func TestEditCopiesEachNodeOnce(t *testing.T) {
-	base := NewPersistent[int]()
+	base, tbl := NewPersistent[int](), New[int]()
 	var nets []netip.Prefix
 	for i := 0; i < 4096; i++ {
 		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
 		nets = append(nets, p)
 		base = base.Insert(p, i)
+		tbl.Upsert(p, i)
 	}
 	batch := nets[1024 : 1024+256]
 	perOp := testing.AllocsPerRun(10, func() {
@@ -427,16 +411,15 @@ func TestEditCopiesEachNodeOnce(t *testing.T) {
 		}
 	})
 	session := testing.AllocsPerRun(10, func() {
-		e := base.Edit()
+		tbl.Pin()
 		for _, p := range batch {
-			e.Insert(p, -1)
+			tbl.Upsert(p, -1)
 		}
-		e.Publish()
 	})
 	// 256 adjacent /24s: 256 leaves + 255 interior nodes + the shared
 	// path above them.
 	if session > 2.2*float64(len(batch)) || session*4 > perOp {
-		t.Fatalf("session %.0f allocs vs per-op %.0f for %d replaces", session, perOp, len(batch))
+		t.Fatalf("pinned batch %.0f allocs vs per-op %.0f for %d replaces", session, perOp, len(batch))
 	}
 }
 
@@ -449,8 +432,9 @@ func liveHeap() int64 {
 	return int64(m.HeapAlloc)
 }
 
-// TestPersistentChurnHoldsOneVersion: a table that is edited forever while
-// only its newest version is held must stay the size of one version. The
+// TestPersistentChurnHoldsOneVersion: a table that is written and pinned
+// forever while only its newest pinned version is held must stay the size
+// of one version. The
 // shape is the one that caught the prototype of this layout: a valued node
 // with a subtree under it (a /16 over its 256 /24s). A copy of that node
 // which left the value in the old allocation would keep the old node, and
@@ -462,44 +446,39 @@ func TestPersistentChurnHoldsOneVersion(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		nets = append(nets, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 7, byte(i), 0}), 24))
 	}
-	build := func() Persistent[val] {
-		e := NewPersistent[val]().Edit()
-		for _, p := range nets {
-			e.Insert(p, val{})
-		}
-		return e.Publish()
-	}
-
 	base := liveHeap()
-	tbl := build()
+	tr := New[val]()
+	for _, p := range nets {
+		tr.Upsert(p, val{})
+	}
+	tbl := tr.Pin()
 	fresh := liveHeap() - base
 
 	for session := 1; session <= 200; session++ {
-		e := tbl.Edit()
 		for _, p := range nets[1:] {
-			e.Insert(p, val{uint64(session)})
+			tr.Upsert(p, val{uint64(session)})
 		}
-		tbl = e.Publish()
+		tbl = tr.Pin()
 	}
 	churned := liveHeap() - base
 	if v, ok := tbl.Get(nets[0]); !ok || v != (val{}) || tbl.Len() != len(nets) {
 		t.Fatalf("the /16 did not survive the churn: %v %v, len %d", v, ok, tbl.Len())
 	}
 	if churned > fresh+fresh/10 {
-		t.Fatalf("after 200 sessions the newest version holds %d bytes live, a fresh table %d", churned, fresh)
+		t.Fatalf("after 200 pins the table and its newest version hold %d bytes live, a fresh table %d", churned, fresh)
 	}
 
-	// Sessions that each replace one route leave the newest version's
-	// nodes spread over all of them. Nodes taken from blocks would pin a
-	// block of dead ones each.
+	// Pins that each follow one replaced route leave the newest version's
+	// nodes spread over all of them. Nodes a pinned table took from blocks
+	// would pin a block of dead ones each.
 	for session := 1; session <= 200; session++ {
-		e := tbl.Edit()
-		e.Insert(nets[1+session%(len(nets)-1)], val{uint64(session)})
-		tbl = e.Publish()
+		tr.Upsert(nets[1+session%(len(nets)-1)], val{uint64(session)})
+		tbl = tr.Pin()
 	}
 	if spread := liveHeap() - base; spread > fresh+fresh/10 {
-		t.Fatalf("after 200 one-route sessions the newest version holds %d bytes live, a fresh table %d", spread, fresh)
+		t.Fatalf("after 200 one-route pins the table and its newest version hold %d bytes live, a fresh table %d", spread, fresh)
 	}
+	runtime.KeepAlive(tr)
 	runtime.KeepAlive(tbl)
 }
 
@@ -522,9 +501,10 @@ func countFans[T any](f *fan[T]) (fans, tries int) {
 }
 
 // TestEmptiedFanIsPruned: the fans and the /16 trie a route needed go when
-// the route does, whether it sat in a /16's trie or in a fan's own
-// short-prefix trie, and whether it is removed by Delete or inside a
-// session.
+// Persistent.Delete removes the route, whether it sat in a /16's trie or
+// in a fan's own short-prefix trie, and when a Table removes it after a
+// pin, where keeping them would cost a copy. An unpinned Table keeps the
+// fans it owns, for the next route (TestTableChurnAllocatesNothing).
 func TestEmptiedFanIsPruned(t *testing.T) {
 	base := NewPersistent[int]()
 	held := []string{"10.1.0.0/16", "10.1.1.0/24", "192.168.0.0/24", "128.0.0.0/2", "2001:db8::/32"}
@@ -547,22 +527,33 @@ func TestEmptiedFanIsPruned(t *testing.T) {
 		if got := shape(without); !ok || got != want {
 			t.Errorf("Delete(%v): fans and tries (v4, v6) = %v, want %v", p, got, want)
 		}
-		e := with.Edit()
-		e.Delete(p)
-		if v := e.Publish(); shape(&v) != want {
-			t.Errorf("session Delete(%v): fans and tries (v4, v6) = %v, want %v", p, shape(&v), want)
-		}
 	}
 	if got := shape(base); got != want {
 		t.Fatalf("base changed under its successors: %v, want %v", got, want)
 	}
 
-	e := base.Edit()
-	for _, s := range held {
-		e.Delete(mustP(s))
+	tbl := New[int]()
+	for i, s := range held {
+		tbl.Upsert(mustP(s), i)
 	}
-	if empty := e.Publish(); empty.root4 != nil || empty.root6 != nil || empty.Len() != 0 {
-		t.Fatalf("emptied table still has roots: %v", shape(&empty))
+	p := mustP("172.16.5.0/24")
+	tbl.Upsert(p, 9)
+	tbl.Delete(p)
+	if shape(&tbl.s.tbl) == want {
+		t.Errorf("an unpinned table dropped the fans it owns")
+	}
+	tbl.Upsert(p, 9)
+	tbl.Pin()
+	if tbl.Delete(p); shape(&tbl.s.tbl) != want {
+		t.Errorf("Delete(%v) after a pin: fans and tries (v4, v6) = %v, want %v", p, shape(&tbl.s.tbl), want)
+	}
+
+	empty := base
+	for _, s := range held {
+		empty, _ = empty.Delete(mustP(s))
+	}
+	if empty.root4 != nil || empty.root6 != nil || empty.Len() != 0 {
+		t.Fatalf("emptied table still has roots: %v", shape(empty))
 	}
 }
 

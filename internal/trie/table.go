@@ -3,10 +3,10 @@ package trie
 import "net/netip"
 
 // Table is a mutable longest-prefix-match table: the persistent layout
-// held by an edit session that draws its id once, at New, and never
-// publishes, so every write lands in place. It belongs to one goroutine,
-// and is never written inside its own Walk or WalkFrom: a write there
-// panics, since it could recycle the node the walk stands on.
+// held by one long-lived session, so its writes land in place, copying
+// first only what a Pin holds. It belongs to one goroutine, and is never
+// written inside its own Walk or WalkFrom: a write there panics, since it
+// could recycle the node the walk stands on.
 type Table[T any] struct {
 	s       session[T]
 	scratch T   // Update's value for an absent prefix; zero between writes
@@ -15,10 +15,24 @@ type Table[T any] struct {
 
 // New returns an empty table.
 func New[T any]() *Table[T] {
-	t := &Table[T]{s: session[T](*NewPersistent[T]().Edit())}
-	t.s.table, t.s.scratch = true, &t.scratch
+	t := &Table[T]{}
+	t.s = session[T]{id: newID(), blocks: true, scratch: &t.scratch}
 	return t
 }
+
+// Pin returns the table's contents as an immutable version, which no later
+// write changes: it renews the table's owner id, so each later write
+// copies what it touches of the version, once, before writing it. Until
+// the next pin the table writes its own copies in place again.
+func (t *Table[T]) Pin() Persistent[T] {
+	t.s.id, t.s.blocks = newID(), false
+	t.s.blockV, t.s.blockG = nil, nil // a block's unused tail would keep its dead nodes alive
+	return t.s.tbl
+}
+
+// Live returns the table's contents without a pin: the table itself,
+// valid until its next write.
+func (t *Table[T]) Live() Persistent[T] { return t.s.tbl }
 
 // Len returns the number of valued entries.
 func (t *Table[T]) Len() int { return t.s.tbl.size }

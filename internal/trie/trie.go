@@ -1,10 +1,11 @@
 // Package trie implements the longest-prefix-match table behind every
 // routing table in this XORP reproduction: one layout (persistent.go), held
-// two ways. Persistent is an immutable version that edit sessions derive
-// successors from, read lock-free by the kernel FIB's snapshots; Table is
-// the mutable table every stage keeps, an edit session that never
-// publishes. The paper's safe route iterator (§5.3) is a key: a paused
-// walk remembers the last prefix it visited and WalkFrom seeks past it.
+// two ways. Table is the mutable table every stage and the kernel FIB
+// keep, written in place; Persistent is an immutable version, which
+// Table.Pin hands to a reader that holds it while the table goes on
+// changing, and which the table's later writes copy around instead of
+// writing. The paper's safe route iterator (§5.3) is a key: a paused walk
+// remembers the last prefix it visited and WalkFrom seeks past it.
 // IPv4 and IPv6 prefixes sit side by side, one root per family, and every
 // node carries its prefix bits as a 128-bit word key, so traversal is word
 // compares, never address bytes.

@@ -376,11 +376,19 @@ func TestWriteInsideWalkPanics(t *testing.T) {
 // in the fan slot its prefix names, strictly inside its parent under the
 // right branch, with its word key in sync; a glue node has two children,
 // so every leaf holds a value; a valued node's val points at its own tail;
-// the table owns every node and fan; Len counts the valued nodes; and no
-// node on a free list is in the tree or holds anything but the list link.
+// an unpinned table owns every node and fan, a pinned one carries no mark
+// newer than its own; Len counts the valued nodes; and no node on a free
+// list is in the tree or holds anything but the list link.
 func checkTable[T any](t *testing.T, tr *Table[T]) {
 	t.Helper()
 	s := &tr.s
+	owned := func(o owner) bool {
+		if s.blocks { // never pinned
+			return o.is(s.id)
+		}
+		id := uint64(o[0]) | uint64(o[1])<<16 | uint64(o[2])<<32
+		return id != 0 && id <= s.id
+	}
 	inTree := map[*pnode[T]]bool{}
 	valuedN := 0
 	var walkP func(n *pnode[T], lo, hi uint8, path key128, pathBits uint8, v4 bool)
@@ -395,7 +403,7 @@ func checkTable[T any](t *testing.T, tr *Table[T]) {
 			t.Fatalf("%v sits in the wrong fan slot (lengths %d…%d)", p, lo, hi)
 		case n.key != n.key.masked(n.bits) || n.key != keyOf(p.Addr()):
 			t.Fatalf("%v: word key out of sync", p)
-		case !n.owner.is(s.id):
+		case !owned(n.owner):
 			t.Fatalf("%v: a node the table does not own", p)
 		case n.val == nil && (n.child[0] == nil || n.child[1] == nil):
 			t.Fatalf("glue node %v has fewer than two children", p)
@@ -420,7 +428,7 @@ func checkTable[T any](t *testing.T, tr *Table[T]) {
 		if f == nil {
 			return
 		}
-		if !f.owner.is(s.id) || (f.tries != nil) != (depth == fanLevels-1) || (f.kids != nil) == (f.tries != nil) {
+		if !owned(f.owner) || (f.tries != nil) != (depth == fanLevels-1) || (f.kids != nil) == (f.tries != nil) {
 			t.Fatalf("fan at depth %d: wrong owner or shape", depth)
 		}
 		walkP(f.sub, 4*depth, 4*depth+3, path, 4*depth, v4)
