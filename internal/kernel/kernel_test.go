@@ -224,9 +224,14 @@ func TestQuickFIBMatchesModel(t *testing.T) {
 	f := func(ops []uint32) bool {
 		fib := NewFIB()
 		model := map[netip.Prefix]FIBEntry{}
+		var probes []netip.Addr
 		for _, op := range ops {
 			bits := int(op>>24) % 25
 			a := netip.AddrFrom4([4]byte{byte(op), byte(op >> 8), 0, 0})
+			// Inside the prefix op writes, and beside it.
+			probes = append(probes,
+				netip.AddrFrom4([4]byte{byte(op), byte(op >> 8), byte(op >> 16), 255}),
+				netip.AddrFrom4([4]byte{byte(op >> 8), byte(op), 1, 1}))
 			p, err := a.Prefix(bits)
 			if err != nil {
 				continue
@@ -244,15 +249,22 @@ func TestQuickFIBMatchesModel(t *testing.T) {
 			return false
 		}
 		for p := range model {
-			probe := p.Addr()
-			e, ok := fib.Lookup(probe)
-			if !ok {
-				return false
+			probes = append(probes, p.Addr())
+		}
+		// Addresses few or no model prefixes cover.
+		probes = append(probes, mustA("255.255.255.255"), mustA("203.0.113.7"), mustA("0.0.0.1"))
+		for _, probe := range probes {
+			// The naive longest match: a linear scan over the model.
+			var want netip.Prefix
+			for p := range model {
+				if p.Contains(probe) && (!want.IsValid() || p.Bits() > want.Bits()) {
+					want = p
+				}
 			}
-			// The answer must cover the probe and be at least as
-			// specific as p.
-			if !e.Net.Contains(probe) || e.Net.Bits() < p.Bits() && e.Net != p {
-				_ = e
+			e, ok := fib.Lookup(probe)
+			if ok != want.IsValid() || ok && e.Net != want {
+				t.Logf("lookup %v: %v (found %v), want %v", probe, e.Net, ok, want)
+				return false
 			}
 		}
 		return true

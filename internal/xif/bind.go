@@ -110,6 +110,26 @@ func (c *client) call(method string, cb xipc.Callback, args ...xrl.Atom) {
 	send(c.r, c.spec, c.target, method, cb, args)
 }
 
+// compose opens a call of method to the stub's target whose lists hold
+// items atoms in all: its arguments are built in the call record, and
+// ship sends it.
+func (c *client) compose(method string, cb xipc.Callback, items int) xipc.Outgoing {
+	m, _ := c.spec.Method(method) // an undeclared one panics in ship
+	return c.r.Compose(xrl.XRL{Protocol: xrl.ProtoFinder, Target: c.target,
+		Interface: c.spec.Name, Version: c.spec.Version, Method: method},
+		cb, m != nil && m.Idempotent, items)
+}
+
+// ship checks a composed call of method against the spec, a violation
+// dropping the call and panicking as in send, and sends it.
+func (c *client) ship(method string, o xipc.Outgoing) {
+	if err := c.spec.Check(method, o.Args()); err != nil {
+		o.Abort()
+		panic("xif: " + err.Error())
+	}
+	o.Send()
+}
+
 // anycast is the base of stubs whose destination target varies per call
 // (push channels: the Finder's events, the RIB's invalidations, the
 // FEA's datagram relay).
@@ -130,7 +150,8 @@ func (c *anycast) call(target, method string, cb xipc.Callback, args ...xrl.Atom
 
 // send checks a call of method with args against s, a violation
 // panicking as in Spec.NewXRL, and hands it to r.SendArgs, which copies
-// args into its call record: a stub's arguments live on its stack.
+// args into its call record: a stub's arguments live on its stack. The
+// route stubs, whose lists can be long, compose their calls instead.
 // Methods the spec marks Idempotent ride the retrying path: a transient
 // resolve/send failure (a crashed process mid-respawn, a torn
 // connection) is retried with backoff instead of surfacing immediately.

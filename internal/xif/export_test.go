@@ -3,8 +3,17 @@ package xif
 import (
 	"fmt"
 
+	"xorp/internal/route"
 	"xorp/internal/xrl"
 )
+
+// EncodeRouteAtoms encodes a batch of entries as list items, for tests
+// that build a list XRL by hand.
+func EncodeRouteAtoms(es []route.Entry) []xrl.Atom {
+	items := make([]xrl.Atom, len(es))
+	putRoutes(items, es)
+	return items
+}
 
 // SampleArgs builds a plausible argument list for the method from the
 // spec (the spec-conformance tests drive every bound handler with it).

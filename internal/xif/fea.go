@@ -50,7 +50,7 @@ type FTILookup struct {
 }
 
 // FTIServer is the typed implementation contract for fti/0.2. A run is
-// valid for the call only: a single-entry XRL's is the binding's slice.
+// valid for the call only: it is the binding's scratch.
 type FTIServer interface {
 	AddEntries4(es []route.Entry) error
 	DeleteEntries4(nets []netip.Prefix) error
@@ -58,32 +58,38 @@ type FTIServer interface {
 }
 
 // BindFTI wires an FTIServer onto t as fti/0.2. add_entries4 is a hot
-// batch path: one slice per call, decoded fully before the server sees
-// it so a malformed atom rejects the whole batch. The single-entry
-// handlers share the list server methods the way BindRIB's do.
+// batch path: decoded into scratch the binding reuses, and fully before
+// the server sees it, so a malformed atom rejects the whole batch. The
+// single-entry handlers share the list server methods and the scratch
+// the way BindRIB's do.
 func BindFTI(t *xipc.Target, s FTIServer) {
 	b := newBinding(t, FTISpec)
-	var oneEntry [1]route.Entry
-	var oneNet [1]netip.Prefix
+	var entries scratch[route.Entry]
+	var nets scratch[netip.Prefix]
 	b.handle("add_entry4", func(args xrl.Args) (xrl.Args, error) {
-		if err := parseEntryArgs(args, &oneEntry[0]); err != nil {
+		defer entries.give()
+		es := entries.take(1)[:1]
+		if err := parseEntryArgs(args, &es[0]); err != nil {
 			return nil, err
 		}
-		return nil, s.AddEntries4(oneEntry[:])
+		return nil, s.AddEntries4(es)
 	})
 	b.handle("delete_entry4", func(args xrl.Args) (xrl.Args, error) {
+		defer nets.give()
+		one := nets.take(1)[:1]
 		var err error
-		if oneNet[0], err = args.NetArg("network"); err != nil {
+		if one[0], err = args.NetArg("network"); err != nil {
 			return nil, err
 		}
-		return nil, s.DeleteEntries4(oneNet[:])
+		return nil, s.DeleteEntries4(one)
 	})
 	b.handle("add_entries4", func(args xrl.Args) (xrl.Args, error) {
 		items, err := args.ListArg("entries")
 		if err != nil {
 			return nil, err
 		}
-		es, err := decodeRouteList(items)
+		defer entries.give()
+		es, err := decodeRouteList(entries.take(len(items)), items)
 		if err != nil {
 			return nil, err
 		}
@@ -94,11 +100,12 @@ func BindFTI(t *xipc.Target, s FTIServer) {
 		if err != nil {
 			return nil, err
 		}
-		nets, err := decodeNetList(items)
+		defer nets.give()
+		batch, err := decodeNetList(nets.take(len(items)), items)
 		if err != nil {
 			return nil, err
 		}
-		return nil, s.DeleteEntries4(nets)
+		return nil, s.DeleteEntries4(batch)
 	})
 	b.handle("lookup_entry4", func(args xrl.Args) (xrl.Args, error) {
 		addr, err := args.AddrArg("addr")
@@ -134,28 +141,30 @@ func NewFTIClient(r *xipc.Router, target string) *FTIClient {
 	return &FTIClient{newClient(r, target, FTISpec)}
 }
 
-// entryArgs builds the add_entry4 argument list in buf, as routeArgs does.
-func entryArgs(buf *[4]xrl.Atom, e *route.Entry) xrl.Args {
-	args := append(buf[:0],
-		xrl.Net("network", e.Net),
-		xrl.Text("ifname", e.IfName))
+// entryArgs adds the add_entry4 arguments to o, as routeArgs does.
+func entryArgs(o xipc.Outgoing, e *route.Entry) {
+	o.Arg(xrl.Net("network", e.Net))
+	o.Arg(xrl.Text("ifname", e.IfName))
 	if e.NextHop.IsValid() {
-		args = append(args, xrl.Addr("nexthop", e.NextHop))
+		o.Arg(xrl.Addr("nexthop", e.NextHop))
 	}
 	if e.Metric != 0 {
-		args = append(args, xrl.U32("metric", e.Metric))
+		o.Arg(xrl.U32("metric", e.Metric))
 	}
-	return args
 }
 
-// AddEntries4 installs a run of forwarding entries as one transaction.
+// AddEntries4 installs a run of forwarding entries as one transaction,
+// its atoms built in the call record.
 func (c *FTIClient) AddEntries4(es []route.Entry, done func(error)) {
 	if len(es) == 1 {
-		var buf [4]xrl.Atom
-		c.call("add_entry4", Done(done), entryArgs(&buf, &es[0])...)
+		o := c.compose("add_entry4", Done(done), 0)
+		entryArgs(o, &es[0])
+		c.ship("add_entry4", o)
 		return
 	}
-	c.call("add_entries4", Done(done), xrl.List("entries", EncodeRouteAtoms(es)...))
+	o := c.compose("add_entries4", Done(done), len(es))
+	putRoutes(o.List("entries", len(es)), es)
+	c.ship("add_entries4", o)
 }
 
 // DeleteEntries4 removes a run of forwarding entries as one transaction.
@@ -164,7 +173,9 @@ func (c *FTIClient) DeleteEntries4(nets []netip.Prefix, done func(error)) {
 		c.call("delete_entry4", Done(done), xrl.Net("network", nets[0]))
 		return
 	}
-	c.call("delete_entries4", Done(done), xrl.List("networks", EncodeNetAtoms(nets)...))
+	o := c.compose("delete_entries4", Done(done), len(nets))
+	putNets(o.List("networks", len(nets)), nets)
+	c.ship("delete_entries4", o)
 }
 
 // LookupEntry4 queries the FEA's forwarding table.

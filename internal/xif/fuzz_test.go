@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"xorp/internal/eventloop"
+	"xorp/internal/route"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
 	"xorp/internal/xrl"
@@ -139,6 +140,10 @@ func FuzzParseReply(f *testing.F) {
 // already holds when the frame repeats it. So frame b parsed into the
 // Request (or Reply) that last held frame a — decoded or not — must give
 // exactly what b parsed into a fresh one gives, error included.
+//
+// A list is decoded over the items the atom at its index held, so the
+// seeds include a list that grows, shrinks, empties, nests, and outgrows
+// the storage a decoder keeps, frame to frame.
 func FuzzParseReuse(f *testing.F) {
 	requests, replies := sampleFrames(f)
 	for _, frames := range [][][]byte{requests, replies} {
@@ -146,10 +151,43 @@ func FuzzParseReuse(f *testing.F) {
 			f.Add(frames[k], frames[(k+1)%len(frames)])
 		}
 	}
+	nested, err := xrl.AppendRequest(nil, &xrl.Request{Seq: 9, Target: "rib", Command: "x/1.0/y", Args: xrl.Args{
+		xrl.Text("protocol", "ebgp"),
+		xrl.List("routes", xrl.List("", xrl.U32("", 1), xrl.Text("", "a")), xrl.List(""), xrl.U32("", 2))}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, pair := range [][2][]byte{
+		{routesFrame(f, 3), routesFrame(f, 256)},    // grows
+		{routesFrame(f, 256), routesFrame(f, 2)},    // shrinks
+		{routesFrame(f, 256), routesFrame(f, 0)},    // empties
+		{routesFrame(f, 0), routesFrame(f, 5)},      // fills again
+		{routesFrame(f, 1100), routesFrame(f, 256)}, // past the storage a decoder keeps
+		{nested, routesFrame(f, 4)},                 // lists in the list's place
+		{routesFrame(f, 4), nested},
+	} {
+		f.Add(pair[0], pair[1])
+	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		sameAfterReuse(t, a, b, xrl.ParseRequest)
 		sameAfterReuse(t, a, b, xrl.ParseReply)
 	})
+}
+
+// routesFrame is an add_routes4 request of n routes, every one with a
+// next hop and an interface.
+func routesFrame(f *testing.F, n int) []byte {
+	es := make([]route.Entry, n)
+	for i := range es {
+		es[i] = route.Entry{Net: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24),
+			NextHop: netip.AddrFrom4([4]byte{192, 0, 2, byte(i)}), Metric: uint32(i), IfName: "eth0"}
+	}
+	b, err := xrl.AppendRequest(nil, &xrl.Request{Seq: 9, Target: "rib", Command: xif.RIBSpec.Command("add_routes4"),
+		Args: xrl.Args{xrl.Text("protocol", "ebgp"), xrl.List("routes", xif.EncodeRouteAtoms(es)...)}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	return b
 }
 
 func sameAfterReuse[T any](t *testing.T, a, b []byte, parse func([]byte, *T) error) {

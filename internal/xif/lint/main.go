@@ -3,8 +3,8 @@
 // registering handlers with raw Target.Register, composing calls with
 // xrl.New, naming a single-route wire method (callers hand the stubs
 // runs; which XRL a run of one rides is the stub's choice), or sending
-// through Router.SendArgs, the stubs' own entry point, outside
-// internal/xipc. Run from the module root:
+// through Router.SendArgs or Router.Compose, the stubs' own entry
+// points, outside internal/xipc. Run from the module root:
 //
 //	go run ./internal/xif/lint
 //
@@ -33,7 +33,7 @@ var patterns = []struct {
 	{regexp.MustCompile(`xrl\.New\(`), "hand-built XRL (use a xif client stub or Spec.NewXRL)", nil},
 	{regexp.MustCompile(`\.Register\("`), "raw Target.Register (use a xif Bind)", nil},
 	{regexp.MustCompile(`"(add|delete)_(route|entry)4"`), "single-route wire method (hand the xif stub a run)", nil},
-	{regexp.MustCompile(`\.SendArgs\(`), "the stubs' send entry point (use a xif client stub)", []string{"xipc"}},
+	{regexp.MustCompile(`\.(SendArgs|Compose)\(`), "the stubs' send entry points (use a xif client stub)", []string{"xipc"}},
 }
 
 // allowed reports whether path may use raw IPC primitives: the xif layer

@@ -157,28 +157,30 @@ func parseTags(args xrl.Args) ([]uint32, error) {
 	return tags, nil
 }
 
-// BindRIB wires a RIBServer onto t as rib/1.0. The hot batch handlers
-// (add_routes4/delete_routes4) decode into one slice per call and hand
-// it straight to the server — no reflection, no per-route boxing. The
-// single-route handlers call the same server methods with a one-element
-// slice the binding keeps: a target's handlers run one at a time on its
-// loop, and like a handler's xrl.Args the run dies with the call.
+// BindRIB wires a RIBServer onto t as rib/1.0. The batch handlers
+// (add_routes4/delete_routes4) decode a call's list into scratch the
+// binding reuses and hand it straight to the server — no reflection, no
+// per-route boxing, and in steady state no allocation. The single-route
+// handlers call the same server methods with a run of one in the same
+// scratch: like a handler's xrl.Args, a run dies with the call.
 func BindRIB(t *xipc.Target, s RIBServer) {
 	b := newBinding(t, RIBSpec)
-	var oneEntry [1]route.Entry
-	var oneNet [1]netip.Prefix
+	var routes scratch[route.Entry]
+	var nets scratch[netip.Prefix]
 	addOne := func(args xrl.Args) (xrl.Args, error) {
 		proto, err := parseProtoArg(args)
-		if err == nil {
-			err = parseEntryArgs(args, &oneEntry[0])
+		if err != nil {
+			return nil, err
 		}
-		if err == nil {
-			oneEntry[0].PolicyTags, err = parseTags(args)
+		defer routes.give()
+		es := routes.take(1)[:1]
+		if err = parseEntryArgs(args, &es[0]); err == nil {
+			es[0].PolicyTags, err = parseTags(args)
 		}
 		if err != nil {
 			return nil, err
 		}
-		return nil, s.AddRoutes4(proto, oneEntry[:])
+		return nil, s.AddRoutes4(proto, es)
 	}
 	b.handle("add_route4", addOne)
 	b.handle("replace_route4", addOne)
@@ -187,14 +189,16 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 		if err != nil {
 			return nil, err
 		}
-		if oneNet[0], err = args.NetArg("network"); err != nil {
+		defer nets.give()
+		one := nets.take(1)[:1]
+		if one[0], err = args.NetArg("network"); err != nil {
 			return nil, err
 		}
 		// Unlike a list, a lone withdrawal of a prefix the protocol
 		// never announced is an error.
-		had, err := s.DeleteRoutes4(proto, oneNet[:])
+		had, err := s.DeleteRoutes4(proto, one)
 		if err == nil && had == 0 {
-			err = xrl.Errorf(xrl.CodeCommandFailed, "rib: %v has no route %v", proto, oneNet[0])
+			err = xrl.Errorf(xrl.CodeCommandFailed, "rib: %v has no route %v", proto, one[0])
 		}
 		return nil, err
 	})
@@ -207,11 +211,12 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 		if err != nil {
 			return nil, err
 		}
-		es, err := decodeRouteList(items)
+		tags, err := parseTags(args)
 		if err != nil {
 			return nil, err
 		}
-		tags, err := parseTags(args)
+		defer routes.give()
+		es, err := decodeRouteList(routes.take(len(items)), items)
 		if err != nil {
 			return nil, err
 		}
@@ -229,11 +234,12 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 		if err != nil {
 			return nil, err
 		}
-		nets, err := decodeNetList(items)
+		defer nets.give()
+		batch, err := decodeNetList(nets.take(len(items)), items)
 		if err != nil {
 			return nil, err
 		}
-		_, err = s.DeleteRoutes4(proto, nets)
+		_, err = s.DeleteRoutes4(proto, batch)
 		return nil, err
 	})
 	b.handle("register_interest4", func(args xrl.Args) (xrl.Args, error) {
@@ -314,10 +320,11 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 }
 
 // RIBClient is the typed stub for rib/1.0: what XORP would generate from
-// rib.xif. Route arguments are runs of Go values, valid for the call; the
-// stub owns atom layout and the choice of wire form — a run of one goes
-// as the single-route XRL (one argument list, nothing to decode into),
-// anything longer as the list XRL.
+// rib.xif. Route arguments are runs of Go values, valid for the call: the
+// stub encodes them into the call record before it returns. It owns atom
+// layout and the choice of wire form — a run of one goes as the
+// single-route XRL (one argument list, nothing to decode into), anything
+// longer as the list XRL.
 type RIBClient struct{ client }
 
 // NewRIBClient returns a stub sending rib/1.0 XRLs to target through r.
@@ -325,34 +332,31 @@ func NewRIBClient(r *xipc.Router, target string) *RIBClient {
 	return &RIBClient{newClient(r, target, RIBSpec)}
 }
 
-// routeArgs builds the add_route4 argument list in buf, the caller's,
-// which send copies into its call record. Argument order matches the
-// legacy hand-built call sites byte for byte (the wire-compat oracle pins
-// this).
-func routeArgs(buf *[6]xrl.Atom, proto string, e *route.Entry) xrl.Args {
-	args := append(buf[:0],
-		xrl.Text("protocol", proto),
-		xrl.Net("network", e.Net),
-		xrl.U32("metric", e.Metric))
+// routeArgs adds the add_route4 arguments to o, the route's tags into
+// the room o reserved for them. Argument order matches the legacy
+// hand-built call sites byte for byte (the wire-compat oracle pins this).
+func routeArgs(o xipc.Outgoing, proto string, e *route.Entry) {
+	o.Arg(xrl.Text("protocol", proto))
+	o.Arg(xrl.Net("network", e.Net))
+	o.Arg(xrl.U32("metric", e.Metric))
 	if e.IfName != "" {
-		args = append(args, xrl.Text("ifname", e.IfName))
+		o.Arg(xrl.Text("ifname", e.IfName))
 	}
 	if e.NextHop.IsValid() {
-		args = append(args, xrl.Addr("nexthop", e.NextHop))
+		o.Arg(xrl.Addr("nexthop", e.NextHop))
 	}
-	if len(e.PolicyTags) > 0 {
-		args = append(args, tagsAtom(e.PolicyTags))
-	}
-	return args
+	putTags(o, e.PolicyTags)
 }
 
-// tagsAtom encodes a policytags argument.
-func tagsAtom(tags []uint32) xrl.Atom {
-	items := make([]xrl.Atom, len(tags))
+// putTags adds a policytags argument to o when there are tags.
+func putTags(o xipc.Outgoing, tags []uint32) {
+	if len(tags) == 0 {
+		return
+	}
+	items := o.List("policytags", len(tags))
 	for i, tag := range tags {
 		items[i] = xrl.U32("", tag)
 	}
-	return xrl.List("policytags", items...)
 }
 
 // AddRoutes4 feeds a run of routes into the RIB's origin table for
@@ -404,19 +408,24 @@ func joinDone(n int, done func(error)) func(error) {
 	}
 }
 
-// addRun sends one run whose routes share a tag list.
+// addRun sends one run whose routes share a tag list, its atoms built in
+// the call record.
 func (c *RIBClient) addRun(proto string, es []route.Entry, cb xipc.Callback) {
+	var tags []uint32
+	if len(es) > 0 {
+		tags = es[0].PolicyTags
+	}
 	if len(es) == 1 {
-		var buf [6]xrl.Atom
-		c.call("add_route4", cb, routeArgs(&buf, proto, &es[0])...)
+		o := c.compose("add_route4", cb, len(tags))
+		routeArgs(o, proto, &es[0])
+		c.ship("add_route4", o)
 		return
 	}
-	routes := xrl.List("routes", EncodeRouteAtoms(es)...)
-	if len(es) > 0 && len(es[0].PolicyTags) > 0 {
-		c.call("add_routes4", cb, xrl.Text("protocol", proto), routes, tagsAtom(es[0].PolicyTags))
-		return
-	}
-	c.call("add_routes4", cb, xrl.Text("protocol", proto), routes)
+	o := c.compose("add_routes4", cb, len(es)+len(tags))
+	o.Arg(xrl.Text("protocol", proto))
+	putRoutes(o.List("routes", len(es)), es)
+	putTags(o, tags)
+	c.ship("add_routes4", o)
 }
 
 // DeleteRoutes4 withdraws a run of proto's prefixes. A run of one is
@@ -428,9 +437,10 @@ func (c *RIBClient) DeleteRoutes4(proto string, nets []netip.Prefix, done func(e
 			xrl.Net("network", nets[0]))
 		return
 	}
-	c.call("delete_routes4", Done(done),
-		xrl.Text("protocol", proto),
-		xrl.List("networks", EncodeNetAtoms(nets)...))
+	o := c.compose("delete_routes4", Done(done), len(nets))
+	o.Arg(xrl.Text("protocol", proto))
+	putNets(o.List("networks", len(nets)), nets)
+	c.ship("delete_routes4", o)
 }
 
 // ResyncComplete4 signals end-of-resync for proto after a graceful

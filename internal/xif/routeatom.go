@@ -43,30 +43,63 @@ func DecodeRouteAtom(a xrl.Atom) (route.Entry, error) {
 	return route.Entry{Net: a.NetVal, NextHop: a.AddrVal, Metric: uint32(a.IntVal), IfName: a.TextVal}, nil
 }
 
-// EncodeRouteAtoms encodes a batch of entries as list items.
-func EncodeRouteAtoms(es []route.Entry) []xrl.Atom {
-	items := make([]xrl.Atom, len(es))
+// putRoutes encodes es as list items, into items.
+func putRoutes(items []xrl.Atom, es []route.Entry) {
 	for i := range es {
 		items[i] = EncodeRouteAtom(es[i])
 	}
-	return items
 }
 
-// EncodeNetAtoms encodes a batch of prefixes as delete_routes4 /
-// delete_entries4 list items.
-func EncodeNetAtoms(nets []netip.Prefix) []xrl.Atom {
-	items := make([]xrl.Atom, len(nets))
+// putNets encodes nets as delete_routes4 / delete_entries4 list items,
+// into items.
+func putNets(items []xrl.Atom, nets []netip.Prefix) {
 	for i := range nets {
 		items[i] = xrl.Net("", nets[i])
 	}
-	return items
+}
+
+// scratch is what a list binding decodes a call's items into, reused
+// call after call: a target runs its handlers one at a time, and a run is
+// valid for the call only, so the run one handler decoded is dead once it
+// returns. A handler entered again before it returns (its server sent a
+// local target the same method from the loop) takes storage of its own.
+type scratch[T any] struct {
+	buf   []T
+	used  int // room the outermost call took
+	depth int // calls using the scratch's storage, or nested in one that is
+}
+
+// take returns an empty slice with room for n; give must follow once the
+// call is done with it.
+func (s *scratch[T]) take(n int) []T {
+	if s.depth++; s.depth > 1 {
+		return make([]T, 0, n)
+	}
+	if cap(s.buf) < n {
+		s.buf = make([]T, 0, n)
+	}
+	s.used = n
+	return s.buf[:0]
+}
+
+// give ends the call that took last: the outermost call's storage is
+// zeroed, so it pins nothing, and dropped when it is wider than
+// xrl.MaxKeptItems.
+func (s *scratch[T]) give() {
+	if s.depth--; s.depth > 0 {
+		return
+	}
+	clear(s.buf[:s.used])
+	if cap(s.buf) > xrl.MaxKeptItems {
+		s.buf = nil
+	}
 }
 
 // decodeRouteList decodes the items of an add_routes4 / add_entries4
-// list. Everything is decoded before the server sees any of it: a
-// malformed item must reject the whole batch, not leave it half-applied.
-func decodeRouteList(items []xrl.Atom) ([]route.Entry, error) {
-	es := make([]route.Entry, 0, len(items))
+// list, appending to es. Everything is decoded before the server sees any
+// of it: a malformed item must reject the whole batch, not leave it
+// half-applied.
+func decodeRouteList(es []route.Entry, items []xrl.Atom) ([]route.Entry, error) {
 	for i := range items {
 		e, err := DecodeRouteAtom(items[i])
 		if err != nil {
@@ -78,9 +111,8 @@ func decodeRouteList(items []xrl.Atom) ([]route.Entry, error) {
 }
 
 // decodeNetList decodes the items of a delete_routes4 / delete_entries4
-// list.
-func decodeNetList(items []xrl.Atom) ([]netip.Prefix, error) {
-	nets := make([]netip.Prefix, 0, len(items))
+// list, appending to nets.
+func decodeNetList(nets []netip.Prefix, items []xrl.Atom) ([]netip.Prefix, error) {
 	for i := range items {
 		it := &items[i]
 		var net netip.Prefix

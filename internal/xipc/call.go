@@ -9,16 +9,21 @@ import (
 // Who owns an XRL's arguments, from the send to the callback:
 //
 //   - SendArgs, and Send, copy the arguments into the call record before
-//     they return. The caller may overwrite or reuse its slice at once;
-//     a stub builds its arguments on its own stack.
+//     they return, a list's items included (not the items of a list in a
+//     list: no sender nests them). The caller may overwrite or reuse its
+//     slice and its lists at once.
+//   - Compose opens a call to be built in its record: Arg copies an atom
+//     in, and List hands out record storage for a list's items, to be
+//     filled in place. A stub builds its arguments this way,
+//     so a batch of routes becomes atoms once, where the record keeps it.
 //   - SendFromLoop borrows them: the caller keeps x.Args unchanged until
 //     the callback runs.
 //   - A Handler may read its args only until it returns. They are the
-//     record's storage, or a transport's decoded request, and the next
-//     call is copied or decoded over them. A handler keeps what it needs
-//     by value: strings, addresses, a list's items and a binary atom's
-//     bytes are safe to keep; the Args slice is not, not even as its
-//     reply.
+//     record's storage, or a transport's decoded request, a list's items
+//     included, and the next call is copied or decoded over them. A
+//     handler keeps what it needs by value: strings, addresses and a
+//     binary atom's bytes are safe to keep; a list's items are not, and
+//     neither is the Args slice, not even as its reply.
 //   - The reply args a Callback receives belong to the callback.
 
 // maxFreeCalls bounds the Router's list of idle call records. A steady
@@ -40,6 +45,19 @@ const maxFreeCalls = 128
 // with more arguments, is dropped, so one wide call cannot fatten the
 // free list.
 const maxOwnArgs = 8
+
+// A call's list items live apart from own, in an item buffer the record
+// takes from its Router when the call carries a list and gives back when
+// it is released: most calls carry none, and 128 idle records each
+// holding a batch of items would pin 5 MB. The Router keeps one idle
+// buffer, at most xrl.MaxKeptItems atoms (160 KB) wide. A Router sends
+// one list call at a time on the bulk workload, so one buffer serves it;
+// a call made while the buffer is out, or wider than it, takes a buffer
+// of its own, and of two given back the Router keeps the wider.
+
+// itemBuf is one item buffer: the items of every list of one call, laid
+// end to end. Its length is what the call's lists have taken so far.
+type itemBuf struct{ atoms []xrl.Atom }
 
 // call is the record of one outgoing XRL, from the send to the
 // callback: the one object that replaces a chain of per-call closures.
@@ -71,17 +89,20 @@ type call struct {
 	// What was asked; set by the send, cleared by release. x.Args is own
 	// when the send copied the arguments, the caller's when SendFromLoop
 	// lent them.
-	x    xrl.XRL
-	cb   Callback
-	idem bool // transient transport failures are retried (retry.go)
+	x  xrl.XRL
+	cb Callback
 
 	// own is the record's argument storage, reused call after call;
 	// release zeroes it, so it pins nothing, and drops it when it is
-	// wider than maxOwnArgs.
-	own []xrl.Atom
+	// wider than maxOwnArgs. items holds the items of the lists in own,
+	// nil when there are none; release zeroes it and gives it back. It
+	// is a pointer so that the record stays in the 384-byte size class.
+	own   []xrl.Atom
+	items *itemBuf
 
 	// Progress, touched only on r's loop.
 	attempt    int    // idempotent attempt, from 1
+	idem       bool   // transient transport failures are retried (retry.go)
 	allowRetry bool   // sent over a cached resolution not yet refreshed
 	backingOff bool   // deadline ends an idempotent backoff, not a reply timeout
 	away       bool   // at the destination's loop (intra)
@@ -121,7 +142,8 @@ func (r *Router) newCall(x xrl.XRL, cb Callback, idem bool) *call {
 }
 
 // release returns a finished record to the free list, dropping what it
-// referenced. Runs on the loop.
+// referenced. Runs on the loop, or, for a record never sent (Abort), on
+// the goroutine that composed it.
 func (r *Router) release(c *call) {
 	c.x, c.cb, c.req, c.dest, c.via = xrl.XRL{}, nil, xrl.Request{}, nil, nil
 	clear(c.own)
@@ -130,14 +152,80 @@ func (r *Router) release(c *call) {
 	} else {
 		c.own = c.own[:0]
 	}
+	items := c.items
+	if items != nil {
+		clear(items.atoms)
+		c.items = nil
+	}
 	c.out, c.err = nil, nil
 	c.allowRetry, c.backingOff, c.away, c.done = false, false, false, false
 	r.mu.Lock()
+	if items != nil {
+		r.putItems(items)
+	}
 	if r.nfree < maxFreeCalls {
 		c.next, r.free = r.free, c
 		r.nfree++
 	}
 	r.mu.Unlock()
+}
+
+// itemsFor returns the idle item buffer if it has room for n atoms, or a
+// new one. r.mu is held.
+func (r *Router) itemsFor(n int) *itemBuf {
+	if b := r.spare; b != nil && cap(b.atoms) >= n {
+		r.spare = nil
+		return b
+	}
+	return &itemBuf{atoms: make([]xrl.Atom, 0, n)}
+}
+
+// putItems keeps b, emptied and zeroed, as the idle buffer, unless it is
+// wider than xrl.MaxKeptItems or narrower than the one kept. r.mu is
+// held.
+func (r *Router) putItems(b *itemBuf) {
+	if cap(b.atoms) > xrl.MaxKeptItems {
+		return
+	}
+	if r.spare == nil || cap(r.spare.atoms) < cap(b.atoms) {
+		b.atoms = b.atoms[:0]
+		r.spare = b
+	}
+}
+
+// takeItems returns n zeroed atoms of c's item buffer, for one list. A
+// list past what the call reserved gets storage of its own.
+func (c *call) takeItems(n int) []xrl.Atom {
+	b := c.items
+	if b == nil || len(b.atoms)+n > cap(b.atoms) {
+		return make([]xrl.Atom, n)
+	}
+	at := len(b.atoms)
+	b.atoms = b.atoms[:at+n]
+	return b.atoms[at : at+n : at+n]
+}
+
+// copyLists points every list among atoms at a copy of its items in c's
+// item buffer. A list's own lists are not copied: no sender nests them.
+func (c *call) copyLists(atoms []xrl.Atom) {
+	for i := range atoms {
+		if a := &atoms[i]; a.Type == xrl.TypeList && len(a.ListVal) > 0 {
+			items := c.takeItems(len(a.ListVal))
+			copy(items, a.ListVal)
+			a.ListVal = items
+		}
+	}
+}
+
+// countItems is how many items the lists among atoms hold.
+func countItems(atoms []xrl.Atom) int {
+	n := 0
+	for i := range atoms {
+		if atoms[i].Type == xrl.TypeList {
+			n += len(atoms[i].ListVal)
+		}
+	}
+	return n
 }
 
 // start is where a Send lands on the loop.

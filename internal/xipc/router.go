@@ -75,6 +75,8 @@ type Router struct {
 	// free is the list of idle call records (call.go), nfree its length.
 	free  *call
 	nfree int
+	// spare is the idle item buffer (call.go), or nil.
+	spare *itemBuf
 
 	// dhead and dtail end the deadline list of the calls in flight
 	// (call.go); dtimer fires for its head, at dtimerAt (zero when not
@@ -225,25 +227,68 @@ func (r *Router) nextSeq() uint32 { return r.seq.Add(1) }
 func (r *Router) Send(x xrl.XRL, cb Callback) { r.SendArgs(x, x.Args, cb, false) }
 
 // SendArgs is Send for x with the arguments args (x.Args is ignored). It
-// copies args into the call record before it returns, so the caller may
-// build them on its stack and overwrite them at once; the record keeps
-// the copy until the call is answered, and reuses its storage for the
-// next call. With idem set, transient transport failures
-// (CodeResolveFailed, CodeSendFailed) are retried with bounded jittered
-// exponential backoff before the error reaches cb (finish, in call.go,
-// keeps the attempt count in the record); set it only for calls that are
-// safe to deliver more than once. A local target is called directly and
-// cannot fail with a transport error, so it never retries. This is the
-// typed stubs' one way out (internal/xif): they check the call against
-// its spec and take idem from it. Safe to call from any goroutine.
+// copies args, and the items of the lists among them, into the call record before
+// it returns, so the caller may build them on its stack and overwrite
+// them at once; the record keeps the copy until the call is answered, and
+// reuses its storage for the next call. With idem set, transient
+// transport failures (CodeResolveFailed, CodeSendFailed) are retried with
+// bounded jittered exponential backoff before the error reaches cb
+// (finish, in call.go, keeps the attempt count in the record); set it
+// only for calls that are safe to deliver more than once. A local target
+// is called directly and cannot fail with a transport error, so it never
+// retries. Safe to call from any goroutine.
 func (r *Router) SendArgs(x xrl.XRL, args xrl.Args, cb Callback, idem bool) {
+	o := r.Compose(x, cb, idem, countItems(args))
+	o.c.own = append(o.c.own, args...)
+	o.c.copyLists(o.c.own)
+	o.Send()
+}
+
+// Outgoing is an XRL being built in its call record, argument by
+// argument, until Send ships it. The typed stubs (internal/xif) send
+// their route batches this way: they encode each route straight into the
+// record's item storage, and check the call against its spec before
+// Send.
+type Outgoing struct{ c *call }
+
+// Compose opens a call of x (x.Args is ignored) whose lists will hold
+// items atoms in all, taken from the Router's idle item buffer. The
+// arguments go in with Arg and List, in order; then Send, or Abort. cb
+// and idem are as for SendArgs. Safe to call from any goroutine; the
+// Outgoing belongs to the caller until Send.
+func (r *Router) Compose(x xrl.XRL, cb Callback, idem bool, items int) Outgoing {
 	r.mu.Lock()
 	c := r.newCall(x, cb, idem)
+	if items > 0 {
+		c.items = r.itemsFor(items)
+	}
 	r.mu.Unlock()
-	c.own = append(c.own, args...)
-	c.x.Args = c.own
-	r.loop.Dispatch(c.startFn)
+	return Outgoing{c}
 }
+
+// Arg appends a copy of a to the arguments. A list goes in with List.
+func (o Outgoing) Arg(a xrl.Atom) { o.c.own = append(o.c.own, a) }
+
+// List appends a list argument of n items and returns the items, zeroed,
+// for the caller to fill before Send. They are the record's storage.
+func (o Outgoing) List(name string, n int) []xrl.Atom {
+	items := o.c.takeItems(n)
+	o.c.own = append(o.c.own, xrl.List(name, items...))
+	return items
+}
+
+// Args is the argument list built so far.
+func (o Outgoing) Args() xrl.Args { return o.c.own }
+
+// Send ships the call, as SendArgs does; the Outgoing is spent.
+func (o Outgoing) Send() {
+	o.c.x.Args = o.c.own
+	o.c.r.loop.Dispatch(o.c.startFn)
+}
+
+// Abort drops the call unsent and gives its record, and its item buffer,
+// back to the Router; the Outgoing is spent and cb never runs.
+func (o Outgoing) Abort() { o.c.r.release(o.c) }
 
 // SendFromLoop is Send for callers already running on the router's event
 // loop (handlers, reply callbacks, timers). It skips the queue round-trip,

@@ -168,3 +168,65 @@ func itoa(i int) string {
 	}
 	return string(b[n:])
 }
+
+// listRequest is an add_entries4-shaped request carrying n route atoms
+// (a txt value, add_routes4's protocol, is copied out of every frame).
+func listRequest(n int) *Request {
+	items := make([]Atom, n)
+	for i := range items {
+		items[i] = Route("", netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24),
+			netip.AddrFrom4([4]byte{192, 0, 2, byte(i)}), uint32(i), "eth0")
+	}
+	return &Request{Seq: 7, Target: "fea", Command: "fti/0.2/add_entries4",
+		Args: Args{U32("tx", 1), List("entries", items...)}}
+}
+
+// A steady stream of list XRLs decoded into one Request, as a TCP
+// connection decodes them, allocates nothing for its items: each list is
+// decoded over the storage the same argument held in the previous frame,
+// whether the list grows back to a width it had, shrinks or empties. A
+// list wider than MaxKeptItems gets storage of its own, which the next
+// frame drops.
+func TestParseListRequestZeroAlloc(t *testing.T) {
+	var frames [][]byte
+	for _, n := range []int{256, 100, 0, 256, 3} {
+		b, err := AppendRequest(nil, listRequest(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, b)
+	}
+	var dec Request
+	run := func() {
+		for _, b := range frames {
+			if err := ParseRequest(b, &dec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run() // warm the intern table and the storage
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("a stream of list requests allocates %.1f objects per %d frames, want 0", allocs, len(frames))
+	}
+	want := listRequest(3)
+	for i := range want.Args {
+		if !dec.Args[i].Equal(want.Args[i]) {
+			t.Fatalf("arg %d decoded as %v, want %v", i, dec.Args[i], want.Args[i])
+		}
+	}
+
+	wide, err := AppendRequest(nil, listRequest(MaxKeptItems+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ParseRequest(wide, &dec); err != nil {
+		t.Fatal(err)
+	}
+	if err := ParseRequest(frames[0], &dec); err != nil {
+		t.Fatal(err)
+	}
+	if n := cap(dec.Args[1].ListVal); n > MaxKeptItems {
+		t.Fatalf("after a %d-item list, the next frame's list keeps storage for %d items, want at most %d",
+			MaxKeptItems+1, n, MaxKeptItems)
+	}
+}

@@ -79,13 +79,15 @@ func AppendReply(dst []byte, r *Reply) ([]byte, error) {
 }
 
 // ParseRequest decodes a request frame into req, reusing the capacity of
-// req.Args, and keeping each string req (or the atom at that index of
-// req.Args' backing array) already holds when the frame repeats it. With
-// a warm intern table the decode performs no allocations for flat frames,
-// which is what keeps the receive side of the Figure-9 benchmark off the
-// garbage collector. The result does not alias buf: short repeated strings
-// (target, command, key, atom names) come from the process-wide intern
-// table and everything else is copied, so callers may reuse buf at once.
+// req.Args and of the list each atom of it held, and keeping each string
+// req (or the atom at that index of req.Args' backing array) already
+// holds when the frame repeats it. With a warm intern table a frame
+// without txt or binary values decodes without allocating, its lists
+// included, which is what keeps the receive side of the Figure-9
+// benchmark and of a route batch off the garbage collector. The result
+// does not alias buf: short repeated strings (target, command, key, atom
+// names) come from the process-wide intern table and everything else is
+// copied, so callers may reuse buf at once.
 func ParseRequest(buf []byte, req *Request) error {
 	d := decoder{buf: buf}
 	if ft := d.u8(); ft != FrameRequest {
@@ -114,7 +116,7 @@ func (r *Request) parseBody(d *decoder) error {
 	r.Target = d.str16(r.Target)
 	r.Command = d.str16(r.Command)
 	r.Key = d.str16(r.Key)
-	r.Args = d.args(r.Args[:0])
+	r.Args = d.args(reusable(r.Args))
 	if d.err != nil {
 		return d.err
 	}
@@ -128,7 +130,7 @@ func (r *Reply) parseBody(d *decoder) error {
 	r.Seq = d.u32()
 	r.Code = ErrorCode(d.u32())
 	r.Note = d.str16(r.Note)
-	r.Args = d.args(r.Args[:0])
+	r.Args = d.args(reusable(r.Args))
 	if d.err != nil {
 		return d.err
 	}
@@ -359,6 +361,23 @@ func (d *decoder) str(n int, last string) string {
 	return internBytes(b)
 }
 
+// MaxKeptItems is the widest list storage kept for reuse between calls:
+// an argument list or list atom the next frame decoded into the same
+// Request or Reply reuses, a call record's item buffer (xipc) and a list
+// binding's scratch (xif). It is four times the 256-route batches BGP and
+// the RIB's FIB client send. Wider storage, from an IGP's table dump or
+// one hostile 65,535-item frame, serves its call or frame and is dropped.
+const MaxKeptItems = 1024
+
+// reusable is the storage of an argument list or list atom the last frame
+// decoded, emptied for the next one to reuse, or nil past MaxKeptItems.
+func reusable(a Args) Args {
+	if cap(a) > MaxKeptItems {
+		return nil
+	}
+	return a[:0]
+}
+
 // args decodes an argument list into dst, which is empty: nil, or a
 // zero-length slice whose capacity is reused. Each atom is decoded in
 // place, over what the backing array held at its index.
@@ -383,9 +402,10 @@ func (d *decoder) args(dst Args) Args {
 }
 
 // atom decodes one atom over *a. The name a held, the previous frame's at
-// this index, is the one the new name most likely repeats.
+// this index, is the one the new name most likely repeats, and a list is
+// decoded over the items a held, the way a frame's arguments are.
 func (d *decoder) atom(a *Atom) {
-	last := a.Name
+	last, items := a.Name, a.ListVal
 	*a = Atom{Type: AtomType(d.u8())}
 	a.Name = d.str8(last)
 	switch a.Type {
@@ -422,7 +442,7 @@ func (d *decoder) atom(a *Atom) {
 			break
 		}
 		d.depth++
-		a.ListVal = d.args(nil)
+		a.ListVal = d.args(reusable(items))
 		d.depth--
 	default:
 		d.fail("unknown atom type %d", a.Type)
