@@ -98,8 +98,9 @@ func main() {
 
 	fmt.Println("\nconfiguring the running router over XRLs:")
 	// The config's static 10.0.0.0/8 resolves BGP's nexthops; one more
-	// static route travels as a textual XRL.
-	call("finder://rib/rib/1.0/add_route4?protocol:txt=static&network:ipv4net=10.9.0.0/16&nexthop:ipv4=192.168.1.253&ifname:txt=eth0")
+	// static route travels as a textual XRL, a list of one
+	// "net nexthop metric ifname".
+	call("finder://rib/rib/1.0/add_routes4?protocol:txt=static&routes:list=10.9.0.0/16 192.168.1.253 0 eth0")
 	fmt.Println("  rib: added static 10.9.0.0/16")
 	// Profile the route's last hop in the FEA's own process (§8.2).
 	call("finder://fea/profile/0.1/enable?pname:txt=route_enter_kernel")

@@ -8,44 +8,46 @@ import (
 	"time"
 
 	"xorp/internal/eventloop"
+	"xorp/internal/route"
 )
 
-// collector is a RIBClient that records the best-route stream.
+// collector is a RIBClient that records the best-route stream: each
+// prefix's entry and the protocol it was last announced under.
 type collector struct {
 	mu     sync.Mutex
-	routes map[netip.Prefix]*Route
-	adds   int
-	dels   int
+	routes map[netip.Prefix]ribRoute
+}
+
+type ribRoute struct {
+	proto string
+	e     route.Entry
 }
 
 func newCollector() *collector {
-	return &collector{routes: make(map[netip.Prefix]*Route)}
+	return &collector{routes: make(map[netip.Prefix]ribRoute)}
 }
 
-func (c *collector) AddRoute(r *Route) {
+func (c *collector) AddRoutes4(proto string, es []route.Entry, _ func(error)) {
 	c.mu.Lock()
-	c.routes[r.Net] = r
-	c.adds++
+	for _, e := range es {
+		c.routes[e.Net] = ribRoute{proto, e}
+	}
 	c.mu.Unlock()
 }
 
-func (c *collector) ReplaceRoute(old, new *Route) {
+func (c *collector) DeleteRoutes4(_ string, nets []netip.Prefix, _ func(error)) {
 	c.mu.Lock()
-	c.routes[new.Net] = new
+	for _, net := range nets {
+		delete(c.routes, net)
+	}
 	c.mu.Unlock()
 }
 
-func (c *collector) DeleteRoute(r *Route) {
-	c.mu.Lock()
-	delete(c.routes, r.Net)
-	c.dels++
-	c.mu.Unlock()
-}
-
-func (c *collector) get(net netip.Prefix) *Route {
+func (c *collector) get(net netip.Prefix) (ribRoute, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.routes[net]
+	r, ok := c.routes[net]
+	return r, ok
 }
 
 func (c *collector) count() int {
@@ -141,17 +143,22 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestSessionEstablishAndPropagate(t *testing.T) {
-	a, _, _, ribB, cleanup := twoRouters(t)
+	a, b, _, ribB, cleanup := twoRouters(t)
 	defer cleanup()
 
-	// a originates; the route must appear in b's RIB stream with a's AS
-	// prepended and nexthop rewritten by the EBGP export filter.
+	// a originates; the route must appear in b's RIB stream as an EBGP
+	// route, with a's AS prepended and nexthop rewritten by the EBGP export
+	// filter in b's best route.
 	net := mustP("10.50.0.0/16")
 	a.loop.Dispatch(func() { a.Originate(net, mustA("127.0.0.1"), 0) })
-	waitFor(t, "route at b", func() bool { return ribB.get(net) != nil })
-	r := ribB.get(net)
-	if !r.Attrs.ASPath.Contains(65001) {
-		t.Fatalf("AS path %v lacks 65001", r.Attrs.ASPath)
+	waitFor(t, "route at b", func() bool { _, ok := ribB.get(net); return ok })
+	if got, _ := ribB.get(net); got.proto != "ebgp" {
+		t.Fatalf("route reached b's RIB as %q, want ebgp", got.proto)
+	}
+	var r Route
+	b.loop.DispatchAndWait(func() { b.decision.Lookup(net, &r) })
+	if r.Attrs == nil || !r.Attrs.ASPath.Contains(65001) {
+		t.Fatalf("AS path of %+v lacks 65001", r)
 	}
 	if r.Src == nil || r.Src.Name != "to-a" {
 		t.Fatalf("route source %v", r.Src)
@@ -159,7 +166,7 @@ func TestSessionEstablishAndPropagate(t *testing.T) {
 
 	// Withdraw propagates too.
 	a.loop.Dispatch(func() { a.WithdrawOriginated(net) })
-	waitFor(t, "withdraw at b", func() bool { return ribB.get(net) == nil })
+	waitFor(t, "withdraw at b", func() bool { _, ok := ribB.get(net); return !ok })
 }
 
 func TestSessionTeardownTriggersDeletion(t *testing.T) {

@@ -14,13 +14,13 @@ import (
 )
 
 // RIBClient is where BGP's best routes go (the "Best routes to RIB" arrow
-// of Figure 5). The production implementation sends XRLs to the RIB
-// process; tests plug in collectors. The routes are valid only for the
+// of Figure 5), as runs of RIB entries under the protocol "ebgp" or
+// "ibgp". *xif.RIBClient is the production one, sending rib/1.0 XRLs to
+// the RIB process; tests plug in collectors. A run is valid only for the
 // call.
 type RIBClient interface {
-	AddRoute(r *Route)
-	ReplaceRoute(old, new *Route)
-	DeleteRoute(r *Route)
+	AddRoutes4(proto string, es []route.Entry, done func(error))
+	DeleteRoutes4(proto string, nets []netip.Prefix, done func(error))
 }
 
 // Config configures a BGP process.
@@ -116,7 +116,7 @@ func NewProcess(loop *eventloop.Loop, cfg Config, ribClient RIBClient, metricSrc
 	xipc.RegisterIOMetrics(p.metrics)
 
 	// The RIB branch of the fanout, optionally behind a consistency cache.
-	var ribHead Stage = &ribSinkStage{base: base{name: "rib-branch"}, proc: p}
+	var ribHead Stage = newRIBSink(p)
 	if cfg.ConsistencyChecks {
 		cache := NewCacheStage("rib-branch-cache", violations)
 		Plumb(cache, ribHead)
@@ -175,13 +175,51 @@ type peerGroup struct {
 	members   int
 }
 
-// ribSinkStage converts the fanout's RIB branch into RIBClient calls. The
-// client is shown run elements in place, and a Replace's or Delete's routes
-// in old and new.
+// ribBatchCap bounds the RIB branch's queue, and so a list XRL's length.
+const ribBatchCap = 256
+
+// ribOp is one queued add or withdraw, reduced to the RIB's entry so no
+// Route is kept past the call.
+type ribOp struct {
+	del   bool
+	proto string
+	e     route.Entry // a withdraw names only e.Net
+}
+
+// ribSinkStage hands the fanout's RIB branch to the RIBClient as runs. The
+// ops of one event-loop drain (a full table load, a peer's withdrawal of a
+// slice of its table, a burst of decision output) are queued in call
+// order and shipped as one run per consecutive stretch of one kind and
+// one protocol, so each travels the RIB as one run and reaches the FEA as
+// one FIB batch. A change of kind or protocol cuts a run, and the 256-op
+// cap and the end of the drain ship the queue, so the RIB sees exactly
+// the order the branch was handed. With no client nothing is queued.
 type ribSinkStage struct {
 	base
-	proc     *Process
-	old, new Route
+	proc *Process
+
+	pend       []ribOp
+	shipQueued bool
+	shipFn     func() // s.ship, bound once: Dispatch(s.ship) would allocate per drain
+
+	// Scratch for the run being shipped; the client encodes before
+	// returning, so both are free again after each call.
+	es   []route.Entry
+	nets []netip.Prefix
+}
+
+func newRIBSink(p *Process) *ribSinkStage {
+	s := &ribSinkStage{base: base{name: "rib-branch"}, proc: p}
+	s.shipFn = s.ship
+	return s
+}
+
+// ribProto names the RIB origin table a route goes to.
+func ribProto(r *Route) string {
+	if r.Src != nil && r.Src.IBGP {
+		return "ibgp"
+	}
+	return "ebgp"
 }
 
 // stamp records the two stages a route passes on its way to the RIB:
@@ -199,29 +237,87 @@ func (s *ribSinkStage) stamp(net netip.Prefix, del bool) {
 func (s *ribSinkStage) Add(run []Route) {
 	for i := range run {
 		s.stamp(run[i].Net, false)
-		if s.proc.ribClient != nil {
-			s.proc.ribClient.AddRoute(&run[i])
-		}
+		s.add(&run[i])
 	}
 }
 
+// Replace is an add: the origin table upserts. The RIB keys origin tables
+// by protocol, so when the winner moved between ebgp and ibgp the old
+// protocol's entry is withdrawn first.
 func (s *ribSinkStage) Replace(old, new Route) {
 	s.stamp(new.Net, false)
-	if s.proc.ribClient != nil {
-		s.old, s.new = old, new
-		s.proc.ribClient.ReplaceRoute(&s.old, &s.new)
+	if ribProto(&old) != ribProto(&new) {
+		s.enqueue(ribOp{del: true, proto: ribProto(&old), e: route.Entry{Net: old.Net}})
 	}
+	s.add(&new)
 }
 
 func (s *ribSinkStage) Delete(r Route) {
 	s.stamp(r.Net, true)
-	if s.proc.ribClient != nil {
-		s.old = r
-		s.proc.ribClient.DeleteRoute(&s.old)
-	}
+	s.enqueue(ribOp{del: true, proto: ribProto(&r), e: route.Entry{Net: r.Net}})
 }
 
 func (s *ribSinkStage) Lookup(net netip.Prefix, r *Route) bool { return s.lookupParent(net, r) }
+
+func (s *ribSinkStage) add(r *Route) {
+	s.enqueue(ribOp{proto: ribProto(r), e: route.Entry{Net: r.Net, NextHop: r.Attrs.NextHop, Metric: r.IGPMetric}})
+}
+
+func (s *ribSinkStage) enqueue(op ribOp) {
+	if s.proc.ribClient == nil {
+		return
+	}
+	s.pend = append(s.pend, op)
+	if len(s.pend) >= ribBatchCap {
+		s.ship()
+		return
+	}
+	if !s.shipQueued {
+		s.shipQueued = true
+		s.proc.loop.Dispatch(s.shipFn)
+	}
+}
+
+// ship hands the queue to the client in order, one run per stretch of
+// consecutive ops of the same kind and protocol.
+func (s *ribSinkStage) ship() {
+	s.shipQueued = false
+	if len(s.pend) == 0 {
+		return
+	}
+	// Detach the queue while shipping: an op queued from inside a client
+	// call starts a fresh one rather than joining the run being cut.
+	pend := s.pend
+	s.pend = nil
+	for start := 0; start < len(pend); {
+		end := start + 1
+		for end < len(pend) && pend[end].del == pend[start].del && pend[end].proto == pend[start].proto {
+			end++
+		}
+		s.shipRun(pend[start:end])
+		start = end
+	}
+	if s.pend == nil {
+		s.pend = pend[:0]
+	}
+}
+
+// shipRun hands one run to the client.
+func (s *ribSinkStage) shipRun(run []ribOp) {
+	if run[0].del {
+		s.nets = s.nets[:0]
+		for i := range run {
+			s.nets = append(s.nets, run[i].e.Net)
+		}
+		s.proc.ribClient.DeleteRoutes4(run[0].proto, s.nets, nil)
+		return
+	}
+	s.es = s.es[:0]
+	for i := range run {
+		s.es = append(s.es, run[i].e)
+	}
+	s.proc.ribClient.AddRoutes4(run[0].proto, s.es, nil)
+}
 
 // AddPeer configures a peering and builds its input/output branches:
 //

@@ -213,9 +213,8 @@ func (p *Process) UDPBroadcast(srcPort, dstPort uint16, payload []byte) error {
 // ifmgr/0.1.
 type feaServer struct{ p *Process }
 
-// AddEntries4 installs an add_entries4 list — or add_entry4's run of one
-// — as one ApplyBatch: one backend transaction and one snapshot
-// generation however long the run.
+// AddEntries4 installs an add_entries4 list as one ApplyBatch: one
+// backend transaction and one snapshot generation however long the run.
 func (s feaServer) AddEntries4(es []route.Entry) error {
 	if len(es) == 0 {
 		return nil

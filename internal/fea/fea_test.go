@@ -111,8 +111,8 @@ func TestXRLInterface(t *testing.T) {
 		}
 		return router.Call(x)
 	}
-	if _, err := call("finder://fea/fti/0.2/add_entry4?network:ipv4net=10.0.0.0/8&nexthop:ipv4=192.168.1.254&ifname:txt=eth0"); err != nil {
-		t.Fatalf("add_entry4: %v", err)
+	if _, err := call("finder://fea/fti/0.2/add_entries4?entries:list=10.0.0.0/8 192.168.1.254 0 eth0"); err != nil {
+		t.Fatalf("add_entries4: %v", err)
 	}
 	args, err := call("finder://fea/fti/0.2/lookup_entry4?addr:ipv4=10.1.2.3")
 	if err != nil {
@@ -132,10 +132,10 @@ func TestXRLInterface(t *testing.T) {
 	if len(ifs) != 1 {
 		t.Fatalf("interfaces %v", ifs)
 	}
-	if _, err := call("finder://fea/fti/0.2/delete_entry4?network:ipv4net=10.0.0.0/8"); err != nil {
-		t.Fatalf("delete_entry4: %v", err)
+	if _, err := call("finder://fea/fti/0.2/delete_entries4?networks:list=10.0.0.0/8"); err != nil {
+		t.Fatalf("delete_entries4: %v", err)
 	}
-	if _, err := call("finder://fea/fti/0.2/delete_entry4?network:ipv4net=10.0.0.0/8"); err == nil {
+	if _, err := call("finder://fea/fti/0.2/delete_entries4?networks:list=10.0.0.0/8"); err == nil {
 		t.Fatal("double delete via XRL accepted")
 	}
 }

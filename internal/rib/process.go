@@ -361,8 +361,8 @@ func (s ribServer) AddRoutes4(proto route.Protocol, es []route.Entry) error {
 	return s.p.AddRoutes(proto, es)
 }
 
-func (s ribServer) DeleteRoutes4(proto route.Protocol, nets []netip.Prefix) (int, error) {
-	return s.p.deleteRoutes(proto, nets)
+func (s ribServer) DeleteRoutes4(proto route.Protocol, nets []netip.Prefix) error {
+	return s.p.DeleteRoutes(proto, nets)
 }
 
 func (s ribServer) RegisterInterest4(client string, addr netip.Addr) (xif.RIBInterest, error) {

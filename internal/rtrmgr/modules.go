@@ -291,14 +291,14 @@ func setupBGP(d *deployment, inst *instance, cfg *Node) (proc, error) {
 	if err != nil {
 		return nil, err
 	}
+	ribStub := xif.NewRIBClient(inst.router, "rib")
 	p := bgp.NewProcess(inst.loop, bgp.Config{
 		AS:                uint16(as),
 		BGPID:             id,
 		ListenAddr:        d.bgpListen,
 		EnableDamping:     cfg.Child("damping") != nil,
 		ConsistencyChecks: d.consistencyChecks,
-	}, newXRLRIBClient(inst.router, "rib"),
-		&xrlMetricSource{stub: xif.NewRIBClient(inst.router, "rib"), loop: inst.loop, bgpTarget: inst.class})
+	}, ribStub, &xrlMetricSource{stub: ribStub, loop: inst.loop, bgpTarget: inst.class})
 	p.RegisterXRLs(inst.target)
 	return bgpProc{p, new(bool)}, nil
 }

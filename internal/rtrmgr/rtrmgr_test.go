@@ -261,16 +261,18 @@ type peerRIB struct {
 	has map[netip.Prefix]bool
 }
 
-func (c *peerRIB) AddRoute(r *bgp.Route)          { c.set(r.Net, true) }
-func (c *peerRIB) ReplaceRoute(_, new *bgp.Route) { c.set(new.Net, true) }
-func (c *peerRIB) DeleteRoute(r *bgp.Route)       { c.set(r.Net, false) }
-
-func (c *peerRIB) set(net netip.Prefix, on bool) {
+func (c *peerRIB) AddRoutes4(_ string, es []route.Entry, _ func(error)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if on {
-		c.has[net] = true
-	} else {
+	for _, e := range es {
+		c.has[e.Net] = true
+	}
+}
+
+func (c *peerRIB) DeleteRoutes4(_ string, nets []netip.Prefix, _ func(error)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, net := range nets {
 		delete(c.has, net)
 	}
 }

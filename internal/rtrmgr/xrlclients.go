@@ -13,137 +13,15 @@ import (
 	"xorp/internal/xrl"
 )
 
-// The XRL client adapters wiring processes together across IPC: BGP's
-// best routes and the IGPs' to the RIB, the RIB's final routes to the
-// FEA, BGP's nexthop lookups to the RIB's register stage, and the IGPs'
-// packets through the FEA's relay; the RIB's redistribution into a
-// protocol rides xif.Redist4Client. These are the arrows of Figure 1
+// The XRL client adapters wiring processes together across IPC: the
+// IGPs' routes to the RIB, the RIB's final routes to the FEA, BGP's
+// nexthop lookups to the RIB's register stage, and the IGPs' packets
+// through the FEA's relay; BGP's best routes go to the RIB through the
+// xif.RIBClient stub itself, and the RIB's redistribution into a protocol
+// rides xif.Redist4Client. These are the arrows of Figure 1
 // realized as XRLs through the typed xif stubs, so every hop in the
 // Figures 10–12 latency path crosses the real IPC machinery, and a
 // process whose XRL router is closed reaches nothing.
-
-// xrlRIBClient implements bgp.RIBClient over the typed xif.RIBClient
-// stub. The calls issued within one event-loop drain (a full table load,
-// a peer's withdrawal of a slice of its table, a burst of
-// decision-process output) are buffered in one pending queue, in call
-// order, and shipped as runs — one stub call per consecutive stretch of
-// one kind and one protocol — so each travels the RIB as one run and
-// reaches the FEA as one FIB batch. A change of kind or protocol, the
-// 256-op cap and the end of the drain flush the queue, so the RIB sees
-// exactly the order BGP issued.
-type xrlRIBClient struct {
-	stub *xif.RIBClient
-	loop *eventloop.Loop
-
-	pend        []pendingRIBOp
-	flushQueued bool
-	flushFn     func() // c.flush, bound once: Dispatch(c.flush) would allocate per drain
-
-	// Scratch for the run being shipped; the stubs encode before
-	// returning, so both are free again after each call.
-	es   []route.Entry
-	nets []netip.Prefix
-}
-
-// pendingRIBOp is one buffered add or withdraw, reduced to the RIB entry
-// so no *bgp.Route is retained past the call.
-type pendingRIBOp struct {
-	del   bool
-	proto string
-	e     route.Entry // a delete uses only e.Net
-}
-
-// ribBatchCap bounds the buffered queue (and thus the list XRL size).
-const ribBatchCap = 256
-
-func protoName(r *bgp.Route) string {
-	if r.Src != nil && r.Src.IBGP {
-		return "ibgp"
-	}
-	return "ebgp"
-}
-
-func ribEntryOf(r *bgp.Route) route.Entry {
-	e := route.Entry{Net: r.Net, Metric: r.IGPMetric}
-	if r.Attrs.NextHop.IsValid() {
-		e.NextHop = r.Attrs.NextHop
-	}
-	return e
-}
-
-// AddRoute implements bgp.RIBClient, buffering the add.
-func (c *xrlRIBClient) AddRoute(r *bgp.Route) {
-	c.enqueue(pendingRIBOp{proto: protoName(r), e: ribEntryOf(r)})
-}
-
-// DeleteRoute implements bgp.RIBClient, buffering the withdraw.
-func (c *xrlRIBClient) DeleteRoute(r *bgp.Route) {
-	c.enqueue(pendingRIBOp{del: true, proto: protoName(r), e: route.Entry{Net: r.Net}})
-}
-
-// ReplaceRoute implements bgp.RIBClient. The origin table upserts, so a
-// replace is an add in the ordered queue. The RIB keys origin tables by
-// protocol: when the winner moved between ebgp and ibgp, the old
-// protocol's entry is withdrawn first.
-func (c *xrlRIBClient) ReplaceRoute(old, new *bgp.Route) {
-	if protoName(old) != protoName(new) {
-		c.DeleteRoute(old)
-	}
-	c.AddRoute(new)
-}
-
-func (c *xrlRIBClient) enqueue(op pendingRIBOp) {
-	c.pend = append(c.pend, op)
-	if len(c.pend) >= ribBatchCap {
-		c.flush()
-		return
-	}
-	if !c.flushQueued {
-		c.flushQueued = true
-		c.loop.Dispatch(c.flushFn)
-	}
-}
-
-// flush ships the pending queue in order, one run per stretch of
-// consecutive ops of the same kind and protocol.
-func (c *xrlRIBClient) flush() {
-	c.flushQueued = false
-	if len(c.pend) == 0 {
-		return
-	}
-	// Detach the queue while shipping: an op enqueued from inside a stub
-	// call starts a fresh one rather than joining the run being cut.
-	pend := c.pend
-	c.pend = nil
-	for start := 0; start < len(pend); {
-		end := start + 1
-		for end < len(pend) && pend[end].del == pend[start].del && pend[end].proto == pend[start].proto {
-			end++
-		}
-		c.ship(pend[start:end])
-		start = end
-	}
-	if c.pend == nil {
-		c.pend = pend[:0]
-	}
-}
-
-// ship hands one run to the stub.
-func (c *xrlRIBClient) ship(run []pendingRIBOp) {
-	if run[0].del {
-		c.nets = c.nets[:0]
-		for i := range run {
-			c.nets = append(c.nets, run[i].e.Net)
-		}
-		c.stub.DeleteRoutes4(run[0].proto, c.nets, nil)
-		return
-	}
-	c.es = c.es[:0]
-	for i := range run {
-		c.es = append(c.es, run[i].e)
-	}
-	c.stub.AddRoutes4(run[0].proto, c.es, nil)
-}
 
 // xrlRouteClient feeds an IGP's runs to the RIB process as proto's
 // routes (a route.Protocol's name): rip.RIBClient and ospf.RIBClient over
@@ -244,14 +122,6 @@ func (c *xrlFIBClient) shipDels() {
 		c.stub.DeleteEntries4(c.nets, nil)
 		c.nets = c.nets[:0]
 	}
-}
-
-// newXRLRIBClient returns a bgp.RIBClient that sends rib/1.0 XRLs to
-// ribTarget through router.
-func newXRLRIBClient(router *xipc.Router, ribTarget string) bgp.RIBClient {
-	c := &xrlRIBClient{stub: xif.NewRIBClient(router, ribTarget), loop: router.Loop()}
-	c.flushFn = c.flush
-	return c
 }
 
 // udpRelay is an IGP's transport over the FEA's packet relay (paper §7: a

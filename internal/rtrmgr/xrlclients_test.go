@@ -3,8 +3,6 @@ package rtrmgr
 import (
 	"fmt"
 	"net/netip"
-	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -23,171 +21,17 @@ import (
 	"xorp/internal/xipc"
 )
 
-// recRIB is a rib/1.0 server that records the runs it is handed, in
-// arrival order: log has one "method proto net…" line per run, ops the
-// same stream flattened to one op per route.
-type recRIB struct {
-	log []string
-	ops []ribOp
-}
+// nopRIB is a rib/1.0 server that answers every call and keeps nothing.
+type nopRIB struct{}
 
-// ribOp is one route's worth of a run: what BGP asked of the RIB.
-type ribOp struct {
-	del   bool
-	proto string
-	e     route.Entry // a delete names only e.Net
-}
-
-func (r *recRIB) rec(method string, proto route.Protocol, del bool, es ...route.Entry) {
-	s := fmt.Sprintf("%s %v", method, proto)
-	for _, e := range es {
-		s += " " + e.Net.String()
-		r.ops = append(r.ops, ribOp{del, proto.String(), e})
-	}
-	r.log = append(r.log, s)
-}
-
-func (r *recRIB) AddRoutes4(p route.Protocol, es []route.Entry) error {
-	r.rec("add_routes4", p, false, es...)
-	return nil
-}
-func (r *recRIB) DeleteRoutes4(p route.Protocol, nets []netip.Prefix) (int, error) {
-	es := make([]route.Entry, len(nets))
-	for i := range nets {
-		es[i].Net = nets[i]
-	}
-	r.rec("delete_routes4", p, true, es...)
-	return len(nets), nil
-}
-func (r *recRIB) RegisterInterest4(string, netip.Addr) (xif.RIBInterest, error) {
+func (nopRIB) AddRoutes4(route.Protocol, []route.Entry) error     { return nil }
+func (nopRIB) DeleteRoutes4(route.Protocol, []netip.Prefix) error { return nil }
+func (nopRIB) RegisterInterest4(string, netip.Addr) (xif.RIBInterest, error) {
 	return xif.RIBInterest{}, nil
 }
-func (r *recRIB) DeregisterInterest4(string, netip.Prefix) error       { return nil }
-func (r *recRIB) LookupRouteByDest4(netip.Addr) (xif.RIBLookup, error) { return xif.RIBLookup{}, nil }
-func (r *recRIB) ResyncComplete4(route.Protocol) (uint32, error)       { return 0, nil }
-
-// newRecClient wires an xrlRIBClient to a recording RIB over one loop.
-func newRecClient() (*xrlRIBClient, *recRIB, *eventloop.Loop) {
-	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
-	router := xipc.NewRouter("bgp_process", loop)
-	target := xif.NewTarget("rib", "rib")
-	rec := &recRIB{}
-	xif.BindRIB(target, rec)
-	router.AddTarget(target)
-	return newXRLRIBClient(router, "rib").(*xrlRIBClient), rec, loop
-}
-
-func bgpRoute(net string, ibgp bool) *bgp.Route {
-	return &bgp.Route{
-		Net:   mustP(net),
-		Attrs: workload.TestAttrs(mustA("10.0.0.1"), 65002),
-		Src:   &bgp.PeerHandle{IBGP: ibgp},
-	}
-}
-
-// TestRIBClientKeepsOrderAcrossKinds: adds, withdraws and replaces share
-// one pending queue, so however a drain is cut into runs, replaying what
-// the RIB received route by route is the sequence of calls BGP made — a
-// replace being an add, after a withdraw under the old protocol when the
-// winner changed protocol — and so leaves every prefix in the state BGP's
-// last call gave it.
-func TestRIBClientKeepsOrderAcrossKinds(t *testing.T) {
-	c, rec, loop := newRecClient()
-	// The script's calls also append what they mean to want.
-	var want []ribOp
-	add := func(r *bgp.Route) {
-		c.AddRoute(r)
-		want = append(want, ribOp{false, protoName(r), ribEntryOf(r)})
-	}
-	del := func(r *bgp.Route) {
-		c.DeleteRoute(r)
-		want = append(want, ribOp{true, protoName(r), route.Entry{Net: r.Net}})
-	}
-	replace := func(old, new *bgp.Route) {
-		c.ReplaceRoute(old, new)
-		if protoName(old) != protoName(new) {
-			want = append(want, ribOp{true, protoName(old), route.Entry{Net: old.Net}})
-		}
-		want = append(want, ribOp{false, protoName(new), ribEntryOf(new)})
-	}
-
-	r := bgpRoute("20.1.0.0/16", false)
-	r2 := bgpRoute("20.1.0.0/16", false)
-	r2.IGPMetric = 9
-	rIBGP := bgpRoute("20.1.0.0/16", true)
-	other := bgpRoute("20.2.0.0/16", false)
-	loop.Dispatch(func() {
-		add(r)
-		del(r)
-		add(r)
-		add(other)
-		replace(r, r2) // behind the add of the same prefix: one run names it twice
-		del(other)
-		replace(r2, rIBGP) // the winner moves to an IBGP peer: the ebgp entry goes first
-	})
-	loop.RunPending()
-	if !reflect.DeepEqual(rec.ops, want) {
-		t.Fatalf("RIB saw, route by route\n  %v\nBGP called\n  %v", rec.ops, want)
-	}
-	final := make(map[string]route.Entry)
-	for _, op := range rec.ops {
-		if key := op.proto + " " + op.e.Net.String(); op.del {
-			delete(final, key)
-		} else {
-			final[key] = op.e
-		}
-	}
-	if e, ok := final["ibgp 20.1.0.0/16"]; len(final) != 1 || !ok || !e.Equal(ribEntryOf(rIBGP)) {
-		t.Fatalf("replayed, the RIB holds %v, want only the IBGP winner", final)
-	}
-	if rec.log[2] != "add_routes4 ebgp 20.1.0.0/16 20.2.0.0/16 20.1.0.0/16" {
-		t.Fatalf("third run = %q, want the add, the other add and the replace in one list", rec.log[2])
-	}
-	if len(c.pend) != 0 || cap(c.pend) == 0 {
-		t.Fatalf("pending queue len %d cap %d after the drain, want empty and kept", len(c.pend), cap(c.pend))
-	}
-}
-
-// TestRIBClientBatchesWithdraws: a run of withdraws ships as one
-// delete_routes4, capped at ribBatchCap, and splits where the protocol
-// changes.
-func TestRIBClientBatchesWithdraws(t *testing.T) {
-	c, rec, loop := newRecClient()
-	loop.Dispatch(func() {
-		for i := 0; i < ribBatchCap; i++ {
-			c.DeleteRoute(bgpRoute(fmt.Sprintf("20.%d.%d.0/24", i/256, i%256), false))
-		}
-	})
-	loop.RunPending()
-	if len(rec.log) != 1 {
-		t.Fatalf("%d withdraws reached the RIB as %d XRLs, want 1", ribBatchCap, len(rec.log))
-	}
-	f := strings.Fields(rec.log[0])
-	if f[0] != "delete_routes4" || f[1] != "ebgp" || len(f)-2 != ribBatchCap {
-		t.Fatalf("XRL = %s %s with %d prefixes, want delete_routes4 ebgp with %d", f[0], f[1], len(f)-2, ribBatchCap)
-	}
-
-	rec.log = nil
-	loop.Dispatch(func() {
-		c.DeleteRoute(bgpRoute("30.0.1.0/24", false))
-		c.DeleteRoute(bgpRoute("30.0.2.0/24", false))
-		c.DeleteRoute(bgpRoute("30.0.3.0/24", true))
-		c.DeleteRoute(bgpRoute("30.0.4.0/24", true))
-		c.AddRoute(bgpRoute("30.0.5.0/24", true))
-		c.AddRoute(bgpRoute("30.0.6.0/24", false))
-		c.AddRoute(bgpRoute("30.0.7.0/24", false))
-	})
-	loop.RunPending()
-	want := []string{
-		"delete_routes4 ebgp 30.0.1.0/24 30.0.2.0/24",
-		"delete_routes4 ibgp 30.0.3.0/24 30.0.4.0/24",
-		"add_routes4 ibgp 30.0.5.0/24",
-		"add_routes4 ebgp 30.0.6.0/24 30.0.7.0/24",
-	}
-	if !reflect.DeepEqual(rec.log, want) {
-		t.Fatalf("RIB saw\n  %q\nwant\n  %q", rec.log, want)
-	}
-}
+func (nopRIB) DeregisterInterest4(string, netip.Prefix) error       { return nil }
+func (nopRIB) LookupRouteByDest4(netip.Addr) (xif.RIBLookup, error) { return xif.RIBLookup{}, nil }
+func (nopRIB) ResyncComplete4(route.Protocol) (uint32, error)       { return 0, nil }
 
 // TestWithdrawRunPublishesOnce runs the whole pipeline: one UPDATE
 // withdrawing 256 routes reaches the forwarding plane as one snapshot
@@ -249,7 +93,7 @@ func TestWithdrawRunPublishesOnce(t *testing.T) {
 // flakyRIB fails its first register_interest4 and answers the rest, as a
 // RIB does that is being respawned when the question arrives.
 type flakyRIB struct {
-	recRIB
+	nopRIB
 	asked int
 }
 
@@ -294,10 +138,9 @@ func TestMetricSourceRetriesFailedLookup(t *testing.T) {
 	}
 }
 
-// TestLoneEntryEqualsListedEntry: the wire form is the stub's business —
-// a route the RIB publishes alone (it travels as add_entry4) lands in the
-// FEA's snapshot as the same route.Entry, metric included, as when it
-// shares a batch.
+// TestLoneEntryEqualsListedEntry: a route the RIB publishes alone (a list
+// of one) lands in the FEA's snapshot as the same route.Entry, metric
+// included, as when it shares a batch.
 func TestLoneEntryEqualsListedEntry(t *testing.T) {
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
 	router := xipc.NewRouter("rib_process", loop)

@@ -31,20 +31,17 @@
 //     of the xrl.Args by value before calling the server, which is what
 //     xipc's rule that a handler's arguments die with the call asks for;
 //     none keeps the argument slice. The same rule covers the run a
-//     route server is handed: the single-route handlers (add_route4,
-//     add_entry4, ...) decode into a one-element slice the binding
-//     reuses and call the list server method, so a server sees runs
-//     only and must copy out what it keeps.
+//     route server is handed: it is decoded into a slice the binding
+//     reuses, so a server must copy out what it keeps.
 //
 //   - *Client (e.g. RIBClient, FTIClient, FEAUDPClient) is the
 //     generated-style client stub: methods like AddRoutes4(proto, run,
 //     done) take Go values, own the atom layout, and send through
-//     xipc.Router. Route methods take runs, and the stub — not the
-//     caller — picks the wire form: a run of one goes as the
-//     single-route XRL, anything longer as the list. Call sites never
-//     hand-roll xrl.New argument lists; the wire encoding produced by a
-//     stub is pinned byte-for-byte against the legacy hand-built XRLs
-//     by the wire-compatibility oracle in xif_test.go.
+//     xipc.Router. Route methods take runs, and a run of any length,
+//     one included, goes as the list XRL. Call sites never hand-roll
+//     xrl.New argument lists; the wire encoding produced by a stub is
+//     pinned byte-for-byte against the legacy hand-built XRLs by the
+//     wire-compatibility oracle in xif_test.go.
 //
 // Routes cross the list XRLs typed (routeatom.go): an add_routes4 or
 // add_entries4 item is one xrl route atom — prefix, next hop, metric,
@@ -71,6 +68,6 @@
 //
 // The drift gate under xif/lint keeps the layer load-bearing: any
 // non-test code registering handlers with raw Target.Register,
-// composing calls with xrl.New or naming a single-route wire method
-// fails CI and must go through a Spec and its stub.
+// composing calls with xrl.New or naming a per-route wire method fails
+// CI and must go through a Spec and its stub.
 package xif

@@ -17,15 +17,6 @@ var FTISpec = Define(Spec{
 		// Installs are upserts and lookups are reads, so both survive
 		// duplicate delivery; deletes error on a missing entry and must
 		// not be blindly retried.
-		{Name: "add_entry4", Args: []Arg{
-			{Name: "network", Type: xrl.TypeIPv4Net},
-			{Name: "nexthop", Type: xrl.TypeIPv4, Optional: true},
-			{Name: "ifname", Type: xrl.TypeText, Optional: true},
-			{Name: "metric", Type: xrl.TypeU32, Optional: true},
-		}, Idempotent: true},
-		{Name: "delete_entry4", Args: []Arg{
-			{Name: "network", Type: xrl.TypeIPv4Net},
-		}},
 		{Name: "add_entries4", Args: []Arg{
 			{Name: "entries", Type: xrl.TypeList, Sample: "192.0.2.0/24 192.0.2.1 5 eth0"},
 		}, Idempotent: true},
@@ -59,30 +50,11 @@ type FTIServer interface {
 
 // BindFTI wires an FTIServer onto t as fti/0.2. add_entries4 is a hot
 // batch path: decoded into scratch the binding reuses, and fully before
-// the server sees it, so a malformed atom rejects the whole batch. The
-// single-entry handlers share the list server methods and the scratch
-// the way BindRIB's do.
+// the server sees it, so a malformed atom rejects the whole batch.
 func BindFTI(t *xipc.Target, s FTIServer) {
 	b := newBinding(t, FTISpec)
 	var entries scratch[route.Entry]
 	var nets scratch[netip.Prefix]
-	b.handle("add_entry4", func(args xrl.Args) (xrl.Args, error) {
-		defer entries.give()
-		es := entries.take(1)[:1]
-		if err := parseEntryArgs(args, &es[0]); err != nil {
-			return nil, err
-		}
-		return nil, s.AddEntries4(es)
-	})
-	b.handle("delete_entry4", func(args xrl.Args) (xrl.Args, error) {
-		defer nets.give()
-		one := nets.take(1)[:1]
-		var err error
-		if one[0], err = args.NetArg("network"); err != nil {
-			return nil, err
-		}
-		return nil, s.DeleteEntries4(one)
-	})
 	b.handle("add_entries4", func(args xrl.Args) (xrl.Args, error) {
 		items, err := args.ListArg("entries")
 		if err != nil {
@@ -133,7 +105,7 @@ func BindFTI(t *xipc.Target, s FTIServer) {
 }
 
 // FTIClient is the typed stub for fti/0.2 (the RIB's FIB-push side). Like
-// RIBClient it takes runs and sends a run of one as the single-entry XRL.
+// RIBClient it takes runs and sends each, of any length, as the list XRL.
 type FTIClient struct{ client }
 
 // NewFTIClient returns a stub sending fti/0.2 XRLs to target through r.
@@ -141,27 +113,9 @@ func NewFTIClient(r *xipc.Router, target string) *FTIClient {
 	return &FTIClient{newClient(r, target, FTISpec)}
 }
 
-// entryArgs adds the add_entry4 arguments to o, as routeArgs does.
-func entryArgs(o xipc.Outgoing, e *route.Entry) {
-	o.Arg(xrl.Net("network", e.Net))
-	o.Arg(xrl.Text("ifname", e.IfName))
-	if e.NextHop.IsValid() {
-		o.Arg(xrl.Addr("nexthop", e.NextHop))
-	}
-	if e.Metric != 0 {
-		o.Arg(xrl.U32("metric", e.Metric))
-	}
-}
-
 // AddEntries4 installs a run of forwarding entries as one transaction,
 // its atoms built in the call record.
 func (c *FTIClient) AddEntries4(es []route.Entry, done func(error)) {
-	if len(es) == 1 {
-		o := c.compose("add_entry4", Done(done), 0)
-		entryArgs(o, &es[0])
-		c.ship("add_entry4", o)
-		return
-	}
 	o := c.compose("add_entries4", Done(done), len(es))
 	putRoutes(o.List("entries", len(es)), es)
 	c.ship("add_entries4", o)
@@ -169,10 +123,6 @@ func (c *FTIClient) AddEntries4(es []route.Entry, done func(error)) {
 
 // DeleteEntries4 removes a run of forwarding entries as one transaction.
 func (c *FTIClient) DeleteEntries4(nets []netip.Prefix, done func(error)) {
-	if len(nets) == 1 {
-		c.call("delete_entry4", Done(done), xrl.Net("network", nets[0]))
-		return
-	}
 	o := c.compose("delete_entries4", Done(done), len(nets))
 	putNets(o.List("networks", len(nets)), nets)
 	c.ship("delete_entries4", o)

@@ -51,12 +51,17 @@ func sampleFrames(f *testing.F) (requests, replies [][]byte) {
 			})
 		}
 	}
-	// Four frames of each kind that no sample call makes (a sample call
+	// Nine frames of each kind that no sample call makes (a sample call
 	// sends every optional argument). Requests: the shortest, one whose
-	// atoms nest, a redistributed route with its optionals left out, and
-	// integers at their extremes beside an IPv6 net. Replies: a bare
-	// failure, an empty okay, a BAD_ARGS failure, and an okay whose
-	// results nest.
+	// atoms nest, a redistributed route with its optionals left out,
+	// integers at their extremes beside an IPv6 net, and runs of one on
+	// each list XRL: a tagged route, a withdrawal, an entry without a next
+	// hop, an entry's removal, and a route as call_xrl spells it. Replies:
+	// a bare failure, an empty okay, a BAD_ARGS failure, an okay whose
+	// results nest, a NO_SUCH_METHOD failure, a removal's failure, a
+	// lookup's answer with empty and repeated txt values, a resync's
+	// count, and a NaN.
+	one := netip.MustParsePrefix("10.9.0.0/16")
 	for _, req := range []*xrl.Request{
 		{},
 		{Seq: 7, Target: "conf", Command: "x/1.0/y", Args: xrl.Args{
@@ -68,6 +73,18 @@ func sampleFrames(f *testing.F) (requests, replies [][]byte) {
 			{Name: "i64", Type: xrl.TypeI64, IntVal: math.MinInt64},
 			{Name: "u64", Type: xrl.TypeU64, IntVal: -1}, // math.MaxUint64
 			xrl.Bool("b", false), xrl.Net("net", netip.MustParsePrefix("2001:db8::/32"))}},
+		{Seq: 7, Target: "conf", Command: xif.RIBSpec.Command("add_routes4"), Args: xrl.Args{
+			xrl.Text("protocol", "ospf"),
+			xrl.List("routes", xrl.Route("", one, netip.MustParseAddr("192.0.2.1"), 5, "eth0")),
+			xrl.List("policytags", xrl.U32("", 7), xrl.U32("", 0xfde80001))}},
+		{Seq: 7, Target: "conf", Command: xif.RIBSpec.Command("delete_routes4"), Args: xrl.Args{
+			xrl.Text("protocol", "ebgp"), xrl.List("networks", xrl.IPv4Net("", one))}},
+		{Seq: 7, Target: "conf", Command: xif.FTISpec.Command("add_entries4"), Args: xrl.Args{
+			xrl.List("entries", xrl.Route("", one, netip.Addr{}, 0, "eth1"))}},
+		{Seq: 7, Target: "conf", Command: xif.FTISpec.Command("delete_entries4"), Args: xrl.Args{
+			xrl.List("networks", xrl.IPv4Net("", one))}},
+		{Seq: 7, Target: "conf", Command: xif.RIBSpec.Command("add_routes4"), Args: xrl.Args{
+			xrl.Text("protocol", "static"), xrl.List("routes", xrl.Text("", "10.9.0.0/16 192.168.1.253 0 eth0"))}},
 	} {
 		b, err := xrl.AppendRequest(nil, req)
 		if err != nil {
@@ -82,6 +99,13 @@ func sampleFrames(f *testing.F) (requests, replies [][]byte) {
 		{Seq: ^uint32(0), Code: xrl.CodeOkay, Args: xrl.Args{
 			xrl.List("routes", xrl.Route("", netip.MustParsePrefix("192.0.2.0/24"), netip.MustParseAddr("192.0.2.1"), 5, "eth0")),
 			xrl.IPv6("addr", netip.MustParseAddr("fe80::1"))}},
+		{Seq: 7, Code: xrl.CodeNoSuchMethod, Note: "no such method rib/1.0/add_route4"},
+		{Seq: 7, Code: xrl.CodeCommandFailed, Note: "fea: no FIB entry for 10.9.0.0/16"},
+		{Seq: 7, Code: xrl.CodeOkay, Args: xrl.Args{
+			xrl.Bool("found", true), xrl.Net("network", one), xrl.U32("metric", 1),
+			xrl.Text("protocol", "static"), xrl.Text("ifname", ""), xrl.Text("note", "static")}},
+		{Seq: 7, Code: xrl.CodeOkay, Args: xrl.Args{xrl.U32("swept", 3)}},
+		{Seq: 7, Code: xrl.CodeOkay, Args: xrl.Args{xrl.FP64("nan", math.NaN())}},
 	} {
 		b, err := xrl.AppendReply(nil, rep)
 		if err != nil {
@@ -169,8 +193,8 @@ func FuzzParseReuse(f *testing.F) {
 		f.Add(pair[0], pair[1])
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		sameAfterReuse(t, a, b, xrl.ParseRequest)
-		sameAfterReuse(t, a, b, xrl.ParseReply)
+		sameAfterReuse(t, a, b, xrl.ParseRequest, func(r *xrl.Request) xrl.Args { return r.Args })
+		sameAfterReuse(t, a, b, xrl.ParseReply, func(r *xrl.Reply) xrl.Args { return r.Args })
 	})
 }
 
@@ -190,15 +214,29 @@ func routesFrame(f *testing.F, n int) []byte {
 	return b
 }
 
-func sameAfterReuse[T any](t *testing.T, a, b []byte, parse func([]byte, *T) error) {
+func sameAfterReuse[T any](t *testing.T, a, b []byte, parse func([]byte, *T) error, args func(*T) xrl.Args) {
 	var reused, fresh T
 	_ = parse(a, &reused) // a need not decode: what it leaves behind is what b is parsed over
 	errReused, errFresh := parse(b, &reused), parse(b, &fresh)
 	if (errReused == nil) != (errFresh == nil) || errReused != nil && errReused.Error() != errFresh.Error() {
 		t.Fatalf("after frame %x, frame %x parses with error %v; into a fresh %T, %v", a, b, errReused, fresh, errFresh)
 	}
+	nanBits(args(&reused))
+	nanBits(args(&fresh))
 	if errFresh == nil && !reflect.DeepEqual(reused, fresh) {
 		t.Fatalf("after frame %x, frame %x parses to\n%+v\ninto a fresh %T,\n%+v", a, b, reused, fresh, fresh)
+	}
+}
+
+// nanBits moves each NaN fp64 value in args into the atom's IntVal as its
+// bit pattern: a NaN equals nothing, itself included, under DeepEqual.
+func nanBits(args xrl.Args) {
+	for i := range args {
+		a := &args[i]
+		if a.Type == xrl.TypeFP64 && math.IsNaN(a.F64Val) {
+			a.F64Val, a.IntVal = 0, int64(math.Float64bits(a.F64Val))
+		}
+		nanBits(a.ListVal)
 	}
 }
 

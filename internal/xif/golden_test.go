@@ -81,7 +81,6 @@ func goldenFrames(t *testing.T) map[string][]byte {
 		{"delete_routes4_256", func() { ribStub.DeleteRoutes4("ebgp", nets, nil) }},
 		{"add_entries4_256", func() { ftiStub.AddEntries4(run, nil) }},
 		{"delete_entries4_256", func() { ftiStub.DeleteEntries4(nets, nil) }},
-		{"add_route4_tagged", func() { ribStub.AddRoutes4("static", tagged[1:2], nil) }},
 	} {
 		name = c.name
 		c.send()

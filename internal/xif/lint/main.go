@@ -1,10 +1,11 @@
 // Command lint is the xif drift gate: it fails the build when a non-test
 // file outside internal/xif bypasses the typed interface layer by
 // registering handlers with raw Target.Register, composing calls with
-// xrl.New, naming a single-route wire method (callers hand the stubs
-// runs; which XRL a run of one rides is the stub's choice), or sending
-// through Router.SendArgs or Router.Compose, the stubs' own entry
-// points, outside internal/xipc. Run from the module root:
+// xrl.New, naming a per-route wire method (redist4/0.1's add_route4 and
+// delete_route4 are the stub's to send; routes reach the RIB and the FEA
+// only as runs, in the list XRLs), or sending through Router.SendArgs or
+// Router.Compose, the stubs' own entry points, outside internal/xipc. Run
+// from the module root:
 //
 //	go run ./internal/xif/lint
 //
@@ -32,7 +33,7 @@ var patterns = []struct {
 }{
 	{regexp.MustCompile(`xrl\.New\(`), "hand-built XRL (use a xif client stub or Spec.NewXRL)", nil},
 	{regexp.MustCompile(`\.Register\("`), "raw Target.Register (use a xif Bind)", nil},
-	{regexp.MustCompile(`"(add|delete)_(route|entry)4"`), "single-route wire method (hand the xif stub a run)", nil},
+	{regexp.MustCompile(`"(add|delete)_(route|entry)4"`), "per-route wire method (use the xif stub)", nil},
 	{regexp.MustCompile(`\.(SendArgs|Compose)\(`), "the stubs' send entry points (use a xif client stub)", []string{"xipc"}},
 }
 

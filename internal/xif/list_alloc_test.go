@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"xorp/internal/eventloop"
 	"xorp/internal/finder"
@@ -16,10 +17,50 @@ import (
 )
 
 // Tests of the list XRLs (add_routes4, delete_routes4, add_entries4,
-// delete_entries4) across the hop: the stub builds a batch's atoms in the
-// call record, and the binding decodes them into scratch it reuses. Both
-// ends allocate nothing in steady state, and neither lets a batch see
-// another's routes.
+// delete_entries4) across the hop, the only form a run of routes takes,
+// whatever its length: the stub builds a run's atoms in the call record,
+// and the binding decodes them into scratch it reuses. Both ends allocate
+// nothing in steady state, and neither lets a run see another's routes.
+
+// stubRig is a sender Router and a sink Router on one Hub and one loop,
+// resolved through a real Finder: the intra-process hop a stub call takes
+// between the protocols, the RIB and the FEA.
+type stubRig struct {
+	loop *eventloop.Loop
+	rib  *xif.RIBClient
+	fti  *xif.FTIClient
+	sink *xipc.Router
+}
+
+// The sink's targets.
+var sinkTargets = []string{"rib", "fea"}
+
+// newHubRig builds the rig; bind gives sink target st (an index into
+// sinkTargets) its methods, served on loop.
+func newHubRig(tb testing.TB, bind func(loop *eventloop.Loop, st int, t *xipc.Target)) *stubRig {
+	tb.Helper()
+	g := &stubRig{loop: eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))}
+	hub := xipc.NewHub()
+	f := finder.New(g.loop)
+	f.AttachHub(hub)
+	g.sink = xipc.NewRouter("sink_process", g.loop)
+	g.sink.AttachHub(hub)
+	for i, name := range sinkTargets {
+		t := xipc.NewTarget(name, name)
+		bind(g.loop, i, t)
+		g.sink.AddTarget(t)
+		var regErr error
+		finder.RegisterTarget(g.sink, t, true, func(err error) { regErr = err })
+		g.loop.RunPending()
+		if regErr != nil {
+			tb.Fatalf("register %s: %v", name, regErr)
+		}
+	}
+	send := xipc.NewRouter("sender_process", g.loop)
+	send.AttachHub(hub)
+	g.rib, g.fti = xif.NewRIBClient(send, "rib"), xif.NewFTIClient(send, "fea")
+	return g
+}
 
 // copyServer is the RIB and the FEA as the list bindings see them: it
 // keeps what a call hands it by copying it into tables of its own.
@@ -41,16 +82,12 @@ func (s *copyServer) AddRoutes4(_ route.Protocol, es []route.Entry) error {
 	return nil
 }
 
-func (s *copyServer) DeleteRoutes4(_ route.Protocol, nets []netip.Prefix) (int, error) {
+func (s *copyServer) DeleteRoutes4(_ route.Protocol, nets []netip.Prefix) error {
 	s.calls++
-	had := 0
 	for _, n := range nets {
-		if _, ok := s.rib[n]; ok {
-			delete(s.rib, n)
-			had++
-		}
+		delete(s.rib, n)
 	}
-	return had, nil
+	return nil
 }
 
 func (s *copyServer) AddEntries4(es []route.Entry) error {
@@ -105,32 +142,89 @@ func netsOf(es []route.Entry) []netip.Prefix {
 	return nets
 }
 
-// listCalls are the four list stub calls, each a 256-route batch.
-func (g *stubRig) listCalls() []struct {
+// listCall is one list stub call: the run it adds to the server's RIB or
+// FIB table, or (del) withdraws from it.
+type listCall struct {
 	name string
 	send func()
-} {
+	fib  bool
+	del  bool
+	run  []route.Entry
+}
+
+// listCalls are the four list stub calls with a 256-route batch, then
+// the runs of one.
+func (g *stubRig) listCalls() []listCall {
+	return append(g.batchCalls(), g.oneCalls()...)
+}
+
+// batchCalls are the four list stub calls with a 256-route batch.
+func (g *stubRig) batchCalls() []listCall {
 	es := batch(1, 256)
 	nets := netsOf(es)
-	return []struct {
-		name string
-		send func()
-	}{
-		{"RIBClient.AddRoutes4", func() { g.rib.AddRoutes4("ebgp", es, nil) }},
-		{"RIBClient.DeleteRoutes4", func() { g.rib.DeleteRoutes4("ebgp", nets, nil) }},
-		{"FTIClient.AddEntries4", func() { g.fti.AddEntries4(es, nil) }},
-		{"FTIClient.DeleteEntries4", func() { g.fti.DeleteEntries4(nets, nil) }},
+	return []listCall{
+		{"RIBClient.AddRoutes4 256", func() { g.rib.AddRoutes4("ebgp", es, nil) }, false, false, es},
+		{"RIBClient.DeleteRoutes4 256", func() { g.rib.DeleteRoutes4("ebgp", nets, nil) }, false, true, es},
+		{"FTIClient.AddEntries4 256", func() { g.fti.AddEntries4(es, nil) }, true, false, es},
+		{"FTIClient.DeleteEntries4 256", func() { g.fti.DeleteEntries4(nets, nil) }, true, true, es},
 	}
 }
 
-// A 256-route list call allocates nothing in steady state, from the stub
-// through the binding and the server to the reply: the stub builds the
-// atoms in the call record's item buffer, which the Router keeps, and the
-// binding decodes them into scratch of its own.
+// oneCalls are the list stub calls with runs of one: the route with and
+// without its optional next hop, interface name, metric and tags.
+func (g *stubRig) oneCalls() []listCall {
+	var calls []listCall
+	net := netip.MustParsePrefix("20.1.0.0/16")
+	nh := netip.MustParseAddr("10.0.0.1")
+	runs := map[string][]route.Entry{
+		"bare":      {{Net: net, Metric: 5}},
+		"nexthop":   {{Net: net, NextHop: nh, Metric: 5}},
+		"full":      {{Net: net, NextHop: nh, Metric: 5, IfName: "eth0"}},
+		"tagged":    {{Net: net, NextHop: nh, Metric: 5, IfName: "eth0", PolicyTags: []uint32{7, 9}}},
+		"no metric": {{Net: net, NextHop: nh, IfName: "eth0"}},
+	}
+	for _, k := range []string{"bare", "nexthop", "full", "tagged"} {
+		run := runs[k]
+		calls = append(calls, listCall{"RIBClient.AddRoutes4 1 " + k, func() { g.rib.AddRoutes4("ebgp", run, nil) }, false, false, run})
+	}
+	one := runs["bare"]
+	oneNet := netsOf(one)
+	calls = append(calls, listCall{"RIBClient.DeleteRoutes4 1", func() { g.rib.DeleteRoutes4("ebgp", oneNet, nil) }, false, true, one})
+	for _, k := range []string{"full", "no metric"} {
+		run := runs[k]
+		calls = append(calls, listCall{"FTIClient.AddEntries4 1 " + k, func() { g.fti.AddEntries4(run, nil) }, true, false, run})
+	}
+	calls = append(calls, listCall{"FTIClient.DeleteEntries4 1", func() { g.fti.DeleteEntries4(oneNet, nil) }, true, true, one})
+	return calls
+}
+
+// A list call allocates nothing in steady state, from the stub through
+// the binding and the server to the reply: the stub builds the atoms in
+// the call record's item buffer, which the Router keeps, and the binding
+// decodes them into scratch of its own.
 func TestListStubsAllocateNothing(t *testing.T) {
 	srv := newCopyServer()
 	g := newListRig(t, srv)
-	for _, c := range g.listCalls() {
+	checkNoAllocs(t, g, srv, g.batchCalls())
+}
+
+// A run of one is a list of one and costs what a batch does: nothing in
+// steady state, through the same real bindings. A tagged route's
+// policytags list is built in the record's item buffer too, and the
+// binding hands the server the list the previous call carried when the
+// tags are the same.
+func TestSingleRouteStubsAllocateNothing(t *testing.T) {
+	srv := newCopyServer()
+	g := newListRig(t, srv)
+	checkNoAllocs(t, g, srv, g.oneCalls())
+}
+
+// checkNoAllocs sends each call until it is cached, then asserts it
+// allocates nothing per round and leaves the server holding (or no
+// longer holding) exactly the run it sent.
+func checkNoAllocs(t *testing.T, g *stubRig, srv *copyServer, calls []listCall) {
+	t.Helper()
+	for _, c := range calls {
 		round := func() {
 			c.send()
 			g.loop.RunPending()
@@ -139,25 +233,25 @@ func TestListStubsAllocateNothing(t *testing.T) {
 		if got := testing.AllocsPerRun(100, round); got != 0 {
 			t.Errorf("%s: %.2f allocations per call, want 0", c.name, got)
 		}
-		switch c.name {
-		case "RIBClient.AddRoutes4":
-			if len(srv.rib) != 256 {
-				t.Fatalf("%s: the server holds %d routes, want 256", c.name, len(srv.rib))
-			}
-		case "FTIClient.AddEntries4":
-			if len(srv.fib) != 256 {
-				t.Fatalf("%s: the server holds %d entries, want 256", c.name, len(srv.fib))
+		table := srv.rib
+		if c.fib {
+			table = srv.fib
+		}
+		for _, e := range c.run {
+			if got, ok := table[e.Net]; ok == c.del || ok && !got.Equal(e) {
+				t.Fatalf("%s: sent %+v, the server holds %+v (held %v)", c.name, e, got, ok)
 			}
 		}
 	}
-	if srv.calls != 4*102 || len(srv.rib) != 0 || len(srv.fib) != 0 {
-		t.Fatalf("the server had %d calls and holds %d routes and %d entries, want 408, 0 and 0",
-			srv.calls, len(srv.rib), len(srv.fib))
+	if srv.calls != len(calls)*102 || len(srv.rib) != 0 || len(srv.fib) != 0 {
+		t.Fatalf("the server had %d calls and holds %d routes and %d entries, want %d, 0 and 0",
+			srv.calls, len(srv.rib), len(srv.fib), len(calls)*102)
 	}
 }
 
-// BenchmarkListStubSend prices one 256-route list stub call over the hub,
-// from the stub to its reply, through the real bindings.
+// BenchmarkListStubSend prices one list stub call over the hub, a
+// 256-route batch or a run of one, from the stub to its reply, through
+// the real bindings.
 func BenchmarkListStubSend(b *testing.B) {
 	g := newListRig(b, newCopyServer())
 	for _, c := range g.listCalls() {

@@ -16,15 +16,6 @@ var RIBSpec = Define(Spec{
 	Name:    "rib",
 	Version: "1.0",
 	Methods: []Method{
-		// The single-route XRLs are how a run of one travels (the stub
-		// picks them). replace_route4 is an alias of add — the origin table
-		// upserts — that XORP's rib.xif has and textual callers may send.
-		{Name: "add_route4", Args: ribRouteArgs, Idempotent: true},
-		{Name: "replace_route4", Args: ribRouteArgs, Idempotent: true},
-		{Name: "delete_route4", Args: []Arg{
-			{Name: "protocol", Type: xrl.TypeText, Sample: "static"},
-			{Name: "network", Type: xrl.TypeIPv4Net},
-		}},
 		{Name: "add_routes4", Args: []Arg{
 			{Name: "protocol", Type: xrl.TypeText, Sample: "static"},
 			{Name: "routes", Type: xrl.TypeList, Sample: "192.0.2.0/24 192.0.2.1 5 eth0"},
@@ -66,15 +57,6 @@ var RIBSpec = Define(Spec{
 	},
 })
 
-var ribRouteArgs = []Arg{
-	{Name: "protocol", Type: xrl.TypeText, Sample: "static"},
-	{Name: "network", Type: xrl.TypeIPv4Net},
-	{Name: "nexthop", Type: xrl.TypeIPv4, Optional: true},
-	{Name: "metric", Type: xrl.TypeU32, Optional: true},
-	{Name: "ifname", Type: xrl.TypeText, Optional: true},
-	policyTagsArg,
-}
-
 // policyTagsArg is XORP's policytags: the u32 tag list the policy
 // framework set on the call's routes (§8.3), every one of them.
 var policyTagsArg = Arg{Name: "policytags", Type: xrl.TypeList, Optional: true}
@@ -96,11 +78,10 @@ type RIBLookup struct {
 // compiler enforces completeness; BindRIB enforces spec coverage at
 // registration.
 type RIBServer interface {
-	// A run is valid for the call only: a single-route XRL's is a slice
-	// the binding reuses. DeleteRoutes4 skips prefixes proto never
-	// announced and returns how many it had.
+	// A run is valid for the call only: it is a slice the binding
+	// reuses. DeleteRoutes4 skips prefixes proto never announced.
 	AddRoutes4(proto route.Protocol, es []route.Entry) error
-	DeleteRoutes4(proto route.Protocol, nets []netip.Prefix) (int, error)
+	DeleteRoutes4(proto route.Protocol, nets []netip.Prefix) error
 	RegisterInterest4(client string, addr netip.Addr) (RIBInterest, error)
 	DeregisterInterest4(client string, covering netip.Prefix) error
 	LookupRouteByDest4(addr netip.Addr) (RIBLookup, error)
@@ -109,22 +90,6 @@ type RIBServer interface {
 	// routes of proto still marked stale are swept. Returns the number of
 	// routes swept.
 	ResyncComplete4(proto route.Protocol) (uint32, error)
-}
-
-// parseEntryArgs decodes the argument shape add_route4, replace_route4
-// and fti's add_entry4 share — a network and an optional next hop, metric
-// and interface — into *e.
-func parseEntryArgs(args xrl.Args, e *route.Entry) error {
-	net, err := args.NetArg("network")
-	if err != nil {
-		return err
-	}
-	*e = route.Entry{Net: net}
-	opt := optionals{args: args}
-	opt.addr("nexthop", &e.NextHop)
-	opt.u32("metric", &e.Metric)
-	opt.text("ifname", &e.IfName)
-	return opt.err
 }
 
 func parseProtoArg(args xrl.Args) (route.Protocol, error) {
@@ -139,69 +104,44 @@ func parseProtoArg(args xrl.Args) (route.Protocol, error) {
 	return proto, nil
 }
 
-// parseTags decodes the optional policytags into a list of its own (the
-// RIB keeps it with the routes), nil when the call carries none.
-func parseTags(args xrl.Args) ([]uint32, error) {
+// parseTags decodes the optional policytags, nil when the call carries
+// none. The RIB keeps the list with the routes, so it is never the call's
+// storage: it is last — the list the previous call carried — when the
+// tags are the same, and else a list of its own. Nobody writes a tag list
+// once it is set on a route.
+func parseTags(args xrl.Args, last []uint32) ([]uint32, error) {
 	a, err := args.Optional("policytags", xrl.TypeList)
 	if a == nil || len(a.ListVal) == 0 {
 		return nil, err
 	}
-	tags := make([]uint32, len(a.ListVal))
+	same := len(a.ListVal) == len(last)
 	for i := range a.ListVal {
 		it := &a.ListVal[i]
 		if it.Type != xrl.TypeU32 {
 			return nil, xrl.Errorf(xrl.CodeBadArgs, "xif: policy tag %v is not a u32", *it)
 		}
-		tags[i] = uint32(it.IntVal)
+		same = same && last[i] == uint32(it.IntVal)
+	}
+	if same {
+		return last, nil
+	}
+	tags := make([]uint32, len(a.ListVal))
+	for i := range a.ListVal {
+		tags[i] = uint32(a.ListVal[i].IntVal)
 	}
 	return tags, nil
 }
 
-// BindRIB wires a RIBServer onto t as rib/1.0. The batch handlers
+// BindRIB wires a RIBServer onto t as rib/1.0. The route handlers
 // (add_routes4/delete_routes4) decode a call's list into scratch the
 // binding reuses and hand it straight to the server — no reflection, no
-// per-route boxing, and in steady state no allocation. The single-route
-// handlers call the same server methods with a run of one in the same
-// scratch: like a handler's xrl.Args, a run dies with the call.
+// per-route boxing, and in steady state no allocation: like a handler's
+// xrl.Args, a run dies with the call.
 func BindRIB(t *xipc.Target, s RIBServer) {
 	b := newBinding(t, RIBSpec)
 	var routes scratch[route.Entry]
 	var nets scratch[netip.Prefix]
-	addOne := func(args xrl.Args) (xrl.Args, error) {
-		proto, err := parseProtoArg(args)
-		if err != nil {
-			return nil, err
-		}
-		defer routes.give()
-		es := routes.take(1)[:1]
-		if err = parseEntryArgs(args, &es[0]); err == nil {
-			es[0].PolicyTags, err = parseTags(args)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.AddRoutes4(proto, es)
-	}
-	b.handle("add_route4", addOne)
-	b.handle("replace_route4", addOne)
-	b.handle("delete_route4", func(args xrl.Args) (xrl.Args, error) {
-		proto, err := parseProtoArg(args)
-		if err != nil {
-			return nil, err
-		}
-		defer nets.give()
-		one := nets.take(1)[:1]
-		if one[0], err = args.NetArg("network"); err != nil {
-			return nil, err
-		}
-		// Unlike a list, a lone withdrawal of a prefix the protocol
-		// never announced is an error.
-		had, err := s.DeleteRoutes4(proto, one)
-		if err == nil && had == 0 {
-			err = xrl.Errorf(xrl.CodeCommandFailed, "rib: %v has no route %v", proto, one[0])
-		}
-		return nil, err
-	})
+	var tags []uint32 // the last call's policytags
 	b.handle("add_routes4", func(args xrl.Args) (xrl.Args, error) {
 		proto, err := parseProtoArg(args)
 		if err != nil {
@@ -211,8 +151,7 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 		if err != nil {
 			return nil, err
 		}
-		tags, err := parseTags(args)
-		if err != nil {
+		if tags, err = parseTags(args, tags); err != nil {
 			return nil, err
 		}
 		defer routes.give()
@@ -239,8 +178,7 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 		if err != nil {
 			return nil, err
 		}
-		_, err = s.DeleteRoutes4(proto, batch)
-		return nil, err
+		return nil, s.DeleteRoutes4(proto, batch)
 	})
 	b.handle("register_interest4", func(args xrl.Args) (xrl.Args, error) {
 		client, err := args.TextArg("target")
@@ -321,31 +259,13 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 
 // RIBClient is the typed stub for rib/1.0: what XORP would generate from
 // rib.xif. Route arguments are runs of Go values, valid for the call: the
-// stub encodes them into the call record before it returns. It owns atom
-// layout and the choice of wire form — a run of one goes as the
-// single-route XRL (one argument list, nothing to decode into), anything
-// longer as the list XRL.
+// stub encodes them into the call record before it returns, as the list
+// XRL whatever the run's length.
 type RIBClient struct{ client }
 
 // NewRIBClient returns a stub sending rib/1.0 XRLs to target through r.
 func NewRIBClient(r *xipc.Router, target string) *RIBClient {
 	return &RIBClient{newClient(r, target, RIBSpec)}
-}
-
-// routeArgs adds the add_route4 arguments to o, the route's tags into
-// the room o reserved for them. Argument order matches the legacy
-// hand-built call sites byte for byte (the wire-compat oracle pins this).
-func routeArgs(o xipc.Outgoing, proto string, e *route.Entry) {
-	o.Arg(xrl.Text("protocol", proto))
-	o.Arg(xrl.Net("network", e.Net))
-	o.Arg(xrl.U32("metric", e.Metric))
-	if e.IfName != "" {
-		o.Arg(xrl.Text("ifname", e.IfName))
-	}
-	if e.NextHop.IsValid() {
-		o.Arg(xrl.Addr("nexthop", e.NextHop))
-	}
-	putTags(o, e.PolicyTags)
 }
 
 // putTags adds a policytags argument to o when there are tags.
@@ -415,12 +335,6 @@ func (c *RIBClient) addRun(proto string, es []route.Entry, cb xipc.Callback) {
 	if len(es) > 0 {
 		tags = es[0].PolicyTags
 	}
-	if len(es) == 1 {
-		o := c.compose("add_route4", cb, len(tags))
-		routeArgs(o, proto, &es[0])
-		c.ship("add_route4", o)
-		return
-	}
 	o := c.compose("add_routes4", cb, len(es)+len(tags))
 	o.Arg(xrl.Text("protocol", proto))
 	putRoutes(o.List("routes", len(es)), es)
@@ -428,15 +342,9 @@ func (c *RIBClient) addRun(proto string, es []route.Entry, cb xipc.Callback) {
 	c.ship("add_routes4", o)
 }
 
-// DeleteRoutes4 withdraws a run of proto's prefixes. A run of one is
-// delete_route4, which fails when proto had not announced the prefix.
+// DeleteRoutes4 withdraws a run of proto's prefixes; the RIB skips those
+// proto never announced.
 func (c *RIBClient) DeleteRoutes4(proto string, nets []netip.Prefix, done func(error)) {
-	if len(nets) == 1 {
-		c.call("delete_route4", Done(done),
-			xrl.Text("protocol", proto),
-			xrl.Net("network", nets[0]))
-		return
-	}
 	o := c.compose("delete_routes4", Done(done), len(nets))
 	o.Arg(xrl.Text("protocol", proto))
 	putNets(o.List("networks", len(nets)), nets)

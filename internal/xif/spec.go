@@ -193,7 +193,7 @@ func (m *Method) arg(name string) *Arg {
 
 // Usage renders the method's call shape in XRL textual form, e.g.
 //
-//	add_route4?protocol:txt&network:ipv4net[&nexthop:ipv4][&metric:u32] -> ()
+//	add_routes4?protocol:txt&routes:list[&policytags:list]
 func (m *Method) Usage() string {
 	var sb strings.Builder
 	sb.WriteString(m.Name)

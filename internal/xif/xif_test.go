@@ -114,31 +114,6 @@ func TestWireCompatOracle(t *testing.T) {
 	}
 	var wants []want
 
-	// rib/1.0 add_route4 — legacy: rtrmgr xrlRIBClient.send (protocol,
-	// network, metric, then optional nexthop; BGP entries carry no
-	// ifname) and cmd/xorp_rip xrlRIB.AddRoute (ifname before nexthop).
-	// A run of one is what the stubs send as the single-route XRLs.
-	ribStub.AddRoutes4("ebgp", es[:1], nil)
-	wants = append(wants, want{"rib/1.0/add_route4", xrl.Args{
-		xrl.Text("protocol", "ebgp"),
-		xrl.Net("network", e1.Net),
-		xrl.U32("metric", e1.Metric),
-		xrl.Addr("nexthop", e1.NextHop),
-	}})
-	ribStub.AddRoutes4("rip", es[1:], nil)
-	wants = append(wants, want{"rib/1.0/add_route4", xrl.Args{
-		xrl.Text("protocol", "rip"),
-		xrl.Net("network", e2.Net),
-		xrl.U32("metric", e2.Metric),
-		xrl.Text("ifname", e2.IfName),
-	}})
-
-	ribStub.DeleteRoutes4("ebgp", nets[:1], nil)
-	wants = append(wants, want{"rib/1.0/delete_route4", xrl.Args{
-		xrl.Text("protocol", "ebgp"),
-		xrl.Net("network", e1.Net),
-	}})
-
 	// rib/1.0 add_routes4 / delete_routes4 — the hot batch path.
 	ribStub.AddRoutes4("ebgp", es, nil)
 	wants = append(wants, want{"rib/1.0/add_routes4", xrl.Args{
@@ -153,19 +128,7 @@ func TestWireCompatOracle(t *testing.T) {
 		xrl.List("networks", xrl.IPv4Net("", nets[0]), xrl.IPv4Net("", nets[1])),
 	}})
 
-	// fti/0.2 — legacy: rtrmgr xrlFIBClient (network, ifname, optional
-	// nexthop; batches as lists), plus the metric when there is one.
-	ftiStub.AddEntries4(es[:1], nil)
-	wants = append(wants, want{"fti/0.2/add_entry4", xrl.Args{
-		xrl.Net("network", e1.Net),
-		xrl.Text("ifname", e1.IfName),
-		xrl.Addr("nexthop", e1.NextHop),
-		xrl.U32("metric", e1.Metric),
-	}})
-	ftiStub.DeleteEntries4(nets[:1], nil)
-	wants = append(wants, want{"fti/0.2/delete_entry4", xrl.Args{
-		xrl.Net("network", e1.Net),
-	}})
+	// fti/0.2 — legacy: rtrmgr xrlFIBClient, batches as lists.
 	ftiStub.AddEntries4(es, nil)
 	wants = append(wants, want{"fti/0.2/add_entries4", xrl.Args{
 		xrl.List("entries",
@@ -217,7 +180,7 @@ func TestWireCompatOracle(t *testing.T) {
 }
 
 // TestPolicyTagsRideRIB: a run's policy tags travel as the policytags
-// argument of add_route4 / add_routes4, one call per stretch of routes
+// argument of add_routes4, one call per stretch of routes
 // sharing a tag list with done told once, and the binding sets them on
 // every route it hands the server. A tag that is not a u32 is BAD_ARGS.
 func TestPolicyTagsRideRIB(t *testing.T) {
@@ -244,7 +207,7 @@ func TestPolicyTagsRideRIB(t *testing.T) {
 	})
 	loop.RunPending()
 
-	wantCmds := []string{"rib/1.0/add_routes4", "rib/1.0/add_route4", "rib/1.0/add_route4"}
+	wantCmds := []string{"rib/1.0/add_routes4", "rib/1.0/add_routes4", "rib/1.0/add_routes4"}
 	wantTags := [][]uint32{{42, 7}, nil, {9}}
 	if !reflect.DeepEqual(cap.cmds, wantCmds) {
 		t.Fatalf("the run went as %q, want %q", cap.cmds, wantCmds)
@@ -269,14 +232,16 @@ func TestPolicyTagsRideRIB(t *testing.T) {
 
 	bad := xrl.List("policytags", xrl.Text("", "42"))
 	for _, x := range []xrl.XRL{
-		xrl.New("rib", "rib", "1.0", "add_route4", xrl.Text("protocol", "ospf"), xrl.Net("network", run[0].Net), bad),
+		xrl.New("rib", "rib", "1.0", "add_routes4", xrl.Text("protocol", "ospf"),
+			xrl.List("routes", xif.EncodeRouteAtoms(run[:1])...), bad),
 		xrl.New("rib", "rib", "1.0", "add_routes4", xrl.Text("protocol", "ospf"),
 			xrl.List("routes", xif.EncodeRouteAtoms(run)...), bad),
 	} {
 		var xerr *xrl.Error
 		r.SendFromLoop(x, func(_ xrl.Args, err *xrl.Error) { xerr = err })
 		if xerr == nil || xerr.Code != xrl.CodeBadArgs || len(srv.adds) != len(run) {
-			t.Errorf("%s with a txt tag: %v, the server holds %d routes; want BAD_ARGS and %d", x.Method, xerr, len(srv.adds), len(run))
+			t.Errorf("%s of %d with a txt tag: %v, the server holds %d routes; want BAD_ARGS and %d",
+				x.Method, len(x.Args[1].ListVal), xerr, len(srv.adds), len(run))
 		}
 	}
 }
@@ -350,9 +315,9 @@ func (s *listServer) AddRoutes4(_ route.Protocol, es []route.Entry) error {
 	s.adds = append(s.adds, es...)
 	return nil
 }
-func (s *listServer) DeleteRoutes4(_ route.Protocol, nets []netip.Prefix) (int, error) {
+func (s *listServer) DeleteRoutes4(_ route.Protocol, nets []netip.Prefix) error {
 	s.dels = append(s.dels, nets...)
-	return len(nets), nil
+	return nil
 }
 func (s *listServer) AddEntries4(es []route.Entry) error {
 	s.adds = append(s.adds, es...)
@@ -380,10 +345,8 @@ var confEntry = route.Entry{
 	IfName:  "eth0",
 }
 
-func (confServer) AddRoutes4(route.Protocol, []route.Entry) error { return nil }
-func (confServer) DeleteRoutes4(_ route.Protocol, nets []netip.Prefix) (int, error) {
-	return len(nets), nil
-}
+func (confServer) AddRoutes4(route.Protocol, []route.Entry) error     { return nil }
+func (confServer) DeleteRoutes4(route.Protocol, []netip.Prefix) error { return nil }
 func (confServer) RegisterInterest4(string, netip.Addr) (xif.RIBInterest, error) {
 	return xif.RIBInterest{Resolves: true, Covering: confEntry.Net, Route: confEntry}, nil
 }
@@ -571,48 +534,51 @@ func TestDispatchErrorCodes(t *testing.T) {
 	r := xipc.NewRouter("codes", loop)
 	target := xif.NewTarget("conf", "conf")
 	xif.BindRIB(target, confServer{})
+	xif.BindRedist4(target, confServer{})
 	r.AddTarget(target)
 
-	call := func(method string, args ...xrl.Atom) *xrl.Error {
+	call := func(iface, version, method string, args ...xrl.Atom) *xrl.Error {
 		var got *xrl.Error
 		r.SendFromLoop(xrl.XRL{
 			Protocol: xrl.ProtoFinder, Target: "conf",
-			Interface: "rib", Version: "1.0", Method: method, Args: args,
+			Interface: iface, Version: version, Method: method, Args: args,
 		}, func(_ xrl.Args, err *xrl.Error) { got = err })
 		loop.RunPending()
 		return got
 	}
+	routes := xrl.List("routes", xif.EncodeRouteAtom(confEntry))
 
-	if err := call("no_such_method"); err == nil || err.Code != xrl.CodeNoSuchMethod {
+	if err := call("rib", "1.0", "no_such_method"); err == nil || err.Code != xrl.CodeNoSuchMethod {
 		t.Fatalf("unknown method: %v, want NO_SUCH_METHOD", err)
 	}
 	// Missing required argument.
-	if err := call("add_route4"); err == nil || err.Code != xrl.CodeBadArgs {
+	if err := call("redist4", "0.1", "add_route4"); err == nil || err.Code != xrl.CodeBadArgs {
 		t.Fatalf("missing args: %v, want BAD_ARGS", err)
 	}
 	// Mistyped argument.
-	if err := call("add_route4",
-		xrl.Text("protocol", "rip"),
+	if err := call("redist4", "0.1", "add_route4",
 		xrl.Text("network", "10.0.0.0/8")); err == nil || err.Code != xrl.CodeBadArgs {
 		t.Fatalf("mistyped args: %v, want BAD_ARGS", err)
 	}
 	// Semantically invalid argument (unparseable protocol name).
-	if err := call("add_route4",
-		xrl.Text("protocol", "nonsense"),
-		xrl.Net("network", confEntry.Net)); err == nil || err.Code != xrl.CodeBadArgs {
+	if err := call("rib", "1.0", "add_routes4",
+		xrl.Text("protocol", "nonsense"), routes); err == nil || err.Code != xrl.CodeBadArgs {
 		t.Fatalf("bad protocol: %v, want BAD_ARGS", err)
 	}
 	// Malformed batch atom.
-	if err := call("add_routes4",
+	if err := call("rib", "1.0", "add_routes4",
 		xrl.Text("protocol", "rip"),
 		xrl.List("routes", xrl.Text("", "garbage"))); err == nil || err.Code != xrl.CodeBadArgs {
 		t.Fatalf("bad batch atom: %v, want BAD_ARGS", err)
 	}
-	// A well-formed call succeeds.
-	if err := call("add_route4",
-		xrl.Text("protocol", "rip"),
+	// Well-formed calls succeed.
+	if err := call("redist4", "0.1", "add_route4",
 		xrl.Net("network", confEntry.Net)); err != nil {
 		t.Fatalf("valid call: %v", err)
+	}
+	if err := call("rib", "1.0", "add_routes4",
+		xrl.Text("protocol", "rip"), routes); err != nil {
+		t.Fatalf("valid list call: %v", err)
 	}
 }
 
@@ -638,6 +604,18 @@ func TestRegistryLookup(t *testing.T) {
 			t.Errorf("registry still lists %s", gone)
 		}
 	}
+	// A run of one is a list of one: rib/1.0 and fti/0.2 carry routes
+	// only as lists.
+	for spec, methods := range map[*xif.Spec][]string{
+		xif.RIBSpec: {"add_route4", "replace_route4", "delete_route4"},
+		xif.FTISpec: {"add_entry4", "delete_entry4"},
+	} {
+		for _, m := range methods {
+			if _, ok := spec.Method(m); ok {
+				t.Errorf("%s still declares %s", spec.Command(m), m)
+			}
+		}
+	}
 	all := xif.All()
 	for i := 1; i < len(all); i++ {
 		if all[i-1].Name > all[i].Name {
@@ -647,16 +625,15 @@ func TestRegistryLookup(t *testing.T) {
 }
 
 func TestCheckArgsRejectsMistakes(t *testing.T) {
-	m, _ := xif.RIBSpec.Method("add_route4")
+	m, _ := xif.Redist4Spec.Method("add_route4")
 
 	// Missing required argument.
-	err := m.CheckArgs(xrl.Args{xrl.Text("protocol", "rip")})
+	err := m.CheckArgs(xrl.Args{xrl.U32("metric", 1)})
 	if err == nil || !strings.Contains(err.Error(), "network") {
 		t.Fatalf("missing-arg check: %v", err)
 	}
 	// Wrong type.
 	err = m.CheckArgs(xrl.Args{
-		xrl.Text("protocol", "rip"),
 		xrl.Text("network", "10.0.0.0/8"),
 	})
 	if err == nil || !strings.Contains(err.Error(), "type") {
@@ -664,7 +641,6 @@ func TestCheckArgsRejectsMistakes(t *testing.T) {
 	}
 	// Undeclared argument (the call_xrl typo case).
 	err = m.CheckArgs(xrl.Args{
-		xrl.Text("protocol", "rip"),
 		xrl.Net("network", netip.MustParsePrefix("10.0.0.0/8")),
 		xrl.U32("metrc", 1),
 	})
@@ -673,7 +649,6 @@ func TestCheckArgsRejectsMistakes(t *testing.T) {
 	}
 	// Valid call (optional args absent).
 	err = m.CheckArgs(xrl.Args{
-		xrl.Text("protocol", "rip"),
 		xrl.Net("network", netip.MustParsePrefix("10.0.0.0/8")),
 	})
 	if err != nil {
@@ -790,11 +765,7 @@ func (s *optServer) AddRoutes4(_ route.Protocol, es []route.Entry) error {
 	s.calls, s.last = s.calls+1, es[0]
 	return nil
 }
-func (s *optServer) AddEntries4(es []route.Entry) error {
-	s.calls, s.last = s.calls+1, es[0]
-	return nil
-}
-func (s *optServer) RedistAdd(route.Entry) { s.calls++ }
+func (s *optServer) RedistAdd(e route.Entry) { s.calls, s.last = s.calls+1, e }
 
 // TestOptionalArguments: an optional argument left out is free, and one
 // sent with the wrong type is BAD_ARGS before the server sees the call —
@@ -805,7 +776,6 @@ func TestOptionalArguments(t *testing.T) {
 	srv := &optServer{}
 	target := xif.NewTarget("conf", "conf")
 	xif.BindRIB(target, srv)
-	xif.BindFTI(target, srv)
 	xif.BindRedist4(target, srv)
 	r.AddTarget(target)
 
@@ -818,22 +788,21 @@ func TestOptionalArguments(t *testing.T) {
 		return got
 	}
 	net := xrl.Net("network", confEntry.Net)
+	routes := xrl.List("routes", xif.EncodeRouteAtom(confEntry))
 
 	for _, c := range []struct {
 		what                   string
 		iface, version, method string
 		args                   []xrl.Atom
 	}{
-		{"replace_route4 nexthop as txt", "rib", "1.0", "replace_route4",
-			[]xrl.Atom{xrl.Text("protocol", "static"), net, xrl.Text("nexthop", "192.0.2.1")}},
-		{"add_route4 metric as txt", "rib", "1.0", "add_route4",
-			[]xrl.Atom{xrl.Text("protocol", "static"), net, xrl.Text("metric", "5")}},
-		{"add_route4 ifname as u32", "rib", "1.0", "add_route4",
-			[]xrl.Atom{xrl.Text("protocol", "static"), net, xrl.U32("ifname", 0)}},
-		{"add_entry4 nexthop as ipv4net", "fti", "0.2", "add_entry4",
-			[]xrl.Atom{net, xrl.Net("nexthop", confEntry.Net)}},
+		{"redist4 add_route4 nexthop as txt", "redist4", "0.1", "add_route4",
+			[]xrl.Atom{net, xrl.Text("nexthop", "192.0.2.1")}},
 		{"redist4 add_route4 metric as txt", "redist4", "0.1", "add_route4",
 			[]xrl.Atom{net, xrl.Text("metric", "10")}},
+		{"redist4 add_route4 nexthop as ipv4net", "redist4", "0.1", "add_route4",
+			[]xrl.Atom{net, xrl.Net("nexthop", confEntry.Net)}},
+		{"add_routes4 policytags as u32", "rib", "1.0", "add_routes4",
+			[]xrl.Atom{xrl.Text("protocol", "static"), routes, xrl.U32("policytags", 7)}},
 	} {
 		err := call(c.iface, c.version, c.method, c.args...)
 		if err == nil || err.Code != xrl.CodeBadArgs {
@@ -845,23 +814,22 @@ func TestOptionalArguments(t *testing.T) {
 	}
 
 	// Present and well typed, an optional still arrives.
-	if err := call("rib", "1.0", "replace_route4", xrl.Text("protocol", "static"), net,
-		xrl.Addr("nexthop", confEntry.NextHop), xrl.U32("metric", 7), xrl.Text("ifname", "eth1")); err != nil {
+	if err := call("redist4", "0.1", "add_route4", net,
+		xrl.Addr("nexthop", confEntry.NextHop), xrl.U32("metric", 7)); err != nil {
 		t.Fatal(err)
 	}
-	if srv.last.NextHop != confEntry.NextHop || srv.last.Metric != 7 || srv.last.IfName != "eth1" {
+	if srv.last.NextHop != confEntry.NextHop || srv.last.Metric != 7 {
 		t.Fatalf("optionals lost: %+v", srv.last)
 	}
 
 	// Absent optionals cost nothing: the whole local call is free.
-	replace := xrl.XRL{Protocol: xrl.ProtoFinder, Target: "conf",
-		Interface: "rib", Version: "1.0", Method: "replace_route4",
-		Args: xrl.Args{xrl.Text("protocol", "static"), net}}
-	addEntry := xrl.XRL{Protocol: xrl.ProtoFinder, Target: "conf",
-		Interface: "fti", Version: "0.2", Method: "add_entry4", Args: xrl.Args{net}}
+	redist := xrl.XRL{Protocol: xrl.ProtoFinder, Target: "conf",
+		Interface: "redist4", Version: "0.1", Method: "add_route4", Args: xrl.Args{net}}
+	add := xrl.XRL{Protocol: xrl.ProtoFinder, Target: "conf",
+		Interface: "rib", Version: "1.0", Method: "add_routes4", Args: xrl.Args{xrl.Text("protocol", "static"), routes}}
 	if allocs := testing.AllocsPerRun(200, func() {
-		r.SendFromLoop(replace, cb)
-		r.SendFromLoop(addEntry, cb)
+		r.SendFromLoop(redist, cb)
+		r.SendFromLoop(add, cb)
 	}); allocs != 0 || got != nil {
 		t.Fatalf("calls without their optional arguments: %.1f allocations (err %v), want 0", allocs, got)
 	}
@@ -917,10 +885,11 @@ func TestRouteAtomAllocs(t *testing.T) {
 	}
 }
 
-// TestSingleHandlersShareListPath drives the single-route XRLs, as text
-// or an old caller sends them, into a real RIB and FEA: each is a run of
-// one through the list server method, in a slice the binding reuses.
-func TestSingleHandlersShareListPath(t *testing.T) {
+// TestTextRunsOfOneReachRIBAndFEA drives runs of one, spelled as text as
+// call_xrl or a script sends them, into a real RIB and FEA: each is a
+// list of one through the list server method, in a slice the binding
+// reuses.
+func TestTextRunsOfOneReachRIBAndFEA(t *testing.T) {
 	loop := eventloop.New(nil)
 	r := xipc.NewRouter("single", loop)
 	feaProc := fea.New(loop, kernel.NewFIB(), nil, nil)
@@ -945,10 +914,10 @@ func TestSingleHandlersShareListPath(t *testing.T) {
 	a := route.Entry{Net: netip.MustParsePrefix("10.0.1.0/24"), NextHop: netip.MustParseAddr("192.168.1.254"), Metric: 5, IfName: "eth0"}
 	b := route.Entry{Net: netip.MustParsePrefix("10.0.2.0/24"), Metric: 1, IfName: "eth1"}
 	for _, text := range []string{
-		"rib/rib/1.0/add_route4?protocol:txt=static&network:ipv4net=10.0.1.0/24&nexthop:ipv4=192.168.1.254&metric:u32=5&ifname:txt=eth0",
-		"rib/rib/1.0/replace_route4?protocol:txt=static&network:ipv4net=10.0.2.0/24&metric:u32=1&ifname:txt=eth1",
-		"fea/fti/0.2/add_entry4?network:ipv4net=10.0.1.0/24&nexthop:ipv4=192.168.1.254&metric:u32=5&ifname:txt=eth0",
-		"fea/fti/0.2/add_entry4?network:ipv4net=10.0.2.0/24&metric:u32=1&ifname:txt=eth1",
+		"rib/rib/1.0/add_routes4?protocol:txt=static&routes:list=10.0.1.0/24 192.168.1.254 5 eth0",
+		"rib/rib/1.0/add_routes4?protocol:txt=static&routes:list=10.0.2.0/24 - 1 eth1",
+		"fea/fti/0.2/add_entries4?entries:list=10.0.1.0/24 192.168.1.254 5 eth0",
+		"fea/fti/0.2/add_entries4?entries:list=10.0.2.0/24 - 1 eth1",
 	} {
 		if err := call(text); err != nil {
 			t.Fatalf("%s: %v", text, err)
@@ -962,23 +931,19 @@ func TestSingleHandlersShareListPath(t *testing.T) {
 		}
 	}
 
-	// A lone withdrawal of a prefix never announced is an error; in a
-	// list it is skipped.
-	if err := call("rib/rib/1.0/delete_route4?protocol:txt=static&network:ipv4net=10.9.0.0/16"); err == nil || err.Code != xrl.CodeCommandFailed {
-		t.Errorf("delete_route4 of an unannounced prefix: %v, want COMMAND_FAILED", err)
+	// A withdrawal of a prefix never announced is skipped.
+	if err := call("rib/rib/1.0/delete_routes4?protocol:txt=static&networks:list=10.9.0.0/16"); err != nil || ribProc.Len() != 2 {
+		t.Errorf("delete_routes4 of an unannounced prefix: %v, %d routes left, want 2", err, ribProc.Len())
 	}
-	if err := call("rib/rib/1.0/delete_routes4?protocol:txt=static&networks:list=10.9.0.0/16"); err != nil {
-		t.Errorf("delete_routes4 of an unannounced prefix: %v", err)
+	if err := call("rib/rib/1.0/delete_routes4?protocol:txt=static&networks:list=10.0.1.0/24"); err != nil || ribProc.Len() != 1 {
+		t.Errorf("delete_routes4 of an announced prefix: %v, %d routes left, want 1", err, ribProc.Len())
 	}
-	if err := call("rib/rib/1.0/delete_route4?protocol:txt=static&network:ipv4net=10.0.1.0/24"); err != nil || ribProc.Len() != 1 {
-		t.Errorf("delete_route4 of an announced prefix: %v, %d routes left, want 1", err, ribProc.Len())
-	}
-	if err := call("fea/fti/0.2/delete_entry4?network:ipv4net=10.0.1.0/24"); err != nil || feaProc.FIB().Len() != 1 {
-		t.Errorf("delete_entry4: %v, %d entries left, want 1", err, feaProc.FIB().Len())
+	if err := call("fea/fti/0.2/delete_entries4?networks:list=10.0.1.0/24"); err != nil || feaProc.FIB().Len() != 1 {
+		t.Errorf("delete_entries4: %v, %d entries left, want 1", err, feaProc.FIB().Len())
 	}
 
-	// A mistyped optional rejects the call before the server sees it.
-	if err := call("rib/rib/1.0/add_route4?protocol:txt=static&network:ipv4net=10.0.3.0/24&metric:txt=5"); err == nil || err.Code != xrl.CodeBadArgs || ribProc.Len() != 1 {
-		t.Errorf("add_route4 with metric as txt: %v, %d routes, want BAD_ARGS and 1", err, ribProc.Len())
+	// A mistyped route rejects the call before the server sees it.
+	if err := call("rib/rib/1.0/add_routes4?protocol:txt=static&routes:list=10.0.3.0/24 - five eth0"); err == nil || err.Code != xrl.CodeBadArgs || ribProc.Len() != 1 {
+		t.Errorf("add_routes4 with metric \"five\": %v, %d routes, want BAD_ARGS and 1", err, ribProc.Len())
 	}
 }

@@ -169,32 +169,45 @@ func itoa(i int) string {
 	return string(b[n:])
 }
 
-// listRequest is an add_entries4-shaped request carrying n route atoms
-// (a txt value, add_routes4's protocol, is copied out of every frame).
+// listRequest is an add_entries4-shaped request carrying n route atoms.
 func listRequest(n int) *Request {
+	return &Request{Seq: 7, Target: "fea", Command: "fti/0.2/add_entries4",
+		Args: Args{U32("tx", 1), List("entries", routeItems(n)...)}}
+}
+
+// protoRequest is an add_routes4-shaped request: a txt protocol, then n
+// route atoms.
+func protoRequest(n int) *Request {
+	return &Request{Seq: 7, Target: "rib", Command: "rib/1.0/add_routes4",
+		Args: Args{Text("protocol", "ebgp"), List("routes", routeItems(n)...)}}
+}
+
+func routeItems(n int) []Atom {
 	items := make([]Atom, n)
 	for i := range items {
 		items[i] = Route("", netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24),
 			netip.AddrFrom4([4]byte{192, 0, 2, byte(i)}), uint32(i), "eth0")
 	}
-	return &Request{Seq: 7, Target: "fea", Command: "fti/0.2/add_entries4",
-		Args: Args{U32("tx", 1), List("entries", items...)}}
+	return items
 }
 
 // A steady stream of list XRLs decoded into one Request, as a TCP
 // connection decodes them, allocates nothing for its items: each list is
 // decoded over the storage the same argument held in the previous frame,
-// whether the list grows back to a width it had, shrinks or empties. A
-// list wider than MaxKeptItems gets storage of its own, which the next
-// frame drops.
+// whether the list grows back to a width it had, shrinks or empties, and
+// a txt argument returns the string it held or an interned one. A list
+// wider than MaxKeptItems gets storage of its own, which the next frame
+// drops.
 func TestParseListRequestZeroAlloc(t *testing.T) {
 	var frames [][]byte
-	for _, n := range []int{256, 100, 0, 256, 3} {
-		b, err := AppendRequest(nil, listRequest(n))
-		if err != nil {
-			t.Fatal(err)
+	for _, mk := range []func(int) *Request{protoRequest, listRequest} {
+		for _, n := range []int{256, 100, 0, 256, 3} {
+			b, err := AppendRequest(nil, mk(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, b)
 		}
-		frames = append(frames, b)
 	}
 	var dec Request
 	run := func() {

@@ -342,7 +342,7 @@ func (d *decoder) u64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-// str8 and str16 return the string the next bytes spell. A transport
+// str8, str16 and str return the string the next bytes spell. A transport
 // decodes every frame of a connection into one Request or Reply, and the
 // frames repeat their strings, so last — what the destination held before
 // this frame — is tried first: bytes equal to it return it without a
@@ -401,11 +401,12 @@ func (d *decoder) args(dst Args) Args {
 	return dst
 }
 
-// atom decodes one atom over *a. The name a held, the previous frame's at
-// this index, is the one the new name most likely repeats, and a list is
-// decoded over the items a held, the way a frame's arguments are.
+// atom decodes one atom over *a. The name and txt value a held, the
+// previous frame's at this index, are the ones the new atom most likely
+// repeats (add_routes4's protocol, say), and a list is decoded over the
+// items a held, the way a frame's arguments are.
 func (d *decoder) atom(a *Atom) {
-	last, items := a.Name, a.ListVal
+	last, text, items := a.Name, a.TextVal, a.ListVal
 	*a = Atom{Type: AtomType(d.u8())}
 	a.Name = d.str8(last)
 	switch a.Type {
@@ -420,8 +421,7 @@ func (d *decoder) atom(a *Atom) {
 	case TypeFP64:
 		a.F64Val = math.Float64frombits(d.u64())
 	case TypeText:
-		n := int(d.u32())
-		a.TextVal = string(d.take(n))
+		a.TextVal = d.str(int(d.u32()), text)
 	case TypeBinary:
 		n := int(d.u32())
 		b := d.take(n)
