@@ -380,17 +380,19 @@ func bytesPerRouteRouter(clients, routesEach int, shared bool) (keep any, routes
 
 // TestBGPBytesPerRoute pins the live heap a route costs across the BGP
 // stage network of a route server. With every client on prefixes of its
-// own: the RIB-in's 64-byte valued node (header and 16-byte slot in one
-// allocation) and its glue, and nothing in the group, which keeps no
-// adj-RIB-out. It measures 119 B; the bound is 10 % above that. With the
-// mutable Trie's 56-byte node and separate slot it measured 135 B, with
+// own: the RIB-in's 56-byte valued node (a 40-byte header and a 16-byte
+// slot in one allocation) and its glue, and nothing in the group, which
+// keeps no adj-RIB-out. It measures 102 B; the bound is 8 % above that.
+// With a 48-byte node header it measured 119 B, with the
+// mutable Trie's 56-byte node and separate slot 135 B, with
 // the group's prefix → {attrs, source} map 209 B
 // (203 with a trie of bare attribute pointers per PeerIn), with a 64-byte
 // Route object behind the PeerIn's pointer 266 B, with an export clone per
 // route behind the map's slot as well 322 B, and with 184-byte trie nodes
 // under the PeerIn 391. With 32 clients on the same prefixes a (client,
 // prefix) pair costs a slot in a holder list and the node shared 32 ways:
-// 27 B (29 with the group's map, 130 with a trie per PeerIn).
+// 26 B (27 with a 48-byte node header, 29 with the group's map, 130 with a
+// trie per PeerIn).
 func TestBGPBytesPerRoute(t *testing.T) {
 	for _, tc := range []struct {
 		name                string
@@ -398,8 +400,8 @@ func TestBGPBytesPerRoute(t *testing.T) {
 		shared              bool
 		bound               float64
 	}{
-		{"disjoint", 8, 6400, false, 131},
-		{"shared", 32, 6400, true, 30},
+		{"disjoint", 8, 6400, false, 110},
+		{"shared", 32, 6400, true, 28},
 	} {
 		var before, after runtime.MemStats
 		runtime.GC()

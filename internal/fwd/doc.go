@@ -10,7 +10,10 @@
 // batch to its kernel.FIB, whose Commit writes every operation in place
 // into the FIB's trie.Table, and publishes the table that results. The
 // kernel view and the data plane read that one table; a write made
-// straight to the FIB shows in the data plane at the next publish. The
+// straight to the FIB shows in the data plane at the next publish — the
+// next Apply's, or a Pin's, which publishes the table as the next
+// generation when the FIB has made commits the last publish did not (it
+// counts them), so a generation always names what it holds. The
 // single-entry FIBAdd and FIBDelete are batches of one. A publish
 // allocates one object, the Snapshot, which holds the table by value.
 //
@@ -28,8 +31,10 @@
 // short-prefix tries only when nothing there matched.
 //
 // The table stores a route.Stored under each prefix, the route less its
-// key; every read rebuilds the route.Entry from the two without allocating,
-// so a valued node is 96 bytes and a prefix comes back masked, as filed.
+// key, its next hop and interface name one interned handle; every read
+// rebuilds the route.Entry from the two without allocating, so a valued
+// node is 64 bytes (a 40-byte header and the 24-byte value) and a prefix
+// comes back masked, as filed.
 //
 // The shape follows NDN-DPDK's FwFwd design (one forwarding thread per
 // core, per-worker counters, no shared mutable state), whose FIB readers

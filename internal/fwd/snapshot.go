@@ -73,10 +73,13 @@ type Publisher struct {
 
 	// mu makes a commit and its publish one step, so no publish stores a
 	// version older than the one before it. It guards the scratch a batch
-	// is handed to the FIB in, reused so a batch costs no garbage of its own.
+	// is handed to the FIB in, reused so a batch costs no garbage of its
+	// own, and seen: how many FIB commits the current generation holds, at
+	// least. A FIB that has made more was written directly since.
 	mu      sync.Mutex
 	adds    []route.Entry
 	removes []netip.Prefix
+	seen    uint64
 
 	// tracer, when set, receives the StageSnapPub stamp for every prefix
 	// the moment its snapshot is published — the end of a RouteTrace. Set
@@ -92,7 +95,9 @@ func NewPublisher() *Publisher { return newPublisher(kernel.NewFIB()) }
 // table as it stands, pinned, so the table takes no blocks.
 func newPublisher(fib *kernel.FIB) *Publisher {
 	p := &Publisher{fib: fib}
-	p.cur.Store(&Snapshot{tbl: fib.Pin()})
+	tbl, n := fib.Pin()
+	p.cur.Store(&Snapshot{tbl: tbl})
+	p.seen = n
 	return p
 }
 
@@ -100,13 +105,21 @@ func newPublisher(fib *kernel.FIB) *Publisher {
 // commit: read it on the goroutine that makes the commits, or Pin.
 func (p *Publisher) Current() *Snapshot { return p.cur.Load() }
 
-// Pin returns the FIB's table as it stands — a direct FIB write since the
-// last publish included — at the current generation, as a snapshot that
-// no later commit changes. Safe from any goroutine.
+// Pin returns the FIB's table as it stands, as a snapshot that no later
+// commit changes: at the current generation, or, when the FIB was written
+// directly since the last publish, published first as the next one, so a
+// generation always names the contents it holds. Safe from any goroutine.
 func (p *Publisher) Pin() *Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return &Snapshot{gen: p.cur.Load().gen, tbl: p.fib.Pin()}
+	tbl, n := p.fib.Pin()
+	s := &Snapshot{gen: p.cur.Load().gen, tbl: tbl}
+	if n != p.seen {
+		s.gen++
+		p.cur.Store(s)
+		p.seen = n
+	}
+	return s
 }
 
 // SetTracer wires the route-latency tracer stamped at snapshot
@@ -128,6 +141,9 @@ func (p *Publisher) apply(b *rib.FIBBatch) (*Snapshot, int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.adds, p.removes = p.adds[:0], p.removes[:0]
+	// Counted before the commit: a direct one racing it leaves the FIB
+	// ahead of seen, and the next Pin publishes again.
+	p.seen = p.fib.Commits() + 1
 	b.Ops(func(op rib.FIBOp) {
 		switch op.Kind {
 		case rib.FIBOpAdd, rib.FIBOpReplace:

@@ -18,6 +18,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"xorp/internal/route"
 	"xorp/internal/trie"
@@ -50,9 +51,10 @@ type Interface struct {
 // use (the kernel is shared below all processes). Every write is a
 // Commit, in place, and Lookup, Len and Walk read under the lock.
 type FIB struct {
-	mu     sync.Mutex
-	tbl    *trie.Table[route.Stored]
-	ifaces map[string]*Interface
+	mu      sync.Mutex
+	tbl     *trie.Table[route.Stored]
+	commits atomic.Uint64 // Commits made, each counted under mu: a Pin reports how many its version holds
+	ifaces  map[string]*Interface
 	// onInstall, if set, observes installs (profile point 8, "Entering
 	// the kernel").
 	onInstall func(e FIBEntry)
@@ -113,6 +115,7 @@ func (f *FIB) Commit(adds []route.Entry, removes []netip.Prefix) (trie.Persisten
 	var firstErr error
 	removed := 0
 	f.mu.Lock()
+	f.commits.Add(1)
 	for i := range adds {
 		if !adds[i].Net.IsValid() {
 			if firstErr == nil {
@@ -139,12 +142,16 @@ func (f *FIB) Commit(adds []route.Entry, removes []netip.Prefix) (trie.Persisten
 	return tbl, removed, firstErr
 }
 
-// Pin returns the table as it stands as a version no later Commit changes.
-func (f *FIB) Pin() trie.Persistent[route.Stored] {
+// Pin returns the table as it stands as a version no later Commit
+// changes, and how many commits that version holds.
+func (f *FIB) Pin() (trie.Persistent[route.Stored], uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.tbl.Pin()
+	return f.tbl.Pin(), f.commits.Load()
 }
+
+// Commits returns how many commits the FIB has made.
+func (f *FIB) Commits() uint64 { return f.commits.Load() }
 
 // Lookup returns the longest-prefix-match entry for dst. It reads under
 // the lock and pins nothing, so it costs the next Commit no copy.

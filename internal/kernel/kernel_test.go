@@ -351,10 +351,10 @@ func TestFIBApplyBatch(t *testing.T) {
 }
 
 // TestFIBValue pins what the table keeps per entry — a route.Stored, the
-// route less its key (48 bytes, pinned in route_test.go), the one value
-// the FEA's published snapshot holds too — and that reading it back costs
-// no allocation, name included; an entry without a name comes back
-// without one.
+// route less its key (24 bytes, its next hop and name one interned handle,
+// pinned in route_test.go), the one value the FEA's published snapshot
+// holds too — and that reading it back costs no allocation, next hop and
+// name included; an entry without either comes back without them.
 func TestFIBValue(t *testing.T) {
 	if got, want := reflect.TypeOf(NewFIB().tbl), reflect.TypeOf(trie.New[route.Stored]()); got != want {
 		t.Errorf("the table is a %v, want %v", got, want)

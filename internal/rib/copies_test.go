@@ -92,6 +92,113 @@ type discardFIB struct{}
 
 func (discardFIB) FIBApplyBatch(*FIBBatch) {}
 
+// TestNexthopIndexKeysBothFamilies: the index tells apart prefixes that
+// share an address but not a length, in both families. One internal run
+// moves an IPv4 and an IPv6 nexthop, each carrying such a pair: all four
+// routes are re-announced, each family's in prefix order, and withdrawing
+// one route of a pair leaves the other linked.
+func TestNexthopIndexKeysBothFamilies(t *testing.T) {
+	rec := &streamRec{}
+	p := NewProcess(eventloop.New(eventloop.NewSimClock(time.Unix(0, 0))), rec, nil)
+	s := p.extint
+	static, ext := p.origins[route.ProtoStatic], p.origins[route.ProtoEBGP]
+	nh4, nh6 := mustA("172.16.0.1"), mustA("2001:db8:ffff::1")
+	static.AddRoutes([]route.Entry{
+		{Net: mustP("172.16.0.0/12"), NextHop: mustA("192.168.1.254"), IfName: "eth0"},
+		{Net: mustP("2001:db8:ffff::/48"), NextHop: mustA("fe80::1"), IfName: "eth0"},
+	})
+	ext.AddRoutes([]route.Entry{
+		{Net: mustP("10.0.0.0/8"), NextHop: nh4},
+		{Net: mustP("10.0.0.0/16"), NextHop: nh4},
+		{Net: mustP("2001:db8:1::/48"), NextHop: nh6},
+		{Net: mustP("2001:db8:1::/64"), NextHop: nh6},
+	})
+	if len(s.nexthops) != 2 || s.AnnouncedLen() != 6 {
+		t.Fatalf("loaded: %d index entries, %d announced; want 2 and 6", len(s.nexthops), s.AnnouncedLen())
+	}
+	// moveBoth moves both nexthops onto ifName, by adding their more
+	// specific internal routes or withdrawing them, and returns the
+	// prefixes the move re-announced, in stream order.
+	moveBoth := func(add bool, ifName string) []string {
+		rec.ops = nil
+		covers := []route.Entry{
+			{Net: mustP("172.16.0.0/24"), NextHop: mustA("192.168.2.254"), IfName: "eth1"},
+			{Net: mustP("2001:db8:ffff::/64"), NextHop: mustA("fe80::2"), IfName: "eth1"},
+		}
+		if add {
+			static.AddRoutes(covers)
+		} else {
+			static.DeleteRoutes([]netip.Prefix{covers[0].Net, covers[1].Net})
+		}
+		var moved []string
+		for _, op := range rec.ops {
+			if f := strings.Fields(op); f[0] == "replace" && f[3] == ifName {
+				moved = append(moved, f[2])
+			}
+		}
+		return moved
+	}
+	want := []string{"10.0.0.0/8", "10.0.0.0/16", "2001:db8:1::/48", "2001:db8:1::/64"}
+	for i := range 8 { // map order differs run to run: the order is the sort's
+		if got := moveBoth(true, "eth1"); !slices.Equal(got, want) {
+			t.Fatalf("move %d onto eth1 re-announced %v, want %v", i, got, want)
+		}
+		if got := moveBoth(false, "eth0"); !slices.Equal(got, want) {
+			t.Fatalf("move %d back onto eth0 re-announced %v, want %v", i, got, want)
+		}
+	}
+
+	ext.DeleteRoutes([]netip.Prefix{mustP("10.0.0.0/16"), mustP("2001:db8:1::/64")})
+	if len(s.nexthops) != 2 || s.ExternalRouteCount() != 2 {
+		t.Fatalf("after withdrawing one of each pair: %d index entries, %d external routes; want 2 and 2", len(s.nexthops), s.ExternalRouteCount())
+	}
+	if got, want := moveBoth(true, "eth1"), []string{"10.0.0.0/8", "2001:db8:1::/48"}; !slices.Equal(got, want) {
+		t.Fatalf("moving the nexthops after the withdrawals re-announced %v, want %v", got, want)
+	}
+	ext.DeleteRoutes([]netip.Prefix{mustP("10.0.0.0/8"), mustP("2001:db8:1::/48")})
+	if len(s.nexthops) != 0 {
+		t.Fatalf("after withdrawing every external route: %d index entries", len(s.nexthops))
+	}
+}
+
+// TestNexthopMoveCostsItsRoutes: moving a nexthop that 10 routes ride on,
+// under 100,000 routes on other nexthops, reads the external table for
+// the changed prefix itself and those 10 routes, and no others. BenchmarkNexthopMoveUnderFullTable times it.
+func TestNexthopMoveCostsItsRoutes(t *testing.T) {
+	p := loadedOverCover(t, 100000)
+	addMoving(t, p)
+	counted := &countingTable{Table: p.extint.ext}
+	p.extint.ext = counted
+	start := time.Now()
+	if err := p.AddRoute(route.ProtoStatic, moveCover); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("moving a 10-route nexthop under %d routes took %v", p.Len(), time.Since(start))
+	if counted.exact != 11 {
+		t.Fatalf("moving a 10-route nexthop read the external table %d times, want 11", counted.exact)
+	}
+	if e, ok := p.extint.Lookup(mustP("40.0.3.0/24")); !ok || e.IfName != "eth1" {
+		t.Fatalf("a route on the moved nexthop reads %v, %v; want it on eth1", e, ok)
+	}
+}
+
+// moveCover is an internal route that moves addMoving's nexthop, and only
+// it, from eth0 to eth1.
+var moveCover = route.Entry{Net: mustP("172.16.9.0/24"), NextHop: mustA("192.168.2.254"), IfName: "eth1"}
+
+// addMoving adds 10 external routes on a nexthop of their own, under
+// loadedOverCover's cover.
+func addMoving(t testing.TB, p *Process) {
+	t.Helper()
+	run := make([]route.Entry, 10)
+	for i := range run {
+		run[i] = route.Entry{Net: netip.PrefixFrom(netip.AddrFrom4([4]byte{40, 0, byte(i), 0}), 24), NextHop: mustA("172.16.9.9")}
+	}
+	if err := p.AddRoutes(route.ProtoEBGP, run); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // The emission scratch (base.buf) is the one []route.Entry a stage owns
 // besides its table; Flush clears it, so between calls it holds nothing.
 func scratchIsEmpty(b *base) bool {
@@ -119,17 +226,18 @@ func TestExtIntHoldsOneTable(t *testing.T) {
 }
 
 // TestRIBBytesPerRoute pins the live heap a route costs inside the RIB: a
-// 96-byte valued node (header and route.Stored in one allocation) and, on
-// this dense table, a 48-byte glue node in each of two tables (origin
-// table, final table), and a bare prefix in the nexthop index. It measures
-// 365 B. The bound sits 25 B above that, not 10 %: 10 % above would pass the
-// mutable Trie's layout, which measured 398 B (a 56-byte node and a
-// 48-byte value slot per route, a 56-byte glue node). With a 104-byte
-// route.Entry in every slot it measured 516 B, and with 184-byte trie
+// 64-byte valued node (a 40-byte header and a 24-byte route.Stored in one
+// allocation) and, on this dense table, a 40-byte glue node in each of two
+// tables (origin table, final table), and a word in the nexthop index. It
+// measures 245 B; the bound is 8 % above. With a 48-byte header, a 48-byte
+// route.Stored holding its next hop inline and a netip.Prefix per route in
+// the index it measured 365 B, with the mutable Trie's layout 398 B (a
+// 56-byte node and a 48-byte value slot per route, a 56-byte glue node),
+// with a 104-byte route.Entry in every slot 516 B, and with 184-byte trie
 // nodes that each stored a prefix and an inline entry, glue included,
 // 845 B.
 func TestRIBBytesPerRoute(t *testing.T) {
-	const n, bound = 50000, 390
+	const n, bound = 50000, 265
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -163,16 +271,21 @@ func TestTableReadsAllocateNothing(t *testing.T) {
 	}
 }
 
-// countingTable counts the longest-match lookups the ExtInt stage makes on
-// its internal parent.
+// countingTable counts the lookups the ExtInt stage makes on a parent:
+// longest matches (the internal side's) and exact ones (the external's).
 type countingTable struct {
 	Table
-	best int
+	best, exact int
 }
 
 func (c *countingTable) LookupBest(addr netip.Addr) (route.Entry, bool) {
 	c.best++
 	return c.Table.LookupBest(addr)
+}
+
+func (c *countingTable) Lookup(net netip.Prefix) (route.Entry, bool) {
+	c.exact++
+	return c.Table.Lookup(net)
 }
 
 // TestInternalChangeTouchesNexthopsNotRoutes: under 10,000 external routes

@@ -1,6 +1,7 @@
 package rib
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"slices"
 
@@ -32,10 +33,11 @@ type ExtIntStage struct {
 	announced *trie.Table[route.Stored]
 	// nexthops indexes the external routes that need resolving by their
 	// nexthop as announced: how it resolves now and the prefixes riding on
-	// it — a bare prefix per route and a struct per nexthop (full-table
-	// feeds use a handful). extInput keeps the sets in step with the
-	// external stream; intInput.changed re-resolves an entry whenever an
-	// internal change can move it, so a resolution stays good across runs.
+	// it — a pointer-free key per route (a word for IPv4), so the collector
+	// never scans the sets, and a struct per nexthop (full-table feeds use
+	// a handful). extInput keeps the sets in step with the external stream;
+	// intInput.changed re-resolves an entry whenever an internal change can
+	// move it, so a resolution stays good across runs.
 	nexthops map[netip.Addr]*nhState
 	// spare is the last entry that emptied, reused by the next new nexthop
 	// so that a lone route flapping allocates nothing.
@@ -52,10 +54,68 @@ type nhResult struct {
 	ok     bool
 }
 
-// nhState is one nexthop's index entry.
+// nhState is one nexthop's index entry: how it resolves, and the prefixes
+// riding on it, each family in a set of its own keys.
 type nhState struct {
 	nhResult
-	deps map[netip.Prefix]struct{}
+	deps4 map[uint64]struct{} // IPv4 prefixes as address<<8 | length
+	deps6 map[key6]struct{}   // IPv6 prefixes; nil until the first
+}
+
+// key6 is an IPv6 prefix as a set key with no pointer in it: a
+// netip.Prefix holds one, for its address's zone.
+type key6 struct {
+	hi, lo uint64
+	bits   uint8
+}
+
+func key4Of(p netip.Prefix) uint64 {
+	a := p.Addr().As4()
+	return uint64(binary.BigEndian.Uint32(a[:]))<<8 | uint64(p.Bits())
+}
+
+func key6Of(p netip.Prefix) key6 {
+	a := p.Addr().As16()
+	return key6{binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:]), uint8(p.Bits())}
+}
+
+// add puts p in the state's set.
+func (st *nhState) add(p netip.Prefix) {
+	if p.Addr().Is4() {
+		st.deps4[key4Of(p)] = struct{}{}
+		return
+	}
+	if st.deps6 == nil {
+		st.deps6 = make(map[key6]struct{})
+	}
+	st.deps6[key6Of(p)] = struct{}{}
+}
+
+// remove takes p out of the state's set, and reports whether the set is
+// left empty.
+func (st *nhState) remove(p netip.Prefix) (empty bool) {
+	if p.Addr().Is4() {
+		delete(st.deps4, key4Of(p))
+	} else {
+		delete(st.deps6, key6Of(p))
+	}
+	return len(st.deps4) == 0 && len(st.deps6) == 0
+}
+
+// appendDeps appends the prefixes in the state's set to dst, in no order.
+func (st *nhState) appendDeps(dst []netip.Prefix) []netip.Prefix {
+	for k := range st.deps4 {
+		var a [4]byte
+		binary.BigEndian.PutUint32(a[:], uint32(k>>8))
+		dst = append(dst, netip.PrefixFrom(netip.AddrFrom4(a), int(k&0xff)))
+	}
+	for k := range st.deps6 {
+		var a [16]byte
+		binary.BigEndian.PutUint64(a[:8], k.hi)
+		binary.BigEndian.PutUint64(a[8:], k.lo)
+		dst = append(dst, netip.PrefixFrom(netip.AddrFrom16(a), int(k.bits)))
+	}
+	return dst
 }
 
 // NewExtIntStage composes parents ext and int.
@@ -144,9 +204,7 @@ func (x *intInput) changed(run []route.Entry) {
 			}
 			if r := s.lookupNexthop(nh); r != st.nhResult {
 				st.nhResult = r
-				for dep := range st.deps {
-					affected = append(affected, dep)
-				}
+				affected = st.appendDeps(affected)
 			}
 		}
 		// Re-announce in prefix order: map iteration order would make the
@@ -185,12 +243,12 @@ func (s *ExtIntStage) link(e route.Entry) {
 	st := s.nexthops[e.NextHop]
 	if st == nil {
 		if st, s.spare = s.spare, nil; st == nil {
-			st = &nhState{deps: make(map[netip.Prefix]struct{})}
+			st = &nhState{deps4: make(map[uint64]struct{})}
 		}
 		st.nhResult = s.lookupNexthop(e.NextHop)
 		s.nexthops[e.NextHop] = st
 	}
-	st.deps[e.Net] = struct{}{}
+	st.add(e.Net)
 }
 
 // unlink removes external route e from its nexthop's set, and the nexthop
@@ -200,8 +258,7 @@ func (s *ExtIntStage) unlink(e route.Entry) {
 		return
 	}
 	st := s.nexthops[e.NextHop]
-	delete(st.deps, e.Net)
-	if len(st.deps) == 0 {
+	if st.remove(e.Net) {
 		delete(s.nexthops, e.NextHop)
 		s.spare = st
 	}

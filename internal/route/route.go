@@ -6,8 +6,10 @@
 package route
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"sync/atomic"
 	"unique"
 )
 
@@ -119,26 +121,69 @@ func (e Entry) Equal(o Entry) bool {
 	return true
 }
 
-// Stored is the value a table files under Entry.Net: 48 bytes against the
-// Entry's 104. The prefix is the table's key, the interface name — one of a
-// handful per router — is interned by the standard library (process-wide,
-// safe from any goroutine, collected with the last route that names it),
-// and the tag list costs a nil pointer on the routes that carry none.
+// Stored is the value a table files under Entry.Net: 24 bytes against the
+// Entry's 104. The prefix is the table's key; the next hop and interface
+// name — one of a handful of pairs per router — are interned together by
+// the standard library (process-wide, safe from any goroutine, collected
+// with the last route that names the pair unless hops caches it), and the
+// tag list costs a nil pointer on the routes that carry none.
 type Stored struct {
-	NextHop       netip.Addr
-	ifName        unique.Handle[string] // zero for "": Value on a zero handle panics
-	tags          *[]uint32             // nil unless the route carries policy tags
+	hop           unique.Handle[hop] // zero for no next hop and no name: Value on a zero handle panics
+	tags          *[]uint32          // nil unless the route carries policy tags
 	Metric        uint32
 	Protocol      Protocol
 	AdminDistance uint8
 }
 
-// Stored returns the form of e a table keeps under e.Net. It allocates
-// only for a route that carries policy tags.
+// hop is what a Stored interns: where a route sends its packets.
+type hop struct {
+	nextHop netip.Addr
+	ifName  string
+}
+
+// hops caches the handles of the first pairs interned, one to a slot, so
+// that Stored() on one of a router's handful of pairs costs a hash and a
+// compare where unique.Make looks it up in the process-wide interner. A
+// filled slot is never rewritten and keeps its pair interned, so a hit
+// returns what unique.Make would; the cache costs at most len(hops)
+// allocations in the life of the process, and a pair whose four probes
+// are all taken by others is interned by unique.Make each time.
+var hops [64]atomic.Pointer[cachedHop]
+
+type cachedHop struct {
+	hop    hop
+	handle unique.Handle[hop]
+}
+
+// intern returns h's handle, from hops when it can.
+func intern(h hop) unique.Handle[hop] {
+	a := h.nextHop.As16()
+	x := binary.LittleEndian.Uint64(a[:8]) ^ binary.LittleEndian.Uint64(a[8:]) ^ uint64(len(h.ifName))
+	if n := len(h.ifName); n > 0 {
+		x ^= uint64(h.ifName[n-1]) << 8
+	}
+	i := x * 0x9e3779b97f4a7c15 >> 58
+	for probe := range uint64(4) {
+		slot := &hops[(i+probe)%uint64(len(hops))]
+		c := slot.Load()
+		if c == nil {
+			handle := unique.Make(h)
+			slot.CompareAndSwap(nil, &cachedHop{handle.Value(), handle})
+			return handle
+		}
+		if c.hop == h {
+			return c.handle
+		}
+	}
+	return unique.Make(h)
+}
+
+// Stored returns the form of e a table keeps under e.Net. Past the first
+// use of its pair, it allocates only for a route that carries policy tags.
 func (e Entry) Stored() Stored {
-	s := Stored{NextHop: e.NextHop, Metric: e.Metric, Protocol: e.Protocol, AdminDistance: e.AdminDistance}
-	if e.IfName != "" {
-		s.ifName = unique.Make(e.IfName)
+	s := Stored{Metric: e.Metric, Protocol: e.Protocol, AdminDistance: e.AdminDistance}
+	if e.NextHop.IsValid() || e.IfName != "" {
+		s.hop = intern(hop{e.NextHop, e.IfName})
 	}
 	if len(e.PolicyTags) > 0 {
 		tags := e.PolicyTags
@@ -150,9 +195,10 @@ func (e Entry) Stored() Stored {
 // Entry rebuilds the message from the stored value and the key it was
 // filed under, without allocating.
 func (s Stored) Entry(net netip.Prefix) Entry {
-	e := Entry{Net: net, NextHop: s.NextHop, Metric: s.Metric, Protocol: s.Protocol, AdminDistance: s.AdminDistance}
-	if s.ifName != (unique.Handle[string]{}) {
-		e.IfName = s.ifName.Value()
+	e := Entry{Net: net, Metric: s.Metric, Protocol: s.Protocol, AdminDistance: s.AdminDistance}
+	if s.hop != (unique.Handle[hop]{}) {
+		h := s.hop.Value()
+		e.NextHop, e.IfName = h.nextHop, h.ifName
 	}
 	if s.tags != nil {
 		e.PolicyTags = *s.tags

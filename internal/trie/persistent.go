@@ -15,11 +15,13 @@
 // reads the /16's trie first and the fans' own tries only when nothing
 // there matched, deepest fan first: a deeper match is the longer one.
 //
-// A glue node is a 48-byte header, always with two children; a valued
-// node is the header and its value in one allocation. No node stores a
-// netip.Prefix: key, length and root are the prefix. A valued node is
-// copied with its value: a copy pointing into the old allocation would pin
-// one old version of the subtree below (TestPersistentChurnHoldsOneVersion).
+// A glue node is a 40-byte header, always with two children; a valued
+// node is the header and its value in one allocation, the header's has
+// flag saying which a node is and value() reaching its tail. No node
+// stores a netip.Prefix or a pointer to itself: key, length and root are
+// the prefix. A valued node is copied with its value: a copy pointing
+// into the old allocation would pin one old version of the subtree below
+// (TestPersistentChurnHoldsOneVersion).
 //
 // # Sessions, the owner mark and pins
 //
@@ -42,7 +44,8 @@
 // wrap: a repeated id would take nodes a pinned version holds for its
 // own. Id 0 owns nothing; Persistent.Insert and Delete run in that mode,
 // one copied path per change. The mark is three uint16s, so that it and
-// the prefix length fill the header's last eight bytes (TestPnodeSize).
+// the prefix length and the has flag fill the header's last eight bytes
+// (TestPnodeSize).
 //
 // # Reuse
 //
@@ -53,8 +56,8 @@
 // owns stays when it empties, for the next route under it; one it would
 // have to copy to empty it goes instead, so Persistent.Delete prunes, an
 // unpinned Table keeps, and a pinned one drops what the pin holds. Until
-// its first pin a Table takes new nodes from blocks of blockNodes: after
-// a pin, one live node would keep a block of a pinned version's dead ones.
+// its first pin a Table takes new nodes from blocks (newBlock): after a
+// pin, one live node would keep a block of a pinned version's dead ones.
 
 package trie
 
@@ -94,9 +97,9 @@ func (o owner) is(id uint64) bool { return id != 0 && o == ownerMark(id) }
 type pnode[T any] struct {
 	key   key128
 	child [2]*pnode[T] // a free node's child[0] is the next free one
-	val   *T           // nil marks glue; otherwise the v of the valued[T] this node heads
 	owner owner
 	bits  uint8
+	has   bool // heads a valued[T]; false marks glue
 }
 
 // valued is the allocation behind a valued node.
@@ -105,11 +108,22 @@ type valued[T any] struct {
 	v T
 }
 
-// blockNodes is how many nodes an unpinned Table allocates at once: with the
-// allocator's 8-byte header, 127 of the RIB's 96-byte valued nodes fill the
-// 12,288-byte size class, of BGP's 64-byte ones 8,192, of 48-byte glue
-// 6,144; a 128th spills each into the next class.
-const blockNodes = 127
+// value returns the value of n, which must be a valued node: the tail of
+// the valued[T] that n heads.
+func (n *pnode[T]) value() *T { return &(*valued[T])(unsafe.Pointer(n)).v }
+
+// blockBytes is the size class an unpinned Table's blocks fill.
+const blockBytes = 8192
+
+// newBlock returns as many zeroed nodes of type N as fit, with the
+// allocator's 8-byte header, in the 8,192-byte size class: each node type
+// has its own count (127 of the RIB's 64-byte valued nodes, 146 of BGP's
+// 56-byte ones, 204 of 40-byte glue), and a node more would spill the
+// block into the next class.
+func newBlock[N any]() []N {
+	var n N
+	return make([]N, (blockBytes-8)/unsafe.Sizeof(n))
+}
 
 // covers reports whether n's prefix covers (k, kb).
 func (n *pnode[T]) covers(k key128, kb uint8) bool {
@@ -371,7 +385,7 @@ func (s *session[T]) put(n *pnode[T], k key128, pb uint8, w *write[T], fn update
 		if c == n.child[b] {
 			return n
 		}
-		if c == nil && n.val == nil {
+		if c == nil && !n.has {
 			// A glue node left with one child splices out.
 			other := n.child[1-b]
 			s.recycle(n)
@@ -403,18 +417,18 @@ func (s *session[T]) put(n *pnode[T], k key128, pb uint8, w *write[T], fn update
 func (s *session[T]) at(n *pnode[T], w *write[T], fn update[T]) *pnode[T] {
 	var m *pnode[T]
 	switch {
-	case n.val == nil: // glue: the prefix is absent
+	case !n.has: // glue: the prefix is absent
 		v, keep := s.fresh(w, nil, fn)
 		if !keep {
 			return n
 		}
 		m = s.valued(*n, v)
 	case n.owner.is(s.id):
-		if w.inPlace(n.val, fn) {
+		if w.inPlace(n.value(), fn) {
 			return n
 		}
 	default:
-		if v, keep := s.fresh(w, n.val, fn); keep {
+		if v, keep := s.fresh(w, n.value(), fn); keep {
 			return s.valued(*n, v)
 		}
 	}
@@ -440,8 +454,8 @@ func (s *session[T]) own(n *pnode[T]) *pnode[T] {
 	switch {
 	case n.owner.is(s.id):
 		return n
-	case n.val != nil:
-		return s.valued(*n, *n.val)
+	case n.has:
+		return s.valued(*n, *n.value())
 	}
 	return s.glue(*n)
 }
@@ -456,14 +470,14 @@ func (s *session[T]) valued(hdr pnode[T], v T) *pnode[T] {
 		s.freeV = a.child[0]
 	case s.blocks:
 		if len(s.blockV) == 0 {
-			s.blockV = make([]valued[T], blockNodes)
+			s.blockV = newBlock[valued[T]]()
 		}
 		a, s.blockV = &s.blockV[0], s.blockV[1:]
 	default:
 		a = new(valued[T])
 	}
 	a.pnode, a.v = hdr, v
-	a.val, a.owner = &a.v, ownerMark(s.id)
+	a.has, a.owner = true, ownerMark(s.id)
 	return &a.pnode
 }
 
@@ -476,14 +490,14 @@ func (s *session[T]) glue(hdr pnode[T]) *pnode[T] {
 		g, s.freeG = s.freeG, s.freeG.child[0]
 	case s.blocks:
 		if len(s.blockG) == 0 {
-			s.blockG = make([]pnode[T], blockNodes)
+			s.blockG = newBlock[pnode[T]]()
 		}
 		g, s.blockG = &s.blockG[0], s.blockG[1:]
 	default:
 		g = new(pnode[T])
 	}
 	*g = hdr
-	g.val, g.owner = nil, ownerMark(s.id)
+	g.has, g.owner = false, ownerMark(s.id)
 	return g
 }
 
@@ -494,7 +508,7 @@ func (s *session[T]) recycle(n *pnode[T]) {
 	if !n.owner.is(s.id) {
 		return
 	}
-	if n.val != nil {
+	if n.has {
 		a := (*valued[T])(unsafe.Pointer(n))
 		*a = valued[T]{}
 		a.child[0], s.freeV = s.freeV, n
@@ -550,10 +564,10 @@ func (t *Persistent[T]) Get(p netip.Prefix) (T, bool) {
 	k, pb := keyOf(p.Addr()), uint8(p.Bits())
 	for cur := (*root).trieOf(k, pb); cur != nil && cur.covers(k, pb); cur = cur.child[k.bit(cur.bits)] {
 		if cur.bits == pb {
-			if cur.val == nil {
+			if !cur.has {
 				return zero, false
 			}
-			return *cur.val, true
+			return *cur.value(), true
 		}
 	}
 	return zero, false
@@ -588,7 +602,7 @@ func (t *Persistent[T]) LongestMatch(addr netip.Addr) (netip.Prefix, T, bool) {
 		var zero T
 		return netip.Prefix{}, zero, false
 	}
-	return prefixOf(best.key, best.bits, v4), *best.val, true
+	return prefixOf(best.key, best.bits, v4), *best.value(), true
 }
 
 // matchP returns the longest valued node under n that covers k. It
@@ -596,7 +610,7 @@ func (t *Persistent[T]) LongestMatch(addr netip.Addr) (netip.Prefix, T, bool) {
 // by the caller, instead of at every valued ancestor.
 func matchP[T any](n *pnode[T], k key128) (best *pnode[T]) {
 	for ; n != nil && k.hasPrefix(n.key, n.bits); n = n.child[k.bit(n.bits)] {
-		if n.val != nil {
+		if n.has {
 			best = n
 		}
 	}
@@ -690,7 +704,7 @@ func (f *fan[T]) walk(depth uint8, v4 bool, from *mark, fn func(netip.Prefix, T)
 	if f == nil {
 		return true
 	}
-	emit := func(n *pnode[T]) bool { return fn(prefixOf(n.key, n.bits, v4), *n.val) }
+	emit := func(n *pnode[T]) bool { return fn(prefixOf(n.key, n.bits, v4), *n.value()) }
 	next := 0
 	if from != nil {
 		next = from.k.nibble(depth)
@@ -744,7 +758,7 @@ func walkP[T any](n *pnode[T], from *mark, visit func(*pnode[T]) bool) bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if n.val != nil && !visit(n) {
+		if n.has && !visit(n) {
 			return false
 		}
 		if n.child[1] != nil {

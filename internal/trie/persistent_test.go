@@ -279,13 +279,13 @@ func TestPnodeSize(t *testing.T) {
 		got, want uintptr
 		exact     bool
 	}{
-		{"glue pnode", unsafe.Sizeof(pnode[route.Entry]{}), 48, true},
-		{"glue pnode[uint64]", unsafe.Sizeof(pnode[uint64]{}), 48, true},
-		// The forwarding plane's valued node: header and value fill the 96
-		// class; a field more in either lands every route in the 112 class.
-		{"route.Stored", unsafe.Sizeof(route.Stored{}), 48, true},
-		{"valued[route.Stored]", unsafe.Sizeof(valued[route.Stored]{}), 96, true},
-		{"valued[route.Entry]", unsafe.Sizeof(valued[route.Entry]{}), 160, false},
+		{"glue pnode", unsafe.Sizeof(pnode[route.Entry]{}), 40, true},
+		{"glue pnode[uint64]", unsafe.Sizeof(pnode[uint64]{}), 40, true},
+		// The forwarding plane's valued node: header and value fill the 64
+		// class; a field more in either lands every route in the 80 class.
+		{"route.Stored", unsafe.Sizeof(route.Stored{}), 24, true},
+		{"valued[route.Stored]", unsafe.Sizeof(valued[route.Stored]{}), 64, true},
+		{"valued[route.Entry]", unsafe.Sizeof(valued[route.Entry]{}), 144, false},
 		{"fan with its kids", unsafe.Sizeof(fanned[route.Entry]{}), 160, false},
 		{"last fan with its tries", unsafe.Sizeof(rooted[route.Entry]{}), 160, false},
 	} {
@@ -294,25 +294,32 @@ func TestPnodeSize(t *testing.T) {
 		}
 	}
 	// A Table's blocks and the allocator's 8-byte header for a large
-	// pointerful object fill one size class: the RIB's valued nodes, BGP's
-	// RIB-in nodes (a ribSlot is two pointers, as slot is here) and glue.
+	// pointerful object fill the 8,192-byte class to within one node, for
+	// each node type its own count: the RIB's valued nodes, BGP's RIB-in
+	// nodes (a ribSlot is two pointers, as slot is here, so 56 bytes) and glue.
 	type slot struct{ attrs, who *int }
 	for _, c := range []struct {
 		what        string
-		node, class uintptr
+		node, count uintptr
 	}{
-		{"valued[route.Stored]", unsafe.Sizeof(valued[route.Stored]{}), 12288},
-		{"valued[ribSlot]", unsafe.Sizeof(valued[slot]{}), 8192},
-		{"glue pnode[route.Stored]", unsafe.Sizeof(pnode[route.Stored]{}), 6144},
+		{"valued[route.Stored]", unsafe.Sizeof(valued[route.Stored]{}), uintptr(len(newBlock[valued[route.Stored]]()))},
+		{"valued[ribSlot]", unsafe.Sizeof(valued[slot]{}), uintptr(len(newBlock[valued[slot]]()))},
+		{"glue pnode[route.Stored]", unsafe.Sizeof(pnode[route.Stored]{}), uintptr(len(newBlock[pnode[route.Stored]]()))},
 	} {
-		if block := blockNodes*c.node + 8; block > c.class || block < c.class-c.node {
-			t.Errorf("a block of %d %s is %d bytes with its header, want just under the %d class", blockNodes, c.what, block, c.class)
+		if block := c.count*c.node + 8; block > blockBytes || block <= blockBytes-c.node {
+			t.Errorf("a block of %d %s is %d bytes with its header, want within one node under the %d class", c.count, c.what, block, blockBytes)
 		}
 	}
-	// The self-pointers that make one allocation of a header and its tail.
+	if got := unsafe.Sizeof(valued[slot]{}); got != 56 {
+		t.Errorf("valued[ribSlot] is %d bytes, want 56", got)
+	}
+	// A valued node's tail is its value, reached without a pointer.
 	n := (&session[int]{id: 1}).valued(pnode[int]{}, 7)
-	if unsafe.Pointer(n.val) != unsafe.Add(unsafe.Pointer(n), unsafe.Offsetof(valued[int]{}.v)) {
-		t.Error("a valued node's val does not point at its own tail")
+	if !n.has || unsafe.Pointer(n.value()) != unsafe.Add(unsafe.Pointer(n), unsafe.Offsetof(valued[int]{}.v)) || *n.value() != 7 {
+		t.Error("a valued node does not head its own value")
+	}
+	if g := (&session[int]{id: 1}).glue(*n); g.has {
+		t.Error("a glue node made from a valued header is marked valued")
 	}
 	f := (*fan[int])(nil).own(1, 0)
 	if f.tries != nil || unsafe.Pointer(f.kids) != unsafe.Add(unsafe.Pointer(f), unsafe.Offsetof(fanned[int]{}.arr)) {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-	"unsafe"
 )
 
 func mustP(s string) netip.Prefix { return netip.MustParsePrefix(s) }
@@ -405,12 +404,10 @@ func checkTable[T any](t *testing.T, tr *Table[T]) {
 			t.Fatalf("%v: word key out of sync", p)
 		case !owned(n.owner):
 			t.Fatalf("%v: a node the table does not own", p)
-		case n.val == nil && (n.child[0] == nil || n.child[1] == nil):
+		case !n.has && (n.child[0] == nil || n.child[1] == nil):
 			t.Fatalf("glue node %v has fewer than two children", p)
-		case n.val != nil && unsafe.Pointer(n.val) != unsafe.Add(unsafe.Pointer(n), unsafe.Offsetof(valued[T]{}.v)):
-			t.Fatalf("%v: val does not point at its own tail", p)
 		}
-		if n.val != nil {
+		if n.has {
 			valuedN++
 		}
 		for b, c := range n.child {
@@ -452,8 +449,11 @@ func checkTable[T any](t *testing.T, tr *Table[T]) {
 			if inTree[n] {
 				t.Fatal("a node on a free list is still in the tree")
 			}
-			if n.val != nil || n.child[1] != nil || n.bits != 0 || n.key != (key128{}) || n.owner != (owner{}) {
+			if n.has || n.child[1] != nil || n.bits != 0 || n.key != (key128{}) || n.owner != (owner{}) {
 				t.Fatal("a free node was not zeroed")
+			}
+			if free == s.freeV && !reflect.ValueOf(*n.value()).IsZero() {
+				t.Fatal("a free valued node still holds its value")
 			}
 		}
 	}
