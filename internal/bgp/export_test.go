@@ -99,3 +99,9 @@ func (s *sink) Lookup(net netip.Prefix, r *Route) (ok bool) {
 	*r, ok = s.tbl[net]
 	return ok
 }
+
+// HeldRuns returns the fanout's run storage: the routes it holds for the
+// entries still queued, and the slots past them that it keeps.
+func (f *Fanout) HeldRuns() (held, spare []Route) {
+	return f.runs, f.runs[len(f.runs):cap(f.runs)]
+}

@@ -2,20 +2,20 @@ package bgp
 
 import (
 	"net/netip"
-	"slices"
 
 	"xorp/internal/core"
 	"xorp/internal/eventloop"
 )
 
 // fanoutEntry is one decision-process output queued for fanout. An OpAdd
-// carries a run: its first route in new, and the fanout's own copy of the
-// whole run in run when there is more than one route (the queue outlives
-// the call that delivered the run, and the sender's buffer with it).
+// carries a run: its first route in new and, when there is more than one,
+// the n routes of the fanout's run storage from position off (the queue
+// outlives the call that delivered the run, and the sender's buffer with
+// it). Every entry records off, so the oldest queued bounds what is kept.
 type fanoutEntry struct {
 	op       core.Op
+	n, off   uint32
 	old, new Route
-	run      []Route
 }
 
 // Fanout is the fanout-queue stage of Figure 5: it duplicates the
@@ -28,6 +28,12 @@ type Fanout struct {
 	base
 	loop *eventloop.Loop
 	q    *core.FanoutQueue[fanoutEntry]
+
+	// runs holds the queued adds' runs back to back, runs[0] at position
+	// first; a position counts every route stored, modulo 2^32, so an
+	// entry's off survives compaction. It keeps its capacity.
+	runs  []Route
+	first uint32
 
 	branches      map[string]*fanoutBranch
 	pumpScheduled bool
@@ -84,6 +90,7 @@ func (f *Fanout) AddGroupBranch(name string, head Stage) {
 func (f *Fanout) RemoveBranch(name string) {
 	if b, ok := f.branches[name]; ok {
 		f.q.RemoveReader(b.reader)
+		f.trimRuns()
 		delete(f.branches, name)
 		b.head.setParent(nil)
 	}
@@ -132,8 +139,9 @@ func (f *Fanout) deliver(b *fanoutBranch, e fanoutEntry) bool {
 	switch {
 	case so && sn:
 		b.head.Replace(e.old, e.new)
-	case sn && e.run != nil:
-		b.head.Add(e.run)
+	case sn && e.n > 0:
+		i := e.off - f.first
+		b.head.Add(f.runs[i : i+e.n : i+e.n])
 	case sn: // a run of one rides in the entry
 		f.run = append(f.run[:0], e.new)
 		b.head.Add(f.run)
@@ -154,7 +162,35 @@ func (f *Fanout) schedulePump() {
 
 func (f *Fanout) pump() {
 	f.pumpScheduled = false
+	f.pumpAll()
+}
+
+// pumpAll pumps the queue, then lets go of the runs it no longer holds.
+func (f *Fanout) pumpAll() {
 	f.q.PumpAll()
+	f.trimRuns()
+}
+
+// trimRuns drops the routes before the oldest entry still queued (all of
+// them when none is) and clears the slots it frees, so the storage pins no
+// attribute set or holder. No delivery pumps, so no run in delivery moves.
+func (f *Fanout) trimRuns() {
+	keep := f.first + uint32(len(f.runs))
+	if f.q.Len() > 0 {
+		keep = f.q.Head().off
+	}
+	if n := keep - f.first; n > 0 {
+		m := copy(f.runs, f.runs[n:])
+		clear(f.runs[m:])
+		f.runs, f.first = f.runs[:m], keep
+	}
+}
+
+// push queues e, recording where its run, stored last, begins.
+func (f *Fanout) push(e fanoutEntry) {
+	e.off = f.first + uint32(len(f.runs)) - e.n
+	f.q.Push(e)
+	f.schedulePump()
 }
 
 // Add implements Stage: the run is queued as one entry, so every branch
@@ -162,26 +198,20 @@ func (f *Fanout) pump() {
 func (f *Fanout) Add(run []Route) {
 	e := fanoutEntry{op: core.OpAdd, new: run[0]}
 	if len(run) > 1 {
-		e.run = slices.Clone(run)
+		e.n = uint32(len(run))
+		f.runs = append(f.runs, run...)
 	}
-	f.q.Push(e)
-	f.schedulePump()
+	f.push(e)
 }
 
 // Replace implements Stage.
-func (f *Fanout) Replace(old, new Route) {
-	f.q.Push(fanoutEntry{op: core.OpReplace, old: old, new: new})
-	f.schedulePump()
-}
+func (f *Fanout) Replace(old, new Route) { f.push(fanoutEntry{op: core.OpReplace, old: old, new: new}) }
 
 // Delete implements Stage.
-func (f *Fanout) Delete(r Route) {
-	f.q.Push(fanoutEntry{op: core.OpDelete, old: r})
-	f.schedulePump()
-}
+func (f *Fanout) Delete(r Route) { f.push(fanoutEntry{op: core.OpDelete, old: r}) }
 
 // Flush pumps the queue synchronously (tests and shutdown).
-func (f *Fanout) Flush() { f.q.PumpAll() }
+func (f *Fanout) Flush() { f.pumpAll() }
 
 // Lookup implements Stage, passing upstream to the decision process.
 func (f *Fanout) Lookup(net netip.Prefix, r *Route) bool { return f.lookupParent(net, r) }
@@ -198,7 +228,7 @@ func (f *Fanout) walk(from Stage, fn func(Route) bool) {
 	}
 	busy := b.reader.Busy()
 	b.reader.SetBusy(false)
-	f.q.PumpAll()
+	f.pumpAll()
 	b.reader.SetBusy(busy)
 	d.walk(from, func(r Route) bool {
 		return b.peer != nil && !sendable(r.Src, b.peer) || fn(r)

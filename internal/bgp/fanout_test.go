@@ -1,0 +1,181 @@
+package bgp
+
+import (
+	"fmt"
+	"net/netip"
+	"slices"
+	"testing"
+	"time"
+	"unsafe"
+
+	"xorp/internal/eventloop"
+)
+
+// runSink is a terminal stage that counts what it is sent and checks each
+// run it is handed: a run of more than one route must have no capacity past
+// its end (a receiver appending to it would write over the next run), and,
+// when want is set, must be want.
+type runSink struct {
+	base
+	want                  []Route
+	runs, routes, deletes int
+	bad                   string
+}
+
+func (s *runSink) Add(run []Route) {
+	s.runs++
+	s.routes += len(run)
+	switch {
+	case s.bad != "":
+	case len(run) > 1 && cap(run) != len(run):
+		s.bad = fmt.Sprintf("run %d: %d routes with capacity %d", s.runs, len(run), cap(run))
+	case s.want != nil && len(run) > 1 && !slices.Equal(run, s.want):
+		s.bad = fmt.Sprintf("run %d: %v, want %v", s.runs, run, s.want)
+	}
+}
+func (s *runSink) Replace(old, new Route)           { s.routes++ }
+func (s *runSink) Delete(Route)                     { s.deletes++ }
+func (s *runSink) Lookup(netip.Prefix, *Route) bool { return false }
+
+// TestFanoutRunsAllocateNothing: a warm PeerIn → resolver → Decision →
+// Fanout network with two branches takes 8- and 256-route runs, and their
+// withdrawals, without allocating. The fanout queues each run in storage it
+// reuses and hands every branch a subslice of it, capped at its end; the
+// entry that says where stays 128 bytes.
+func TestFanoutRunsAllocateNothing(t *testing.T) {
+	// A queued change is two routes and the run's place in the storage;
+	// holding the run's slice instead made it 144.
+	if size := unsafe.Sizeof(fanoutEntry{}); size != 128 {
+		t.Errorf("a fanout entry is %d bytes, want 128", size)
+	}
+	for _, n := range []int{8, 256} {
+		loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+		dec, fan := NewDecision("decision"), NewFanout("fanout", loop)
+		Plumb(dec, fan)
+		a, b := &runSink{}, &runSink{}
+		fan.AddGroupBranch("a", a)
+		fan.AddGroupBranch("b", b)
+		h := testPeer("p1", "10.0.0.1", 65001, false)
+		in := NewPeerIn(loop, h, NewAttrPool())
+		res := NewNexthopResolver("nexthop(p1)", &StaticMetricSource{})
+		Plumb(in, res)
+		dec.AddParent(res)
+
+		ann := &UpdateMsg{Attrs: attrsVia("10.0.0.1", 65001), NLRI: ownNets(7, n)}
+		wd := &UpdateMsg{Withdrawn: ann.NLRI}
+		cycles := 0
+		cycle := func() {
+			in.ReceiveUpdate(ann, 65000)
+			loop.RunPending()
+			in.ReceiveUpdate(wd, 65000)
+			loop.RunPending()
+			cycles++
+		}
+		cycle() // warm: tables, queue and run storage at size
+		if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+			t.Errorf("%d-route runs: an announce and withdrawal through the fanout cost %.2f allocations, want 0", n, allocs)
+		}
+		for name, s := range map[string]*runSink{"a": a, "b": b} {
+			if s.bad != "" {
+				t.Fatalf("%d-route runs, branch %s: %s", n, name, s.bad)
+			}
+			if s.routes != cycles*n || s.deletes != cycles*n {
+				t.Fatalf("%d-route runs, branch %s: %d routes and %d deletes over %d cycles, want %d of each a cycle",
+					n, name, s.routes, s.deletes, cycles, n)
+			}
+		}
+		if held, _ := fan.HeldRuns(); len(held) != 0 {
+			t.Fatalf("%d-route runs: the drained fanout holds %d routes", n, len(held))
+		}
+	}
+}
+
+// TestFanoutRunStorageBounded: the run storage follows the queue. Two
+// branches take turns being busy, the one released catching up while the
+// other stalls behind the entry just added, so the queue is never empty at
+// an Add; across 10,000 8-route runs, runs of one and deletes the storage
+// always holds exactly the routes of the entries still queued, and no slot
+// it freed still points at an attribute set or a holder. Once both branches
+// drain, it holds none.
+func TestFanoutRunStorageBounded(t *testing.T) {
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	f := NewFanout("fanout", loop)
+	src, attrs := testPeer("p1", "10.0.0.1", 65001, false), attrsVia("10.0.0.1", 65001)
+	run := make([]Route, 8)
+	for i, net := range ownNets(1, len(run)) {
+		run[i] = Route{Net: net, Attrs: attrs, Src: src}
+	}
+	sinks := map[string]*runSink{"a": {want: run}, "b": {want: run}}
+	for name, s := range sinks {
+		f.AddGroupBranch(name, s)
+	}
+	other := map[string]string{"a": "b", "b": "a"}
+
+	var stored []int // routes each entry put in the storage, in push order
+	check := func(step int) {
+		t.Helper()
+		want := 0
+		for _, n := range stored[len(stored)-f.QueueLen():] {
+			want += n
+		}
+		held, spare := f.HeldRuns()
+		if len(held) != want {
+			t.Fatalf("step %d: the storage holds %d routes for %d queued entries that need %d", step, len(held), f.QueueLen(), want)
+		}
+		for i, r := range spare {
+			if r.Attrs != nil || r.Src != nil {
+				t.Fatalf("step %d: freed slot %d still holds %v from %v", step, len(held)+i, r.Attrs, r.Src)
+			}
+		}
+	}
+
+	const steps = 10000
+	busy := "a"
+	f.SetBusy(busy, true)
+	for i := 0; i < steps; i++ {
+		swap := i%16 == 15
+		if swap {
+			f.SetBusy(other[busy], true)
+		}
+		if i > 0 && f.QueueLen() == 0 {
+			t.Fatalf("step %d: the queue is empty at an Add", i)
+		}
+		switch {
+		case i%5 == 4:
+			f.Delete(run[0])
+			stored = append(stored, 0)
+		case i%7 == 6:
+			f.Add(run[:1]) // rides in the entry
+			stored = append(stored, 0)
+		default:
+			f.Add(run)
+			stored = append(stored, len(run))
+		}
+		if swap {
+			f.SetBusy(busy, false)
+			busy = other[busy]
+		}
+		loop.RunPending()
+		check(i)
+	}
+	f.SetBusy(busy, false)
+	loop.RunPending()
+	if f.QueueLen() != 0 {
+		t.Fatalf("%d entries queued after both branches drained", f.QueueLen())
+	}
+	check(steps)
+
+	want := 0
+	for _, n := range stored {
+		want += max(n, 1)
+	}
+	want -= steps / 5 // the deletes
+	for name, s := range sinks {
+		if s.bad != "" {
+			t.Fatalf("branch %s: %s", name, s.bad)
+		}
+		if s.routes != want || s.deletes != steps/5 {
+			t.Fatalf("branch %s was sent %d routes and %d deletes, want %d and %d", name, s.routes, s.deletes, want, steps/5)
+		}
+	}
+}

@@ -54,6 +54,9 @@ func (q *FanoutQueue[T]) Push(v T) {
 // slowest reader).
 func (q *FanoutQueue[T]) Len() int { return len(q.entries) }
 
+// Head returns the oldest entry still held; the queue must not be empty.
+func (q *FanoutQueue[T]) Head() T { return q.entries[0] }
+
 // PumpAll advances every non-busy reader as far as it will go and trims
 // consumed entries.
 func (q *FanoutQueue[T]) PumpAll() {

@@ -63,9 +63,9 @@ func New(loop *eventloop.Loop, fib *kernel.FIB, host *kernel.Host, router *xipc.
 		p.recvPush = xif.NewFEAUDPRecvClient(router)
 	}
 
-	// Live metrics. The kernel FIB counts its table under its mutex, and a
-	// snapshot's generation is fixed at its publish and reached by an
-	// atomic load, so every gauge here is safe from any scrape goroutine,
+	// Live metrics. The kernel FIB counts its table under its mutex, and the
+	// live snapshot's generation, which each publish advances in place, is
+	// an atomic load, so every gauge here is safe from any scrape goroutine,
 	// not just the process loop, and none pins; after a publish
 	// fea_fib_entries and the snapshot's length agree, because they count
 	// one table.

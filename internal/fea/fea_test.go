@@ -263,7 +263,7 @@ func TestListXRLsPublishOnce(t *testing.T) {
 			return nil
 		}
 	}
-	gen := func() uint64 { return p.Snapshots().Current().Gen() } // fixed at the publish: safe off the loop
+	gen := func() uint64 { return p.Snapshots().Current().Gen() } // an atomic load: safe off the loop
 
 	es := make([]route.Entry, 40)
 	nets := make([]netip.Prefix, len(es))
@@ -314,6 +314,55 @@ func TestListXRLsPublishOnce(t *testing.T) {
 	}
 	if n := fib.Len(); n != len(es)-10 {
 		t.Fatalf("kernel holds %d entries, want %d", n, len(es)-10)
+	}
+}
+
+// TestSnapshotGenScrapedOffLoop: the fea_snapshot_gen gauge is scraped off
+// the FEA's loop, so the live snapshot's generation must be safe to read
+// while a commit on the loop advances it. One goroutine scrapes the gauge
+// 1,000 times while 1,000 batches land on the loop; the generations it
+// reads never go backwards, and the last is one per batch. Meaningful under
+// -race (the CI race job runs it).
+func TestSnapshotGenScrapedOffLoop(t *testing.T) {
+	const n = 1000
+	loop := eventloop.New(nil)
+	p := New(loop, kernel.NewFIB(), nil, nil)
+	go loop.Run()
+	defer loop.Stop()
+
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		last := 0.0
+		for i := 0; i < n; i++ {
+			g, ok := p.Metrics().Get("fea_snapshot_gen")
+			if !ok || g < last {
+				t.Errorf("scrape %d: generation %v (found %v) after %v", i, g, ok, last)
+				return
+			}
+			last = g
+		}
+	}()
+	e := route.Entry{Net: mustP("10.1.0.0/16"), NextHop: mustA("192.168.1.254"), IfName: "eth0"}
+	for i := 0; i < n; i++ {
+		b := rib.NewFIBBatch()
+		if i%2 == 0 {
+			b.Add(e)
+		} else {
+			b.Delete(e)
+		}
+		loop.Dispatch(func() {
+			if err := p.ApplyBatch(b); err != nil {
+				t.Errorf("batch %d: %v", i, err)
+			}
+		})
+	}
+	landed := make(chan struct{})
+	loop.Dispatch(func() { close(landed) })
+	<-landed
+	<-scraped
+	if g, _ := p.Metrics().Get("fea_snapshot_gen"); g != n {
+		t.Fatalf("generation %v after %d batches, want %d", g, n, n)
 	}
 }
 

@@ -2,9 +2,9 @@
 // paper's evaluation never measured. The control plane (RIB → FEA)
 // produces coalesced rib.FIBBatch transactions; this package turns each
 // applied batch into the next FIB snapshot generation — the kernel FIB's
-// longest-prefix-match table, published with a single atomic pointer
-// flip — and forwards a synthetic packet stream against it from N
-// shared-nothing lookup workers.
+// longest-prefix-match table, rewritten into one live snapshot — and
+// forwards a synthetic packet stream against it from N shared-nothing
+// lookup workers.
 //
 // A batch is one commit is one generation: Publisher.Apply hands the
 // batch to its kernel.FIB, whose Commit writes every operation in place
@@ -15,17 +15,16 @@
 // generation when the FIB has made commits the last publish did not (it
 // counts them), so a generation always names what it holds. The
 // single-entry FIBAdd and FIBDelete are batches of one. A publish
-// allocates one object, the Snapshot, which holds the table by value.
+// allocates nothing: it rewrites the table and generation in place.
 //
-// Every commit runs on the FEA's loop, and so do the FEA's own readers,
-// so a published snapshot is valid until the next commit and costs the
-// writer nothing. A reader on another goroutine, or one that holds a
-// snapshot across commits, pins it (Source.Pin): the commits after a pin
+// Every commit runs on the FEA's loop, and so do the FEA's own readers.
+// Current is the live view. On the commit goroutine it always shows the
+// latest commit. Off it, or across commits, Pin: the commits after a pin
 // copy each node they touch that the pin can reach, once, and never write
 // it (the trie package's persistent.go has the rule), so a pinned
-// snapshot shows exactly the route set after some whole number of
-// commits for as long as it is held. Gen and Len are safe anywhere. A
-// path copy is the four fans the route's address passes, the last
+// snapshot shows exactly the route set after some whole number of commits
+// for as long as it is held. Only Gen, an atomic load, is safe anywhere.
+// A path copy is the four fans the route's address passes, the last
 // holding its /16's Patricia trie in its own slot, and the few trie nodes
 // above the route; a lookup reads that /16's trie first and the fans'
 // short-prefix tries only when nothing there matched.
@@ -47,7 +46,7 @@
 //	 fwd.Backend (SimBackend: a Publisher over a kernel.FIB)
 //	      │
 //	 Publisher.Apply: kernel.FIB.Commit writes the table in place;
-//	                  it is snapshot n+1, one atomic pointer flip
+//	                  the live snapshot takes it as generation n+1
 //	      ▼
 //	 ┌─────────┬─────────┬─────────┐
 //	 │ worker 0│ worker 1│ worker N│  a Pin per burst, then lock-free

@@ -13,19 +13,20 @@ import (
 )
 
 // Snapshot is one FIB version: a generation number and an LPM table of
-// route.Stored values, held by value so that a publish is one allocation.
-// A published one is the kernel.FIB's table as its commit left it, valid
-// until the next commit; a pinned one (Source.Pin) never changes, for a
-// reader on another goroutine or across commits. Gen and Len are fixed
-// when it is made, and safe anywhere.
+// route.Stored values, held by value. The Publisher owns one live
+// Snapshot, which each commit rewrites in place with the table it leaves
+// and the next generation, so a publish allocates nothing; a pinned one
+// (Source.Pin) is a fresh Snapshot that never changes, for a reader on
+// another goroutine or across commits. Gen is an atomic load, safe
+// anywhere; Lookup, Get, Walk and Len read the table plainly.
 type Snapshot struct {
-	gen uint64
+	gen atomic.Uint64
 	tbl trie.Persistent[route.Stored]
 }
 
 // Gen returns the snapshot's generation: the number of publications that
 // produced it (the version the publisher started from is generation 0).
-func (s *Snapshot) Gen() uint64 { return s.gen }
+func (s *Snapshot) Gen() uint64 { return s.gen.Load() }
 
 // Len returns the number of installed entries.
 func (s *Snapshot) Len() int { return s.tbl.Len() }
@@ -52,8 +53,9 @@ func (s *Snapshot) Walk(fn func(route.Entry) bool) {
 }
 
 // Source is anything that exposes a current forwarding snapshot: the
-// Publisher itself, or a Backend wrapping one. Current is the published
-// snapshot, valid until the next commit; Pin is one no commit changes.
+// Publisher itself, or a Backend wrapping one. Current is the live view.
+// On the commit goroutine it always shows the latest commit. Off it, Pin:
+// a snapshot no commit changes.
 type Source interface {
 	Current() *Snapshot
 	Pin() *Snapshot
@@ -61,15 +63,16 @@ type Source interface {
 
 // Publisher publishes generations of a kernel.FIB: each applied
 // rib.FIBBatch is committed to the FIB in place, and the table that
-// results is published with one atomic pointer store. Writers serialize
-// among themselves on an internal mutex; Current is a single atomic load,
-// and Pin takes the mutex, so it never meets a commit half done.
+// results is written into the live snapshot with the next generation.
+// Writers serialize among themselves on an internal mutex; Current
+// returns the live snapshot, and Pin takes the mutex, so it never meets a
+// commit half done.
 //
 // Publisher implements rib.FIBClient, so it can sit directly below a
 // RIB's fib sink, and Source, so workers can chase its snapshots.
 type Publisher struct {
-	cur atomic.Pointer[Snapshot]
-	fib *kernel.FIB
+	live Snapshot
+	fib  *kernel.FIB
 
 	// mu makes a commit and its publish one step, so no publish stores a
 	// version older than the one before it. It guards the scratch a batch
@@ -95,30 +98,30 @@ func NewPublisher() *Publisher { return newPublisher(kernel.NewFIB()) }
 // table as it stands, pinned, so the table takes no blocks.
 func newPublisher(fib *kernel.FIB) *Publisher {
 	p := &Publisher{fib: fib}
-	tbl, n := fib.Pin()
-	p.cur.Store(&Snapshot{tbl: tbl})
-	p.seen = n
+	p.live.tbl, p.seen = fib.Pin()
 	return p
 }
 
-// Current returns the latest published snapshot, valid until the next
-// commit: read it on the goroutine that makes the commits, or Pin.
-func (p *Publisher) Current() *Snapshot { return p.cur.Load() }
+// Current returns the live snapshot, which each commit rewrites in place.
+// Current is the live view. On the commit goroutine it always shows the
+// latest commit. Off it, Pin: there only its Gen is safe to read.
+func (p *Publisher) Current() *Snapshot { return &p.live }
 
 // Pin returns the FIB's table as it stands, as a snapshot that no later
 // commit changes: at the current generation, or, when the FIB was written
 // directly since the last publish, published first as the next one, so a
-// generation always names the contents it holds. Safe from any goroutine.
+// generation always names the contents it holds. Safe from any goroutine;
+// a Pin that publishes is a commit to the live snapshot.
 func (p *Publisher) Pin() *Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	tbl, n := p.fib.Pin()
-	s := &Snapshot{gen: p.cur.Load().gen, tbl: tbl}
 	if n != p.seen {
-		s.gen++
-		p.cur.Store(s)
-		p.seen = n
+		p.live.tbl, p.seen = tbl, n
+		p.live.gen.Add(1)
 	}
+	s := &Snapshot{tbl: tbl}
+	s.gen.Store(p.live.gen.Load())
 	return s
 }
 
@@ -129,7 +132,7 @@ func (p *Publisher) SetTracer(tr *telemetry.Tracer) { p.tracer = tr }
 // Apply commits the batch's net operations to the FIB (one Commit) and
 // publishes the table that results as the next generation, with whatever
 // was written straight to the FIB since the last publish. Returns the
-// published snapshot.
+// live snapshot, which the next commit rewrites.
 func (p *Publisher) Apply(b *rib.FIBBatch) *Snapshot {
 	s, _, _ := p.apply(b)
 	return s
@@ -154,12 +157,12 @@ func (p *Publisher) apply(b *rib.FIBBatch) (*Snapshot, int, error) {
 	})
 	tbl, removed, err := p.fib.Commit(p.adds, p.removes)
 	clear(p.adds) // pins no names or tag lists
-	next := &Snapshot{gen: p.cur.Load().gen + 1, tbl: tbl}
-	p.cur.Store(next)
+	p.live.tbl = tbl
+	p.live.gen.Add(1)
 	if p.tracer.On(telemetry.StageSnapPub) {
 		p.tracer.StampBatch(telemetry.StageSnapPub, b.Nets)
 	}
-	return next, removed, err
+	return &p.live, removed, err
 }
 
 // one returns a batch of one op.

@@ -26,7 +26,6 @@ var testOnly = map[string]string{
 	"bgp.Peer.Handle":                "rtrmgr",
 	"bgp.Process.Group":              "bgp, rtrmgr",
 	"bgp.Process.ListenAddr":         "bgp, rtrmgr",
-	"core.FanoutQueue.Len":           "bgp, core",
 	"eventloop.Loop.PendingTasks":    "bgp, eventloop",
 	"eventloop.SimClock.Advance":     "eventloop, finder",
 	"kernel.Host.Unbind":             "kernel, ospf, rip",
