@@ -179,3 +179,58 @@ func TestFanoutRunStorageBounded(t *testing.T) {
 		}
 	}
 }
+
+// runRecorder passes every message on and records the length of each run
+// it forwards.
+type runRecorder struct {
+	base
+	runs []int
+}
+
+func (s *runRecorder) Add(run []Route) {
+	s.runs = append(s.runs, len(run))
+	s.next.Add(run)
+}
+func (s *runRecorder) Replace(old, new Route) { s.next.Replace(old, new) }
+func (s *runRecorder) Delete(r Route)         { s.next.Delete(r) }
+func (s *runRecorder) Lookup(net netip.Prefix, r *Route) bool {
+	return s.lookupParent(net, r)
+}
+
+// TestResolverDrainsRuns: an 8-NLRI UPDATE on a nexthop the resolver has no
+// answer for waits there, one queued add per net. When the answer comes,
+// the eight adds leave as one run: it reaches the stage above the decision
+// process whole, and the fanout as one queued entry, which a branch takes
+// as one run.
+func TestResolverDrainsRuns(t *testing.T) {
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	dec, fan := NewDecision("decision"), NewFanout("fanout", loop)
+	Plumb(dec, fan)
+	out := &runSink{}
+	fan.AddGroupBranch("a", out)
+	fan.SetBusy("a", true)
+	in := NewPeerIn(loop, testPeer("p1", "10.0.0.1", 65001, false), NewAttrPool())
+	src := &fakeMetricSource{}
+	res, rec := NewNexthopResolver("nexthop(p1)", src), &runRecorder{}
+	Plumb(in, res, rec)
+	dec.AddParent(rec)
+
+	in.ReceiveUpdate(&UpdateMsg{Attrs: attrsVia("10.0.0.1", 65001), NLRI: ownNets(7, 8)}, 65000)
+	loop.RunPending()
+	if res.PendingOps() != 8 || len(rec.runs) != 0 {
+		t.Fatalf("before the answer: %d ops queued and runs %v sent, want 8 and none", res.PendingOps(), rec.runs)
+	}
+	src.answer(mustA("10.0.0.1"), NexthopInfo{Resolvable: true, Metric: 10, Covering: mustP("10.0.0.0/24")})
+	loop.RunPending()
+	if !slices.Equal(rec.runs, []int{8}) || res.PendingOps() != 0 {
+		t.Fatalf("after the answer: runs %v sent with %d ops left, want one run of 8 and none", rec.runs, res.PendingOps())
+	}
+	if n := fan.QueueLen(); n != 1 {
+		t.Fatalf("the fanout queued %d entries, want 1", n)
+	}
+	fan.SetBusy("a", false)
+	loop.RunPending()
+	if out.runs != 1 || out.routes != 8 || out.bad != "" {
+		t.Fatalf("the branch took %d runs of %d routes in all (%s), want one of 8", out.runs, out.routes, out.bad)
+	}
+}

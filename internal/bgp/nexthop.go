@@ -151,9 +151,9 @@ func (n *NexthopResolver) Add(run []Route) {
 	resolved := e != nil && !e.stale
 	for _, r := range run {
 		if !resolved || len(n.queues) > 0 && len(n.queues[r.Net]) > 0 {
-			n.flush()
 			n.submit(pendingOp{op: core.OpAdd, new: r})
 			e = n.nexthops[nh] // an answer may have come in meanwhile
+			resolved = e != nil && !e.stale
 			continue
 		}
 		if n.next != nil {
@@ -172,8 +172,9 @@ func (n *NexthopResolver) Replace(old, new Route) {
 // Delete implements Stage.
 func (n *NexthopResolver) Delete(r Route) { n.submit(pendingOp{op: core.OpDelete, old: r}) }
 
-// submit queues op behind its net's earlier ops and sends on what is ready.
-// An op with nothing ahead of it and nothing to wait for goes straight out.
+// submit queues op behind its net's earlier ops and sends on what is ready,
+// the run being built included. An op with nothing ahead of it and nothing
+// to wait for goes straight out.
 func (n *NexthopResolver) submit(op pendingOp) {
 	net := op.new.Net
 	if op.op == core.OpDelete {
@@ -181,23 +182,29 @@ func (n *NexthopResolver) submit(op pendingOp) {
 	}
 	if len(n.queues[net]) == 0 && (op.op == core.OpDelete || n.resolved(op.new.Attrs.NextHop)) {
 		n.forward(op)
-		return
+	} else {
+		n.queues[net] = append(n.queues[net], op)
+		n.drain(net)
 	}
-	n.queues[net] = append(n.queues[net], op)
-	n.drain(net)
+	n.flush()
 }
 
 // drain forwards ops from the head of net's queue while they are ready:
 // deletes always, adds/replaces once their nexthop is resolved. When the
 // head needs an unresolved nexthop, a query is issued (once) and the queue
 // waits. An op leaves the queue before it goes out, because downstream
-// looks back up through this stage while handling it.
+// looks back up through this stage while handling it. Ready adds join the
+// run being built, which goes out before any other op leaves the queue:
+// an add in it must look up as what that op replaces.
 func (n *NexthopResolver) drain(net netip.Prefix) {
 	for q := n.queues[net]; len(q) > 0; q = n.queues[net] {
 		op := q[0]
 		if op.op != core.OpDelete && !n.resolved(op.new.Attrs.NextHop) {
 			n.wait(op.new.Attrs.NextHop, net)
 			return
+		}
+		if op.op != core.OpAdd {
+			n.flush()
 		}
 		if len(q) == 1 {
 			delete(n.queues, net)
@@ -230,7 +237,8 @@ func (n *NexthopResolver) query(nh netip.Addr) {
 // the new answer. Then routes downstream are re-announced if the answer
 // changed what they carry, and every net whose queue head was waiting on
 // nh drains — in that order, so a waiting Replace finds its old side
-// already carrying the entry it is about to be stamped from.
+// already carrying the entry it is about to be stamped from. The adds the
+// drains release go out as runs.
 func (n *NexthopResolver) answered(nh netip.Addr, info NexthopInfo) {
 	delete(n.inflight, nh)
 	prev := n.nexthops[nh]
@@ -239,6 +247,7 @@ func (n *NexthopResolver) answered(nh netip.Addr, info NexthopInfo) {
 		n.byCovering[info.Covering] = append(n.byCovering[info.Covering], nh)
 	}
 	if prev != nil && n.next != nil && (prev.info.Resolvable != info.Resolvable || prev.info.Metric != info.Metric) {
+		n.flush()
 		n.reannounce(nh, prev.info)
 	}
 	nets := n.waiters[nh]
@@ -246,10 +255,13 @@ func (n *NexthopResolver) answered(nh netip.Addr, info NexthopInfo) {
 	for _, net := range nets {
 		n.drain(net)
 	}
+	n.flush()
 }
 
-// forward annotates and emits one op. The old side is stamped too: it comes
-// from upstream bare, and what downstream holds of it carries its nexthop's
+// forward annotates and emits one op, an add by joining the run being
+// built: a run shares one attribute set and one source, so one that cannot
+// join sends the run first. The old side is stamped too: it comes from
+// upstream bare, and what downstream holds of it carries its nexthop's
 // entry.
 func (n *NexthopResolver) forward(op pendingOp) {
 	if n.next == nil {
@@ -257,9 +269,12 @@ func (n *NexthopResolver) forward(op pendingOp) {
 	}
 	n.annotate(&op.old)
 	n.annotate(&op.new)
-	switch op.op {
+	switch r := op.new; op.op {
 	case core.OpAdd:
-		n.addOne(op.new)
+		if len(n.run) > 0 && (n.run[0].Attrs != r.Attrs || n.run[0].Src != r.Src) {
+			n.flush()
+		}
+		n.run = append(n.run, r)
 	case core.OpDelete:
 		n.next.Delete(op.old)
 	default:

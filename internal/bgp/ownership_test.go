@@ -127,7 +127,13 @@ func TestQueuedRouteSurvivesWithdraw(t *testing.T) {
 		loop.RunPending()
 
 		// Each prefix's ops leave in the order they came; prefixes in the
-		// order they first waited.
+		// order they first waited. Adds that follow one another leave as
+		// one run while they share their attributes: each withdrawn
+		// prefix's add alone, then the rest of the first UPDATE's, then
+		// the second's.
+		if len(log.msgs) != n+2 {
+			t.Fatalf("parked ops left as %d messages, want %d", len(log.msgs), n+2)
+		}
 		var want []string
 		for i, net := range first {
 			want = append(want, fmt.Sprintf("add %v %v", net, setA.ASPath))
@@ -140,17 +146,16 @@ func TestQueuedRouteSurvivesWithdraw(t *testing.T) {
 		}
 		var got []string
 		for _, m := range log.msgs {
-			r := m.old
-			if m.op == core.OpAdd {
-				if len(m.run) != 1 {
-					t.Fatalf("a parked add left as a run of %d", len(m.run))
+			rs := m.run
+			if m.op != core.OpAdd {
+				rs = []Route{m.old}
+			}
+			for _, r := range rs {
+				if r.Src != peer || !r.Resolvable || r.IGPMetric != 10 {
+					t.Fatalf("%v of %v from %v, resolvable %v at metric %d", m.op, r.Net, r.Src, r.Resolvable, r.IGPMetric)
 				}
-				r = m.run[0]
+				got = append(got, fmt.Sprintf("%v %v %v", m.op, r.Net, r.Attrs.ASPath))
 			}
-			if r.Src != peer || !r.Resolvable || r.IGPMetric != 10 {
-				t.Fatalf("%v of %v from %v, resolvable %v at metric %d", m.op, r.Net, r.Src, r.Resolvable, r.IGPMetric)
-			}
-			got = append(got, fmt.Sprintf("%v %v %v", m.op, r.Net, r.Attrs.ASPath))
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("parked ops left as\n%v\nwant\n%v", got, want)

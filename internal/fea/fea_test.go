@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"strings"
 	"testing"
@@ -368,14 +369,16 @@ func TestSnapshotGenScrapedOffLoop(t *testing.T) {
 
 // TestFEABytesPerRoute pins the live heap a route costs the FEA: one
 // table, which the kernel FIB commits and the snapshot publishes. It
-// measures 85 B, the snapshot's own 84 (TestSnapshotBytesPerRoute in
-// internal/fwd); the bound is 8 % above. With a 48-byte node header and a
-// 48-byte route.Stored it read 117 B, and with a second, mutable table in
+// measures 65 B, 54 of them scanned by the collector on every cycle
+// (/gc/scan/heap:bytes), the snapshot's own (TestSnapshotBytesPerRoute in
+// internal/fwd); each bound is 8 % above. With a 40-byte node header and a
+// 24-byte route.Stored it read 85 B (73 scanned), with a 48-byte header
+// and a 48-byte route.Stored 117 B, and with a second, mutable table in
 // the kernel FIB beside the snapshot 254 B. The routes go in as the RIB
 // sends them, in 256-route batches; the inputs stay live on both sides of
 // the measure.
 func TestFEABytesPerRoute(t *testing.T) {
-	const n, batch, bound = 100000, 256, 92
+	const n, batch, bound, scanBound = 100000, 256, 70, 58
 	rng := rand.New(rand.NewSource(11))
 	seen := make(map[netip.Prefix]bool, n)
 	es := make([]route.Entry, 0, n)
@@ -392,6 +395,7 @@ func TestFEABytesPerRoute(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	scanBefore := heapScanBytes()
 	p, _, _ := newFEA(t)
 	for off := 0; off < n; off += batch {
 		b.Reset()
@@ -406,16 +410,25 @@ func TestFEABytesPerRoute(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	perRoute := float64(after.HeapAlloc-before.HeapAlloc) / n
+	scanned := (float64(heapScanBytes()) - float64(scanBefore)) / n
 	runtime.KeepAlive(es)
 	runtime.KeepAlive(b)
-	t.Logf("%.0f B of live heap per route", perRoute)
-	if perRoute > bound {
-		t.Fatalf("%.0f B of live heap per route, bound %d", perRoute, bound)
+	t.Logf("%.0f B of live heap per route, %.0f B of it scanned", perRoute, scanned)
+	if perRoute > bound || scanned > scanBound {
+		t.Fatalf("%.0f B of live heap per route, bound %d; %.0f B scanned, bound %d", perRoute, bound, scanned, scanBound)
 	}
 	entries, _ := p.Metrics().Get("fea_fib_entries")
 	if snap := p.Snapshots().Current().Len(); snap != n || entries != float64(snap) {
 		t.Fatalf("fea_fib_entries reads %v, the snapshot holds %d, want %d", entries, snap, n)
 	}
+}
+
+// heapScanBytes reads /gc/scan/heap:bytes, the heap the collector scans
+// on every cycle, as of the last GC.
+func heapScanBytes() uint64 {
+	s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 // TestGetInterfacesSorted: ifmgr/0.1 get_interfaces answers in name

@@ -30,10 +30,10 @@
 // short-prefix tries only when nothing there matched.
 //
 // The table stores a route.Stored under each prefix, the route less its
-// key, its next hop and interface name one interned handle; every read
-// rebuilds the route.Entry from the two without allocating, so a valued
-// node is 64 bytes (a 40-byte header and the 24-byte value) and a prefix
-// comes back masked, as filed.
+// key, its next hop, interface name and tags one interned handle; every
+// read rebuilds the route.Entry from the two without allocating, so a
+// valued node is 48 bytes (a 32-byte header and the 16-byte value) and a
+// prefix comes back masked, as filed.
 //
 // The shape follows NDN-DPDK's FwFwd design (one forwarding thread per
 // core, per-worker counters, no shared mutable state), whose FIB readers

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -670,29 +671,34 @@ func loadedPublisher(n int) (*fwd.Publisher, []route.Entry) {
 }
 
 // TestSnapshotBytesPerRoute pins the live heap a route costs in the
-// forwarding plane's table: a 64-byte valued node (a 40-byte header and a
-// 24-byte route.Stored), its share of the glue (40 bytes each) and of the
-// fans above it. It measures 84 B; the bound is 8 % above (116 B with a
+// forwarding plane's table: a 48-byte valued node (a 32-byte header and a
+// 16-byte route.Stored), its share of the glue (32 bytes each) and of the
+// fans above it. It measures 65 B, 54 of them scanned by the collector on
+// every cycle (/gc/scan/heap:bytes); each bound is 8 % above (85 B, 73
+// scanned, with a 40-byte header and a 24-byte route.Stored, 116 B with a
 // 48-byte header and a 48-byte route.Stored, 128 B while each /16's trie
 // hung under a 24-byte bucket of its own, 192 B when the node held a
 // route.Entry and sat in the 160 class). It also pins the lookup to no
 // allocation, now that it builds the prefix and the entry it returns.
 func TestSnapshotBytesPerRoute(t *testing.T) {
-	const n, bound = 100000, 91
+	const n, bound, scanBound = 100000, 70, 58
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	scanBefore := heapScanBytes()
 	pub, es := loadedPublisher(n)
 	snap := pub.Current()
 	pub = nil
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	perRoute := (float64(after.HeapAlloc-before.HeapAlloc) - float64(cap(es))*float64(unsafe.Sizeof(es[0]))) / n
-	t.Logf("%.0f B of live heap per route", perRoute)
-	if perRoute > bound {
-		t.Fatalf("%.0f B of live heap per route, bound %d", perRoute, bound)
+	inputs := float64(cap(es)) * float64(unsafe.Sizeof(es[0]))
+	perRoute := (float64(after.HeapAlloc-before.HeapAlloc) - inputs) / n
+	scanned := (float64(heapScanBytes()) - float64(scanBefore) - inputs) / n
+	t.Logf("%.0f B of live heap per route, %.0f B of it scanned", perRoute, scanned)
+	if perRoute > bound || scanned > scanBound {
+		t.Fatalf("%.0f B of live heap per route, bound %d; %.0f B scanned, bound %d", perRoute, bound, scanned, scanBound)
 	}
 	dst := es[n/2].Net.Addr().Next()
 	if allocs := testing.AllocsPerRun(200, func() { snap.Lookup(dst) }); allocs != 0 {
@@ -701,6 +707,14 @@ func TestSnapshotBytesPerRoute(t *testing.T) {
 	if e, ok := snap.Lookup(dst); !ok || !e.Net.Contains(dst) || snap.Len() != n {
 		t.Fatalf("Lookup(%v) = %v, %v in a table of %d", dst, e, ok, snap.Len())
 	}
+}
+
+// heapScanBytes reads /gc/scan/heap:bytes, the heap the collector scans
+// on every cycle, as of the last GC.
+func heapScanBytes() uint64 {
+	s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 // TestApplyBatchAllocs pins what a batch costs: withdrawing and

@@ -11,6 +11,7 @@ import (
 	"net/netip"
 	"sync/atomic"
 	"unique"
+	"unsafe"
 )
 
 // Protocol identifies the origin protocol of a route.
@@ -102,7 +103,10 @@ type Entry struct {
 	// AdminDistance(Protocol) but configurable per origin table.
 	AdminDistance uint8
 	// PolicyTags carries the tag list used by the policy framework when
-	// routes are redistributed between protocols (§8.3).
+	// routes are redistributed between protocols (§8.3). The list
+	// Stored.Entry hands out is shared by every route stored with it and
+	// read-only: its cap is its len, so an append copies it, and its
+	// elements are never written.
 	PolicyTags []uint32
 }
 
@@ -121,33 +125,35 @@ func (e Entry) Equal(o Entry) bool {
 	return true
 }
 
-// Stored is the value a table files under Entry.Net: 24 bytes against the
-// Entry's 104. The prefix is the table's key; the next hop and interface
-// name — one of a handful of pairs per router — are interned together by
-// the standard library (process-wide, safe from any goroutine, collected
-// with the last route that names the pair unless hops caches it), and the
-// tag list costs a nil pointer on the routes that carry none.
+// Stored is the value a table files under Entry.Net: 16 bytes against the
+// Entry's 104. The prefix is the table's key; the next hop, interface name
+// and tag list — one of a handful of combinations per router — are
+// interned together by the standard library (process-wide, safe from any
+// goroutine, collected with the last route that names them unless hops
+// caches the pair), so a route pays one handle for all three.
 type Stored struct {
-	hop           unique.Handle[hop] // zero for no next hop and no name: Value on a zero handle panics
-	tags          *[]uint32          // nil unless the route carries policy tags
+	hop           unique.Handle[hop] // zero for no next hop, no name and no tags: Value on a zero handle panics
 	Metric        uint32
 	Protocol      Protocol
 	AdminDistance uint8
 }
 
-// hop is what a Stored interns: where a route sends its packets.
+// hop is what a Stored interns: where a route sends its packets, and the
+// policy tags it carries as their words' bytes in native order — a string,
+// so that the pair stays comparable and is canonical by content.
 type hop struct {
 	nextHop netip.Addr
 	ifName  string
+	tags    string // empty for no tags
 }
 
-// hops caches the handles of the first pairs interned, one to a slot, so
-// that Stored() on one of a router's handful of pairs costs a hash and a
-// compare where unique.Make looks it up in the process-wide interner. A
-// filled slot is never rewritten and keeps its pair interned, so a hit
-// returns what unique.Make would; the cache costs at most len(hops)
-// allocations in the life of the process, and a pair whose four probes
-// are all taken by others is interned by unique.Make each time.
+// hops caches the handles of the first untagged pairs interned, one to a
+// slot, so that Stored() on one of a router's handful of pairs costs a hash
+// and a compare where unique.Make looks it up in the process-wide
+// interner. A filled slot is never rewritten and keeps its pair interned,
+// so a hit returns what unique.Make would; the cache costs at most
+// len(hops) allocations in the life of the process, and a pair whose four
+// probes are all taken by others is interned by unique.Make each time.
 var hops [64]atomic.Pointer[cachedHop]
 
 type cachedHop struct {
@@ -179,15 +185,19 @@ func intern(h hop) unique.Handle[hop] {
 }
 
 // Stored returns the form of e a table keeps under e.Net. Past the first
-// use of its pair, it allocates only for a route that carries policy tags.
+// use of its next hop, name and tags, it allocates nothing. A tagged pair
+// goes to unique.Make, never to hops: tags are rare, and a list that fills
+// a slot would keep it for the life of the process.
 func (e Entry) Stored() Stored {
 	s := Stored{Metric: e.Metric, Protocol: e.Protocol, AdminDistance: e.AdminDistance}
-	if e.NextHop.IsValid() || e.IfName != "" {
-		s.hop = intern(hop{e.NextHop, e.IfName})
-	}
-	if len(e.PolicyTags) > 0 {
-		tags := e.PolicyTags
-		s.tags = &tags
+	switch {
+	case len(e.PolicyTags) > 0:
+		// A view of the caller's list: unique.Make copies it on a miss,
+		// so what is stored never aliases it.
+		tags := unsafe.String((*byte)(unsafe.Pointer(&e.PolicyTags[0])), 4*len(e.PolicyTags))
+		s.hop = unique.Make(hop{e.NextHop, e.IfName, tags})
+	case e.NextHop.IsValid() || e.IfName != "":
+		s.hop = intern(hop{nextHop: e.NextHop, ifName: e.IfName})
 	}
 	return s
 }
@@ -199,9 +209,9 @@ func (s Stored) Entry(net netip.Prefix) Entry {
 	if s.hop != (unique.Handle[hop]{}) {
 		h := s.hop.Value()
 		e.NextHop, e.IfName = h.nextHop, h.ifName
-	}
-	if s.tags != nil {
-		e.PolicyTags = *s.tags
+		if h.tags != "" {
+			e.PolicyTags = unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.StringData(h.tags))), len(h.tags)/4)
+		}
 	}
 	return e
 }

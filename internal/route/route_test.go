@@ -123,10 +123,12 @@ func TestEntryEqual(t *testing.T) {
 }
 
 // TestStoredRoundTrip: what a table keeps and the key it keeps it under
-// give back the entry, over every shape a field takes.
+// give back the entry, over every shape a field takes. The tags ride in
+// the interned pair: neither form of a tagged route allocates once its
+// list is interned, and the stored list is no view of the caller's.
 func TestStoredRoundTrip(t *testing.T) {
-	if got := unsafe.Sizeof(Stored{}); got != 24 {
-		t.Errorf("Stored is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(Stored{}); got != 16 {
+		t.Errorf("Stored is %d bytes, want 16", got)
 	}
 	rng := rand.New(rand.NewSource(26))
 	nexthops := []netip.Addr{{}, netip.MustParseAddr("192.168.1.1"), netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("fe80::1%eth0")}
@@ -178,6 +180,20 @@ func TestStoredRoundTrip(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sinkE = s.Entry(e.Net) }); n != 0 {
 		t.Errorf("Entry() allocates %.1f/op", n)
 	}
+
+	tagged := e
+	tagged.PolicyTags = []uint32{7, 1 << 31, 9}
+	ts := tagged.Stored()
+	if n := testing.AllocsPerRun(100, func() { sinkS = tagged.Stored() }); n != 0 {
+		t.Errorf("Stored() of an entry whose tag list is interned allocates %.1f/op", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkE = ts.Entry(e.Net) }); n != 0 {
+		t.Errorf("Entry() of a tagged route allocates %.1f/op", n)
+	}
+	tagged.PolicyTags[0], tagged.PolicyTags[2] = 8, 10
+	if got := ts.Entry(e.Net).PolicyTags; len(got) != 3 || got[0] != 7 || got[1] != 1<<31 || got[2] != 9 {
+		t.Fatalf("the caller's list rewritten after Stored() reads back as %v, want [7 %d 9]", got, uint32(1<<31))
+	}
 	_, _ = sinkS, sinkE
 }
 
@@ -192,7 +208,7 @@ func TestInternIsUniqueMake(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range 4 * len(hops) {
-				h := hop{netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}), []string{"", "eth0", "eth1"}[(i+g)%3]}
+				h := hop{nextHop: netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}), ifName: []string{"", "eth0", "eth1"}[(i+g)%3]}
 				if got, want := intern(h), unique.Make(h); got != want {
 					t.Errorf("intern(%v) is not unique.Make's handle", h)
 					return
@@ -216,11 +232,11 @@ func TestInternIsUniqueMake(t *testing.T) {
 
 	// With every slot holding one pair, a pair that differs from it only in
 	// its name or its address's zone is none of them.
-	held := hop{netip.MustParseAddr("fe80::1%eth0"), ""}
+	held := hop{nextHop: netip.MustParseAddr("fe80::1%eth0")}
 	for i := range hops {
 		hops[i].Store(&cachedHop{held, unique.Make(held)})
 	}
-	for _, h := range []hop{held, {held.nextHop, "eth0"}, {netip.MustParseAddr("fe80::1%eth1"), ""}, {netip.MustParseAddr("fe80::1"), ""}} {
+	for _, h := range []hop{held, {nextHop: held.nextHop, ifName: "eth0"}, {nextHop: netip.MustParseAddr("fe80::1%eth1")}, {nextHop: netip.MustParseAddr("fe80::1")}} {
 		if intern(h) != unique.Make(h) {
 			t.Errorf("intern(%v) with every slot holding %v is not unique.Make's handle", h, held)
 		}
@@ -228,33 +244,59 @@ func TestInternIsUniqueMake(t *testing.T) {
 	for i := range hops {
 		hops[i].Store(nil)
 	}
+
+	// A tagged pair never takes a slot, even with all of them free.
+	for i := range 4 * len(hops) {
+		e := Entry{NextHop: netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}), IfName: "eth0", PolicyTags: []uint32{uint32(i)}}
+		checkStored(t, e)
+	}
+	for i := range hops {
+		if c := hops[i].Load(); c != nil {
+			t.Fatalf("slot %d holds the tagged pair %v", i, c.hop)
+		}
+	}
 }
 
 // checkStored fails unless e survives Stored and Entry, its hop is the zero
-// handle exactly when it has no next hop and no name and unique.Make's
-// otherwise, and its tags are nil exactly when it carries none.
+// handle exactly when it has no next hop, no name and no tags and
+// unique.Make's otherwise, and the tags it gives back are nil exactly when
+// it carries none and have no capacity past their end.
 func checkStored(t *testing.T, e Entry) {
 	t.Helper()
 	s := e.Stored()
-	if got := s.Entry(e.Net); !got.Equal(e) {
+	got := s.Entry(e.Net)
+	if !got.Equal(e) {
 		t.Fatalf("round trip of %v tags %v gave %v tags %v", e, e.PolicyTags, got, got.PolicyTags)
 	}
-	if none := !e.NextHop.IsValid() && e.IfName == ""; none != (s.hop == unique.Handle[hop]{}) {
-		t.Fatalf("next hop %v name %q stored as handle %v: no next hop and no name, and only that, is the zero handle", e.NextHop, e.IfName, s.hop)
-	} else if !none && s.hop != unique.Make(hop{e.NextHop, e.IfName}) {
-		t.Fatalf("next hop %v name %q stored under a handle unique.Make does not give the pair", e.NextHop, e.IfName)
+	var tags []byte
+	for _, tag := range e.PolicyTags {
+		tags = binary.NativeEndian.AppendUint32(tags, tag)
 	}
-	if (len(e.PolicyTags) == 0) != (s.tags == nil) {
-		t.Fatalf("tags %v stored as %v: no tags and only that is nil", e.PolicyTags, s.tags)
+	want := hop{e.NextHop, e.IfName, string(tags)}
+	if none := want == (hop{}); none != (s.hop == unique.Handle[hop]{}) {
+		t.Fatalf("next hop %v name %q tags %v stored as handle %v: no next hop, no name and no tags, and only that, is the zero handle", e.NextHop, e.IfName, e.PolicyTags, s.hop)
+	} else if !none && s.hop != unique.Make(want) {
+		t.Fatalf("next hop %v name %q tags %v stored under a handle unique.Make does not give the pair", e.NextHop, e.IfName, e.PolicyTags)
+	}
+	if (len(e.PolicyTags) == 0) != (got.PolicyTags == nil) || cap(got.PolicyTags) != len(got.PolicyTags) {
+		t.Fatalf("tags %v read back as %v with capacity %d: no tags and only that is nil, and a list has no room past its end", e.PolicyTags, got.PolicyTags, cap(got.PolicyTags))
 	}
 }
 
 // FuzzStoredRoundTrip: any entry survives Entry → Stored → Entry, with the
-// zero handle exactly when it has no next hop and no name. An unparsable
-// prefix or next hop stands for the zero one; tags are the input's
-// little-endian words.
+// zero handle exactly when it has no next hop, no name and no tags. An
+// unparsable prefix or next hop stands for the zero one; tags are the
+// input's little-endian words. Besides the corpus, the seeds put lists of
+// one, two and three tags on each kind of pair: none, a next hop, a name,
+// and both.
 func FuzzStoredRoundTrip(f *testing.F) {
 	f.Add("10.0.0.0/8", "192.168.1.1", "eth0", uint32(5), uint8(ProtoStatic), uint8(1), []byte(nil))
+	tags := []byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x78, 0x56, 0x34, 0x12}
+	for _, pair := range [][2]string{{"", ""}, {"192.0.2.1", ""}, {"", "eth1"}, {"2001:db8::1", "eth0"}} {
+		for n := 4; n <= len(tags); n += 4 {
+			f.Add("10.1.0.0/16", pair[0], pair[1], uint32(1), uint8(ProtoRIP), uint8(120), tags[:n])
+		}
+	}
 	f.Fuzz(func(t *testing.T, net, nextHop, ifName string, metric uint32, proto, ad uint8, tags []byte) {
 		p, _ := netip.ParsePrefix(net)
 		nh, _ := netip.ParseAddr(nextHop)

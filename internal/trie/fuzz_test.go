@@ -31,7 +31,12 @@ import (
 // own short-prefix tries, and reads those deepest first; the checked-in
 // seed deepest_fan_first holds, in each family, a prefix in a depth-2 fan,
 // one in a depth-3 fan and one in a /16's trie, which a shallowest-first
-// scan answers wrongly.
+// scan answers wrongly. The checked-in seed wide_boundary sits on the /64
+// boundary, where a node's key outgrows its header's one word: under one
+// /48 it inserts IPv6 prefixes of 63, 64, 65, 66, 127 and 128 bits, two of
+// the /65s with a second key word that is not zero, deletes both /65s so
+// that wide valued nodes become wide glue, writes them back, and goes on
+// rewriting under them across the second table's pins.
 //
 // A §5.3 cursor rides along too: the last prefix a paused walk visited.
 // Op bytes 6–31 move it (even: to the op's prefix, odd: one entry on, with

@@ -15,11 +15,16 @@
 // reads the /16's trie first and the fans' own tries only when nothing
 // there matched, deepest fan first: a deeper match is the longer one.
 //
-// A glue node is a 40-byte header, always with two children; a valued
+// A glue node is a 32-byte header, always with two children; a valued
 // node is the header and its value in one allocation, the header's has
-// flag saying which a node is and value() reaching its tail. No node
-// stores a netip.Prefix or a pointer to itself: key, length and root are
-// the prefix. A valued node is copied with its value: a copy pointing
+// flag saying which a node is and value() reaching its tail. The header
+// keeps the key's first word: every IPv4 prefix, and every IPv6 one of at
+// most 64 bits, is whole in it. A longer node is wide: an 8-byte tail
+// right after the header holds the second word, before the value of a
+// valued one, and its length alone (bits > 64) says so, so key() and
+// value() read the tail only then. No node stores a netip.Prefix or a
+// pointer to itself: key, length and root are the prefix. A valued node
+// is copied with its value, and a wide one with its tail: a copy pointing
 // into the old allocation would pin one old version of the subtree below
 // (TestPersistentChurnHoldsOneVersion).
 //
@@ -50,14 +55,16 @@
 // # Reuse
 //
 // A node a session owns and drops was never reachable from a pinned
-// version, so the session zeroes it onto one of two free lists (valued
-// and glue) and takes new nodes from them first: churn allocates nothing.
+// version, so the session zeroes its whole allocation onto one of four
+// free lists (valued and glue, narrow and wide) and takes new nodes from
+// them first: churn allocates nothing.
 // Only nodes that pass the owner check are recycled. A fan the session
 // owns stays when it empties, for the next route under it; one it would
 // have to copy to empty it goes instead, so Persistent.Delete prunes, an
 // unpinned Table keeps, and a pinned one drops what the pin holds. Until
-// its first pin a Table takes new nodes from blocks (newBlock): after a
-// pin, one live node would keep a block of a pinned version's dead ones.
+// its first pin a Table takes new narrow nodes from blocks (newBlock):
+// after a pin, one live node would keep a block of a pinned version's
+// dead ones. Wide nodes, IPv6's longer prefixes only, never take blocks.
 
 package trie
 
@@ -93,33 +100,64 @@ func ownerMark(id uint64) owner {
 func (o owner) is(id uint64) bool { return id != 0 && o == ownerMark(id) }
 
 // pnode is one Patricia node, valued or glue. It has no parent pointer:
-// paths are copied root-down.
+// paths are copied root-down. It keeps its key's first word; a node longer
+// than 64 bits is wide, and keeps the second in its tail.
 type pnode[T any] struct {
-	key   key128
+	hi    uint64
 	child [2]*pnode[T] // a free node's child[0] is the next free one
 	owner owner
 	bits  uint8
-	has   bool // heads a valued[T]; false marks glue
+	has   bool // heads a valued[T] or wideValued[T]; false marks glue
 }
 
-// valued is the allocation behind a valued node.
+// valued is the allocation behind a valued node of at most 64 bits.
 type valued[T any] struct {
 	pnode[T]
 	v T
 }
 
+// wideGlue is the allocation behind a glue node longer than 64 bits, and
+// the front of a wideValued: lo is the key's second word.
+type wideGlue[T any] struct {
+	pnode[T]
+	lo uint64
+}
+
+// wideValued is the allocation behind a valued node longer than 64 bits.
+type wideValued[T any] struct {
+	wideGlue[T]
+	v T
+}
+
+// lo returns the second word of n's key: its tail's when n is wide, and
+// otherwise 0, since the key is masked to n's length.
+func (n *pnode[T]) lo() uint64 {
+	if n.bits > 64 {
+		return (*wideGlue[T])(unsafe.Pointer(n)).lo
+	}
+	return 0
+}
+
+// key returns n's key.
+func (n *pnode[T]) key() key128 { return key128{n.hi, n.lo()} }
+
 // value returns the value of n, which must be a valued node: the tail of
-// the valued[T] that n heads.
-func (n *pnode[T]) value() *T { return &(*valued[T])(unsafe.Pointer(n)).v }
+// the valued[T] or wideValued[T] that n heads.
+func (n *pnode[T]) value() *T {
+	if n.bits > 64 {
+		return &(*wideValued[T])(unsafe.Pointer(n)).v
+	}
+	return &(*valued[T])(unsafe.Pointer(n)).v
+}
 
 // blockBytes is the size class an unpinned Table's blocks fill.
 const blockBytes = 8192
 
 // newBlock returns as many zeroed nodes of type N as fit, with the
 // allocator's 8-byte header, in the 8,192-byte size class: each node type
-// has its own count (127 of the RIB's 64-byte valued nodes, 146 of BGP's
-// 56-byte ones, 204 of 40-byte glue), and a node more would spill the
-// block into the next class.
+// has its own count (170 of the 48-byte valued nodes every route table
+// keeps, 255 of 32-byte glue), and a node more would spill the block into
+// the next class.
 func newBlock[N any]() []N {
 	var n N
 	return make([]N, (blockBytes-8)/unsafe.Sizeof(n))
@@ -127,7 +165,7 @@ func newBlock[N any]() []N {
 
 // covers reports whether n's prefix covers (k, kb).
 func (n *pnode[T]) covers(k key128, kb uint8) bool {
-	return n.bits <= kb && k.hasPrefix(n.key, n.bits)
+	return n.bits <= kb && k.hasPrefix(n.key(), n.bits)
 }
 
 // fanLevels is how many leading nibbles of an address the fans resolve.
@@ -236,13 +274,14 @@ func (t *Persistent[T]) Len() int { return t.size }
 // that marks the nodes it owns, and what it keeps for reuse (see Reuse in
 // the file header).
 type session[T any] struct {
-	tbl          Persistent[T]
-	id           uint64
-	freeV, freeG *pnode[T] // dropped valued and glue nodes, zeroed
-	blocks       bool      // takes new nodes from blocks: a Table's, until its first pin
-	blockV       []valued[T]
-	blockG       []pnode[T]
-	scratch      *T // what an update is handed for an absent prefix; zero between writes
+	tbl            Persistent[T]
+	id             uint64
+	freeV, freeG   *pnode[T] // dropped valued and glue nodes, zeroed
+	freeWV, freeWG *pnode[T] // the same, wide
+	blocks         bool      // takes new nodes from blocks: a Table's, until its first pin
+	blockV         []valued[T]
+	blockG         []pnode[T]
+	scratch        *T // what an update is handed for an absent prefix; zero between writes
 }
 
 // update is Table.Update's callback. The descent passes it beside the
@@ -374,10 +413,10 @@ func (s *session[T]) put(n *pnode[T], k key128, pb uint8, w *write[T], fn update
 	switch {
 	case n == nil:
 		if v, keep := s.fresh(w, nil, fn); keep {
-			return s.valued(pnode[T]{key: k, bits: pb}, v)
+			return s.valued(pnode[T]{hi: k.hi, bits: pb}, k.lo, v)
 		}
 		return nil
-	case n.bits == pb && n.key == k:
+	case n.bits == pb && n.key() == k:
 		return s.at(n, w, fn)
 	case n.covers(k, pb):
 		b := k.bit(n.bits)
@@ -399,17 +438,19 @@ func (s *session[T]) put(n *pnode[T], k key128, pb uint8, w *write[T], fn update
 	if !keep {
 		return n
 	}
-	if pb < n.bits && n.key.hasPrefix(k, pb) {
+	nk := n.key()
+	if pb < n.bits && nk.hasPrefix(k, pb) {
 		// p covers n: the new node takes n as its child.
-		m := s.valued(pnode[T]{key: k, bits: pb}, v)
-		m.child[n.key.bit(pb)] = n
+		m := s.valued(pnode[T]{hi: k.hi, bits: pb}, k.lo, v)
+		m.child[nk.bit(pb)] = n
 		return m
 	}
 	// Diverge: glue node at the longest common prefix of p and n.
-	gb := commonPrefixLen(k, n.key, min(pb, n.bits))
-	g := s.glue(pnode[T]{key: k.masked(gb), bits: gb})
-	g.child[n.key.bit(gb)] = n
-	g.child[k.bit(gb)] = s.valued(pnode[T]{key: k, bits: pb}, v)
+	gb := commonPrefixLen(k, nk, min(pb, n.bits))
+	gk := k.masked(gb)
+	g := s.glue(pnode[T]{hi: gk.hi, bits: gb}, gk.lo)
+	g.child[nk.bit(gb)] = n
+	g.child[k.bit(gb)] = s.valued(pnode[T]{hi: k.hi, bits: pb}, k.lo, v)
 	return g
 }
 
@@ -422,21 +463,21 @@ func (s *session[T]) at(n *pnode[T], w *write[T], fn update[T]) *pnode[T] {
 		if !keep {
 			return n
 		}
-		m = s.valued(*n, v)
+		m = s.valued(*n, n.lo(), v)
 	case n.owner.is(s.id):
 		if w.inPlace(n.value(), fn) {
 			return n
 		}
 	default:
 		if v, keep := s.fresh(w, n.value(), fn); keep {
-			return s.valued(*n, v)
+			return s.valued(*n, n.lo(), v)
 		}
 	}
 	if m == nil { // the entry goes
 		switch {
 		case n.child[0] != nil && n.child[1] != nil:
 			// Still needed as a branch point: a glue node takes its place.
-			m = s.glue(*n)
+			m = s.glue(*n, n.lo())
 		case n.child[0] != nil:
 			m = n.child[0]
 		default:
@@ -448,74 +489,93 @@ func (s *session[T]) at(n *pnode[T], w *write[T], fn update[T]) *pnode[T] {
 }
 
 // own returns the node the session may write in n's place: n itself when
-// the session allocated it, otherwise a copy — value included, see the
-// file header — marked as the session's.
+// the session allocated it, otherwise a copy — tail and value included,
+// see the file header — marked as the session's.
 func (s *session[T]) own(n *pnode[T]) *pnode[T] {
 	switch {
 	case n.owner.is(s.id):
 		return n
 	case n.has:
-		return s.valued(*n, *n.value())
+		return s.valued(*n, n.lo(), *n.value())
 	}
-	return s.glue(*n)
+	return s.glue(*n, n.lo())
 }
 
-// valued returns a node owned by the session with hdr's key, length and
-// children, holding v.
-func (s *session[T]) valued(hdr pnode[T], v T) *pnode[T] {
-	var a *valued[T]
+// valued returns a node owned by the session with hdr's first key word,
+// length and children, lo as the second word when it is wide, holding v.
+// A wide node comes from its own free list or the heap, never a block.
+func (s *session[T]) valued(hdr pnode[T], lo uint64, v T) *pnode[T] {
+	var n *pnode[T]
 	switch {
-	case s.freeV != nil:
-		a = (*valued[T])(unsafe.Pointer(s.freeV))
-		s.freeV = a.child[0]
-	case s.blocks:
+	case hdr.bits > 64:
+		a := take[wideValued[T]](&s.freeWV)
+		n, a.lo, a.v = &a.pnode, lo, v
+	case s.blocks && s.freeV == nil:
 		if len(s.blockV) == 0 {
 			s.blockV = newBlock[valued[T]]()
 		}
-		a, s.blockV = &s.blockV[0], s.blockV[1:]
+		a := &s.blockV[0]
+		n, a.v, s.blockV = &a.pnode, v, s.blockV[1:]
 	default:
-		a = new(valued[T])
+		a := take[valued[T]](&s.freeV)
+		n, a.v = &a.pnode, v
 	}
-	a.pnode, a.v = hdr, v
-	a.has, a.owner = true, ownerMark(s.id)
-	return &a.pnode
+	*n = hdr
+	n.has, n.owner = true, ownerMark(s.id)
+	return n
 }
 
-// glue returns a valueless node owned by the session with hdr's key,
-// length and children.
-func (s *session[T]) glue(hdr pnode[T]) *pnode[T] {
-	var g *pnode[T]
+// glue returns a valueless node owned by the session with hdr's first key
+// word, length and children, and lo as the second word when it is wide.
+func (s *session[T]) glue(hdr pnode[T], lo uint64) *pnode[T] {
+	var n *pnode[T]
 	switch {
-	case s.freeG != nil:
-		g, s.freeG = s.freeG, s.freeG.child[0]
-	case s.blocks:
+	case hdr.bits > 64:
+		a := take[wideGlue[T]](&s.freeWG)
+		n, a.lo = &a.pnode, lo
+	case s.blocks && s.freeG == nil:
 		if len(s.blockG) == 0 {
 			s.blockG = newBlock[pnode[T]]()
 		}
-		g, s.blockG = &s.blockG[0], s.blockG[1:]
+		n, s.blockG = &s.blockG[0], s.blockG[1:]
 	default:
-		g = new(pnode[T])
+		n = take[pnode[T]](&s.freeG)
 	}
-	*g = hdr
-	g.has, g.owner = false, ownerMark(s.id)
-	return g
+	*n = hdr
+	n.has, n.owner = false, ownerMark(s.id)
+	return n
 }
 
-// recycle zeroes n, which has left the session's tree, and keeps it for
-// reuse — if the session owns it. Any other node may still be reachable
-// from a pinned version.
+// take returns the allocation, of type N, behind the first node on free,
+// or a new one when free is empty. A free node is zeroed but for its link.
+func take[N, T any](free **pnode[T]) *N {
+	n := *free
+	if n == nil {
+		return new(N)
+	}
+	*free = n.child[0]
+	return (*N)(unsafe.Pointer(n))
+}
+
+// recycle zeroes n's whole allocation, which has left the session's tree,
+// and keeps it for reuse on the free list of its shape — if the session
+// owns it. Any other node may still be reachable from a pinned version.
 func (s *session[T]) recycle(n *pnode[T]) {
 	if !n.owner.is(s.id) {
 		return
 	}
-	if n.has {
-		a := (*valued[T])(unsafe.Pointer(n))
-		*a = valued[T]{}
-		a.child[0], s.freeV = s.freeV, n
-		return
+	var free **pnode[T]
+	switch wide := n.bits > 64; {
+	case wide && n.has:
+		*(*wideValued[T])(unsafe.Pointer(n)), free = wideValued[T]{}, &s.freeWV
+	case wide:
+		*(*wideGlue[T])(unsafe.Pointer(n)), free = wideGlue[T]{}, &s.freeWG
+	case n.has:
+		*(*valued[T])(unsafe.Pointer(n)), free = valued[T]{}, &s.freeV
+	default:
+		*n, free = pnode[T]{}, &s.freeG
 	}
-	*n = pnode[T]{}
-	n.child[0], s.freeG = s.freeG, n
+	n.child[0], *free = *free, n
 }
 
 // root returns the slot holding the root of p's family, and whether that
@@ -602,14 +662,14 @@ func (t *Persistent[T]) LongestMatch(addr netip.Addr) (netip.Prefix, T, bool) {
 		var zero T
 		return netip.Prefix{}, zero, false
 	}
-	return prefixOf(best.key, best.bits, v4), *best.value(), true
+	return prefixOf(best.key(), best.bits, v4), *best.value(), true
 }
 
 // matchP returns the longest valued node under n that covers k. It
 // remembers the node, not its contents: prefix and value are built once,
 // by the caller, instead of at every valued ancestor.
 func matchP[T any](n *pnode[T], k key128) (best *pnode[T]) {
-	for ; n != nil && k.hasPrefix(n.key, n.bits); n = n.child[k.bit(n.bits)] {
+	for ; n != nil && k.hasPrefix(n.key(), n.bits); n = n.child[k.bit(n.bits)] {
 		if n.has {
 			best = n
 		}
@@ -654,7 +714,7 @@ func insideP[T any](n *pnode[T], k key128, pb uint8) bool {
 	for ; n != nil; n = n.child[k.bit(n.bits)] {
 		switch {
 		case n.bits > pb:
-			return n.key.hasPrefix(k, pb)
+			return n.key().hasPrefix(k, pb)
 		case !n.covers(k, pb):
 			return false
 		case n.bits == pb:
@@ -704,7 +764,7 @@ func (f *fan[T]) walk(depth uint8, v4 bool, from *mark, fn func(netip.Prefix, T)
 	if f == nil {
 		return true
 	}
-	emit := func(n *pnode[T]) bool { return fn(prefixOf(n.key, n.bits, v4), *n.value()) }
+	emit := func(n *pnode[T]) bool { return fn(prefixOf(n.key(), n.bits, v4), *n.value()) }
 	next := 0
 	if from != nil {
 		next = from.k.nibble(depth)
@@ -724,7 +784,7 @@ func (f *fan[T]) walk(depth uint8, v4 bool, from *mark, fn func(netip.Prefix, T)
 		return true
 	}
 	return walkP(f.sub, from, func(n *pnode[T]) bool {
-		return slotsBelow(n.key.nibble(depth)) && emit(n)
+		return slotsBelow(n.key().nibble(depth)) && emit(n)
 	}) && slotsBelow(16)
 }
 
@@ -737,7 +797,7 @@ func walkP[T any](n *pnode[T], from *mark, visit func(*pnode[T]) bool) bool {
 	stack := buf[:0]
 	for n != nil && from != nil {
 		k, pb := from.k, from.bits
-		if k.less(n.key) || n.key == k && n.bits > pb {
+		if nk := n.key(); k.less(nk) || nk == k && n.bits > pb {
 			break // n, and so its subtree, comes after from
 		}
 		if !n.covers(k, pb) {

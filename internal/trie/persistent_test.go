@@ -273,19 +273,26 @@ func TestPersistentMatchesTrie(t *testing.T) {
 
 // TestPnodeSize pins every node to its allocator size class: a field
 // added to a header, or padding after the owner mark, grows every table.
+// The header holds one key word, so every route table's valued node is 48
+// bytes and its glue 32, each filling its class exactly; only IPv6 nodes
+// past /64 carry the second word, in a tail of their own.
 func TestPnodeSize(t *testing.T) {
+	type slot struct{ attrs, who *int } // a ribSlot is two pointers
 	for _, c := range []struct {
 		what      string
 		got, want uintptr
 		exact     bool
 	}{
-		{"glue pnode", unsafe.Sizeof(pnode[route.Entry]{}), 40, true},
-		{"glue pnode[uint64]", unsafe.Sizeof(pnode[uint64]{}), 40, true},
-		// The forwarding plane's valued node: header and value fill the 64
-		// class; a field more in either lands every route in the 80 class.
-		{"route.Stored", unsafe.Sizeof(route.Stored{}), 24, true},
-		{"valued[route.Stored]", unsafe.Sizeof(valued[route.Stored]{}), 64, true},
-		{"valued[route.Entry]", unsafe.Sizeof(valued[route.Entry]{}), 144, false},
+		{"glue pnode", unsafe.Sizeof(pnode[route.Entry]{}), 32, true},
+		{"glue pnode[uint64]", unsafe.Sizeof(pnode[uint64]{}), 32, true},
+		// The forwarding plane's valued node: header and value fill the 48
+		// class; a field more in either lands every route in the 64 class.
+		{"route.Stored", unsafe.Sizeof(route.Stored{}), 16, true},
+		{"valued[route.Stored]", unsafe.Sizeof(valued[route.Stored]{}), 48, true},
+		{"valued[ribSlot]", unsafe.Sizeof(valued[slot]{}), 48, true},
+		{"wideGlue", unsafe.Sizeof(wideGlue[route.Stored]{}), 40, true},
+		{"wideValued[route.Stored]", unsafe.Sizeof(wideValued[route.Stored]{}), 56, true},
+		{"valued[route.Entry]", unsafe.Sizeof(valued[route.Entry]{}), 136, false},
 		{"fan with its kids", unsafe.Sizeof(fanned[route.Entry]{}), 160, false},
 		{"last fan with its tries", unsafe.Sizeof(rooted[route.Entry]{}), 160, false},
 	} {
@@ -296,30 +303,34 @@ func TestPnodeSize(t *testing.T) {
 	// A Table's blocks and the allocator's 8-byte header for a large
 	// pointerful object fill the 8,192-byte class to within one node, for
 	// each node type its own count: the RIB's valued nodes, BGP's RIB-in
-	// nodes (a ribSlot is two pointers, as slot is here, so 56 bytes) and glue.
-	type slot struct{ attrs, who *int }
+	// nodes and glue.
 	for _, c := range []struct {
-		what        string
-		node, count uintptr
+		what              string
+		node, count, want uintptr
 	}{
-		{"valued[route.Stored]", unsafe.Sizeof(valued[route.Stored]{}), uintptr(len(newBlock[valued[route.Stored]]()))},
-		{"valued[ribSlot]", unsafe.Sizeof(valued[slot]{}), uintptr(len(newBlock[valued[slot]]()))},
-		{"glue pnode[route.Stored]", unsafe.Sizeof(pnode[route.Stored]{}), uintptr(len(newBlock[pnode[route.Stored]]()))},
+		{"valued[route.Stored]", unsafe.Sizeof(valued[route.Stored]{}), uintptr(len(newBlock[valued[route.Stored]]())), 170},
+		{"valued[ribSlot]", unsafe.Sizeof(valued[slot]{}), uintptr(len(newBlock[valued[slot]]())), 170},
+		{"glue pnode[route.Stored]", unsafe.Sizeof(pnode[route.Stored]{}), uintptr(len(newBlock[pnode[route.Stored]]())), 255},
 	} {
-		if block := c.count*c.node + 8; block > blockBytes || block <= blockBytes-c.node {
-			t.Errorf("a block of %d %s is %d bytes with its header, want within one node under the %d class", c.count, c.what, block, blockBytes)
+		if block := c.count*c.node + 8; c.count != c.want || block > blockBytes || block <= blockBytes-c.node {
+			t.Errorf("a block of %d %s is %d bytes with its header, want %d within one node under the %d class", c.count, c.what, block, c.want, blockBytes)
 		}
 	}
-	if got := unsafe.Sizeof(valued[slot]{}); got != 56 {
-		t.Errorf("valued[ribSlot] is %d bytes, want 56", got)
-	}
 	// A valued node's tail is its value, reached without a pointer.
-	n := (&session[int]{id: 1}).valued(pnode[int]{}, 7)
+	n := (&session[int]{id: 1}).valued(pnode[int]{}, 0, 7)
 	if !n.has || unsafe.Pointer(n.value()) != unsafe.Add(unsafe.Pointer(n), unsafe.Offsetof(valued[int]{}.v)) || *n.value() != 7 {
 		t.Error("a valued node does not head its own value")
 	}
-	if g := (&session[int]{id: 1}).glue(*n); g.has {
+	if g := (&session[int]{id: 1}).glue(*n, 0); g.has {
 		t.Error("a glue node made from a valued header is marked valued")
+	}
+	// A wide node's tail is its key's second word, then its value.
+	w := (&session[int]{id: 1}).valued(pnode[int]{hi: 1, bits: 65}, 1<<63, 7)
+	if !w.has || unsafe.Pointer(w.value()) != unsafe.Add(unsafe.Pointer(w), unsafe.Offsetof(wideValued[int]{}.v)) || *w.value() != 7 || w.key() != (key128{1, 1 << 63}) {
+		t.Error("a wide valued node does not keep its key's second word and its value in its tail")
+	}
+	if g := (&session[int]{id: 1}).glue(*w, w.lo()); g.has || g.key() != w.key() {
+		t.Error("a wide glue node made from a wide valued one lost its tail")
 	}
 	f := (*fan[int])(nil).own(1, 0)
 	if f.tries != nil || unsafe.Pointer(f.kids) != unsafe.Add(unsafe.Pointer(f), unsafe.Offsetof(fanned[int]{}.arr)) {

@@ -7,8 +7,9 @@
 // writing. The paper's safe route iterator (§5.3) is a key: a paused walk
 // remembers the last prefix it visited and WalkFrom seeks past it.
 // IPv4 and IPv6 prefixes sit side by side, one root per family, and every
-// node carries its prefix bits as a 128-bit word key, so traversal is word
-// compares, never address bytes.
+// node carries its prefix bits as words — the first in its header, the
+// second only past /64 — so traversal is word compares, never address
+// bytes.
 package trie
 
 import (

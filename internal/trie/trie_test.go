@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func mustP(s string) netip.Prefix { return netip.MustParsePrefix(s) }
@@ -373,11 +374,12 @@ func TestWriteInsideWalkPanics(t *testing.T) {
 
 // checkTable verifies the layout under a Table: every Patricia node sits
 // in the fan slot its prefix names, strictly inside its parent under the
-// right branch, with its word key in sync; a glue node has two children,
-// so every leaf holds a value; a valued node's val points at its own tail;
+// right branch, with its word key in sync (a wide node's second word
+// included); a glue node has two children, so every leaf holds a value;
 // an unpinned table owns every node and fan, a pinned one carries no mark
-// newer than its own; Len counts the valued nodes; and no node on a free
-// list is in the tree or holds anything but the list link.
+// newer than its own; Len counts the valued nodes; and no node on any of
+// the four free lists is in the tree or holds anything but the list link:
+// no key word, tail or value.
 func checkTable[T any](t *testing.T, tr *Table[T]) {
 	t.Helper()
 	s := &tr.s
@@ -395,12 +397,13 @@ func checkTable[T any](t *testing.T, tr *Table[T]) {
 		if n == nil {
 			return
 		}
-		p := prefixOf(n.key, n.bits, v4)
+		k := n.key()
+		p := prefixOf(k, n.bits, v4)
 		inTree[n] = true
 		switch {
-		case n.bits < lo || n.bits > hi || !n.key.hasPrefix(path, pathBits):
+		case n.bits < lo || n.bits > hi || !k.hasPrefix(path, pathBits):
 			t.Fatalf("%v sits in the wrong fan slot (lengths %d…%d)", p, lo, hi)
-		case n.key != n.key.masked(n.bits) || n.key != keyOf(p.Addr()):
+		case k != k.masked(n.bits) || k != keyOf(p.Addr()):
 			t.Fatalf("%v: word key out of sync", p)
 		case !owned(n.owner):
 			t.Fatalf("%v: a node the table does not own", p)
@@ -414,8 +417,8 @@ func checkTable[T any](t *testing.T, tr *Table[T]) {
 			if c == nil {
 				continue
 			}
-			if c.bits <= n.bits || !c.key.hasPrefix(n.key, n.bits) || c.key.bit(n.bits) != b {
-				t.Fatalf("%v is not under branch %d of %v", prefixOf(c.key, c.bits, v4), b, p)
+			if ck := c.key(); c.bits <= n.bits || !ck.hasPrefix(k, n.bits) || ck.bit(n.bits) != b {
+				t.Fatalf("%v is not under branch %d of %v", prefixOf(ck, c.bits, v4), b, p)
 			}
 			walkP(c, lo, hi, path, pathBits, v4)
 		}
@@ -444,15 +447,35 @@ func checkTable[T any](t *testing.T, tr *Table[T]) {
 	if valuedN != tr.Len() {
 		t.Fatalf("%d valued nodes, Len %d", valuedN, tr.Len())
 	}
-	for _, free := range []*pnode[T]{s.freeV, s.freeG} {
-		for n := free; n != nil; n = n.child[0] {
+	// A free node is zeroed, so its length no longer says its shape: the
+	// list it is on does, and only a wide list's nodes are read as wide.
+	for _, list := range []struct {
+		head        *pnode[T]
+		wide, value bool
+	}{{s.freeV, false, true}, {s.freeG, false, false}, {s.freeWV, true, true}, {s.freeWG, true, false}} {
+		for n := list.head; n != nil; n = n.child[0] {
 			if inTree[n] {
 				t.Fatal("a node on a free list is still in the tree")
 			}
-			if n.has || n.child[1] != nil || n.bits != 0 || n.key != (key128{}) || n.owner != (owner{}) {
+			if n.has || n.child[1] != nil || n.bits != 0 || n.hi != 0 || n.owner != (owner{}) {
 				t.Fatal("a free node was not zeroed")
 			}
-			if free == s.freeV && !reflect.ValueOf(*n.value()).IsZero() {
+			var v *T
+			switch {
+			case list.wide && list.value:
+				w := (*wideValued[T])(unsafe.Pointer(n))
+				v = &w.v
+				if w.lo != 0 {
+					t.Fatal("a free wide valued node still holds its key's second word")
+				}
+			case list.wide:
+				if (*wideGlue[T])(unsafe.Pointer(n)).lo != 0 {
+					t.Fatal("a free wide glue node still holds its key's second word")
+				}
+			case list.value:
+				v = n.value()
+			}
+			if v != nil && !reflect.ValueOf(*v).IsZero() {
 				t.Fatal("a free valued node still holds its value")
 			}
 		}
@@ -902,14 +925,18 @@ func fullTable(n int) []netip.Prefix {
 // prefix in a full table allocates nothing — trickle's steady state —
 // both in a /16 that holds routes and in an empty one under an /8 whose
 // fans exist, and in a /8 whose last route went: the table keeps its fans
-// and reuses the nodes it dropped. A whole 256-route slice withdrawn and
-// announced again allocates nothing either, bulk's steady state.
+// and reuses the nodes it dropped. So does an IPv6 /128 beside another,
+// whose wide valued node and the wide glue above it go on wide free lists
+// of their own. A whole 256-route slice withdrawn and announced again
+// allocates nothing either, bulk's steady state.
 func TestTableChurnAllocatesNothing(t *testing.T) {
 	tr := New[int]()
 	ps := fullTable(146515)
 	for i, p := range ps {
 		tr.Upsert(p, i)
 	}
+	tr.Upsert(mustP("2001:db8:1::4/128"), 0)
+	wide := mustP("2001:db8:1::5/128")
 	var fresh, empty netip.Prefix
 	for x := 0; x < 1<<16 && !(fresh.IsValid() && empty.IsValid()); x++ {
 		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, byte(x >> 8), byte(x), 0}), 24)
@@ -926,7 +953,7 @@ func TestTableChurnAllocatesNothing(t *testing.T) {
 	if !fresh.IsValid() || !empty.IsValid() {
 		t.Fatalf("no probe prefixes (fresh %v, empty %v)", fresh, empty)
 	}
-	for _, p := range []netip.Prefix{fresh, empty, lone} {
+	for _, p := range []netip.Prefix{fresh, empty, lone, wide} {
 		allocs := testing.AllocsPerRun(100, func() {
 			tr.Upsert(p, 1)
 			tr.Upsert(p, 2)
