@@ -65,7 +65,7 @@ func TestStatsXRL(t *testing.T) {
 	if found, _ := args.BoolArg("found"); !found {
 		t.Fatal("fea_snapshot_gen not found")
 	}
-	if v, _ := args.FP64Arg("value"); v != 1 {
+	if v, ok := args.Get("value"); !ok || v.Type != xrl.TypeFP64 || v.F64Val != 1 {
 		t.Fatalf("fea_snapshot_gen = %v, want 1", v)
 	}
 

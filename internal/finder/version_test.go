@@ -66,7 +66,7 @@ func TestResolvePicksHighestMutualVersion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("negotiated call failed: %v", err)
 	}
-	if v, _ := args.U32Arg("i"); v != 7 {
+	if v := u32(args, "i"); v != 7 {
 		t.Fatalf("echo reply = %v", args)
 	}
 	callee.mu.Lock()

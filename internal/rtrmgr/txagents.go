@@ -24,7 +24,7 @@ type txAgent struct {
 	stage func(c Change) ([]txStep, string, error)
 
 	mu    sync.Mutex
-	txID  uint32
+	txID  uint32 // the staged transaction; 0, which no coordinator issues, is none
 	steps []txStep
 	// txGen is the generation of the staged transaction, committed the
 	// generation of the last one committed: a transaction built against
@@ -42,6 +42,9 @@ type txStep struct {
 func (a *txAgent) ValidateTx(txID, generation uint32, encoded []string) (bool, string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if txID == 0 {
+		return false, "transaction 0 is reserved", nil
+	}
 	if generation < a.committed {
 		return false, fmt.Sprintf("stale generation %d (committed %d)", generation, a.committed), nil
 	}
@@ -65,7 +68,7 @@ func (a *txAgent) ValidateTx(txID, generation uint32, encoded []string) (bool, s
 func (a *txAgent) CommitTx(txID uint32) (uint32, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.txID != txID {
+	if txID == 0 || a.txID != txID {
 		return 0, fmt.Errorf("%s: no staged transaction %d", a.class, txID)
 	}
 	steps := a.steps

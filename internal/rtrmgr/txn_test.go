@@ -733,6 +733,38 @@ func TestAgentRefusesStaleGeneration(t *testing.T) {
 	}
 }
 
+// Transaction 0 is the agent's "none": no call stages or commits it. Once
+// a staged transaction is aborted, a commit_tx of 0 applies nothing and
+// leaves the committed generation where it was, so the aborted
+// transaction's generation cannot make the current one stale.
+func TestAgentRefusesTransactionZero(t *testing.T) {
+	running, _ := ParseConfig("static { }")
+	candidate, _ := ParseConfig("static { route 10.9.0.0/16 next-hop 192.168.1.1; }")
+	changes := EncodeChanges(DiffConfig(running, candidate))
+	applied := 0
+	a := &txAgent{class: "rib", stage: func(Change) ([]txStep, string, error) {
+		return []txStep{{desc: "count", apply: func() error { applied++; return nil }}}, "", nil
+	}}
+	if ok, reason, err := a.ValidateTx(0, 1, changes); ok || err != nil {
+		t.Fatalf("validate_tx of transaction 0: ok=%v %q %v, want a nack", ok, reason, err)
+	}
+	if ok, reason, err := a.ValidateTx(7, 5, changes); !ok || err != nil {
+		t.Fatalf("validate_tx 7: ok=%v %q %v", ok, reason, err)
+	}
+	if err := a.AbortTx(7); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := a.CommitTx(0); err == nil {
+		t.Fatalf("commit_tx of transaction 0 after an abort: %d applied, no error", n)
+	}
+	if applied != 0 || a.committed != 0 {
+		t.Fatalf("%d steps applied, committed generation %d, want none and 0", applied, a.committed)
+	}
+	if ok, reason, _ := a.ValidateTx(8, 1, changes); !ok {
+		t.Fatalf("generation 1 after the abort nacked: %s", reason)
+	}
+}
+
 // config/0.1 is open to any caller, so an agent refuses a change its
 // class does not stage instead of handing it to a stage that indexes the
 // path: an interface reaches OSPF's stage (a section of its row) and is

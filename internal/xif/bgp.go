@@ -70,105 +70,49 @@ type BGPServer interface {
 // BindBGP wires a BGPServer onto t as bgp/1.0.
 func BindBGP(t *xipc.Target, s BGPServer) {
 	b := newBinding(t, BGPSpec)
-	b.handle("get_bgp_version", func(xrl.Args) (xrl.Args, error) {
+	b.handle("get_bgp_version", func(reader) (xrl.Args, error) {
 		v, err := s.GetBGPVersion()
 		if err != nil {
 			return nil, err
 		}
 		return xrl.Args{xrl.U32("version", v)}, nil
 	})
-	b.handle("local_config", func(xrl.Args) (xrl.Args, error) {
+	b.handle("local_config", func(reader) (xrl.Args, error) {
 		as, id, err := s.LocalConfig()
 		if err != nil {
 			return nil, err
 		}
 		return xrl.Args{xrl.U32("as", as), xrl.Addr("id", id)}, nil
 	})
-	b.handle("add_peer", func(args xrl.Args) (xrl.Args, error) {
-		name, err := args.TextArg("name")
-		if err != nil {
-			return nil, err
-		}
-		localAddr, err := args.AddrArg("local_addr")
-		if err != nil {
-			return nil, err
-		}
-		peerAddr, err := args.AddrArg("peer_addr")
-		if err != nil {
-			return nil, err
-		}
-		as, err := args.U32Arg("as")
-		if err != nil {
-			return nil, err
-		}
-		var (
-			dial, group string
-			holdTime    uint32
-		)
-		opt := optionals{args: args}
-		opt.text("dial", &dial)
-		opt.u32("holdtime", &holdTime)
-		opt.text("group", &group)
-		if opt.err != nil {
-			return nil, opt.err
-		}
+	b.handle("add_peer", func(in reader) (xrl.Args, error) {
 		return nil, s.AddPeer(BGPPeerConfig{
-			Name:      name,
-			LocalAddr: localAddr,
-			PeerAddr:  peerAddr,
-			PeerAS:    uint16(as),
-			DialAddr:  dial,
-			HoldTime:  time.Duration(holdTime) * time.Second,
-			Group:     group,
+			Name:      in.text("name"),
+			LocalAddr: in.addr("local_addr"),
+			PeerAddr:  in.addr("peer_addr"),
+			PeerAS:    uint16(in.u32("as")),
+			DialAddr:  in.text("dial"),
+			HoldTime:  time.Duration(in.u32("holdtime")) * time.Second,
+			Group:     in.text("group"),
 		})
 	})
-	b.handle("enable_peer", func(args xrl.Args) (xrl.Args, error) {
-		name, err := args.TextArg("name")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.EnablePeer(name)
+	b.handle("enable_peer", func(in reader) (xrl.Args, error) {
+		return nil, s.EnablePeer(in.text("name"))
 	})
-	b.handle("disable_peer", func(args xrl.Args) (xrl.Args, error) {
-		name, err := args.TextArg("name")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.DisablePeer(name)
+	b.handle("disable_peer", func(in reader) (xrl.Args, error) {
+		return nil, s.DisablePeer(in.text("name"))
 	})
-	b.handle("peer_state", func(args xrl.Args) (xrl.Args, error) {
-		name, err := args.TextArg("name")
-		if err != nil {
-			return nil, err
-		}
-		state, err := s.PeerState(name)
+	b.handle("peer_state", func(in reader) (xrl.Args, error) {
+		state, err := s.PeerState(in.text("name"))
 		if err != nil {
 			return nil, err
 		}
 		return xrl.Args{xrl.Text("state", state)}, nil
 	})
-	b.handle("originate_route4", func(args xrl.Args) (xrl.Args, error) {
-		net, err := args.NetArg("nlri")
-		if err != nil {
-			return nil, err
-		}
-		nh, err := args.AddrArg("next_hop")
-		if err != nil {
-			return nil, err
-		}
-		var med uint32
-		opt := optionals{args: args}
-		if opt.u32("med", &med); opt.err != nil {
-			return nil, opt.err
-		}
-		return nil, s.OriginateRoute4(net, nh, med)
+	b.handle("originate_route4", func(in reader) (xrl.Args, error) {
+		return nil, s.OriginateRoute4(in.net("nlri"), in.addr("next_hop"), in.u32("med"))
 	})
-	b.handle("withdraw_route4", func(args xrl.Args) (xrl.Args, error) {
-		net, err := args.NetArg("nlri")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.WithdrawRoute4(net)
+	b.handle("withdraw_route4", func(in reader) (xrl.Args, error) {
+		return nil, s.WithdrawRoute4(in.net("nlri"))
 	})
 	b.done()
 }

@@ -2,7 +2,6 @@ package xif
 
 import (
 	"fmt"
-	"net/netip"
 
 	"xorp/internal/xipc"
 	"xorp/internal/xrl"
@@ -23,16 +22,25 @@ func newBinding(t *xipc.Target, s *Spec) *binding {
 	return &binding{t: t, s: s, seen: make(map[string]bool, len(s.Methods))}
 }
 
-// handle registers h for the spec method named method.
-func (b *binding) handle(method string, h xipc.Handler) {
-	if _, ok := b.s.Method(method); !ok {
+// handle registers h for the spec method named method. A call reaches h
+// only once its arguments pass the method's declaration (CheckArgs, the
+// check the stubs run before they send); one that does not is
+// xrl.CodeBadArgs. h reads the checked arguments through a reader.
+func (b *binding) handle(method string, h func(in reader) (xrl.Args, error)) {
+	m, ok := b.s.Method(method)
+	if !ok {
 		panic(fmt.Sprintf("xif: spec %s/%s declares no method %q", b.s.Name, b.s.Version, method))
 	}
 	if b.seen[method] {
 		panic(fmt.Sprintf("xif: method %s bound twice on %s", b.s.Command(method), b.t.Name))
 	}
 	b.seen[method] = true
-	b.t.Register(b.s.Name, b.s.Version, method, h)
+	b.t.Register(b.s.Name, b.s.Version, method, func(args xrl.Args) (xrl.Args, error) {
+		if err := m.CheckArgs(args); err != nil {
+			return nil, &xrl.Error{Code: xrl.CodeBadArgs, Note: err.Error()}
+		}
+		return h(reader{args: args, decl: m.Args})
+	})
 }
 
 // done verifies the binding covered the whole spec.
@@ -42,48 +50,6 @@ func (b *binding) done() {
 			panic(fmt.Sprintf("xif: target %s binding of %s/%s left method %q unimplemented",
 				b.t.Name, b.s.Name, b.s.Version, b.s.Methods[i].Name))
 		}
-	}
-}
-
-// optionals reads the arguments a spec marks Optional. One left out of
-// the call keeps its destination's zero value and costs nothing; one sent
-// with the wrong type is xrl.CodeBadArgs, kept in err — never taken for
-// an absent one. Handlers and reply decoders read every optional, then
-// check err once.
-type optionals struct {
-	args xrl.Args
-	err  error
-}
-
-func (o *optionals) get(name string, t xrl.AtomType) *xrl.Atom {
-	a, err := o.args.Optional(name, t)
-	if err != nil && o.err == nil {
-		o.err = err
-	}
-	return a
-}
-
-func (o *optionals) u32(name string, dst *uint32) {
-	if a := o.get(name, xrl.TypeU32); a != nil {
-		*dst = uint32(a.IntVal)
-	}
-}
-
-func (o *optionals) text(name string, dst *string) {
-	if a := o.get(name, xrl.TypeText); a != nil {
-		*dst = a.TextVal
-	}
-}
-
-func (o *optionals) addr(name string, dst *netip.Addr) {
-	if a := o.get(name, xrl.TypeIPv4); a != nil {
-		*dst = a.AddrVal
-	}
-}
-
-func (o *optionals) net(name string, dst *netip.Prefix) {
-	if a := o.get(name, xrl.TypeIPv4Net); a != nil {
-		*dst = a.NetVal
 	}
 }
 

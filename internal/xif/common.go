@@ -48,22 +48,17 @@ func NewTarget(name, class string) *xipc.Target {
 // interface bound after this call too.
 func BindCommon(t *xipc.Target) {
 	b := newBinding(t, CommonSpec)
-	b.handle("get_target_name", func(xrl.Args) (xrl.Args, error) {
+	b.handle("get_target_name", func(reader) (xrl.Args, error) {
 		return xrl.Args{xrl.Text("name", t.Name)}, nil
 	})
-	b.handle("get_version", func(xrl.Args) (xrl.Args, error) {
+	b.handle("get_version", func(reader) (xrl.Args, error) {
 		return xrl.Args{xrl.Text("version", TargetVersion)}, nil
 	})
-	b.handle("get_status", func(xrl.Args) (xrl.Args, error) {
+	b.handle("get_status", func(reader) (xrl.Args, error) {
 		return xrl.Args{xrl.Text("status", "READY"), xrl.Text("reason", "")}, nil
 	})
-	b.handle("get_interfaces", func(xrl.Args) (xrl.Args, error) {
-		ifaces := TargetInterfaces(t)
-		items := make([]xrl.Atom, len(ifaces))
-		for i, s := range ifaces {
-			items[i] = xrl.Text("", s)
-		}
-		return xrl.Args{xrl.List("interfaces", items...)}, nil
+	b.handle("get_interfaces", func(reader) (xrl.Args, error) {
+		return xrl.Args{textAtoms("interfaces", TargetInterfaces(t))}, nil
 	})
 	b.done()
 }
@@ -100,15 +95,7 @@ func NewCommonClient(r *xipc.Router, target string) *CommonClient {
 func (c *CommonClient) GetInterfaces(cb func(ifaces []string, err *xrl.Error)) {
 	c.call("get_interfaces",
 		func(args xrl.Args, err *xrl.Error) {
-			if err != nil {
-				cb(nil, err)
-				return
-			}
-			items, _ := args.ListArg("interfaces")
-			out := make([]string, len(items))
-			for i, it := range items {
-				out[i] = it.TextVal
-			}
-			cb(out, nil)
+			ret, err := CommonSpec.reply("get_interfaces", args, err)
+			cb(ret.texts("interfaces"), err)
 		})
 }

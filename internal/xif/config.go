@@ -64,27 +64,22 @@ type ConfigServer interface {
 // BindConfig wires a ConfigServer onto t as config/0.1.
 func BindConfig(t *xipc.Target, s ConfigServer) {
 	b := newBinding(t, ConfigSpec)
-	b.handle("validate_tx", func(args xrl.Args) (xrl.Args, error) {
-		txID, _ := args.U32Arg("tx_id")
-		gen, _ := args.U32Arg("generation")
-		items, _ := args.ListArg("changes")
-		ok, reason, err := s.ValidateTx(txID, gen, textList(items))
+	b.handle("validate_tx", func(in reader) (xrl.Args, error) {
+		ok, reason, err := s.ValidateTx(in.u32("tx_id"), in.u32("generation"), in.texts("changes"))
 		if err != nil {
 			return nil, err
 		}
 		return xrl.Args{xrl.Bool("ok", ok), xrl.Text("reason", reason)}, nil
 	})
-	b.handle("commit_tx", func(args xrl.Args) (xrl.Args, error) {
-		txID, _ := args.U32Arg("tx_id")
-		applied, err := s.CommitTx(txID)
+	b.handle("commit_tx", func(in reader) (xrl.Args, error) {
+		applied, err := s.CommitTx(in.u32("tx_id"))
 		if err != nil {
 			return nil, err
 		}
 		return xrl.Args{xrl.U32("applied", applied)}, nil
 	})
-	b.handle("abort_tx", func(args xrl.Args) (xrl.Args, error) {
-		txID, _ := args.U32Arg("tx_id")
-		return nil, s.AbortTx(txID)
+	b.handle("abort_tx", func(in reader) (xrl.Args, error) {
+		return nil, s.AbortTx(in.u32("tx_id"))
 	})
 	b.done()
 }
@@ -101,13 +96,8 @@ func NewConfigClient(r *xipc.Router, target string) *ConfigClient {
 // ValidateTx opens txID at generation with the encoded change slice.
 func (c *ConfigClient) ValidateTx(txID, generation uint32, changes []string, cb func(ok bool, reason string, err *xrl.Error)) {
 	c.call("validate_tx", func(args xrl.Args, err *xrl.Error) {
-		if err != nil {
-			cb(false, "", err)
-			return
-		}
-		ok, _ := args.BoolArg("ok")
-		reason, _ := args.TextArg("reason")
-		cb(ok, reason, nil)
+		ret, err := ConfigSpec.reply("validate_tx", args, err)
+		cb(ret.boolean("ok"), ret.text("reason"), err)
 	},
 		xrl.U32("tx_id", txID),
 		xrl.U32("generation", generation),
@@ -118,12 +108,8 @@ func (c *ConfigClient) ValidateTx(txID, generation uint32, changes []string, cb 
 // CommitTx applies the staged transaction.
 func (c *ConfigClient) CommitTx(txID uint32, cb func(applied uint32, err *xrl.Error)) {
 	c.call("commit_tx", func(args xrl.Args, err *xrl.Error) {
-		if err != nil {
-			cb(0, err)
-			return
-		}
-		applied, _ := args.U32Arg("applied")
-		cb(applied, nil)
+		ret, err := ConfigSpec.reply("commit_tx", args, err)
+		cb(ret.u32("applied"), err)
 	}, xrl.U32("tx_id", txID))
 }
 

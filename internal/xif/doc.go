@@ -20,19 +20,26 @@
 //     Go server interface (e.g. RIBServer) onto a xipc.Target,
 //     validating at registration time that every spec method is bound
 //     (an incomplete binding panics at process startup, and the Go
-//     compiler enforces handler signatures). The adapters are
-//     hand-written and reflection-free: argument mismatches become
-//     xrl.CodeBadArgs, unknown methods xrl.CodeNoSuchMethod, and the
-//     hot batch paths (rib add_routes4, fti add_entries4) decode into a
-//     single slice per call so they stay allocation-minimal. An argument
-//     the spec marks Optional is read through xrl.Args.Optional: left
-//     out it costs nothing, sent with the wrong type it is CodeBadArgs —
-//     never mistaken for absent. Every adapter takes what it needs out
-//     of the xrl.Args by value before calling the server, which is what
-//     xipc's rule that a handler's arguments die with the call asks for;
-//     none keeps the argument slice. The same rule covers the run a
-//     route server is handed: it is decoded into a slice the binding
-//     reuses, so a server must copy out what it keeps.
+//     compiler enforces handler signatures). A call is checked against
+//     its method's declaration once, where it arrives, before the
+//     handler runs: the binding runs Method.CheckArgs, the check the
+//     stubs run before they send, and a missing, mistyped or undeclared
+//     argument is xrl.CodeBadArgs. The handler then reads the checked
+//     arguments through a reader (reader.go) whose reads cannot fail —
+//     an optional argument left out reads as zero, and a read of a name
+//     or type the method does not declare panics, so the conformance
+//     test, which drives every bound method, catches it. What the
+//     handlers still check is value beyond type: a protocol name, a
+//     policy tag, a route list's items. The adapters are hand-written
+//     and reflection-free, unknown methods are xrl.CodeNoSuchMethod,
+//     and the hot batch paths (rib add_routes4, fti add_entries4) decode
+//     into a single slice per call so they stay allocation-minimal.
+//     Every adapter takes what it needs out of the xrl.Args by value
+//     before calling the server, which is what xipc's rule that a
+//     handler's arguments die with the call asks for; none keeps the
+//     argument slice. The same rule covers the run a route server is
+//     handed: it is decoded into a slice the binding reuses, so a server
+//     must copy out what it keeps.
 //
 //   - *Client (e.g. RIBClient, FTIClient, FEAUDPClient) is the
 //     generated-style client stub: methods like AddRoutes4(proto, run,
@@ -41,7 +48,11 @@
 //     one included, goes as the list XRL. Call sites never hand-roll
 //     xrl.New argument lists; the wire encoding produced by a stub is
 //     pinned byte-for-byte against the legacy hand-built XRLs by the
-//     wire-compatibility oracle in xif_test.go.
+//     wire-compatibility oracle in xif_test.go. A stub whose method
+//     declares return atoms checks the reply against them once
+//     (Spec.reply) and decodes it with the same reader: a reply that
+//     breaks the declaration reaches the callback as xrl.CodeBadArgs,
+//     never as zero values and no error.
 //
 // Routes cross the list XRLs typed (routeatom.go): an add_routes4 or
 // add_entries4 item is one xrl route atom — prefix, next hop, metric,
@@ -69,5 +80,7 @@
 // The drift gate under xif/lint keeps the layer load-bearing: any
 // non-test code registering handlers with raw Target.Register,
 // composing calls with xrl.New or naming a per-route wire method fails
-// CI and must go through a Spec and its stub.
+// CI and must go through a Spec and its stub; and inside this package,
+// an xrl.Args getter that can fail, or a read that drops its error,
+// outside reader.go fails it too.
 package xif

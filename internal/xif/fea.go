@@ -55,11 +55,8 @@ func BindFTI(t *xipc.Target, s FTIServer) {
 	b := newBinding(t, FTISpec)
 	var entries scratch[route.Entry]
 	var nets scratch[netip.Prefix]
-	b.handle("add_entries4", func(args xrl.Args) (xrl.Args, error) {
-		items, err := args.ListArg("entries")
-		if err != nil {
-			return nil, err
-		}
+	b.handle("add_entries4", func(in reader) (xrl.Args, error) {
+		items := in.list("entries")
 		defer entries.give()
 		es, err := decodeRouteList(entries.take(len(items)), items)
 		if err != nil {
@@ -67,11 +64,8 @@ func BindFTI(t *xipc.Target, s FTIServer) {
 		}
 		return nil, s.AddEntries4(es)
 	})
-	b.handle("delete_entries4", func(args xrl.Args) (xrl.Args, error) {
-		items, err := args.ListArg("networks")
-		if err != nil {
-			return nil, err
-		}
+	b.handle("delete_entries4", func(in reader) (xrl.Args, error) {
+		items := in.list("networks")
 		defer nets.give()
 		batch, err := decodeNetList(nets.take(len(items)), items)
 		if err != nil {
@@ -79,12 +73,8 @@ func BindFTI(t *xipc.Target, s FTIServer) {
 		}
 		return nil, s.DeleteEntries4(batch)
 	})
-	b.handle("lookup_entry4", func(args xrl.Args) (xrl.Args, error) {
-		addr, err := args.AddrArg("addr")
-		if err != nil {
-			return nil, err
-		}
-		ans, err := s.LookupEntry4(addr)
+	b.handle("lookup_entry4", func(in reader) (xrl.Args, error) {
+		ans, err := s.LookupEntry4(in.addr("addr"))
 		if err != nil {
 			return nil, err
 		}
@@ -131,23 +121,12 @@ func (c *FTIClient) DeleteEntries4(nets []netip.Prefix, done func(error)) {
 // LookupEntry4 queries the FEA's forwarding table.
 func (c *FTIClient) LookupEntry4(addr netip.Addr, cb func(FTILookup, *xrl.Error)) {
 	c.call("lookup_entry4", func(args xrl.Args, err *xrl.Error) {
-		if err != nil {
-			cb(FTILookup{}, err)
-			return
-		}
-		var ans FTILookup
-		ans.Found, _ = args.BoolArg("found")
+		ret, err := FTISpec.reply("lookup_entry4", args, err)
+		ans := FTILookup{Found: ret.boolean("found")}
 		if ans.Found {
-			opt := optionals{args: args}
-			opt.net("network", &ans.Entry.Net)
-			opt.text("ifname", &ans.Entry.IfName)
-			opt.addr("nexthop", &ans.Entry.NextHop)
-			if opt.err != nil {
-				cb(FTILookup{}, xrl.AsError(opt.err))
-				return
-			}
+			ans.Entry = route.Entry{Net: ret.net("network"), IfName: ret.text("ifname"), NextHop: ret.addr("nexthop")}
 		}
-		cb(ans, nil)
+		cb(ans, err)
 	}, xrl.Addr("addr", addr))
 }
 
@@ -169,16 +148,12 @@ type IfMgrServer interface {
 // BindIfMgr wires an IfMgrServer onto t as ifmgr/0.1.
 func BindIfMgr(t *xipc.Target, s IfMgrServer) {
 	b := newBinding(t, IfMgrSpec)
-	b.handle("get_interfaces", func(xrl.Args) (xrl.Args, error) {
+	b.handle("get_interfaces", func(reader) (xrl.Args, error) {
 		ifs, err := s.GetInterfaces()
 		if err != nil {
 			return nil, err
 		}
-		items := make([]xrl.Atom, len(ifs))
-		for i, s := range ifs {
-			items[i] = xrl.Text("", s)
-		}
-		return xrl.Args{xrl.List("interfaces", items...)}, nil
+		return xrl.Args{textAtoms("interfaces", ifs)}, nil
 	})
 	b.done()
 }
@@ -225,64 +200,21 @@ type FEAUDPServer interface {
 // BindFEAUDP wires an FEAUDPServer onto t as fea_udp/0.1.
 func BindFEAUDP(t *xipc.Target, s FEAUDPServer) {
 	b := newBinding(t, FEAUDPSpec)
-	b.handle("bind", func(args xrl.Args) (xrl.Args, error) {
-		port, err := args.U32Arg("port")
-		if err != nil {
-			return nil, err
-		}
-		client, err := args.TextArg("client")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.UDPBind(uint16(port), client)
+	b.handle("bind", func(in reader) (xrl.Args, error) {
+		return nil, s.UDPBind(uint16(in.u32("port")), in.text("client"))
 	})
-	b.handle("join_group", func(args xrl.Args) (xrl.Args, error) {
-		group, err := args.AddrArg("group")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.UDPJoinGroup(group)
+	b.handle("join_group", func(in reader) (xrl.Args, error) {
+		return nil, s.UDPJoinGroup(in.addr("group"))
 	})
-	b.handle("leave_group", func(args xrl.Args) (xrl.Args, error) {
-		group, err := args.AddrArg("group")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.UDPLeaveGroup(group)
+	b.handle("leave_group", func(in reader) (xrl.Args, error) {
+		return nil, s.UDPLeaveGroup(in.addr("group"))
 	})
-	b.handle("send", func(args xrl.Args) (xrl.Args, error) {
-		sport, err := args.U32Arg("sport")
-		if err != nil {
-			return nil, err
-		}
-		dst, err := args.AddrArg("dst")
-		if err != nil {
-			return nil, err
-		}
-		dport, err := args.U32Arg("dport")
-		if err != nil {
-			return nil, err
-		}
-		payload, err := args.BinaryArg("payload")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.UDPSend(uint16(sport), netip.AddrPortFrom(dst, uint16(dport)), payload)
+	b.handle("send", func(in reader) (xrl.Args, error) {
+		dst := netip.AddrPortFrom(in.addr("dst"), uint16(in.u32("dport")))
+		return nil, s.UDPSend(uint16(in.u32("sport")), dst, in.binary("payload"))
 	})
-	b.handle("broadcast", func(args xrl.Args) (xrl.Args, error) {
-		sport, err := args.U32Arg("sport")
-		if err != nil {
-			return nil, err
-		}
-		dport, err := args.U32Arg("dport")
-		if err != nil {
-			return nil, err
-		}
-		payload, err := args.BinaryArg("payload")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.UDPBroadcast(uint16(sport), uint16(dport), payload)
+	b.handle("broadcast", func(in reader) (xrl.Args, error) {
+		return nil, s.UDPBroadcast(uint16(in.u32("sport")), uint16(in.u32("dport")), in.binary("payload"))
 	})
 	b.done()
 }
@@ -350,20 +282,9 @@ type FEAUDPRecvServer interface {
 // BindFEAUDPRecv wires an FEAUDPRecvServer onto t as fea_udp_client/0.1.
 func BindFEAUDPRecv(t *xipc.Target, s FEAUDPRecvServer) {
 	b := newBinding(t, FEAUDPRecvSpec)
-	b.handle("recv", func(args xrl.Args) (xrl.Args, error) {
-		src, err := args.AddrArg("src")
-		if err != nil {
-			return nil, err
-		}
-		sport, err := args.U32Arg("sport")
-		if err != nil {
-			return nil, err
-		}
-		payload, err := args.BinaryArg("payload")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.Recv(netip.AddrPortFrom(src, uint16(sport)), payload)
+	b.handle("recv", func(in reader) (xrl.Args, error) {
+		src := netip.AddrPortFrom(in.addr("src"), uint16(in.u32("sport")))
+		return nil, s.Recv(src, in.binary("payload"))
 	})
 	b.done()
 }

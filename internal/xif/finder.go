@@ -104,67 +104,21 @@ func textAtoms(name string, vals []string) xrl.Atom {
 // BindFinder wires a FinderServer onto t as finder/1.0.
 func BindFinder(t *xipc.Target, s FinderServer) {
 	b := newBinding(t, FinderSpec)
-	b.handle("register_target", func(args xrl.Args) (xrl.Args, error) {
-		instance, err := args.TextArg("instance")
-		if err != nil {
-			return nil, err
-		}
-		class, err := args.TextArg("class")
-		if err != nil {
-			return nil, err
-		}
-		sole, err := args.BoolArg("sole")
-		if err != nil {
-			return nil, err
-		}
-		eps, err := args.ListArg("endpoints")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.RegisterTarget(instance, class, sole, textList(eps))
+	b.handle("register_target", func(in reader) (xrl.Args, error) {
+		return nil, s.RegisterTarget(in.text("instance"), in.text("class"), in.boolean("sole"), in.texts("endpoints"))
 	})
-	b.handle("register_methods", func(args xrl.Args) (xrl.Args, error) {
-		instance, err := args.TextArg("instance")
-		if err != nil {
-			return nil, err
-		}
-		cmds, err := args.ListArg("commands")
-		if err != nil {
-			return nil, err
-		}
-		keys, err := s.RegisterMethods(instance, textList(cmds))
+	b.handle("register_methods", func(in reader) (xrl.Args, error) {
+		keys, err := s.RegisterMethods(in.text("instance"), in.texts("commands"))
 		if err != nil {
 			return nil, err
 		}
 		return xrl.Args{textAtoms("keys", keys)}, nil
 	})
-	b.handle("unregister_target", func(args xrl.Args) (xrl.Args, error) {
-		instance, err := args.TextArg("instance")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.UnregisterTarget(instance)
+	b.handle("unregister_target", func(in reader) (xrl.Args, error) {
+		return nil, s.UnregisterTarget(in.text("instance"))
 	})
-	b.handle("resolve", func(args xrl.Args) (xrl.Args, error) {
-		caller, err := args.TextArg("caller")
-		if err != nil {
-			return nil, err
-		}
-		target, err := args.TextArg("target")
-		if err != nil {
-			return nil, err
-		}
-		command, err := args.TextArg("command")
-		if err != nil {
-			return nil, err
-		}
-		var accept []string
-		if a, err := args.Optional("accept", xrl.TypeList); err != nil {
-			return nil, err
-		} else if a != nil {
-			accept = textList(a.ListVal)
-		}
-		res, err := s.Resolve(caller, target, command, accept)
+	b.handle("resolve", func(in reader) (xrl.Args, error) {
+		res, err := s.Resolve(in.text("caller"), in.text("target"), in.text("command"), in.texts("accept"))
 		if err != nil {
 			return nil, err
 		}
@@ -175,39 +129,21 @@ func BindFinder(t *xipc.Target, s FinderServer) {
 			xrl.Text("command", res.Command),
 		}, nil
 	})
-	b.handle("watch", func(args xrl.Args) (xrl.Args, error) {
-		watcher, err := args.TextArg("watcher")
-		if err != nil {
-			return nil, err
-		}
-		class, err := args.TextArg("class")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.Watch(watcher, class)
+	b.handle("watch", func(in reader) (xrl.Args, error) {
+		return nil, s.Watch(in.text("watcher"), in.text("class"))
 	})
-	b.handle("targets", func(xrl.Args) (xrl.Args, error) {
+	b.handle("targets", func(reader) (xrl.Args, error) {
 		ts, err := s.Targets()
 		if err != nil {
 			return nil, err
 		}
 		return xrl.Args{textAtoms("targets", ts)}, nil
 	})
-	b.handle("add_permission", func(args xrl.Args) (xrl.Args, error) {
-		caller, e1 := args.TextArg("caller")
-		target, e2 := args.TextArg("target")
-		command, e3 := args.TextArg("command")
-		if e1 != nil || e2 != nil || e3 != nil {
-			return nil, &xrl.Error{Code: xrl.CodeBadArgs, Note: "need caller, target, command"}
-		}
-		return nil, s.AddPermission(caller, target, command)
+	b.handle("add_permission", func(in reader) (xrl.Args, error) {
+		return nil, s.AddPermission(in.text("caller"), in.text("target"), in.text("command"))
 	})
-	b.handle("set_strict", func(args xrl.Args) (xrl.Args, error) {
-		strict, err := args.BoolArg("strict")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.SetStrict(strict)
+	b.handle("set_strict", func(in reader) (xrl.Args, error) {
+		return nil, s.SetStrict(in.boolean("strict"))
 	})
 	b.done()
 }
@@ -243,16 +179,8 @@ func (c *FinderClient) RegisterMethods(instance string, commands []string, cb fu
 		xrl.Text("instance", instance),
 		textAtoms("commands", commands),
 	}, func(args xrl.Args, err *xrl.Error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		keys, kerr := args.ListArg("keys")
-		if kerr != nil {
-			cb(nil, &xrl.Error{Code: xrl.CodeInternal, Note: "malformed register_methods reply"})
-			return
-		}
-		cb(textList(keys), nil)
+		ret, err := FinderSpec.reply("register_methods", args, err)
+		cb(ret.texts("keys"), err)
 	})
 }
 
@@ -272,12 +200,8 @@ func (c *FinderClient) Watch(watcher, class string, done func(error)) {
 // Targets lists registered components as "instance:class" strings.
 func (c *FinderClient) Targets(cb func(targets []string, err *xrl.Error)) {
 	c.send("targets", nil, func(args xrl.Args, err *xrl.Error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		ts, _ := args.ListArg("targets")
-		cb(textList(ts), nil)
+		ret, err := FinderSpec.reply("targets", args, err)
+		cb(ret.texts("targets"), err)
 	})
 }
 

@@ -4,8 +4,12 @@
 // xrl.New, naming a per-route wire method (redist4/0.1's add_route4 and
 // delete_route4 are the stub's to send; routes reach the RIB and the FEA
 // only as runs, in the list XRLs), or sending through Router.SendArgs or
-// Router.Compose, the stubs' own entry points, outside internal/xipc. Run
-// from the module root:
+// Router.Compose, the stubs' own entry points, outside internal/xipc.
+// Inside internal/xif it holds the other half: a call's arguments and a
+// reply's atoms are checked against the Spec once, where they arrive, and
+// read through the reader, whose reads cannot fail — so an xrl.Args
+// getter that can fail, or a read that drops its error, belongs to the
+// reader's file alone. Run from the module root:
 //
 //	go run ./internal/xif/lint
 //
@@ -36,6 +40,23 @@ var patterns = []struct {
 	{regexp.MustCompile(`"(add|delete)_(route|entry)4"`), "per-route wire method (use the xif stub)", nil},
 	{regexp.MustCompile(`\.(SendArgs|Compose)\(`), "the stubs' send entry points (use a xif client stub)", []string{"xipc"}},
 }
+
+// Checked-read patterns: they hold in the non-test files of internal/xif
+// but readerFile.
+var readPatterns = []struct {
+	re   *regexp.Regexp
+	what string
+}{
+	{regexp.MustCompile(`\.(\w+Arg|Optional)\(`),
+		"an xrl.Args getter that can fail (read the checked atoms through the reader)"},
+	{regexp.MustCompile(`, _ :?= .*\.Get\(`),
+		"a lookup that drops whether the atom is there (read the checked atoms through the reader)"},
+}
+
+var (
+	xifDir     = filepath.Join("internal", "xif") + string(filepath.Separator)
+	readerFile = filepath.Join("internal", "xif", "reader.go")
+)
 
 // allowed reports whether path may use raw IPC primitives: the xif layer
 // itself, the packages a pattern names (also), and tests (which pin wire
@@ -80,12 +101,20 @@ func main() {
 		if rerr != nil {
 			return rerr
 		}
+		reads := strings.HasPrefix(rel, xifDir) && !strings.HasSuffix(rel, "_test.go") && rel != readerFile
 		for lineNo, line := range strings.Split(string(data), "\n") {
+			report := func(what string) {
+				fmt.Fprintf(os.Stderr, "%s:%d: %s\n\t%s\n", rel, lineNo+1, what, strings.TrimSpace(line))
+				bad++
+			}
 			for _, p := range patterns {
 				if p.re.MatchString(line) && !allowed(rel, p.also) {
-					fmt.Fprintf(os.Stderr, "%s:%d: %s\n\t%s\n",
-						rel, lineNo+1, p.what, strings.TrimSpace(line))
-					bad++
+					report(p.what)
+				}
+			}
+			for _, p := range readPatterns {
+				if reads && p.re.MatchString(line) {
+					report(p.what)
 				}
 			}
 		}
@@ -96,7 +125,7 @@ func main() {
 		os.Exit(2)
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "xif lint: %d raw IPC call site(s); route them through internal/xif\n", bad)
+		fmt.Fprintf(os.Stderr, "xif lint: %d raw IPC call site(s) or unchecked read(s); route them through internal/xif and its reader\n", bad)
 		os.Exit(1)
 	}
 }

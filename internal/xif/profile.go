@@ -34,35 +34,21 @@ type ProfileServer interface {
 // BindProfile wires a ProfileServer onto t as profile/0.1.
 func BindProfile(t *xipc.Target, s ProfileServer) {
 	b := newBinding(t, ProfileSpec)
-	pointArg := func(args xrl.Args, fn func(string) error) (xrl.Args, error) {
-		name, err := args.TextArg("pname")
-		if err != nil {
-			return nil, err
-		}
-		return nil, fn(name)
+	point := func(fn func(string) error) func(reader) (xrl.Args, error) {
+		return func(in reader) (xrl.Args, error) { return nil, fn(in.text("pname")) }
 	}
-	b.handle("enable", func(args xrl.Args) (xrl.Args, error) {
-		return pointArg(args, s.ProfileEnable)
-	})
-	b.handle("disable", func(args xrl.Args) (xrl.Args, error) {
-		return pointArg(args, s.ProfileDisable)
-	})
-	b.handle("clear", func(args xrl.Args) (xrl.Args, error) {
-		return pointArg(args, s.ProfileClear)
-	})
-	b.handle("list", func(xrl.Args) (xrl.Args, error) {
+	b.handle("enable", point(s.ProfileEnable))
+	b.handle("disable", point(s.ProfileDisable))
+	b.handle("clear", point(s.ProfileClear))
+	b.handle("list", func(reader) (xrl.Args, error) {
 		points, err := s.ProfileList()
 		if err != nil {
 			return nil, err
 		}
 		return xrl.Args{xrl.Text("points", points)}, nil
 	})
-	b.handle("get_entries", func(args xrl.Args) (xrl.Args, error) {
-		name, err := args.TextArg("pname")
-		if err != nil {
-			return nil, err
-		}
-		entries, err := s.ProfileEntries(name)
+	b.handle("get_entries", func(in reader) (xrl.Args, error) {
+		entries, err := s.ProfileEntries(in.text("pname"))
 		if err != nil {
 			return nil, err
 		}
@@ -102,23 +88,15 @@ func (c *ProfileClient) Clear(pname string, done func(error)) {
 // List fetches the space-separated point names.
 func (c *ProfileClient) List(cb func(points string, err *xrl.Error)) {
 	c.call("list", func(args xrl.Args, err *xrl.Error) {
-		if err != nil {
-			cb("", err)
-			return
-		}
-		points, _ := args.TextArg("points")
-		cb(points, nil)
+		ret, err := ProfileSpec.reply("list", args, err)
+		cb(ret.text("points"), err)
 	})
 }
 
 // GetEntries fetches a point's time-stamped records.
 func (c *ProfileClient) GetEntries(pname string, cb func(entries []string, err *xrl.Error)) {
 	c.call("get_entries", func(args xrl.Args, err *xrl.Error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		items, _ := args.ListArg("entries")
-		cb(textList(items), nil)
+		ret, err := ProfileSpec.reply("get_entries", args, err)
+		cb(ret.texts("entries"), err)
 	}, xrl.Text("pname", pname))
 }

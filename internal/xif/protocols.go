@@ -38,26 +38,12 @@ type Redist4Server interface {
 // BindRedist4 wires a Redist4Server onto t as redist4/0.1.
 func BindRedist4(t *xipc.Target, s Redist4Server) {
 	b := newBinding(t, Redist4Spec)
-	b.handle("add_route4", func(args xrl.Args) (xrl.Args, error) {
-		var e route.Entry
-		var err error
-		if e.Net, err = args.NetArg("network"); err != nil {
-			return nil, err
-		}
-		opt := optionals{args: args}
-		opt.addr("nexthop", &e.NextHop)
-		if opt.u32("metric", &e.Metric); opt.err != nil {
-			return nil, opt.err
-		}
-		s.RedistAdd(e)
+	b.handle("add_route4", func(in reader) (xrl.Args, error) {
+		s.RedistAdd(route.Entry{Net: in.net("network"), NextHop: in.addr("nexthop"), Metric: in.u32("metric")})
 		return nil, nil
 	})
-	b.handle("delete_route4", func(args xrl.Args) (xrl.Args, error) {
-		net, err := args.NetArg("network")
-		if err != nil {
-			return nil, err
-		}
-		s.RedistDelete(route.Entry{Net: net})
+	b.handle("delete_route4", func(in reader) (xrl.Args, error) {
+		s.RedistDelete(route.Entry{Net: in.net("network")})
 		return nil, nil
 	})
 	b.done()
@@ -117,6 +103,6 @@ func (f BenchSinkFunc) Sink(args xrl.Args) (xrl.Args, error) { return f(args) }
 // BindBench wires a BenchServer onto t as bench/1.0.
 func BindBench(t *xipc.Target, s BenchServer) {
 	b := newBinding(t, BenchSpec)
-	b.handle("sink", func(args xrl.Args) (xrl.Args, error) { return s.Sink(args) })
+	b.handle("sink", func(in reader) (xrl.Args, error) { return s.Sink(in.args) })
 	b.done()
 }

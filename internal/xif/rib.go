@@ -92,31 +92,27 @@ type RIBServer interface {
 	ResyncComplete4(proto route.Protocol) (uint32, error)
 }
 
-func parseProtoArg(args xrl.Args) (route.Protocol, error) {
-	s, err := args.TextArg("protocol")
+// parseProto reads the protocol argument, which must name a protocol.
+func parseProto(in reader) (route.Protocol, error) {
+	proto, err := route.ParseProtocol(in.text("protocol"))
 	if err != nil {
-		return route.ProtoUnknown, err
-	}
-	proto, perr := route.ParseProtocol(s)
-	if perr != nil {
-		return route.ProtoUnknown, xrl.Errorf(xrl.CodeBadArgs, "%v", perr)
+		return route.ProtoUnknown, xrl.Errorf(xrl.CodeBadArgs, "%v", err)
 	}
 	return proto, nil
 }
 
-// parseTags decodes the optional policytags, nil when the call carries
-// none. The RIB keeps the list with the routes, so it is never the call's
+// parseTags decodes the policytags items, nil when the call carries none.
+// The RIB keeps the list with the routes, so it is never the call's
 // storage: it is last — the list the previous call carried — when the
 // tags are the same, and else a list of its own. Nobody writes a tag list
 // once it is set on a route.
-func parseTags(args xrl.Args, last []uint32) ([]uint32, error) {
-	a, err := args.Optional("policytags", xrl.TypeList)
-	if a == nil || len(a.ListVal) == 0 {
-		return nil, err
+func parseTags(items []xrl.Atom, last []uint32) ([]uint32, error) {
+	if len(items) == 0 {
+		return nil, nil
 	}
-	same := len(a.ListVal) == len(last)
-	for i := range a.ListVal {
-		it := &a.ListVal[i]
+	same := len(items) == len(last)
+	for i := range items {
+		it := &items[i]
 		if it.Type != xrl.TypeU32 {
 			return nil, xrl.Errorf(xrl.CodeBadArgs, "xif: policy tag %v is not a u32", *it)
 		}
@@ -125,9 +121,9 @@ func parseTags(args xrl.Args, last []uint32) ([]uint32, error) {
 	if same {
 		return last, nil
 	}
-	tags := make([]uint32, len(a.ListVal))
-	for i := range a.ListVal {
-		tags[i] = uint32(a.ListVal[i].IntVal)
+	tags := make([]uint32, len(items))
+	for i := range items {
+		tags[i] = uint32(items[i].IntVal)
 	}
 	return tags, nil
 }
@@ -142,18 +138,15 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 	var routes scratch[route.Entry]
 	var nets scratch[netip.Prefix]
 	var tags []uint32 // the last call's policytags
-	b.handle("add_routes4", func(args xrl.Args) (xrl.Args, error) {
-		proto, err := parseProtoArg(args)
+	b.handle("add_routes4", func(in reader) (xrl.Args, error) {
+		proto, err := parseProto(in)
 		if err != nil {
 			return nil, err
 		}
-		items, err := args.ListArg("routes")
-		if err != nil {
+		if tags, err = parseTags(in.list("policytags"), tags); err != nil {
 			return nil, err
 		}
-		if tags, err = parseTags(args, tags); err != nil {
-			return nil, err
-		}
+		items := in.list("routes")
 		defer routes.give()
 		es, err := decodeRouteList(routes.take(len(items)), items)
 		if err != nil {
@@ -164,15 +157,12 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 		}
 		return nil, s.AddRoutes4(proto, es)
 	})
-	b.handle("delete_routes4", func(args xrl.Args) (xrl.Args, error) {
-		proto, err := parseProtoArg(args)
+	b.handle("delete_routes4", func(in reader) (xrl.Args, error) {
+		proto, err := parseProto(in)
 		if err != nil {
 			return nil, err
 		}
-		items, err := args.ListArg("networks")
-		if err != nil {
-			return nil, err
-		}
+		items := in.list("networks")
 		defer nets.give()
 		batch, err := decodeNetList(nets.take(len(items)), items)
 		if err != nil {
@@ -180,16 +170,8 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 		}
 		return nil, s.DeleteRoutes4(proto, batch)
 	})
-	b.handle("register_interest4", func(args xrl.Args) (xrl.Args, error) {
-		client, err := args.TextArg("target")
-		if err != nil {
-			return nil, err
-		}
-		addr, err := args.AddrArg("addr")
-		if err != nil {
-			return nil, err
-		}
-		ans, err := s.RegisterInterest4(client, addr)
+	b.handle("register_interest4", func(in reader) (xrl.Args, error) {
+		ans, err := s.RegisterInterest4(in.text("target"), in.addr("addr"))
 		if err != nil {
 			return nil, err
 		}
@@ -207,19 +189,11 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 		}
 		return out, nil
 	})
-	b.handle("deregister_interest4", func(args xrl.Args) (xrl.Args, error) {
-		client, err := args.TextArg("target")
-		if err != nil {
-			return nil, err
-		}
-		covering, err := args.NetArg("covering")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.DeregisterInterest4(client, covering)
+	b.handle("deregister_interest4", func(in reader) (xrl.Args, error) {
+		return nil, s.DeregisterInterest4(in.text("target"), in.net("covering"))
 	})
-	b.handle("resync_complete", func(args xrl.Args) (xrl.Args, error) {
-		proto, err := parseProtoArg(args)
+	b.handle("resync_complete", func(in reader) (xrl.Args, error) {
+		proto, err := parseProto(in)
 		if err != nil {
 			return nil, err
 		}
@@ -229,12 +203,8 @@ func BindRIB(t *xipc.Target, s RIBServer) {
 		}
 		return xrl.Args{xrl.U32("swept", swept)}, nil
 	})
-	b.handle("lookup_route_by_dest4", func(args xrl.Args) (xrl.Args, error) {
-		addr, err := args.AddrArg("addr")
-		if err != nil {
-			return nil, err
-		}
-		ans, err := s.LookupRouteByDest4(addr)
+	b.handle("lookup_route_by_dest4", func(in reader) (xrl.Args, error) {
+		ans, err := s.LookupRouteByDest4(in.addr("addr"))
 		if err != nil {
 			return nil, err
 		}
@@ -358,37 +328,21 @@ func (c *RIBClient) ResyncComplete4(proto string, cb func(swept uint32, err *xrl
 		if cb == nil {
 			return
 		}
-		if err != nil {
-			cb(0, err)
-			return
-		}
-		swept, _ := args.U32Arg("swept")
-		cb(swept, nil)
+		ret, err := RIBSpec.reply("resync_complete", args, err)
+		cb(ret.u32("swept"), err)
 	}, xrl.Text("protocol", proto))
 }
 
 // RegisterInterest4 registers client for resolvability of addr (§5.2.1).
 func (c *RIBClient) RegisterInterest4(client string, addr netip.Addr, cb func(RIBInterest, *xrl.Error)) {
 	c.call("register_interest4", func(args xrl.Args, err *xrl.Error) {
-		if err != nil {
-			cb(RIBInterest{}, err)
-			return
-		}
-		var ans RIBInterest
-		ans.Resolves, _ = args.BoolArg("resolves")
-		ans.Covering, _ = args.NetArg("covering")
+		ret, err := RIBSpec.reply("register_interest4", args, err)
+		ans := RIBInterest{Resolves: ret.boolean("resolves"), Covering: ret.net("covering")}
 		if ans.Resolves {
-			ans.Route.Net = ans.Covering
-			opt := optionals{args: args}
-			opt.u32("metric", &ans.Route.Metric)
-			opt.text("ifname", &ans.Route.IfName)
-			opt.addr("nexthop", &ans.Route.NextHop)
-			if opt.err != nil {
-				cb(RIBInterest{}, xrl.AsError(opt.err))
-				return
-			}
+			ans.Route = route.Entry{Net: ans.Covering, Metric: ret.u32("metric"),
+				IfName: ret.text("ifname"), NextHop: ret.addr("nexthop")}
 		}
-		cb(ans, nil)
+		cb(ans, err)
 	}, xrl.Text("target", client), xrl.Addr("addr", addr))
 }
 
@@ -402,29 +356,16 @@ func (c *RIBClient) DeregisterInterest4(client string, covering netip.Prefix, do
 // LookupRouteByDest4 asks for the RIB's final longest-prefix match.
 func (c *RIBClient) LookupRouteByDest4(addr netip.Addr, cb func(RIBLookup, *xrl.Error)) {
 	c.call("lookup_route_by_dest4", func(args xrl.Args, err *xrl.Error) {
-		if err != nil {
-			cb(RIBLookup{}, err)
-			return
-		}
-		var ans RIBLookup
-		ans.Found, _ = args.BoolArg("found")
+		ret, err := RIBSpec.reply("lookup_route_by_dest4", args, err)
+		ans := RIBLookup{Found: ret.boolean("found")}
 		if ans.Found {
-			var proto string
-			opt := optionals{args: args}
-			opt.net("network", &ans.Entry.Net)
-			opt.u32("metric", &ans.Entry.Metric)
-			opt.text("ifname", &ans.Entry.IfName)
-			opt.text("protocol", &proto)
-			opt.addr("nexthop", &ans.Entry.NextHop)
-			if opt.err != nil {
-				cb(RIBLookup{}, xrl.AsError(opt.err))
-				return
-			}
-			if p, perr := route.ParseProtocol(proto); perr == nil {
+			ans.Entry = route.Entry{Net: ret.net("network"), Metric: ret.u32("metric"),
+				IfName: ret.text("ifname"), NextHop: ret.addr("nexthop")}
+			if p, perr := route.ParseProtocol(ret.text("protocol")); perr == nil {
 				ans.Entry.Protocol = p
 			}
 		}
-		cb(ans, nil)
+		cb(ans, err)
 	}, xrl.Addr("addr", addr))
 }
 
@@ -448,12 +389,8 @@ type RIBNotifyServer interface {
 // BindRIBNotify wires a RIBNotifyServer onto t as rib_client/0.1.
 func BindRIBNotify(t *xipc.Target, s RIBNotifyServer) {
 	b := newBinding(t, RIBNotifySpec)
-	b.handle("route_info_invalid", func(args xrl.Args) (xrl.Args, error) {
-		net, err := args.NetArg("network")
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.RouteInfoInvalid(net)
+	b.handle("route_info_invalid", func(in reader) (xrl.Args, error) {
+		return nil, s.RouteInfoInvalid(in.net("network"))
 	})
 	b.done()
 }

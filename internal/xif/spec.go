@@ -156,39 +156,50 @@ func (s *Spec) Check(method string, args xrl.Args) error {
 }
 
 // CheckArgs validates an argument list against the method declaration.
+// The binding runs it on every call before the handler does, as the stubs
+// run it before they send.
 func (m *Method) CheckArgs(args xrl.Args) error {
 	if m.AnyArgs {
 		return nil
 	}
-	for i := range m.Args {
-		d := &m.Args[i]
-		a, ok := args.Get(d.Name)
+	if err := checkAtoms(m.Args, args); err != nil {
+		return fmt.Errorf("method %s: %v", m.Name, err)
+	}
+	return nil
+}
+
+// checkAtoms validates atoms against their declaration: every
+// non-optional declared atom is present with a type its declaration
+// accepts, and there is no undeclared one.
+func checkAtoms(decl []Arg, atoms xrl.Args) error {
+	for i := range decl {
+		d := &decl[i]
+		a, ok := atoms.Get(d.Name)
 		if !ok {
 			if d.Optional {
 				continue
 			}
-			return fmt.Errorf("method %s: missing argument %s:%v", m.Name, d.Name, d.Type)
+			return fmt.Errorf("missing argument %s:%v", d.Name, d.Type)
 		}
 		if !d.Type.Accepts(a.Type) {
-			return fmt.Errorf("method %s: argument %s has type %v, want %v",
-				m.Name, d.Name, a.Type, d.Type)
+			return fmt.Errorf("argument %s has type %v, want %v", d.Name, a.Type, d.Type)
 		}
 	}
-	for i := range args {
-		if m.arg(args[i].Name) == nil {
-			return fmt.Errorf("method %s: unknown argument %q", m.Name, args[i].Name)
+	for i := range atoms {
+		if !declares(decl, atoms[i].Name) {
+			return fmt.Errorf("unknown argument %q", atoms[i].Name)
 		}
 	}
 	return nil
 }
 
-func (m *Method) arg(name string) *Arg {
-	for i := range m.Args {
-		if m.Args[i].Name == name {
-			return &m.Args[i]
+func declares(decl []Arg, name string) bool {
+	for i := range decl {
+		if decl[i].Name == name {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // Usage renders the method's call shape in XRL textual form, e.g.

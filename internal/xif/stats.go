@@ -35,16 +35,15 @@ type StatsServer interface {
 // BindStats wires a StatsServer onto t as stats/0.1.
 func BindStats(t *xipc.Target, s StatsServer) {
 	b := newBinding(t, StatsSpec)
-	b.handle("scrape", func(xrl.Args) (xrl.Args, error) {
+	b.handle("scrape", func(reader) (xrl.Args, error) {
 		lines, err := s.StatsScrape()
 		if err != nil {
 			return nil, err
 		}
 		return xrl.Args{textAtoms("lines", lines)}, nil
 	})
-	b.handle("get", func(in xrl.Args) (xrl.Args, error) {
-		name, _ := in.TextArg("name")
-		found, value, err := s.StatsGet(name)
+	b.handle("get", func(in reader) (xrl.Args, error) {
+		found, value, err := s.StatsGet(in.text("name"))
 		if err != nil {
 			return nil, err
 		}
@@ -88,24 +87,15 @@ func NewStatsClient(r *xipc.Router, target string) *StatsClient {
 // Scrape fetches the registry rendered as plaintext lines.
 func (c *StatsClient) Scrape(cb func([]string, *xrl.Error)) {
 	c.call("scrape", func(args xrl.Args, err *xrl.Error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		items, _ := args.ListArg("lines")
-		cb(textList(items), nil)
+		ret, err := StatsSpec.reply("scrape", args, err)
+		cb(ret.texts("lines"), err)
 	})
 }
 
 // Get resolves one metric by name.
 func (c *StatsClient) Get(name string, cb func(found bool, value float64, err *xrl.Error)) {
 	c.call("get", func(args xrl.Args, err *xrl.Error) {
-		if err != nil {
-			cb(false, 0, err)
-			return
-		}
-		found, _ := args.BoolArg("found")
-		value, _ := args.FP64Arg("value")
-		cb(found, value, nil)
+		ret, err := StatsSpec.reply("get", args, err)
+		cb(ret.boolean("found"), ret.fp64("value"), err)
 	}, xrl.Text("name", name))
 }

@@ -535,6 +535,8 @@ func TestDispatchErrorCodes(t *testing.T) {
 	target := xif.NewTarget("conf", "conf")
 	xif.BindRIB(target, confServer{})
 	xif.BindRedist4(target, confServer{})
+	xif.BindConfig(target, confServer{})
+	xif.BindStats(target, confServer{})
 	r.AddTarget(target)
 
 	call := func(iface, version, method string, args ...xrl.Atom) *xrl.Error {
@@ -560,6 +562,23 @@ func TestDispatchErrorCodes(t *testing.T) {
 		xrl.Text("network", "10.0.0.0/8")); err == nil || err.Code != xrl.CodeBadArgs {
 		t.Fatalf("mistyped args: %v, want BAD_ARGS", err)
 	}
+	// The bindings that read their arguments without an error branch
+	// are checked all the same: a transaction id that is missing or not
+	// a u32 is no transaction 0.
+	changes := xrl.List("changes")
+	for what, c := range map[string]struct {
+		iface, version, method string
+		args                   []xrl.Atom
+	}{
+		"validate_tx with a txt tx_id": {"config", "0.1", "validate_tx",
+			[]xrl.Atom{xrl.Text("tx_id", "7"), xrl.U32("generation", 1), changes}},
+		"commit_tx without tx_id": {"config", "0.1", "commit_tx", nil},
+		"stats get without name":  {"stats", "0.1", "get", nil},
+	} {
+		if err := call(c.iface, c.version, c.method, c.args...); err == nil || err.Code != xrl.CodeBadArgs {
+			t.Errorf("%s: %v, want BAD_ARGS", what, err)
+		}
+	}
 	// Semantically invalid argument (unparseable protocol name).
 	if err := call("rib", "1.0", "add_routes4",
 		xrl.Text("protocol", "nonsense"), routes); err == nil || err.Code != xrl.CodeBadArgs {
@@ -579,6 +598,38 @@ func TestDispatchErrorCodes(t *testing.T) {
 	if err := call("rib", "1.0", "add_routes4",
 		xrl.Text("protocol", "rip"), routes); err != nil {
 		t.Fatalf("valid list call: %v", err)
+	}
+}
+
+// TestRepliesCheckedAgainstRets: a stub checks a reply against the
+// atoms its method declares it returns, so a target answering with a
+// mistyped or missing one reaches the callback as BAD_ARGS, not as zero
+// values and no error.
+func TestRepliesCheckedAgainstRets(t *testing.T) {
+	loop := eventloop.New(nil)
+	r := xipc.NewRouter("replies", loop)
+	fake := xipc.NewTarget("fake", "fake")
+	fake.Register("config", "0.1", "commit_tx", func(xrl.Args) (xrl.Args, error) {
+		return xrl.Args{xrl.Text("applied", "3")}, nil
+	})
+	fake.Register("rib", "1.0", "register_interest4", func(xrl.Args) (xrl.Args, error) {
+		return xrl.Args{xrl.Bool("resolves", true), xrl.U32("metric", 1)}, nil
+	})
+	r.AddTarget(fake)
+
+	var commit, interest *xrl.Error
+	xif.NewConfigClient(r, "fake").CommitTx(7, func(_ uint32, err *xrl.Error) { commit = err })
+	xif.NewRIBClient(r, "fake").RegisterInterest4("bgp", confEntry.NextHop, func(_ xif.RIBInterest, err *xrl.Error) {
+		interest = err
+	})
+	loop.RunPending()
+	for what, err := range map[string]*xrl.Error{
+		"commit_tx reply with applied as txt":       commit,
+		"register_interest4 reply without covering": interest,
+	} {
+		if err == nil || err.Code != xrl.CodeBadArgs {
+			t.Errorf("%s: %v, want BAD_ARGS", what, err)
+		}
 	}
 }
 

@@ -365,7 +365,9 @@ func TestStaleReplyAfterTimeout(t *testing.T) {
 			near.Send(xrl.New("slow", "test", "1.0", "echo", xrl.U32("v", uint32(i))),
 				func(args xrl.Args, err *xrl.Error) {
 					results[i].calls++
-					results[i].v, _ = args.U32Arg("v")
+					if a, ok := args.Get("v"); ok {
+						results[i].v = uint32(a.IntVal)
+					}
 					results[i].err = err
 				})
 			loop.RunPending()

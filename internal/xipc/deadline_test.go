@@ -87,11 +87,11 @@ func (g *deadlineRig) listed(t *testing.T) []int {
 		if prev != nil && c.deadline.Before(prev.deadline) {
 			t.Fatalf("deadline list: record %d is due before the one ahead of it", len(out))
 		}
-		i, err := c.x.Args.U32Arg("i")
-		if err != nil {
+		i, ok := c.x.Args.Get("i")
+		if !ok || i.Type != xrl.TypeU32 {
 			t.Fatalf("deadline list: record %d carries %v", len(out), c.x.Args)
 		}
-		out = append(out, int(i))
+		out = append(out, int(i.IntVal))
 	}
 	if g.r.dtail != prev {
 		t.Fatalf("deadline list: the tail is not the last of the %d records linked from the head", len(out))

@@ -38,6 +38,7 @@ func (r *Router) ListenUDP(addr string) error {
 type udpListener struct {
 	router *Router
 	pc     *net.UDPConn
+	out    []byte // the reply being encoded: replies are written on the loop, one at a time
 }
 
 func (l *udpListener) addr() string { return l.pc.LocalAddr().String() }
@@ -59,13 +60,13 @@ func (l *udpListener) readLoop() {
 		r.loop.Dispatch(func() {
 			var rep xrl.Reply
 			r.serve(req, &rep)
-			bp := xrl.GetBuf()
-			defer xrl.PutBuf(bp)
-			out, err := xrl.AppendReply(*bp, &rep)
+			out, err := xrl.AppendReply(l.out[:0], &rep)
 			if err != nil {
 				return
 			}
-			*bp = out
+			if cap(out) <= maxDatagram {
+				l.out = out // kept for the next reply, unless one huge one grew it
+			}
 			l.pc.WriteToUDP(out, from)
 			ioWrites.Add(1)
 		})

@@ -63,7 +63,7 @@ func TestTCPDirectResolvedCall(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resolved call: %v", err)
 	}
-	if v, _ := args.U32Arg("x"); v != 9 {
+	if v, ok := args.Get("x"); !ok || v.IntVal != 9 {
 		t.Fatalf("echo lost args: %v", args)
 	}
 }

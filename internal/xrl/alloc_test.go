@@ -8,8 +8,8 @@ import (
 // Allocation-regression tests for the codec fast path: an encode/decode
 // round-trip of a flat request or reply must be allocation-free once the
 // intern table has seen the strings and the caller reuses its buffers
-// (exactly what the transports do via GetBuf/PutBuf and ParseRequest /
-// ParseReply into retained structs).
+// (exactly what the transports do: they append into buffers they own and
+// ParseRequest / ParseReply into retained structs).
 
 func fastPathRequest() *Request {
 	return &Request{
@@ -87,32 +87,8 @@ func TestAppendParseReplyZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("reply round-trip allocates %.1f objects per op, want 0", allocs)
 	}
-	if v, aerr := dec.Args.U32Arg("sum"); aerr != nil || v != 42 {
-		t.Fatalf("decode mismatch: %+v (%v)", dec, aerr)
-	}
-}
-
-// TestGetPutBufReuse pins the pooled-buffer contract: a Get/encode/Put
-// cycle performs no steady-state allocations.
-func TestGetPutBufReuse(t *testing.T) {
-	req := fastPathRequest()
-	// Warm the pool with a buffer large enough for the frame.
-	bp := GetBuf()
-	b, err := AppendRequest(*bp, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	*bp = b
-	PutBuf(bp)
-
-	allocs := testing.AllocsPerRun(200, func() {
-		bp := GetBuf()
-		b, _ := AppendRequest(*bp, req)
-		*bp = b
-		PutBuf(bp)
-	})
-	if allocs != 0 {
-		t.Fatalf("pooled encode allocates %.1f objects per op, want 0", allocs)
+	if a, ok := dec.Args.Get("sum"); !ok || a.Type != TypeU32 || a.IntVal != 42 {
+		t.Fatalf("decode mismatch: %+v", dec)
 	}
 }
 

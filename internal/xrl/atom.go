@@ -447,7 +447,7 @@ func (as Args) Get(name string) (*Atom, bool) {
 
 // Accepts reports whether an atom of type got satisfies a declaration of
 // type t. Address and prefix declarations accept either family, as the
-// AddrArg and NetArg accessors do.
+// NetArg accessor does.
 func (t AtomType) Accepts(got AtomType) bool {
 	if t == got {
 		return true
@@ -461,26 +461,7 @@ func (t AtomType) Accepts(got AtomType) bool {
 	return false
 }
 
-// Optional looks up an argument that may be left out of a call. An absent
-// argument is (nil, nil) and costs nothing; one present with a type t
-// does not accept is a CodeBadArgs error, so a mistyped optional is
-// reported instead of being taken for an absent one. The atom returned
-// points into as.
-func (as Args) Optional(name string, t AtomType) (*Atom, error) {
-	for i := range as {
-		if as[i].Name != name {
-			continue
-		}
-		if !t.Accepts(as[i].Type) {
-			return nil, &Error{Code: CodeBadArgs,
-				Note: fmt.Sprintf("argument %s has type %v, want %v", name, as[i].Type, t)}
-		}
-		return &as[i], nil
-	}
-	return nil, nil
-}
-
-// typed returns the atom named name, which must have type t; the zero
+// typed returns the atom named name, whose type t must accept; the zero
 // atom on an error, so an accessor's value reads as its zero value. The
 // atom points into as.
 func (as Args) typed(name string, t AtomType) (*Atom, error) {
@@ -488,7 +469,7 @@ func (as Args) typed(name string, t AtomType) (*Atom, error) {
 	if !ok {
 		return &zeroAtom, &Error{Code: CodeBadArgs, Note: "missing argument " + name}
 	}
-	if a.Type != t {
+	if !t.Accepts(a.Type) {
 		return &zeroAtom, &Error{Code: CodeBadArgs,
 			Note: fmt.Sprintf("argument %s has type %v, want %v", name, a.Type, t)}
 	}
@@ -504,54 +485,16 @@ func (as Args) BoolArg(name string) (bool, error) {
 	return a.BoolVal, err
 }
 
-// U32Arg returns the named u32 argument.
-func (as Args) U32Arg(name string) (uint32, error) {
-	a, err := as.typed(name, TypeU32)
-	return uint32(a.IntVal), err
-}
-
-// FP64Arg returns the named fp64 argument.
-func (as Args) FP64Arg(name string) (float64, error) {
-	a, err := as.typed(name, TypeFP64)
-	return a.F64Val, err
-}
-
 // TextArg returns the named txt argument.
 func (as Args) TextArg(name string) (string, error) {
 	a, err := as.typed(name, TypeText)
 	return a.TextVal, err
 }
 
-// AddrArg returns the named ipv4 or ipv6 argument.
-func (as Args) AddrArg(name string) (netip.Addr, error) {
-	a, ok := as.Get(name)
-	if !ok {
-		return netip.Addr{}, &Error{Code: CodeBadArgs, Note: "missing argument " + name}
-	}
-	if a.Type != TypeIPv4 && a.Type != TypeIPv6 {
-		return netip.Addr{}, &Error{Code: CodeBadArgs,
-			Note: fmt.Sprintf("argument %s has type %v, want ipv4/ipv6", name, a.Type)}
-	}
-	return a.AddrVal, nil
-}
-
 // NetArg returns the named ipv4net or ipv6net argument.
 func (as Args) NetArg(name string) (netip.Prefix, error) {
-	a, ok := as.Get(name)
-	if !ok {
-		return netip.Prefix{}, &Error{Code: CodeBadArgs, Note: "missing argument " + name}
-	}
-	if a.Type != TypeIPv4Net && a.Type != TypeIPv6Net {
-		return netip.Prefix{}, &Error{Code: CodeBadArgs,
-			Note: fmt.Sprintf("argument %s has type %v, want ipv4net/ipv6net", name, a.Type)}
-	}
-	return a.NetVal, nil
-}
-
-// BinaryArg returns the named binary argument.
-func (as Args) BinaryArg(name string) ([]byte, error) {
-	a, err := as.typed(name, TypeBinary)
-	return a.BinVal, err
+	a, err := as.typed(name, TypeIPv4Net)
+	return a.NetVal, err
 }
 
 // ListArg returns the named list argument.

@@ -9,10 +9,10 @@ import (
 
 // Binary wire codec for XRL requests and replies. The encoding is
 // length-delimited and append-based: encoders append to a caller-supplied
-// buffer (pooled via GetBuf/PutBuf on hot paths) and decoders intern the
-// repeated closed-set strings and reuse Args capacity (ParseRequest /
-// ParseReply), so the Figure-9 workload encodes and decodes without
-// allocating in steady state.
+// buffer (the TCP writer and the UDP listener reuse theirs) and decoders
+// intern the repeated closed-set strings and reuse Args capacity
+// (ParseRequest / ParseReply), so the Figure-9 workload encodes and
+// decodes without allocating in steady state.
 //
 // Frame layout (after any transport-level length prefix):
 //
