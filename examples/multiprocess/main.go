@@ -114,8 +114,8 @@ func main() {
 	var found bool
 	for time.Now().Before(deadline) {
 		args := call("finder://fea/fti/0.2/lookup_entry4?addr:ipv4=20.5.1.2")
-		if ok, _ := args.BoolArg("found"); ok {
-			net, _ := args.NetArg("network")
+		if must(args.BoolArg("found")) {
+			net := must(args.NetArg("network"))
 			fmt.Printf("\nFEA forwarding entry installed: %v (asked three processes away)\n", net)
 			found = true
 			break
@@ -126,7 +126,7 @@ func main() {
 		log.Fatal("route never reached the FEA")
 	}
 	args := call("finder://fea/profile/0.1/get_entries?pname:txt=route_enter_kernel")
-	entries, _ := args.ListArg("entries")
+	entries := must(args.ListArg("entries"))
 	for _, e := range entries {
 		if strings.HasSuffix(e.TextVal, " 20.5.0.0/16") {
 			fmt.Printf("FEA profile record: %s\n", e.TextVal)
@@ -135,9 +135,18 @@ func main() {
 
 	// Show the Finder's view of the running system.
 	args = call("finder://finder/finder/1.0/targets")
-	targets, _ := args.ListArg("targets")
+	targets := must(args.ListArg("targets"))
 	fmt.Println("\nregistered components:")
 	for _, t := range targets {
 		fmt.Printf("  %s\n", t.TextVal)
 	}
+}
+
+// must returns a reply atom read without error, and ends the example on a
+// reply that lacks it or has it mistyped.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatalf("reply: %v", err)
+	}
+	return v
 }

@@ -223,7 +223,7 @@ func BenchmarkDampingStage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		damp.Add(run)
-		damp.Delete(r)
+		damp.Delete(run)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"time"
 
+	"xorp/internal/core"
 	"xorp/internal/eventloop"
 	"xorp/internal/trie"
 )
@@ -16,7 +17,7 @@ import (
 // event-driven: reuse is a one-shot timer computed from the decay
 // half-life, never a periodic scanner.
 type DampingStage struct {
-	base
+	core.Base[Route]
 	loop *eventloop.Loop
 
 	// Tuning (defaults follow common vendor practice).
@@ -43,7 +44,7 @@ type dampState struct {
 // NewDampingStage returns a damping stage with standard parameters.
 func NewDampingStage(name string, loop *eventloop.Loop) *DampingStage {
 	return &DampingStage{
-		base:          base{name: name},
+		Base:          newBase(name),
 		loop:          loop,
 		Penalty:       1000,
 		SuppressAbove: 2000,
@@ -84,8 +85,8 @@ func (d *DampingStage) flap(s *dampState) {
 }
 
 // reconcile compares what downstream believes with the current route,
-// honouring suppression, and emits the difference.
-func (d *DampingStage) reconcile(net netip.Prefix, s *dampState) {
+// honouring suppression, and emits the difference through em.
+func (d *DampingStage) reconcile(net netip.Prefix, s *dampState, em *core.Emitter[Route]) {
 	want, wanted := s.current, s.hasCurrent && !s.suppressed
 	if !wanted {
 		want = Route{}
@@ -94,15 +95,13 @@ func (d *DampingStage) reconcile(net netip.Prefix, s *dampState) {
 	// stage while it handles the message.
 	have, had := s.announced, s.hasAnnounced
 	s.announced, s.hasAnnounced = want, wanted
-	if d.next != nil {
-		switch {
-		case !had && wanted:
-			d.addOne(want)
-		case had && !wanted:
-			d.next.Delete(have)
-		case had && wanted && !SameRoute(&have, &want):
-			d.next.Replace(have, want)
-		}
+	switch {
+	case !had && wanted:
+		em.Add(want)
+	case had && !wanted:
+		em.Delete(have)
+	case had && wanted && !SameRoute(&have, &want):
+		em.Replace(have, want)
 	}
 	if !s.hasCurrent && !s.suppressed && s.penalty < d.ReuseBelow {
 		// Fully withdrawn, nothing pending: garbage-collect.
@@ -114,14 +113,14 @@ func (d *DampingStage) reconcile(net netip.Prefix, s *dampState) {
 }
 
 // evaluate applies the suppress/reuse thresholds after a state change.
-func (d *DampingStage) evaluate(net netip.Prefix, s *dampState) {
+func (d *DampingStage) evaluate(net netip.Prefix, s *dampState, em *core.Emitter[Route]) {
 	if !s.suppressed && s.penalty > d.SuppressAbove {
 		s.suppressed = true
 	}
 	if s.suppressed {
 		d.scheduleReuse(net, s)
 	}
-	d.reconcile(net, s)
+	d.reconcile(net, s, em)
 }
 
 // scheduleReuse arms a one-shot timer for the instant the decayed penalty
@@ -142,44 +141,44 @@ func (d *DampingStage) scheduleReuse(net netip.Prefix, s *dampState) {
 		s.decay(d.loop.Now(), d.HalfLife)
 		if s.penalty <= d.ReuseBelow {
 			s.suppressed = false
-			d.reconcile(net, s)
+			em := d.Emitter()
+			d.reconcile(net, s, &em)
+			d.Release(&em)
 		} else {
 			d.scheduleReuse(net, s)
 		}
 	})
 }
 
-// Add implements Stage. Flap history is per prefix, so the run is cut
-// into runs of one. A first announcement is not a flap.
-func (d *DampingStage) Add(run []Route) {
+// Add implements Stage. Flap history is per prefix; the routes that pass
+// go on as a run. A first announcement is not a flap; every later change
+// — an attribute change, a withdrawal, a re-announcement — is.
+func (d *DampingStage) Add(run []Route) { d.update(run, true) }
+
+// Replace implements Stage.
+func (d *DampingStage) Replace(_, new Route) { d.update([]Route{new}, true) }
+
+// Delete implements Stage.
+func (d *DampingStage) Delete(run []Route) { d.update(run, false) }
+
+// update records each route of run as current (or withdrawn) and emits
+// what that changes downstream.
+func (d *DampingStage) update(run []Route, current bool) {
+	em := d.Emitter()
 	for _, r := range run {
 		s := d.ensureState(r.Net)
 		if s.hasCurrent || s.hasAnnounced || s.penalty > 0 {
-			// Re-announcement of a previously flapping prefix.
 			d.flap(s)
 		}
-		s.current, s.hasCurrent = r, true
-		d.evaluate(r.Net, s)
+		if s.current, s.hasCurrent = r, current; !current {
+			s.current = Route{}
+		}
+		d.evaluate(r.Net, s, &em)
 	}
+	d.Release(&em)
 }
 
-// Replace implements Stage. An attribute change counts as a flap.
-func (d *DampingStage) Replace(old, new Route) {
-	s := d.ensureState(new.Net)
-	d.flap(s)
-	s.current, s.hasCurrent = new, true
-	d.evaluate(new.Net, s)
-}
-
-// Delete implements Stage. A withdrawal counts as a flap.
-func (d *DampingStage) Delete(r Route) {
-	s := d.ensureState(r.Net)
-	d.flap(s)
-	s.current, s.hasCurrent = Route{}, false
-	d.evaluate(r.Net, s)
-}
-
-// Lookup implements Stage: suppressed prefixes answer nothing, consistent
+// Lookup implements core.Table: suppressed prefixes answer nothing, consistent
 // with the message stream.
 func (d *DampingStage) Lookup(net netip.Prefix, r *Route) bool {
 	if d.state != nil {
@@ -188,5 +187,5 @@ func (d *DampingStage) Lookup(net netip.Prefix, r *Route) bool {
 			return s.hasAnnounced
 		}
 	}
-	return d.lookupParent(net, r)
+	return d.LookupParent(net, r)
 }

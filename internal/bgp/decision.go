@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"slices"
 
+	"xorp/internal/core"
 	"xorp/internal/telemetry"
 	"xorp/internal/trie"
 )
@@ -20,7 +21,7 @@ import (
 // it, any with resolver ops queued (they answer for routes the PeerIn may
 // have dropped) and any rooted elsewhere.
 type Decision struct {
-	base
+	core.Base[Route]
 	parents []branch
 	rib     *ribIn // the first PeerIn's
 	// answer is where each branch's Lookup answer lands: a local handed to
@@ -34,20 +35,20 @@ type Decision struct {
 
 // branch is an input branch with its resolver and its PeerIn, if in d.rib.
 type branch struct {
-	Stage
+	core.Source[Route]
 	in  *PeerIn
 	res *NexthopResolver
 }
 
 // NewDecision returns an empty decision stage.
 func NewDecision(name string) *Decision {
-	return &Decision{base: base{name: name}}
+	return &Decision{Base: newBase(name)}
 }
 
 // AddParent attaches an input branch: the end of a fully plumbed pipeline.
-func (d *Decision) AddParent(s Stage) {
-	b := branch{Stage: s}
-	for u := s; u != nil; u = u.parentStage() {
+func (d *Decision) AddParent(s core.Source[Route]) {
+	b := branch{Source: s}
+	for u := s; u != nil; u = u.Parent() {
 		switch u := u.(type) {
 		case *NexthopResolver:
 			b.res = u
@@ -61,15 +62,15 @@ func (d *Decision) AddParent(s Stage) {
 		}
 	}
 	d.parents = append(d.parents, b)
-	s.setDownstream(d)
+	core.Join[Route](s, d)
 }
 
 // RemoveParent detaches a branch.
-func (d *Decision) RemoveParent(s Stage) {
+func (d *Decision) RemoveParent(s core.Source[Route]) {
 	for i, p := range d.parents {
-		if p.Stage == s {
+		if p.Source == s {
 			d.parents = append(d.parents[:i], d.parents[i+1:]...)
-			s.setDownstream(nil)
+			core.Join[Route](s, nil)
 			return
 		}
 	}
@@ -131,26 +132,21 @@ func winner(own, alt Route, hasAlt bool) (Route, bool) {
 // fresh winners stay one run. A winner that displaces a previous best
 // cuts the run and becomes a Replace at its position.
 func (d *Decision) Add(run []Route) {
-	if d.next == nil {
-		return
-	}
+	em := d.Emitter()
 	for i := range run {
 		r := &run[i]
 		prevBest, displaces := d.bestExcluding(r.Net, r)
 		if !r.Resolvable || displaces && !r.Better(&prevBest) {
 			continue // loser: never materialized downstream
 		}
-		if d.tracer.On(telemetry.StageDecision) {
-			d.tracer.Stamp(telemetry.StageDecision, r.Net)
+		d.stamp(r.Net, false)
+		if displaces {
+			em.Replace(prevBest, *r)
+		} else {
+			em.Add(*r)
 		}
-		if !displaces {
-			d.run = append(d.run, *r)
-			continue
-		}
-		d.flush()
-		d.next.Replace(prevBest, *r)
 	}
-	d.flush()
+	d.Release(&em)
 }
 
 // Replace implements Stage: a branch replaces its route for a net.
@@ -158,43 +154,48 @@ func (d *Decision) Replace(old, new Route) {
 	alt, hasAlt := d.bestExcluding(new.Net, &new) // best among the other branches
 	prev, hadPrev := winner(old, alt, hasAlt)
 	next, hasNext := winner(new, alt, hasAlt)
-	d.emitTransition(prev, hadPrev, next, hasNext)
+	em := d.Emitter()
+	d.emitTransition(prev, hadPrev, next, hasNext, &em)
+	d.Release(&em)
 }
 
-// Delete implements Stage: a branch withdraws its route.
-func (d *Decision) Delete(old Route) {
-	alt, hasAlt := d.bestExcluding(old.Net, &old)
-	prev, hadPrev := winner(old, alt, hasAlt)
-	d.emitTransition(prev, hadPrev, alt, hasAlt)
-}
-
-// emitTransition sends the downstream messages for a winner change.
-func (d *Decision) emitTransition(prev Route, hadPrev bool, next Route, hasNext bool) {
-	if d.next == nil {
-		return
+// Delete implements Stage: a branch withdraws a run of its routes. The
+// prefixes the withdrawals leave without a winner go on as one run.
+func (d *Decision) Delete(run []Route) {
+	em := d.Emitter()
+	for i := range run {
+		old := &run[i]
+		alt, hasAlt := d.bestExcluding(old.Net, old)
+		prev, hadPrev := winner(*old, alt, hasAlt)
+		d.emitTransition(prev, hadPrev, alt, hasAlt, &em)
 	}
+	d.Release(&em)
+}
+
+// emitTransition emits the downstream messages for a winner change.
+func (d *Decision) emitTransition(prev Route, hadPrev bool, next Route, hasNext bool, em *core.Emitter[Route]) {
 	switch {
-	case !hadPrev && !hasNext:
+	case !hasNext && hadPrev:
+		d.stamp(prev.Net, true)
+		em.Delete(prev)
+	case !hasNext || hadPrev && SameRoute(&prev, &next):
 	case !hadPrev:
-		if d.tracer.On(telemetry.StageDecision) {
-			d.tracer.Stamp(telemetry.StageDecision, next.Net)
-		}
-		d.addOne(next)
-	case !hasNext:
-		if d.tracer.On(telemetry.StageDecision) {
-			d.tracer.StampOp(telemetry.StageDecision, prev.Net, true)
-		}
-		d.next.Delete(prev)
-	case SameRoute(&prev, &next):
+		d.stamp(next.Net, false)
+		em.Add(next)
 	default:
-		if d.tracer.On(telemetry.StageDecision) {
-			d.tracer.Stamp(telemetry.StageDecision, next.Net)
-		}
-		d.next.Replace(prev, next)
+		d.stamp(next.Net, false)
+		em.Replace(prev, next)
 	}
 }
 
-// Lookup implements Stage: the best route among all branches.
+// stamp records a winner, or with del a withdrawal, leaving the stage.
+func (d *Decision) stamp(net netip.Prefix, del bool) {
+	if d.tracer.On(telemetry.StageDecision) {
+		d.tracer.StampOp(telemetry.StageDecision, net, del)
+	}
+}
+
+// Lookup implements core.Table: the best route among all branches.
 func (d *Decision) Lookup(net netip.Prefix, r *Route) (ok bool) {
 	*r, ok = d.bestExcluding(net, nil)
 	return ok
@@ -216,7 +217,7 @@ func (d *Decision) walk(_ Stage, fn func(Route) bool) {
 		if p.in != nil {
 			continue
 		}
-		for s := p.Stage; s != nil; s = s.parentStage() {
+		for s := p.Source; s != nil; s = s.Parent() {
 			if h, ok := s.(routeHolder); ok {
 				h.Walk(func(r Route) bool {
 					extra = append(extra, r.Net)

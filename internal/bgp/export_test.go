@@ -1,6 +1,10 @@
 package bgp
 
-import "net/netip"
+import (
+	"net/netip"
+
+	"xorp/internal/core"
+)
 
 // Prepend is the EBGP export rewrite's prepend, built in a block of its own.
 func (p ASPath) Prepend(as uint16) ASPath { return new(attrBlock).prepend(p, as) }
@@ -69,13 +73,13 @@ func (p *Process) AttrPool() *AttrPool { return p.pool }
 
 // sink is a terminal stage collecting messages.
 type sink struct {
-	base
+	core.Base[Route]
 	adds, replaces, deletes int
 	tbl                     map[netip.Prefix]Route
 }
 
 func newSink(name string) *sink {
-	return &sink{base: base{name: name}, tbl: make(map[netip.Prefix]Route)}
+	return &sink{Base: newBase(name), tbl: make(map[netip.Prefix]Route)}
 }
 
 func (s *sink) Add(run []Route) {
@@ -90,9 +94,11 @@ func (s *sink) Replace(old, new Route) {
 	s.tbl[new.Net] = new
 }
 
-func (s *sink) Delete(r Route) {
-	s.deletes++
-	delete(s.tbl, r.Net)
+func (s *sink) Delete(run []Route) {
+	for _, r := range run {
+		s.deletes++
+		delete(s.tbl, r.Net)
+	}
 }
 
 func (s *sink) Lookup(net netip.Prefix, r *Route) (ok bool) {

@@ -8,10 +8,11 @@ import (
 )
 
 // fanoutEntry is one decision-process output queued for fanout. An OpAdd
-// carries a run: its first route in new and, when there is more than one,
-// the n routes of the fanout's run storage from position off (the queue
-// outlives the call that delivered the run, and the sender's buffer with
-// it). Every entry records off, so the oldest queued bounds what is kept.
+// or OpDelete carries a run: its first route in new (an add) or old (a
+// delete) and, when there is more than one, the n routes of the fanout's
+// run storage from position off (the queue outlives the call that
+// delivered the run, and the sender's buffer with it). Every entry records
+// off, so the oldest queued bounds what is kept.
 type fanoutEntry struct {
 	op       core.Op
 	n, off   uint32
@@ -25,7 +26,7 @@ type fanoutEntry struct {
 // duplicated and specialized only at delivery time, after route selection
 // but before per-peer output filtering.
 type Fanout struct {
-	base
+	core.Base[Route]
 	loop *eventloop.Loop
 	q    *core.FanoutQueue[fanoutEntry]
 
@@ -34,6 +35,7 @@ type Fanout struct {
 	// entry's off survives compaction. It keeps its capacity.
 	runs  []Route
 	first uint32
+	one   [1]Route // where a run of one, riding in its entry, is delivered from
 
 	branches      map[string]*fanoutBranch
 	pumpScheduled bool
@@ -53,7 +55,7 @@ type fanoutBranch struct {
 // NewFanout returns an empty fanout stage.
 func NewFanout(name string, loop *eventloop.Loop) *Fanout {
 	f := &Fanout{
-		base:     base{name: name},
+		Base:     newBase(name),
 		loop:     loop,
 		q:        core.NewFanoutQueue[fanoutEntry](),
 		branches: make(map[string]*fanoutBranch),
@@ -70,13 +72,13 @@ func NewFanout(name string, loop *eventloop.Loop) *Fanout {
 func (f *Fanout) AddPeerBranch(name string, peer *PeerHandle, head Stage) {
 	b := &fanoutBranch{name: name, peer: peer, head: head}
 	b.reader = f.q.AddReader(func(e fanoutEntry) bool { return f.deliver(b, e) })
-	for s := head; s != nil; s = s.downstream() {
+	for s := head; s != nil; s = s.Next() {
 		if g, ok := s.(*GroupOut); ok {
 			b.out, g.release = g, func() { f.SetBusy(name, false) }
 		}
 	}
 	f.branches[name] = b
-	head.setParent(f)
+	core.Adopt[Route](f, head)
 }
 
 // AddGroupBranch attaches a pipeline that takes the decision stream whole:
@@ -92,7 +94,7 @@ func (f *Fanout) RemoveBranch(name string) {
 		f.q.RemoveReader(b.reader)
 		f.trimRuns()
 		delete(f.branches, name)
-		b.head.setParent(nil)
+		core.Adopt[Route](nil, b.head)
 	}
 }
 
@@ -139,16 +141,23 @@ func (f *Fanout) deliver(b *fanoutBranch, e fanoutEntry) bool {
 	switch {
 	case so && sn:
 		b.head.Replace(e.old, e.new)
-	case sn && e.n > 0:
-		i := e.off - f.first
-		b.head.Add(f.runs[i : i+e.n : i+e.n])
-	case sn: // a run of one rides in the entry
-		f.run = append(f.run[:0], e.new)
-		b.head.Add(f.run)
+	case sn:
+		b.head.Add(f.run(&e, e.new))
 	case so:
-		b.head.Delete(e.old)
+		b.head.Delete(f.run(&e, e.old))
 	}
 	return true
+}
+
+// run returns the run e carries, first its first route: its stretch of the
+// run storage, or a run of one riding in the entry.
+func (f *Fanout) run(e *fanoutEntry, first Route) []Route {
+	if e.n == 0 {
+		f.one[0] = first
+		return f.one[:]
+	}
+	i := e.off - f.first
+	return f.runs[i : i+e.n : i+e.n]
 }
 
 // schedulePump coalesces pump work onto one queued event.
@@ -186,8 +195,13 @@ func (f *Fanout) trimRuns() {
 	}
 }
 
-// push queues e, recording where its run, stored last, begins.
-func (f *Fanout) push(e fanoutEntry) {
+// push queues e with its run, which the storage keeps past the call
+// unless it is a run of one (that rides in the entry).
+func (f *Fanout) push(e fanoutEntry, run []Route) {
+	if len(run) > 1 {
+		e.n = uint32(len(run))
+		f.runs = append(f.runs, run...)
+	}
 	e.off = f.first + uint32(len(f.runs)) - e.n
 	f.q.Push(e)
 	f.schedulePump()
@@ -195,26 +209,21 @@ func (f *Fanout) push(e fanoutEntry) {
 
 // Add implements Stage: the run is queued as one entry, so every branch
 // pays one specialization (and one encode) per run.
-func (f *Fanout) Add(run []Route) {
-	e := fanoutEntry{op: core.OpAdd, new: run[0]}
-	if len(run) > 1 {
-		e.n = uint32(len(run))
-		f.runs = append(f.runs, run...)
-	}
-	f.push(e)
-}
+func (f *Fanout) Add(run []Route) { f.push(fanoutEntry{op: core.OpAdd, new: run[0]}, run) }
 
 // Replace implements Stage.
-func (f *Fanout) Replace(old, new Route) { f.push(fanoutEntry{op: core.OpReplace, old: old, new: new}) }
+func (f *Fanout) Replace(old, new Route) {
+	f.push(fanoutEntry{op: core.OpReplace, old: old, new: new}, nil)
+}
 
-// Delete implements Stage.
-func (f *Fanout) Delete(r Route) { f.push(fanoutEntry{op: core.OpDelete, old: r}) }
+// Delete implements Stage: queued as one entry, like Add.
+func (f *Fanout) Delete(run []Route) { f.push(fanoutEntry{op: core.OpDelete, old: run[0]}, run) }
 
 // Flush pumps the queue synchronously (tests and shutdown).
 func (f *Fanout) Flush() { f.pumpAll() }
 
-// Lookup implements Stage, passing upstream to the decision process.
-func (f *Fanout) Lookup(net netip.Prefix, r *Route) bool { return f.lookupParent(net, r) }
+// Lookup implements core.Table, passing upstream to the decision process.
+func (f *Fanout) Lookup(net netip.Prefix, r *Route) bool { return f.LookupParent(net, r) }
 
 // walk replays the decision table to the branch holding from. The branch's
 // backlog is delivered first, stalled or not, so the table is what the
@@ -222,7 +231,7 @@ func (f *Fanout) Lookup(net netip.Prefix, r *Route) bool { return f.lookupParent
 // group of one's table is screened as its deliveries are.
 func (f *Fanout) walk(from Stage, fn func(Route) bool) {
 	b := f.branchOf(from)
-	d, ok := f.parent.(walker)
+	d, ok := f.Parent().(walker)
 	if b == nil || !ok {
 		return
 	}
@@ -238,7 +247,7 @@ func (f *Fanout) walk(from Stage, fn func(Route) bool) {
 // branchOf returns the branch whose pipeline s is part of, or nil.
 func (f *Fanout) branchOf(s Stage) *fanoutBranch {
 	for _, b := range f.branches {
-		for h := b.head; h != nil; h = h.downstream() {
+		for h := b.head; h != nil; h = h.Next() {
 			if h == s {
 				return b
 			}

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
+	"xorp/internal/core"
 	"xorp/internal/eventloop"
 )
 
@@ -16,10 +18,10 @@ import (
 // its end (a receiver appending to it would write over the next run), and,
 // when want is set, must be want.
 type runSink struct {
-	base
-	want                  []Route
-	runs, routes, deletes int
-	bad                   string
+	core.Base[Route]
+	want                           []Route
+	runs, routes, delRuns, deletes int
+	bad                            string
 }
 
 func (s *runSink) Add(run []Route) {
@@ -33,9 +35,11 @@ func (s *runSink) Add(run []Route) {
 		s.bad = fmt.Sprintf("run %d: %v, want %v", s.runs, run, s.want)
 	}
 }
-func (s *runSink) Replace(old, new Route)           { s.routes++ }
-func (s *runSink) Delete(Route)                     { s.deletes++ }
-func (s *runSink) Lookup(netip.Prefix, *Route) bool { return false }
+func (s *runSink) Replace(old, new Route) { s.routes++ }
+func (s *runSink) Delete(run []Route) {
+	s.delRuns++
+	s.deletes += len(run)
+}
 
 // TestFanoutRunsAllocateNothing: a warm PeerIn → resolver → Decision →
 // Fanout network with two branches takes 8- and 256-route runs, and their
@@ -142,7 +146,7 @@ func TestFanoutRunStorageBounded(t *testing.T) {
 		}
 		switch {
 		case i%5 == 4:
-			f.Delete(run[0])
+			f.Delete(run[:1])
 			stored = append(stored, 0)
 		case i%7 == 6:
 			f.Add(run[:1]) // rides in the entry
@@ -181,20 +185,23 @@ func TestFanoutRunStorageBounded(t *testing.T) {
 }
 
 // runRecorder passes every message on and records the length of each run
-// it forwards.
+// it forwards: adds in runs, withdrawals in deletes.
 type runRecorder struct {
-	base
-	runs []int
+	core.Base[Route]
+	runs, deletes []int
 }
 
 func (s *runRecorder) Add(run []Route) {
 	s.runs = append(s.runs, len(run))
-	s.next.Add(run)
+	s.Next().Add(run)
 }
-func (s *runRecorder) Replace(old, new Route) { s.next.Replace(old, new) }
-func (s *runRecorder) Delete(r Route)         { s.next.Delete(r) }
+func (s *runRecorder) Replace(old, new Route) { s.Next().Replace(old, new) }
+func (s *runRecorder) Delete(run []Route) {
+	s.deletes = append(s.deletes, len(run))
+	s.Next().Delete(run)
+}
 func (s *runRecorder) Lookup(net netip.Prefix, r *Route) bool {
-	return s.lookupParent(net, r)
+	return s.LookupParent(net, r)
 }
 
 // TestResolverDrainsRuns: an 8-NLRI UPDATE on a nexthop the resolver has no
@@ -232,5 +239,52 @@ func TestResolverDrainsRuns(t *testing.T) {
 	loop.RunPending()
 	if out.runs != 1 || out.routes != 8 || out.bad != "" {
 		t.Fatalf("the branch took %d runs of %d routes in all (%s), want one of 8", out.runs, out.routes, out.bad)
+	}
+}
+
+// TestWithdrawRuns: a 64-prefix withdraw UPDATE is one run all the way
+// down, as an announcement is. It reaches the stage above the decision
+// process as one Delete run, the fanout as one queued entry, a branch busy
+// meanwhile as one run once released, and the RIB as one delete_routes4 of
+// 64.
+func TestWithdrawRuns(t *testing.T) {
+	const n = 64
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	dec, fan := NewDecision("decision"), NewFanout("fanout", loop)
+	Plumb(dec, fan)
+	out := &runSink{}
+	fan.AddGroupBranch("a", out)
+	client := &recClient{}
+	fan.AddGroupBranch("rib", newRIBSink(NewProcess(loop, Config{AS: 65000, BGPID: mustA("10.0.0.254")}, client, nil)))
+	in := NewPeerIn(loop, testPeer("p1", "10.0.0.1", 65001, false), NewAttrPool())
+	res, rec := NewNexthopResolver("nexthop(p1)", &StaticMetricSource{}), &runRecorder{}
+	Plumb(in, res, rec)
+	dec.AddParent(rec)
+
+	nets := ownNets(7, n)
+	in.ReceiveUpdate(&UpdateMsg{Attrs: attrsVia("10.0.0.1", 65001), NLRI: nets}, 65000)
+	loop.RunPending()
+	if out.routes != n || len(client.log) == 0 {
+		t.Fatalf("the announcement reached the branch as %d routes and the RIB as %d runs", out.routes, len(client.log))
+	}
+	fan.SetBusy("a", true)
+	client.log = nil
+
+	in.ReceiveUpdate(&UpdateMsg{Withdrawn: nets}, 65000)
+	loop.RunPending()
+	if !slices.Equal(rec.deletes, []int{n}) {
+		t.Fatalf("the withdrawal reached the decision process as runs %v, want one of %d", rec.deletes, n)
+	}
+	if q := fan.QueueLen(); q != 1 {
+		t.Fatalf("the fanout queued %d entries, want 1", q)
+	}
+	if len(client.log) != 1 || len(strings.Fields(client.log[0])) != 2+n || !strings.HasPrefix(client.log[0], "delete_routes4 ebgp ") {
+		t.Fatalf("the RIB was sent %d runs (%q), want one delete_routes4 of %d", len(client.log), client.log, n)
+	}
+	fan.SetBusy("a", false)
+	loop.RunPending()
+	if out.delRuns != 1 || out.deletes != n || fan.QueueLen() != 0 {
+		t.Fatalf("the released branch took %d delete runs of %d routes in all (%d entries left), want one of %d",
+			out.delRuns, out.deletes, fan.QueueLen(), n)
 	}
 }

@@ -1,6 +1,10 @@
 package bgp
 
-import "net/netip"
+import (
+	"net/netip"
+
+	"xorp/internal/core"
+)
 
 // Filter judges a route by its attribute set: it returns the route's own
 // set to pass it, a rewritten set, or nil to drop it. Prefix and source are
@@ -20,7 +24,7 @@ type Filter func(*Route) *PathAttrs
 //
 // A route the chain rewrote goes on as the same value under the new set.
 type FilterBank struct {
-	base
+	core.Base[Route]
 	filters []Filter
 	// view is the route the filter being run is shown: the bank's own copy,
 	// under the answer of the filter before it.
@@ -29,7 +33,7 @@ type FilterBank struct {
 
 // NewFilterBank returns an empty (pass-everything) filter bank.
 func NewFilterBank(name string, filters ...Filter) *FilterBank {
-	return &FilterBank{base: base{name: name}, filters: filters}
+	return &FilterBank{Base: newBase(name), filters: filters}
 }
 
 // apply runs the chain over r and returns what it makes of r's attribute
@@ -54,16 +58,19 @@ func (f *FilterBank) apply(r Route) *PathAttrs {
 // output attrs — the bank memoizes the last (in, out) attrs pair and
 // substitutes the canonical output pointer, keeping runs shareable
 // downstream. If a filter's rewrite genuinely depends on the prefix, the
-// memo misses and the run is cut at the divergence point.
-func (f *FilterBank) Add(run []Route) {
-	if f.next == nil {
-		return
-	}
-	// Results are collected in f.run, never written back into run (the
-	// fanout hands the same run to every branch), and only once a filter
-	// drops or rewrites a route: an untouched run is forwarded as it came.
+// memo misses and the emitter cuts the run at the divergence point.
+func (f *FilterBank) Add(run []Route) { f.filter(core.OpAdd, run) }
+
+// Delete implements Stage, like Add.
+func (f *FilterBank) Delete(run []Route) { f.filter(core.OpDelete, run) }
+
+// filter emits what the chain makes of each route of a run of op. A run
+// the chain leaves as it came goes on as it came; otherwise the results go
+// through the emitter, never back into run (the fanout hands the same run
+// to every branch).
+func (f *FilterBank) filter(op core.Op, run []Route) {
 	var lastIn, lastOut *PathAttrs
-	out, changed := f.run, false
+	em, changed := f.Emitter(), false
 	for i, r := range run {
 		a := f.apply(r)
 		if a != nil && a != r.Attrs {
@@ -73,67 +80,47 @@ func (f *FilterBank) Add(run []Route) {
 				lastIn, lastOut = r.Attrs, a
 			}
 		}
+		if !changed && a == r.Attrs {
+			continue
+		}
 		if !changed {
-			if a == r.Attrs {
-				continue
-			}
 			changed = true
-			out = append(out, run[:i]...)
+			for _, r := range run[:i] {
+				em.Push(op, r)
+			}
 		}
-		if a != nil {
-			r.Attrs = a
-			out = append(out, r)
+		if r.Attrs = a; a != nil {
+			em.Push(op, r)
 		}
 	}
+	f.Release(&em)
 	if !changed {
-		f.next.Add(run)
-		return
+		f.Pass(op, run)
 	}
-	// Maximal consecutive sub-runs sharing one attrs pointer.
-	for i := 0; i < len(out); {
-		j := i + 1
-		for j < len(out) && out[j].Attrs == out[i].Attrs {
-			j++
-		}
-		f.next.Add(out[i:j])
-		i = j
-	}
-	f.run = out[:0]
 }
 
 // Replace implements Stage, degrading to Add/Delete when filtering drops
 // one side of the pair. A pair that filters to the same route is still a
 // Replace: upstream said it changed.
 func (f *FilterBank) Replace(old, new Route) {
-	if f.next == nil {
-		return
-	}
 	old.Attrs, new.Attrs = f.apply(old), f.apply(new)
+	em := f.Emitter()
 	switch {
 	case old.Attrs == nil && new.Attrs == nil:
 	case old.Attrs == nil:
-		f.addOne(new)
+		em.Add(new)
 	case new.Attrs == nil:
-		f.next.Delete(old)
+		em.Delete(old)
 	default:
-		f.next.Replace(old, new)
+		em.Replace(old, new)
 	}
+	f.Release(&em)
 }
 
-// Delete implements Stage.
-func (f *FilterBank) Delete(r Route) {
-	if f.next == nil {
-		return
-	}
-	if r.Attrs = f.apply(r); r.Attrs != nil {
-		f.next.Delete(r)
-	}
-}
-
-// Lookup implements Stage: upstream answers are passed through the chain
-// so they match what was announced downstream.
+// Lookup implements core.Table: upstream answers are passed through the
+// chain so they match what was announced downstream.
 func (f *FilterBank) Lookup(net netip.Prefix, r *Route) bool {
-	if !f.lookupParent(net, r) {
+	if !f.LookupParent(net, r) {
 		return false
 	}
 	r.Attrs = f.apply(*r)
@@ -143,7 +130,7 @@ func (f *FilterBank) Lookup(net netip.Prefix, r *Route) bool {
 // walk passes the replay upstream and what it visits through the chain,
 // leaving out what the chain drops.
 func (f *FilterBank) walk(from Stage, fn func(Route) bool) {
-	if w, ok := f.parent.(walker); ok {
+	if w, ok := f.Parent().(walker); ok {
 		w.walk(from, func(r Route) bool {
 			r.Attrs = f.apply(r)
 			return r.Attrs == nil || fn(r)

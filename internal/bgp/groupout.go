@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"slices"
 
+	"xorp/internal/core"
 	"xorp/internal/telemetry"
 )
 
@@ -49,7 +50,7 @@ func (f GroupSenderFunc) SendEncodedUpdate(buf []byte) { f(buf) }
 // later Delete of a dropped prefix sends nothing, a Replace whose new side
 // is dropped withdraws the old, and a replay leaves dropped prefixes out.
 type GroupOut struct {
-	base
+	core.Base[Route]
 	members []*groupMember
 	// parked is set while no member is live. release frees the fanout
 	// branch feeding the group from flow control; the Fanout sets it.
@@ -88,7 +89,7 @@ type groupMember struct {
 // NewGroupOut returns an empty group output stage.
 func NewGroupOut(name string) *GroupOut {
 	return &GroupOut{
-		base:         base{name: "groupout(" + name + ")"},
+		Base:         newBase("groupout(" + name + ")"),
 		parked:       true,
 		release:      func() {},
 		bySrc:        make(map[*PeerHandle]int),
@@ -124,7 +125,7 @@ func (g *GroupOut) AddMember(handle *PeerHandle, sender GroupSender) error {
 // join adds a member not live: a Process peer, until its session is up.
 func (g *GroupOut) join(handle *PeerHandle, sender GroupSender) error {
 	if g.member(handle) != nil {
-		return fmt.Errorf("bgp: %s already in %s", handle.Name, g.name)
+		return fmt.Errorf("bgp: %s already in %s", handle.Name, g.Name())
 	}
 	g.members = append(g.members, &groupMember{handle: handle, sender: sender})
 	return nil
@@ -169,10 +170,10 @@ func (g *GroupOut) send(m *groupMember, msgs int) {
 	g.SentMsgs += int64(msgs)
 }
 
-// encodeAnnounce fills encBuf with the announcement of nets sharing attrs
-// and returns how many messages that took: 0 when the encode failed, which
-// is counted.
-func (g *GroupOut) encodeAnnounce(attrs *PathAttrs, nets []netip.Prefix) (msgs int) {
+// encode fills encBuf with the announcement of nets sharing attrs, or with
+// attrs nil their withdrawal, and returns how many messages that took: 0
+// when the encode failed, which is counted.
+func (g *GroupOut) encode(attrs *PathAttrs, nets []netip.Prefix) (msgs int) {
 	var err error
 	g.encBuf, err = AppendUpdateRun(g.encBuf[:0], attrs, nets)
 	for off := 0; err == nil && off < len(g.encBuf); msgs++ {
@@ -188,22 +189,9 @@ func (g *GroupOut) encodeAnnounce(attrs *PathAttrs, nets []netip.Prefix) (msgs i
 	return msgs
 }
 
-// encodeWithdraw fills encBuf with the withdrawal of net and reports
-// whether that worked; a failure is counted.
-func (g *GroupOut) encodeWithdraw(net netip.Prefix) bool {
-	var err error
-	g.netBuf = append(g.netBuf[:0], net)
-	if g.encBuf, err = AppendUpdate(g.encBuf[:0], &UpdateMsg{Withdrawn: g.netBuf}); err != nil {
-		g.EncodeErrors.Inc()
-		return false
-	}
-	g.EncodeCalls++
-	return true
-}
-
-// forget drops one sent route from the per-source count.
-func (g *GroupOut) forget(src *PeerHandle) {
-	if g.bySrc[src]--; g.bySrc[src] == 0 {
+// forget drops n sent routes from src's count.
+func (g *GroupOut) forget(src *PeerHandle, n int) {
+	if g.bySrc[src] -= n; g.bySrc[src] == 0 {
 		delete(g.bySrc, src)
 	}
 }
@@ -226,7 +214,7 @@ func (g *GroupOut) Add(run []Route) {
 	for _, r := range run {
 		g.netBuf = append(g.netBuf, r.Net)
 	}
-	msgs := g.encodeAnnounce(run[0].Attrs, g.netBuf)
+	msgs := g.encode(run[0].Attrs, g.netBuf)
 	if msgs == 0 {
 		for _, r := range run {
 			g.dropped[r.Net] = struct{}{}
@@ -234,8 +222,14 @@ func (g *GroupOut) Add(run []Route) {
 		return
 	}
 	g.bySrc[run[0].Src] += len(run)
+	g.sendAll(run[0].Src, msgs)
+}
+
+// sendAll delivers the encode buffer, msgs messages, to every member a
+// route from src may reach.
+func (g *GroupOut) sendAll(src *PeerHandle, msgs int) {
 	for _, m := range g.members {
-		if sendable(run[0].Src, m.handle) {
+		if sendable(src, m.handle) {
 			g.send(m, msgs)
 		}
 	}
@@ -247,15 +241,15 @@ func (g *GroupOut) Add(run []Route) {
 // nothing.
 func (g *GroupOut) Replace(old, new Route) {
 	g.netBuf = append(g.netBuf[:0], new.Net)
-	msgs := g.encodeAnnounce(new.Attrs, g.netBuf)
+	msgs := g.encode(new.Attrs, g.netBuf)
 	if msgs == 0 {
-		g.Delete(old)
+		g.Delete([]Route{old})
 		g.dropped[new.Net] = struct{}{}
 		return
 	}
 	was := !g.undrop(old.Net)
 	if was {
-		g.forget(old.Src)
+		g.forget(old.Src, 1)
 	}
 	g.bySrc[new.Src]++
 	var withdraw []*groupMember
@@ -266,37 +260,44 @@ func (g *GroupOut) Replace(old, new Route) {
 			withdraw = append(withdraw, m)
 		}
 	}
-	if len(withdraw) > 0 && g.encodeWithdraw(new.Net) {
-		for _, m := range withdraw {
-			g.send(m, 1)
+	if len(withdraw) > 0 {
+		if msgs = g.encode(nil, g.netBuf); msgs > 0 {
+			for _, m := range withdraw {
+				g.send(m, msgs)
+			}
 		}
 	}
 }
 
-// Delete implements Stage: withdraw from every member that saw the route.
-func (g *GroupOut) Delete(r Route) {
-	if g.undrop(r.Net) {
-		return // its announcement was dropped
+// Delete implements Stage — the shared encode of a withdrawal: the run's
+// prefixes whose announcement went out are packed into as few UPDATEs as
+// the message limit allows, encoded once and sent to every member the run
+// is sendable to (one check per member: runs share Src).
+func (g *GroupOut) Delete(run []Route) {
+	g.netBuf = g.netBuf[:0]
+	for _, r := range run {
+		if !g.undrop(r.Net) { // else its announcement was dropped
+			g.netBuf = append(g.netBuf, r.Net)
+		}
 	}
-	g.forget(r.Src)
-	if !g.encodeWithdraw(r.Net) {
+	if len(g.netBuf) == 0 {
 		return
 	}
-	for _, m := range g.members {
-		if sendable(r.Src, m.handle) {
-			g.send(m, 1)
-		}
+	src := run[0].Src
+	g.forget(src, len(g.netBuf))
+	if msgs := g.encode(nil, g.netBuf); msgs > 0 {
+		g.sendAll(src, msgs)
 	}
 }
 
-// Lookup implements Stage: upstream's answer through the branch, unless
+// Lookup implements core.Table: upstream's answer through the branch, unless
 // its announcement was dropped. It is the group's view, before per-member
 // screening, and may run ahead of a stalled branch, as Fanout.Lookup does.
 func (g *GroupOut) Lookup(net netip.Prefix, r *Route) bool {
 	if _, drop := g.dropped[net]; drop {
 		return false
 	}
-	return g.lookupParent(net, r)
+	return g.LookupParent(net, r)
 }
 
 // MemberAnnouncedCount returns how many prefixes one live member has been
@@ -319,7 +320,7 @@ func (g *GroupOut) MemberAnnouncedCount(handle *PeerHandle) int {
 // branch's backlog with m muted, so the walk is what the group has emitted;
 // dropped prefixes are left out.
 func (g *GroupOut) replay(m *groupMember, fn func(Route) bool) {
-	w, ok := g.parent.(walker)
+	w, ok := g.Parent().(walker)
 	if !ok {
 		return
 	}
@@ -367,7 +368,7 @@ func (g *GroupOut) resync(handle *PeerHandle, tell bool) {
 		if wake {
 			if r.Attrs != prev.Attrs || r.Net.Addr().Is4() != prev.Net.Addr().Is4() {
 				g.netBuf = append(g.netBuf[:0], r.Net)
-				prev, drop = r, g.encodeAnnounce(r.Attrs, g.netBuf) == 0
+				prev, drop = r, g.encode(r.Attrs, g.netBuf) == 0
 			}
 			if drop {
 				g.dropped[r.Net] = struct{}{}
@@ -391,7 +392,7 @@ func (g *GroupOut) resync(handle *PeerHandle, tell bool) {
 	})
 	g.parked = false
 	for _, s := range order {
-		if msgs := g.encodeAnnounce(s.attrs, s.nets); msgs > 0 {
+		if msgs := g.encode(s.attrs, s.nets); msgs > 0 {
 			g.send(m, msgs)
 		}
 	}

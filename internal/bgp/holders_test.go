@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"xorp/internal/core"
 	"xorp/internal/eventloop"
 )
 
@@ -48,14 +49,19 @@ func reaches(t reflect.Type, seen map[reflect.Type]bool, targets ...reflect.Type
 }
 
 // assertResolverQuiescent checks the two places a resolver may hold a route
-// are empty: the op queues, and the stage's scratch run.
+// are empty: the op queues, and the stage's emitter.
 func assertResolverQuiescent(t *testing.T, n *NexthopResolver) {
 	t.Helper()
-	if len(n.queues) != 0 || len(n.waiters) != 0 || len(n.inflight) != 0 || len(n.run) != 0 {
+	run := pending(&n.em, "run")
+	if len(n.queues) != 0 || len(n.waiters) != 0 || len(n.inflight) != 0 || run != 0 {
 		t.Fatalf("%s at quiescence: %d queued nets, %d awaited nexthops, %d queries in flight, scratch run of %d",
-			n.name, len(n.queues), len(n.waiters), len(n.inflight), len(n.run))
+			n.Name(), len(n.queues), len(n.waiters), len(n.inflight), run)
 	}
 }
+
+// pending returns the length of the slice field name of the core value v
+// points to: an emitter's run, a base's idle scratch.
+func pending(v any, name string) int { return reflect.ValueOf(v).Elem().FieldByName(name).Len() }
 
 func TestResolverHoldsNoRoutes(t *testing.T) {
 	rt := reflect.TypeOf(NexthopResolver{})
@@ -63,7 +69,7 @@ func TestResolverHoldsNoRoutes(t *testing.T) {
 		f := rt.Field(i)
 		holds := reaches(f.Type, map[reflect.Type]bool{}, reflect.TypeOf((*Route)(nil)), reflect.TypeOf(Route{}))
 		switch f.Name {
-		case "queues", "base": // unresolved ops; the scratch run every stage builds its output in
+		case "queues", "Base", "em": // unresolved ops; the scratch run every stage builds its output in
 			if !holds {
 				t.Errorf("NexthopResolver.%s no longer reaches a Route: update this test", f.Name)
 			}
@@ -117,7 +123,7 @@ func TestGroupOutHoldsNoRoutes(t *testing.T) {
 	for i := 0; i < gt.NumField(); i++ {
 		f := gt.Field(i)
 		holds := reaches(f.Type, map[reflect.Type]bool{}, reflect.TypeOf((*Route)(nil)), reflect.TypeOf(Route{}), reflect.TypeOf((*PathAttrs)(nil)))
-		if holds != (f.Name == "base") { // base: the scratch run of a stage that sends routes on; this one sends none
+		if holds != (f.Name == "Base") { // Base: the scratch run of a stage that sends routes on; this one sends none
 			t.Errorf("GroupOut.%s (%v): reaches a route or an attribute set = %v", f.Name, f.Type, holds)
 		}
 		if keyed := f.Type.Kind() == reflect.Map && f.Type.Key() == reflect.TypeOf(netip.Prefix{}); keyed != (f.Name == "dropped") {
@@ -130,8 +136,8 @@ func TestGroupOutHoldsNoRoutes(t *testing.T) {
 	g, _, runs, up := exportSide(t, 2, 8)
 	up.announce(runs[0])
 	up.announce(runs[1])
-	if len(g.run) != 0 {
-		t.Fatalf("GroupOut used its scratch run (%d routes)", len(g.run))
+	if n := pending(&g.Base, "buf"); n != 0 {
+		t.Fatalf("GroupOut used its scratch run (%d routes)", n)
 	}
 	for i, run := range runs {
 		for _, r := range run {
@@ -170,10 +176,10 @@ func newUpstream() *upstream {
 // group branch, or with peer set a group of one.
 func (u *upstream) branch(peer *PeerHandle, bank *FilterBank, g *GroupOut) {
 	if bank == nil {
-		bank = NewFilterBank("out-filter(" + g.name + ")")
+		bank = NewFilterBank("out-filter(" + g.Name() + ")")
 	}
 	Plumb(bank, g)
-	u.fan.AddPeerBranch(g.name, peer, bank)
+	u.fan.AddPeerBranch(g.Name(), peer, bank)
 }
 
 // in returns src's PeerIn, building its input branch on first use.
@@ -198,7 +204,7 @@ func (u *upstream) announce(run []Route) {
 		m.NLRI = append(m.NLRI, r.Net)
 	}
 	in := u.in(run[0].Src)
-	if res := in.downstream().(*NexthopResolver); res.nexthops[m.Attrs.NextHop] == nil {
+	if res := in.Next().(*NexthopResolver); res.nexthops[m.Attrs.NextHop] == nil {
 		res.query(m.Attrs.NextHop)
 	}
 	in.ReceiveUpdate(m, 65000)
@@ -251,8 +257,8 @@ func TestExportSideAllocs(t *testing.T) {
 	g, bank, runs, _ := exportSide(t, 2, n)
 	twins := slices.Clone(runs[0]) // the same routes as runs[0], as other values
 	withdraw := func(run []Route) {
-		for _, r := range run {
-			bank.Delete(r)
+		for i := range run {
+			bank.Delete(run[i : i+1])
 		}
 	}
 	for i := 0; i < 3; i++ { // steady state: map and encode buffer at size
@@ -308,7 +314,7 @@ type routeServer struct {
 
 // newRouteServer builds it for clients clients; between, if set, makes the
 // stage plumbed between each client's resolver and the decision.
-func newRouteServer(clients int, between func() Stage) *routeServer {
+func newRouteServer(clients int, between func() *lookupCounter) *routeServer {
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
 	rs := &routeServer{loop: loop, dec: NewDecision("decision"), fan: NewFanout("fanout", loop), group: NewGroupOut("rs")}
 	pool := NewAttrPool()
@@ -320,8 +326,9 @@ func newRouteServer(clients int, between func() Stage) *routeServer {
 		addr := netip.AddrFrom4([4]byte{10, 0, 0, byte(1 + c)})
 		h := &PeerHandle{Name: addr.String(), Addr: addr, AS: uint16(65001 + c)}
 		in := NewPeerIn(loop, h, pool)
-		var last Stage = NewNexthopResolver("nexthop("+h.Name+")", &StaticMetricSource{})
-		Plumb(in, last)
+		res := NewNexthopResolver("nexthop("+h.Name+")", &StaticMetricSource{})
+		var last core.Source[Route] = res
+		Plumb(in, res)
 		if between != nil {
 			s := between()
 			Plumb(last, s)
@@ -436,16 +443,16 @@ func heapScanBytes() uint64 {
 // lookupCounter passes everything through and counts the Lookups it is
 // asked.
 type lookupCounter struct {
-	base
+	core.Base[Route]
 	n *int
 }
 
-func (c *lookupCounter) Add(run []Route)        { c.next.Add(run) }
-func (c *lookupCounter) Replace(old, new Route) { c.next.Replace(old, new) }
-func (c *lookupCounter) Delete(r Route)         { c.next.Delete(r) }
+func (c *lookupCounter) Add(run []Route)        { c.Next().Add(run) }
+func (c *lookupCounter) Replace(old, new Route) { c.Next().Replace(old, new) }
+func (c *lookupCounter) Delete(run []Route)     { c.Next().Delete(run) }
 func (c *lookupCounter) Lookup(net netip.Prefix, r *Route) bool {
 	*c.n++
-	return c.lookupParent(net, r)
+	return c.LookupParent(net, r)
 }
 
 // TestDecisionLookupsPerRoute counts the branch Lookups the decision makes
@@ -458,7 +465,7 @@ func TestDecisionLookupsPerRoute(t *testing.T) {
 	const clients, routesEach = 32, 256
 	for _, shared := range []bool{false, true} {
 		lookups := 0
-		rs := newRouteServer(clients, func() Stage { return &lookupCounter{base: base{name: "count"}, n: &lookups} })
+		rs := newRouteServer(clients, func() *lookupCounter { return &lookupCounter{Base: newBase("count"), n: &lookups} })
 		rs.announce(routesEach, shared, false)
 		announced := lookups
 		rs.announce(routesEach, shared, true)

@@ -75,8 +75,13 @@ type nexthopEntry struct {
 // each route on its way downstream, and Lookup asks upstream and stamps the
 // answer the same way. Only ops still waiting for an answer hold routes
 // here.
+//
+// The stage keeps one emitter for its lifetime instead of one per call: an
+// answer may arrive synchronously, inside the call that asked, and what it
+// releases must queue behind what that call has emitted so far.
 type NexthopResolver struct {
-	base
+	core.Base[Route]
+	em  core.Emitter[Route]
 	src MetricSource
 
 	nexthops   map[netip.Addr]*nexthopEntry
@@ -93,7 +98,7 @@ type NexthopResolver struct {
 // NewNexthopResolver returns a resolver stage backed by src.
 func NewNexthopResolver(name string, src MetricSource) *NexthopResolver {
 	r := &NexthopResolver{
-		base:       base{name: name},
+		Base:       newBase(name),
 		src:        src,
 		nexthops:   make(map[netip.Addr]*nexthopEntry),
 		byCovering: make(map[netip.Prefix][]netip.Addr),
@@ -101,6 +106,7 @@ func NewNexthopResolver(name string, src MetricSource) *NexthopResolver {
 		inflight:   make(map[netip.Addr]bool),
 		waiters:    make(map[netip.Addr][]netip.Prefix),
 	}
+	r.em = r.Emitter()
 	src.WatchInvalidation(r.invalidate)
 	return r
 }
@@ -141,10 +147,9 @@ func (n *NexthopResolver) annotate(r *Route) bool {
 
 // Add implements Stage. A run shares one attribute set and thus one
 // nexthop: with the answer at hand the whole run is annotated from the one
-// entry and forwarded in one pass; a route with queued predecessors cuts
-// the run and goes through the queue at its position, and an unresolved
-// nexthop queues every route (the first issues the query, the rest wait
-// behind it).
+// entry and forwarded in one pass; a route with queued predecessors goes
+// through the queue at its position, and an unresolved nexthop queues
+// every route (the first issues the query, the rest wait behind it).
 func (n *NexthopResolver) Add(run []Route) {
 	nh := run[0].Attrs.NextHop
 	e := n.nexthops[nh]
@@ -156,25 +161,29 @@ func (n *NexthopResolver) Add(run []Route) {
 			resolved = e != nil && !e.stale
 			continue
 		}
-		if n.next != nil {
-			e.stamp(&r)
-			n.run = append(n.run, r)
-		}
+		e.stamp(&r)
+		n.em.Add(r)
 	}
-	n.flush()
+	n.em.Flush()
 }
 
 // Replace implements Stage.
 func (n *NexthopResolver) Replace(old, new Route) {
 	n.submit(pendingOp{op: core.OpReplace, old: old, new: new})
+	n.em.Flush()
 }
 
-// Delete implements Stage.
-func (n *NexthopResolver) Delete(r Route) { n.submit(pendingOp{op: core.OpDelete, old: r}) }
+// Delete implements Stage: the withdrawals with nothing queued ahead of
+// them go on as one run.
+func (n *NexthopResolver) Delete(run []Route) {
+	for _, r := range run {
+		n.submit(pendingOp{op: core.OpDelete, old: r})
+	}
+	n.em.Flush()
+}
 
-// submit queues op behind its net's earlier ops and sends on what is ready,
-// the run being built included. An op with nothing ahead of it and nothing
-// to wait for goes straight out.
+// submit queues op behind its net's earlier ops and sends on what is ready.
+// An op with nothing ahead of it and nothing to wait for goes straight out.
 func (n *NexthopResolver) submit(op pendingOp) {
 	net := op.new.Net
 	if op.op == core.OpDelete {
@@ -186,7 +195,6 @@ func (n *NexthopResolver) submit(op pendingOp) {
 		n.queues[net] = append(n.queues[net], op)
 		n.drain(net)
 	}
-	n.flush()
 }
 
 // drain forwards ops from the head of net's queue while they are ready:
@@ -195,7 +203,8 @@ func (n *NexthopResolver) submit(op pendingOp) {
 // waits. An op leaves the queue before it goes out, because downstream
 // looks back up through this stage while handling it. Ready adds join the
 // run being built, which goes out before any other op leaves the queue:
-// an add in it must look up as what that op replaces.
+// an add in it must look up as what that op replaces. A delete joins a
+// run too, which goes out before the next op of its net leaves.
 func (n *NexthopResolver) drain(net netip.Prefix) {
 	for q := n.queues[net]; len(q) > 0; q = n.queues[net] {
 		op := q[0]
@@ -204,7 +213,7 @@ func (n *NexthopResolver) drain(net netip.Prefix) {
 			return
 		}
 		if op.op != core.OpAdd {
-			n.flush()
+			n.em.Flush()
 		}
 		if len(q) == 1 {
 			delete(n.queues, net)
@@ -212,6 +221,9 @@ func (n *NexthopResolver) drain(net netip.Prefix) {
 			n.queues[net] = q[1:]
 		}
 		n.forward(op)
+		if op.op == core.OpDelete && len(q) > 1 {
+			n.em.Flush() // the op after it may make net look up as held again
+		}
 	}
 }
 
@@ -246,8 +258,8 @@ func (n *NexthopResolver) answered(nh netip.Addr, info NexthopInfo) {
 	if info.Covering.IsValid() {
 		n.byCovering[info.Covering] = append(n.byCovering[info.Covering], nh)
 	}
-	if prev != nil && n.next != nil && (prev.info.Resolvable != info.Resolvable || prev.info.Metric != info.Metric) {
-		n.flush()
+	if prev != nil && n.Next() != nil && (prev.info.Resolvable != info.Resolvable || prev.info.Metric != info.Metric) {
+		n.em.Flush()
 		n.reannounce(nh, prev.info)
 	}
 	nets := n.waiters[nh]
@@ -255,30 +267,23 @@ func (n *NexthopResolver) answered(nh netip.Addr, info NexthopInfo) {
 	for _, net := range nets {
 		n.drain(net)
 	}
-	n.flush()
+	n.em.Flush()
 }
 
-// forward annotates and emits one op, an add by joining the run being
-// built: a run shares one attribute set and one source, so one that cannot
-// join sends the run first. The old side is stamped too: it comes from
-// upstream bare, and what downstream holds of it carries its nexthop's
-// entry.
+// forward annotates and emits one op; the emitter cuts an add run where
+// the attribute set or source changes. The old side is stamped too: it
+// comes from upstream bare, and what downstream holds of it carries its
+// nexthop's entry.
 func (n *NexthopResolver) forward(op pendingOp) {
-	if n.next == nil {
-		return
-	}
 	n.annotate(&op.old)
 	n.annotate(&op.new)
-	switch r := op.new; op.op {
+	switch op.op {
 	case core.OpAdd:
-		if len(n.run) > 0 && (n.run[0].Attrs != r.Attrs || n.run[0].Src != r.Src) {
-			n.flush()
-		}
-		n.run = append(n.run, r)
+		n.em.Add(op.new)
 	case core.OpDelete:
-		n.next.Delete(op.old)
+		n.em.Delete(op.old)
 	default:
-		n.next.Replace(op.old, op.new)
+		n.em.Replace(op.old, op.new)
 	}
 }
 
@@ -319,7 +324,7 @@ func (n *NexthopResolver) reannounce(nh netip.Addr, prev NexthopInfo) {
 			old := r
 			was.stamp(&old)
 			now.stamp(&r)
-			n.next.Replace(old, r)
+			n.em.Replace(old, r)
 		}
 	}
 	for _, q := range n.queues {
@@ -328,13 +333,13 @@ func (n *NexthopResolver) reannounce(nh netip.Addr, prev NexthopInfo) {
 		}
 	}
 	var r Route
-	for s := n.parent; s != nil; s = s.parentStage() {
+	for s := n.Parent(); s != nil; s = s.Parent() {
 		h, ok := s.(routeHolder)
 		if !ok {
 			continue
 		}
 		h.Walk(func(held Route) bool {
-			if len(n.queues[held.Net]) == 0 && n.lookupParent(held.Net, &r) {
+			if len(n.queues[held.Net]) == 0 && n.LookupParent(held.Net, &r) {
 				emit(r)
 			}
 			return true
@@ -342,11 +347,11 @@ func (n *NexthopResolver) reannounce(nh netip.Addr, prev NexthopInfo) {
 	}
 }
 
-// Lookup implements Stage: what downstream last saw of net. With ops
+// Lookup implements core.Table: what downstream last saw of net. With ops
 // queued that is the old side of the head (nothing, for a queued add:
 // queued routes are invisible); otherwise upstream's answer, annotated.
 func (n *NexthopResolver) Lookup(net netip.Prefix, r *Route) bool {
-	ok := n.lookupParent(net, r)
+	ok := n.LookupParent(net, r)
 	if len(n.queues) > 0 {
 		if q := n.queues[net]; len(q) > 0 {
 			*r, ok = q[0].held()

@@ -26,7 +26,7 @@ type recMsg struct {
 // msgLog is a terminal stage that keeps every message it is sent, by value
 // (a run is valid only for the call, so it is copied).
 type msgLog struct {
-	base
+	core.Base[Route]
 	msgs []recMsg
 }
 
@@ -36,8 +36,11 @@ func (l *msgLog) Add(run []Route) {
 func (l *msgLog) Replace(old, new Route) {
 	l.msgs = append(l.msgs, recMsg{op: core.OpReplace, old: old, new: new})
 }
-func (l *msgLog) Delete(r Route)                   { l.msgs = append(l.msgs, recMsg{op: core.OpDelete, old: r}) }
-func (l *msgLog) Lookup(netip.Prefix, *Route) bool { return false }
+func (l *msgLog) Delete(run []Route) {
+	for _, r := range run {
+		l.msgs = append(l.msgs, recMsg{op: core.OpDelete, old: r})
+	}
+}
 
 // ownNets returns n /24s under 10.second/16, in prefix order.
 func ownNets(second byte, n int) (nets []netip.Prefix) {
@@ -79,7 +82,7 @@ func TestQueuedRouteSurvivesWithdraw(t *testing.T) {
 		p1.peerin.Announce(mustP("10.9.1.0/24"), setA.Clone())
 		p2.peerin.Announce(mustP("10.9.2.0/24"), setC.Clone())
 		tr.settle()
-		slow := &msgLog{base: base{name: "slow"}}
+		slow := &msgLog{Base: newBase("slow")}
 		tr.fanout.AddGroupBranch("slow", slow)
 		tr.fanout.SetBusy("slow", true)
 
@@ -89,7 +92,8 @@ func TestQueuedRouteSurvivesWithdraw(t *testing.T) {
 		p1.peerin.ReceiveUpdate(&UpdateMsg{Attrs: setB.Clone(), NLRI: other}, 65000)
 		p2.peerin.ReceiveUpdate(&UpdateMsg{Attrs: setC.Clone(), NLRI: third}, 65000)
 		tr.settle()
-		if len(slow.msgs) != 0 || tr.fanout.Backlog("slow") != 3+n/2 {
+		// Queued: the run, the withdrawal run and two more runs.
+		if len(slow.msgs) != 0 || tr.fanout.Backlog("slow") != 4 {
 			t.Fatalf("busy branch was sent %d messages, backlog %d", len(slow.msgs), tr.fanout.Backlog("slow"))
 		}
 		tr.fanout.SetBusy("slow", false)
@@ -114,7 +118,7 @@ func TestQueuedRouteSurvivesWithdraw(t *testing.T) {
 		in := NewPeerIn(loop, peer, NewAttrPool())
 		src := &fakeMetricSource{}
 		res := NewNexthopResolver("nexthop(p1)", src)
-		log := &msgLog{base: base{name: "log"}}
+		log := &msgLog{Base: newBase("log")}
 		Plumb(in, res, log)
 
 		in.ReceiveUpdate(&UpdateMsg{Attrs: setA.Clone(), NLRI: first}, 65000)

@@ -3,16 +3,18 @@ package bgp
 import (
 	"net/netip"
 
+	"xorp/internal/core"
 	"xorp/internal/eventloop"
 	"xorp/internal/telemetry"
 )
 
-// PeerIn is the origin stage of one peering's input branch (§5.1): it
-// stores the original routes received from the peer — the only place input
-// routes are stored, so filters can be re-run at any time — and emits
-// Add/Replace/Delete messages downstream.
+// PeerIn is the origin of one peering's input branch (§5.1): it stores the
+// original routes received from the peer — the only place input routes are
+// stored, so filters can be re-run at any time — and emits Add/Replace/Delete
+// messages downstream. It is a source, not a stage: routes enter it from the
+// session (ReceiveUpdate), never as messages.
 type PeerIn struct {
-	base
+	core.Base[Route]
 	loop *eventloop.Loop
 	inTable
 	ask bool // its branch holds the prefix the decision is deciding
@@ -28,7 +30,7 @@ type PeerIn struct {
 // or, with pool nil, unpooled in one of its own.
 func NewPeerIn(loop *eventloop.Loop, peer *PeerHandle, pool *AttrPool) *PeerIn {
 	p := &PeerIn{
-		base:       base{name: "peerin(" + peer.Name + ")"},
+		Base:       newBase("peerin(" + peer.Name + ")"),
 		loop:       loop,
 		inTable:    inTable{peer: peer, rib: newRIBIn(), pool: pool},
 		loopRoutes: new(telemetry.Counter),
@@ -48,74 +50,73 @@ func NewPeerIn(loop *eventloop.Loop, peer *PeerHandle, pool *AttrPool) *PeerIn {
 // message, with one reference per NLRI, and shared (pointer-identical) by
 // every announced route; consecutive fresh announcements leave as one run,
 // cut where a prefix the peer already announced becomes a Replace, so
-// downstream sees the UPDATE's own order.
+// downstream sees the UPDATE's own order. The withdrawals leave as one run
+// before any announcement is stored: downstream looks back up here while
+// it handles them.
 func (p *PeerIn) ReceiveUpdate(m *UpdateMsg, localAS uint16) {
-	for _, w := range m.Withdrawn {
-		p.Withdraw(w)
-	}
+	p.Withdraw(m.Withdrawn...)
 	if len(m.NLRI) == 0 {
 		return
 	}
 	if m.Attrs.ASPath.Contains(localAS) {
 		p.loopRoutes.Add(uint64(len(m.NLRI)))
-		for _, n := range m.NLRI {
-			p.Withdraw(n)
-		}
+		p.Withdraw(m.NLRI...)
 		return
 	}
 	attrs := p.pool.Intern(m.Attrs)
 	p.pool.retain(attrs, len(m.NLRI)-1)
-	for _, n := range m.NLRI {
-		p.store(n.Masked(), attrs)
-	}
-	p.flush()
+	p.announce(attrs, m.NLRI...)
 }
 
 // Announce stores one route and emits a run of one, or a Replace,
 // downstream.
 func (p *PeerIn) Announce(net netip.Prefix, attrs *PathAttrs) {
-	p.store(net.Masked(), p.pool.Intern(attrs))
-	p.flush()
+	p.announce(p.pool.Intern(attrs), net)
 }
 
-// store puts attrs, with the reference the caller took for it, under net.
-// A fresh prefix joins the run being collected, which the caller flushes; a
-// prefix the peer already announced sends the run so far on and becomes a
-// Replace. The run may go on after the store: one holding net stored these
-// attrs.
-func (p *PeerIn) store(net netip.Prefix, attrs *PathAttrs) {
-	old, existed := p.rib.put(net, p.who, attrs)
-	if existed {
-		p.flush()
+// announce puts attrs, with a reference the caller took for each, under
+// every one of nets. A fresh prefix joins the run being built; a prefix the
+// peer already announced sends the run so far on and becomes a Replace.
+// The run may go on after it: one holding the prefix stored these attrs.
+func (p *PeerIn) announce(attrs *PathAttrs, nets ...netip.Prefix) {
+	em := p.Emitter()
+	for _, net := range nets {
+		net = net.Masked()
+		old, existed := p.rib.put(net, p.who, attrs)
+		if existed {
+			em.Flush()
+			p.pool.Release(old)
+		}
+		if p.tracer.On(telemetry.StagePeerIn) {
+			p.tracer.Stamp(telemetry.StagePeerIn, net)
+		}
+		switch {
+		case !existed:
+			em.Add(p.route(net, attrs))
+		case !old.Equal(attrs): // else a duplicate announcement, nothing changed
+			em.Replace(p.route(net, old), p.route(net, attrs))
+		}
+	}
+	p.Release(&em)
+}
+
+// Withdraw removes routes and emits them downstream as one Delete run.
+// Unknown prefixes are ignored (RFC 4271 tolerates spurious withdrawals).
+func (p *PeerIn) Withdraw(nets ...netip.Prefix) {
+	em := p.Emitter()
+	for _, net := range nets {
+		net = net.Masked()
+		if p.tracer.On(telemetry.StagePeerIn) {
+			p.tracer.StampOp(telemetry.StagePeerIn, net, true)
+		}
+		old, existed := p.rib.remove(net, p.who)
+		if !existed {
+			continue
+		}
 		p.pool.Release(old)
+		em.Delete(p.route(net, old))
 	}
-	if p.tracer.On(telemetry.StagePeerIn) {
-		p.tracer.Stamp(telemetry.StagePeerIn, net)
-	}
-	switch {
-	case p.next == nil:
-	case !existed:
-		p.run = append(p.run, p.route(net, attrs))
-	case !old.Equal(attrs): // else a duplicate announcement, nothing changed
-		p.next.Replace(p.route(net, old), p.route(net, attrs))
-	}
-}
-
-// Withdraw removes a route and emits Delete downstream. Unknown prefixes
-// are ignored (RFC 4271 tolerates spurious withdrawals).
-func (p *PeerIn) Withdraw(net netip.Prefix) {
-	net = net.Masked()
-	if p.tracer.On(telemetry.StagePeerIn) {
-		p.tracer.StampOp(telemetry.StagePeerIn, net, true)
-	}
-	old, existed := p.rib.remove(net, p.who)
-	if !existed {
-		return
-	}
-	p.pool.Release(old)
-	if p.next != nil {
-		p.next.Delete(p.route(net, old))
-	}
+	p.Release(&em)
 }
 
 // PeerDown implements the dynamic deletion stage handoff (§5.1.2): the
@@ -127,25 +128,14 @@ func (p *PeerIn) PeerDown() *DeletionStage {
 	if p.Len() == 0 {
 		return nil
 	}
-	d := &DeletionStage{base: base{name: "deletion(" + p.peer.Name + ")"}, loop: p.loop, inTable: p.inTable}
+	d := &DeletionStage{Base: newBase("deletion(" + p.peer.Name + ")"), loop: p.loop, inTable: p.inTable}
 	p.who = &holder{in: p}
-	Splice(p, d)
-	d.task = d.loop.AddTask(d.name, d.step)
+	core.Splice[Route](p, d)
+	d.task = d.loop.AddTask(d.Name(), d.step)
 	return d
 }
 
-// Stage interface: a PeerIn is an origin; nothing is upstream of it.
-
-// Add panics: PeerIn has no upstream.
-func (p *PeerIn) Add([]Route) { panic("bgp: PeerIn has no upstream") }
-
-// Replace panics: PeerIn has no upstream.
-func (p *PeerIn) Replace(_, _ Route) { panic("bgp: PeerIn has no upstream") }
-
-// Delete panics: PeerIn has no upstream.
-func (p *PeerIn) Delete(Route) { panic("bgp: PeerIn has no upstream") }
-
-// Lookup returns the stored original route.
+// Lookup implements core.Table: the stored original route.
 func (p *PeerIn) Lookup(net netip.Prefix, r *Route) bool { return p.get(net, r) }
 
 // deletionBatch is how many routes one background slice deletes: few enough
@@ -159,7 +149,7 @@ const deletionBatch, skipSpan = 64, 16
 // the routes of one incarnation; each unplumbs and deletes itself when
 // drained.
 type DeletionStage struct {
-	base
+	core.Base[Route]
 	loop    *eventloop.Loop
 	inTable // the routes not yet deleted, which downstream still holds
 	task    *eventloop.Task
@@ -188,13 +178,13 @@ func (d *DeletionStage) step() bool {
 		}
 		return true
 	})
+	em := d.Emitter()
 	for _, net := range d.batch {
 		attrs, _ := d.rib.remove(net, d.who)
 		d.pool.Release(attrs)
-		if d.next != nil {
-			d.next.Delete(d.route(net, attrs))
-		}
+		em.Delete(d.route(net, attrs))
 	}
+	d.Release(&em)
 	if !more || d.Len() == 0 {
 		d.finish()
 	}
@@ -215,7 +205,7 @@ func (d *DeletionStage) finish() {
 		return
 	}
 	d.done = true
-	Unsplice(d)
+	core.Unsplice[Route](d)
 	d.task.Stop()
 }
 
@@ -224,24 +214,16 @@ func (d *DeletionStage) finish() {
 // is cut there and the pair becomes a Replace; our copy is dropped (each
 // route lives in at most one deletion stage).
 func (d *DeletionStage) Add(run []Route) {
-	start := 0
-	for i, r := range run {
-		old, held := d.rib.remove(r.Net, d.who)
-		if !held {
-			continue
+	em := d.Emitter()
+	for _, r := range run {
+		if old, held := d.rib.remove(r.Net, d.who); held {
+			d.pool.Release(old)
+			em.Replace(d.route(r.Net, old), r)
+		} else {
+			em.Add(r)
 		}
-		d.pool.Release(old)
-		if d.next != nil {
-			if i > start {
-				d.next.Add(run[start:i])
-			}
-			d.next.Replace(d.route(r.Net, old), r)
-		}
-		start = i + 1
 	}
-	if d.next != nil && len(run) > start {
-		d.next.Add(run[start:])
-	}
+	d.Release(&em)
 	d.finishIfEmpty()
 }
 
@@ -251,22 +233,18 @@ func (d *DeletionStage) Replace(old, new Route) {
 	if stale, held := d.rib.remove(new.Net, d.who); held {
 		d.pool.Release(stale)
 	}
-	if d.next != nil {
-		d.next.Replace(old, new)
+	if next := d.Next(); next != nil {
+		next.Replace(old, new)
 	}
 	d.finishIfEmpty()
 }
 
 // Delete passes through (the PeerIn only deletes routes it announced
 // after the handoff, which we do not hold).
-func (d *DeletionStage) Delete(r Route) {
-	if d.next != nil {
-		d.next.Delete(r)
-	}
-}
+func (d *DeletionStage) Delete(run []Route) { d.Pass(core.OpDelete, run) }
 
 // Lookup: routes not yet deleted are still answered (rule 2), otherwise
 // ask upstream.
 func (d *DeletionStage) Lookup(net netip.Prefix, r *Route) bool {
-	return d.get(net, r) || d.lookupParent(net, r)
+	return d.get(net, r) || d.LookupParent(net, r)
 }

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/netip"
 
+	"xorp/internal/core"
 	"xorp/internal/eventloop"
 	"xorp/internal/route"
 	"xorp/internal/telemetry"
@@ -118,7 +119,7 @@ func NewProcess(loop *eventloop.Loop, cfg Config, ribClient RIBClient, metricSrc
 	// The RIB branch of the fanout, optionally behind a consistency cache.
 	var ribHead Stage = newRIBSink(p)
 	if cfg.ConsistencyChecks {
-		cache := NewCacheStage("rib-branch-cache", violations)
+		cache := core.NewCacheStage[Route]("rib-branch-cache", violations)
 		Plumb(cache, ribHead)
 		ribHead = cache
 	}
@@ -195,7 +196,7 @@ type ribOp struct {
 // cap and the end of the drain ship the queue, so the RIB sees exactly
 // the order the branch was handed. With no client nothing is queued.
 type ribSinkStage struct {
-	base
+	core.Base[Route]
 	proc *Process
 
 	pend       []ribOp
@@ -209,7 +210,7 @@ type ribSinkStage struct {
 }
 
 func newRIBSink(p *Process) *ribSinkStage {
-	s := &ribSinkStage{base: base{name: "rib-branch"}, proc: p}
+	s := &ribSinkStage{Base: newBase("rib-branch"), proc: p}
 	s.shipFn = s.ship
 	return s
 }
@@ -252,12 +253,12 @@ func (s *ribSinkStage) Replace(old, new Route) {
 	s.add(&new)
 }
 
-func (s *ribSinkStage) Delete(r Route) {
-	s.stamp(r.Net, true)
-	s.enqueue(ribOp{del: true, proto: ribProto(&r), e: route.Entry{Net: r.Net}})
+func (s *ribSinkStage) Delete(run []Route) {
+	for i := range run {
+		s.stamp(run[i].Net, true)
+		s.enqueue(ribOp{del: true, proto: ribProto(&run[i]), e: route.Entry{Net: run[i].Net}})
+	}
 }
-
-func (s *ribSinkStage) Lookup(net netip.Prefix, r *Route) bool { return s.lookupParent(net, r) }
 
 func (s *ribSinkStage) add(r *Route) {
 	s.enqueue(ribOp{proto: ribProto(r), e: route.Entry{Net: r.Net, NextHop: r.Attrs.NextHop, Metric: r.IGPMetric}})
@@ -421,8 +422,8 @@ func (p *Process) RemovePeer(name string) error {
 	// the FSM's deletion stages (splice right after the PeerIn) and any
 	// routes injected without an established session.
 	peer.peerin.PeerDown()
-	for s := peer.peerin.downstream(); s != nil && s != Stage(p.decision); {
-		next := s.downstream() // read first: a drained stage unplumbs itself
+	for s := peer.peerin.Next(); s != nil && s != Stage(p.decision); {
+		next := s.Next() // read first: a drained stage unplumbs itself
 		if d, isDel := s.(*DeletionStage); isDel {
 			for !d.done {
 				d.step()

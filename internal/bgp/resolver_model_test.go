@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"xorp/internal/core"
 	"xorp/internal/eventloop"
 )
 
@@ -47,7 +48,7 @@ func (s *modelSource) deliver(i int) {
 // — like the decision process — looks back up through the resolver while
 // it handles the message.
 type modelRecorder struct {
-	base
+	core.Base[Route]
 	t   *testing.T
 	tbl map[netip.Prefix]Route
 	log []string
@@ -86,7 +87,7 @@ func (m *modelRecorder) held(net netip.Prefix) *Route {
 // checkLookup holds the resolver's answer for net to the replayed stream.
 func (m *modelRecorder) checkLookup(when string, net netip.Prefix) {
 	m.t.Helper()
-	if got, want := lookup(m.parent, net), m.held(net); !sameAnnotated(got, want) {
+	if got, want := lookup(m.Parent(), net), m.held(net); !sameAnnotated(got, want) {
 		m.fail("%s: Lookup(%v) = %s, stream says %s", when, net, fmtRoute(got), fmtRoute(want))
 	}
 }
@@ -121,13 +122,17 @@ func (m *modelRecorder) Replace(old, new Route) {
 	m.checkLookup("in Replace", new.Net)
 }
 
-func (m *modelRecorder) Delete(old Route) {
-	m.log = append(m.log, "    delete "+fmtRoute(&old))
-	if have := m.held(old.Net); !sameAnnotated(have, &old) {
-		m.fail("delete of %s, but downstream holds %s", fmtRoute(&old), fmtRoute(have))
+func (m *modelRecorder) Delete(run []Route) {
+	for _, old := range run {
+		m.log = append(m.log, "    delete "+fmtRoute(&old))
+		if have := m.held(old.Net); !sameAnnotated(have, &old) {
+			m.fail("delete of %s, but downstream holds %s", fmtRoute(&old), fmtRoute(have))
+		}
+		delete(m.tbl, old.Net)
 	}
-	delete(m.tbl, old.Net)
-	m.checkLookup("in Delete", old.Net)
+	for _, old := range run {
+		m.checkLookup("in Delete", old.Net)
+	}
 }
 
 func (m *modelRecorder) Lookup(net netip.Prefix, r *Route) (ok bool) {
@@ -179,14 +184,14 @@ func newResolverModel(t *testing.T, seed int64, cloning, damping bool) *resolver
 		rng:  rand.New(rand.NewSource(seed)),
 		loop: eventloop.New(eventloop.NewSimClock(time.Unix(0, 0))),
 		src:  &modelSource{truth: make(map[netip.Addr]NexthopInfo)},
-		rec:  &modelRecorder{base: base{name: "recorder"}, t: t, tbl: make(map[netip.Prefix]Route)},
+		rec:  &modelRecorder{Base: newBase("recorder"), t: t, tbl: make(map[netip.Prefix]Route)},
 	}
 	for i, nh := range modelNexthops {
 		m.src.truth[nh] = NexthopInfo{Resolvable: true, Metric: uint32(10 * (i + 1)), Covering: modelCovering[i/2]}
 	}
 	m.in = NewPeerIn(m.loop, testPeer("p1", "10.0.0.1", 65001, false), NewAttrPool())
 	m.res = NewNexthopResolver("nexthop(p1)", m.src)
-	stages := []Stage{m.in}
+	var stages []Stage
 	if damping {
 		stages = append(stages, NewDampingStage("damping(p1)", m.loop))
 	}
@@ -194,7 +199,7 @@ func newResolverModel(t *testing.T, seed int64, cloning, damping bool) *resolver
 	if cloning {
 		filter = NewFilterBank("in-filter(p1)", modelCloningFilter)
 	}
-	Plumb(append(stages, filter, m.res, m.rec)...)
+	Plumb(m.in, append(stages, filter, m.res, m.rec)...)
 	return m
 }
 
@@ -296,7 +301,7 @@ func (m *resolverModel) settle() {
 	for i := 0; i < modelNets; i++ {
 		net := modelNet(i)
 		m.rec.checkLookup("at quiescence", net)
-		want := lookup(m.res.parentStage(), net)
+		want := lookup(m.res.Parent(), net)
 		if want != nil {
 			c := *want
 			info := m.src.truth[c.Attrs.NextHop]

@@ -81,7 +81,7 @@ func TestRIBClientKeepsOrderAcrossKinds(t *testing.T) {
 		want = append(want, ribOp{false, ribProtoOf(r), ribEntryOf(r)})
 	}
 	del := func(r Route) {
-		s.Delete(r)
+		s.Delete([]Route{r})
 		want = append(want, ribOp{true, ribProtoOf(r), route.Entry{Net: r.Net}})
 	}
 	replace := func(old, new Route) {
@@ -136,7 +136,7 @@ func TestRIBClientBatchesWithdraws(t *testing.T) {
 	s, rec, loop := newRecSink()
 	loop.Dispatch(func() {
 		for i := 0; i <= ribBatchCap; i++ {
-			s.Delete(sinkRoute(fmt.Sprintf("20.%d.%d.0/24", i/256, i%256), false))
+			s.Delete([]Route{sinkRoute(fmt.Sprintf("20.%d.%d.0/24", i/256, i%256), false)})
 		}
 	})
 	loop.RunPending()
@@ -152,10 +152,10 @@ func TestRIBClientBatchesWithdraws(t *testing.T) {
 
 	rec.log = nil
 	loop.Dispatch(func() {
-		s.Delete(sinkRoute("30.0.1.0/24", false))
-		s.Delete(sinkRoute("30.0.2.0/24", false))
-		s.Delete(sinkRoute("30.0.3.0/24", true))
-		s.Delete(sinkRoute("30.0.4.0/24", true))
+		s.Delete([]Route{sinkRoute("30.0.1.0/24", false)})
+		s.Delete([]Route{sinkRoute("30.0.2.0/24", false)})
+		s.Delete([]Route{sinkRoute("30.0.3.0/24", true)})
+		s.Delete([]Route{sinkRoute("30.0.4.0/24", true)})
 		s.Add([]Route{sinkRoute("30.0.5.0/24", true)})
 		s.Add([]Route{sinkRoute("30.0.6.0/24", false), sinkRoute("30.0.7.0/24", false)})
 	})

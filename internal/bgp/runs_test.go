@@ -500,3 +500,69 @@ func TestEncodeFailureIsCountedDrop(t *testing.T) {
 		t.Fatalf("announced %d", g.AnnouncedCount())
 	}
 }
+
+// TestGroupWithdrawsARun: a run's withdrawal is one shared encode, packed
+// as an announcement is. 64 prefixes reach each member as one UPDATE;
+// 1,200 outgrow the 4,096-byte message and arrive as several UPDATEs that
+// together withdraw every prefix exactly once, IPv4 in the classic field
+// and IPv6 in MP_UNREACH_NLRI. The member the run came from is sent
+// nothing.
+func TestGroupWithdrawsARun(t *testing.T) {
+	src := testPeer("src", "10.0.9.9", 65100, false)
+	v4 := func(i int) netip.Prefix {
+		return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
+	}
+	v6 := func(i int) netip.Prefix {
+		return netip.PrefixFrom(netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, byte(i >> 8), byte(i)}), 48)
+	}
+	for _, c := range []struct {
+		n, minMsgs, maxMsgs int
+		net                 func(int) netip.Prefix
+	}{{64, 1, 1, v4}, {1200, 2, 2, v4}, {1200, 3, 3, v6}} {
+		g := NewGroupOut("rs")
+		var got [2][]*UpdateMsg
+		for i := range got {
+			h := testPeer(fmt.Sprintf("m%d", i), fmt.Sprintf("10.0.0.%d", i+1), uint16(65001+i), false)
+			if err := g.AddMember(h, GroupSenderFunc(func(b []byte) { got[i] = append(got[i], decodeUpdates(t, b)...) })); err != nil {
+				t.Fatal(err)
+			}
+		}
+		toSrc := 0
+		if err := g.AddMember(src, GroupSenderFunc(func([]byte) { toSrc++ })); err != nil {
+			t.Fatal(err)
+		}
+		run := make([]Route, c.n)
+		for i := range run {
+			run[i] = Route{Net: c.net(i), Attrs: testAttrs(), Src: src}
+		}
+		g.Add(run)
+		got, encodes := [2][]*UpdateMsg{}, g.EncodeCalls
+		g.Delete(run)
+		if g.EncodeCalls != encodes+1 || toSrc != 0 || g.AnnouncedCount() != 0 {
+			t.Fatalf("%d prefixes: %d encodes, %d sends to the source, %d routes left; want 1, 0, 0",
+				c.n, g.EncodeCalls-encodes, toSrc, g.AnnouncedCount())
+		}
+		for i, msgs := range got {
+			if len(msgs) < c.minMsgs || len(msgs) > c.maxMsgs {
+				t.Fatalf("%d prefixes reached member %d as %d UPDATEs, want %d to %d", c.n, i, len(msgs), c.minMsgs, c.maxMsgs)
+			}
+			seen := map[netip.Prefix]int{}
+			for _, m := range msgs {
+				if m.Attrs != nil || len(m.NLRI) != 0 {
+					t.Fatalf("member %d: a withdrawal message carries attributes %v and NLRI %v", i, m.Attrs, m.NLRI)
+				}
+				for _, w := range m.Withdrawn {
+					seen[w]++
+				}
+			}
+			for _, r := range run {
+				if seen[r.Net] != 1 {
+					t.Fatalf("%d prefixes: member %d was told of %v's withdrawal %d times", c.n, i, r.Net, seen[r.Net])
+				}
+			}
+			if len(seen) != c.n {
+				t.Fatalf("%d prefixes: member %d was told of %d withdrawals", c.n, i, len(seen))
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"xorp/internal/core"
 	"xorp/internal/eventloop"
 	"xorp/internal/telemetry"
 )
@@ -18,7 +19,7 @@ type testRouter struct {
 	loop     *eventloop.Loop
 	decision *Decision
 	fanout   *Fanout
-	cache    *CacheStage
+	cache    *core.CacheStage[Route]
 	sink     *sink
 	peers    map[string]*testBranch
 	pool     *AttrPool
@@ -38,7 +39,7 @@ func newTestRouter(t *testing.T, localAS uint16) *testRouter {
 		loop:     loop,
 		decision: NewDecision("decision"),
 		fanout:   NewFanout("fanout", loop),
-		cache:    NewCacheStage("cache", new(telemetry.Counter)),
+		cache:    core.NewCacheStage[Route]("cache", new(telemetry.Counter)),
 		sink:     newSink("sink"),
 		peers:    make(map[string]*testBranch),
 		pool:     NewAttrPool(),
@@ -91,11 +92,11 @@ func TestSinglePeerAddReachesSink(t *testing.T) {
 // counts once, and a clean stream counts nothing.
 func TestCacheStageCountsViolations(t *testing.T) {
 	var violations telemetry.Counter
-	c := NewCacheStage("cache", &violations)
+	c := core.NewCacheStage[Route]("cache", &violations)
 	r := Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}
 	c.Add([]Route{r})
 	c.Replace(r, r)
-	c.Delete(r)
+	c.Delete([]Route{r})
 	if n := violations.Value(); n != 0 {
 		t.Fatalf("clean stream counted %d violations", n)
 	}
@@ -103,12 +104,12 @@ func TestCacheStageCountsViolations(t *testing.T) {
 	for i := 0; i < n; i++ {
 		switch i % 3 {
 		case 0:
-			c.Delete(r) // never added
+			c.Delete([]Route{r}) // never added
 		case 1:
 			c.Replace(r, r) // never added
 		case 2:
 			c.Add([]Route{r, r}) // the second is an add for a prefix present
-			c.Delete(r)
+			c.Delete([]Route{r})
 		}
 	}
 	if got := violations.Value(); got != n {
@@ -279,25 +280,27 @@ func TestDeletionSliceBounds(t *testing.T) {
 // routes carrying dead's attributes that go downstream: deleted, or
 // replaced by a fresh route.
 type deadDeletes struct {
-	base
+	core.Base[Route]
 	dead *PathAttrs
 	n    map[netip.Prefix]int
 }
 
-func (c *deadDeletes) Add(run []Route) { c.next.Add(run) }
+func (c *deadDeletes) Add(run []Route) { c.Next().Add(run) }
 func (c *deadDeletes) Replace(old, new Route) {
 	if old.Attrs.Equal(c.dead) {
 		c.n[old.Net]++
 	}
-	c.next.Replace(old, new)
+	c.Next().Replace(old, new)
 }
-func (c *deadDeletes) Delete(r Route) {
-	if r.Attrs.Equal(c.dead) {
-		c.n[r.Net]++
+func (c *deadDeletes) Delete(run []Route) {
+	for _, r := range run {
+		if r.Attrs.Equal(c.dead) {
+			c.n[r.Net]++
+		}
 	}
-	c.next.Delete(r)
+	c.Next().Delete(run)
 }
-func (c *deadDeletes) Lookup(net netip.Prefix, r *Route) bool { return c.lookupParent(net, r) }
+func (c *deadDeletes) Lookup(net netip.Prefix, r *Route) bool { return c.LookupParent(net, r) }
 
 // TestDeletionCursorSurvivesChurn steps a deletion stage one slice at a
 // time through a dead peering's 2,000 routes, which share the RIB-in with
@@ -354,8 +357,8 @@ func TestDeletionCursorSurvivesChurn(t *testing.T) {
 	}
 	tr.settle()
 
-	rec := &deadDeletes{base: base{name: "dead-deletes"}, dead: dead, n: map[netip.Prefix]int{}}
-	Splice(p.peerin, rec)
+	rec := &deadDeletes{Base: newBase("dead-deletes"), dead: dead, n: map[netip.Prefix]int{}}
+	core.Splice[Route](p.peerin, rec)
 	d := p.peerin.PeerDown()
 	if d == nil || d.Len() != n {
 		t.Fatalf("deletion stage holds %v routes, want %d", d, n)
@@ -766,7 +769,7 @@ func TestPeerOutEmitsUpdates(t *testing.T) {
 	r2.Attrs = r1.Attrs.Clone()
 	r2.Attrs.MED, r2.Attrs.HasMED = 5, true
 	po.Replace(r1, r2)
-	po.Delete(r2)
+	po.Delete([]Route{r2})
 	msgs := *sent
 	if len(msgs) != 3 {
 		t.Fatalf("%d updates", len(msgs))
@@ -800,9 +803,9 @@ func TestDampingSuppressesFlappingRoute(t *testing.T) {
 		t.Fatal("first announcement suppressed")
 	}
 	// Flap hard: each delete+add adds 2×1000 penalty; threshold 2000.
-	damp.Delete(mk())
+	damp.Delete([]Route{mk()})
 	damp.Add([]Route{mk()})
-	damp.Delete(mk())
+	damp.Delete([]Route{mk()})
 	damp.Add([]Route{mk()})
 	if !damp.Suppressed(net) {
 		t.Fatal("flapping route not suppressed")

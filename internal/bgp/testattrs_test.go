@@ -5,7 +5,11 @@ package bgp
 // like the interned attr pool — propagates to what the benches measure
 // instead of leaving them exercising a dead code shape.
 
-import "net/netip"
+import (
+	"net/netip"
+
+	"xorp/internal/core"
+)
 
 func mustP(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 func mustA(s string) netip.Addr   { return netip.MustParseAddr(s) }
@@ -54,7 +58,7 @@ func testPeer(name string, addr string, as uint16, ibgp bool) *PeerHandle {
 
 // lookup returns stage s's answer for net as tests like to read it: nil when
 // there is none.
-func lookup(s Stage, net netip.Prefix) *Route {
+func lookup(s core.Table[Route], net netip.Prefix) *Route {
 	if r := new(Route); s.Lookup(net, r) {
 		return r
 	}

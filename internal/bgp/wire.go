@@ -190,44 +190,50 @@ func AppendUpdate(dst []byte, m *UpdateMsg) ([]byte, error) {
 }
 
 // AppendUpdateRun encodes the announcement of a run of prefixes sharing
-// one attribute set as the minimum number of UPDATE messages, packing NLRI
-// up to the 4096-byte limit. This is the group shared-encode primitive:
-// the result is encoded once and the bytes fanned out to every member of
-// a peer group. Prefix order is preserved (chunks split at family
-// boundaries), so the emitted per-prefix stream matches the per-route
-// path's order.
-func AppendUpdateRun(dst []byte, attrs *PathAttrs, nlri []netip.Prefix) ([]byte, error) {
-	if len(nlri) == 0 {
-		return dst, nil
-	}
+// one attribute set — or, with attrs nil, the run's withdrawal — as the
+// minimum number of UPDATE messages, packing prefixes up to the 4096-byte
+// limit. This is the group shared-encode primitive: the result is encoded
+// once and the bytes fanned out to every member of a peer group. Prefix
+// order is preserved (chunks split at family boundaries), so the emitted
+// per-prefix stream matches the per-route path's order.
+func AppendUpdateRun(dst []byte, attrs *PathAttrs, nets []netip.Prefix) ([]byte, error) {
+	m := UpdateMsg{Attrs: attrs}
+	part := &m.NLRI // where each message's share of nets goes
 	if attrs == nil {
-		return dst, fmt.Errorf("bgp: NLRI without path attributes")
+		part = &m.Withdrawn
 	}
-	if len(nlri) == 1 { // nothing to pack: skip sizing the attributes
-		return AppendUpdate(dst, &UpdateMsg{Attrs: attrs, NLRI: nlri})
+	if len(nets) <= 1 { // nothing to pack: skip sizing the attributes
+		if len(nets) == 0 {
+			return dst, nil
+		}
+		*part = nets
+		return AppendUpdate(dst, &m)
 	}
-	// The classic attributes are sized by encoding them where the first
-	// message will put them, then dropping them again.
-	sized, err := attrs.appendTo(dst)
-	if err != nil {
-		return dst, err
-	}
-	classic := len(sized) - len(dst)
-	dst = sized[:len(dst)]
 	// Per-message fixed overhead: header (19) + withdrawn-length (2) +
-	// attribute-length (2) + classic attributes; IPv6 chunks add the
-	// MP_REACH_NLRI header and fixed body (exactly 25 bytes with the
-	// extended-length form appendAttrHeader may choose).
-	const mpOverhead = 25
-	for start := 0; start < len(nlri); {
-		is6 := !nlri[start].Addr().Is4()
-		size := headerLen + 4 + classic
+	// attribute-length (2) + classic attributes, sized by encoding them
+	// where the first message will put them, then dropping them again;
+	// IPv6 chunks add the MP_REACH_NLRI header and fixed body (exactly 25
+	// bytes with the extended-length form appendAttrHeader may choose), or
+	// the MP_UNREACH_NLRI one (at most 7).
+	fixed, mpOverhead := headerLen+4, 7
+	if attrs != nil {
+		sized, err := attrs.appendTo(dst)
+		if err != nil {
+			return dst, err
+		}
+		fixed += len(sized) - len(dst)
+		dst, mpOverhead = sized[:len(dst)], 25
+	}
+	var err error
+	for start := 0; start < len(nets); {
+		is6 := !nets[start].Addr().Is4()
+		size := fixed
 		if is6 {
 			size += mpOverhead
 		}
 		end := start
-		for end < len(nlri) {
-			p := nlri[end]
+		for end < len(nets) {
+			p := nets[end]
 			if (!p.Addr().Is4()) != is6 {
 				break
 			}
@@ -241,7 +247,8 @@ func AppendUpdateRun(dst []byte, attrs *PathAttrs, nlri []netip.Prefix) ([]byte,
 		if end == start {
 			end++ // oversized single prefix: let AppendUpdate report it
 		}
-		if dst, err = AppendUpdate(dst, &UpdateMsg{Attrs: attrs, NLRI: nlri[start:end]}); err != nil {
+		*part = nets[start:end]
+		if dst, err = AppendUpdate(dst, &m); err != nil {
 			return dst, err
 		}
 		start = end

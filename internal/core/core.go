@@ -1,11 +1,13 @@
 // Package core implements the paper's primary structural contribution
 // (§5): routing tables as networks of pluggable stages through which
 // routes flow. Concrete stages live with their protocols (packages bgp
-// and rib); this package provides the protocol-independent machinery:
+// and rib); this package holds the one machinery both are built on:
 //
-//   - the route-message operations and their two consistency rules,
-//   - a consistency checker used to build "cache stages" (§5.1) that
-//     verify a stage network obeys those rules, and
+//   - the stage interface Stage[R] and its lookup half Table[R];
+//   - Base[R], the name, links and run emitter every stage embeds, and
+//     Plumb, Splice and Unsplice, which link stages;
+//   - the route-message operations, their two consistency rules, and the
+//     Checker and "cache stage" (§5.1) that verify a network obeys them;
 //   - the fanout queue (§5.1.1): a single route-change queue with n
 //     readers, supporting slow readers without per-reader copies.
 package core

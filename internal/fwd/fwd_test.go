@@ -514,11 +514,13 @@ func TestTablesReturnTheKey(t *testing.T) {
 	final := rib.NewExtIntStage("extint", rib.NewOriginTable(route.ProtoEBGP), origin)
 	origin.AddRoutes([]route.Entry{e})
 	for name, tbl := range map[string]interface {
-		rib.Table
+		Lookup(netip.Prefix, *route.Entry) bool
+		LookupBest(netip.Addr) (route.Entry, bool)
 		Walk(func(route.Entry) bool)
 	}{"OriginTable": origin, "ExtIntStage": final} {
 		for _, arg := range []netip.Prefix{unmasked, key} {
-			got, ok := tbl.Lookup(arg)
+			var got route.Entry
+			ok := tbl.Lookup(arg, &got)
 			check(name, fmt.Sprintf("Lookup(%v)", arg), got.Net, ok)
 		}
 		got, ok := tbl.LookupBest(dst)

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"slices"
 
+	"xorp/internal/core"
 	"xorp/internal/route"
 	"xorp/internal/trie"
 )
@@ -25,8 +26,8 @@ import (
 // stay in their origin tables (ext.Lookup); the stage keeps only the
 // nexthop index that resolves them.
 type ExtIntStage struct {
-	base
-	ext, int Table
+	core.Base[route.Entry]
+	ext, int bestSource
 
 	// announced is the stage's downstream view (both sides merged),
 	// updated in reconcile ahead of the flush that carries the change.
@@ -44,6 +45,10 @@ type ExtIntStage struct {
 	spare *nhState
 	// nExt counts the external routes the stage has been told about.
 	nExt int
+	// answer is where a parent's Lookup answer lands: a local handed to an
+	// interface method would be on the heap, one allocation per call.
+	// reconcile empties it, so between calls it holds nothing.
+	answer route.Entry
 }
 
 // nhResult is how one nexthop resolves through the internal side.
@@ -119,16 +124,16 @@ func (st *nhState) appendDeps(dst []netip.Prefix) []netip.Prefix {
 }
 
 // NewExtIntStage composes parents ext and int.
-func NewExtIntStage(name string, ext, int_ Table) *ExtIntStage {
+func NewExtIntStage(name string, ext, int_ bestSource) *ExtIntStage {
 	e := &ExtIntStage{
-		base:      base{name: name},
+		Base:      newBase(name),
 		ext:       ext,
 		int:       int_,
 		announced: trie.New[route.Stored](),
 		nexthops:  make(map[netip.Addr]*nhState),
 	}
-	ext.setDownstream(&extInput{e: e})
-	int_.setDownstream(&intInput{e: e})
+	core.Plumb[route.Entry](ext, &extInput{Base: newBase(name), e: e})
+	core.Plumb[route.Entry](int_, &intInput{Base: newBase(name), e: e})
 	return e
 }
 
@@ -136,7 +141,7 @@ func NewExtIntStage(name string, ext, int_ Table) *ExtIntStage {
 // hand rather than ext.Lookup: the origin table runs ahead of its own
 // stream within a call.
 type extInput struct {
-	base
+	core.Base[route.Entry]
 	e *ExtIntStage
 }
 
@@ -144,40 +149,40 @@ type extInput struct {
 func (x *extInput) Add(run []route.Entry) {
 	s := x.e
 	s.nExt += len(run)
-	em := s.emitter()
+	em := s.Emitter()
 	for i := range run {
 		s.link(run[i])
 		s.reconcile(run[i].Net, run[i], true, &em)
 	}
-	s.release(&em)
+	s.Release(&em)
 }
 
 // Replace moves the prefix to its new nexthop's set and reconciles it.
 func (x *extInput) Replace(old, n route.Entry) {
 	s := x.e
-	em := s.emitter()
+	em := s.Emitter()
 	s.unlink(old)
 	s.link(n)
 	s.reconcile(n.Net, n, true, &em)
-	s.release(&em)
+	s.Release(&em)
 }
 
 // Delete processes a run of external withdrawals.
 func (x *extInput) Delete(run []route.Entry) {
 	s := x.e
 	s.nExt -= len(run)
-	em := s.emitter()
+	em := s.Emitter()
 	for i := range run {
 		s.unlink(run[i])
 		s.reconcile(run[i].Net, route.Entry{}, false, &em)
 	}
-	s.release(&em)
+	s.Release(&em)
 }
 
 // intInput receives the internal stream. All three ops mean the same to
 // the stage — the internal side changed at these prefixes.
 type intInput struct {
-	base
+	core.Base[route.Entry]
 	e *ExtIntStage
 }
 
@@ -190,7 +195,7 @@ func (x *intInput) Delete(run []route.Entry) { x.changed(run) }
 // reconciles the external routes riding on those that did.
 func (x *intInput) changed(run []route.Entry) {
 	s := x.e
-	em := s.emitter()
+	em := s.Emitter()
 	for i := range run {
 		net := run[i].Net
 		s.reconcileInt(net, &em)
@@ -214,7 +219,7 @@ func (x *intInput) changed(run []route.Entry) {
 			s.reconcileInt(dep, &em)
 		}
 	}
-	s.release(&em)
+	s.Release(&em)
 }
 
 // concrete reports whether an external route is usable as it stands: it
@@ -284,16 +289,18 @@ func (s *ExtIntStage) resolved(e route.Entry) (route.Entry, bool) {
 }
 
 // reconcileInt reconciles net with whatever the external side holds there.
-func (s *ExtIntStage) reconcileInt(net netip.Prefix, em *runEmitter) {
-	ext, ok := s.ext.Lookup(net)
-	s.reconcile(net, ext, ok, em)
+func (s *ExtIntStage) reconcileInt(net netip.Prefix, em *core.Emitter[route.Entry]) {
+	ok := s.ext.Lookup(net, &s.answer)
+	s.reconcile(net, s.answer, ok, em)
 }
 
 // reconcile computes what downstream should see for net — the better of
 // its internal route and, if extOK, its external route ext once resolved —
 // diffs that against announced, and emits the change.
-func (s *ExtIntStage) reconcile(net netip.Prefix, ext route.Entry, extOK bool, em *runEmitter) {
-	want, wantOK := s.int.Lookup(net)
+func (s *ExtIntStage) reconcile(net netip.Prefix, ext route.Entry, extOK bool, em *core.Emitter[route.Entry]) {
+	wantOK := s.int.Lookup(net, &s.answer)
+	want := s.answer
+	s.answer = route.Entry{}
 	if extOK {
 		ext, extOK = s.resolved(ext)
 	}
@@ -317,12 +324,12 @@ func (s *ExtIntStage) reconcile(net netip.Prefix, ext route.Entry, extOK bool, e
 	}
 }
 
-// Lookup implements Table from the announced table.
-func (s *ExtIntStage) Lookup(net netip.Prefix) (route.Entry, bool) {
-	return getEntry(s.announced, net)
+// Lookup implements core.Table from the announced table.
+func (s *ExtIntStage) Lookup(net netip.Prefix, e *route.Entry) bool {
+	return getEntry(s.announced, net, e)
 }
 
-// LookupBest implements Table from the announced table.
+// LookupBest implements bestSource from the announced table.
 func (s *ExtIntStage) LookupBest(addr netip.Addr) (route.Entry, bool) {
 	net, e, ok := s.announced.LongestMatch(addr)
 	return e.Entry(net), ok
@@ -332,6 +339,9 @@ func (s *ExtIntStage) LookupBest(addr netip.Addr) (route.Entry, bool) {
 func (s *ExtIntStage) Walk(fn func(route.Entry) bool) {
 	s.announced.Walk(func(net netip.Prefix, e route.Stored) bool { return fn(e.Entry(net)) })
 }
+
+// Empty implements bestSource.
+func (s *ExtIntStage) Empty() bool { return s.announced.Len() == 0 }
 
 // AnnouncedLen reports the downstream view's size.
 func (s *ExtIntStage) AnnouncedLen() int { return s.announced.Len() }

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"xorp/internal/core"
 	"xorp/internal/eventloop"
 	"xorp/internal/route"
+	"xorp/internal/telemetry"
 )
 
 // refRIB is the RIB restated as naively as it can be, sharing no code with
@@ -268,7 +270,8 @@ func coverScript(r *rand.Rand, burst int) []batchOp {
 // three ways and, after every call, holds the RIB's final table and a FIB
 // replica built from the batch stream against refRIB. Fed one route at a
 // time, the FIB is also held to the model's diff: it may touch no prefix
-// whose final route did not change.
+// whose final route did not change. A §5.1 cache stage between the ExtInt
+// and register stages holds the stream to the consistency rules.
 func TestModelRIB(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		ops := coverScript(rand.New(rand.NewSource(seed)), 1+5*int(seed%3))
@@ -285,6 +288,11 @@ func TestModelRIB(t *testing.T) {
 			loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
 			fib := &fibReplica{t: t, tbl: map[netip.Prefix]route.Entry{}}
 			p := NewProcess(loop, fib, nil)
+			var violations telemetry.Counter
+			cache := core.NewCacheStage[route.Entry]("cache", &violations)
+			cache.Panic = true
+			p.chain = append([]Stage{cache}, p.chain...)
+			core.Plumb[route.Entry](p.extint, p.chain...)
 			model := newRefRIB()
 			for start := 0; start < len(ops); {
 				run := ops[start : start+1]
@@ -355,6 +363,9 @@ func TestModelRIB(t *testing.T) {
 				if t.Failed() {
 					t.Fatalf("%s: malformed FIB stream", what)
 				}
+			}
+			if n := violations.Value(); n != 0 {
+				t.Fatalf("seed %d, %s: the cache stage counted %d consistency violations", seed, c.name, n)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"xorp/internal/core"
 	"xorp/internal/eventloop"
 	"xorp/internal/route"
 	"xorp/internal/telemetry"
@@ -86,8 +87,8 @@ func NewProcess(loop *eventloop.Loop, fib FIBClient, router *xipc.Router) *Proce
 
 	p.extint = NewExtIntStage("extint", mb, m3)
 	p.register = NewRegisterStage("register", p.extint.announced, p.notifyInvalid)
-	p.chain = []Stage{p.register, &fibSinkStage{base: base{name: "fib"}, proc: p}}
-	Plumb(p.extint, p.chain...)
+	p.chain = []Stage{p.register, &fibSinkStage{Base: newBase("fib"), proc: p}}
+	core.Plumb[route.Entry](p.extint, p.chain...)
 
 	// Internal-side origins may only run ahead of their emissions while no
 	// external route could observe their table mid-flush (see
@@ -207,7 +208,7 @@ func (p *Process) AddRedist(name, class string, filter RedistFilter, out Redistr
 	// Insert before the register stage (chain = ... register fib).
 	idx := len(p.chain) - 2
 	p.chain = append(p.chain[:idx], append([]Stage{rd}, p.chain[idx:]...)...)
-	Plumb(p.extint, p.chain...)
+	core.Plumb[route.Entry](p.extint, p.chain...)
 	p.prime(rd)
 	return rd, nil
 }
@@ -278,7 +279,7 @@ func (p *Process) RemoveRedist(name string) error {
 	}
 	delete(p.feeds, name)
 	p.chain = slices.DeleteFunc(p.chain, func(s Stage) bool { return s == rd })
-	Plumb(p.extint, p.chain...)
+	core.Plumb[route.Entry](p.extint, p.chain...)
 	for _, e := range rd.mirrored {
 		rd.out.RedistDelete(e)
 	}
@@ -296,7 +297,7 @@ func (p *Process) notifyInvalid(client string, covering netip.Prefix) {
 // fibSinkStage hands final routes to the FIB client past two §8.2
 // profile points: every message, run or Replace, ships as one FIBBatch.
 type fibSinkStage struct {
-	base
+	core.Base[route.Entry]
 	proc *Process
 	// batch is reused across shipments; nil while one is in flight, so a
 	// client that re-enters the RIB from FIBApplyBatch cannot reset the

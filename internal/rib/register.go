@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"slices"
 
+	"xorp/internal/core"
 	"xorp/internal/route"
 )
 
@@ -42,7 +43,7 @@ type finalTable interface {
 // computed on the RIB loop between stage calls, where the two agree; one
 // made against the table ahead is at worst invalidated once more.
 type RegisterStage struct {
-	base
+	core.Tap[route.Entry]
 	final finalTable
 	regs  []registration
 	// notify delivers an invalidation to a client (XRL in production).
@@ -55,7 +56,9 @@ func NewRegisterStage(name string, final finalTable, notify func(client string, 
 	if notify == nil {
 		notify = func(string, netip.Prefix) {}
 	}
-	return &RegisterStage{base: base{name: name}, final: final, notify: notify}
+	rs := &RegisterStage{final: final, notify: notify}
+	rs.Tap = core.NewTap(name, func(_ core.Op, e route.Entry) { rs.routeChanged(e.Net) })
+	return rs
 }
 
 // RegisterInterest answers a client's query about addr and records the
@@ -122,35 +125,6 @@ func (rs *RegisterStage) routeChanged(net netip.Prefix) {
 	rs.regs = kept
 }
 
-// Add implements Stage: invalidate per entry, then pass the whole run
-// downstream in one call.
-func (rs *RegisterStage) Add(run []route.Entry) {
-	for i := range run {
-		rs.routeChanged(run[i].Net)
-	}
-	if rs.next != nil {
-		rs.next.Add(run)
-	}
-}
-
-// Replace implements Stage.
-func (rs *RegisterStage) Replace(old, new route.Entry) {
-	rs.routeChanged(new.Net)
-	if rs.next != nil {
-		rs.next.Replace(old, new)
-	}
-}
-
-// Delete implements Stage.
-func (rs *RegisterStage) Delete(run []route.Entry) {
-	for i := range run {
-		rs.routeChanged(run[i].Net)
-	}
-	if rs.next != nil {
-		rs.next.Delete(run)
-	}
-}
-
 // RedistFilter decides whether (and how) a route is redistributed; nil
 // return drops it. The policy framework compiles to one of these.
 type RedistFilter func(route.Entry) *route.Entry
@@ -166,7 +140,7 @@ type Redistributor interface {
 // redistribution (§5.2): a pass-through that mirrors the filtered route
 // subset into the subscriber.
 type RedistStage struct {
-	base
+	core.Tap[route.Entry]
 	filter RedistFilter
 	out    Redistributor
 	class  string // the subscriber's Finder class
@@ -184,11 +158,17 @@ func NewRedistStage(name string, filter RedistFilter, out Redistributor) *Redist
 	if filter == nil {
 		filter = func(e route.Entry) *route.Entry { return &e }
 	}
-	return &RedistStage{
-		base:     base{name: name},
-		filter:   filter,
-		out:      out,
-		mirrored: make(map[netip.Prefix]route.Entry),
+	rd := &RedistStage{filter: filter, out: out, mirrored: make(map[netip.Prefix]route.Entry)}
+	rd.Tap = core.NewTap(name, rd.mirror)
+	return rd
+}
+
+// mirror passes one route of the stream on to the subscriber.
+func (rd *RedistStage) mirror(op core.Op, e route.Entry) {
+	if op == core.OpDelete {
+		rd.drop(e)
+	} else {
+		rd.apply(e)
 	}
 }
 
@@ -216,33 +196,5 @@ func (rd *RedistStage) drop(e route.Entry) {
 	if have, had := rd.mirrored[e.Net]; had {
 		delete(rd.mirrored, e.Net)
 		rd.out.RedistDelete(have)
-	}
-}
-
-// Add implements Stage: mirror per entry, pass the run through.
-func (rd *RedistStage) Add(run []route.Entry) {
-	for i := range run {
-		rd.apply(run[i])
-	}
-	if rd.next != nil {
-		rd.next.Add(run)
-	}
-}
-
-// Replace implements Stage.
-func (rd *RedistStage) Replace(old, new route.Entry) {
-	rd.apply(new)
-	if rd.next != nil {
-		rd.next.Replace(old, new)
-	}
-}
-
-// Delete implements Stage.
-func (rd *RedistStage) Delete(run []route.Entry) {
-	for i := range run {
-		rd.drop(run[i])
-	}
-	if rd.next != nil {
-		rd.next.Delete(run)
 	}
 }

@@ -11,155 +11,51 @@
 // protocol said — merge lookups and graceful-restart retention read it)
 // and the ExtInt stage's announced table (what the RIB decided — the diff
 // base, and what LookupBest, Len, redistribution priming and Figure 8
-// answers read). Every other stage is plumbing: it asks upstream (Table)
+// answers read). Every other stage is plumbing: it asks upstream (core.Table)
 // or keeps an index of prefixes and nexthops, never a route.Entry.
 //
-// One message shape flows through the network: the run, 1..n entries
-// sharing an op. Stage has one Add(run), one Replace(old, new) and one
-// Delete(run); a single route is a run of one, and cutting a stream into
-// different runs never changes what the FIB sees. The network ends the
-// same way: FIBClient is the one method FIBApplyBatch, and a single push
-// is a batch of one.
+// Every element is a core stage or source of route.Entry values: one
+// message shape flows, the run, 1..n entries sharing an op, and cutting a
+// stream into different runs never changes what the FIB sees. The network
+// ends the same way: FIBClient is the one method FIBApplyBatch, and a
+// single push is a batch of one.
 package rib
 
 import (
 	"net/netip"
 	"slices"
 
+	"xorp/internal/core"
 	"xorp/internal/route"
 	"xorp/internal/trie"
 )
 
-// Stage is one element of the RIB's stage network: something routes flow
-// into. Semantics mirror bgp.Stage; routes are route.Entry values. The RIB
-// makes decisions "purely on the basis of a single administrative distance
-// metric", allowing the distributed pairwise merge design.
-//
-// Add and Delete take a run: one or more entries, applied in order. A run
-// is valid only for the duration of the call — the caller reuses the
-// buffer — so a stage that keeps an entry copies it. A stage may re-cut
-// what it emits into different runs than it received; it may not reorder.
-type Stage interface {
-	Name() string
-	Add(run []route.Entry)
-	Replace(old, new route.Entry)
-	Delete(run []route.Entry)
-	source
-}
+// Stage is one element of the RIB's stage network: a core.Stage of
+// route.Entry values, with the semantics every stage shares (core.Stage).
+// The RIB makes decisions "purely on the basis of a single administrative
+// distance metric", allowing the distributed pairwise merge design.
+type Stage = core.Stage[route.Entry]
 
-// source is anything routes flow out of.
-type source interface{ setDownstream(s Stage) }
-
-// Table is a source that can answer for the routes it announces: the
-// origin tables, which store them, and the merge and ExtInt stages, which
-// ask their parents (the paper's lookup_route). Routes enter a Table
-// through its own inputs, so it is not a Stage; a stage that stores
-// nothing answers nothing, so a Stage is not a Table.
-type Table interface {
-	source
-	// Lookup returns the announced route exactly matching net.
-	Lookup(net netip.Prefix) (route.Entry, bool)
+// bestSource is a source that answers for the routes it announces, the
+// longest match included: the origin tables, which store them, and the
+// merge and ExtInt stages, which ask their parents. Routes enter an origin
+// through its protocol, and a merge or ExtInt stage through inputs of its
+// own, so none of them is a Stage; a stage that stores nothing answers
+// nothing, so no Stage is one of these.
+type bestSource interface {
+	core.Source[route.Entry]
 	// LookupBest returns the announced longest-prefix match.
 	LookupBest(addr netip.Addr) (route.Entry, bool)
+	// Empty reports whether the source announces nothing: a merge input
+	// whose other side is empty (a table load) passes runs through
+	// without a lookup per route.
+	Empty() bool
 }
 
-var _ = []Table{(*OriginTable)(nil), (*MergeStage)(nil), (*ExtIntStage)(nil)}
+var _ = []bestSource{(*OriginTable)(nil), (*MergeStage)(nil), (*ExtIntStage)(nil)}
 
-// base supplies plumbing and the stage-owned emission scratch.
-type base struct {
-	name string
-	next Stage
-	// buf backs the stage's runEmitter between calls. A call detaches it
-	// (see emitter), so a client that re-enters the RIB synchronously from
-	// inside a flush finds nil here and grows a buffer of its own instead
-	// of overwriting the run in flight.
-	buf []route.Entry
-}
-
-func (b *base) Name() string          { return b.name }
-func (b *base) setDownstream(s Stage) { b.next = s }
-
-// emitter detaches the stage's scratch into an emitter for one call;
-// release hands it back.
-func (b *base) emitter() runEmitter {
-	em := runEmitter{next: b.next, run: b.buf[:0]}
-	b.buf = nil
-	return em
-}
-
-// release flushes em and returns its buffer to the stage.
-func (b *base) release(em *runEmitter) {
-	em.Flush()
-	b.buf = em.run
-}
-
-// Plumb wires head into stages left-to-right.
-func Plumb(head source, stages ...Stage) {
-	for _, s := range stages {
-		head.setDownstream(s)
-		head = s
-	}
-}
-
-// stageEmpty reports whether a table is known to announce nothing; false
-// when unknown. Merge inputs use it to skip per-route other-side lookups
-// wholesale during table loads.
-func stageEmpty(s Table) bool {
-	if e, ok := s.(interface{ Empty() bool }); ok {
-		return e.Empty()
-	}
-	return false
-}
-
-// runEmitter coalesces a stage's emissions into runs: consecutive Adds
-// (or Deletes) accumulate and ship downstream as one run; a Replace or a
-// kind switch flushes first, so the downstream stream is the same however
-// the input was cut. Callers must Flush (base.release) when done.
-type runEmitter struct {
-	next Stage
-	run  []route.Entry
-	kind byte // 'a' or 'd'
-}
-
-func (em *runEmitter) Add(e route.Entry) {
-	if em.kind != 'a' {
-		em.Flush()
-		em.kind = 'a'
-	}
-	em.run = append(em.run, e)
-}
-
-func (em *runEmitter) Delete(e route.Entry) {
-	if em.kind != 'd' {
-		em.Flush()
-		em.kind = 'd'
-	}
-	em.run = append(em.run, e)
-}
-
-func (em *runEmitter) Replace(old, new route.Entry) {
-	em.Flush()
-	if em.next != nil {
-		em.next.Replace(old, new)
-	}
-}
-
-// Flush ships the pending run downstream, then clears the buffer so the
-// idle scratch pins no interface names or tag slices.
-func (em *runEmitter) Flush() {
-	if len(em.run) == 0 {
-		return
-	}
-	if em.next != nil {
-		if em.kind == 'a' {
-			em.next.Add(em.run)
-		} else {
-			em.next.Delete(em.run)
-		}
-	}
-	clear(em.run)
-	em.run = em.run[:0]
-}
+// newBase returns a RIB stage's base: a run shares nothing but its op.
+func newBase(name string) core.Base[route.Entry] { return core.NewBase[route.Entry](name, nil) }
 
 // betterEntry decides between two entries for the same prefix: lower
 // administrative distance, then lower metric, then stable (a wins ties).
@@ -177,7 +73,7 @@ func betterEntry(a, b route.Entry) route.Entry {
 // that protocol's routes, a route.Stored under each prefix turned back into
 // the route.Entry on every read, and emits changes downstream.
 type OriginTable struct {
-	base
+	core.Base[route.Entry]
 	proto route.Protocol
 	ad    uint8
 	tbl   *trie.Table[route.Stored]
@@ -209,7 +105,7 @@ type OriginTable struct {
 // administrative distance.
 func NewOriginTable(proto route.Protocol) *OriginTable {
 	return &OriginTable{
-		base:  base{name: "origin(" + proto.String() + ")"},
+		Base:  newBase("origin(" + proto.String() + ")"),
 		proto: proto,
 		ad:    route.AdminDistance(proto),
 		tbl:   trie.New[route.Stored](),
@@ -280,7 +176,7 @@ func (o *OriginTable) SweepStale() int {
 // FIB) churn.
 func (o *OriginTable) AddRoutes(es []route.Entry) {
 	lockstep := o.lockstep()
-	em := o.emitter()
+	em := o.Emitter()
 	for _, e := range es {
 		e.Net = e.Net.Masked()
 		e.Protocol = o.proto
@@ -296,14 +192,14 @@ func (o *OriginTable) AddRoutes(es []route.Entry) {
 			em.Flush()
 		}
 	}
-	o.release(&em)
+	o.Release(&em)
 }
 
 // DeleteRoutes removes a run of routes and emits Delete runs. Missing
 // prefixes are skipped. Returns the number of routes actually removed.
 func (o *OriginTable) DeleteRoutes(nets []netip.Prefix) int {
 	lockstep := o.lockstep()
-	em := o.emitter()
+	em := o.Emitter()
 	removed := 0
 	for _, net := range nets {
 		net = net.Masked()
@@ -318,11 +214,11 @@ func (o *OriginTable) DeleteRoutes(nets []netip.Prefix) int {
 			em.Flush()
 		}
 	}
-	o.release(&em)
+	o.Release(&em)
 	return removed
 }
 
-// Empty reports whether the table announces nothing.
+// Empty implements bestSource.
 func (o *OriginTable) Empty() bool { return o.tbl.Len() == 0 }
 
 // Walk visits the stored routes.
@@ -330,25 +226,27 @@ func (o *OriginTable) Walk(fn func(route.Entry) bool) {
 	o.tbl.Walk(func(net netip.Prefix, e route.Stored) bool { return fn(e.Entry(net)) })
 }
 
-// Lookup implements Table.
-func (o *OriginTable) Lookup(net netip.Prefix) (route.Entry, bool) {
-	return getEntry(o.tbl, net)
+// Lookup implements core.Table.
+func (o *OriginTable) Lookup(net netip.Prefix, e *route.Entry) bool {
+	return getEntry(o.tbl, net, e)
 }
 
-// LookupBest implements Table; a miss rebuilds the zero entry.
+// LookupBest implements bestSource; a miss rebuilds the zero entry.
 func (o *OriginTable) LookupBest(addr netip.Addr) (route.Entry, bool) {
 	net, e, ok := o.tbl.LongestMatch(addr)
 	return e.Entry(net), ok
 }
 
-// getEntry returns the route a table holds exactly at net, rebuilt from
-// the key it is filed under — net masked, not net as the caller wrote it.
-func getEntry(tbl *trie.Table[route.Stored], net netip.Prefix) (route.Entry, bool) {
+// getEntry writes the route a table holds exactly at net into e, rebuilt
+// from the key it is filed under — net masked, not net as the caller wrote
+// it.
+func getEntry(tbl *trie.Table[route.Stored], net netip.Prefix, e *route.Entry) bool {
 	net = net.Masked()
-	if e, ok := tbl.Get(net); ok {
-		return e.Entry(net), true
+	s, ok := tbl.Get(net)
+	if ok {
+		*e = s.Entry(net)
 	}
-	return route.Entry{}, false
+	return ok
 }
 
 // MergeStage combines two route streams, preferring the lower
@@ -357,24 +255,29 @@ func getEntry(tbl *trie.Table[route.Stored], net netip.Prefix) (route.Entry, boo
 // decision-making, which we prefer, since it better supports future
 // extensions").
 type MergeStage struct {
-	base
-	a, b Table // a is the preferred side on full ties
+	core.Base[route.Entry]
+	a, b bestSource // a is the preferred side on full ties
+	// answer is where b's Lookup answer lands (see mergeInput.answer).
+	answer route.Entry
 }
 
 // NewMergeStage merges parents a and b.
-func NewMergeStage(name string, a, b Table) *MergeStage {
-	m := &MergeStage{base: base{name: name}, a: a, b: b}
-	a.setDownstream(&mergeInput{m: m, other: b})
-	b.setDownstream(&mergeInput{m: m, other: a})
+func NewMergeStage(name string, a, b bestSource) *MergeStage {
+	m := &MergeStage{Base: newBase(name), a: a, b: b}
+	core.Plumb[route.Entry](a, &mergeInput{Base: newBase(name), m: m, other: b})
+	core.Plumb[route.Entry](b, &mergeInput{Base: newBase(name), m: m, other: a})
 	return m
 }
 
 // mergeInput adapts one parent's stream, remembering which side the
 // message came from. It emits through the merge stage's scratch.
 type mergeInput struct {
-	base
+	core.Base[route.Entry]
 	m     *MergeStage
-	other Table
+	other bestSource
+	// answer is where the other side's Lookup answer lands: a local handed
+	// to an interface method would be on the heap, one allocation per call.
+	answer route.Entry
 }
 
 // Add arbitrates a run of routes new on this side. When the other parent
@@ -382,79 +285,72 @@ type mergeInput struct {
 // table), the whole run passes through without per-route other-side
 // lookups.
 func (mi *mergeInput) Add(run []route.Entry) {
-	if stageEmpty(mi.other) {
-		if mi.m.next != nil {
-			mi.m.next.Add(run)
-		}
+	if mi.other.Empty() {
+		mi.m.Pass(core.OpAdd, run)
 		return
 	}
-	em := mi.m.emitter()
+	em := mi.m.Emitter()
 	for _, e := range run {
-		other, ok := mi.other.Lookup(e.Net)
-		if !ok {
+		if !mi.other.Lookup(e.Net, &mi.answer) {
 			em.Add(e)
 			continue
 		}
 		// e is new on this side; other was the winner before.
+		other := mi.answer
 		if winner := betterEntry(other, e); winner.Equal(e) && !other.Equal(e) {
 			em.Replace(other, e)
 		}
 	}
-	mi.m.release(&em)
+	mi.m.Release(&em)
 }
 
 func (mi *mergeInput) Replace(old, new route.Entry) {
 	prev, next := old, new
-	if other, ok := mi.other.Lookup(new.Net); ok {
-		prev, next = betterEntry(other, old), betterEntry(other, new)
+	if mi.other.Lookup(new.Net, &mi.answer) {
+		prev, next = betterEntry(mi.answer, old), betterEntry(mi.answer, new)
 	}
-	if mi.m.next != nil && !prev.Equal(next) {
-		mi.m.next.Replace(prev, next)
+	if s := mi.m.Next(); s != nil && !prev.Equal(next) {
+		s.Replace(prev, next)
 	}
 }
 
 // Delete is the Delete counterpart of Add.
 func (mi *mergeInput) Delete(run []route.Entry) {
-	if stageEmpty(mi.other) {
-		if mi.m.next != nil {
-			mi.m.next.Delete(run)
-		}
+	if mi.other.Empty() {
+		mi.m.Pass(core.OpDelete, run)
 		return
 	}
-	em := mi.m.emitter()
+	em := mi.m.Emitter()
 	for _, e := range run {
-		other, ok := mi.other.Lookup(e.Net)
-		if !ok {
+		if !mi.other.Lookup(e.Net, &mi.answer) {
 			em.Delete(e)
 			continue
 		}
 		// If the deleted route was the winner, the other side takes over.
+		other := mi.answer
 		if winner := betterEntry(other, e); winner.Equal(e) && !e.Equal(other) {
 			em.Replace(e, other)
 		}
 	}
-	mi.m.release(&em)
+	mi.m.Release(&em)
 }
 
 // Empty reports whether both parents announce nothing.
-func (m *MergeStage) Empty() bool { return stageEmpty(m.a) && stageEmpty(m.b) }
+func (m *MergeStage) Empty() bool { return m.a.Empty() && m.b.Empty() }
 
-// Lookup implements Table: the better of the two parents.
-func (m *MergeStage) Lookup(net netip.Prefix) (route.Entry, bool) {
-	ea, oka := m.a.Lookup(net)
-	eb, okb := m.b.Lookup(net)
+// Lookup implements core.Table: the better of the two parents.
+func (m *MergeStage) Lookup(net netip.Prefix, e *route.Entry) bool {
+	oka, okb := m.a.Lookup(net, e), m.b.Lookup(net, &m.answer)
 	switch {
 	case oka && okb:
-		return betterEntry(ea, eb), true
-	case oka:
-		return ea, true
+		*e = betterEntry(*e, m.answer)
 	case okb:
-		return eb, true
+		*e = m.answer
 	}
-	return route.Entry{}, false
+	return oka || okb
 }
 
-// LookupBest implements Table: the more specific parent match wins; on
+// LookupBest implements bestSource: the more specific parent match wins; on
 // equal specificity the better entry wins.
 func (m *MergeStage) LookupBest(addr netip.Addr) (route.Entry, bool) {
 	ea, oka := m.a.LookupBest(addr)

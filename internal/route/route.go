@@ -110,6 +110,9 @@ type Entry struct {
 	PolicyTags []uint32
 }
 
+// Prefix names the entry's prefix (core.Prefixed), for cache stages.
+func (e Entry) Prefix() netip.Prefix { return e.Net }
+
 // Equal reports whether two entries are identical (including tags).
 func (e Entry) Equal(o Entry) bool {
 	if e.Net != o.Net || e.NextHop != o.NextHop || e.IfName != o.IfName ||

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xorp/internal/bgp"
+	"xorp/internal/core"
 	"xorp/internal/eventloop"
 	"xorp/internal/fea"
 	"xorp/internal/finder"
@@ -117,7 +118,7 @@ func TestMetricSourceRetriesFailedLookup(t *testing.T) {
 
 	in := bgp.NewPeerIn(loop, &bgp.PeerHandle{Name: "p1"}, nil)
 	resolver := bgp.NewNexthopResolver("nexthop(p1)", &xrlMetricSource{stub: xif.NewRIBClient(router, "rib"), loop: router.Loop(), bgpTarget: "bgp"})
-	sink := bgp.NewCacheStage("sink", new(telemetry.Counter))
+	sink := core.NewCacheStage[bgp.Route]("sink", new(telemetry.Counter))
 	bgp.Plumb(in, resolver, sink)
 
 	net := mustP("20.1.0.0/16")
