@@ -84,7 +84,7 @@ now="$(run_side "$now_dir" "$logs/now.log" trickle 1 1 1)"
 failed "trickle --trace 1" "$was" "$now"
 bound="$(bound_of allocs_per_op)"
 for m in fwd.snapshots_per_txn fwd.apply_allocs_per_route rib.add_allocs_per_route \
-	bgp.group_encodes_per_route bgp.pipeline_allocs_per_route \
+	bgp.group_encodes_per_route bgp.bytes_per_member_route bgp.pipeline_allocs_per_route \
 	trie.persistent_insert_allocs xrl.codec_allocs_per_roundtrip; do
 	if [ "$(value "$was" "$m")" = null ]; then
 		echo "info layers $m: not reported at the base (not gated)"

@@ -113,11 +113,11 @@ term prefer-direct {
 			NextHop: netip.MustParseAddr("10.0.0.1"),
 		},
 	}
-	if filter(demo) == nil {
+	if filter.Apply(demo) == nil {
 		fmt.Println("  5-hop route: rejected by drop-long-paths")
 	}
 	demo.Attrs.ASPath = bgp.ASPath{{Type: bgp.SegSequence, ASes: []uint16{65002}}}
-	if out := filter(demo); out != nil && out.LocalPref == 200 {
+	if out := filter.Apply(demo); out != nil && out.LocalPref == 200 {
 		fmt.Println("  1-hop route: accepted with LOCAL_PREF 200")
 	}
 

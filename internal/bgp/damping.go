@@ -173,6 +173,7 @@ func (d *DampingStage) update(run []Route, current bool) {
 		if s.current, s.hasCurrent = r, current; !current {
 			s.current = Route{}
 		}
+		s.current.sole = false // it may leave later, when the mark is stale
 		d.evaluate(r.Net, s, &em)
 	}
 	d.Release(&em)

@@ -19,11 +19,19 @@ import (
 // changes automatically re-evaluate correctly. It finds the prefix in its
 // PeerIns' RIB-in and asks, in AddParent order, the other branches holding
 // it, any with resolver ops queued (they answer for routes the PeerIn may
-// have dropped) and any rooted elsewhere.
+// have dropped) and any rooted elsewhere. A route its PeerIn marked sole
+// has no other holder, so while no branch has ops queued or is rooted
+// elsewhere there is nobody to ask, and the decision does not look.
 type Decision struct {
 	core.Base[Route]
 	parents []branch
 	rib     *ribIn // the first PeerIn's
+	// foreign counts the branches not rooted at a PeerIn of rib, busy
+	// those whose resolver has ops queued (each resolver keeps it); a sole
+	// route needs no alternative only while both are 0.
+	foreign, busy int
+	// gets counts RIB-in lookups, for tests.
+	gets int
 	// answer is where each branch's Lookup answer lands: a local handed to
 	// an interface method would be on the heap, one allocation per call.
 	answer Route
@@ -61,6 +69,15 @@ func (d *Decision) AddParent(s core.Source[Route]) {
 			}
 		}
 	}
+	if b.in == nil {
+		d.foreign++
+	}
+	if b.res != nil {
+		b.res.busy = &d.busy
+		if len(b.res.queues) > 0 {
+			d.busy++
+		}
+	}
 	d.parents = append(d.parents, b)
 	core.Join[Route](s, d)
 }
@@ -69,6 +86,14 @@ func (d *Decision) AddParent(s core.Source[Route]) {
 func (d *Decision) RemoveParent(s core.Source[Route]) {
 	for i, p := range d.parents {
 		if p.Source == s {
+			if p.in == nil {
+				d.foreign--
+			}
+			if p.res != nil {
+				if p.res.busy = nil; len(p.res.queues) > 0 {
+					d.busy--
+				}
+			}
 			d.parents = append(d.parents[:i], d.parents[i+1:]...)
 			core.Join[Route](s, nil)
 			return
@@ -85,9 +110,14 @@ func (d *Decision) mark(who *holder, skip *Route) {
 
 // bestExcluding returns the best usable route for net among all branches,
 // and whether there is one, skipping any branch answer identical to skip
-// (the route whose change is being processed).
+// (the route whose change is being processed). A sole skip is net's only
+// route when every branch answers only for what the RIB-in holds.
 func (d *Decision) bestExcluding(net netip.Prefix, skip *Route) (best Route, ok bool) {
+	if skip != nil && skip.sole && d.foreign == 0 && d.busy == 0 {
+		return best, false
+	}
 	if d.rib != nil {
+		d.gets++
 		if s, held := d.rib.tbl.Get(net); held {
 			d.mark(s.who, skip)
 			for _, h := range s.who.list {
@@ -113,6 +143,7 @@ func (d *Decision) bestExcluding(net netip.Prefix, skip *Route) (best Route, ok 
 			best, ok = *r, true
 		}
 	}
+	best.sole = false
 	return best, ok
 }
 
@@ -130,7 +161,8 @@ func winner(own, alt Route, hasAlt bool) (Route, bool) {
 // winner is computed once per route against the other branches, losers
 // are skipped without materializing anything downstream, and consecutive
 // fresh winners stay one run. A winner that displaces a previous best
-// cuts the run and becomes a Replace at its position.
+// cuts the run and becomes a Replace at its position. Nothing the
+// decision emits carries a sole mark.
 func (d *Decision) Add(run []Route) {
 	em := d.Emitter()
 	for i := range run {
@@ -140,10 +172,12 @@ func (d *Decision) Add(run []Route) {
 			continue // loser: never materialized downstream
 		}
 		d.stamp(r.Net, false)
+		w := *r
+		w.sole = false
 		if displaces {
-			em.Replace(prevBest, *r)
+			em.Replace(prevBest, w)
 		} else {
-			em.Add(*r)
+			em.Add(w)
 		}
 	}
 	d.Release(&em)
@@ -174,6 +208,7 @@ func (d *Decision) Delete(run []Route) {
 
 // emitTransition emits the downstream messages for a winner change.
 func (d *Decision) emitTransition(prev Route, hadPrev bool, next Route, hasNext bool, em *core.Emitter[Route]) {
+	prev.sole, next.sole = false, false
 	switch {
 	case !hasNext && hadPrev:
 		d.stamp(prev.Net, true)

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"net/netip"
 
 	"xorp/internal/core"
@@ -71,11 +72,14 @@ func (d *DeletionStage) Done() bool { return d.done }
 // AttrPool returns the process attribute pool.
 func (p *Process) AttrPool() *AttrPool { return p.pool }
 
-// sink is a terminal stage collecting messages.
+// sink is a terminal stage collecting messages. Below the decision process
+// (belowDecision) a route reaching it with a sole mark is a mark that
+// outlived its moment: it panics.
 type sink struct {
 	core.Base[Route]
 	adds, replaces, deletes int
 	tbl                     map[netip.Prefix]Route
+	belowDecision           bool
 }
 
 func newSink(name string) *sink {
@@ -84,20 +88,30 @@ func newSink(name string) *sink {
 
 func (s *sink) Add(run []Route) {
 	for _, r := range run {
+		s.noMark(r)
 		s.adds++
 		s.tbl[r.Net] = r
 	}
 }
 
 func (s *sink) Replace(old, new Route) {
+	s.noMark(old)
+	s.noMark(new)
 	s.replaces++
 	s.tbl[new.Net] = new
 }
 
 func (s *sink) Delete(run []Route) {
 	for _, r := range run {
+		s.noMark(r)
 		s.deletes++
 		delete(s.tbl, r.Net)
+	}
+}
+
+func (s *sink) noMark(r Route) {
+	if s.belowDecision && r.sole {
+		panic(fmt.Sprintf("%v from %v reached the sink marked sole", r.Net, r.Src))
 	}
 }
 

@@ -45,12 +45,16 @@ func (s *runSink) Delete(run []Route) {
 // Fanout network with two branches takes 8- and 256-route runs, and their
 // withdrawals, without allocating. The fanout queues each run in storage it
 // reuses and hands every branch a subslice of it, capped at its end; the
-// entry that says where stays 128 bytes.
+// entry that says where stays 128 bytes, and a Route 56.
 func TestFanoutRunsAllocateNothing(t *testing.T) {
 	// A queued change is two routes and the run's place in the storage;
-	// holding the run's slice instead made it 144.
+	// holding the run's slice instead made it 144. The PeerIn's sole mark
+	// lives in a Route's padding.
 	if size := unsafe.Sizeof(fanoutEntry{}); size != 128 {
 		t.Errorf("a fanout entry is %d bytes, want 128", size)
+	}
+	if size := unsafe.Sizeof(Route{}); size != 56 {
+		t.Errorf("a Route is %d bytes, want 56", size)
 	}
 	for _, n := range []int{8, 256} {
 		loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
@@ -239,6 +243,43 @@ func TestResolverDrainsRuns(t *testing.T) {
 	loop.RunPending()
 	if out.runs != 1 || out.routes != 8 || out.bad != "" {
 		t.Fatalf("the branch took %d runs of %d routes in all (%s), want one of 8", out.runs, out.routes, out.bad)
+	}
+}
+
+// TestSyncAnswerKeepsTheRun: a 64-NLRI UPDATE on a nexthop the resolver has
+// not seen, under a source that answers inside the query
+// (StaticMetricSource). The first route waits for the answer and is
+// released inside the resolver's call, where the rest of the run joins it:
+// the UPDATE reaches the decision process as one run, and each member of
+// the group it fans out to gets one UPDATE.
+func TestSyncAnswerKeepsTheRun(t *testing.T) {
+	const n = 64
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	dec, fan := NewDecision("decision"), NewFanout("fanout", loop)
+	Plumb(dec, fan)
+	g := NewGroupOut("rs")
+	bank := NewFilterBank("out-filter(group:rs)", FilterEBGPExport(65000, mustA("192.0.2.1")))
+	Plumb(bank, g)
+	fan.AddGroupBranch("group:rs", bank)
+	sent := make([]int, 3)
+	for i := range sent {
+		h := testPeer(fmt.Sprintf("m%d", i), fmt.Sprintf("10.0.1.%d", i+1), uint16(65010+i), false)
+		if err := g.AddMember(h, GroupSenderFunc(func([]byte) { sent[i]++ })); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := NewPeerIn(loop, testPeer("p1", "10.0.0.1", 65001, false), NewAttrPool())
+	res, rec := NewNexthopResolver("nexthop(p1)", &StaticMetricSource{}), &runRecorder{}
+	Plumb(in, res, rec)
+	dec.AddParent(rec)
+
+	in.ReceiveUpdate(&UpdateMsg{Attrs: attrsVia("10.0.0.1", 65001), NLRI: ownNets(7, n)}, 65000)
+	loop.RunPending()
+	if !slices.Equal(rec.runs, []int{n}) || res.PendingOps() != 0 {
+		t.Fatalf("the UPDATE reached the decision process as runs %v with %d ops left queued, want one run of %d", rec.runs, res.PendingOps(), n)
+	}
+	if !slices.Equal(sent, []int{1, 1, 1}) || g.AnnouncedCount() != n {
+		t.Fatalf("members were sent %v UPDATEs for %d routes announced, want one each for %d", sent, g.AnnouncedCount(), n)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestFilterEBGPExport(t *testing.T) {
 			HasLocalPref: true,
 		},
 	}
-	out := f(in)
+	out := f.Apply(in)
 	if out == nil {
 		t.Fatal("export filter dropped the route")
 	}
@@ -44,14 +44,14 @@ func TestFilterEBGPExport(t *testing.T) {
 func TestFilterIBGPExport(t *testing.T) {
 	f := FilterIBGPExport()
 	in := &Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}
-	out := f(in)
+	out := f.Apply(in)
 	if !out.HasLocalPref || out.LocalPref != 100 {
 		t.Fatalf("LOCAL_PREF default not applied: %+v", out)
 	}
 	// Already-set LOCAL_PREF passes through unchanged, same object.
 	in2 := &Route{Net: in.Net, Attrs: in.Attrs.Clone()}
 	in2.Attrs.HasLocalPref, in2.Attrs.LocalPref = true, 300
-	if got := f(in2); got != in2.Attrs {
+	if got := f.Apply(in2); got != in2.Attrs {
 		t.Fatal("already-set LOCAL_PREF route was copied")
 	}
 }
@@ -114,11 +114,11 @@ func TestExportRewriteMatchesDeepClone(t *testing.T) {
 		before := appendAttrKey(nil, a)
 		f := FilterEBGPExport(65000, localAddr)
 		r := &Route{Net: mustP("10.1.0.0/16"), Attrs: a}
-		got, want := f(r), naiveEBGPExport(a, 65000, localAddr)
+		got, want := f.Apply(r), naiveEBGPExport(a, 65000, localAddr)
 		if !got.Equal(want) {
 			t.Fatalf("case %d: sharing rewrite %+v, deep-copy reference %+v", i, got, want)
 		}
-		if again := f(&Route{Net: mustP("10.2.0.0/16"), Attrs: a}); again != got {
+		if again := f.Apply(&Route{Net: mustP("10.2.0.0/16"), Attrs: a}); again != got {
 			t.Fatalf("case %d: a second route under the same set got another set", i)
 		}
 		if after := appendAttrKey(nil, a); !bytes.Equal(before, after) {
@@ -133,23 +133,77 @@ func TestExportRewriteMatchesDeepClone(t *testing.T) {
 // FilterDropIfNexthopEquals drops routes whose NEXT_HOP equals addr
 // (e.g. our own address: RFC 4271 §9.1.2).
 func FilterDropIfNexthopEquals(addr netip.Addr) Filter {
-	return func(r *Route) *PathAttrs {
+	return FilterFunc(func(r *Route) *PathAttrs {
 		if r.Attrs.NextHop == addr {
 			return nil
 		}
 		return r.Attrs
-	}
+	})
 }
 
 func TestFilterDropIfNexthopEquals(t *testing.T) {
 	f := FilterDropIfNexthopEquals(mustA("192.168.1.1"))
 	own := &Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("192.168.1.1", 65001)}
 	other := &Route{Net: mustP("10.1.0.0/16"), Attrs: attrsVia("10.0.0.1", 65001)}
-	if f(own) != nil {
+	if f.Apply(own) != nil {
 		t.Fatal("route via our own address not dropped")
 	}
-	if f(other) == nil {
+	if f.Apply(other) == nil {
 		t.Fatal("innocent route dropped")
+	}
+}
+
+// TestExportBankJudgesWithdrawals: an export bank of [a judge dropping one
+// nexthop, FilterEBGPExport] into a group. A withdrawal is judged and not
+// rewritten: of the routes announced, the withdrawals of those the judge
+// dropped are not sent and those of the routes it passed are, and the
+// transform's rewrite is called for neither (it saw another set last), nor
+// for a Replace's old side.
+func TestExportBankJudgesWithdrawals(t *testing.T) {
+	export := FilterEBGPExport(65000, mustA("192.0.2.1")).(*rewriter)
+	rewrite, rewrites := export.rewrite, 0
+	export.rewrite = func(in *PathAttrs) *PathAttrs { rewrites++; return rewrite(in) }
+	bank := NewFilterBank("out-filter(group:rs)", FilterDropIfNexthopEquals(mustA("10.0.0.1")), export)
+	g := NewGroupOut("rs")
+	Plumb(bank, g)
+	sent := 0
+	if err := g.AddMember(testPeer("m", "10.0.1.1", 65010, false), GroupSenderFunc(func([]byte) { sent++ })); err != nil {
+		t.Fatal(err)
+	}
+	src := testPeer("src", "10.0.0.9", 65009, false)
+	run := func(second byte, nh string) []Route {
+		attrs := attrsVia(nh, 65009)
+		var run []Route
+		for i := 0; i < 4; i++ {
+			net := netip.PrefixFrom(netip.AddrFrom4([4]byte{20, second, byte(i), 0}), 24)
+			run = append(run, Route{Net: net, Attrs: attrs, Src: src, Resolvable: true})
+		}
+		return run
+	}
+	dropped, passed, other := run(1, "10.0.0.1"), run(2, "10.0.0.2"), run(3, "10.0.0.3")
+	bank.Add(dropped)
+	bank.Add(passed)
+	bank.Add(other)
+	if sent != 2 || rewrites != 2 || g.AnnouncedCount() != 8 {
+		t.Fatalf("announcing: %d UPDATEs sent, %d rewrites, %d routes announced; want 2, 2 and 8", sent, rewrites, g.AnnouncedCount())
+	}
+	sent, rewrites = 0, 0
+	if bank.Delete(dropped); sent != 0 {
+		t.Fatalf("withdrawing the dropped routes sent %d UPDATEs, want none", sent)
+	}
+	if bank.Delete(passed); sent != 1 || g.AnnouncedCount() != 4 {
+		t.Fatalf("withdrawing the passed routes sent %d UPDATEs and leaves %d announced, want 1 and 4", sent, g.AnnouncedCount())
+	}
+	if rewrites != 0 {
+		t.Fatalf("the withdrawals called the rewrite %d times, want 0", rewrites)
+	}
+	bank.Add(passed[:1]) // the rewrite sees passed's set last
+	rewrites = 0
+	next := other[0]
+	next.Attrs = passed[0].Attrs
+	bank.Replace(other[0], next)
+	if rewrites != 0 {
+		t.Fatalf("a Replace under the set the rewrite saw last called it %d times for its old side, want 0", rewrites)
 	}
 }
 

@@ -46,14 +46,19 @@ func (s *StaticMetricSource) WatchInvalidation(func(covering netip.Prefix)) {}
 // received; this avoids the need for the Decision Process to wait on
 // asynchronous operations", §5.1.1).
 // An add has no old side and a delete no new one; only a new side needs a
-// nexthop and can wait.
+// nexthop and can wait. call is the stage call that queued the op: the
+// PeerIn's sole mark holds only if the op leaves within it.
 type pendingOp struct {
 	op       core.Op
 	old, new Route
+	call     uint64
 }
 
 // held returns what downstream holds while the op waits: its old side.
-func (p pendingOp) held() (Route, bool) { return p.old, p.op != core.OpAdd }
+func (p pendingOp) held() (Route, bool) {
+	p.old.sole = false
+	return p.old, p.op != core.OpAdd
+}
 
 // nexthopEntry is what the resolver knows about one nexthop. Every route via
 // the nexthop that downstream holds carries exactly info, so an entry is
@@ -78,7 +83,8 @@ type nexthopEntry struct {
 //
 // The stage keeps one emitter for its lifetime instead of one per call: an
 // answer may arrive synchronously, inside the call that asked, and what it
-// releases must queue behind what that call has emitted so far.
+// releases must queue behind what that call has emitted so far, in the same
+// run where it can join it.
 type NexthopResolver struct {
 	core.Base[Route]
 	em  core.Emitter[Route]
@@ -93,6 +99,15 @@ type NexthopResolver struct {
 	queues   map[netip.Prefix][]pendingOp
 	inflight map[netip.Addr]bool
 	waiters  map[netip.Addr][]netip.Prefix
+	// busy, once the resolver feeds a Decision, is its count of branches
+	// whose resolver has ops queued: this one counts itself while queues
+	// is not empty.
+	busy *int
+	// inCall is set while stage call number call runs: an answer arriving
+	// inside it (a synchronous source) leaves what it releases in the run
+	// the call is building, which the call flushes.
+	inCall bool
+	call   uint64
 }
 
 // NewNexthopResolver returns a resolver stage backed by src.
@@ -151,6 +166,7 @@ func (n *NexthopResolver) annotate(r *Route) bool {
 // through the queue at its position, and an unresolved nexthop queues
 // every route (the first issues the query, the rest wait behind it).
 func (n *NexthopResolver) Add(run []Route) {
+	n.begin()
 	nh := run[0].Attrs.NextHop
 	e := n.nexthops[nh]
 	resolved := e != nil && !e.stale
@@ -164,21 +180,35 @@ func (n *NexthopResolver) Add(run []Route) {
 		e.stamp(&r)
 		n.em.Add(r)
 	}
-	n.em.Flush()
+	n.flush()
 }
 
 // Replace implements Stage.
 func (n *NexthopResolver) Replace(old, new Route) {
+	n.begin()
 	n.submit(pendingOp{op: core.OpReplace, old: old, new: new})
-	n.em.Flush()
+	n.flush()
 }
 
 // Delete implements Stage: the withdrawals with nothing queued ahead of
 // them go on as one run.
 func (n *NexthopResolver) Delete(run []Route) {
+	n.begin()
 	for _, r := range run {
 		n.submit(pendingOp{op: core.OpDelete, old: r})
 	}
+	n.flush()
+}
+
+// begin starts a stage call.
+func (n *NexthopResolver) begin() {
+	n.inCall = true
+	n.call++
+}
+
+// flush ends a stage call: it sends the run the call built.
+func (n *NexthopResolver) flush() {
+	n.inCall = false
 	n.em.Flush()
 }
 
@@ -192,6 +222,10 @@ func (n *NexthopResolver) submit(op pendingOp) {
 	if len(n.queues[net]) == 0 && (op.op == core.OpDelete || n.resolved(op.new.Attrs.NextHop)) {
 		n.forward(op)
 	} else {
+		if len(n.queues) == 0 && n.busy != nil {
+			*n.busy++
+		}
+		op.call = n.call
 		n.queues[net] = append(n.queues[net], op)
 		n.drain(net)
 	}
@@ -201,7 +235,9 @@ func (n *NexthopResolver) submit(op pendingOp) {
 // deletes always, adds/replaces once their nexthop is resolved. When the
 // head needs an unresolved nexthop, a query is issued (once) and the queue
 // waits. An op leaves the queue before it goes out, because downstream
-// looks back up through this stage while handling it. Ready adds join the
+// looks back up through this stage while handling it; one that leaves after
+// the stage call that queued it loses the PeerIn's sole mark, which speaks
+// only for the moment the PeerIn sent it. Ready adds join the
 // run being built, which goes out before any other op leaves the queue:
 // an add in it must look up as what that op replaces. A delete joins a
 // run too, which goes out before the next op of its net leaves.
@@ -216,9 +252,14 @@ func (n *NexthopResolver) drain(net netip.Prefix) {
 			n.em.Flush()
 		}
 		if len(q) == 1 {
-			delete(n.queues, net)
+			if delete(n.queues, net); len(n.queues) == 0 && n.busy != nil {
+				*n.busy--
+			}
 		} else {
 			n.queues[net] = q[1:]
+		}
+		if !n.inCall || op.call != n.call {
+			op.old.sole, op.new.sole = false, false
 		}
 		n.forward(op)
 		if op.op == core.OpDelete && len(q) > 1 {
@@ -267,7 +308,9 @@ func (n *NexthopResolver) answered(nh netip.Addr, info NexthopInfo) {
 	for _, net := range nets {
 		n.drain(net)
 	}
-	n.em.Flush()
+	if !n.inCall {
+		n.em.Flush()
+	}
 }
 
 // forward annotates and emits one op; the emitter cuts an add run where

@@ -249,7 +249,7 @@ func (x *refMember) view(r *Route) *Route {
 		return nil
 	}
 	for _, f := range x.export {
-		a := f(r)
+		a := f.Apply(r)
 		if a == nil {
 			return nil
 		}
@@ -459,20 +459,20 @@ func oraclePolicies(r *rand.Rand) []Filter {
 	var policy []Filter
 	if r.Intn(2) == 0 {
 		maxBits := 20 + r.Intn(30)
-		policy = append(policy, func(rt *Route) *PathAttrs {
+		policy = append(policy, FilterFunc(func(rt *Route) *PathAttrs {
 			if rt.Net.Bits() > maxBits && rt.Net.Addr().Is4() {
 				return nil
 			}
 			return rt.Attrs
-		})
+		}))
 	}
 	if r.Intn(2) == 0 {
 		med := uint32(r.Intn(500))
-		policy = append(policy, func(rt *Route) *PathAttrs {
+		policy = append(policy, FilterFunc(func(rt *Route) *PathAttrs {
 			a := rt.Attrs.Clone()
 			a.MED, a.HasMED = med, true
 			return a
-		})
+		}))
 	}
 	return policy
 }

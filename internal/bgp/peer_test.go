@@ -428,7 +428,7 @@ func TestSessionlessPeersCostNothing(t *testing.T) {
 		peer, _ := p.Peer(name)
 		groups = append(groups, peer.group.out)
 		bank := p.fanout.branches[name].head.(*FilterBank)
-		bank.filters = append(bank.filters, func(r *Route) *PathAttrs { filterCalls++; return r.Attrs })
+		bank.filters = append(bank.filters, FilterFunc(func(r *Route) *PathAttrs { filterCalls++; return r.Attrs }))
 	}
 	net := mustP("10.40.0.0/16")
 	msgs := []*UpdateMsg{

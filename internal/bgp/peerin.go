@@ -78,11 +78,13 @@ func (p *PeerIn) Announce(net netip.Prefix, attrs *PathAttrs) {
 // every one of nets. A fresh prefix joins the run being built; a prefix the
 // peer already announced sends the run so far on and becomes a Replace.
 // The run may go on after it: one holding the prefix stored these attrs.
+// Each announced route is marked sole when the peer is the prefix's only
+// holder.
 func (p *PeerIn) announce(attrs *PathAttrs, nets ...netip.Prefix) {
 	em := p.Emitter()
 	for _, net := range nets {
 		net = net.Masked()
-		old, existed := p.rib.put(net, p.who, attrs)
+		old, existed, sole := p.rib.put(net, p.who, attrs)
 		if existed {
 			em.Flush()
 			p.pool.Release(old)
@@ -90,18 +92,21 @@ func (p *PeerIn) announce(attrs *PathAttrs, nets ...netip.Prefix) {
 		if p.tracer.On(telemetry.StagePeerIn) {
 			p.tracer.Stamp(telemetry.StagePeerIn, net)
 		}
+		r := p.route(net, attrs)
+		r.sole = sole
 		switch {
 		case !existed:
-			em.Add(p.route(net, attrs))
+			em.Add(r)
 		case !old.Equal(attrs): // else a duplicate announcement, nothing changed
-			em.Replace(p.route(net, old), p.route(net, attrs))
+			em.Replace(p.route(net, old), r)
 		}
 	}
 	p.Release(&em)
 }
 
-// Withdraw removes routes and emits them downstream as one Delete run.
-// Unknown prefixes are ignored (RFC 4271 tolerates spurious withdrawals).
+// Withdraw removes routes and emits them downstream as one Delete run, each
+// marked sole when no holder of its prefix is left. Unknown prefixes are
+// ignored (RFC 4271 tolerates spurious withdrawals).
 func (p *PeerIn) Withdraw(nets ...netip.Prefix) {
 	em := p.Emitter()
 	for _, net := range nets {
@@ -109,12 +114,14 @@ func (p *PeerIn) Withdraw(nets ...netip.Prefix) {
 		if p.tracer.On(telemetry.StagePeerIn) {
 			p.tracer.StampOp(telemetry.StagePeerIn, net, true)
 		}
-		old, existed := p.rib.remove(net, p.who)
+		old, existed, last := p.rib.remove(net, p.who)
 		if !existed {
 			continue
 		}
 		p.pool.Release(old)
-		em.Delete(p.route(net, old))
+		r := p.route(net, old)
+		r.sole = last
+		em.Delete(r)
 	}
 	p.Release(&em)
 }
@@ -180,7 +187,7 @@ func (d *DeletionStage) step() bool {
 	})
 	em := d.Emitter()
 	for _, net := range d.batch {
-		attrs, _ := d.rib.remove(net, d.who)
+		attrs, _, _ := d.rib.remove(net, d.who)
 		d.pool.Release(attrs)
 		em.Delete(d.route(net, attrs))
 	}
@@ -216,7 +223,7 @@ func (d *DeletionStage) finish() {
 func (d *DeletionStage) Add(run []Route) {
 	em := d.Emitter()
 	for _, r := range run {
-		if old, held := d.rib.remove(r.Net, d.who); held {
+		if old, held, _ := d.rib.remove(r.Net, d.who); held {
 			d.pool.Release(old)
 			em.Replace(d.route(r.Net, old), r)
 		} else {
@@ -230,7 +237,7 @@ func (d *DeletionStage) Add(run []Route) {
 // Replace passes through; if we somehow still hold the prefix, drop our
 // stale copy first (downstream already saw the new route's Add).
 func (d *DeletionStage) Replace(old, new Route) {
-	if stale, held := d.rib.remove(new.Net, d.who); held {
+	if stale, held, _ := d.rib.remove(new.Net, d.who); held {
 		d.pool.Release(stale)
 	}
 	if next := d.Next(); next != nil {

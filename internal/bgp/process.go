@@ -322,7 +322,7 @@ func (s *ribSinkStage) shipRun(run []ribOp) {
 
 // AddPeer configures a peering and builds its input/output branches:
 //
-//	PeerIn → [damping] → in-filter → nexthop-resolver → Decision
+//	PeerIn → [damping] → nexthop-resolver → Decision
 //	Fanout → out-filter → GroupOut → each member's session
 //
 // Every output branch ends in a GroupOut. Peers naming the same cfg.Group
@@ -353,13 +353,11 @@ func (p *Process) AddPeer(cfg PeerConfig) (*Peer, error) {
 	peer.peerin = NewPeerIn(p.loop, peer.handle, p.pool)
 	peer.peerin.tracer = p.tracer
 	peer.peerin.loopRoutes = p.mLoopRoutes
-	inFilter := NewFilterBank("in-filter(" + cfg.Name + ")")
 	resolver := NewNexthopResolver("nexthop("+cfg.Name+")", p.metricSrc)
 	if p.cfg.EnableDamping {
-		damp := NewDampingStage("damping("+cfg.Name+")", p.loop)
-		Plumb(peer.peerin, damp, inFilter, resolver)
+		Plumb(peer.peerin, NewDampingStage("damping("+cfg.Name+")", p.loop), resolver)
 	} else {
-		Plumb(peer.peerin, inFilter, resolver)
+		Plumb(peer.peerin, resolver)
 	}
 
 	g, ok := p.groups[cfg.Group] // never holds ""

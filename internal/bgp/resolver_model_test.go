@@ -197,7 +197,7 @@ func newResolverModel(t *testing.T, seed int64, cloning, damping bool) *resolver
 	}
 	filter := NewFilterBank("in-filter(p1)")
 	if cloning {
-		filter = NewFilterBank("in-filter(p1)", modelCloningFilter)
+		filter = NewFilterBank("in-filter(p1)", FilterFunc(modelCloningFilter))
 	}
 	Plumb(m.in, append(stages, filter, m.res, m.rec)...)
 	return m

@@ -47,16 +47,17 @@ func (t *ribIn) ref(s *ribSlot, who *holder) *ribSlot {
 	return nil
 }
 
-// put stores who's route for net in one trie walk; it returns the old one.
-func (t *ribIn) put(net netip.Prefix, who *holder, attrs *PathAttrs) (old *PathAttrs, existed bool) {
+// put stores who's route for net in one trie walk; it returns the old one,
+// and whether who is now net's only holder.
+func (t *ribIn) put(net netip.Prefix, who *holder, attrs *PathAttrs) (old *PathAttrs, existed, sole bool) {
 	t.tbl.Update(net, func(s *ribSlot, inUse bool) bool {
 		if h := t.ref(s, who); h != nil {
-			old, existed, h.attrs = h.attrs, true, attrs
+			old, existed, sole, h.attrs = h.attrs, true, h == s, attrs
 			return true
 		}
 		switch {
 		case !inUse:
-			*s = ribSlot{attrs, who}
+			*s, sole = ribSlot{attrs, who}, true
 		case s.who.in != nil: // a second holder: the slot becomes a list
 			if len(t.spare) == 0 {
 				t.spare = append(t.spare, new(holder))
@@ -72,11 +73,12 @@ func (t *ribIn) put(net netip.Prefix, who *holder, attrs *PathAttrs) (old *PathA
 		t.n, who.n = t.n+1, who.n+1
 		return true
 	})
-	return old, existed
+	return old, existed, sole
 }
 
-// remove drops who's route for net in one trie walk; it returns it.
-func (t *ribIn) remove(net netip.Prefix, who *holder) (old *PathAttrs, existed bool) {
+// remove drops who's route for net in one trie walk; it returns it, and
+// whether no holder of net is left.
+func (t *ribIn) remove(net netip.Prefix, who *holder) (old *PathAttrs, existed, last bool) {
 	t.tbl.Update(net, func(s *ribSlot, inUse bool) bool {
 		h := t.ref(s, who)
 		if h == nil {
@@ -85,6 +87,7 @@ func (t *ribIn) remove(net netip.Prefix, who *holder) (old *PathAttrs, existed b
 		old, existed = h.attrs, true
 		t.n, who.n = t.n-1, who.n-1
 		if h == s {
+			last = true
 			return false // the only holder
 		}
 		l := s.who
@@ -96,7 +99,7 @@ func (t *ribIn) remove(net netip.Prefix, who *holder) (old *PathAttrs, existed b
 		}
 		return true
 	})
-	return old, existed
+	return old, existed, last
 }
 
 // inTable is one holder's view of the RIB-in: per prefix an attribute

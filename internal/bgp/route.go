@@ -54,6 +54,14 @@ type Route struct {
 	// arrives as a Replace.
 	IGPMetric  uint32
 	Resolvable bool
+
+	// sole is the PeerIn's word on the moment it emitted the route: its
+	// peer is the prefix's only holder (an announcement) or none is left (a
+	// withdrawal), so the decision process need not look for alternatives
+	// (Decision.bestExcluding). It lives in the struct's padding and is
+	// false on every route built any other way; a stage that keeps a route
+	// to emit later clears it, and Decision clears it on all it emits.
+	sole bool
 }
 
 // LocalPrefOrDefault returns LOCAL_PREF with the RFC default of 100 when

@@ -82,17 +82,17 @@ func segUpdates(ops []segOp, cut func(n int) bool) []oracleEvent {
 // deletion stage has to cut runs).
 func TestSegmentationInvariant(t *testing.T) {
 	policy := []Filter{
-		func(rt *Route) *PathAttrs {
+		FilterFunc(func(rt *Route) *PathAttrs {
 			if rt.Net.Bits()%5 == 0 {
 				return nil
 			}
 			return rt.Attrs
-		},
-		func(rt *Route) *PathAttrs {
+		}),
+		FilterFunc(func(rt *Route) *PathAttrs {
 			a := rt.Attrs.Clone()
 			a.MED, a.HasMED = uint32(rt.Net.Bits()%3), true
 			return a
-		},
+		}),
 	}
 	members := []struct {
 		name, addr string

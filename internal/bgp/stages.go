@@ -11,6 +11,12 @@ import (
 // (core.Table), which every stage but the RIB sink answers, upstream. A
 // route is a value: a message carries its own copy and a Lookup fills the
 // asker's, so what a stage is handed or answered is its own to keep.
+//
+// A withdrawal (a Delete, a Replace's old side) names a route by prefix and
+// source. Below a FilterBank it carries the set the bank's judges made of
+// it, not the export transforms' rewrite: nothing below an export bank reads
+// a withdrawn route's set (the group withdraws by prefix, a cache stage
+// deletes by prefix), and Lookup answers still come through the whole chain.
 type Stage = core.Stage[Route]
 
 // Plumb links a source and stages left-to-right: Plumb(a, b, c) wires

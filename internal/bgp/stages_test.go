@@ -47,6 +47,7 @@ func newTestRouter(t *testing.T, localAS uint16) *testRouter {
 	}
 	Plumb(tr.decision, tr.fanout)
 	tr.cache.Panic = true
+	tr.sink.belowDecision = true
 	Plumb(tr.cache, tr.sink)
 	// The "RIB branch" of the fanout goes through the consistency cache.
 	tr.fanout.AddGroupBranch("rib", tr.cache)
@@ -511,17 +512,17 @@ func TestFilterBankDropAndModify(t *testing.T) {
 	// Drop everything in 10.66.0.0/16; add MED 99 to everything else.
 	drop := mustP("10.66.0.0/16")
 	p1.filter.filters = []Filter{
-		func(r *Route) *PathAttrs {
+		FilterFunc(func(r *Route) *PathAttrs {
 			if drop.Contains(r.Net.Addr()) {
 				return nil
 			}
 			return r.Attrs
-		},
-		func(r *Route) *PathAttrs {
+		}),
+		FilterFunc(func(r *Route) *PathAttrs {
 			a := r.Attrs.Clone()
 			a.MED, a.HasMED = 99, true
 			return a
-		},
+		}),
 	}
 	p1.peerin.Announce(mustP("10.66.1.0/24"), attrsVia("10.0.0.1", 65001))
 	p1.peerin.Announce(mustP("10.70.1.0/24"), attrsVia("10.0.0.1", 65001))

@@ -173,7 +173,7 @@ func TestEncodeAllocs(t *testing.T) {
 	rewrite := testing.AllocsPerRun(100, func() {
 		r.Attrs = ins[0]
 		ins[0], ins[1] = ins[1], ins[0]
-		out = export(&r)
+		out = export.Apply(&r)
 	})
 	if got := out.ASPath.String(); got != "64512 65001 65002 65003" {
 		t.Fatalf("rewritten path %q", got)

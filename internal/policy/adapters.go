@@ -97,14 +97,14 @@ func (b *bgpRoute) Set(attr string, v Value) error {
 // BGPFilter compiles a policy into a BGP filter-bank filter: rejected
 // routes drop, accepted/passed routes continue (possibly modified).
 func BGPFilter(p *Policy) bgp.Filter {
-	return func(r *bgp.Route) *bgp.PathAttrs {
+	return bgp.FilterFunc(func(r *bgp.Route) *bgp.PathAttrs {
 		ad := &bgpRoute{r: r, attrs: r.Attrs}
 		act, err := p.Execute(ad)
 		if err != nil || act == ActionReject {
 			return nil
 		}
 		return ad.attrs
-	}
+	})
 }
 
 // ribEntry adapts a route.Entry.

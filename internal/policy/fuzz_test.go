@@ -41,7 +41,7 @@ func verdicts(p *Policy) string {
 	}
 	filter := BGPFilter(p)
 	for _, r := range fuzzBGPRoutes() {
-		if out := filter(&r); out != nil {
+		if out := filter.Apply(&r); out != nil {
 			fmt.Fprintf(&sb, "bgp %+v\n", *out)
 		} else {
 			sb.WriteString("bgp drop\n")

@@ -171,22 +171,22 @@ term prefer-short {
 			},
 		}
 	}
-	if f(mk("192.168.5.0/24", 65001)) != nil {
+	if f.Apply(mk("192.168.5.0/24", 65001)) != nil {
 		t.Fatal("martian not dropped")
 	}
-	out := f(mk("10.0.0.0/8", 65001, 65002))
+	out := f.Apply(mk("10.0.0.0/8", 65001, 65002))
 	if out == nil || !out.HasLocalPref || out.LocalPref != 200 {
 		t.Fatalf("short path not preferred: %+v", out)
 	}
 	// The original route must be untouched (immutability).
 	orig := mk("10.0.0.0/8", 65001)
-	f(orig)
+	f.Apply(orig)
 	if orig.Attrs.HasLocalPref {
 		t.Fatal("policy mutated the original route")
 	}
 	// Long path: no term decides; route passes unmodified.
 	long := mk("10.0.0.0/8", 1, 2, 3, 4)
-	if out := f(long); out != long.Attrs {
+	if out := f.Apply(long); out != long.Attrs {
 		t.Fatal("unmatched route was copied or dropped")
 	}
 }
