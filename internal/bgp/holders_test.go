@@ -386,20 +386,12 @@ func bytesPerRouteRouter(clients, routesEach int, shared bool) (keep any, routes
 // TestBGPBytesPerRoute pins the live heap a route costs across the BGP
 // stage network of a route server, and the part of it the collector scans
 // on every cycle (/gc/scan/heap:bytes). With every client on prefixes of
-// its own: the RIB-in's 48-byte valued node (a 32-byte header and a
-// 16-byte slot in one allocation) and its glue, and nothing in the group,
-// which keeps no adj-RIB-out. It measures 86 B, 85 scanned; each bound is
-// 8 % above. With a 40-byte node header it measured 102 B (101 scanned),
-// with a 48-byte one 119 B, with the
-// mutable Trie's 56-byte node and separate slot 135 B, with
-// the group's prefix → {attrs, source} map 209 B
-// (203 with a trie of bare attribute pointers per PeerIn), with a 64-byte
-// Route object behind the PeerIn's pointer 266 B, with an export clone per
-// route behind the map's slot as well 322 B, and with 184-byte trie nodes
-// under the PeerIn 391. With 32 clients on the same prefixes a (client,
-// prefix) pair costs a slot in a holder list and the node shared 32 ways:
-// 25 B, 24 scanned (26 with a 40-byte node header, 27 with a 48-byte one,
-// 29 with the group's map, 130 with a trie per PeerIn).
+// its own: the RIB-in's 32-byte leaf (a 16-byte header and a 16-byte slot
+// in one allocation) and its glue, and nothing in the group, which keeps
+// no adj-RIB-out. It measures 70 B, 69 scanned. With 32 clients on the
+// same prefixes a (client, prefix) pair costs a slot in a holder list and
+// the node shared 32 ways: 25 B, 23 scanned. Each bound is about 8 %
+// above its reading.
 func TestBGPBytesPerRoute(t *testing.T) {
 	for _, tc := range []struct {
 		name                string
@@ -407,8 +399,8 @@ func TestBGPBytesPerRoute(t *testing.T) {
 		shared              bool
 		bound, scanBound    float64
 	}{
-		{"disjoint", 8, 6400, false, 93, 92},
-		{"shared", 32, 6400, true, 27, 26},
+		{"disjoint", 8, 6400, false, 76, 75},
+		{"shared", 32, 6400, true, 27, 25},
 	} {
 		var before, after runtime.MemStats
 		runtime.GC()

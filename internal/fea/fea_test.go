@@ -369,16 +369,13 @@ func TestSnapshotGenScrapedOffLoop(t *testing.T) {
 
 // TestFEABytesPerRoute pins the live heap a route costs the FEA: one
 // table, which the kernel FIB commits and the snapshot publishes. It
-// measures 65 B, 54 of them scanned by the collector on every cycle
+// measures 52 B, 44 of them scanned by the collector on every cycle
 // (/gc/scan/heap:bytes), the snapshot's own (TestSnapshotBytesPerRoute in
-// internal/fwd); each bound is 8 % above. With a 40-byte node header and a
-// 24-byte route.Stored it read 85 B (73 scanned), with a 48-byte header
-// and a 48-byte route.Stored 117 B, and with a second, mutable table in
-// the kernel FIB beside the snapshot 254 B. The routes go in as the RIB
+// internal/fwd); each bound is 8 % above. The routes go in as the RIB
 // sends them, in 256-route batches; the inputs stay live on both sides of
 // the measure.
 func TestFEABytesPerRoute(t *testing.T) {
-	const n, batch, bound, scanBound = 100000, 256, 70, 58
+	const n, batch, bound, scanBound = 100000, 256, 56, 48
 	rng := rand.New(rand.NewSource(11))
 	seen := make(map[netip.Prefix]bool, n)
 	es := make([]route.Entry, 0, n)

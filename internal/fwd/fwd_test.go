@@ -673,17 +673,15 @@ func loadedPublisher(n int) (*fwd.Publisher, []route.Entry) {
 }
 
 // TestSnapshotBytesPerRoute pins the live heap a route costs in the
-// forwarding plane's table: a 48-byte valued node (a 32-byte header and a
-// 16-byte route.Stored), its share of the glue (32 bytes each) and of the
-// fans above it. It measures 65 B, 54 of them scanned by the collector on
-// every cycle (/gc/scan/heap:bytes); each bound is 8 % above (85 B, 73
-// scanned, with a 40-byte header and a 24-byte route.Stored, 116 B with a
-// 48-byte header and a 48-byte route.Stored, 128 B while each /16's trie
-// hung under a 24-byte bucket of its own, 192 B when the node held a
-// route.Entry and sat in the 160 class). It also pins the lookup to no
-// allocation, now that it builds the prefix and the entry it returns.
+// forwarding plane's table: a 32-byte leaf (a 16-byte header and a
+// 16-byte route.Stored), or a 48-byte inner node for the few with routes
+// under them, its share of the glue (32 bytes each) and of the fans above
+// it. It measures 52 B, 44 of them scanned by the collector on every cycle
+// (/gc/scan/heap:bytes); each bound is 8 % above. It also pins the
+// lookup, which builds the prefix and the entry it returns, to no
+// allocation.
 func TestSnapshotBytesPerRoute(t *testing.T) {
-	const n, bound, scanBound = 100000, 70, 58
+	const n, bound, scanBound = 100000, 56, 48
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()

@@ -238,21 +238,14 @@ func TestExtIntHoldsOneTable(t *testing.T) {
 }
 
 // TestRIBBytesPerRoute pins the live heap a route costs inside the RIB: a
-// 48-byte valued node (a 32-byte header and a 16-byte route.Stored in one
-// allocation) and, on this dense table, a 32-byte glue node in each of two
-// tables (origin table, final table), and a word in the nexthop index. It
-// measures 197 B, 174 of them scanned by the collector on every cycle
-// (/gc/scan/heap:bytes); each bound is 8 % above. With a 40-byte header
-// and a 24-byte route.Stored it measured 245 B (222 scanned), with a
-// 48-byte header, a 48-byte
-// route.Stored holding its next hop inline and a netip.Prefix per route in
-// the index it measured 365 B, with the mutable Trie's layout 398 B (a
-// 56-byte node and a 48-byte value slot per route, a 56-byte glue node),
-// with a 104-byte route.Entry in every slot 516 B, and with 184-byte trie
-// nodes that each stored a prefix and an inline entry, glue included,
-// 845 B.
+// 32-byte leaf (a 16-byte header and a 16-byte route.Stored in one
+// allocation; a valued node with children is 48 bytes, its child pair
+// after the header) and, on this dense table, a 32-byte glue node in each
+// of two tables (origin table, final table), and a word in the nexthop
+// index. It measures 165 B, 142 of them scanned by the collector on every
+// cycle (/gc/scan/heap:bytes); each bound is 8 % above.
 func TestRIBBytesPerRoute(t *testing.T) {
-	const n, bound, scanBound = 50000, 213, 188
+	const n, bound, scanBound = 50000, 178, 153
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

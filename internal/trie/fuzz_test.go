@@ -36,7 +36,14 @@ import (
 // /48 it inserts IPv6 prefixes of 63, 64, 65, 66, 127 and 128 bits, two of
 // the /65s with a second key word that is not zero, deletes both /65s so
 // that wide valued nodes become wide glue, writes them back, and goes on
-// rewriting under them across the second table's pins.
+// rewriting under them across the second table's pins. The checked-in
+// seed leaf_promote drives the shape moves in IPv4, narrow IPv6 and wide
+// IPv6: a leaf gains a child and loses it again, three times, and is
+// rewritten after each; a glue node under a leaf takes a value and gives
+// it up; a new prefix covers a leaf and so starts out inner, then demotes.
+// The second table's pins fall between them, so a promotion that drops
+// the value, a skipped demotion, a leaf recycled onto another shape's
+// free list and a pinned leaf written in place each fail it.
 //
 // A §5.3 cursor rides along too: the last prefix a paused walk visited.
 // Op bytes 6–31 move it (even: to the op's prefix, odd: one entry on, with

@@ -15,26 +15,37 @@
 // reads the /16's trie first and the fans' own tries only when nothing
 // there matched, deepest fan first: a deeper match is the longer one.
 //
-// A glue node is a 32-byte header, always with two children; a valued
-// node is the header and its value in one allocation, the header's has
-// flag saying which a node is and value() reaching its tail. The header
-// keeps the key's first word: every IPv4 prefix, and every IPv6 one of at
-// most 64 bits, is whole in it. A longer node is wide: an 8-byte tail
-// right after the header holds the second word, before the value of a
-// valued one, and its length alone (bits > 64) says so, so key() and
-// value() read the tail only then. No node stores a netip.Prefix or a
-// pointer to itself: key, length and root are the prefix. A valued node
-// is copied with its value, and a wide one with its tail: a copy pointing
-// into the old allocation would pin one old version of the subtree below
-// (TestPersistentChurnHoldsOneVersion).
+// A node is one of three kinds, which its header's kind byte names:
+// glue, valueless and always with two children; inner, valued with at
+// least one child; and leaf, valued with none. The header is 16 bytes: the
+// key's first word, the owner mark, the length and the kind. Glue and
+// inner nodes carry their pair of children right after it (a branch); a
+// leaf has no pair, and kids(), the one read of a node's children, answers
+// none for it. A valued node is one allocation with its value, value()
+// reaching its tail: with a 16-byte value a leaf is 32 bytes, an inner
+// node 48 and glue 32. Every IPv4 prefix, and every IPv6 one of at most 64
+// bits, is whole in the header's word. A longer node is wide: an 8-byte
+// word after the header (after the child pair, if it has one) holds the
+// second, before the value of a valued one, and its length alone (bits >
+// 64) says so, so key() and value() read that word only then. No node
+// stores a netip.Prefix or a pointer to itself: key, length and root are
+// the prefix. A valued node is copied with its value, and a wide one with
+// its second word: a copy pointing into the old allocation would pin one
+// old version of the subtree below (TestPersistentChurnHoldsOneVersion).
+//
+// A node's kind follows its children, so the layout stays canonical under
+// churn: a leaf that gains a child is copied into an inner node, an inner
+// node that loses its last child is copied into a leaf, and a glue node
+// left with one child splices out. A node is inner exactly when it is
+// valued and has a child.
 //
 // # Sessions, the owner mark and pins
 //
 // Every write goes through a session: the table it changes, and the id
 // that marks the nodes it owns. Every node and fan carries the id of the
 // session that allocated it. A session writes the ones it owns in place
-// and copies any other first, so a node is copied at most once per id
-// and a node marked with an older id is never written. Every write is one
+// and copies any other first, so a node is copied at most once per id,
+// shape moves aside, and a node marked with an older id is never written. Every write is one
 // descent (session.put): on the way back up a node is copied, or written
 // when owned, only if the pointer below it changed; Insert, Delete and
 // Table.Update are its three cases.
@@ -49,22 +60,27 @@
 // wrap: a repeated id would take nodes a pinned version holds for its
 // own. Id 0 owns nothing; Persistent.Insert and Delete run in that mode,
 // one copied path per change. The mark is three uint16s, so that it and
-// the prefix length and the has flag fill the header's last eight bytes
+// the prefix length and the kind fill the header's last eight bytes
 // (TestPnodeSize).
 //
 // # Reuse
 //
 // A node a session owns and drops was never reachable from a pinned
-// version, so the session zeroes its whole allocation onto one of four
-// free lists (valued and glue, narrow and wide) and takes new nodes from
-// them first: churn allocates nothing.
+// version, so the session zeroes its whole allocation and keeps it on one
+// of six free lists, one for each kind and width, and takes new nodes from
+// them first: churn allocates nothing. Glue and inner nodes are linked
+// through their first child. A leaf has no child word to link a list
+// through, so the leaf lists are stacks of pointers the session holds,
+// which grow only past their high-water mark. A shape move recycles too:
+// the leaf an inner node was copied from goes on a leaf list.
 // Only nodes that pass the owner check are recycled. A fan the session
 // owns stays when it empties, for the next route under it; one it would
 // have to copy to empty it goes instead, so Persistent.Delete prunes, an
 // unpinned Table keeps, and a pinned one drops what the pin holds. Until
-// its first pin a Table takes new narrow nodes from blocks (newBlock):
-// after a pin, one live node would keep a block of a pinned version's
-// dead ones. Wide nodes, IPv6's longer prefixes only, never take blocks.
+// its first pin a Table takes new narrow nodes from blocks (newBlock), one
+// block type for each kind: after a pin, one live node would keep a block
+// of a pinned version's dead ones. Wide nodes, IPv6's longer prefixes
+// only, never take blocks.
 
 package trie
 
@@ -99,55 +115,102 @@ func ownerMark(id uint64) owner {
 // is reports whether the mark is session id's. Id 0 owns nothing.
 func (o owner) is(id uint64) bool { return id != 0 && o == ownerMark(id) }
 
-// pnode is one Patricia node, valued or glue. It has no parent pointer:
+// pnode is the header of every Patricia node: what the kind byte says
+// follows it is the rest of its allocation. It has no parent pointer:
 // paths are copied root-down. It keeps its key's first word; a node longer
-// than 64 bits is wide, and keeps the second in its tail.
+// than 64 bits is wide, and keeps the second after it.
 type pnode[T any] struct {
 	hi    uint64
-	child [2]*pnode[T] // a free node's child[0] is the next free one
 	owner owner
 	bits  uint8
-	has   bool // heads a valued[T] or wideValued[T]; false marks glue
+	kind  kind
 }
 
-// valued is the allocation behind a valued node of at most 64 bits.
-type valued[T any] struct {
+// kind is what a node's allocation holds past its header.
+type kind uint8
+
+const (
+	glueKind  kind = iota // a branch: no value, two children
+	innerKind             // an inner[T] or wideInner[T]: a value and at least one child
+	leafKind              // a leaf[T] or wideLeaf[T]: a value and no children
+)
+
+// branch is the allocation behind a glue node of at most 64 bits, and the
+// front of every node with children.
+type branch[T any] struct {
 	pnode[T]
-	v T
+	child [2]*pnode[T]
 }
 
-// wideGlue is the allocation behind a glue node longer than 64 bits, and
-// the front of a wideValued: lo is the key's second word.
-type wideGlue[T any] struct {
-	pnode[T]
+// wideBranch is the allocation behind a glue node longer than 64 bits,
+// and the front of a wideInner: lo is the key's second word.
+type wideBranch[T any] struct {
+	branch[T]
 	lo uint64
 }
 
-// wideValued is the allocation behind a valued node longer than 64 bits.
-type wideValued[T any] struct {
-	wideGlue[T]
+// inner is the allocation behind an inner node of at most 64 bits.
+type inner[T any] struct {
+	branch[T]
 	v T
 }
 
-// lo returns the second word of n's key: its tail's when n is wide, and
-// otherwise 0, since the key is masked to n's length.
-func (n *pnode[T]) lo() uint64 {
-	if n.bits > 64 {
-		return (*wideGlue[T])(unsafe.Pointer(n)).lo
+// wideInner is the allocation behind an inner node longer than 64 bits.
+type wideInner[T any] struct {
+	wideBranch[T]
+	v T
+}
+
+// leaf is the allocation behind a leaf of at most 64 bits.
+type leaf[T any] struct {
+	pnode[T]
+	v T
+}
+
+// wideLeaf is the allocation behind a leaf longer than 64 bits.
+type wideLeaf[T any] struct {
+	pnode[T]
+	lo uint64
+	v  T
+}
+
+// kids returns n's children: none for a leaf, which has no child words.
+// Every read of a child goes through it.
+func (n *pnode[T]) kids() (c [2]*pnode[T]) {
+	if n.kind != leafKind {
+		c = (*branch[T])(unsafe.Pointer(n)).child
 	}
-	return 0
+	return c
+}
+
+// lo returns the second word of n's key: the one after its header, or
+// after its child pair, when n is wide, and otherwise 0, since the key is
+// masked to n's length.
+func (n *pnode[T]) lo() uint64 {
+	switch {
+	case n.bits <= 64:
+		return 0
+	case n.kind == leafKind:
+		return (*wideLeaf[T])(unsafe.Pointer(n)).lo
+	}
+	return (*wideBranch[T])(unsafe.Pointer(n)).lo
 }
 
 // key returns n's key.
 func (n *pnode[T]) key() key128 { return key128{n.hi, n.lo()} }
 
 // value returns the value of n, which must be a valued node: the tail of
-// the valued[T] or wideValued[T] that n heads.
+// the allocation n heads.
 func (n *pnode[T]) value() *T {
-	if n.bits > 64 {
-		return &(*wideValued[T])(unsafe.Pointer(n)).v
+	switch wide := n.bits > 64; {
+	case n.kind == leafKind && wide:
+		return &(*wideLeaf[T])(unsafe.Pointer(n)).v
+	case n.kind == leafKind:
+		return &(*leaf[T])(unsafe.Pointer(n)).v
+	case wide:
+		return &(*wideInner[T])(unsafe.Pointer(n)).v
 	}
-	return &(*valued[T])(unsafe.Pointer(n)).v
+	return &(*inner[T])(unsafe.Pointer(n)).v
 }
 
 // blockBytes is the size class an unpinned Table's blocks fill.
@@ -155,17 +218,19 @@ const blockBytes = 8192
 
 // newBlock returns as many zeroed nodes of type N as fit, with the
 // allocator's 8-byte header, in the 8,192-byte size class: each node type
-// has its own count (170 of the 48-byte valued nodes every route table
-// keeps, 255 of 32-byte glue), and a node more would spill the block into
-// the next class.
+// has its own count (255 of the 32-byte leaves and glue every route table
+// keeps, 170 of its 48-byte inner nodes), and a node more would spill the
+// block into the next class.
 func newBlock[N any]() []N {
 	var n N
 	return make([]N, (blockBytes-8)/unsafe.Sizeof(n))
 }
 
-// covers reports whether n's prefix covers (k, kb).
+// covers reports whether n's prefix covers (k, kb). It spells the key out
+// where key() would take it past the inliner's budget, and every descent
+// calls it at every level.
 func (n *pnode[T]) covers(k key128, kb uint8) bool {
-	return n.bits <= kb && k.hasPrefix(n.key(), n.bits)
+	return n.bits <= kb && k.hasPrefix(key128{n.hi, n.lo()}, n.bits)
 }
 
 // fanLevels is how many leading nibbles of an address the fans resolve.
@@ -276,11 +341,13 @@ func (t *Persistent[T]) Len() int { return t.size }
 type session[T any] struct {
 	tbl            Persistent[T]
 	id             uint64
-	freeV, freeG   *pnode[T] // dropped valued and glue nodes, zeroed
-	freeWV, freeWG *pnode[T] // the same, wide
-	blocks         bool      // takes new nodes from blocks: a Table's, until its first pin
-	blockV         []valued[T]
-	blockG         []pnode[T]
+	freeG, freeI   *pnode[T]   // dropped glue and inner nodes, zeroed but for the link
+	freeWG, freeWI *pnode[T]   // the same, wide
+	freeL, freeWL  []*pnode[T] // dropped leaves, narrow and wide, zeroed
+	blocks         bool        // takes new narrow nodes from blocks: a Table's, until its first pin
+	blockG         []branch[T]
+	blockI         []inner[T]
+	blockL         []leaf[T]
 	scratch        *T // what an update is handed for an absent prefix; zero between writes
 }
 
@@ -413,169 +480,219 @@ func (s *session[T]) put(n *pnode[T], k key128, pb uint8, w *write[T], fn update
 	switch {
 	case n == nil:
 		if v, keep := s.fresh(w, nil, fn); keep {
-			return s.valued(pnode[T]{hi: k.hi, bits: pb}, k.lo, v)
+			return s.valued(pnode[T]{hi: k.hi, bits: pb}, k.lo, [2]*pnode[T]{}, v)
 		}
 		return nil
 	case n.bits == pb && n.key() == k:
 		return s.at(n, w, fn)
 	case n.covers(k, pb):
 		b := k.bit(n.bits)
-		c := s.put(n.child[b], k, pb, w, fn)
-		if c == n.child[b] {
+		kids := n.kids()
+		c := s.put(kids[b], k, pb, w, fn)
+		switch {
+		case c == kids[b]:
+			return n
+		case c == nil && n.kind == glueKind:
+			// A glue node left with one child splices out.
+			s.recycle(n)
+			return kids[1-b]
+		case n.kind != leafKind && (c != nil || kids[1-b] != nil) && n.owner.is(s.id):
+			// n keeps its kind, and is the session's to write.
+			(*branch[T])(unsafe.Pointer(n)).child[b] = c
 			return n
 		}
-		if c == nil && !n.has {
-			// A glue node left with one child splices out.
-			other := n.child[1-b]
-			s.recycle(n)
-			return other
-		}
-		m := s.own(n)
-		m.child[b] = c
-		return m
+		kids[b] = c
+		return s.relink(n, kids)
 	}
 	v, keep := s.fresh(w, nil, fn)
 	if !keep {
 		return n
 	}
+	var kids [2]*pnode[T]
 	nk := n.key()
 	if pb < n.bits && nk.hasPrefix(k, pb) {
 		// p covers n: the new node takes n as its child.
-		m := s.valued(pnode[T]{hi: k.hi, bits: pb}, k.lo, v)
-		m.child[nk.bit(pb)] = n
-		return m
+		kids[nk.bit(pb)] = n
+		return s.valued(pnode[T]{hi: k.hi, bits: pb}, k.lo, kids, v)
 	}
 	// Diverge: glue node at the longest common prefix of p and n.
 	gb := commonPrefixLen(k, nk, min(pb, n.bits))
 	gk := k.masked(gb)
-	g := s.glue(pnode[T]{hi: gk.hi, bits: gb}, gk.lo)
-	g.child[nk.bit(gb)] = n
-	g.child[k.bit(gb)] = s.valued(pnode[T]{hi: k.hi, bits: pb}, k.lo, v)
-	return g
+	kids[nk.bit(gb)] = n
+	kids[k.bit(gb)] = s.valued(pnode[T]{hi: k.hi, bits: pb}, k.lo, [2]*pnode[T]{}, v)
+	return s.glue(pnode[T]{hi: gk.hi, bits: gb}, gk.lo, kids)
 }
 
 // at applies the write to n, the node exactly at the prefix.
 func (s *session[T]) at(n *pnode[T], w *write[T], fn update[T]) *pnode[T] {
 	var m *pnode[T]
+	kids := n.kids()
 	switch {
-	case !n.has: // glue: the prefix is absent
+	case n.kind == glueKind: // the prefix is absent
 		v, keep := s.fresh(w, nil, fn)
 		if !keep {
 			return n
 		}
-		m = s.valued(*n, n.lo(), v)
+		m = s.valued(*n, n.lo(), kids, v)
 	case n.owner.is(s.id):
 		if w.inPlace(n.value(), fn) {
 			return n
 		}
 	default:
 		if v, keep := s.fresh(w, n.value(), fn); keep {
-			return s.valued(*n, n.lo(), v)
+			return s.valued(*n, n.lo(), kids, v)
 		}
 	}
 	if m == nil { // the entry goes
 		switch {
-		case n.child[0] != nil && n.child[1] != nil:
+		case kids[0] != nil && kids[1] != nil:
 			// Still needed as a branch point: a glue node takes its place.
-			m = s.glue(*n, n.lo())
-		case n.child[0] != nil:
-			m = n.child[0]
+			m = s.glue(*n, n.lo(), kids)
+		case kids[0] != nil:
+			m = kids[0]
 		default:
-			m = n.child[1]
+			m = kids[1]
 		}
 	}
 	s.recycle(n)
 	return m
 }
 
-// own returns the node the session may write in n's place: n itself when
-// the session allocated it, otherwise a copy — tail and value included,
-// see the file header — marked as the session's.
-func (s *session[T]) own(n *pnode[T]) *pnode[T] {
-	switch {
-	case n.owner.is(s.id):
-		return n
-	case n.has:
-		return s.valued(*n, n.lo(), *n.value())
+// relink returns a copy of n with children kids, owned by the session
+// and of the kind they call for — second key word and value included, see
+// the file header — and recycles n: a node the session does not own is
+// copied before it is written, a leaf that gains a child becomes an inner
+// node, and an inner node that loses its last one a leaf.
+func (s *session[T]) relink(n *pnode[T], kids [2]*pnode[T]) *pnode[T] {
+	var m *pnode[T]
+	if n.kind == glueKind {
+		m = s.glue(*n, n.lo(), kids)
+	} else {
+		m = s.valued(*n, n.lo(), kids, *n.value())
 	}
-	return s.glue(*n, n.lo())
+	s.recycle(n)
+	return m
 }
 
-// valued returns a node owned by the session with hdr's first key word,
-// length and children, lo as the second word when it is wide, holding v.
-// A wide node comes from its own free list or the heap, never a block.
-func (s *session[T]) valued(hdr pnode[T], lo uint64, v T) *pnode[T] {
+// valued returns a node owned by the session with hdr's first key word and
+// length, lo as the second word when it is wide, children kids and value
+// v: a leaf when kids are none, an inner node otherwise. A wide node comes
+// from its own free list or the heap, never a block.
+func (s *session[T]) valued(hdr pnode[T], lo uint64, kids [2]*pnode[T], v T) *pnode[T] {
 	var n *pnode[T]
-	switch {
-	case hdr.bits > 64:
-		a := take[wideValued[T]](&s.freeWV)
-		n, a.lo, a.v = &a.pnode, lo, v
-	case s.blocks && s.freeV == nil:
-		if len(s.blockV) == 0 {
-			s.blockV = newBlock[valued[T]]()
-		}
-		a := &s.blockV[0]
-		n, a.v, s.blockV = &a.pnode, v, s.blockV[1:]
-	default:
-		a := take[valued[T]](&s.freeV)
-		n, a.v = &a.pnode, v
+	hdr.kind = innerKind
+	if kids == ([2]*pnode[T]{}) {
+		hdr.kind = leafKind
 	}
+	switch wide := hdr.bits > 64; {
+	case hdr.kind == leafKind && wide:
+		a := pop[wideLeaf[T]](&s.freeWL)
+		n, a.lo, a.v = &a.pnode, lo, v
+	case hdr.kind == leafKind && s.blocks && len(s.freeL) == 0:
+		a := fromBlock(&s.blockL)
+		n, a.v = &a.pnode, v
+	case hdr.kind == leafKind:
+		a := pop[leaf[T]](&s.freeL)
+		n, a.v = &a.pnode, v
+	case wide:
+		a := take[wideInner[T]](&s.freeWI)
+		n, a.child, a.lo, a.v = &a.pnode, kids, lo, v
+	case s.blocks && s.freeI == nil:
+		a := fromBlock(&s.blockI)
+		n, a.child, a.v = &a.pnode, kids, v
+	default:
+		a := take[inner[T]](&s.freeI)
+		n, a.child, a.v = &a.pnode, kids, v
+	}
+	hdr.owner = ownerMark(s.id)
 	*n = hdr
-	n.has, n.owner = true, ownerMark(s.id)
 	return n
 }
 
 // glue returns a valueless node owned by the session with hdr's first key
-// word, length and children, and lo as the second word when it is wide.
-func (s *session[T]) glue(hdr pnode[T], lo uint64) *pnode[T] {
+// word and length, lo as the second word when it is wide, and children
+// kids.
+func (s *session[T]) glue(hdr pnode[T], lo uint64, kids [2]*pnode[T]) *pnode[T] {
 	var n *pnode[T]
 	switch {
 	case hdr.bits > 64:
-		a := take[wideGlue[T]](&s.freeWG)
-		n, a.lo = &a.pnode, lo
+		a := take[wideBranch[T]](&s.freeWG)
+		n, a.child, a.lo = &a.pnode, kids, lo
 	case s.blocks && s.freeG == nil:
-		if len(s.blockG) == 0 {
-			s.blockG = newBlock[pnode[T]]()
-		}
-		n, s.blockG = &s.blockG[0], s.blockG[1:]
+		a := fromBlock(&s.blockG)
+		n, a.child = &a.pnode, kids
 	default:
-		n = take[pnode[T]](&s.freeG)
+		a := take[branch[T]](&s.freeG)
+		n, a.child = &a.pnode, kids
 	}
+	hdr.kind, hdr.owner = glueKind, ownerMark(s.id)
 	*n = hdr
-	n.has, n.owner = false, ownerMark(s.id)
+	return n
+}
+
+// fromBlock returns the next node of the session's block blk, the first
+// of a new block when it is used up.
+func fromBlock[N any](blk *[]N) *N {
+	if len(*blk) == 0 {
+		*blk = newBlock[N]()
+	}
+	n := &(*blk)[0]
+	*blk = (*blk)[1:]
 	return n
 }
 
 // take returns the allocation, of type N, behind the first node on free,
-// or a new one when free is empty. A free node is zeroed but for its link.
+// a list of glue or inner nodes linked through their first child, or a new
+// one when free is empty. A free node is zeroed but for its link.
 func take[N, T any](free **pnode[T]) *N {
 	n := *free
 	if n == nil {
 		return new(N)
 	}
-	*free = n.child[0]
+	*free = (*branch[T])(unsafe.Pointer(n)).child[0]
+	return (*N)(unsafe.Pointer(n))
+}
+
+// pop returns the allocation, of type N, behind the last leaf on free, or
+// a new one when free is empty. The slot it leaves is cleared: a stale
+// pointer past the end would keep a leaf alive once the tree drops it.
+func pop[N, T any](free *[]*pnode[T]) *N {
+	l := *free
+	if len(l) == 0 {
+		return new(N)
+	}
+	n := l[len(l)-1]
+	l[len(l)-1], *free = nil, l[:len(l)-1]
 	return (*N)(unsafe.Pointer(n))
 }
 
 // recycle zeroes n's whole allocation, which has left the session's tree,
-// and keeps it for reuse on the free list of its shape — if the session
-// owns it. Any other node may still be reachable from a pinned version.
+// and keeps it for reuse on the free list of its kind and width — if the
+// session owns it. Any other node may still be reachable from a pinned
+// version.
 func (s *session[T]) recycle(n *pnode[T]) {
 	if !n.owner.is(s.id) {
 		return
 	}
 	var free **pnode[T]
+	p := unsafe.Pointer(n)
 	switch wide := n.bits > 64; {
-	case wide && n.has:
-		*(*wideValued[T])(unsafe.Pointer(n)), free = wideValued[T]{}, &s.freeWV
+	case n.kind == leafKind && wide:
+		*(*wideLeaf[T])(p), s.freeWL = wideLeaf[T]{}, append(s.freeWL, n)
+		return
+	case n.kind == leafKind:
+		*(*leaf[T])(p), s.freeL = leaf[T]{}, append(s.freeL, n)
+		return
+	case n.kind == innerKind && wide:
+		*(*wideInner[T])(p), free = wideInner[T]{}, &s.freeWI
+	case n.kind == innerKind:
+		*(*inner[T])(p), free = inner[T]{}, &s.freeI
 	case wide:
-		*(*wideGlue[T])(unsafe.Pointer(n)), free = wideGlue[T]{}, &s.freeWG
-	case n.has:
-		*(*valued[T])(unsafe.Pointer(n)), free = valued[T]{}, &s.freeV
+		*(*wideBranch[T])(p), free = wideBranch[T]{}, &s.freeWG
 	default:
-		*n, free = pnode[T]{}, &s.freeG
+		*(*branch[T])(p), free = branch[T]{}, &s.freeG
 	}
-	n.child[0], *free = *free, n
+	(*branch[T])(p).child[0], *free = *free, n
 }
 
 // root returns the slot holding the root of p's family, and whether that
@@ -622,9 +739,9 @@ func (t *Persistent[T]) Get(p netip.Prefix) (T, bool) {
 	p = p.Masked()
 	root, _ := t.root(p.Addr())
 	k, pb := keyOf(p.Addr()), uint8(p.Bits())
-	for cur := (*root).trieOf(k, pb); cur != nil && cur.covers(k, pb); cur = cur.child[k.bit(cur.bits)] {
+	for cur := (*root).trieOf(k, pb); cur != nil && cur.covers(k, pb); cur = cur.kids()[k.bit(cur.bits)] {
 		if cur.bits == pb {
-			if !cur.has {
+			if cur.kind == glueKind {
 				return zero, false
 			}
 			return *cur.value(), true
@@ -669,8 +786,8 @@ func (t *Persistent[T]) LongestMatch(addr netip.Addr) (netip.Prefix, T, bool) {
 // remembers the node, not its contents: prefix and value are built once,
 // by the caller, instead of at every valued ancestor.
 func matchP[T any](n *pnode[T], k key128) (best *pnode[T]) {
-	for ; n != nil && k.hasPrefix(n.key(), n.bits); n = n.child[k.bit(n.bits)] {
-		if n.has {
+	for ; n != nil && k.hasPrefix(n.key(), n.bits); n = n.kids()[k.bit(n.bits)] {
+		if n.kind != glueKind {
 			best = n
 		}
 	}
@@ -711,14 +828,14 @@ func (t *Persistent[T]) hasEntryInside(p netip.Prefix) bool {
 // insideP reports whether the trie under n holds an entry strictly within
 // (k, pb).
 func insideP[T any](n *pnode[T], k key128, pb uint8) bool {
-	for ; n != nil; n = n.child[k.bit(n.bits)] {
+	for ; n != nil; n = n.kids()[k.bit(n.bits)] {
 		switch {
 		case n.bits > pb:
 			return n.key().hasPrefix(k, pb)
 		case !n.covers(k, pb):
 			return false
 		case n.bits == pb:
-			return n.child[0] != nil || n.child[1] != nil
+			return n.kind != leafKind
 		}
 	}
 	return false
@@ -806,11 +923,11 @@ func walkP[T any](n *pnode[T], from *mark, visit func(*pnode[T]) bool) bool {
 		}
 		// n covers from. At from itself the bit past its end reads 0: both
 		// of its subtrees follow it.
-		b := k.bit(n.bits)
-		if b == 0 && n.child[1] != nil {
-			stack = append(stack, n.child[1])
+		b, kids := k.bit(n.bits), n.kids()
+		if b == 0 && kids[1] != nil {
+			stack = append(stack, kids[1])
 		}
-		n = n.child[b]
+		n = kids[b]
 	}
 	if n != nil {
 		stack = append(stack, n)
@@ -818,14 +935,15 @@ func walkP[T any](n *pnode[T], from *mark, visit func(*pnode[T]) bool) bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if n.has && !visit(n) {
+		if n.kind != glueKind && !visit(n) {
 			return false
 		}
-		if n.child[1] != nil {
-			stack = append(stack, n.child[1])
+		kids := n.kids()
+		if kids[1] != nil {
+			stack = append(stack, kids[1])
 		}
-		if n.child[0] != nil {
-			stack = append(stack, n.child[0])
+		if kids[0] != nil {
+			stack = append(stack, kids[0])
 		}
 	}
 	return true

@@ -273,9 +273,10 @@ func TestPersistentMatchesTrie(t *testing.T) {
 
 // TestPnodeSize pins every node to its allocator size class: a field
 // added to a header, or padding after the owner mark, grows every table.
-// The header holds one key word, so every route table's valued node is 48
-// bytes and its glue 32, each filling its class exactly; only IPv6 nodes
-// past /64 carry the second word, in a tail of their own.
+// The header holds one key word and no child pair, so every route table's
+// leaf is 32 bytes, its inner node 48 and its glue 32, each filling its
+// class exactly; only IPv6 nodes past /64 carry the second word, in a word
+// of their own after the header or the child pair.
 func TestPnodeSize(t *testing.T) {
 	type slot struct{ attrs, who *int } // a ribSlot is two pointers
 	for _, c := range []struct {
@@ -283,16 +284,21 @@ func TestPnodeSize(t *testing.T) {
 		got, want uintptr
 		exact     bool
 	}{
-		{"glue pnode", unsafe.Sizeof(pnode[route.Entry]{}), 32, true},
-		{"glue pnode[uint64]", unsafe.Sizeof(pnode[uint64]{}), 32, true},
-		// The forwarding plane's valued node: header and value fill the 48
-		// class; a field more in either lands every route in the 64 class.
+		{"header pnode", unsafe.Sizeof(pnode[route.Entry]{}), 16, true},
+		{"glue branch", unsafe.Sizeof(branch[route.Entry]{}), 32, true},
+		{"glue branch[uint64]", unsafe.Sizeof(branch[uint64]{}), 32, true},
+		// The forwarding plane's valued nodes: a leaf fills the 32 class,
+		// an inner node the 48; a field more lands every route a class up.
 		{"route.Stored", unsafe.Sizeof(route.Stored{}), 16, true},
-		{"valued[route.Stored]", unsafe.Sizeof(valued[route.Stored]{}), 48, true},
-		{"valued[ribSlot]", unsafe.Sizeof(valued[slot]{}), 48, true},
-		{"wideGlue", unsafe.Sizeof(wideGlue[route.Stored]{}), 40, true},
-		{"wideValued[route.Stored]", unsafe.Sizeof(wideValued[route.Stored]{}), 56, true},
-		{"valued[route.Entry]", unsafe.Sizeof(valued[route.Entry]{}), 136, false},
+		{"leaf[route.Stored]", unsafe.Sizeof(leaf[route.Stored]{}), 32, true},
+		{"leaf[ribSlot]", unsafe.Sizeof(leaf[slot]{}), 32, true},
+		{"inner[route.Stored]", unsafe.Sizeof(inner[route.Stored]{}), 48, true},
+		{"inner[ribSlot]", unsafe.Sizeof(inner[slot]{}), 48, true},
+		{"wideLeaf[route.Stored]", unsafe.Sizeof(wideLeaf[route.Stored]{}), 40, true},
+		{"wideLeaf[ribSlot]", unsafe.Sizeof(wideLeaf[slot]{}), 40, true},
+		{"wideBranch", unsafe.Sizeof(wideBranch[route.Stored]{}), 40, true},
+		{"wideInner[route.Stored]", unsafe.Sizeof(wideInner[route.Stored]{}), 56, true},
+		{"inner[route.Entry]", unsafe.Sizeof(inner[route.Entry]{}), 136, false},
 		{"fan with its kids", unsafe.Sizeof(fanned[route.Entry]{}), 160, false},
 		{"last fan with its tries", unsafe.Sizeof(rooted[route.Entry]{}), 160, false},
 	} {
@@ -302,35 +308,49 @@ func TestPnodeSize(t *testing.T) {
 	}
 	// A Table's blocks and the allocator's 8-byte header for a large
 	// pointerful object fill the 8,192-byte class to within one node, for
-	// each node type its own count: the RIB's valued nodes, BGP's RIB-in
-	// nodes and glue.
+	// each node type its own count: the route tables' leaves and inner
+	// nodes, BGP's RIB-in leaves and glue.
 	for _, c := range []struct {
 		what              string
 		node, count, want uintptr
 	}{
-		{"valued[route.Stored]", unsafe.Sizeof(valued[route.Stored]{}), uintptr(len(newBlock[valued[route.Stored]]())), 170},
-		{"valued[ribSlot]", unsafe.Sizeof(valued[slot]{}), uintptr(len(newBlock[valued[slot]]())), 170},
-		{"glue pnode[route.Stored]", unsafe.Sizeof(pnode[route.Stored]{}), uintptr(len(newBlock[pnode[route.Stored]]())), 255},
+		{"leaf[route.Stored]", unsafe.Sizeof(leaf[route.Stored]{}), uintptr(len(newBlock[leaf[route.Stored]]())), 255},
+		{"leaf[ribSlot]", unsafe.Sizeof(leaf[slot]{}), uintptr(len(newBlock[leaf[slot]]())), 255},
+		{"inner[route.Stored]", unsafe.Sizeof(inner[route.Stored]{}), uintptr(len(newBlock[inner[route.Stored]]())), 170},
+		{"inner[ribSlot]", unsafe.Sizeof(inner[slot]{}), uintptr(len(newBlock[inner[slot]]())), 170},
+		{"glue branch[route.Stored]", unsafe.Sizeof(branch[route.Stored]{}), uintptr(len(newBlock[branch[route.Stored]]())), 255},
 	} {
 		if block := c.count*c.node + 8; c.count != c.want || block > blockBytes || block <= blockBytes-c.node {
 			t.Errorf("a block of %d %s is %d bytes with its header, want %d within one node under the %d class", c.count, c.what, block, c.want, blockBytes)
 		}
 	}
-	// A valued node's tail is its value, reached without a pointer.
-	n := (&session[int]{id: 1}).valued(pnode[int]{}, 0, 7)
-	if !n.has || unsafe.Pointer(n.value()) != unsafe.Add(unsafe.Pointer(n), unsafe.Offsetof(valued[int]{}.v)) || *n.value() != 7 {
-		t.Error("a valued node does not head its own value")
+	// A valued node's tail is its value, reached without a pointer: right
+	// after the header for a leaf, after the child pair for an inner node.
+	s := &session[int]{id: 1}
+	n := s.valued(pnode[int]{}, 0, [2]*pnode[int]{}, 7)
+	if n.kind != leafKind || n.kids() != ([2]*pnode[int]{}) || unsafe.Pointer(n.value()) != unsafe.Add(unsafe.Pointer(n), unsafe.Offsetof(leaf[int]{}.v)) || *n.value() != 7 {
+		t.Error("a childless valued node is not a leaf heading its own value")
 	}
-	if g := (&session[int]{id: 1}).glue(*n, 0); g.has {
-		t.Error("a glue node made from a valued header is marked valued")
+	kids := [2]*pnode[int]{nil, n}
+	in := s.valued(pnode[int]{}, 0, kids, 8)
+	if in.kind != innerKind || in.kids() != kids || unsafe.Pointer(in.value()) != unsafe.Add(unsafe.Pointer(in), unsafe.Offsetof(inner[int]{}.v)) || *in.value() != 8 {
+		t.Error("a valued node with a child is not an inner node heading its children and value")
 	}
-	// A wide node's tail is its key's second word, then its value.
-	w := (&session[int]{id: 1}).valued(pnode[int]{hi: 1, bits: 65}, 1<<63, 7)
-	if !w.has || unsafe.Pointer(w.value()) != unsafe.Add(unsafe.Pointer(w), unsafe.Offsetof(wideValued[int]{}.v)) || *w.value() != 7 || w.key() != (key128{1, 1 << 63}) {
-		t.Error("a wide valued node does not keep its key's second word and its value in its tail")
+	if g := s.glue(*in, 0, kids); g.kind != glueKind || g.kids() != kids {
+		t.Error("a glue node made from an inner header is not glue with its children")
 	}
-	if g := (&session[int]{id: 1}).glue(*w, w.lo()); g.has || g.key() != w.key() {
-		t.Error("a wide glue node made from a wide valued one lost its tail")
+	// A wide node's key's second word follows the header, or the child
+	// pair, and its value follows that.
+	w := s.valued(pnode[int]{hi: 1, bits: 65}, 1<<63, [2]*pnode[int]{}, 7)
+	if w.kind != leafKind || unsafe.Pointer(w.value()) != unsafe.Add(unsafe.Pointer(w), unsafe.Offsetof(wideLeaf[int]{}.v)) || *w.value() != 7 || w.key() != (key128{1, 1 << 63}) {
+		t.Error("a wide leaf does not keep its key's second word and its value in its tail")
+	}
+	wi := s.valued(*w, w.lo(), kids, 8)
+	if wi.kind != innerKind || wi.kids() != kids || unsafe.Pointer(wi.value()) != unsafe.Add(unsafe.Pointer(wi), unsafe.Offsetof(wideInner[int]{}.v)) || *wi.value() != 8 || wi.key() != w.key() {
+		t.Error("a wide inner node does not keep its children, its key's second word and its value")
+	}
+	if g := s.glue(*wi, wi.lo(), kids); g.kind != glueKind || g.key() != w.key() || g.kids() != kids {
+		t.Error("a wide glue node made from a wide inner one lost its tail")
 	}
 	f := (*fan[int])(nil).own(1, 0)
 	if f.tries != nil || unsafe.Pointer(f.kids) != unsafe.Add(unsafe.Pointer(f), unsafe.Offsetof(fanned[int]{}.arr)) {
@@ -355,15 +375,15 @@ func TestEditOwnerMark(t *testing.T) {
 	// A node stores every bit of the widest id.
 	const widest = uint64(1<<editIDBits - 1)
 	as := func(id uint64) *session[int] { return &session[int]{id: id} }
-	n := as(widest).own(&pnode[int]{})
-	if as(widest).own(n) != n {
+	n := as(widest).valued(pnode[int]{}, 0, [2]*pnode[int]{}, 0)
+	if !n.owner.is(widest) {
 		t.Fatal("widest id does not round-trip through a node")
 	}
-	if as(widest&^1).own(n) == n || as(widest&^(1<<40)).own(n) == n {
+	if n.owner.is(widest&^1) || n.owner.is(widest&^(1<<40)) {
 		t.Fatal("ids differing in one half matched")
 	}
 	// Id 0 (always-copy mode) owns nothing, not even unmarked nodes.
-	if z := (&pnode[int]{}); as(0).own(z) == z {
+	if z := (&branch[int]{}).pnode; z.owner.is(0) {
 		t.Fatal("id 0 took ownership of an unmarked node")
 	}
 	// Both fan shapes carry the same mark under the same rules, and a copy

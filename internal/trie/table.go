@@ -26,7 +26,7 @@ func New[T any]() *Table[T] {
 // the next pin the table writes its own copies in place again.
 func (t *Table[T]) Pin() Persistent[T] {
 	t.s.id, t.s.blocks = newID(), false
-	t.s.blockV, t.s.blockG = nil, nil // a block's unused tail would keep its dead nodes alive
+	t.s.blockG, t.s.blockI, t.s.blockL = nil, nil, nil // a block's unused tail would keep its dead nodes alive
 	return t.s.tbl
 }
 

@@ -50,14 +50,10 @@ func (k key128) bit(i uint8) int {
 // hasPrefix reports whether the first n bits of k equal the first n bits
 // of p (p is assumed masked to n bits).
 func (k key128) hasPrefix(p key128, n uint8) bool {
-	switch {
-	case n == 0:
-		return true
-	case n <= 64:
+	if n <= 64 { // a shift by 64, for n == 0, yields 0
 		return (k.hi^p.hi)>>(64-n) == 0
-	default:
-		return k.hi == p.hi && (k.lo^p.lo)>>(128-n) == 0
 	}
+	return k.hi == p.hi && (k.lo^p.lo)>>(128-n) == 0
 }
 
 // masked returns k with every bit past the first n cleared.

@@ -375,11 +375,13 @@ func TestWriteInsideWalkPanics(t *testing.T) {
 // checkTable verifies the layout under a Table: every Patricia node sits
 // in the fan slot its prefix names, strictly inside its parent under the
 // right branch, with its word key in sync (a wide node's second word
-// included); a glue node has two children, so every leaf holds a value;
-// an unpinned table owns every node and fan, a pinned one carries no mark
-// newer than its own; Len counts the valued nodes; and no node on any of
-// the four free lists is in the tree or holds anything but the list link:
-// no key word, tail or value.
+// included); its kind is canonical — a glue node has two children, so
+// every leaf holds a value, an inner node at least one, and a leaf, whose
+// allocation has no child words, none; an unpinned table owns every node
+// and fan, a pinned one carries no mark newer than its own; Len counts the
+// valued nodes; and no node on any of the six free lists is in the tree,
+// is listed twice or holds anything but its list's link: no key word,
+// child, tail or value, and a leaf stack keeps nothing past its end.
 func checkTable[T any](t *testing.T, tr *Table[T]) {
 	t.Helper()
 	s := &tr.s
@@ -400,6 +402,7 @@ func checkTable[T any](t *testing.T, tr *Table[T]) {
 		k := n.key()
 		p := prefixOf(k, n.bits, v4)
 		inTree[n] = true
+		kids := n.kids()
 		switch {
 		case n.bits < lo || n.bits > hi || !k.hasPrefix(path, pathBits):
 			t.Fatalf("%v sits in the wrong fan slot (lengths %d…%d)", p, lo, hi)
@@ -407,13 +410,17 @@ func checkTable[T any](t *testing.T, tr *Table[T]) {
 			t.Fatalf("%v: word key out of sync", p)
 		case !owned(n.owner):
 			t.Fatalf("%v: a node the table does not own", p)
-		case !n.has && (n.child[0] == nil || n.child[1] == nil):
+		case n.kind == glueKind && (kids[0] == nil || kids[1] == nil):
 			t.Fatalf("glue node %v has fewer than two children", p)
+		case n.kind == innerKind && kids[0] == nil && kids[1] == nil:
+			t.Fatalf("inner node %v has no children: it should be a leaf", p)
+		case n.kind > leafKind:
+			t.Fatalf("%v: kind %d", p, n.kind)
 		}
-		if n.has {
+		if n.kind != glueKind {
 			valuedN++
 		}
-		for b, c := range n.child {
+		for b, c := range kids {
 			if c == nil {
 				continue
 			}
@@ -447,37 +454,56 @@ func checkTable[T any](t *testing.T, tr *Table[T]) {
 	if valuedN != tr.Len() {
 		t.Fatalf("%d valued nodes, Len %d", valuedN, tr.Len())
 	}
-	// A free node is zeroed, so its length no longer says its shape: the
-	// list it is on does, and only a wide list's nodes are read as wide.
-	for _, list := range []struct {
-		head        *pnode[T]
-		wide, value bool
-	}{{s.freeV, false, true}, {s.freeG, false, false}, {s.freeWV, true, true}, {s.freeWG, true, false}} {
-		for n := list.head; n != nil; n = n.child[0] {
-			if inTree[n] {
-				t.Fatal("a node on a free list is still in the tree")
-			}
-			if n.has || n.child[1] != nil || n.bits != 0 || n.hi != 0 || n.owner != (owner{}) {
-				t.Fatal("a free node was not zeroed")
-			}
-			var v *T
-			switch {
-			case list.wide && list.value:
-				w := (*wideValued[T])(unsafe.Pointer(n))
-				v = &w.v
-				if w.lo != 0 {
-					t.Fatal("a free wide valued node still holds its key's second word")
-				}
-			case list.wide:
-				if (*wideGlue[T])(unsafe.Pointer(n)).lo != 0 {
-					t.Fatal("a free wide glue node still holds its key's second word")
-				}
-			case list.value:
-				v = n.value()
-			}
-			if v != nil && !reflect.ValueOf(*v).IsZero() {
-				t.Fatal("a free valued node still holds its value")
-			}
+	// A free node is zeroed, so its header no longer says its shape: the
+	// list it is on does, and its whole allocation is read as that shape,
+	// the link of a linked list aside.
+	zeroed := func(n *pnode[T], size uintptr, linked bool) bool {
+		b := unsafe.Slice((*byte)(unsafe.Pointer(n)), size)
+		if linked { // skip the first child, the link
+			o := unsafe.Offsetof(branch[T]{}.child)
+			b = append(append([]byte{}, b[:o]...), b[o+unsafe.Sizeof(n):]...)
+		}
+		return !slices.ContainsFunc(b, func(c byte) bool { return c != 0 })
+	}
+	listed := map[*pnode[T]]bool{}
+	free := func(n *pnode[T], what string, size uintptr, linked bool) {
+		switch {
+		case inTree[n]:
+			t.Fatalf("a node on the %s free list is still in the tree", what)
+		case listed[n]:
+			t.Fatalf("a node is on the free lists twice (%s)", what)
+		case !zeroed(n, size, linked):
+			t.Fatalf("a node on the %s free list was not zeroed", what)
+		}
+		listed[n] = true
+	}
+	for _, l := range []struct {
+		what string
+		head *pnode[T]
+		size uintptr
+	}{
+		{"glue", s.freeG, unsafe.Sizeof(branch[T]{})},
+		{"inner", s.freeI, unsafe.Sizeof(inner[T]{})},
+		{"wide glue", s.freeWG, unsafe.Sizeof(wideBranch[T]{})},
+		{"wide inner", s.freeWI, unsafe.Sizeof(wideInner[T]{})},
+	} {
+		for n := l.head; n != nil; n = (*branch[T])(unsafe.Pointer(n)).child[0] {
+			free(n, l.what, l.size, true)
+		}
+	}
+	for _, l := range []struct {
+		what  string
+		stack []*pnode[T]
+		size  uintptr
+	}{
+		{"leaf", s.freeL, unsafe.Sizeof(leaf[T]{})},
+		{"wide leaf", s.freeWL, unsafe.Sizeof(wideLeaf[T]{})},
+	} {
+		for _, n := range l.stack {
+			free(n, l.what, l.size, false)
+		}
+		if slices.ContainsFunc(l.stack[len(l.stack):cap(l.stack)], func(n *pnode[T]) bool { return n != nil }) {
+			t.Fatalf("the %s free list keeps a leaf past its end", l.what)
 		}
 	}
 	if !reflect.ValueOf(s.scratch).Elem().IsZero() {
@@ -667,14 +693,15 @@ func TestMissBuildsNothing(t *testing.T) {
 	}
 	tr.Delete(mustP("10.0.0.0/8")) // 10.0.0.0/8's fan trie keeps a glue node there
 	type state struct {
-		blockV, blockG int
-		freeV, freeG   *pnode[int]
-		root4, root6   *fan[int]
-		len            int
+		blockG, blockI, blockL int
+		freeG, freeI           *pnode[int]
+		freeL                  int
+		root4, root6           *fan[int]
+		len                    int
 	}
 	snap := func() state {
 		s := &tr.s
-		return state{len(s.blockV), len(s.blockG), s.freeV, s.freeG, s.tbl.root4, s.tbl.root6, tr.Len()}
+		return state{len(s.blockG), len(s.blockI), len(s.blockL), s.freeG, s.freeI, len(s.freeL), s.tbl.root4, s.tbl.root6, tr.Len()}
 	}
 	before, shape := snap(), walked(tr, netip.Prefix{})
 	for _, s := range []string{"10.0.0.0/8", "10.1.2.0/24", "10.128.0.0/10", "11.0.0.0/8", "2001:db8::/32"} {
@@ -926,9 +953,12 @@ func fullTable(n int) []netip.Prefix {
 // both in a /16 that holds routes and in an empty one under an /8 whose
 // fans exist, and in a /8 whose last route went: the table keeps its fans
 // and reuses the nodes it dropped. So does an IPv6 /128 beside another,
-// whose wide valued node and the wide glue above it go on wide free lists
-// of their own. A whole 256-route slice withdrawn and announced again
-// allocates nothing either, bulk's steady state.
+// whose wide leaf and the wide glue above it go on wide free lists of
+// their own. A whole 256-route slice withdrawn and announced again
+// allocates nothing either, bulk's steady state. A leaf that gains a route
+// below it and loses it again, a /16 over a /24 and an IPv6 /80 over a
+// /96, moves between the leaf and inner shapes through the free lists,
+// and allocates nothing either, before a pin and after one.
 func TestTableChurnAllocatesNothing(t *testing.T) {
 	tr := New[int]()
 	ps := fullTable(146515)
@@ -977,6 +1007,53 @@ func TestTableChurnAllocatesNothing(t *testing.T) {
 		t.Errorf("a 256-route slice withdrawn and announced again allocates %.1f", allocs)
 	}
 	checkTable(t, tr)
+
+	leaves := []struct{ top, below netip.Prefix }{
+		{mustP("241.7.0.0/16"), mustP("241.7.1.0/24")},
+		{mustP("2001:db8:2::/80"), mustP("2001:db8:2::/96")},
+	}
+	promote := func(what string) {
+		t.Helper()
+		for _, l := range leaves {
+			allocs := testing.AllocsPerRun(100, func() {
+				tr.Upsert(l.below, 1)
+				if nodeAt(tr, l.top).kind != innerKind {
+					t.Fatalf("%s: %v did not become an inner node over %v", what, l.top, l.below)
+				}
+				tr.Delete(l.below)
+			})
+			if n := nodeAt(tr, l.top); n.kind != leafKind || *n.value() != 3 {
+				t.Fatalf("%s: %v is not a leaf holding its value after %v went", what, l.top, l.below)
+			}
+			if allocs != 0 {
+				t.Errorf("%s: %v gaining and losing %v allocates %.1f", what, l.top, l.below, allocs)
+			}
+		}
+	}
+	for _, l := range leaves {
+		tr.Upsert(l.top, 3)
+	}
+	promote("unpinned")
+	pinned := tr.Pin()
+	promote("pinned")
+	for _, l := range leaves {
+		if v, ok := pinned.Get(l.top); !ok || v != 3 || pinned.hasEntryInside(l.top) {
+			t.Fatalf("the pinned version's %v changed: (%d, %v), something under it %v", l.top, v, ok, pinned.hasEntryInside(l.top))
+		}
+	}
+	checkTable(t, tr)
+}
+
+// nodeAt returns the node at exactly p in tr, valued or glue, or nil.
+func nodeAt[T any](tr *Table[T], p netip.Prefix) *pnode[T] {
+	root, _ := tr.s.tbl.root(p.Addr())
+	k, pb := keyOf(p.Addr()), uint8(p.Bits())
+	for n := (*root).trieOf(k, pb); n != nil && n.covers(k, pb); n = n.kids()[k.bit(n.bits)] {
+		if n.bits == pb {
+			return n
+		}
+	}
+	return nil
 }
 
 // BenchmarkTrieSliceChurn is bulk's shape at the trie layer: each op

@@ -1,6 +1,7 @@
 package xipc
 
 import (
+	"slices"
 	"time"
 
 	"xorp/internal/xrl"
@@ -309,7 +310,7 @@ func (r *Router) expire() {
 func (c *call) expired() {
 	if c.backingOff {
 		c.backingOff, c.allowRetry = false, true
-		c.r.route(c)
+		c.r.resume(c)
 		return
 	}
 	proto := xrl.ProtoIntra // the one family that holds no sender
@@ -318,6 +319,41 @@ func (c *call) expired() {
 	}
 	c.r.finish(c, nil, &xrl.Error{Code: xrl.CodeReplyTimeout,
 		Note: proto + " reply timeout for " + c.req.Command})
+}
+
+// hold makes c, an idempotent call backing off, the head its target's
+// later sends park behind, so that a retry never overtakes them. A retry
+// already holding the queue keeps it, and c joins the queue's tail when
+// its own backoff ends. Pre-resolved and Finder calls never queue. Runs
+// on the loop.
+func (r *Router) hold(c *call) {
+	x := &c.x
+	if x.IsResolved() || x.Target == FinderTargetName {
+		return
+	}
+	q := r.pendingSends[x.Target]
+	if q == nil {
+		q = &sendQueue{}
+		r.pendingSends[x.Target] = q
+	}
+	if q.held == nil {
+		q.held = c
+	}
+}
+
+// resume routes c again once its backoff is over. A call holding its
+// target's queue goes back to its head, and the calls parked behind it
+// ship after it, in order; a lookup still out for one of them takes its
+// call by identity (drainPending). Runs on the loop.
+func (r *Router) resume(c *call) {
+	q := r.pendingSends[c.x.Target]
+	if q == nil || q.held != c {
+		r.route(c)
+		return
+	}
+	q.held = nil
+	q.calls = slices.Insert(q.calls, 0, c)
+	r.drainPending(c.x.Target)
 }
 
 // handle runs the request on the destination's loop (intra) and sends
@@ -372,6 +408,7 @@ func (r *Router) finish(c *call, args xrl.Args, err *xrl.Error) {
 				c.backingOff = true
 				r.arm(c, backoff(pol, c.attempt))
 				c.attempt++
+				r.hold(c)
 				return
 			}
 		}

@@ -511,18 +511,21 @@ func TestCallRecordReuseKeepsSemantics(t *testing.T) {
 	}
 
 	// Idempotent sends retry a missing target Attempts times in all, with
-	// backoff drawn from [d/2, d] for d = Base, 2*Base, 4*Base.
+	// backoff drawn from [d/2, d] for d = Base, 2*Base, 4*Base. A plain
+	// send after one parks behind its retries, so it never overtakes it:
+	// it is resolved, once, and fails only when the retries have run out.
 	r.retry = RetryPolicy{Attempts: 4, Base: 100 * time.Millisecond, Max: time.Second}
 	idem := send(r.sendIdempotent, xrl.New("nobody", "test", "1.0", "m1"))
 	plain := send(r.Send, xrl.New("nobody", "test", "1.0", "m2"))
 	run(0)
-	check("plain send to a missing target", plain, xrl.CodeResolveFailed, 2) // its own and the idempotent one's first
-	run(349 * time.Millisecond)                                              // 50+100+200 is the least three backoffs can take
-	if idem.calls != 0 {
-		t.Errorf("idempotent send gave up after %d resolves, before three backoffs could have passed", finder.resolves+1)
+	run(349 * time.Millisecond) // 50+100+200 is the least three backoffs can take
+	if idem.calls != 0 || plain.calls != 0 {
+		t.Errorf("after %d resolves the idempotent send gave up (%d) or the plain one overtook it (%d), before three backoffs could have passed",
+			finder.resolves, idem.calls, plain.calls)
 	}
-	run(700*time.Millisecond - 349*time.Millisecond) // 100+200+400 the most
-	check("idempotent send to a missing target", idem, xrl.CodeResolveFailed, 3)
+	run(700*time.Millisecond - 349*time.Millisecond)                             // 100+200+400 the most
+	check("idempotent send to a missing target", idem, xrl.CodeResolveFailed, 5) // its four, then the plain send's one
+	check("plain send parked behind it", plain, xrl.CodeResolveFailed, 0)
 
 	// A target that appears during the backoff is reached.
 	idem = send(r.sendIdempotent, xrl.New("late", "test", "1.0", "m1"))

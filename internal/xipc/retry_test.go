@@ -1,6 +1,7 @@
 package xipc
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -77,5 +78,146 @@ func TestIdempotentSendRetriesResolveFailure(t *testing.T) {
 	loop.RunFor(10 * time.Second)
 	if !idemDone || idemErr == nil || idemErr.Code != xrl.CodeResolveFailed {
 		t.Fatalf("bounded retry: done=%v err=%v, want RESOLVE_FAILED", idemDone, idemErr)
+	}
+}
+
+// TestRetryKeepsItsPlace: an idempotent call backing off holds its
+// target's order queue, so a later call to the same target cannot ship
+// before it. The target is absent when set v=1 is sent, which fails to
+// resolve and backs off; it registers, and set v=2 is sent. Without the
+// hold v=2 resolves afresh and lands first, and the target applies
+// [2 1].
+func TestRetryKeepsItsPlace(t *testing.T) {
+	clock := eventloop.NewSimClock(time.Unix(0, 0))
+	loop := eventloop.New(clock)
+	hub := NewHub()
+	present := false
+	newStubFinder(loop, hub, func(string, string) (xrl.Args, error) {
+		if !present {
+			return nil, &xrl.Error{Code: xrl.CodeResolveFailed, Note: "no target"}
+		}
+		return resolution("peer", "", xrl.ProtoIntra+"|"+hub.id), nil
+	})
+
+	var applied []uint32
+	pr := NewRouter("peer_process", loop)
+	pt := NewTarget("peer", "peer")
+	pt.Register("test", "1.0", "set", func(a xrl.Args) (xrl.Args, error) {
+		if v, ok := a.Get("v"); ok {
+			applied = append(applied, uint32(v.IntVal))
+		}
+		return nil, nil
+	})
+	pr.AttachHub(hub)
+
+	cr := NewRouter("caller_process", loop)
+	cr.AttachHub(hub)
+	cr.retry = RetryPolicy{Attempts: 4, Base: 50 * time.Millisecond, Max: time.Second}
+	var done []*xrl.Error
+	answer := func(_ xrl.Args, err *xrl.Error) { done = append(done, err) }
+	set := func(v uint32) { cr.sendIdempotent(xrl.New("peer", "test", "1.0", "set", xrl.U32("v", v)), answer) }
+	set(1)
+	loop.RunPending()
+	present = true
+	pr.AddTarget(pt)
+	set(2)
+	loop.RunFor(3 * time.Second) // covers every jittered backoff
+	if len(done) != 2 || done[0] != nil || done[1] != nil {
+		t.Fatalf("calls answered %v, want two successes", done)
+	}
+	if len(applied) != 2 || applied[0] != 1 || applied[1] != 2 {
+		t.Fatalf("target applied %v, want [1 2]: the retry was overtaken", applied)
+	}
+
+	// With the target gone for good, the retry runs out and fails to its
+	// caller, and the call parked behind it ships after it, in order.
+	present = false
+	pr.RemoveTarget("peer")
+	done, applied = nil, nil
+	set(3)
+	loop.RunPending()
+	cr.Send(xrl.New("peer", "test", "1.0", "set", xrl.U32("v", 4)), answer)
+	loop.RunPending()
+	if len(done) != 0 {
+		t.Fatalf("the call behind a backing-off one answered before it: %v", done)
+	}
+	loop.RunFor(3 * time.Second)
+	if len(done) != 2 || done[0] == nil || done[1] == nil || len(applied) != 0 {
+		t.Fatalf("calls answered %v and the target applied %v, want two failures, the retry's first, and nothing applied", done, applied)
+	}
+
+	// A router closed while a call backs off fails it when that backoff
+	// ends, with no further attempt (its resolve cannot reach the Finder),
+	// and then the call parked behind it: the first backoff is at most
+	// 50 ms, the first two at least 75.
+	done = nil
+	set(5)
+	loop.RunPending()
+	cr.Send(xrl.New("peer", "test", "1.0", "set", xrl.U32("v", 6)), answer)
+	loop.RunPending()
+	cr.Close()
+	loop.RunFor(60 * time.Millisecond)
+	if len(done) != 2 || done[0] == nil || done[1] == nil {
+		t.Fatalf("calls on a closed router answered %v, want two failures", done)
+	}
+}
+
+// TestRetryKeepsItsPlaceAcrossALookup: a retry whose backoff ends while
+// the Finder lookup for a later call (another method) is still out goes
+// back in front of that call, and the lookup's answer ships both in
+// order, each to its own method. The Finder runs on a loop of its own,
+// so it answers only when that loop is run.
+func TestRetryKeepsItsPlaceAcrossALookup(t *testing.T) {
+	loop, finderLoop := simLoop(), simLoop()
+	hub := NewHub()
+	newStubFinder(finderLoop, hub, func(string, string) (xrl.Args, error) {
+		return resolution("peer", "", xrl.ProtoIntra+"|"+hub.id), nil
+	})
+	answerFinder := func() { finderLoop.RunPending(); loop.RunPending() }
+
+	var got []string
+	failures := 2 // set's first delivery and its re-resolved one fail
+	pr := NewRouter("peer_process", loop)
+	pt := NewTarget("peer", "peer")
+	for _, m := range []string{"set", "other"} {
+		pt.Register("test", "1.0", m, func(a xrl.Args) (xrl.Args, error) {
+			if m == "set" && failures > 0 {
+				failures--
+				return nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "transient"}
+			}
+			v, _ := a.Get("v")
+			got = append(got, fmt.Sprintf("%s %d", m, v.IntVal))
+			return nil, nil
+		})
+	}
+	pr.AddTarget(pt)
+	pr.AttachHub(hub)
+
+	cr := NewRouter("caller_process", loop)
+	cr.AttachHub(hub)
+	cr.retry = RetryPolicy{Attempts: 4, Base: 50 * time.Millisecond, Max: time.Second}
+	var done []*xrl.Error
+	answer := func(_ xrl.Args, err *xrl.Error) { done = append(done, err) }
+
+	// set v=1 is looked up and delivered; it fails, is looked up again
+	// (a failed send blames the resolution), and the second lookup's
+	// answer is on its way when other v=2 is sent, cold, so other's
+	// lookup is out when set's second delivery fails and backs off.
+	cr.sendIdempotent(xrl.New("peer", "test", "1.0", "set", xrl.U32("v", 1)), answer)
+	loop.RunPending()
+	answerFinder()
+	finderLoop.RunPending()
+	cr.Send(xrl.New("peer", "test", "1.0", "other", xrl.U32("v", 2)), answer)
+	loop.RunPending()
+	if len(done) != 0 || len(got) != 0 || failures != 0 {
+		t.Fatalf("before the backoff: answered %v, applied %v, %d failures left; want nothing and 0", done, got, failures)
+	}
+	loop.RunFor(60 * time.Millisecond) // the first backoff is at most 50 ms
+	answerFinder()                     // other's lookup comes back
+	if len(done) != 2 || done[0] != nil || done[1] != nil {
+		t.Fatalf("calls answered %v, want two successes", done)
+	}
+	if len(got) != 2 || got[0] != "set 1" || got[1] != "other 2" {
+		t.Fatalf("target applied %q, want [set 1, other 2]", got)
 	}
 }

@@ -1,6 +1,7 @@
 package xipc
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -94,10 +95,13 @@ type Router struct {
 }
 
 // sendQueue is one target's order queue: the calls parked behind the
-// Finder resolution of the first of them.
+// Finder resolution of the first of them, or behind an idempotent call
+// backing off between attempts, which goes back to the head when its
+// backoff ends (hold, resume in call.go).
 type sendQueue struct {
 	calls     []*call
-	resolving bool // the resolution for calls[0] is in flight
+	resolving bool  // a resolution for one of the calls is in flight
+	held      *call // backing off; the calls wait for it
 }
 
 // NewRouter returns a Router named name (the process instance name,
@@ -415,7 +419,7 @@ func (r *Router) drainPending(target string) {
 	// One resolution at a time: a head that fails on the spot and is
 	// routed again from inside this loop (a stale resolution) lands back
 	// in the queue, and must not be asked about twice.
-	for q != nil && !q.resolving {
+	for q != nil && !q.resolving && q.held == nil {
 		if len(q.calls) == 0 {
 			if r.pendingSends[target] == q {
 				delete(r.pendingSends, target)
@@ -431,18 +435,21 @@ func (r *Router) drainPending(target string) {
 			continue
 		}
 		q.resolving = true
+		head := q.calls[0]
 		r.resolve(ck, func(res resolved, err *xrl.Error) {
 			q.resolving = false
-			// The head either fails or ships now.
-			head := q.pop()
 			if err != nil {
+				// The call looked up fails, wherever it stands now: a
+				// retry whose backoff ended meanwhile went in front of it.
+				q.remove(head)
 				head.allowRetry = false // the resolution failed, it is not stale
 				r.finish(head, nil, err)
 			} else {
+				// The queue ships in its order: the call looked up waits
+				// behind a retry that holds the queue or went in front.
 				r.mu.Lock()
 				r.cache[ck] = res
 				r.mu.Unlock()
-				r.transportSend(head, res)
 			}
 			r.drainPending(target)
 		})
@@ -455,6 +462,13 @@ func (q *sendQueue) pop() *call {
 	q.calls[0] = nil
 	q.calls = q.calls[1:]
 	return head
+}
+
+// remove takes c out of the queue.
+func (q *sendQueue) remove(c *call) {
+	if i := slices.Index(q.calls, c); i >= 0 {
+		q.calls = slices.Delete(q.calls, i, i+1)
+	}
 }
 
 // resolve asks the Finder for the concrete endpoint of one method of a
