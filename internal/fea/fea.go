@@ -70,7 +70,7 @@ func New(loop *eventloop.Loop, fib *kernel.FIB, host *kernel.Host, router *xipc.
 	// fea_fib_entries and the snapshot's length agree, because they count
 	// one table.
 	p.metrics = telemetry.NewRegistry()
-	p.mApplies = p.metrics.Counter("fea_fib_writes_total", "forwarding entries written to the backend")
+	p.mApplies = p.metrics.Counter("fea_fib_writes_total", "forwarding ops (adds, replaces, deletes) handed to the backend")
 	p.metrics.GaugeFunc("fea_fib_entries", "entries installed in the kernel FIB",
 		func() float64 { return float64(p.fib.Len()) })
 	p.metrics.GaugeFunc("fea_snapshot_gen", "published forwarding snapshot generation",
@@ -117,15 +117,16 @@ func (p *Process) SetBackend(b fwd.Backend) { p.backend = b }
 // loop, Pin anywhere else.
 func (p *Process) Snapshots() fwd.Source { return p.backend }
 
-// ApplyBatch installs a coalesced forwarding update set in one pass —
-// the receiving end of the RIB's FIB push coalescing, and the one way
-// into the forwarding plane ("the FEA will unconditionally install the
-// route in the kernel", §8.2). The batch lands in the backend as one
-// transaction and publishes as one snapshot generation, so a forwarding
-// worker sees either the table before the batch or after it, never
-// between. StageFIBApply (route_enter_kernel) is stamped before the write,
-// because the publish inside it closes the trace. Individual entry
-// failures don't abort the rest; the first error is returned.
+// ApplyBatch installs a batch of forwarding writes in one pass, in
+// arrival order — the receiving end of the RIB's fib sink and of an fti
+// list XRL, and the one way into the forwarding plane ("the FEA will
+// unconditionally install the route in the kernel", §8.2). The batch lands
+// in the backend as one transaction and publishes as one snapshot
+// generation, so a forwarding worker sees either the table before the
+// batch or after it, never between. StageFIBApply (route_enter_kernel) is
+// stamped before the write, because the publish inside it closes the
+// trace. Individual entry failures don't abort the rest; the first error
+// is returned.
 func (p *Process) ApplyBatch(b *rib.FIBBatch) error {
 	if p.tracer.On(telemetry.StageArriveFEA) {
 		p.tracer.StampBatch(telemetry.StageArriveFEA, b.Nets)

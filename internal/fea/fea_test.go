@@ -235,11 +235,10 @@ func TestUDPMulticastRelay(t *testing.T) {
 	}
 }
 
-// TestListXRLsPublishOnce drives add_entries4 and delete_entries4 through
-// the typed stub: a list of n > 1 entries is one backend transaction and
-// one snapshot generation, and a delete list containing an absent prefix
-// removes the others and still reports the absent one.
-func TestListXRLsPublishOnce(t *testing.T) {
+// ftiOverXRL runs an FEA on its own loop with fti/0.2 bound, and returns
+// it, its FIB, a typed stub over the FEA's router, and call, which runs
+// one stub call on the loop and returns its outcome.
+func ftiOverXRL(t *testing.T) (*Process, *kernel.FIB, *xif.FTIClient, func(send func(done func(error))) error) {
 	loop := eventloop.New(nil)
 	fib := kernel.NewFIB()
 	router := xipc.NewRouter("fea_process", loop)
@@ -248,10 +247,7 @@ func TestListXRLsPublishOnce(t *testing.T) {
 	p.RegisterXRLs(target)
 	router.AddTarget(target)
 	go loop.Run()
-	defer loop.Stop()
-	stub := xif.NewFTIClient(router, "fea")
-
-	// call runs one stub call on the loop and returns its outcome.
+	t.Cleanup(loop.Stop)
 	call := func(send func(done func(error))) error {
 		t.Helper()
 		errc := make(chan error, 1)
@@ -264,6 +260,15 @@ func TestListXRLsPublishOnce(t *testing.T) {
 			return nil
 		}
 	}
+	return p, fib, xif.NewFTIClient(router, "fea"), call
+}
+
+// TestListXRLsPublishOnce drives add_entries4 and delete_entries4 through
+// the typed stub: a list of n > 1 entries is one backend transaction and
+// one snapshot generation, and a delete list containing an absent prefix
+// removes the others and still reports the absent one.
+func TestListXRLsPublishOnce(t *testing.T) {
+	p, fib, stub, call := ftiOverXRL(t)
 	gen := func() uint64 { return p.Snapshots().Current().Gen() } // an atomic load: safe off the loop
 
 	es := make([]route.Entry, 40)
@@ -315,6 +320,55 @@ func TestListXRLsPublishOnce(t *testing.T) {
 	}
 	if n := fib.Len(); n != len(es)-10 {
 		t.Fatalf("kernel holds %d entries, want %d", n, len(es)-10)
+	}
+}
+
+// TestHostileListsAtTheFEA: an fti/0.2 list is applied as it arrived,
+// whatever it repeats. An add_entries4 list naming a prefix twice installs
+// the later entry; a delete_entries4 list naming a present prefix twice
+// removes it once and reports no error. Each list publishes one
+// generation, and fea_fib_writes_total counts the list's ops, repeats
+// included.
+func TestHostileListsAtTheFEA(t *testing.T) {
+	p, fib, stub, call := ftiOverXRL(t)
+	gen := func() uint64 { return p.Snapshots().Current().Gen() }
+	writes := func() float64 { v, _ := p.Metrics().Get("fea_fib_writes_total"); return v }
+	a, b := mustP("10.1.0.0/16"), mustP("10.2.0.0/16")
+	first := route.Entry{Net: a, NextHop: mustA("192.168.1.1"), IfName: "eth0"}
+	last := route.Entry{Net: a, NextHop: mustA("192.168.1.2"), IfName: "eth1"}
+	other := route.Entry{Net: b, NextHop: mustA("192.168.1.3"), IfName: "eth0"}
+
+	g0, w0 := gen(), writes()
+	if err := call(func(done func(error)) { stub.AddEntries4([]route.Entry{first, other, last}, done) }); err != nil {
+		t.Fatalf("add_entries4 repeating %v: %v", a, err)
+	}
+	if g, w := gen()-g0, writes()-w0; g != 1 || w != 3 {
+		t.Fatalf("add_entries4 of 3 entries: %d generations and %v writes counted, want 1 and 3", g, w)
+	}
+	snap := p.Snapshots().Pin()
+	if got, ok := snap.Get(a); !ok || !got.Equal(last) {
+		t.Fatalf("%v published as [%v] (present %v), want the list's last entry [%v]", a, got, ok, last)
+	}
+	if e, ok := fib.Lookup(a.Addr()); !ok || e.NextHop != last.NextHop || e.IfName != last.IfName {
+		t.Fatalf("kernel holds %v (present %v), want the list's last entry", e, ok)
+	}
+	if snap.Len() != 2 || fib.Len() != 2 {
+		t.Fatalf("snapshot %d, kernel %d entries, want 2", snap.Len(), fib.Len())
+	}
+
+	g1, w1 := gen(), writes()
+	if err := call(func(done func(error)) { stub.DeleteEntries4([]netip.Prefix{a, a}, done) }); err != nil {
+		t.Fatalf("delete_entries4 repeating a present %v: %v, want no error", a, err)
+	}
+	if g, w := gen()-g1, writes()-w1; g != 1 || w != 2 {
+		t.Fatalf("delete_entries4 of 2 prefixes: %d generations and %v writes counted, want 1 and 2", g, w)
+	}
+	snap = p.Snapshots().Pin()
+	if _, ok := snap.Get(a); ok || snap.Len() != 1 || fib.Len() != 1 {
+		t.Fatalf("after the delete: %v present %v, snapshot %d, kernel %d entries; want it gone and 1 left", a, ok, snap.Len(), fib.Len())
+	}
+	if got, ok := snap.Get(b); !ok || !got.Equal(other) {
+		t.Fatalf("%v reads [%v] (present %v) after deleting %v twice, want [%v]", b, got, ok, a, other)
 	}
 }
 

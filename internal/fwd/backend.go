@@ -20,8 +20,9 @@ type Backend interface {
 	Source
 	// Name identifies the backend ("sim").
 	Name() string
-	// Apply lands one coalesced batch and publishes the next snapshot.
-	// The batch is only valid for the duration of the call.
+	// Apply lands one batch, its writes in arrival order, and publishes
+	// the next snapshot. The batch is only valid for the duration of the
+	// call.
 	Apply(b *rib.FIBBatch) error
 	// ApplyEntry lands a single add/replace.
 	ApplyEntry(e route.Entry) error

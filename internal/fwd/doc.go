@@ -1,15 +1,16 @@
 // Package fwd is the sharded forwarding plane: the data-plane half the
 // paper's evaluation never measured. The control plane (RIB → FEA)
-// produces coalesced rib.FIBBatch transactions; this package turns each
-// applied batch into the next FIB snapshot generation — the kernel FIB's
-// longest-prefix-match table, rewritten into one live snapshot — and
-// forwards a synthetic packet stream against it from N shared-nothing
-// lookup workers.
+// produces rib.FIBBatch transactions, each a list of writes in arrival
+// order; this package turns each applied batch into the next FIB snapshot
+// generation — the kernel FIB's longest-prefix-match table, rewritten into
+// one live snapshot — and forwards a synthetic packet stream against it
+// from N shared-nothing lookup workers.
 //
 // A batch is one commit is one generation: Publisher.Apply hands the
-// batch to its kernel.FIB, whose Commit writes every operation in place
-// into the FIB's trie.Table, and publishes the table that results. The
-// kernel view and the data plane read that one table; a write made
+// batch to its kernel.FIB, whose Commit writes every operation in place,
+// in the order it arrived, into the FIB's trie.Table, and publishes the
+// table that results. The kernel view and the data plane read that one
+// table; a write made
 // straight to the FIB shows in the data plane at the next publish — the
 // next Apply's, or a Pin's, which publishes the table as the next
 // generation when the FIB has made commits the last publish did not (it
@@ -41,7 +42,7 @@
 // the quiescent point, and a pin is the one reader that does not quiesce.
 //
 //	RIB stage network
-//	      │  rib.FIBBatch (coalesced adds/replaces/deletes)
+//	      │  rib.FIBBatch (adds/replaces/deletes, in arrival order)
 //	      ▼
 //	 fwd.Backend (SimBackend: a Publisher over a kernel.FIB)
 //	      │

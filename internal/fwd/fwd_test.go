@@ -79,7 +79,7 @@ func TestPinPublishesDirectWrite(t *testing.T) {
 	if s := backend.Pin(); s.Gen() != 1 || s.Len() != 1 {
 		t.Fatalf("pinned after one apply: gen=%d len=%d, want 1 and 1", s.Gen(), s.Len())
 	}
-	if _, _, err := fib.Commit([]route.Entry{{Net: mustP("10.1.0.0/16"), NextHop: mustA("192.168.1.2")}}, nil); err != nil {
+	if _, _, err := fib.Commit(batchOf(route.Entry{Net: mustP("10.1.0.0/16"), NextHop: mustA("192.168.1.2")})); err != nil {
 		t.Fatal(err)
 	}
 	pinned := backend.Pin()
@@ -101,6 +101,15 @@ func TestPinPublishesDirectWrite(t *testing.T) {
 	if pinned.Len() != 2 {
 		t.Fatalf("the generation-2 pin holds %d entries after a later apply, want 2", pinned.Len())
 	}
+}
+
+// batchOf returns a batch adding es, in order.
+func batchOf(es ...route.Entry) *rib.FIBBatch {
+	b := rib.NewFIBBatch()
+	for _, e := range es {
+		b.Add(e)
+	}
+	return b
 }
 
 // model is the oracle's reference FIB: a map from the masked prefix to
@@ -241,13 +250,15 @@ func TestSnapshotFIBOracle(t *testing.T) {
 		// which was not pinned, is not read again.
 		if e := modelEntry(rng); rng.Intn(2) == 0 || len(m) == 0 {
 			e.Metric, e.Protocol = 0, 0
-			if _, _, err := fib.Commit([]route.Entry{{Net: e.Net, NextHop: e.NextHop, IfName: e.IfName}}, nil); err != nil {
+			if _, _, err := fib.Commit(batchOf(route.Entry{Net: e.Net, NextHop: e.NextHop, IfName: e.IfName})); err != nil {
 				t.Fatal(err)
 			}
 			m[e.Net] = e
 		} else {
 			net := anyNet()
-			if _, removed, _ := fib.Commit(nil, []netip.Prefix{net}); removed != 1 {
+			d := rib.NewFIBBatch()
+			d.Delete(route.Entry{Net: net})
+			if _, removed, _ := fib.Commit(d); removed != 1 {
 				t.Fatalf("step %d: removing %v found nothing", step, net)
 			}
 			delete(m, net)
@@ -258,6 +269,59 @@ func TestSnapshotFIBOracle(t *testing.T) {
 		if fib.Len() != len(m) {
 			t.Fatalf("step %d: FIB holds %d after a direct write, model %d", step, fib.Len(), len(m))
 		}
+	}
+}
+
+// TestFIBBatchNetEffect: a random well-formed stream of adds, replaces
+// and deletes over six prefixes, sent as one batch through
+// Publisher.Apply, publishes exactly the table the stream leaves when
+// applied op by op to a model. The streams delete and then re-add a
+// prefix, and add and then delete one, inside the batch; a commit that
+// applied every add before every delete loses the re-added prefixes.
+func TestFIBBatchNetEffect(t *testing.T) {
+	var readds, unadds int
+	for trial := 0; trial < 30; trial++ {
+		r := rand.New(rand.NewSource(int64(trial)))
+		pub := fwd.NewPublisher()
+		b := rib.NewFIBBatch()
+		m := model{}                    // the stream applied op by op
+		gone := map[netip.Prefix]bool{} // deleted within the batch
+		added := map[netip.Prefix]bool{}
+		for i := 0; i < 60; i++ {
+			net := netip.PrefixFrom(netip.AddrFrom4([4]byte{50, byte(r.Intn(6)), 0, 0}), 16)
+			e := route.Entry{Net: net, NextHop: netip.AddrFrom4([4]byte{10, 0, 0, byte(1 + r.Intn(250))})}
+			cur, present := m[net]
+			switch {
+			case !present:
+				if gone[net] {
+					readds++
+				}
+				b.Add(e)
+				m[net], added[net] = e, true
+			case r.Intn(3) == 0:
+				if added[net] {
+					unadds++
+				}
+				b.Delete(cur)
+				delete(m, net)
+				gone[net] = true
+			default:
+				b.Replace(cur, e)
+				m[net] = e
+			}
+		}
+		snap := pub.Apply(b)
+		if snap.Gen() != 1 || snap.Len() != len(m) {
+			t.Fatalf("trial %d: published generation %d holding %d routes, want 1 and %d", trial, snap.Gen(), snap.Len(), len(m))
+		}
+		for net, want := range m {
+			if got, ok := snap.Get(net); !ok || !got.Equal(want) {
+				t.Fatalf("trial %d: %v published [%v] (present %v), model [%v]", trial, net, got, ok, want)
+			}
+		}
+	}
+	if readds == 0 || unadds == 0 {
+		t.Fatalf("the streams re-added %d deleted prefixes and deleted %d added ones; want both", readds, unadds)
 	}
 }
 
@@ -544,7 +608,7 @@ func TestTablesReturnTheKey(t *testing.T) {
 	}
 
 	committed, applied := kernel.NewFIB(), kernel.NewFIB()
-	if _, _, err := committed.Commit([]route.Entry{{Net: unmasked, NextHop: e.NextHop, IfName: e.IfName}}, nil); err != nil {
+	if _, _, err := committed.Commit(batchOf(route.Entry{Net: unmasked, NextHop: e.NextHop, IfName: e.IfName})); err != nil {
 		t.Fatal(err)
 	}
 	if err := applied.ApplyBatch([]kernel.FIBEntry{{Net: unmasked, NextHop: e.NextHop, IfName: e.IfName}}, nil); err != nil {

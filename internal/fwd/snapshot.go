@@ -75,14 +75,11 @@ type Publisher struct {
 	fib  *kernel.FIB
 
 	// mu makes a commit and its publish one step, so no publish stores a
-	// version older than the one before it. It guards the scratch a batch
-	// is handed to the FIB in, reused so a batch costs no garbage of its
-	// own, and seen: how many FIB commits the current generation holds, at
-	// least. A FIB that has made more was written directly since.
-	mu      sync.Mutex
-	adds    []route.Entry
-	removes []netip.Prefix
-	seen    uint64
+	// version older than the one before it. It guards seen: how many FIB
+	// commits the current generation holds, at least. A FIB that has made
+	// more was written directly since.
+	mu   sync.Mutex
+	seen uint64
 
 	// tracer, when set, receives the StageSnapPub stamp for every prefix
 	// the moment its snapshot is published — the end of a RouteTrace. Set
@@ -129,10 +126,10 @@ func (p *Publisher) Pin() *Snapshot {
 // publication. Call at assembly time, before traffic flows.
 func (p *Publisher) SetTracer(tr *telemetry.Tracer) { p.tracer = tr }
 
-// Apply commits the batch's net operations to the FIB (one Commit) and
-// publishes the table that results as the next generation, with whatever
-// was written straight to the FIB since the last publish. Returns the
-// live snapshot, which the next commit rewrites.
+// Apply hands the batch to the FIB as one Commit, which writes its ops in
+// arrival order, and publishes the table that results as the next
+// generation, with whatever was written straight to the FIB since the
+// last publish. Returns the live snapshot, which the next commit rewrites.
 func (p *Publisher) Apply(b *rib.FIBBatch) *Snapshot {
 	s, _, _ := p.apply(b)
 	return s
@@ -143,20 +140,10 @@ func (p *Publisher) Apply(b *rib.FIBBatch) *Snapshot {
 func (p *Publisher) apply(b *rib.FIBBatch) (*Snapshot, int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.adds, p.removes = p.adds[:0], p.removes[:0]
 	// Counted before the commit: a direct one racing it leaves the FIB
 	// ahead of seen, and the next Pin publishes again.
 	p.seen = p.fib.Commits() + 1
-	b.Ops(func(op rib.FIBOp) {
-		switch op.Kind {
-		case rib.FIBOpAdd, rib.FIBOpReplace:
-			p.adds = append(p.adds, op.New)
-		case rib.FIBOpDelete:
-			p.removes = append(p.removes, op.Old.Net)
-		}
-	})
-	tbl, removed, err := p.fib.Commit(p.adds, p.removes)
-	clear(p.adds) // pins no names or tag lists
+	tbl, removed, err := p.fib.Commit(b)
 	p.live.tbl = tbl
 	p.live.gen.Add(1)
 	if p.tracer.On(telemetry.StageSnapPub) {

@@ -91,51 +91,70 @@ func (f *FIB) Interfaces() []Interface {
 	return out
 }
 
-// ApplyBatch installs adds and deletes removes as one Commit.
+// Writes is a batch of table writes in arrival order: the i-th (At)
+// installs e, or, with del, removes e.Net. A rib.FIBBatch is one.
+type Writes interface {
+	Len() int
+	At(i int) (e route.Entry, del bool)
+}
+
+// ApplyBatch installs adds and then deletes removes, as one Commit.
 func (f *FIB) ApplyBatch(adds []FIBEntry, removes []netip.Prefix) error {
-	es := make([]route.Entry, len(adds))
-	for i, e := range adds {
-		es[i] = e.route()
-	}
-	_, _, err := f.Commit(es, removes)
+	_, _, err := f.Commit(&lists{adds, removes})
 	return err
 }
 
-// Commit is every write to the table: adds and then removes land in place,
-// in one critical section, so a coalesced batch costs one lock round-trip
-// and, after a Pin, one copy of each node it touches that the pin can
-// reach. It returns the table's live contents, valid until the next
+// lists is ApplyBatch's Writes: its adds, then its removes.
+type lists struct {
+	adds    []FIBEntry
+	removes []netip.Prefix
+}
+
+func (l *lists) Len() int { return len(l.adds) + len(l.removes) }
+
+func (l *lists) At(i int) (route.Entry, bool) {
+	if i < len(l.adds) {
+		return l.adds[i].route(), false
+	}
+	return route.Entry{Net: l.removes[i-len(l.adds)]}, true
+}
+
+// Commit is every write to the table: w's writes land in place, in
+// arrival order, in one critical section, so a batch costs one lock
+// round-trip and, after a Pin, one copy of each node it touches that the
+// pin can reach; a prefix a batch deletes and then adds again ends
+// installed. It returns the table's live contents, valid until the next
 // Commit, how many removes found an entry, and the first invalid add's
-// error; an invalid add aborts nothing else. Install
-// observers fire after the lock is released — never under it — once per
-// valid add, so an observer may reenter the FIB (Lookup, Len, even
-// Commit) without deadlocking, and a slow observer never extends the
-// critical section. The slices are read only during the call.
-func (f *FIB) Commit(adds []route.Entry, removes []netip.Prefix) (trie.Persistent[route.Stored], int, error) {
+// error; an invalid add aborts nothing else. Install observers fire after
+// the lock is released — never under it — once per valid add, so an
+// observer may reenter the FIB (Lookup, Len, even Commit) without
+// deadlocking, and a slow observer never extends the critical section. w
+// is read only during the call.
+func (f *FIB) Commit(w Writes) (trie.Persistent[route.Stored], int, error) {
 	var firstErr error
-	removed := 0
+	removed, n := 0, w.Len()
 	f.mu.Lock()
 	f.commits.Add(1)
-	for i := range adds {
-		if !adds[i].Net.IsValid() {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("kernel: invalid prefix %v", adds[i].Net)
+	for i := range n {
+		switch e, del := w.At(i); {
+		case del:
+			if _, ok := f.tbl.Delete(e.Net); ok {
+				removed++
 			}
-			continue
-		}
-		f.tbl.Upsert(adds[i].Net, adds[i].Stored())
-	}
-	for _, net := range removes {
-		if _, ok := f.tbl.Delete(net); ok {
-			removed++
+		case !e.Net.IsValid():
+			if firstErr == nil {
+				firstErr = fmt.Errorf("kernel: invalid prefix %v", e.Net)
+			}
+		default:
+			f.tbl.Upsert(e.Net, e.Stored())
 		}
 	}
 	tbl, cb := f.tbl.Live(), f.onInstall
 	f.mu.Unlock()
 	if cb != nil {
-		for i := range adds {
-			if adds[i].Net.IsValid() {
-				cb(fibEntry(adds[i]))
+		for i := range n {
+			if e, del := w.At(i); !del && e.Net.IsValid() {
+				cb(fibEntry(e))
 			}
 		}
 	}

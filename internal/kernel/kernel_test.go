@@ -3,6 +3,8 @@ package kernel
 import (
 	"net/netip"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -238,7 +240,7 @@ func TestQuickFIBMatchesModel(t *testing.T) {
 			}
 			e := FIBEntry{Net: p, NextHop: mustA("10.0.0.254"), IfName: "eth0"}
 			if op%3 == 0 {
-				fib.Commit(nil, []netip.Prefix{p})
+				fib.ApplyBatch(nil, []netip.Prefix{p})
 				delete(model, p)
 			} else {
 				fib.ApplyBatch([]FIBEntry{e}, nil)
@@ -388,14 +390,11 @@ func TestReadsBetweenCommitsCopyNothing(t *testing.T) {
 		net := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 4), byte(i << 4), 0}), 24)
 		adds = append(adds, route.Entry{Net: net, NextHop: mustA("192.168.1.1"), IfName: "eth0"})
 	}
-	if _, _, err := f.Commit(adds, nil); err != nil {
+	if _, _, err := f.Commit(&writes{es: adds}); err != nil {
 		t.Fatal(err)
 	}
 	slice := adds[1024 : 1024+256]
-	removes := make([]netip.Prefix, len(slice))
-	for i, e := range slice {
-		removes[i] = e.Net
-	}
+	removes, installs := &writes{es: slice, del: true}, &writes{es: slice}
 	read := func() {
 		for _, e := range slice[:64] {
 			f.Lookup(e.Net.Addr())
@@ -405,9 +404,9 @@ func TestReadsBetweenCommitsCopyNothing(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		f.Commit(nil, removes)
+		f.Commit(removes)
 		read()
-		f.Commit(slice, nil)
+		f.Commit(installs)
 		read()
 	})
 	if allocs != 0 {
@@ -415,5 +414,53 @@ func TestReadsBetweenCommitsCopyNothing(t *testing.T) {
 	}
 	if f.Len() != len(adds) {
 		t.Fatalf("Len = %d, want %d", f.Len(), len(adds))
+	}
+}
+
+// writes is a test batch of one kind: es installed, or removed with del.
+// A pointer to one is a Writes that converts without allocating.
+type writes struct {
+	es  []route.Entry
+	del bool
+}
+
+func (w *writes) Len() int { return len(w.es) }
+
+func (w *writes) At(i int) (route.Entry, bool) { return w.es[i], w.del }
+
+// ops is a test batch of mixed writes in arrival order: a "-" before a
+// prefix removes it, anything else installs it via 192.168.1.1.
+type ops []string
+
+func (o ops) Len() int { return len(o) }
+
+func (o ops) At(i int) (route.Entry, bool) {
+	if net, del := strings.CutPrefix(o[i], "-"); del {
+		return route.Entry{Net: mustP(net)}, true
+	}
+	return route.Entry{Net: mustP(o[i]), NextHop: mustA("192.168.1.1")}, false
+}
+
+// TestCommitAppliesInArrivalOrder: a commit writes its batch in the order
+// the writes arrived, so a prefix deleted and then added again ends
+// installed, one added and then deleted ends absent, and an add over an
+// installed prefix replaces it. Applying every add before every remove
+// fails the first case.
+func TestCommitAppliesInArrivalOrder(t *testing.T) {
+	f := NewFIB()
+	f.ApplyBatch([]FIBEntry{{Net: mustP("10.0.0.0/8")}, {Net: mustP("12.0.0.0/8")}}, nil)
+	var installs []string
+	f.SetInstallObserver(func(e FIBEntry) { installs = append(installs, e.Net.String()) })
+	_, removed, err := f.Commit(ops{"-10.0.0.0/8", "10.0.0.0/8", "11.0.0.0/8", "-11.0.0.0/8", "12.0.0.0/8", "-13.0.0.0/8"})
+	if err != nil || removed != 2 {
+		t.Fatalf("Commit: %d removed, err %v; want 2 and none", removed, err)
+	}
+	for net, want := range map[string]bool{"10.0.0.0/8": true, "11.0.0.0/8": false, "12.0.0.0/8": true} {
+		if e, ok := f.Lookup(mustP(net).Addr()); ok != want || ok && e.NextHop != mustA("192.168.1.1") {
+			t.Errorf("after the commit %s reads %v (present %v), want present %v via 192.168.1.1", net, e, ok, want)
+		}
+	}
+	if want := []string{"10.0.0.0/8", "11.0.0.0/8", "12.0.0.0/8"}; !slices.Equal(installs, want) {
+		t.Errorf("observer saw installs %v, want %v", installs, want)
 	}
 }

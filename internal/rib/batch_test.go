@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -265,7 +266,7 @@ func TestSegmentationInvariant(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// FIBBatch folding.
+// FIBBatch order.
 // ---------------------------------------------------------------------
 
 func fe(s string, nh string) route.Entry {
@@ -283,134 +284,58 @@ func collectOps(b *FIBBatch) []string {
 		case FIBOpAdd:
 			out = append(out, "add "+op.New.Net.String()+" "+op.New.NextHop.String())
 		case FIBOpReplace:
-			out = append(out, "replace "+op.New.Net.String()+" "+op.New.NextHop.String())
+			out = append(out, "replace "+op.New.Net.String()+" "+op.Old.NextHop.String()+"->"+op.New.NextHop.String())
 		case FIBOpDelete:
-			out = append(out, "delete "+op.Old.Net.String())
+			out = append(out, "delete "+op.Old.Net.String()+" "+op.Old.NextHop.String())
 		}
 	})
 	return out
 }
 
-func TestFIBBatchFolding(t *testing.T) {
-	cases := []struct {
-		name string
-		fill func(b *FIBBatch)
-		want []string
-	}{
-		{"add-delete cancels", func(b *FIBBatch) {
-			b.Add(fe("10.0.0.0/8", "1.1.1.1"))
-			b.Delete(fe("10.0.0.0/8", "1.1.1.1"))
-		}, nil},
-		{"add-replace folds to add", func(b *FIBBatch) {
-			b.Add(fe("10.0.0.0/8", "1.1.1.1"))
-			b.Replace(fe("10.0.0.0/8", "1.1.1.1"), fe("10.0.0.0/8", "2.2.2.2"))
-		}, []string{"add 10.0.0.0/8 2.2.2.2"}},
-		{"replace-replace chains", func(b *FIBBatch) {
-			b.Replace(fe("10.0.0.0/8", "1.1.1.1"), fe("10.0.0.0/8", "2.2.2.2"))
-			b.Replace(fe("10.0.0.0/8", "2.2.2.2"), fe("10.0.0.0/8", "3.3.3.3"))
-		}, []string{"replace 10.0.0.0/8 3.3.3.3"}},
-		{"replace-delete folds to delete", func(b *FIBBatch) {
-			b.Replace(fe("10.0.0.0/8", "1.1.1.1"), fe("10.0.0.0/8", "2.2.2.2"))
-			b.Delete(fe("10.0.0.0/8", "2.2.2.2"))
-		}, []string{"delete 10.0.0.0/8"}},
-		{"delete-add folds to replace", func(b *FIBBatch) {
-			b.Delete(fe("10.0.0.0/8", "1.1.1.1"))
-			b.Add(fe("10.0.0.0/8", "2.2.2.2"))
-		}, []string{"replace 10.0.0.0/8 2.2.2.2"}},
-		{"cancel then fresh add reuses the slot", func(b *FIBBatch) {
-			b.Add(fe("10.0.0.0/8", "1.1.1.1"))
-			b.Delete(fe("10.0.0.0/8", "1.1.1.1"))
-			b.Add(fe("10.0.0.0/8", "3.3.3.3"))
-		}, []string{"add 10.0.0.0/8 3.3.3.3"}},
-		{"first op is found again once a second prefix arrives", func(b *FIBBatch) {
-			b.Add(fe("10.0.0.0/8", "1.1.1.1"))
-			b.Add(fe("20.0.0.0/8", "1.1.1.1"))
-			b.Delete(fe("10.0.0.0/8", "1.1.1.1"))
-		}, []string{"add 20.0.0.0/8 1.1.1.1"}},
-		{"distinct prefixes keep first-touch order", func(b *FIBBatch) {
-			b.Add(fe("10.0.0.0/8", "1.1.1.1"))
-			b.Add(fe("20.0.0.0/8", "1.1.1.1"))
-			b.Delete(fe("30.0.0.0/8", ""))
-			b.Replace(fe("20.0.0.0/8", "1.1.1.1"), fe("20.0.0.0/8", "4.4.4.4"))
-		}, []string{"add 10.0.0.0/8 1.1.1.1", "add 20.0.0.0/8 4.4.4.4", "delete 30.0.0.0/8"}},
+// TestFIBBatchKeepsArrivalOrder: a batch is its ops as they arrived. A
+// prefix written twice is two ops and a Replace keeps its old side; Len
+// counts every op, Ops, Nets and At visit them in order, and Reset empties
+// the batch.
+func TestFIBBatchKeepsArrivalOrder(t *testing.T) {
+	b := NewFIBBatch()
+	b.Add(fe("10.0.0.0/8", "1.1.1.1"))
+	b.Delete(fe("10.0.0.0/8", "1.1.1.1"))
+	b.Delete(fe("20.0.0.0/8", "2.2.2.2"))
+	b.Add(fe("20.0.0.0/8", "3.3.3.3"))
+	b.Replace(fe("20.0.0.0/8", "3.3.3.3"), fe("20.0.0.0/8", "4.4.4.4"))
+	b.Add(fe("30.0.0.0/8", "5.5.5.5"))
+	want := []string{
+		"add 10.0.0.0/8 1.1.1.1",
+		"delete 10.0.0.0/8 1.1.1.1",
+		"delete 20.0.0.0/8 2.2.2.2",
+		"add 20.0.0.0/8 3.3.3.3",
+		"replace 20.0.0.0/8 3.3.3.3->4.4.4.4",
+		"add 30.0.0.0/8 5.5.5.5",
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			b := NewFIBBatch()
-			c.fill(b)
-			got := collectOps(b)
-			if len(got) != len(c.want) {
-				t.Fatalf("ops = %v, want %v", got, c.want)
-			}
-			for i := range got {
-				if got[i] != c.want[i] {
-					t.Fatalf("ops = %v, want %v", got, c.want)
-				}
-			}
-			if b.Len() != len(c.want) {
-				t.Fatalf("Len = %d, want %d", b.Len(), len(c.want))
-			}
-			b.Reset()
-			if b.Len() != 0 {
-				t.Fatal("Reset left ops behind")
-			}
-		})
+	if got := collectOps(b); !slices.Equal(got, want) {
+		t.Fatalf("Ops = %v, want %v", got, want)
 	}
-}
-
-// TestFIBBatchNetEffect checks, against a model FIB, that applying the
-// coalesced batch yields the same final table as applying the raw op
-// stream — under random op sequences.
-func TestFIBBatchNetEffect(t *testing.T) {
-	type fibModel map[netip.Prefix]route.Entry
-	apply := func(m fibModel, kind FIBOpKind, old, new route.Entry) {
-		switch kind {
-		case FIBOpAdd, FIBOpReplace:
-			m[new.Net] = new
-		case FIBOpDelete:
-			delete(m, old.Net)
-		}
+	if b.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", b.Len(), len(want))
 	}
-	for trial := 0; trial < 30; trial++ {
-		r := rand.New(rand.NewSource(int64(trial)))
-		raw := fibModel{}     // raw stream applied directly
-		batched := fibModel{} // coalesced batch applied after
-		b := NewFIBBatch()
-		// shadow tracks what the RIB would currently announce so the
-		// generated op stream is well-formed (adds for absent prefixes,
-		// replaces/deletes for present ones).
-		shadow := fibModel{}
-		for i := 0; i < 60; i++ {
-			net := netip.PrefixFrom(netip.AddrFrom4([4]byte{50, byte(r.Intn(6)), 0, 0}), 16)
-			nh := netip.AddrFrom4([4]byte{10, 0, 0, byte(1 + r.Intn(250))})
-			cur, present := shadow[net]
-			if !present {
-				e := route.Entry{Net: net, NextHop: nh}
-				shadow[net] = e
-				b.Add(e)
-				apply(raw, FIBOpAdd, route.Entry{}, e)
-				continue
-			}
-			if r.Intn(3) == 0 {
-				delete(shadow, net)
-				b.Delete(cur)
-				apply(raw, FIBOpDelete, cur, route.Entry{})
-				continue
-			}
-			e := route.Entry{Net: net, NextHop: nh}
-			shadow[net] = e
-			b.Replace(cur, e)
-			apply(raw, FIBOpReplace, cur, e)
-		}
-		b.Ops(func(op FIBOp) { apply(batched, op.Kind, op.Old, op.New) })
-		if len(raw) != len(batched) {
-			t.Fatalf("trial %d: raw %d entries, batched %d", trial, len(raw), len(batched))
-		}
-		for net, e := range raw {
-			if be, ok := batched[net]; !ok || !be.Equal(e) {
-				t.Fatalf("trial %d: %v raw=%v batched=%v ok=%v", trial, net, e, be, ok)
-			}
-		}
+	var nets []string
+	b.Nets(func(net netip.Prefix, del bool) { nets = append(nets, fmt.Sprint(net, del)) })
+	var at []string
+	for i := 0; i < b.Len(); i++ {
+		e, del := b.At(i)
+		at = append(at, fmt.Sprint(e.Net, del, e.NextHop))
+	}
+	wantNets := []string{"10.0.0.0/8 false", "10.0.0.0/8 true", "20.0.0.0/8 true", "20.0.0.0/8 false", "20.0.0.0/8 false", "30.0.0.0/8 false"}
+	wantAt := []string{"10.0.0.0/8 false 1.1.1.1", "10.0.0.0/8 true 1.1.1.1", "20.0.0.0/8 true 2.2.2.2", "20.0.0.0/8 false 3.3.3.3", "20.0.0.0/8 false 4.4.4.4", "30.0.0.0/8 false 5.5.5.5"}
+	if !slices.Equal(nets, wantNets) {
+		t.Errorf("Nets = %v, want %v", nets, wantNets)
+	}
+	if !slices.Equal(at, wantAt) {
+		t.Errorf("At = %v, want %v", at, wantAt)
+	}
+	b.Reset()
+	if b.Len() != 0 || collectOps(b) != nil {
+		t.Fatal("Reset left ops behind")
 	}
 }
 

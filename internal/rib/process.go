@@ -15,10 +15,11 @@ import (
 )
 
 // FIBClient receives the RIB's final forwarding decisions (the "Routes to
-// Forwarding Engine" arrow of Figure 7) as coalesced update sets; a single
-// push is a batch of one. The FEA applies a batch to the kernel FIB in one
-// pass; the XRL client ships it as fti XRLs. The batch is only valid for
-// the duration of the call — implementations must not retain it.
+// Forwarding Engine" arrow of Figure 7) as batches of writes in arrival
+// order, one per run or Replace the fib sink is sent. The FEA applies a
+// batch to the kernel FIB in one pass, in order; the XRL client ships it
+// as fti XRLs. The batch is only valid for the duration of the call —
+// implementations must not retain it.
 type FIBClient interface {
 	FIBApplyBatch(b *FIBBatch)
 }
@@ -305,24 +306,26 @@ type fibSinkStage struct {
 	batch *FIBBatch
 }
 
-func (s *fibSinkStage) Add(run []route.Entry) { s.ship(FIBOpAdd, route.Entry{}, run) }
+func (s *fibSinkStage) Add(run []route.Entry) { s.ship(run, false, (*FIBBatch).Add) }
 
-func (s *fibSinkStage) Replace(old, new route.Entry) { s.ship(FIBOpReplace, old, []route.Entry{new}) }
+func (s *fibSinkStage) Replace(old, new route.Entry) {
+	s.ship([]route.Entry{new}, false, func(b *FIBBatch, new route.Entry) { b.Replace(old, new) })
+}
 
-func (s *fibSinkStage) Delete(run []route.Entry) { s.ship(FIBOpDelete, route.Entry{}, run) }
+func (s *fibSinkStage) Delete(run []route.Entry) { s.ship(run, true, (*FIBBatch).Delete) }
 
-// ship sends run to the FIB client as one batch of kind ops (old is the
-// Replace's previous entry).
-func (s *fibSinkStage) ship(kind FIBOpKind, old route.Entry, run []route.Entry) {
+// ship sends run to the FIB client as one batch, rec appending each
+// route; del marks a run of deletes for the trace stamps.
+func (s *fibSinkStage) ship(run []route.Entry, del bool, rec func(*FIBBatch, route.Entry)) {
 	p := s.proc
 	if p.tracer.On(telemetry.StageQueuedFEA) {
-		p.stampRun(telemetry.StageQueuedFEA, run, kind == FIBOpDelete)
+		p.stampRun(telemetry.StageQueuedFEA, run, del)
 	}
 	if p.fib == nil {
 		return
 	}
 	if p.tracer.On(telemetry.StageSentFEA) {
-		p.stampRun(telemetry.StageSentFEA, run, kind == FIBOpDelete)
+		p.stampRun(telemetry.StageSentFEA, run, del)
 	}
 	b := s.batch
 	s.batch = nil
@@ -330,14 +333,7 @@ func (s *fibSinkStage) ship(kind FIBOpKind, old route.Entry, run []route.Entry) 
 		b = NewFIBBatch()
 	}
 	for i := range run {
-		switch kind {
-		case FIBOpAdd:
-			b.Add(run[i])
-		case FIBOpReplace:
-			b.Replace(old, run[i])
-		case FIBOpDelete:
-			b.Delete(run[i])
-		}
+		rec(b, run[i])
 	}
 	p.fib.FIBApplyBatch(b)
 	b.Reset()

@@ -8,6 +8,7 @@ import (
 
 	"xorp/internal/eventloop"
 	"xorp/internal/kernel"
+	"xorp/internal/rib"
 	"xorp/internal/route"
 )
 
@@ -414,7 +415,9 @@ func TestKernelFIB(t *testing.T) {
 		t.Fatalf("fallback %v %v", e, ok)
 	}
 	remove := func() int {
-		_, removed, _ := fib.Commit(nil, []netip.Prefix{mustP("10.1.2.0/24")})
+		d := rib.NewFIBBatch()
+		d.Delete(route.Entry{Net: mustP("10.1.2.0/24")})
+		_, removed, _ := fib.Commit(d)
 		return removed
 	}
 	if remove() != 1 {
