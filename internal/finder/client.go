@@ -12,9 +12,9 @@ import (
 // Finder: it announces the instance with r's transport endpoints, then
 // registers every method (none is a registration too: it is what the
 // Finder announces as the instance's birth), recording the Finder-issued
-// keys on t so the router enforces them on dispatch. The Finder also
-// derives the interface versions t implements from the command list,
-// enabling version-negotiated resolution. done runs on r's loop.
+// keys on t so the router enforces them on dispatch. Each command is
+// registered, and later resolved, exactly as t names it, interface
+// version included. done runs on r's loop.
 //
 // Registration also primes the xrl codec's intern table with the
 // instance, class and command strings: every frame addressed to t decodes

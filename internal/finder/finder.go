@@ -1,8 +1,10 @@
 // Package finder implements the XORP Finder (paper §6.2): the broker that
 // resolves generic XRLs into concrete transport endpoints, issues the
 // 16-byte random method keys of the security framework (§7), enforces
-// per-method access control, negotiates interface versions, and provides
-// component lifetime notification.
+// per-method access control, and provides component lifetime
+// notification. A command resolves exactly as named, its interface
+// version included: the Finder maps it to the instance that registered
+// it, and to nothing else.
 package finder
 
 import (
@@ -22,15 +24,9 @@ import (
 type instanceInfo struct {
 	name      string
 	class     string
-	sole      bool
 	endpoints []string          // "proto|addr"
 	methods   map[string]string // command -> key
-	// ifaces records the interface versions the component implements
-	// (iface name -> version set), derived from its registered commands;
-	// resolution negotiates against it (§6 rolling-upgrade scenario).
-	ifaces   map[string]map[string]bool
-	born     bool // its methods are registered and its birth announced
-	lastSeen time.Time
+	born      bool              // its methods are registered and its birth announced
 	// Liveness bookkeeping (pingAll): missed counts consecutive ping
 	// rounds that began with no reply yet processed; a reply (whenever it
 	// lands) resets it. pinging marks a probe still in flight, so a slow
@@ -94,8 +90,8 @@ func (s finderServer) UnregisterTarget(instance string) error {
 	s.f.removeInstance(instance)
 	return nil
 }
-func (s finderServer) Resolve(caller, target, command string, accept []string) (xif.FinderResolution, error) {
-	return s.f.resolve(caller, target, command, accept)
+func (s finderServer) Resolve(caller, target, command string) (xif.FinderResolution, error) {
+	return s.f.resolve(caller, target, command)
 }
 func (s finderServer) Watch(watcher, class string) error {
 	m := s.f.watchers[class]
@@ -189,21 +185,17 @@ func (f *Finder) registerTarget(instance, class string, sole bool, endpoints []s
 	f.instances[instance] = &instanceInfo{
 		name:      instance,
 		class:     class,
-		sole:      sole,
 		endpoints: append([]string(nil), endpoints...),
 		methods:   make(map[string]string),
-		ifaces:    make(map[string]map[string]bool),
-		lastSeen:  f.loop.Now(),
 	}
 	f.classes[class] = append(f.classes[class], instance)
 	return nil
 }
 
-// registerMethods issues (or re-issues) one key per command, and records
-// the implemented interface versions for resolution-time negotiation.
-// The first call announces the instance's birth: a watcher may call it
-// the moment it hears of it, so the birth waits until its methods
-// resolve. Runs on the loop.
+// registerMethods issues (or re-issues) one key per command. The first
+// call announces the instance's birth: a watcher may call it the moment
+// it hears of it, so the birth waits until its methods resolve. Runs on
+// the loop.
 func (f *Finder) registerMethods(instance string, commands []string) ([]string, error) {
 	info, ok := f.instances[instance]
 	if !ok {
@@ -217,30 +209,12 @@ func (f *Finder) registerMethods(instance string, commands []string) ([]string, 
 			info.methods[c] = key
 		}
 		keys = append(keys, key)
-		if iface, version, _, ok := splitCommand(c); ok {
-			vs := info.ifaces[iface]
-			if vs == nil {
-				vs = make(map[string]bool)
-				info.ifaces[iface] = vs
-			}
-			vs[version] = true
-		}
 	}
 	if !info.born {
 		info.born = true
 		f.notifyLifetime("birth", info.class, instance)
 	}
 	return keys, nil
-}
-
-// splitCommand splits "iface/version/method".
-func splitCommand(cmd string) (iface, version, method string, ok bool) {
-	iface, rest, ok1 := strings.Cut(cmd, "/")
-	version, method, ok2 := strings.Cut(rest, "/")
-	if !ok1 || !ok2 || iface == "" || version == "" || method == "" {
-		return "", "", "", false
-	}
-	return iface, version, method, true
 }
 
 func (f *Finder) removeInstance(instance string) {
@@ -277,14 +251,11 @@ func (f *Finder) allowed(caller, target, command string) bool {
 	return false
 }
 
-// resolve answers one resolution request. accept lists the interface
-// versions the caller's stubs speak, preferred first; when the exact
-// command is not implemented, the highest mutually supported version is
-// chosen and the rewritten command returned. A target that implements
-// the interface and method but under no acceptable version yields
-// CodeBadVersion naming both sides — the rolling-upgrade failure mode
-// the paper's versioned interfaces exist to catch. Runs on the loop.
-func (f *Finder) resolve(caller, target, command string, accept []string) (xif.FinderResolution, error) {
+// resolve answers one resolution request: the instance that registered
+// command, its key for it and its endpoints. The command is looked up
+// exactly as named, its interface version included, and the ACL is
+// checked against it. Runs on the loop.
+func (f *Finder) resolve(caller, target, command string) (xif.FinderResolution, error) {
 	// Resolve by instance name first, then by class.
 	info, ok := f.instances[target]
 	if !ok {
@@ -300,90 +271,20 @@ func (f *Finder) resolve(caller, target, command string, accept []string) (xif.F
 	// internally (cache invalidation, lifetime events, ping) and is never
 	// explicitly registered; it resolves with an empty key.
 	key := ""
-	chosen := command
 	if !strings.HasPrefix(command, "finder_client/1.0/") {
-		chosen, key, ok = f.negotiate(info, command, accept)
-		if !ok {
-			iface, version, method, splitOK := splitCommand(command)
-			if splitOK && len(info.ifaces[iface]) > 0 && methodKnown(info, iface, method) {
-				return xif.FinderResolution{}, xrl.Errorf(xrl.CodeBadVersion,
-					"%s implements %s/%s; caller speaks %s/%s",
-					info.name, iface, strings.Join(sortedVersions(info.ifaces[iface]), ","),
-					iface, strings.Join(appendMissing(accept, version), ","))
-			}
+		if key, ok = info.methods[command]; !ok {
 			return xif.FinderResolution{}, xrl.Errorf(xrl.CodeResolveFailed,
 				"%s has no method %q", info.name, command)
 		}
 	}
 	// ACL is checked against both the generic name used and the concrete
-	// instance, so rules can be written either way — and against the
-	// NEGOTIATED command, which is what actually executes: a rule
-	// permitting only rib/1.0 methods must not authorize a call the
-	// negotiation rewrote to rib/2.0.
-	if !f.allowed(caller, target, chosen) && !f.allowed(caller, info.name, chosen) &&
-		!f.allowed(caller, info.class, chosen) {
+	// instance, so rules can be written either way.
+	if !f.allowed(caller, target, command) && !f.allowed(caller, info.name, command) &&
+		!f.allowed(caller, info.class, command) {
 		return xif.FinderResolution{}, xrl.Errorf(xrl.CodeResolveFailed,
-			"%q is not permitted to call %s on %s", caller, chosen, info.name)
+			"%q is not permitted to call %s on %s", caller, command, info.name)
 	}
-	return xif.FinderResolution{
-		Instance:  info.name,
-		Key:       key,
-		Command:   chosen,
-		Endpoints: info.endpoints,
-	}, nil
-}
-
-// negotiate picks the command to dispatch for a requested command plus
-// the caller's accept list: the exact command if implemented, else the
-// first (= most preferred) accepted version the target implements.
-func (f *Finder) negotiate(info *instanceInfo, command string, accept []string) (chosen, key string, ok bool) {
-	if key, ok = info.methods[command]; ok {
-		return command, key, true
-	}
-	iface, version, method, splitOK := splitCommand(command)
-	if !splitOK {
-		return "", "", false
-	}
-	for _, v := range appendMissing(accept, version) {
-		if !info.ifaces[iface][v] {
-			continue
-		}
-		c := iface + "/" + v + "/" + method
-		if k, exists := info.methods[c]; exists {
-			return c, k, true
-		}
-	}
-	return "", "", false
-}
-
-// methodKnown reports whether the target implements method under any
-// version of iface (distinguishing version mismatch from no-such-method).
-func methodKnown(info *instanceInfo, iface, method string) bool {
-	for v := range info.ifaces[iface] {
-		if _, ok := info.methods[iface+"/"+v+"/"+method]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-func sortedVersions(vs map[string]bool) []string {
-	out := make([]string, 0, len(vs))
-	for v := range vs {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return xif.CompareVersions(out[i], out[j]) < 0 })
-	return out
-}
-
-// appendMissing returns accept with version appended if absent.
-func appendMissing(accept []string, version string) []string {
-	for _, v := range accept {
-		if v == version {
-			return accept
-		}
-	}
-	return append(append([]string(nil), accept...), version)
+	return xif.FinderResolution{Instance: info.name, Key: key, Endpoints: info.endpoints}, nil
 }
 
 // notifyLifetime pushes a birth/death event to watchers of the class and
@@ -439,7 +340,6 @@ func (f *Finder) pingAll() {
 			info.pinging = false
 			if err == nil {
 				info.missed = 0
-				info.lastSeen = f.loop.Now()
 			}
 		})
 	}

@@ -140,6 +140,54 @@ func TestNoSuchMethodAndTarget(t *testing.T) {
 	}
 }
 
+// TestResolveVersionMismatchIsExplicit pins that a command resolves only
+// as named: a caller composing test/1.0/echo never reaches a target that
+// registered test/1.1/echo alone.
+func TestResolveVersionMismatchIsExplicit(t *testing.T) {
+	_, hub, nodes := setupHub(t, "alpha")
+	caller := nodes["alpha"]
+	callee := &testNode{loop: eventloop.New(nil)}
+	callee.router = xipc.NewRouter("beta_process", callee.loop)
+	callee.target = xipc.NewTarget("beta", "beta")
+	callee.target.Register("test", "1.1", "echo", func(args xrl.Args) (xrl.Args, error) {
+		callee.mu.Lock()
+		callee.calls++
+		callee.mu.Unlock()
+		return nil, nil
+	})
+	callee.router.AddTarget(callee.target)
+	callee.router.AttachHub(hub)
+	go callee.loop.Run()
+	t.Cleanup(callee.stop)
+	if err := RegisterTargetSync(callee.router, callee.target, true); err != nil {
+		t.Fatalf("register beta: %v", err)
+	}
+
+	_, err := caller.router.Call(xrl.New("beta", "test", "1.0", "echo"))
+	if err == nil || err.Code != xrl.CodeResolveFailed {
+		t.Fatalf("err = %v, want RESOLVE_FAILED", err)
+	}
+	if !strings.Contains(err.Note, "test/1.0/echo") {
+		t.Fatalf("note should name the command asked for: %q", err.Note)
+	}
+	callee.mu.Lock()
+	calls := callee.calls
+	callee.mu.Unlock()
+	if calls != 0 {
+		t.Fatalf("handler ran %d times, want 0", calls)
+	}
+	if n := caller.router.CacheLen(); n != 0 {
+		t.Fatalf("caller cached %d resolutions of a failed resolve, want 0", n)
+	}
+
+	// A method the target never registered, under any version, fails
+	// the same way.
+	_, err = caller.router.Call(xrl.New("beta", "test", "1.1", "no_such"))
+	if err == nil || err.Code != xrl.CodeResolveFailed {
+		t.Fatalf("unknown method: err = %v, want RESOLVE_FAILED", err)
+	}
+}
+
 func TestUnregisterInvalidatesCaches(t *testing.T) {
 	_, _, nodes := setupHub(t, "alpha", "beta")
 	a := nodes["alpha"]
@@ -763,5 +811,42 @@ func TestDeathThenRebirthOrdered(t *testing.T) {
 	case ev := <-events:
 		t.Fatalf("extra lifetime event %q", ev)
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+func TestCommonIntrospection(t *testing.T) {
+	// Every production target is created via xif.NewTarget and so
+	// answers common/0.1; the Finder itself is one such target.
+	hub := xipc.NewHub()
+	floop := eventloop.New(nil)
+	f := New(floop)
+	f.AttachHub(hub)
+	go floop.Run()
+	t.Cleanup(func() { floop.Stop() })
+
+	n := newTestNode("alpha")
+	n.router.AttachHub(hub)
+	t.Cleanup(n.stop)
+
+	args, err := n.router.Call(xrl.New("finder", "common", "0.1", "get_interfaces"))
+	if err != nil {
+		t.Fatalf("get_interfaces: %v", err)
+	}
+	items, _ := args.ListArg("interfaces")
+	var ifaces []string
+	for _, it := range items {
+		ifaces = append(ifaces, it.TextVal)
+	}
+	joined := strings.Join(ifaces, " ")
+	if !strings.Contains(joined, "finder/1.0") || !strings.Contains(joined, "common/0.1") {
+		t.Fatalf("finder target interfaces = %v", ifaces)
+	}
+
+	args, err = n.router.Call(xrl.New("finder", "common", "0.1", "get_target_name"))
+	if err != nil {
+		t.Fatalf("get_target_name: %v", err)
+	}
+	if name, _ := args.TextArg("name"); name != "finder" {
+		t.Fatalf("target name = %q", name)
 	}
 }

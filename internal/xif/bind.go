@@ -64,13 +64,6 @@ type client struct {
 	spec   *Spec
 }
 
-// newClient advertises the spec's compatible versions on the router (so
-// Finder resolution can negotiate) and returns the stub base.
-func newClient(r *xipc.Router, target string, s *Spec) client {
-	r.AdvertiseVersions(s.Name, s.Compatible...)
-	return client{r: r, target: target, spec: s}
-}
-
 // call sends a spec-checked call of method to the stub's target.
 func (c *client) call(method string, cb xipc.Callback, args ...xrl.Atom) {
 	send(c.r, c.spec, c.target, method, cb, args)
@@ -102,11 +95,6 @@ func (c *client) ship(method string, o xipc.Outgoing) {
 type anycast struct {
 	r    *xipc.Router
 	spec *Spec
-}
-
-func newAnycast(r *xipc.Router, s *Spec) anycast {
-	r.AdvertiseVersions(s.Name, s.Compatible...)
-	return anycast{r: r, spec: s}
 }
 
 // call sends a spec-checked call of method to an explicit target.

@@ -88,7 +88,7 @@ type CommonClient struct{ client }
 // NewCommonClient returns a stub calling target's common/0.1 interface
 // through r.
 func NewCommonClient(r *xipc.Router, target string) *CommonClient {
-	return &CommonClient{newClient(r, target, CommonSpec)}
+	return &CommonClient{client{r, target, CommonSpec}}
 }
 
 // GetInterfaces fetches the "iface/version" pairs the target implements.

@@ -90,7 +90,7 @@ type ConfigClient struct{ client }
 // NewConfigClient returns a stub driving target's transaction agent
 // through r.
 func NewConfigClient(r *xipc.Router, target string) *ConfigClient {
-	return &ConfigClient{newClient(r, target, ConfigSpec)}
+	return &ConfigClient{client{r, target, ConfigSpec}}
 }
 
 // ValidateTx opens txID at generation with the encoded change slice.

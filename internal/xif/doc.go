@@ -63,14 +63,13 @@
 // write; textual lists being flat, the handlers take a txt item holding
 // that text for the same atom.
 //
-// Interface versioning rides the same declarations: each Spec lists the
-// versions its stubs can speak (Compatible), stub constructors advertise
-// them on their Router, and the Finder records every target's
-// implemented interface versions at registration. Resolution then picks
-// the highest mutually supported version and rewrites the command, so a
-// rolling upgrade where caller and callee disagree fails with a clear
-// xrl.CodeBadVersion ("target implements rib/1.1; caller speaks 1.0")
-// instead of a silent no-such-method.
+// Every command carries its interface version (Spec.Version, as in
+// "rib/1.0/add_routes4"), and a Spec's stubs and bindings speak that one
+// version. A target registers its commands with the Finder as its
+// bindings name them, and the Finder resolves a command exactly as the
+// caller composed it: a caller of rib/1.0 and a target that implements
+// only rib/1.1 meet as xrl.CodeResolveFailed naming the command asked
+// for, before any handler runs.
 //
 // Naming note: XORP's finder_event_observer.xif corresponds to
 // FinderEventSpec here, which keeps this reproduction's wire name

@@ -100,7 +100,7 @@ type FTIClient struct{ client }
 
 // NewFTIClient returns a stub sending fti/0.2 XRLs to target through r.
 func NewFTIClient(r *xipc.Router, target string) *FTIClient {
-	return &FTIClient{newClient(r, target, FTISpec)}
+	return &FTIClient{client{r, target, FTISpec}}
 }
 
 // AddEntries4 installs a run of forwarding entries as one transaction,
@@ -226,7 +226,7 @@ type FEAUDPClient struct{ client }
 // NewFEAUDPClient returns a stub sending fea_udp/0.1 XRLs to target
 // (normally "fea") through r.
 func NewFEAUDPClient(r *xipc.Router, target string) *FEAUDPClient {
-	return &FEAUDPClient{newClient(r, target, FEAUDPSpec)}
+	return &FEAUDPClient{client{r, target, FEAUDPSpec}}
 }
 
 // Bind asks the FEA to bind port and push received datagrams to client's
@@ -301,7 +301,7 @@ type FEAUDPRecvClient struct{ anycast }
 
 // NewFEAUDPRecvClient returns a stub pushing relayed datagrams through r.
 func NewFEAUDPRecvClient(r *xipc.Router) *FEAUDPRecvClient {
-	return &FEAUDPRecvClient{newAnycast(r, FEAUDPRecvSpec)}
+	return &FEAUDPRecvClient{anycast{r, FEAUDPRecvSpec}}
 }
 
 // Recv pushes one relayed datagram to clientTarget.

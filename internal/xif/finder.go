@@ -6,12 +6,10 @@ import (
 )
 
 // FinderSpec declares finder/1.0: registration, resolution, lifetime
-// watching and access control (paper §6.2, §7). The resolve method's
-// optional accept list and command return atom carry the interface
-// version negotiation: callers advertise every version their stubs
-// speak, and the Finder answers with the highest mutually supported
-// command (rolling-upgrade deployments get a clear version-mismatch
-// error instead of a silent no-such-method).
+// watching and access control (paper §6.2, §7). resolve maps one
+// command, its interface version included, to the instance that
+// registered it, its method key and its endpoints; a command no instance
+// registered fails with RESOLVE_FAILED.
 var FinderSpec = Define(Spec{
 	Name:    "finder",
 	Version: "1.0",
@@ -38,12 +36,10 @@ var FinderSpec = Define(Spec{
 			{Name: "caller", Type: xrl.TypeText},
 			{Name: "target", Type: xrl.TypeText, Sample: "sample"},
 			{Name: "command", Type: xrl.TypeText, Sample: "common/0.1/get_status"},
-			{Name: "accept", Type: xrl.TypeList, Optional: true},
 		}, Rets: []Arg{
 			{Name: "instance", Type: xrl.TypeText},
 			{Name: "key", Type: xrl.TypeText},
 			{Name: "endpoints", Type: xrl.TypeList},
-			{Name: "command", Type: xrl.TypeText},
 		}, Idempotent: true},
 		{Name: "watch", Args: []Arg{
 			{Name: "watcher", Type: xrl.TypeText},
@@ -63,13 +59,10 @@ var FinderSpec = Define(Spec{
 	},
 })
 
-// FinderResolution is the reply to resolve. Command is the negotiated
-// command, which may differ from the request when the Finder picked a
-// higher mutually supported interface version.
+// FinderResolution is the reply to resolve.
 type FinderResolution struct {
 	Instance  string
 	Key       string
-	Command   string
 	Endpoints []string
 }
 
@@ -78,7 +71,7 @@ type FinderServer interface {
 	RegisterTarget(instance, class string, sole bool, endpoints []string) error
 	RegisterMethods(instance string, commands []string) (keys []string, err error)
 	UnregisterTarget(instance string) error
-	Resolve(caller, target, command string, accept []string) (FinderResolution, error)
+	Resolve(caller, target, command string) (FinderResolution, error)
 	Watch(watcher, class string) error
 	Targets() ([]string, error)
 	AddPermission(caller, target, command string) error
@@ -118,7 +111,7 @@ func BindFinder(t *xipc.Target, s FinderServer) {
 		return nil, s.UnregisterTarget(in.text("instance"))
 	})
 	b.handle("resolve", func(in reader) (xrl.Args, error) {
-		res, err := s.Resolve(in.text("caller"), in.text("target"), in.text("command"), in.texts("accept"))
+		res, err := s.Resolve(in.text("caller"), in.text("target"), in.text("command"))
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +119,6 @@ func BindFinder(t *xipc.Target, s FinderServer) {
 			xrl.Text("instance", res.Instance),
 			xrl.Text("key", res.Key),
 			textAtoms("endpoints", res.Endpoints),
-			xrl.Text("command", res.Command),
 		}, nil
 	})
 	b.handle("watch", func(in reader) (xrl.Args, error) {
@@ -154,7 +146,6 @@ type FinderClient struct{ r *xipc.Router }
 
 // NewFinderClient returns a stub calling the Finder through r.
 func NewFinderClient(r *xipc.Router) *FinderClient {
-	r.AdvertiseVersions(FinderSpec.Name, FinderSpec.Compatible...)
 	return &FinderClient{r: r}
 }
 
@@ -249,7 +240,6 @@ type FinderEventClient struct{ r *xipc.Router }
 // NewFinderEventClient returns a stub pushing finder_client/1.0 events
 // through r.
 func NewFinderEventClient(r *xipc.Router) *FinderEventClient {
-	r.AdvertiseVersions(FinderEventSpec.Name, FinderEventSpec.Compatible...)
 	return &FinderEventClient{r: r}
 }
 

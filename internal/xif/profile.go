@@ -63,7 +63,7 @@ type ProfileClient struct{ client }
 // NewProfileClient returns a stub controlling target's profiling points
 // through r.
 func NewProfileClient(r *xipc.Router, target string) *ProfileClient {
-	return &ProfileClient{newClient(r, target, ProfileSpec)}
+	return &ProfileClient{client{r, target, ProfileSpec}}
 }
 
 func (c *ProfileClient) pointCall(method, pname string, done func(error)) {

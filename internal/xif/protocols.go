@@ -57,7 +57,7 @@ type Redist4Client struct{ client }
 // NewRedist4Client returns a stub sending redist4/0.1 XRLs to target
 // through r.
 func NewRedist4Client(r *xipc.Router, target string) *Redist4Client {
-	return &Redist4Client{newClient(r, target, Redist4Spec)}
+	return &Redist4Client{client{r, target, Redist4Spec}}
 }
 
 // RedistAdd implements rib.Redistributor: add_route4.

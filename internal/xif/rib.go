@@ -235,7 +235,7 @@ type RIBClient struct{ client }
 
 // NewRIBClient returns a stub sending rib/1.0 XRLs to target through r.
 func NewRIBClient(r *xipc.Router, target string) *RIBClient {
-	return &RIBClient{newClient(r, target, RIBSpec)}
+	return &RIBClient{client{r, target, RIBSpec}}
 }
 
 // putTags adds a policytags argument to o when there are tags.
@@ -403,7 +403,7 @@ type RIBNotifyClient struct{ anycast }
 // NewRIBNotifyClient returns a stub pushing rib_client/0.1 events
 // through r.
 func NewRIBNotifyClient(r *xipc.Router) *RIBNotifyClient {
-	return &RIBNotifyClient{newAnycast(r, RIBNotifySpec)}
+	return &RIBNotifyClient{anycast{r, RIBNotifySpec}}
 }
 
 // RouteInfoInvalid tells client its cached answers under covering are

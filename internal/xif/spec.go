@@ -3,7 +3,6 @@ package xif
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -49,12 +48,7 @@ type Spec struct {
 	// Name and Version identify the interface, e.g. "rib"/"1.0".
 	Name    string
 	Version string
-	// Compatible lists every version the stubs in this build can speak,
-	// preferred (highest) first; it is advertised to the Finder so
-	// resolution can pick the highest mutually supported version. It
-	// always includes Version.
-	Compatible []string
-	Methods    []Method
+	Methods []Method
 
 	byName map[string]*Method
 }
@@ -67,9 +61,6 @@ var (
 // Define registers a Spec in the package registry and returns it.
 // Duplicate definitions panic: specs are package-level declarations.
 func Define(s Spec) *Spec {
-	if len(s.Compatible) == 0 {
-		s.Compatible = []string{s.Version}
-	}
 	sp := &s
 	sp.byName = make(map[string]*Method, len(sp.Methods))
 	for i := range sp.Methods {
@@ -234,31 +225,4 @@ func (m *Method) Usage() string {
 		}
 	}
 	return sb.String()
-}
-
-// CompareVersions orders two "major.minor" interface versions, returning
-// <0, 0 or >0. Non-numeric components fall back to string comparison.
-func CompareVersions(a, b string) int {
-	as, bs := strings.Split(a, "."), strings.Split(b, ".")
-	for i := 0; i < len(as) || i < len(bs); i++ {
-		var av, bv string
-		if i < len(as) {
-			av = as[i]
-		}
-		if i < len(bs) {
-			bv = bs[i]
-		}
-		an, aerr := strconv.Atoi(av)
-		bn, berr := strconv.Atoi(bv)
-		if aerr == nil && berr == nil {
-			if an != bn {
-				return an - bn
-			}
-			continue
-		}
-		if av != bv {
-			return strings.Compare(av, bv)
-		}
-	}
-	return 0
 }

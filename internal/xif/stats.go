@@ -81,7 +81,7 @@ type StatsClient struct{ client }
 
 // NewStatsClient returns a stub scraping target's metrics through r.
 func NewStatsClient(r *xipc.Router, target string) *StatsClient {
-	return &StatsClient{newClient(r, target, StatsSpec)}
+	return &StatsClient{client{r, target, StatsSpec}}
 }
 
 // Scrape fetches the registry rendered as plaintext lines.

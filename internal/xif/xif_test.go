@@ -378,8 +378,8 @@ func (confServer) RegisterMethods(_ string, commands []string) ([]string, error)
 	return make([]string, len(commands)), nil
 }
 func (confServer) UnregisterTarget(string) error { return nil }
-func (confServer) Resolve(string, string, string, []string) (xif.FinderResolution, error) {
-	return xif.FinderResolution{Instance: "x", Command: "common/0.1/get_status"}, nil
+func (confServer) Resolve(string, string, string) (xif.FinderResolution, error) {
+	return xif.FinderResolution{Instance: "x"}, nil
 }
 func (confServer) Watch(string, string) error                 { return nil }
 func (confServer) Targets() ([]string, error)                 { return []string{"x:x"}, nil }
@@ -718,25 +718,6 @@ func TestNewXRLPanicsOnSpecViolation(t *testing.T) {
 		}
 	}()
 	xif.RIBSpec.NewXRL("rib", "no_such_method")
-}
-
-func TestCompareVersions(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int // sign
-	}{
-		{"1.0", "1.0", 0},
-		{"1.0", "1.1", -1},
-		{"2.0", "1.9", 1},
-		{"0.2", "0.10", -1},
-		{"1.0", "1.0.1", -1},
-	}
-	for _, c := range cases {
-		got := xif.CompareVersions(c.a, c.b)
-		if (got < 0) != (c.want < 0) || (got > 0) != (c.want > 0) {
-			t.Errorf("CompareVersions(%q, %q) = %d, want sign %d", c.a, c.b, got, c.want)
-		}
-	}
 }
 
 func TestTargetInterfaces(t *testing.T) {

@@ -29,10 +29,8 @@ type resolved struct {
 	instance string // concrete component instance name
 	key      string // method key
 	// cmd is the command to put on the wire and to look the handler up
-	// by. It differs from the one the caller composed when the Finder
-	// picked a higher mutually supported interface version (the caller
-	// advertised it via AdvertiseVersions). Built once per resolution, so
-	// a send over the cache never concatenates it.
+	// by: the one the caller composed, built once per resolution, so a
+	// send over the cache never concatenates it.
 	cmd string
 }
 
@@ -68,10 +66,6 @@ type Router struct {
 	timeout       time.Duration
 	retry         RetryPolicy // idempotent sends' backoff (retry.go)
 	onFinderEvent func(event, class, instance string)
-	// advertised maps interface name -> versions this process's client
-	// stubs can speak, preferred first; sent as the resolve accept list
-	// so the Finder can negotiate (§6 rolling-upgrade scenario).
-	advertised map[string][]string
 
 	// free is the list of idle call records (call.go), nfree its length.
 	free  *call
@@ -132,40 +126,6 @@ func (r *Router) SetTimeout(d time.Duration) { r.timeout = d }
 // birth/death events delivered to this router.
 func (r *Router) SetFinderEvent(fn func(event, class, instance string)) {
 	r.onFinderEvent = fn
-}
-
-// AdvertiseVersions records the interface versions this process's client
-// stubs speak for iface, preferred (highest) first. They ride along in
-// Finder resolutions as the accept list, letting the Finder pick the
-// highest version both sides support. Typed stub constructors
-// (internal/xif) call this; duplicates are merged preserving order.
-func (r *Router) AdvertiseVersions(iface string, versions ...string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.advertised == nil {
-		r.advertised = make(map[string][]string)
-	}
-	have := r.advertised[iface]
-	for _, v := range versions {
-		dup := false
-		for _, h := range have {
-			if h == v {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			have = append(have, v)
-		}
-	}
-	r.advertised[iface] = have
-}
-
-// advertisedFor returns the accept list for an interface.
-func (r *Router) advertisedFor(iface string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.advertised[iface]
 }
 
 // AddTarget makes t reachable through this router. It does not register t
@@ -476,22 +436,14 @@ func (q *sendQueue) remove(c *call) {
 // stub layer (xif stubs ride on it, so it cannot use them).
 func (r *Router) resolve(ck cacheKey, done func(resolved, *xrl.Error)) {
 	cmd := ck.iface + "/" + ck.version + "/" + ck.method
-	qargs := xrl.Args{
-		xrl.Text("caller", r.name),
-		xrl.Text("target", ck.target),
-		xrl.Text("command", cmd),
-	}
-	if accept := r.advertisedFor(ck.iface); len(accept) > 0 {
-		items := make([]xrl.Atom, len(accept))
-		for i, v := range accept {
-			items[i] = xrl.Text("", v)
-		}
-		qargs = append(qargs, xrl.List("accept", items...))
-	}
 	q := xrl.XRL{
 		Protocol: xrl.ProtoFinder, Target: FinderTargetName,
 		Interface: "finder", Version: "1.0", Method: "resolve",
-		Args: qargs,
+		Args: xrl.Args{
+			xrl.Text("caller", r.name),
+			xrl.Text("target", ck.target),
+			xrl.Text("command", cmd),
+		},
 	}
 	r.SendFromLoop(q, func(args xrl.Args, err *xrl.Error) {
 		if err != nil {
@@ -514,12 +466,7 @@ func (r *Router) resolve(ck cacheKey, done func(resolved, *xrl.Error)) {
 				Note: "no usable transport to " + instance})
 			return
 		}
-		// A version-negotiating Finder returns the chosen command, which
-		// may be a different interface version than we asked for.
 		res.cmd = cmd
-		if chosen, cerr := args.TextArg("command"); cerr == nil && chosen != "" {
-			res.cmd = chosen
-		}
 		done(res, nil)
 	})
 }

@@ -2,6 +2,7 @@ package xipc
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -86,6 +87,7 @@ type tcpServerConn struct {
 	conn   net.Conn
 	fw     *frameWriter
 	rx     *rxQueue
+	torn   atomic.Bool // set by fail: no later request runs
 
 	req xrl.Request
 	rep xrl.Reply
@@ -95,6 +97,11 @@ type tcpServerConn struct {
 // frame that does not decode is a protocol violation: the error drops the
 // connection.
 func (sc *tcpServerConn) serveFrame(frame []byte) error {
+	// A request read before the connection was torn is not run: its
+	// reply could reach no one.
+	if sc.torn.Load() {
+		return net.ErrClosed
+	}
 	// ParseRequest interns or copies everything out of frame, and reuses
 	// sc.req.Args: the handler's arguments are its own only until it
 	// returns.
@@ -115,6 +122,7 @@ func (sc *tcpServerConn) serveFrame(frame []byte) error {
 // fail ends the connection; the reader goroutine sees the close and
 // cleans up.
 func (sc *tcpServerConn) fail(error) {
+	sc.torn.Store(true)
 	sc.conn.Close()
 	sc.rx.close()
 }
@@ -157,7 +165,7 @@ func startTCPSender(r *Router, conn net.Conn) *tcpSender {
 
 func (s *tcpSender) send(c *call) {
 	if s.dead.Load() {
-		s.router.dropSender(s)
+		s.failPending() // the calls pending ahead of c fail, or go again, first
 		s.router.finish(c, nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "connection closed"})
 		return
 	}
@@ -194,20 +202,32 @@ func (s *tcpSender) replyFrame(frame []byte) error {
 	return nil
 }
 
-// fail tears the connection down, unregisters the sender so the next
-// request reconnects, and has the loop fail every pending request. Safe
-// from any goroutine, any number of times.
+// fail tears the connection down and has the loop fail every pending
+// request. Safe from any goroutine, any number of times.
 func (s *tcpSender) fail(error) {
 	if !s.dead.CompareAndSwap(false, true) {
 		return
 	}
 	s.close()
-	s.router.dropSender(s)
 	s.router.loop.Dispatch(s.failPendingFn)
 }
 
+// failPending unregisters the dead sender, so the next request
+// reconnects, and fails its pending requests in the order they were
+// sent, so that those sent again keep their per-target order. A pending
+// request may have run at the target, its reply lost with the
+// connection, so only an idempotent one is sent again; any other fails
+// to its caller. Runs on the loop, before any send that finds the sender
+// dead: no call overtakes the ones still pending.
 func (s *tcpSender) failPending() {
+	s.router.dropSender(s)
+	calls := make([]*call, 0, len(s.pending))
 	for _, c := range s.pending {
+		calls = append(calls, c)
+	}
+	slices.SortFunc(calls, func(a, b *call) int { return int(int32(a.req.Seq - b.req.Seq)) })
+	for _, c := range calls {
+		c.allowRetry = c.allowRetry && c.idem
 		s.router.finish(c, nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "connection lost"})
 	}
 }

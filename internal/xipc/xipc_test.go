@@ -3,6 +3,7 @@ package xipc
 import (
 	"encoding/binary"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -228,5 +229,169 @@ func TestUDPListenerIgnoresGarbage(t *testing.T) {
 		Interface: "test", Version: "1.0", Method: "echo"}
 	if _, err := send.Call(x); err != nil {
 		t.Fatalf("UDP listener dead after garbage: %v", err)
+	}
+}
+
+// TestTornConnectionResendsInOrder tears a TCP connection from the
+// server side once the handler of the first of 16 pipelined calls has
+// run. The calls pending on it fail in the order they were sent, so the
+// ones sent again reach the target in that order; and since a pending
+// call may have run already, only the idempotent ones are sent again: no
+// other call runs twice. Calls sent once the tear is seen, but before the
+// pending ones have failed, never reached the wire: they go again too,
+// behind the pending ones.
+func TestTornConnectionResendsInOrder(t *testing.T) {
+	const (
+		inflight = 16   // pending on the connection when it tears
+		late     = 4    // sent to the dead connection after the tear
+		warm     = 1000 // the i of a warm-up call, which the handler ignores
+	)
+	recvLoop := eventloop.New(nil)
+	recv := NewRouter("receiver", recvLoop)
+	if err := recv.ListenTCP("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu   sync.Mutex
+		runs []int // the i of every call run, in the order run
+		sent = make(chan struct{})
+	)
+	handler := func(args xrl.Args) (xrl.Args, error) {
+		a, _ := args.Get("i")
+		i := int(a.IntVal)
+		if i == warm {
+			return nil, nil
+		}
+		mu.Lock()
+		runs = append(runs, i)
+		first := len(runs) == 1
+		mu.Unlock()
+		if first {
+			<-sent // every call is pending on the connection
+			recv.mu.Lock()
+			ln := recv.tcpLn
+			recv.mu.Unlock()
+			ln.mu.Lock()
+			for sc := range ln.conns {
+				sc.fail(net.ErrClosed)
+			}
+			ln.mu.Unlock()
+		}
+		return nil, nil
+	}
+	tgt := NewTarget("sink", "sink")
+	tgt.Register("test", "1.0", "put", handler) // not idempotent
+	tgt.Register("test", "1.0", "set", handler) // idempotent
+	recv.AddTarget(tgt)
+
+	sendLoop, hub := eventloop.New(nil), NewHub()
+	newStubFinder(sendLoop, hub, func(string, string) (xrl.Args, error) {
+		return resolution("sink", "", recv.Endpoints()[0]), nil
+	})
+	send := NewRouter("sender", sendLoop)
+	send.AttachHub(hub)
+	go recvLoop.Run()
+	go sendLoop.Run()
+	t.Cleanup(func() {
+		send.Close()
+		recv.Close()
+		sendLoop.Stop()
+		recvLoop.Stop()
+	})
+	// Resolve both methods and connect first, so that all the calls are
+	// in flight on one connection when it tears.
+	for _, method := range []string{"put", "set"} {
+		if _, err := send.Call(xrl.New("sink", "test", "1.0", method, xrl.U32("i", warm))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Below inflight, even i is a put and odd i a set; call 0, the one
+	// that tears, is a put. The late calls are puts.
+	const n = inflight + late
+	errs := make([]*xrl.Error, n)
+	replies := make([]int, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	reply := func(i int) Callback {
+		return func(_ xrl.Args, err *xrl.Error) {
+			errs[i] = err
+			replies[i]++
+			wg.Done()
+		}
+	}
+	for i := 0; i < inflight; i++ {
+		method := "put"
+		if i%2 == 1 {
+			method = "set"
+		}
+		send.SendArgs(xrl.New("sink", "test", "1.0", method), xrl.Args{xrl.U32("i", uint32(i))},
+			reply(i), i%2 == 1)
+	}
+	// The loop runs this after it has sent the calls: the tear waits for it.
+	sendLoop.Dispatch(func() { close(sent) })
+	// Then it waits, so that the failure of the pending calls waits too,
+	// until the sender has seen the tear, and sends the late calls.
+	sendLoop.Dispatch(func() {
+		send.mu.Lock()
+		var ts *tcpSender
+		for _, s := range send.senders {
+			ts, _ = s.(*tcpSender)
+		}
+		send.mu.Unlock()
+		for end := time.Now().Add(5 * time.Second); !ts.dead.Load() && time.Now().Before(end); {
+			time.Sleep(time.Millisecond)
+		}
+		for i := inflight; i < n; i++ {
+			send.SendFromLoop(xrl.New("sink", "test", "1.0", "put", xrl.U32("i", uint32(i))), reply(i))
+		}
+	})
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("calls never completed after the connection tore")
+	}
+
+	mu.Lock()
+	got := append([]int(nil), runs...)
+	mu.Unlock()
+	// Call 0 ran once on the torn connection and nothing after it ran
+	// there. The sets went again in the order they were sent, and the
+	// late puts behind them.
+	want := []int{0}
+	for i := 1; i < inflight; i += 2 {
+		want = append(want, i)
+	}
+	for i := inflight; i < n; i++ {
+		want = append(want, i)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("handler runs %v, want %v", got, want)
+	}
+	ran := make([]int, n)
+	for _, i := range got {
+		ran[i]++
+	}
+	for i := 0; i < n; i++ {
+		if replies[i] != 1 {
+			t.Errorf("call %d answered %d times, want 1", i, replies[i])
+		}
+		switch {
+		case i >= inflight:
+			if ran[i] != 1 || errs[i] != nil {
+				t.Errorf("late put %d ran %d times, err %v; want once, success", i, ran[i], errs[i])
+			}
+		case i%2 == 0:
+			if ran[i] > 1 {
+				t.Errorf("put %d ran %d times, want at most 1", i, ran[i])
+			}
+			if errs[i] == nil || errs[i].Code != xrl.CodeSendFailed {
+				t.Errorf("put %d: err %v, want SEND_FAILED", i, errs[i])
+			}
+		case errs[i] != nil:
+			t.Errorf("set %d: err %v, want success on the new connection", i, errs[i])
+		}
 	}
 }

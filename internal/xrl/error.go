@@ -16,7 +16,6 @@ const (
 	CodeNoSuchTarget  ErrorCode = 203 // resolved target has gone away
 	CodeNoSuchMethod  ErrorCode = 204 // target lacks the method
 	CodeBadKey        ErrorCode = 205 // method key mismatch (security, §7)
-	CodeBadVersion    ErrorCode = 206 // no mutually supported interface version
 	CodeSendFailed    ErrorCode = 210 // transport-level send failure
 	CodeReplyTimeout  ErrorCode = 211 // no response within the deadline
 	CodeInternal      ErrorCode = 220 // dispatcher invariant violated
@@ -40,8 +39,6 @@ func (c ErrorCode) String() string {
 		return "NO_SUCH_METHOD"
 	case CodeBadKey:
 		return "BAD_KEY"
-	case CodeBadVersion:
-		return "BAD_VERSION"
 	case CodeSendFailed:
 		return "SEND_FAILED"
 	case CodeReplyTimeout:
