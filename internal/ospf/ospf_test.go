@@ -1,6 +1,7 @@
 package ospf
 
 import (
+	"maps"
 	"net/netip"
 	"testing"
 	"time"
@@ -193,6 +194,35 @@ func TestSPFIncrementalSkipsDijkstra(t *testing.T) {
 	r, ok := routes[mustP("192.168.9.0/24")]
 	if !ok || r.Cost != 6 || r.FirstHop != mustA("10.0.0.2") {
 		t.Fatalf("new prefix after incremental recompute: %+v", r)
+	}
+}
+
+// TestSPFLinkCostChangeIsTopology re-installs router 1's LSA with one
+// link's cost raised and nothing else changed: same neighbours, same
+// prefixes. That is a topology change, so Install must say so, and the
+// incremental SPF must then answer what a fresh one does.
+func TestSPFLinkCostChangeIsTopology(t *testing.T) {
+	// A square: 1—2, 1—3, 2—4, 3—4, every link of cost 1.
+	db := buildLSDB(t, map[int][]int{1: {2, 3}, 2: {1, 4}, 3: {1, 4}, 4: {2, 3}}, 4)
+	root := mustA("10.0.0.1")
+	spf := NewSPF(root)
+	before := spf.Recompute(db, true)
+
+	lsa, _ := db.Get(root)
+	lsa = lsa.Clone()
+	lsa.Seq++
+	lsa.Links[0].Cost = 10 // 1—2: router 2 is now cheaper by way of 3 and 4
+	res, topo := db.Install(lsa, time.Time{})
+	if res != InstallNewer || !topo {
+		t.Errorf("link-cost change installed as %v, topoChanged=%v; want a newer topology", res, topo)
+	}
+	got := spf.Recompute(db, topo)
+	want := NewSPF(root).Recompute(db, true)
+	if !maps.Equal(got, want) {
+		t.Fatalf("incremental SPF after a link-cost change:\n%v\nfresh SPF:\n%v", got, want)
+	}
+	if r := want[mustP("10.2.0.0/16")]; r.Cost != 4 || r.FirstHop != mustA("10.0.0.3") || maps.Equal(before, want) {
+		t.Fatalf("route to 10.2/16 after the change: %+v, want cost 4 via 10.0.0.3", r)
 	}
 }
 

@@ -76,10 +76,11 @@
 // finder_client/1.0; the common/0.1 target introspection interface is
 // bound automatically on every target created with NewTarget.
 //
-// The drift gate under xif/lint keeps the layer load-bearing: any
-// non-test code registering handlers with raw Target.Register,
-// composing calls with xrl.New or naming a per-route wire method fails
-// CI and must go through a Spec and its stub; and inside this package,
-// an xrl.Args getter that can fail, or a read that drops its error,
-// outside reader.go fails it too.
+// The root package's arch_test.go keeps the layer load-bearing: its
+// "xif drift" check fails on any non-test code registering handlers with
+// raw Target.Register, composing calls with xrl.New or naming a
+// per-route wire method, which must go through a Spec and its stub; and
+// its "xif reads" check fails, inside this package, on an xrl.Args
+// method that can fail, or a Get that drops whether the atom is there,
+// outside reader.go.
 package xif

@@ -353,6 +353,30 @@ func (r *Router) resume(c *call) {
 	}
 	q.held = nil
 	q.calls = slices.Insert(q.calls, 0, c)
+	q.resent++
+	r.drainPending(c.x.Target)
+}
+
+// reroute routes c again after its cached resolution went stale. It was
+// sent before every call parked for its target, so it goes back in front
+// of them, behind the calls re-routed before it; a target with no queue
+// gets one, whose head resolves c's method afresh. On a closed router it
+// fails as any call does. Runs on the loop.
+func (r *Router) reroute(c *call) {
+	r.mu.Lock()
+	closed := r.closed
+	r.mu.Unlock()
+	if closed {
+		r.route(c)
+		return
+	}
+	q := r.pendingSends[c.x.Target]
+	if q == nil {
+		q = &sendQueue{}
+		r.pendingSends[c.x.Target] = q
+	}
+	q.calls = slices.Insert(q.calls, q.resent, c)
+	q.resent++
 	r.drainPending(c.x.Target)
 }
 
@@ -397,7 +421,7 @@ func (r *Router) finish(c *call, args xrl.Args, err *xrl.Error) {
 			r.mu.Lock()
 			delete(r.cache, keyOf(&c.x))
 			r.mu.Unlock()
-			r.route(c)
+			r.reroute(c)
 			return
 		}
 		if c.idem && retryable(err.Code) {

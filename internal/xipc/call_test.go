@@ -672,4 +672,48 @@ func TestClosedRouterSendsNothing(t *testing.T) {
 			t.Fatalf("%d calls handled, want 1: a closed router reached its target over TCP", handled.Load())
 		}
 	})
+
+	// An idempotent call pending on a connection its router's Close tears
+	// fails there; it is not resolved afresh.
+	t.Run("tcp call pending", func(t *testing.T) {
+		recvLoop := eventloop.New(nil)
+		recv := NewRouter("receiver", recvLoop)
+		entered, release := make(chan struct{}), make(chan struct{})
+		tgt := NewTarget("sink", "sink")
+		tgt.Register("bench", "1.0", "sink", func(xrl.Args) (xrl.Args, error) {
+			entered <- struct{}{}
+			<-release
+			return nil, nil
+		})
+		recv.AddTarget(tgt)
+		if err := recv.ListenTCP("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		sendLoop, hub := eventloop.New(nil), NewHub()
+		newStubFinder(sendLoop, hub, func(string, string) (xrl.Args, error) {
+			return resolution("sink", "", recv.Endpoints()[0]), nil
+		})
+		send := NewRouter("sender", sendLoop)
+		send.AttachHub(hub)
+		go recvLoop.Run()
+		go sendLoop.Run()
+		defer func() {
+			recv.Close()
+			sendLoop.Stop()
+			recvLoop.Stop()
+		}()
+
+		errc := make(chan *xrl.Error, 1)
+		send.sendIdempotent(call, func(_ xrl.Args, err *xrl.Error) { errc <- err })
+		<-entered
+		send.Close()
+		var err *xrl.Error
+		select {
+		case err = <-errc:
+		case <-time.After(10 * time.Second):
+			t.Error("the pending call never failed")
+		}
+		close(release)
+		wantFailed(t, "a call pending on TCP", err)
+	})
 }

@@ -2,6 +2,7 @@ package xipc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -79,6 +80,48 @@ func TestIdempotentSendRetriesResolveFailure(t *testing.T) {
 	if !idemDone || idemErr == nil || idemErr.Code != xrl.CodeResolveFailed {
 		t.Fatalf("bounded retry: done=%v err=%v, want RESOLVE_FAILED", idemDone, idemErr)
 	}
+}
+
+// TestRequeuedCallsKeepTheirOrder drives one target's order queue by
+// hand, frozen behind a resolution in flight. Calls that come back to it —
+// re-routed after a stale resolution, or resumed after a backoff — go in
+// front of the calls parked there, in the order they come back, however
+// many of them have shipped or left meanwhile.
+func TestRequeuedCallsKeepTheirOrder(t *testing.T) {
+	r := NewRouter("caller", eventloop.New(nil))
+	calls := map[string]*call{}
+	for _, name := range []string{"a", "b", "c", "d", "e", "h", "p1", "p2"} {
+		calls[name] = &call{x: xrl.XRL{Target: "t"}}
+	}
+	q := &sendQueue{resolving: true, calls: []*call{calls["p1"], calls["p2"]}}
+	r.pendingSends["t"] = q
+	expect := func(step string, want ...string) {
+		t.Helper()
+		var got []string
+		for _, c := range q.calls {
+			for name, nc := range calls {
+				if nc == c {
+					got = append(got, name)
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("after %s the queue is %v, want %v", step, got, want)
+		}
+	}
+	r.reroute(calls["a"])
+	r.reroute(calls["b"])
+	expect("two re-routes", "a", "b", "p1", "p2")
+	q.pop()
+	r.reroute(calls["c"])
+	expect("a pop and a re-route", "b", "c", "p1", "p2")
+	q.remove(calls["b"])
+	r.reroute(calls["d"])
+	expect("a removal and a re-route", "c", "d", "p1", "p2")
+	q.held = calls["h"]
+	r.resume(calls["h"])
+	r.reroute(calls["e"])
+	expect("a resume and a re-route", "h", "c", "d", "e", "p1", "p2")
 }
 
 // TestRetryKeepsItsPlace: an idempotent call backing off holds its

@@ -91,11 +91,13 @@ type Router struct {
 // sendQueue is one target's order queue: the calls parked behind the
 // Finder resolution of the first of them, or behind an idempotent call
 // backing off between attempts, which goes back to the head when its
-// backoff ends (hold, resume in call.go).
+// backoff ends (hold, resume in call.go). A call whose resolution went
+// stale goes back to the head too (reroute), in send order.
 type sendQueue struct {
 	calls     []*call
 	resolving bool  // a resolution for one of the calls is in flight
 	held      *call // backing off; the calls wait for it
+	resent    int   // calls[:resent] went back to the head: resumed or re-routed
 }
 
 // NewRouter returns a Router named name (the process instance name,
@@ -421,6 +423,7 @@ func (q *sendQueue) pop() *call {
 	head := q.calls[0]
 	q.calls[0] = nil
 	q.calls = q.calls[1:]
+	q.resent = max(q.resent-1, 0)
 	return head
 }
 
@@ -428,6 +431,9 @@ func (q *sendQueue) pop() *call {
 func (q *sendQueue) remove(c *call) {
 	if i := slices.Index(q.calls, c); i >= 0 {
 		q.calls = slices.Delete(q.calls, i, i+1)
+		if i < q.resent {
+			q.resent--
+		}
 	}
 }
 

@@ -238,9 +238,18 @@ func TestUDPListenerIgnoresGarbage(t *testing.T) {
 // ones sent again reach the target in that order; and since a pending
 // call may have run already, only the idempotent ones are sent again: no
 // other call runs twice. Calls sent once the tear is seen, but before the
-// pending ones have failed, never reached the wire: they go again too,
-// behind the pending ones.
+// pending ones have failed, go behind the pending ones: when their method
+// is resolved they never reached the wire and go again; when it is cold
+// they wait for its lookup, and the pending ones sent again go back in
+// front of them.
 func TestTornConnectionResendsInOrder(t *testing.T) {
+	t.Run("late method resolved", func(t *testing.T) { tornConnection(t, "put") })
+	t.Run("late method cold", func(t *testing.T) { tornConnection(t, "add") })
+}
+
+// tornConnection sends the late calls of TestTornConnectionResendsInOrder
+// to lateMethod, which is resolved before the tear only if it is "put".
+func tornConnection(t *testing.T, lateMethod string) {
 	const (
 		inflight = 16   // pending on the connection when it tears
 		late     = 4    // sent to the dead connection after the tear
@@ -282,6 +291,7 @@ func TestTornConnectionResendsInOrder(t *testing.T) {
 	tgt := NewTarget("sink", "sink")
 	tgt.Register("test", "1.0", "put", handler) // not idempotent
 	tgt.Register("test", "1.0", "set", handler) // idempotent
+	tgt.Register("test", "1.0", "add", handler) // not idempotent, cold
 	recv.AddTarget(tgt)
 
 	sendLoop, hub := eventloop.New(nil), NewHub()
@@ -307,7 +317,7 @@ func TestTornConnectionResendsInOrder(t *testing.T) {
 	}
 
 	// Below inflight, even i is a put and odd i a set; call 0, the one
-	// that tears, is a put. The late calls are puts.
+	// that tears, is a put. The late calls are lateMethod's.
 	const n = inflight + late
 	errs := make([]*xrl.Error, n)
 	replies := make([]int, n)
@@ -343,7 +353,7 @@ func TestTornConnectionResendsInOrder(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		for i := inflight; i < n; i++ {
-			send.SendFromLoop(xrl.New("sink", "test", "1.0", "put", xrl.U32("i", uint32(i))), reply(i))
+			send.SendFromLoop(xrl.New("sink", "test", "1.0", lateMethod, xrl.U32("i", uint32(i))), reply(i))
 		}
 	})
 	done := make(chan struct{})
@@ -359,7 +369,7 @@ func TestTornConnectionResendsInOrder(t *testing.T) {
 	mu.Unlock()
 	// Call 0 ran once on the torn connection and nothing after it ran
 	// there. The sets went again in the order they were sent, and the
-	// late puts behind them.
+	// late calls behind them.
 	want := []int{0}
 	for i := 1; i < inflight; i += 2 {
 		want = append(want, i)
@@ -381,7 +391,7 @@ func TestTornConnectionResendsInOrder(t *testing.T) {
 		switch {
 		case i >= inflight:
 			if ran[i] != 1 || errs[i] != nil {
-				t.Errorf("late put %d ran %d times, err %v; want once, success", i, ran[i], errs[i])
+				t.Errorf("late call %d ran %d times, err %v; want once, success", i, ran[i], errs[i])
 			}
 		case i%2 == 0:
 			if ran[i] > 1 {
