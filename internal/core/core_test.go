@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -209,6 +210,63 @@ func TestQuickFanoutEveryReaderSeesEverythingInOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// PumpAll serves its readers in the order they were attached, on every
+// pump: the RIB branch and the peer groups hear each change in one fixed
+// order, not in a map's.
+func TestFanoutPumpsInAttachOrder(t *testing.T) {
+	q := NewFanoutQueue[int]()
+	var heard []int
+	for id := 0; id < 8; id++ {
+		q.AddReader(func(int) bool { heard = append(heard, id); return true })
+	}
+	want := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for pump := 0; pump < 100; pump++ {
+		heard = heard[:0]
+		q.Push(pump)
+		q.PumpAll()
+		if !slices.Equal(heard, want) {
+			t.Fatalf("pump %d served the readers in the order %v, want %v", pump, heard, want)
+		}
+	}
+}
+
+// A deliver that detaches readers, itself included, or attaches one makes
+// the pump skip no reader and serve none twice: a detached reader hears
+// nothing more, and one attached mid-pump is served after the others.
+func TestFanoutReadersChangeDuringPump(t *testing.T) {
+	q := NewFanoutQueue[int]()
+	type heard struct{ reader, v int }
+	var got []heard
+	readers := make([]*FanoutReader[int], 6)
+	var late *FanoutReader[int]
+	for id := range readers {
+		readers[id] = q.AddReader(func(v int) bool {
+			got = append(got, heard{id, v})
+			if id == 2 && v == 0 {
+				q.RemoveReader(readers[1]) // served already
+				q.RemoveReader(readers[2]) // itself
+				q.RemoveReader(readers[4]) // not yet served
+				late = q.AddReader(func(v int) bool { got = append(got, heard{6, v}); return true })
+			}
+			return true
+		})
+	}
+	q.Push(0)
+	q.PumpAll()
+	want := []heard{{0, 0}, {1, 0}, {2, 0}, {3, 0}, {5, 0}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("the first pump delivered %v, want %v", got, want)
+	}
+	got = nil
+	q.Push(1)
+	q.PumpAll()
+	want = []heard{{0, 1}, {3, 1}, {5, 1}, {6, 1}}
+	if !slices.Equal(got, want) || late.Backlog() != 0 || q.Len() != 0 {
+		t.Fatalf("the second pump delivered %v (want %v); late backlog %d, queue %d (want 0, 0)",
+			got, want, late.Backlog(), q.Len())
 	}
 }
 

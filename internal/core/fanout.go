@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // FanoutQueue is the paper's fanout stage queue (§5.1.1): route changes
 // chosen by the decision process are held in a single queue with one read
 // cursor per consumer (each peer's output branch and the RIB branch), so a
@@ -8,11 +10,17 @@ package core
 // The queue is generic and delivery-agnostic: consumers attach a deliver
 // function; PumpAll pushes each reader as many entries as it will take. A
 // reader marked busy (e.g. a peer with a full TCP buffer) stops consuming
-// until it is marked not busy.
+// until it is marked not busy. PumpAll serves the readers in the order
+// they were attached, so what one branch is sent never depends on the
+// order a map happens to hand out.
 type FanoutQueue[T any] struct {
 	entries []T
 	base    int // absolute index of entries[0]
-	readers map[*FanoutReader[T]]struct{}
+	// readers in attach order. A reader removed while a pump runs (from
+	// a deliver) leaves a nil slot, so no reader moves under the pump;
+	// the outermost pump drops the slots as it ends.
+	readers []*FanoutReader[T]
+	pumping int // PumpAll calls running, nested ones included
 }
 
 // FanoutReader is one consumer's cursor into a FanoutQueue.
@@ -28,20 +36,26 @@ type FanoutReader[T any] struct {
 
 // NewFanoutQueue returns an empty queue.
 func NewFanoutQueue[T any]() *FanoutQueue[T] {
-	return &FanoutQueue[T]{readers: make(map[*FanoutReader[T]]struct{})}
+	return &FanoutQueue[T]{}
 }
 
 // AddReader attaches a consumer positioned at the queue tail (it sees only
 // future entries).
 func (q *FanoutQueue[T]) AddReader(deliver func(T) bool) *FanoutReader[T] {
 	r := &FanoutReader[T]{q: q, pos: q.base + len(q.entries), deliver: deliver}
-	q.readers[r] = struct{}{}
+	q.readers = append(q.readers, r)
 	return r
 }
 
 // RemoveReader detaches a consumer and trims the queue.
 func (q *FanoutQueue[T]) RemoveReader(r *FanoutReader[T]) {
-	delete(q.readers, r)
+	if i := slices.Index(q.readers, r); i >= 0 {
+		if q.pumping > 0 {
+			q.readers[i] = nil
+		} else {
+			q.readers = slices.Delete(q.readers, i, i+1)
+		}
+	}
 	q.trim()
 }
 
@@ -57,11 +71,18 @@ func (q *FanoutQueue[T]) Len() int { return len(q.entries) }
 // Head returns the oldest entry still held; the queue must not be empty.
 func (q *FanoutQueue[T]) Head() T { return q.entries[0] }
 
-// PumpAll advances every non-busy reader as far as it will go and trims
-// consumed entries.
+// PumpAll advances every non-busy reader as far as it will go, in attach
+// order, and trims consumed entries. A reader attached by a deliver is
+// pumped in the same pass, after the others.
 func (q *FanoutQueue[T]) PumpAll() {
-	for r := range q.readers {
-		r.pump()
+	q.pumping++
+	for i := 0; i < len(q.readers); i++ {
+		if r := q.readers[i]; r != nil {
+			r.pump()
+		}
+	}
+	if q.pumping--; q.pumping == 0 {
+		q.readers = slices.DeleteFunc(q.readers, func(r *FanoutReader[T]) bool { return r == nil })
 	}
 	q.trim()
 }
@@ -90,25 +111,18 @@ func (r *FanoutReader[T]) pump() {
 // trim drops entries all readers have consumed. With no readers the queue
 // empties (changes have nowhere to go).
 func (q *FanoutQueue[T]) trim() {
-	if len(q.readers) == 0 {
-		q.base += len(q.entries)
-		q.entries = q.entries[:0]
-		return
-	}
-	min := q.base + len(q.entries)
-	for r := range q.readers {
-		if r.pos < min {
-			min = r.pos
+	low := q.base + len(q.entries)
+	for _, r := range q.readers {
+		if r != nil {
+			low = min(low, r.pos)
 		}
 	}
-	if n := min - q.base; n > 0 {
+	if n := low - q.base; n > 0 {
 		// Shift in place to keep the backing array bounded by the
-		// slowest reader's backlog.
-		var zero T
-		for i := 0; i < n; i++ {
-			q.entries[i] = zero
-		}
-		q.entries = append(q.entries[:0], q.entries[n:]...)
-		q.base = min
+		// slowest reader's backlog, and clear the slots it frees, so
+		// they pin nothing.
+		m := copy(q.entries, q.entries[n:])
+		clear(q.entries[m:])
+		q.entries, q.base = q.entries[:m], low
 	}
 }

@@ -1,7 +1,6 @@
 package xipc
 
 import (
-	"slices"
 	"time"
 
 	"xorp/internal/xrl"
@@ -102,7 +101,8 @@ type call struct {
 	items *itemBuf
 
 	// Progress, touched only on r's loop.
-	attempt    int    // idempotent attempt, from 1
+	order      uint32 // place in r's send order, stamped once (stamp)
+	attempt    uint32 // idempotent attempt, from 1
 	idem       bool   // transient transport failures are retried (retry.go)
 	allowRetry bool   // sent over a cached resolution not yet refreshed
 	backingOff bool   // deadline ends an idempotent backoff, not a reply timeout
@@ -230,7 +230,24 @@ func countItems(atoms []xrl.Atom) int {
 }
 
 // start is where a Send lands on the loop.
-func (c *call) start() { c.r.route(c) }
+func (c *call) start() {
+	c.r.stamp(c)
+	c.r.route(c)
+}
+
+// stamp gives c the next place in r's send order: the order in which the
+// loop sees its sends. A call is stamped once, before its first route; a
+// retry or a re-route keeps its place. Stamps are compared as int32(a-b),
+// so they may wrap. Runs on the loop.
+func (r *Router) stamp(c *call) {
+	r.stamps++
+	c.order = r.stamps
+}
+
+// ordered reports whether a call to x waits its turn in its target's order
+// queue when it cannot ship: a pre-resolved call, or one to the Finder,
+// never queues.
+func ordered(x *xrl.XRL) bool { return !x.IsResolved() && x.Target != FinderTargetName }
 
 // arm puts c, which is off the deadline list, on it to expire d from now
 // on the loop clock. The walk back from the tail ends at once unless d is
@@ -306,11 +323,16 @@ func (r *Router) expire() {
 }
 
 // expired is c's deadline passing: a backoff that ends sends the call
-// again, a reply timeout fails it.
+// again, a reply timeout fails it. A call that backed off waited at its
+// place in its target's order queue, which now ships from its head.
 func (c *call) expired() {
 	if c.backingOff {
 		c.backingOff, c.allowRetry = false, true
-		c.r.resume(c)
+		if ordered(&c.x) {
+			c.r.drainPending(c.x.Target)
+		} else {
+			c.r.route(c)
+		}
 		return
 	}
 	proto := xrl.ProtoIntra // the one family that holds no sender
@@ -319,65 +341,6 @@ func (c *call) expired() {
 	}
 	c.r.finish(c, nil, &xrl.Error{Code: xrl.CodeReplyTimeout,
 		Note: proto + " reply timeout for " + c.req.Command})
-}
-
-// hold makes c, an idempotent call backing off, the head its target's
-// later sends park behind, so that a retry never overtakes them. A retry
-// already holding the queue keeps it, and c joins the queue's tail when
-// its own backoff ends. Pre-resolved and Finder calls never queue. Runs
-// on the loop.
-func (r *Router) hold(c *call) {
-	x := &c.x
-	if x.IsResolved() || x.Target == FinderTargetName {
-		return
-	}
-	q := r.pendingSends[x.Target]
-	if q == nil {
-		q = &sendQueue{}
-		r.pendingSends[x.Target] = q
-	}
-	if q.held == nil {
-		q.held = c
-	}
-}
-
-// resume routes c again once its backoff is over. A call holding its
-// target's queue goes back to its head, and the calls parked behind it
-// ship after it, in order; a lookup still out for one of them takes its
-// call by identity (drainPending). Runs on the loop.
-func (r *Router) resume(c *call) {
-	q := r.pendingSends[c.x.Target]
-	if q == nil || q.held != c {
-		r.route(c)
-		return
-	}
-	q.held = nil
-	q.calls = slices.Insert(q.calls, 0, c)
-	q.resent++
-	r.drainPending(c.x.Target)
-}
-
-// reroute routes c again after its cached resolution went stale. It was
-// sent before every call parked for its target, so it goes back in front
-// of them, behind the calls re-routed before it; a target with no queue
-// gets one, whose head resolves c's method afresh. On a closed router it
-// fails as any call does. Runs on the loop.
-func (r *Router) reroute(c *call) {
-	r.mu.Lock()
-	closed := r.closed
-	r.mu.Unlock()
-	if closed {
-		r.route(c)
-		return
-	}
-	q := r.pendingSends[c.x.Target]
-	if q == nil {
-		q = &sendQueue{}
-		r.pendingSends[c.x.Target] = q
-	}
-	q.calls = slices.Insert(q.calls, q.resent, c)
-	q.resent++
-	r.drainPending(c.x.Target)
 }
 
 // handle runs the request on the destination's loop (intra) and sends
@@ -417,22 +380,26 @@ func (r *Router) finish(c *call, args xrl.Args, err *xrl.Error) {
 	}
 	if err != nil {
 		if c.allowRetry && staleResolution(err.Code) {
+			// Its method is cold now: route puts c back in its target's
+			// order queue, at its place, and the head resolves afresh.
 			c.allowRetry = false
 			r.mu.Lock()
 			delete(r.cache, keyOf(&c.x))
 			r.mu.Unlock()
-			r.reroute(c)
+			r.route(c)
 			return
 		}
 		if c.idem && retryable(err.Code) {
 			r.mu.Lock()
 			pol := r.retry
 			r.mu.Unlock()
-			if c.attempt < pol.Attempts {
+			if int(c.attempt) < pol.Attempts {
 				c.backingOff = true
-				r.arm(c, backoff(pol, c.attempt))
+				r.arm(c, backoff(pol, int(c.attempt)))
 				c.attempt++
-				r.hold(c)
+				if ordered(&c.x) {
+					r.enqueue(c) // the calls sent after c wait behind it
+				}
 				return
 			}
 		}

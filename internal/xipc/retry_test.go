@@ -2,6 +2,7 @@ package xipc
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -83,45 +84,58 @@ func TestIdempotentSendRetriesResolveFailure(t *testing.T) {
 }
 
 // TestRequeuedCallsKeepTheirOrder drives one target's order queue by
-// hand, frozen behind a resolution in flight. Calls that come back to it —
-// re-routed after a stale resolution, or resumed after a backoff — go in
-// front of the calls parked there, in the order they come back, however
-// many of them have shipped or left meanwhile.
+// hand, frozen behind a lookup in flight. Calls come back to it out of
+// send order — re-routed after a stale resolution, or backing off — while
+// others ship or leave and a backoff ends, and the queue stays in send
+// order throughout. The stamps wrap around midway.
 func TestRequeuedCallsKeepTheirOrder(t *testing.T) {
 	r := NewRouter("caller", eventloop.New(nil))
-	calls := map[string]*call{}
-	for _, name := range []string{"a", "b", "c", "d", "e", "h", "p1", "p2"} {
-		calls[name] = &call{x: xrl.XRL{Target: "t"}}
+	r.retry = RetryPolicy{Attempts: 4, Base: time.Hour, Max: time.Hour} // no backoff ends by itself
+	r.stamps = math.MaxUint32 - 3
+	names := []string{"a", "b", "c", "d", "e", "f", "p1", "p2"} // in send order
+	calls := map[*call]string{}
+	by := map[string]*call{}
+	for _, name := range names {
+		c := r.newCall(xrl.New("t", "test", "1.0", "m"), nil, true)
+		r.stamp(c)
+		calls[c], by[name] = name, c
 	}
-	q := &sendQueue{resolving: true, calls: []*call{calls["p1"], calls["p2"]}}
+	q := &sendQueue{resolving: true, calls: []*call{by["p1"], by["p2"]}}
 	r.pendingSends["t"] = q
 	expect := func(step string, want ...string) {
 		t.Helper()
 		var got []string
 		for _, c := range q.calls {
-			for name, nc := range calls {
-				if nc == c {
-					got = append(got, name)
-				}
-			}
+			got = append(got, calls[c])
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("after %s the queue is %v, want %v", step, got, want)
 		}
 	}
-	r.reroute(calls["a"])
-	r.reroute(calls["b"])
-	expect("two re-routes", "a", "b", "p1", "p2")
+	lost := &xrl.Error{Code: xrl.CodeSendFailed, Note: "connection lost"}
+	stale := func(name string) { r.finish(by[name], nil, lost) } // re-routed
+	backOff := func(name string) {
+		by[name].allowRetry = false // sent over a fresh resolution: it backs off
+		r.finish(by[name], nil, lost)
+	}
+	stale("d")
+	stale("b")
+	expect("two re-routes", "b", "d", "p1", "p2")
 	q.pop()
-	r.reroute(calls["c"])
-	expect("a pop and a re-route", "b", "c", "p1", "p2")
-	q.remove(calls["b"])
-	r.reroute(calls["d"])
-	expect("a removal and a re-route", "c", "d", "p1", "p2")
-	q.held = calls["h"]
-	r.resume(calls["h"])
-	r.reroute(calls["e"])
-	expect("a resume and a re-route", "h", "c", "d", "e", "p1", "p2")
+	stale("a")
+	expect("a pop and a re-route", "a", "d", "p1", "p2")
+	q.remove(by["d"])
+	backOff("e")
+	expect("a removal and a backoff", "a", "e", "p1", "p2")
+	stale("c")
+	expect("a re-route in front of a backoff", "a", "c", "e", "p1", "p2")
+	r.unlink(by["e"])
+	by["e"].expired()
+	backOff("f")
+	expect("an ended backoff and a backoff", "a", "c", "e", "f", "p1", "p2")
+	if by["e"].backingOff || !by["f"].backingOff {
+		t.Fatalf("e backing off %v, f %v; want false, true", by["e"].backingOff, by["f"].backingOff)
+	}
 }
 
 // TestRetryKeepsItsPlace: an idempotent call backing off holds its
@@ -262,5 +276,57 @@ func TestRetryKeepsItsPlaceAcrossALookup(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != "set 1" || got[1] != "other 2" {
 		t.Fatalf("target applied %q, want [set 1, other 2]", got)
+	}
+}
+
+// TestConcurrentRetriesKeepTheirOrder: two idempotent calls back off at
+// once, and both keep their places. set 0 warms the cache; then the
+// target's connection tears twice, so that set 1 and set 2 each fail
+// their delivery and their re-resolved delivery, and both back off; set 3
+// is sent during the backoffs. When only the first call to back off kept
+// its place, set 3 shipped behind set 1 and ahead of set 2: [0 1 3 2].
+func TestConcurrentRetriesKeepTheirOrder(t *testing.T) {
+	loop, hub := simLoop(), NewHub()
+	newStubFinder(loop, hub, func(string, string) (xrl.Args, error) {
+		return resolution("peer", "", xrl.ProtoIntra+"|"+hub.id), nil
+	})
+	var applied []uint32
+	failures := 0
+	pr := NewRouter("peer_process", loop)
+	pt := NewTarget("peer", "peer")
+	pt.Register("test", "1.0", "set", func(a xrl.Args) (xrl.Args, error) {
+		if failures > 0 {
+			failures--
+			return nil, &xrl.Error{Code: xrl.CodeSendFailed, Note: "connection torn"}
+		}
+		v, _ := a.Get("v")
+		applied = append(applied, uint32(v.IntVal))
+		return nil, nil
+	})
+	pr.AddTarget(pt)
+	pr.AttachHub(hub)
+
+	cr := NewRouter("caller_process", loop)
+	cr.AttachHub(hub)
+	cr.retry = RetryPolicy{Attempts: 4, Base: 50 * time.Millisecond, Max: time.Second}
+	var done []*xrl.Error
+	answer := func(_ xrl.Args, err *xrl.Error) { done = append(done, err) }
+	set := func(v uint32) { cr.sendIdempotent(xrl.New("peer", "test", "1.0", "set", xrl.U32("v", v)), answer) }
+	set(0)
+	loop.RunPending()
+	failures = 4
+	set(1)
+	set(2)
+	loop.RunPending()
+	if failures != 0 || len(done) != 1 {
+		t.Fatalf("%d failures left and %d calls answered, want 0 and 1: both retries back off", failures, len(done))
+	}
+	set(3)
+	loop.RunFor(3 * time.Second) // covers every jittered backoff
+	if len(done) != 4 || slices.ContainsFunc(done, func(e *xrl.Error) bool { return e != nil }) {
+		t.Fatalf("calls answered %v, want four successes", done)
+	}
+	if !slices.Equal(applied, []uint32{0, 1, 2, 3}) {
+		t.Fatalf("target applied %v, want [0 1 2 3]: a retry was overtaken", applied)
 	}
 }

@@ -80,24 +80,26 @@ type Router struct {
 	dtimer       *eventloop.Timer
 	dtimerAt     time.Time
 
-	// pendingSends holds, per target, sends queued behind an in-flight
-	// Finder resolution so the per-target send order survives a cold
-	// cache: without it, the first use of a new method waits a resolution
-	// round-trip while later sends of already-resolved methods overtake
-	// it — reordering route updates. Touched only on the loop goroutine.
+	// pendingSends holds, per target, the order queue of the calls that
+	// cannot ship yet (sendQueue); stamps is the last send-order stamp
+	// handed out (stamp, in call.go). Touched only on the loop goroutine.
 	pendingSends map[string]*sendQueue
+	stamps       uint32
 }
 
-// sendQueue is one target's order queue: the calls parked behind the
-// Finder resolution of the first of them, or behind an idempotent call
-// backing off between attempts, which goes back to the head when its
-// backoff ends (hold, resume in call.go). A call whose resolution went
-// stale goes back to the head too (reroute), in send order.
+// sendQueue is one target's order queue: the calls to it that cannot
+// ship yet, sorted by send order. Once a call waits here, every call sent
+// to the target after it waits too, behind it. A call waits behind a
+// Finder lookup, its own method's or an earlier call's; while it backs off
+// between idempotent attempts; and, after its cached resolution went
+// stale, until its method resolves afresh. enqueue is the one way in, at
+// the call's stamp's place, and drainPending ships from the head. Without
+// it, the first use of a method would wait a lookup while later sends of
+// resolved methods overtook it, and a retry would land after calls sent
+// behind it: both reorder route updates.
 type sendQueue struct {
 	calls     []*call
-	resolving bool  // a resolution for one of the calls is in flight
-	held      *call // backing off; the calls wait for it
-	resent    int   // calls[:resent] went back to the head: resumed or re-routed
+	resolving bool // a Finder lookup for a queued call is out
 }
 
 // NewRouter returns a Router named name (the process instance name,
@@ -280,6 +282,7 @@ func (r *Router) SendFromLoop(x xrl.XRL, cb Callback) {
 	}
 	c := r.newCall(x, cb, false)
 	r.mu.Unlock()
+	r.stamp(c)
 	r.route(c)
 }
 
@@ -302,8 +305,9 @@ func (r *Router) Call(x xrl.XRL) (xrl.Args, *xrl.Error) {
 // route sends c on its way: to a local target by direct call; to the
 // endpoint a pre-resolved XRL names; to the Finder, which is addressed
 // directly and never resolved; and otherwise over the cached resolution
-// of its method, behind a Finder resolution when there is none yet. Runs
-// on the loop.
+// of its method, unless it must wait in its target's order queue: behind
+// earlier calls that wait there, or for its method's lookup. Runs on the
+// loop.
 func (r *Router) route(c *call) {
 	x := &c.x
 	preResolved := x.IsResolved()
@@ -356,39 +360,57 @@ func (r *Router) route(c *call) {
 		ep.cmd = x.Command()
 		r.transportSend(c, ep)
 
-	case parked != nil:
-		// Earlier sends to this target are parked behind a resolution:
-		// join the queue so the per-target order holds.
-		parked.calls = append(parked.calls, c)
-
-	case hit:
+	case parked == nil && hit:
 		r.transportSend(c, res)
 
 	default:
-		// Cold cache: park the send (opening the target's order queue)
-		// and resolve through the Finder.
-		r.pendingSends[x.Target] = &sendQueue{calls: []*call{c}}
-		r.drainPending(x.Target)
+		// Earlier calls to this target wait in its order queue, or the
+		// method is cold: c waits there too, at its place.
+		r.enqueue(c)
 	}
 }
 
-// drainPending ships the sends parked for target whose methods hit the
-// resolution cache. At the first cold one it asks the Finder, keeping the
-// rest parked behind it, and carries on when the answer is in. Runs on
-// the loop.
+// enqueue puts c, which is not on the wire, into its target's order
+// queue at its stamp's place, opening the queue if there is none, and
+// ships what the queue can. A new send goes to the tail; a re-routed or
+// backing-off call goes back in front of the calls sent after it. Runs
+// on the loop.
+func (r *Router) enqueue(c *call) {
+	q := r.pendingSends[c.x.Target]
+	if q == nil {
+		q = &sendQueue{}
+		r.pendingSends[c.x.Target] = q
+	}
+	i := len(q.calls)
+	for i > 0 && int32(q.calls[i-1].order-c.order) > 0 {
+		i--
+	}
+	q.calls = slices.Insert(q.calls, i, c)
+	r.drainPending(c.x.Target)
+}
+
+// drainPending ships target's queued calls from the head while their
+// methods hit the resolution cache, and closes the queue once it is
+// empty. It stops at a head backing off, whose backoff's end drains again
+// (expired), and at a cold head, whose method it asks the Finder for,
+// carrying on when the answer is in. Runs on the loop.
 func (r *Router) drainPending(target string) {
 	q := r.pendingSends[target]
-	// One resolution at a time: a head that fails on the spot and is
-	// routed again from inside this loop (a stale resolution) lands back
-	// in the queue, and must not be asked about twice.
-	for q != nil && !q.resolving && q.held == nil {
+	// One lookup at a time: a head that fails on the spot (a stale
+	// resolution) comes back in from inside this loop, cold, and is
+	// looked up there.
+	for q != nil && !q.resolving {
 		if len(q.calls) == 0 {
 			if r.pendingSends[target] == q {
 				delete(r.pendingSends, target)
 			}
 			return
 		}
-		ck := keyOf(&q.calls[0].x)
+		head := q.calls[0]
+		if head.backingOff {
+			return
+		}
+		ck := keyOf(&head.x)
 		r.mu.Lock()
 		res, hit := r.cache[ck]
 		r.mu.Unlock()
@@ -397,18 +419,15 @@ func (r *Router) drainPending(target string) {
 			continue
 		}
 		q.resolving = true
-		head := q.calls[0]
 		r.resolve(ck, func(res resolved, err *xrl.Error) {
 			q.resolving = false
 			if err != nil {
 				// The call looked up fails, wherever it stands now: a
-				// retry whose backoff ended meanwhile went in front of it.
+				// call sent before it may have come back in front.
 				q.remove(head)
 				head.allowRetry = false // the resolution failed, it is not stale
 				r.finish(head, nil, err)
 			} else {
-				// The queue ships in its order: the call looked up waits
-				// behind a retry that holds the queue or went in front.
 				r.mu.Lock()
 				r.cache[ck] = res
 				r.mu.Unlock()
@@ -423,7 +442,6 @@ func (q *sendQueue) pop() *call {
 	head := q.calls[0]
 	q.calls[0] = nil
 	q.calls = q.calls[1:]
-	q.resent = max(q.resent-1, 0)
 	return head
 }
 
@@ -431,9 +449,6 @@ func (q *sendQueue) pop() *call {
 func (q *sendQueue) remove(c *call) {
 	if i := slices.Index(q.calls, c); i >= 0 {
 		q.calls = slices.Delete(q.calls, i, i+1)
-		if i < q.resent {
-			q.resent--
-		}
 	}
 }
 
@@ -525,11 +540,11 @@ func (r *Router) finderEndpoint() (resolved, bool) {
 // for the caller, already on the loop, to hand to the callback at once:
 // no queue trips and no allocations.
 func (r *Router) dispatchLocal(t *Target, x *xrl.XRL) (xrl.Args, *xrl.Error) {
-	h, ok := t.handlerIVM(x.Interface, x.Version, x.Method)
+	m, ok := t.methodOf(x)
 	if !ok {
 		return nil, &xrl.Error{Code: xrl.CodeNoSuchMethod, Note: t.Name + " has no method " + x.Command()}
 	}
-	out, err := h(x.Args)
+	out, err := m.h(x.Args)
 	return out, xrl.AsError(err)
 }
 
@@ -666,15 +681,15 @@ func (r *Router) dispatch(targetName, cmd, key string, args xrl.Args) (xrl.Args,
 		return nil, &xrl.Error{Code: xrl.CodeNoSuchTarget,
 			Note: "no target " + targetName + " in process " + r.name}
 	}
-	h, ok := t.handler(cmd)
+	m, ok := t.method(cmd)
 	if !ok {
 		return nil, &xrl.Error{Code: xrl.CodeNoSuchMethod,
 			Note: targetName + " has no method " + cmd}
 	}
-	if want := t.keyFor(cmd); want != "" && key != want {
+	if m.key != "" && key != m.key {
 		return nil, &xrl.Error{Code: xrl.CodeBadKey, Note: "method key mismatch for " + cmd}
 	}
-	out, err := h(args)
+	out, err := m.h(args)
 	return out, xrl.AsError(err)
 }
 

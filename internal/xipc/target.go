@@ -55,40 +55,31 @@ type Target struct {
 	Class string
 
 	mu      sync.RWMutex
-	methods map[string]Handler // command "iface/version/method" -> handler
-	// byIVM indexes the same handlers by (iface, version, method), letting
-	// the local-dispatch fast path skip building the command string.
-	byIVM map[ivmKey]Handler
-	keys  map[string]string // command -> Finder-issued method key
+	methods map[string]method // by command "iface/version/method"
 }
 
-// ivmKey is a comparable (interface, version, method) triple; looking a
-// composite key up allocates nothing, unlike concatenating a command
-// string.
-type ivmKey struct{ iface, version, method string }
+// method is one registered method: its handler, and the key the Finder
+// issued for it ("" until one is), which transport calls must present.
+type method struct {
+	h   Handler
+	key string
+}
 
 // NewTarget returns a Target with the given instance name and class.
 func NewTarget(name, class string) *Target {
-	return &Target{
-		Name:    name,
-		Class:   class,
-		methods: make(map[string]Handler),
-		byIVM:   make(map[ivmKey]Handler),
-		keys:    make(map[string]string),
-	}
+	return &Target{Name: name, Class: class, methods: make(map[string]method)}
 }
 
 // Register adds a method handler for command "iface/version/method".
 // Registering a duplicate command panics: it is a programming error.
-func (t *Target) Register(iface, version, method string, h Handler) {
-	cmd := iface + "/" + version + "/" + method
+func (t *Target) Register(iface, version, name string, h Handler) {
+	cmd := iface + "/" + version + "/" + name
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, dup := t.methods[cmd]; dup {
 		panic(fmt.Sprintf("xipc: duplicate method %s on target %s", cmd, t.Name))
 	}
-	t.methods[cmd] = h
-	t.byIVM[ivmKey{iface, version, method}] = h
+	t.methods[cmd] = method{h: h}
 }
 
 // Commands returns all registered commands, sorted, so Finder
@@ -104,34 +95,36 @@ func (t *Target) Commands() []string {
 	return out
 }
 
-// handler returns the handler for cmd.
-func (t *Target) handler(cmd string) (Handler, bool) {
+// method returns the method registered as cmd, its handler and its key,
+// in one lookup.
+func (t *Target) method(cmd string) (method, bool) {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	h, ok := t.methods[cmd]
-	return h, ok
+	m, ok := t.methods[cmd]
+	t.mu.RUnlock()
+	return m, ok
 }
 
-// handlerIVM returns the handler for (iface, version, method) without
-// materializing the command string.
-func (t *Target) handlerIVM(iface, version, method string) (Handler, bool) {
+// methodOf is method for x's command, spelled out in a buffer on the
+// stack: a map index by a converted byte slice makes no string, so a
+// local call allocates nothing (unless its command is longer than the
+// buffer).
+func (t *Target) methodOf(x *xrl.XRL) (method, bool) {
+	var buf [128]byte
+	cmd := append(append(append(append(append(buf[:0], x.Interface...), '/'), x.Version...), '/'), x.Method...)
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	h, ok := t.byIVM[ivmKey{iface, version, method}]
-	return h, ok
+	m, ok := t.methods[string(cmd)]
+	t.mu.RUnlock()
+	return m, ok
 }
 
-// SetMethodKey records the Finder-issued key for cmd; once set, transport
-// calls must present it (§7). Called by the finder registration client.
+// SetMethodKey records the Finder-issued key for cmd, a registered
+// command; once set, transport calls must present it (§7). Called by the
+// finder registration client.
 func (t *Target) SetMethodKey(cmd, key string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.keys[cmd] = key
-}
-
-// keyFor returns the required key for cmd ("" if none issued yet).
-func (t *Target) keyFor(cmd string) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.keys[cmd]
+	if m, ok := t.methods[cmd]; ok {
+		m.key = key
+		t.methods[cmd] = m
+	}
 }

@@ -214,7 +214,8 @@ func (s *tcpSender) fail(error) {
 
 // failPending unregisters the dead sender, so the next request
 // reconnects, and fails its pending requests in the order they were
-// sent, so that those sent again keep their per-target order. A pending
+// sent, so that their callers hear in that order; those sent again go
+// back into their target's order queue at their places. A pending
 // request may have run at the target, its reply lost with the
 // connection, so only an idempotent one is sent again; any other fails
 // to its caller. Runs on the loop, before any send that finds the sender
